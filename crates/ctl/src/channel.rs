@@ -194,8 +194,9 @@ impl ControlChannel {
         self.calls_total
     }
 
-    /// A convenience wrapper: admit + encode/decode + timing, returning the
-    /// response produced by `handler` along with its completion time.
+    /// A convenience wrapper: admit + timing (from the frames' encoded
+    /// sizes — nothing is serialized), returning the response produced by
+    /// `handler` along with its completion time.
     pub fn call<F>(
         &mut self,
         now: SimTime,
@@ -206,7 +207,7 @@ impl ControlChannel {
     where
         F: FnOnce(&str, &ControlRequest) -> ControlResponse,
     {
-        let encoded = req.encode();
+        let req_len = req.encoded_len();
         if let Some(token) = session {
             if self.stalled.contains(&token) {
                 // The request went out but the wedged peer never answers:
@@ -221,16 +222,15 @@ impl ControlChannel {
                 let resp = ControlResponse::Error {
                     reason: format!("{e:?}"),
                 };
-                let done = self.call_done_at(now, encoded.len(), resp.encode().len());
+                let done = self.call_done_at(now, req_len, resp.encoded_len());
                 (done, Err(e))
             }
             Ok(token) => {
-                let tenant = self.sessions[&token].tenant.clone();
                 let resp = match &req {
                     ControlRequest::Hello { .. } => ControlResponse::Welcome { session: token },
-                    _ => handler(&tenant, &req),
+                    _ => handler(&self.sessions[&token].tenant, &req),
                 };
-                let done = self.call_done_at(now, encoded.len(), resp.encode().len());
+                let done = self.call_done_at(now, req_len, resp.encoded_len());
                 (done, Ok((token, resp)))
             }
         }

@@ -259,6 +259,27 @@ impl ControlRequest {
         w.finish()
     }
 
+    /// Length of [`Self::encode`]'s output, computed without building the
+    /// frame — the channel's timing model needs only the size.
+    pub fn encoded_len(&self) -> usize {
+        1 + match self {
+            ControlRequest::Hello { tenant, auth } => 4 + tenant.len() + 4 + auth.len(),
+            ControlRequest::PoolConnect { pool } => 4 + pool.len(),
+            ControlRequest::ContOpen { container } => 4 + container.len(),
+            ControlRequest::DfsNamespace { op } => 4 + op.len(),
+            ControlRequest::GetCapability { .. }
+            | ControlRequest::QosRequest { .. }
+            | ControlRequest::ScrubReport { .. } => 16,
+            ControlRequest::IoSubmit { .. } | ControlRequest::RasEvent { .. } => 12,
+            ControlRequest::DfsMount
+            | ControlRequest::Goodbye
+            | ControlRequest::IoPoll
+            | ControlRequest::MapQuery => 0,
+            ControlRequest::AggregationReport { container, .. } => 4 + container.len() + 8,
+            ControlRequest::MapPush { healths, .. } => 8 + 4 + healths.len() + 4,
+        }
+    }
+
     /// Decodes from wire bytes.
     pub fn decode(buf: Bytes) -> Result<Self, WireError> {
         let mut r = WireReader::new(buf);
@@ -353,6 +374,22 @@ impl ControlResponse {
         w.finish()
     }
 
+    /// Length of [`Self::encode`]'s output, computed without building the
+    /// frame.
+    pub fn encoded_len(&self) -> usize {
+        1 + match self {
+            ControlResponse::Ok => 0,
+            ControlResponse::Welcome { .. }
+            | ControlResponse::Handle { .. }
+            | ControlResponse::IoDone { .. } => 8,
+            ControlResponse::NamespaceResult { result } => 4 + result.len(),
+            ControlResponse::Capability(_) => 32,
+            ControlResponse::Qos(q) => 4 + q.tenant.len() + 16,
+            ControlResponse::Error { reason } => 4 + reason.len(),
+            ControlResponse::MapUpdate { healths, .. } => 8 + 4 + healths.len() + 4,
+        }
+    }
+
     /// Decodes from wire bytes.
     pub fn decode(buf: Bytes) -> Result<Self, WireError> {
         let mut r = WireReader::new(buf);
@@ -395,11 +432,13 @@ mod tests {
 
     fn round_trip_req(req: ControlRequest) {
         let encoded = req.encode();
+        assert_eq!(req.encoded_len(), encoded.len(), "{req:?}");
         assert_eq!(ControlRequest::decode(encoded).unwrap(), req);
     }
 
     fn round_trip_resp(resp: ControlResponse) {
         let encoded = resp.encode();
+        assert_eq!(resp.encoded_len(), encoded.len(), "{resp:?}");
         assert_eq!(ControlResponse::decode(encoded).unwrap(), resp);
     }
 

@@ -132,6 +132,9 @@ struct TenantLane {
     /// enabled. Per-lane, never shared — cached bytes stay inside the
     /// tenant's isolation boundary like its PD and staging buffers.
     cache: Option<ReadCache>,
+    /// Scratch for [`DpuClient::queue_start`]'s per-op start instants,
+    /// kept here so the one-op queues fio submits allocate nothing for it.
+    starts: Vec<SimTime>,
 }
 
 /// Refresh a registration when it has less than this long left to live at
@@ -272,6 +275,7 @@ impl DpuClient {
                 rkey_deadline,
                 session,
                 cache: None,
+                starts: Vec::new(),
             });
         }
         let job_map = (0..jobs).map(|j| (j % n_tenants, j / n_tenants)).collect();
@@ -655,6 +659,132 @@ impl DpuClient {
         Ok((lane, local, start))
     }
 
+    /// The queue preamble shared by the batch and pipelined paths: one
+    /// doorbell ring announces the whole queue (the host-side cost does not
+    /// grow with depth), then every op is admitted individually — tenant
+    /// buckets see each byte — and pays its inline service and update CRC,
+    /// which yields its data-plane start instant in `starts`. The whole
+    /// queue runs against the registration checked here, at the latest
+    /// start (most conservative) with the full-queue span; scopes must
+    /// exceed that bound for a queue to be safe at all, and every shipped
+    /// world's scope (≥ 100 ms vs queues of a few tens of MiB) does.
+    /// Returns the submit instant and the latest start.
+    fn queue_start(
+        &mut self,
+        fabric: &mut Fabric,
+        now: SimTime,
+        (lane, local): (usize, usize),
+        ops: &[ClientOp],
+        starts: &mut Vec<SimTime>,
+    ) -> Result<(SimTime, SimTime), DaosError> {
+        let op_bytes = |op: &ClientOp| match op {
+            ClientOp::Update { data, .. } => (data.len() as u64, true),
+            ClientOp::Fetch { len, .. } => (*len, false),
+        };
+        let total_bytes: u64 = ops.iter().map(|op| op_bytes(op).0).sum();
+        let submitted = self.host_submit(now, lane, ops.len() as u32, total_bytes)?;
+        starts.clear();
+        let mut latest = submitted;
+        for op in ops {
+            let (bytes, is_update) = op_bytes(op);
+            let granted = self.admit(submitted, lane, bytes)?;
+            let mut t = granted + self.agent.inline_cost(bytes);
+            if is_update {
+                t += self.crc_cost(bytes);
+            }
+            latest = latest.max(t);
+            starts.push(t);
+        }
+        let span = Self::span_bound(ops.len() as u64, total_bytes);
+        self.ensure_rkey(fabric, lane, local, latest, span)?;
+        self.stats.ops_offloaded += ops.len() as u64;
+        Ok((submitted, latest))
+    }
+
+    /// The data-plane half of [`ObjectClient::execute_pipelined`]: cache
+    /// probes, the lane's [`OpRing`], cache fills, and the host polls.
+    fn run_ring(
+        &mut self,
+        fabric: &mut Fabric,
+        cluster: &mut EngineCluster,
+        submitted: SimTime,
+        (lane, local): (usize, usize),
+        ops: Vec<ClientOp>,
+        starts: &[SimTime],
+    ) -> Vec<ClientOpResult> {
+        // Cache interaction before anything enters the ring: punch every
+        // record this call writes, then probe the remaining latest-epoch
+        // fetches against the lane's cached map revision (the same map the
+        // ring routes by). Hits never enter the ring at all — no staging
+        // legs, no fabric bookings. Misses remember their key so the drain
+        // can fill from leader-path completions. Without a cache `probes`
+        // stays empty (and unallocated).
+        let mut probes: Vec<Probe> = Vec::new();
+        let TenantLane { cache, daos, .. } = &mut self.lanes[lane];
+        if let Some(cache) = cache.as_mut() {
+            let written = punch_batch_writes(cache, &ops);
+            probes.extend(ops.iter().map(|op| {
+                let Some(key) = probeable_key(op, &written) else {
+                    return Probe::Skip;
+                };
+                let (_, _, version) = daos.probe_route(submitted, cluster, &key.oid);
+                let commit = cluster.container_epoch(daos.container());
+                match cache.probe(&key, version, commit) {
+                    Some(data) => Probe::Hit(data),
+                    None => Probe::Miss(key, version),
+                }
+            }));
+        }
+        let hits = probes.iter().filter(|p| p.is_hit()).count();
+        let mut ring = OpRing::new(local, ops.len() - hits);
+        for (i, op) in ops.into_iter().enumerate() {
+            if !probes.get(i).is_some_and(Probe::is_hit) {
+                ring.submit(daos, fabric, cluster, starts[i], op);
+            }
+        }
+        // Ring results come back in op order with the hits left out.
+        let results = ring.drain(daos, fabric, cluster);
+        if let Some(cache) = cache.as_mut() {
+            // Fills are stamped with the commit epoch the drain left
+            // behind. That is safe precisely because records this call
+            // writes never fill (suppressed above): for every filled chunk,
+            // its record's bytes at this epoch are what the fetch read.
+            let commit_now = cluster.container_epoch(daos.container());
+            let misses = probes.iter_mut().filter(|p| !p.is_hit());
+            for ((probe, r), &fill_ok) in misses.zip(&results).zip(ring.fill_ok()) {
+                if let (true, Probe::Miss(key, version), ClientOpResult::Fetch(Ok((data, _)))) =
+                    (fill_ok, std::mem::take(probe), r)
+                {
+                    cache.fill(key, data.clone(), version, commit_now);
+                }
+            }
+        }
+        let mut out: Vec<ClientOpResult> = results
+            .into_iter()
+            .map(|r| match r {
+                ClientOpResult::Update(Ok(done)) => {
+                    ClientOpResult::Update(self.host_poll(done, lane, 1))
+                }
+                ClientOpResult::Fetch(Ok((data, ready))) => {
+                    let bytes = data.len() as u64;
+                    ClientOpResult::Fetch(
+                        self.finish_fetch(ready, lane, bytes).map(|at| (data, at)),
+                    )
+                }
+                err => err,
+            })
+            .collect();
+        // Ascending inserts put each hit back at its op index.
+        for (i, probe) in probes.into_iter().enumerate() {
+            if let Probe::Hit(data) = probe {
+                let ready = starts[i] + ReadCache::service_cost(data.len() as u64);
+                let r = self.host_poll(ready, lane, 1).map(|at| (data, at));
+                out.insert(i, ClientOpResult::Fetch(r));
+            }
+        }
+        out
+    }
+
     /// The fetch epilogue: DPU-side verify + inline decrypt, then the host
     /// poll. Returns the host-visible completion instant.
     fn finish_fetch(
@@ -763,45 +893,15 @@ impl ObjectClient for DpuClient {
         if n == 0 {
             return Vec::new();
         }
-        let total_bytes: u64 = ops
-            .iter()
-            .map(|op| match op {
-                ClientOp::Update { data, .. } => data.len() as u64,
-                ClientOp::Fetch { len, .. } => *len,
-            })
-            .sum();
-        // One doorbell ring covers the whole queue (the batching win the
-        // host keeps even though it no longer runs the client).
-        let submitted = match self.host_submit(now, lane, n as u32, total_bytes) {
-            Ok(t) => t,
+        // The fan-out is one engine round-trip, so it starts as a unit at
+        // the latest op's start.
+        let mut starts = std::mem::take(&mut self.lanes[lane].starts);
+        let queued = self.queue_start(fabric, now, (lane, local), &ops, &mut starts);
+        self.lanes[lane].starts = starts;
+        let start = match queued {
+            Ok((_, latest)) => latest,
             Err(e) => return whole_batch_error(&ops, e),
         };
-        // Every op is admitted individually — tenant buckets see each byte.
-        let mut start = submitted;
-        for op in &ops {
-            let (bytes, is_update) = match op {
-                ClientOp::Update { data, .. } => (data.len() as u64, true),
-                ClientOp::Fetch { len, .. } => (*len, false),
-            };
-            let granted = match self.admit(submitted, lane, bytes) {
-                Ok(t) => t,
-                Err(e) => return whole_batch_error(&ops, e),
-            };
-            let mut t = granted + self.agent.inline_cost(bytes);
-            if is_update {
-                t += self.crc_cost(bytes);
-            }
-            start = start.max(t);
-        }
-        // The whole fan-out runs against the registration checked here, so
-        // cover the batch's own span. Scopes must exceed this bound for a
-        // batch to be safe at all; every shipped world's scope (≥ 100 ms
-        // vs multi-chunk batches of a few tens of MiB) does.
-        let span = Self::span_bound(n as u64, total_bytes);
-        if let Err(e) = self.ensure_rkey(fabric, lane, local, start, span) {
-            return whole_batch_error(&ops, e);
-        }
-        self.stats.ops_offloaded += n as u64;
         // Cache interaction, before anything executes: punch every record
         // the batch writes (write-through), then probe the remaining
         // latest-epoch fetches. A fetch of a record this same batch writes
@@ -872,142 +972,48 @@ impl ObjectClient for DpuClient {
         ops: Vec<ClientOp>,
     ) -> Vec<ClientOpResult> {
         let (lane, local) = self.job_map[job];
-        let n = ops.len();
-        if n == 0 {
+        if ops.is_empty() {
             return Vec::new();
         }
-        let total_bytes: u64 = ops
-            .iter()
-            .map(|op| match op {
-                ClientOp::Update { data, .. } => data.len() as u64,
-                ClientOp::Fetch { len, .. } => *len,
-            })
-            .sum();
-        // One doorbell ring announces the whole queue, exactly like the
-        // batch path — the host-side cost does not grow with depth.
-        let submitted = match self.host_submit(now, lane, n as u32, total_bytes) {
-            Ok(t) => t,
-            Err(e) => return whole_batch_error(&ops, e),
-        };
         // Per-op admission with NO barrier: each op enters the ring at its
         // own grant-plus-preamble instant, so an op throttled by the token
         // bucket delays only itself while earlier grants are already in
         // flight on the lane's data plane.
-        let mut starts = Vec::with_capacity(n);
-        let mut latest = submitted;
-        for op in &ops {
-            let (bytes, is_update) = match op {
-                ClientOp::Update { data, .. } => (data.len() as u64, true),
-                ClientOp::Fetch { len, .. } => (*len, false),
-            };
-            let granted = match self.admit(submitted, lane, bytes) {
-                Ok(t) => t,
-                Err(e) => return whole_batch_error(&ops, e),
-            };
-            let mut t = granted + self.agent.inline_cost(bytes);
-            if is_update {
-                t += self.crc_cost(bytes);
+        let mut starts = std::mem::take(&mut self.lanes[lane].starts);
+        let queued = self.queue_start(fabric, now, (lane, local), &ops, &mut starts);
+        let results = match queued {
+            Ok((submitted, _)) => {
+                self.run_ring(fabric, cluster, submitted, (lane, local), ops, &starts)
             }
-            latest = latest.max(t);
-            starts.push(t);
-        }
-        // The whole ring runs against the registration checked here; check
-        // at the latest start (most conservative) with the full-queue span.
-        let span = Self::span_bound(n as u64, total_bytes);
-        if let Err(e) = self.ensure_rkey(fabric, lane, local, latest, span) {
-            return whole_batch_error(&ops, e);
-        }
-        self.stats.ops_offloaded += n as u64;
-        // Cache interaction before anything enters the ring: punch every
-        // record this call writes, then probe the remaining latest-epoch
-        // fetches against the lane's cached map revision (the same map the
-        // ring routes by). Hits never enter the ring at all — no staging
-        // legs, no fabric bookings. Misses remember their key so the drain
-        // can fill from leader-path completions.
-        let mut hits: Vec<Option<Bytes>> = vec![None; n];
-        let mut fill_keys: Vec<Option<(CacheKey, u64)>> = vec![None; n];
-        if self.lanes[lane].cache.is_some() {
-            let written = punch_batch_writes(self.lanes[lane].cache.as_mut().unwrap(), &ops);
-            for (i, op) in ops.iter().enumerate() {
-                let Some(key) = probeable_key(op, &written) else {
-                    continue;
-                };
-                let (_, _, version) = self.lanes[lane]
-                    .daos
-                    .probe_route(submitted, cluster, &key.oid);
-                let commit = cluster.container_epoch(self.lanes[lane].daos.container());
-                let hit = self.lanes[lane]
-                    .cache
-                    .as_mut()
-                    .expect("checked is_some")
-                    .probe(&key, version, commit);
-                if hit.is_none() {
-                    fill_keys[i] = Some((key, version));
-                }
-                hits[i] = hit;
-            }
-        }
-        let mut ring_idx = Vec::with_capacity(n);
-        let mut ring_ops = Vec::with_capacity(n);
-        for (i, (op, t)) in ops.into_iter().zip(starts.iter().copied()).enumerate() {
-            if hits[i].is_none() {
-                ring_idx.push(i);
-                ring_ops.push((op, t));
-            }
-        }
-        let mut ring = OpRing::new(local, ring_idx.len());
-        for (op, t) in ring_ops {
-            ring.submit(&mut self.lanes[lane].daos, fabric, cluster, t, op);
-        }
-        let results = ring.drain(&mut self.lanes[lane].daos, fabric, cluster);
-        // Fills are stamped with the commit epoch the drain left behind.
-        // That is safe precisely because records this call writes never
-        // fill (suppressed above): for every filled chunk, its record's
-        // bytes at this epoch are what the fetch read.
-        let commit_now = cluster.container_epoch(self.lanes[lane].daos.container());
-        let fill_ok = ring.fill_ok().to_vec();
-        let mut out: Vec<Option<ClientOpResult>> = (0..n).map(|_| None).collect();
-        for (slot, r) in results.into_iter().enumerate() {
-            let i = ring_idx[slot];
-            if let (true, Some((key, version))) = (fill_ok[slot], fill_keys[i].take()) {
-                if let ClientOpResult::Fetch(Ok((data, _))) = &r {
-                    self.lanes[lane]
-                        .cache
-                        .as_mut()
-                        .expect("fill key implies a cache")
-                        .fill(key, data.clone(), version, commit_now);
-                }
-            }
-            out[i] = Some(match r {
-                ClientOpResult::Update(Ok(done)) => {
-                    ClientOpResult::Update(self.host_poll(done, lane, 1))
-                }
-                ClientOpResult::Fetch(Ok((data, ready))) => {
-                    let bytes = data.len() as u64;
-                    ClientOpResult::Fetch(
-                        self.finish_fetch(ready, lane, bytes).map(|at| (data, at)),
-                    )
-                }
-                err => err,
-            });
-        }
-        for (i, hit) in hits.into_iter().enumerate() {
-            if let Some(data) = hit {
-                let ready = starts[i] + ReadCache::service_cost(data.len() as u64);
-                out[i] = Some(ClientOpResult::Fetch(
-                    self.host_poll(ready, lane, 1).map(|at| (data, at)),
-                ));
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every slot is a hit or a ring result"))
-            .collect()
+            Err(e) => whole_batch_error(&ops, e),
+        };
+        self.lanes[lane].starts = starts;
+        results
     }
 
     fn ops(&self) -> u64 {
         // Hits never reach the inner clients, but they are completed I/Os
         // the application issued — count them alongside.
         self.lanes.iter().map(|l| l.daos.ops()).sum::<u64>() + self.cache_stats().hits
+    }
+}
+
+/// What the read cache said about one op of a pipelined queue.
+#[derive(Default)]
+enum Probe {
+    /// Not a probeable fetch (an update, a snapshot read, or a record this
+    /// queue also writes).
+    #[default]
+    Skip,
+    /// Served from DPU DRAM; the op never enters the ring.
+    Hit(Bytes),
+    /// Missed under this map revision; fill from a leader-path completion.
+    Miss(CacheKey, u64),
+}
+
+impl Probe {
+    fn is_hit(&self) -> bool {
+        matches!(self, Probe::Hit(_))
     }
 }
 
