@@ -5,8 +5,9 @@
 //!
 //! * **Headline A/B** — host vs DPU 4 KiB random reads on the two-node
 //!   world, serial (the BENCH_PR4 0.62× baseline shape) and pipelined at
-//!   QD 32 (the BENCH_PR6 0.55× saturated shape). Cache off reproduces
-//!   the cold gap; a 64 MiB carve over a 16 MiB working set must close
+//!   QD 32 (the BENCH_PR6 1.66× shape: the host job is bound by its one
+//!   core, the offloaded job by latency). Cache off reproduces the cold
+//!   ratio; a 64 MiB carve over a 16 MiB working set must bring
 //!   the warm ratio to ≥ `WARM_FLOOR`× host — repeat reads serve from
 //!   DPU DRAM with zero fabric bookings and zero booked ARM CRC.
 //! * **Incast sweep** — hit rate vs DRAM split vs client count: N real
@@ -37,10 +38,11 @@ const CARVE: u64 = 64 << 20;
 /// The acceptance floor on the warm DPU/host small-I/O ratio.
 const WARM_FLOOR: f64 = 0.90;
 /// Per-cell cold-ratio bands: the cache knob must not move the cache-off
-/// path. QD 1 pins the handoff-dominated ~0.84× shape fig_qd gates at
-/// > 0.80; QD 32 pins the saturated 0.55× shape from BENCH_PR6.
+/// path. QD 1 pins the handoff-dominated ~0.84× shape (fig_qd gates it
+/// above 0.80); QD 32 pins the latency-bound 1.66× shape from BENCH_PR6
+/// (0.55× until PR 12 pooled the lane's ARM cores).
 const COLD_BAND_SERIAL: (f64, f64) = (0.75, 0.95);
-const COLD_BAND_QD32: (f64, f64) = (0.45, 0.70);
+const COLD_BAND_QD32: (f64, f64) = (1.50, 1.80);
 /// Warm hit-rate floors: the serial cell streams the region barely twice
 /// inside its windows (partial residency); the QD 32 cell must converge
 /// to near-full residency.

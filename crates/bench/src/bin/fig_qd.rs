@@ -3,20 +3,23 @@
 //! DPU arms, one job, RDMA.
 //!
 //! With the submission/completion ring on, the client books only the
-//! submission share of its per-op CPU on the job core and carries the
-//! completion share as overlappable latency — so small-I/O throughput
-//! must scale with QD until the client core (host) or the DPU ARM core
-//! (offloaded) saturates. The expected shape, asserted as gates and
-//! recorded in `BENCH_PR6.json`:
+//! submission share of its per-op CPU and carries the completion share
+//! as overlappable latency — so small-I/O throughput must scale with QD
+//! until the job's own core saturates (host: the submitting thread is
+//! the application thread) or, offloaded, until latency bounds the loop
+//! (the lane's ARM cores are pooled across jobs, so one job never
+//! saturates them). The expected shape, asserted as gates and recorded
+//! in `BENCH_PR6.json`:
 //!
 //! * **scaling** — host 4 KiB throughput grows monotonically from QD 1
 //!   to QD 8 and QD 8 is at least `QD_SCALING_FLOOR`× QD 1 (the driver's
 //!   closed loop keeps `iodepth` ops in flight; nothing in the client may
 //!   serialize them below that);
-//! * **offload gap** — the DPU arm's small-I/O ratio at deep QD must
-//!   beat the pre-pipeline 0.41× saturated ratio: the ring moves the
-//!   ARM's completion overhead off the critical path, closing toward the
-//!   paper's parity band;
+//! * **offload gap** — at QD 32 the DPU arm must not trail the host:
+//!   the ring moves the ARM's completion overhead off the critical path
+//!   and the lane pool spreads submission over the DPU's cores, while
+//!   the host job stays bound by its one core (0.41× before the ring,
+//!   0.55× with one ARM core per job);
 //! * **large-I/O sanity** — at 1 MiB both arms ride the wire/drive, so
 //!   deep-QD ratios stay near 1 and QD cannot push either arm past the
 //!   fabric;
@@ -123,9 +126,9 @@ fn main() {
          something serialized the ring"
     );
     assert!(
-        r_qd32 > 0.50,
-        "the pipelined DPU arm must beat the pre-pipeline 0.41x saturated \
-         small-I/O ratio (got {r_qd32:.3})"
+        r_qd32 >= 1.0,
+        "at QD32 the offloaded arm (lane-wide ARM pool) must not trail the \
+         host arm (one core per job); got {r_qd32:.3}"
     );
     assert!(
         r_qd1 > 0.80,

@@ -781,18 +781,21 @@ fn main() {
          control arm must stay bit-identical across the offload work"
     );
     // Offload gates (virtual-time, deterministic). RDMA large blocks stay
-    // near host parity; the small-I/O gap lands in the paper's 20-40 %
-    // band without collapsing; QoS admission measurably shapes the capped
-    // tenant while the greedy one runs at data-plane speed.
+    // near host parity; serial small I/O trails the host by the handoff
+    // and the slower ARM path but no longer queues on one ARM core per job
+    // (0.62 before the lane pool, 0.82 with it); QoS admission measurably
+    // shapes the capped tenant while the greedy one runs at data-plane
+    // speed.
     assert!(
         dpu_rdma_large_ratio > 0.80,
         "offloaded RDMA large-block throughput must stay near host parity \
          (ratio {dpu_rdma_large_ratio:.3})"
     );
     assert!(
-        (0.40..1.0).contains(&dpu_rdma_small_ratio),
-        "offloaded RDMA small-I/O must trail the host (ARM cores + handoff) \
-         but not collapse (ratio {dpu_rdma_small_ratio:.3})"
+        (0.70..1.0).contains(&dpu_rdma_small_ratio),
+        "serial offloaded RDMA small-I/O must trail the host (ARM path + \
+         handoff) without re-serializing on a per-job core \
+         (ratio {dpu_rdma_small_ratio:.3})"
     );
     assert!(
         qos_throttled > 0 && qos_capped_bytes < qos_greedy_bytes / 5,

@@ -5,8 +5,9 @@
 //! constructed for, and every CPU cost it pays is scaled to that node's
 //! core class. Each job (FIO thread) owns one channel *per cluster engine*
 //! — a sub-channel of the node's pooled per-engine connection, so QP state
-//! stays O(engines) — plus a serialized client core and a registered
-//! staging buffer:
+//! stays O(engines) — plus a registered staging buffer, and its CPU work
+//! runs on the job's own core (in-process) or on a pool shared by all
+//! jobs (offloaded, [`DaosClient::share_cores`]):
 //!
 //! * **RDMA**: updates announce staged data and the *server* pulls with
 //!   RDMA READ; fetches are *pushed* by the server with RDMA WRITE into the
@@ -60,13 +61,32 @@ struct ClientJob {
     /// One connection per cluster engine slot (index-aligned with the pool
     /// map).
     conns: Vec<ConnId>,
-    core: ServerPool,
     buf: MemAddr,
     buf_len: u64,
     rkey: Option<RKey>,
     /// The MR handle behind `rkey` (RDMA only), kept so the registration
     /// can be replaced when a scoped rkey nears expiry.
     mr: Option<MrId>,
+}
+
+/// The cores that execute the client's per-op CPU work.
+enum ClientCores {
+    /// In-process client: the submitting thread *is* the application
+    /// thread, so each job's work serializes on its own core.
+    PerJob(Vec<ServerPool>),
+    /// Offloaded client: the host job only rings doorbells, so nothing
+    /// ties a job to one core — every job's work lands on one
+    /// work-conserving pool (see [`DaosClient::share_cores`]).
+    Shared(ServerPool),
+}
+
+impl ClientCores {
+    fn pools(&self) -> &[ServerPool] {
+        match self {
+            ClientCores::PerJob(cores) => cores,
+            ClientCores::Shared(pool) => std::slice::from_ref(pool),
+        }
+    }
 }
 
 /// Provenance of one completed fetch, surfaced by
@@ -94,6 +114,7 @@ pub struct DaosClient {
     cont: String,
     pd: PdId,
     jobs: Vec<ClientJob>,
+    cores: ClientCores,
     model: DaosCostModel,
     class: CoreClass,
     transport: Transport,
@@ -284,7 +305,6 @@ impl DaosClient {
             };
             out_jobs.push(ClientJob {
                 conns,
-                core: ServerPool::new(1),
                 buf,
                 buf_len,
                 rkey,
@@ -297,6 +317,7 @@ impl DaosClient {
             cont: cont.into(),
             pd,
             jobs: out_jobs,
+            cores: ClientCores::PerJob(vec![ServerPool::new(1); jobs]),
             model,
             class,
             transport,
@@ -475,19 +496,44 @@ impl DaosClient {
         &self.cont
     }
 
-    /// Resets per-job core timing to t=0.
+    /// Moves the client's CPU work from one core per job onto a shared
+    /// work-conserving pool of `cores` (at least one). The DPU-offloaded
+    /// client calls this once per tenant lane, before any op: its host
+    /// jobs only ring doorbells, so the lane's ARM cores serve whichever
+    /// job has work. Per-job ordering is unaffected — epochs are allocated
+    /// at submit and each job's channel still orders its descriptors.
+    pub fn share_cores(&mut self, cores: usize) {
+        self.cores = ClientCores::Shared(ServerPool::new(cores.max(1)));
+    }
+
+    /// Cores executing the client's CPU work (one per job unless
+    /// [`Self::share_cores`] pooled them).
+    pub fn cores(&self) -> usize {
+        self.cores.pools().iter().map(ServerPool::servers).sum()
+    }
+
+    /// Aggregate busy time across the client cores since the last
+    /// [`Self::reset_timing`].
+    pub fn core_busy_time(&self) -> SimDuration {
+        self.cores
+            .pools()
+            .iter()
+            .fold(SimDuration::ZERO, |t, p| t + p.busy_time())
+    }
+
+    /// Resets client core timing to t=0.
     pub fn reset_timing(&mut self) {
-        for j in &mut self.jobs {
-            j.core.reset_timing();
+        match &mut self.cores {
+            ClientCores::PerJob(cores) => cores.iter_mut().for_each(ServerPool::reset_timing),
+            ClientCores::Shared(pool) => pool.reset_timing(),
         }
     }
 
-    /// Aggregate booking / fast-path counters over the per-job client
-    /// cores.
+    /// Aggregate booking / fast-path counters over the client cores.
     pub fn resource_stats(&self) -> ResourceStats {
         let mut total = ResourceStats::default();
-        for j in &self.jobs {
-            total.merge(j.core.stats());
+        for pool in self.cores.pools() {
+            total.merge(pool.stats());
         }
         total
     }
@@ -539,12 +585,22 @@ impl DaosClient {
         Ok(())
     }
 
+    /// The one client-CPU booking site: `job`'s own core in-process, the
+    /// shared pool when offloaded. Returns the instant the work finishes.
+    fn book_cpu(&mut self, now: SimTime, job: usize, cost: SimDuration) -> SimTime {
+        let pool = match &mut self.cores {
+            ClientCores::PerJob(cores) => &mut cores[job],
+            ClientCores::Shared(pool) => pool,
+        };
+        pool.submit(now, cost).finish
+    }
+
     fn client_cpu(&mut self, now: SimTime, job: usize) -> SimTime {
         let mut cost = self.class.scale(self.model.client_per_op);
         if self.class == CoreClass::DpuArm {
             cost = cost.mul_f64(self.model.dpu_client_overhead);
         }
-        self.jobs[job].core.submit(now, cost).finish
+        self.book_cpu(now, job, cost)
     }
 
     /// The pipelined client-CPU booking: only the submission fraction of
@@ -563,7 +619,7 @@ impl DaosClient {
         if self.class == CoreClass::DpuArm {
             completion += base.mul_f64(self.model.dpu_client_overhead - 1.0);
         }
-        (self.jobs[job].core.submit(now, submit).finish, completion)
+        (self.book_cpu(now, job, submit), completion)
     }
 
     /// Staging-buffer capacity of `job`.

@@ -217,30 +217,37 @@ fn assert_worlds_agree(
 
 #[test]
 fn ring_equals_forced_serial_single_engine() {
-    for seed in [3u64, 17, 92, 1105] {
-        for qd in [2usize, 4, 8] {
-            let plan = plan_ops(seed, 120);
+    // `pooled` is the offloaded client's arrangement: both paths book
+    // their CPU on one shared pool instead of the job's own core.
+    for pooled in [None, Some(4)] {
+        for seed in [3u64, 17, 92, 1105] {
+            for qd in [1usize, 2, 4, 8] {
+                let plan = plan_ops(seed, 120);
 
-            let (mut f1, mut cl1, mut c1) = world(1, 1, 1);
-            let ring_out = run_ring(&mut f1, &mut cl1, &mut c1, &plan, qd);
+                let (mut f1, mut cl1, mut c1) = world(1, 1, 1);
+                let (mut f2, mut cl2, mut c2) = world(1, 1, 1);
+                if let Some(cores) = pooled {
+                    c1.share_cores(cores);
+                    c2.share_cores(cores);
+                }
+                let ring_out = run_ring(&mut f1, &mut cl1, &mut c1, &plan, qd);
+                c2.set_force_serial_pipeline(true);
+                let serial_out = run_ring(&mut f2, &mut cl2, &mut c2, &plan, qd);
 
-            let (mut f2, mut cl2, mut c2) = world(1, 1, 1);
-            c2.set_force_serial_pipeline(true);
-            let serial_out = run_ring(&mut f2, &mut cl2, &mut c2, &plan, qd);
-
-            assert_eq!(ring_out.len(), plan.len());
-            for (i, (r, s)) in ring_out.iter().zip(&serial_out).enumerate() {
-                assert_eq!(
-                    functional(r),
-                    functional(s),
-                    "seed {seed} qd {qd} op {i}: ring != forced-serial"
+                assert_eq!(ring_out.len(), plan.len());
+                for (i, (r, s)) in ring_out.iter().zip(&serial_out).enumerate() {
+                    assert_eq!(
+                        functional(r),
+                        functional(s),
+                        "pool {pooled:?} seed {seed} qd {qd} op {i}: ring != forced-serial"
+                    );
+                }
+                assert_worlds_agree(
+                    (&cl1, &c1),
+                    (&cl2, &c2),
+                    &format!("pool {pooled:?} seed {seed} qd {qd} ring/serial"),
                 );
             }
-            assert_worlds_agree(
-                (&cl1, &c1),
-                (&cl2, &c2),
-                &format!("seed {seed} qd {qd} ring/serial"),
-            );
         }
     }
 }

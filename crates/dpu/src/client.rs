@@ -22,7 +22,10 @@
 //!    server's RDMA pull (or push on fetch), and completion handling run
 //!    on a per-tenant [`DaosClient`] constructed on the DPU node: its own
 //!    protection domain, QPs, and staging buffers — the paper's "dedicated
-//!    QPs/PDs, per-tenant queues and rate limits".
+//!    QPs/PDs, per-tenant queues and rate limits". The host job thread
+//!    only rings doorbells, so the client's per-op CPU runs on a
+//!    work-conserving pool of the lane's share of the DPU's ARM cores
+//!    (node cores / tenant lanes), not on one core per host job.
 //! 6. **Poll** — the host reaps the completion queue; the completion
 //!    instant the application sees includes the handoff both ways.
 //!
@@ -132,8 +135,9 @@ struct TenantLane {
     /// enabled. Per-lane, never shared — cached bytes stay inside the
     /// tenant's isolation boundary like its PD and staging buffers.
     cache: Option<ReadCache>,
-    /// Scratch for [`DpuClient::queue_start`]'s per-op start instants,
-    /// kept here so the one-op queues fio submits allocate nothing for it.
+    /// Per-op data-plane start instants of the queue being submitted,
+    /// written by [`DpuClient::queue_start`]. Kept in the lane so the
+    /// one-op queues fio submits allocate nothing for it.
     starts: Vec<SimTime>,
 }
 
@@ -234,6 +238,9 @@ impl DpuClient {
         }
 
         let n_tenants = tenant_specs.len();
+        // The DPU's ARM cores are split evenly across the tenant lanes, so
+        // a lane never borrows another tenant's cores.
+        let lane_cores = fabric.node(node).spec.cpu.cores / n_tenants;
         let mut lanes = Vec::with_capacity(n_tenants);
         for (k, spec) in tenant_specs.into_iter().enumerate() {
             // Jobs j with j % n_tenants == k belong to this lane.
@@ -249,7 +256,7 @@ impl DpuClient {
             } else {
                 Expiry::At(deadline)
             };
-            let daos = DaosClient::connect_scoped_multi(
+            let mut daos = DaosClient::connect_scoped_multi(
                 fabric,
                 node,
                 servers,
@@ -261,6 +268,9 @@ impl DpuClient {
                 model,
                 expiry,
             )?;
+            // Host jobs only ring doorbells; the lane's cores serve
+            // whichever job has submission work.
+            daos.share_cores(lane_cores);
             let rkey_deadline = vec![deadline; lane_jobs];
             let hello = ControlRequest::Hello {
                 tenant: spec.name.clone(),
@@ -486,6 +496,20 @@ impl DpuClient {
             .min()
     }
 
+    /// ARM cores executing client submission work, summed over the lanes
+    /// (the node's cores split evenly per tenant, at least one each).
+    pub fn submission_cores(&self) -> usize {
+        self.lanes.iter().map(|l| l.daos.cores()).sum()
+    }
+
+    /// Aggregate busy time of the lanes' submission cores since the last
+    /// [`Self::reset_timing`].
+    pub fn submission_busy_time(&self) -> SimDuration {
+        self.lanes
+            .iter()
+            .fold(SimDuration::ZERO, |t, l| t + l.daos.core_busy_time())
+    }
+
     /// Aggregate booking counters over every lane's client cores.
     pub fn resource_stats(&self) -> ResourceStats {
         let mut total = ResourceStats::default();
@@ -663,19 +687,18 @@ impl DpuClient {
     /// doorbell ring announces the whole queue (the host-side cost does not
     /// grow with depth), then every op is admitted individually — tenant
     /// buckets see each byte — and pays its inline service and update CRC,
-    /// which yields its data-plane start instant in `starts`. The whole
-    /// queue runs against the registration checked here, at the latest
-    /// start (most conservative) with the full-queue span; scopes must
-    /// exceed that bound for a queue to be safe at all, and every shipped
-    /// world's scope (≥ 100 ms vs queues of a few tens of MiB) does.
-    /// Returns the submit instant and the latest start.
+    /// which yields its data-plane start instant in the lane's `starts`.
+    /// The whole queue runs against the registration checked here, at the
+    /// latest start (most conservative) with the full-queue span; scopes
+    /// must exceed that bound for a queue to be safe at all, and every
+    /// shipped world's scope (≥ 100 ms vs queues of a few tens of MiB)
+    /// does. Returns the submit instant and the latest start.
     fn queue_start(
         &mut self,
         fabric: &mut Fabric,
         now: SimTime,
         (lane, local): (usize, usize),
         ops: &[ClientOp],
-        starts: &mut Vec<SimTime>,
     ) -> Result<(SimTime, SimTime), DaosError> {
         let op_bytes = |op: &ClientOp| match op {
             ClientOp::Update { data, .. } => (data.len() as u64, true),
@@ -683,7 +706,7 @@ impl DpuClient {
         };
         let total_bytes: u64 = ops.iter().map(|op| op_bytes(op).0).sum();
         let submitted = self.host_submit(now, lane, ops.len() as u32, total_bytes)?;
-        starts.clear();
+        self.lanes[lane].starts.clear();
         let mut latest = submitted;
         for op in ops {
             let (bytes, is_update) = op_bytes(op);
@@ -693,7 +716,7 @@ impl DpuClient {
                 t += self.crc_cost(bytes);
             }
             latest = latest.max(t);
-            starts.push(t);
+            self.lanes[lane].starts.push(t);
         }
         let span = Self::span_bound(ops.len() as u64, total_bytes);
         self.ensure_rkey(fabric, lane, local, latest, span)?;
@@ -710,7 +733,6 @@ impl DpuClient {
         submitted: SimTime,
         (lane, local): (usize, usize),
         ops: Vec<ClientOp>,
-        starts: &[SimTime],
     ) -> Vec<ClientOpResult> {
         // Cache interaction before anything enters the ring: punch every
         // record this call writes, then probe the remaining latest-epoch
@@ -720,7 +742,12 @@ impl DpuClient {
         // can fill from leader-path completions. Without a cache `probes`
         // stays empty (and unallocated).
         let mut probes: Vec<Probe> = Vec::new();
-        let TenantLane { cache, daos, .. } = &mut self.lanes[lane];
+        let TenantLane {
+            cache,
+            daos,
+            starts,
+            ..
+        } = &mut self.lanes[lane];
         if let Some(cache) = cache.as_mut() {
             let written = punch_batch_writes(cache, &ops);
             probes.extend(ops.iter().map(|op| {
@@ -777,7 +804,7 @@ impl DpuClient {
         // Ascending inserts put each hit back at its op index.
         for (i, probe) in probes.into_iter().enumerate() {
             if let Probe::Hit(data) = probe {
-                let ready = starts[i] + ReadCache::service_cost(data.len() as u64);
+                let ready = self.lanes[lane].starts[i] + ReadCache::service_cost(data.len() as u64);
                 let r = self.host_poll(ready, lane, 1).map(|at| (data, at));
                 out.insert(i, ClientOpResult::Fetch(r));
             }
@@ -895,10 +922,7 @@ impl ObjectClient for DpuClient {
         }
         // The fan-out is one engine round-trip, so it starts as a unit at
         // the latest op's start.
-        let mut starts = std::mem::take(&mut self.lanes[lane].starts);
-        let queued = self.queue_start(fabric, now, (lane, local), &ops, &mut starts);
-        self.lanes[lane].starts = starts;
-        let start = match queued {
+        let start = match self.queue_start(fabric, now, (lane, local), &ops) {
             Ok((_, latest)) => latest,
             Err(e) => return whole_batch_error(&ops, e),
         };
@@ -979,16 +1003,10 @@ impl ObjectClient for DpuClient {
         // own grant-plus-preamble instant, so an op throttled by the token
         // bucket delays only itself while earlier grants are already in
         // flight on the lane's data plane.
-        let mut starts = std::mem::take(&mut self.lanes[lane].starts);
-        let queued = self.queue_start(fabric, now, (lane, local), &ops, &mut starts);
-        let results = match queued {
-            Ok((submitted, _)) => {
-                self.run_ring(fabric, cluster, submitted, (lane, local), ops, &starts)
-            }
+        match self.queue_start(fabric, now, (lane, local), &ops) {
+            Ok((submitted, _)) => self.run_ring(fabric, cluster, submitted, (lane, local), ops),
             Err(e) => whole_batch_error(&ops, e),
-        };
-        self.lanes[lane].starts = starts;
-        results
+        }
     }
 
     fn ops(&self) -> u64 {

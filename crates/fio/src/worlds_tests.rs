@@ -534,3 +534,87 @@ fn offloaded_tcp_fallback_pays_the_dpu_rx_penalty() {
         "offloaded RDMA ({rdma:.2} GiB/s) must clearly beat DPU-TCP fallback ({tcp:.2} GiB/s)"
     );
 }
+
+/// The claimed operating point: an offloaded client, 4 jobs × QD 16,
+/// 4 KiB random writes through the op ring.
+fn offloaded_small_write_cell() -> (crate::DfsFioWorld, crate::FioReport) {
+    use ros2_dpu::DpuTenantSpec;
+    let mut w = WorldSpec::single(ClientPlacement::Dpu)
+        .jobs(4)
+        .region(16 << 20)
+        .mode(DataMode::Null)
+        .offload(vec![DpuTenantSpec::unlimited("fio")])
+        .build_dfs();
+    w.set_pipelined(true);
+    let spec = JobSpec::new(RwMode::RandWrite, 4 << 10, 4)
+        .iodepth(16)
+        .region(16 << 20)
+        .windows(SimDuration::from_millis(10), SimDuration::from_millis(90));
+    let r = run_fio(&mut w, &spec);
+    assert_eq!(r.io.errors.get(), 0);
+    (w, r)
+}
+
+#[test]
+fn offloaded_small_writes_are_bound_by_the_engine_xstreams() {
+    use ros2_daos::DaosCostModel;
+    // With submission spread over the lane's ARM cores the next limit is
+    // the storage engine: one target's xstreams each spending RPC
+    // handling + VOS index + checksum per 4 KiB update.
+    let m = DaosCostModel::default_model();
+    let per_op = m.server_per_rpc + m.vos_per_op + ros2_hw::checksum_cost(4 << 10);
+    let ceiling = m.xstreams_per_target as f64 / per_op.as_secs_f64();
+    let (w, dpu) = offloaded_small_write_cell();
+    assert!(
+        (dpu.iops() / ceiling - 1.0).abs() < 0.02,
+        "offloaded 4 KiB randwrite {:.0} IOPS is not the xstream ceiling {ceiling:.0}",
+        dpu.iops()
+    );
+
+    // The host arm at equal jobs/QD keeps one core per job (the submitting
+    // thread is the application thread), so it must not come out ahead.
+    let mut host = WorldSpec::single(ClientPlacement::Host)
+        .jobs(4)
+        .region(16 << 20)
+        .mode(DataMode::Null)
+        .build_dfs();
+    host.set_pipelined(true);
+    let h = run_fio(&mut host, &dpu.spec);
+    assert!(
+        dpu.iops() >= h.iops(),
+        "offloaded {:.0} IOPS trails the host arm's {:.0}",
+        dpu.iops(),
+        h.iops()
+    );
+
+    // Core budget at this operating point: submission cores plus the DPU
+    // node's network TX/RX cores, in busy core-seconds per virtual second,
+    // fit the BlueField-3's cores. (Bookings of ops still in flight at the
+    // window's end count too, so this over-states the load.)
+    let node = w.fabric.node(ros2_verbs::NodeId(0));
+    let busy = w.client.offloaded().unwrap().submission_busy_time()
+        + node.tx_pool.busy_time()
+        + node.rx_pool.busy_time();
+    let window = dpu.spec.ramp + dpu.spec.runtime;
+    let cores_busy = busy.as_secs_f64() / window.as_secs_f64();
+    assert!(
+        cores_busy <= node.spec.cpu.cores as f64,
+        "{cores_busy:.2} busy ARM cores exceed the node's {}",
+        node.spec.cpu.cores
+    );
+}
+
+#[test]
+fn offloaded_pool_replays_bit_identically() {
+    let (wa, a) = offloaded_small_write_cell();
+    let (wb, b) = offloaded_small_write_cell();
+    assert_eq!(a.io.meter.ops(), b.io.meter.ops());
+    assert_eq!(a.io.meter.bytes(), b.io.meter.bytes());
+    assert_eq!(a.gib_per_sec().to_bits(), b.gib_per_sec().to_bits());
+    for p in [0.0, 50.0, 99.0, 100.0] {
+        assert_eq!(a.io.latency.percentile(p), b.io.latency.percentile(p));
+    }
+    assert_eq!(a.io.latency.mean(), b.io.latency.mean());
+    assert_eq!(wa.client.resource_stats(), wb.client.resource_stats());
+    assert_eq!(wa.client.dpu_stats(), wb.client.dpu_stats());
+}

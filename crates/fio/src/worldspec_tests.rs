@@ -64,7 +64,9 @@ fn builder_offloaded_cluster_matches_old_constructor() {
     let stats = cluster_stats(&w);
     assert_eq!(r.io.meter.ops(), 134);
     assert_eq!(r.gib_per_sec().to_bits(), 0x401172aaaaaaaaab);
-    assert_eq!((stats.bookings, stats.fastpath_hits), (4785, 4117));
+    // Fast-path hits were 4117 while each job owned an ARM core; the lane
+    // pool (PR 12) books the same work on idle-tail cores more often.
+    assert_eq!((stats.bookings, stats.fastpath_hits), (4785, 4119));
     assert_eq!(w.fences(), 0);
     assert_eq!(w.world.client.ops(), 186);
 }
@@ -84,7 +86,8 @@ fn builder_offloaded_single_matches_old_constructor() {
     stats.merge(w.client.resource_stats());
     assert_eq!(r.io.meter.ops(), 196);
     assert_eq!(r.gib_per_sec().to_bits(), 0x4003240000000000);
-    assert_eq!((stats.bookings, stats.fastpath_hits), (8610, 7610));
+    // Fast-path hits: 7610 before the lane pool (see above).
+    assert_eq!((stats.bookings, stats.fastpath_hits), (8610, 7621));
     assert_eq!(w.client.ops(), 283);
 }
 
