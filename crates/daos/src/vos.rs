@@ -7,7 +7,9 @@
 //!   updates, latest-wins at a given epoch;
 //! * **array values** (DFS file chunks) — extent records resolved by
 //!   overlaying later epochs over earlier ones, with sparse gaps reading
-//!   as zero (POSIX holes).
+//!   as zero (POSIX holes). Visibility is resolved on the index *before*
+//!   media is touched: a fetch loads each returned byte from the one
+//!   record that serves it, however often the range was overwritten.
 //!
 //! Media selection follows DAOS policy: records at or below the SCM
 //! threshold persist in pmem; larger records land on NVMe extents. Every
@@ -141,7 +143,85 @@ fn combine_recorded(
 #[derive(Clone, Debug, Default)]
 struct ValueStore {
     sv: Vec<SvRecord>,
+    /// Kept in `(epoch, arrival)` order — the order later records shadow
+    /// earlier ones in — so the overlay resolver walks it backwards and
+    /// stops at the first record that completes the window.
     extents: Vec<ExtentRecord>,
+}
+
+/// How many of `extents` — in `(epoch, arrival)` order — are at or below
+/// `epoch`: where an update tagged `epoch` is inserted, and where a fetch
+/// at `epoch` starts walking back from. The tail is checked first: appends
+/// and `LATEST` fetches are the common case, and a binary search over a
+/// long history costs a cache miss per step.
+fn visible_len(extents: &[ExtentRecord], epoch: Epoch) -> usize {
+    match extents.last() {
+        Some(newest) if newest.epoch > epoch => extents.partition_point(|e| e.epoch <= epoch),
+        _ => extents.len(),
+    }
+}
+
+/// One piece of a fetch window's tiling: array bytes `[from, to)` are
+/// served by `rec` — or, while `rec` is `None`, by no record visited so
+/// far (a hole once resolution ends).
+#[derive(Debug)]
+struct Piece {
+    from: u64,
+    to: u64,
+    rec: Option<ExtentRecord>,
+}
+
+/// The overlay resolver: tiles `[offset, offset+len)` into `pieces` —
+/// sorted, contiguous, at least one — naming the record that serves each
+/// byte at `epoch`. `extents` is in `(epoch, arrival)` order; records
+/// newer than `epoch` are skipped and the rest visited newest first, each
+/// claiming whatever of the window is still unclaimed, until nothing is —
+/// older records cannot show through. Index work only: no media access,
+/// and no allocation once `pieces` has grown to the window's fragmentation.
+fn resolve_overlay(
+    pieces: &mut Vec<Piece>,
+    extents: &[ExtentRecord],
+    epoch: Epoch,
+    offset: u64,
+    len: u64,
+) {
+    let gap = |from, to| Piece {
+        from,
+        to,
+        rec: None,
+    };
+    pieces.clear();
+    pieces.push(gap(offset, offset + len));
+    for rec in extents[..visible_len(extents, epoch)].iter().rev() {
+        if pieces.iter().all(|p| p.rec.is_some()) {
+            break;
+        }
+        let (rec_lo, rec_hi) = (rec.offset, rec.offset + rec.len);
+        let mut i = 0;
+        while i < pieces.len() && pieces[i].from < rec_hi {
+            let (lo, hi) = (pieces[i].from, pieces[i].to);
+            let (from, to) = (lo.max(rec_lo), hi.min(rec_hi));
+            if pieces[i].rec.is_some() || from >= to {
+                i += 1;
+                continue;
+            }
+            // Split the unclaimed piece: the part `rec` covers becomes its
+            // segment, what sticks out on either side stays unclaimed.
+            pieces[i] = Piece {
+                from,
+                to,
+                rec: Some(rec.clone()),
+            };
+            if lo < from {
+                pieces.insert(i, gap(lo, from));
+                i += 1;
+            }
+            if to < hi {
+                pieces.insert(i + 1, gap(to, hi));
+            }
+            i += 1;
+        }
+    }
 }
 
 /// One record read back by [`VosTarget::export_records`] for
@@ -247,9 +327,10 @@ pub struct VosTarget {
     /// SCM pool and the bdev backing and are merged by
     /// [`Self::data_plane_stats`] / the engine.
     dp: DataPlaneStats,
-    /// Reused buffer for the visible-extent set of a fetch (cleared per
-    /// call; record clones are O(1) — the checksum tables are Arc-shared).
-    visible_scratch: Vec<ExtentRecord>,
+    /// Reused buffer for the resolved tiling of an array fetch, so the
+    /// steady-state fetch path performs no heap allocation (the record
+    /// clones in it are O(1) — the checksum tables are Arc-shared).
+    overlay_scratch: Vec<Piece>,
 }
 
 impl VosTarget {
@@ -272,7 +353,7 @@ impl VosTarget {
             objects: HashMap::new(),
             stats: VosStats::default(),
             dp: DataPlaneStats::default(),
-            visible_scratch: Vec::new(),
+            overlay_scratch: Vec::new(),
         }
     }
 
@@ -386,14 +467,11 @@ impl VosTarget {
     /// media store's (cached) window CRC against the combine of the
     /// recorded per-chunk checksums — clean data is never rescanned, and
     /// the returned bytes are a zero-copy slice of the store's extent.
-    #[allow(clippy::too_many_arguments)]
     fn load_range(
         &mut self,
         now: SimTime,
         media: &mut ShardBdev<'_>,
-        rec_location: &Location,
-        rec_stored_len: u64,
-        checksums: &[Checksum],
+        rec: &ExtentRecord,
         at: u64,
         len: u64,
     ) -> Result<(Bytes, SimTime), DaosError> {
@@ -401,8 +479,8 @@ impl VosTarget {
         let c0 = at / CSUM_CHUNK;
         let c1 = (at + len).div_ceil(CSUM_CHUNK);
         let win_lo = c0 * CSUM_CHUNK;
-        let win_hi = (c1 * CSUM_CHUNK).min(rec_stored_len);
-        let (stored, done) = match rec_location {
+        let win_hi = (c1 * CSUM_CHUNK).min(rec.stored_len);
+        let (stored, done) = match &rec.location {
             Location::Scm(oid) => {
                 let data = self
                     .scm
@@ -423,8 +501,8 @@ impl VosTarget {
         };
         // Verify the covered window: recorded chunk CRCs combined vs the
         // media store's cached CRC of the same range.
-        let expected = combine_recorded(checksums, c0, c1, rec_stored_len, &mut self.dp);
-        let actual = self.media_crc(media, rec_location, win_lo, win_hi - win_lo)?;
+        let expected = combine_recorded(&rec.checksums, c0, c1, rec.stored_len, &mut self.dp);
+        let actual = self.media_crc(media, &rec.location, win_lo, win_hi - win_lo)?;
         if expected != Some(actual) {
             self.stats.checksum_failures += 1;
             return Err(DaosError::ChecksumMismatch);
@@ -567,20 +645,30 @@ impl VosTarget {
             .or_default()
             .entry(KeyPair { dkey, akey })
             .or_default();
-        store.extents.push(ExtentRecord {
-            epoch,
-            offset,
-            len,
-            stored_len: stored.len() as u64,
-            location,
-            checksums,
-        });
+        // After every record of the same or an older epoch: `(epoch,
+        // arrival)` order (an append unless epochs arrive out of order).
+        let at = visible_len(&store.extents, epoch);
+        store.extents.insert(
+            at,
+            ExtentRecord {
+                epoch,
+                offset,
+                len,
+                stored_len: stored.len() as u64,
+                location,
+                checksums,
+            },
+        );
         self.stats.array_updates += 1;
         Ok(done)
     }
 
-    /// Reads `[offset, offset+len)` of an array value at `epoch`, resolving
-    /// extent overlays; unwritten gaps read as zero.
+    /// Reads `[offset, offset+len)` of an array value at `epoch`. Each byte
+    /// comes from the newest record at or below `epoch` that covers it —
+    /// newest by `(epoch, arrival)`: a higher epoch wins wherever it sits
+    /// in arrival order, and among records of one epoch the later arrival
+    /// wins — and unwritten gaps read as zero. Only the records that serve
+    /// at least one byte are loaded, and only over the bytes they serve.
     #[allow(clippy::too_many_arguments)]
     pub fn fetch_array(
         &mut self,
@@ -594,87 +682,57 @@ impl VosTarget {
         len: u64,
     ) -> Result<(Bytes, SimTime), DaosError> {
         self.stats.fetches += 1;
-        // Collect visible extents that intersect the range, in epoch order
-        // (ties resolved by insertion order, which Vec preserves), into the
-        // reused scratch buffer — the steady-state fetch path performs no
-        // heap allocation. Record clones are cheap: the checksum tables are
-        // Arc-shared.
-        let mut visible = std::mem::take(&mut self.visible_scratch);
-        visible.clear();
-        if let Some(store) = self
+        let mut pieces = std::mem::take(&mut self.overlay_scratch);
+        let extents = self
             .objects
             .get(&oid)
             .and_then(|o| o.get(&KeyPair::from_refs(dkey, akey)))
-        {
-            visible.extend(
-                store
-                    .extents
-                    .iter()
-                    .filter(|e| {
-                        e.epoch <= epoch && e.offset < offset + len && e.offset + e.len > offset
-                    })
-                    .cloned(),
-            );
-        }
-        let result = self.fetch_array_visible(now, media, &visible, offset, len);
-        visible.clear();
-        self.visible_scratch = visible;
+            .map_or(&[][..], |store| &store.extents);
+        resolve_overlay(&mut pieces, extents, epoch, offset, len);
+        let result = self.load_pieces(now, media, &pieces, offset, len);
+        pieces.clear(); // release the record clones, keep the capacity
+        self.overlay_scratch = pieces;
         result
     }
 
-    /// The overlay resolution of [`Self::fetch_array`] over an
-    /// already-collected visible set.
-    fn fetch_array_visible(
+    /// Loads a resolved window (see [`resolve_overlay`]): a lone piece is
+    /// shared zeros or the store's own slice, anything else is stitched.
+    fn load_pieces(
         &mut self,
         now: SimTime,
         media: &mut ShardBdev<'_>,
-        visible: &[ExtentRecord],
+        pieces: &[Piece],
         offset: u64,
         len: u64,
     ) -> Result<(Bytes, SimTime), DaosError> {
-        if visible.is_empty() {
+        match pieces {
             // Never-written range: a hole (refcounted shared zeros).
-            self.dp.bytes_zero_copy += len;
-            return Ok((zero_bytes(len as usize), now));
-        }
-        // Zero-copy fast path: exactly one record covers the whole range —
-        // hand back the store's slice without materializing a fresh buffer.
-        if visible.len() == 1 {
-            let rec = &visible[0];
-            if rec.offset <= offset && rec.offset + rec.len >= offset + len {
-                return self.load_range(
-                    now,
-                    media,
-                    &rec.location,
-                    rec.stored_len,
-                    &rec.checksums,
-                    offset - rec.offset,
-                    len,
-                );
+            [Piece { rec: None, .. }] => {
+                self.dp.bytes_zero_copy += len;
+                Ok((zero_bytes(len as usize), now))
+            }
+            // Zero-copy fast path: one record serves the whole window —
+            // hand back the store's slice without materializing a buffer.
+            [Piece { rec: Some(rec), .. }] => {
+                self.load_range(now, media, rec, offset - rec.offset, len)
+            }
+            // Genuinely fragmented: stitch the segments into a fresh
+            // buffer; the bytes no segment fills are the holes.
+            _ => {
+                let mut out = BytesMut::zeroed(len as usize);
+                let mut latest = now;
+                for p in pieces {
+                    let Some(rec) = &p.rec else { continue };
+                    let (data, done) =
+                        self.load_range(now, media, rec, p.from - rec.offset, p.to - p.from)?;
+                    latest = latest.max(done);
+                    out[(p.from - offset) as usize..(p.to - offset) as usize]
+                        .copy_from_slice(&data);
+                }
+                self.dp.bytes_copied += len;
+                Ok((out.freeze(), latest))
             }
         }
-        // Genuinely fragmented: stitch the overlay into a fresh buffer.
-        let mut out = BytesMut::zeroed(len as usize);
-        let mut latest = now;
-        for rec in visible {
-            // Only the intersecting chunk window is read and verified.
-            let from = rec.offset.max(offset);
-            let to = (rec.offset + rec.len).min(offset + len);
-            let (data, done) = self.load_range(
-                now,
-                media,
-                &rec.location,
-                rec.stored_len,
-                &rec.checksums,
-                from - rec.offset,
-                to - from,
-            )?;
-            latest = latest.max(done);
-            let dst = (from - offset) as usize..(to - offset) as usize;
-            out[dst].copy_from_slice(&data);
-        }
-        self.dp.bytes_copied += len;
-        Ok((out.freeze(), latest))
     }
 
     /// Lists the dkeys of an object (directory enumeration path).
@@ -1203,6 +1261,33 @@ mod tests {
             .unwrap();
         assert!(old[..100].iter().all(|&b| b == 1));
         assert!(old[100..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn higher_epoch_wins_whatever_the_arrival_order() {
+        let (mut vos, mut bd) = fixture();
+        let (d, a) = (DKey::from_u64(0), AKey::from_str("data"));
+        for (epoch, data) in [(Epoch(5), "new"), (Epoch(3), "old")] {
+            let data = Bytes::from_static(data.as_bytes());
+            vos.update_array(
+                SimTime::ZERO,
+                &mut bd.shard(0),
+                oid(),
+                d.clone(),
+                a.clone(),
+                epoch,
+                0,
+                data,
+            )
+            .unwrap();
+        }
+        let mut fetch = |epoch| {
+            vos.fetch_array(SimTime::ZERO, &mut bd.shard(0), oid(), &d, &a, epoch, 0, 3)
+                .unwrap()
+                .0
+        };
+        assert_eq!(&fetch(Epoch::LATEST)[..], b"new");
+        assert_eq!(&fetch(Epoch(4))[..], b"old");
     }
 
     #[test]

@@ -94,9 +94,43 @@ fn key_path_is_allocation_free() {
     )
     .unwrap();
 
-    // Warm both paths once (CRC caches are seeded at update; the first
+    // A second SCM array record, overwritten 16 times: resolving which
+    // version is visible must stay inside the target's reused scratch.
+    for version in 0..=16u8 {
+        let epoch = e.next_epoch("c").unwrap();
+        e.update(
+            SimTime::ZERO,
+            "c",
+            oid,
+            DKey::from_u64(2),
+            AKey::from_str("data"),
+            ValueKind::Array { offset: 0 },
+            epoch,
+            Bytes::from(vec![version; 4096]),
+        )
+        .unwrap();
+    }
+    let fetch_overwritten = |e: &mut DaosEngine| {
+        let (arr, _) = e
+            .fetch(
+                SimTime::ZERO,
+                "c",
+                oid,
+                &DKey::from_u64(2),
+                &AKey::from_str("data"),
+                ValueKind::Array { offset: 0 },
+                Epoch::LATEST,
+                4096,
+            )
+            .unwrap();
+        assert_eq!(arr[0], 16);
+        std::hint::black_box(arr);
+    };
+
+    // Warm every path once (CRC caches are seeded at update; the first
     // fetch may still grow scratch buffers).
     for _ in 0..3 {
+        fetch_overwritten(&mut e);
         e.fetch(
             SimTime::ZERO,
             "c",
@@ -121,8 +155,8 @@ fn key_path_is_allocation_free() {
         .unwrap();
     }
 
-    // Steady state: key build + index probe + record load + CRC verify,
-    // with zero allocations per op.
+    // Steady state: key build + index probe + overlay resolution + record
+    // load + CRC verify, with zero allocations per op.
     let n = allocs_in(|| {
         for _ in 0..1_000 {
             let (sv, _) = e
@@ -151,11 +185,12 @@ fn key_path_is_allocation_free() {
                 )
                 .unwrap();
             std::hint::black_box(arr);
+            fetch_overwritten(&mut e);
         }
     });
     assert_eq!(
         n, 0,
-        "warm single-value + covered array fetches must be allocation-free \
-         ({n} allocs over 2000 ops)"
+        "warm single-value, covered-array and overwritten-array fetches must \
+         be allocation-free ({n} allocs over 3000 ops)"
     );
 }
