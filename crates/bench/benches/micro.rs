@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use ros2_daos::crc32c;
+use ros2_daos::checksum::{crc32c, crc32c_combine};
 use ros2_sim::{EventQueue, LatencyHistogram, ServerPool, SimDuration, SimRng, SimTime, Zipf};
 use ros2_verbs::{AccessFlags, Expiry, MemoryDomain, NodeId, QpType, RdmaDevice};
 
@@ -15,6 +15,18 @@ fn bench_crc32c(c: &mut Criterion) {
         g.throughput(Throughput::Bytes(size as u64));
         g.bench_function(format!("{size}B"), |b| {
             b.iter(|| crc32c(std::hint::black_box(&data)))
+        });
+    }
+    // One 4 KiB chunk folded into a running CRC, and the 256 folds of a
+    // 1 MiB verify. Each result feeds the next fold.
+    for folds in [1u32, 256] {
+        g.throughput(Throughput::Elements(folds as u64));
+        g.bench_function(format!("combine_4k_x{folds}"), |b| {
+            b.iter(|| {
+                (0..folds).fold(std::hint::black_box(0x1234_5678), |acc, i| {
+                    crc32c_combine(acc, i, 4096)
+                })
+            })
         });
     }
     g.finish();

@@ -1,7 +1,10 @@
 //! Equivalence proof for the CRC32C paths: the hardware (SSE4.2) path, the
 //! slicing-by-16 software path, and combine-of-chunk-CRCs must all match
 //! the seed's table-driven slicing-by-8 implementation — kept verbatim
-//! below as the oracle — on random data and random chunkings.
+//! below as the oracle — on random data and random chunkings. The
+//! table-driven combine is checked against the matrix walk it replaced
+//! (also kept below), and the interleaved hardware scan against
+//! slicing-by-16 around its lane and block boundaries.
 
 use proptest::prelude::*;
 use ros2_buf::{crc32c, crc32c_append, crc32c_append_sw, crc32c_combine, crc32c_zeros};
@@ -126,4 +129,138 @@ fn reports_acceleration_state() {
         "crc32c hardware acceleration: {}",
         ros2_buf::hw_acceleration()
     );
+}
+
+/// The matrix-walk combine the library used before its byte-sliced shift
+/// tables (zlib's `crc32_combine`: one 32-step row walk per set bit of the
+/// length), kept here as the oracle the table-driven path must equal.
+mod matrix_walk {
+    type Gf2Matrix = [u32; 32];
+
+    fn gf2_times(mat: &Gf2Matrix, mut vec: u32) -> u32 {
+        let mut sum = 0u32;
+        let mut i = 0usize;
+        while vec != 0 {
+            if vec & 1 != 0 {
+                sum ^= mat[i];
+            }
+            vec >>= 1;
+            i += 1;
+        }
+        sum
+    }
+
+    fn gf2_square(src: &Gf2Matrix) -> Gf2Matrix {
+        let mut dst = [0u32; 32];
+        for (n, row) in src.iter().enumerate() {
+            dst[n] = gf2_times(src, *row);
+        }
+        dst
+    }
+
+    pub fn crc32c_combine(crc_a: u32, crc_b: u32, mut len: u64) -> u32 {
+        // One zero bit, squared up to one zero byte, then squared once per
+        // bit of the length.
+        let mut mat: Gf2Matrix = [0u32; 32];
+        mat[0] = 0x82F6_3B78;
+        for (n, row) in mat.iter_mut().enumerate().skip(1) {
+            *row = 1 << (n - 1);
+        }
+        for _ in 0..3 {
+            mat = gf2_square(&mat);
+        }
+        let mut v = crc_a;
+        while len != 0 {
+            if len & 1 != 0 {
+                v = gf2_times(&mat, v);
+            }
+            len >>= 1;
+            mat = gf2_square(&mat);
+        }
+        v ^ crc_b
+    }
+}
+
+/// Lengths around the chunk size, a power of two beyond `u32`, and the
+/// top cached level.
+const COMBINE_LENS: [u64; 8] = [0, 1, 4095, 4096, 4097, 1 << 20, (1 << 32) + 5, 1 << 47];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The table-driven combine equals the matrix walk on arbitrary CRC
+    /// pairs (not only CRCs of real data) at every edge length.
+    #[test]
+    fn table_combine_matches_matrix_walk(crc_a in any::<u32>(), crc_b in any::<u32>()) {
+        for len in COMBINE_LENS {
+            prop_assert_eq!(
+                crc32c_combine(crc_a, crc_b, len),
+                matrix_walk::crc32c_combine(crc_a, crc_b, len),
+                "len {}", len
+            );
+        }
+    }
+}
+
+/// `crc32c_zeros` walks only the set bits of its length; the values are
+/// those of folding zero-run CRCs with the matrix walk.
+#[test]
+fn zeros_matches_matrix_walk_at_edge_lengths() {
+    for len in COMBINE_LENS {
+        // crc(0^len) from crc(0^1) by doubling: z(2n) = combine(z(n), z(n), n).
+        let mut want = 0u32;
+        let mut z = seed_reference::crc32c(&[0u8]);
+        let mut span = 1u64;
+        let mut rest = len;
+        while rest != 0 {
+            if rest & 1 != 0 {
+                want = matrix_walk::crc32c_combine(want, z, span);
+            }
+            z = matrix_walk::crc32c_combine(z, z, span);
+            span <<= 1;
+            rest >>= 1;
+        }
+        assert_eq!(crc32c_zeros(len), want, "len {len}");
+    }
+}
+
+/// The hardware scan (three interleaved lanes per 4080-byte block, then a
+/// serial tail) equals slicing-by-16 at every length around the lane and
+/// block boundaries, at every start alignment, from a non-zero state.
+#[test]
+fn interleaved_scan_matches_software_path() {
+    let mut buf = vec![0u8; (1 << 20) + 3 + 8];
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    for b in buf.iter_mut() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        *b = (x >> 32) as u8;
+    }
+    // 3 x 1360-byte lanes = 4080: one byte short of a block, a block, one
+    // over; 4096 is the size every store and VOS chunk scans; then several
+    // blocks plus a tail, and 257 blocks plus a tail.
+    let lens = (0..=64).chain([
+        4079,
+        4080,
+        4081,
+        4096,
+        8159,
+        8160,
+        8161,
+        12_345,
+        (1 << 20) + 3,
+    ]);
+    for len in lens {
+        for start in 0..8 {
+            let data = &buf[start..start + len];
+            for state in [0u32, 0xDEAD_BEEF] {
+                assert_eq!(
+                    crc32c_append(state, data),
+                    crc32c_append_sw(state, data),
+                    "len {len} start {start} state {state:#x}"
+                );
+            }
+        }
+    }
 }

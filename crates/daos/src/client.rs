@@ -14,7 +14,8 @@
 //!   job's buffer. The client CPU never touches payload bytes.
 //! * **TCP**: payloads travel inline in the RPC messages, paying per-byte
 //!   CPU on both ends (and the DPU receive-path penalty when the client is
-//!   the SmartNIC).
+//!   the SmartNIC). Those are modelled costs: the simulator itself passes
+//!   the payload handle behind a framing length and never copies it.
 //!
 //! Routing lives here (client-side, so the DPU-offloaded client inherits
 //! it without host involvement): each op resolves its replica set from the
@@ -24,7 +25,7 @@
 //! the route is always slot 0 and every phase runs the exact pre-cluster
 //! sequence — the pinned host-placement path.
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use ros2_buf::zero_bytes;
 use ros2_fabric::{ConnId, Dir, Fabric, FabricError};
 use ros2_hw::{CoreClass, Transport};
@@ -688,14 +689,13 @@ impl DaosClient {
                 Ok((pull.at, pull.data.expect("pull returns data")))
             }
             Transport::Tcp => {
-                // Descriptor + inline payload in one stream write.
-                let mut msg = BytesMut::with_capacity(RPC_DESC + data.len());
-                msg.extend_from_slice(&[0u8; RPC_DESC]);
-                msg.extend_from_slice(&data);
+                // Descriptor + inline payload in one stream write: the
+                // descriptor is framing, the payload travels as the
+                // caller's handle (the kernel copy is a modelled cost).
                 let d = fabric
-                    .send(t_cpu, conn, Dir::AtoB, msg.freeze())
+                    .send_framed(t_cpu, conn, Dir::AtoB, RPC_DESC as u64, data)
                     .map_err(map_fabric)?;
-                Ok((d.at, d.data.expect("tcp carries data").slice(RPC_DESC..)))
+                Ok((d.at, d.data.expect("tcp carries data")))
             }
         }
     }
@@ -1579,5 +1579,105 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, DaosError::ChecksumMismatch);
+    }
+
+    /// The TCP update hands the engine the caller's handle behind a
+    /// modelled descriptor; virtual time is a function of byte counts
+    /// only, so these completion instants (nanoseconds, recorded with the
+    /// concatenating path the gather send replaced) must never move: a
+    /// 4 KiB and a 1 MiB update + fetch, on a host and on a DPU-class
+    /// client, serially and through a depth-4 ring.
+    #[test]
+    fn tcp_completion_instants_are_pinned() {
+        let oid = ObjectId::new(ObjClass::Sx, 1);
+        let akey = || AKey::from_str("data");
+        let kind = ValueKind::Array { offset: 0 };
+        let sizes = [4096usize, 1 << 20];
+        for (client_is_dpu, serial_want, ring_want) in [
+            (
+                false,
+                [49_314, 96_978, 3_602_887, 5_573_166],
+                [49_314, 3_513_059, 61_964, 1_991_729],
+            ),
+            (
+                true,
+                [75_725, 153_200, 3_788_069, 6_761_615],
+                [75_725, 3_647_869, 103_475, 3_012_546],
+            ),
+        ] {
+            // Serial: each op starts when the previous one completed.
+            let (mut fabric, mut cluster, mut client) = world(Transport::Tcp, client_is_dpu);
+            let mut now = SimTime::ZERO;
+            let mut serial = Vec::new();
+            for (i, len) in sizes.into_iter().enumerate() {
+                let dkey = DKey::from_u64(i as u64);
+                now = client
+                    .update(
+                        &mut fabric,
+                        &mut cluster,
+                        now,
+                        0,
+                        oid,
+                        dkey.clone(),
+                        akey(),
+                        kind,
+                        Bytes::from(vec![0x5A; len]),
+                    )
+                    .unwrap();
+                serial.push(now.as_nanos());
+                let (back, at) = client
+                    .fetch(
+                        &mut fabric,
+                        &mut cluster,
+                        now,
+                        0,
+                        oid,
+                        dkey,
+                        akey(),
+                        kind,
+                        Epoch::LATEST,
+                        len as u64,
+                    )
+                    .unwrap();
+                assert_eq!(back.len(), len);
+                now = at;
+                serial.push(now.as_nanos());
+            }
+            assert_eq!(serial, serial_want, "serial, dpu client: {client_is_dpu}");
+
+            // Ring: both updates, then both fetches, all submitted at t=0.
+            let (mut fabric, mut cluster, mut client) = world(Transport::Tcp, client_is_dpu);
+            let mut ring = crate::pipeline::OpRing::new(0, 4);
+            for (i, len) in sizes.into_iter().enumerate() {
+                let op = ClientOp::Update {
+                    oid,
+                    dkey: DKey::from_u64(i as u64),
+                    akey: akey(),
+                    kind,
+                    data: Bytes::from(vec![0x5A; len]),
+                };
+                ring.submit(&mut client, &mut fabric, &mut cluster, SimTime::ZERO, op);
+            }
+            for (i, len) in sizes.into_iter().enumerate() {
+                let op = ClientOp::Fetch {
+                    oid,
+                    dkey: DKey::from_u64(i as u64),
+                    akey: akey(),
+                    kind,
+                    epoch: Epoch::LATEST,
+                    len: len as u64,
+                };
+                ring.submit(&mut client, &mut fabric, &mut cluster, SimTime::ZERO, op);
+            }
+            let ringed: Vec<u64> = ring
+                .drain(&mut client, &mut fabric, &mut cluster)
+                .into_iter()
+                .map(|r| match r {
+                    ClientOpResult::Update(at) => at.unwrap().as_nanos(),
+                    ClientOpResult::Fetch(r) => r.unwrap().1.as_nanos(),
+                })
+                .collect();
+            assert_eq!(ringed, ring_want, "ring, dpu client: {client_is_dpu}");
+        }
     }
 }

@@ -579,7 +579,7 @@ impl Fabric {
         base_op + byte_cost
     }
 
-    /// Sends a two-sided message of `payload` bytes carrying `data`.
+    /// Sends a two-sided message carrying `data`.
     pub fn send(
         &mut self,
         now: SimTime,
@@ -587,8 +587,24 @@ impl Fabric {
         dir: Dir,
         data: Bytes,
     ) -> Result<Delivery, FabricError> {
+        self.send_framed(now, conn, dir, 0, data)
+    }
+
+    /// Gather send: one two-sided message of `header` framing bytes
+    /// followed by `data`. Every stage is costed on `header + data.len()`
+    /// — exactly a [`Self::send`] of the concatenation — while the
+    /// receiver gets the caller's `data` handle untouched, so framing a
+    /// payload never copies it.
+    pub fn send_framed(
+        &mut self,
+        now: SimTime,
+        conn: ConnId,
+        dir: Dir,
+        header: u64,
+        data: Bytes,
+    ) -> Result<Delivery, FabricError> {
         let (src, dst) = self.endpoints(conn, dir)?;
-        let payload = data.len() as u64;
+        let payload = header + data.len() as u64;
 
         // 1. Sender CPU.
         let src_class = self.nodes[src.0 as usize].class();
@@ -795,6 +811,42 @@ mod tests {
         assert_eq!(d.data.unwrap(), Bytes::from_static(b"rpc"));
         assert!(d.at > SimTime::ZERO);
         assert_eq!(f.conn_ops(conn), 1);
+    }
+
+    /// A framed send is costed as a send of `header + data.len()` bytes on
+    /// every stage — including a header that carries the message across
+    /// the eager threshold — and delivers the caller's handle, not a copy.
+    #[test]
+    fn framed_send_is_timed_as_the_concatenation() {
+        for transport in [Transport::Tcp, Transport::Rdma] {
+            let eager = two_hosts(transport).eager_threshold() as usize;
+            for (header, len) in [(128, 4096), (128, 1 << 20), (128, eager - 64), (0, 777)] {
+                let connect = |f: &mut Fabric| {
+                    let pd_a = f.rdma_mut(NodeId(0)).alloc_pd("client");
+                    let pd_b = f.rdma_mut(NodeId(1)).alloc_pd("server");
+                    f.connect(NodeId(0), NodeId(1), pd_a, pd_b).unwrap()
+                };
+                let mut whole = two_hosts(transport);
+                let conn_w = connect(&mut whole);
+                let mut framed = two_hosts(transport);
+                let conn_f = connect(&mut framed);
+                let data = Bytes::from(vec![7u8; len]);
+                // Two messages each, so queued state carries over equally.
+                for now in [SimTime::ZERO, SimTime::from_nanos(500)] {
+                    let w = whole
+                        .send(now, conn_w, Dir::AtoB, Bytes::from(vec![7u8; header + len]))
+                        .unwrap();
+                    let f = framed
+                        .send_framed(now, conn_f, Dir::AtoB, header as u64, data.clone())
+                        .unwrap();
+                    assert_eq!(f.at, w.at, "{transport:?} header {header} len {len}");
+                    let got = f.data.unwrap();
+                    assert_eq!(got.as_ptr(), data.as_ptr());
+                    assert_eq!(got.len(), len);
+                }
+                assert_eq!(framed.resource_stats(), whole.resource_stats());
+            }
+        }
     }
 
     #[test]
