@@ -5,6 +5,8 @@
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use ros2_daos::checksum::{crc32c, crc32c_combine};
+use ros2_daos::{AKey, DKey, Epoch, ObjClass, ObjectId, ValueKind};
+use ros2_dpu::{CacheKey, ReadCache};
 use ros2_sim::{EventQueue, LatencyHistogram, ServerPool, SimDuration, SimRng, SimTime, Zipf};
 use ros2_verbs::{AccessFlags, Expiry, MemoryDomain, NodeId, QpType, RdmaDevice};
 
@@ -111,8 +113,61 @@ fn bench_zipf(c: &mut Criterion) {
     });
 }
 
+/// The DPU read cache's three index operations at the benchmark's
+/// residency (512 entries of 16 KiB: 8 dkeys × 64 offsets) and the
+/// `fig_cache` sweep's (4 096), so the O(log n) index has a number: a hit,
+/// a refill of a resident key, and the range punch of one 16 KiB write
+/// (the entry is filled back, so residency holds).
+fn bench_read_cache(c: &mut Criterion) {
+    let mut g = c.benchmark_group("read_cache");
+    let oid = ObjectId::new(ObjClass::Sx, 9);
+    let key = |i: u64| {
+        let kind = ValueKind::Array {
+            offset: (i % 64) << 14,
+        };
+        CacheKey::new(
+            oid,
+            DKey::from_u64(i / 64),
+            AKey::from_str("data"),
+            kind,
+            1 << 14,
+        )
+    };
+    let data = ros2_buf::zero_bytes(1 << 14);
+    for resident in [512u64, 4096] {
+        let mut cache = ReadCache::new(resident << 14);
+        let keys: Vec<CacheKey> = (0..resident).map(key).collect();
+        for k in &keys {
+            cache.fill(k.clone(), data.clone(), 1, Epoch(1));
+        }
+        // A stride coprime to the residency visits every entry.
+        let mut i = 0u64;
+        let mut next = move || {
+            i = (i + 1237) % resident;
+            i as usize
+        };
+        g.bench_function(format!("probe_hit/{resident}"), |b| {
+            b.iter(|| cache.probe(&keys[next()], 1, Epoch(1)).is_some())
+        });
+        g.bench_function(format!("fill/{resident}"), |b| {
+            b.iter(|| cache.fill(keys[next()].clone(), data.clone(), 1, Epoch(1)))
+        });
+        g.bench_function(format!("punch_16k_and_refill/{resident}"), |b| {
+            b.iter(|| {
+                let k = &keys[next()];
+                let dropped = cache.punch(k);
+                cache.fill(k.clone(), data.clone(), 1, Epoch(1));
+                dropped
+            })
+        });
+        assert_eq!(cache.len() as u64, resident);
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
+    bench_read_cache,
     bench_crc32c,
     bench_event_queue,
     bench_server_pool,

@@ -35,7 +35,7 @@ use ros2_verbs::{AccessFlags, Expiry, MemAddr, MemoryDomain, MrId, NodeId, PdId,
 use crate::cluster::{EngineCluster, MapSnapshot};
 use crate::engine::{TargetOp, TargetOpResult, ValueKind};
 use crate::pipeline::{RetryPolicy, RetryStats};
-use crate::types::{AKey, DKey, DaosCostModel, DaosError, Epoch, ObjectId};
+use crate::types::{AKey, DKey, DaosCostModel, DaosError, Epoch, ObjectId, RecordVersion};
 
 /// RPC descriptor size on the wire (OBJ_UPDATE/OBJ_FETCH header).
 const RPC_DESC: usize = 128;
@@ -92,10 +92,11 @@ impl ClientCores {
 
 /// Provenance of one completed fetch, surfaced by
 /// [`DaosClient::fetch_with_meta`]: which engine served the read, whether
-/// the route was degraded (a replica is down and unrebuilt), and the map
-/// revision / container commit-epoch horizon observed at completion.
-/// A read cache fills only from `degraded == false` completions and
-/// stamps entries with `{map_version, commit_epoch}`.
+/// the route was degraded (a replica is down and unrebuilt), the map
+/// revision it routed under, and the record's arrival version at the
+/// serving engine. A read cache fills only from `degraded == false`
+/// completions and stamps the record's entries with
+/// `{map_version, record_version}`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct FetchMeta {
     /// Engine slot that served the fetch.
@@ -104,8 +105,8 @@ pub struct FetchMeta {
     pub degraded: bool,
     /// Pool-map revision the route resolved under.
     pub map_version: u64,
-    /// The container's committed-epoch high-water mark at completion.
-    pub commit_epoch: Epoch,
+    /// The fetched record's arrival version at `eng` when it was read.
+    pub record_version: RecordVersion,
 }
 
 /// A connected DAOS client bound to one container.
@@ -861,7 +862,7 @@ impl DaosClient {
 
     /// [`Self::fetch`] plus the completion's provenance ([`FetchMeta`]):
     /// which engine served it, whether the route was degraded, and the
-    /// map revision / commit-epoch horizon stamped on the reply. Callers
+    /// map revision / record version stamped on the reply. Callers
     /// that maintain a read cache (the DPU lane) need exactly this to
     /// decide whether the completion is safe to fill from. Booking and
     /// accounting are identical to [`Self::fetch`].
@@ -896,7 +897,7 @@ impl DaosClient {
             eng,
             degraded,
             map_version: cluster.map().version(),
-            commit_epoch: cluster.container_epoch(&self.cont),
+            record_version: cluster.engine(eng).record_version(oid, &dkey, &akey),
         };
         self.finish_fetch(fabric, job, eng, data, ready, len)
             .map(|(data, at)| (data, at, meta))

@@ -51,7 +51,7 @@ use ros2_verbs::{NodeId, PdId};
 
 use crate::conn_pool::{ConnPool, ConnPoolStats};
 use crate::engine::DaosEngine;
-use crate::types::{DKey, DaosError, Epoch, ObjectId};
+use crate::types::{AKey, DKey, DaosError, Epoch, ObjectId, RecordVersion};
 use crate::vos::{ScrubCheck, VosStats};
 
 /// Largest supported replication factor (fits the inline
@@ -815,18 +815,24 @@ impl EngineCluster {
         self.engines[first].snapshot(cont)
     }
 
-    /// The container's current committed-epoch high-water mark, read from
-    /// the epoch-allocating engine **without** allocating. This is the
-    /// stamp a fetch completion carries back to the caller (clients learn
-    /// the commit horizon from every completion and from aggregation
-    /// reports), and the value the DPU read cache compares against to
-    /// detect writes it did not issue itself. `Epoch(0)` for a container
-    /// no healthy engine knows.
-    pub fn container_epoch(&self, cont: &str) -> Epoch {
-        self.first_up()
-            .and_then(|s| self.engines[s].container_meta(cont))
-            .map(|m| Epoch(m.epoch_counter))
-            .unwrap_or(Epoch(0))
+    /// What a one-descriptor version query stamped with map revision
+    /// `stamp` would bring back from engine `eng`: the record's arrival
+    /// version (see [`RecordVersion`]), or `None` when no usable answer
+    /// comes — the engine is down or black-holed, or it fences the stamp
+    /// as stale. This is the authority a read cache checks a record's
+    /// entries against; it sees every arrival at that engine, whoever
+    /// sent it. Read-only: no RPC or fence is counted, nothing is booked.
+    pub fn record_version(
+        &self,
+        eng: usize,
+        stamp: u64,
+        oid: ObjectId,
+        dkey: &DKey,
+        akey: &AKey,
+    ) -> Option<RecordVersion> {
+        let engine = &self.engines[eng];
+        (self.is_reachable(eng) && !engine.is_stale(stamp))
+            .then(|| engine.record_version(oid, dkey, akey))
     }
 
     /// The object's current routing set and whether it is degraded (the
@@ -1284,12 +1290,7 @@ impl EngineCluster {
 
     /// Punches a `(dkey, akey)` on every routed replica; the leader's
     /// result is authoritative.
-    pub fn punch(
-        &mut self,
-        oid: ObjectId,
-        dkey: &DKey,
-        akey: &crate::types::AKey,
-    ) -> Result<(), DaosError> {
+    pub fn punch(&mut self, oid: ObjectId, dkey: &DKey, akey: &AKey) -> Result<(), DaosError> {
         let set = self.route(&oid).0;
         let mut first: Option<Result<(), DaosError>> = None;
         for s in set.iter() {

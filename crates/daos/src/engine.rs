@@ -22,7 +22,7 @@ use ros2_spdk::{BdevLayer, ShardBdev};
 
 use crate::cluster::PoolMap;
 use crate::types::{
-    placement_hash, AKey, DKey, DaosCostModel, DaosError, Epoch, ObjClass, ObjectId,
+    placement_hash, AKey, DKey, DaosCostModel, DaosError, Epoch, ObjClass, ObjectId, RecordVersion,
 };
 use crate::vos::{VosStats, VosTarget};
 
@@ -353,6 +353,13 @@ impl DaosEngine {
         self.fences
     }
 
+    /// Whether `stamp` is older than the newest map revision this engine
+    /// has been pushed — the one rule of the revision fence (an engine
+    /// that was never pushed a map, revision 0, fences nothing).
+    pub fn is_stale(&self, stamp: u64) -> bool {
+        stamp < self.map_version
+    }
+
     /// The revision fence: a request stamped with an older map revision
     /// than the engine has observed is rejected before it touches any
     /// target — the client must refresh and re-resolve its route. A stamp
@@ -360,13 +367,19 @@ impl DaosEngine {
     /// gotten it from the control plane, so the route is at least as
     /// fresh as the engine's own knowledge).
     fn fence_version(&mut self, stamp: u64) -> Result<(), DaosError> {
-        if self.map_version > 0 && stamp < self.map_version {
+        if self.is_stale(stamp) {
             self.fences += 1;
             return Err(DaosError::StaleMap {
                 current: self.map_version,
             });
         }
         Ok(())
+    }
+
+    /// The arrival version of `(oid, dkey, akey)` on this engine (see
+    /// [`RecordVersion`]). Read-only: no RPC is counted, nothing is booked.
+    pub fn record_version(&self, oid: ObjectId, dkey: &DKey, akey: &AKey) -> RecordVersion {
+        self.targets[self.target_of(oid, Some(dkey))].record_version(oid, dkey, akey)
     }
 
     /// Merged VOS stats across targets.

@@ -35,6 +35,6 @@ pub use engine::{ContainerMeta, DaosEngine, TargetOp, TargetOpResult, ValueKind}
 pub use pipeline::{OpRing, RetryPolicy, RetryStats};
 pub use types::{
     placement_hash, AKey, DKey, DaosCostModel, DaosError, Epoch, KeyBytes, ObjClass, ObjectId,
-    INLINE_KEY,
+    RecordVersion, INLINE_KEY,
 };
 pub use vos::{KeyPair, Location, RecordDump, ScrubCheck, VosStats, VosTarget};

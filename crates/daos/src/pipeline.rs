@@ -167,6 +167,8 @@ enum Body {
         epoch: Epoch,
         /// The cached `map_version` stamped into every leg's descriptor.
         stamp: u64,
+        /// Whether the submission-time route was non-degraded.
+        clean: bool,
         legs: Vec<UpdateLeg>,
     },
     /// A fetch staged to its leader engine.
@@ -225,9 +227,9 @@ pub struct OpRing {
     retire_log: Vec<usize>,
     /// Fetch legs re-armed onto a surviving replica after a kill.
     leg_rearms: u64,
-    /// Per-slot leader-path provenance: true iff the slot is a fetch that
-    /// completed on its first attempt over a non-degraded route — the only
-    /// completions a read cache may fill from.
+    /// Per-slot leader-path provenance: true iff the slot completed on its
+    /// first attempt over a non-degraded route — the only completions a
+    /// read cache may learn from.
     fill_ok: Vec<bool>,
 }
 
@@ -268,11 +270,13 @@ impl OpRing {
     }
 
     /// Per-slot leader-path provenance, aligned with the drained results:
-    /// `true` iff that slot is a fetch that completed successfully on its
-    /// **first** attempt over a **non-degraded** route. Anything touched
-    /// by the retry ladder, a failover replica, or a degraded route reads
-    /// correct bytes but is not a safe read-cache fill (the leader may
-    /// have moved). Complete only after [`Self::drain`].
+    /// `true` iff that slot completed successfully on its **first**
+    /// attempt over a **non-degraded** route — for an update, every
+    /// replica leg acked first time and none was dropped. Anything touched
+    /// by the retry ladder, a failover replica, or a degraded route is
+    /// correct but is not something a read cache may fill or write-update
+    /// from (the leader may have moved). Complete only after
+    /// [`Self::drain`].
     pub fn fill_ok(&self) -> &[bool] {
         &self.fill_ok
     }
@@ -304,9 +308,13 @@ impl OpRing {
                     akey,
                     kind,
                     data,
-                } => ClientOpResult::Update(
-                    client.update(fabric, cluster, now, self.job, oid, dkey, akey, kind, data),
-                ),
+                } => {
+                    let clean = !cluster.route_preview(&oid).1;
+                    let r =
+                        client.update(fabric, cluster, now, self.job, oid, dkey, akey, kind, data);
+                    self.fill_ok[slot] = clean && r.is_ok();
+                    ClientOpResult::Update(r)
+                }
                 ClientOp::Fetch {
                     oid,
                     dkey,
@@ -357,7 +365,7 @@ impl OpRing {
                     self.retire_log.push(slot);
                     return;
                 }
-                let set = client.cached_map().route_update(&oid);
+                let (set, degraded) = client.cached_map().route(&oid);
                 if set.is_empty() {
                     let e = DaosError::Transport("no healthy replica".into());
                     self.results[slot] = Some(ClientOpResult::Update(Err(e)));
@@ -401,6 +409,7 @@ impl OpRing {
                         kind,
                         epoch,
                         stamp,
+                        clean: !degraded,
                         legs,
                     },
                 });
@@ -517,13 +526,17 @@ impl OpRing {
                 kind,
                 epoch,
                 stamp,
+                clean,
                 legs,
             } => {
                 let mut done: Option<SimTime> = None;
                 let mut err: Option<DaosError> = None;
+                // A leg that drops or climbs the ladder clears this.
+                self.fill_ok[op.slot] = clean;
                 for leg in legs {
                     match self.run_update_leg(
-                        client, fabric, cluster, leg, stamp, oid, &dkey, &akey, kind, epoch,
+                        client, fabric, cluster, leg, op.slot, stamp, oid, &dkey, &akey, kind,
+                        epoch,
                     ) {
                         Ok(Some(acked)) => done = Some(done.map_or(acked, |d| d.max(acked))),
                         // The replica left the placement (kill or fence):
@@ -537,6 +550,7 @@ impl OpRing {
                     (None, Some(d)) => Ok(d + op.completion),
                     (None, None) => Err(DaosError::Transport("no healthy replica".into())),
                 });
+                self.fill_ok[op.slot] &= matches!(result, ClientOpResult::Update(Ok(_)));
                 Executed {
                     done: result_instant(&result, op.submitted),
                     slot: op.slot,
@@ -647,7 +661,8 @@ impl OpRing {
     /// Runs one update leg up the recovery ladder. `Ok(Some(acked))` is a
     /// replica ack; `Ok(None)` means the leg dropped because its engine
     /// left the placement (killed, or fenced off by a newer map) and the
-    /// surviving legs carry the commit; `Err` is a real failure.
+    /// surviving legs carry the commit; `Err` is a real failure. Anything
+    /// but a first-attempt ack clears `slot`'s [`Self::fill_ok`].
     #[allow(clippy::too_many_arguments)]
     fn run_update_leg(
         &mut self,
@@ -655,6 +670,7 @@ impl OpRing {
         fabric: &mut Fabric,
         cluster: &mut EngineCluster,
         leg: UpdateLeg,
+        slot: usize,
         mut stamp: u64,
         oid: ObjectId,
         dkey: &DKey,
@@ -675,6 +691,7 @@ impl OpRing {
                 // The replica died after staging: its staged bytes died
                 // with it; the survivors carry the commit. (The post-kill
                 // map never places the object here, so no retry.)
+                self.fill_ok[slot] = false;
                 return Ok(None);
             } else if cluster.blackholed(eng) {
                 // Alive in the map but the conn eats traffic: deadline.
@@ -710,6 +727,7 @@ impl OpRing {
                     Err(e) => return Err(e),
                 }
             };
+            self.fill_ok[slot] = false;
             attempt += 1;
             if attempt > policy.budget {
                 client.retry.exhausted += 1;

@@ -199,6 +199,32 @@ impl Epoch {
     pub const LATEST: Epoch = Epoch(u64::MAX);
 }
 
+/// A value store's **arrival version**: the reading of its VOS target's
+/// arrival clock when the `(oid, dkey, akey)` record last changed, which is
+/// what a read cache stamps a record's entries with. It is *not* the
+/// record's newest epoch: a lower-epoch extent that arrives late changes
+/// the visible bytes without changing the newest epoch, but it is still an
+/// arrival. The clock is per target and never rewinds, so a record that is
+/// punched and written again draws a number it has never had; a record the
+/// target does not hold reads as [`RecordVersion::ABSENT`], and an absent
+/// record's content is fixed too (an array reads as zeros, a single value
+/// as `NotFound`).
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct RecordVersion(pub u64);
+
+impl RecordVersion {
+    /// The version of a record its target holds nothing for.
+    pub const ABSENT: RecordVersion = RecordVersion(0);
+}
+
+/// Fixtures that drive a cache without an engine stamp with a constant;
+/// they may keep writing it as an [`Epoch`] literal.
+impl From<Epoch> for RecordVersion {
+    fn from(e: Epoch) -> Self {
+        RecordVersion(e.0)
+    }
+}
+
 /// FNV-1a over bytes — the placement hash (stable and documented; the real
 /// system uses jump consistent hashing over the pool map).
 pub fn placement_hash(oid: &ObjectId, dkey: Option<&DKey>) -> u64 {

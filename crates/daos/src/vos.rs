@@ -29,7 +29,7 @@ use ros2_sim::SimTime;
 use ros2_spdk::ShardBdev;
 
 use crate::checksum::{crc32c_combine, crc32c_zeros, Checksum};
-use crate::types::{AKey, DKey, DaosError, Epoch, ObjectId};
+use crate::types::{AKey, DKey, DaosError, Epoch, ObjectId, RecordVersion};
 
 /// The object index key: one packed `(dkey, akey)` pair. Built from
 /// borrowed keys without heap allocation — inline keys copy on the stack,
@@ -142,6 +142,8 @@ fn combine_recorded(
 
 #[derive(Clone, Debug, Default)]
 struct ValueStore {
+    /// The target's arrival clock at this store's last update.
+    version: RecordVersion,
     sv: Vec<SvRecord>,
     /// Kept in `(epoch, arrival)` order — the order later records shadow
     /// earlier ones in — so the overlay resolver walks it backwards and
@@ -321,6 +323,10 @@ pub struct VosTarget {
     nvme_limit: u64,
     free_extents: Vec<(u64, u32)>,
     objects: HashMap<ObjectId, BTreeMap<KeyPair, ValueStore>>,
+    /// Updates this target has taken, ever: the arrival clock every value
+    /// store's [`RecordVersion`] is read from. Never rewinds, so punching
+    /// a record and writing it again cannot repeat a version.
+    arrivals: u64,
     stats: VosStats,
     /// VOS-level data-plane counters (payload checksum scans, recorded-CRC
     /// combines, overlay stitch copies). Media-store counters live in the
@@ -351,6 +357,7 @@ impl VosTarget {
             nvme_limit: lba_base + lba_span,
             free_extents: Vec::new(),
             objects: HashMap::new(),
+            arrivals: 0,
             stats: VosStats::default(),
             dp: DataPlaneStats::default(),
             overlay_scratch: Vec::new(),
@@ -538,6 +545,32 @@ impl VosTarget {
         }
     }
 
+    /// The value store an update lands in (created on first use), stamped
+    /// with the next reading of the arrival clock. Every path that adds a
+    /// record — client updates, rebuild and scrub-repair imports — comes
+    /// through here, so each one moves the record's version.
+    fn store_for_update(&mut self, oid: ObjectId, dkey: DKey, akey: AKey) -> &mut ValueStore {
+        self.arrivals += 1;
+        let store = self
+            .objects
+            .entry(oid)
+            .or_default()
+            .entry(KeyPair { dkey, akey })
+            .or_default();
+        store.version = RecordVersion(self.arrivals);
+        store
+    }
+
+    /// The arrival version of `(oid, dkey, akey)`:
+    /// [`RecordVersion::ABSENT`] when the target holds nothing for it
+    /// (never written, or punched). Read-only — no stats, no bookings.
+    pub fn record_version(&self, oid: ObjectId, dkey: &DKey, akey: &AKey) -> RecordVersion {
+        self.objects
+            .get(&oid)
+            .and_then(|o| o.get(&KeyPair::from_refs(dkey, akey)))
+            .map_or(RecordVersion::ABSENT, |store| store.version)
+    }
+
     /// Updates a single value.
     #[allow(clippy::too_many_arguments)]
     pub fn update_single(
@@ -568,12 +601,7 @@ impl VosTarget {
         if len > 0 && len <= CSUM_CHUNK && matches!(location, Location::Scm(_)) {
             self.seed_media_crcs(media, &location, std::slice::from_ref(&checksum));
         }
-        let store = self
-            .objects
-            .entry(oid)
-            .or_default()
-            .entry(KeyPair { dkey, akey })
-            .or_default();
+        let store = self.store_for_update(oid, dkey, akey);
         store.sv.push(SvRecord {
             epoch,
             len,
@@ -639,12 +667,7 @@ impl VosTarget {
         if !checksums.is_empty() {
             self.seed_media_crcs(media, &location, &checksums);
         }
-        let store = self
-            .objects
-            .entry(oid)
-            .or_default()
-            .entry(KeyPair { dkey, akey })
-            .or_default();
+        let store = self.store_for_update(oid, dkey, akey);
         // After every record of the same or an older epoch: `(epoch,
         // arrival)` order (an append unless epochs arrive out of order).
         let at = visible_len(&store.extents, epoch);
@@ -1288,6 +1311,60 @@ mod tests {
         };
         assert_eq!(&fetch(Epoch::LATEST)[..], b"new");
         assert_eq!(&fetch(Epoch(4))[..], b"old");
+    }
+
+    #[test]
+    fn arrival_version_moves_on_every_arrival_and_never_repeats() {
+        let (mut vos, mut bd) = fixture();
+        let (d, a) = (DKey::from_u64(0), AKey::from_str("data"));
+        let other = DKey::from_u64(1);
+        assert_eq!(vos.record_version(oid(), &d, &a), RecordVersion::ABSENT);
+        let mut seen = vec![RecordVersion::ABSENT];
+        // A newer extent, a lower-epoch one arriving late (the newest
+        // epoch stays 5), a single value under the same keys, and a write
+        // to another record in between.
+        for (epoch, dkey, array) in [
+            (Epoch(5), &d, true),
+            (Epoch(3), &d, true),
+            (Epoch(9), &other, true),
+            (Epoch(6), &d, false),
+        ] {
+            let before = vos.record_version(oid(), &d, &a);
+            let (data, at) = (Bytes::from_static(b"abc"), SimTime::ZERO);
+            let media = &mut bd.shard(0);
+            match array {
+                true => vos.update_array(at, media, oid(), dkey.clone(), a.clone(), epoch, 0, data),
+                false => vos.update_single(at, media, oid(), dkey.clone(), a.clone(), epoch, data),
+            }
+            .unwrap();
+            let after = vos.record_version(oid(), &d, &a);
+            assert_eq!(after != before, dkey == &d, "only its own record moves");
+            if dkey == &d {
+                assert!(!seen.contains(&after), "a version never repeats");
+                seen.push(after);
+            }
+        }
+        // Punched, the record reads as absent; written again it draws a
+        // number it never had — not the count of its arrivals over again.
+        vos.punch(oid(), &d, &a).unwrap();
+        assert_eq!(vos.record_version(oid(), &d, &a), RecordVersion::ABSENT);
+        for _ in 0..3 {
+            let data = Bytes::from_static(b"abc");
+            vos.update_array(
+                SimTime::ZERO,
+                &mut bd.shard(0),
+                oid(),
+                d.clone(),
+                a.clone(),
+                Epoch(7),
+                0,
+                data,
+            )
+            .unwrap();
+            let again = vos.record_version(oid(), &d, &a);
+            assert!(!seen.contains(&again), "a version never repeats");
+            seen.push(again);
+        }
     }
 
     #[test]

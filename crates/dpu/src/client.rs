@@ -47,6 +47,7 @@ use ros2_verbs::{Expiry, MemoryDomain, NodeId, PdId};
 use crate::agent::DpuAgent;
 use crate::cache::{CacheKey, DpuCacheStats, ReadCache};
 use crate::error::DpuError;
+use crate::lane::{Probe, TenantLane};
 use crate::tenant::{QosLimits, TenantManager};
 
 /// One tenant to provision on the DPU client.
@@ -117,28 +118,6 @@ impl DpuStats {
         self.retry.merge(other.retry);
         self.cache.merge(other.cache);
     }
-}
-
-/// One tenant's slice of the offloaded client: a dedicated data-plane
-/// [`DaosClient`] (own PD, QPs, staging buffers) plus its control session
-/// and rkey deadlines.
-struct TenantLane {
-    name: String,
-    daos: DaosClient,
-    rkey_scope: SimDuration,
-    /// Per-local-job rkey deadline (RDMA transports; `SimTime::MAX` on
-    /// TCP, where no memory is registered).
-    rkey_deadline: Vec<SimTime>,
-    /// Doorbell-channel session for this tenant.
-    session: u64,
-    /// This tenant's slice of the DPU read cache ([`ReadCache`]), when
-    /// enabled. Per-lane, never shared — cached bytes stay inside the
-    /// tenant's isolation boundary like its PD and staging buffers.
-    cache: Option<ReadCache>,
-    /// Per-op data-plane start instants of the queue being submitted,
-    /// written by [`DpuClient::queue_start`]. Kept in the lane so the
-    /// one-op queues fio submits allocate nothing for it.
-    starts: Vec<SimTime>,
 }
 
 /// Refresh a registration when it has less than this long left to live at
@@ -724,67 +703,55 @@ impl DpuClient {
         Ok((submitted, latest))
     }
 
-    /// The data-plane half of [`ObjectClient::execute_pipelined`]: cache
-    /// probes, the lane's [`OpRing`], cache fills, and the host polls.
-    fn run_ring(
+    /// The data-plane half of a queue: cache probes, then the misses
+    /// through the lane's [`OpRing`] (each from its own start instant) or,
+    /// with `unit_start`, as one engine fan-out from that instant; then
+    /// cache completions and the host polls. Hits are never issued at all
+    /// — no staging legs, no fabric bookings.
+    fn run_queue(
         &mut self,
         fabric: &mut Fabric,
         cluster: &mut EngineCluster,
         submitted: SimTime,
         (lane, local): (usize, usize),
         ops: Vec<ClientOp>,
+        unit_start: Option<SimTime>,
     ) -> Vec<ClientOpResult> {
-        // Cache interaction before anything enters the ring: punch every
-        // record this call writes, then probe the remaining latest-epoch
-        // fetches against the lane's cached map revision (the same map the
-        // ring routes by). Hits never enter the ring at all — no staging
-        // legs, no fabric bookings. Misses remember their key so the drain
-        // can fill from leader-path completions. Without a cache `probes`
-        // stays empty (and unallocated).
-        let mut probes: Vec<Probe> = Vec::new();
-        let TenantLane {
-            cache,
-            daos,
-            starts,
-            ..
-        } = &mut self.lanes[lane];
-        if let Some(cache) = cache.as_mut() {
-            let written = punch_batch_writes(cache, &ops);
-            probes.extend(ops.iter().map(|op| {
-                let Some(key) = probeable_key(op, &written) else {
-                    return Probe::Skip;
-                };
-                let (_, _, version) = daos.probe_route(submitted, cluster, &key.oid);
-                let commit = cluster.container_epoch(daos.container());
-                match cache.probe(&key, version, commit) {
-                    Some(data) => Probe::Hit(data),
-                    None => Probe::Miss(key, version),
-                }
-            }));
-        }
-        let hits = probes.iter().filter(|p| p.is_hit()).count();
-        let mut ring = OpRing::new(local, ops.len() - hits);
-        for (i, op) in ops.into_iter().enumerate() {
-            if !probes.get(i).is_some_and(Probe::is_hit) {
-                ring.submit(daos, fabric, cluster, starts[i], op);
+        let l = &mut self.lanes[lane];
+        // Empty (and unallocated) without a cache.
+        let mut probes = l.probe_queue(submitted, cluster, &ops);
+        let misses = ops.len() - probes.iter().filter(|p| p.is_hit()).count();
+        let issued = (ops.into_iter().enumerate())
+            .filter(|(i, _)| !probes.get(*i).is_some_and(Probe::is_hit));
+        // Results come back in op order with the hits left out.
+        let (results, ring) = match unit_start {
+            Some(start) => {
+                let issued = issued.map(|(_, op)| op).collect();
+                let results = l.daos.execute_batch(fabric, cluster, start, local, issued);
+                (results, None)
             }
-        }
-        // Ring results come back in op order with the hits left out.
-        let results = ring.drain(daos, fabric, cluster);
-        if let Some(cache) = cache.as_mut() {
-            // Fills are stamped with the commit epoch the drain left
-            // behind. That is safe precisely because records this call
-            // writes never fill (suppressed above): for every filled chunk,
-            // its record's bytes at this epoch are what the fetch read.
-            let commit_now = cluster.container_epoch(daos.container());
-            let misses = probes.iter_mut().filter(|p| !p.is_hit());
-            for ((probe, r), &fill_ok) in misses.zip(&results).zip(ring.fill_ok()) {
-                if let (true, Probe::Miss(key, version), ClientOpResult::Fetch(Ok((data, _)))) =
-                    (fill_ok, std::mem::take(probe), r)
-                {
-                    cache.fill(key, data.clone(), version, commit_now);
+            None => {
+                let mut ring = OpRing::new(local, misses);
+                for (i, op) in issued {
+                    ring.submit(&mut l.daos, fabric, cluster, l.starts[i], op);
                 }
+                (ring.drain(&mut l.daos, fabric, cluster), Some(ring))
             }
+        };
+        let issued = probes.iter_mut().filter(|p| !p.is_hit());
+        for (slot, (probe, r)) in issued.zip(&results).enumerate() {
+            let fetched = match r {
+                ClientOpResult::Fetch(Ok((data, _))) => Some(data),
+                _ => None,
+            };
+            // The ring reports each slot's leader-path provenance; a
+            // fan-out never retries and routes by the live map, which is
+            // the map the probe's authority answered under.
+            let clean = match &ring {
+                Some(ring) => ring.fill_ok()[slot],
+                None => fetched.is_some() || matches!(r, ClientOpResult::Update(Ok(_))),
+            };
+            l.complete(submitted, cluster, std::mem::take(probe), clean, fetched);
         }
         let mut out: Vec<ClientOpResult> = results
             .into_iter()
@@ -804,7 +771,8 @@ impl DpuClient {
         // Ascending inserts put each hit back at its op index.
         for (i, probe) in probes.into_iter().enumerate() {
             if let Probe::Hit(data) = probe {
-                let ready = self.lanes[lane].starts[i] + ReadCache::service_cost(data.len() as u64);
+                let start = unit_start.unwrap_or(self.lanes[lane].starts[i]);
+                let ready = start + ReadCache::service_cost(data.len() as u64);
                 let r = self.host_poll(ready, lane, 1).map(|at| (data, at));
                 out.insert(i, ClientOpResult::Fetch(r));
             }
@@ -844,15 +812,14 @@ impl ObjectClient for DpuClient {
     ) -> Result<SimTime, DaosError> {
         let bytes = data.len() as u64;
         let (lane, local, start) = self.offload_start(fabric, now, job, bytes, true)?;
-        // Write-through punch before the write is issued: the window where
-        // a cached chunk could shadow this update never exists.
-        if let Some(cache) = self.lanes[lane].cache.as_mut() {
-            cache.punch(&oid, &dkey, &akey);
-        }
-        let done = self.lanes[lane]
+        let l = &mut self.lanes[lane];
+        let at = CacheKey::new(oid, dkey.clone(), akey.clone(), kind, bytes);
+        let probe = l.probe_update(start, cluster, at, &data);
+        let done = l
             .daos
-            .update(fabric, cluster, start, local, oid, dkey, akey, kind, data)?;
-        self.host_poll(done, lane, 1)
+            .update(fabric, cluster, start, local, oid, dkey, akey, kind, data);
+        l.complete(start, cluster, probe, done.is_ok(), None);
+        self.host_poll(done?, lane, 1)
     }
 
     fn fetch(
@@ -869,41 +836,33 @@ impl ObjectClient for DpuClient {
         len: u64,
     ) -> Result<(Bytes, SimTime), DaosError> {
         let (lane, local, start) = self.offload_start(fabric, now, job, len, false)?;
-        // Probe the lane's cache slice. Only latest-epoch reads
-        // participate — snapshot reads address history the cache does not
-        // version. A hit serves from DPU DRAM: no fabric bookings, no ARM
-        // CRC verify, no inline service — just the DRAM stream and the
-        // host poll.
-        let mut fill_key = None;
-        if epoch == Epoch::LATEST && self.lanes[lane].cache.is_some() {
-            let map_version = cluster.map().version();
-            let commit = cluster.container_epoch(self.lanes[lane].daos.container());
-            let key = CacheKey::new(oid, dkey.clone(), akey.clone(), kind, len);
-            let hit = self.lanes[lane]
-                .cache
-                .as_mut()
-                .expect("checked is_some")
-                .probe(&key, map_version, commit);
-            if let Some(data) = hit {
-                let ready = start + ReadCache::service_cost(data.len() as u64);
-                let at = self.host_poll(ready, lane, 1)?;
-                return Ok((data, at));
+        let l = &mut self.lanes[lane];
+        // Only latest-epoch reads participate — snapshot reads address
+        // history the cache does not version. A hit serves from DPU DRAM:
+        // no fabric bookings, no ARM CRC verify, no inline service — just
+        // the DRAM stream and the host poll.
+        let probe = match epoch == Epoch::LATEST {
+            true => {
+                let key = CacheKey::new(oid, dkey.clone(), akey.clone(), kind, len);
+                l.probe_fetch(start, cluster, key)
             }
-            fill_key = Some(key);
+            false => Probe::Skip,
+        };
+        if let Probe::Hit(data) = probe {
+            let ready = start + ReadCache::service_cost(data.len() as u64);
+            let at = self.host_poll(ready, lane, 1)?;
+            return Ok((data, at));
         }
-        let (data, ready, meta) = self.lanes[lane].daos.fetch_with_meta(
+        let (data, ready, meta) = l.daos.fetch_with_meta(
             fabric, cluster, start, local, oid, dkey, akey, kind, epoch, len,
         )?;
         let at = self.finish_fetch(ready, lane, data.len() as u64)?;
-        // Fill only from the boring case: leader route, healthy map. The
-        // recovery ladder's completions are correct but bypass the cache.
-        if let (Some(key), false) = (fill_key, meta.degraded) {
-            self.lanes[lane]
-                .cache
-                .as_mut()
-                .expect("fill_key implies a cache")
-                .fill(key, data.clone(), meta.map_version, meta.commit_epoch);
-        }
+        // This path routes by the live map: fill only when the completion
+        // itself reports the leader route and the reading the probe was
+        // validated against.
+        let clean = matches!(&probe, Probe::Miss(_, stamp)
+            if !meta.degraded && *stamp == (meta.map_version, meta.record_version));
+        self.lanes[lane].complete(start, cluster, probe, clean, Some(&data));
         Ok((data, at))
     }
 
@@ -916,75 +875,17 @@ impl ObjectClient for DpuClient {
         ops: Vec<ClientOp>,
     ) -> Vec<ClientOpResult> {
         let (lane, local) = self.job_map[job];
-        let n = ops.len();
-        if n == 0 {
+        if ops.is_empty() {
             return Vec::new();
         }
         // The fan-out is one engine round-trip, so it starts as a unit at
         // the latest op's start.
-        let start = match self.queue_start(fabric, now, (lane, local), &ops) {
-            Ok((_, latest)) => latest,
-            Err(e) => return whole_batch_error(&ops, e),
-        };
-        // Cache interaction, before anything executes: punch every record
-        // the batch writes (write-through), then probe the remaining
-        // latest-epoch fetches. A fetch of a record this same batch writes
-        // never probes — the engine's execution order decides its bytes.
-        // The batch path probes but does not fill (fills are the pipelined
-        // and serial paths' job, where leader-route provenance is cheap to
-        // establish per op).
-        let mut hits: Vec<Option<Bytes>> = vec![None; n];
-        if self.lanes[lane].cache.is_some() {
-            let written = punch_batch_writes(self.lanes[lane].cache.as_mut().unwrap(), &ops);
-            let map_version = cluster.map().version();
-            let commit = cluster.container_epoch(self.lanes[lane].daos.container());
-            for (i, op) in ops.iter().enumerate() {
-                if let Some(key) = probeable_key(op, &written) {
-                    hits[i] = self.lanes[lane]
-                        .cache
-                        .as_mut()
-                        .expect("checked is_some")
-                        .probe(&key, map_version, commit);
-                }
+        match self.queue_start(fabric, now, (lane, local), &ops) {
+            Ok((submitted, latest)) => {
+                self.run_queue(fabric, cluster, submitted, (lane, local), ops, Some(latest))
             }
+            Err(e) => whole_batch_error(&ops, e),
         }
-        let mut inner_idx = Vec::with_capacity(n);
-        let mut inner_ops = Vec::with_capacity(n);
-        for (i, op) in ops.into_iter().enumerate() {
-            if hits[i].is_none() {
-                inner_idx.push(i);
-                inner_ops.push(op);
-            }
-        }
-        let results = self.lanes[lane]
-            .daos
-            .execute_batch(fabric, cluster, start, local, inner_ops);
-        let mut out: Vec<Option<ClientOpResult>> = (0..n).map(|_| None).collect();
-        for (slot, r) in results.into_iter().enumerate() {
-            out[inner_idx[slot]] = Some(match r {
-                ClientOpResult::Update(Ok(done)) => {
-                    ClientOpResult::Update(self.host_poll(done, lane, 1))
-                }
-                ClientOpResult::Fetch(Ok((data, ready))) => {
-                    let bytes = data.len() as u64;
-                    ClientOpResult::Fetch(
-                        self.finish_fetch(ready, lane, bytes).map(|at| (data, at)),
-                    )
-                }
-                err => err,
-            });
-        }
-        for (i, hit) in hits.into_iter().enumerate() {
-            if let Some(data) = hit {
-                let ready = start + ReadCache::service_cost(data.len() as u64);
-                out[i] = Some(ClientOpResult::Fetch(
-                    self.host_poll(ready, lane, 1).map(|at| (data, at)),
-                ));
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every slot is a hit or an inner result"))
-            .collect()
     }
 
     fn execute_pipelined(
@@ -1004,7 +905,9 @@ impl ObjectClient for DpuClient {
         // bucket delays only itself while earlier grants are already in
         // flight on the lane's data plane.
         match self.queue_start(fabric, now, (lane, local), &ops) {
-            Ok((submitted, _)) => self.run_ring(fabric, cluster, submitted, (lane, local), ops),
+            Ok((submitted, _)) => {
+                self.run_queue(fabric, cluster, submitted, (lane, local), ops, None)
+            }
             Err(e) => whole_batch_error(&ops, e),
         }
     }
@@ -1014,70 +917,6 @@ impl ObjectClient for DpuClient {
         // the application issued — count them alongside.
         self.lanes.iter().map(|l| l.daos.ops()).sum::<u64>() + self.cache_stats().hits
     }
-}
-
-/// What the read cache said about one op of a pipelined queue.
-#[derive(Default)]
-enum Probe {
-    /// Not a probeable fetch (an update, a snapshot read, or a record this
-    /// queue also writes).
-    #[default]
-    Skip,
-    /// Served from DPU DRAM; the op never enters the ring.
-    Hit(Bytes),
-    /// Missed under this map revision; fill from a leader-path completion.
-    Miss(CacheKey, u64),
-}
-
-impl Probe {
-    fn is_hit(&self) -> bool {
-        matches!(self, Probe::Hit(_))
-    }
-}
-
-/// Punches every record `ops` writes out of `cache` (write-through) and
-/// returns the written key set: fetches of those records inside the same
-/// call must neither probe nor fill, because the call's own execution
-/// order — not the cache — decides their bytes.
-fn punch_batch_writes(cache: &mut ReadCache, ops: &[ClientOp]) -> Vec<(ObjectId, DKey, AKey)> {
-    let mut written = Vec::new();
-    for op in ops {
-        if let ClientOp::Update {
-            oid, dkey, akey, ..
-        } = op
-        {
-            cache.punch(oid, dkey, akey);
-            written.push((*oid, dkey.clone(), akey.clone()));
-        }
-    }
-    written
-}
-
-/// The cache key for `op` when it is allowed to probe: a latest-epoch
-/// fetch of a record the surrounding call does not write. Snapshot-epoch
-/// reads address history the cache does not version, so they bypass it.
-fn probeable_key(op: &ClientOp, written: &[(ObjectId, DKey, AKey)]) -> Option<CacheKey> {
-    let ClientOp::Fetch {
-        oid,
-        dkey,
-        akey,
-        kind,
-        epoch,
-        len,
-    } = op
-    else {
-        return None;
-    };
-    if *epoch != Epoch::LATEST {
-        return None;
-    }
-    if written
-        .iter()
-        .any(|(o, d, a)| o == oid && d == dkey && a == akey)
-    {
-        return None;
-    }
-    Some(CacheKey::new(*oid, dkey.clone(), akey.clone(), *kind, *len))
 }
 
 #[cfg(test)]
@@ -1458,7 +1297,7 @@ mod tests {
     }
 
     #[test]
-    fn local_write_punches_the_cached_chunk() {
+    fn local_write_updates_the_cached_chunk() {
         let (mut fabric, mut cluster) = world(Transport::Rdma);
         let mut c = connect(&mut fabric, vec![DpuTenantSpec::unlimited("llm")], 1).unwrap();
         c.enable_read_cache(8 << 20).unwrap();
@@ -1466,8 +1305,8 @@ mod tests {
         let dk = DKey::from_u64(0);
         let ak = AKey::from_str("data");
         let kind = ValueKind::Array { offset: 0 };
-        let mut t = SimTime::ZERO;
         let write = |c: &mut DpuClient, fabric: &mut Fabric, cluster: &mut EngineCluster, t, b| {
+            let data = Bytes::from(vec![b; 4 << 10]);
             c.update(
                 fabric,
                 cluster,
@@ -1477,46 +1316,51 @@ mod tests {
                 dk.clone(),
                 ak.clone(),
                 kind,
-                Bytes::from(vec![b; 4 << 10]),
+                data,
+            )
+        };
+        let read = |c: &mut DpuClient, fabric: &mut Fabric, cluster: &mut EngineCluster, t| {
+            let (dk, ak) = (dk.clone(), ak.clone());
+            c.fetch(
+                fabric,
+                cluster,
+                t,
+                0,
+                oid,
+                dk,
+                ak,
+                kind,
+                Epoch::LATEST,
+                4 << 10,
             )
             .unwrap()
         };
-        t = write(&mut c, &mut fabric, &mut cluster, t, 1);
-        let (first, t1) = c
-            .fetch(
-                &mut fabric,
-                &mut cluster,
-                t,
-                0,
-                oid,
-                dk.clone(),
-                ak.clone(),
-                kind,
-                Epoch::LATEST,
-                4 << 10,
-            )
-            .unwrap();
+        // A write with nothing resident allocates nothing.
+        let t = write(&mut c, &mut fabric, &mut cluster, SimTime::ZERO, 1).unwrap();
+        assert_eq!(c.cache_usage().0, 0, "no write-allocate");
+        let (first, t) = read(&mut c, &mut fabric, &mut cluster, t);
         assert_eq!(first[0], 1);
-        // Overwrite: the punch must beat any cached copy.
-        t = write(&mut c, &mut fabric, &mut cluster, t1, 2);
-        let (second, _) = c
-            .fetch(
-                &mut fabric,
-                &mut cluster,
-                t,
-                0,
-                oid,
-                dk.clone(),
-                ak.clone(),
-                kind,
-                Epoch::LATEST,
-                4 << 10,
-            )
-            .unwrap();
+        // Overwrite: the resident chunk takes the new payload, so the cache
+        // never shadows a local write — and the re-read is a hit.
+        let t = write(&mut c, &mut fabric, &mut cluster, t, 2).unwrap();
+        let (second, t) = read(&mut c, &mut fabric, &mut cluster, t);
         assert_eq!(second[0], 2, "cache must never shadow a local write");
         let s = c.cache_stats();
-        assert_eq!(s.hits, 0);
-        assert!(s.invalidations >= 1, "the punch is counted");
+        assert_eq!(
+            (s.fills, s.hits, s.write_updates, s.invalidations),
+            (1, 1, 1, 0)
+        );
+        // A failed update installs nothing and leaves no entry in its
+        // range: this one is refused as larger than the staging buffer.
+        let big = Bytes::from(vec![3u8; 8 << 20]);
+        let (d, a) = (dk.clone(), ak.clone());
+        assert!(c
+            .update(&mut fabric, &mut cluster, t, 0, oid, d, a, kind, big)
+            .is_err());
+        assert_eq!(c.cache_usage().0, 0, "the failed write's range is punched");
+        let (third, _) = read(&mut c, &mut fabric, &mut cluster, t);
+        assert_eq!(third[0], 2, "the authority still holds the last good write");
+        assert_eq!(c.cache_stats().fills, 2);
     }
 
     #[test]

@@ -19,10 +19,11 @@ pub mod agent;
 pub mod cache;
 pub mod client;
 pub mod error;
+mod lane;
 pub mod tenant;
 
 pub use agent::{default_control, DpuAgent, InlineService};
-pub use cache::{CacheKey, DpuCacheStats, ReadCache};
+pub use cache::{CacheKey, DpuCacheStats, ReadCache, RecordKey};
 pub use client::{DpuClient, DpuStats, DpuTenantSpec};
 pub use error::DpuError;
 pub use tenant::{QosLimits, TenantCtx, TenantManager};

@@ -15,9 +15,17 @@
 //! 3. **Bit-identical replay** — the cached run repeated from scratch
 //!    reproduces the same bytes, instants, and cache counters.
 //!
-//! Alongside the property, the unit suite pins each invalidation trigger
-//! in isolation: write-through punch (including same-call suppression),
-//! map-revision change, commit-epoch advance, the degraded-read fill
+//! The schedules address a `(dkey, offset)` grid with reads and writes of
+//! mixed sizes that overlap in part and repeat, from two tenant lanes —
+//! each one a cached reader and, to the other, a writer it never sees —
+//! with one foreign extent that arrives out of epoch order, an engine kill
+//! and a delayed map push. Payloads are a function of (dkey, byte offset,
+//! write sequence), never zero, so a misplaced slice cannot pass.
+//!
+//! Alongside the property, the unit suite pins each rule in isolation:
+//! write-update of a resident chunk (including same-call suppression),
+//! map-revision change, a write to another record leaving an entry alone,
+//! a writer the lane never sees invalidating it, the degraded-read fill
 //! bypass, and the DRAM carve balancing across enable/disable cycles.
 
 use bytes::Bytes;
@@ -38,6 +46,12 @@ const ENGINES: usize = 4;
 const KEYS: u64 = 6;
 const LEN: usize = 8 << 10;
 const HOT: u64 = 11;
+/// Offsets and lengths on the property's grid are multiples of this.
+const CELL: u64 = 2 << 10;
+/// Cells per dkey on the grid (so a dkey spans [`LEN`] bytes).
+const CELLS: u64 = LEN as u64 / CELL;
+/// Dkeys the property's tape addresses: few, so ranges are re-read.
+const GRID_KEYS: u64 = 3;
 
 fn engine() -> DaosEngine {
     let bdevs = BdevLayer::new(NvmeArray::new(
@@ -71,7 +85,8 @@ fn storage(name: &str) -> NodeSpec {
 }
 
 /// A 4-engine RF=2 cluster fronted by one offloaded client on a
-/// BlueField-3; `cache` carves that many bytes for the read cache.
+/// BlueField-3 with two tenant lanes (job 0 on one, job 1 on the other);
+/// `cache` carves that many bytes for the read cache, split across them.
 fn world(cache: Option<u64>) -> (Fabric, EngineCluster, DpuClient) {
     let mut specs = vec![NodeSpec::bluefield3()];
     let mut servers = Vec::new();
@@ -87,12 +102,12 @@ fn world(cache: Option<u64>) -> (Fabric, EngineCluster, DpuClient) {
         NodeId(0),
         &servers,
         "c",
-        1,
+        2,
         4 << 20,
         MemoryDomain::DpuDram,
         DaosCostModel::default_model(),
         agent,
-        vec![DpuTenantSpec::unlimited("t")],
+        vec![DpuTenantSpec::unlimited("t"), DpuTenantSpec::unlimited("u")],
         7,
     )
     .unwrap();
@@ -142,6 +157,22 @@ fn seed(f: &mut Fabric, cl: &mut EngineCluster, c: &mut DpuClient) -> SimTime {
     t
 }
 
+/// Fetches `len` bytes at `offset` of dkey `k` from `job`, on the serial
+/// path.
+fn fetch_range(
+    f: &mut Fabric,
+    cl: &mut EngineCluster,
+    c: &mut DpuClient,
+    t: SimTime,
+    (job, k, offset, len): (usize, u64, u64, u64),
+) -> (Bytes, SimTime) {
+    let kind = ValueKind::Array { offset };
+    let dkey = DKey::from_u64(k);
+    c.fetch(f, cl, t, job, oid(), dkey, akey(), kind, Epoch::LATEST, len)
+        .unwrap()
+}
+
+/// Fetches all of dkey `k` from job 0.
 fn fetch_serial(
     f: &mut Fabric,
     cl: &mut EngineCluster,
@@ -149,61 +180,106 @@ fn fetch_serial(
     t: SimTime,
     k: u64,
 ) -> (Bytes, SimTime) {
-    c.fetch(
-        f,
-        cl,
-        t,
-        0,
-        oid(),
-        DKey::from_u64(k),
-        akey(),
-        kind(),
-        Epoch::LATEST,
-        LEN as u64,
-    )
-    .unwrap()
+    fetch_range(f, cl, c, t, (0, k, 0, LEN as u64))
 }
 
 // ----------------------------------------------------------- property ----
 
+/// One op on the `(dkey, offset)` grid: `cells` cells starting at cell
+/// `cell` of dkey `key` (clipped to the dkey's end).
+#[derive(Copy, Clone, Debug)]
+struct GridOp {
+    write: bool,
+    key: u64,
+    cell: u64,
+    cells: u64,
+}
+
+impl GridOp {
+    fn offset(&self) -> u64 {
+        self.cell * CELL
+    }
+    fn len(&self) -> u64 {
+        self.cells.min(CELLS - self.cell) * CELL
+    }
+}
+
+/// A write's payload: a function of the dkey, each byte's own offset in
+/// it, and the write's sequence number — never zero, and different from
+/// cell to cell, so stale, misplaced or hole bytes cannot pass for it.
+fn payload(key: u64, offset: u64, len: u64, seq: u64) -> Bytes {
+    let byte = |p: u64| ((p / 512 + key * 13 + seq * 7) % 251) as u8 + 1;
+    Bytes::from((offset..offset + len).map(byte).collect::<Vec<u8>>())
+}
+
 /// One randomly drawn coherence schedule: a flat op tape chunked into
-/// pipelined queues of depth `qd`, with at most one mid-tape kill whose
-/// map push arrives `map_delay` late.
+/// pipelined queues of depth `qd`, each submitted by the job `lanes` names
+/// for it, with at most one mid-tape kill — rebuilt `rebuild_after` chunks
+/// later — whose map pushes arrive `map_delay` late, and one foreign
+/// extent injected before `foreign`'s chunk.
 #[derive(Clone, Debug)]
 struct Schedule {
     qd: usize,
     capacity: u64,
-    /// `(is_write, key)` per op; writes carry a fresh sequence payload.
-    tape: Vec<(bool, u64)>,
+    tape: Vec<GridOp>,
+    /// Bit `i % 32`: which job (tenant lane) submits chunk `i`.
+    lanes: u32,
     kill_chunk: Option<usize>,
     kill_leader: bool,
+    rebuild_after: usize,
     map_delay: SimDuration,
+    /// `(chunk, dkey)`: before that chunk, an extent covering the whole
+    /// dkey arrives at every replica straight through `engine_mut`, tagged
+    /// with an epoch *below* everything the tape has written.
+    foreign: (usize, u64),
 }
 
 fn schedules() -> impl Strategy<Value = Schedule> {
     (
-        1usize..9,
-        // Small enough that eviction pressure is real (each entry is
-        // 8 KiB), large enough that hits happen.
-        prop_oneof![Just(16u64 << 10), Just(64 << 10), Just(1 << 20)],
-        prop::collection::vec((0u8..10, 0u64..KEYS), 8..40),
-        // 0..8 = kill before that chunk; 8 = no kill on this schedule.
-        0usize..9,
-        any::<bool>(),
-        0u64..2_000,
+        (1usize..9, any::<u32>()),
+        // Per lane: small enough that eviction pressure is real (entries
+        // are 2–8 KiB), large enough that hits happen.
+        prop_oneof![Just(32u64 << 10), Just(128 << 10), Just(2 << 20)],
+        // (type, dkey, first cell, cells): 0–2 writes of one to four
+        // cells, 3 repeats the previous op (a duplicated write, or a
+        // re-read), the rest read one or two cells.
+        prop::collection::vec(
+            (0u8..10, 0u64..GRID_KEYS, 0u64..CELLS, 1u64..CELLS + 1),
+            24..96,
+        ),
+        // 0..8 = kill before that chunk, rebuilt up to three chunks
+        // later; 8.. = no kill on this schedule.
+        (0usize..14, any::<bool>(), 0usize..4, 0u64..2_000),
+        (0usize..8, 0u64..GRID_KEYS),
     )
-        .prop_map(
-            |(qd, capacity, codes, kill_chunk, kill_leader, delay_us)| Schedule {
+        .prop_map(|((qd, lanes), capacity, codes, kill, foreign)| {
+            let mut tape: Vec<GridOp> = Vec::new();
+            for (code, key, cell, cells) in codes {
+                let write = code < 3;
+                let op = match (code, tape.last()) {
+                    (3, Some(&prev)) => prev,
+                    _ => GridOp {
+                        write,
+                        key,
+                        cell,
+                        cells: if write { cells } else { 1 + cells % 2 },
+                    },
+                };
+                tape.push(op);
+            }
+            let (kill_chunk, kill_leader, rebuild_after, delay_us) = kill;
+            Schedule {
                 qd,
                 capacity,
-                // ~30 % writes keeps commit epochs moving without starving
-                // the hit path.
-                tape: codes.into_iter().map(|(w, k)| (w < 3, k)).collect(),
+                tape,
+                lanes,
                 kill_chunk: (kill_chunk < 8).then_some(kill_chunk),
                 kill_leader,
+                rebuild_after,
                 map_delay: SimDuration::from_micros(delay_us),
-            },
-        )
+                foreign,
+            }
+        })
 }
 
 /// Everything one run produces that the equivalence/replay assertions
@@ -215,18 +291,57 @@ struct RunOut {
     /// Completion instants (compared only for replay, not across worlds —
     /// hits legitimately complete earlier than misses).
     times: Vec<SimTime>,
-    /// Per-key bytes read back after the tape (warm path).
+    /// Bytes read back after the tape (warm path): from each job, every
+    /// grid dkey whole and cell by cell.
     finals: Vec<Bytes>,
-    /// Per-key bytes read back after `disable_read_cache` — the in-world
-    /// authority.
+    /// The same reads after `disable_read_cache` — the in-world authority.
     authority: Vec<Bytes>,
     stats: DpuCacheStats,
     ops: u64,
 }
 
+/// Reads every grid dkey whole and cell by cell from both jobs.
+fn read_everything(
+    f: &mut Fabric,
+    cl: &mut EngineCluster,
+    c: &mut DpuClient,
+    now: &mut SimTime,
+) -> Vec<Bytes> {
+    let mut out = Vec::new();
+    for job in 0..2 {
+        for k in 0..GRID_KEYS {
+            let cells = (0..CELLS).map(|cell| (cell * CELL, CELL));
+            for (offset, len) in std::iter::once((0, LEN as u64)).chain(cells) {
+                let (b, at) = fetch_range(f, cl, c, *now, (job, k, offset, len));
+                *now = (*now).max(at);
+                out.push(b);
+            }
+        }
+    }
+    out
+}
+
 fn run(s: &Schedule, cached: bool) -> RunOut {
-    let (mut f, mut cl, mut c) = world(cached.then_some(s.capacity));
-    let t = seed(&mut f, &mut cl, &mut c);
+    let (mut f, mut cl, mut c) = world(cached.then_some(2 * s.capacity));
+    // Only the first half of every dkey is seeded: the rest reads as holes
+    // until the tape (or the foreign extent) writes it.
+    let mut t = SimTime::ZERO;
+    for k in 0..GRID_KEYS {
+        let data = payload(k, 0, LEN as u64 / 2, 0);
+        t = c
+            .update(
+                &mut f,
+                &mut cl,
+                t,
+                0,
+                oid(),
+                DKey::from_u64(k),
+                akey(),
+                kind(),
+                data,
+            )
+            .unwrap();
+    }
     let set = cl.route_update(&oid());
     let victim = if s.kill_leader {
         set.leader().unwrap()
@@ -243,32 +358,61 @@ fn run(s: &Schedule, cached: bool) -> RunOut {
             cl.kill_engine(victim).unwrap();
             c.deliver_map(now + s.map_delay, cl.snapshot_map());
         }
+        if s.kill_chunk.map(|k| k + s.rebuild_after) == Some(ci) {
+            now = cl.rebuild(&mut f, now).unwrap();
+            c.deliver_map(now + s.map_delay, cl.snapshot_map());
+        }
+        if s.foreign.0 == ci {
+            // Epoch 1 is the first seed write's: this extent shadows seed
+            // bytes and holes of its dkey only where no tape write landed,
+            // so the record's newest epoch does not move — its arrival
+            // version does.
+            let data = payload(s.foreign.1, 0, LEN as u64, 1_000);
+            for eng in cl.route_update(&oid()).iter() {
+                let dkey = DKey::from_u64(s.foreign.1);
+                cl.engine_mut(eng)
+                    .update(
+                        now,
+                        "c",
+                        oid(),
+                        dkey,
+                        akey(),
+                        kind(),
+                        Epoch(1),
+                        data.clone(),
+                    )
+                    .unwrap();
+            }
+        }
         let ops: Vec<ClientOp> = chunk
             .iter()
-            .map(|&(is_write, k)| {
-                if is_write {
+            .map(|op| {
+                let (dkey, offset) = (DKey::from_u64(op.key), op.offset());
+                let kind = ValueKind::Array { offset };
+                if op.write {
                     seq += 1;
                     ClientOp::Update {
                         oid: oid(),
-                        dkey: DKey::from_u64(k),
+                        dkey,
                         akey: akey(),
-                        kind: kind(),
-                        data: Bytes::from(vec![(seq % 250) as u8 + 1; LEN]),
+                        kind,
+                        data: payload(op.key, offset, op.len(), seq),
                     }
                 } else {
                     ClientOp::Fetch {
                         oid: oid(),
-                        dkey: DKey::from_u64(k),
+                        dkey,
                         akey: akey(),
-                        kind: kind(),
+                        kind,
                         epoch: Epoch::LATEST,
-                        len: LEN as u64,
+                        len: op.len(),
                     }
                 }
             })
             .collect();
+        let job = (s.lanes >> (ci % 32)) as usize & 1;
         for (i, r) in c
-            .execute_pipelined(&mut f, &mut cl, now, 0, ops)
+            .execute_pipelined(&mut f, &mut cl, now, job, ops)
             .into_iter()
             .enumerate()
         {
@@ -291,23 +435,13 @@ fn run(s: &Schedule, cached: bool) -> RunOut {
         now += SimDuration::from_micros(10);
     }
 
-    // Warm read of every key, then the in-world authority: tear the cache
+    // Warm read of everything, then the in-world authority: tear the cache
     // down and read again, straight from the engines.
-    let mut finals = Vec::new();
-    for k in 0..KEYS {
-        let (b, at) = fetch_serial(&mut f, &mut cl, &mut c, now, k);
-        now = now.max(at);
-        finals.push(b);
-    }
+    let finals = read_everything(&mut f, &mut cl, &mut c, &mut now);
     let stats = c.cache_stats();
     let ops = c.ops();
     c.disable_read_cache();
-    let mut authority = Vec::new();
-    for k in 0..KEYS {
-        let (b, at) = fetch_serial(&mut f, &mut cl, &mut c, now, k);
-        now = now.max(at);
-        authority.push(b);
-    }
+    let authority = read_everything(&mut f, &mut cl, &mut c, &mut now);
     RunOut {
         fetched,
         times,
@@ -319,7 +453,7 @@ fn run(s: &Schedule, cached: bool) -> RunOut {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The theorem, on random schedules: cached and uncached worlds return
     /// identical bytes for every fetch; within the cached world the warm
@@ -351,21 +485,37 @@ proptest! {
     }
 }
 
+/// The generator must actually reach what the property is about: across
+/// its schedules the cache hits, write-updates resident chunks, drops
+/// partly covered ones and evicts.
+#[test]
+fn schedules_exercise_every_cache_rule() {
+    let mut rng = proptest::TestRng::from_seed(5);
+    let mut total = DpuCacheStats::default();
+    for _ in 0..24 {
+        total.merge(run(&schedules().new_value(&mut rng), true).stats);
+    }
+    assert!(total.hits > 100, "{total:?}");
+    assert!(total.write_updates > 20, "{total:?}");
+    assert!(total.invalidations > 20, "{total:?}");
+    assert!(total.evictions > 0, "{total:?}");
+}
+
 // ------------------------------------------------------- unit triggers ---
 
-/// Trigger 1 — write-through punch: a local update drops every cached
-/// chunk of the record before the write is issued, and a fetch inside the
+/// Rule 1 — write-update and same-call suppression: a local update that
+/// covers a resident chunk replaces its bytes, and a fetch inside the
 /// *same* pipelined call neither probes nor fills for a record that call
 /// writes.
 #[test]
 fn same_call_writes_suppress_probe_and_fill() {
     let (mut f, mut cl, mut c) = world(Some(1 << 20));
     let t = seed(&mut f, &mut cl, &mut c);
-    // Warm key 0 so the punch has something to drop.
+    // Warm key 0 so the write has something to update.
     let (_, t) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
     assert_eq!(c.cache_stats().fills, 1);
 
-    // One call that writes key 0 and fetches it back: the write punches
+    // One call that writes key 0 and fetches it back: the write updates
     // the warm entry, and the fetch is excluded from both probe and fill.
     let ops = vec![
         ClientOp::Update {
@@ -397,19 +547,23 @@ fn same_call_writes_suppress_probe_and_fill() {
         s.fills, 1,
         "a fetch of a same-call-written record must not fill"
     );
-    assert_eq!(s.hits, 0, "…nor probe");
-    assert!(s.invalidations >= 1, "the punch must drop the warm entry");
+    assert_eq!((s.hits, s.misses), (0, 1), "…nor probe");
+    assert_eq!(
+        (s.write_updates, s.invalidations),
+        (1, 0),
+        "the write must bring the warm entry up to date, not drop it"
+    );
 
-    // The authority settles it: miss → fill → hit, all returning the new
-    // bytes.
-    let (first, t2) = fetch_serial(&mut f, &mut cl, &mut c, now, 0);
-    let (second, _) = fetch_serial(&mut f, &mut cl, &mut c, t2, 0);
-    assert_eq!(first, second);
-    assert!(first.iter().all(|&b| b == 99));
-    assert_eq!(c.cache_stats().hits, 1);
+    // The next fetch is a hit on the new bytes, and the authority agrees.
+    let (warm, t2) = fetch_serial(&mut f, &mut cl, &mut c, now, 0);
+    assert!(warm.iter().all(|&b| b == 99));
+    assert_eq!((c.cache_stats().hits, c.cache_stats().fills), (1, 1));
+    c.disable_read_cache();
+    let (authority, _) = fetch_serial(&mut f, &mut cl, &mut c, t2, 0);
+    assert_eq!(warm, authority);
 }
 
-/// Trigger 2 — map-revision change: a kill anywhere in the pool bumps the
+/// Rule 2 — map-revision change: a kill anywhere in the pool bumps the
 /// map version; the RAS push sweeps the cache even when the object's own
 /// route never moved.
 #[test]
@@ -440,19 +594,15 @@ fn map_push_invalidates_resident_chunks() {
     assert_eq!(s.hits, 2);
 }
 
-/// Trigger 3 — commit-epoch advance: a write to a *different* record moves
-/// the container epoch, which conservatively invalidates every resident
-/// chunk (no cross-key shadowing, ever).
+/// Rule 3a — validity is per record: a write to a *different* record
+/// leaves key 0's entry serving (the parent dropped it: every write moved
+/// the container-wide stamp).
 #[test]
-fn epoch_advance_invalidates_without_a_touch() {
+fn write_to_another_record_leaves_the_entry_serving() {
     let (mut f, mut cl, mut c) = world(Some(1 << 20));
     let t = seed(&mut f, &mut cl, &mut c);
     let (_, t) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
-    let (_, t) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
-    assert_eq!((c.cache_stats().fills, c.cache_stats().hits), (1, 1));
-
-    // Write key 1 — key 0's entry is never touched by the punch, but its
-    // commit-epoch stamp is now stale.
+    let data = Bytes::from(vec![42u8; LEN]);
     let t = c
         .update(
             &mut f,
@@ -463,15 +613,49 @@ fn epoch_advance_invalidates_without_a_touch() {
             DKey::from_u64(1),
             akey(),
             kind(),
-            Bytes::from(vec![42u8; LEN]),
+            data,
         )
         .unwrap();
     let (b, t) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
+    let (_, _) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
     assert!(b.iter().all(|&x| x == 1), "key 0's bytes are unchanged");
     let s = c.cache_stats();
-    assert_eq!(s.hits, 1, "the stale-epoch probe must not hit");
-    assert!(s.invalidations >= 1, "…and must drop the stale entry");
-    assert_eq!(s.fills, 2, "the miss refills at the advanced epoch");
+    assert_eq!((s.hits, s.fills, s.invalidations), (2, 1, 0));
+}
+
+/// Rule 3b — a write to the *same* record by a writer the lane never sees
+/// (the other tenant lane, with its own cache) moves the record's arrival
+/// version at the leader, which invalidates the entry without a touch.
+#[test]
+fn unseen_writer_invalidates_without_a_touch() {
+    let (mut f, mut cl, mut c) = world(Some(1 << 20));
+    let t = seed(&mut f, &mut cl, &mut c);
+    let (_, t) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
+    let (_, t) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
+    assert_eq!((c.cache_stats().fills, c.cache_stats().hits), (1, 1));
+
+    // Job 1 runs on the other lane: lane 0's cache is never told.
+    let data = Bytes::from(vec![42u8; LEN]);
+    let t = c
+        .update(
+            &mut f,
+            &mut cl,
+            t,
+            1,
+            oid(),
+            DKey::from_u64(0),
+            akey(),
+            kind(),
+            data,
+        )
+        .unwrap();
+    assert_eq!(c.cache_stats().invalidations, 0, "nothing touched yet");
+    let (b, t) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
+    assert!(b.iter().all(|&x| x == 42), "the other lane's write is read");
+    let s = c.cache_stats();
+    assert_eq!(s.hits, 1, "the stale-version probe must not hit");
+    assert_eq!(s.invalidations, 1, "…and must drop the stale entry");
+    assert_eq!(s.fills, 2, "the miss refills at the new version");
     let (_, _) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
     assert_eq!(c.cache_stats().hits, 2, "the refilled entry serves again");
 }
@@ -506,6 +690,58 @@ fn degraded_reads_never_fill() {
     let s = c.cache_stats();
     assert_eq!(s.fills, 1, "a healthy route fills again after rebuild");
     assert_eq!(s.hits, 1);
+}
+
+/// Completions that went through the recovery ladder never teach the
+/// cache: a ring fetch that had to retry does not fill, and a ring update
+/// that failed on a replica punches its range instead of installing its
+/// payload — whatever the leader took, the next read asks the authority.
+#[test]
+fn ladder_completions_never_teach_the_cache() {
+    let (mut f, mut cl, mut c) = world(Some(1 << 20));
+    let t = seed(&mut f, &mut cl, &mut c);
+    let (_, t) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
+    let set = cl.route_update(&oid());
+    let (leader, follower) = (set.leader().unwrap(), set.iter().nth(1).unwrap());
+    let fetch = |k| ClientOp::Fetch {
+        oid: oid(),
+        dkey: DKey::from_u64(k),
+        akey: akey(),
+        kind: kind(),
+        epoch: Epoch::LATEST,
+        len: LEN as u64,
+    };
+
+    // The leader's connection eats the request: the fetch times out and is
+    // served by the other replica — correct bytes, no fill.
+    cl.set_blackhole(leader, true);
+    let r = c.execute_pipelined(&mut f, &mut cl, t, 0, vec![fetch(1)]);
+    let (b, t) = r.into_iter().next().unwrap().into_fetch().unwrap();
+    assert!(b.iter().all(|&x| x == 2));
+    cl.set_blackhole(leader, false);
+    let s = c.cache_stats();
+    assert_eq!((s.fills, c.retry_stats().timeouts), (1, 1), "{s:?}");
+
+    // The follower's connection eats the update's second leg: the leader
+    // applies it, the op fails, and the warm entry is punched.
+    cl.set_blackhole(follower, true);
+    let update = ClientOp::Update {
+        oid: oid(),
+        dkey: DKey::from_u64(0),
+        akey: akey(),
+        kind: kind(),
+        data: Bytes::from(vec![77u8; LEN]),
+    };
+    let r = c.execute_pipelined(&mut f, &mut cl, t, 0, vec![update]);
+    assert!(r.into_iter().next().unwrap().into_update().is_err());
+    cl.set_blackhole(follower, false);
+    let s = c.cache_stats();
+    assert_eq!((s.write_updates, s.invalidations), (0, 1), "{s:?}");
+    assert_eq!(c.cache_usage().0, 0, "a failed update leaves no entry");
+    let (warm, t) = fetch_serial(&mut f, &mut cl, &mut c, t + SimDuration::from_millis(50), 0);
+    c.disable_read_cache();
+    let (authority, _) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
+    assert_eq!(warm, authority);
 }
 
 /// The DRAM carve balances across arbitrarily many enable/resize/disable

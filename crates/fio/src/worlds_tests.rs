@@ -431,6 +431,170 @@ fn dpu_cache_warms_repeat_reads_and_returns_its_carve() {
     );
 }
 
+/// The benchmark's `cache_mixed_dpu` cell in miniature: 4 jobs × QD 8 of
+/// 16 KiB random ops over 2 MiB files, every tenth op of a job a write,
+/// inside a 16 MiB carve — with payloads that are a function of (file,
+/// offset, write sequence) and never zero, checked against a model on
+/// every read.
+struct MixedCell {
+    w: crate::worlds::DfsFioWorld,
+    files: Vec<ros2_dfs::DfsObj>,
+    /// Ops each job has issued (every tenth writes).
+    issued: [u64; 4],
+    /// Per (job, block): the sequence number of the last write (0: the
+    /// preconditioned zeros) and whether the block was ever read.
+    blocks: Vec<(u64, bool)>,
+    /// Counters when the first op past the ramp was issued.
+    at_ramp: Option<(ros2_dpu::DpuCacheStats, u64)>,
+    /// FNV-1a over a sample of the bytes the reads returned, in issue order.
+    digest: u64,
+}
+
+impl MixedCell {
+    const BS: u64 = 16 << 10;
+    const REGION: u64 = 2 << 20;
+    const RAMP: SimDuration = SimDuration::from_millis(5);
+
+    fn payload(job: usize, offset: u64, seq: u64) -> bytes::Bytes {
+        if seq == 0 {
+            return ros2_buf::zero_bytes(Self::BS as usize);
+        }
+        // One value per 512-byte run, so a slice taken at the wrong
+        // offset shows.
+        let mut out = Vec::with_capacity(Self::BS as usize);
+        for run in offset / 512..(offset + Self::BS) / 512 {
+            let byte = ((run + job as u64 * 13 + seq * 7) % 251) as u8 + 1;
+            out.resize(out.len() + 512, byte);
+        }
+        bytes::Bytes::from(out)
+    }
+
+    fn read(&mut self, now: SimTime, job: usize, offset: u64) -> (bytes::Bytes, SimTime) {
+        let mut s = ros2_dfs::DfsSession {
+            fabric: &mut self.w.fabric,
+            cluster: &mut self.w.cluster,
+            client: self.w.client.as_object(),
+        };
+        let file = &self.files[job];
+        (self.w.dfs)
+            .read(&mut s, now, job, file, offset, Self::BS)
+            .expect("read")
+    }
+}
+
+impl Workload for MixedCell {
+    fn issue(&mut self, now: SimTime, job: usize, op: &FioOp) -> Result<SimTime, String> {
+        if self.at_ramp.is_none() && now >= SimTime::ZERO + Self::RAMP {
+            let fetches = self.w.cluster.vos_stats().fetches;
+            self.at_ramp = Some((self.w.client.cache_stats(), fetches));
+        }
+        self.issued[job] += 1;
+        let block = (job as u64 * Self::REGION + op.offset) / Self::BS;
+        let (seq, read) = &mut self.blocks[block as usize];
+        if self.issued[job].is_multiple_of(10) {
+            *seq = self.issued[job];
+            let data = Self::payload(job, op.offset, *seq);
+            let mut s = ros2_dfs::DfsSession {
+                fabric: &mut self.w.fabric,
+                cluster: &mut self.w.cluster,
+                client: self.w.client.as_object(),
+            };
+            let file = &mut self.files[job];
+            return (self.w.dfs)
+                .write(&mut s, now, job, file, op.offset, data)
+                .map_err(|e| format!("{e:?}"));
+        }
+        *read = true;
+        let expect = Self::payload(job, op.offset, *seq);
+        let (got, at) = self.read(now, job, op.offset);
+        if got != expect {
+            return Err(format!(
+                "job {job} offset {}: stale or misplaced bytes",
+                op.offset
+            ));
+        }
+        for &b in got.iter().step_by(512) {
+            self.digest = (self.digest ^ b as u64).wrapping_mul(0x1000_0000_01b3);
+        }
+        Ok(at)
+    }
+}
+
+#[test]
+fn mixed_cell_holds_its_cache_under_writers() {
+    use ros2_dpu::DpuTenantSpec;
+    let run = || {
+        let mut w = WorldSpec::single(ClientPlacement::Dpu)
+            .jobs(4)
+            .region(MixedCell::REGION)
+            .mode(DataMode::Stored)
+            .offload(vec![DpuTenantSpec::unlimited("fio")])
+            .dpu_cache(16 << 20)
+            .build_dfs();
+        w.set_pipelined(true);
+        let carve = w.client.offloaded().unwrap().cache_usage();
+        assert_eq!(
+            carve,
+            (0, 16 << 20),
+            "preconditioning writes allocate nothing"
+        );
+        let mut cell = MixedCell {
+            files: (0..4).map(|j| w.file(j).clone()).collect(),
+            w,
+            issued: [0; 4],
+            blocks: vec![(0, false); 4 * (MixedCell::REGION / MixedCell::BS) as usize],
+            at_ramp: None,
+            digest: 0xcbf2_9ce4_8422_2325,
+        };
+        let fetches_before = cell.w.cluster.vos_stats().fetches;
+        let spec = JobSpec::new(RwMode::RandRead, MixedCell::BS, 4)
+            .iodepth(8)
+            .region(MixedCell::REGION)
+            .windows(MixedCell::RAMP, SimDuration::from_millis(25));
+        let r = run_fio(&mut cell, &spec);
+        assert_eq!(r.io.errors.get(), 0, "a read returned stale bytes");
+
+        // One engine fetch per distinct block read, ever: a block is
+        // fetched when first read and is current from then on, through
+        // every later write to it.
+        let stats = cell.w.client.cache_stats();
+        let fetches = cell.w.cluster.vos_stats().fetches;
+        let distinct = cell.blocks.iter().filter(|b| b.1).count() as u64;
+        assert_eq!(fetches - fetches_before, distinct);
+        assert_eq!((stats.fills, stats.evictions), (distinct, 0));
+        assert!(distinct > 400 && stats.write_updates > 1000, "{stats:?}");
+        let (ramp, ramp_fetches) = cell.at_ramp.expect("the run outlasts its ramp");
+        let (hits, misses) = (stats.hits - ramp.hits, stats.misses - ramp.misses);
+        assert!(hits > 20_000, "hits {hits}");
+        assert!(
+            hits as f64 / (hits + misses) as f64 >= 0.99,
+            "hit rate after the ramp: {hits} hits, {misses} misses"
+        );
+        assert_eq!(misses, fetches - ramp_fetches, "every miss is a first read");
+
+        // What the cache serves now, block by block, against the authority
+        // once the cache is gone — and both against the model.
+        let mut now = SimTime::ZERO + SimDuration::from_millis(40);
+        for pass in 0..2 {
+            for (i, &(seq, _)) in cell.blocks.clone().iter().enumerate() {
+                let i = i as u64 * MixedCell::BS;
+                let (job, offset) = ((i / MixedCell::REGION) as usize, i % MixedCell::REGION);
+                let (got, at) = cell.read(now, job, offset);
+                assert_eq!(got, MixedCell::payload(job, offset, seq), "pass {pass}");
+                now = at;
+            }
+            cell.w.client.offloaded_mut().unwrap().disable_read_cache();
+        }
+        (
+            r.gib_per_sec().to_bits(),
+            r.io.meter.ops(),
+            stats,
+            cell.digest,
+        )
+    };
+    assert_eq!(run(), run(), "replay must be bit-identical");
+}
+
 #[test]
 fn offloaded_qos_shapes_contended_tenants() {
     use ros2_dpu::{DpuTenantSpec, QosLimits};

@@ -3,9 +3,10 @@
 //! Recency is a monotonic **use tick**, advanced explicitly by the owner
 //! once per admission, so eviction choice is a pure function of the
 //! operation history — never of wall clock, hash order, or allocation
-//! addresses. The entry set is a plain vector scanned linearly:
-//! capacities are small by design (resident sessions, cached chunks) and
-//! vector iteration order is deterministic, unlike a hash map's.
+//! addresses. Entries live in two ordered maps: one by key (lookup, and a
+//! key-range walk for owners whose keys are intervals of a larger record)
+//! and one by tick (the eviction victim is its first entry), so every
+//! operation is O(log n) and iteration order is the key order.
 //!
 //! Two structures share this idiom: the engine-side connection pool
 //! (`ros2_daos::ConnPool`) and the DPU read cache
@@ -13,37 +14,42 @@
 //! is the only ordering input, and ticks are unique so LRU ties cannot
 //! occur.
 
-/// One tracked entry: a key, its payload, and the tick of its last use.
+use std::collections::BTreeMap;
+use std::ops::RangeBounds;
+
+/// One tracked payload and the tick of its last use.
 #[derive(Debug, Clone)]
-struct LruEntry<K, V> {
-    key: K,
+struct Slot<V> {
     value: V,
     last_used: u64,
 }
 
-/// A deterministic tick-LRU over a flat vector. See the module docs.
+/// A deterministic tick-LRU over ordered maps. See the module docs.
 ///
 /// The owner drives the clock: call [`DetLru::advance`] exactly once per
-/// admission, then [`DetLru::touch`] / [`DetLru::insert`] stamp entries
-/// with the current tick. Eviction ([`DetLru::evict_lru`]) removes the
-/// minimum-tick entry with `swap_remove`, which is order-safe because
-/// ticks are unique.
+/// admission, then stamp **at most one** entry with the current tick
+/// through [`DetLru::touch`] or [`DetLru::insert`] — that is what keeps
+/// ticks unique, and the eviction victim ([`DetLru::evict_lru`], the
+/// minimum-tick entry) unambiguous.
 #[derive(Debug, Clone)]
 pub struct DetLru<K, V> {
-    entries: Vec<LruEntry<K, V>>,
+    by_key: BTreeMap<K, Slot<V>>,
+    /// Last-use tick → key; the first entry is the eviction victim.
+    by_tick: BTreeMap<u64, K>,
     tick: u64,
 }
 
 impl<K, V> Default for DetLru<K, V> {
     fn default() -> Self {
         DetLru {
-            entries: Vec::new(),
+            by_key: BTreeMap::new(),
+            by_tick: BTreeMap::new(),
             tick: 0,
         }
     }
 }
 
-impl<K: PartialEq, V> DetLru<K, V> {
+impl<K: Ord + Clone, V> DetLru<K, V> {
     /// An empty tracker at tick zero.
     pub fn new() -> Self {
         Self::default()
@@ -51,12 +57,12 @@ impl<K: PartialEq, V> DetLru<K, V> {
 
     /// Number of tracked entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.by_key.len()
     }
 
     /// Whether no entries are tracked.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.by_key.is_empty()
     }
 
     /// The current use tick.
@@ -73,24 +79,26 @@ impl<K: PartialEq, V> DetLru<K, V> {
 
     /// Marks `key` used at the current tick; returns its value on a hit.
     pub fn touch(&mut self, key: &K) -> Option<&mut V> {
-        let tick = self.tick;
-        self.entries.iter_mut().find(|e| e.key == *key).map(|e| {
-            e.last_used = tick;
-            &mut e.value
-        })
+        let slot = self.by_key.get_mut(key)?;
+        if slot.last_used != self.tick {
+            let owned = self
+                .by_tick
+                .remove(&slot.last_used)
+                .expect("tick index in step");
+            stamp(&mut self.by_tick, self.tick, owned);
+            slot.last_used = self.tick;
+        }
+        Some(&mut slot.value)
     }
 
     /// Read-only lookup without a recency update.
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.entries
-            .iter()
-            .find(|e| e.key == *key)
-            .map(|e| &e.value)
+        self.by_key.get(key).map(|s| &s.value)
     }
 
     /// Whether `key` is tracked.
     pub fn contains(&self, key: &K) -> bool {
-        self.entries.iter().any(|e| e.key == *key)
+        self.by_key.contains_key(key)
     }
 
     /// Inserts `key` stamped with the current tick. The caller evicts
@@ -98,57 +106,87 @@ impl<K: PartialEq, V> DetLru<K, V> {
     /// tracked is a logic error (checked in debug builds).
     pub fn insert(&mut self, key: K, value: V) {
         debug_assert!(!self.contains(&key), "insert of an already-tracked key");
-        self.entries.push(LruEntry {
-            key,
-            value,
-            last_used: self.tick,
-        });
+        stamp(&mut self.by_tick, self.tick, key.clone());
+        let last_used = self.tick;
+        self.by_key.insert(key, Slot { value, last_used });
     }
 
     /// Removes and returns the least-recently-used entry, if any. The
-    /// minimum-tick choice is unique (ticks never tie), so the
-    /// `swap_remove` reordering cannot change any later eviction.
+    /// minimum-tick choice is unique (ticks never tie).
     pub fn evict_lru(&mut self) -> Option<(K, V)> {
-        let lru = self
-            .entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(i, _)| i)?;
-        let e = self.entries.swap_remove(lru);
-        Some((e.key, e.value))
+        let (_, key) = self.by_tick.pop_first()?;
+        let slot = self.by_key.remove(&key).expect("key index in step");
+        Some((key, slot.value))
     }
 
-    /// Removes `key` and returns its value, if tracked. Order-preserving
-    /// (`retain`), mirroring the connection pool's session kill.
+    /// Removes `key` and returns its value, if tracked.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let i = self.entries.iter().position(|e| e.key == *key)?;
-        Some(self.entries.remove(i).value)
+        let slot = self.by_key.remove(key)?;
+        self.by_tick.remove(&slot.last_used);
+        Some(slot.value)
     }
 
     /// Keeps only entries for which `f` returns true; returns how many
-    /// were dropped. Iteration order (and thus the surviving order) is
-    /// deterministic.
+    /// were dropped. Visits entries in key order.
     pub fn retain<F: FnMut(&K, &V) -> bool>(&mut self, mut f: F) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| f(&e.key, &e.value));
-        before - self.entries.len()
+        let before = self.by_key.len();
+        let by_tick = &mut self.by_tick;
+        self.by_key.retain(|k, slot| {
+            let keep = f(k, &slot.value);
+            if !keep {
+                by_tick.remove(&slot.last_used);
+            }
+            keep
+        });
+        before - self.by_key.len()
     }
 
-    /// Iterates `(key, value)` pairs in (deterministic) slot order.
+    /// Iterates `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.entries.iter().map(|e| (&e.key, &e.value))
+        self.by_key.iter().map(|(k, s)| (k, &s.value))
+    }
+
+    /// [`Self::retain`] over the entries whose keys fall in `range` only:
+    /// visits them in key order, lets `f` rewrite the value in place (not
+    /// a use — recency is untouched), drops those it returns false for,
+    /// and returns how many were dropped. O(log n) to find the first entry
+    /// plus one step per entry visited; nothing is allocated unless
+    /// something is dropped.
+    pub fn retain_range<R, F>(&mut self, range: R, mut f: F) -> usize
+    where
+        R: RangeBounds<K>,
+        F: FnMut(&K, &mut V) -> bool,
+    {
+        let doomed: Vec<K> = self
+            .by_key
+            .range_mut(range)
+            .filter_map(|(k, slot)| (!f(k, &mut slot.value)).then(|| k.clone()))
+            .collect();
+        for key in &doomed {
+            self.remove(key);
+        }
+        doomed.len()
     }
 
     /// Drops every entry; the tick keeps counting.
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.by_key.clear();
+        self.by_tick.clear();
     }
+}
+
+/// Files `key` under `tick`. A second entry stamped in one tick would
+/// silently displace the first from the eviction order, so the
+/// one-stamp-per-tick contract is checked in every build.
+fn stamp<K>(by_tick: &mut BTreeMap<u64, K>, tick: u64, key: K) {
+    let displaced = by_tick.insert(tick, key);
+    assert!(displaced.is_none(), "two entries stamped in one tick");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimRng;
 
     #[test]
     fn touch_order_drives_eviction() {
@@ -189,5 +227,125 @@ mod tests {
         assert_eq!(l.tick(), 2);
         l.clear();
         assert_eq!(l.advance(), 3, "clear never rewinds the tick");
+    }
+
+    #[test]
+    fn range_walk_visits_only_the_range_in_key_order() {
+        let mut l: DetLru<(u8, u32), u32> = DetLru::new();
+        for (i, k) in [(1, 30), (0, 7), (1, 10), (2, 0), (1, 20)]
+            .into_iter()
+            .enumerate()
+        {
+            l.advance();
+            l.insert(k, i as u32);
+        }
+        let mut walked = Vec::new();
+        let dropped = l.retain_range((1, 0)..(1, 30), |&k, _| {
+            walked.push(k);
+            true
+        });
+        assert_eq!((walked, dropped), (vec![(1, 10), (1, 20)], 0));
+        // Values are writable in place, only the refused entry goes, and
+        // the walk is not a use: the oldest insert is still the victim.
+        let dropped = l.retain_range((1, 0)..=(1, u32::MAX), |&k, v| {
+            *v += 100;
+            k != (1, 20)
+        });
+        assert_eq!(dropped, 1);
+        assert_eq!(l.len(), 4);
+        assert_eq!(l.get(&(1, 10)), Some(&102));
+        assert_eq!(l.evict_lru(), Some(((1, 30), 100)));
+    }
+
+    /// The flat-vector tracker this structure replaced, kept as the
+    /// oracle: linear scans, minimum-tick victim.
+    #[derive(Default)]
+    struct FlatLru {
+        entries: Vec<(u32, u64, u64)>, // (key, value, last_used)
+        tick: u64,
+    }
+
+    impl FlatLru {
+        fn touch(&mut self, key: u32) -> Option<u64> {
+            let tick = self.tick;
+            self.entries.iter_mut().find(|e| e.0 == key).map(|e| {
+                e.2 = tick;
+                e.1
+            })
+        }
+        fn evict_lru(&mut self) -> Option<(u32, u64)> {
+            let lru = (0..self.entries.len()).min_by_key(|&i| self.entries[i].2)?;
+            let e = self.entries.swap_remove(lru);
+            Some((e.0, e.1))
+        }
+        fn remove(&mut self, key: u32) -> Option<u64> {
+            let i = self.entries.iter().position(|e| e.0 == key)?;
+            Some(self.entries.remove(i).1)
+        }
+        fn sorted(&self) -> Vec<(u32, u64)> {
+            let mut all: Vec<(u32, u64)> = self.entries.iter().map(|e| (e.0, e.1)).collect();
+            all.sort_unstable();
+            all
+        }
+    }
+
+    #[test]
+    fn random_tapes_match_the_flat_vector_oracle() {
+        for seed in 0..32u64 {
+            let mut rng = SimRng::new(seed);
+            let mut l: DetLru<u32, u64> = DetLru::new();
+            let mut o = FlatLru::default();
+            for step in 0..600u64 {
+                let key = rng.below(24) as u32;
+                match rng.below(10) {
+                    // Admission: a hit touches, a miss evicts past a bound
+                    // and inserts — the one stamp this tick allows.
+                    0..=5 => {
+                        l.advance();
+                        o.tick += 1;
+                        let hit = l.touch(&key).map(|v| *v);
+                        assert_eq!(hit, o.touch(key), "seed {seed} step {step}: touch");
+                        if hit.is_none() {
+                            if l.len() >= 12 {
+                                assert_eq!(l.evict_lru(), o.evict_lru(), "seed {seed}: victim");
+                            }
+                            l.insert(key, step);
+                            o.entries.push((key, step, o.tick));
+                        }
+                    }
+                    6 => assert_eq!(l.remove(&key), o.remove(key), "seed {seed}: remove"),
+                    7 => assert_eq!(l.evict_lru(), o.evict_lru(), "seed {seed}: victim"),
+                    8 => {
+                        let before = o.entries.len();
+                        o.entries.retain(|e| e.0 % 5 != key % 5);
+                        let dropped = l.retain(|&k, _| k % 5 != key % 5);
+                        assert_eq!(dropped, before - o.entries.len(), "seed {seed}: retain");
+                    }
+                    _ => {
+                        // Range walk: every third value in range goes.
+                        let hi = key + rng.below(8) as u32;
+                        let mut walked = Vec::new();
+                        let dropped = l.retain_range(key..hi, |&k, v| {
+                            walked.push((k, *v));
+                            *v % 3 != 0
+                        });
+                        let mut expect = o.sorted();
+                        expect.retain(|&(k, _)| (key..hi).contains(&k));
+                        assert_eq!(walked, expect, "seed {seed} step {step}: range walk");
+                        let before = o.entries.len();
+                        o.entries
+                            .retain(|e| !(key..hi).contains(&e.0) || e.1 % 3 != 0);
+                        assert_eq!(dropped, before - o.entries.len(), "seed {seed}: range drop");
+                    }
+                }
+                let all: Vec<(u32, u64)> = l.iter().map(|(&k, &v)| (k, v)).collect();
+                assert_eq!(all, o.sorted(), "seed {seed} step {step}: contents");
+            }
+            // Drain: the whole eviction order agrees.
+            while let Some(victim) = o.evict_lru() {
+                assert_eq!(l.evict_lru(), Some(victim), "seed {seed}: drain order");
+            }
+            assert!(l.is_empty());
+        }
     }
 }
