@@ -21,8 +21,8 @@
 //!   scrub repairs every mismatch among the survivors first (so the
 //!   rebuild never streams from a rotten source), the paced rebuild
 //!   restores RF, a final scrub pass is clean, zero foreground ops fail,
-//!   and the whole cell replays bit-identically — pipelined and
-//!   forced-serial.
+//!   and the whole cell replays bit-identically — pipelined and as
+//!   serial calls.
 
 use ros2_core::{FaultPlan, ScheduledCorruption};
 use ros2_daos::BgService;
@@ -171,9 +171,11 @@ struct AcceptCell {
 
 /// Kill + bit-rot under QD8 writes, healed in self-healing order:
 /// scrub the survivors, then the paced rebuild, then a verifying pass.
-fn run_accept(forced_serial: bool) -> AcceptCell {
+fn run_accept(pipelined: bool) -> AcceptCell {
     let mut w = world();
-    w.world.client.set_force_serial_pipeline(forced_serial);
+    // QD 8 writes are single-chunk, so a non-pipelined world issues each
+    // one as the serial call — the replay reference.
+    w.world.set_pipelined(pipelined);
     let base = w.world.client.ops();
     let mut plan = FaultPlan::kill_after(VICTIM, base + KILL_AFTER_OPS, RAS_DELAY);
     plan.bitrot = rot_entries(base);
@@ -270,7 +272,7 @@ fn main() {
         scrub.agg_boundary, scrub.found, scrub.repaired, scrub.repair_bytes, scrub.clean_chunks
     );
 
-    let accept = run_accept(false);
+    let accept = run_accept(true);
     assert_eq!(accept.failed, 0, "acceptance: zero failed foreground ops");
     assert!(accept.found >= 1, "acceptance: rot must be detected");
     assert_eq!(
@@ -281,8 +283,8 @@ fn main() {
         accept.second_found, 0,
         "acceptance: the healed cluster must scrub clean"
     );
-    // Bit-identical replay, pipelined and forced-serial.
-    let replay = run_accept(false);
+    // Bit-identical replay, pipelined and as serial calls.
+    let replay = run_accept(true);
     assert_eq!(
         (
             accept.gib_s.to_bits(),
@@ -298,12 +300,12 @@ fn main() {
         ),
         "acceptance: pipelined replay diverged"
     );
-    let s1 = run_accept(true);
-    let s2 = run_accept(true);
+    let s1 = run_accept(false);
+    let s2 = run_accept(false);
     assert_eq!(
         (s1.gib_s.to_bits(), s1.found, s1.repaired, s1.restore_ms),
         (s2.gib_s.to_bits(), s2.found, s2.repaired, s2.restore_ms),
-        "acceptance: forced-serial replay diverged"
+        "acceptance: serial-call replay diverged"
     );
     assert_eq!((s1.failed, s1.second_found), (0, 0));
     println!(

@@ -14,8 +14,9 @@
 //! legacy sweep is pinned at 595716 (the offload path must not perturb the
 //! host-placement control arm by a single grant).
 //!
-//! Measurement discipline (PR 3): BENCH_PR2 recorded the batched pass 22 %
-//! *slower* than the per-segment pass. Two real causes and one artifact:
+//! Measurement discipline (PR 3): the PR 2 harness recorded the batched
+//! pass 22 % *slower* than the per-segment pass. Two real causes and one
+//! artifact:
 //! the first-measured sweep paid the process's allocator/page-fault warmup
 //! (on a one-core container the back-to-back passes kept speeding up), and
 //! single-segment traversals — descriptors, completions, 4 KiB payloads,
@@ -41,10 +42,7 @@
 //!   rate is the headline `fastpath_hit_rate` and must clear 90 %;
 //! * **metadata micro** — warm single-value update/fetch round trips
 //!   through the sharded engine, reported as ns per op (the per-op
-//!   metadata path PR 3 stripped of allocations);
-//! * **shard batch A/B** — `DaosEngine::execute_batch` parallel vs
-//!   forced-serial on a 4-shard engine (≈1.0 on single-core hosts; the
-//!   equivalence suite proves the results bit-identical either way).
+//!   metadata path PR 3 stripped of allocations).
 //!
 //! Batched and per-segment must produce identical simulated results
 //! (asserted on every sweep cell); the fast path is a pure wall-clock
@@ -56,9 +54,7 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use ros2_buf::DataPlaneStats;
-use ros2_daos::{
-    AKey, DKey, DaosCostModel, DaosEngine, Epoch, ObjClass, ObjectId, TargetOp, ValueKind,
-};
+use ros2_daos::{AKey, DKey, DaosCostModel, DaosEngine, Epoch, ObjClass, ObjectId, ValueKind};
 use ros2_dpu::{DpuTenantSpec, QosLimits};
 use ros2_fio::{run_fio, JobSpec, RwMode, WorldSpec};
 use ros2_hw::{ClientPlacement, CoreClass, NvmeModel, Transport};
@@ -560,65 +556,6 @@ fn metadata_path_microbench(ops: u64) -> (f64, f64) {
     (update_ns, fetch_ns)
 }
 
-/// A/B of `execute_batch` parallel fan-out vs forced-serial shard walk on
-/// a 4-shard engine (update+fetch mix striped over every shard). Returns
-/// (serial_ms, parallel_ms) — ≈ equal on single-core hosts, where the
-/// rayon shim degrades to the serial walk.
-fn shard_batch_microbench(batch_ops: u64, rounds: u64) -> (f64, f64) {
-    let run = |force_serial: bool| -> f64 {
-        let mut e = metadata_engine();
-        e.set_force_serial_batch(force_serial);
-        let oid = ObjectId::new(ObjClass::Sx, 9);
-        let mut total = 0.0;
-        for round in 0..rounds {
-            let mut ops = Vec::with_capacity(batch_ops as usize);
-            for i in 0..batch_ops / 2 {
-                let epoch = e.next_epoch("c").unwrap();
-                ops.push(TargetOp::Update {
-                    now: SimTime::from_millis(round),
-                    oid,
-                    dkey: DKey::from_u64(i % 256),
-                    akey: AKey::from_str("data"),
-                    kind: ValueKind::Array { offset: 0 },
-                    epoch,
-                    data: Bytes::from_static(&[7u8; 512]),
-                });
-            }
-            for i in 0..batch_ops / 2 {
-                ops.push(TargetOp::Fetch {
-                    now: SimTime::from_millis(round),
-                    oid,
-                    dkey: DKey::from_u64(i % 256),
-                    akey: AKey::from_str("data"),
-                    kind: ValueKind::Array { offset: 0 },
-                    epoch: Epoch::LATEST,
-                    len: 512,
-                });
-            }
-            let t0 = Instant::now();
-            let results = e.execute_batch("c", ops).unwrap();
-            total += t0.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(results.len(), batch_ops as usize);
-        }
-        total
-    };
-    // Warm both code paths, then best-of-3 with alternating order (the
-    // same drift discipline as the wire A/B).
-    run(true);
-    run(false);
-    let (mut serial, mut parallel) = (f64::MAX, f64::MAX);
-    for rep in 0..3 {
-        if rep % 2 == 0 {
-            serial = serial.min(run(true));
-            parallel = parallel.min(run(false));
-        } else {
-            parallel = parallel.min(run(false));
-            serial = serial.min(run(true));
-        }
-    }
-    (serial, parallel)
-}
-
 fn main() {
     // Untimed warmup: one full batched pass so the measured passes start
     // with a hot allocator and faulted-in heap (the PR 2 harness measured
@@ -641,8 +578,6 @@ fn main() {
     let (wire_fast_ms, wire_slow_ms) = wire_traversal_microbench();
     let wire_speedup = wire_slow_ms / wire_fast_ms.max(1e-9);
     let (meta_update_ns, meta_fetch_ns) = metadata_path_microbench(200_000);
-    let (shard_serial_ms, shard_parallel_ms) = shard_batch_microbench(4_096, 8);
-    let shard_parallel_speedup = shard_serial_ms / shard_parallel_ms.max(1e-9);
 
     let hit_rate = uncontended.stats.hit_rate();
     let contended_hit_rate = fast.stats.hit_rate();
@@ -720,10 +655,6 @@ fn main() {
     );
     println!(
         "  metadata path: {meta_update_ns:.0} ns/update, {meta_fetch_ns:.0} ns/fetch (warm, SCM single values)"
-    );
-    println!(
-        "  shard batch: serial {shard_serial_ms:.1} ms, parallel {shard_parallel_ms:.1} ms \
-         ({shard_parallel_speedup:.2}x; 1.0 expected on single-core hosts)"
     );
     println!(
         "  booking core (150k steady-state bookings): seed {seed_ms:.1} ms -> {new_ms:.1} ms \
@@ -840,9 +771,6 @@ fn main() {
          \"booking_core_seed_ms\": {seed_ms:.1},\n  \"booking_core_ms\": {new_ms:.1},\n  \
          \"booking_core_speedup\": {core_speedup:.1},\n  \
          \"metadata_update_ns\": {meta_update_ns:.0},\n  \"metadata_fetch_ns\": {meta_fetch_ns:.0},\n  \
-         \"shard_batch_serial_ms\": {shard_serial_ms:.1},\n  \
-         \"shard_batch_parallel_ms\": {shard_parallel_ms:.1},\n  \
-         \"shard_parallel_speedup\": {shard_parallel_speedup:.2},\n  \
          \"ops_simulated\": {total_ops},\n  \"fastpath_hit_rate\": {hit_rate:.4},\n  \
          \"fastpath_hit_rate_contended\": {contended_hit_rate:.4},\n  \
          \"wire_batched_rate\": {traversal_rate:.4},\n  \

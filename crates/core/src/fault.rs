@@ -14,6 +14,7 @@
 //! the live map, no fence ever fires, and all pre-existing results are
 //! bit-identical to the fault-oblivious code.
 
+use ros2_daos::EngineCluster;
 use ros2_sim::SimDuration;
 
 /// One scheduled engine kill, triggered by client progress rather than
@@ -94,6 +95,18 @@ impl FaultPlan {
             && self.blackholes.is_empty()
             && self.stalls.is_empty()
             && self.bitrot.is_empty()
+    }
+
+    /// Applies the from-launch part of the plan to `cluster`: black holes
+    /// and stalls take effect immediately. Kills and bit-rot fire later,
+    /// against whichever op counter the owning world arms them on.
+    pub fn arm(&self, cluster: &mut EngineCluster) {
+        for &slot in &self.blackholes {
+            cluster.set_blackhole(slot, true);
+        }
+        for stall in &self.stalls {
+            cluster.set_stall(stall.slot, stall.extra);
+        }
     }
 
     /// Convenience: a single mid-flight kill of `slot` after

@@ -33,7 +33,7 @@ use ros2_nvme::DataMode;
 use ros2_sim::{ResourceStats, SimDuration, SimTime};
 use ros2_verbs::{MemoryDomain, NodeId, PdId};
 
-use crate::fault::{FaultPlan, ScheduledCorruption};
+use crate::fault::FaultPlan;
 
 /// The deployment's scale-out shape: how many DAOS engines (one per
 /// storage node behind the shared switch) and how many replicas each
@@ -338,22 +338,6 @@ impl ObjectClient for ClientStack {
         }
     }
 
-    fn execute_batch(
-        &mut self,
-        fabric: &mut Fabric,
-        cluster: &mut EngineCluster,
-        now: SimTime,
-        job: usize,
-        ops: Vec<ClientOp>,
-    ) -> Vec<ClientOpResult> {
-        match self {
-            ClientStack::Host { client, .. } => {
-                client.execute_batch(fabric, cluster, now, job, ops)
-            }
-            ClientStack::Dpu(c) => ObjectClient::execute_batch(c, fabric, cluster, now, job, ops),
-        }
-    }
-
     fn execute_pipelined(
         &mut self,
         fabric: &mut Fabric,
@@ -638,12 +622,7 @@ impl Ros2System {
     /// [`Self::kill_engine`] calls) reach the client stack `ras_delay`
     /// late.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        for &slot in &plan.blackholes {
-            self.cluster.set_blackhole(slot, true);
-        }
-        for stall in &plan.stalls {
-            self.cluster.set_stall(stall.slot, stall.extra);
-        }
+        plan.arm(&mut self.cluster);
         self.faults = plan;
         self.next_kill = 0;
         self.next_bitrot = 0;
@@ -671,26 +650,13 @@ impl Ros2System {
                 break;
             }
             self.next_bitrot += 1;
-            self.fire_bitrot(rot);
+            // Silent: no event is raised and no client ever fails — only
+            // the scrub service can see it.
+            self.cluster
+                .engine_mut(rot.slot)
+                .corrupt_object_from(rot.object_index);
         }
         Ok(())
-    }
-
-    /// Silently corrupts one stored extent on the scheduled slot: the
-    /// victim object is picked deterministically from the engine's sorted
-    /// object list. No event is raised and no client ever fails — only
-    /// the scrub service can see it.
-    fn fire_bitrot(&mut self, rot: ScheduledCorruption) {
-        let engine = self.cluster.engine_mut(rot.slot);
-        let oids = engine.list_objects();
-        // Walk forward from the drawn index to the next object with
-        // array payload — metadata objects have nothing to rot.
-        for k in 0..oids.len() {
-            let oid = oids[(rot.object_index + k) % oids.len()];
-            if engine.corrupt_object(oid) {
-                return;
-            }
-        }
     }
 
     /// An explicit `MapQuery` control round-trip: the client stack asks

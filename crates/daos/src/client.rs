@@ -24,6 +24,13 @@
 //! surviving replica while an engine is down. With one engine and RF = 1
 //! the route is always slot 0 and every phase runs the exact pre-cluster
 //! sequence — the pinned host-placement path.
+//!
+//! An op runs one of two ways: the serial call ([`DaosClient::update`] /
+//! [`DaosClient::fetch`], live-map routing, the whole `client_per_op` on
+//! the job core) or a submission to the [`crate::pipeline::OpRing`]
+//! (cached-map routing, split CPU cost, the recovery ladder). The caller
+//! picks — `Dfs::data_pipeline` for single-chunk file I/O; multi-chunk
+//! I/O always takes the ring.
 
 use bytes::Bytes;
 use ros2_buf::zero_bytes;
@@ -33,7 +40,7 @@ use ros2_sim::{ResourceStats, ServerPool, SimDuration, SimTime};
 use ros2_verbs::{AccessFlags, Expiry, MemAddr, MemoryDomain, MrId, NodeId, PdId, RKey};
 
 use crate::cluster::{EngineCluster, MapSnapshot};
-use crate::engine::{TargetOp, TargetOpResult, ValueKind};
+use crate::engine::ValueKind;
 use crate::pipeline::{RetryPolicy, RetryStats};
 use crate::types::{AKey, DKey, DaosCostModel, DaosError, Epoch, ObjectId, RecordVersion};
 
@@ -121,13 +128,6 @@ pub struct DaosClient {
     class: CoreClass,
     transport: Transport,
     ops: u64,
-    /// When set, [`Self::execute_pipelined`] (and any [`OpRing`] driven
-    /// against this client) drains each op to completion before the next
-    /// is submitted, on the exact legacy serial cost path — the
-    /// equivalence baseline.
-    ///
-    /// [`OpRing`]: crate::pipeline::OpRing
-    force_serial_pipeline: bool,
     /// The client's cached pool-map snapshot — the *only* routing source
     /// for the pipelined ring, so membership changes genuinely race
     /// in-flight ops. `None` until first use (bootstrapped from the
@@ -324,28 +324,12 @@ impl DaosClient {
             class,
             transport,
             ops: 0,
-            force_serial_pipeline: false,
             map_cache: None,
             pending_map: None,
             retry: RetryStats::default(),
             retry_policy: RetryPolicy::default(),
             first_retry_ok: None,
         })
-    }
-
-    /// Forces [`Self::execute_pipelined`] onto the serial drain: each op
-    /// runs start-to-finish on the exact [`Self::update`]/[`Self::fetch`]
-    /// cost path before the next is submitted. The pipelined ring must be
-    /// functionally bit-identical to this mode (same results, same
-    /// deterministic counters) — asserted by `tests/pipeline_equivalence`,
-    /// the same discipline as the engine's `set_force_serial_batch`.
-    pub fn set_force_serial_pipeline(&mut self, on: bool) {
-        self.force_serial_pipeline = on;
-    }
-
-    /// Whether the forced-serial pipeline drain is active.
-    pub fn force_serial_pipeline(&self) -> bool {
-        self.force_serial_pipeline
     }
 
     /// Installs a map snapshot into the cache if it is newer than what the
@@ -792,10 +776,6 @@ impl DaosClient {
     /// replica of `oid` (the commit instant is the last replica's ack, so
     /// a committed update is readable from any replica). Returns the
     /// commit instant.
-    ///
-    /// Identical to a one-op [`Self::execute_batch`] — both run the same
-    /// stage/execute/finish phases (asserted by the batch equivalence
-    /// suite) — without the batch bookkeeping.
     #[allow(clippy::too_many_arguments)]
     pub fn update(
         &mut self,
@@ -903,181 +883,12 @@ impl DaosClient {
             .map(|(data, at)| (data, at, meta))
     }
 
-    /// Submits a whole queue's worth of independent ops from `job` as one
-    /// fan-out: every descriptor/staging exchange runs first (in
-    /// submission order, updates staged once per replica), each involved
-    /// engine executes its slice of the batch across its shards in one
-    /// [`crate::DaosEngine::execute_batch`] call, and completions drain
-    /// back — one engine round-trip per engine instead of one per op. A
-    /// replicated update's slot resolves to the last replica's ack (or the
-    /// first error).
-    ///
-    /// Results come back in submission order. Per-op failures (oversized
-    /// I/O, missing records) are reported in that op's slot and do not
-    /// abort the rest of the batch.
-    pub fn execute_batch(
-        &mut self,
-        fabric: &mut Fabric,
-        cluster: &mut EngineCluster,
-        now: SimTime,
-        job: usize,
-        ops: Vec<ClientOp>,
-    ) -> Vec<ClientOpResult> {
-        if let Err(e) = self.check_cluster(cluster) {
-            self.ops += ops.len() as u64;
-            return whole_batch_error(&ops, e);
-        }
-        let mut results: Vec<Option<ClientOpResult>> = (0..ops.len()).map(|_| None).collect();
-        // Per engine slot: staged target ops plus (client-op slot, fetch
-        // read-back length), submission order preserved within a slot.
-        let mut buckets: Vec<EngineBucket> = (0..cluster.len())
-            .map(|_| (Vec::new(), Vec::new()))
-            .collect();
-
-        for (i, op) in ops.into_iter().enumerate() {
-            self.ops += 1;
-            match op {
-                ClientOp::Update {
-                    oid,
-                    dkey,
-                    akey,
-                    kind,
-                    data,
-                } => {
-                    if data.len() as u64 > self.jobs[job].buf_len {
-                        results[i] = Some(ClientOpResult::Update(Err(DaosError::Transport(
-                            "staging buffer too small".into(),
-                        ))));
-                        continue;
-                    }
-                    let set = cluster.route_update(&oid);
-                    if set.is_empty() {
-                        results[i] = Some(ClientOpResult::Update(Err(DaosError::Transport(
-                            "no healthy replica".into(),
-                        ))));
-                        continue;
-                    }
-                    let epoch = match cluster.next_epoch(&self.cont) {
-                        Ok(e) => e,
-                        Err(e) => {
-                            results[i] = Some(ClientOpResult::Update(Err(e)));
-                            continue;
-                        }
-                    };
-                    for eng in set.iter() {
-                        match self.stage_update(fabric, now, job, eng, data.clone()) {
-                            Ok((at, payload)) => {
-                                buckets[eng].0.push(TargetOp::Update {
-                                    now: at,
-                                    oid,
-                                    dkey: dkey.clone(),
-                                    akey: akey.clone(),
-                                    kind,
-                                    epoch,
-                                    data: payload,
-                                });
-                                buckets[eng].1.push((i, None));
-                            }
-                            Err(e) => {
-                                merge_slot(&mut results[i], ClientOpResult::Update(Err(e)));
-                                break;
-                            }
-                        }
-                    }
-                }
-                ClientOp::Fetch {
-                    oid,
-                    dkey,
-                    akey,
-                    kind,
-                    epoch,
-                    len,
-                } => {
-                    if len > self.jobs[job].buf_len {
-                        results[i] = Some(ClientOpResult::Fetch(Err(DaosError::Transport(
-                            "staging buffer too small".into(),
-                        ))));
-                        continue;
-                    }
-                    let Some(eng) = cluster.route_fetch(&oid).leader() else {
-                        results[i] = Some(ClientOpResult::Fetch(Err(DaosError::Transport(
-                            "no healthy replica".into(),
-                        ))));
-                        continue;
-                    };
-                    match self.stage_fetch(fabric, now, job, eng) {
-                        Ok(req_at) => {
-                            buckets[eng].0.push(TargetOp::Fetch {
-                                now: req_at,
-                                oid,
-                                dkey,
-                                akey,
-                                kind,
-                                epoch,
-                                len,
-                            });
-                            buckets[eng].1.push((i, Some(len)));
-                        }
-                        Err(e) => results[i] = Some(ClientOpResult::Fetch(Err(e))),
-                    }
-                }
-            }
-        }
-
-        for (eng, (target_ops, pending)) in buckets.into_iter().enumerate() {
-            if pending.is_empty() {
-                continue;
-            }
-            match cluster
-                .engine_mut(eng)
-                .execute_batch(&self.cont, target_ops)
-            {
-                Ok(engine_results) => {
-                    for (&(slot, fetch_len), res) in pending.iter().zip(engine_results) {
-                        let r = match res {
-                            TargetOpResult::Update(Ok(persisted)) => ClientOpResult::Update(
-                                self.finish_update(fabric, job, eng, persisted),
-                            ),
-                            TargetOpResult::Update(Err(e)) => ClientOpResult::Update(Err(e)),
-                            TargetOpResult::Fetch(Ok((data, ready))) => {
-                                let len = fetch_len.expect("fetch pending entries carry a length");
-                                ClientOpResult::Fetch(
-                                    self.finish_fetch(fabric, job, eng, data, ready, len),
-                                )
-                            }
-                            TargetOpResult::Fetch(Err(e)) => ClientOpResult::Fetch(Err(e)),
-                        };
-                        merge_slot(&mut results[slot], r);
-                    }
-                }
-                Err(e) => {
-                    // Whole-batch failure (container vanished between
-                    // phases).
-                    for &(slot, fetch_len) in &pending {
-                        let r = match fetch_len {
-                            None => ClientOpResult::Update(Err(e.clone())),
-                            Some(_) => ClientOpResult::Fetch(Err(e.clone())),
-                        };
-                        merge_slot(&mut results[slot], r);
-                    }
-                }
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every submitted op produced a result"))
-            .collect()
-    }
-
     /// Runs `ops` through the submission/completion pipeline: every op is
     /// submitted into an [`OpRing`] (epoch allocated, route resolved,
     /// staging legs booked) before any completion is reaped, engine legs
     /// execute as the ring drains, and completions retire in completion
     /// order — results still come back in submission order for callers
-    /// that stitch stripes. Under
-    /// [`Self::set_force_serial_pipeline`] each op instead drains fully on
-    /// the legacy serial cost path before the next submits, bit-identical
-    /// to a [`Self::update`]/[`Self::fetch`] loop.
+    /// that stitch stripes.
     ///
     /// [`OpRing`]: crate::pipeline::OpRing
     pub fn execute_pipelined(
@@ -1096,12 +907,8 @@ impl DaosClient {
     }
 }
 
-/// One engine's slice of a batch fan-out: its staged target ops plus
-/// (client-op slot, fetch read-back length) bookkeeping.
-type EngineBucket = (Vec<TargetOp>, Vec<(usize, Option<u64>)>);
-
-/// Maps a whole-batch precondition failure onto every op in the batch
-/// (shared by the host client and the DPU-offloaded client's preamble).
+/// Maps a whole-queue precondition failure onto every op in the queue (the
+/// DPU-offloaded client's doorbell/admission preamble).
 pub fn whole_batch_error(ops: &[ClientOp], e: DaosError) -> Vec<ClientOpResult> {
     ops.iter()
         .map(|op| match op {
@@ -1109,27 +916,6 @@ pub fn whole_batch_error(ops: &[ClientOp], e: DaosError) -> Vec<ClientOpResult> 
             ClientOp::Fetch { .. } => ClientOpResult::Fetch(Err(e.clone())),
         })
         .collect()
-}
-
-/// Folds a replica's outcome into its client-op slot: a fetch is routed to
-/// exactly one engine, so the first result stands; a replicated update
-/// commits at the *last* replica's ack, and any replica's error surfaces.
-/// When several replicas fail with different errors, *which* error is
-/// reported is unspecified (the batch path merges in engine-slot order,
-/// the serial path stops at the first replica-set member) — the Ok/Err
-/// outcome itself is identical on both paths.
-fn merge_slot(slot: &mut Option<ClientOpResult>, new: ClientOpResult) {
-    *slot = Some(match (slot.take(), new) {
-        (None, r) => r,
-        (Some(ClientOpResult::Update(prev)), ClientOpResult::Update(next)) => {
-            ClientOpResult::Update(match (prev, next) {
-                (Ok(a), Ok(b)) => Ok(a.max(b)),
-                (Err(e), _) => Err(e),
-                (_, Err(e)) => Err(e),
-            })
-        }
-        (Some(prev), _) => prev,
-    });
 }
 
 /// The object-I/O interface the DFS layer drives, leaving the namespace
@@ -1174,8 +960,9 @@ pub trait ObjectClient {
         len: u64,
     ) -> Result<(Bytes, SimTime), DaosError>;
 
-    /// Submits a batch of independent ops from `job` as one fan-out;
-    /// results come back in submission order.
+    /// The retired batch fan-out's name, kept only because the benchmark's
+    /// interposer spells it: forwards to [`Self::execute_pipelined`]. No
+    /// client implements it and no library code calls it.
     fn execute_batch(
         &mut self,
         fabric: &mut Fabric,
@@ -1183,7 +970,9 @@ pub trait ObjectClient {
         now: SimTime,
         job: usize,
         ops: Vec<ClientOp>,
-    ) -> Vec<ClientOpResult>;
+    ) -> Vec<ClientOpResult> {
+        self.execute_pipelined(fabric, cluster, now, job, ops)
+    }
 
     /// Submits `ops` through the submission/completion pipeline (all in
     /// flight at once, completions retired in completion order); results
@@ -1235,17 +1024,6 @@ impl ObjectClient for DaosClient {
         )
     }
 
-    fn execute_batch(
-        &mut self,
-        fabric: &mut Fabric,
-        cluster: &mut EngineCluster,
-        now: SimTime,
-        job: usize,
-        ops: Vec<ClientOp>,
-    ) -> Vec<ClientOpResult> {
-        DaosClient::execute_batch(self, fabric, cluster, now, job, ops)
-    }
-
     fn execute_pipelined(
         &mut self,
         fabric: &mut Fabric,
@@ -1262,7 +1040,7 @@ impl ObjectClient for DaosClient {
     }
 }
 
-/// One client-side I/O in a [`DaosClient::execute_batch`] fan-out.
+/// One client-side I/O submitted to an [`OpRing`](crate::pipeline::OpRing).
 #[derive(Clone, Debug)]
 pub enum ClientOp {
     /// An object update carrying its payload.
@@ -1295,11 +1073,9 @@ pub enum ClientOp {
     },
 }
 
-/// The per-op outcome of a [`DaosClient::execute_batch`], in submission
-/// order. Structurally mirrors [`TargetOpResult`] but is deliberately a
-/// distinct type: these instants are client-visible completions (after the
-/// response push/SEND), not the engine-side instants the inner type
-/// carries, and the layers are free to diverge.
+/// The per-op outcome of a drained ring, in submission order. The instants
+/// are client-visible completions (after the response push/SEND), not
+/// engine-side ones.
 #[derive(Clone, Debug)]
 pub enum ClientOpResult {
     /// Outcome of a [`ClientOp::Update`]: the client-visible commit

@@ -905,7 +905,7 @@ impl EngineCluster {
 
     /// Routes a fetch through a client's cached `snap` instead of the live
     /// map, with the same degraded-read accounting as
-    /// [`Self::route_fetch`]: the cluster still observes the read (the
+    /// [`Self::route_fetch_meta`]: the cluster still observes the read (the
     /// engines serve it), it just resolved the route from the client's
     /// possibly-stale view.
     pub fn route_fetch_snapshot(&mut self, snap: &MapSnapshot, oid: &ObjectId) -> ReplicaSet {
@@ -932,24 +932,11 @@ impl EngineCluster {
         self.route(oid).0
     }
 
-    /// The replica set a fetch may read from, leader first. A fetch of an
-    /// object that has lost a replica to an unrebuilt kill is counted as a
-    /// degraded-mode read (redundancy is short, whichever member died; if
-    /// the dead member was the leader, the read also fails over).
-    pub fn route_fetch(&mut self, oid: &ObjectId) -> ReplicaSet {
-        self.route_fetch_meta(oid).0
-    }
-
-    /// A side-effect-free preview of the live-map route for `oid`: the
-    /// replica set and degraded flag **without** counting a fetch. Cache
-    /// probes use this to validate an entry against the current route
-    /// before deciding whether any fetch happens at all.
-    pub fn route_preview(&self, oid: &ObjectId) -> (ReplicaSet, bool) {
-        self.route(oid)
-    }
-
-    /// [`Self::route_fetch`] plus the degraded flag (see
-    /// [`Self::route_fetch_snapshot_meta`]). Accounting is identical.
+    /// The live-map replica set a fetch may read from, leader first, plus
+    /// the degraded flag (see [`Self::route_fetch_snapshot_meta`]). A fetch
+    /// of an object that has lost a replica to an unrebuilt kill is counted
+    /// as a degraded-mode read (redundancy is short, whichever member died;
+    /// if the dead member was the leader, the read also fails over).
     pub fn route_fetch_meta(&mut self, oid: &ObjectId) -> (ReplicaSet, bool) {
         let (set, degraded) = self.route(oid);
         if degraded {
@@ -1008,14 +995,6 @@ impl EngineCluster {
     /// [`DaosError::StaleMap`] rather than served).
     pub fn fences(&self) -> u64 {
         self.engines.iter().map(|e| e.fences()).sum()
-    }
-
-    /// Test/validation hook: forces serial batch execution on every engine
-    /// (see [`DaosEngine::set_force_serial_batch`]).
-    pub fn set_force_serial_batch(&mut self, on: bool) {
-        for e in &mut self.engines {
-            e.set_force_serial_batch(on);
-        }
     }
 
     fn rebuild_conn(

@@ -5,17 +5,14 @@
 //! One engine serves a pool of targets (one per NVMe SSD, as DAOS binds
 //! targets to devices). Each target forms a self-contained **shard**: its
 //! VOS index, its xstream pool and its slice of the bdev layer — no mutable
-//! state is shared between shards, which is what lets
-//! [`DaosEngine::execute_batch`] fan independent operations out across
-//! shards in parallel while staying bit-identical to serial execution
-//! (proven by `tests/shard_equivalence.rs`). RPC handling, VOS indexing and
+//! state is shared between shards, and every op is addressed to the one
+//! shard that owns its `(oid, dkey)`. RPC handling, VOS indexing and
 //! checksum computation all charge CPU on the owning target's xstreams;
 //! media time comes from the bdev/pmem models.
 
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use rayon::prelude::*;
 use ros2_hw::{checksum_cost, CoreClass, LBA_SIZE};
 use ros2_sim::{ResourceStats, ServerPool, SimTime};
 use ros2_spdk::{BdevLayer, ShardBdev};
@@ -47,142 +44,6 @@ pub struct ContainerMeta {
     pub snapshots: Vec<u64>,
 }
 
-/// One I/O destined for whichever shard owns its `(oid, dkey)` — the unit
-/// of [`DaosEngine::execute_batch`]. Each op carries its own arrival
-/// instant so a batch can represent a fan-out of concurrently submitted
-/// RPCs.
-#[derive(Clone, Debug)]
-pub enum TargetOp {
-    /// An OBJ_UPDATE (data already present server-side). The epoch is
-    /// caller-allocated (see [`DaosEngine::next_epoch`]) so batch
-    /// submission order — not shard execution order — fixes epoch values.
-    Update {
-        /// RPC arrival instant.
-        now: SimTime,
-        /// Object.
-        oid: ObjectId,
-        /// Distribution key (drives shard placement).
-        dkey: DKey,
-        /// Attribute key.
-        akey: AKey,
-        /// Single value or array extent.
-        kind: ValueKind,
-        /// Commit epoch.
-        epoch: Epoch,
-        /// Payload.
-        data: Bytes,
-    },
-    /// An OBJ_FETCH of `len` bytes at `epoch`.
-    Fetch {
-        /// RPC arrival instant.
-        now: SimTime,
-        /// Object.
-        oid: ObjectId,
-        /// Distribution key (drives shard placement).
-        dkey: DKey,
-        /// Attribute key.
-        akey: AKey,
-        /// Single value or array extent.
-        kind: ValueKind,
-        /// Read epoch.
-        epoch: Epoch,
-        /// Bytes to read.
-        len: u64,
-    },
-}
-
-impl TargetOp {
-    fn oid(&self) -> ObjectId {
-        match self {
-            TargetOp::Update { oid, .. } | TargetOp::Fetch { oid, .. } => *oid,
-        }
-    }
-    fn dkey(&self) -> &DKey {
-        match self {
-            TargetOp::Update { dkey, .. } | TargetOp::Fetch { dkey, .. } => dkey,
-        }
-    }
-}
-
-/// The per-op outcome of a batch, in submission order.
-#[derive(Clone, Debug)]
-pub enum TargetOpResult {
-    /// Outcome of a [`TargetOp::Update`]: the persisted-at instant.
-    Update(Result<SimTime, DaosError>),
-    /// Outcome of a [`TargetOp::Fetch`]: the data and its ready instant.
-    Fetch(Result<(Bytes, SimTime), DaosError>),
-}
-
-impl TargetOpResult {
-    /// Unwraps an update result (panics on a fetch result).
-    pub fn into_update(self) -> Result<SimTime, DaosError> {
-        match self {
-            TargetOpResult::Update(r) => r,
-            TargetOpResult::Fetch(_) => panic!("expected update result"),
-        }
-    }
-    /// Unwraps a fetch result (panics on an update result).
-    pub fn into_fetch(self) -> Result<(Bytes, SimTime), DaosError> {
-        match self {
-            TargetOpResult::Fetch(r) => r,
-            TargetOpResult::Update(_) => panic!("expected fetch result"),
-        }
-    }
-}
-
-/// Executes one op against its shard's VOS/xstreams/bdev slice. This is
-/// the single code path both the serial entry points and the batch fan-out
-/// run, so batch-of-one is the serial op by construction.
-fn exec_on_shard(
-    model: &DaosCostModel,
-    class: CoreClass,
-    vos: &mut VosTarget,
-    xstreams: &mut ServerPool,
-    media: &mut ShardBdev<'_>,
-    op: TargetOp,
-) -> TargetOpResult {
-    let grant = |xs: &mut ServerPool, now: SimTime, bytes: u64| {
-        let cpu = model.server_per_rpc + model.vos_per_op + checksum_cost(bytes);
-        xs.submit(now, class.scale(cpu)).finish
-    };
-    match op {
-        TargetOp::Update {
-            now,
-            oid,
-            dkey,
-            akey,
-            kind,
-            epoch,
-            data,
-        } => {
-            let picked = grant(xstreams, now, data.len() as u64);
-            TargetOpResult::Update(match kind {
-                ValueKind::Single => vos.update_single(picked, media, oid, dkey, akey, epoch, data),
-                ValueKind::Array { offset } => {
-                    vos.update_array(picked, media, oid, dkey, akey, epoch, offset, data)
-                }
-            })
-        }
-        TargetOp::Fetch {
-            now,
-            oid,
-            dkey,
-            akey,
-            kind,
-            epoch,
-            len,
-        } => {
-            let picked = grant(xstreams, now, len);
-            TargetOpResult::Fetch(match kind {
-                ValueKind::Single => vos.fetch_single(picked, media, oid, &dkey, &akey, epoch),
-                ValueKind::Array { offset } => {
-                    vos.fetch_array(picked, media, oid, &dkey, &akey, epoch, offset, len)
-                }
-            })
-        }
-    }
-}
-
 /// The storage-server engine.
 pub struct DaosEngine {
     model: DaosCostModel,
@@ -194,10 +55,6 @@ pub struct DaosEngine {
     xstreams: Vec<ServerPool>,
     containers: HashMap<String, ContainerMeta>,
     rpcs: u64,
-    /// Validation hook: forces [`Self::execute_batch`] onto the serial
-    /// shard walk so equivalence tests and A/B perf measurement can compare
-    /// against the parallel fan-out.
-    force_serial_batch: bool,
     /// The newest map revision the control plane has pushed to this
     /// engine (0 = never observed — fencing disabled, the pre-cluster
     /// direct-drive shape).
@@ -210,15 +67,6 @@ pub struct DaosEngine {
     /// [`Self::rpcs`] — they never reach a target.
     fences: u64,
 }
-
-/// One shard's slice of a batch fan-out: its VOS target, xstream pool,
-/// disjoint bdev view, and the (original index, op) list routed to it.
-type ShardWork<'a> = (
-    &'a mut VosTarget,
-    &'a mut ServerPool,
-    ShardBdev<'a>,
-    Vec<(usize, TargetOp)>,
-);
 
 impl DaosEngine {
     /// Creates an engine over `bdevs`, one target per device, with
@@ -247,7 +95,6 @@ impl DaosEngine {
             xstreams,
             containers: HashMap::new(),
             rpcs: 0,
-            force_serial_batch: false,
             map_version: 0,
             map_view: None,
             fences: 0,
@@ -257,14 +104,6 @@ impl DaosEngine {
     /// Number of targets (== SSDs == shards).
     pub fn target_count(&self) -> usize {
         self.targets.len()
-    }
-
-    /// Forces batch execution onto the serial per-shard walk. The parallel
-    /// fan-out must be observationally identical (shards share no mutable
-    /// state), so this exists only for equivalence tests and A/B perf
-    /// measurement.
-    pub fn set_force_serial_batch(&mut self, on: bool) {
-        self.force_serial_batch = on;
     }
 
     /// Creates a container.
@@ -391,6 +230,26 @@ impl DaosEngine {
         out
     }
 
+    /// Accepts one RPC for the shard that owns `(oid, dkey)`: counts it and
+    /// charges its handling, VOS-index and `bytes`-checksum CPU on that
+    /// shard's xstreams. Returns the shard's VOS target and bdev slice plus
+    /// the instant an xstream has finished the CPU work.
+    fn serve_on_shard(
+        &mut self,
+        now: SimTime,
+        oid: ObjectId,
+        dkey: &DKey,
+        bytes: u64,
+    ) -> (&mut VosTarget, ShardBdev<'_>, SimTime) {
+        self.rpcs += 1;
+        let target = self.target_of(oid, Some(dkey));
+        let cpu = self.model.server_per_rpc + self.model.vos_per_op + checksum_cost(bytes);
+        let picked = self.xstreams[target]
+            .submit(now, self.class.scale(cpu))
+            .finish;
+        (&mut self.targets[target], self.bdevs.shard(target), picked)
+    }
+
     /// Services an OBJ_UPDATE RPC arriving at `now` (data already present
     /// server-side). Returns the persisted-at instant.
     #[allow(clippy::too_many_arguments)]
@@ -408,27 +267,15 @@ impl DaosEngine {
         if !self.containers.contains_key(cont) {
             return Err(DaosError::NoSuchEntity);
         }
-        self.rpcs += 1;
-        let target = self.target_of(oid, Some(&dkey));
-        let op = TargetOp::Update {
-            now,
-            oid,
-            dkey,
-            akey,
-            kind,
-            epoch,
-            data,
-        };
-        let mut media = self.bdevs.shard(target);
-        exec_on_shard(
-            &self.model,
-            self.class,
-            &mut self.targets[target],
-            &mut self.xstreams[target],
-            &mut media,
-            op,
-        )
-        .into_update()
+        let (vos, mut media, picked) = self.serve_on_shard(now, oid, &dkey, data.len() as u64);
+        match kind {
+            ValueKind::Single => {
+                vos.update_single(picked, &mut media, oid, dkey, akey, epoch, data)
+            }
+            ValueKind::Array { offset } => {
+                vos.update_array(picked, &mut media, oid, dkey, akey, epoch, offset, data)
+            }
+        }
     }
 
     /// Services an OBJ_FETCH RPC arriving at `now`. Returns the data and
@@ -448,27 +295,13 @@ impl DaosEngine {
         if !self.containers.contains_key(cont) {
             return Err(DaosError::NoSuchEntity);
         }
-        self.rpcs += 1;
-        let target = self.target_of(oid, Some(dkey));
-        let op = TargetOp::Fetch {
-            now,
-            oid,
-            dkey: dkey.clone(),
-            akey: akey.clone(),
-            kind,
-            epoch,
-            len,
-        };
-        let mut media = self.bdevs.shard(target);
-        exec_on_shard(
-            &self.model,
-            self.class,
-            &mut self.targets[target],
-            &mut self.xstreams[target],
-            &mut media,
-            op,
-        )
-        .into_fetch()
+        let (vos, mut media, picked) = self.serve_on_shard(now, oid, dkey, len);
+        match kind {
+            ValueKind::Single => vos.fetch_single(picked, &mut media, oid, dkey, akey, epoch),
+            ValueKind::Array { offset } => {
+                vos.fetch_array(picked, &mut media, oid, dkey, akey, epoch, offset, len)
+            }
+        }
     }
 
     /// [`Self::update`] behind the map fence: the RPC descriptor carries
@@ -521,80 +354,6 @@ impl DaosEngine {
     ) -> Result<(Bytes, SimTime), DaosError> {
         self.fence_version(stamp)?;
         self.fetch(now, cont, oid, dkey, akey, kind, epoch, len)
-    }
-
-    /// Executes a batch of independent ops in one fan-out: ops are
-    /// partitioned by owning shard (`placement_hash % n`), each shard runs
-    /// its ops in submission order against its own VOS/xstreams/bdev slice
-    /// (in parallel across shards via rayon), and results come back merged
-    /// in submission order.
-    ///
-    /// Bit-identical to issuing the same ops serially through
-    /// [`Self::update`]/[`Self::fetch`]: shards share no mutable state, so
-    /// the only cross-op coupling — epoch allocation — is fixed by the
-    /// caller before submission (`next_epoch` per update, in order).
-    pub fn execute_batch(
-        &mut self,
-        cont: &str,
-        ops: Vec<TargetOp>,
-    ) -> Result<Vec<TargetOpResult>, DaosError> {
-        if !self.containers.contains_key(cont) {
-            return Err(DaosError::NoSuchEntity);
-        }
-        let total = ops.len();
-        self.rpcs += total as u64;
-        let shard_count = self.targets.len();
-        // Partition by shard, preserving submission order within each.
-        let mut per_shard: Vec<Vec<(usize, TargetOp)>> =
-            (0..shard_count).map(|_| Vec::new()).collect();
-        for (i, op) in ops.into_iter().enumerate() {
-            let t = self.target_of(op.oid(), Some(op.dkey()));
-            per_shard[t].push((i, op));
-        }
-        let model = self.model;
-        let class = self.class;
-        let serial = self.force_serial_batch;
-
-        // Disjoint mutable borrows: one (VOS, xstreams, bdev slice) triple
-        // per shard.
-        let DaosEngine {
-            targets,
-            xstreams,
-            bdevs,
-            ..
-        } = self;
-        let work: Vec<ShardWork<'_>> = targets
-            .iter_mut()
-            .zip(xstreams.iter_mut())
-            .zip(bdevs.shards())
-            .zip(per_shard)
-            .map(|(((vos, xs), media), ops)| (vos, xs, media, ops))
-            .collect();
-        let run = |(vos, xs, mut media, ops): (
-            &mut VosTarget,
-            &mut ServerPool,
-            ShardBdev<'_>,
-            Vec<(usize, TargetOp)>,
-        )|
-         -> Vec<(usize, TargetOpResult)> {
-            ops.into_iter()
-                .map(|(i, op)| (i, exec_on_shard(&model, class, vos, xs, &mut media, op)))
-                .collect()
-        };
-        let outs: Vec<Vec<(usize, TargetOpResult)>> = if serial || shard_count <= 1 {
-            work.into_iter().map(run).collect()
-        } else {
-            work.into_par_iter().map(run).collect()
-        };
-
-        let mut results: Vec<Option<TargetOpResult>> = (0..total).map(|_| None).collect();
-        for (i, r) in outs.into_iter().flatten() {
-            results[i] = Some(r);
-        }
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("every submitted op produced a result"))
-            .collect())
     }
 
     /// Lists dkeys of an object (enumerations go to the object's S1 target
@@ -674,31 +433,15 @@ impl DaosEngine {
     ) -> Result<SimTime, DaosError> {
         let mut t_done = now;
         for rec in records {
-            self.rpcs += 1;
-            let target = self.target_of(oid, Some(&rec.dkey));
-            let kind = match rec.array_offset {
-                None => ValueKind::Single,
-                Some(offset) => ValueKind::Array { offset },
-            };
-            let op = TargetOp::Update {
-                now,
-                oid,
-                dkey: rec.dkey.clone(),
-                akey: rec.akey.clone(),
-                kind,
-                epoch: rec.epoch,
-                data: rec.data.clone(),
-            };
-            let mut media = self.bdevs.shard(target);
-            let t = exec_on_shard(
-                &self.model,
-                self.class,
-                &mut self.targets[target],
-                &mut self.xstreams[target],
-                &mut media,
-                op,
-            )
-            .into_update()?;
+            let (vos, mut media, picked) =
+                self.serve_on_shard(now, oid, &rec.dkey, rec.data.len() as u64);
+            let (dkey, akey, data) = (rec.dkey.clone(), rec.akey.clone(), rec.data.clone());
+            let t = match rec.array_offset {
+                None => vos.update_single(picked, &mut media, oid, dkey, akey, rec.epoch, data),
+                Some(offset) => {
+                    vos.update_array(picked, &mut media, oid, dkey, akey, rec.epoch, offset, data)
+                }
+            }?;
             t_done = t_done.max(t);
         }
         Ok(t_done)
@@ -740,6 +483,16 @@ impl DaosEngine {
         };
         let mut media = self.bdevs.shard(target);
         self.targets[target].corrupt_newest_extent(&mut media, oid, &dkey, &akey)
+    }
+
+    /// Fault-plan bit-rot without naming an object: walks this engine's
+    /// sorted object list forward from `index` (mod its length) to the
+    /// first object with array payload — metadata objects have nothing to
+    /// rot — and corrupts it via [`Self::corrupt_object`]. Returns false if
+    /// the engine holds no extents at all.
+    pub fn corrupt_object_from(&mut self, index: usize) -> bool {
+        let oids = self.list_objects();
+        (0..oids.len()).any(|k| self.corrupt_object(oids[(index + k) % oids.len()]))
     }
 
     /// Scrub-verifies every record of `oid` across this engine's shards:
@@ -896,10 +649,6 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, DaosError::NoSuchEntity);
-        assert_eq!(
-            e.execute_batch("nope", Vec::new()).unwrap_err(),
-            DaosError::NoSuchEntity
-        );
     }
 
     #[test]
@@ -945,52 +694,6 @@ mod tests {
             .collect();
         times.sort();
         assert!(times.last().unwrap() > times.first().unwrap());
-    }
-
-    #[test]
-    fn batch_results_come_back_in_submission_order() {
-        let mut e = engine(4);
-        let oid = ObjectId::new(ObjClass::Sx, 11);
-        let mut ops = Vec::new();
-        for i in 0..32u64 {
-            let epoch = e.next_epoch("cont0").unwrap();
-            ops.push(TargetOp::Update {
-                now: SimTime::ZERO,
-                oid,
-                dkey: DKey::from_u64(i),
-                akey: AKey::from_str("data"),
-                kind: ValueKind::Array { offset: 0 },
-                epoch,
-                data: Bytes::from(vec![i as u8; 8 << 10]),
-            });
-        }
-        for i in 0..32u64 {
-            ops.push(TargetOp::Fetch {
-                now: SimTime::from_millis(1),
-                oid,
-                dkey: DKey::from_u64(i),
-                akey: AKey::from_str("data"),
-                kind: ValueKind::Array { offset: 0 },
-                epoch: Epoch::LATEST,
-                len: 8 << 10,
-            });
-        }
-        let results = e.execute_batch("cont0", ops).unwrap();
-        assert_eq!(results.len(), 64);
-        assert_eq!(e.rpcs(), 64);
-        for (i, r) in results.into_iter().enumerate() {
-            match r {
-                TargetOpResult::Update(done) => {
-                    assert!(i < 32);
-                    assert!(done.unwrap() > SimTime::ZERO);
-                }
-                TargetOpResult::Fetch(got) => {
-                    let want = (i - 32) as u8;
-                    let (data, _) = got.unwrap();
-                    assert!(data.iter().all(|&b| b == want), "op {i} read wrong bytes");
-                }
-            }
-        }
     }
 
     #[test]

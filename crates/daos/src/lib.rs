@@ -31,7 +31,7 @@ pub use cluster::{
     ReplicaSet, ScrubOutcome, ScrubStats, ServiceScheduler, MAX_RF,
 };
 pub use conn_pool::{ConnPool, ConnPoolStats};
-pub use engine::{ContainerMeta, DaosEngine, TargetOp, TargetOpResult, ValueKind};
+pub use engine::{ContainerMeta, DaosEngine, ValueKind};
 pub use pipeline::{OpRing, RetryPolicy, RetryStats};
 pub use types::{
     placement_hash, AKey, DKey, DaosCostModel, DaosError, Epoch, KeyBytes, ObjClass, ObjectId,

@@ -27,9 +27,13 @@
 //! order, from the cluster-wide counter — never at leg execution — so the
 //! version an update commits at is independent of how deep the ring runs
 //! or in which order completions are reaped. That is the invariant that
-//! makes a forced-serial drain ([`DaosClient::set_force_serial_pipeline`])
-//! bit-identical to the historical path and lets
-//! `tests/pipeline_equivalence.rs` hold QD-N runs to it.
+//! lets `tests/pipeline_equivalence.rs` hold QD-N runs to the same tape
+//! issued one op at a time through the serial call.
+//!
+//! **Who picks the ring.** `Dfs` does, in one place: single-chunk data ops
+//! take the serial call unless the world is pipelined
+//! (`Dfs::data_pipeline`); multi-chunk I/O always submits its stripe set
+//! here.
 //!
 //! **Failover: the recovery ladder.** Routing is resolved from the
 //! *client's cached* pool-map snapshot (see
@@ -285,8 +289,7 @@ impl OpRing {
     /// its staging legs. If the ring is full, the earliest-completing
     /// in-flight op retires first to free a slot. Submission-time failures
     /// (oversized I/O, no healthy replica) occupy their slot as immediate
-    /// error retires. Under the client's forced-serial mode the op instead
-    /// runs start-to-finish on the legacy serial cost path.
+    /// error retires.
     pub fn submit(
         &mut self,
         client: &mut DaosClient,
@@ -299,59 +302,44 @@ impl OpRing {
         self.results.push(None);
         self.fill_ok.push(false);
 
-        if client.force_serial_pipeline() {
-            // The equivalence baseline: today's path, bit for bit.
-            let result = match op {
-                ClientOp::Update {
-                    oid,
-                    dkey,
-                    akey,
-                    kind,
-                    data,
-                } => {
-                    let clean = !cluster.route_preview(&oid).1;
-                    let r =
-                        client.update(fabric, cluster, now, self.job, oid, dkey, akey, kind, data);
-                    self.fill_ok[slot] = clean && r.is_ok();
-                    ClientOpResult::Update(r)
-                }
-                ClientOp::Fetch {
-                    oid,
-                    dkey,
-                    akey,
-                    kind,
-                    epoch,
-                    len,
-                } => {
-                    let r = client.fetch_with_meta(
-                        fabric, cluster, now, self.job, oid, dkey, akey, kind, epoch, len,
-                    );
-                    if let Ok((_, _, meta)) = &r {
-                        self.fill_ok[slot] = !meta.degraded;
-                    }
-                    ClientOpResult::Fetch(r.map(|(data, at, _)| (data, at)))
-                }
-            };
-            self.results[slot] = Some(result);
-            self.retire_log.push(slot);
-            return;
-        }
-
         while self.in_flight() >= self.depth {
             self.complete_one(client, fabric, cluster);
         }
 
         client.bump_ops(1);
-        if let Err(e) = client.check_cluster(cluster) {
-            self.retire_error(slot, now, &op, e);
-            return;
+        let is_update = matches!(op, ClientOp::Update { .. });
+        match self.stage(client, fabric, cluster, now, slot, op) {
+            Ok(staged) => self.inflight.push(staged),
+            Err(e) => {
+                self.results[slot] = Some(match is_update {
+                    true => ClientOpResult::Update(Err(e)),
+                    false => ClientOpResult::Fetch(Err(e)),
+                });
+                self.retire_log.push(slot);
+            }
         }
+    }
+
+    /// The fallible half of [`Self::submit`]: everything between taking a
+    /// slot and the op being in flight.
+    fn stage(
+        &self,
+        client: &mut DaosClient,
+        fabric: &mut Fabric,
+        cluster: &mut EngineCluster,
+        now: SimTime,
+        slot: usize,
+        op: ClientOp,
+    ) -> Result<Inflight, DaosError> {
+        client.check_cluster(cluster)?;
         // Apply any due delayed RAS delivery, then route from the cached
         // snapshot — the live map is never consulted here, so a
         // membership change after this instant genuinely races the op.
         client.poll_map(now, cluster);
         let stamp = client.cached_map().version();
-        match op {
+        let too_big = || DaosError::Transport("staging buffer too small".into());
+        let no_replica = || DaosError::Transport("no healthy replica".into());
+        let (completion, body) = match op {
             ClientOp::Update {
                 oid,
                 dkey,
@@ -360,59 +348,37 @@ impl OpRing {
                 data,
             } => {
                 if data.len() as u64 > client.job_buf_len(self.job) {
-                    let e = DaosError::Transport("staging buffer too small".into());
-                    self.results[slot] = Some(ClientOpResult::Update(Err(e)));
-                    self.retire_log.push(slot);
-                    return;
+                    return Err(too_big());
                 }
                 let (set, degraded) = client.cached_map().route(&oid);
                 if set.is_empty() {
-                    let e = DaosError::Transport("no healthy replica".into());
-                    self.results[slot] = Some(ClientOpResult::Update(Err(e)));
-                    self.retire_log.push(slot);
-                    return;
+                    return Err(no_replica());
                 }
-                let epoch = match cluster.next_epoch(client.container()) {
-                    Ok(e) => e,
-                    Err(e) => {
-                        self.results[slot] = Some(ClientOpResult::Update(Err(e)));
-                        self.retire_log.push(slot);
-                        return;
-                    }
-                };
+                let epoch = cluster.next_epoch(client.container())?;
                 let mut legs = Vec::with_capacity(set.len());
                 let mut completion = SimDuration::ZERO;
                 for eng in set.iter() {
                     let (t_cpu, comp) = client.client_cpu_split(now, self.job);
                     completion = comp;
-                    match client.stage_update_from(fabric, t_cpu, self.job, eng, data.clone()) {
-                        Ok((staged, payload)) => legs.push(UpdateLeg {
-                            eng,
-                            staged,
-                            payload,
-                        }),
-                        Err(e) => {
-                            self.results[slot] = Some(ClientOpResult::Update(Err(e)));
-                            self.retire_log.push(slot);
-                            return;
-                        }
-                    }
+                    let (staged, payload) =
+                        client.stage_update_from(fabric, t_cpu, self.job, eng, data.clone())?;
+                    legs.push(UpdateLeg {
+                        eng,
+                        staged,
+                        payload,
+                    });
                 }
-                self.inflight.push(Inflight {
-                    slot,
-                    submitted: now,
-                    completion,
-                    body: Body::Update {
-                        oid,
-                        dkey,
-                        akey,
-                        kind,
-                        epoch,
-                        stamp,
-                        clean: !degraded,
-                        legs,
-                    },
-                });
+                let body = Body::Update {
+                    oid,
+                    dkey,
+                    akey,
+                    kind,
+                    epoch,
+                    stamp,
+                    clean: !degraded,
+                    legs,
+                };
+                (completion, body)
             }
             ClientOp::Fetch {
                 oid,
@@ -423,53 +389,33 @@ impl OpRing {
                 len,
             } => {
                 if len > client.job_buf_len(self.job) {
-                    let e = DaosError::Transport("staging buffer too small".into());
-                    self.results[slot] = Some(ClientOpResult::Fetch(Err(e)));
-                    self.retire_log.push(slot);
-                    return;
+                    return Err(too_big());
                 }
                 let (set, degraded) = cluster.route_fetch_snapshot_meta(client.cached_map(), &oid);
-                let Some(eng) = set.leader() else {
-                    let e = DaosError::Transport("no healthy replica".into());
-                    self.results[slot] = Some(ClientOpResult::Fetch(Err(e)));
-                    self.retire_log.push(slot);
-                    return;
-                };
+                let eng = set.leader().ok_or_else(no_replica)?;
                 let (t_cpu, completion) = client.client_cpu_split(now, self.job);
-                match client.stage_fetch_from(fabric, t_cpu, self.job, eng) {
-                    Ok(req_at) => self.inflight.push(Inflight {
-                        slot,
-                        submitted: now,
-                        completion,
-                        body: Body::Fetch {
-                            oid,
-                            dkey,
-                            akey,
-                            kind,
-                            epoch,
-                            len,
-                            eng,
-                            req_at,
-                            stamp,
-                            clean: !degraded,
-                        },
-                    }),
-                    Err(e) => {
-                        self.results[slot] = Some(ClientOpResult::Fetch(Err(e)));
-                        self.retire_log.push(slot);
-                    }
-                }
+                let req_at = client.stage_fetch_from(fabric, t_cpu, self.job, eng)?;
+                let body = Body::Fetch {
+                    oid,
+                    dkey,
+                    akey,
+                    kind,
+                    epoch,
+                    len,
+                    eng,
+                    req_at,
+                    stamp,
+                    clean: !degraded,
+                };
+                (completion, body)
             }
-        }
-    }
-
-    /// Records a submission-time cluster error in the op's own slot.
-    fn retire_error(&mut self, slot: usize, _now: SimTime, op: &ClientOp, e: DaosError) {
-        self.results[slot] = Some(match op {
-            ClientOp::Update { .. } => ClientOpResult::Update(Err(e)),
-            ClientOp::Fetch { .. } => ClientOpResult::Fetch(Err(e)),
-        });
-        self.retire_log.push(slot);
+        };
+        Ok(Inflight {
+            slot,
+            submitted: now,
+            completion,
+            body,
+        })
     }
 
     /// Executes every staged op's engine/finish legs (in submission order,

@@ -10,8 +10,8 @@
 //!    typed errors, never as silence.
 //! 3. **Replay is bit-identical** — the same schedule produces the same
 //!    instants, payloads, and ladder counters run-to-run, on both the
-//!    pipelined ring and the forced-serial drain (the CI gate runs this
-//!    suite single-threaded as its own step).
+//!    pipelined ring and the same tape issued as serial calls (the CI
+//!    gate runs this suite single-threaded as its own step).
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -25,6 +25,9 @@ use ros2_nvme::{DataMode, NvmeArray};
 use ros2_sim::{SimDuration, SimTime};
 use ros2_spdk::BdevLayer;
 use ros2_verbs::{MemoryDomain, NodeId};
+
+mod common;
+use common::serial_op;
 
 fn engine() -> DaosEngine {
     let bdevs = BdevLayer::new(NvmeArray::new(
@@ -142,9 +145,8 @@ type Timed = (usize, Option<Bytes>, Option<SimTime>, Option<String>);
 /// Runs `sched` once. Returns the per-op functional+timed outcomes, the
 /// ladder counters, and the total engine fences — everything the replay
 /// assertion compares — after checking the three invariants inline.
-fn run(sched: &Schedule, forced_serial: bool) -> (Vec<Timed>, RetryStats, u64) {
+fn run(sched: &Schedule, serial_calls: bool) -> (Vec<Timed>, RetryStats, u64) {
     let (mut f, mut cl, mut c) = world();
-    c.set_force_serial_pipeline(forced_serial);
     c.set_retry_policy(RetryPolicy {
         budget: sched.budget,
         ..RetryPolicy::default()
@@ -175,18 +177,26 @@ fn run(sched: &Schedule, forced_serial: bool) -> (Vec<Timed>, RetryStats, u64) {
 
     let t0 = t + SimDuration::from_millis(1);
     let mut ring = OpRing::new(0, sched.qd);
+    let mut serial_results = Vec::new();
     for i in 0..N_OPS {
         if i == sched.kill_at {
             cl.kill_engine(victim).unwrap();
             c.deliver_map(t0 + sched.ras_delay, cl.snapshot_map());
         }
-        ring.submit(&mut c, &mut f, &mut cl, t0, op_for(i));
+        if serial_calls {
+            serial_results.push(serial_op(&mut c, &mut f, &mut cl, t0, op_for(i)));
+        } else {
+            ring.submit(&mut c, &mut f, &mut cl, t0, op_for(i));
+        }
     }
     if sched.kill_at >= N_OPS {
         cl.kill_engine(victim).unwrap();
         c.deliver_map(t0 + sched.ras_delay, cl.snapshot_map());
     }
-    let results = ring.drain(&mut c, &mut f, &mut cl);
+    let results = match serial_calls {
+        true => serial_results,
+        false => ring.drain(&mut c, &mut f, &mut cl),
+    };
 
     // Invariant 2: bounded completion. The ladder's worst case per leg is
     // (budget + 1) deadlines plus a refresh and capped backoff per rung;
@@ -255,7 +265,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     // Invariant 3 (and 1 and 2 inside `run`): the pipelined ring and the
-    // forced-serial drain each replay their schedule bit-identically.
+    // serial-call tape each replay their schedule bit-identically.
     #[test]
     fn chaos_schedules_replay_bit_identically(sched in schedules()) {
         let a = run(&sched, false);
@@ -264,6 +274,6 @@ proptest! {
 
         let s1 = run(&sched, true);
         let s2 = run(&sched, true);
-        prop_assert_eq!(&s1, &s2, "forced-serial replay diverged");
+        prop_assert_eq!(&s1, &s2, "serial-call replay diverged");
     }
 }

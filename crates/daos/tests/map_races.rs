@@ -22,6 +22,9 @@ use ros2_sim::{SimDuration, SimTime};
 use ros2_spdk::BdevLayer;
 use ros2_verbs::{MemoryDomain, NodeId};
 
+mod common;
+use common::serial_op;
+
 fn engine(ssds: usize) -> DaosEngine {
     let bdevs = BdevLayer::new(NvmeArray::new(
         NvmeModel::enterprise_1600(),
@@ -130,7 +133,7 @@ fn preamble(
 /// replay-identity assertion.
 #[allow(clippy::type_complexity)]
 fn kill_under_qd32(
-    forced_serial: bool,
+    serial_calls: bool,
 ) -> (
     Vec<(Option<Bytes>, SimTime)>,
     u64,
@@ -138,7 +141,6 @@ fn kill_under_qd32(
     Option<SimTime>,
 ) {
     let (mut f, mut cl, mut c) = world(4, 2);
-    c.set_force_serial_pipeline(forced_serial);
     let oid = ObjectId::new(ObjClass::Sx, 5);
     let n = 32u64;
     let op_latency = preamble(&mut f, &mut cl, &mut c, oid, n);
@@ -150,8 +152,17 @@ fn kill_under_qd32(
 
     let t0 = SimTime::from_millis(10);
     let mut ring = OpRing::new(0, 32);
+    let mut serial_results = Vec::new();
+    // The same tape either way: the ring, or one serial call per op.
+    let mut issue = |c: &mut DaosClient, f: &mut Fabric, cl: &mut EngineCluster, i: u64| {
+        let op = fetch_op(oid, i % n);
+        match serial_calls {
+            true => serial_results.push(serial_op(c, f, cl, t0, op)),
+            false => ring.submit(c, f, cl, t0, op),
+        }
+    };
     for i in 0..16u64 {
-        ring.submit(&mut c, &mut f, &mut cl, t0, fetch_op(oid, i % n));
+        issue(&mut c, &mut f, &mut cl, i);
     }
     cl.kill_engine(victim).unwrap();
     // RAS delivery lands 20 op-latencies after the kill — the whole ring
@@ -159,9 +170,12 @@ fn kill_under_qd32(
     let ras_at = t0 + op_latency.saturating_mul(20);
     c.deliver_map(ras_at, cl.snapshot_map());
     for i in 16..32u64 {
-        ring.submit(&mut c, &mut f, &mut cl, t0, fetch_op(oid, i % n));
+        issue(&mut c, &mut f, &mut cl, i);
     }
-    let results = ring.drain(&mut c, &mut f, &mut cl);
+    let results = match serial_calls {
+        true => serial_results,
+        false => ring.drain(&mut c, &mut f, &mut cl),
+    };
 
     let mut out = Vec::new();
     for (i, r) in results.into_iter().enumerate() {
@@ -218,13 +232,13 @@ fn kill_under_qd32_fences_recovers_and_replays_identically() {
 
 #[test]
 fn forced_serial_replay_of_the_chaos_schedule_is_deterministic() {
-    // The same schedule through the forced-serial drain: still zero
-    // failures, still bit-identical run-to-run (the serial path routes by
-    // the live map, so it sees no fences — determinism is the claim).
+    // The same schedule as serial calls: still zero failures, still
+    // bit-identical run-to-run (the serial call routes by the live map,
+    // so it sees no fences — determinism is the claim).
     let a = kill_under_qd32(true);
     assert_eq!(a.0.len(), 32);
     let b = kill_under_qd32(true);
-    assert_eq!(a, b, "forced-serial chaos replay must be bit-identical");
+    assert_eq!(a, b, "serial-call chaos replay must be bit-identical");
 }
 
 #[test]

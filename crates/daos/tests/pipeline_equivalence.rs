@@ -1,7 +1,7 @@
 //! Ring-vs-serial client equivalence: driving randomized op streams
 //! through [`OpRing`] at QD > 1 must be *functionally* bit-identical to
-//! the forced-serial drain (`set_force_serial_pipeline`) — every payload,
-//! every Ok/Err, every epoch, every engine-side counter. Epochs are
+//! the same tape issued one serial call at a time — every payload, every
+//! Ok/Err, every epoch, every engine-side counter. Epochs are
 //! allocated at submission (not execution), so reordering completions can
 //! never change what a fetch observes; these tests are the teeth behind
 //! that argument. Timing is exactly what the two paths are *allowed* to
@@ -20,6 +20,9 @@ use ros2_nvme::{DataMode, NvmeArray};
 use ros2_sim::{SimDuration, SimRng, SimTime};
 use ros2_spdk::BdevLayer;
 use ros2_verbs::{MemoryDomain, NodeId};
+
+mod common;
+use common::serial_op;
 
 fn engine(ssds: usize) -> DaosEngine {
     let bdevs = BdevLayer::new(NvmeArray::new(
@@ -188,6 +191,18 @@ fn run_ring(
     ring.drain(client, fabric, cluster)
 }
 
+/// The reference: the same plan, one serial call per op.
+fn run_serial(
+    fabric: &mut Fabric,
+    cluster: &mut EngineCluster,
+    client: &mut DaosClient,
+    plan: &[(SimTime, ClientOp)],
+) -> Vec<ClientOpResult> {
+    plan.iter()
+        .map(|(now, op)| serial_op(client, fabric, cluster, *now, op.clone()))
+        .collect()
+}
+
 fn assert_worlds_agree(
     a: (&EngineCluster, &DaosClient),
     b: (&EngineCluster, &DaosClient),
@@ -231,15 +246,14 @@ fn ring_equals_forced_serial_single_engine() {
                     c2.share_cores(cores);
                 }
                 let ring_out = run_ring(&mut f1, &mut cl1, &mut c1, &plan, qd);
-                c2.set_force_serial_pipeline(true);
-                let serial_out = run_ring(&mut f2, &mut cl2, &mut c2, &plan, qd);
+                let serial_out = run_serial(&mut f2, &mut cl2, &mut c2, &plan);
 
                 assert_eq!(ring_out.len(), plan.len());
                 for (i, (r, s)) in ring_out.iter().zip(&serial_out).enumerate() {
                     assert_eq!(
                         functional(r),
                         functional(s),
-                        "pool {pooled:?} seed {seed} qd {qd} op {i}: ring != forced-serial"
+                        "pool {pooled:?} seed {seed} qd {qd} op {i}: ring != serial calls"
                     );
                 }
                 assert_worlds_agree(
@@ -261,14 +275,13 @@ fn ring_equals_forced_serial_rf2_fanout() {
         let ring_out = run_ring(&mut f1, &mut cl1, &mut c1, &plan, 6);
 
         let (mut f2, mut cl2, mut c2) = world(3, 2, 1);
-        c2.set_force_serial_pipeline(true);
-        let serial_out = run_ring(&mut f2, &mut cl2, &mut c2, &plan, 6);
+        let serial_out = run_serial(&mut f2, &mut cl2, &mut c2, &plan);
 
         for (i, (r, s)) in ring_out.iter().zip(&serial_out).enumerate() {
             assert_eq!(
                 functional(r),
                 functional(s),
-                "seed {seed} op {i}: RF=2 ring != forced-serial"
+                "seed {seed} op {i}: RF=2 ring != serial calls"
             );
         }
         assert_worlds_agree((&cl1, &c1), (&cl2, &c2), &format!("seed {seed} RF=2"));

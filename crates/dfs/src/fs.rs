@@ -155,14 +155,15 @@ pub struct Dfs {
     next_ino: u64,
     root: ObjectId,
     mounted: bool,
-    /// When set, data-path ops (file reads/writes) go through the client's
-    /// submission/completion ring ([`ObjectClient::execute_pipelined`])
-    /// instead of the serial `update`/`fetch` and barriered
-    /// `execute_batch` paths. Functionally identical — epochs are still
-    /// allocated in submission order — but the client books only the
-    /// submission share of its per-op CPU on the job core, so consecutive
-    /// calls overlap the completion share. Off by default: classic worlds
-    /// keep today's bit-exact cost accounting.
+    /// The one place an op's execution path is chosen, and it decides for
+    /// single-chunk data ops only: set, they go through the client's
+    /// submission/completion ring ([`ObjectClient::execute_pipelined`]);
+    /// clear, through the serial `update`/`fetch` call. Multi-chunk I/O
+    /// always submits its stripe set to the ring. Functionally identical —
+    /// epochs are allocated in submission order either way — but the ring
+    /// books only the submission share of the client's per-op CPU on the
+    /// job core, so consecutive calls overlap the completion share. Off by
+    /// default: classic worlds keep the synchronous cost accounting.
     data_pipeline: bool,
     /// Namespace (metadata) operations performed.
     pub meta_ops: u64,
@@ -267,14 +268,15 @@ impl Dfs {
         self.mounted
     }
 
-    /// Routes data-path I/O through the client's submission/completion
-    /// ring (see the `data_pipeline` field). Metadata ops stay serial —
+    /// Routes single-chunk data-path I/O through the client's
+    /// submission/completion ring (see the `data_pipeline` field;
+    /// multi-chunk I/O rides it regardless). Metadata ops stay serial —
     /// they are ordering-sensitive and a rounding error of the data path.
     pub fn set_data_pipeline(&mut self, on: bool) {
         self.data_pipeline = on;
     }
 
-    /// Whether data-path ops ride the pipelined ring.
+    /// Whether single-chunk data-path ops ride the pipelined ring.
     pub fn data_pipeline(&self) -> bool {
         self.data_pipeline
     }
@@ -469,7 +471,7 @@ impl Dfs {
             // size update below still runs, as it always has).
         } else if single_chunk && !self.data_pipeline {
             // The common case (FIO block sizes never exceed the chunk):
-            // one update, no batch bookkeeping.
+            // one serial update.
             let at = s.client.update(
                 s.fabric,
                 s.cluster,
@@ -485,9 +487,8 @@ impl Dfs {
             )?;
             t_done = t_done.max(at);
         } else {
-            // Striped write: one fan-out across the chunks' shards instead
-            // of a serial round-trip per chunk. Pipelined mode submits the
-            // whole stripe set to the op ring at depth = stripes — phases
+            // Striped write (or any write in a pipelined world): the whole
+            // stripe set goes to the op ring at depth = stripes — phases
             // overlap as resources free up, no barrier between stages.
             let mut ops = Vec::new();
             while pos < len {
@@ -504,13 +505,10 @@ impl Dfs {
                 });
                 pos += take;
             }
-            let results = if self.data_pipeline {
-                s.client
-                    .execute_pipelined(s.fabric, s.cluster, now, job, ops)
-            } else {
-                s.client.execute_batch(s.fabric, s.cluster, now, job, ops)
-            };
-            for r in results {
+            for r in s
+                .client
+                .execute_pipelined(s.fabric, s.cluster, now, job, ops)
+            {
                 t_done = t_done.max(r.into_update()?);
             }
         }
@@ -549,45 +547,28 @@ impl Dfs {
         if len == 0 {
             return Ok((Bytes::new(), now));
         }
-        // Zero-copy fast path: a read confined to one chunk is a single
-        // fetch whose payload can be handed back without reassembly (the
-        // common case — FIO block sizes never exceed the 1 MiB chunk).
-        if offset / self.chunk_size == (offset + len - 1) / self.chunk_size {
-            let chunk = offset / self.chunk_size;
-            let in_chunk = offset % self.chunk_size;
-            // Pipelined mode still takes the zero-copy single-fetch path —
-            // the ring returns the engine's payload without reassembly.
-            if self.data_pipeline {
-                let op = ClientOp::Fetch {
-                    oid: file.oid,
-                    dkey: DKey::from_u64(chunk),
-                    akey: data_akey(),
-                    kind: ValueKind::Array { offset: in_chunk },
-                    epoch: Epoch::LATEST,
-                    len,
-                };
-                let mut results =
-                    s.client
-                        .execute_pipelined(s.fabric, s.cluster, now, job, vec![op]);
-                let (piece, at) = results.remove(0).into_fetch()?;
-                return Ok((piece, at));
-            }
-            let (piece, at) = s.client.fetch(
+        // The common case — FIO block sizes never exceed the 1 MiB chunk —
+        // is a read confined to one chunk: a single fetch whose payload is
+        // handed back without reassembly, on either path.
+        let single_chunk = offset / self.chunk_size == (offset + len - 1) / self.chunk_size;
+        if single_chunk && !self.data_pipeline {
+            return Ok(s.client.fetch(
                 s.fabric,
                 s.cluster,
                 now,
                 job,
                 file.oid,
-                DKey::from_u64(chunk),
+                DKey::from_u64(offset / self.chunk_size),
                 data_akey(),
-                ValueKind::Array { offset: in_chunk },
+                ValueKind::Array {
+                    offset: offset % self.chunk_size,
+                },
                 Epoch::LATEST,
                 len,
-            )?;
-            return Ok((piece, at));
+            )?);
         }
-        // Striped read: one batched fan-out across the chunks' shards,
-        // stitched back in offset order.
+        // Striped read (or any read in a pipelined world): the stripe set
+        // goes to the op ring, stitched back in offset order.
         let mut ops = Vec::new();
         let mut pos = 0u64;
         while pos < len {
@@ -605,14 +586,14 @@ impl Dfs {
             });
             pos += take;
         }
+        let mut results = s
+            .client
+            .execute_pipelined(s.fabric, s.cluster, now, job, ops);
+        if single_chunk {
+            return Ok(results.remove(0).into_fetch()?);
+        }
         let mut out = bytes::BytesMut::with_capacity(len as usize);
         let mut t_done = now;
-        let results = if self.data_pipeline {
-            s.client
-                .execute_pipelined(s.fabric, s.cluster, now, job, ops)
-        } else {
-            s.client.execute_batch(s.fabric, s.cluster, now, job, ops)
-        };
         for r in results {
             let (piece, at) = r.into_fetch()?;
             out.extend_from_slice(&piece);

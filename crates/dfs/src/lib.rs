@@ -307,6 +307,57 @@ mod tests {
     }
 
     #[test]
+    fn striped_io_is_the_same_with_and_without_the_data_pipeline() {
+        // `data_pipeline` picks the path for single-chunk ops only; a
+        // striped write + read rides the ring either way, interleaved here
+        // with single-chunk ops that do switch paths. Bytes, the epoch
+        // sequence and every record's commit epoch must not care.
+        let run = |pipelined: bool| {
+            let (mut f, mut e, mut c, mut dfs) = mounted(4);
+            dfs.set_data_pipeline(pipelined);
+            let root = dfs.root();
+            let (mut file, t) = dfs
+                .create(sess!(f, e, c), SimTime::ZERO, &root, "s", 0o644)
+                .unwrap();
+            let data: Vec<u8> = (0..3_500_000u32).map(|i| (i % 241) as u8 + 1).collect();
+            let off = (1 << 20) - 4321;
+            let t = dfs
+                .write(
+                    sess!(f, e, c),
+                    t,
+                    0,
+                    &mut file,
+                    off,
+                    Bytes::from(data.clone()),
+                )
+                .unwrap();
+            let t = dfs
+                .write(
+                    sess!(f, e, c),
+                    t,
+                    1,
+                    &mut file,
+                    64,
+                    Bytes::from_static(b"one chunk"),
+                )
+                .unwrap();
+            let (striped, t) = dfs
+                .read(sess!(f, e, c), t, 0, &file, off, data.len() as u64)
+                .unwrap();
+            assert_eq!(&striped[..], &data[..]);
+            let (single, _) = dfs.read(sess!(f, e, c), t, 1, &file, 64, 9).unwrap();
+            let epochs = e.engine(0).container_meta("posix").unwrap().epoch_counter;
+            (
+                striped,
+                single,
+                epochs,
+                e.engine(0).object_fingerprint(file.oid),
+            )
+        };
+        assert_eq!(run(false), run(true));
+    }
+
+    #[test]
     fn wrong_kind_operations_rejected() {
         let (mut f, mut e, mut c, mut dfs) = mounted(1);
         let root = dfs.root();

@@ -78,7 +78,7 @@ impl DpuTenantSpec {
 pub struct DpuStats {
     /// Data-plane I/Os that ran fully on the DPU.
     pub ops_offloaded: u64,
-    /// Host→DPU doorbell submits (batches count once).
+    /// Host→DPU doorbell submits (a queue counts once).
     pub host_submits: u64,
     /// Host completion-queue polls.
     pub host_polls: u64,
@@ -498,15 +498,6 @@ impl DpuClient {
         total
     }
 
-    /// Forces every lane's pipelined path through the serial drain (see
-    /// [`DaosClient::set_force_serial_pipeline`]) — the equivalence oracle
-    /// for the offloaded arm.
-    pub fn set_force_serial_pipeline(&mut self, on: bool) {
-        for lane in &mut self.lanes {
-            lane.daos.set_force_serial_pipeline(on);
-        }
-    }
-
     /// Resets lane core timing, QoS buckets, and offload counters to t=0
     /// (between preconditioning and a measured run).
     pub fn reset_timing(&mut self) {
@@ -597,8 +588,8 @@ impl DpuClient {
     /// Re-registers `(lane, local)`'s staging MR when its rkey would be
     /// within [`RKEY_REFRESH_MARGIN`] plus `horizon` of expiry at `start`
     /// — in-flight pulls never outlive their rkey, and leaked rkeys still
-    /// die. `horizon` is zero for serial ops; batches pass a conservative
-    /// upper bound on their own span, since the whole fan-out runs on the
+    /// die. `horizon` is zero for serial ops; queues pass a conservative
+    /// upper bound on their own span, since the whole queue runs on the
     /// registration checked here.
     fn ensure_rkey(
         &mut self,
@@ -639,9 +630,8 @@ impl DpuClient {
     /// op's own span). Returns the lane/local indices and the instant the
     /// data-plane phases may start. The op is counted as offloaded here —
     /// once the preamble clears, the DPU runs it, successful or not (the
-    /// same attempt semantics as the batch path and the inner client's
+    /// same attempt semantics as the queue path and the inner client's
     /// `ops()` counter).
-    #[allow(clippy::too_many_arguments)]
     fn offload_start(
         &mut self,
         fabric: &mut Fabric,
@@ -662,23 +652,23 @@ impl DpuClient {
         Ok((lane, local, start))
     }
 
-    /// The queue preamble shared by the batch and pipelined paths: one
-    /// doorbell ring announces the whole queue (the host-side cost does not
-    /// grow with depth), then every op is admitted individually — tenant
+    /// The queue preamble of the pipelined path: one doorbell ring
+    /// announces the whole queue (the host-side cost does not grow with
+    /// depth), then every op is admitted individually — tenant
     /// buckets see each byte — and pays its inline service and update CRC,
     /// which yields its data-plane start instant in the lane's `starts`.
     /// The whole queue runs against the registration checked here, at the
     /// latest start (most conservative) with the full-queue span; scopes
     /// must exceed that bound for a queue to be safe at all, and every
     /// shipped world's scope (≥ 100 ms vs queues of a few tens of MiB)
-    /// does. Returns the submit instant and the latest start.
+    /// does. Returns the submit instant.
     fn queue_start(
         &mut self,
         fabric: &mut Fabric,
         now: SimTime,
         (lane, local): (usize, usize),
         ops: &[ClientOp],
-    ) -> Result<(SimTime, SimTime), DaosError> {
+    ) -> Result<SimTime, DaosError> {
         let op_bytes = |op: &ClientOp| match op {
             ClientOp::Update { data, .. } => (data.len() as u64, true),
             ClientOp::Fetch { len, .. } => (*len, false),
@@ -700,14 +690,13 @@ impl DpuClient {
         let span = Self::span_bound(ops.len() as u64, total_bytes);
         self.ensure_rkey(fabric, lane, local, latest, span)?;
         self.stats.ops_offloaded += ops.len() as u64;
-        Ok((submitted, latest))
+        Ok(submitted)
     }
 
     /// The data-plane half of a queue: cache probes, then the misses
-    /// through the lane's [`OpRing`] (each from its own start instant) or,
-    /// with `unit_start`, as one engine fan-out from that instant; then
-    /// cache completions and the host polls. Hits are never issued at all
-    /// — no staging legs, no fabric bookings.
+    /// through the lane's [`OpRing`] (each from its own start instant),
+    /// then cache completions and the host polls. Hits are never issued at
+    /// all — no staging legs, no fabric bookings.
     fn run_queue(
         &mut self,
         fabric: &mut Fabric,
@@ -715,42 +704,27 @@ impl DpuClient {
         submitted: SimTime,
         (lane, local): (usize, usize),
         ops: Vec<ClientOp>,
-        unit_start: Option<SimTime>,
     ) -> Vec<ClientOpResult> {
         let l = &mut self.lanes[lane];
         // Empty (and unallocated) without a cache.
         let mut probes = l.probe_queue(submitted, cluster, &ops);
         let misses = ops.len() - probes.iter().filter(|p| p.is_hit()).count();
-        let issued = (ops.into_iter().enumerate())
-            .filter(|(i, _)| !probes.get(*i).is_some_and(Probe::is_hit));
         // Results come back in op order with the hits left out.
-        let (results, ring) = match unit_start {
-            Some(start) => {
-                let issued = issued.map(|(_, op)| op).collect();
-                let results = l.daos.execute_batch(fabric, cluster, start, local, issued);
-                (results, None)
+        let mut ring = OpRing::new(local, misses);
+        for (i, op) in ops.into_iter().enumerate() {
+            if !probes.get(i).is_some_and(Probe::is_hit) {
+                ring.submit(&mut l.daos, fabric, cluster, l.starts[i], op);
             }
-            None => {
-                let mut ring = OpRing::new(local, misses);
-                for (i, op) in issued {
-                    ring.submit(&mut l.daos, fabric, cluster, l.starts[i], op);
-                }
-                (ring.drain(&mut l.daos, fabric, cluster), Some(ring))
-            }
-        };
+        }
+        let results = ring.drain(&mut l.daos, fabric, cluster);
         let issued = probes.iter_mut().filter(|p| !p.is_hit());
         for (slot, (probe, r)) in issued.zip(&results).enumerate() {
             let fetched = match r {
                 ClientOpResult::Fetch(Ok((data, _))) => Some(data),
                 _ => None,
             };
-            // The ring reports each slot's leader-path provenance; a
-            // fan-out never retries and routes by the live map, which is
-            // the map the probe's authority answered under.
-            let clean = match &ring {
-                Some(ring) => ring.fill_ok()[slot],
-                None => fetched.is_some() || matches!(r, ClientOpResult::Update(Ok(_))),
-            };
+            // The ring reports each slot's leader-path provenance.
+            let clean = ring.fill_ok()[slot];
             l.complete(submitted, cluster, std::mem::take(probe), clean, fetched);
         }
         let mut out: Vec<ClientOpResult> = results
@@ -771,8 +745,7 @@ impl DpuClient {
         // Ascending inserts put each hit back at its op index.
         for (i, probe) in probes.into_iter().enumerate() {
             if let Probe::Hit(data) = probe {
-                let start = unit_start.unwrap_or(self.lanes[lane].starts[i]);
-                let ready = start + ReadCache::service_cost(data.len() as u64);
+                let ready = self.lanes[lane].starts[i] + ReadCache::service_cost(data.len() as u64);
                 let r = self.host_poll(ready, lane, 1).map(|at| (data, at));
                 out.insert(i, ClientOpResult::Fetch(r));
             }
@@ -866,28 +839,6 @@ impl ObjectClient for DpuClient {
         Ok((data, at))
     }
 
-    fn execute_batch(
-        &mut self,
-        fabric: &mut Fabric,
-        cluster: &mut EngineCluster,
-        now: SimTime,
-        job: usize,
-        ops: Vec<ClientOp>,
-    ) -> Vec<ClientOpResult> {
-        let (lane, local) = self.job_map[job];
-        if ops.is_empty() {
-            return Vec::new();
-        }
-        // The fan-out is one engine round-trip, so it starts as a unit at
-        // the latest op's start.
-        match self.queue_start(fabric, now, (lane, local), &ops) {
-            Ok((submitted, latest)) => {
-                self.run_queue(fabric, cluster, submitted, (lane, local), ops, Some(latest))
-            }
-            Err(e) => whole_batch_error(&ops, e),
-        }
-    }
-
     fn execute_pipelined(
         &mut self,
         fabric: &mut Fabric,
@@ -905,9 +856,7 @@ impl ObjectClient for DpuClient {
         // bucket delays only itself while earlier grants are already in
         // flight on the lane's data plane.
         match self.queue_start(fabric, now, (lane, local), &ops) {
-            Ok((submitted, _)) => {
-                self.run_queue(fabric, cluster, submitted, (lane, local), ops, None)
-            }
+            Ok(submitted) => self.run_queue(fabric, cluster, submitted, (lane, local), ops),
             Err(e) => whole_batch_error(&ops, e),
         }
     }
@@ -1134,31 +1083,6 @@ mod tests {
         }
         assert_eq!(c.tenants().tenant("a").unwrap().qos.admitted.0, 2);
         assert_eq!(c.tenants().tenant("b").unwrap().qos.admitted.0, 2);
-    }
-
-    #[test]
-    fn batch_rings_the_doorbell_once() {
-        let (mut fabric, mut cluster) = world(Transport::Rdma);
-        let mut c = connect(&mut fabric, vec![DpuTenantSpec::unlimited("t")], 1).unwrap();
-        let oid = ObjectId::new(ObjClass::Sx, 4);
-        let ops: Vec<ClientOp> = (0..8u64)
-            .map(|i| ClientOp::Update {
-                oid,
-                dkey: DKey::from_u64(i),
-                akey: AKey::from_str("data"),
-                kind: ValueKind::Array { offset: 0 },
-                data: Bytes::from(vec![4u8; 128 << 10]),
-            })
-            .collect();
-        let results = c.execute_batch(&mut fabric, &mut cluster, SimTime::ZERO, 0, ops);
-        assert_eq!(results.len(), 8);
-        for r in results {
-            r.into_update().unwrap();
-        }
-        let s = c.dpu_stats();
-        assert_eq!(s.host_submits, 1, "one doorbell for the whole batch");
-        assert_eq!(s.host_polls, 8, "every completion is reaped");
-        assert_eq!(s.bytes_admitted, 8 * (128 << 10));
     }
 
     #[test]

@@ -283,12 +283,7 @@ impl IncastFioWorld {
     /// Installs a chaos schedule (kills armed against the **total**
     /// client-op counter; black holes and stalls apply immediately).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        for &slot in &plan.blackholes {
-            self.cluster.set_blackhole(slot, true);
-        }
-        for stall in &plan.stalls {
-            self.cluster.set_stall(stall.slot, stall.extra);
-        }
+        plan.arm(&mut self.cluster);
         self.faults = plan;
         self.next_kill = 0;
     }

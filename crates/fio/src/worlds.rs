@@ -226,16 +226,6 @@ impl FioClient {
         }
     }
 
-    /// Forces the pipelined data path to drain each op serially (see
-    /// [`DaosClient::set_force_serial_pipeline`]) — the A/B replay oracle
-    /// for the chaos and recovery figures.
-    pub fn set_force_serial_pipeline(&mut self, on: bool) {
-        match self {
-            FioClient::Classic(c) => c.set_force_serial_pipeline(on),
-            FioClient::Offloaded(c) => c.set_force_serial_pipeline(on),
-        }
-    }
-
     /// The offloaded client, when this world runs one.
     pub fn offloaded(&self) -> Option<&DpuClient> {
         match self {
@@ -377,10 +367,11 @@ impl DfsFioWorld {
         self.client.reset_timing();
     }
 
-    /// Routes data I/O through the client's submission/completion ring —
-    /// the `iodepth > 1` configuration the `fig_qd` sweep measures. Off
-    /// (the default) keeps the serial client path bit-identical to the
-    /// legacy sweeps.
+    /// Routes single-chunk data I/O through the client's
+    /// submission/completion ring — the `iodepth > 1` configuration the
+    /// `fig_qd` sweep measures. Off (the default) keeps it on the serial
+    /// client call, bit-identical to the legacy sweeps. Multi-chunk I/O
+    /// rides the ring either way.
     pub fn set_pipelined(&mut self, on: bool) {
         self.dfs.set_data_pipeline(on);
     }
@@ -427,12 +418,7 @@ impl ClusterFioWorld {
     /// between ops of the measured run, and every RAS delivery the kills
     /// trigger reaches the client `ras_delay` late.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        for &slot in &plan.blackholes {
-            self.world.cluster.set_blackhole(slot, true);
-        }
-        for stall in &plan.stalls {
-            self.world.cluster.set_stall(stall.slot, stall.extra);
-        }
+        plan.arm(&mut self.world.cluster);
         self.faults = plan;
         self.next_kill = 0;
         self.next_bitrot = 0;
@@ -478,16 +464,10 @@ impl ClusterFioWorld {
                 break;
             }
             self.next_bitrot += 1;
-            let engine = self.world.cluster.engine_mut(rot.slot);
-            let oids = engine.list_objects();
-            // Walk forward from the drawn index to the next object with
-            // array payload — metadata objects have nothing to rot.
-            for k in 0..oids.len() {
-                let oid = oids[(rot.object_index + k) % oids.len()];
-                if engine.corrupt_object(oid) {
-                    break;
-                }
-            }
+            self.world
+                .cluster
+                .engine_mut(rot.slot)
+                .corrupt_object_from(rot.object_index);
         }
         Ok(())
     }

@@ -93,12 +93,6 @@ impl NvmeArray {
         &mut self.devices[dev]
     }
 
-    /// Mutable access to every device at once — the engine's per-target
-    /// sharding borrows each device disjointly for parallel execution.
-    pub fn devices_mut(&mut self) -> &mut [NvmeDevice] {
-        &mut self.devices
-    }
-
     /// Sums stats across the array.
     pub fn total_stats(&self) -> NvmeStats {
         let mut t = NvmeStats::default();

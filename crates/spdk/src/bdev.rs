@@ -122,34 +122,10 @@ impl BdevLayer {
             submit_cost: self.submit_cost,
         }
     }
-
-    /// Splits the layer into one [`ShardBdev`] per bdev, each borrowing
-    /// its device disjointly — what lets engine shards execute in parallel
-    /// without sharing any mutable state.
-    ///
-    /// The positional split requires the registry's bdev→device mapping to
-    /// be the identity (true for every constructor today); asserted here so
-    /// a future reordering registry cannot silently hand shard `i` some
-    /// other bdev's device while [`Self::shard`] resolves the mapping.
-    pub fn shards(&mut self) -> Vec<ShardBdev<'_>> {
-        for (i, b) in self.bdevs.iter().enumerate() {
-            assert_eq!(
-                b.dev, i,
-                "bdev registry must be identity-ordered for the positional shard split"
-            );
-        }
-        let submit_cost = self.submit_cost;
-        self.array
-            .devices_mut()
-            .iter_mut()
-            .map(|dev| ShardBdev { dev, submit_cost })
-            .collect()
-    }
 }
 
 /// One device's slice of the bdev layer: the submission interface a single
-/// VOS target owns. Holding a `ShardBdev` borrows exactly one device, so
-/// shards over distinct devices can run concurrently.
+/// VOS target owns. Holding a `ShardBdev` borrows exactly one device.
 #[derive(Debug)]
 pub struct ShardBdev<'a> {
     dev: &'a mut NvmeDevice,

@@ -162,9 +162,9 @@ fn namespace_errors_are_typed() {
 /// The cluster failure cycle end to end, at the POSIX layer: kill one
 /// engine mid-workload → every read still succeeds (served degraded from
 /// surviving replicas, zero failed ops), online rebuild restores RF, and
-/// the post-rebuild CRC verify passes on every object. Runs with batch
-/// execution forced serial (like the CI shard-equivalence step) so the
-/// scenario is bit-deterministic on any host.
+/// the post-rebuild CRC verify passes on every object. The 2 MiB files
+/// are multi-chunk, so every write and read rides the op ring through
+/// the kill.
 #[test]
 fn engine_kill_mid_workload_degrades_then_rebuilds() {
     use ros2::core::ClusterConfig;
@@ -176,7 +176,6 @@ fn engine_kill_mid_workload_degrades_then_rebuilds() {
         ..Ros2Config::default()
     })
     .unwrap();
-    sys.cluster.set_force_serial_batch(true);
 
     let content = |i: usize| Bytes::from(vec![(i * 37 % 251) as u8 + 1; 2 << 20]);
     let mut files = Vec::new();
@@ -274,7 +273,6 @@ fn scheduled_bitrot_is_scrubbed_and_repaired() {
         ..Ros2Config::default()
     })
     .unwrap();
-    sys.cluster.set_force_serial_batch(true);
 
     let content = |i: usize| Bytes::from(vec![(i * 53 % 241) as u8 + 1; 2 << 20]);
     let mut files = Vec::new();
