@@ -6,7 +6,7 @@
 //!
 //! PR 4 adds a **host-vs-DPU A/B sweep** over *simulated* throughput: each
 //! cell runs the classic host-placement world against the offloaded world
-//! (`DpuClient`: host submit/poll doorbell, tenant QoS admission, scoped
+//! (`DpuClient`: the host's posted doorbell legs, tenant QoS admission, scoped
 //! rkeys, DPU-side CRC) on the same plan, plus one contended multi-tenant
 //! cell where a 64 MiB/s tenant shares the DPU with an unthrottled one.
 //! These are virtual-time results — deterministic, so the recorded ratios

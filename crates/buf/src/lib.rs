@@ -22,4 +22,6 @@ pub use alloc_count::{allocated_bytes, allocation_count, CountingAlloc};
 pub use crc::{
     crc32c, crc32c_append, crc32c_append_sw, crc32c_combine, crc32c_zeros, hw_acceleration,
 };
-pub use store::{is_shared_zeros, zero_bytes, DataPlaneStats, ExtentStore, CRC_CHUNK};
+pub use store::{
+    bytes_crc32c, is_shared_zeros, zero_bytes, DataPlaneStats, ExtentStore, CRC_CHUNK,
+};

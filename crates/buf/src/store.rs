@@ -54,6 +54,16 @@ pub fn is_shared_zeros(b: &Bytes) -> bool {
     p >= lo && p + b.len() <= hi
 }
 
+/// The CRC32C of a payload handle: closed-form for slices of the shared
+/// zero pool (see [`is_shared_zeros`]), one scan otherwise.
+pub fn bytes_crc32c(b: &Bytes) -> u32 {
+    if is_shared_zeros(b) {
+        crc32c_zeros(b.len() as u64)
+    } else {
+        crc32c(b)
+    }
+}
+
 /// Data-plane counters, threaded alongside the booking-core
 /// `ResourceStats`: how many payload bytes moved by handle vs by memcpy,
 /// and how much CRC work was real scanning vs cache-and-combine.
@@ -246,9 +256,10 @@ impl ExtentStore {
             }
         }
         // Extents starting inside the range are removed; one may spill past
-        // the end and keeps its tail.
-        let starts: Vec<u64> = self.extents.range(at..end).map(|(&s, _)| s).collect();
-        for s in starts {
+        // the end and keeps its tail. They are looked up one at a time, so
+        // an overwrite in place (a staging buffer's steady state)
+        // allocates nothing.
+        while let Some(s) = self.extents.range(at..end).next().map(|(&s, _)| s) {
             let old = self.extents.remove(&s).expect("present");
             if old.end(s) > end {
                 let tail = old.data.slice((end - s) as usize..);

@@ -39,19 +39,28 @@ impl ControlModel {
         }
     }
 
-    /// The host↔DPU I/O-forwarding doorbell: the submit/poll pair the host
-    /// pays per offloaded data-plane op. Unlike the management gRPC channel
-    /// it crosses only the PCIe link between the host CPU and the
-    /// BlueField-3 (shared queue pair + doorbell write, completion polled
-    /// from host-visible memory), so the round trip is ~2 µs, not ~150 µs —
-    /// and a 200 µs deadline bounds how long a host poll can spin on a
-    /// wedged lane.
+    /// The host↔DPU I/O-forwarding doorbell: the two legs the host pays per
+    /// offloaded data-plane op. Unlike the management gRPC channel it
+    /// crosses only the PCIe link between the host CPU and the BlueField-3,
+    /// and neither leg waits for an answer: the submit is a posted write of
+    /// the descriptor plus a doorbell ([`ControlChannel::post`]), the
+    /// completion a posted write of a record into host-visible memory that
+    /// the host polls locally ([`ControlChannel::post_reply`]). Each leg
+    /// therefore costs [`Self::one_way`] — half the ~2 µs round trip, not
+    /// ~150 µs — and a 200 µs deadline bounds how long a host poll can spin
+    /// on a wedged lane.
     pub fn host_doorbell() -> Self {
         ControlModel {
             rtt: SimDuration::from_micros(2),
             ps_per_byte: 120,
             deadline: SimDuration::from_micros(200),
         }
+    }
+
+    /// Latency of one direction of the link: half the round trip. What a
+    /// posted write costs, since nothing comes back.
+    pub fn one_way(&self) -> SimDuration {
+        self.rtt / 2
     }
 }
 
@@ -136,6 +145,49 @@ impl ControlChannel {
     pub fn call_done_at(&self, now: SimTime, req_len: usize, resp_len: usize) -> SimTime {
         let bytes = (req_len + resp_len) as u64;
         now + self.model.rtt + SimDuration::from_nanos(bytes * self.model.ps_per_byte / 1000)
+    }
+
+    /// The instant a posted frame of `len` bytes entering the link at `now`
+    /// has landed on the far side.
+    fn posted_at(&self, now: SimTime, len: usize) -> SimTime {
+        now + self.model.one_way()
+            + SimDuration::from_nanos(len as u64 * self.model.ps_per_byte / 1000)
+    }
+
+    /// Posts `req` on `session`: a write the caller does not wait on.
+    /// Returns the instant the frame is live at the endpoint. Nobody
+    /// answers a posted write, so a wedged endpoint is found out by whoever
+    /// then polls for its reply record: no record appears, and that poller
+    /// gives up [`ControlModel::deadline`] after `now` with
+    /// [`ControlError::Timeout`] — the instant returned beside the error.
+    pub fn post(
+        &mut self,
+        now: SimTime,
+        session: u64,
+        req: &ControlRequest,
+    ) -> (SimTime, Result<(), ControlError>) {
+        if self.stalled.contains(&session) {
+            self.calls_total += 1;
+            return (now + self.model.deadline, Err(ControlError::Timeout));
+        }
+        let landed = self.posted_at(now, req.encoded_len());
+        (landed, self.admit(Some(session), req).map(|_| ()))
+    }
+
+    /// The endpoint posts `resp`, ready at `ready`, into memory the
+    /// session's caller polls. Returns the instant the caller can see it;
+    /// an endpoint wedged by then never writes it, and the caller's poll
+    /// times out as in [`Self::post`].
+    pub fn post_reply(
+        &self,
+        ready: SimTime,
+        session: u64,
+        resp: &ControlResponse,
+    ) -> (SimTime, Result<(), ControlError>) {
+        if self.stalled.contains(&session) {
+            return (ready + self.model.deadline, Err(ControlError::Timeout));
+        }
+        (self.posted_at(ready, resp.encoded_len()), Ok(()))
     }
 
     /// Processes the session-layer part of a call. `session` is `None` for
@@ -333,17 +385,67 @@ mod tests {
         let token = res.unwrap().0;
         c.set_stalled(token, true);
         let t0 = SimTime::from_micros(10);
-        let (done, res) = c.call(t0, Some(token), ControlRequest::IoPoll, |_, _| {
+        let (done, res) = c.call(t0, Some(token), ControlRequest::MapQuery, |_, _| {
             panic!("a wedged endpoint must never service the call")
         });
         assert_eq!(res.unwrap_err(), ControlError::Timeout);
         assert_eq!(done, t0 + ControlModel::grpc_default().deadline);
         // Reviving the endpoint restores normal service.
         c.set_stalled(token, false);
-        let (_, res) = c.call(t0, Some(token), ControlRequest::IoPoll, |_, _| {
-            ControlResponse::IoDone { ops: 0, retries: 0 }
+        let (_, res) = c.call(t0, Some(token), ControlRequest::MapQuery, |_, _| {
+            ControlResponse::Ok
         });
         assert!(res.is_ok());
+    }
+
+    #[test]
+    fn posted_legs_cost_one_way_each_and_a_wedge_costs_the_deadline() {
+        let mut c = ControlChannel::new(ControlModel::host_doorbell(), SimRng::new(3));
+        c.add_tenant("llm", Bytes::from_static(b"digest"));
+        let (_, res) = c.call(SimTime::ZERO, None, hello(), |_, _| ControlResponse::Ok);
+        let token = res.unwrap().0;
+        let m = ControlModel::host_doorbell();
+        assert_eq!(m.one_way() + m.one_way(), m.rtt);
+        let submit = ControlRequest::IoSubmit {
+            ops: 1,
+            bytes: 4096,
+        };
+        let done = ControlResponse::IoDone { ops: 1, retries: 0 };
+        let t0 = SimTime::from_micros(10);
+        // 13- and 9-byte frames at 120 ps/B: 1 ns each beside the 1 us leg.
+        let (landed, res) = c.post(t0, token, &submit);
+        assert_eq!(
+            (landed, res),
+            (t0 + m.one_way() + SimDuration::from_nanos(1), Ok(()))
+        );
+        let (seen, res) = c.post_reply(landed, token, &done);
+        assert_eq!(
+            (seen, res),
+            (landed + m.one_way() + SimDuration::from_nanos(1), Ok(()))
+        );
+        assert_eq!(
+            c.session(token).unwrap().calls,
+            2,
+            "a post is a counted call"
+        );
+        // The pair crosses the link once each way: what *one* synchronous
+        // call costs, where a submit call plus a poll call cost two.
+        assert!(seen <= c.call_done_at(t0, 13, 9));
+        // A wedged endpoint: the poster's wait for a record is bounded.
+        c.set_stalled(token, true);
+        assert_eq!(
+            c.post(t0, token, &submit),
+            (t0 + m.deadline, Err(ControlError::Timeout))
+        );
+        assert_eq!(
+            c.post_reply(t0, token, &done),
+            (t0 + m.deadline, Err(ControlError::Timeout))
+        );
+        // An unknown session is refused like any call.
+        assert_eq!(
+            c.post(t0, 42, &submit).1,
+            Err(ControlError::NotAuthenticated)
+        );
     }
 
     #[test]

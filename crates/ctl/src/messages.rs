@@ -85,9 +85,6 @@ pub enum ControlRequest {
         /// Total payload bytes across the submission.
         bytes: u64,
     },
-    /// Host→DPU completion poll: reap finished I/Os from the completion
-    /// queue the DPU exposes to the host.
-    IoPoll,
     /// RAS-style health event on the control plane: engine `engine` left
     /// the pool (killed/unreachable) and the pool map moved to
     /// `map_version`. Clients react by routing around the dead engine;
@@ -167,10 +164,10 @@ pub enum ControlResponse {
         /// Human-readable reason.
         reason: String,
     },
-    /// Completion-queue state returned to an [`ControlRequest::IoSubmit`] /
-    /// [`ControlRequest::IoPoll`] caller.
+    /// A completion record: what the DPU posts into host-visible memory
+    /// for submitted I/Os (`ControlChannel::post_reply`).
     IoDone {
-        /// I/Os reaped by this call.
+        /// I/Os this record completes.
         ops: u32,
         /// Recovery-ladder re-stages the DPU performed on the host's
         /// behalf while completing those I/Os (surfaced so the host can
@@ -227,9 +224,8 @@ impl ControlRequest {
             ControlRequest::IoSubmit { ops, bytes } => {
                 w.u8(8).u32(*ops).u64(*bytes);
             }
-            ControlRequest::IoPoll => {
-                w.u8(9);
-            }
+            // Tag 9 was the synchronous completion poll; completion
+            // records are posted now, and the tag is not reused.
             ControlRequest::RasEvent {
                 engine,
                 map_version,
@@ -271,10 +267,7 @@ impl ControlRequest {
             | ControlRequest::QosRequest { .. }
             | ControlRequest::ScrubReport { .. } => 16,
             ControlRequest::IoSubmit { .. } | ControlRequest::RasEvent { .. } => 12,
-            ControlRequest::DfsMount
-            | ControlRequest::Goodbye
-            | ControlRequest::IoPoll
-            | ControlRequest::MapQuery => 0,
+            ControlRequest::DfsMount | ControlRequest::Goodbye | ControlRequest::MapQuery => 0,
             ControlRequest::AggregationReport { container, .. } => 4 + container.len() + 8,
             ControlRequest::MapPush { healths, .. } => 8 + 4 + healths.len() + 4,
         }
@@ -307,7 +300,6 @@ impl ControlRequest {
                 ops: r.u32()?,
                 bytes: r.u64()?,
             },
-            9 => ControlRequest::IoPoll,
             10 => ControlRequest::RasEvent {
                 engine: r.u32()?,
                 map_version: r.u64()?,
@@ -471,7 +463,6 @@ mod tests {
             ops: 32,
             bytes: 32 << 20,
         });
-        round_trip_req(ControlRequest::IoPoll);
         round_trip_req(ControlRequest::RasEvent {
             engine: 3,
             map_version: 17,

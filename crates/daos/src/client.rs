@@ -35,13 +35,13 @@
 use bytes::Bytes;
 use ros2_buf::zero_bytes;
 use ros2_fabric::{ConnId, Dir, Fabric, FabricError};
-use ros2_hw::{CoreClass, Transport};
+use ros2_hw::{CoreClass, NicModel, Transport};
 use ros2_sim::{ResourceStats, ServerPool, SimDuration, SimTime};
 use ros2_verbs::{AccessFlags, Expiry, MemAddr, MemoryDomain, MrId, NodeId, PdId, RKey};
 
 use crate::cluster::{EngineCluster, MapSnapshot};
 use crate::engine::ValueKind;
-use crate::pipeline::{RetryPolicy, RetryStats};
+use crate::pipeline::{OpRing, RetryPolicy, RetryStats, RingStore};
 use crate::types::{AKey, DKey, DaosCostModel, DaosError, Epoch, ObjectId, RecordVersion};
 
 /// RPC descriptor size on the wire (OBJ_UPDATE/OBJ_FETCH header).
@@ -97,6 +97,19 @@ impl ClientCores {
     }
 }
 
+/// Who forwards a ring op's completion to whoever waits on it.
+#[derive(Copy, Clone)]
+enum CompletionPath {
+    /// A client core reaps the completion queue: the completion fraction
+    /// of `client_per_op` (plus, on DPU ARM cores, the synchronous-poll
+    /// surcharge).
+    Core,
+    /// A NIC work-request chain parked on the engine's completion SEND
+    /// forwards it — one chain hop of this latency. See
+    /// [`DaosClient::chain_completions`].
+    NicChain { hop: SimDuration },
+}
+
 /// Provenance of one completed fetch, surfaced by
 /// [`DaosClient::fetch_with_meta`]: which engine served the read, whether
 /// the route was degraded (a replica is down and unrebuilt), the map
@@ -124,6 +137,9 @@ pub struct DaosClient {
     pd: PdId,
     jobs: Vec<ClientJob>,
     cores: ClientCores,
+    completion: CompletionPath,
+    /// Ring scaffolding kept per job between queues (grown on first use).
+    rings: Vec<RingStore>,
     model: DaosCostModel,
     class: CoreClass,
     transport: Transport,
@@ -320,6 +336,8 @@ impl DaosClient {
             pd,
             jobs: out_jobs,
             cores: ClientCores::PerJob(vec![ServerPool::new(1); jobs]),
+            completion: CompletionPath::Core,
+            rings: Vec::new(),
             model,
             class,
             transport,
@@ -490,6 +508,58 @@ impl DaosClient {
     /// at submit and each job's channel still orders its descriptors.
     pub fn share_cores(&mut self, cores: usize) {
         self.cores = ClientCores::Shared(ServerPool::new(cores.max(1)));
+    }
+
+    /// Has `nic` forward the ring's completions instead of a client core:
+    /// an op whose every leg went right first time retires one
+    /// [`NicModel::chain_hop`] after the engine's completion SEND, with no
+    /// core booked; any op the recovery ladder touched still completes on
+    /// a core. The DPU-offloaded client calls this once per RDMA tenant
+    /// lane, before any op, beside [`Self::share_cores`] — it owns the
+    /// chains the ring then reports firing
+    /// ([`crate::pipeline::SlotTrail::forwarded`]), arms one per slot
+    /// ([`OpRing::submit_on_core`] when it cannot), and prices what they do
+    /// with the payload. Meaningless without queue pairs to park a chain
+    /// on: TCP lanes and in-process clients never call it.
+    pub fn chain_completions(&mut self, nic: NicModel) {
+        self.completion = CompletionPath::NicChain {
+            hop: nic.chain_hop(),
+        };
+    }
+
+    /// One hop of a forwarding chain, if the NIC forwards completions at
+    /// all.
+    pub(crate) fn chain_hop(&self) -> Option<SimDuration> {
+        match self.completion {
+            CompletionPath::Core => None,
+            CompletionPath::NicChain { hop } => Some(hop),
+        }
+    }
+
+    /// `job`'s ring scaffolding, left empty-handed until it comes back.
+    pub(crate) fn take_ring_store(&mut self, job: usize) -> RingStore {
+        self.rings
+            .get_mut(job)
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+
+    /// Hands `job`'s ring scaffolding back for its next queue.
+    pub(crate) fn put_ring_store(&mut self, job: usize, store: RingStore) {
+        if self.rings.len() <= job {
+            self.rings.resize_with(job + 1, RingStore::default);
+        }
+        self.rings[job] = store;
+    }
+
+    /// The connections `job` holds, one per cluster engine slot.
+    pub fn job_conns(&self, job: usize) -> &[ConnId] {
+        &self.jobs[job].conns
+    }
+
+    /// `job`'s staging buffer and, on RDMA, the region registered over it.
+    pub fn staging(&self, job: usize) -> (MemAddr, Option<MrId>) {
+        (self.jobs[job].buf, self.jobs[job].mr)
     }
 
     /// Cores executing the client's CPU work (one per job unless
@@ -890,7 +960,6 @@ impl DaosClient {
     /// order — results still come back in submission order for callers
     /// that stitch stripes.
     ///
-    /// [`OpRing`]: crate::pipeline::OpRing
     pub fn execute_pipelined(
         &mut self,
         fabric: &mut Fabric,
@@ -899,11 +968,13 @@ impl DaosClient {
         job: usize,
         ops: Vec<ClientOp>,
     ) -> Vec<ClientOpResult> {
-        let mut ring = crate::pipeline::OpRing::new(job, ops.len().max(1));
+        let mut ring = OpRing::reuse(self, job, ops.len());
         for op in ops {
             ring.submit(self, fabric, cluster, now, op);
         }
-        ring.drain(self, fabric, cluster)
+        let results = ring.drain(self, fabric, cluster);
+        ring.recycle(self);
+        results
     }
 }
 

@@ -32,7 +32,7 @@ pub use cluster::{
 };
 pub use conn_pool::{ConnPool, ConnPoolStats};
 pub use engine::{ContainerMeta, DaosEngine, ValueKind};
-pub use pipeline::{OpRing, RetryPolicy, RetryStats};
+pub use pipeline::{Forwarded, OpRing, RetryPolicy, RetryStats, SlotTrail};
 pub use types::{
     placement_hash, AKey, DKey, DaosCostModel, DaosError, Epoch, KeyBytes, ObjClass, ObjectId,
     RecordVersion, INLINE_KEY,

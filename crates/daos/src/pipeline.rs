@@ -11,10 +11,19 @@
 //!   *leg* per replica. All of this happens at [`OpRing::submit`] time, so
 //!   up to `depth` ops can be in flight before any completion is reaped.
 //! * **completion** — engine execution of each staged leg, the response
-//!   push/SEND, and the client-CPU completion fraction (EQ poll / CQ reap)
-//!   charged as retire latency. Completions are reaped out of order and
-//!   retire in completion order; results are still reported in submission
-//!   order so strided callers can stitch.
+//!   push/SEND, and then whoever forwards the completion, charged as retire
+//!   latency: a client core (the completion fraction of `client_per_op` —
+//!   EQ poll / CQ reap), or, on a client whose NIC forwards completions
+//!   ([`DaosClient::chain_completions`]), a work-request chain parked on
+//!   the SEND — one chain hop, no core at all. The chain forwards only
+//!   what went right first time: an op with any leg that was fenced, timed
+//!   out, re-staged, dropped or failed is an exception, and exceptions
+//!   complete on the core. What the forwarder then does with the payload
+//!   (verify it, at whatever rate its hardware does) is its owner's to
+//!   price, not the ring's: [`SlotTrail`] says who forwarded each slot.
+//!   Completions are reaped out of order and retire in completion order;
+//!   results are still reported in submission order so strided callers can
+//!   stitch.
 //!
 //! **Resource gating.** The ring never holds more than `depth` ops: a
 //! submit into a full ring first retires the earliest-completing in-flight
@@ -62,6 +71,7 @@
 //!    a typed error ([`RetryStats::exhausted`]); nothing ever hangs.
 
 use bytes::Bytes;
+use ros2_buf::bytes_crc32c;
 use ros2_fabric::Fabric;
 use ros2_sim::{SimDuration, SimTime};
 
@@ -201,8 +211,12 @@ struct Inflight {
     slot: usize,
     /// Instant the op was submitted (orders error retires).
     submitted: SimTime,
-    /// Client-CPU completion fraction charged as latency at retire.
+    /// Client-CPU completion fraction charged as latency at retire when a
+    /// core forwards the completion.
     completion: SimDuration,
+    /// The hop charged instead when a NIC chain forwards it; `None` if no
+    /// chain stands armed for this slot.
+    chain_hop: Option<SimDuration>,
     body: Body,
 }
 
@@ -214,13 +228,39 @@ struct Executed {
     result: ClientOpResult,
 }
 
-/// A submission/completion ring over one client job. See the module docs
-/// for the phase/state model; drive it with [`OpRing::submit`] +
-/// [`OpRing::drain`], or through the one-call wrapper
-/// [`DaosClient::execute_pipelined`].
-pub struct OpRing {
-    job: usize,
-    depth: usize,
+/// How one slot of a drained ring completed.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct SlotTrail {
+    /// Leader-path provenance: `true` iff the slot completed successfully
+    /// on its **first** attempt over a **non-degraded** route — for an
+    /// update, every replica leg acked first time and none was dropped.
+    /// Anything touched by the retry ladder, a failover replica, or a
+    /// degraded route is correct but is not something a read cache may
+    /// fill or write-update from (the leader may have moved).
+    pub fill_ok: bool,
+    /// What the ring charged between the engine's last completion SEND
+    /// landing and the result instant, for forwarding the completion: the
+    /// chain's hop, or the core's completion work. Zero for a failed slot.
+    pub completion: SimDuration,
+    /// Set iff the NIC chain forwarded this completion rather than a core.
+    pub forwarded: Option<Forwarded>,
+}
+
+/// What fired a forwarding chain.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Forwarded {
+    /// Engine slot whose completion SEND arrived last.
+    pub eng: usize,
+    /// CRC32C of the fetched payload as the engine sent it — what its
+    /// completion carries for the receiver to check against (zero for an
+    /// update, which lands nothing).
+    pub wire_crc: u32,
+}
+
+/// A ring's scaffolding. A client keeps one per job and clears it between
+/// queues instead of rebuilding it ([`OpRing::reuse`]).
+#[derive(Default)]
+pub(crate) struct RingStore {
     /// Staged, not yet executed, in submission order.
     inflight: Vec<Inflight>,
     /// Executed, not yet retired.
@@ -229,12 +269,20 @@ pub struct OpRing {
     results: Vec<Option<ClientOpResult>>,
     /// Slots in the order they retired (the completion-order contract).
     retire_log: Vec<usize>,
+    /// Per-slot completion provenance.
+    trail: Vec<SlotTrail>,
+}
+
+/// A submission/completion ring over one client job. See the module docs
+/// for the phase/state model; drive it with [`OpRing::submit`] +
+/// [`OpRing::drain`], or through the one-call wrapper
+/// [`DaosClient::execute_pipelined`].
+pub struct OpRing {
+    job: usize,
+    depth: usize,
+    store: RingStore,
     /// Fetch legs re-armed onto a surviving replica after a kill.
     leg_rearms: u64,
-    /// Per-slot leader-path provenance: true iff the slot completed on its
-    /// first attempt over a non-degraded route — the only completions a
-    /// read cache may learn from.
-    fill_ok: Vec<bool>,
 }
 
 impl OpRing {
@@ -243,13 +291,30 @@ impl OpRing {
         OpRing {
             job,
             depth: depth.max(1),
-            inflight: Vec::new(),
-            executed: Vec::new(),
-            results: Vec::new(),
-            retire_log: Vec::new(),
+            store: RingStore::default(),
             leg_rearms: 0,
-            fill_ok: Vec::new(),
         }
+    }
+
+    /// [`Self::new`] on the scaffolding `client` keeps for `job`, emptied:
+    /// a queue allocates its result vector and nothing else. Hand it back
+    /// with [`Self::recycle`] once the trail has been read.
+    pub fn reuse(client: &mut DaosClient, job: usize, depth: usize) -> Self {
+        let mut store = client.take_ring_store(job);
+        store.inflight.clear();
+        store.executed.clear();
+        store.results.clear();
+        store.retire_log.clear();
+        store.trail.clear();
+        OpRing {
+            store,
+            ..OpRing::new(job, depth)
+        }
+    }
+
+    /// Returns the scaffolding to `client` for its job's next queue.
+    pub fn recycle(self, client: &mut DaosClient) {
+        client.put_ring_store(self.job, self.store);
     }
 
     /// Configured queue depth.
@@ -259,13 +324,13 @@ impl OpRing {
 
     /// Ops submitted but not yet retired (staged or awaiting retire).
     pub fn in_flight(&self) -> usize {
-        self.inflight.len() + self.executed.len()
+        self.store.inflight.len() + self.store.executed.len()
     }
 
     /// Slots in retire order — completion-ordered, ties in submission
     /// order. Complete only after [`Self::drain`].
     pub fn retire_log(&self) -> &[usize] {
-        &self.retire_log
+        &self.store.retire_log
     }
 
     /// Fetch legs that re-armed onto a survivor after an engine kill.
@@ -273,16 +338,10 @@ impl OpRing {
         self.leg_rearms
     }
 
-    /// Per-slot leader-path provenance, aligned with the drained results:
-    /// `true` iff that slot completed successfully on its **first**
-    /// attempt over a **non-degraded** route — for an update, every
-    /// replica leg acked first time and none was dropped. Anything touched
-    /// by the retry ladder, a failover replica, or a degraded route is
-    /// correct but is not something a read cache may fill or write-update
-    /// from (the leader may have moved). Complete only after
-    /// [`Self::drain`].
-    pub fn fill_ok(&self) -> &[bool] {
-        &self.fill_ok
+    /// Per-slot completion provenance, aligned with the drained results.
+    /// Complete only after [`Self::drain`].
+    pub fn trail(&self) -> &[SlotTrail] {
+        &self.store.trail
     }
 
     /// Submits one op: allocates its epoch, resolves its route and books
@@ -298,9 +357,35 @@ impl OpRing {
         now: SimTime,
         op: ClientOp,
     ) {
-        let slot = self.results.len();
-        self.results.push(None);
-        self.fill_ok.push(false);
+        self.submit_as(client, fabric, cluster, now, op, true);
+    }
+
+    /// [`Self::submit`] for an op no chain stands armed for — the owner of
+    /// the client's chains could not arm one for this slot — so that a core
+    /// forwards its completion however the op goes.
+    pub fn submit_on_core(
+        &mut self,
+        client: &mut DaosClient,
+        fabric: &mut Fabric,
+        cluster: &mut EngineCluster,
+        now: SimTime,
+        op: ClientOp,
+    ) {
+        self.submit_as(client, fabric, cluster, now, op, false);
+    }
+
+    fn submit_as(
+        &mut self,
+        client: &mut DaosClient,
+        fabric: &mut Fabric,
+        cluster: &mut EngineCluster,
+        now: SimTime,
+        op: ClientOp,
+        chained: bool,
+    ) {
+        let slot = self.store.results.len();
+        self.store.results.push(None);
+        self.store.trail.push(SlotTrail::default());
 
         while self.in_flight() >= self.depth {
             self.complete_one(client, fabric, cluster);
@@ -309,13 +394,18 @@ impl OpRing {
         client.bump_ops(1);
         let is_update = matches!(op, ClientOp::Update { .. });
         match self.stage(client, fabric, cluster, now, slot, op) {
-            Ok(staged) => self.inflight.push(staged),
+            Ok(mut staged) => {
+                if !chained {
+                    staged.chain_hop = None;
+                }
+                self.store.inflight.push(staged);
+            }
             Err(e) => {
-                self.results[slot] = Some(match is_update {
+                self.store.results[slot] = Some(match is_update {
                     true => ClientOpResult::Update(Err(e)),
                     false => ClientOpResult::Fetch(Err(e)),
                 });
-                self.retire_log.push(slot);
+                self.store.retire_log.push(slot);
             }
         }
     }
@@ -414,6 +504,7 @@ impl OpRing {
             slot,
             submitted: now,
             completion,
+            chain_hop: client.chain_hop(),
             body,
         })
     }
@@ -422,11 +513,14 @@ impl OpRing {
     /// which is what keeps the drain deterministic) and queues them for
     /// completion-order retirement.
     fn poll(&mut self, client: &mut DaosClient, fabric: &mut Fabric, cluster: &mut EngineCluster) {
-        let staged = std::mem::take(&mut self.inflight);
-        for op in staged {
+        // Taken out for the walk (`execute_op` needs `self`), then put back
+        // empty so its buffer serves the next submissions.
+        let mut staged = std::mem::take(&mut self.store.inflight);
+        for op in staged.drain(..) {
             let executed = self.execute_op(client, fabric, cluster, op);
-            self.executed.push(executed);
+            self.store.executed.push(executed);
         }
+        self.store.inflight = staged;
     }
 
     /// Retires exactly one op — the earliest-completing one — executing
@@ -437,20 +531,41 @@ impl OpRing {
         fabric: &mut Fabric,
         cluster: &mut EngineCluster,
     ) {
-        if self.executed.is_empty() {
+        if self.store.executed.is_empty() {
             self.poll(client, fabric, cluster);
         }
-        if let Some(best) = self
+        let store = &mut self.store;
+        if let Some(best) = store
             .executed
             .iter()
             .enumerate()
             .min_by_key(|(_, e)| (e.done, e.slot))
             .map(|(i, _)| i)
         {
-            let e = self.executed.remove(best);
-            self.results[e.slot] = Some(e.result);
-            self.retire_log.push(e.slot);
+            let e = store.executed.remove(best);
+            store.results[e.slot] = Some(e.result);
+            store.retire_log.push(e.slot);
         }
+    }
+
+    /// Charges `slot`'s completion and records who forwarded it: the chain
+    /// fired by `chain.0`, one hop of `chain.1` — offered only for an op
+    /// whose every leg went right first time and whose slot has a chain
+    /// armed ([`DaosClient::chain_hop`], [`Self::submit_on_core`]) — or else
+    /// a core, at `core`, the completion fraction the op booked at
+    /// submission.
+    fn charge_completion(
+        &mut self,
+        slot: usize,
+        core: SimDuration,
+        chain: Option<(Forwarded, SimDuration)>,
+    ) -> SimDuration {
+        let trail = &mut self.store.trail[slot];
+        (trail.forwarded, trail.completion) = match chain {
+            Some((by, hop)) => (Some(by), hop),
+            None => (None, core),
+        };
+        trail.completion
     }
 
     /// Executes one op's engine and finish legs, climbing the recovery
@@ -475,28 +590,43 @@ impl OpRing {
                 clean,
                 legs,
             } => {
-                let mut done: Option<SimTime> = None;
+                // The last ack and the engine it came from.
+                let mut done: Option<(SimTime, usize)> = None;
                 let mut err: Option<DaosError> = None;
                 // A leg that drops or climbs the ladder clears this.
-                self.fill_ok[op.slot] = clean;
+                self.store.trail[op.slot].fill_ok = clean;
+                // Every leg acked first time and inside its deadline.
+                let mut on_time = true;
                 for leg in legs {
+                    let eng = leg.eng;
                     match self.run_update_leg(
                         client, fabric, cluster, leg, op.slot, stamp, oid, &dkey, &akey, kind,
                         epoch,
                     ) {
-                        Ok(Some(acked)) => done = Some(done.map_or(acked, |d| d.max(acked))),
+                        Ok(Some((acked, first_try))) => {
+                            on_time &= first_try;
+                            if done.is_none_or(|(d, _)| acked > d) {
+                                done = Some((acked, eng));
+                            }
+                        }
                         // The replica left the placement (kill or fence):
                         // its leg drops and the survivors carry the commit.
-                        Ok(None) => {}
+                        Ok(None) => on_time = false,
                         Err(e) => err = err.or(Some(e)),
                     }
                 }
                 let result = ClientOpResult::Update(match (err, done) {
                     (Some(e), _) => Err(e),
-                    (None, Some(d)) => Ok(d + op.completion),
+                    (None, Some((d, eng))) => {
+                        // An ack lands nothing: no bytes, no checksum.
+                        let by = Forwarded { eng, wire_crc: 0 };
+                        let chain = op.chain_hop.filter(|_| on_time).map(|hop| (by, hop));
+                        Ok(d + self.charge_completion(op.slot, op.completion, chain))
+                    }
                     (None, None) => Err(DaosError::Transport("no healthy replica".into())),
                 });
-                self.fill_ok[op.slot] &= matches!(result, ClientOpResult::Update(Ok(_)));
+                self.store.trail[op.slot].fill_ok &=
+                    matches!(result, ClientOpResult::Update(Ok(_)));
                 Executed {
                     done: result_instant(&result, op.submitted),
                     slot: op.slot,
@@ -544,15 +674,30 @@ impl OpRing {
                                 if stall >= policy.leg_deadline {
                                     client.retry.timeouts += 1;
                                 }
+                                let on_time = attempt == 0 && stall < policy.leg_deadline;
+                                // The engine's completion carries its
+                                // payload's checksum for a chain to check
+                                // (taken here, the one place that still
+                                // holds the payload as the engine sent it,
+                                // and only when a chain will check it).
+                                let chain = op.chain_hop.filter(|_| on_time).map(|hop| {
+                                    let wire_crc = bytes_crc32c(&data);
+                                    (Forwarded { eng, wire_crc }, hop)
+                                });
                                 let r = client
                                     .finish_fetch(fabric, job, eng, data, ready + stall, len)
-                                    .map(|(bytes, at)| (bytes, at + op.completion));
+                                    .map(|(bytes, at)| {
+                                        let tail =
+                                            self.charge_completion(op.slot, op.completion, chain);
+                                        (bytes, at + tail)
+                                    });
                                 if attempt > 0 {
                                     if let Ok((_, at)) = &r {
                                         client.note_retry_success(*at);
                                     }
                                 }
-                                self.fill_ok[op.slot] = clean && attempt == 0 && r.is_ok();
+                                self.store.trail[op.slot].fill_ok =
+                                    clean && attempt == 0 && r.is_ok();
                                 break ClientOpResult::Fetch(r);
                             }
                             Err(DaosError::StaleMap { .. }) => {
@@ -604,11 +749,13 @@ impl OpRing {
         }
     }
 
-    /// Runs one update leg up the recovery ladder. `Ok(Some(acked))` is a
-    /// replica ack; `Ok(None)` means the leg dropped because its engine
-    /// left the placement (killed, or fenced off by a newer map) and the
-    /// surviving legs carry the commit; `Err` is a real failure. Anything
-    /// but a first-attempt ack clears `slot`'s [`Self::fill_ok`].
+    /// Runs one update leg up the recovery ladder. `Ok(Some((acked,
+    /// first_try)))` is a replica ack, `first_try` iff it came on the first
+    /// attempt and inside the leg deadline; `Ok(None)` means the leg
+    /// dropped because its engine left the placement (killed, or fenced off
+    /// by a newer map) and the surviving legs carry the commit; `Err` is a
+    /// real failure. Anything but a first-attempt ack clears `slot`'s
+    /// [`SlotTrail::fill_ok`].
     #[allow(clippy::too_many_arguments)]
     fn run_update_leg(
         &mut self,
@@ -623,7 +770,7 @@ impl OpRing {
         akey: &AKey,
         kind: ValueKind,
         epoch: Epoch,
-    ) -> Result<Option<SimTime>, DaosError> {
+    ) -> Result<Option<(SimTime, bool)>, DaosError> {
         let job = self.job;
         let UpdateLeg {
             eng,
@@ -637,7 +784,7 @@ impl OpRing {
                 // The replica died after staging: its staged bytes died
                 // with it; the survivors carry the commit. (The post-kill
                 // map never places the object here, so no retry.)
-                self.fill_ok[slot] = false;
+                self.store.trail[slot].fill_ok = false;
                 return Ok(None);
             } else if cluster.blackholed(eng) {
                 // Alive in the map but the conn eats traffic: deadline.
@@ -664,7 +811,8 @@ impl OpRing {
                         if attempt > 0 {
                             client.note_retry_success(acked);
                         }
-                        return Ok(Some(acked));
+                        let first_try = attempt == 0 && stall < policy.leg_deadline;
+                        return Ok(Some((acked, first_try)));
                     }
                     Err(DaosError::StaleMap { .. }) => {
                         client.retry.fenced += 1;
@@ -673,7 +821,7 @@ impl OpRing {
                     Err(e) => return Err(e),
                 }
             };
-            self.fill_ok[slot] = false;
+            self.store.trail[slot].fill_ok = false;
             attempt += 1;
             if attempt > policy.budget {
                 client.retry.exhausted += 1;
@@ -711,13 +859,15 @@ impl OpRing {
         cluster: &mut EngineCluster,
     ) -> Vec<ClientOpResult> {
         self.poll(client, fabric, cluster);
-        self.executed.sort_by_key(|e| (e.done, e.slot));
-        for e in self.executed.drain(..) {
-            self.results[e.slot] = Some(e.result);
-            self.retire_log.push(e.slot);
+        let store = &mut self.store;
+        store.executed.sort_by_key(|e| (e.done, e.slot));
+        for e in store.executed.drain(..) {
+            store.results[e.slot] = Some(e.result);
+            store.retire_log.push(e.slot);
         }
-        std::mem::take(&mut self.results)
-            .into_iter()
+        store
+            .results
+            .drain(..)
             .map(|r| r.expect("every submitted op retires"))
             .collect()
     }

@@ -2,12 +2,13 @@
 //! load-bearing (§3.2).
 //!
 //! With [`DpuClient`] the host application no longer runs libdaos at all.
-//! Per data-plane I/O the host pays exactly an **RPC submit/poll pair**
-//! over the [`ControlChannel`]'s PCIe doorbell model; everything else runs
-//! on the BlueField-3:
+//! Per data-plane I/O the host pays exactly **two posted PCIe writes**, one
+//! each way, over the [`ControlChannel`]'s doorbell model; everything else
+//! runs on the BlueField-3:
 //!
-//! 1. **Submit** — the host rings the doorbell with an I/O descriptor
-//!    (`ControlRequest::IoSubmit`); no payload bytes cross the host kernel.
+//! 1. **Submit** — the host posts an I/O descriptor and rings the doorbell
+//!    (`ControlRequest::IoSubmit`, [`ControlChannel::post`]); it waits for
+//!    no answer, and no payload bytes cross the host kernel.
 //! 2. **QoS admission** — every byte the DPU touches passes
 //!    [`TenantManager::admit`]: per-tenant ops/bytes token buckets delay
 //!    the op until its grant instant, and the delay is accounted.
@@ -26,8 +27,18 @@
 //!    only rings doorbells, so the client's per-op CPU runs on a
 //!    work-conserving pool of the lane's share of the DPU's ARM cores
 //!    (node cores / tenant lanes), not on one core per host job.
-//! 6. **Poll** — the host reaps the completion queue; the completion
-//!    instant the application sees includes the handoff both ways.
+//! 6. **Completion** — on an RDMA lane a NIC work-request chain parked on
+//!    the engine's completion SEND forwards every op that went right first
+//!    time: it checks the landed bytes' CRC32C on the NIC's signature
+//!    engine, runs the inline service, and posts the op's completion
+//!    record into host-visible memory — no ARM core on the path. Anything
+//!    the recovery ladder touched, a checksum the NIC rejects, a chain
+//!    that faults, and every op of a TCP lane complete on an ARM core as
+//!    before (CQ reap, ARM CRC verify), which then posts the record
+//!    itself. Either way the host finds the record by polling its own
+//!    memory ([`ControlChannel::post_reply`]); the instant the application
+//!    sees includes both posted legs. A lane that never writes a record is
+//!    wedged, and the host's poll gives up at the doorbell deadline.
 //!
 //! All of it is observable through [`DpuStats`], which travels alongside
 //! `ResourceStats` and `DataPlaneStats` in the benchmark reports.
@@ -37,17 +48,18 @@ use ros2_ctl::{ControlChannel, ControlError, ControlModel, ControlRequest, Contr
 use ros2_daos::{
     whole_batch_error, ClientOp, ClientOpResult, DaosClient, DaosCostModel, DaosError,
     EngineCluster, Epoch, MapSnapshot, ObjectClient, ObjectId, OpRing, RetryPolicy, RetryStats,
+    SlotTrail,
 };
 use ros2_daos::{AKey, DKey, ValueKind};
 use ros2_fabric::Fabric;
-use ros2_hw::{per_byte, CoreClass, Transport};
+use ros2_hw::{nic_crc_cost, per_byte, CoreClass, Transport};
 use ros2_sim::{ResourceStats, SimDuration, SimRng, SimTime};
 use ros2_verbs::{Expiry, MemoryDomain, NodeId, PdId};
 
 use crate::agent::DpuAgent;
 use crate::cache::{CacheKey, DpuCacheStats, ReadCache};
 use crate::error::DpuError;
-use crate::lane::{Probe, TenantLane};
+use crate::lane::{ChainTable, Probe, TenantLane};
 use crate::tenant::{QosLimits, TenantManager};
 
 /// One tenant to provision on the DPU client.
@@ -80,10 +92,17 @@ pub struct DpuStats {
     pub ops_offloaded: u64,
     /// Host→DPU doorbell submits (a queue counts once).
     pub host_submits: u64,
-    /// Host completion-queue polls.
+    /// Completion records posted to the host (the leg it polls for).
     pub host_polls: u64,
-    /// Cumulative host↔DPU handoff latency (submit + poll legs).
+    /// Cumulative host↔DPU handoff latency (the two posted legs).
     pub handoff_wait: SimDuration,
+    /// Cumulative time between an op's last completion SEND landing on the
+    /// DPU and its completion record being ready to post: chain hop + NIC
+    /// verify + inline service when a chain forwarded it, ARM completion
+    /// work + ARM verify + inline service otherwise. (The serial call's
+    /// completion work is part of its one synchronous CPU booking and is
+    /// not separable; only its verify and inline service count here.)
+    pub completion_path: SimDuration,
     /// Payload bytes admitted through the tenant QoS buckets.
     pub bytes_admitted: u64,
     /// Admissions delayed by a token bucket.
@@ -92,8 +111,11 @@ pub struct DpuStats {
     pub throttle_wait: SimDuration,
     /// Staging-MR re-registrations forced by rkey expiry.
     pub rkey_refreshes: u64,
-    /// Bytes checksummed on the DPU (update CRCs + fetch verifies).
+    /// Bytes checksummed on the DPU's ARM cores (update CRCs + the fetch
+    /// verifies of ops an ARM core completed).
     pub crc_bytes: u64,
+    /// Fetched bytes a forwarding chain verified on the NIC's CRC engine.
+    pub nic_verified_bytes: u64,
     /// Recovery-ladder counters accumulated by the lanes' pipelined
     /// clients — the DPU retries *on the DPU*; the host only sees the
     /// totals ride back on `IoDone`.
@@ -110,11 +132,13 @@ impl DpuStats {
         self.host_submits += other.host_submits;
         self.host_polls += other.host_polls;
         self.handoff_wait += other.handoff_wait;
+        self.completion_path += other.completion_path;
         self.bytes_admitted += other.bytes_admitted;
         self.ops_throttled += other.ops_throttled;
         self.throttle_wait += other.throttle_wait;
         self.rkey_refreshes += other.rkey_refreshes;
         self.crc_bytes += other.crc_bytes;
+        self.nic_verified_bytes += other.nic_verified_bytes;
         self.retry.merge(other.retry);
         self.cache.merge(other.cache);
     }
@@ -132,7 +156,7 @@ pub struct DpuClient {
     /// inline services.
     agent: DpuAgent,
     tenants: TenantManager,
-    /// The host↔DPU I/O doorbell (submit/poll pair per op).
+    /// The host↔DPU I/O doorbell (two posted legs per op).
     io: ControlChannel,
     lanes: Vec<TenantLane>,
     /// Global job index → (lane, lane-local job).
@@ -250,6 +274,11 @@ impl DpuClient {
             // Host jobs only ring doorbells; the lane's cores serve
             // whichever job has submission work.
             daos.share_cores(lane_cores);
+            // With queue pairs to park chains on, the NIC forwards the
+            // ring's completions and the cores handle only exceptions.
+            if transport == Transport::Rdma {
+                daos.chain_completions(fabric.node(node).spec.nic);
+            }
             let rkey_deadline = vec![deadline; lane_jobs];
             let hello = ControlRequest::Hello {
                 tenant: spec.name.clone(),
@@ -265,6 +294,7 @@ impl DpuClient {
                 session,
                 cache: None,
                 starts: Vec::new(),
+                chains: ChainTable::default(),
             });
         }
         let job_map = (0..jobs).map(|j| (j % n_tenants, j / n_tenants)).collect();
@@ -508,8 +538,11 @@ impl DpuClient {
         self.stats = DpuStats::default();
     }
 
-    /// The host submit leg: one doorbell call announcing `ops`/`bytes`.
-    /// Returns the instant the descriptor is live on the DPU.
+    /// The host submit leg: one posted descriptor-plus-doorbell write
+    /// announcing `ops`/`bytes`. Returns the instant the descriptor is live
+    /// on the DPU. The host waits for no answer; a wedged lane shows as a
+    /// completion record that never appears, and the host's poll for it
+    /// gives up at the doorbell deadline.
     fn host_submit(
         &mut self,
         now: SimTime,
@@ -519,23 +552,21 @@ impl DpuClient {
     ) -> Result<SimTime, DaosError> {
         self.stats.host_submits += 1;
         let session = self.lanes[lane].session;
-        let (at, res) = self.io.call(
-            now,
-            Some(session),
-            ControlRequest::IoSubmit { ops, bytes },
-            |_, _| ControlResponse::IoDone { ops: 0, retries: 0 },
-        );
+        let (at, res) = self
+            .io
+            .post(now, session, &ControlRequest::IoSubmit { ops, bytes });
         res.map_err(map_control)?;
         self.stats.handoff_wait += at.saturating_since(now);
         Ok(at)
     }
 
-    /// The host poll leg: reaps a completion that became ready at `done`.
-    /// Returns the instant the host observes it.
+    /// The host completion leg: the record of `ops` completions, ready on
+    /// the DPU at `done`, is posted into host-visible memory where the
+    /// host's poll finds it. Returns the instant the host observes it.
     fn host_poll(&mut self, done: SimTime, lane: usize, ops: u32) -> Result<SimTime, DaosError> {
         self.stats.host_polls += 1;
         let session = self.lanes[lane].session;
-        // The completion rides the lane's cumulative retry count back to
+        // The record carries the lane's cumulative retry count back to
         // the host — retry behavior stays observable without the host
         // owning any data-plane state.
         let retries = self.lanes[lane]
@@ -543,11 +574,9 @@ impl DpuClient {
             .retry_stats()
             .retries
             .min(u32::MAX as u64) as u32;
-        let (at, res) = self
-            .io
-            .call(done, Some(session), ControlRequest::IoPoll, |_, _| {
-                ControlResponse::IoDone { ops, retries }
-            });
+        let (at, res) =
+            self.io
+                .post_reply(done, session, &ControlResponse::IoDone { ops, retries });
         res.map_err(map_control)?;
         self.stats.handoff_wait += at.saturating_since(done);
         Ok(at)
@@ -694,9 +723,10 @@ impl DpuClient {
     }
 
     /// The data-plane half of a queue: cache probes, then the misses
-    /// through the lane's [`OpRing`] (each from its own start instant),
-    /// then cache completions and the host polls. Hits are never issued at
-    /// all — no staging legs, no fabric bookings.
+    /// through the lane's [`OpRing`] (each from its own start instant, its
+    /// forwarding chain armed first), then the chains' firing and the
+    /// completion records, then cache completions. Hits are never issued
+    /// at all — no staging legs, no fabric bookings.
     fn run_queue(
         &mut self,
         fabric: &mut Fabric,
@@ -708,62 +738,153 @@ impl DpuClient {
         let l = &mut self.lanes[lane];
         // Empty (and unallocated) without a cache.
         let mut probes = l.probe_queue(submitted, cluster, &ops);
-        let misses = ops.len() - probes.iter().filter(|p| p.is_hit()).count();
+        let n_ops = ops.len();
+        let misses = n_ops - probes.iter().filter(|p| p.is_hit()).count();
         // Results come back in op order with the hits left out.
-        let mut ring = OpRing::new(local, misses);
+        let mut ring = OpRing::reuse(&mut l.daos, local, misses);
+        let mut slot = 0;
         for (i, op) in ops.into_iter().enumerate() {
             if !probes.get(i).is_some_and(Probe::is_hit) {
-                ring.submit(&mut l.daos, fabric, cluster, l.starts[i], op);
+                // A slot whose chain cannot be armed (no memory left for
+                // its record, no QP) is an ARM core's to complete.
+                match l.arm_chain(fabric, local, slot) {
+                    Ok(()) => ring.submit(&mut l.daos, fabric, cluster, l.starts[i], op),
+                    Err(_) => ring.submit_on_core(&mut l.daos, fabric, cluster, l.starts[i], op),
+                }
+                slot += 1;
             }
         }
         let results = ring.drain(&mut l.daos, fabric, cluster);
-        let issued = probes.iter_mut().filter(|p| !p.is_hit());
-        for (slot, (probe, r)) in issued.zip(&results).enumerate() {
-            let fetched = match r {
-                ClientOpResult::Fetch(Ok((data, _))) => Some(data),
-                _ => None,
+        let at = (lane, local);
+        let finish = |(slot, r)| self.finish_issued(fabric, at, slot, ring.trail()[slot], r);
+        let issued: Vec<ClientOpResult> = results.into_iter().enumerate().map(finish).collect();
+        // The cache learns only from what was verified and published: a
+        // payload the completion path rejected is an error by now.
+        let l = &mut self.lanes[lane];
+        let missed = probes.iter_mut().filter(|p| !p.is_hit());
+        for (slot, (probe, r)) in missed.zip(&issued).enumerate() {
+            let (ok, fetched) = match r {
+                ClientOpResult::Fetch(Ok((data, _))) => (true, Some(data)),
+                ClientOpResult::Update(Ok(_)) => (true, None),
+                _ => (false, None),
             };
             // The ring reports each slot's leader-path provenance.
-            let clean = ring.fill_ok()[slot];
+            let clean = ok && ring.trail()[slot].fill_ok;
             l.complete(submitted, cluster, std::mem::take(probe), clean, fetched);
         }
-        let mut out: Vec<ClientOpResult> = results
-            .into_iter()
-            .map(|r| match r {
-                ClientOpResult::Update(Ok(done)) => {
-                    ClientOpResult::Update(self.host_poll(done, lane, 1))
-                }
-                ClientOpResult::Fetch(Ok((data, ready))) => {
-                    let bytes = data.len() as u64;
-                    ClientOpResult::Fetch(
-                        self.finish_fetch(ready, lane, bytes).map(|at| (data, at)),
-                    )
-                }
-                err => err,
-            })
-            .collect();
-        // Ascending inserts put each hit back at its op index.
+        ring.recycle(&mut l.daos);
+        if misses == n_ops {
+            return issued;
+        }
+        // One merge pass puts each hit back at its op index.
+        let mut issued = issued.into_iter();
+        let mut out = Vec::with_capacity(n_ops);
         for (i, probe) in probes.into_iter().enumerate() {
-            if let Probe::Hit(data) = probe {
-                let ready = self.lanes[lane].starts[i] + ReadCache::service_cost(data.len() as u64);
-                let r = self.host_poll(ready, lane, 1).map(|at| (data, at));
-                out.insert(i, ClientOpResult::Fetch(r));
-            }
+            out.push(match probe {
+                Probe::Hit(data) => {
+                    let ready =
+                        self.lanes[lane].starts[i] + ReadCache::service_cost(data.len() as u64);
+                    ClientOpResult::Fetch(self.host_poll(ready, lane, 1).map(|at| (data, at)))
+                }
+                _ => issued.next().expect("one result per issued op"),
+            });
         }
         out
     }
 
-    /// The fetch epilogue: DPU-side verify + inline decrypt, then the host
-    /// poll. Returns the host-visible completion instant.
-    fn finish_fetch(
+    /// [`Self::finish_op`] over one drained ring result; errors pass
+    /// through (they never reached a completion).
+    fn finish_issued(
+        &mut self,
+        fabric: &mut Fabric,
+        (lane, local): (usize, usize),
+        slot: usize,
+        trail: SlotTrail,
+        r: ClientOpResult,
+    ) -> ClientOpResult {
+        let at = (lane, local, slot);
+        match r {
+            ClientOpResult::Update(Ok(acked)) => {
+                ClientOpResult::Update(self.finish_op(fabric, acked, at, trail, None))
+            }
+            ClientOpResult::Fetch(Ok((data, ready))) => ClientOpResult::Fetch(
+                self.finish_op(fabric, ready, at, trail, Some(&data))
+                    .map(|seen| (data, seen)),
+            ),
+            err => err,
+        }
+    }
+
+    /// The epilogue of a ring op the data plane completed and whose
+    /// completion was forwarded by `ready` (`fetched` is a fetch's payload).
+    ///
+    /// A slot the ring reports as chain-forwarded fires its chain here: the
+    /// NIC checks the landed bytes and writes the record, and no ARM cycle
+    /// is spent. If the chain stops — the checksum does not match, or a
+    /// region it names was revoked or expired under it — nothing was
+    /// published, and the ARM core that picks the exception up reports the
+    /// error in place of the bytes. Every other slot is the ARM core's from
+    /// the start. Either way [`Self::publish`] prices the rest.
+    fn finish_op(
+        &mut self,
+        fabric: &mut Fabric,
+        ready: SimTime,
+        (lane, local, slot): (usize, usize, usize),
+        trail: SlotTrail,
+        fetched: Option<&Bytes>,
+    ) -> Result<SimTime, DaosError> {
+        let verifier = match trail.forwarded {
+            Some(by) => {
+                self.lanes[lane].fire_chain(fabric, ready, local, slot, by, fetched)?;
+                Verifier::Nic
+            }
+            None => Verifier::Arm,
+        };
+        let bytes = fetched.map(|d| d.len() as u64);
+        self.publish(ready, lane, bytes, verifier, trail.completion)
+    }
+
+    /// The epilogue of every op the data plane completed, serial call and
+    /// ring alike, from the instant `ready` at which its completion had
+    /// been forwarded (at a cost of `forwarding`, accounted here and
+    /// charged by whoever did it): `verifier` checks a fetch's `fetched`
+    /// bytes at its own rate, the inline service runs over them, and the
+    /// completion record is posted to the host. Returns the host-visible
+    /// completion instant. The one place a completion-side verify is
+    /// priced, whichever hardware does it.
+    fn publish(
         &mut self,
         ready: SimTime,
         lane: usize,
-        bytes: u64,
+        fetched: Option<u64>,
+        verifier: Verifier,
+        forwarding: SimDuration,
     ) -> Result<SimTime, DaosError> {
-        let t = ready + self.crc_cost(bytes) + self.agent.inline_cost(bytes);
-        self.host_poll(t, lane, 1)
+        let mut tail = SimDuration::ZERO;
+        if let Some(bytes) = fetched {
+            tail += match verifier {
+                Verifier::Arm => self.crc_cost(bytes),
+                Verifier::Nic => {
+                    self.stats.nic_verified_bytes += bytes;
+                    nic_crc_cost(bytes)
+                }
+            };
+            tail += self.agent.inline_cost(bytes);
+        }
+        self.stats.completion_path += forwarding + tail;
+        self.host_poll(ready + tail, lane, 1)
     }
+}
+
+/// Who checks a fetched payload's CRC32C before its completion is
+/// published.
+#[derive(Copy, Clone)]
+enum Verifier {
+    /// An ARM core, at the `crc_ps_per_byte` rate of its class — the serial
+    /// call, TCP lanes and every exception.
+    Arm,
+    /// The NIC's signature engine, as a step of the forwarding chain.
+    Nic,
 }
 
 fn map_control(e: ControlError) -> DaosError {
@@ -792,7 +913,7 @@ impl ObjectClient for DpuClient {
             .daos
             .update(fabric, cluster, start, local, oid, dkey, akey, kind, data);
         l.complete(start, cluster, probe, done.is_ok(), None);
-        self.host_poll(done?, lane, 1)
+        self.publish(done?, lane, None, Verifier::Arm, SimDuration::ZERO)
     }
 
     fn fetch(
@@ -829,7 +950,9 @@ impl ObjectClient for DpuClient {
         let (data, ready, meta) = l.daos.fetch_with_meta(
             fabric, cluster, start, local, oid, dkey, akey, kind, epoch, len,
         )?;
-        let at = self.finish_fetch(ready, lane, data.len() as u64)?;
+        // The serial call's completion work is inside its one CPU booking.
+        let bytes = Some(data.len() as u64);
+        let at = self.publish(ready, lane, bytes, Verifier::Arm, SimDuration::ZERO)?;
         // This path routes by the live map: fill only when the completion
         // itself reports the leader route and the reading the probe was
         // validated against.
@@ -961,11 +1084,14 @@ mod tests {
         assert_eq!(s.host_submits, 2);
         assert_eq!(s.host_polls, 2);
         assert!(
-            s.handoff_wait >= SimDuration::from_micros(8),
-            "submit+poll \
-                 pairs must each pay the doorbell RTT; got {:?}",
+            s.handoff_wait >= SimDuration::from_micros(4),
+            "two ops, each a posted submit and a posted completion record: \
+             four one-way crossings of the 2 us doorbell link (they were \
+             charged as four round trips, 8 us, while submit and poll were \
+             synchronous calls); got {:?}",
             s.handoff_wait
         );
+        assert!(s.handoff_wait < SimDuration::from_micros(5));
         assert_eq!(s.bytes_admitted, 2 << 20);
         assert_eq!(s.crc_bytes, 2 << 20, "update CRC + fetch verify");
         assert_eq!(c.ops(), 2);
@@ -1144,6 +1270,22 @@ mod tests {
             format!("{err:?}").contains("Timeout"),
             "a wedged lane must fail with a typed timeout, got {err:?}"
         );
+        // Posted doorbells wait for no answer, so it is the missing
+        // completion record that gives a wedged lane away — on the ring
+        // as on the serial call: every op of the queue times out.
+        let queue = vec![ClientOp::Fetch {
+            oid,
+            dkey: DKey::from_u64(0),
+            akey: AKey::from_str("data"),
+            kind: ValueKind::Array { offset: 0 },
+            epoch: Epoch::LATEST,
+            len: 4 << 10,
+        }];
+        let r = c.execute_pipelined(&mut fabric, &mut cluster, SimTime::ZERO, 0, queue);
+        assert!(
+            matches!(&r[..], [ClientOpResult::Fetch(Err(e))] if format!("{e:?}").contains("Timeout"))
+        );
+        assert_eq!(c.dpu_stats().ops_offloaded, 0, "a wedged lane runs nothing");
         // The bounded wait is the doorbell deadline, not forever: reviving
         // the lane restores service and the op completes.
         c.wedge_lane(0, false);

@@ -1,14 +1,29 @@
-//! One tenant's lane of the offloaded client, and the one place its read
-//! cache is consulted.
+//! One tenant's lane of the offloaded client: the one place its read cache
+//! is consulted, and the owner of its completion-forwarding chains.
 //!
-//! Every client path (serial, batch fan-out, op ring) probes before it
-//! issues and completes after, through the helpers here, and always on the
-//! lane's *cached* pool-map revision — the revision the ring routes by,
-//! and the only one a client can know before a push lands.
+//! Every client path (serial, op ring) probes before it issues and
+//! completes after, through the helpers here, and always on the lane's
+//! *cached* pool-map revision — the revision the ring routes by, and the
+//! only one a client can know before a push lands.
+//!
+//! **Completion forwarding.** On RDMA the lane keeps one NIC work-request
+//! chain per in-flight ring slot ([`ros2_verbs::chain`]): WAIT on the
+//! engine's completion SEND → CRC32C check of the bytes that landed in the
+//! job's staging buffer → posted write of the slot's completion record into
+//! host-visible memory. The ring says which slots such a chain forwarded
+//! (`SlotTrail::forwarded`) and charges its time; the lane arms the chain
+//! when the slot is submitted and fires it when the slot completes. The
+//! chains, the loopback QP that owns them and the record regions are all
+//! created on first use and then re-armed in place.
 
 use bytes::Bytes;
-use ros2_daos::{ClientOp, DaosClient, EngineCluster, Epoch, RecordVersion};
+use ros2_daos::{ClientOp, DaosClient, DaosError, EngineCluster, Epoch, Forwarded, RecordVersion};
+use ros2_fabric::{Dir, Fabric};
 use ros2_sim::{SimDuration, SimTime};
+use ros2_verbs::{
+    AccessFlags, ChainId, Expiry, Landing, MemAddr, MemoryDomain, MrId, QpId, QpState, QpType,
+    VerbsError,
+};
 
 use crate::cache::{CacheKey, ReadCache, RecordKey};
 
@@ -32,6 +47,42 @@ pub(crate) struct TenantLane {
     /// written by `DpuClient::queue_start`. Kept in the lane so the
     /// one-op queues fio submits allocate nothing for it.
     pub(crate) starts: Vec<SimTime>,
+    /// The lane's completion-forwarding chains (RDMA; empty on TCP, which
+    /// has no queue pair to park a chain on).
+    pub(crate) chains: ChainTable,
+}
+
+/// Size of one completion record: a tag, the job, the slot, and the op
+/// count it completes.
+const RECORD_LEN: u64 = 16;
+
+/// One in-flight slot's chain and the host-visible record it publishes.
+struct SlotChain {
+    chain: ChainId,
+    /// The staging registration the chain checks; a refreshed rkey is a new
+    /// registration, so a stale chain is rebuilt rather than fired.
+    staging: MrId,
+    record: (MrId, MemAddr),
+}
+
+/// A lane's completion-forwarding chains, `[local job][ring slot]`. Grows
+/// on demand; in steady state arming and firing touch nothing else.
+#[derive(Default)]
+pub(crate) struct ChainTable {
+    /// The loopback QP every chain of the lane is posted on, so a chain's
+    /// protection fault never takes a data connection down with it.
+    owner: Option<QpId>,
+    /// The lane's DPU-side data QPs, one per engine: the completions a
+    /// chain WAITs on.
+    waits: Vec<QpId>,
+    slots: Vec<Vec<Option<SlotChain>>>,
+}
+
+fn chain_error(e: VerbsError) -> DaosError {
+    match e {
+        VerbsError::CrcMismatch => DaosError::ChecksumMismatch,
+        e => DaosError::Transport(format!("completion chain: {e:?}")),
+    }
 }
 
 /// What the authority says about a record right now: the lane's cached
@@ -85,6 +136,161 @@ impl Probe {
 }
 
 impl TenantLane {
+    /// Posts the WAIT for ring slot `slot` of `local`: arms the slot's
+    /// chain, building it first if it does not exist yet, was built on a
+    /// staging registration since replaced, or lost its QP to a fault. A
+    /// lane that cannot chain — TCP — does nothing.
+    pub(crate) fn arm_chain(
+        &mut self,
+        fabric: &mut Fabric,
+        local: usize,
+        slot: usize,
+    ) -> Result<(), DaosError> {
+        let (_, Some(staging)) = self.daos.staging(local) else {
+            return Ok(());
+        };
+        let node = self.daos.node();
+        let t = &self.chains;
+        let owner_up = t
+            .owner
+            .is_some_and(|qp| fabric.node(node).rdma.qp_state(qp) == Some(QpState::ReadyToSend));
+        let current = t
+            .slots
+            .get(local)
+            .and_then(|s| s.get(slot)?.as_ref())
+            .filter(|c| owner_up && c.staging == staging);
+        let chain = match current {
+            Some(c) => c.chain,
+            None => self.build_chain(fabric, local, slot, staging)?,
+        };
+        fabric.rdma_mut(node).arm_chain(chain).map_err(chain_error)
+    }
+
+    /// Builds (or rebuilds) the chain of ring slot `slot` of `local` over
+    /// the staging registration `staging`, with everything it stands on:
+    /// the lane's loopback owner QP, brought up or recovered; the list of
+    /// data QPs to WAIT on; the slot's host-visible record region, kept
+    /// across rebuilds.
+    fn build_chain(
+        &mut self,
+        fabric: &mut Fabric,
+        local: usize,
+        slot: usize,
+        staging: MrId,
+    ) -> Result<ChainId, DaosError> {
+        let (node, pd) = (self.daos.node(), self.daos.pd());
+        let t = &mut self.chains;
+        if t.waits.is_empty() {
+            for &conn in self.daos.job_conns(local) {
+                let (_, qp) = fabric
+                    .qps(conn, Dir::BtoA)
+                    .map_err(|e| DaosError::Transport(format!("{e:?}")))?;
+                t.waits.push(qp);
+            }
+        }
+        let dev = fabric.rdma_mut(node);
+        let owner = match t.owner {
+            Some(qp) => qp,
+            None => *t
+                .owner
+                .insert(dev.create_qp(pd, QpType::Rc).map_err(chain_error)?),
+        };
+        // Fresh, or killed by an earlier chain's protection fault:
+        // (re)connect it to itself.
+        if dev.qp_state(owner) != Some(QpState::ReadyToSend) {
+            dev.reset_qp(owner).map_err(chain_error)?;
+            dev.connect_qp(owner, node, owner).map_err(chain_error)?;
+        }
+        if t.slots.len() <= local {
+            t.slots.resize_with(local + 1, Vec::new);
+        }
+        let slots = &mut t.slots[local];
+        if slots.len() <= slot {
+            slots.resize_with(slot + 1, || None);
+        }
+        let record = match slots[slot].take() {
+            Some(old) => {
+                dev.destroy_chain(old.chain).map_err(chain_error)?;
+                old.record
+            }
+            None => {
+                let at = dev
+                    .alloc_buffer(RECORD_LEN, MemoryDomain::HostDram)
+                    .map_err(chain_error)?;
+                let access = AccessFlags::local_only();
+                match dev.reg_mr(pd, at, RECORD_LEN, access, Expiry::Never) {
+                    Ok((mr, _, _)) => (mr, at),
+                    Err(e) => {
+                        let _ = dev.free_buffer(at);
+                        return Err(chain_error(e));
+                    }
+                }
+            }
+        };
+        let mut body = Vec::with_capacity(RECORD_LEN as usize);
+        body.extend_from_slice(b"done");
+        for word in [local as u32, slot as u32, 1] {
+            body.extend_from_slice(&word.to_le_bytes());
+        }
+        let mut b = dev.chain_builder(owner).map_err(chain_error)?;
+        for &qp in &t.waits {
+            b = b.wait(qp);
+        }
+        let chain = b
+            .verify_crc32c(staging)
+            .write_record(record.0, record.1, Bytes::from(body))
+            .build()
+            .map_err(chain_error)?;
+        slots[slot] = Some(SlotChain {
+            chain,
+            staging,
+            record,
+        });
+        Ok(chain)
+    }
+
+    /// The completion SEND `by` names arrived at `at` for ring slot `slot`
+    /// of `local`: fires the slot's chain over `landed`, the fetched bytes
+    /// as they sit in the staging buffer (none for an update). `Ok` means
+    /// the NIC checked them and the slot's completion record is in
+    /// host-visible memory; an error means it is not, and the op is the
+    /// ARM core's to fail. A chain that faulted (rather than rejected a
+    /// payload) is torn down with its record region, so the slot's next
+    /// op builds a sound one.
+    pub(crate) fn fire_chain(
+        &mut self,
+        fabric: &mut Fabric,
+        at: SimTime,
+        local: usize,
+        slot: usize,
+        by: Forwarded,
+        landed: Option<&Bytes>,
+    ) -> Result<(), DaosError> {
+        let t = &mut self.chains;
+        let armed = t.slots.get_mut(local).and_then(|s| s.get_mut(slot));
+        let (Some(entry), Some(&on)) = (armed, t.waits.get(by.eng)) else {
+            return Err(chain_error(VerbsError::BadChain));
+        };
+        let Some(c) = entry.as_ref() else {
+            return Err(chain_error(VerbsError::BadChain));
+        };
+        let landing = landed.map(|bytes| Landing {
+            addr: self.daos.staging(local).0,
+            bytes,
+            wire_crc: by.wire_crc,
+        });
+        let dev = fabric.rdma_mut(self.daos.node());
+        let fired = dev.fire_chain(at, c.chain, on, landing);
+        if !matches!(fired, Ok(()) | Err(VerbsError::CrcMismatch)) {
+            // Best effort: whatever cannot be released is already gone.
+            let _ = dev.destroy_chain(c.chain);
+            let _ = dev.dereg_mr(c.record.0);
+            let _ = dev.free_buffer(c.record.1);
+            *entry = None;
+        }
+        fired.map_err(chain_error)
+    }
+
     /// A latest-epoch fetch at `key` is about to be issued at `now`.
     pub(crate) fn probe_fetch(
         &mut self,

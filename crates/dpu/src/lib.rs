@@ -9,7 +9,7 @@
 //!
 //! The data-plane client is [`DpuClient`]: per-tenant
 //! `ros2_daos::DaosClient` lanes constructed on the DPU node, wrapped with
-//! the host submit/poll handoff, QoS admission, scoped-rkey refresh, and
+//! the host's posted doorbell legs, QoS admission, scoped-rkey refresh, and
 //! DPU-side checksumming. It implements `ros2_daos::ObjectClient`, so the
 //! DFS layer drives it exactly like the host-resident client.
 

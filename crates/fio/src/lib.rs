@@ -28,6 +28,8 @@
 
 pub mod driver;
 pub mod incast;
+#[cfg(test)]
+mod ledger_tests;
 pub mod spec;
 pub mod worlds;
 #[cfg(test)]

@@ -174,7 +174,7 @@ impl Workload for SpdkFioWorld {
 /// where only the node spec changes) — its behaviour is pinned bit-for-bit
 /// by `worlds_tests::host_placement_results_are_pinned`. `Offloaded` is the
 /// real SmartNIC architecture: a [`DpuClient`] running the whole client on
-/// the DPU behind a host submit/poll pair, with tenant QoS admission live.
+/// the DPU behind two posted host doorbell legs, with tenant QoS admission live.
 // One client per world, never stored in bulk — the variant size gap
 // (DpuClient embeds agent + tenant manager) costs nothing here.
 #[allow(clippy::large_enum_variant)]

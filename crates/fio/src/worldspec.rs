@@ -52,7 +52,7 @@ pub enum ClientKind {
     /// core class change, the architecture does not).
     DpuCostModel,
     /// The real offload: the whole client runs on the BlueField-3 as a
-    /// [`DpuClient`] behind a host submit/poll doorbell pair.
+    /// [`DpuClient`] behind the host's two posted doorbell legs.
     Offloaded,
 }
 

@@ -84,11 +84,14 @@ fn builder_offloaded_single_matches_old_constructor() {
     let mut stats = w.fabric.resource_stats();
     stats.merge(w.cluster.resource_stats());
     stats.merge(w.client.resource_stats());
-    assert_eq!(r.io.meter.ops(), 196);
-    assert_eq!(r.gib_per_sec().to_bits(), 0x4003240000000000);
-    // Fast-path hits: 7610 before the lane pool (see above).
-    assert_eq!((stats.bookings, stats.fastpath_hits), (8610, 7621));
-    assert_eq!(w.client.ops(), 283);
+    // One more op fits the window since the host doorbell's two legs
+    // became posted writes (one way each, not a round trip each): 196 ops
+    // at 0x4003240000000000 before. Fast-path hits were 7610 before the
+    // lane pool (see above), 7621 before the posted legs.
+    assert_eq!(r.io.meter.ops(), 197);
+    assert_eq!(r.gib_per_sec().to_bits(), 0x40033d0000000000);
+    assert_eq!((stats.bookings, stats.fastpath_hits), (8645, 7653));
+    assert_eq!(w.client.ops(), 284);
 }
 
 #[test]

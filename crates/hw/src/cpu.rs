@@ -192,6 +192,15 @@ pub fn inline_crypto_cost(bytes: u64) -> SimDuration {
     per_byte(bytes, 18)
 }
 
+/// Cost of one CRC32C pass over `bytes` on the NIC's fixed-function
+/// signature engine, the block a work-request chain's verify step runs on.
+/// Anchored to the ConnectX-7 signature offload (CRC32C / T10-DIF), which
+/// checks payloads as they stream through the port at its 400 Gb/s line
+/// rate: 50 GB/s, 20 ps per byte. No core of either class is involved.
+pub fn nic_crc_cost(bytes: u64) -> SimDuration {
+    per_byte(bytes, 20)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,5 +274,13 @@ mod tests {
     #[test]
     fn crypto_cheaper_than_checksum_per_byte() {
         assert!(inline_crypto_cost(1 << 20) < checksum_cost(1 << 20));
+    }
+
+    #[test]
+    fn nic_crc_runs_at_the_connectx7_line_rate() {
+        // 400 Gb/s = 50 GB/s: one second of port traffic costs one second.
+        let line = crate::link::NicModel::connectx7().line_rate;
+        assert_eq!(nic_crc_cost(line), SimDuration::from_secs(1));
+        assert!(nic_crc_cost(4096) < CoreClass::DpuArm.scale(checksum_cost(4096)));
     }
 }

@@ -25,8 +25,8 @@ pub mod nvme;
 pub mod platform;
 
 pub use cpu::{
-    checksum_cost, inline_crypto_cost, per_byte, CoreClass, DpuTcpRxModel, HostPathModel,
-    TransportCost,
+    checksum_cost, inline_crypto_cost, nic_crc_cost, per_byte, CoreClass, DpuTcpRxModel,
+    HostPathModel, TransportCost,
 };
 pub use gpu::{gpu_by_name, GpuSpec, IngestModel, LlmPhase, TABLE1};
 pub use link::{gbps, path_latency, NicModel, SwitchModel, WireProtocol};

@@ -39,6 +39,16 @@ impl NicModel {
             port_latency: SimDuration::from_nanos(500),
         }
     }
+
+    /// Latency of one hop of a work-request chain: the completion of one
+    /// verb releasing the next (a WAIT/ENABLE edge) with no core in
+    /// between. Anchored to [`Self::port_latency`], the NIC's own
+    /// per-message DMA/doorbell turnaround (0.5 µs on ConnectX-7): a chain
+    /// hop is the NIC fetching and starting one more pre-posted work
+    /// request, the same internal step it takes for any message.
+    pub fn chain_hop(&self) -> SimDuration {
+        self.port_latency
+    }
 }
 
 /// The top-of-rack switch between client and storage server.

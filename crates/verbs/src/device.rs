@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use bytes::Bytes;
 use ros2_sim::{SimRng, SimTime};
 
+use crate::chain::{ChainStats, WorkChain};
 use crate::memory::NodeMemory;
 use crate::types::{
     AccessFlags, Expiry, LKey, MemAddr, MemoryDomain, MrId, NodeId, PdId, QpId, QpState, QpType,
@@ -61,11 +62,22 @@ pub struct QueuePair {
     pub peer: Option<(NodeId, QpId)>,
 }
 
+/// The right an access needs on the region it names.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Right {
+    /// A peer's RDMA READ.
+    RemoteRead,
+    /// A peer's RDMA WRITE.
+    RemoteWrite,
+    /// The local NIC writing on its own account (a chained work request).
+    LocalWrite,
+}
+
 /// The device context for one node.
 #[derive(Debug)]
 pub struct RdmaDevice {
     node: NodeId,
-    memory: NodeMemory,
+    pub(crate) memory: NodeMemory,
     pds: HashMap<PdId, ProtectionDomain>,
     mrs: HashMap<MrId, MemoryRegion>,
     qps: HashMap<QpId, QueuePair>,
@@ -79,6 +91,13 @@ pub struct RdmaDevice {
     violations: ViolationStats,
     /// Completed one-sided operations (ops, bytes) for reporting.
     pub remote_ops: (u64, u64),
+    /// Work-request chains, indexed by [`crate::ChainId`] (destroyed
+    /// chains leave a hole; handles are never reused).
+    pub(crate) chains: Vec<Option<WorkChain>>,
+    pub(crate) chain_stats: ChainStats,
+    /// Fault injection: the next RDMA WRITE to land is stored with its
+    /// first byte flipped.
+    corrupt_next_landing: bool,
 }
 
 impl RdmaDevice {
@@ -99,6 +118,9 @@ impl RdmaDevice {
             peermem: false,
             violations: ViolationStats::default(),
             remote_ops: (0, 0),
+            chains: Vec::new(),
+            chain_stats: ChainStats::default(),
+            corrupt_next_landing: false,
         }
     }
 
@@ -340,6 +362,54 @@ impl RdmaDevice {
 
     // ---- one-sided execution (target side) ------------------------------
 
+    /// The §2.3 check every NIC access passes at the instant it happens:
+    /// `rkey` must name a live, unrevoked, unexpired region of `pd` that
+    /// grants `right` over `[addr, addr+len)`.
+    pub(crate) fn authorize(
+        &self,
+        now: SimTime,
+        pd: PdId,
+        rkey: RKey,
+        addr: MemAddr,
+        len: u64,
+        right: Right,
+    ) -> Result<MrId, VerbsError> {
+        let mr_id = *self.rkey_index.get(&rkey).ok_or(VerbsError::InvalidRkey)?;
+        let mr = &self.mrs[&mr_id];
+        if mr.revoked {
+            return Err(VerbsError::RkeyRevoked);
+        }
+        if mr.expiry.expired(now) {
+            return Err(VerbsError::RkeyExpired);
+        }
+        // The tenant boundary: the MR must live in the same PD as the
+        // QP the request arrived on (or the chain was built on).
+        if mr.pd != pd {
+            return Err(VerbsError::PdMismatch);
+        }
+        let granted = match right {
+            Right::RemoteRead => mr.access.remote_read,
+            Right::RemoteWrite => mr.access.remote_write,
+            Right::LocalWrite => mr.access.local_write,
+        };
+        if !granted {
+            return Err(VerbsError::AccessDenied);
+        }
+        if addr < mr.addr || addr + len > mr.addr + mr.len {
+            return Err(VerbsError::OutOfBounds);
+        }
+        Ok(mr_id)
+    }
+
+    /// Counts a failed [`Self::authorize`] and kills the QP it happened on,
+    /// as real RC hardware does on a protection fault.
+    pub(crate) fn protection_fault(&mut self, qp: QpId, e: VerbsError) {
+        self.violations.record(e);
+        if let Some(q) = self.qps.get_mut(&qp) {
+            q.state = QpState::Error;
+        }
+    }
+
     /// Full §2.3 admission check for a remote access arriving on `target_qp`
     /// presenting `rkey` over `[addr, addr+len)`.
     fn check_remote(
@@ -355,38 +425,13 @@ impl RdmaDevice {
         if qp.state != QpState::ReadyToSend && qp.state != QpState::ReadyToReceive {
             return Err(VerbsError::QpNotReady);
         }
-        let check = (|| {
-            let mr_id = *self.rkey_index.get(&rkey).ok_or(VerbsError::InvalidRkey)?;
-            let mr = &self.mrs[&mr_id];
-            if mr.revoked {
-                return Err(VerbsError::RkeyRevoked);
-            }
-            if mr.expiry.expired(now) {
-                return Err(VerbsError::RkeyExpired);
-            }
-            // The tenant boundary: the MR must live in the same PD as the
-            // QP the request arrived on.
-            if mr.pd != qp.pd {
-                return Err(VerbsError::PdMismatch);
-            }
-            if write && !mr.access.remote_write {
-                return Err(VerbsError::AccessDenied);
-            }
-            if !write && !mr.access.remote_read {
-                return Err(VerbsError::AccessDenied);
-            }
-            if addr < mr.addr || addr + len > mr.addr + mr.len {
-                return Err(VerbsError::OutOfBounds);
-            }
-            Ok(mr_id)
-        })();
+        let right = match write {
+            true => Right::RemoteWrite,
+            false => Right::RemoteRead,
+        };
+        let check = self.authorize(now, qp.pd, rkey, addr, len, right);
         if let Err(e) = check {
-            self.violations.record(e);
-            // Protection faults kill the QP, as on real RC hardware.
-            if let Some(q) = self.qps.get_mut(&target_qp) {
-                q.state = QpState::Error;
-            }
-            return Err(e);
+            self.protection_fault(target_qp, e);
         }
         check
     }
@@ -402,10 +447,23 @@ impl RdmaDevice {
         data: &Bytes,
     ) -> Result<(), VerbsError> {
         self.check_remote(now, target_qp, rkey, addr, data.len() as u64, true)?;
-        self.memory.write(addr, data);
+        if std::mem::take(&mut self.corrupt_next_landing) && !data.is_empty() {
+            let mut rotten = data.to_vec();
+            rotten[0] ^= 0xFF;
+            self.memory.write(addr, &Bytes::from(rotten));
+        } else {
+            self.memory.write(addr, data);
+        }
         self.remote_ops.0 += 1;
         self.remote_ops.1 += data.len() as u64;
         Ok(())
+    }
+
+    /// Test hook: the next RDMA WRITE to land on this device is stored with
+    /// its first byte flipped — corruption on the wire or in the staging
+    /// DRAM, past every check the sender could make.
+    pub fn corrupt_next_landing(&mut self) {
+        self.corrupt_next_landing = true;
     }
 
     /// Executes an RDMA READ served by this device.

@@ -9,7 +9,10 @@
 //! * **cross-tenant access** is stopped by the PD check (an rkey stolen by
 //!   tenant B fails through tenant B's QP, and kills that QP);
 //! * **rkey leakage** is mitigated by revocation and expiring scoped rkeys;
-//! * **bounds and direction rights** are checked before any byte moves.
+//! * **bounds and direction rights** are checked before any byte moves;
+//! * **work-request chains** ([`chain`]) — verbs that release one another
+//!   with no core in between — are built inside one PD and pass the same
+//!   checks again when they fire.
 //!
 //! Timing lives in `ros2-fabric`; GPU-domain buffers (GPUDirect, §3.5) are
 //! gated on peermem registration.
@@ -35,10 +38,12 @@
 
 #![warn(missing_docs)]
 
+pub mod chain;
 pub mod device;
 pub mod memory;
 pub mod types;
 
+pub use chain::{ChainId, ChainStats, Landing, WorkChainBuilder};
 pub use device::{MemoryRegion, ProtectionDomain, QueuePair, RdmaDevice};
 pub use memory::NodeMemory;
 pub use types::{

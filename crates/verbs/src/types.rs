@@ -156,6 +156,11 @@ pub enum VerbsError {
     NoPeermem,
     /// Local-key validation failed on the initiator.
     InvalidLkey,
+    /// A work-request chain with no WAIT, or one fired while disarmed or by
+    /// a completion on a QP it does not wait on.
+    BadChain,
+    /// A chain's CRC32C check rejected the bytes that landed.
+    CrcMismatch,
 }
 
 /// Security/violation accounting, surfaced by the isolation example and the

@@ -1,12 +1,16 @@
 //! Property test: the capability model is safe under arbitrary operation
 //! sequences — no remote access ever succeeds without a live, unexpired,
-//! unrevoked rkey of the right PD, rights, and range.
+//! unrevoked rkey of the right PD, rights, and range. Work-request chains
+//! are held to the same rule: one cannot be built across protection
+//! domains, and one whose regions went away after it was posted dies when
+//! it fires, before it writes anything.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use ros2_sim::{SimRng, SimTime};
 use ros2_verbs::{
-    AccessFlags, Expiry, MemoryDomain, NodeId, QpId, QpState, QpType, RKey, RdmaDevice,
+    AccessFlags, ChainId, Expiry, Landing, MemAddr, MemoryDomain, MrId, NodeId, QpId, QpState,
+    QpType, RKey, RdmaDevice, VerbsError,
 };
 
 #[derive(Debug, Clone)]
@@ -137,5 +141,301 @@ proptest! {
             dev.connect_qp(qp, NodeId(1), QpId(1)).unwrap();
         }
         prop_assert!(dev.violations().invalid_rkey > 0);
+    }
+}
+
+// ---------------------------------------------------------------- chains --
+
+const RECORD: &[u8; 16] = b"completion-rec-0";
+const STAGING_EXPIRY: SimTime = SimTime::from_secs(1);
+
+/// A lane-shaped device: the owner tenant's loopback chain QP, data QP,
+/// staging region (remote-writable, expiring) and host-visible record
+/// region; and a foreign tenant's QP and region beside them.
+struct ChainWorld {
+    dev: RdmaDevice,
+    owner: QpId,
+    data_qp: QpId,
+    staging: (MrId, MemAddr),
+    ring: (MrId, MemAddr),
+    foreign_qp: QpId,
+    foreign_mr: (MrId, MemAddr),
+}
+
+fn chain_world(seed: u64) -> ChainWorld {
+    let mut dev = RdmaDevice::new(NodeId(0), 1 << 22, SimRng::new(seed));
+    let pd = dev.alloc_pd("owner");
+    let pd_foreign = dev.alloc_pd("foreign");
+    let owner = dev.create_qp(pd, QpType::Rc).unwrap();
+    dev.connect_qp(owner, NodeId(0), owner).unwrap();
+    let data_qp = dev.create_qp(pd, QpType::Rc).unwrap();
+    dev.connect_qp(data_qp, NodeId(1), QpId(10)).unwrap();
+    let foreign_qp = dev.create_qp(pd_foreign, QpType::Rc).unwrap();
+    dev.connect_qp(foreign_qp, NodeId(2), QpId(11)).unwrap();
+    let region = |dev: &mut RdmaDevice, pd, len, domain, access, expiry| {
+        let at = dev.alloc_buffer(len, domain).unwrap();
+        let (mr, _, _) = dev.reg_mr(pd, at, len, access, expiry).unwrap();
+        (mr, at)
+    };
+    let staging = region(
+        &mut dev,
+        pd,
+        8192,
+        MemoryDomain::DpuDram,
+        AccessFlags::remote_rw(),
+        Expiry::At(STAGING_EXPIRY),
+    );
+    let ring = region(
+        &mut dev,
+        pd,
+        16,
+        MemoryDomain::HostDram,
+        AccessFlags::local_only(),
+        Expiry::Never,
+    );
+    let foreign_mr = region(
+        &mut dev,
+        pd_foreign,
+        16,
+        MemoryDomain::HostDram,
+        AccessFlags::local_only(),
+        Expiry::Never,
+    );
+    ChainWorld {
+        dev,
+        owner,
+        data_qp,
+        staging,
+        ring,
+        foreign_qp,
+        foreign_mr,
+    }
+}
+
+impl ChainWorld {
+    fn build(&mut self) -> ChainId {
+        self.dev
+            .chain_builder(self.owner)
+            .unwrap()
+            .wait(self.data_qp)
+            .verify_crc32c(self.staging.0)
+            .write_record(self.ring.0, self.ring.1, Bytes::from_static(RECORD))
+            .build()
+            .unwrap()
+    }
+
+    fn fire(&mut self, now: SimTime, chain: ChainId, payload: &Bytes) -> Result<(), VerbsError> {
+        let landing = Landing {
+            addr: self.staging.1,
+            bytes: payload,
+            wire_crc: ros2_buf::bytes_crc32c(payload),
+        };
+        self.dev.fire_chain(now, chain, self.data_qp, Some(landing))
+    }
+
+    fn published(&mut self) -> bool {
+        self.dev.read_local(self.ring.1, 16).unwrap()[..] == RECORD[..]
+    }
+}
+
+#[test]
+fn a_chain_cannot_name_another_domains_region_or_queue_pair() {
+    let mut w = chain_world(1);
+    let record = || Bytes::from_static(RECORD);
+    // A foreign region as the record sink: a chain that would let the
+    // owner's NIC context write the neighbour's host memory.
+    let sink = w
+        .dev
+        .chain_builder(w.owner)
+        .unwrap()
+        .wait(w.data_qp)
+        .write_record(w.foreign_mr.0, w.foreign_mr.1, record())
+        .build();
+    assert_eq!(sink.unwrap_err(), VerbsError::PdMismatch);
+    // A foreign region as the verify source.
+    let source = w
+        .dev
+        .chain_builder(w.owner)
+        .unwrap()
+        .wait(w.data_qp)
+        .verify_crc32c(w.foreign_mr.0)
+        .build();
+    assert_eq!(source.unwrap_err(), VerbsError::PdMismatch);
+    // A foreign QP as the trigger: the neighbour's traffic must not be
+    // able to fire the owner's chain.
+    let trigger = w
+        .dev
+        .chain_builder(w.owner)
+        .unwrap()
+        .wait(w.foreign_qp)
+        .write_record(w.ring.0, w.ring.1, record())
+        .build();
+    assert_eq!(trigger.unwrap_err(), VerbsError::PdMismatch);
+    // Nothing was posted: the first handle a good build gets is chain 0.
+    assert_eq!(w.build(), ChainId(0));
+    // And a built chain still cannot be fired from the foreign QP.
+    let chain = ChainId(0);
+    w.dev.arm_chain(chain).unwrap();
+    assert_eq!(
+        w.dev.fire_chain(SimTime::ZERO, chain, w.foreign_qp, None),
+        Err(VerbsError::BadChain)
+    );
+    assert!(!w.published());
+}
+
+#[test]
+fn a_region_lost_between_post_and_fire_kills_the_chain_at_fire_time() {
+    let payload = Bytes::from(vec![0x42u8; 4096]);
+    type Lose = fn(&mut ChainWorld) -> SimTime;
+    let cases: [(Lose, VerbsError); 4] = [
+        // The staging rkey is revoked under the armed chain.
+        (
+            |w| {
+                w.dev.revoke_rkey(w.staging.0).unwrap();
+                SimTime::ZERO
+            },
+            VerbsError::RkeyRevoked,
+        ),
+        // The staging rkey's scope runs out before the completion arrives.
+        (
+            |_| STAGING_EXPIRY + ros2_sim::SimDuration::from_nanos(1),
+            VerbsError::RkeyExpired,
+        ),
+        // The staging registration is replaced (a refresh): the chain's
+        // rkey names nothing any more.
+        (
+            |w| {
+                w.dev.dereg_mr(w.staging.0).unwrap();
+                SimTime::ZERO
+            },
+            VerbsError::InvalidRkey,
+        ),
+        // The record region is revoked: verify passes, the write must not.
+        (
+            |w| {
+                w.dev.revoke_rkey(w.ring.0).unwrap();
+                SimTime::ZERO
+            },
+            VerbsError::RkeyRevoked,
+        ),
+    ];
+    for (lose, want) in cases {
+        let mut w = chain_world(2);
+        let chain = w.build();
+        w.dev.arm_chain(chain).unwrap();
+        let now = lose(&mut w);
+        assert_eq!(w.fire(now, chain, &payload), Err(want));
+        assert_eq!(w.dev.violations().total(), 1, "{want:?} is a counted fault");
+        assert!(!w.published(), "{want:?}: a dead chain publishes nothing");
+        assert_eq!(w.dev.chain_stats().records_written, 0);
+        // The fault kills the chain's own QP, not the data connection.
+        assert_eq!(w.dev.qp_state(w.owner), Some(QpState::Error));
+        assert_eq!(w.dev.qp_state(w.data_qp), Some(QpState::ReadyToSend));
+        // And while its QP is down the chain stays down, armed or not.
+        w.dev.arm_chain(chain).unwrap();
+        assert_eq!(w.fire(now, chain, &payload), Err(VerbsError::QpNotReady));
+    }
+}
+
+#[derive(Debug, Clone)]
+enum ChainAction {
+    Arm,
+    /// Fire on the data QP (or the foreign one), with a good or a bad
+    /// carried checksum.
+    Fire {
+        on_data_qp: bool,
+        good_crc: bool,
+    },
+    RevokeStaging,
+    RevokeRing,
+    Advance {
+        ms: u64,
+    },
+    /// Administrative recovery of the chain's QP after a fault.
+    RecoverOwner,
+}
+
+fn chain_action_strategy() -> impl Strategy<Value = ChainAction> {
+    prop_oneof![
+        Just(ChainAction::Arm),
+        Just(ChainAction::Arm),
+        (any::<bool>(), any::<bool>()).prop_map(|(q, c)| ChainAction::Fire {
+            on_data_qp: q,
+            good_crc: c
+        }),
+        (any::<bool>(), any::<bool>()).prop_map(|(q, c)| ChainAction::Fire {
+            on_data_qp: q || c,
+            good_crc: true
+        }),
+        Just(ChainAction::RevokeStaging),
+        Just(ChainAction::RevokeRing),
+        (1u64..600).prop_map(|ms| ChainAction::Advance { ms }),
+        Just(ChainAction::RecoverOwner),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    /// Random arm/fire/revoke/expire schedules: a chain writes its record
+    /// into host-visible memory only when, at that very instant, it is
+    /// armed, fired by a QP it waits on, its own QP is up, both regions
+    /// are live, and the landed bytes match the carried checksum — and
+    /// whenever all of that holds, it does.
+    #[test]
+    fn no_unauthorised_chain_ever_writes_host_memory(
+        actions in prop::collection::vec(chain_action_strategy(), 1..80),
+        seed in any::<u64>(),
+    ) {
+        let mut w = chain_world(seed);
+        let chain = w.build();
+        let payload = Bytes::from(vec![0x99u8; 1024]);
+        let (mut now, mut armed) = (SimTime::ZERO, false);
+        let (mut staging_revoked, mut ring_revoked) = (false, false);
+        let mut writes = 0u64;
+        for a in actions {
+            match a {
+                ChainAction::Arm => {
+                    w.dev.arm_chain(chain).unwrap();
+                    armed = true;
+                }
+                ChainAction::RevokeStaging => {
+                    w.dev.revoke_rkey(w.staging.0).unwrap();
+                    staging_revoked = true;
+                }
+                ChainAction::RevokeRing => {
+                    w.dev.revoke_rkey(w.ring.0).unwrap();
+                    ring_revoked = true;
+                }
+                ChainAction::Advance { ms } => now += ros2_sim::SimDuration::from_millis(ms),
+                ChainAction::RecoverOwner => {
+                    if w.dev.qp_state(w.owner) == Some(QpState::Error) {
+                        w.dev.reset_qp(w.owner).unwrap();
+                        w.dev.connect_qp(w.owner, NodeId(0), w.owner).unwrap();
+                    }
+                }
+                ChainAction::Fire { on_data_qp, good_crc } => {
+                    let owner_up = w.dev.qp_state(w.owner) == Some(QpState::ReadyToSend);
+                    let authorised = armed
+                        && on_data_qp
+                        && owner_up
+                        && !staging_revoked
+                        && now <= STAGING_EXPIRY
+                        && !ring_revoked
+                        && good_crc;
+                    let on = if on_data_qp { w.data_qp } else { w.foreign_qp };
+                    let crc = ros2_buf::bytes_crc32c(&payload) ^ u32::from(!good_crc);
+                    let landing = Landing { addr: w.staging.1, bytes: &payload, wire_crc: crc };
+                    let res = w.dev.fire_chain(now, chain, on, Some(landing));
+                    prop_assert_eq!(res.is_ok(), authorised, "{:?} at {} -> {:?}", a, now, res);
+                    writes += u64::from(authorised);
+                    // A fire that reached the chain consumed its WAIT.
+                    if armed && on_data_qp && owner_up {
+                        armed = false;
+                    }
+                }
+            }
+            prop_assert_eq!(w.dev.chain_stats().records_written, writes);
+            prop_assert_eq!(w.published(), writes > 0);
+        }
     }
 }
