@@ -17,12 +17,20 @@
 //! * **host-vs-DPU A/B** — the same schedule against the DPU-offloaded
 //!   client: the ladder runs on the BlueField-3 and its counters surface
 //!   through `DpuStats`, so both arms report the same way.
+//!
+//! The three `*_gib_s` rates are read off inter-completion times inside the
+//! measured window — `(n − 1) × bytes / (t_last − t_first)` — not off the
+//! count of ops that happened to complete in it. The cells are wire-bound,
+//! so their 4 MiB completions are a comb with a fixed pitch, and a 30 ms
+//! window holds 83.75 pitches: an op count reads 83 or 84 depending on
+//! where the comb's phase puts the first tooth, which any change to
+//! per-op latency moves. The pitch itself does not move.
 
 use ros2_core::FaultPlan;
 use ros2_daos::RetryStats;
 use ros2_dpu::DpuTenantSpec;
-use ros2_fio::{run_fio, ClusterFioWorld, FioReport, JobSpec, RwMode, WorldSpec};
-use ros2_sim::SimDuration;
+use ros2_fio::{run_fio, ClusterFioWorld, FioOp, JobSpec, RwMode, Workload, WorldSpec};
+use ros2_sim::{SimDuration, SimTime};
 
 const ENGINES: usize = 4;
 const RF: usize = 2;
@@ -68,6 +76,46 @@ fn arm_kill(w: &mut ClusterFioWorld) {
     w.set_fault_plan(FaultPlan::kill_after(VICTIM, after, RAS_DELAY));
 }
 
+/// The world behind a tap that notes when each successful op completes.
+struct Tapped<W> {
+    world: W,
+    completions: Vec<SimTime>,
+}
+
+impl<W: Workload> Workload for Tapped<W> {
+    fn issue(&mut self, now: SimTime, job: usize, op: &FioOp) -> Result<SimTime, String> {
+        let done = self.world.issue(now, job, op);
+        self.completions.extend(done.iter().copied());
+        done
+    }
+}
+
+/// Runs the chaos spec against `world`; returns the payload rate between
+/// the first and the last completion inside the measured window (GiB/s),
+/// the failed-op count, and the world back.
+fn run_tapped<W: Workload>(world: W) -> (f64, u64, W) {
+    let spec = chaos_spec();
+    let mut tapped = Tapped {
+        world,
+        completions: Vec::new(),
+    };
+    let report = run_fio(&mut tapped, &spec);
+    let (from, to) = (
+        SimTime::ZERO + spec.ramp,
+        SimTime::ZERO + spec.ramp + spec.runtime,
+    );
+    let mut inside: Vec<SimTime> = tapped
+        .completions
+        .into_iter()
+        .filter(|&t| t >= from && t < to)
+        .collect();
+    inside.sort_unstable();
+    let (first, last) = (inside[0], inside[inside.len() - 1]);
+    let bytes = (inside.len() as u64 - 1) * spec.bs;
+    let gib_s = bytes as f64 / last.saturating_since(first).as_secs_f64() / (1u64 << 30) as f64;
+    (gib_s, report.io.errors.get(), tapped.world)
+}
+
 struct ChaosCell {
     gib_s: f64,
     failed: u64,
@@ -82,10 +130,10 @@ fn run_cell(mut w: ClusterFioWorld, kill: bool) -> ChaosCell {
     } else {
         w.set_fault_plan(FaultPlan::none());
     }
-    let report: FioReport = run_fio(&mut w, &chaos_spec());
+    let (gib_s, failed, w) = run_tapped(w);
     ChaosCell {
-        gib_s: report.gib_per_sec(),
-        failed: report.io.errors.get(),
+        gib_s,
+        failed,
         fences: w.fences(),
         retry: w.retry_stats(),
         first_retry_us: w.first_successful_retry().map(|t| t.as_nanos() / 1_000),
@@ -132,9 +180,8 @@ fn main() {
     // Empty-plan pin: a FaultPlan::none() world and a fault-oblivious
     // world must produce bit-identical runs with silent ladder counters.
     let oblivious = {
-        let mut w = host_world();
-        let report = run_fio(&mut w, &chaos_spec());
-        (report.gib_per_sec(), report.io.errors.get())
+        let (gib_s, failed, _) = run_tapped(host_world());
+        (gib_s, failed)
     };
     let baseline = run_cell(host_world(), false);
     assert_eq!(

@@ -188,8 +188,17 @@ impl ExtentStore {
         if len == 0 {
             return;
         }
-        self.carve(at, at + len);
         self.stats.bytes_zero_copy += len;
+        // Exact overwrite (a completion record, a staging buffer's steady
+        // state): extents never overlap, so one that starts here with this
+        // length is the only one in the range — swap its handle in place.
+        if let Some(old) = self.extents.get_mut(&at) {
+            if old.data.len() as u64 == len {
+                *old = Extent::new(data);
+                return;
+            }
+        }
+        self.carve(at, at + len);
         self.extents.insert(at, Extent::new(data));
     }
 
@@ -488,6 +497,44 @@ mod tests {
         let crc2 = s.crc_of_range(0, 8192);
         assert_ne!(crc1, crc2);
         assert_eq!(crc2, crc32c(&s.read(0, 8192)));
+    }
+
+    /// An exact overwrite swaps the extent's handle in place; a shorter,
+    /// longer or shifted write still carves. Either way the store reads as
+    /// the overlay of its writes, drops the overwritten extent's cached
+    /// CRCs, and counts exactly what a twin store counts whose every write
+    /// lands in a range discarded first (so none can be an overwrite).
+    #[test]
+    fn exact_overwrite_swaps_the_handle_and_anything_else_carves() {
+        let mut s = ExtentStore::new();
+        let mut twin = ExtentStore::new();
+        let mut image = vec![0u8; 16384];
+        // (offset, length, extents afterwards)
+        let script = [
+            (4096u64, 4096usize, 1usize), // first write
+            (4096, 4096, 1),              // exact: in place
+            (4096, 4096, 1),              // exact again
+            (4096, 1000, 2),              // same start, shorter: head + old tail
+            (4096, 1000, 2),              // exact on the new head
+            (4096, 6000, 1),              // same start, longer: swallows both
+            (5000, 6000, 2),              // shifted: trims the neighbour
+            (0, 16384, 1),                // covers everything
+        ];
+        for (i, &(at, len, extents)) in script.iter().enumerate() {
+            let fill = i as u8 + 1;
+            let data = Bytes::from(vec![fill; len]);
+            twin.discard(at, len as u64);
+            image[at as usize..at as usize + len].fill(fill);
+            for store in [&mut s, &mut twin] {
+                store.write(at, data.clone());
+                assert_eq!(store.extent_count(), extents, "step {i}");
+                assert_eq!(&store.read(0, image.len())[..], &image[..], "step {i}");
+                assert_eq!(store.read(at, len).as_ptr(), data.as_ptr(), "step {i}");
+                // Also warms the CRC cache the next step overwrites.
+                assert_eq!(store.crc_of_range(0, image.len() as u64), crc32c(&image));
+            }
+            assert_eq!(s.stats(), twin.stats(), "step {i}");
+        }
     }
 
     #[test]

@@ -154,6 +154,13 @@ impl ControlChannel {
             + SimDuration::from_nanos(len as u64 * self.model.ps_per_byte / 1000)
     }
 
+    /// The instant the head of `req` ([`ControlRequest::head_len`]), posted
+    /// at `now`, has landed: for a doorbell, when the endpoint knows what an
+    /// `IoSubmit` would have told it, the patches still on their way.
+    pub fn head_landed_at(&self, now: SimTime, req: &ControlRequest) -> SimTime {
+        self.posted_at(now, req.head_len())
+    }
+
     /// Posts `req` on `session`: a write the caller does not wait on.
     /// Returns the instant the frame is live at the endpoint. Nobody
     /// answers a posted write, so a wedged endpoint is found out by whoever
@@ -428,6 +435,35 @@ mod tests {
             2,
             "a post is a counted call"
         );
+        // A doorbell that carries its ops' patches pays for their bytes:
+        // 13 + 33 per op at 120 ps/B.
+        let patch = crate::messages::IoPatch {
+            write: false,
+            object: 7,
+            chunk: 0,
+            offset: 0,
+            len: 4096,
+        };
+        for (ops, ns) in [(1usize, 5u64), (16, 64)] {
+            let bell = ControlRequest::IoDoorbell {
+                bytes: 4096 * ops as u64,
+                patches: vec![patch; ops],
+            };
+            let (landed, res) = c.post(t0, token, &bell);
+            assert_eq!(
+                (landed, res),
+                (t0 + m.one_way() + SimDuration::from_nanos(ns), Ok(()))
+            );
+            // Its head is the `IoSubmit` it extends, and lands when that
+            // would have.
+            let head = ControlRequest::IoSubmit {
+                ops: ops as u32,
+                bytes: 4096 * ops as u64,
+            };
+            assert_eq!(bell.head_len(), head.encoded_len());
+            assert_eq!(c.head_landed_at(t0, &bell), c.post(t0, token, &head).0);
+            assert_eq!(c.head_landed_at(t0, &head), c.post(t0, token, &head).0);
+        }
         // The pair crosses the link once each way: what *one* synchronous
         // call costs, where a submit call plus a poll call cost two.
         assert!(seen <= c.call_done_at(t0, 13, 9));

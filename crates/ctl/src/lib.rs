@@ -15,5 +15,5 @@ pub mod messages;
 pub mod wire;
 
 pub use channel::{ControlChannel, ControlError, ControlModel, Session};
-pub use messages::{ControlRequest, ControlResponse, MemoryCapability, QosToken};
+pub use messages::{ControlRequest, ControlResponse, IoPatch, MemoryCapability, QosToken};
 pub use wire::{WireError, WireReader, WireWriter};

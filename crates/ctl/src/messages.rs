@@ -31,6 +31,30 @@ pub struct QosToken {
     pub bytes_per_sec: u64,
 }
 
+/// What changes from one I/O of a file to the next: the part of a
+/// data-plane descriptor the host contributes per op. Everything else —
+/// container, object class, replica route, pool-map revision — sits in the
+/// object's descriptor template on the DPU, so template ‖ patch is a whole
+/// descriptor and the NIC can send it without a core looking at either.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct IoPatch {
+    /// Update (true) or fetch.
+    pub write: bool,
+    /// Low word of the object id: which template the patch completes.
+    pub object: u64,
+    /// Chunk index (the record's distribution key).
+    pub chunk: u64,
+    /// Byte offset inside the chunk.
+    pub offset: u64,
+    /// Length in bytes.
+    pub len: u64,
+}
+
+impl IoPatch {
+    /// Encoded size of one patch.
+    pub const WIRE_LEN: usize = 1 + 4 * 8;
+}
+
 /// Control-plane requests.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ControlRequest {
@@ -84,6 +108,17 @@ pub enum ControlRequest {
         ops: u32,
         /// Total payload bytes across the submission.
         bytes: u64,
+    },
+    /// [`Self::IoSubmit`] made self-sufficient: the same posted doorbell
+    /// write, announcing `bytes` payload bytes, followed by one patch per
+    /// queued I/O. What a lane whose NIC submits descriptors is rung with —
+    /// the frame alone, with the templates already on the DPU, says
+    /// everything a descriptor needs.
+    IoDoorbell {
+        /// Total payload bytes across the submission.
+        bytes: u64,
+        /// One patch per I/O, in submission order.
+        patches: Vec<IoPatch>,
     },
     /// RAS-style health event on the control plane: engine `engine` left
     /// the pool (killed/unreachable) and the pool map moved to
@@ -251,6 +286,16 @@ impl ControlRequest {
             } => {
                 w.u8(14).u64(*version).blob(healths).u32(*pending_dead);
             }
+            ControlRequest::IoDoorbell { bytes, patches } => {
+                w.u8(15).u32(patches.len() as u32).u64(*bytes);
+                for p in patches {
+                    w.boolean(p.write)
+                        .u64(p.object)
+                        .u64(p.chunk)
+                        .u64(p.offset)
+                        .u64(p.len);
+                }
+            }
         }
         w.finish()
     }
@@ -270,6 +315,20 @@ impl ControlRequest {
             ControlRequest::DfsMount | ControlRequest::Goodbye | ControlRequest::MapQuery => 0,
             ControlRequest::AggregationReport { container, .. } => 4 + container.len() + 8,
             ControlRequest::MapPush { healths, .. } => 8 + 4 + healths.len() + 4,
+            ControlRequest::IoDoorbell { patches, .. } => 12 + patches.len() * IoPatch::WIRE_LEN,
+        }
+    }
+
+    /// Length of the frame's head: all of it, except for a doorbell, whose
+    /// head is the [`Self::IoSubmit`] it extends (tag, op count, payload
+    /// bytes) and whose patches trail it. A posted write lands in order, so
+    /// the endpoint has the head this many bytes into the frame.
+    pub fn head_len(&self) -> usize {
+        match self {
+            ControlRequest::IoDoorbell { patches, .. } => {
+                self.encoded_len() - patches.len() * IoPatch::WIRE_LEN
+            }
+            _ => self.encoded_len(),
         }
     }
 
@@ -318,6 +377,23 @@ impl ControlRequest {
                 healths: r.blob()?,
                 pending_dead: r.u32()?,
             },
+            15 => {
+                let ops = r.u32()? as usize;
+                let bytes = r.u64()?;
+                // The count is the sender's word: never allocate past what
+                // the frame can actually hold.
+                let mut patches = Vec::with_capacity(ops.min(r.remaining() / IoPatch::WIRE_LEN));
+                for _ in 0..ops {
+                    patches.push(IoPatch {
+                        write: r.boolean()?,
+                        object: r.u64()?,
+                        chunk: r.u64()?,
+                        offset: r.u64()?,
+                        len: r.u64()?,
+                    });
+                }
+                ControlRequest::IoDoorbell { bytes, patches }
+            }
             t => return Err(WireError::BadTag(t)),
         })
     }
@@ -463,6 +539,21 @@ mod tests {
             ops: 32,
             bytes: 32 << 20,
         });
+        let patch = |write, chunk| IoPatch {
+            write,
+            object: 0x51,
+            chunk,
+            offset: 40 << 10,
+            len: 4 << 10,
+        };
+        round_trip_req(ControlRequest::IoDoorbell {
+            bytes: 8 << 10,
+            patches: vec![patch(false, 3), patch(true, 9)],
+        });
+        round_trip_req(ControlRequest::IoDoorbell {
+            bytes: 0,
+            patches: Vec::new(),
+        });
         round_trip_req(ControlRequest::RasEvent {
             engine: 3,
             map_version: 17,
@@ -514,6 +605,16 @@ mod tests {
             healths: Bytes::from_static(&[1, 0, 1, 1]),
             pending_dead: 1,
         });
+    }
+
+    /// A doorbell frame that promises more patches than it carries is a
+    /// truncated frame, and its count is never trusted for an allocation.
+    #[test]
+    fn a_doorbell_frame_short_of_its_patches_is_rejected() {
+        let mut w = WireWriter::new();
+        w.u8(15).u32(u32::MAX).u64(4096);
+        w.boolean(true).u64(1).u64(2).u64(3).u64(4);
+        assert!(ControlRequest::decode(w.finish()).is_err());
     }
 
     #[test]

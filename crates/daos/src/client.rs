@@ -28,18 +28,21 @@
 //! An op runs one of two ways: the serial call ([`DaosClient::update`] /
 //! [`DaosClient::fetch`], live-map routing, the whole `client_per_op` on
 //! the job core) or a submission to the [`crate::pipeline::OpRing`]
-//! (cached-map routing, split CPU cost, the recovery ladder). The caller
-//! picks — `Dfs::data_pipeline` for single-chunk file I/O; multi-chunk
-//! I/O always takes the ring.
+//! (cached-map routing, split CPU cost — or none at all where the NIC runs
+//! the ring's clean path, [`DaosClient::chain_ring`] — and the recovery
+//! ladder). The caller picks — `Dfs::data_pipeline` for single-chunk file
+//! I/O; multi-chunk I/O always takes the ring.
 
 use bytes::Bytes;
 use ros2_buf::zero_bytes;
-use ros2_fabric::{ConnId, Dir, Fabric, FabricError};
+use ros2_ctl::IoPatch;
+use ros2_fabric::{ConnId, Delivery, Dir, Fabric, FabricError, SendCores};
 use ros2_hw::{CoreClass, NicModel, Transport};
 use ros2_sim::{ResourceStats, ServerPool, SimDuration, SimTime};
 use ros2_verbs::{AccessFlags, Expiry, MemAddr, MemoryDomain, MrId, NodeId, PdId, RKey};
 
 use crate::cluster::{EngineCluster, MapSnapshot};
+use crate::descriptor::{Routing, TemplateTable, REGION_LEN, TEMPLATE_LEN};
 use crate::engine::ValueKind;
 use crate::pipeline::{OpRing, RetryPolicy, RetryStats, RingStore};
 use crate::types::{AKey, DKey, DaosCostModel, DaosError, Epoch, ObjectId, RecordVersion};
@@ -97,17 +100,42 @@ impl ClientCores {
     }
 }
 
-/// Who forwards a ring op's completion to whoever waits on it.
+/// Who runs the clean path of a ring op — posts its descriptor, and
+/// forwards its completion to whoever waits on it.
 #[derive(Copy, Clone)]
-enum CompletionPath {
-    /// A client core reaps the completion queue: the completion fraction
-    /// of `client_per_op` (plus, on DPU ARM cores, the synchronous-poll
-    /// surcharge).
-    Core,
-    /// A NIC work-request chain parked on the engine's completion SEND
-    /// forwards it — one chain hop of this latency. See
-    /// [`DaosClient::chain_completions`].
-    NicChain { hop: SimDuration },
+enum RingPath {
+    /// Client cores: the submission fraction of `client_per_op` booked on
+    /// a core before the descriptor goes out, the completion fraction
+    /// (plus, on DPU ARM cores, the synchronous-poll surcharge) charged
+    /// when the completion queue is reaped.
+    Cores,
+    /// NIC work-request chains, one hop of this latency at each end: the
+    /// doorbell fires the descriptor SEND, the engine's completion SEND
+    /// fires the forwarding. See [`DaosClient::chain_ring`].
+    NicChains { hop: SimDuration },
+}
+
+/// The descriptor template a doorbell fires for one op: where it sits in
+/// the client's template region, what it says, and which engines' legs it
+/// sends on. Only [`DaosClient::fired_template`] hands one out, and
+/// [`OpRing::submit_fired`] takes the op's route and stamp from it.
+#[derive(Clone, Debug)]
+pub struct FiredTemplate {
+    /// Address of the [`TEMPLATE_LEN`]-byte template.
+    pub at: MemAddr,
+    /// The template's bytes, as the NIC gathers them.
+    pub(crate) bytes: Bytes,
+    /// The routing those bytes spell out.
+    pub(crate) routing: Routing,
+    legs: usize,
+}
+
+impl FiredTemplate {
+    /// Engine slots the op's descriptor goes to: the leader for a fetch,
+    /// the whole replica set for an update.
+    pub fn legs(&self) -> impl Iterator<Item = usize> + '_ {
+        self.routing.set.iter().take(self.legs)
+    }
 }
 
 /// Provenance of one completed fetch, surfaced by
@@ -137,7 +165,10 @@ pub struct DaosClient {
     pd: PdId,
     jobs: Vec<ClientJob>,
     cores: ClientCores,
-    completion: CompletionPath,
+    ring_path: RingPath,
+    /// Descriptor templates, where the NIC runs the ring's clean path
+    /// (empty otherwise, and until the first submission).
+    templates: TemplateTable,
     /// Ring scaffolding kept per job between queues (grown on first use).
     rings: Vec<RingStore>,
     model: DaosCostModel,
@@ -336,7 +367,8 @@ impl DaosClient {
             pd,
             jobs: out_jobs,
             cores: ClientCores::PerJob(vec![ServerPool::new(1); jobs]),
-            completion: CompletionPath::Core,
+            ring_path: RingPath::Cores,
+            templates: TemplateTable::default(),
             rings: Vec::new(),
             model,
             class,
@@ -510,29 +542,128 @@ impl DaosClient {
         self.cores = ClientCores::Shared(ServerPool::new(cores.max(1)));
     }
 
-    /// Has `nic` forward the ring's completions instead of a client core:
-    /// an op whose every leg went right first time retires one
-    /// [`NicModel::chain_hop`] after the engine's completion SEND, with no
-    /// core booked; any op the recovery ladder touched still completes on
-    /// a core. The DPU-offloaded client calls this once per RDMA tenant
-    /// lane, before any op, beside [`Self::share_cores`] — it owns the
-    /// chains the ring then reports firing
-    /// ([`crate::pipeline::SlotTrail::forwarded`]), arms one per slot
-    /// ([`OpRing::submit_on_core`] when it cannot), and prices what they do
+    /// Has `nic` run the ring's clean path instead of client cores, both
+    /// halves of it. *Submission:* an op whose object has a current
+    /// descriptor template ([`crate::descriptor`]) leaves one
+    /// [`NicModel::chain_hop`] after it starts, on every leg at once, its
+    /// route and stamp read out of the template, with no core booked; an op
+    /// without one is submitted by a core exactly as before, and that core
+    /// writes the template. *Completion:* such an op, if every leg then goes
+    /// right first time, retires one hop after the engine's completion
+    /// SEND, again with no core; anything the recovery ladder touched
+    /// completes on a core. The DPU-offloaded client calls this once per
+    /// RDMA tenant lane, before any op, beside [`Self::share_cores`] — it
+    /// owns the chains: it arms one per slot, rings its doorbell
+    /// ([`Self::fired_template`]) and submits what the doorbell fired
+    /// through [`OpRing::submit_fired`], sends whatever it cannot or may not
+    /// chain through [`OpRing::submit`] like any other client, fires the
+    /// chains the ring reports forwarding
+    /// ([`crate::pipeline::SlotTrail::forwarded`]), and prices what they do
     /// with the payload. Meaningless without queue pairs to park a chain
     /// on: TCP lanes and in-process clients never call it.
-    pub fn chain_completions(&mut self, nic: NicModel) {
-        self.completion = CompletionPath::NicChain {
+    pub fn chain_ring(&mut self, nic: NicModel) {
+        self.ring_path = RingPath::NicChains {
             hop: nic.chain_hop(),
         };
     }
 
-    /// One hop of a forwarding chain, if the NIC forwards completions at
-    /// all.
+    /// One hop of a chain, if the NIC runs the ring's clean path at all.
     pub(crate) fn chain_hop(&self) -> Option<SimDuration> {
-        match self.completion {
-            CompletionPath::Core => None,
-            CompletionPath::NicChain { hop } => Some(hop),
+        match self.ring_path {
+            RingPath::Cores => None,
+            RingPath::NicChains { hop } => Some(hop),
+        }
+    }
+
+    /// The registered region the client's descriptor templates live in —
+    /// what a slot's chain gathers its SEND from — allocated in the
+    /// client's protection domain the first time it is asked for.
+    pub fn template_region(&mut self, fabric: &mut Fabric) -> Result<MrId, DaosError> {
+        if let Some((mr, _)) = self.templates.region {
+            return Ok(mr);
+        }
+        let dev = fabric.rdma_mut(self.node);
+        let verbs = |e| DaosError::Transport(format!("template region: {e:?}"));
+        let at = dev
+            .alloc_buffer(REGION_LEN, MemoryDomain::DpuDram)
+            .map_err(verbs)?;
+        let access = AccessFlags::local_only();
+        match dev.reg_mr(self.pd, at, REGION_LEN, access, Expiry::Never) {
+            Ok((mr, _, _)) => {
+                self.templates.region = Some((mr, at));
+                Ok(mr)
+            }
+            Err(e) => {
+                let _ = dev.free_buffer(at);
+                Err(verbs(e))
+            }
+        }
+    }
+
+    /// Gives the template region up — deregistered, freed, its templates
+    /// forgotten — after a chain faulted on it. The next
+    /// [`Self::template_region`] registers a fresh one and cores write the
+    /// templates again, one submission each.
+    pub fn retire_template_region(&mut self, fabric: &mut Fabric) {
+        if let Some((mr, at)) = std::mem::take(&mut self.templates).region {
+            let dev = fabric.rdma_mut(self.node);
+            // Best effort: whatever cannot be released is already gone.
+            let _ = dev.dereg_mr(mr);
+            let _ = dev.free_buffer(at);
+        }
+    }
+
+    /// The template a doorbell landing at `now` fires for `op`, if the NIC
+    /// may submit it: the op's object has a template, in memory by `now`
+    /// and stamped with the revision the client's cached map holds then
+    /// (any due delivery applied first, as a ring submission does). This
+    /// is the one place that is decided; [`OpRing::submit_fired`] sends what
+    /// it is handed. (Whether the doorbell carried a patch for the op —
+    /// [`ClientOp::patch`] — is the ringer's to know.)
+    pub fn fired_template(
+        &mut self,
+        now: SimTime,
+        cluster: &EngineCluster,
+        op: &ClientOp,
+    ) -> Option<FiredTemplate> {
+        self.chain_hop()?;
+        self.poll_map(now, cluster);
+        let (oid, akey) = op.object();
+        let legs = match op {
+            ClientOp::Fetch { .. } => 1,
+            ClientOp::Update { .. } => usize::MAX,
+        };
+        let (at, bytes) = self.templates.find(oid, akey, now)?;
+        let routing = Routing::of(bytes);
+        (routing.stamp == self.cached_map().version()).then(|| FiredTemplate {
+            at,
+            bytes: bytes.clone(),
+            routing,
+            legs,
+        })
+    }
+
+    /// A core that resolved `routing` for `(oid, akey)`, and is done with
+    /// its submission work at `since`, leaves it behind as the object's
+    /// template, where the NIC runs the clean path and the template region
+    /// exists (the chains' owner asks for it when it builds the first
+    /// chain). An op that can have no template, or a region write that
+    /// fails, leaves none: the next op is a core's again.
+    pub(crate) fn write_template(
+        &mut self,
+        fabric: &mut Fabric,
+        oid: &ObjectId,
+        akey: &AKey,
+        routing: Routing,
+        since: SimTime,
+    ) {
+        if self.chain_hop().is_none() {
+            return;
+        }
+        let written = self.templates.write(&self.cont, oid, akey, routing, since);
+        if let Some((at, bytes)) = written {
+            // The region is sized for every slot the table can name.
+            let _ = fabric.rdma_mut(self.node).write_local_bytes(at, &bytes);
         }
     }
 
@@ -583,6 +714,7 @@ impl DaosClient {
             ClientCores::PerJob(cores) => cores.iter_mut().for_each(ServerPool::reset_timing),
             ClientCores::Shared(pool) => pool.reset_timing(),
         }
+        self.templates.reset_timing();
     }
 
     /// Aggregate booking / fast-path counters over the client cores.
@@ -668,14 +800,22 @@ impl DaosClient {
     /// the completion portion and stops binding throughput once the ring
     /// overlaps it.
     pub(crate) fn client_cpu_split(&mut self, now: SimTime, job: usize) -> (SimTime, SimDuration) {
+        let (submit, completion) = self.ring_cpu_costs();
+        (self.book_cpu(now, job, submit), completion)
+    }
+
+    /// The two fractions [`Self::client_cpu_split`] splits `client_per_op`
+    /// into, `(submission, completion)`, with nothing booked — a chained
+    /// submission spends neither unless it turns into an exception, and
+    /// then only the second.
+    pub(crate) fn ring_cpu_costs(&self) -> (SimDuration, SimDuration) {
         let base = self.class.scale(self.model.client_per_op);
         let frac = self.model.client_completion_frac;
-        let submit = base.mul_f64(1.0 - frac);
         let mut completion = base.mul_f64(frac);
         if self.class == CoreClass::DpuArm {
             completion += base.mul_f64(self.model.dpu_client_overhead - 1.0);
         }
-        (self.book_cpu(now, job, submit), completion)
+        (base.mul_f64(1.0 - frac), completion)
     }
 
     /// Staging-buffer capacity of `job`.
@@ -702,13 +842,42 @@ impl DaosClient {
         data: Bytes,
     ) -> Result<(SimTime, Bytes), DaosError> {
         let t_cpu = self.client_cpu(now, job);
-        self.stage_update_from(fabric, t_cpu, job, eng, data)
+        self.stage_update_from(fabric, t_cpu, job, eng, data, None)
     }
 
-    /// [`Self::stage_update`] with the client-CPU grant already booked:
-    /// stages the payload and runs the descriptor/pull exchange starting
-    /// at `t_cpu`. Shared by the serial path and the pipelined ring (which
-    /// books the split CPU cost instead).
+    /// The descriptor SEND of one leg on `conn` at `t`: posted by a core,
+    /// or — `template` given — by the NIC, its body that template followed
+    /// by the doorbell's patch (the same [`RPC_DESC`] bytes on the wire
+    /// either way).
+    fn send_descriptor(
+        &mut self,
+        fabric: &mut Fabric,
+        t: SimTime,
+        conn: ConnId,
+        template: Option<&Bytes>,
+    ) -> Result<Delivery, DaosError> {
+        match template {
+            None => fabric.send(t, conn, Dir::AtoB, rpc_desc()),
+            Some(template) => {
+                let patch = RPC_DESC as u64 - TEMPLATE_LEN;
+                fabric.send_framed(
+                    t,
+                    conn,
+                    Dir::AtoB,
+                    patch,
+                    template.clone(),
+                    SendCores::NicPosted,
+                )
+            }
+        }
+        .map_err(map_fabric)
+    }
+
+    /// [`Self::stage_update`] from the instant `t_cpu` at which the
+    /// descriptor is ready to post — the client-CPU grant already booked,
+    /// or none needed because the NIC posts `template`: stages the payload
+    /// and runs the descriptor/pull exchange. Shared by the serial path and
+    /// the pipelined ring.
     pub(crate) fn stage_update_from(
         &mut self,
         fabric: &mut Fabric,
@@ -716,6 +885,7 @@ impl DaosClient {
         job: usize,
         eng: usize,
         data: Bytes,
+        template: Option<&Bytes>,
     ) -> Result<(SimTime, Bytes), DaosError> {
         let len = data.len() as u64;
         let conn = self.jobs[job].conns[eng];
@@ -728,9 +898,7 @@ impl DaosClient {
                     .rdma_mut(self.node)
                     .write_local_bytes(self.jobs[job].buf, &data)
                     .map_err(|e| DaosError::Transport(format!("{e:?}")))?;
-                let desc = fabric
-                    .send(t_cpu, conn, Dir::AtoB, rpc_desc())
-                    .map_err(map_fabric)?;
+                let desc = self.send_descriptor(fabric, t_cpu, conn, template)?;
                 let pull = fabric
                     .rdma_read(
                         desc.at,
@@ -748,7 +916,14 @@ impl DaosClient {
                 // descriptor is framing, the payload travels as the
                 // caller's handle (the kernel copy is a modelled cost).
                 let d = fabric
-                    .send_framed(t_cpu, conn, Dir::AtoB, RPC_DESC as u64, data)
+                    .send_framed(
+                        t_cpu,
+                        conn,
+                        Dir::AtoB,
+                        RPC_DESC as u64,
+                        data,
+                        SendCores::Both,
+                    )
                     .map_err(map_fabric)?;
                 Ok((d.at, d.data.expect("tcp carries data")))
             }
@@ -756,16 +931,19 @@ impl DaosClient {
     }
 
     /// Phase C of an update: engine `eng`'s completion SEND at
-    /// `persisted`.
+    /// `persisted`, reaped by a core or consumed by a parked chain
+    /// (`cores`).
     pub(crate) fn finish_update(
         &mut self,
         fabric: &mut Fabric,
         job: usize,
         eng: usize,
         persisted: SimTime,
+        cores: SendCores,
     ) -> Result<SimTime, DaosError> {
+        let conn = self.jobs[job].conns[eng];
         let done = fabric
-            .send(persisted, self.jobs[job].conns[eng], Dir::BtoA, rpc_done())
+            .send_framed(persisted, conn, Dir::BtoA, 0, rpc_done(), cores)
             .map_err(map_fabric)?;
         Ok(done.at)
     }
@@ -780,27 +958,26 @@ impl DaosClient {
         eng: usize,
     ) -> Result<SimTime, DaosError> {
         let t_cpu = self.client_cpu(now, job);
-        self.stage_fetch_from(fabric, t_cpu, job, eng)
+        self.stage_fetch_from(fabric, t_cpu, job, eng, None)
     }
 
-    /// [`Self::stage_fetch`] with the client-CPU grant already booked.
+    /// [`Self::stage_fetch`] from the instant the descriptor is ready to
+    /// post (see [`Self::stage_update_from`]).
     pub(crate) fn stage_fetch_from(
         &mut self,
         fabric: &mut Fabric,
         t_cpu: SimTime,
         job: usize,
         eng: usize,
+        template: Option<&Bytes>,
     ) -> Result<SimTime, DaosError> {
         let conn = self.jobs[job].conns[eng];
-        let req = fabric
-            .send(t_cpu, conn, Dir::AtoB, rpc_desc())
-            .map_err(map_fabric)?;
-        Ok(req.at)
+        Ok(self.send_descriptor(fabric, t_cpu, conn, template)?.at)
     }
 
     /// Phase C of a fetch: (RDMA) engine `eng`'s push into the job's
-    /// registered buffer plus the completion SEND, or (TCP) the inline
-    /// response.
+    /// registered buffer plus the completion SEND — reaped by a core or
+    /// consumed by a parked chain (`cores`) — or (TCP) the inline response.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn finish_fetch(
         &mut self,
@@ -810,6 +987,7 @@ impl DaosClient {
         data: Bytes,
         ready: SimTime,
         len: u64,
+        cores: SendCores,
     ) -> Result<(Bytes, SimTime), DaosError> {
         let conn = self.jobs[job].conns[eng];
         match self.transport {
@@ -825,7 +1003,7 @@ impl DaosClient {
                     )
                     .map_err(map_fabric)?;
                 let done = fabric
-                    .send(push.at, conn, Dir::BtoA, rpc_done())
+                    .send_framed(push.at, conn, Dir::BtoA, 0, rpc_done(), cores)
                     .map_err(map_fabric)?;
                 let landed = fabric
                     .rdma_mut(self.node)
@@ -883,7 +1061,7 @@ impl DaosClient {
                 epoch,
                 payload,
             )?;
-            let acked = self.finish_update(fabric, job, eng, persisted)?;
+            let acked = self.finish_update(fabric, job, eng, persisted, SendCores::Both)?;
             done = Some(done.map_or(acked, |d| d.max(acked)));
         }
         Ok(done.expect("non-empty replica set"))
@@ -949,7 +1127,7 @@ impl DaosClient {
             map_version: cluster.map().version(),
             record_version: cluster.engine(eng).record_version(oid, &dkey, &akey),
         };
-        self.finish_fetch(fabric, job, eng, data, ready, len)
+        self.finish_fetch(fabric, job, eng, data, ready, len, SendCores::Both)
             .map(|(data, at)| (data, at, meta))
     }
 
@@ -1142,6 +1320,49 @@ pub enum ClientOp {
         /// Bytes to read.
         len: u64,
     },
+}
+
+impl ClientOp {
+    /// The object and attribute key the op addresses: what its descriptor
+    /// template is kept under.
+    pub(crate) fn object(&self) -> (&ObjectId, &AKey) {
+        match self {
+            ClientOp::Update { oid, akey, .. } | ClientOp::Fetch { oid, akey, .. } => (oid, akey),
+        }
+    }
+
+    /// The op as a doorbell patch: what of it the host's posted write
+    /// carries, the rest being in the object's descriptor template. `None`
+    /// for an op a patch cannot name — anything but an array extent under
+    /// an 8-byte chunk-index dkey, which is what file I/O issues.
+    pub fn patch(&self) -> Option<IoPatch> {
+        let (write, oid, dkey, kind, len) = match self {
+            ClientOp::Update {
+                oid,
+                dkey,
+                kind,
+                data,
+                ..
+            } => (true, oid, dkey, kind, data.len() as u64),
+            ClientOp::Fetch {
+                oid,
+                dkey,
+                kind,
+                len,
+                ..
+            } => (false, oid, dkey, kind, *len),
+        };
+        let ValueKind::Array { offset } = *kind else {
+            return None;
+        };
+        Some(IoPatch {
+            write,
+            object: oid.lo,
+            chunk: u64::from_le_bytes(dkey.as_bytes().try_into().ok()?),
+            offset,
+            len,
+        })
+    }
 }
 
 /// The per-op outcome of a drained ring, in submission order. The instants

@@ -129,6 +129,16 @@ impl ReplicaSet {
         self.len += 1;
     }
 
+    /// The set holding `slots` in order (at most [`MAX_RF`]): how a
+    /// descriptor template's route comes back out of its bytes.
+    pub(crate) fn from_slots(slots: &[u16]) -> ReplicaSet {
+        let mut out = ReplicaSet::EMPTY;
+        for &s in slots.iter().take(MAX_RF) {
+            out.push(s as usize);
+        }
+        out
+    }
+
     /// This set with `slot` removed (order preserved).
     pub fn without(&self, slot: usize) -> ReplicaSet {
         let mut out = ReplicaSet::EMPTY;
@@ -909,22 +919,18 @@ impl EngineCluster {
     /// engines serve it), it just resolved the route from the client's
     /// possibly-stale view.
     pub fn route_fetch_snapshot(&mut self, snap: &MapSnapshot, oid: &ObjectId) -> ReplicaSet {
-        self.route_fetch_snapshot_meta(snap, oid).0
-    }
-
-    /// [`Self::route_fetch_snapshot`] plus the degraded flag, for callers
-    /// that maintain a read cache: only leader-path (non-degraded) fetch
-    /// completions are safe to fill from. Accounting is identical.
-    pub fn route_fetch_snapshot_meta(
-        &mut self,
-        snap: &MapSnapshot,
-        oid: &ObjectId,
-    ) -> (ReplicaSet, bool) {
         let (set, degraded) = snap.route(oid);
         if degraded {
-            self.stats.degraded_fetches += 1;
+            self.note_degraded_fetch();
         }
-        (set, degraded)
+        set
+    }
+
+    /// Counts one degraded-mode read whose route the client resolved
+    /// itself — from its cached snapshot, or out of a descriptor template
+    /// written under it.
+    pub(crate) fn note_degraded_fetch(&mut self) {
+        self.stats.degraded_fetches += 1;
     }
 
     /// The replica set an update must fan out to (every healthy member).
@@ -933,7 +939,7 @@ impl EngineCluster {
     }
 
     /// The live-map replica set a fetch may read from, leader first, plus
-    /// the degraded flag (see [`Self::route_fetch_snapshot_meta`]). A fetch
+    /// the degraded flag. A fetch
     /// of an object that has lost a replica to an unrebuilt kill is counted
     /// as a degraded-mode read (redundancy is short, whichever member died;
     /// if the dead member was the leader, the read also fails over).

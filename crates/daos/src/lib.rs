@@ -17,6 +17,7 @@ pub mod checksum;
 pub mod client;
 pub mod cluster;
 pub mod conn_pool;
+pub mod descriptor;
 pub mod engine;
 pub mod pipeline;
 pub mod types;
@@ -24,13 +25,14 @@ pub mod vos;
 
 pub use checksum::{crc32c, crc32c_append, Checksum};
 pub use client::{
-    whole_batch_error, ClientOp, ClientOpResult, DaosClient, FetchMeta, ObjectClient,
+    whole_batch_error, ClientOp, ClientOpResult, DaosClient, FetchMeta, FiredTemplate, ObjectClient,
 };
 pub use cluster::{
     BgService, EngineCluster, EngineHealth, MapSnapshot, PoolMap, PoolMember, RebuildStats,
     ReplicaSet, ScrubOutcome, ScrubStats, ServiceScheduler, MAX_RF,
 };
 pub use conn_pool::{ConnPool, ConnPoolStats};
+pub use descriptor::TEMPLATE_LEN;
 pub use engine::{ContainerMeta, DaosEngine, ValueKind};
 pub use pipeline::{Forwarded, OpRing, RetryPolicy, RetryStats, SlotTrail};
 pub use types::{

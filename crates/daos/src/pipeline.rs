@@ -6,24 +6,38 @@
 //! The [`OpRing`] splits every op into the two halves real RDMA clients
 //! have:
 //!
-//! * **submission** — epoch allocation, route resolution, the client-CPU
-//!   submission fraction, payload staging and the descriptor exchange, one
-//!   *leg* per replica. All of this happens at [`OpRing::submit`] time, so
-//!   up to `depth` ops can be in flight before any completion is reaped.
+//! * **submission** — epoch allocation, route resolution, whoever posts
+//!   the descriptor, payload staging and the descriptor exchange, one *leg*
+//!   per replica. All of this happens at [`OpRing::submit`] time, so up to
+//!   `depth` ops can be in flight before any completion is reaped.
 //! * **completion** — engine execution of each staged leg, the response
 //!   push/SEND, and then whoever forwards the completion, charged as retire
-//!   latency: a client core (the completion fraction of `client_per_op` —
-//!   EQ poll / CQ reap), or, on a client whose NIC forwards completions
-//!   ([`DaosClient::chain_completions`]), a work-request chain parked on
-//!   the SEND — one chain hop, no core at all. The chain forwards only
-//!   what went right first time: an op with any leg that was fenced, timed
-//!   out, re-staged, dropped or failed is an exception, and exceptions
-//!   complete on the core. What the forwarder then does with the payload
-//!   (verify it, at whatever rate its hardware does) is its owner's to
-//!   price, not the ring's: [`SlotTrail`] says who forwarded each slot.
-//!   Completions are reaped out of order and retire in completion order;
-//!   results are still reported in submission order so strided callers can
-//!   stitch.
+//!   latency. Completions are reaped out of order and retire in completion
+//!   order; results are still reported in submission order so strided
+//!   callers can stitch.
+//!
+//! **Who runs the clean path.** Client cores, by default: the submission
+//! fraction of `client_per_op` is booked on a core before each leg's
+//! descriptor goes out, the completion fraction (EQ poll / CQ reap) is
+//! charged when the op retires. On a client whose NIC runs the ring
+//! ([`DaosClient::chain_ring`]) both halves of a *clean* op belong to one
+//! work-request chain instead and no core is booked for either: the
+//! doorbell fires the descriptor SEND one chain hop after the op starts —
+//! route and map stamp read out of the object's descriptor template
+//! ([`crate::descriptor`]), not resolved again — and the engine's
+//! completion SEND fires the forwarding, one more hop. Clean means, at
+//! submission, that the chains' owner rang the op's doorbell and it fired
+//! a template stamped with the client's cached map revision
+//! ([`DaosClient::fired_template`] decides, [`OpRing::submit_fired`] takes
+//! what fired); and, at completion, that every leg went right first time.
+//! An op that is not clean at submission goes in through
+//! [`OpRing::submit`] like any other client's and is a core's as a whole,
+//! and that core leaves the template behind for the next one; an op with
+//! any leg that was fenced, timed out, re-staged, dropped or failed is an
+//! exception and completes on a core. What the forwarder then does with
+//! the payload (verify it, at whatever rate its hardware does) is its
+//! owner's to price, not the ring's: [`SlotTrail`] says who did what for
+//! each slot.
 //!
 //! **Resource gating.** The ring never holds more than `depth` ops: a
 //! submit into a full ring first retires the earliest-completing in-flight
@@ -72,11 +86,12 @@
 
 use bytes::Bytes;
 use ros2_buf::bytes_crc32c;
-use ros2_fabric::Fabric;
+use ros2_fabric::{Fabric, SendCores};
 use ros2_sim::{SimDuration, SimTime};
 
-use crate::client::{ClientOp, ClientOpResult, DaosClient};
+use crate::client::{ClientOp, ClientOpResult, DaosClient, FiredTemplate};
 use crate::cluster::EngineCluster;
+use crate::descriptor::Routing;
 use crate::engine::ValueKind;
 use crate::types::{AKey, DKey, DaosError, Epoch, ObjectId};
 
@@ -214,10 +229,22 @@ struct Inflight {
     /// Client-CPU completion fraction charged as latency at retire when a
     /// core forwards the completion.
     completion: SimDuration,
-    /// The hop charged instead when a NIC chain forwards it; `None` if no
-    /// chain stands armed for this slot.
+    /// The hop charged instead when a NIC chain forwards it; `None` unless
+    /// the same chain submitted the op.
     chain_hop: Option<SimDuration>,
     body: Body,
+}
+
+impl Inflight {
+    /// Who takes the completion SEND of a leg that went right first time:
+    /// the chain parked on it, if the NIC submitted the op; a core
+    /// otherwise — as for every leg the ladder re-staged.
+    fn first_ack(&self) -> SendCores {
+        match self.chain_hop {
+            Some(_) => SendCores::ChainConsumed,
+            None => SendCores::Both,
+        }
+    }
 }
 
 /// An executed op waiting to retire in completion order.
@@ -238,6 +265,11 @@ pub struct SlotTrail {
     /// degraded route is correct but is not something a read cache may
     /// fill or write-update from (the leader may have moved).
     pub fill_ok: bool,
+    /// What the ring charged between the op's start and its last leg's
+    /// descriptor being ready to post: one chain hop if the NIC submitted
+    /// it, the wait for a core plus the core's submission work otherwise.
+    /// Zero for a slot that failed before it was staged.
+    pub submission: SimDuration,
     /// What the ring charged between the engine's last completion SEND
     /// landing and the result instant, for forwarding the completion: the
     /// chain's hop, or the core's completion work. Zero for a failed slot.
@@ -344,11 +376,15 @@ impl OpRing {
         &self.store.trail
     }
 
-    /// Submits one op: allocates its epoch, resolves its route and books
-    /// its staging legs. If the ring is full, the earliest-completing
-    /// in-flight op retires first to free a slot. Submission-time failures
-    /// (oversized I/O, no healthy replica) occupy their slot as immediate
-    /// error retires.
+    /// Submits one op from a client core: allocates its epoch, resolves its
+    /// route from the cached map and books its staging legs, each behind the
+    /// submission fraction of the client's per-op CPU. If the ring is full,
+    /// the earliest-completing in-flight op retires first to free a slot.
+    /// Submission-time failures (oversized I/O, no healthy replica) occupy
+    /// their slot as immediate error retires. Cores forward the op's
+    /// completion however it goes. On a client whose NIC runs the ring this
+    /// is the way in for everything the NIC may not run, and the core
+    /// leaves the object's descriptor template behind.
     pub fn submit(
         &mut self,
         client: &mut DaosClient,
@@ -357,21 +393,24 @@ impl OpRing {
         now: SimTime,
         op: ClientOp,
     ) {
-        self.submit_as(client, fabric, cluster, now, op, true);
+        self.submit_as(client, fabric, cluster, now, op, None);
     }
 
-    /// [`Self::submit`] for an op no chain stands armed for — the owner of
-    /// the client's chains could not arm one for this slot — so that a core
-    /// forwards its completion however the op goes.
-    pub fn submit_on_core(
+    /// [`Self::submit`] for an op whose doorbell fired `fired` at `now`: the
+    /// NIC posts the descriptor one chain hop later on every leg, route and
+    /// stamp as the template spells them, with no core booked and nothing
+    /// resolved again; and forwards the completion too if every leg goes
+    /// right first time.
+    pub fn submit_fired(
         &mut self,
         client: &mut DaosClient,
         fabric: &mut Fabric,
         cluster: &mut EngineCluster,
         now: SimTime,
         op: ClientOp,
+        fired: FiredTemplate,
     ) {
-        self.submit_as(client, fabric, cluster, now, op, false);
+        self.submit_as(client, fabric, cluster, now, op, Some(fired));
     }
 
     fn submit_as(
@@ -381,7 +420,7 @@ impl OpRing {
         cluster: &mut EngineCluster,
         now: SimTime,
         op: ClientOp,
-        chained: bool,
+        fired: Option<FiredTemplate>,
     ) {
         let slot = self.store.results.len();
         self.store.results.push(None);
@@ -393,43 +432,81 @@ impl OpRing {
 
         client.bump_ops(1);
         let is_update = matches!(op, ClientOp::Update { .. });
-        match self.stage(client, fabric, cluster, now, slot, op) {
-            Ok(mut staged) => {
-                if !chained {
-                    staged.chain_hop = None;
-                }
-                self.store.inflight.push(staged);
-            }
-            Err(e) => {
-                self.store.results[slot] = Some(match is_update {
-                    true => ClientOpResult::Update(Err(e)),
-                    false => ClientOpResult::Fetch(Err(e)),
-                });
-                self.store.retire_log.push(slot);
-            }
+        match self.stage(client, fabric, cluster, now, slot, op, fired) {
+            Ok(staged) => self.store.inflight.push(staged),
+            Err(e) => self.retire_failed(slot, is_update, e),
         }
     }
 
-    /// The fallible half of [`Self::submit`]: everything between taking a
-    /// slot and the op being in flight.
+    /// Takes a slot for an op whose descriptor never left the client — the
+    /// owner of its chains rang the slot's doorbell and the NIC refused to
+    /// send — and retires it at once with `e`, like any other
+    /// submission-time failure.
+    pub fn refuse(&mut self, client: &mut DaosClient, op: &ClientOp, e: DaosError) {
+        let slot = self.store.results.len();
+        self.store.results.push(None);
+        self.store.trail.push(SlotTrail::default());
+        client.bump_ops(1);
+        self.retire_failed(slot, matches!(op, ClientOp::Update { .. }), e);
+    }
+
+    fn retire_failed(&mut self, slot: usize, is_update: bool, e: DaosError) {
+        self.store.results[slot] = Some(match is_update {
+            true => ClientOpResult::Update(Err(e)),
+            false => ClientOpResult::Fetch(Err(e)),
+        });
+        self.store.retire_log.push(slot);
+    }
+
+    /// The fallible half of a submission: everything between taking a slot
+    /// and the op being in flight.
+    #[allow(clippy::too_many_arguments)]
     fn stage(
-        &self,
+        &mut self,
         client: &mut DaosClient,
         fabric: &mut Fabric,
         cluster: &mut EngineCluster,
         now: SimTime,
         slot: usize,
         op: ClientOp,
+        fired: Option<FiredTemplate>,
     ) -> Result<Inflight, DaosError> {
         client.check_cluster(cluster)?;
-        // Apply any due delayed RAS delivery, then route from the cached
-        // snapshot — the live map is never consulted here, so a
-        // membership change after this instant genuinely races the op.
-        client.poll_map(now, cluster);
-        let stamp = client.cached_map().version();
+        let (routing, template) = match &fired {
+            // What fired is the route: the NIC sends it as it stands.
+            Some(fired) => (fired.routing, Some(&fired.bytes)),
+            None => {
+                // Apply any due delayed RAS delivery, then route from the
+                // cached snapshot — the live map is never consulted here,
+                // so a membership change after this instant genuinely
+                // races the op.
+                client.poll_map(now, cluster);
+                let (oid, _) = op.object();
+                let (set, degraded) = client.cached_map().route(oid);
+                let stamp = client.cached_map().version();
+                let routing = Routing {
+                    set,
+                    degraded,
+                    stamp,
+                };
+                (routing, None)
+            }
+        };
+        let chain_hop = template.and(client.chain_hop());
+        // The instant one leg's descriptor is ready to post, and the
+        // completion work a core would owe for it.
+        let post = |client: &mut DaosClient| match chain_hop {
+            Some(hop) => (now + hop, client.ring_cpu_costs().1),
+            None => client.client_cpu_split(now, self.job),
+        };
+        let Routing {
+            set,
+            degraded,
+            stamp,
+        } = routing;
         let too_big = || DaosError::Transport("staging buffer too small".into());
         let no_replica = || DaosError::Transport("no healthy replica".into());
-        let (completion, body) = match op {
+        let (posted, completion, body) = match op {
             ClientOp::Update {
                 oid,
                 dkey,
@@ -440,23 +517,31 @@ impl OpRing {
                 if data.len() as u64 > client.job_buf_len(self.job) {
                     return Err(too_big());
                 }
-                let (set, degraded) = client.cached_map().route(&oid);
                 if set.is_empty() {
                     return Err(no_replica());
                 }
                 let epoch = cluster.next_epoch(client.container())?;
                 let mut legs = Vec::with_capacity(set.len());
-                let mut completion = SimDuration::ZERO;
+                let (mut posted, mut completion) = (now, SimDuration::ZERO);
                 for eng in set.iter() {
-                    let (t_cpu, comp) = client.client_cpu_split(now, self.job);
-                    completion = comp;
-                    let (staged, payload) =
-                        client.stage_update_from(fabric, t_cpu, self.job, eng, data.clone())?;
+                    let (t_post, comp) = post(client);
+                    (posted, completion) = (posted.max(t_post), comp);
+                    let (staged, payload) = client.stage_update_from(
+                        fabric,
+                        t_post,
+                        self.job,
+                        eng,
+                        data.clone(),
+                        template,
+                    )?;
                     legs.push(UpdateLeg {
                         eng,
                         staged,
                         payload,
                     });
+                }
+                if template.is_none() {
+                    client.write_template(fabric, &oid, &akey, routing, posted);
                 }
                 let body = Body::Update {
                     oid,
@@ -468,7 +553,7 @@ impl OpRing {
                     clean: !degraded,
                     legs,
                 };
-                (completion, body)
+                (posted, completion, body)
             }
             ClientOp::Fetch {
                 oid,
@@ -481,10 +566,17 @@ impl OpRing {
                 if len > client.job_buf_len(self.job) {
                     return Err(too_big());
                 }
-                let (set, degraded) = cluster.route_fetch_snapshot_meta(client.cached_map(), &oid);
+                // The cluster still observes a degraded read, whichever
+                // view of the map the route came from.
+                if degraded {
+                    cluster.note_degraded_fetch();
+                }
                 let eng = set.leader().ok_or_else(no_replica)?;
-                let (t_cpu, completion) = client.client_cpu_split(now, self.job);
-                let req_at = client.stage_fetch_from(fabric, t_cpu, self.job, eng)?;
+                let (posted, completion) = post(client);
+                let req_at = client.stage_fetch_from(fabric, posted, self.job, eng, template)?;
+                if template.is_none() {
+                    client.write_template(fabric, &oid, &akey, routing, posted);
+                }
                 let body = Body::Fetch {
                     oid,
                     dkey,
@@ -497,14 +589,15 @@ impl OpRing {
                     stamp,
                     clean: !degraded,
                 };
-                (completion, body)
+                (posted, completion, body)
             }
         };
+        self.store.trail[slot].submission = posted.saturating_since(now);
         Ok(Inflight {
             slot,
             submitted: now,
             completion,
-            chain_hop: client.chain_hop(),
+            chain_hop,
             body,
         })
     }
@@ -550,10 +643,9 @@ impl OpRing {
 
     /// Charges `slot`'s completion and records who forwarded it: the chain
     /// fired by `chain.0`, one hop of `chain.1` — offered only for an op
-    /// whose every leg went right first time and whose slot has a chain
-    /// armed ([`DaosClient::chain_hop`], [`Self::submit_on_core`]) — or else
-    /// a core, at `core`, the completion fraction the op booked at
-    /// submission.
+    /// the same chain submitted and whose every leg went right first time —
+    /// or else a core, at `core`, the completion fraction of the op's
+    /// client CPU.
     fn charge_completion(
         &mut self,
         slot: usize,
@@ -579,6 +671,7 @@ impl OpRing {
         op: Inflight,
     ) -> Executed {
         let job = self.job;
+        let first_ack = op.first_ack();
         match op.body {
             Body::Update {
                 oid,
@@ -601,7 +694,7 @@ impl OpRing {
                     let eng = leg.eng;
                     match self.run_update_leg(
                         client, fabric, cluster, leg, op.slot, stamp, oid, &dkey, &akey, kind,
-                        epoch,
+                        epoch, first_ack,
                     ) {
                         Ok(Some((acked, first_try))) => {
                             on_time &= first_try;
@@ -684,8 +777,12 @@ impl OpRing {
                                     let wire_crc = bytes_crc32c(&data);
                                     (Forwarded { eng, wire_crc }, hop)
                                 });
+                                let cores = match on_time {
+                                    true => first_ack,
+                                    false => SendCores::Both,
+                                };
                                 let r = client
-                                    .finish_fetch(fabric, job, eng, data, ready + stall, len)
+                                    .finish_fetch(fabric, job, eng, data, ready + stall, len, cores)
                                     .map(|(bytes, at)| {
                                         let tail =
                                             self.charge_completion(op.slot, op.completion, chain);
@@ -730,7 +827,7 @@ impl OpRing {
                     };
                     stamp = client.cached_map().version();
                     let (t_cpu, _) = client.client_cpu_split(t_retry, job);
-                    match client.stage_fetch_from(fabric, t_cpu, job, next) {
+                    match client.stage_fetch_from(fabric, t_cpu, job, next, None) {
                         Ok(at) => {
                             client.retry.retries += 1;
                             self.leg_rearms += 1;
@@ -755,7 +852,8 @@ impl OpRing {
     /// dropped because its engine left the placement (killed, or fenced off
     /// by a newer map) and the surviving legs carry the commit; `Err` is a
     /// real failure. Anything but a first-attempt ack clears `slot`'s
-    /// [`SlotTrail::fill_ok`].
+    /// [`SlotTrail::fill_ok`]. A first-attempt ack is taken by `first_ack`
+    /// (the op's parked chain, if it has one); a later one by a core.
     #[allow(clippy::too_many_arguments)]
     fn run_update_leg(
         &mut self,
@@ -770,6 +868,7 @@ impl OpRing {
         akey: &AKey,
         kind: ValueKind,
         epoch: Epoch,
+        first_ack: SendCores,
     ) -> Result<Option<(SimTime, bool)>, DaosError> {
         let job = self.job;
         let UpdateLeg {
@@ -807,11 +906,16 @@ impl OpRing {
                         if stall >= policy.leg_deadline {
                             client.retry.timeouts += 1;
                         }
-                        let acked = client.finish_update(fabric, job, eng, persisted + stall)?;
+                        let first_try = attempt == 0 && stall < policy.leg_deadline;
+                        let cores = match first_try {
+                            true => first_ack,
+                            false => SendCores::Both,
+                        };
+                        let acked =
+                            client.finish_update(fabric, job, eng, persisted + stall, cores)?;
                         if attempt > 0 {
                             client.note_retry_success(acked);
                         }
-                        let first_try = attempt == 0 && stall < policy.leg_deadline;
                         return Ok(Some((acked, first_try)));
                     }
                     Err(DaosError::StaleMap { .. }) => {
@@ -842,7 +946,7 @@ impl OpRing {
             let (t_cpu, _) = client.client_cpu_split(t_retry, job);
             let data = std::mem::take(&mut payload);
             let (new_staged, new_payload) =
-                client.stage_update_from(fabric, t_cpu, job, eng, data)?;
+                client.stage_update_from(fabric, t_cpu, job, eng, data, None)?;
             client.retry.retries += 1;
             self.leg_rearms += 1;
             staged = new_staged;

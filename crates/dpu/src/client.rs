@@ -8,7 +8,13 @@
 //!
 //! 1. **Submit** — the host posts an I/O descriptor and rings the doorbell
 //!    (`ControlRequest::IoSubmit`, [`ControlChannel::post`]); it waits for
-//!    no answer, and no payload bytes cross the host kernel.
+//!    no answer, and no payload bytes cross the host kernel. A queue for an
+//!    RDMA lane's ring is rung with `ControlRequest::IoDoorbell`, the same
+//!    write with one patch per op (chunk, offset, length, kind) trailing
+//!    it, so that frame plus the object's descriptor template on the DPU is
+//!    a whole descriptor. The DPU admits and probes its read cache when the
+//!    frame's head has landed — what an `IoSubmit` would have told it, when
+//!    it would have — and submits nothing before the last patch has.
 //! 2. **QoS admission** — every byte the DPU touches passes
 //!    [`TenantManager::admit`]: per-tenant ops/bytes token buckets delay
 //!    the op until its grant instant, and the delay is accounted.
@@ -18,7 +24,8 @@
 //!    failing a legitimate in-flight pull.
 //! 4. **Inline services + checksums** — the agent's inline service (e.g.
 //!    AES-GCM) and the client-side CRC32C (computed on update, verified on
-//!    fetch) are paid at `CoreClass::DpuArm` rates.
+//!    fetch): on the NIC's signature engine for an op the NIC runs, at
+//!    `CoreClass::DpuArm` rates for everything else.
 //! 5. **Data plane** — staging into DPU DRAM, descriptor send, the
 //!    server's RDMA pull (or push on fetch), and completion handling run
 //!    on a per-tenant [`DaosClient`] constructed on the DPU node: its own
@@ -26,10 +33,19 @@
 //!    QPs/PDs, per-tenant queues and rate limits". The host job thread
 //!    only rings doorbells, so the client's per-op CPU runs on a
 //!    work-conserving pool of the lane's share of the DPU's ARM cores
-//!    (node cores / tenant lanes), not on one core per host job.
-//! 6. **Completion** — on an RDMA lane a NIC work-request chain parked on
-//!    the engine's completion SEND forwards every op that went right first
-//!    time: it checks the landed bytes' CRC32C on the NIC's signature
+//!    (node cores / tenant lanes), not on one core per host job — and on
+//!    an RDMA lane a *clean* ring op books none of it: the doorbell write
+//!    itself fires the slot's NIC work-request chain, which sends the
+//!    descriptor on every leg one chain hop later. Clean means the object
+//!    has a descriptor template stamped with the lane's cached map
+//!    revision, no bucket of the tenant's was short of tokens for it, the
+//!    staging rkey needed no refresh, and the slot's chain stands armed
+//!    (`DpuClient::run_queue` decides, once); anything else is submitted
+//!    and completed by ARM cores as before, and the core that submits it
+//!    (re)writes the template.
+//! 6. **Completion** — the same chain, parked on the engine's completion
+//!    SEND, forwards every op it submitted that went right first time: it
+//!    checks the landed bytes' CRC32C on the NIC's signature
 //!    engine, runs the inline service, and posts the op's completion
 //!    record into host-visible memory — no ARM core on the path. Anything
 //!    the recovery ladder touched, a checksum the NIC rejects, a chain
@@ -59,7 +75,7 @@ use ros2_verbs::{Expiry, MemoryDomain, NodeId, PdId};
 use crate::agent::DpuAgent;
 use crate::cache::{CacheKey, DpuCacheStats, ReadCache};
 use crate::error::DpuError;
-use crate::lane::{ChainTable, Probe, TenantLane};
+use crate::lane::{Admitted, ChainTable, Probe, TenantLane};
 use crate::tenant::{QosLimits, TenantManager};
 
 /// One tenant to provision on the DPU client.
@@ -96,6 +112,12 @@ pub struct DpuStats {
     pub host_polls: u64,
     /// Cumulative host↔DPU handoff latency (the two posted legs).
     pub handoff_wait: SimDuration,
+    /// Cumulative time between a ring op's data-plane start and its last
+    /// descriptor being ready to post: one chain hop when the doorbell
+    /// fired it, the wait for an ARM core plus that core's submission work
+    /// otherwise. (The serial call's submission is part of its one
+    /// synchronous CPU booking and does not count here.)
+    pub submission_path: SimDuration,
     /// Cumulative time between an op's last completion SEND landing on the
     /// DPU and its completion record being ready to post: chain hop + NIC
     /// verify + inline service when a chain forwarded it, ARM completion
@@ -111,11 +133,14 @@ pub struct DpuStats {
     pub throttle_wait: SimDuration,
     /// Staging-MR re-registrations forced by rkey expiry.
     pub rkey_refreshes: u64,
-    /// Bytes checksummed on the DPU's ARM cores (update CRCs + the fetch
-    /// verifies of ops an ARM core completed).
+    /// Bytes checksummed on the DPU's ARM cores (the update CRCs of ops an
+    /// ARM core submitted + the fetch verifies of ops one completed).
     pub crc_bytes: u64,
     /// Fetched bytes a forwarding chain verified on the NIC's CRC engine.
     pub nic_verified_bytes: u64,
+    /// Update payload bytes the NIC's CRC engine checksummed on their way
+    /// out, for ops a doorbell submitted.
+    pub nic_checksummed_bytes: u64,
     /// Recovery-ladder counters accumulated by the lanes' pipelined
     /// clients — the DPU retries *on the DPU*; the host only sees the
     /// totals ride back on `IoDone`.
@@ -132,6 +157,7 @@ impl DpuStats {
         self.host_submits += other.host_submits;
         self.host_polls += other.host_polls;
         self.handoff_wait += other.handoff_wait;
+        self.submission_path += other.submission_path;
         self.completion_path += other.completion_path;
         self.bytes_admitted += other.bytes_admitted;
         self.ops_throttled += other.ops_throttled;
@@ -139,6 +165,7 @@ impl DpuStats {
         self.rkey_refreshes += other.rkey_refreshes;
         self.crc_bytes += other.crc_bytes;
         self.nic_verified_bytes += other.nic_verified_bytes;
+        self.nic_checksummed_bytes += other.nic_checksummed_bytes;
         self.retry.merge(other.retry);
         self.cache.merge(other.cache);
     }
@@ -274,10 +301,10 @@ impl DpuClient {
             // Host jobs only ring doorbells; the lane's cores serve
             // whichever job has submission work.
             daos.share_cores(lane_cores);
-            // With queue pairs to park chains on, the NIC forwards the
-            // ring's completions and the cores handle only exceptions.
+            // With queue pairs to park chains on, the NIC runs the ring's
+            // clean path end to end and the cores handle only exceptions.
             if transport == Transport::Rdma {
-                daos.chain_completions(fabric.node(node).spec.nic);
+                daos.chain_ring(fabric.node(node).spec.nic);
             }
             let rkey_deadline = vec![deadline; lane_jobs];
             let hello = ControlRequest::Hello {
@@ -293,7 +320,9 @@ impl DpuClient {
                 rkey_deadline,
                 session,
                 cache: None,
-                starts: Vec::new(),
+                granted_up_to: SimTime::ZERO,
+                admitted: Vec::new(),
+                patches: Vec::new(),
                 chains: ChainTable::default(),
             });
         }
@@ -533,28 +562,26 @@ impl DpuClient {
     pub fn reset_timing(&mut self) {
         for lane in &mut self.lanes {
             lane.daos.reset_timing();
+            lane.granted_up_to = SimTime::ZERO;
         }
         self.tenants.reset_timing();
         self.stats = DpuStats::default();
     }
 
-    /// The host submit leg: one posted descriptor-plus-doorbell write
-    /// announcing `ops`/`bytes`. Returns the instant the descriptor is live
-    /// on the DPU. The host waits for no answer; a wedged lane shows as a
-    /// completion record that never appears, and the host's poll for it
-    /// gives up at the doorbell deadline.
+    /// The host submit leg: one posted descriptor-plus-doorbell write,
+    /// `frame`. Returns the instant the descriptor is live on the DPU. The
+    /// host waits for no answer; a wedged lane shows as a completion record
+    /// that never appears, and the host's poll for it gives up at the
+    /// doorbell deadline.
     fn host_submit(
         &mut self,
         now: SimTime,
         lane: usize,
-        ops: u32,
-        bytes: u64,
+        frame: &ControlRequest,
     ) -> Result<SimTime, DaosError> {
         self.stats.host_submits += 1;
         let session = self.lanes[lane].session;
-        let (at, res) = self
-            .io
-            .post(now, session, &ControlRequest::IoSubmit { ops, bytes });
+        let (at, res) = self.io.post(now, session, frame);
         res.map_err(map_control)?;
         self.stats.handoff_wait += at.saturating_since(now);
         Ok(at)
@@ -583,21 +610,35 @@ impl DpuClient {
     }
 
     /// QoS admission for one I/O of `bytes` arriving on the DPU at `now`.
-    fn admit(&mut self, now: SimTime, lane: usize, bytes: u64) -> Result<SimTime, DaosError> {
-        let grant = self
-            .tenants
-            .admit(now, &self.lanes[lane].name, bytes)
-            .ok_or_else(|| {
-                DaosError::Transport(
-                    DpuError::UnknownTenant(self.lanes[lane].name.clone()).to_string(),
-                )
-            })?;
+    /// Returns the grant instant and whether the buckets held the op back,
+    /// that is, whether a bucket was short of tokens: such a grant is later
+    /// than the op's arrival *and* than the instant the buckets had been
+    /// granted up to (`TokenBucket::acquire` queues an earlier arrival from
+    /// there, whatever its level — the lane keeps that instant beside the
+    /// buckets rather than look the tenant up twice per op). A grant that is
+    /// late only because it queued is not a rate limit at work. Host jobs
+    /// submit independently and the simulator can meet a doorbell that
+    /// landed later first; hardware would have met them in order and granted
+    /// both on arrival. The op keeps the instant the buckets gave it, as at
+    /// the parent of this rule, at most one think time late.
+    fn admit(
+        &mut self,
+        now: SimTime,
+        lane: usize,
+        bytes: u64,
+    ) -> Result<(SimTime, bool), DaosError> {
+        let l = &mut self.lanes[lane];
+        let grant = self.tenants.admit(now, &l.name, bytes).ok_or_else(|| {
+            DaosError::Transport(DpuError::UnknownTenant(l.name.clone()).to_string())
+        })?;
+        let held_back = grant > now.max(l.granted_up_to);
+        l.granted_up_to = l.granted_up_to.max(grant);
         self.stats.bytes_admitted += bytes;
         if grant > now {
             self.stats.ops_throttled += 1;
             self.stats.throttle_wait += grant.saturating_since(now);
         }
-        Ok(grant)
+        Ok((grant, held_back))
     }
 
     /// The DPU-side CRC32C cost for `bytes` (computed on update, verified
@@ -610,6 +651,11 @@ impl DpuClient {
     /// — it can only understate the DPU's advantage in the A/B sweep.
     fn crc_cost(&mut self, bytes: u64) -> SimDuration {
         self.stats.crc_bytes += bytes;
+        self.arm_crc_cost(bytes)
+    }
+
+    /// What [`Self::crc_cost`] charges, with nothing counted.
+    fn arm_crc_cost(&self, bytes: u64) -> SimDuration {
         self.class
             .scale(per_byte(bytes, self.model.crc_ps_per_byte))
     }
@@ -619,7 +665,7 @@ impl DpuClient {
     /// — in-flight pulls never outlive their rkey, and leaked rkeys still
     /// die. `horizon` is zero for serial ops; queues pass a conservative
     /// upper bound on their own span, since the whole queue runs on the
-    /// registration checked here.
+    /// registration checked here. Returns whether it re-registered.
     fn ensure_rkey(
         &mut self,
         fabric: &mut Fabric,
@@ -627,13 +673,13 @@ impl DpuClient {
         local: usize,
         start: SimTime,
         horizon: SimDuration,
-    ) -> Result<(), DaosError> {
+    ) -> Result<bool, DaosError> {
         if self.transport != Transport::Rdma {
-            return Ok(());
+            return Ok(false);
         }
         let deadline = self.lanes[lane].rkey_deadline[local];
         if deadline == SimTime::MAX || start + RKEY_REFRESH_MARGIN + horizon < deadline {
-            return Ok(());
+            return Ok(false);
         }
         let fresh = start + self.lanes[lane].rkey_scope;
         self.lanes[lane]
@@ -641,7 +687,7 @@ impl DpuClient {
             .set_mr_expiry(fabric, local, Expiry::At(fresh))?;
         self.lanes[lane].rkey_deadline[local] = fresh;
         self.stats.rkey_refreshes += 1;
-        Ok(())
+        Ok(true)
     }
 
     /// Conservative upper bound on how long `ops` data-plane phases
@@ -670,8 +716,9 @@ impl DpuClient {
         is_update: bool,
     ) -> Result<(usize, usize, SimTime), DaosError> {
         let (lane, local) = self.job_map[job];
-        let submitted = self.host_submit(now, lane, 1, bytes)?;
-        let granted = self.admit(submitted, lane, bytes)?;
+        let frame = ControlRequest::IoSubmit { ops: 1, bytes };
+        let submitted = self.host_submit(now, lane, &frame)?;
+        let (granted, _) = self.admit(submitted, lane, bytes)?;
         let mut start = granted + self.agent.inline_cost(bytes);
         if is_update {
             start += self.crc_cost(bytes);
@@ -682,78 +729,152 @@ impl DpuClient {
     }
 
     /// The queue preamble of the pipelined path: one doorbell ring
-    /// announces the whole queue (the host-side cost does not grow with
-    /// depth), then every op is admitted individually — tenant
-    /// buckets see each byte — and pays its inline service and update CRC,
-    /// which yields its data-plane start instant in the lane's `starts`.
-    /// The whole queue runs against the registration checked here, at the
-    /// latest start (most conservative) with the full-queue span; scopes
-    /// must exceed that bound for a queue to be safe at all, and every
-    /// shipped world's scope (≥ 100 ms vs queues of a few tens of MiB)
-    /// does. Returns the submit instant.
+    /// announces the whole queue (the host-side cost grows with depth only
+    /// by the patch an RDMA lane's frame carries per op), then every op is
+    /// admitted individually — tenant buckets see each byte — and pays its
+    /// inline service, which yields its [`Admitted`] entry in the lane. The
+    /// whole queue runs against the registration checked here, at the
+    /// latest instant any op can start (most conservative: every update's
+    /// checksum at the ARM rate) with the full-queue span; scopes must
+    /// exceed that bound for a queue to be safe at all, and every shipped
+    /// world's scope (≥ 100 ms vs queues of a few tens of MiB) does.
+    ///
+    /// Returns two instants. At the first the frame's head has landed — the
+    /// op count and payload bytes an `IoSubmit` carries, all admission needs
+    /// and all the lane had when it probed its cache before there was a
+    /// doorbell frame — so admission and the probes run from there, and a
+    /// hit, which submits nothing, is served from there. At the second the
+    /// whole frame has, patches included: no op of the queue is submitted
+    /// sooner. They are one instant for an `IoSubmit`.
     fn queue_start(
         &mut self,
         fabric: &mut Fabric,
         now: SimTime,
         (lane, local): (usize, usize),
         ops: &[ClientOp],
-    ) -> Result<SimTime, DaosError> {
-        let op_bytes = |op: &ClientOp| match op {
-            ClientOp::Update { data, .. } => (data.len() as u64, true),
-            ClientOp::Fetch { len, .. } => (*len, false),
-        };
+    ) -> Result<(SimTime, SimTime), DaosError> {
         let total_bytes: u64 = ops.iter().map(|op| op_bytes(op).0).sum();
-        let submitted = self.host_submit(now, lane, ops.len() as u32, total_bytes)?;
-        self.lanes[lane].starts.clear();
-        let mut latest = submitted;
+        // Where the NIC can submit, the frame says all a descriptor needs
+        // beyond its template — if a patch can name every op of the queue.
+        let mut patches = std::mem::take(&mut self.lanes[lane].patches);
+        patches.clear();
+        if self.transport == Transport::Rdma {
+            patches.extend(ops.iter().map_while(ClientOp::patch));
+        }
+        let patched = !patches.is_empty() && patches.len() == ops.len();
+        let frame = match patched {
+            true => ControlRequest::IoDoorbell {
+                bytes: total_bytes,
+                patches,
+            },
+            false => ControlRequest::IoSubmit {
+                ops: ops.len() as u32,
+                bytes: total_bytes,
+            },
+        };
+        let landed = self.host_submit(now, lane, &frame);
+        let heard = self.io.head_landed_at(now, &frame);
+        if let ControlRequest::IoDoorbell { patches, .. } = frame {
+            self.lanes[lane].patches = patches;
+        }
+        let landed = landed?;
+        self.lanes[lane].admitted.clear();
+        let mut latest = landed;
         for op in ops {
             let (bytes, is_update) = op_bytes(op);
-            let granted = self.admit(submitted, lane, bytes)?;
-            let mut t = granted + self.agent.inline_cost(bytes);
-            if is_update {
-                t += self.crc_cost(bytes);
-            }
-            latest = latest.max(t);
-            self.lanes[lane].starts.push(t);
+            let (granted, held_back) = self.admit(heard, lane, bytes)?;
+            let at = granted + self.agent.inline_cost(bytes);
+            latest = latest.max(match is_update {
+                true => at + self.arm_crc_cost(bytes),
+                false => at,
+            });
+            self.lanes[lane].admitted.push(Admitted {
+                at,
+                clean: patched && !held_back,
+            });
         }
         let span = Self::span_bound(ops.len() as u64, total_bytes);
-        self.ensure_rkey(fabric, lane, local, latest, span)?;
+        if self.ensure_rkey(fabric, lane, local, latest, span)? {
+            // The refresh is a core's work, and so is what waited for it.
+            for a in &mut self.lanes[lane].admitted {
+                a.clean = false;
+            }
+        }
         self.stats.ops_offloaded += ops.len() as u64;
-        Ok(submitted)
+        Ok((heard, landed))
     }
 
-    /// The data-plane half of a queue: cache probes, then the misses
-    /// through the lane's [`OpRing`] (each from its own start instant, its
-    /// forwarding chain armed first), then the chains' firing and the
-    /// completion records, then cache completions. Hits are never issued
-    /// at all — no staging legs, no fabric bookings.
+    /// The data-plane half of a queue whose doorbell frame's head landed at
+    /// `heard` and whose last byte landed at `landed`: cache probes, then
+    /// the misses through the lane's [`OpRing`] — each from its own start
+    /// instant, its chain armed first and, if the submission is clean, its
+    /// doorbell rung — then the chains' second firing and the completion
+    /// records, then cache completions. Hits are never issued at all — no
+    /// staging legs, no fabric bookings.
+    ///
+    /// This is where an op turns out clean or not, once: admission found
+    /// nothing against it ([`Admitted::clean`]), the slot's chain stands
+    /// armed, and the doorbell finds a current template to fire
+    /// (`DaosClient::fired_template`). The ring is handed what fired and
+    /// decides nothing again.
     fn run_queue(
         &mut self,
         fabric: &mut Fabric,
         cluster: &mut EngineCluster,
-        submitted: SimTime,
+        (heard, landed): (SimTime, SimTime),
         (lane, local): (usize, usize),
         ops: Vec<ClientOp>,
     ) -> Vec<ClientOpResult> {
         let l = &mut self.lanes[lane];
         // Empty (and unallocated) without a cache.
-        let mut probes = l.probe_queue(submitted, cluster, &ops);
+        let mut probes = l.probe_queue(heard, cluster, &ops);
         let n_ops = ops.len();
         let misses = n_ops - probes.iter().filter(|p| p.is_hit()).count();
         // Results come back in op order with the hits left out.
         let mut ring = OpRing::reuse(&mut l.daos, local, misses);
         let mut slot = 0;
         for (i, op) in ops.into_iter().enumerate() {
-            if !probes.get(i).is_some_and(Probe::is_hit) {
-                // A slot whose chain cannot be armed (no memory left for
-                // its record, no QP) is an ARM core's to complete.
-                match l.arm_chain(fabric, local, slot) {
-                    Ok(()) => ring.submit(&mut l.daos, fabric, cluster, l.starts[i], op),
-                    Err(_) => ring.submit_on_core(&mut l.daos, fabric, cluster, l.starts[i], op),
-                }
-                slot += 1;
+            if probes.get(i).is_some_and(Probe::is_hit) {
+                continue;
             }
+            let l = &mut self.lanes[lane];
+            let Admitted { at, clean } = l.admitted[i];
+            // What submits needs its patch.
+            let at = at.max(landed);
+            // Payload bytes to checksum on the way out: an update's.
+            let outbound = match op_bytes(&op) {
+                (bytes, true) => bytes,
+                _ => 0,
+            };
+            // The chain cannot arm without memory for its record, or a QP;
+            // the template must be current at the instant the
+            // doorbell-fired SEND would start.
+            let armed = clean && matches!(l.arm_chain(fabric, local, slot), Ok(true));
+            let start = at + nic_crc_cost(outbound);
+            let fired = match armed {
+                true => l.daos.fired_template(start, cluster, &op),
+                false => None,
+            };
+            match fired {
+                Some(fired) => match l.ring_doorbell(fabric, start, local, slot, &fired) {
+                    Ok(()) => {
+                        self.stats.nic_checksummed_bytes += outbound;
+                        ring.submit_fired(&mut l.daos, fabric, cluster, start, op, fired);
+                    }
+                    // No descriptor left the node: a core reports why.
+                    Err(e) => ring.refuse(&mut l.daos, &op, e),
+                },
+                // An exception is an ARM core's as a whole, the update
+                // checksum included.
+                None => {
+                    let start = at + self.crc_cost(outbound);
+                    let l = &mut self.lanes[lane];
+                    ring.submit(&mut l.daos, fabric, cluster, start, op);
+                }
+            }
+            slot += 1;
         }
+        let l = &mut self.lanes[lane];
         let results = ring.drain(&mut l.daos, fabric, cluster);
         let at = (lane, local);
         let finish = |(slot, r)| self.finish_issued(fabric, at, slot, ring.trail()[slot], r);
@@ -770,7 +891,7 @@ impl DpuClient {
             };
             // The ring reports each slot's leader-path provenance.
             let clean = ok && ring.trail()[slot].fill_ok;
-            l.complete(submitted, cluster, std::mem::take(probe), clean, fetched);
+            l.complete(heard, cluster, std::mem::take(probe), clean, fetched);
         }
         ring.recycle(&mut l.daos);
         if misses == n_ops {
@@ -782,8 +903,8 @@ impl DpuClient {
         for (i, probe) in probes.into_iter().enumerate() {
             out.push(match probe {
                 Probe::Hit(data) => {
-                    let ready =
-                        self.lanes[lane].starts[i] + ReadCache::service_cost(data.len() as u64);
+                    let ready = self.lanes[lane].admitted[i].at
+                        + ReadCache::service_cost(data.len() as u64);
                     ClientOpResult::Fetch(self.host_poll(ready, lane, 1).map(|at| (data, at)))
                 }
                 _ => issued.next().expect("one result per issued op"),
@@ -841,6 +962,7 @@ impl DpuClient {
             None => Verifier::Arm,
         };
         let bytes = fetched.map(|d| d.len() as u64);
+        self.stats.submission_path += trail.submission;
         self.publish(ready, lane, bytes, verifier, trail.completion)
     }
 
@@ -885,6 +1007,14 @@ enum Verifier {
     Arm,
     /// The NIC's signature engine, as a step of the forwarding chain.
     Nic,
+}
+
+/// An op's payload size and whether it is an update.
+fn op_bytes(op: &ClientOp) -> (u64, bool) {
+    match op {
+        ClientOp::Update { data, .. } => (data.len() as u64, true),
+        ClientOp::Fetch { len, .. } => (*len, false),
+    }
 }
 
 fn map_control(e: ControlError) -> DaosError {
@@ -979,7 +1109,7 @@ impl ObjectClient for DpuClient {
         // bucket delays only itself while earlier grants are already in
         // flight on the lane's data plane.
         match self.queue_start(fabric, now, (lane, local), &ops) {
-            Ok(submitted) => self.run_queue(fabric, cluster, submitted, (lane, local), ops),
+            Ok(landings) => self.run_queue(fabric, cluster, landings, (lane, local), ops),
             Err(e) => whole_batch_error(&ops, e),
         }
     }

@@ -1,28 +1,38 @@
 //! One tenant's lane of the offloaded client: the one place its read cache
-//! is consulted, and the owner of its completion-forwarding chains.
+//! is consulted, and the owner of its ring's work-request chains.
 //!
 //! Every client path (serial, op ring) probes before it issues and
 //! completes after, through the helpers here, and always on the lane's
 //! *cached* pool-map revision — the revision the ring routes by, and the
 //! only one a client can know before a push lands.
 //!
-//! **Completion forwarding.** On RDMA the lane keeps one NIC work-request
-//! chain per in-flight ring slot ([`ros2_verbs::chain`]): WAIT on the
-//! engine's completion SEND → CRC32C check of the bytes that landed in the
-//! job's staging buffer → posted write of the slot's completion record into
-//! host-visible memory. The ring says which slots such a chain forwarded
-//! (`SlotTrail::forwarded`) and charges its time; the lane arms the chain
-//! when the slot is submitted and fires it when the slot completes. The
-//! chains, the loopback QP that owns them and the record regions are all
-//! created on first use and then re-armed in place.
+//! **The clean path, both halves.** On RDMA the lane keeps one NIC
+//! work-request chain per in-flight ring slot ([`ros2_verbs::chain`]):
+//! WAIT on the host's posted doorbell write → SEND of the object's
+//! descriptor template plus the doorbell's patch, on every leg → WAIT on
+//! the engine's completion SEND → CRC32C check of the bytes that landed in
+//! the job's staging buffer → posted write of the slot's completion record
+//! into host-visible memory. The lane arms the chain when the slot is
+//! submitted and rings its doorbell if the submission is clean
+//! ([`TenantLane::ring_doorbell`]; the templates themselves are the inner
+//! client's, written by the core that submits an object's first op); the
+//! ring says which slots the chain then forwarded (`SlotTrail::forwarded`)
+//! and charges both hops; the lane fires the second segment when the slot
+//! completes. The chains, the two loopback QPs they are posted on and
+//! parked on, and the record regions are all created on first use and then
+//! re-armed in place.
 
 use bytes::Bytes;
-use ros2_daos::{ClientOp, DaosClient, DaosError, EngineCluster, Epoch, Forwarded, RecordVersion};
+use ros2_ctl::IoPatch;
+use ros2_daos::{
+    ClientOp, DaosClient, DaosError, EngineCluster, Epoch, FiredTemplate, Forwarded, RecordVersion,
+    TEMPLATE_LEN,
+};
 use ros2_fabric::{Dir, Fabric};
 use ros2_sim::{SimDuration, SimTime};
 use ros2_verbs::{
     AccessFlags, ChainId, Expiry, Landing, MemAddr, MemoryDomain, MrId, QpId, QpState, QpType,
-    VerbsError,
+    RdmaDevice, VerbsError,
 };
 
 use crate::cache::{CacheKey, ReadCache, RecordKey};
@@ -43,13 +53,32 @@ pub(crate) struct TenantLane {
     /// enabled. Per-lane, never shared — cached bytes stay inside the
     /// tenant's isolation boundary like its PD and staging buffers.
     pub(crate) cache: Option<ReadCache>,
-    /// Per-op data-plane start instants of the queue being submitted,
+    /// The instant the tenant's buckets have been granted up to: the latest
+    /// grant they have handed this lane, which is where they queue an
+    /// earlier arrival from (see `DpuClient::admit`).
+    pub(crate) granted_up_to: SimTime,
+    /// What admission decided for each op of the queue being submitted,
     /// written by `DpuClient::queue_start`. Kept in the lane so the
     /// one-op queues fio submits allocate nothing for it.
-    pub(crate) starts: Vec<SimTime>,
-    /// The lane's completion-forwarding chains (RDMA; empty on TCP, which
-    /// has no queue pair to park a chain on).
+    pub(crate) admitted: Vec<Admitted>,
+    /// The patches of that queue's doorbell frame, kept likewise.
+    pub(crate) patches: Vec<IoPatch>,
+    /// The lane's work-request chains (RDMA; empty on TCP, which has no
+    /// queue pair to park a chain on).
     pub(crate) chains: ChainTable,
+}
+
+/// One op of a queue, as `DpuClient::queue_start` admitted it.
+#[derive(Copy, Clone)]
+pub(crate) struct Admitted {
+    /// The tenant's grant plus the inline service: when a hit is served
+    /// from, and an op that submits starts — once the doorbell's patches
+    /// have landed too, and but for an update's checksum.
+    pub(crate) at: SimTime,
+    /// Nothing up to here needs a core: the doorbell frame carried a patch
+    /// for the op, the buckets did not hold it back, and the queue's
+    /// registration needed no refresh.
+    pub(crate) clean: bool,
 }
 
 /// Size of one completion record: a tag, the job, the slot, and the op
@@ -59,21 +88,25 @@ const RECORD_LEN: u64 = 16;
 /// One in-flight slot's chain and the host-visible record it publishes.
 struct SlotChain {
     chain: ChainId,
-    /// The staging registration the chain checks; a refreshed rkey is a new
-    /// registration, so a stale chain is rebuilt rather than fired.
+    /// The registrations the chain names — the staging buffer it checks,
+    /// the template region it gathers from. A refreshed rkey or a replaced
+    /// region is a new registration, so a stale chain is rebuilt rather
+    /// than fired.
     staging: MrId,
+    templates: MrId,
     record: (MrId, MemAddr),
 }
 
-/// A lane's completion-forwarding chains, `[local job][ring slot]`. Grows
-/// on demand; in steady state arming and firing touch nothing else.
+/// A lane's chains, `[local job][ring slot]`. Grows on demand; in steady
+/// state arming and firing touch nothing else.
 #[derive(Default)]
 pub(crate) struct ChainTable {
     /// The loopback QP every chain of the lane is posted on, so a chain's
-    /// protection fault never takes a data connection down with it.
-    owner: Option<QpId>,
-    /// The lane's DPU-side data QPs, one per engine: the completions a
-    /// chain WAITs on.
+    /// protection fault never takes a data connection down with it; and
+    /// the host-facing one the host's doorbell writes land on.
+    owner: Option<(QpId, QpId)>,
+    /// The lane's DPU-side data QPs, one per engine: a chain SENDs its
+    /// descriptor on them and WAITs on them for the completion.
     waits: Vec<QpId>,
     slots: Vec<Vec<Option<SlotChain>>>,
 }
@@ -81,8 +114,16 @@ pub(crate) struct ChainTable {
 fn chain_error(e: VerbsError) -> DaosError {
     match e {
         VerbsError::CrcMismatch => DaosError::ChecksumMismatch,
-        e => DaosError::Transport(format!("completion chain: {e:?}")),
+        e => DaosError::Transport(format!("work-request chain: {e:?}")),
     }
+}
+
+/// Tears a stopped chain down with its record region. Best effort: whatever
+/// cannot be released is already gone.
+fn release(dev: &mut RdmaDevice, c: &SlotChain) {
+    let _ = dev.destroy_chain(c.chain);
+    let _ = dev.dereg_mr(c.record.0);
+    let _ = dev.free_buffer(c.record.1);
 }
 
 /// What the authority says about a record right now: the lane's cached
@@ -136,47 +177,54 @@ impl Probe {
 }
 
 impl TenantLane {
-    /// Posts the WAIT for ring slot `slot` of `local`: arms the slot's
+    /// Posts the WAITs for ring slot `slot` of `local`: arms the slot's
     /// chain, building it first if it does not exist yet, was built on a
-    /// staging registration since replaced, or lost its QP to a fault. A
-    /// lane that cannot chain — TCP — does nothing.
+    /// registration since replaced, or lost its QP to a fault. `Ok(false)`
+    /// on a lane that cannot chain — TCP.
     pub(crate) fn arm_chain(
         &mut self,
         fabric: &mut Fabric,
         local: usize,
         slot: usize,
-    ) -> Result<(), DaosError> {
+    ) -> Result<bool, DaosError> {
         let (_, Some(staging)) = self.daos.staging(local) else {
-            return Ok(());
+            return Ok(false);
         };
+        let templates = self.daos.template_region(fabric)?;
         let node = self.daos.node();
         let t = &self.chains;
-        let owner_up = t
-            .owner
-            .is_some_and(|qp| fabric.node(node).rdma.qp_state(qp) == Some(QpState::ReadyToSend));
+        // Only the owner QP can have been killed: a chain's faults land on it.
+        let owner_up = t.owner.is_some_and(|(owner, _)| {
+            fabric.node(node).rdma.qp_state(owner) == Some(QpState::ReadyToSend)
+        });
         let current = t
             .slots
             .get(local)
             .and_then(|s| s.get(slot)?.as_ref())
-            .filter(|c| owner_up && c.staging == staging);
+            .filter(|c| owner_up && c.staging == staging && c.templates == templates);
         let chain = match current {
             Some(c) => c.chain,
-            None => self.build_chain(fabric, local, slot, staging)?,
+            None => self.build_chain(fabric, local, slot, staging, templates)?,
         };
-        fabric.rdma_mut(node).arm_chain(chain).map_err(chain_error)
+        fabric
+            .rdma_mut(node)
+            .arm_chain(chain)
+            .map_err(chain_error)?;
+        Ok(true)
     }
 
     /// Builds (or rebuilds) the chain of ring slot `slot` of `local` over
-    /// the staging registration `staging`, with everything it stands on:
-    /// the lane's loopback owner QP, brought up or recovered; the list of
-    /// data QPs to WAIT on; the slot's host-visible record region, kept
-    /// across rebuilds.
+    /// the registrations `staging` and `templates`, with everything it
+    /// stands on: the lane's two loopback QPs, brought up or recovered; the
+    /// list of data QPs to SEND and WAIT on; the slot's host-visible record
+    /// region, kept across rebuilds.
     fn build_chain(
         &mut self,
         fabric: &mut Fabric,
         local: usize,
         slot: usize,
         staging: MrId,
+        templates: MrId,
     ) -> Result<ChainId, DaosError> {
         let (node, pd) = (self.daos.node(), self.daos.pd());
         let t = &mut self.chains;
@@ -189,17 +237,20 @@ impl TenantLane {
             }
         }
         let dev = fabric.rdma_mut(node);
-        let owner = match t.owner {
-            Some(qp) => qp,
-            None => *t
-                .owner
-                .insert(dev.create_qp(pd, QpType::Rc).map_err(chain_error)?),
+        let (owner, host) = match t.owner {
+            Some(qps) => qps,
+            None => {
+                let mut qp = || dev.create_qp(pd, QpType::Rc).map_err(chain_error);
+                *t.owner.insert((qp()?, qp()?))
+            }
         };
         // Fresh, or killed by an earlier chain's protection fault:
-        // (re)connect it to itself.
-        if dev.qp_state(owner) != Some(QpState::ReadyToSend) {
-            dev.reset_qp(owner).map_err(chain_error)?;
-            dev.connect_qp(owner, node, owner).map_err(chain_error)?;
+        // (re)connect each to itself.
+        for qp in [owner, host] {
+            if dev.qp_state(qp) != Some(QpState::ReadyToSend) {
+                dev.reset_qp(qp).map_err(chain_error)?;
+                dev.connect_qp(qp, node, qp).map_err(chain_error)?;
+            }
         }
         if t.slots.len() <= local {
             t.slots.resize_with(local + 1, Vec::new);
@@ -232,7 +283,11 @@ impl TenantLane {
         for word in [local as u32, slot as u32, 1] {
             body.extend_from_slice(&word.to_le_bytes());
         }
-        let mut b = dev.chain_builder(owner).map_err(chain_error)?;
+        let mut b = dev
+            .chain_builder(owner)
+            .map_err(chain_error)?
+            .wait_doorbell(host)
+            .send_gather(templates);
         for &qp in &t.waits {
             b = b.wait(qp);
         }
@@ -244,9 +299,49 @@ impl TenantLane {
         slots[slot] = Some(SlotChain {
             chain,
             staging,
+            templates,
             record,
         });
         Ok(chain)
+    }
+
+    /// The host's doorbell write for ring slot `slot` of `local` landed at
+    /// `at` and the submission is clean: fires the first segment of the
+    /// slot's armed chain, which sends the descriptor `fired` names on each
+    /// of its legs. An error means the NIC sent nothing — the template
+    /// region was revoked, expired or replaced under the armed chain, or a
+    /// leg's QP is down — and the op is an ARM core's to fail. The chain is
+    /// then torn down with its record and the template region, so the next
+    /// op builds sound ones (and a core writes the templates afresh).
+    pub(crate) fn ring_doorbell(
+        &mut self,
+        fabric: &mut Fabric,
+        at: SimTime,
+        local: usize,
+        slot: usize,
+        fired: &FiredTemplate,
+    ) -> Result<(), DaosError> {
+        let t = &mut self.chains;
+        let armed = t.slots.get_mut(local).and_then(|s| s.get_mut(slot));
+        let (Some(entry), Some((_, host))) = (armed, t.owner) else {
+            return Err(chain_error(VerbsError::BadChain));
+        };
+        let Some(c) = entry.as_ref() else {
+            return Err(chain_error(VerbsError::BadChain));
+        };
+        let waits = &t.waits;
+        if fired.legs().any(|eng| eng >= waits.len()) {
+            return Err(chain_error(VerbsError::BadChain));
+        }
+        let legs = fired.legs().map(|eng| waits[eng]);
+        let dev = fabric.rdma_mut(self.daos.node());
+        let rung = dev.ring_doorbell(at, c.chain, host, fired.at, TEMPLATE_LEN, legs);
+        if rung.is_err() {
+            release(dev, c);
+            *entry = None;
+            self.daos.retire_template_region(fabric);
+        }
+        rung.map_err(chain_error)
     }
 
     /// The completion SEND `by` names arrived at `at` for ring slot `slot`
@@ -282,10 +377,7 @@ impl TenantLane {
         let dev = fabric.rdma_mut(self.daos.node());
         let fired = dev.fire_chain(at, c.chain, on, landing);
         if !matches!(fired, Ok(()) | Err(VerbsError::CrcMismatch)) {
-            // Best effort: whatever cannot be released is already gone.
-            let _ = dev.destroy_chain(c.chain);
-            let _ = dev.dereg_mr(c.record.0);
-            let _ = dev.free_buffer(c.record.1);
+            release(dev, c);
             *entry = None;
         }
         fired.map_err(chain_error)

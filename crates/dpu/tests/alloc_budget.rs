@@ -1,5 +1,7 @@
-//! Allocation budget of the offloaded completion path: nothing rides in on
-//! the chain, and the ring's scaffolding is reused rather than rebuilt.
+//! Allocation budget of the offloaded ring path: nothing rides in on the
+//! chain at either end — templates and chain tables are per lane, grown on
+//! first use and patched in place — and the ring's scaffolding is reused
+//! rather than rebuilt.
 //!
 //! One test function on purpose: the counters are process-global, so the
 //! measured regions must not overlap another allocating test.
@@ -21,16 +23,23 @@ use ros2_verbs::{AccessFlags, Expiry, Landing, MemoryDomain, NodeId, QpId, QpTyp
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Heap allocations [`FETCHES`] steady-state offloaded 4 KiB ring fetches
-/// cost at the parent commit, measured by [`fetch_allocs`] there: 7 per
-/// fetch (the caller's op vector and the vectors of a ring built afresh for
-/// every queue) plus 36 that come and go with map-node growth underneath.
-const PARENT_ALLOCS: u64 = 484;
+/// Heap allocations [`OPS`] steady-state offloaded 4 KiB ring fetches cost
+/// before the first chain (PR 22's parent), measured by [`ring_allocs`]
+/// there: 7 per fetch (the caller's op vector and the vectors of a ring
+/// built afresh for every queue) plus 36 that come and go with map-node
+/// growth underneath.
+const UNCHAINED_FETCH_ALLOCS: u64 = 484;
 
-/// Fetches in the measured region.
-const FETCHES: u64 = 64;
+/// What [`ring_allocs`] measures at this PR's parent, where a chain
+/// forwarded completions and ARM cores submitted: `(fetches, updates)`.
+const PARENT_ALLOCS: (u64, u64) = (164, 433);
 
-fn fetch_allocs() -> u64 {
+/// Ops in the measured region.
+const OPS: u64 = 64;
+
+/// Allocations of [`OPS`] steady-state offloaded 4 KiB ring ops, all
+/// fetches or all updates of one record.
+fn ring_allocs(updates: bool) -> u64 {
     let mut fabric = Fabric::new(
         Transport::Rdma,
         vec![NodeSpec::bluefield3(), NodeSpec::storage_server()],
@@ -80,25 +89,38 @@ fn fetch_allocs() -> u64 {
         .remove(0)
         .into_update()
         .unwrap();
-    let mut fetch = |now: SimTime| {
-        let op = ClientOp::Fetch {
-            oid,
-            dkey: dkey.clone(),
-            akey: akey.clone(),
-            kind,
-            epoch: Epoch::LATEST,
-            len: 4 << 10,
+    let mut issue = |now: SimTime| {
+        let op = match updates {
+            true => ClientOp::Update {
+                oid,
+                dkey: dkey.clone(),
+                akey: akey.clone(),
+                kind,
+                data: zero_bytes(4 << 10),
+            },
+            false => ClientOp::Fetch {
+                oid,
+                dkey: dkey.clone(),
+                akey: akey.clone(),
+                kind,
+                epoch: Epoch::LATEST,
+                len: 4 << 10,
+            },
         };
         let r = client.execute_pipelined(&mut fabric, &mut cluster, now, 0, vec![op]);
-        r.into_iter().next().unwrap().into_fetch().unwrap().1
+        match r.into_iter().next().unwrap() {
+            ros2_daos::ClientOpResult::Update(at) => at.unwrap(),
+            ros2_daos::ClientOpResult::Fetch(r) => r.unwrap().1,
+        }
     };
-    // Warm: the chain, its record region, the ring's vectors, map nodes.
+    // Warm: the template, the chain, its record region, the ring's
+    // vectors, map nodes.
     for _ in 0..8 {
-        now = fetch(now);
+        now = issue(now);
     }
     let before = allocation_count();
-    for _ in 0..FETCHES {
-        now = fetch(now);
+    for _ in 0..OPS {
+        now = issue(now);
     }
     allocation_count() - before
 }
@@ -110,8 +132,14 @@ fn the_completion_path_allocates_less_than_it_did_and_the_chain_nothing() {
     let pd = dev.alloc_pd("lane");
     let owner = dev.create_qp(pd, QpType::Rc).unwrap();
     dev.connect_qp(owner, NodeId(0), owner).unwrap();
+    let host_qp = dev.create_qp(pd, QpType::Rc).unwrap();
+    dev.connect_qp(host_qp, NodeId(0), host_qp).unwrap();
     let data_qp = dev.create_qp(pd, QpType::Rc).unwrap();
     dev.connect_qp(data_qp, NodeId(1), QpId(1)).unwrap();
+    let templates = dev.alloc_buffer(256, MemoryDomain::DpuDram).unwrap();
+    let (templates_mr, _, _) = dev
+        .reg_mr(pd, templates, 256, AccessFlags::local_only(), Expiry::Never)
+        .unwrap();
     let staging = dev.alloc_buffer(8192, MemoryDomain::DpuDram).unwrap();
     let (staging_mr, _, _) = dev
         .reg_mr(pd, staging, 8192, AccessFlags::remote_rw(), Expiry::Never)
@@ -123,6 +151,8 @@ fn the_completion_path_allocates_less_than_it_did_and_the_chain_nothing() {
     let chain = dev
         .chain_builder(owner)
         .unwrap()
+        .wait_doorbell(host_qp)
+        .send_gather(templates_mr)
         .wait(data_qp)
         .verify_crc32c(staging_mr)
         .write_record(ring_mr, ring, Bytes::from_static(b"completion-rec-0"))
@@ -136,31 +166,46 @@ fn the_completion_path_allocates_less_than_it_did_and_the_chain_nothing() {
     };
     // The first firing creates the record's extent; from then on the
     // record is overwritten in place.
-    dev.arm_chain(chain).unwrap();
-    dev.fire_chain(SimTime::ZERO, chain, data_qp, Some(landing))
-        .unwrap();
-    let before = allocation_count();
-    for _ in 0..100 {
+    let run = |dev: &mut RdmaDevice| {
         dev.arm_chain(chain).unwrap();
+        dev.ring_doorbell(
+            SimTime::ZERO,
+            chain,
+            host_qp,
+            templates + 64,
+            64,
+            [data_qp].into_iter(),
+        )
+        .unwrap();
         dev.fire_chain(SimTime::ZERO, chain, data_qp, Some(landing))
             .unwrap();
+    };
+    run(&mut dev);
+    let before = allocation_count();
+    for _ in 0..100 {
+        run(&mut dev);
     }
     assert_eq!(
         allocation_count() - before,
         0,
-        "arming and firing a chain must not allocate"
+        "arming a chain, ringing its doorbell and firing it must not allocate"
     );
-    assert_eq!(dev.chain_stats().completed, 101);
+    let fired = dev.chain_stats();
+    assert_eq!((fired.descriptors_sent, fired.completed), (101, 101));
 
-    // --- one offloaded 4 KiB fetch, end to end ---------------------------
-    let now = fetch_allocs();
+    // --- one offloaded 4 KiB op, end to end ------------------------------
+    let (fetches, updates) = (ring_allocs(false), ring_allocs(true));
+    assert!(fetches < UNCHAINED_FETCH_ALLOCS);
+    // The doorbell-fired submission brings nothing of its own: the frame's
+    // patches, the template and the chain are all in place already.
     assert!(
-        now < PARENT_ALLOCS,
-        "{FETCHES} steady-state offloaded fetches allocate {now} times, {PARENT_ALLOCS} at the parent"
+        fetches <= PARENT_ALLOCS.0 && updates <= PARENT_ALLOCS.1,
+        "{OPS} steady-state offloaded fetches / updates allocate {fetches} / {updates} \
+         times, {PARENT_ALLOCS:?} at the parent"
     );
     // What is left per fetch: the caller's op vector and the result vector.
     assert!(
-        now < 3 * FETCHES,
-        "{now} allocations over {FETCHES} fetches"
+        fetches < 3 * OPS,
+        "{fetches} allocations over {OPS} fetches"
     );
 }

@@ -62,6 +62,19 @@ pub enum FabricError {
     Verbs(VerbsError),
 }
 
+/// Which ends of a two-sided message spend a core on it.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum SendCores {
+    /// A core posts the SEND and a core reaps the receive: every caller but
+    /// a work-request chain.
+    Both,
+    /// A NIC work-request chain posts the SEND: no sender CPU (stage 1).
+    NicPosted,
+    /// The message lands on a receive a chain is parked on: no receiver CPU
+    /// (stage 5's core booking).
+    ChainConsumed,
+}
+
 /// A delivered message or completed one-sided op.
 #[derive(Clone, Debug)]
 pub struct Delivery {
@@ -587,14 +600,16 @@ impl Fabric {
         dir: Dir,
         data: Bytes,
     ) -> Result<Delivery, FabricError> {
-        self.send_framed(now, conn, dir, 0, data)
+        self.send_framed(now, conn, dir, 0, data, SendCores::Both)
     }
 
     /// Gather send: one two-sided message of `header` framing bytes
     /// followed by `data`. Every stage is costed on `header + data.len()`
     /// — exactly a [`Self::send`] of the concatenation — while the
     /// receiver gets the caller's `data` handle untouched, so framing a
-    /// payload never copies it.
+    /// payload never copies it. `cores` says which ends spend a core on the
+    /// message; the serialized stage, rendezvous and the wire are the same
+    /// whoever posts and whoever consumes.
     pub fn send_framed(
         &mut self,
         now: SimTime,
@@ -602,20 +617,26 @@ impl Fabric {
         dir: Dir,
         header: u64,
         data: Bytes,
+        cores: SendCores,
     ) -> Result<Delivery, FabricError> {
         let (src, dst) = self.endpoints(conn, dir)?;
         let payload = header + data.len() as u64;
 
         // 1. Sender CPU.
         let src_class = self.nodes[src.0 as usize].class();
-        let send_cost = Self::scale(
-            src_class,
-            self.cost.send_per_op + per_byte(payload, self.cost.send_ps_per_byte),
-        );
-        let g_send = self.nodes[src.0 as usize].tx_pool.submit(now, send_cost);
+        let mut t = now;
+        if cores != SendCores::NicPosted {
+            let send_cost = Self::scale(
+                src_class,
+                self.cost.send_per_op + per_byte(payload, self.cost.send_ps_per_byte),
+            );
+            t = self.nodes[src.0 as usize]
+                .tx_pool
+                .submit(now, send_cost)
+                .finish;
+        }
 
         // 2. Sender kernel stage (TCP only).
-        let mut t = g_send.finish;
         if self.cost.kernel_per_msg > SimDuration::ZERO {
             let k = Self::scale(src_class, self.cost.kernel_per_msg);
             t = self.nodes[src.0 as usize].kernel.submit(t, k).finish;
@@ -648,15 +669,20 @@ impl Fabric {
             let k = Self::scale(dst_class, self.cost.kernel_per_msg);
             t = self.nodes[dst.0 as usize].kernel.submit(t, k).finish;
         }
-        let mut recv_cost = self.recv_cpu_cost(dst, payload);
-        if self.transport == Transport::Rdma && !rendezvous {
-            // Eager RDMA: the receiver copies out of the bounce buffer.
-            recv_cost += Self::scale(dst_class, ros2_hw::per_byte(payload, 50));
+        if cores != SendCores::ChainConsumed {
+            let mut recv_cost = self.recv_cpu_cost(dst, payload);
+            if self.transport == Transport::Rdma && !rendezvous {
+                // Eager RDMA: the receiver copies out of the bounce buffer.
+                recv_cost += Self::scale(dst_class, ros2_hw::per_byte(payload, 50));
+            }
+            t = self.nodes[dst.0 as usize]
+                .rx_pool
+                .submit(t, recv_cost)
+                .finish;
         }
-        let g_recv = self.nodes[dst.0 as usize].rx_pool.submit(t, recv_cost);
 
         Ok(Delivery {
-            at: g_recv.finish,
+            at: t,
             data: Some(data),
         })
     }
@@ -837,7 +863,14 @@ mod tests {
                         .send(now, conn_w, Dir::AtoB, Bytes::from(vec![7u8; header + len]))
                         .unwrap();
                     let f = framed
-                        .send_framed(now, conn_f, Dir::AtoB, header as u64, data.clone())
+                        .send_framed(
+                            now,
+                            conn_f,
+                            Dir::AtoB,
+                            header as u64,
+                            data.clone(),
+                            SendCores::Both,
+                        )
                         .unwrap();
                     assert_eq!(f.at, w.at, "{transport:?} header {header} len {len}");
                     let got = f.data.unwrap();
@@ -847,6 +880,56 @@ mod tests {
                 assert_eq!(framed.resource_stats(), whole.resource_stats());
             }
         }
+    }
+
+    /// A SEND a chain posts books no sender core, one a chain consumes no
+    /// receiver core; each arrives earlier by exactly the CPU it skipped,
+    /// and everything between the two pools is booked as ever.
+    #[test]
+    fn a_chained_send_skips_exactly_the_core_of_its_chained_end() {
+        let dpu_and_server = || {
+            let mut f = Fabric::new(
+                Transport::Rdma,
+                vec![
+                    spec("dpu", CoreClass::DpuArm, 16, false),
+                    spec("server", CoreClass::HostX86, 64, false),
+                ],
+                7,
+            );
+            let pd_a = f.rdma_mut(NodeId(0)).alloc_pd("client");
+            let pd_b = f.rdma_mut(NodeId(1)).alloc_pd("server");
+            let conn = f.connect(NodeId(0), NodeId(1), pd_a, pd_b).unwrap();
+            (f, conn)
+        };
+        let desc = Bytes::from(vec![0u8; 128]);
+        let send = |cores, dir| {
+            let (mut f, conn) = dpu_and_server();
+            let at = f
+                .send_framed(SimTime::ZERO, conn, dir, 0, desc.clone(), cores)
+                .unwrap()
+                .at;
+            let busy = |n: u32| {
+                let node = f.node(NodeId(n));
+                (node.tx_pool.busy_time(), node.rx_pool.busy_time())
+            };
+            (at, busy(0), busy(1))
+        };
+        let arm = |d| CoreClass::DpuArm.scale(d);
+        let cost = TransportCost::rdma();
+        // Out of the DPU: the chain posts, the server's core still reaps.
+        let (by_core, dpu, server) = send(SendCores::Both, Dir::AtoB);
+        let (by_nic, dpu_nic, server_nic) = send(SendCores::NicPosted, Dir::AtoB);
+        assert_eq!(dpu.0, arm(cost.send_per_op));
+        assert_eq!(dpu_nic, (SimDuration::ZERO, SimDuration::ZERO));
+        assert_eq!(server_nic, server);
+        assert_eq!(by_core - by_nic, arm(cost.send_per_op));
+        // Into the DPU: the server's core posts, the chain consumes.
+        let (by_core, dpu, server) = send(SendCores::Both, Dir::BtoA);
+        let (by_chain, dpu_chain, server_chain) = send(SendCores::ChainConsumed, Dir::BtoA);
+        assert!(dpu.1 >= arm(cost.recv_per_op));
+        assert_eq!(dpu_chain, (SimDuration::ZERO, SimDuration::ZERO));
+        assert_eq!(server_chain, server);
+        assert_eq!(by_core - by_chain, dpu.1);
     }
 
     #[test]

@@ -23,5 +23,5 @@
 pub mod fabric;
 pub mod node;
 
-pub use fabric::{ConnId, Delivery, Dir, Fabric, FabricError, WireTraversalStats};
+pub use fabric::{ConnId, Delivery, Dir, Fabric, FabricError, SendCores, WireTraversalStats};
 pub use node::{FabricNode, NodeSpec};

@@ -1,20 +1,27 @@
-//! Exceptions complete on the ARM core.
+//! Exceptions are submitted and completed by ARM cores.
 //!
 //! One fixed tape on an offloaded RF 2 cluster, every queue submitted at a
 //! fixed instant so nothing about it depends on how fast earlier ops
-//! completed: clean traffic, an engine killed with queues in flight and
-//! its `MapPush` delayed (legs to the dead engine time out, legs to the
-//! live ones are fenced as stale), degraded traffic once the push lands, a
-//! black-holed leader, and a bit-rotted extent.
+//! completed: first-touch and then clean traffic, an engine killed with
+//! queues in flight and its `MapPush` delayed (legs to the dead engine time
+//! out, legs to the live ones are fenced as stale), degraded traffic once
+//! the push lands, a black-holed leader, and a bit-rotted extent.
 //!
-//! A NIC chain forwards the completions of ops that went right first time;
-//! the recovery ladder's ops still complete on an ARM core. So everything
-//! but *when* clean ops complete must be what it was before chains
+//! A NIC chain runs the ops that are clean — it sends their descriptors
+//! from the objects' templates when the doorbell lands, and forwards their
+//! completions if they went right first time. Everything else is the ARM
+//! cores': an object's first ops (no template yet), the first ops after a
+//! map push has landed (the templates are stamped with the old revision; a
+//! core resolves the route again and rewrites them), and the completion of
+//! anything the recovery ladder touched — including ops the NIC sent with
+//! a stamp nobody yet knew to be stale, which the engines fence. So
+//! everything but *when* clean ops run must be what it was before chains
 //! existed: payloads, Ok/Err, epochs, `RetryStats` and the engines'
-//! counters are pinned below to the values the same tape produced at the
-//! parent commit (same file, run there). And the split itself is pinned:
-//! the NIC verified exactly the clean fetches' bytes, the ARM cores
-//! exactly the exceptions'.
+//! counters are pinned below to the values the same tape produced before
+//! the first chain (PR 22's parent; same file, run there — and the same
+//! again at this PR's parent). And the split itself is pinned: which ops
+//! the doorbell submitted, whose bytes the NIC checksummed and verified,
+//! whose the ARM cores.
 
 use bytes::Bytes;
 use ros2_daos::{
@@ -22,8 +29,8 @@ use ros2_daos::{
     ValueKind,
 };
 use ros2_dpu::DpuTenantSpec;
-use ros2_fio::{ClusterFioWorld, WorldSpec};
-use ros2_sim::SimTime;
+use ros2_fio::{ClusterFioWorld, FioClient, WorldSpec};
+use ros2_sim::{SimDuration, SimTime};
 use ros2_verbs::NodeId;
 
 const BS: usize = 4 << 10;
@@ -106,21 +113,45 @@ fn submit(w: &mut ClusterFioWorld, d: &mut Digest, at_us: u64, job: usize, ops: 
     }));
 }
 
-/// Runs the tape; returns its digest and how many of its successful
-/// fetches and updates the recovery ladder touched.
-fn run(w: &mut ClusterFioWorld) -> (Digest, u64, u64) {
+/// Who ran what: op counts per phase of the tape, for the ops whose path
+/// was not the NIC's from doorbell to completion record.
+#[derive(Debug, Default)]
+struct Split {
+    /// Updates a core submitted: no template yet.
+    first_touch_updates: u64,
+    /// Fetches / updates the NIC sent under the stale stamp; the ladder
+    /// completed them.
+    stale_fetches: u64,
+    stale_updates: u64,
+    /// Descriptor legs of those stale updates (the pre-kill replica sets).
+    stale_update_legs: u64,
+    /// Fetches a core submitted after the push: templates one revision old.
+    restamped_fetches: u64,
+    /// Descriptor legs of the clean degraded updates that followed.
+    degraded_update_legs: u64,
+    /// Fetches the NIC sent into the black hole; the ladder completed them.
+    hole_fetches: u64,
+}
+
+/// Runs the tape; returns its digest and the split.
+fn run(w: &mut ClusterFioWorld) -> (Digest, Split) {
     let mut d = Digest::default();
     let n = 12u64;
-    // 1. Clean writes, then clean reads of them from the other job.
+    // 1. First writes — the whole queue lands at one instant, before any
+    // core has finished writing a template, so every one is a core's — then
+    // clean reads of them from the other job.
     submit(w, &mut d, 0, 0, (0..n).map(|i| update(i, 1)).collect());
     submit(w, &mut d, 2_000, 1, (0..n).map(fetch).collect());
 
     // 2. A kill with queues in flight. Job 0's reads are submitted, the
     // leader of object 1 dies, and its MapPush is held back half a
-    // millisecond: job 1's queue, submitted 20 us later, still routes by
-    // the old map. Its legs to the dead engine find out by deadline; its
-    // legs to live engines are fenced, because those heard of the kill.
+    // millisecond: job 1's queue, submitted 20 us later, is still sent by
+    // the NIC from templates stamped with the old map. Its legs to the
+    // dead engine find out by deadline; its legs to live engines are
+    // fenced, because those heard of the kill.
     submit(w, &mut d, 4_000, 0, (0..6).map(fetch).collect());
+    let legs = |w: &ClusterFioWorld, i: u64| w.world.cluster.route_update(&oid(i)).len() as u64;
+    let stale_update_legs = (0..n).filter(|i| i % 2 == 1).map(|i| legs(w, i)).sum();
     let victim = w.world.cluster.route_update(&oid(1)).leader().unwrap();
     w.world.cluster.kill_engine(victim).unwrap();
     let snap = w.world.cluster.snapshot_map();
@@ -131,10 +162,12 @@ fn run(w: &mut ClusterFioWorld) -> (Digest, u64, u64) {
         .map(|i| if i % 2 == 0 { fetch(i) } else { update(i, 2) })
         .collect();
     submit(w, &mut d, 4_020, 1, stale);
-    let (stale_fetches, stale_updates) = (n / 2, n / 2);
 
-    // 3. The push has landed: degraded but first-attempt traffic.
+    // 3. The push has landed: degraded but first-attempt traffic. The
+    // reads find every template a revision old, so cores submit them and
+    // restamp; the writes after them are the NIC's again.
     submit(w, &mut d, 10_000, 0, (0..n).map(fetch).collect());
+    let degraded_update_legs = (0..n).map(|i| legs(w, i)).sum();
     submit(w, &mut d, 12_000, 1, (0..n).map(|i| update(i, 3)).collect());
 
     // 4. A black-holed leader: up in the map, eats every request. (One
@@ -145,7 +178,7 @@ fn run(w: &mut ClusterFioWorld) -> (Digest, u64, u64) {
     let hole = (0..c.len())
         .find(|&e| led_by(e).count() > 0 && led_by(e).all(|i| c.route_update(&oid(i)).len() == 2))
         .expect("an engine leading only fully replicated objects");
-    let into_the_hole = led_by(hole).count() as u64;
+    let hole_fetches = led_by(hole).count() as u64;
     w.world.cluster.set_blackhole(hole, true);
     submit(w, &mut d, 14_000, 0, (0..n).map(fetch).collect());
     w.world.cluster.set_blackhole(hole, false);
@@ -170,13 +203,22 @@ fn run(w: &mut ClusterFioWorld) -> (Digest, u64, u64) {
     let vos = c.vos_stats();
     d.vos = (vos.array_updates, vos.fetches, vos.checksum_failures);
 
-    (d, stale_fetches + into_the_hole, stale_updates)
+    let split = Split {
+        first_touch_updates: n,
+        stale_fetches: n / 2,
+        stale_updates: n / 2,
+        stale_update_legs,
+        restamped_fetches: n,
+        degraded_update_legs,
+        hole_fetches,
+    };
+    (d, split)
 }
 
 #[test]
 fn the_tape_is_what_it_was_before_chains_and_exceptions_stay_on_the_arm_core() {
     let mut w = world();
-    let (d, exception_fetches, exception_updates) = run(&mut w);
+    let (d, split) = run(&mut w);
 
     // Every fetch returned the newest acked write of its record, except
     // the rotten one, which failed with the checksum error.
@@ -207,26 +249,40 @@ fn the_tape_is_what_it_was_before_chains_and_exceptions_stay_on_the_arm_core() {
     assert_eq!(d.vos, PARENT.vos);
     assert!(d.retry.timeouts > 0 && d.retry.fenced > 0 && d.retry.exhausted == 0);
 
-    // Who completed what. The ladder's fetches — everything job 1
-    // submitted inside the stale window, everything that went into the
-    // black hole — were verified on ARM cores, as were the update CRCs;
-    // every other successful fetch was verified by the NIC, and no chain
-    // forwarded anything else.
+    // Who ran what. Updates: the first-touch queue was the cores', checksum
+    // included; every later one was sent by the doorbell, checksummed by
+    // the NIC on the way out — the stale ones too, whose completions the
+    // ladder then took. Fetches: the NIC verified what it submitted and
+    // forwarded; the ladder's fetches (the stale window, the black hole)
+    // and the restamped queue were verified on ARM cores.
     let s = w.world.client.dpu_stats();
     let count =
         |f: fn(&Result<u32, &str>) -> bool| d.outcomes.iter().filter(|o| f(o)).count() as u64;
     let updates = count(|o| *o == Ok(0));
     let fetches = count(|o| matches!(o, Ok(crc) if *crc != 0));
-    assert!(exception_fetches > 0 && exception_updates > 0);
-    let clean_fetches = fetches - exception_fetches;
-    assert_eq!(s.nic_verified_bytes, clean_fetches * BS as u64);
-    assert_eq!(s.crc_bytes, (updates + exception_fetches) * BS as u64);
+    let rotten = count(|o| o.is_err());
+    assert!(split.hole_fetches > 0 && rotten == 1);
+    let arm_fetches = split.stale_fetches + split.hole_fetches + split.restamped_fetches;
+    let nic_fetches = fetches - arm_fetches;
+    let nic_updates = updates - split.first_touch_updates;
+    let bs = BS as u64;
+    assert_eq!(s.nic_verified_bytes, nic_fetches * bs);
+    assert_eq!(s.nic_checksummed_bytes, nic_updates * bs);
+    assert_eq!(s.crc_bytes, (split.first_touch_updates + arm_fetches) * bs);
     let nic = &w.world.fabric.node(NodeId(0)).rdma;
     let chains = nic.chain_stats();
     assert_eq!(chains.verified_bytes, s.nic_verified_bytes);
+    // One descriptor per fetch the doorbell submitted (the rotten one and
+    // the ladder's first attempts included), one per replica of an update.
+    assert_eq!(
+        chains.descriptors_sent,
+        (nic_fetches + rotten + split.stale_fetches + split.hole_fetches)
+            + split.stale_update_legs
+            + split.degraded_update_legs
+    );
     assert_eq!(
         chains.completed,
-        clean_fetches + updates - exception_updates
+        nic_fetches + nic_updates - split.stale_updates
     );
     assert_eq!(chains.records_written, chains.completed);
     assert_eq!(chains.crc_rejects, 0);
@@ -242,7 +298,7 @@ struct Parent {
     vos: (u64, u64, u64),
 }
 
-/// Recorded by running [`run`] at the parent commit.
+/// Recorded by running [`run`] at PR 22's parent commit, before any chain.
 const PARENT: Parent = Parent {
     next_epoch: 38,
     retry: RetryStats {
@@ -263,8 +319,90 @@ const PARENT: Parent = Parent {
 #[test]
 fn the_tape_replays_bit_identically() {
     let instants = |w: &mut ClusterFioWorld| {
-        let (d, _, _) = run(w);
+        let (d, _) = run(w);
         (d, w.world.client.dpu_stats())
     };
     assert_eq!(instants(&mut world()), instants(&mut world()));
+}
+
+/// ARM submission time booked so far, and descriptors doorbells have sent.
+fn cores_and_doorbells(w: &ClusterFioWorld) -> (SimDuration, u64) {
+    let FioClient::Offloaded(client) = &w.world.client else {
+        panic!("offloaded world")
+    };
+    let nic = &w.world.fabric.node(NodeId(0)).rdma;
+    (
+        client.submission_busy_time(),
+        nic.chain_stats().descriptors_sent,
+    )
+}
+
+/// One file, one map push, both ways it can arrive. *Delivered* between two
+/// ops, the lane knows its templates are a revision old: the next op is a
+/// core's, which restamps, and the one after is the NIC's again — nothing
+/// fenced, nothing retried. *Delayed* past the next op, nobody on the DPU
+/// knows: the NIC sends the stale-stamped descriptor as it stands, the
+/// engine fences it, and the ladder — a core — refreshes and re-stages.
+#[test]
+fn a_map_push_restamps_on_a_core_and_a_late_one_gets_the_nics_descriptor_fenced() {
+    for delayed in [false, true] {
+        let mut w = world();
+        let mut d = Digest::default();
+        submit(&mut w, &mut d, 0, 0, vec![update(0, 1)]);
+        submit(&mut w, &mut d, 1_000, 0, vec![fetch(0)]);
+        // Cores so far: the first touch, one submission per replica leg.
+        let (first_touch, sent) = cores_and_doorbells(&w);
+        assert_eq!(sent, 1, "the file's second op was the doorbell's");
+        // A bystander dies: object 0's route is what it was, the map
+        // revision is not.
+        let route = w.world.cluster.route_update(&oid(0));
+        let bystander = (0..4).find(|&e| !route.contains(e)).unwrap();
+        w.world.cluster.kill_engine(bystander).unwrap();
+        let snap = w.world.cluster.snapshot_map();
+        let lands_us = if delayed { 2_500 } else { 1_500 };
+        w.world
+            .client
+            .deliver_map(SimTime::from_micros(lands_us), snap);
+
+        submit(&mut w, &mut d, 2_000, 0, vec![fetch(0)]);
+        let (busy, sent) = cores_and_doorbells(&w);
+        let retry = w.world.client.retry_stats();
+        // Either way exactly one more core submission: the op itself, or
+        // the ladder's re-stage of it.
+        assert_eq!(busy, first_touch + first_touch / 2);
+        match delayed {
+            false => {
+                assert_eq!(sent, 1, "a core submitted it");
+                assert_eq!(
+                    (retry, w.world.cluster.fences()),
+                    (RetryStats::default(), 0)
+                );
+            }
+            true => {
+                assert_eq!(sent, 2, "the NIC sent it, stale stamp and all");
+                assert_eq!((retry.fenced, retry.retries), (1, 1));
+                assert_eq!((retry.map_refreshes, retry.timeouts), (1, 0));
+                assert_eq!(w.world.cluster.fences(), 1);
+            }
+        }
+        // The op after the restamp — by the core that submitted, or by the
+        // next one once the ladder's refresh showed the stamp up as old —
+        // is clean.
+        let clean_from = if delayed { 4_000 } else { 3_000 };
+        if delayed {
+            submit(&mut w, &mut d, 3_000, 0, vec![fetch(0)]);
+            assert_eq!(cores_and_doorbells(&w).1, 2, "restamped by a core");
+        }
+        let (busy, sent) = cores_and_doorbells(&w);
+        submit(&mut w, &mut d, clean_from, 0, vec![fetch(0)]);
+        assert_eq!(cores_and_doorbells(&w), (busy, sent + 1));
+        assert_eq!(w.world.client.retry_stats(), retry, "no further recovery");
+        let crc = Ok(ros2_buf::crc32c(&payload(0, 1)));
+        assert!(
+            d.outcomes[1..].iter().all(|o| *o == crc),
+            "{:?}",
+            d.outcomes
+        );
+        assert_eq!(w.world.fabric.node(NodeId(0)).rdma.violations().total(), 0);
+    }
 }

@@ -13,11 +13,19 @@
 //! where it stands, and the owner QP enters ERROR, exactly as for a
 //! one-sided access.
 //!
-//! Two verbs exist, the two a completion-forwarding chain needs: a
-//! fixed-function CRC32C check of bytes that just landed in a region, and a
-//! posted write of a pre-built completion record into another region. A
-//! fired chain is spent; [`RdmaDevice::arm_chain`] re-arms it in place.
-//! Neither arming nor firing allocates. Timing is the caller's
+//! A chain has up to two segments, fired in order. The optional
+//! *submission* segment parks on a host-facing queue's posted doorbell
+//! write ([`WorkChainBuilder::wait_doorbell`]) and, when it lands, posts one
+//! SEND per leg whose body is gathered from a descriptor template in
+//! registered memory followed by the patch the doorbell carried
+//! ([`WorkChainBuilder::send_gather`]). The *completion* segment parks on
+//! the reply to that SEND and has the two verbs forwarding a completion
+//! needs: a fixed-function CRC32C check of bytes that just landed in a
+//! region, and a posted write of a pre-built completion record into another
+//! region. A chain with a submission segment WAITs for a completion only
+//! once its SEND is out. A fired chain is spent;
+//! [`RdmaDevice::arm_chain`] re-arms both segments in place. Neither arming
+//! nor firing allocates. Timing is the caller's
 //! (`ros2_hw::NicModel::chain_hop`, `ros2_hw::nic_crc_cost`).
 
 use bytes::Bytes;
@@ -42,6 +50,8 @@ pub struct ChainStats {
     pub crc_rejects: u64,
     /// Completion records written.
     pub records_written: u64,
+    /// Descriptor SENDs a doorbell fired, one per leg.
+    pub descriptors_sent: u64,
 }
 
 /// The bytes a chain's CRC check covers: what one RDMA WRITE just placed
@@ -76,15 +86,31 @@ enum ChainWr {
     },
 }
 
+/// Where an armed chain stands.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Phase {
+    /// Fired, faulted or never armed: nothing fires it.
+    Spent,
+    /// Parked on its first WAIT: the doorbell if it has a submission
+    /// segment, a completion otherwise.
+    Armed,
+    /// The doorbell fired and the SEND is out: parked on the completion.
+    Sent,
+}
+
 /// A built chain.
 #[derive(Debug)]
 pub(crate) struct WorkChain {
     pd: PdId,
     owner: QpId,
-    /// The WAIT: a receive completion on any of these QPs fires the chain.
+    /// The submission segment, if any: the host-facing QP whose posted
+    /// write fires it and the region its SEND gathers the template from.
+    submission: Option<(QpId, RKey)>,
+    /// The data QPs: the submission segment SENDs on them, and a receive
+    /// completion on any of them fires the completion segment.
     waits: Vec<QpId>,
     wrs: Vec<ChainWr>,
-    armed: bool,
+    phase: Phase,
 }
 
 /// Builds one chain on its owner QP. Obtained from
@@ -95,6 +121,8 @@ pub(crate) struct WorkChain {
 pub struct WorkChainBuilder<'d> {
     dev: &'d mut RdmaDevice,
     chain: WorkChain,
+    doorbell: Option<QpId>,
+    gather: Option<RKey>,
     err: Option<VerbsError>,
 }
 
@@ -113,13 +141,43 @@ impl WorkChainBuilder<'_> {
         None
     }
 
-    /// Adds `qp` to the chain's WAIT: a receive completion on it fires the
-    /// chain.
-    pub fn wait(mut self, qp: QpId) -> Self {
+    /// Whether `qp` belongs to the chain's domain.
+    fn queue_pair(&mut self, qp: QpId) -> bool {
         match self.dev.qp_pd(qp) {
             None => self.fail(VerbsError::BadHandle),
             Some(pd) if pd != self.chain.pd => self.fail(VerbsError::PdMismatch),
-            Some(_) => self.chain.waits.push(qp),
+            Some(_) => return true,
+        }
+        false
+    }
+
+    /// Parks the chain's first segment on `qp`, the host-facing queue: a
+    /// posted doorbell write landing on it fires the segment's
+    /// [`Self::send_gather`].
+    pub fn wait_doorbell(mut self, qp: QpId) -> Self {
+        if self.queue_pair(qp) {
+            self.doorbell = Some(qp);
+        }
+        self
+    }
+
+    /// Chains, behind the doorbell, one SEND per leg on the data QPs the
+    /// chain goes on to [`Self::wait`] on. Its body is a descriptor
+    /// template gathered from `template_mr` followed by the patch the
+    /// doorbell write carried; which template of the region, and which legs,
+    /// the doorbell says when it fires.
+    pub fn send_gather(mut self, template_mr: MrId) -> Self {
+        if let Some((rkey, _, _)) = self.region(template_mr) {
+            self.gather = Some(rkey);
+        }
+        self
+    }
+
+    /// Adds `qp` to the chain's WAIT: a receive completion on it fires the
+    /// completion segment.
+    pub fn wait(mut self, qp: QpId) -> Self {
+        if self.queue_pair(qp) {
+            self.chain.waits.push(qp);
         }
         self
     }
@@ -146,12 +204,18 @@ impl WorkChainBuilder<'_> {
         self
     }
 
-    /// Posts the chain, disarmed. A chain with no WAIT could never fire and
-    /// is refused.
-    pub fn build(self) -> Result<ChainId, VerbsError> {
+    /// Posts the chain, disarmed. A chain with no WAIT could never fire, and
+    /// a doorbell with nothing to send (or a SEND with no doorbell) is half
+    /// a segment: both are refused.
+    pub fn build(mut self) -> Result<ChainId, VerbsError> {
         if let Some(e) = self.err {
             return Err(e);
         }
+        self.chain.submission = match (self.doorbell, self.gather) {
+            (Some(qp), Some(rkey)) => Some((qp, rkey)),
+            (None, None) => None,
+            _ => return Err(VerbsError::BadChain),
+        };
         if self.chain.waits.is_empty() {
             return Err(VerbsError::BadChain);
         }
@@ -171,18 +235,21 @@ impl RdmaDevice {
             chain: WorkChain {
                 pd,
                 owner,
+                submission: None,
                 waits: Vec::new(),
                 wrs: Vec::new(),
-                armed: false,
+                phase: Phase::Spent,
             },
+            doorbell: None,
+            gather: None,
             err: None,
         })
     }
 
-    /// Arms (or re-arms, in place) a chain for one firing.
+    /// Arms (or re-arms, in place) a chain for one firing of each segment.
     pub fn arm_chain(&mut self, chain: ChainId) -> Result<(), VerbsError> {
         let c = self.chain_mut(chain)?;
-        c.armed = true;
+        c.phase = Phase::Armed;
         Ok(())
     }
 
@@ -205,6 +272,63 @@ impl RdmaDevice {
             .ok_or(VerbsError::BadHandle)
     }
 
+    /// A posted doorbell write landed on `on` at `now`, naming the
+    /// `len`-byte descriptor template at `template` and the data QPs of the
+    /// op's `legs`: fires the armed chain's submission segment. `Ok` means
+    /// one SEND per leg is posted, its body the template as it stands in
+    /// memory plus the doorbell's patch, and the chain now WAITs for the
+    /// completion. Any error means *no* SEND was posted: the template range
+    /// is authorized at this instant like any other NIC access — a region
+    /// revoked, expired or re-registered since the chain was armed is a
+    /// counted protection fault that kills the owner QP — and every leg must
+    /// be a live QP the chain was built on.
+    pub fn ring_doorbell(
+        &mut self,
+        now: SimTime,
+        chain: ChainId,
+        on: QpId,
+        template: MemAddr,
+        len: u64,
+        legs: impl Iterator<Item = QpId>,
+    ) -> Result<(), VerbsError> {
+        let (owner, pd, rkey) = {
+            let c = self.chain_mut(chain)?;
+            match c.submission {
+                Some((qp, rkey)) if qp == on && c.phase == Phase::Armed => (c.owner, c.pd, rkey),
+                _ => return Err(VerbsError::BadChain),
+            }
+        };
+        if !self.qp_ready(owner) || !self.qp_ready(on) {
+            return Err(VerbsError::QpNotReady);
+        }
+        // The WAIT is consumed whether or not the SEND goes out.
+        self.chain_mut(chain)?.phase = Phase::Spent;
+        if let Err(e) = self.authorize(now, pd, rkey, template, len, Right::LocalRead) {
+            self.protection_fault(owner, e);
+            return Err(e);
+        }
+        let mut sent = 0;
+        for qp in legs {
+            if !self.chain_mut(chain)?.waits.contains(&qp) {
+                return Err(VerbsError::BadChain);
+            }
+            if !self.qp_ready(qp) {
+                return Err(VerbsError::QpNotReady);
+            }
+            sent += 1;
+        }
+        self.chain_stats.descriptors_sent += sent;
+        self.chain_mut(chain)?.phase = Phase::Sent;
+        Ok(())
+    }
+
+    fn qp_ready(&self, qp: QpId) -> bool {
+        matches!(
+            self.qp_state(qp),
+            Some(QpState::ReadyToSend | QpState::ReadyToReceive)
+        )
+    }
+
     /// A receive completion arrived on `on` at `now`; `landed` describes
     /// the bytes the sender wrote just before it (none for a bare
     /// acknowledgement). Runs the armed chain's work requests in order.
@@ -218,19 +342,24 @@ impl RdmaDevice {
         on: QpId,
         landed: Option<Landing<'_>>,
     ) -> Result<(), VerbsError> {
-        let ready = |s| matches!(s, Some(QpState::ReadyToSend | QpState::ReadyToReceive));
         let (owner, pd, n) = {
             let c = self.chain_mut(chain)?;
-            if !c.armed || !c.waits.contains(&on) {
+            // A chain that sends its own descriptor WAITs for the reply
+            // only once the SEND is out.
+            let parked = match c.submission {
+                Some(_) => Phase::Sent,
+                None => Phase::Armed,
+            };
+            if c.phase != parked || !c.waits.contains(&on) {
                 return Err(VerbsError::BadChain);
             }
             (c.owner, c.pd, c.wrs.len())
         };
-        if !ready(self.qp_state(owner)) || !ready(self.qp_state(on)) {
+        if !self.qp_ready(owner) || !self.qp_ready(on) {
             return Err(VerbsError::QpNotReady);
         }
         // The WAIT is consumed whether or not the chain runs to its end.
-        self.chain_mut(chain)?.armed = false;
+        self.chain_mut(chain)?.phase = Phase::Spent;
         for i in 0..n {
             // A refcount bump, not a copy: the record is a `Bytes` handle.
             let wr = self.chain_mut(chain)?.wrs[i].clone();
@@ -280,9 +409,11 @@ mod tests {
     struct Fixture {
         dev: RdmaDevice,
         owner: QpId,
+        host_qp: QpId,
         data_qp: QpId,
         staging: (MrId, MemAddr),
         ring: (MrId, MemAddr),
+        templates: (MrId, MemAddr),
     }
 
     fn fixture() -> Fixture {
@@ -290,8 +421,14 @@ mod tests {
         let pd = dev.alloc_pd("lane");
         let owner = dev.create_qp(pd, QpType::Rc).unwrap();
         dev.connect_qp(owner, NodeId(0), owner).unwrap();
+        let host_qp = dev.create_qp(pd, QpType::Rc).unwrap();
+        dev.connect_qp(host_qp, NodeId(0), host_qp).unwrap();
         let data_qp = dev.create_qp(pd, QpType::Rc).unwrap();
         dev.connect_qp(data_qp, NodeId(1), QpId(1)).unwrap();
+        let tbuf = dev.alloc_buffer(256, MemoryDomain::DpuDram).unwrap();
+        let (tmr, _, _) = dev
+            .reg_mr(pd, tbuf, 256, AccessFlags::local_only(), Expiry::Never)
+            .unwrap();
         let sbuf = dev.alloc_buffer(8192, MemoryDomain::DpuDram).unwrap();
         let (smr, _, _) = dev
             .reg_mr(pd, sbuf, 8192, AccessFlags::remote_rw(), Expiry::Never)
@@ -303,10 +440,26 @@ mod tests {
         Fixture {
             dev,
             owner,
+            host_qp,
             data_qp,
             staging: (smr, sbuf),
             ring: (rmr, rbuf),
+            templates: (tmr, tbuf),
         }
+    }
+
+    /// The two-segment chain of an offloaded ring slot.
+    fn build_both(f: &mut Fixture) -> ChainId {
+        f.dev
+            .chain_builder(f.owner)
+            .unwrap()
+            .wait_doorbell(f.host_qp)
+            .send_gather(f.templates.0)
+            .wait(f.data_qp)
+            .verify_crc32c(f.staging.0)
+            .write_record(f.ring.0, f.ring.1, Bytes::from_static(b"slot-0000-done!!"))
+            .build()
+            .unwrap()
     }
 
     fn build(f: &mut Fixture) -> ChainId {
@@ -401,8 +554,76 @@ mod tests {
     }
 
     #[test]
+    fn the_doorbell_sends_the_descriptor_and_only_then_is_a_completion_awaited() {
+        let mut f = fixture();
+        let chain = build_both(&mut f);
+        let (at, legs) = (f.templates.1 + 64, [f.data_qp]);
+        let (host_qp, data_qp) = (f.host_qp, f.data_qp);
+        let ring = |f: &mut Fixture, on| {
+            f.dev
+                .ring_doorbell(SimTime::ZERO, chain, on, at, 64, legs.into_iter())
+        };
+        // Built disarmed; and once armed, no completion can fire a chain
+        // whose own SEND has not gone out.
+        assert_eq!(ring(&mut f, host_qp), Err(VerbsError::BadChain));
+        f.dev.arm_chain(chain).unwrap();
+        assert_eq!(
+            f.dev.fire_chain(SimTime::ZERO, chain, f.data_qp, None),
+            Err(VerbsError::BadChain)
+        );
+        // A write on a queue the chain is not parked on rings nothing.
+        assert_eq!(ring(&mut f, data_qp), Err(VerbsError::BadChain));
+        ring(&mut f, host_qp).unwrap();
+        assert_eq!(f.dev.chain_stats().descriptors_sent, 1);
+        // One doorbell, one SEND: the segment is spent.
+        assert_eq!(ring(&mut f, host_qp), Err(VerbsError::BadChain));
+        f.dev
+            .fire_chain(SimTime::ZERO, chain, f.data_qp, None)
+            .unwrap();
+        let s = f.dev.chain_stats();
+        assert_eq!((s.completed, s.records_written), (1, 1));
+        // Re-armed in place, both segments.
+        f.dev.arm_chain(chain).unwrap();
+        ring(&mut f, host_qp).unwrap();
+        f.dev
+            .fire_chain(SimTime::ZERO, chain, f.data_qp, None)
+            .unwrap();
+        assert_eq!(f.dev.chain_stats().descriptors_sent, 2);
+        // A leg the chain was not built on, or a template outside the
+        // region: nothing is sent.
+        f.dev.arm_chain(chain).unwrap();
+        let stray = f.dev.ring_doorbell(
+            SimTime::ZERO,
+            chain,
+            f.host_qp,
+            at,
+            64,
+            [f.owner].into_iter(),
+        );
+        assert_eq!(stray, Err(VerbsError::BadChain));
+        f.dev.arm_chain(chain).unwrap();
+        let past = f.templates.1 + 250;
+        let outside =
+            f.dev
+                .ring_doorbell(SimTime::ZERO, chain, f.host_qp, past, 64, legs.into_iter());
+        assert_eq!(outside, Err(VerbsError::OutOfBounds));
+        assert_eq!(f.dev.chain_stats().descriptors_sent, 2);
+        assert_eq!(f.dev.violations().out_of_bounds, 1);
+    }
+
+    #[test]
     fn malformed_chains_are_refused_at_build() {
         let mut f = fixture();
+        let half = |f: &mut Fixture, doorbell: bool| {
+            let b = f.dev.chain_builder(f.owner).unwrap();
+            let b = match doorbell {
+                true => b.wait_doorbell(f.host_qp),
+                false => b.send_gather(f.templates.0),
+            };
+            b.wait(f.data_qp).build().unwrap_err()
+        };
+        assert_eq!(half(&mut f, true), VerbsError::BadChain);
+        assert_eq!(half(&mut f, false), VerbsError::BadChain);
         let no_wait = f.dev.chain_builder(f.owner).unwrap().build();
         assert_eq!(no_wait.unwrap_err(), VerbsError::BadChain);
         let past_the_end = f

@@ -71,6 +71,9 @@ pub(crate) enum Right {
     RemoteWrite,
     /// The local NIC writing on its own account (a chained work request).
     LocalWrite,
+    /// The local NIC reading on its own account (a chained SEND's gather).
+    /// Registration itself grants it.
+    LocalRead,
 }
 
 /// The device context for one node.
@@ -391,6 +394,7 @@ impl RdmaDevice {
             Right::RemoteRead => mr.access.remote_read,
             Right::RemoteWrite => mr.access.remote_write,
             Right::LocalWrite => mr.access.local_write,
+            Right::LocalRead => true,
         };
         if !granted {
             return Err(VerbsError::AccessDenied);

@@ -3,7 +3,8 @@
 //! unrevoked rkey of the right PD, rights, and range. Work-request chains
 //! are held to the same rule: one cannot be built across protection
 //! domains, and one whose regions went away after it was posted dies when
-//! it fires, before it writes anything.
+//! it fires, before it writes — or sends — anything; nor can one tenant's
+//! doorbell ever fire another tenant's SEND.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -149,18 +150,23 @@ proptest! {
 const RECORD: &[u8; 16] = b"completion-rec-0";
 const STAGING_EXPIRY: SimTime = SimTime::from_secs(1);
 
-/// A lane-shaped device: the owner tenant's loopback chain QP, data QP,
-/// staging region (remote-writable, expiring) and host-visible record
-/// region; and a foreign tenant's QP and region beside them.
+/// A lane-shaped device: the owner tenant's loopback chain QP, host-facing
+/// doorbell QP, data QP, staging region (remote-writable, expiring),
+/// host-visible record region and descriptor-template region (expiring
+/// too); and a foreign tenant's QP and region beside them.
 struct ChainWorld {
     dev: RdmaDevice,
     owner: QpId,
+    host_qp: QpId,
     data_qp: QpId,
     staging: (MrId, MemAddr),
     ring: (MrId, MemAddr),
+    templates: (MrId, MemAddr),
     foreign_qp: QpId,
     foreign_mr: (MrId, MemAddr),
 }
+
+const TEMPLATE: u64 = 64;
 
 fn chain_world(seed: u64) -> ChainWorld {
     let mut dev = RdmaDevice::new(NodeId(0), 1 << 22, SimRng::new(seed));
@@ -168,6 +174,8 @@ fn chain_world(seed: u64) -> ChainWorld {
     let pd_foreign = dev.alloc_pd("foreign");
     let owner = dev.create_qp(pd, QpType::Rc).unwrap();
     dev.connect_qp(owner, NodeId(0), owner).unwrap();
+    let host_qp = dev.create_qp(pd, QpType::Rc).unwrap();
+    dev.connect_qp(host_qp, NodeId(0), host_qp).unwrap();
     let data_qp = dev.create_qp(pd, QpType::Rc).unwrap();
     dev.connect_qp(data_qp, NodeId(1), QpId(10)).unwrap();
     let foreign_qp = dev.create_qp(pd_foreign, QpType::Rc).unwrap();
@@ -193,10 +201,18 @@ fn chain_world(seed: u64) -> ChainWorld {
         AccessFlags::local_only(),
         Expiry::Never,
     );
+    let templates = region(
+        &mut dev,
+        pd,
+        4 * TEMPLATE,
+        MemoryDomain::DpuDram,
+        AccessFlags::local_only(),
+        Expiry::At(STAGING_EXPIRY),
+    );
     let foreign_mr = region(
         &mut dev,
         pd_foreign,
-        16,
+        TEMPLATE,
         MemoryDomain::HostDram,
         AccessFlags::local_only(),
         Expiry::Never,
@@ -204,9 +220,11 @@ fn chain_world(seed: u64) -> ChainWorld {
     ChainWorld {
         dev,
         owner,
+        host_qp,
         data_qp,
         staging,
         ring,
+        templates,
         foreign_qp,
         foreign_mr,
     }
@@ -222,6 +240,28 @@ impl ChainWorld {
             .write_record(self.ring.0, self.ring.1, Bytes::from_static(RECORD))
             .build()
             .unwrap()
+    }
+
+    /// The chain of an offloaded ring slot: doorbell → SEND, then
+    /// completion → verify → record.
+    fn build_both(&mut self) -> ChainId {
+        self.dev
+            .chain_builder(self.owner)
+            .unwrap()
+            .wait_doorbell(self.host_qp)
+            .send_gather(self.templates.0)
+            .wait(self.data_qp)
+            .verify_crc32c(self.staging.0)
+            .write_record(self.ring.0, self.ring.1, Bytes::from_static(RECORD))
+            .build()
+            .unwrap()
+    }
+
+    /// A doorbell write on `on` for the second template of the region.
+    fn ring(&mut self, now: SimTime, chain: ChainId, on: QpId) -> Result<(), VerbsError> {
+        let (at, legs) = (self.templates.1 + TEMPLATE, [self.data_qp]);
+        self.dev
+            .ring_doorbell(now, chain, on, at, TEMPLATE, legs.into_iter())
     }
 
     fn fire(&mut self, now: SimTime, chain: ChainId, payload: &Bytes) -> Result<(), VerbsError> {
@@ -271,6 +311,28 @@ fn a_chain_cannot_name_another_domains_region_or_queue_pair() {
         .write_record(w.ring.0, w.ring.1, record())
         .build();
     assert_eq!(trigger.unwrap_err(), VerbsError::PdMismatch);
+    // A foreign region as the gather source: a SEND that would carry the
+    // neighbour's memory out on the owner's connection.
+    let gather = w
+        .dev
+        .chain_builder(w.owner)
+        .unwrap()
+        .wait_doorbell(w.host_qp)
+        .send_gather(w.foreign_mr.0)
+        .wait(w.data_qp)
+        .build();
+    assert_eq!(gather.unwrap_err(), VerbsError::PdMismatch);
+    // A foreign QP as the doorbell: the neighbour's host writes must not
+    // be able to send the owner's descriptors.
+    let bell = w
+        .dev
+        .chain_builder(w.owner)
+        .unwrap()
+        .wait_doorbell(w.foreign_qp)
+        .send_gather(w.templates.0)
+        .wait(w.data_qp)
+        .build();
+    assert_eq!(bell.unwrap_err(), VerbsError::PdMismatch);
     // Nothing was posted: the first handle a good build gets is chain 0.
     assert_eq!(w.build(), ChainId(0));
     // And a built chain still cannot be fired from the foreign QP.
@@ -334,6 +396,53 @@ fn a_region_lost_between_post_and_fire_kills_the_chain_at_fire_time() {
         // And while its QP is down the chain stays down, armed or not.
         w.dev.arm_chain(chain).unwrap();
         assert_eq!(w.fire(now, chain, &payload), Err(VerbsError::QpNotReady));
+    }
+}
+
+#[test]
+fn a_template_region_lost_between_arm_and_doorbell_sends_nothing() {
+    type Lose = fn(&mut ChainWorld) -> SimTime;
+    let cases: [(Lose, VerbsError); 3] = [
+        (
+            |w| {
+                w.dev.revoke_rkey(w.templates.0).unwrap();
+                SimTime::ZERO
+            },
+            VerbsError::RkeyRevoked,
+        ),
+        (
+            |_| STAGING_EXPIRY + ros2_sim::SimDuration::from_nanos(1),
+            VerbsError::RkeyExpired,
+        ),
+        (
+            |w| {
+                w.dev.dereg_mr(w.templates.0).unwrap();
+                SimTime::ZERO
+            },
+            VerbsError::InvalidRkey,
+        ),
+    ];
+    for (lose, want) in cases {
+        let mut w = chain_world(3);
+        let chain = w.build_both();
+        w.dev.arm_chain(chain).unwrap();
+        let now = lose(&mut w);
+        assert_eq!(w.ring(now, chain, w.host_qp), Err(want));
+        assert_eq!(w.dev.violations().total(), 1, "{want:?} is a counted fault");
+        assert_eq!(
+            w.dev.chain_stats().descriptors_sent,
+            0,
+            "{want:?}: nothing left"
+        );
+        // The chain stopped where it stood: no completion can fire the
+        // rest of it, and its QP — not the data connection — is dead.
+        let payload = Bytes::from(vec![0x42u8; 4096]);
+        assert!(w.fire(now, chain, &payload).is_err());
+        assert!(!w.published());
+        assert_eq!(w.dev.qp_state(w.owner), Some(QpState::Error));
+        assert_eq!(w.dev.qp_state(w.data_qp), Some(QpState::ReadyToSend));
+        w.dev.arm_chain(chain).unwrap();
+        assert_eq!(w.ring(now, chain, w.host_qp), Err(VerbsError::QpNotReady));
     }
 }
 
@@ -436,6 +545,162 @@ proptest! {
             }
             prop_assert_eq!(w.dev.chain_stats().records_written, writes);
             prop_assert_eq!(w.published(), writes > 0);
+        }
+    }
+}
+
+// ------------------------------------------------------------ doorbells --
+
+/// One tenant's half of a shared NIC: its chain with both segments, the
+/// QPs and the template region the chain names.
+struct Tenant {
+    chain: ChainId,
+    owner: QpId,
+    host_qp: QpId,
+    data_qp: QpId,
+    templates: (MrId, MemAddr),
+}
+
+fn tenant(dev: &mut RdmaDevice, name: &str, peer: u32) -> Tenant {
+    let pd = dev.alloc_pd(name);
+    let qp = |dev: &mut RdmaDevice, node: u32| {
+        let qp = dev.create_qp(pd, QpType::Rc).unwrap();
+        let to = if node == 0 { qp } else { QpId(100 + peer) };
+        dev.connect_qp(qp, NodeId(node), to).unwrap();
+        qp
+    };
+    let (owner, host_qp, data_qp) = (qp(dev, 0), qp(dev, 0), qp(dev, peer));
+    let region = |dev: &mut RdmaDevice, len, access| {
+        let at = dev.alloc_buffer(len, MemoryDomain::DpuDram).unwrap();
+        let (mr, _, _) = dev.reg_mr(pd, at, len, access, Expiry::Never).unwrap();
+        (mr, at)
+    };
+    let templates = region(dev, TEMPLATE, AccessFlags::local_only());
+    let staging = region(dev, 4096, AccessFlags::remote_rw());
+    let record = region(dev, 16, AccessFlags::local_only());
+    let chain = dev
+        .chain_builder(owner)
+        .unwrap()
+        .wait_doorbell(host_qp)
+        .send_gather(templates.0)
+        .wait(data_qp)
+        .verify_crc32c(staging.0)
+        .write_record(record.0, record.1, Bytes::from_static(RECORD))
+        .build()
+        .unwrap();
+    Tenant {
+        chain,
+        owner,
+        host_qp,
+        data_qp,
+        templates,
+    }
+}
+
+#[derive(Debug, Clone)]
+enum BellAction {
+    Arm {
+        tenant: bool,
+    },
+    /// A doorbell write on `on`'s host-facing QP, aimed at `chain`'s chain
+    /// and naming `template`'s region and `leg`'s data QP.
+    Ring {
+        on: bool,
+        chain: bool,
+        template: bool,
+        leg: bool,
+    },
+    RevokeTemplates {
+        tenant: bool,
+    },
+    Recover {
+        tenant: bool,
+    },
+}
+
+fn bell_action_strategy() -> impl Strategy<Value = BellAction> {
+    let b = any::<bool>;
+    prop_oneof![
+        b().prop_map(|tenant| BellAction::Arm { tenant }),
+        b().prop_map(|tenant| BellAction::Arm { tenant }),
+        (b(), b(), b(), b()).prop_map(|(on, chain, template, leg)| BellAction::Ring {
+            on,
+            chain,
+            template,
+            leg
+        }),
+        // Mostly well-formed rings, so chains do get spent and re-armed.
+        (b(), b()).prop_map(|(t, stray)| BellAction::Ring {
+            on: t,
+            chain: t,
+            template: t,
+            leg: t ^ stray
+        }),
+        b().prop_map(|tenant| BellAction::RevokeTemplates { tenant }),
+        b().prop_map(|tenant| BellAction::Recover { tenant }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    /// Two tenants' chains on one NIC under random arm / revoke / doorbell
+    /// schedules: a doorbell sends a descriptor only when it lands on the
+    /// chain's *own* tenant's host-facing QP, names that tenant's live
+    /// template region and a data QP of that tenant, and the chain is armed
+    /// with its QP up — and whenever all of that holds, it does. In
+    /// particular no write on one tenant's doorbell ever fires, or even
+    /// disarms, the other tenant's SEND.
+    #[test]
+    fn no_doorbell_ever_fires_another_tenants_send(
+        actions in prop::collection::vec(bell_action_strategy(), 1..80),
+        seed in any::<u64>(),
+    ) {
+        let mut dev = RdmaDevice::new(NodeId(0), 1 << 22, SimRng::new(seed));
+        let tenants = [tenant(&mut dev, "a", 1), tenant(&mut dev, "b", 2)];
+        let of = |t: bool| &tenants[t as usize];
+        let mut armed = [false; 2];
+        let mut revoked = [false; 2];
+        let mut sent = 0u64;
+        for a in actions {
+            match a {
+                BellAction::Arm { tenant } => {
+                    dev.arm_chain(of(tenant).chain).unwrap();
+                    armed[tenant as usize] = true;
+                }
+                BellAction::RevokeTemplates { tenant } => {
+                    dev.revoke_rkey(of(tenant).templates.0).unwrap();
+                    revoked[tenant as usize] = true;
+                }
+                BellAction::Recover { tenant } => {
+                    let owner = of(tenant).owner;
+                    if dev.qp_state(owner) == Some(QpState::Error) {
+                        dev.reset_qp(owner).unwrap();
+                        dev.connect_qp(owner, NodeId(0), owner).unwrap();
+                    }
+                }
+                BellAction::Ring { on, chain, template, leg } => {
+                    let c = chain as usize;
+                    let owner_up = dev.qp_state(of(chain).owner) == Some(QpState::ReadyToSend);
+                    let reached = armed[c] && on == chain && owner_up;
+                    let authorised = reached && template == chain && !revoked[c] && leg == chain;
+                    let res = dev.ring_doorbell(
+                        SimTime::ZERO,
+                        of(chain).chain,
+                        of(on).host_qp,
+                        of(template).templates.1,
+                        TEMPLATE,
+                        [of(leg).data_qp].into_iter(),
+                    );
+                    prop_assert_eq!(res.is_ok(), authorised, "{:?} -> {:?}", a, res);
+                    sent += u64::from(authorised);
+                    // A doorbell that reached the chain consumed its WAIT;
+                    // one that did not left it as it stood.
+                    if reached {
+                        armed[c] = false;
+                    }
+                }
+            }
+            prop_assert_eq!(dev.chain_stats().descriptors_sent, sent);
         }
     }
 }
