@@ -29,7 +29,7 @@
 use ros2_core::FaultPlan;
 use ros2_daos::RetryStats;
 use ros2_dpu::DpuTenantSpec;
-use ros2_fio::{run_fio, ClusterFioWorld, FioOp, JobSpec, RwMode, Workload, WorldSpec};
+use ros2_fio::{run_fio, DfsFioWorld, FioOp, JobSpec, RwMode, Workload, WorldSpec};
 use ros2_sim::{SimDuration, SimTime};
 
 const ENGINES: usize = 4;
@@ -50,29 +50,29 @@ fn chaos_spec() -> JobSpec {
         .seed(7)
 }
 
-fn host_world() -> ClusterFioWorld {
+fn host_world() -> DfsFioWorld {
     let mut w = WorldSpec::cluster(ENGINES)
         .replication(RF)
         .jobs(JOBS)
         .region(REGION)
-        .build();
-    w.world.set_pipelined(true);
+        .build_dfs();
+    w.set_pipelined(true);
     w
 }
 
-fn dpu_world() -> ClusterFioWorld {
+fn dpu_world() -> DfsFioWorld {
     let mut w = WorldSpec::cluster(ENGINES)
         .replication(RF)
         .jobs(JOBS)
         .region(REGION)
         .offload(vec![DpuTenantSpec::unlimited("fio")])
-        .build();
-    w.world.set_pipelined(true);
+        .build_dfs();
+    w.set_pipelined(true);
     w
 }
 
-fn arm_kill(w: &mut ClusterFioWorld) {
-    let after = w.world.client.ops() + KILL_AFTER_OPS;
+fn arm_kill(w: &mut DfsFioWorld) {
+    let after = w.client.ops() + KILL_AFTER_OPS;
     w.set_fault_plan(FaultPlan::kill_after(VICTIM, after, RAS_DELAY));
 }
 
@@ -124,7 +124,7 @@ struct ChaosCell {
     first_retry_us: Option<u64>,
 }
 
-fn run_cell(mut w: ClusterFioWorld, kill: bool) -> ChaosCell {
+fn run_cell(mut w: DfsFioWorld, kill: bool) -> ChaosCell {
     if kill {
         arm_kill(&mut w);
     } else {
@@ -134,9 +134,12 @@ fn run_cell(mut w: ClusterFioWorld, kill: bool) -> ChaosCell {
     ChaosCell {
         gib_s,
         failed,
-        fences: w.fences(),
-        retry: w.retry_stats(),
-        first_retry_us: w.first_successful_retry().map(|t| t.as_nanos() / 1_000),
+        fences: w.cluster.fences(),
+        retry: w.client.retry_stats(),
+        first_retry_us: w
+            .client
+            .first_successful_retry()
+            .map(|t| t.as_nanos() / 1_000),
     }
 }
 

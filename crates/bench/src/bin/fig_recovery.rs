@@ -26,7 +26,7 @@
 
 use ros2_core::{FaultPlan, ScheduledCorruption};
 use ros2_daos::BgService;
-use ros2_fio::{run_fio, ClusterFioWorld, FioReport, JobSpec, RwMode, WorldSpec};
+use ros2_fio::{run_fio, DfsFioWorld, FioReport, JobSpec, RwMode, WorldSpec};
 use ros2_sim::{QosLimits, SimDuration, SimTime};
 
 const ENGINES: usize = 4;
@@ -59,18 +59,18 @@ fn write_spec() -> JobSpec {
         .seed(11)
 }
 
-fn world() -> ClusterFioWorld {
+fn world() -> DfsFioWorld {
     let mut w = WorldSpec::cluster(ENGINES)
         .replication(RF)
         .jobs(JOBS)
         .region(REGION)
-        .build();
-    w.world.set_pipelined(true);
+        .build_dfs();
+    w.set_pipelined(true);
     w
 }
 
-fn kill_plan(w: &ClusterFioWorld) -> FaultPlan {
-    FaultPlan::kill_after(VICTIM, w.world.client.ops() + KILL_AFTER_OPS, RAS_DELAY)
+fn kill_plan(w: &DfsFioWorld) -> FaultPlan {
+    FaultPlan::kill_after(VICTIM, w.client.ops() + KILL_AFTER_OPS, RAS_DELAY)
 }
 
 /// Three silent corruptions across the run, all on slot 0 (which stays
@@ -100,16 +100,17 @@ fn run_recovery(paced: bool) -> RecoveryCell {
     let mut w = world();
     w.set_fault_plan(kill_plan(&w));
     if paced {
-        w.set_service_budget(BgService::Rebuild, QosLimits::bytes_per_sec(REBUILD_BUDGET));
+        w.cluster
+            .set_service_budget(BgService::Rebuild, QosLimits::bytes_per_sec(REBUILD_BUDGET));
     }
     let report: FioReport = run_fio(&mut w, &read_spec());
     let done = w.rebuild(SimTime::ZERO).expect("rebuild completes");
-    let stats = w.rebuild_stats();
+    let stats = w.cluster.rebuild_stats();
     RecoveryCell {
         gib_s: report.gib_per_sec(),
         failed: report.io.errors.get(),
         restore_ms: done.as_nanos() / 1_000_000,
-        throttle_ms: w.scrub_stats().rebuild_throttle_wait.as_nanos() / 1_000_000,
+        throttle_ms: w.cluster.scrub_stats().rebuild_throttle_wait.as_nanos() / 1_000_000,
         objects_moved: stats.objects_moved,
         bytes_moved: stats.bytes_moved,
     }
@@ -132,15 +133,21 @@ struct ScrubCell {
 fn run_scrub() -> ScrubCell {
     let mut w = world();
     let mut plan = FaultPlan::none();
-    plan.bitrot = rot_entries(w.world.client.ops());
+    plan.bitrot = rot_entries(w.client.ops());
     w.set_fault_plan(plan);
     let report: FioReport = run_fio(&mut w, &write_spec());
 
-    let (first, t) = w.scrub(SimTime::ZERO).expect("scrub pass runs");
-    let (boundary, t) = w.aggregate(t).expect("aggregation runs");
-    let before = w.scrub_stats();
-    let (second, _) = w.scrub(t).expect("clean pass runs");
-    let after = w.scrub_stats();
+    let (first, t) = w
+        .cluster
+        .scrub(&mut w.fabric, SimTime::ZERO)
+        .expect("scrub pass runs");
+    let (boundary, t) = w
+        .cluster
+        .aggregate_cluster(t, "posix", None)
+        .expect("aggregation runs");
+    let before = w.cluster.scrub_stats();
+    let (second, _) = w.cluster.scrub(&mut w.fabric, t).expect("clean pass runs");
+    let after = w.cluster.scrub_stats();
     assert_eq!(
         second.mismatches_found, 0,
         "the post-repair scrub pass must be clean"
@@ -175,17 +182,24 @@ fn run_accept(pipelined: bool) -> AcceptCell {
     let mut w = world();
     // QD 8 writes are single-chunk, so a non-pipelined world issues each
     // one as the serial call — the replay reference.
-    w.world.set_pipelined(pipelined);
-    let base = w.world.client.ops();
+    w.set_pipelined(pipelined);
+    let base = w.client.ops();
     let mut plan = FaultPlan::kill_after(VICTIM, base + KILL_AFTER_OPS, RAS_DELAY);
     plan.bitrot = rot_entries(base);
     w.set_fault_plan(plan);
-    w.set_service_budget(BgService::Rebuild, QosLimits::bytes_per_sec(REBUILD_BUDGET));
+    w.cluster
+        .set_service_budget(BgService::Rebuild, QosLimits::bytes_per_sec(REBUILD_BUDGET));
     let report: FioReport = run_fio(&mut w, &write_spec());
 
-    let (first, t) = w.scrub(SimTime::ZERO).expect("scrub pass runs");
+    let (first, t) = w
+        .cluster
+        .scrub(&mut w.fabric, SimTime::ZERO)
+        .expect("scrub pass runs");
     let done = w.rebuild(t).expect("rebuild completes");
-    let (second, _) = w.scrub(done).expect("verifying pass runs");
+    let (second, _) = w
+        .cluster
+        .scrub(&mut w.fabric, done)
+        .expect("verifying pass runs");
     AcceptCell {
         gib_s: report.gib_per_sec(),
         failed: report.io.errors.get(),

@@ -42,7 +42,7 @@ fn scale_cell(engines: usize) -> (f64, u64) {
         .jobs(JOBS)
         .region(REGION)
         .mode(DataMode::Null)
-        .build();
+        .build_dfs();
     let report = run_fio(&mut world, &scale_spec(RwMode::Read, 1 << 20));
     (report.gib_per_sec(), report.io.errors.get())
 }
@@ -64,7 +64,7 @@ fn resilience_cell() -> ResilienceCell {
         .replication(2)
         .jobs(8)
         .region(REGION)
-        .build();
+        .build_dfs();
     let spec = JobSpec::new(RwMode::Read, 1 << 20, 8)
         .iodepth(2)
         .region(REGION)
@@ -75,7 +75,6 @@ fn resilience_cell() -> ResilienceCell {
     let baseline = run_fio(&mut world, &spec);
     failed += baseline.io.errors.get();
     let victim = world
-        .world
         .cluster
         .route_update(&world.file(0).oid)
         .leader()
@@ -94,7 +93,7 @@ fn resilience_cell() -> ResilienceCell {
     let recovered = run_fio(&mut world, &spec);
     failed += recovered.io.errors.get();
 
-    let stats = world.rebuild_stats();
+    let stats = world.cluster.rebuild_stats();
     ResilienceCell {
         degraded_gib_s: degraded.gib_per_sec(),
         post_rebuild_gib_s: recovered.gib_per_sec(),

@@ -57,7 +57,7 @@ pub struct EngineStall {
 }
 
 /// A deterministic chaos schedule threaded through `Ros2System` and the
-/// cluster FIO world.
+/// DFS FIO worlds (installed as a [`FaultCursor`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// How long a RAS membership event takes to reach the client stack
@@ -99,7 +99,8 @@ impl FaultPlan {
 
     /// Applies the from-launch part of the plan to `cluster`: black holes
     /// and stalls take effect immediately. Kills and bit-rot fire later,
-    /// against whichever op counter the owning world arms them on.
+    /// through a [`FaultCursor`], against whichever op counter the owning
+    /// world reads.
     pub fn arm(&self, cluster: &mut EngineCluster) {
         for &slot in &self.blackholes {
             cluster.set_blackhole(slot, true);
@@ -119,6 +120,69 @@ impl FaultPlan {
                 slot,
             }],
             ..FaultPlan::default()
+        }
+    }
+}
+
+/// An installed [`FaultPlan`] and how far its op-count-triggered entries
+/// have fired. Every world that runs a plan holds one; each keeps only
+/// its own way of delivering the new map a kill produces.
+#[derive(Debug, Default)]
+pub struct FaultCursor {
+    plan: FaultPlan,
+    /// Index of the next unfired entry in `plan.kills`.
+    next_kill: usize,
+    /// Index of the next unfired entry in `plan.bitrot`.
+    next_bitrot: usize,
+}
+
+impl FaultCursor {
+    /// Arms `plan` on `cluster` (see [`FaultPlan::arm`]) with nothing
+    /// fired yet.
+    pub fn install(plan: FaultPlan, cluster: &mut EngineCluster) -> Self {
+        plan.arm(cluster);
+        FaultCursor {
+            plan,
+            next_kill: 0,
+            next_bitrot: 0,
+        }
+    }
+
+    /// The installed plan.
+    pub fn plan(&self) -> &FaultPlan {
+        &self.plan
+    }
+
+    /// Whether a kill or a bit-rot injection is still to fire — all an
+    /// empty plan costs per op.
+    pub fn pending(&self) -> bool {
+        self.next_kill < self.plan.kills.len() || self.next_bitrot < self.plan.bitrot.len()
+    }
+
+    /// The slot of the next kill due once the client stack has issued
+    /// `ops` ops, marked fired; `None` when none is due. Kills fire in
+    /// plan order, so an unreached one holds back those after it.
+    pub fn due_kill(&mut self, ops: u64) -> Option<usize> {
+        let kill = self.plan.kills.get(self.next_kill)?;
+        if ops < kill.after_client_ops {
+            return None;
+        }
+        self.next_kill += 1;
+        Some(kill.slot)
+    }
+
+    /// Applies to `cluster` every bit-rot injection due at `ops` ops.
+    /// Silent: no event is raised and no client ever fails — only the
+    /// scrub service can see it.
+    pub fn apply_due_bitrot(&mut self, cluster: &mut EngineCluster, ops: u64) {
+        while let Some(rot) = self.plan.bitrot.get(self.next_bitrot) {
+            if ops < rot.after_client_ops {
+                break;
+            }
+            self.next_bitrot += 1;
+            cluster
+                .engine_mut(rot.slot)
+                .corrupt_object_from(rot.object_index);
         }
     }
 }

@@ -26,7 +26,7 @@
 pub mod fault;
 pub mod system;
 
-pub use fault::{EngineStall, FaultPlan, ScheduledCorruption, ScheduledKill};
+pub use fault::{EngineStall, FaultCursor, FaultPlan, ScheduledCorruption, ScheduledKill};
 pub use system::{
     ClientStack, ClusterConfig, Ros2Config, Ros2Error, Ros2System, SystemMetrics, Timed,
     CLIENT_NODE, STORAGE_NODE,

@@ -33,7 +33,7 @@ use ros2_nvme::DataMode;
 use ros2_sim::{ResourceStats, SimDuration, SimTime};
 use ros2_verbs::{MemoryDomain, NodeId, PdId};
 
-use crate::fault::FaultPlan;
+use crate::fault::{FaultCursor, FaultPlan};
 
 /// The deployment's scale-out shape: how many DAOS engines (one per
 /// storage node behind the shared switch) and how many replicas each
@@ -377,11 +377,7 @@ pub struct Ros2System {
     pub dfs: Dfs,
     session: u64,
     clock: SimTime,
-    faults: FaultPlan,
-    /// Index of the next unfired entry in `faults.kills`.
-    next_kill: usize,
-    /// Index of the next unfired entry in `faults.bitrot`.
-    next_bitrot: usize,
+    faults: FaultCursor,
 }
 
 impl Ros2System {
@@ -414,7 +410,7 @@ impl Ros2System {
         }
 
         // Storage servers: bdevs + engine per node, behind the pool map
-        // (the canonical assembly shared with the cluster FIO world).
+        // (the canonical assembly shared with the DFS FIO worlds).
         let storage_nodes: Vec<NodeId> = (0..n_engines)
             .map(|i| NodeId(topology.storage_node(i) as u32))
             .collect();
@@ -558,9 +554,7 @@ impl Ros2System {
             dfs,
             session,
             clock,
-            faults: FaultPlan::none(),
-            next_kill: 0,
-            next_bitrot: 0,
+            faults: FaultCursor::default(),
         })
     }
 
@@ -608,7 +602,8 @@ impl Ros2System {
         // pipelined client keeps routing by the stale revision and relies
         // on engine fencing plus the retry ladder to recover.
         let snap = self.cluster.snapshot_map();
-        self.client.deliver_map(t + self.faults.ras_delay, snap);
+        self.client
+            .deliver_map(t + self.faults.plan().ras_delay, snap);
         res.map_err(Ros2Error::Control)?;
         self.tick(t);
         Ok(version)
@@ -622,40 +617,23 @@ impl Ros2System {
     /// [`Self::kill_engine`] calls) reach the client stack `ras_delay`
     /// late.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        plan.arm(&mut self.cluster);
-        self.faults = plan;
-        self.next_kill = 0;
-        self.next_bitrot = 0;
+        self.faults = FaultCursor::install(plan, &mut self.cluster);
     }
 
     /// The installed fault plan (empty by default).
     pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
+        self.faults.plan()
     }
 
-    /// Fires any armed kills and bit-rot injections whose client-op
-    /// threshold has been crossed.
-    fn fire_due_kills(&mut self) -> Result<(), Ros2Error> {
-        while self.next_kill < self.faults.kills.len() {
-            let kill = self.faults.kills[self.next_kill];
-            if self.client.ops() < kill.after_client_ops {
-                break;
-            }
-            self.next_kill += 1;
-            self.kill_engine(kill.slot)?;
+    /// Fires any armed kills (each a [`Self::kill_engine`], RAS event
+    /// included) and bit-rot injections whose client-op threshold has
+    /// been crossed.
+    fn fire_due_faults(&mut self) -> Result<(), Ros2Error> {
+        let ops = self.client.ops();
+        while let Some(slot) = self.faults.due_kill(ops) {
+            self.kill_engine(slot)?;
         }
-        while self.next_bitrot < self.faults.bitrot.len() {
-            let rot = self.faults.bitrot[self.next_bitrot];
-            if self.client.ops() < rot.after_client_ops {
-                break;
-            }
-            self.next_bitrot += 1;
-            // Silent: no event is raised and no client ever fails — only
-            // the scrub service can see it.
-            self.cluster
-                .engine_mut(rot.slot)
-                .corrupt_object_from(rot.object_index);
-        }
+        self.faults.apply_due_bitrot(&mut self.cluster, ops);
         Ok(())
     }
 
@@ -890,7 +868,7 @@ impl Ros2System {
         };
         let t = self.dfs.write(&mut s, start, job, file, offset, data)?;
         self.tick(t);
-        self.fire_due_kills()?;
+        self.fire_due_faults()?;
         Ok(Timed {
             value: (),
             latency: t.saturating_since(now),
@@ -928,7 +906,7 @@ impl Ros2System {
             ClientStack::Dpu(_) => t,
         };
         self.tick(t);
-        self.fire_due_kills()?;
+        self.fire_due_faults()?;
         Ok(Timed {
             value: data,
             latency: t.saturating_since(now),

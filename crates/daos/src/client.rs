@@ -195,40 +195,14 @@ pub struct DaosClient {
 }
 
 impl DaosClient {
-    /// Connects `jobs` client jobs from `node` to the engine on `server`,
-    /// staging through `buf_len`-byte buffers in `domain` (DPU DRAM for the
-    /// prototype; [`MemoryDomain::GpuHbm`] for the GPUDirect extension).
-    /// Staging MRs are registered with [`Expiry::Never`]; the DPU tenant
-    /// manager's scoped-rkey discipline uses [`Self::connect_scoped`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn connect(
-        fabric: &mut Fabric,
-        node: NodeId,
-        server: NodeId,
-        tenant: &str,
-        cont: impl Into<String>,
-        jobs: usize,
-        buf_len: u64,
-        domain: MemoryDomain,
-        model: DaosCostModel,
-    ) -> Result<Self, DaosError> {
-        Self::connect_scoped(
-            fabric,
-            node,
-            server,
-            tenant,
-            cont,
-            jobs,
-            buf_len,
-            domain,
-            model,
-            Expiry::Never,
-        )
-    }
-
-    /// [`Self::connect`] against every engine of a cluster: each job opens
-    /// one connection per storage node (slot-aligned with the pool map) so
-    /// the client can route per-object without reconnecting.
+    /// Connects `jobs` client jobs from `node` to every engine of a
+    /// cluster, staging through `buf_len`-byte buffers in `domain` (DPU
+    /// DRAM for the prototype; [`MemoryDomain::GpuHbm`] for the GPUDirect
+    /// extension): each job opens one connection per storage node
+    /// (slot-aligned with the pool map) so the client can route
+    /// per-object without reconnecting. Staging MRs are registered with
+    /// [`Expiry::Never`]; the DPU tenant manager's scoped-rkey discipline
+    /// uses [`Self::connect_scoped_multi`].
     #[allow(clippy::too_many_arguments)]
     pub fn connect_multi(
         fabric: &mut Fabric,
@@ -255,36 +229,8 @@ impl DaosClient {
         )
     }
 
-    /// [`Self::connect`] with every staging MR registered under `expiry`
-    /// from the outset — no window where an unscoped rkey exists.
-    #[allow(clippy::too_many_arguments)]
-    pub fn connect_scoped(
-        fabric: &mut Fabric,
-        node: NodeId,
-        server: NodeId,
-        tenant: &str,
-        cont: impl Into<String>,
-        jobs: usize,
-        buf_len: u64,
-        domain: MemoryDomain,
-        model: DaosCostModel,
-        expiry: Expiry,
-    ) -> Result<Self, DaosError> {
-        Self::connect_scoped_multi(
-            fabric,
-            node,
-            &[server],
-            tenant,
-            cont,
-            jobs,
-            buf_len,
-            domain,
-            model,
-            expiry,
-        )
-    }
-
-    /// The fully general constructor: scoped staging MRs, N storage nodes.
+    /// The fully general constructor: every staging MR registered under
+    /// `expiry` from the outset — no window where an unscoped rkey exists.
     ///
     /// Connection state is pooled per `(client, engine)`: one real
     /// connection (QP pair) is opened per storage node and every job gets
@@ -1456,10 +1402,10 @@ mod tests {
             CoreClass::HostX86,
         );
         engine.cont_create("cont0").unwrap();
-        let client = DaosClient::connect(
+        let client = DaosClient::connect_multi(
             &mut fabric,
             NodeId(0),
-            NodeId(1),
+            &[NodeId(1)],
             "tenant",
             "cont0",
             2,

@@ -685,7 +685,7 @@ impl EngineCluster {
     /// Builds the canonical N-engine pool: one engine per storage node,
     /// each over `ssds` drives with `scm_bytes_per_target` of SCM,
     /// labelled `pool0-eng{slot}`. The single source of engine assembly —
-    /// `Ros2System::launch` and the cluster FIO world both build through
+    /// `Ros2System::launch` and the DFS FIO worlds all build through
     /// here, so the bench worlds cannot drift from the assembled system.
     pub fn assemble(
         nodes: Vec<NodeId>,

@@ -60,10 +60,10 @@ fn tcp_world() -> World {
         CoreClass::HostX86,
     );
     engine.cont_create("cont0").unwrap();
-    let client = DaosClient::connect(
+    let client = DaosClient::connect_multi(
         &mut fabric,
         NodeId(0),
-        NodeId(1),
+        &[NodeId(1)],
         "tenant",
         "cont0",
         1,

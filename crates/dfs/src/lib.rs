@@ -59,10 +59,10 @@ mod tests {
             CoreClass::HostX86,
         );
         engine.cont_create("posix").unwrap();
-        let client = DaosClient::connect(
+        let client = DaosClient::connect_multi(
             &mut fabric,
             NodeId(0),
-            NodeId(1),
+            &[NodeId(1)],
             "tenant",
             "posix",
             4,

@@ -195,43 +195,13 @@ pub struct DpuClient {
 }
 
 impl DpuClient {
-    /// Connects an offloaded client on the DPU at `node`: one data-plane
-    /// lane per tenant (jobs are dealt round-robin across tenants), QoS
-    /// buckets installed, staging DRAM reserved from `agent`'s pool, and
-    /// scoped rkeys armed.
-    #[allow(clippy::too_many_arguments)]
-    pub fn connect(
-        fabric: &mut Fabric,
-        node: NodeId,
-        server: NodeId,
-        cont: impl Into<String>,
-        jobs: usize,
-        buf_len: u64,
-        domain: MemoryDomain,
-        model: DaosCostModel,
-        agent: DpuAgent,
-        tenant_specs: Vec<DpuTenantSpec>,
-        seed: u64,
-    ) -> Result<Self, DpuError> {
-        Self::connect_cluster(
-            fabric,
-            node,
-            &[server],
-            cont,
-            jobs,
-            buf_len,
-            domain,
-            model,
-            agent,
-            tenant_specs,
-            seed,
-        )
-    }
-
-    /// [`Self::connect`] against every engine of a cluster: each tenant
-    /// lane's inner client opens one connection per storage node, and the
-    /// lane routes every op by the cluster's pool map — replication,
-    /// degraded reads and failover all run on the DPU, the host only rings
+    /// Connects an offloaded client on the DPU at `node` to every engine
+    /// of a cluster: one data-plane lane per tenant (jobs are dealt
+    /// round-robin across tenants), QoS buckets installed, staging DRAM
+    /// reserved from `agent`'s pool, and scoped rkeys armed. Each lane's
+    /// inner client opens one connection per storage node, and the lane
+    /// routes every op by the cluster's pool map — replication, degraded
+    /// reads and failover all run on the DPU, the host only rings
     /// doorbells.
     #[allow(clippy::too_many_arguments)]
     pub fn connect_cluster(
@@ -1159,10 +1129,10 @@ mod tests {
         jobs: usize,
     ) -> Result<DpuClient, DpuError> {
         let agent = DpuAgent::new(NodeId(0), 30 << 30, default_control(5));
-        DpuClient::connect(
+        DpuClient::connect_cluster(
             fabric,
             NodeId(0),
-            NodeId(1),
+            &[NodeId(1)],
             "cont0",
             jobs,
             4 << 20,

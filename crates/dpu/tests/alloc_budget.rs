@@ -60,10 +60,10 @@ fn ring_allocs(updates: bool) -> u64 {
     engine.cont_create("c").unwrap();
     let mut cluster = EngineCluster::single(engine);
     let agent = DpuAgent::new(NodeId(0), 30 << 30, ros2_dpu::default_control(3));
-    let mut client = DpuClient::connect(
+    let mut client = DpuClient::connect_cluster(
         &mut fabric,
         NodeId(0),
-        NodeId(1),
+        &[NodeId(1)],
         "c",
         1,
         4 << 20,

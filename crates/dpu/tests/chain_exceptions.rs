@@ -54,10 +54,10 @@ fn world_with(tenant: DpuTenantSpec, jobs: usize) -> World {
     engine.cont_create("c").unwrap();
     let cluster = EngineCluster::single(engine);
     let agent = DpuAgent::new(DPU, 30 << 30, ros2_dpu::default_control(3));
-    let client = DpuClient::connect(
+    let client = DpuClient::connect_cluster(
         &mut fabric,
         DPU,
-        NodeId(1),
+        &[NodeId(1)],
         "c",
         jobs,
         4 << 20,

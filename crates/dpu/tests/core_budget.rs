@@ -53,10 +53,10 @@ fn world(tenants: &[&str], jobs: usize) -> (Fabric, EngineCluster, DpuClient) {
         CoreClass::HostX86,
     );
     engine.cont_create("c").unwrap();
-    let client = DpuClient::connect(
+    let client = DpuClient::connect_cluster(
         &mut fabric,
         NodeId(0),
-        NodeId(1),
+        &[NodeId(1)],
         "c",
         jobs,
         1 << 20,

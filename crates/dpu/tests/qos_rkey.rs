@@ -162,10 +162,10 @@ fn dpu_client_refresh_outruns_the_race() {
     engine.cont_create("c").unwrap();
     let mut cluster = EngineCluster::single(engine);
     let agent = DpuAgent::new(NodeId(0), 30 << 30, ros2_dpu::default_control(3));
-    let mut client = DpuClient::connect(
+    let mut client = DpuClient::connect_cluster(
         &mut fabric,
         NodeId(0),
-        NodeId(1),
+        &[NodeId(1)],
         "c",
         1,
         4 << 20,
@@ -232,10 +232,10 @@ fn offloaded_world(
     engine.cont_create("c").unwrap();
     let cluster = EngineCluster::single(engine);
     let agent = DpuAgent::new(NodeId(0), 30 << 30, ros2_dpu::default_control(3));
-    let client = DpuClient::connect(
+    let client = DpuClient::connect_cluster(
         &mut fabric,
         NodeId(0),
-        NodeId(1),
+        &[NodeId(1)],
         "c",
         1,
         4 << 20,

@@ -3,10 +3,13 @@
 //! deployment shape where storage-port congestion, per-client fairness,
 //! and engine-side connection state become the story.
 //!
-//! Three mechanisms distinguish this world from [`ClusterFioWorld`]:
+//! Three mechanisms distinguish this world from the single-client
+//! [`DfsFioWorld`](crate::DfsFioWorld) it shares its assembly with (one
+//! fabric-and-cluster build, one client connect, one preconditioning
+//! loop, one fault cursor):
 //!
-//! * **the clients axis** — one fabric node and one in-process
-//!   [`DaosClient`] per entry of the spec's [`Clients`](crate::Clients)
+//! * **the clients axis** — one fabric node and one client stack
+//!   ([`FioClient`]) per entry of the spec's [`Clients`](crate::Clients)
 //!   axis, each running its own FIO job group (global job `j` belongs to
 //!   client `j / jobs_per_client`);
 //! * **the engine-side connection pool** — the cluster admits every op
@@ -20,22 +23,19 @@
 //!   client's cached map applies the push at its next poll, so clients
 //!   genuinely race the new revision at different instants.
 
-use ros2_core::FaultPlan;
+use ros2_core::{FaultCursor, FaultPlan};
 use ros2_ctl::ControlRequest;
-use ros2_daos::{
-    ConnPool, ConnPoolStats, DaosClient, DaosCostModel, EngineCluster, MapSnapshot, RetryStats,
-};
+use ros2_daos::{ConnPool, ConnPoolStats, DaosError, EngineCluster, MapSnapshot, RetryStats};
 use ros2_dfs::{Dfs, DfsObj, DfsSession};
+use ros2_dpu::DpuCacheStats;
 use ros2_fabric::Fabric;
 use ros2_hw::ClusterTopology;
 use ros2_sim::{ResourceStats, SimDuration, SimTime};
-use ros2_verbs::{MemoryDomain, NodeId};
-
-use ros2_dpu::{default_control, DpuAgent, DpuCacheStats, DpuClient};
+use ros2_verbs::NodeId;
 
 use crate::driver::{FioOp, Workload};
-use crate::worlds::FioClient;
-use crate::worldspec::{ClientKind, WorldSpec};
+use crate::worlds::{precondition, FioClient};
+use crate::worldspec::WorldSpec;
 
 /// The assembled incast testbed. Build with
 /// [`WorldSpec::build_incast`]; drive with [`crate::run_fio`] over
@@ -59,8 +59,7 @@ pub struct IncastFioWorld {
     rf: usize,
     /// Per-client serialization gap of one push fan-out.
     push_gap: SimDuration,
-    faults: FaultPlan,
-    next_kill: usize,
+    faults: FaultCursor,
 }
 
 impl IncastFioWorld {
@@ -88,104 +87,19 @@ impl IncastFioWorld {
             fabric.set_flow_hint(node, jobs * n_clients);
         }
 
-        let kinds = spec.client_axis().kinds().to_vec();
-        let mut clients: Vec<FioClient> = kinds
-            .iter()
-            .enumerate()
-            .map(|(c, kind)| match kind {
-                ClientKind::Host | ClientKind::DpuCostModel => FioClient::Classic(
-                    DaosClient::connect_multi(
-                        &mut fabric,
-                        NodeId(c as u32),
-                        &storage_nodes,
-                        "fio",
-                        "posix",
-                        jobs,
-                        4 << 20,
-                        MemoryDomain::HostDram,
-                        DaosCostModel::default_model(),
-                    )
-                    .expect("incast client connects"),
-                ),
-                ClientKind::Offloaded => {
-                    // One agent per BlueField node; seeds diverge per
-                    // client so control-plane jitter is not lockstepped.
-                    let agent = DpuAgent::new(
-                        NodeId(c as u32),
-                        30 << 30,
-                        default_control(spec.seed_value() ^ c as u64),
-                    );
-                    let mut dpu = DpuClient::connect_cluster(
-                        &mut fabric,
-                        NodeId(c as u32),
-                        &storage_nodes,
-                        "posix",
-                        jobs,
-                        4 << 20,
-                        MemoryDomain::DpuDram,
-                        DaosCostModel::default_model(),
-                        agent,
-                        spec.tenants_value().to_vec(),
-                        spec.seed_value() ^ c as u64,
-                    )
-                    .expect("incast DPU client connects");
-                    if let Some(bytes) = spec.dpu_cache_value() {
-                        dpu.enable_read_cache(bytes).expect("cache carve fits DRAM");
-                    }
-                    FioClient::Offloaded(dpu)
-                }
-            })
+        let mut clients: Vec<FioClient> = (0..n_clients)
+            .map(|c| spec.connect_client(&mut fabric, c, &storage_nodes))
             .collect();
-
         // Client 0 formats; every client preconditions its own job files
         // (named per client so the shared namespace never collides).
-        let chunk = 1u64 << 20;
-        let region = spec.region_value();
-        let (mut dfs, mut t) = {
-            let mut s = DfsSession {
-                fabric: &mut fabric,
-                cluster: &mut cluster,
-                client: clients[0].as_object(),
-            };
-            Dfs::format(&mut s, SimTime::ZERO, chunk).expect("format")
-        };
-        let root = dfs.root();
-        let mut files = Vec::with_capacity(n_clients * jobs);
-        for (c, client) in clients.iter_mut().enumerate() {
-            for l in 0..jobs {
-                let mut s = DfsSession {
-                    fabric: &mut fabric,
-                    cluster: &mut cluster,
-                    client: client.as_object(),
-                };
-                let (mut f, t1) = dfs
-                    .create(&mut s, t, &root, &format!("c{c}j{l}"), 0o644)
-                    .expect("create");
-                t = t1;
-                let mut off = 0u64;
-                while off < region {
-                    let piece = chunk.min(region - off);
-                    t = dfs
-                        .write(
-                            &mut s,
-                            t,
-                            l,
-                            &mut f,
-                            off,
-                            crate::worlds::zeros(piece as usize),
-                        )
-                        .expect("precondition write");
-                    off += piece;
-                }
-                files.push(f);
-            }
-        }
-
-        fabric.reset_timing();
-        cluster.reset_timing();
-        for client in &mut clients {
-            client.reset_timing();
-        }
+        let (dfs, files) = precondition(
+            &mut fabric,
+            &mut cluster,
+            &mut clients,
+            jobs,
+            spec.region_value(),
+            |c, l| format!("c{c}j{l}"),
+        );
         cluster.enable_conn_pool(spec.effective_pool_capacity(), ConnPool::DEFAULT_HANDSHAKE);
 
         IncastFioWorld {
@@ -198,8 +112,7 @@ impl IncastFioWorld {
             storage_nodes,
             rf: spec.replication_value(),
             push_gap: Self::DEFAULT_PUSH_GAP,
-            faults: FaultPlan::none(),
-            next_kill: 0,
+            faults: FaultCursor::default(),
         }
     }
 
@@ -280,12 +193,11 @@ impl IncastFioWorld {
         self.push_gap = gap;
     }
 
-    /// Installs a chaos schedule (kills armed against the **total**
-    /// client-op counter; black holes and stalls apply immediately).
+    /// Installs a chaos schedule (kills and bit-rot armed against the
+    /// **total** client-op counter; black holes and stalls apply
+    /// immediately).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        plan.arm(&mut self.cluster);
-        self.faults = plan;
-        self.next_kill = 0;
+        self.faults = FaultCursor::install(plan, &mut self.cluster);
     }
 
     /// One RAS push fan-out: encodes the current map as a `MapPush` frame
@@ -316,39 +228,31 @@ impl IncastFioWorld {
 
     /// Kills engine `slot` and fans the new map out to every client via
     /// [`Self::push_map`], `ras_delay` after `now`.
-    pub fn kill_engine(&mut self, now: SimTime, slot: usize) -> Result<u64, String> {
-        let version = self
-            .cluster
-            .kill_engine(slot)
-            .map_err(|e| format!("{e:?}"))?;
-        self.push_map(now + self.faults.ras_delay);
+    pub fn kill_engine(&mut self, now: SimTime, slot: usize) -> Result<u64, DaosError> {
+        let version = self.cluster.kill_engine(slot)?;
+        self.push_map(now + self.faults.plan().ras_delay);
         Ok(version)
     }
 
     /// Runs the online rebuild at `now`; the completion map revision is
     /// pushed to every client `ras_delay` after the completion instant.
-    pub fn rebuild(&mut self, now: SimTime) -> Result<SimTime, String> {
-        let t = self
-            .cluster
-            .rebuild(&mut self.fabric, now)
-            .map_err(|e| format!("{e:?}"))?;
-        self.push_map(t + self.faults.ras_delay);
+    pub fn rebuild(&mut self, now: SimTime) -> Result<SimTime, DaosError> {
+        let t = self.cluster.rebuild(&mut self.fabric, now)?;
+        self.push_map(t + self.faults.plan().ras_delay);
         Ok(t)
     }
 
-    /// Fires any armed kills whose total-op threshold has been crossed.
-    fn fire_due_kills(&mut self, now: SimTime) -> Result<(), String> {
-        while self.next_kill < self.faults.kills.len() {
-            let kill = self.faults.kills[self.next_kill];
-            if self.total_ops() < kill.after_client_ops {
-                break;
-            }
-            self.next_kill += 1;
-            self.cluster
-                .kill_engine(kill.slot)
-                .map_err(|e| format!("{e:?}"))?;
-            self.push_map(now + self.faults.ras_delay);
+    /// Fires the plan's kills and bit-rot whose total-op threshold has
+    /// been crossed.
+    fn fire_due_faults(&mut self, now: SimTime) -> Result<(), DaosError> {
+        if !self.faults.pending() {
+            return Ok(());
         }
+        let ops = self.total_ops();
+        while let Some(slot) = self.faults.due_kill(ops) {
+            self.kill_engine(now, slot)?;
+        }
+        self.faults.apply_due_bitrot(&mut self.cluster, ops);
         Ok(())
     }
 
@@ -360,7 +264,7 @@ impl IncastFioWorld {
 
 impl Workload for IncastFioWorld {
     fn issue(&mut self, now: SimTime, job: usize, op: &FioOp) -> Result<SimTime, String> {
-        self.fire_due_kills(now)?;
+        self.fire_due_faults(now).map_err(|e| format!("{e:?}"))?;
         let c = job / self.jobs_per_client;
         let l = job % self.jobs_per_client;
         // Engine-side admission: a non-resident client re-handshakes

@@ -41,5 +41,5 @@ mod worldspec_tests;
 pub use driver::{run_fio, FioOp, Workload};
 pub use incast::IncastFioWorld;
 pub use spec::{FioReport, JobSpec, RwMode};
-pub use worlds::{ClusterFioWorld, DfsFioWorld, FioClient, LocalFioWorld, SpdkFioWorld};
+pub use worlds::{DfsFioWorld, FioClient, LocalFioWorld, SpdkFioWorld};
 pub use worldspec::{ClientKind, Clients, WorldSpec};

@@ -2,17 +2,20 @@
 //!
 //! * [`LocalFioWorld`] — FIO + io_uring + local NVMe (Fig. 3);
 //! * [`SpdkFioWorld`] — FIO + SPDK NVMe-oF over TCP/RDMA (Fig. 4);
-//! * [`DfsFioWorld`] — FIO + DFS + DAOS, client on host or DPU (Fig. 5).
+//! * [`DfsFioWorld`] — FIO + DFS + DAOS, one client on host or DPU in
+//!   front of one or more engines (Fig. 5 and the scale-out, chaos and
+//!   recovery figures).
 //!
 //! Each world assembles the testbed from `ros2-hw` platform models,
 //! preconditions its working set, resets clocks, and implements
-//! [`Workload`] for the closed-loop driver.
+//! [`Workload`] for the closed-loop driver. The DFS worlds (this one and
+//! [`crate::IncastFioWorld`]) are assembled by [`crate::WorldSpec`] and
+//! share one preconditioning loop (`precondition`).
 
 use bytes::Bytes;
-use ros2_core::FaultPlan;
+use ros2_core::{FaultCursor, FaultPlan};
 use ros2_daos::{
-    BgService, DaosClient, EngineCluster, Epoch, MapSnapshot, ObjectClient, RebuildStats,
-    RetryPolicy, RetryStats, ScrubOutcome, ScrubStats,
+    DaosClient, DaosError, EngineCluster, MapSnapshot, ObjectClient, RetryPolicy, RetryStats,
 };
 use ros2_dfs::{Dfs, DfsObj, DfsSession};
 use ros2_dpu::{DpuCacheStats, DpuClient, DpuStats};
@@ -22,7 +25,7 @@ use ros2_hw::{
 };
 use ros2_iouring::{IoRequest, IoUringEngine};
 use ros2_nvme::{DataMode, NvmeArray};
-use ros2_sim::{QosLimits, ResourceStats, SimTime};
+use ros2_sim::{ResourceStats, SimTime};
 use ros2_spdk::{BdevLayer, NvmfSession, NvmfStack};
 use ros2_verbs::NodeId;
 
@@ -286,79 +289,83 @@ impl FioClient {
     }
 }
 
-/// Fig. 5's system: FIO's DFS engine over the full ROS2 stack, with the
-/// DAOS client on the host CPU or offloaded to the BlueField-3.
+/// Fig. 5's system and the scale-out one: FIO's DFS engine over the full
+/// ROS2 stack — one DAOS client, on the host CPU or offloaded to the
+/// BlueField-3, in front of E unchanged engines behind the shared switch
+/// (E = 1 is the paper's two-node testbed). Built by
+/// [`crate::WorldSpec::build_dfs`]; an installed [`FaultPlan`] fires
+/// between its ops.
 pub struct DfsFioWorld {
     /// The data-plane fabric.
     pub fabric: Fabric,
-    /// The storage cluster (the degenerate single-engine cluster for the
-    /// classic two-node worlds).
+    /// The storage cluster: E engines behind the versioned pool map.
     pub cluster: EngineCluster,
     /// The client stack (in-process or DPU-offloaded).
     pub client: FioClient,
     /// The mounted namespace.
     pub dfs: Dfs,
-    files: Vec<DfsObj>,
+    pub(crate) files: Vec<DfsObj>,
+    /// The installed chaos schedule (empty by default — bit-identical to
+    /// a world that never heard of fault plans).
+    pub(crate) faults: FaultCursor,
 }
 
-impl DfsFioWorld {
-    /// Formats the namespace, preconditions one `region`-byte file per job,
-    /// and resets all clocks for measurement. The assembly half lives in
-    /// [`crate::WorldSpec`] — every world is described there and built
-    /// through here.
-    pub(crate) fn precondition(
-        mut fabric: Fabric,
-        mut cluster: EngineCluster,
-        mut client: FioClient,
-        jobs: usize,
-        region: u64,
-    ) -> Self {
-        let chunk = 1u64 << 20;
-        let (mut dfs, mut t) = {
-            let mut s = DfsSession {
-                fabric: &mut fabric,
-                cluster: &mut cluster,
-                client: client.as_object(),
-            };
-            Dfs::format(&mut s, SimTime::ZERO, chunk).expect("format")
+/// Formats the namespace with client 0, creates and fills `jobs` files of
+/// `region` bytes per client (`name(client, local job)`), and resets every
+/// clock for measurement. Returns the namespace and the files in global
+/// job order.
+pub(crate) fn precondition(
+    fabric: &mut Fabric,
+    cluster: &mut EngineCluster,
+    clients: &mut [FioClient],
+    jobs: usize,
+    region: u64,
+    name: impl Fn(usize, usize) -> String,
+) -> (Dfs, Vec<DfsObj>) {
+    let chunk = 1u64 << 20;
+    let (mut dfs, mut t) = {
+        let mut s = DfsSession {
+            fabric: &mut *fabric,
+            cluster: &mut *cluster,
+            client: clients[0].as_object(),
         };
-        let root = dfs.root();
-        let mut files = Vec::with_capacity(jobs);
-        for j in 0..jobs {
+        Dfs::format(&mut s, SimTime::ZERO, chunk).expect("format")
+    };
+    let root = dfs.root();
+    let mut files = Vec::with_capacity(clients.len() * jobs);
+    for (c, client) in clients.iter_mut().enumerate() {
+        for l in 0..jobs {
             let mut s = DfsSession {
-                fabric: &mut fabric,
-                cluster: &mut cluster,
+                fabric: &mut *fabric,
+                cluster: &mut *cluster,
                 client: client.as_object(),
             };
             let (mut f, t1) = dfs
-                .create(&mut s, t, &root, &format!("job{j}"), 0o644)
+                .create(&mut s, t, &root, &name(c, l), 0o644)
                 .expect("create");
             t = t1;
             let mut off = 0u64;
             while off < region {
                 let piece = chunk.min(region - off);
                 t = dfs
-                    .write(&mut s, t, j, &mut f, off, zeros(piece as usize))
+                    .write(&mut s, t, l, &mut f, off, zeros(piece as usize))
                     .expect("precondition write");
                 off += piece;
             }
             files.push(f);
         }
-
-        // Preconditioning consumed virtual time; measurement starts fresh.
-        fabric.reset_timing();
-        cluster.reset_timing();
-        client.reset_timing();
-
-        DfsFioWorld {
-            fabric,
-            cluster,
-            client,
-            dfs,
-            files,
-        }
     }
 
+    // Preconditioning consumed virtual time; measurement starts fresh.
+    fabric.reset_timing();
+    cluster.reset_timing();
+    for client in clients {
+        client.reset_timing();
+    }
+    (dfs, files)
+}
+
+impl DfsFioWorld {
     /// Resets fabric, cluster, and client timing to t=0 (contents kept) —
     /// between measured phases of a failure scenario.
     pub fn reset_timing(&mut self) {
@@ -380,48 +387,13 @@ impl DfsFioWorld {
     pub fn file(&self, job: usize) -> &DfsObj {
         &self.files[job]
     }
-}
-
-// -------------------------------------------------------------- cluster --
-
-/// The scale-out world: FIO's DFS engine over an N-engine replicated
-/// cluster — one storage server per engine behind the shared 100 Gbps
-/// switch, the host client routing every op by the versioned pool map.
-/// This is the deployment shape of §3.1 and the harness behind the
-/// `fig_scaleout` sweep and the engine-kill failure scenarios.
-pub struct ClusterFioWorld {
-    /// The assembled world (same layout as [`DfsFioWorld`], N engines).
-    pub world: DfsFioWorld,
-    /// The installed chaos schedule (empty by default — bit-identical to
-    /// the fault-oblivious world).
-    faults: FaultPlan,
-    /// Index of the next unfired entry in `faults.kills`.
-    next_kill: usize,
-    /// Index of the next unfired entry in `faults.bitrot`.
-    next_bitrot: usize,
-}
-
-impl ClusterFioWorld {
-    /// Wraps a preconditioned world with an empty chaos schedule. The
-    /// assembly half lives in [`crate::WorldSpec::build`].
-    pub(crate) fn from_world(world: DfsFioWorld) -> Self {
-        ClusterFioWorld {
-            world,
-            faults: FaultPlan::none(),
-            next_kill: 0,
-            next_bitrot: 0,
-        }
-    }
 
     /// Installs a chaos schedule: black holes and stalls apply
-    /// immediately, kills arm against the client-op counter and fire
-    /// between ops of the measured run, and every RAS delivery the kills
-    /// trigger reaches the client `ras_delay` late.
+    /// immediately, kills and bit-rot arm against the client-op counter
+    /// and fire between ops of the measured run, and every RAS delivery
+    /// the kills trigger reaches the client `ras_delay` late.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        plan.arm(&mut self.world.cluster);
-        self.faults = plan;
-        self.next_kill = 0;
-        self.next_bitrot = 0;
+        self.faults = FaultCursor::install(plan, &mut self.cluster);
     }
 
     /// Kills engine `slot` (pool-map revision bump; subsequent fetches of
@@ -429,47 +401,11 @@ impl ClusterFioWorld {
     /// The new map is handed to the client as an already-landed delivery
     /// (applied at its next map poll) — use a fault plan's scheduled
     /// kills to model delayed RAS propagation.
-    pub fn kill_engine(&mut self, slot: usize) -> Result<u64, String> {
-        let version = self
-            .world
-            .cluster
-            .kill_engine(slot)
-            .map_err(|e| format!("{e:?}"))?;
-        let snap = self.world.cluster.snapshot_map();
-        self.world.client.deliver_map(SimTime::ZERO, snap);
+    pub fn kill_engine(&mut self, slot: usize) -> Result<u64, DaosError> {
+        let version = self.cluster.kill_engine(slot)?;
+        let snap = self.cluster.snapshot_map();
+        self.client.deliver_map(SimTime::ZERO, snap);
         Ok(version)
-    }
-
-    /// Fires any armed kills whose client-op threshold has been crossed,
-    /// delivering the RAS map update `ras_delay` after the kill instant.
-    fn fire_due_kills(&mut self, now: SimTime) -> Result<(), String> {
-        while self.next_kill < self.faults.kills.len() {
-            let kill = self.faults.kills[self.next_kill];
-            if self.world.client.ops() < kill.after_client_ops {
-                break;
-            }
-            self.next_kill += 1;
-            self.world
-                .cluster
-                .kill_engine(kill.slot)
-                .map_err(|e| format!("{e:?}"))?;
-            let snap = self.world.cluster.snapshot_map();
-            self.world
-                .client
-                .deliver_map(now + self.faults.ras_delay, snap);
-        }
-        while self.next_bitrot < self.faults.bitrot.len() {
-            let rot = self.faults.bitrot[self.next_bitrot];
-            if self.world.client.ops() < rot.after_client_ops {
-                break;
-            }
-            self.next_bitrot += 1;
-            self.world
-                .cluster
-                .engine_mut(rot.slot)
-                .corrupt_object_from(rot.object_index);
-        }
-        Ok(())
     }
 
     /// Runs the online rebuild at `now`; returns its completion instant.
@@ -477,96 +413,35 @@ impl ClusterFioWorld {
     /// the pre-kill-survivor routing override ends), so the new map is
     /// delivered to the client at the completion instant plus the plan's
     /// RAS delay.
-    pub fn rebuild(&mut self, now: SimTime) -> Result<SimTime, String> {
-        let t = self
-            .world
-            .cluster
-            .rebuild(&mut self.world.fabric, now)
-            .map_err(|e| format!("{e:?}"))?;
-        let snap = self.world.cluster.snapshot_map();
-        self.world
-            .client
-            .deliver_map(t + self.faults.ras_delay, snap);
+    pub fn rebuild(&mut self, now: SimTime) -> Result<SimTime, DaosError> {
+        let t = self.cluster.rebuild(&mut self.fabric, now)?;
+        let snap = self.cluster.snapshot_map();
+        self.client
+            .deliver_map(t + self.faults.plan().ras_delay, snap);
         Ok(t)
     }
 
-    /// Redundancy counters (degraded reads served, rebuild movement).
-    pub fn rebuild_stats(&self) -> RebuildStats {
-        self.world.cluster.rebuild_stats()
-    }
-
-    /// See [`DfsFioWorld::file`].
-    pub fn file(&self, job: usize) -> &DfsObj {
-        self.world.file(job)
-    }
-
-    /// See [`DfsFioWorld::reset_timing`].
-    pub fn reset_timing(&mut self) {
-        self.world.reset_timing();
-    }
-
-    /// Recovery-ladder counters across the client stack (host client or
-    /// all DPU lanes) — one table row per arm in the A/B reports.
-    pub fn retry_stats(&self) -> RetryStats {
-        self.world.client.retry_stats()
-    }
-
-    /// Sets the recovery-ladder policy on the client(s).
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.world.client.set_retry_policy(policy);
-    }
-
-    /// Earliest instant an op completed on a retry attempt.
-    pub fn first_successful_retry(&self) -> Option<SimTime> {
-        self.world.client.first_successful_retry()
-    }
-
-    /// Total stale-map fences observed across the cluster's engines.
-    pub fn fences(&self) -> u64 {
-        self.world.cluster.fences()
-    }
-
-    /// Sets a background service's pacing budget (rebuild, aggregation,
-    /// or scrub lane). Unlimited by default — bit-identical to unpaced.
-    pub fn set_service_budget(&mut self, service: BgService, limits: QosLimits) {
-        self.world.cluster.set_service_budget(service, limits);
-    }
-
-    /// Coordinated epoch aggregation of the `posix` container at the
-    /// cluster-safe boundary; returns `(boundary, completion instant)`.
-    pub fn aggregate(&mut self, now: SimTime) -> Result<(Epoch, SimTime), String> {
-        self.world
-            .cluster
-            .aggregate_cluster(now, "posix", None)
-            .map_err(|e| format!("{e:?}"))
-    }
-
-    /// One replica-scrub pass: detects bit-rot via recorded-vs-media
-    /// checksum cross-checks and repairs rotten replicas from a healthy
-    /// copy over the rebuild fabric path.
-    pub fn scrub(&mut self, now: SimTime) -> Result<(ScrubOutcome, SimTime), String> {
-        self.world
-            .cluster
-            .scrub(&mut self.world.fabric, now)
-            .map_err(|e| format!("{e:?}"))
-    }
-
-    /// Background-service counters (scrub passes, repair volume,
-    /// per-service throttle waits).
-    pub fn scrub_stats(&self) -> ScrubStats {
-        self.world.cluster.scrub_stats()
-    }
-}
-
-impl Workload for ClusterFioWorld {
-    fn issue(&mut self, now: SimTime, job: usize, op: &FioOp) -> Result<SimTime, String> {
-        self.fire_due_kills(now)?;
-        self.world.issue(now, job, op)
+    /// Fires the plan's due kills, delivering each new map `ras_delay`
+    /// after `now`, and its due bit-rot.
+    fn fire_due_faults(&mut self, now: SimTime) -> Result<(), DaosError> {
+        if !self.faults.pending() {
+            return Ok(());
+        }
+        let ops = self.client.ops();
+        while let Some(slot) = self.faults.due_kill(ops) {
+            self.cluster.kill_engine(slot)?;
+            let snap = self.cluster.snapshot_map();
+            self.client
+                .deliver_map(now + self.faults.plan().ras_delay, snap);
+        }
+        self.faults.apply_due_bitrot(&mut self.cluster, ops);
+        Ok(())
     }
 }
 
 impl Workload for DfsFioWorld {
     fn issue(&mut self, now: SimTime, job: usize, op: &FioOp) -> Result<SimTime, String> {
+        self.fire_due_faults(now).map_err(|e| format!("{e:?}"))?;
         let mut s = DfsSession {
             fabric: &mut self.fabric,
             cluster: &mut self.cluster,

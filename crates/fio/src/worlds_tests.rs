@@ -20,7 +20,7 @@ fn cluster_world_engages_multiple_engines_and_outruns_one() {
             .jobs(8)
             .region(8 << 20)
             .mode(DataMode::Null)
-            .build();
+            .build_dfs();
         let r = run_fio(
             &mut w,
             &quick(
@@ -30,8 +30,8 @@ fn cluster_world_engages_multiple_engines_and_outruns_one() {
             ),
         );
         assert_eq!(r.io.errors.get(), 0, "{engines} engines: failed ops");
-        let engaged = (0..w.world.cluster.len())
-            .filter(|&s| w.world.cluster.engine(s).rpcs() > 0)
+        let engaged = (0..w.cluster.len())
+            .filter(|&s| w.cluster.engine(s).rpcs() > 0)
             .count();
         (r.gib_per_sec(), engaged)
     };
@@ -49,26 +49,21 @@ fn cluster_world_engages_multiple_engines_and_outruns_one() {
 
 #[test]
 fn cluster_world_rf2_kill_serves_degraded_then_rebuilds() {
-    let mut w = WorldSpec::cluster(3).replication(2).jobs(4).build();
+    let mut w = WorldSpec::cluster(3).replication(2).jobs(4).build_dfs();
     let spec = quick(
         JobSpec::new(RwMode::Read, 1 << 20, 4)
             .iodepth(2)
             .region(4 << 20),
     );
-    let victim = w
-        .world
-        .cluster
-        .route_update(&w.file(0).oid)
-        .leader()
-        .unwrap();
+    let victim = w.cluster.route_update(&w.file(0).oid).leader().unwrap();
     w.kill_engine(victim).unwrap();
     w.reset_timing();
     let degraded = run_fio(&mut w, &spec);
     assert_eq!(degraded.io.errors.get(), 0, "degraded reads must not fail");
-    assert!(w.rebuild_stats().degraded_fetches > 0);
+    assert!(w.cluster.rebuild_stats().degraded_fetches > 0);
     w.reset_timing();
     w.rebuild(SimTime::ZERO).unwrap();
-    assert!(w.rebuild_stats().objects_moved > 0);
+    assert!(w.cluster.rebuild_stats().objects_moved > 0);
     w.reset_timing();
     let recovered = run_fio(&mut w, &spec);
     assert_eq!(

@@ -1,5 +1,8 @@
 //! The typed world builder: every DFS-family testbed is described by one
-//! [`WorldSpec`] and assembled by a terminal `build_*` call.
+//! [`WorldSpec`] and assembled by one of two terminals — `build_dfs` for
+//! one client in front of one or more engines, `build_incast` for the
+//! clients axis. Both go through one fabric-and-cluster assembly, one
+//! client connect and one preconditioning loop.
 //!
 //! The old positional constructors (`ClusterFioWorld::new` took seven
 //! bare arguments, `::offloaded` eight) made call sites unreadable and
@@ -21,6 +24,10 @@
 //!     .build_dfs();
 //! drop(world);
 //!
+//! // The same client in front of a 3-engine RF 2 cluster:
+//! let cluster = WorldSpec::cluster(3).replication(2).build_dfs();
+//! drop(cluster);
+//!
 //! // A 4-engine replicated cluster with 16 host clients incasting on it:
 //! let incast = WorldSpec::cluster(4)
 //!     .replication(2)
@@ -31,16 +38,16 @@
 //! drop(incast);
 //! ```
 
-use ros2_daos::{DaosClient, DaosCostModel, DaosEngine, EngineCluster};
+use ros2_core::FaultCursor;
+use ros2_daos::{DaosClient, DaosCostModel, EngineCluster};
 use ros2_dpu::{default_control, DpuAgent, DpuClient, DpuTenantSpec};
 use ros2_fabric::Fabric;
 use ros2_hw::{ClientPlacement, ClusterTopology, CoreClass, Transport};
 use ros2_nvme::DataMode;
-use ros2_spdk::BdevLayer;
 use ros2_verbs::{MemoryDomain, NodeId};
 
 use crate::incast::IncastFioWorld;
-use crate::worlds::{ClusterFioWorld, DfsFioWorld, FioClient};
+use crate::worlds::{precondition, DfsFioWorld, FioClient};
 
 /// What runs the DAOS client stack on one client node.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -129,7 +136,6 @@ impl Clients {
 pub struct WorldSpec {
     transport: Transport,
     engines: usize,
-    clustered: bool,
     replication: usize,
     ssds: usize,
     jobs: usize,
@@ -148,11 +154,10 @@ impl WorldSpec {
     /// default — override with [`Self::seed`].
     pub const DEFAULT_SEED: u64 = 0xd0e5;
 
-    fn base(engines: usize, clustered: bool, clients: Clients) -> Self {
+    fn base(engines: usize, clients: Clients) -> Self {
         WorldSpec {
             transport: Transport::Rdma,
             engines,
-            clustered,
             replication: 1,
             ssds: 1,
             jobs: 1,
@@ -176,14 +181,14 @@ impl WorldSpec {
             ClientPlacement::Host => ClientKind::Host,
             ClientPlacement::Dpu => ClientKind::DpuCostModel,
         };
-        Self::base(1, false, Clients { kinds: vec![kind] })
+        Self::base(1, Clients { kinds: vec![kind] })
     }
 
     /// An N-engine replicated cluster (one storage server per engine)
-    /// with, by default, one host client. Terminals: [`Self::build`]
+    /// with, by default, one host client. Terminals: [`Self::build_dfs`]
     /// (single client) or [`Self::build_incast`] (the clients axis).
     pub fn cluster(engines: usize) -> Self {
-        Self::base(engines, true, Clients::host(1))
+        Self::base(engines, Clients::host(1))
     }
 
     /// Data-plane transport (default RDMA).
@@ -294,18 +299,6 @@ impl WorldSpec {
         self.region
     }
 
-    pub(crate) fn seed_value(&self) -> u64 {
-        self.seed
-    }
-
-    pub(crate) fn tenants_value(&self) -> &[DpuTenantSpec] {
-        &self.tenants
-    }
-
-    pub(crate) fn dpu_cache_value(&self) -> Option<u64> {
-        self.dpu_cache
-    }
-
     /// The pool capacity an incast build installs: the explicit setting,
     /// else 64 clamped to the client count.
     pub(crate) fn effective_pool_capacity(&self) -> usize {
@@ -315,94 +308,12 @@ impl WorldSpec {
 
     // ------------------------------------------------------ terminals --
 
-    /// Assembles the classic two-node [`DfsFioWorld`]. Panics if this
-    /// spec describes a cluster or more than one client.
+    /// Assembles the single-client [`DfsFioWorld`] in front of this spec's
+    /// engines: the classic two-node world for [`Self::single`], the
+    /// N-engine replicated one for [`Self::cluster`]. Panics if the spec
+    /// carries a clients axis — multi-client specs build with
+    /// [`Self::build_incast`].
     pub fn build_dfs(self) -> DfsFioWorld {
-        assert!(
-            !self.clustered,
-            "a cluster spec builds with build()/build_incast()"
-        );
-        assert_eq!(self.clients.len(), 1, "a single world has one client");
-        let kind = self.clients.kinds[0];
-        assert!(
-            self.dpu_cache.is_none() || kind == ClientKind::Offloaded,
-            "dpu_cache() requires offload()"
-        );
-        let mut fabric = Fabric::for_topology(
-            self.transport,
-            &ClusterTopology::single(kind.placement()),
-            self.seed,
-        );
-        fabric.set_force_per_segment(self.wire_per_segment);
-        fabric.set_flow_hint(NodeId(0), self.jobs);
-        fabric.set_flow_hint(NodeId(1), self.jobs);
-
-        let bdevs = BdevLayer::new(ros2_nvme::NvmeArray::new(
-            ros2_hw::NvmeModel::enterprise_1600(),
-            self.ssds,
-            self.mode,
-        ));
-        let mut engine = DaosEngine::new(
-            "pool0",
-            bdevs,
-            2 << 30,
-            DaosCostModel::default_model(),
-            CoreClass::HostX86,
-        );
-        engine.cont_create("posix").unwrap();
-
-        let client = match kind {
-            ClientKind::Host | ClientKind::DpuCostModel => FioClient::Classic(
-                DaosClient::connect(
-                    &mut fabric,
-                    NodeId(0),
-                    NodeId(1),
-                    "fio",
-                    "posix",
-                    self.jobs,
-                    4 << 20,
-                    MemoryDomain::HostDram,
-                    DaosCostModel::default_model(),
-                )
-                .expect("client connects"),
-            ),
-            ClientKind::Offloaded => {
-                let agent = DpuAgent::new(NodeId(0), 30 << 30, default_control(self.seed));
-                let mut dpu = DpuClient::connect(
-                    &mut fabric,
-                    NodeId(0),
-                    NodeId(1),
-                    "posix",
-                    self.jobs,
-                    4 << 20,
-                    MemoryDomain::DpuDram,
-                    DaosCostModel::default_model(),
-                    agent,
-                    self.tenants,
-                    self.seed,
-                )
-                .expect("DPU client connects");
-                if let Some(bytes) = self.dpu_cache {
-                    dpu.enable_read_cache(bytes).expect("cache carve fits DRAM");
-                }
-                FioClient::Offloaded(dpu)
-            }
-        };
-
-        DfsFioWorld::precondition(
-            fabric,
-            EngineCluster::single(engine),
-            client,
-            self.jobs,
-            self.region,
-        )
-    }
-
-    /// Assembles the N-engine [`ClusterFioWorld`] with its single client.
-    /// Panics if this spec is not a cluster or carries a clients axis —
-    /// multi-client specs build with [`Self::build_incast`].
-    pub fn build(self) -> ClusterFioWorld {
-        assert!(self.clustered, "a single spec builds with build_dfs()");
         assert_eq!(
             self.clients.len(),
             1,
@@ -414,51 +325,24 @@ impl WorldSpec {
             "dpu_cache() requires offload()"
         );
         let topology = ClusterTopology::one_client(kind.placement(), self.engines);
-        let (mut fabric, cluster, storage_nodes) = self.fabric_and_cluster(&topology);
-        let client = match kind {
-            ClientKind::Host | ClientKind::DpuCostModel => FioClient::Classic(
-                DaosClient::connect_multi(
-                    &mut fabric,
-                    NodeId(0),
-                    &storage_nodes,
-                    "fio",
-                    "posix",
-                    self.jobs,
-                    4 << 20,
-                    MemoryDomain::HostDram,
-                    DaosCostModel::default_model(),
-                )
-                .expect("cluster client connects"),
-            ),
-            ClientKind::Offloaded => {
-                let agent = DpuAgent::new(NodeId(0), 30 << 30, default_control(self.seed));
-                let mut dpu = DpuClient::connect_cluster(
-                    &mut fabric,
-                    NodeId(0),
-                    &storage_nodes,
-                    "posix",
-                    self.jobs,
-                    4 << 20,
-                    MemoryDomain::DpuDram,
-                    DaosCostModel::default_model(),
-                    agent,
-                    self.tenants.clone(),
-                    self.seed,
-                )
-                .expect("offloaded cluster client connects");
-                if let Some(bytes) = self.dpu_cache {
-                    dpu.enable_read_cache(bytes).expect("cache carve fits DRAM");
-                }
-                FioClient::Offloaded(dpu)
-            }
-        };
-        ClusterFioWorld::from_world(DfsFioWorld::precondition(
+        let (mut fabric, mut cluster, storage_nodes) = self.fabric_and_cluster(&topology);
+        let mut client = self.connect_client(&mut fabric, 0, &storage_nodes);
+        let (dfs, files) = precondition(
+            &mut fabric,
+            &mut cluster,
+            std::slice::from_mut(&mut client),
+            self.jobs,
+            self.region,
+            |_, j| format!("job{j}"),
+        );
+        DfsFioWorld {
             fabric,
             cluster,
             client,
-            self.jobs,
-            self.region,
-        ))
+            dfs,
+            files,
+            faults: FaultCursor::default(),
+        }
     }
 
     /// Assembles the multi-client incast world: one client stack per
@@ -467,10 +351,9 @@ impl WorldSpec {
     /// entries run in-process clients; `Offloaded` entries run a real
     /// [`DpuClient`] per BlueField node (with its own agent and, if
     /// [`Self::dpu_cache`] is set, its own read-cache carve). Panics if
-    /// this spec is not a cluster, the axis is empty, or a cache carve is
-    /// requested without any offloaded client.
+    /// the axis is empty or a cache carve is requested without any
+    /// offloaded client.
     pub fn build_incast(self) -> IncastFioWorld {
-        assert!(self.clustered, "incast worlds are cluster-shaped");
         assert!(!self.clients.is_empty(), "incast needs at least one client");
         assert!(
             self.dpu_cache.is_none() || self.clients.kinds().contains(&ClientKind::Offloaded),
@@ -506,5 +389,57 @@ impl WorldSpec {
         );
         cluster.cont_create("posix").unwrap();
         (fabric, cluster, storage_nodes)
+    }
+
+    /// Connects client `c` (fabric node `c`) of the clients axis to every
+    /// storage node. `Host` and `DpuCostModel` run an in-process
+    /// [`DaosClient`]; `Offloaded` runs a [`DpuClient`] behind its own
+    /// agent, seeded `seed ^ c` so control-plane jitter is not lockstepped
+    /// across clients, with the [`Self::dpu_cache`] carve if one is set.
+    pub(crate) fn connect_client(
+        &self,
+        fabric: &mut Fabric,
+        c: usize,
+        storage_nodes: &[NodeId],
+    ) -> FioClient {
+        let node = NodeId(c as u32);
+        match self.clients.kinds[c] {
+            ClientKind::Host | ClientKind::DpuCostModel => FioClient::Classic(
+                DaosClient::connect_multi(
+                    fabric,
+                    node,
+                    storage_nodes,
+                    "fio",
+                    "posix",
+                    self.jobs,
+                    4 << 20,
+                    MemoryDomain::HostDram,
+                    DaosCostModel::default_model(),
+                )
+                .expect("client connects"),
+            ),
+            ClientKind::Offloaded => {
+                let seed = self.seed ^ c as u64;
+                let agent = DpuAgent::new(node, 30 << 30, default_control(seed));
+                let mut dpu = DpuClient::connect_cluster(
+                    fabric,
+                    node,
+                    storage_nodes,
+                    "posix",
+                    self.jobs,
+                    4 << 20,
+                    MemoryDomain::DpuDram,
+                    DaosCostModel::default_model(),
+                    agent,
+                    self.tenants.clone(),
+                    seed,
+                )
+                .expect("DPU client connects");
+                if let Some(bytes) = self.dpu_cache {
+                    dpu.enable_read_cache(bytes).expect("cache carve fits DRAM");
+                }
+                FioClient::Offloaded(dpu)
+            }
+        }
     }
 }

@@ -12,7 +12,7 @@ use ros2_hw::ClientPlacement;
 use ros2_nvme::DataMode;
 use ros2_sim::{ResourceStats, SimDuration};
 
-use crate::{run_fio, ClusterFioWorld, DfsFioWorld, JobSpec, RwMode, WorldSpec};
+use crate::{run_fio, DfsFioWorld, JobSpec, RwMode, WorldSpec};
 
 fn cluster_job() -> JobSpec {
     JobSpec::new(RwMode::RandRead, 1 << 20, 4)
@@ -28,10 +28,10 @@ fn single_job() -> JobSpec {
         .windows(SimDuration::from_millis(20), SimDuration::from_millis(80))
 }
 
-fn cluster_stats(w: &ClusterFioWorld) -> ResourceStats {
-    let mut stats = w.world.fabric.resource_stats();
-    stats.merge(w.world.cluster.resource_stats());
-    stats.merge(w.world.client.resource_stats());
+fn cluster_stats(w: &DfsFioWorld) -> ResourceStats {
+    let mut stats = w.fabric.resource_stats();
+    stats.merge(w.cluster.resource_stats());
+    stats.merge(w.client.resource_stats());
     stats
 }
 
@@ -39,14 +39,14 @@ fn cluster_stats(w: &ClusterFioWorld) -> ResourceStats {
 fn builder_host_cluster_matches_old_constructor() {
     // Was: ClusterFioWorld::new(Rdma, 3, 2, 1, 4, 4 << 20, Stored) —
     // every value below is the builder's default except what's chained.
-    let mut w = WorldSpec::cluster(3).replication(2).jobs(4).build();
+    let mut w = WorldSpec::cluster(3).replication(2).jobs(4).build_dfs();
     let r = run_fio(&mut w, &cluster_job());
     let stats = cluster_stats(&w);
     assert_eq!(r.io.meter.ops(), 147);
     assert_eq!(r.gib_per_sec().to_bits(), 0x4013240000000000);
     assert_eq!((stats.bookings, stats.fastpath_hits), (5280, 4773));
-    assert_eq!(w.fences(), 0);
-    assert_eq!(w.world.client.ops(), 201);
+    assert_eq!(w.cluster.fences(), 0);
+    assert_eq!(w.client.ops(), 201);
 }
 
 #[test]
@@ -59,7 +59,7 @@ fn builder_offloaded_cluster_matches_old_constructor() {
         .jobs(4)
         .mode(DataMode::Null)
         .offload(vec![DpuTenantSpec::unlimited("fio")])
-        .build();
+        .build_dfs();
     let r = run_fio(&mut w, &cluster_job());
     let stats = cluster_stats(&w);
     assert_eq!(r.io.meter.ops(), 134);
@@ -67,8 +67,8 @@ fn builder_offloaded_cluster_matches_old_constructor() {
     // Fast-path hits were 4117 while each job owned an ARM core; the lane
     // pool (PR 12) books the same work on idle-tail cores more often.
     assert_eq!((stats.bookings, stats.fastpath_hits), (4785, 4119));
-    assert_eq!(w.fences(), 0);
-    assert_eq!(w.world.client.ops(), 186);
+    assert_eq!(w.cluster.fences(), 0);
+    assert_eq!(w.client.ops(), 186);
 }
 
 #[test]
@@ -92,6 +92,30 @@ fn builder_offloaded_single_matches_old_constructor() {
     assert_eq!(r.gib_per_sec().to_bits(), 0x40033d0000000000);
     assert_eq!((stats.bookings, stats.fastpath_hits), (8645, 7653));
     assert_eq!(w.client.ops(), 284);
+}
+
+#[test]
+fn one_engine_cluster_is_the_single_world() {
+    // build_dfs assembles every one-client spec alike: at E = 1 the
+    // cluster spec is the classic two-node world, call for call.
+    let run = |spec: WorldSpec| {
+        let mut w = spec
+            .jobs(2)
+            .region(8 << 20)
+            .mode(DataMode::Null)
+            .build_dfs();
+        let r = run_fio(&mut w, &single_job());
+        let stats = cluster_stats(&w);
+        (
+            r.io.meter.ops(),
+            r.gib_per_sec().to_bits(),
+            (stats.bookings, stats.fastpath_hits),
+        )
+    };
+    assert_eq!(
+        run(WorldSpec::cluster(1)),
+        run(WorldSpec::single(ClientPlacement::Host))
+    );
 }
 
 #[test]

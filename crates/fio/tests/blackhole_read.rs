@@ -49,12 +49,12 @@ fn run() -> (Bytes, SimTime, RetryStats) {
         .replication(2)
         .jobs(1)
         .region(REGION)
-        .build();
-    assert!(!w.world.dfs.data_pipeline());
+        .build_dfs();
+    assert!(!w.dfs.data_pipeline());
     let mut file = w.file(0).clone();
 
     let mut t = SimTime::ZERO;
-    let (dfs, mut s) = session(&mut w.world);
+    let (dfs, mut s) = session(&mut w);
     for off in (0..REGION).step_by(CHUNK as usize) {
         t = dfs
             .write(&mut s, t, 0, &mut file, off, payload(0, off, CHUNK))
@@ -64,7 +64,6 @@ fn run() -> (Bytes, SimTime, RetryStats) {
     // Only now does the leader of the file's data object go dark: it stays
     // Up in the map, its connection just eats traffic.
     let leader = w
-        .world
         .cluster
         .route_update(&file.oid)
         .leader()
@@ -74,12 +73,12 @@ fn run() -> (Bytes, SimTime, RetryStats) {
         ..FaultPlan::default()
     });
 
-    let (dfs, mut s) = session(&mut w.world);
+    let (dfs, mut s) = session(&mut w);
     let (got, at) = dfs
         .read(&mut s, t, 0, &file, READ_OFF, READ_LEN)
         .expect("the survivor must serve the read");
     assert_eq!(got, payload(0, READ_OFF, READ_LEN), "wrong bytes");
-    (got, at, w.retry_stats())
+    (got, at, w.client.retry_stats())
 }
 
 #[test]

@@ -29,21 +29,21 @@ use ros2_daos::{
     ValueKind,
 };
 use ros2_dpu::DpuTenantSpec;
-use ros2_fio::{ClusterFioWorld, FioClient, WorldSpec};
+use ros2_fio::{DfsFioWorld, FioClient, WorldSpec};
 use ros2_sim::{SimDuration, SimTime};
 use ros2_verbs::NodeId;
 
 const BS: usize = 4 << 10;
 const OBJECTS: u64 = 6;
 
-fn world() -> ClusterFioWorld {
+fn world() -> DfsFioWorld {
     let mut w = WorldSpec::cluster(4)
         .replication(2)
         .jobs(2)
         .region(1 << 20)
         .offload(vec![DpuTenantSpec::unlimited("fio")])
-        .build();
-    w.world.set_pipelined(true);
+        .build_dfs();
+    w.set_pipelined(true);
     w
 }
 
@@ -92,8 +92,7 @@ struct Digest {
     vos: (u64, u64, u64),
 }
 
-fn submit(w: &mut ClusterFioWorld, d: &mut Digest, at_us: u64, job: usize, ops: Vec<ClientOp>) {
-    let w = &mut w.world;
+fn submit(w: &mut DfsFioWorld, d: &mut Digest, at_us: u64, job: usize, ops: Vec<ClientOp>) {
     let results = w.client.as_object().execute_pipelined(
         &mut w.fabric,
         &mut w.cluster,
@@ -134,7 +133,7 @@ struct Split {
 }
 
 /// Runs the tape; returns its digest and the split.
-fn run(w: &mut ClusterFioWorld) -> (Digest, Split) {
+fn run(w: &mut DfsFioWorld) -> (Digest, Split) {
     let mut d = Digest::default();
     let n = 12u64;
     // 1. First writes — the whole queue lands at one instant, before any
@@ -150,14 +149,12 @@ fn run(w: &mut ClusterFioWorld) -> (Digest, Split) {
     // dead engine find out by deadline; its legs to live engines are
     // fenced, because those heard of the kill.
     submit(w, &mut d, 4_000, 0, (0..6).map(fetch).collect());
-    let legs = |w: &ClusterFioWorld, i: u64| w.world.cluster.route_update(&oid(i)).len() as u64;
+    let legs = |w: &DfsFioWorld, i: u64| w.cluster.route_update(&oid(i)).len() as u64;
     let stale_update_legs = (0..n).filter(|i| i % 2 == 1).map(|i| legs(w, i)).sum();
-    let victim = w.world.cluster.route_update(&oid(1)).leader().unwrap();
-    w.world.cluster.kill_engine(victim).unwrap();
-    let snap = w.world.cluster.snapshot_map();
-    w.world
-        .client
-        .deliver_map(SimTime::from_micros(4_500), snap);
+    let victim = w.cluster.route_update(&oid(1)).leader().unwrap();
+    w.cluster.kill_engine(victim).unwrap();
+    let snap = w.cluster.snapshot_map();
+    w.client.deliver_map(SimTime::from_micros(4_500), snap);
     let stale: Vec<ClientOp> = (0..n)
         .map(|i| if i % 2 == 0 { fetch(i) } else { update(i, 2) })
         .collect();
@@ -173,30 +170,30 @@ fn run(w: &mut ClusterFioWorld) -> (Digest, Split) {
     // 4. A black-holed leader: up in the map, eats every request. (One
     // whose objects all kept their second replica through the kill, so
     // every read it swallows has somewhere else to go.)
-    let c = &w.world.cluster;
+    let c = &w.cluster;
     let led_by = |e: usize| (0..n).filter(move |&i| c.route_update(&oid(i)).leader() == Some(e));
     let hole = (0..c.len())
         .find(|&e| led_by(e).count() > 0 && led_by(e).all(|i| c.route_update(&oid(i)).len() == 2))
         .expect("an engine leading only fully replicated objects");
     let hole_fetches = led_by(hole).count() as u64;
-    w.world.cluster.set_blackhole(hole, true);
+    w.cluster.set_blackhole(hole, true);
     submit(w, &mut d, 14_000, 0, (0..n).map(fetch).collect());
-    w.world.cluster.set_blackhole(hole, false);
+    w.cluster.set_blackhole(hole, false);
 
     // 5. Bit rot under the leader's newest extent of one record: the
     // engine's own verify refuses it and the error reaches the host.
     let rotten = 3u64;
-    let leader = w.world.cluster.route_update(&oid(rotten)).leader().unwrap();
-    assert!(w.world.cluster.engine_mut(leader).corrupt_newest_extent(
+    let leader = w.cluster.route_update(&oid(rotten)).leader().unwrap();
+    assert!(w.cluster.engine_mut(leader).corrupt_newest_extent(
         oid(rotten),
         &DKey::from_u64(rotten),
         &AKey::from_str("data")
     ));
     submit(w, &mut d, 20_000, 1, (0..6).map(fetch).collect());
 
-    let c = &mut w.world.cluster;
+    let c = &mut w.cluster;
     d.next_epoch = c.next_epoch("posix").unwrap().0;
-    d.retry = w.world.client.retry_stats();
+    d.retry = w.client.retry_stats();
     d.fences = c.fences();
     d.rpcs = c.rpcs();
     d.degraded_fetches = c.rebuild_stats().degraded_fetches;
@@ -255,7 +252,7 @@ fn the_tape_is_what_it_was_before_chains_and_exceptions_stay_on_the_arm_core() {
     // ladder then took. Fetches: the NIC verified what it submitted and
     // forwarded; the ladder's fetches (the stale window, the black hole)
     // and the restamped queue were verified on ARM cores.
-    let s = w.world.client.dpu_stats();
+    let s = w.client.dpu_stats();
     let count =
         |f: fn(&Result<u32, &str>) -> bool| d.outcomes.iter().filter(|o| f(o)).count() as u64;
     let updates = count(|o| *o == Ok(0));
@@ -269,7 +266,7 @@ fn the_tape_is_what_it_was_before_chains_and_exceptions_stay_on_the_arm_core() {
     assert_eq!(s.nic_verified_bytes, nic_fetches * bs);
     assert_eq!(s.nic_checksummed_bytes, nic_updates * bs);
     assert_eq!(s.crc_bytes, (split.first_touch_updates + arm_fetches) * bs);
-    let nic = &w.world.fabric.node(NodeId(0)).rdma;
+    let nic = &w.fabric.node(NodeId(0)).rdma;
     let chains = nic.chain_stats();
     assert_eq!(chains.verified_bytes, s.nic_verified_bytes);
     // One descriptor per fetch the doorbell submitted (the rotten one and
@@ -318,19 +315,19 @@ const PARENT: Parent = Parent {
 /// The tape replays bit-identically, instants included.
 #[test]
 fn the_tape_replays_bit_identically() {
-    let instants = |w: &mut ClusterFioWorld| {
+    let instants = |w: &mut DfsFioWorld| {
         let (d, _) = run(w);
-        (d, w.world.client.dpu_stats())
+        (d, w.client.dpu_stats())
     };
     assert_eq!(instants(&mut world()), instants(&mut world()));
 }
 
 /// ARM submission time booked so far, and descriptors doorbells have sent.
-fn cores_and_doorbells(w: &ClusterFioWorld) -> (SimDuration, u64) {
-    let FioClient::Offloaded(client) = &w.world.client else {
+fn cores_and_doorbells(w: &DfsFioWorld) -> (SimDuration, u64) {
+    let FioClient::Offloaded(client) = &w.client else {
         panic!("offloaded world")
     };
-    let nic = &w.world.fabric.node(NodeId(0)).rdma;
+    let nic = &w.fabric.node(NodeId(0)).rdma;
     (
         client.submission_busy_time(),
         nic.chain_stats().descriptors_sent,
@@ -355,34 +352,29 @@ fn a_map_push_restamps_on_a_core_and_a_late_one_gets_the_nics_descriptor_fenced(
         assert_eq!(sent, 1, "the file's second op was the doorbell's");
         // A bystander dies: object 0's route is what it was, the map
         // revision is not.
-        let route = w.world.cluster.route_update(&oid(0));
+        let route = w.cluster.route_update(&oid(0));
         let bystander = (0..4).find(|&e| !route.contains(e)).unwrap();
-        w.world.cluster.kill_engine(bystander).unwrap();
-        let snap = w.world.cluster.snapshot_map();
+        w.cluster.kill_engine(bystander).unwrap();
+        let snap = w.cluster.snapshot_map();
         let lands_us = if delayed { 2_500 } else { 1_500 };
-        w.world
-            .client
-            .deliver_map(SimTime::from_micros(lands_us), snap);
+        w.client.deliver_map(SimTime::from_micros(lands_us), snap);
 
         submit(&mut w, &mut d, 2_000, 0, vec![fetch(0)]);
         let (busy, sent) = cores_and_doorbells(&w);
-        let retry = w.world.client.retry_stats();
+        let retry = w.client.retry_stats();
         // Either way exactly one more core submission: the op itself, or
         // the ladder's re-stage of it.
         assert_eq!(busy, first_touch + first_touch / 2);
         match delayed {
             false => {
                 assert_eq!(sent, 1, "a core submitted it");
-                assert_eq!(
-                    (retry, w.world.cluster.fences()),
-                    (RetryStats::default(), 0)
-                );
+                assert_eq!((retry, w.cluster.fences()), (RetryStats::default(), 0));
             }
             true => {
                 assert_eq!(sent, 2, "the NIC sent it, stale stamp and all");
                 assert_eq!((retry.fenced, retry.retries), (1, 1));
                 assert_eq!((retry.map_refreshes, retry.timeouts), (1, 0));
-                assert_eq!(w.world.cluster.fences(), 1);
+                assert_eq!(w.cluster.fences(), 1);
             }
         }
         // The op after the restamp — by the core that submitted, or by the
@@ -396,13 +388,13 @@ fn a_map_push_restamps_on_a_core_and_a_late_one_gets_the_nics_descriptor_fenced(
         let (busy, sent) = cores_and_doorbells(&w);
         submit(&mut w, &mut d, clean_from, 0, vec![fetch(0)]);
         assert_eq!(cores_and_doorbells(&w), (busy, sent + 1));
-        assert_eq!(w.world.client.retry_stats(), retry, "no further recovery");
+        assert_eq!(w.client.retry_stats(), retry, "no further recovery");
         let crc = Ok(ros2_buf::crc32c(&payload(0, 1)));
         assert!(
             d.outcomes[1..].iter().all(|o| *o == crc),
             "{:?}",
             d.outcomes
         );
-        assert_eq!(w.world.fabric.node(NodeId(0)).rdma.violations().total(), 0);
+        assert_eq!(w.fabric.node(NodeId(0)).rdma.violations().total(), 0);
     }
 }

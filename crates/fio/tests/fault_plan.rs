@@ -10,7 +10,7 @@
 use ros2_core::FaultPlan;
 use ros2_daos::RetryStats;
 use ros2_dpu::DpuTenantSpec;
-use ros2_fio::{run_fio, ClusterFioWorld, FioReport, JobSpec, RwMode, WorldSpec};
+use ros2_fio::{run_fio, DfsFioWorld, FioReport, JobSpec, RwMode, WorldSpec};
 use ros2_sim::SimDuration;
 
 const ENGINES: usize = 4;
@@ -28,32 +28,32 @@ fn chaos_spec(rw: RwMode) -> JobSpec {
         .seed(7)
 }
 
-fn host_world() -> ClusterFioWorld {
+fn host_world() -> DfsFioWorld {
     let mut w = WorldSpec::cluster(ENGINES)
         .replication(RF)
         .jobs(JOBS)
         .region(REGION)
-        .build();
-    w.world.set_pipelined(true);
+        .build_dfs();
+    w.set_pipelined(true);
     w
 }
 
-fn dpu_world() -> ClusterFioWorld {
+fn dpu_world() -> DfsFioWorld {
     let mut w = WorldSpec::cluster(ENGINES)
         .replication(RF)
         .jobs(JOBS)
         .region(REGION)
         .offload(vec![DpuTenantSpec::unlimited("fio")])
-        .build();
-    w.world.set_pipelined(true);
+        .build_dfs();
+    w.set_pipelined(true);
     w
 }
 
 /// Arms one kill of `slot` after 64 more client ops (mid-run for any of
 /// these specs), with RAS delivery lagging half a millisecond — dozens
 /// of op-latencies, so a real stale window opens.
-fn arm_kill(w: &mut ClusterFioWorld, slot: usize) {
-    let after = w.world.client.ops() + 64;
+fn arm_kill(w: &mut DfsFioWorld, slot: usize) {
+    let after = w.client.ops() + 64;
     w.set_fault_plan(FaultPlan::kill_after(
         slot,
         after,
@@ -61,15 +61,15 @@ fn arm_kill(w: &mut ClusterFioWorld, slot: usize) {
     ));
 }
 
-fn assert_ladder_recovered(tag: &str, report: &FioReport, w: &ClusterFioWorld) {
-    let retry = w.retry_stats();
+fn assert_ladder_recovered(tag: &str, report: &FioReport, w: &DfsFioWorld) {
+    let retry = w.client.retry_stats();
     assert_eq!(
         report.io.errors.get(),
         0,
         "{tag}: kill under load must not fail ops ({retry:?})"
     );
     assert!(
-        w.fences() >= 1,
+        w.cluster.fences() >= 1,
         "{tag}: the stale window must fence at least once"
     );
     assert!(
@@ -82,7 +82,7 @@ fn assert_ladder_recovered(tag: &str, report: &FioReport, w: &ClusterFioWorld) {
     );
     assert_eq!(retry.exhausted, 0, "{tag}: no op may exhaust its budget");
     assert!(
-        w.first_successful_retry().is_some(),
+        w.client.first_successful_retry().is_some(),
         "{tag}: time-to-first-successful-retry must be recorded"
     );
 }
@@ -127,9 +127,9 @@ fn empty_plan_is_bit_identical_to_a_fault_oblivious_world() {
         base.gib_per_sec().to_bits(),
         under_plan.gib_per_sec().to_bits()
     );
-    assert_eq!(planned.retry_stats(), RetryStats::default());
-    assert_eq!(planned.fences(), 0);
-    assert_eq!(planned.first_successful_retry(), None);
+    assert_eq!(planned.client.retry_stats(), RetryStats::default());
+    assert_eq!(planned.cluster.fences(), 0);
+    assert_eq!(planned.client.first_successful_retry(), None);
 }
 
 #[test]
@@ -149,8 +149,8 @@ fn host_and_dpu_ride_the_same_chaos_schedule() {
     // Satellite: the offloaded stack folds its lanes' ladder counters
     // into DpuStats, so A/B reports read from one place on both arms.
     assert_eq!(
-        dpu.world.client.dpu_stats().retry,
-        dpu.retry_stats(),
+        dpu.client.dpu_stats().retry,
+        dpu.client.retry_stats(),
         "DpuStats.retry must mirror the lane ladder counters"
     );
 }

@@ -3,9 +3,9 @@
 //! pool pressure, and the RAS push fan-out surviving an engine kill with
 //! zero failed ops.
 
-use ros2_core::FaultPlan;
+use ros2_core::{FaultPlan, ScheduledCorruption};
 use ros2_fio::{run_fio, Clients, FioReport, JobSpec, RwMode, WorldSpec};
-use ros2_sim::SimDuration;
+use ros2_sim::{SimDuration, SimTime};
 
 const REGION: u64 = 4 << 20;
 
@@ -146,6 +146,46 @@ fn engine_kill_with_ras_push_loses_no_ops() {
         w.fences() >= 1,
         "clients racing the pushed revision must fence at least once"
     );
+}
+
+#[test]
+fn scheduled_bitrot_fires_under_incast_and_scrub_repairs_it() {
+    let run = || {
+        let mut w = WorldSpec::cluster(3)
+            .clients(Clients::host(2))
+            .replication(2)
+            .jobs(1)
+            .region(REGION)
+            .build_incast();
+        w.set_fault_plan(FaultPlan {
+            bitrot: vec![ScheduledCorruption {
+                after_client_ops: w.total_ops() + 8,
+                slot: 0,
+                object_index: 0,
+            }],
+            ..FaultPlan::none()
+        });
+        // Writes never fetch-verify: the rot stays silent until scrubbed.
+        let spec = write_spec(w.total_jobs());
+        let report = run_fio(&mut w, &spec);
+        assert_eq!(report.io.errors.get(), 0);
+        let (scrub, _) = w
+            .cluster
+            .scrub(&mut w.fabric, SimTime::ZERO)
+            .expect("scrub pass runs");
+        assert!(
+            scrub.mismatches_found >= 1,
+            "the scheduled rot never fired: {scrub:?}"
+        );
+        assert_eq!(scrub.mismatches_repaired, scrub.mismatches_found);
+        (
+            report.io.meter.ops(),
+            report.gib_per_sec().to_bits(),
+            w.per_client_ops(),
+            scrub,
+        )
+    };
+    assert_eq!(run(), run(), "replay must be bit-identical");
 }
 
 #[test]

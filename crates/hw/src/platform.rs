@@ -128,16 +128,9 @@ pub struct ClusterTopology {
 }
 
 impl ClusterTopology {
-    /// The historical two-node world: one client, one storage server.
-    pub fn single(placement: ClientPlacement) -> Self {
-        ClusterTopology {
-            clients: vec![placement],
-            storage_nodes: 1,
-        }
-    }
-
     /// One client of `placement` in front of `storage_nodes` servers —
-    /// the shape every pre-incast cluster world uses.
+    /// the single-client worlds' shape (the historical two-node world at
+    /// `storage_nodes == 1`).
     pub fn one_client(placement: ClientPlacement, storage_nodes: usize) -> Self {
         ClusterTopology {
             clients: vec![placement],
