@@ -11,79 +11,26 @@
 //! | `ablation_rendezvous` | §3.2 eager/rendezvous threshold |
 //! | `ablation_isolation` | §2.3/§5 tenancy & inline-crypto overhead |
 //! | `ablation_gpudirect` | §3.5 DPU-DRAM staging vs GPUDirect |
+//! | `fig_scaleout` | §3.1 1→8-engine scale-out + RF=2 kill/rebuild |
+//! | `fig_qd` | op-ring queue-depth sweep, host vs offloaded |
+//! | `fig_chaos` | engine kill under QD32 with delayed RAS |
+//! | `fig_recovery` | paced rebuild, scrub repair, kill + bit-rot |
+//! | `fig_incast` | 1→256 clients on one cluster, pool and RAS push |
+//! | `fig_cache` | DPU read cache: A/B ratios and the carve sweep |
 //!
-//! Sweep points are independent deterministic simulations; harnesses run
-//! them in parallel with rayon (each point builds its own world).
+//! The binaries print tables; the shapes they show are asserted by the
+//! tier-1 tests DESIGN.md §3 names. Sweep points are independent
+//! deterministic simulations; harnesses run them in parallel with rayon
+//! (each point builds its own world).
 
 #![warn(missing_docs)]
 
-use ros2_fio::{run_fio, FioReport, JobSpec, RwMode, WorldSpec};
-use ros2_hw::{ClientPlacement, Transport};
-use ros2_nvme::DataMode;
+use ros2_fio::{FioReport, JobSpec, RwMode};
 use ros2_sim::SimDuration;
 
 /// Standard measurement windows used by all harnesses (ramp, runtime).
 pub fn windows() -> (SimDuration, SimDuration) {
     (SimDuration::from_millis(100), SimDuration::from_millis(300))
-}
-
-/// The legacy perf-regression sweep's job count.
-pub const LEGACY_JOBS: usize = 4;
-/// The legacy sweep's per-job region.
-pub const LEGACY_REGION: u64 = 16 << 20;
-/// The legacy sweep's total simulated ops — pinned since PR 3. Every
-/// harness that replays the plan must see exactly this count: the
-/// single-engine host-placement control arm stays bit-identical across
-/// the offload (PR 4) and cluster (PR 5) refactors.
-pub const OPS_SIMULATED_PIN: u64 = 595_716;
-
-/// The legacy sweep's job spec for one cell.
-pub fn legacy_spec(rw: RwMode, bs: u64, jobs: usize, qd: usize) -> JobSpec {
-    JobSpec::new(rw, bs, jobs)
-        .iodepth(qd)
-        .region(LEGACY_REGION)
-        .windows(SimDuration::from_millis(50), SimDuration::from_millis(150))
-}
-
-/// The legacy sweep's cell plan — {rdma, tcp} × {host, dpu} × all four
-/// patterns × {1 MiB, 4 KiB}. Shared between `perf_regression` (which
-/// times it) and `fig_scaleout` (which re-plays it to assert the ops
-/// pin), so the plans cannot drift apart.
-pub fn legacy_cells(
-    jobs: usize,
-    qd: usize,
-) -> Vec<(Transport, ClientPlacement, RwMode, u64, usize, usize)> {
-    let mut out = Vec::new();
-    for &t in &[Transport::Rdma, Transport::Tcp] {
-        for &p in &[ClientPlacement::Host, ClientPlacement::Dpu] {
-            for &rw in RwMode::ALL.iter() {
-                for bs in [1u64 << 20, 4 << 10] {
-                    out.push((t, p, rw, bs, jobs, qd));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Re-plays the legacy sweep (contended QD 8 plan plus the uncontended
-/// QD 1 pass) and returns the total simulated op count — the value pinned
-/// at [`OPS_SIMULATED_PIN`]. Deterministic: virtual-time results only.
-pub fn legacy_sweep_ops() -> u64 {
-    let mut total = 0u64;
-    for plan in [legacy_cells(LEGACY_JOBS, 8), legacy_cells(1, 1)] {
-        for (t, p, rw, bs, jobs, qd) in plan {
-            let mut world = WorldSpec::single(p)
-                .transport(t)
-                .jobs(jobs)
-                .region(LEGACY_REGION)
-                .mode(DataMode::Null)
-                .build_dfs();
-            let report = run_fio(&mut world, &legacy_spec(rw, bs, jobs, qd));
-            total += report.io.meter.ops();
-        }
-    }
-    total
 }
 
 /// The job-count axis of Fig. 3 and the core axis of Fig. 4.

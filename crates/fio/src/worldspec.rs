@@ -144,7 +144,6 @@ pub struct WorldSpec {
     seed: u64,
     clients: Clients,
     tenants: Vec<DpuTenantSpec>,
-    wire_per_segment: bool,
     pool_capacity: Option<usize>,
     dpu_cache: Option<u64>,
 }
@@ -166,7 +165,6 @@ impl WorldSpec {
             seed: Self::DEFAULT_SEED,
             clients,
             tenants: vec![DpuTenantSpec::unlimited("fio")],
-            wire_per_segment: false,
             pool_capacity: None,
             dpu_cache: None,
         }
@@ -258,13 +256,6 @@ impl WorldSpec {
     /// terminals reject it on in-process clients.
     pub fn dpu_cache(mut self, bytes: u64) -> Self {
         self.dpu_cache = Some(bytes);
-        self
-    }
-
-    /// Forces per-segment wire booking from construction onward (the
-    /// `perf_regression` A/B switch; simulated results are identical).
-    pub fn wire_per_segment(mut self, on: bool) -> Self {
-        self.wire_per_segment = on;
         self
     }
 
@@ -371,7 +362,6 @@ impl WorldSpec {
         topology: &ClusterTopology,
     ) -> (Fabric, EngineCluster, Vec<NodeId>) {
         let mut fabric = Fabric::for_topology(self.transport, topology, self.seed);
-        fabric.set_force_per_segment(self.wire_per_segment);
         for node in 0..topology.node_count() {
             fabric.set_flow_hint(NodeId(node as u32), self.jobs);
         }

@@ -8,7 +8,7 @@
 //! order, seeds, or defaults breaks these pins.
 
 use ros2_dpu::DpuTenantSpec;
-use ros2_hw::ClientPlacement;
+use ros2_hw::{ClientPlacement, Transport};
 use ros2_nvme::DataMode;
 use ros2_sim::{ResourceStats, SimDuration};
 
@@ -121,14 +121,13 @@ fn one_engine_cluster_is_the_single_world() {
 #[test]
 fn builder_per_segment_single_matches_old_constructor() {
     // Was: DfsFioWorld::with_wire_mode(Rdma, Host, 1, 2, 8 << 20, Null,
-    // true) — the perf_regression A/B arm with per-segment wire booking
-    // forced from construction.
+    // true) — a world with per-segment wire booking forced.
     let mut w = WorldSpec::single(ClientPlacement::Host)
         .jobs(2)
         .region(8 << 20)
         .mode(DataMode::Null)
-        .wire_per_segment(true)
         .build_dfs();
+    w.fabric.set_force_per_segment(true);
     let r = run_fio(&mut w, &single_job());
     assert_eq!(r.io.meter.ops(), 200);
     assert_eq!(r.gib_per_sec().to_bits(), 0x4003880000000000);
@@ -136,28 +135,22 @@ fn builder_per_segment_single_matches_old_constructor() {
 
 #[test]
 fn wire_mode_does_not_change_simulated_results() {
-    // The per-segment A/B switch must keep simulated physics identical —
-    // only host-process perf differs (that half is measured in CI's
-    // perf_regression harness, not here).
-    let fast = run_fio(
-        &mut WorldSpec::single(ClientPlacement::Host)
-            .jobs(2)
-            .region(8 << 20)
-            .mode(DataMode::Null)
-            .build_dfs(),
-        &single_job(),
-    );
-    let slow = run_fio(
-        &mut WorldSpec::single(ClientPlacement::Host)
-            .jobs(2)
-            .region(8 << 20)
-            .mode(DataMode::Null)
-            .wire_per_segment(true)
-            .build_dfs(),
-        &single_job(),
-    );
-    assert_eq!(fast.io.meter.ops(), slow.io.meter.ops());
-    assert_eq!(fast.gib_per_sec().to_bits(), slow.gib_per_sec().to_bits());
+    // Per-segment wire booking must keep simulated physics identical on
+    // both transports — only host-process time differs.
+    for transport in [Transport::Rdma, Transport::Tcp] {
+        let run = |per_segment: bool| {
+            let mut w = WorldSpec::single(ClientPlacement::Host)
+                .transport(transport)
+                .jobs(2)
+                .region(8 << 20)
+                .mode(DataMode::Null)
+                .build_dfs();
+            w.fabric.set_force_per_segment(per_segment);
+            let r = run_fio(&mut w, &single_job());
+            (r.io.meter.ops(), r.gib_per_sec().to_bits())
+        };
+        assert_eq!(run(false), run(true), "{transport:?}");
+    }
 }
 
 #[test]

@@ -16,9 +16,7 @@ use ros2_sim::{BandwidthServer, ServerPool, SimDuration, SimRng, SimTime};
 const PRUNE_SLACK_NS: u64 = 500_000_000;
 
 /// The seed implementation of the booking discipline, kept verbatim as the
-/// oracle. A second verbatim copy lives in
-/// `crates/bench/src/bin/perf_regression.rs` (`seed_reference::SeedPipe`,
-/// the wall-clock baseline); if either copy is ever touched, update both.
+/// oracle.
 #[derive(Clone, Default)]
 struct RefBook {
     spans: Vec<(u64, u64)>,

@@ -2,10 +2,11 @@
 //! the full stack — the property every calibration and regression test in
 //! this repository leans on.
 
+use ros2::buf::DataPlaneStats;
 use ros2::fio::{run_fio, JobSpec, LocalFioWorld, RwMode, WorldSpec};
 use ros2::hw::{ClientPlacement, Transport};
 use ros2::nvme::DataMode;
-use ros2::sim::SimDuration;
+use ros2::sim::{ResourceStats, SimDuration};
 
 fn short(s: JobSpec) -> JobSpec {
     s.windows(SimDuration::from_millis(20), SimDuration::from_millis(60))
@@ -54,6 +55,68 @@ fn dfs_world_replays_identically() {
         )
     };
     assert_eq!(run(), run());
+}
+
+/// The host-placement control arm, pinned since PR 3: a sweep over
+/// {rdma, tcp} × {host, dpu cost model} × all four patterns × {1 MiB,
+/// 4 KiB}, once contended (4 jobs × QD 8) and once uncontended (1 job ×
+/// QD 1), simulates exactly 595 716 ops. The offload, cluster, ring,
+/// fencing, incast and cache work are all opt-in, so none of them may move
+/// it by a single grant — and the sweep's booking and wire fast paths and
+/// its zero-copy data plane must keep carrying it.
+#[test]
+fn control_arm_sweep_simulates_the_pinned_op_count() {
+    const REGION: u64 = 16 << 20;
+    let (ramp, runtime) = (SimDuration::from_millis(50), SimDuration::from_millis(150));
+    let mut ops = 0u64;
+    let mut contended_wire = (0u64, 0u64);
+    let (mut stats, mut dp) = (ResourceStats::default(), DataPlaneStats::default());
+    for (jobs, qd) in [(4usize, 8usize), (1, 1)] {
+        for t in [Transport::Rdma, Transport::Tcp] {
+            for p in [ClientPlacement::Host, ClientPlacement::Dpu] {
+                for rw in RwMode::ALL {
+                    for bs in [1u64 << 20, 4 << 10] {
+                        let mut w = WorldSpec::single(p)
+                            .transport(t)
+                            .jobs(jobs)
+                            .region(REGION)
+                            .mode(DataMode::Null)
+                            .build_dfs();
+                        let spec = JobSpec::new(rw, bs, jobs)
+                            .iodepth(qd)
+                            .region(REGION)
+                            .windows(ramp, runtime);
+                        ops += run_fio(&mut w, &spec).io.meter.ops();
+                        if qd == 8 {
+                            let wire = w.fabric.wire_traversal_stats();
+                            contended_wire.0 += wire.batched;
+                            contended_wire.1 += wire.batched + wire.per_segment;
+                        } else {
+                            stats.merge(w.fabric.resource_stats());
+                            stats.merge(w.cluster.resource_stats());
+                            stats.merge(w.client.resource_stats());
+                            dp.merge(w.fabric.data_plane_stats());
+                            dp.merge(w.cluster.data_plane_stats());
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        ops, 595_716,
+        "the control-arm sweep's simulated ops are pinned"
+    );
+    assert_eq!(
+        stats.fastpath_hits, stats.bookings,
+        "uncontended booking hit rate"
+    );
+    assert_eq!(dp.bytes_copied, 0, "the uncontended sweep is zero-copy");
+    let batched_rate = contended_wire.0 as f64 / contended_wire.1 as f64;
+    assert!(
+        batched_rate >= 0.9966,
+        "contended wire batched rate {batched_rate:.4}"
+    );
 }
 
 #[test]
