@@ -65,7 +65,7 @@ fn main() {
         let ops = w.per_client_ops();
         let min = *ops.iter().min().unwrap() as f64;
         let max = *ops.iter().max().unwrap() as f64;
-        let stats = w.conn_pool_stats();
+        let stats = w.cluster.conn_pool_stats();
         println!(
             "  {clients:>3} clients: {:6.2} GiB/s aggregate, fairness {:.2}x, pool hit rate {:.3}, \
              resident peak {}, {} evictions",
@@ -95,8 +95,8 @@ fn main() {
          {} retries, hit rate {:.3}",
         report.gib_per_sec(),
         report.io.errors.get(),
-        w.fences(),
+        w.cluster.fences(),
         w.retry_stats().retries,
-        w.conn_pool_stats().hit_rate(),
+        w.cluster.conn_pool_stats().hit_rate(),
     );
 }

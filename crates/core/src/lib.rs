@@ -23,13 +23,15 @@
 
 #![warn(missing_docs)]
 
+pub mod assembly;
 pub mod fault;
 pub mod system;
 
+pub use assembly::{connect_client, fabric_and_cluster, ClientKind, ClientSetup, ClientStack};
 pub use fault::{EngineStall, FaultCursor, FaultPlan, ScheduledCorruption, ScheduledKill};
 pub use system::{
-    ClientStack, ClusterConfig, Ros2Config, Ros2Error, Ros2System, SystemMetrics, Timed,
-    CLIENT_NODE, STORAGE_NODE,
+    ClusterConfig, Ros2Config, Ros2Error, Ros2System, SystemMetrics, Timed, CLIENT_NODE,
+    STORAGE_NODE,
 };
 
 #[cfg(test)]

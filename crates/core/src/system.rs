@@ -4,13 +4,21 @@
 //! [`Ros2System::launch`] builds the paper's architecture end to end:
 //!
 //! 1. the fabric (client host *or* BlueField-3 ↔ 100 Gbps switch ↔ storage
-//!    server) on the selected transport;
-//! 2. the unmodified DAOS engine on the storage server;
-//! 3. the DPU agent with the tenant's PD, QoS and rkey-scope policy;
-//! 4. the gRPC control handshake — Hello, PoolConnect, ContOpen, DfsMount,
+//!    servers) on the selected transport, and the unmodified DAOS engines
+//!    behind it ([`crate::fabric_and_cluster`]);
+//! 2. the DPU agent with the tenant's control-plane identity and the
+//!    selected inline service;
+//! 3. the gRPC control handshake — Hello, PoolConnect, ContOpen, DfsMount,
 //!    GetCapability — over the control channel (no payload bytes here);
-//! 5. the DAOS client and DFS mount on the chosen placement.
+//! 4. the client stack on the chosen placement ([`crate::connect_client`]):
+//!    under host placement an in-process client behind the NIC's agent and
+//!    tenant manager, which the system keeps; under DPU placement the
+//!    offloaded client, which takes the agent and polices the tenant
+//!    itself;
+//! 5. the DFS mount.
 //!
+//! Steps 1 and 4 are the functions the FIO worlds build through; the
+//! system passes its own agent, tenant, staging size and buffer domain.
 //! Every file operation advances the system's virtual clock and reports its
 //! latency, so applications (the examples) can reason about delivered
 //! performance without running the FIO harness.
@@ -18,21 +26,20 @@
 use bytes::Bytes;
 use ros2_ctl::{ControlError, ControlRequest, ControlResponse};
 use ros2_daos::{
-    AKey, BgService, ClientOp, ClientOpResult, DKey, DaosClient, DaosCostModel, DaosEngine,
-    DaosError, EngineCluster, Epoch, MapSnapshot, ObjectClient, ObjectId, RebuildStats,
-    RetryPolicy, RetryStats, ScrubOutcome, ScrubStats, ValueKind,
+    DaosError, EngineCluster, Epoch, RebuildStats, RetryStats, ScrubOutcome, ScrubStats,
 };
 use ros2_dfs::{Dfs, DfsError, DfsObj, DfsSession, FileStat};
 use ros2_dpu::{
-    default_control, DpuAgent, DpuCacheStats, DpuClient, DpuStats, DpuTenantSpec, InlineService,
-    QosLimits, TenantManager,
+    default_control, DpuAgent, DpuCacheStats, DpuError, DpuTenantSpec, InlineService, QosLimits,
+    TenantManager,
 };
 use ros2_fabric::Fabric;
-use ros2_hw::{ClientPlacement, ClusterTopology, CoreClass, Transport};
+use ros2_hw::{ClientPlacement, ClusterTopology, Transport};
 use ros2_nvme::DataMode;
-use ros2_sim::{ResourceStats, SimDuration, SimTime};
+use ros2_sim::{SimDuration, SimTime};
 use ros2_verbs::{MemoryDomain, NodeId, PdId};
 
+use crate::assembly::{connect_client, fabric_and_cluster, ClientKind, ClientSetup, ClientStack};
 use crate::fault::{FaultCursor, FaultPlan};
 
 /// The deployment's scale-out shape: how many DAOS engines (one per
@@ -122,6 +129,12 @@ pub enum Ros2Error {
     Control(ControlError),
     /// Data-plane / storage failure.
     Dfs(DfsError),
+    /// Pool or client failure outside a file operation (assembly, kill,
+    /// rebuild, aggregation, scrub).
+    Daos(DaosError),
+    /// The DPU runtime refused the deployment (e.g. its DRAM cannot hold
+    /// the staging buffers).
+    Dpu(DpuError),
     /// Configuration rejected (e.g. GPU buffers without peermem support).
     Config(String),
 }
@@ -132,234 +145,43 @@ impl From<DfsError> for Ros2Error {
     }
 }
 
+impl From<DaosError> for Ros2Error {
+    fn from(e: DaosError) -> Self {
+        Ros2Error::Daos(e)
+    }
+}
+
+impl From<DpuError> for Ros2Error {
+    fn from(e: DpuError) -> Self {
+        Ros2Error::Dpu(e)
+    }
+}
+
 /// The node ids used by every ROS2 deployment.
 pub const CLIENT_NODE: NodeId = NodeId(0);
 /// See [`CLIENT_NODE`].
 pub const STORAGE_NODE: NodeId = NodeId(1);
 
-/// The deployment's client stack — where `ClientPlacement` becomes a real
-/// architectural fork, not a node-spec tweak.
-// One stack per deployment — the variant size gap is irrelevant.
-#[allow(clippy::large_enum_variant)]
-pub enum ClientStack {
-    /// Baseline: the DAOS client runs in-process on the host CPU. The
-    /// SmartNIC is still the NIC — its agent terminates the management
-    /// control channel and the tenant manager polices QoS at the NIC — but
-    /// every data-plane phase executes on host cores.
-    Host {
-        /// The in-process client.
-        client: DaosClient,
-        /// The agent on the (pass-through) SmartNIC.
-        agent: DpuAgent,
-        /// Tenant QoS/PD policy at the NIC.
-        tenants: TenantManager,
-    },
-    /// The ROS2 design: the whole client is offloaded to the BlueField-3;
-    /// the host only rings doorbells. The agent and tenant manager live
-    /// inside the offloaded client.
-    Dpu(DpuClient),
+/// Under host placement the SmartNIC passes data through, but its agent
+/// still terminates the management control channel and its tenant
+/// manager polices QoS. (Under DPU placement both live inside the
+/// offloaded client.)
+struct HostNic {
+    agent: DpuAgent,
+    tenants: TenantManager,
 }
 
-impl ClientStack {
-    /// The node the data-plane client runs on.
-    pub fn node(&self) -> NodeId {
-        match self {
-            ClientStack::Host { client, .. } => client.node(),
-            ClientStack::Dpu(c) => c.node(),
-        }
-    }
-
-    /// The client's (first tenant's) protection domain.
-    pub fn pd(&self) -> PdId {
-        match self {
-            ClientStack::Host { client, .. } => client.pd(),
-            ClientStack::Dpu(c) => c.pd(),
-        }
-    }
-
-    /// Data-plane operations issued.
-    pub fn ops(&self) -> u64 {
-        match self {
-            ClientStack::Host { client, .. } => client.ops(),
-            ClientStack::Dpu(c) => ObjectClient::ops(c),
-        }
-    }
-
-    /// Aggregate booking counters over the client cores.
-    pub fn resource_stats(&self) -> ResourceStats {
-        match self {
-            ClientStack::Host { client, .. } => client.resource_stats(),
-            ClientStack::Dpu(c) => c.resource_stats(),
-        }
-    }
-
-    /// Offload-path counters (zero under host placement).
-    pub fn dpu_stats(&self) -> DpuStats {
-        match self {
-            ClientStack::Host { .. } => DpuStats::default(),
-            ClientStack::Dpu(c) => c.dpu_stats(),
-        }
-    }
-
-    /// DPU read-cache counters (all zeros under host placement or with
-    /// the cache disabled).
-    pub fn cache_stats(&self) -> DpuCacheStats {
-        match self {
-            ClientStack::Host { .. } => DpuCacheStats::default(),
-            ClientStack::Dpu(c) => c.cache_stats(),
-        }
-    }
-
-    /// Copy-discipline accounting for cache hits served out of DPU DRAM.
-    pub fn cache_data_plane_stats(&self) -> ros2_buf::DataPlaneStats {
-        match self {
-            ClientStack::Host { .. } => ros2_buf::DataPlaneStats::default(),
-            ClientStack::Dpu(c) => c.cache_data_plane_stats(),
-        }
-    }
-
-    /// Delivers a RAS map snapshot to the stack's cached map(s) at `at` —
-    /// under DPU placement the offloaded lanes all hear the delivery.
-    pub fn deliver_map(&mut self, at: SimTime, snap: MapSnapshot) {
-        match self {
-            ClientStack::Host { client, .. } => client.deliver_map(at, snap),
-            ClientStack::Dpu(c) => c.deliver_map(at, snap),
-        }
-    }
-
-    /// Installs `snap` immediately (the authoritative `MapQuery` reply).
-    pub fn sync_map(&mut self, snap: MapSnapshot) {
-        match self {
-            ClientStack::Host { client, .. } => client.sync_map(snap),
-            ClientStack::Dpu(c) => c.sync_map(snap),
-        }
-    }
-
-    /// Recovery-ladder counters across the stack (all DPU lanes merged).
-    pub fn retry_stats(&self) -> RetryStats {
-        match self {
-            ClientStack::Host { client, .. } => client.retry_stats(),
-            ClientStack::Dpu(c) => c.retry_stats(),
-        }
-    }
-
-    /// Sets the recovery-ladder policy on every client in the stack.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        match self {
-            ClientStack::Host { client, .. } => client.set_retry_policy(policy),
-            ClientStack::Dpu(c) => c.set_retry_policy(policy),
-        }
-    }
-
-    /// Earliest instant an op completed on a retry attempt.
-    pub fn first_successful_retry(&self) -> Option<SimTime> {
-        match self {
-            ClientStack::Host { client, .. } => client.first_successful_retry(),
-            ClientStack::Dpu(c) => c.first_successful_retry(),
-        }
-    }
-
-    /// The DPU agent (control termination, DRAM pool, inline services).
-    pub fn agent(&self) -> &DpuAgent {
-        match self {
-            ClientStack::Host { agent, .. } => agent,
-            ClientStack::Dpu(c) => c.agent(),
-        }
-    }
-
-    /// Mutable agent access.
-    pub fn agent_mut(&mut self) -> &mut DpuAgent {
-        match self {
-            ClientStack::Host { agent, .. } => agent,
-            ClientStack::Dpu(c) => c.agent_mut(),
-        }
-    }
-
-    /// The tenant manager.
-    pub fn tenants(&self) -> &TenantManager {
-        match self {
-            ClientStack::Host { tenants, .. } => tenants,
-            ClientStack::Dpu(c) => c.tenants(),
-        }
-    }
-
-    /// Mutable tenant-manager access.
-    pub fn tenants_mut(&mut self) -> &mut TenantManager {
-        match self {
-            ClientStack::Host { tenants, .. } => tenants,
-            ClientStack::Dpu(c) => c.tenants_mut(),
-        }
+impl HostNic {
+    /// Admits `bytes` of `tenant`'s I/O at the NIC.
+    fn admit(&mut self, now: SimTime, tenant: &str, bytes: u64) -> Result<SimTime, Ros2Error> {
+        self.tenants
+            .admit(now, tenant, bytes)
+            .ok_or_else(|| Ros2Error::Config(format!("unknown tenant {tenant}")))
     }
 }
 
-impl ObjectClient for ClientStack {
-    fn update(
-        &mut self,
-        fabric: &mut Fabric,
-        cluster: &mut EngineCluster,
-        now: SimTime,
-        job: usize,
-        oid: ObjectId,
-        dkey: DKey,
-        akey: AKey,
-        kind: ValueKind,
-        data: Bytes,
-    ) -> Result<SimTime, DaosError> {
-        match self {
-            ClientStack::Host { client, .. } => {
-                client.update(fabric, cluster, now, job, oid, dkey, akey, kind, data)
-            }
-            ClientStack::Dpu(c) => {
-                ObjectClient::update(c, fabric, cluster, now, job, oid, dkey, akey, kind, data)
-            }
-        }
-    }
-
-    fn fetch(
-        &mut self,
-        fabric: &mut Fabric,
-        cluster: &mut EngineCluster,
-        now: SimTime,
-        job: usize,
-        oid: ObjectId,
-        dkey: DKey,
-        akey: AKey,
-        kind: ValueKind,
-        epoch: Epoch,
-        len: u64,
-    ) -> Result<(Bytes, SimTime), DaosError> {
-        match self {
-            ClientStack::Host { client, .. } => {
-                client.fetch(fabric, cluster, now, job, oid, dkey, akey, kind, epoch, len)
-            }
-            ClientStack::Dpu(c) => ObjectClient::fetch(
-                c, fabric, cluster, now, job, oid, dkey, akey, kind, epoch, len,
-            ),
-        }
-    }
-
-    fn execute_pipelined(
-        &mut self,
-        fabric: &mut Fabric,
-        cluster: &mut EngineCluster,
-        now: SimTime,
-        job: usize,
-        ops: Vec<ClientOp>,
-    ) -> Vec<ClientOpResult> {
-        match self {
-            ClientStack::Host { client, .. } => {
-                client.execute_pipelined(fabric, cluster, now, job, ops)
-            }
-            ClientStack::Dpu(c) => {
-                ObjectClient::execute_pipelined(c, fabric, cluster, now, job, ops)
-            }
-        }
-    }
-
-    fn ops(&self) -> u64 {
-        ClientStack::ops(self)
-    }
-}
+/// `launch` keeps a [`HostNic`] exactly when the client is in-process.
+const OFFLOADED: &str = "without a host NIC the stack is offloaded";
 
 /// A running ROS2 deployment.
 pub struct Ros2System {
@@ -370,11 +192,13 @@ pub struct Ros2System {
     /// The storage cluster: N unmodified engines behind the versioned pool
     /// map (a single engine in the default config).
     pub cluster: EngineCluster,
-    /// The client stack (host in-process or DPU-offloaded, per
-    /// `config.placement`).
+    /// The client stack (in-process under host placement, offloaded under
+    /// DPU placement).
     pub client: ClientStack,
     /// The mounted POSIX namespace.
     pub dfs: Dfs,
+    /// Host placement only.
+    nic: Option<HostNic>,
     session: u64,
     clock: SimTime,
     faults: FaultCursor,
@@ -393,39 +217,15 @@ impl Ros2System {
                 ros2_daos::MAX_RF
             )));
         }
-        let topology = ClusterTopology::one_client(config.placement, n_engines);
-        let mut fabric = Fabric::for_topology(config.transport, &topology, config.seed);
-        for node in 0..topology.node_count() {
-            fabric.set_flow_hint(NodeId(node as u32), config.jobs);
-        }
-
-        // The GPUDirect extension needs peermem on the client NIC (§3.5).
-        if config.buffer_domain == MemoryDomain::GpuHbm {
-            fabric.rdma_mut(CLIENT_NODE).enable_peermem();
-            if config.transport != Transport::Rdma {
-                return Err(Ros2Error::Config(
-                    "GPUDirect placement requires the RDMA transport".into(),
-                ));
-            }
-        }
-
-        // Storage servers: bdevs + engine per node, behind the pool map
-        // (the canonical assembly shared with the DFS FIO worlds).
-        let storage_nodes: Vec<NodeId> = (0..n_engines)
-            .map(|i| NodeId(topology.storage_node(i) as u32))
-            .collect();
-        let mut cluster = EngineCluster::assemble(
-            storage_nodes.clone(),
+        let (mut fabric, mut cluster, storage_nodes) = fabric_and_cluster(
+            config.transport,
+            &ClusterTopology::one_client(config.placement, n_engines),
+            config.seed,
+            config.jobs,
             config.cluster.replication_factor,
             config.ssds,
             config.data_mode,
-            2 << 30,
-            DaosCostModel::default_model(),
-            CoreClass::HostX86,
-        );
-        cluster
-            .cont_create("posix")
-            .map_err(|e| Ros2Error::Config(format!("{e:?}")))?;
+        )?;
 
         // DPU agent: management control-channel termination.
         let mut control = default_control(config.seed ^ 0xc71);
@@ -462,85 +262,55 @@ impl Ros2System {
             clock = t;
         }
 
-        let buffer_domain = match (config.placement, config.buffer_domain) {
-            (_, MemoryDomain::GpuHbm) => MemoryDomain::GpuHbm,
-            (ClientPlacement::Host, _) => MemoryDomain::HostDram,
-            (ClientPlacement::Dpu, _) => MemoryDomain::DpuDram,
+        // Data plane: the placement fork. Host keeps the agent and polices
+        // the tenant at the NIC in front of the in-process client (whose
+        // staging MRs are what GetCapability conveys); Dpu hands the agent
+        // to the offloaded client, which enforces QoS admission and scoped
+        // rkeys on every byte.
+        let tenant = DpuTenantSpec {
+            name: config.tenant.clone(),
+            qos: config.qos,
+            rkey_scope: SimDuration::from_secs(30),
         };
-
-        // Data plane: the placement fork. Host keeps the in-process client
-        // (capability exchange happens inside — the staging MRs registered
-        // here are what GetCapability conveys); Dpu builds the offloaded
-        // client around the agent, with QoS admission and scoped rkeys
-        // enforced on every byte.
-        let mut client = match config.placement {
+        let (kind, agent, mut nic) = match config.placement {
             ClientPlacement::Host => {
-                if config.dpu_cache.is_some() {
-                    return Err(Ros2Error::Config(
-                        "dpu_cache requires ClientPlacement::Dpu".into(),
-                    ));
-                }
                 let mut tenants = TenantManager::new(CLIENT_NODE);
                 tenants.register(
                     &mut fabric,
-                    config.tenant.clone(),
-                    config.qos,
-                    SimDuration::from_secs(30),
+                    tenant.name.clone(),
+                    tenant.qos,
+                    tenant.rkey_scope,
                 );
-                let client = DaosClient::connect_multi(
-                    &mut fabric,
-                    CLIENT_NODE,
-                    &storage_nodes,
-                    &config.tenant,
-                    "posix",
-                    config.jobs,
-                    config.buffer_len,
-                    buffer_domain,
-                    DaosCostModel::default_model(),
-                )
-                .map_err(|e| Ros2Error::Config(format!("{e:?}")))?;
-                agent
-                    .reserve_dram(config.jobs as u64 * config.buffer_len)
-                    .map_err(|e| Ros2Error::Config(e.to_string()))?;
-                ClientStack::Host {
-                    client,
-                    agent,
-                    tenants,
-                }
+                (ClientKind::Host, None, Some(HostNic { agent, tenants }))
             }
-            ClientPlacement::Dpu => {
-                let mut dpu = DpuClient::connect_cluster(
-                    &mut fabric,
-                    CLIENT_NODE,
-                    &storage_nodes,
-                    "posix",
-                    config.jobs,
-                    config.buffer_len,
-                    buffer_domain,
-                    DaosCostModel::default_model(),
-                    agent,
-                    vec![DpuTenantSpec {
-                        name: config.tenant.clone(),
-                        qos: config.qos,
-                        rkey_scope: SimDuration::from_secs(30),
-                    }],
-                    config.seed,
-                )
-                .map_err(|e| Ros2Error::Config(e.to_string()))?;
-                if let Some(bytes) = config.dpu_cache {
-                    dpu.enable_read_cache(bytes)
-                        .map_err(|e| Ros2Error::Config(e.to_string()))?;
-                }
-                ClientStack::Dpu(dpu)
-            }
+            ClientPlacement::Dpu => (ClientKind::Offloaded, Some(agent), None),
         };
+        let mut client = connect_client(
+            &mut fabric,
+            CLIENT_NODE,
+            &storage_nodes,
+            kind,
+            ClientSetup {
+                jobs: config.jobs,
+                buffer_len: config.buffer_len,
+                gpu_hbm: config.buffer_domain == MemoryDomain::GpuHbm,
+                tenants: vec![tenant],
+                dpu_cache: config.dpu_cache,
+                seed: config.seed,
+                agent,
+            },
+        )?;
+        if let Some(nic) = &mut nic {
+            nic.agent
+                .reserve_dram(config.jobs as u64 * config.buffer_len)?;
+        }
 
         // Mount DFS.
         let (dfs, t) = {
             let mut s = DfsSession {
                 fabric: &mut fabric,
                 cluster: &mut cluster,
-                client: &mut client,
+                client: client.as_object(),
             };
             Dfs::format(&mut s, clock, config.chunk_size)?
         };
@@ -552,21 +322,11 @@ impl Ros2System {
             cluster,
             client,
             dfs,
+            nic,
             session,
             clock,
             faults: FaultCursor::default(),
         })
-    }
-
-    /// The first engine — the whole pool in the default single-engine
-    /// config (tests and reports).
-    pub fn engine(&self) -> &DaosEngine {
-        self.cluster.engine(0)
-    }
-
-    /// Mutable access to the first engine (tests, fault injection).
-    pub fn engine_mut(&mut self) -> &mut DaosEngine {
-        self.cluster.engine_mut(0)
     }
 
     /// Marks engine `slot` dead: the pool map bumps its revision, a
@@ -582,20 +342,13 @@ impl Ros2System {
     /// On `Err` the map is already at the new revision with a rebuild
     /// pending.
     pub fn kill_engine(&mut self, slot: usize) -> Result<u64, Ros2Error> {
-        let version = self
-            .cluster
-            .kill_engine(slot)
-            .map_err(|e| Ros2Error::Config(format!("{e:?}")))?;
-        let now = self.clock;
-        let session = self.session;
-        let (t, res) = self.client.agent_mut().host_call(
-            now,
-            Some(session),
+        let version = self.cluster.kill_engine(slot)?;
+        let (t, res) = self.notify(
+            self.clock,
             ControlRequest::RasEvent {
                 engine: slot as u32,
                 map_version: version,
             },
-            |_, _| ControlResponse::Ok,
         );
         // The new map is *delivered* to the client stack's cache after the
         // plan's RAS delay — until the delivery lands (and is polled), the
@@ -604,7 +357,7 @@ impl Ros2System {
         let snap = self.cluster.snapshot_map();
         self.client
             .deliver_map(t + self.faults.plan().ras_delay, snap);
-        res.map_err(Ros2Error::Control)?;
+        res?;
         self.tick(t);
         Ok(version)
     }
@@ -653,7 +406,7 @@ impl Ros2System {
         let pending = snap.pending_dead().map(|s| s as u32).unwrap_or(u32::MAX);
         let now = self.clock;
         let session = self.session;
-        let (t, res) = self.client.agent_mut().host_call(
+        let (t, res) = self.agent_mut().host_call(
             now,
             Some(session),
             ControlRequest::MapQuery,
@@ -669,47 +422,15 @@ impl Ros2System {
         Ok(version)
     }
 
-    /// Recovery-ladder counters across the whole client stack.
-    pub fn retry_stats(&self) -> RetryStats {
-        self.client.retry_stats()
-    }
-
-    /// Total stale-map fences observed across the cluster's engines.
-    pub fn fences(&self) -> u64 {
-        self.cluster.fences()
-    }
-
     /// Online rebuild of the pending engine failure: surviving replicas
     /// stream the dead engine's records to the deterministic backfill
     /// members at data-plane rates (fabric-booked), restoring the
     /// replication factor. Returns the virtual duration of the rebuild.
     pub fn rebuild(&mut self) -> Result<Timed<RebuildStats>, Ros2Error> {
         let now = self.clock;
-        let t = self
-            .cluster
-            .rebuild(&mut self.fabric, now)
-            .map_err(|e| Ros2Error::Config(format!("{e:?}")))?;
-        self.tick(t);
-        Ok(Timed {
-            value: self.cluster.rebuild_stats(),
-            latency: t.saturating_since(now),
-        })
-    }
-
-    /// Redundancy counters: degraded reads served, rebuild movement.
-    pub fn rebuild_stats(&self) -> RebuildStats {
-        self.cluster.rebuild_stats()
-    }
-
-    /// Sets a background service's pacing budget (rebuild, aggregation,
-    /// or scrub). Unlimited by default — bit-identical to unpaced.
-    pub fn set_service_budget(&mut self, service: BgService, limits: QosLimits) {
-        self.cluster.set_service_budget(service, limits);
-    }
-
-    /// Scrub/aggregation counters, throttle waits included.
-    pub fn scrub_stats(&self) -> ScrubStats {
-        self.cluster.scrub_stats()
+        let t = self.cluster.rebuild(&mut self.fabric, now)?;
+        let stats = self.cluster.rebuild_stats();
+        Ok(self.timed(now, t, stats))
     }
 
     /// Coordinated epoch aggregation of the mounted container: every up
@@ -719,26 +440,16 @@ impl Ros2System {
     /// file API never leaves epochs in flight. Returns the boundary used.
     pub fn aggregate(&mut self) -> Result<Timed<Epoch>, Ros2Error> {
         let now = self.clock;
-        let (boundary, t) = self
-            .cluster
-            .aggregate_cluster(now, "posix", None)
-            .map_err(|e| Ros2Error::Config(format!("{e:?}")))?;
-        let session = self.session;
-        let (t2, res) = self.client.agent_mut().host_call(
+        let (boundary, t) = self.cluster.aggregate_cluster(now, "posix", None)?;
+        let (t, res) = self.notify(
             t,
-            Some(session),
             ControlRequest::AggregationReport {
                 container: "posix".into(),
                 boundary: boundary.0,
             },
-            |_, _| ControlResponse::Ok,
         );
-        res.map_err(Ros2Error::Control)?;
-        self.tick(t2);
-        Ok(Timed {
-            value: boundary,
-            latency: t2.saturating_since(now),
-        })
+        res?;
+        Ok(self.timed(now, t, boundary))
     }
 
     /// One replica-scrub pass: cross-checks every object's replicas
@@ -748,26 +459,16 @@ impl Ros2System {
     /// with the pass's findings.
     pub fn scrub(&mut self) -> Result<Timed<ScrubOutcome>, Ros2Error> {
         let now = self.clock;
-        let (outcome, t) = self
-            .cluster
-            .scrub(&mut self.fabric, now)
-            .map_err(|e| Ros2Error::Config(format!("{e:?}")))?;
-        let session = self.session;
-        let (t2, res) = self.client.agent_mut().host_call(
+        let (outcome, t) = self.cluster.scrub(&mut self.fabric, now)?;
+        let (t, res) = self.notify(
             t,
-            Some(session),
             ControlRequest::ScrubReport {
                 found: outcome.mismatches_found,
                 repaired: outcome.mismatches_repaired,
             },
-            |_, _| ControlResponse::Ok,
         );
-        res.map_err(Ros2Error::Control)?;
-        self.tick(t2);
-        Ok(Timed {
-            value: outcome,
-            latency: t2.saturating_since(now),
-        })
+        res?;
+        Ok(self.timed(now, t, outcome))
     }
 
     /// The current virtual instant.
@@ -780,60 +481,82 @@ impl Ros2System {
         self.session
     }
 
+    /// Raises `event` on the control session at `at`; the agent
+    /// terminates it like the launch handshake. Returns when it completed
+    /// (even if it failed).
+    fn notify(&mut self, at: SimTime, event: ControlRequest) -> (SimTime, Result<(), Ros2Error>) {
+        let session = self.session;
+        let (t, res) = self
+            .agent_mut()
+            .host_call(at, Some(session), event, |_, _| ControlResponse::Ok);
+        (t, res.map(drop).map_err(Ros2Error::Control))
+    }
+
     fn tick(&mut self, t: SimTime) {
         self.clock = self.clock.max(t);
     }
 
-    /// Creates a directory at absolute `path` (parent must exist).
-    pub fn mkdir(&mut self, path: &str) -> Result<Timed<DfsObj>, Ros2Error> {
-        let now = self.clock;
-        let (parent_path, name) = split_path(path)?;
-        let mut s = DfsSession {
+    /// Advances the clock to `t` and reports `value` with its latency
+    /// from `start`.
+    fn timed<T>(&mut self, start: SimTime, t: SimTime, value: T) -> Timed<T> {
+        self.tick(t);
+        Timed {
+            value,
+            latency: t.saturating_since(start),
+        }
+    }
+
+    /// The namespace and a session over the data plane to drive it with.
+    fn dfs_session(&mut self) -> (&mut Dfs, DfsSession<'_>) {
+        let s = DfsSession {
             fabric: &mut self.fabric,
             cluster: &mut self.cluster,
-            client: &mut self.client,
+            client: self.client.as_object(),
         };
-        let (parent, t1) = self.dfs.lookup(&mut s, now, parent_path)?;
-        let (obj, t2) = self.dfs.mkdir(&mut s, t1, &parent, name, 0o755)?;
-        self.tick(t2);
-        Ok(Timed {
-            value: obj,
-            latency: t2.saturating_since(now),
+        (&mut self.dfs, s)
+    }
+
+    /// Looks up the parent directory of absolute `path` and runs `op` on
+    /// it and the final name.
+    fn at_parent<T>(
+        &mut self,
+        path: &str,
+        op: impl FnOnce(
+            &mut Dfs,
+            &mut DfsSession<'_>,
+            SimTime,
+            &DfsObj,
+            &str,
+        ) -> Result<(T, SimTime), DfsError>,
+    ) -> Result<Timed<T>, Ros2Error> {
+        let now = self.clock;
+        let (parent_path, name) = split_path(path)?;
+        let (dfs, mut s) = self.dfs_session();
+        let (parent, t) = dfs.lookup(&mut s, now, parent_path)?;
+        let (value, t) = op(dfs, &mut s, t, &parent, name)?;
+        Ok(self.timed(now, t, value))
+    }
+
+    /// Creates a directory at absolute `path` (parent must exist).
+    pub fn mkdir(&mut self, path: &str) -> Result<Timed<DfsObj>, Ros2Error> {
+        self.at_parent(path, |dfs, s, t, parent, name| {
+            dfs.mkdir(s, t, parent, name, 0o755)
         })
     }
 
     /// Creates a regular file at absolute `path`.
     pub fn create(&mut self, path: &str) -> Result<Timed<DfsObj>, Ros2Error> {
-        let now = self.clock;
-        let (parent_path, name) = split_path(path)?;
-        let mut s = DfsSession {
-            fabric: &mut self.fabric,
-            cluster: &mut self.cluster,
-            client: &mut self.client,
-        };
-        let (parent, t1) = self.dfs.lookup(&mut s, now, parent_path)?;
-        let (obj, t2) = self.dfs.create(&mut s, t1, &parent, name, 0o644)?;
-        self.tick(t2);
-        Ok(Timed {
-            value: obj,
-            latency: t2.saturating_since(now),
+        self.at_parent(path, |dfs, s, t, parent, name| {
+            dfs.create(s, t, parent, name, 0o644)
         })
     }
 
     /// Opens an existing file or directory at absolute `path`.
     pub fn open(&mut self, path: &str) -> Result<Timed<DfsObj>, Ros2Error> {
         let now = self.clock;
-        let mut s = DfsSession {
-            fabric: &mut self.fabric,
-            cluster: &mut self.cluster,
-            client: &mut self.client,
-        };
-        let (obj, t) = self.dfs.lookup(&mut s, now, path)?;
-        self.tick(t);
-        Ok(Timed {
-            value: obj,
-            latency: t.saturating_since(now),
-        })
+        let (dfs, mut s) = self.dfs_session();
+        let (obj, t) = dfs.lookup(&mut s, now, path)?;
+        Ok(self.timed(now, t, obj))
     }
 
     /// Writes `data` at `offset` in an open file, through the tenant's QoS
@@ -850,29 +573,16 @@ impl Ros2System {
     ) -> Result<Timed<()>, Ros2Error> {
         let now = self.clock;
         let bytes = data.len() as u64;
-        let start = match &mut self.client {
-            ClientStack::Host { agent, tenants, .. } => {
-                let tenant = &self.config.tenant;
-                let admitted = tenants
-                    .admit(now, tenant, bytes)
-                    .ok_or_else(|| Ros2Error::Config(format!("unknown tenant {tenant}")))?;
-                admitted + agent.inline_cost(bytes)
-            }
-            ClientStack::Dpu(_) => now,
+        let start = match &mut self.nic {
+            Some(nic) => nic.admit(now, &self.config.tenant, bytes)? + nic.agent.inline_cost(bytes),
+            None => now,
         };
         let job = (file.oid.lo % self.config.jobs as u64) as usize;
-        let mut s = DfsSession {
-            fabric: &mut self.fabric,
-            cluster: &mut self.cluster,
-            client: &mut self.client,
-        };
-        let t = self.dfs.write(&mut s, start, job, file, offset, data)?;
-        self.tick(t);
+        let (dfs, mut s) = self.dfs_session();
+        let t = dfs.write(&mut s, start, job, file, offset, data)?;
+        let done = self.timed(now, t, ());
         self.fire_due_faults()?;
-        Ok(Timed {
-            value: (),
-            latency: t.saturating_since(now),
-        })
+        Ok(done)
     }
 
     /// Reads `len` bytes at `offset` from an open file (QoS-admitted,
@@ -885,84 +595,40 @@ impl Ros2System {
         len: u64,
     ) -> Result<Timed<Bytes>, Ros2Error> {
         let now = self.clock;
-        let start = match &mut self.client {
-            ClientStack::Host { tenants, .. } => {
-                let tenant = &self.config.tenant;
-                tenants
-                    .admit(now, tenant, len)
-                    .ok_or_else(|| Ros2Error::Config(format!("unknown tenant {tenant}")))?
-            }
-            ClientStack::Dpu(_) => now,
+        let start = match &mut self.nic {
+            Some(nic) => nic.admit(now, &self.config.tenant, len)?,
+            None => now,
         };
         let job = (file.oid.lo % self.config.jobs as u64) as usize;
-        let mut s = DfsSession {
-            fabric: &mut self.fabric,
-            cluster: &mut self.cluster,
-            client: &mut self.client,
+        let (dfs, mut s) = self.dfs_session();
+        let (data, t) = dfs.read(&mut s, start, job, file, offset, len)?;
+        let t = match &mut self.nic {
+            Some(nic) => t + nic.agent.inline_cost(data.len() as u64),
+            None => t,
         };
-        let (data, t) = self.dfs.read(&mut s, start, job, file, offset, len)?;
-        let t = match &mut self.client {
-            ClientStack::Host { agent, .. } => t + agent.inline_cost(data.len() as u64),
-            ClientStack::Dpu(_) => t,
-        };
-        self.tick(t);
+        let done = self.timed(now, t, data);
         self.fire_due_faults()?;
-        Ok(Timed {
-            value: data,
-            latency: t.saturating_since(now),
-        })
+        Ok(done)
     }
 
     /// Lists names in the directory at `path`.
     pub fn readdir(&mut self, path: &str) -> Result<Timed<Vec<String>>, Ros2Error> {
         let now = self.clock;
-        let mut s = DfsSession {
-            fabric: &mut self.fabric,
-            cluster: &mut self.cluster,
-            client: &mut self.client,
-        };
-        let (dir, t) = self.dfs.lookup(&mut s, now, path)?;
-        let names = self.dfs.readdir(&mut s, t, &dir)?;
-        self.tick(t);
-        Ok(Timed {
-            value: names,
-            latency: t.saturating_since(now),
-        })
+        let (dfs, mut s) = self.dfs_session();
+        let (dir, t) = dfs.lookup(&mut s, now, path)?;
+        let names = dfs.readdir(&mut s, t, &dir)?;
+        Ok(self.timed(now, t, names))
     }
 
     /// Stats the entry at absolute `path`.
     pub fn stat(&mut self, path: &str) -> Result<Timed<FileStat>, Ros2Error> {
-        let now = self.clock;
-        let (parent_path, name) = split_path(path)?;
-        let mut s = DfsSession {
-            fabric: &mut self.fabric,
-            cluster: &mut self.cluster,
-            client: &mut self.client,
-        };
-        let (parent, t1) = self.dfs.lookup(&mut s, now, parent_path)?;
-        let (st, t2) = self.dfs.stat(&mut s, t1, &parent, name)?;
-        self.tick(t2);
-        Ok(Timed {
-            value: st,
-            latency: t2.saturating_since(now),
-        })
+        self.at_parent(path, |dfs, s, t, parent, name| dfs.stat(s, t, parent, name))
     }
 
     /// Removes the file or empty directory at absolute `path`.
     pub fn unlink(&mut self, path: &str) -> Result<Timed<()>, Ros2Error> {
-        let now = self.clock;
-        let (parent_path, name) = split_path(path)?;
-        let mut s = DfsSession {
-            fabric: &mut self.fabric,
-            cluster: &mut self.cluster,
-            client: &mut self.client,
-        };
-        let (parent, t1) = self.dfs.lookup(&mut s, now, parent_path)?;
-        let t2 = self.dfs.unlink(&mut s, t1, &parent, name)?;
-        self.tick(t2);
-        Ok(Timed {
-            value: (),
-            latency: t2.saturating_since(now),
+        self.at_parent(path, |dfs, s, t, parent, name| {
+            Ok(((), dfs.unlink(s, t, parent, name)?))
         })
     }
 
@@ -972,7 +638,9 @@ impl Ros2System {
     pub fn data_plane_stats(&self) -> ros2_buf::DataPlaneStats {
         let mut total = self.fabric.data_plane_stats();
         total.merge(self.cluster.data_plane_stats());
-        total.merge(self.client.cache_data_plane_stats());
+        if let Some(c) = self.client.offloaded() {
+            total.merge(c.cache_data_plane_stats());
+        }
         total
     }
 
@@ -990,36 +658,35 @@ impl Ros2System {
         qos: QosLimits,
         rkey_scope: SimDuration,
     ) -> PdId {
-        let tenants = match &mut self.client {
-            ClientStack::Host { tenants, .. } => tenants,
-            ClientStack::Dpu(c) => c.tenants_mut(),
+        let tenants = match &mut self.nic {
+            Some(nic) => &mut nic.tenants,
+            None => self.client.offloaded_mut().expect(OFFLOADED).tenants_mut(),
         };
         tenants.register(&mut self.fabric, tenant, qos, rkey_scope)
     }
 
     /// The tenant manager (QoS/PD state and admission counters).
     pub fn tenants(&self) -> &TenantManager {
-        self.client.tenants()
+        match &self.nic {
+            Some(nic) => &nic.tenants,
+            None => self.client.offloaded().expect(OFFLOADED).tenants(),
+        }
     }
 
     /// The DPU agent.
     pub fn agent(&self) -> &DpuAgent {
-        self.client.agent()
+        match &self.nic {
+            Some(nic) => &nic.agent,
+            None => self.client.offloaded().expect(OFFLOADED).agent(),
+        }
     }
 
     /// Mutable agent access (management control calls).
     pub fn agent_mut(&mut self) -> &mut DpuAgent {
-        self.client.agent_mut()
-    }
-
-    /// Offload-path counters (zero under host placement).
-    pub fn dpu_stats(&self) -> DpuStats {
-        self.client.dpu_stats()
-    }
-
-    /// DPU read-cache counters (zero while the cache is disabled).
-    pub fn cache_stats(&self) -> DpuCacheStats {
-        self.client.cache_stats()
+        match &mut self.nic {
+            Some(nic) => &mut nic.agent,
+            None => self.client.offloaded_mut().expect(OFFLOADED).agent_mut(),
+        }
     }
 
     /// Gathers activity counters from every layer.
@@ -1028,8 +695,8 @@ impl Ros2System {
             client_ops: self.client.ops(),
             engine_rpcs: self.cluster.rpcs(),
             dfs_ops: (self.dfs.meta_ops, self.dfs.data_ops),
-            control_calls: self.client.agent().control_calls.get(),
-            inline_bytes: self.client.agent().serviced_bytes.get(),
+            control_calls: self.agent().control_calls.get(),
+            inline_bytes: self.agent().serviced_bytes.get(),
             violations: self.fabric.node(CLIENT_NODE).rdma.violations().total(),
             retry: self.client.retry_stats(),
             scrub: self.cluster.scrub_stats(),

@@ -9,7 +9,7 @@
 //! loop, one fault cursor):
 //!
 //! * **the clients axis** — one fabric node and one client stack
-//!   ([`FioClient`]) per entry of the spec's [`Clients`](crate::Clients)
+//!   ([`ClientStack`]) per entry of the spec's [`Clients`](crate::Clients)
 //!   axis, each running its own FIO job group (global job `j` belongs to
 //!   client `j / jobs_per_client`);
 //! * **the engine-side connection pool** — the cluster admits every op
@@ -23,9 +23,9 @@
 //!   client's cached map applies the push at its next poll, so clients
 //!   genuinely race the new revision at different instants.
 
-use ros2_core::{FaultCursor, FaultPlan};
+use ros2_core::{ClientStack, FaultCursor, FaultPlan};
 use ros2_ctl::ControlRequest;
-use ros2_daos::{ConnPool, ConnPoolStats, DaosError, EngineCluster, MapSnapshot, RetryStats};
+use ros2_daos::{ConnPool, DaosError, EngineCluster, MapSnapshot, RetryStats};
 use ros2_dfs::{Dfs, DfsObj, DfsSession};
 use ros2_dpu::DpuCacheStats;
 use ros2_fabric::Fabric;
@@ -34,7 +34,7 @@ use ros2_sim::{ResourceStats, SimDuration, SimTime};
 use ros2_verbs::NodeId;
 
 use crate::driver::{FioOp, Workload};
-use crate::worlds::{precondition, FioClient};
+use crate::worlds::precondition;
 use crate::worldspec::WorldSpec;
 
 /// The assembled incast testbed. Build with
@@ -46,7 +46,7 @@ pub struct IncastFioWorld {
     /// The shared replicated cluster (connection pool enabled).
     pub cluster: EngineCluster,
     /// One in-process client stack per client node.
-    pub clients: Vec<FioClient>,
+    pub clients: Vec<ClientStack>,
     /// The shared mounted namespace.
     pub dfs: Dfs,
     /// Preconditioned files, indexed by **global** job.
@@ -87,7 +87,7 @@ impl IncastFioWorld {
             fabric.set_flow_hint(node, jobs * n_clients);
         }
 
-        let mut clients: Vec<FioClient> = (0..n_clients)
+        let mut clients: Vec<ClientStack> = (0..n_clients)
             .map(|c| spec.connect_client(&mut fabric, c, &storage_nodes))
             .collect();
         // Client 0 formats; every client preconditions its own job files
@@ -151,11 +151,6 @@ impl IncastFioWorld {
         out
     }
 
-    /// Connection-pool counters.
-    pub fn conn_pool_stats(&self) -> ConnPoolStats {
-        self.cluster.conn_pool_stats()
-    }
-
     /// Recovery-ladder counters merged across every client.
     pub fn retry_stats(&self) -> RetryStats {
         let mut out = RetryStats::default();
@@ -163,11 +158,6 @@ impl IncastFioWorld {
             out.merge(c.retry_stats());
         }
         out
-    }
-
-    /// Total stale-map fences observed across the cluster's engines.
-    pub fn fences(&self) -> u64 {
-        self.cluster.fences()
     }
 
     /// Aggregate booking / fast-path counters over fabric, cluster, and

@@ -57,6 +57,7 @@
 //! `1_001 + 365 (lookup + 4 KiB out of DPU DRAM) + 1_001 = 2_367`, what
 //! it cost before the frame grew.
 
+use ros2_core::ClientStack;
 use ros2_ctl::{ControlModel, ControlRequest, IoPatch};
 use ros2_daos::DaosCostModel;
 use ros2_dpu::{DpuStats, DpuTenantSpec, ReadCache};
@@ -66,7 +67,7 @@ use ros2_sim::{SimDuration, SimTime};
 use ros2_verbs::NodeId;
 
 use crate::driver::{FioOp, Workload};
-use crate::worlds::{DfsFioWorld, FioClient};
+use crate::worlds::DfsFioWorld;
 use crate::worldspec::WorldSpec;
 
 /// The parent commit's data-plane middle of a fetch on the offloaded world
@@ -143,7 +144,7 @@ fn legs_and_hop() -> (SimDuration, SimDuration, SimDuration) {
 /// No core of the DPU was booked: not the lane's submission pool, not the
 /// node's network cores.
 fn assert_no_dpu_core(w: &DfsFioWorld) {
-    let FioClient::Offloaded(client) = &w.client else {
+    let ClientStack::Offloaded(client) = &w.client else {
         panic!("offloaded world")
     };
     assert_eq!(client.submission_busy_time(), SimDuration::ZERO);
@@ -259,7 +260,7 @@ fn a_cache_hit_is_served_from_the_doorbell_frames_head() {
 /// The host client's split of `client_per_op`, and its core's busy time
 /// after one op.
 fn host_ledger(w: &DfsFioWorld) -> (SimDuration, SimDuration) {
-    let FioClient::Classic(client) = &w.client else {
+    let ClientStack::InProcess(client) = &w.client else {
         panic!("host world")
     };
     let m = DaosCostModel::default_model();

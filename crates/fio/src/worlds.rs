@@ -9,23 +9,22 @@
 //! Each world assembles the testbed from `ros2-hw` platform models,
 //! preconditions its working set, resets clocks, and implements
 //! [`Workload`] for the closed-loop driver. The DFS worlds (this one and
-//! [`crate::IncastFioWorld`]) are assembled by [`crate::WorldSpec`] and
+//! [`crate::IncastFioWorld`]) are assembled by [`crate::WorldSpec`] through
+//! `ros2_core`'s assembly functions, drive one [`ClientStack`] per client
+//! node (the enum `Ros2System` uses; `FioClient` is its name here), and
 //! share one preconditioning loop (`precondition`).
 
 use bytes::Bytes;
-use ros2_core::{FaultCursor, FaultPlan};
-use ros2_daos::{
-    DaosClient, DaosError, EngineCluster, MapSnapshot, ObjectClient, RetryPolicy, RetryStats,
-};
+use ros2_core::{ClientStack, FaultCursor, FaultPlan};
+use ros2_daos::{DaosError, EngineCluster};
 use ros2_dfs::{Dfs, DfsObj, DfsSession};
-use ros2_dpu::{DpuCacheStats, DpuClient, DpuStats};
 use ros2_fabric::{Fabric, NodeSpec};
 use ros2_hw::{
     gbps, CoreClass, CpuComplement, HostPathModel, NicModel, NvmeModel, Transport, LBA_SIZE,
 };
 use ros2_iouring::{IoRequest, IoUringEngine};
 use ros2_nvme::{DataMode, NvmeArray};
-use ros2_sim::{ResourceStats, SimTime};
+use ros2_sim::SimTime;
 use ros2_spdk::{BdevLayer, NvmfSession, NvmfStack};
 use ros2_verbs::NodeId;
 
@@ -170,125 +169,6 @@ impl Workload for SpdkFioWorld {
 
 // ------------------------------------------------------------------ dfs --
 
-/// The client stack a [`DfsFioWorld`] drives.
-///
-/// `Classic` is the pre-offload path: one in-process [`DaosClient`] on the
-/// client node (host placement, and the historical DPU *cost-model* mode
-/// where only the node spec changes) — its behaviour is pinned bit-for-bit
-/// by `worlds_tests::host_placement_results_are_pinned`. `Offloaded` is the
-/// real SmartNIC architecture: a [`DpuClient`] running the whole client on
-/// the DPU behind two posted host doorbell legs, with tenant QoS admission live.
-// One client per world, never stored in bulk — the variant size gap
-// (DpuClient embeds agent + tenant manager) costs nothing here.
-#[allow(clippy::large_enum_variant)]
-pub enum FioClient {
-    /// In-process `libdaos` on the client node.
-    Classic(DaosClient),
-    /// The DPU-offloaded client (host only rings doorbells).
-    Offloaded(DpuClient),
-}
-
-impl FioClient {
-    /// The client as the object-I/O interface DFS drives.
-    pub fn as_object(&mut self) -> &mut dyn ObjectClient {
-        match self {
-            FioClient::Classic(c) => c,
-            FioClient::Offloaded(c) => c,
-        }
-    }
-
-    /// Aggregate booking / fast-path counters over the client cores.
-    pub fn resource_stats(&self) -> ResourceStats {
-        match self {
-            FioClient::Classic(c) => c.resource_stats(),
-            FioClient::Offloaded(c) => c.resource_stats(),
-        }
-    }
-
-    /// Resets per-job core timing (and, offloaded, QoS buckets) to t=0.
-    pub fn reset_timing(&mut self) {
-        match self {
-            FioClient::Classic(c) => c.reset_timing(),
-            FioClient::Offloaded(c) => c.reset_timing(),
-        }
-    }
-
-    /// Data-plane operations issued.
-    pub fn ops(&self) -> u64 {
-        match self {
-            FioClient::Classic(c) => ObjectClient::ops(c),
-            FioClient::Offloaded(c) => ObjectClient::ops(c),
-        }
-    }
-
-    /// Offload-path counters (zero for the classic in-process client).
-    pub fn dpu_stats(&self) -> DpuStats {
-        match self {
-            FioClient::Classic(_) => DpuStats::default(),
-            FioClient::Offloaded(c) => c.dpu_stats(),
-        }
-    }
-
-    /// The offloaded client, when this world runs one.
-    pub fn offloaded(&self) -> Option<&DpuClient> {
-        match self {
-            FioClient::Classic(_) => None,
-            FioClient::Offloaded(c) => Some(c),
-        }
-    }
-
-    /// Mutable access to the offloaded client (cache enable/disable
-    /// between sweep cells).
-    pub fn offloaded_mut(&mut self) -> Option<&mut DpuClient> {
-        match self {
-            FioClient::Classic(_) => None,
-            FioClient::Offloaded(c) => Some(c),
-        }
-    }
-
-    /// DPU read-cache counters (all zeros for classic clients or with the
-    /// cache disabled).
-    pub fn cache_stats(&self) -> DpuCacheStats {
-        match self {
-            FioClient::Classic(_) => DpuCacheStats::default(),
-            FioClient::Offloaded(c) => c.cache_stats(),
-        }
-    }
-
-    /// Delivers a RAS map snapshot to the client's cached map at `at`
-    /// (every tenant lane, when offloaded).
-    pub fn deliver_map(&mut self, at: SimTime, snap: MapSnapshot) {
-        match self {
-            FioClient::Classic(c) => c.deliver_map(at, snap),
-            FioClient::Offloaded(c) => c.deliver_map(at, snap),
-        }
-    }
-
-    /// Recovery-ladder counters (all DPU lanes merged, when offloaded).
-    pub fn retry_stats(&self) -> RetryStats {
-        match self {
-            FioClient::Classic(c) => c.retry_stats(),
-            FioClient::Offloaded(c) => c.retry_stats(),
-        }
-    }
-
-    /// Sets the recovery-ladder policy on the client(s).
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        match self {
-            FioClient::Classic(c) => c.set_retry_policy(policy),
-            FioClient::Offloaded(c) => c.set_retry_policy(policy),
-        }
-    }
-
-    /// Earliest instant an op completed on a retry attempt.
-    pub fn first_successful_retry(&self) -> Option<SimTime> {
-        match self {
-            FioClient::Classic(c) => c.first_successful_retry(),
-            FioClient::Offloaded(c) => c.first_successful_retry(),
-        }
-    }
-}
-
 /// Fig. 5's system and the scale-out one: FIO's DFS engine over the full
 /// ROS2 stack — one DAOS client, on the host CPU or offloaded to the
 /// BlueField-3, in front of E unchanged engines behind the shared switch
@@ -301,7 +181,7 @@ pub struct DfsFioWorld {
     /// The storage cluster: E engines behind the versioned pool map.
     pub cluster: EngineCluster,
     /// The client stack (in-process or DPU-offloaded).
-    pub client: FioClient,
+    pub client: ClientStack,
     /// The mounted namespace.
     pub dfs: Dfs,
     pub(crate) files: Vec<DfsObj>,
@@ -317,7 +197,7 @@ pub struct DfsFioWorld {
 pub(crate) fn precondition(
     fabric: &mut Fabric,
     cluster: &mut EngineCluster,
-    clients: &mut [FioClient],
+    clients: &mut [ClientStack],
     jobs: usize,
     region: u64,
     name: impl Fn(usize, usize) -> String,

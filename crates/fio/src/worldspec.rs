@@ -1,16 +1,15 @@
 //! The typed world builder: every DFS-family testbed is described by one
 //! [`WorldSpec`] and assembled by one of two terminals — `build_dfs` for
 //! one client in front of one or more engines, `build_incast` for the
-//! clients axis. Both go through one fabric-and-cluster assembly, one
-//! client connect and one preconditioning loop.
+//! clients axis. Both build through `ros2_core`'s
+//! [`fabric_and_cluster`](ros2_core::fabric_and_cluster) and
+//! [`connect_client`](ros2_core::connect_client), the functions
+//! `Ros2System::launch` uses too, and share one preconditioning loop.
 //!
-//! The old positional constructors (`ClusterFioWorld::new` took seven
-//! bare arguments, `::offloaded` eight) made call sites unreadable and
-//! could not grow a clients axis without another argument. The spec is
-//! the single description of a world — transport, storage shape, client
-//! placement(s), fabric seed — with defaults matching the historical
-//! constructors exactly, so a spec that only names what a sweep varies
-//! replays bit-identically to the constructor call it replaced:
+//! The spec is the single description of a world — transport, storage
+//! shape, client placement(s), fabric seed — with defaults matching the
+//! historical constructors exactly, so a spec that only names what a sweep
+//! varies replays bit-identically to the constructor call it replaced:
 //!
 //! ```
 //! use ros2_fio::{Clients, WorldSpec};
@@ -38,40 +37,16 @@
 //! drop(incast);
 //! ```
 
-use ros2_core::FaultCursor;
-use ros2_daos::{DaosClient, DaosCostModel, EngineCluster};
-use ros2_dpu::{default_control, DpuAgent, DpuClient, DpuTenantSpec};
+use ros2_core::{ClientKind, ClientSetup, ClientStack, FaultCursor};
+use ros2_daos::EngineCluster;
+use ros2_dpu::DpuTenantSpec;
 use ros2_fabric::Fabric;
-use ros2_hw::{ClientPlacement, ClusterTopology, CoreClass, Transport};
+use ros2_hw::{ClientPlacement, ClusterTopology, Transport};
 use ros2_nvme::DataMode;
-use ros2_verbs::{MemoryDomain, NodeId};
+use ros2_verbs::NodeId;
 
 use crate::incast::IncastFioWorld;
-use crate::worlds::{precondition, DfsFioWorld, FioClient};
-
-/// What runs the DAOS client stack on one client node.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ClientKind {
-    /// In-process `libdaos` on host x86 cores — the classic mode.
-    Host,
-    /// In-process client charged at BlueField-3 Arm-core costs: the
-    /// historical "DPU placement" *cost-model* mode (the node spec and
-    /// core class change, the architecture does not).
-    DpuCostModel,
-    /// The real offload: the whole client runs on the BlueField-3 as a
-    /// [`DpuClient`] behind the host's two posted doorbell legs.
-    Offloaded,
-}
-
-impl ClientKind {
-    /// The fabric node spec this kind of client needs.
-    pub fn placement(self) -> ClientPlacement {
-        match self {
-            ClientKind::Host => ClientPlacement::Host,
-            ClientKind::DpuCostModel | ClientKind::Offloaded => ClientPlacement::Dpu,
-        }
-    }
-}
+use crate::worlds::{precondition, DfsFioWorld};
 
 /// The clients axis of a [`WorldSpec`]: one [`ClientKind`] per client
 /// node, in fabric-node order (client `c` is fabric node `c`).
@@ -96,9 +71,9 @@ impl Clients {
         }
     }
 
-    /// `n` real offloaded clients — one [`DpuClient`] per BlueField node,
-    /// each with its own agent, QoS admission, and (optionally) read
-    /// cache. The incast axis for DPU-side experiments.
+    /// `n` real offloaded clients — one [`ros2_dpu::DpuClient`] per
+    /// BlueField node, each with its own agent, QoS admission, and
+    /// (optionally) read cache. The incast axis for DPU-side experiments.
     pub fn offloaded(n: usize) -> Self {
         Clients {
             kinds: vec![ClientKind::Offloaded; n],
@@ -239,8 +214,9 @@ impl WorldSpec {
         self
     }
 
-    /// Runs the single client as the real DPU offload (a [`DpuClient`]
-    /// on a BlueField node) with `tenants` sharing its QoS admission.
+    /// Runs the single client as the real DPU offload (a
+    /// [`ros2_dpu::DpuClient`] on a BlueField node) with `tenants` sharing
+    /// its QoS admission.
     pub fn offload(mut self, tenants: Vec<DpuTenantSpec>) -> Self {
         self.clients = Clients {
             kinds: vec![ClientKind::Offloaded],
@@ -303,19 +279,14 @@ impl WorldSpec {
     /// engines: the classic two-node world for [`Self::single`], the
     /// N-engine replicated one for [`Self::cluster`]. Panics if the spec
     /// carries a clients axis — multi-client specs build with
-    /// [`Self::build_incast`].
+    /// [`Self::build_incast`] — or a cache carve without [`Self::offload`].
     pub fn build_dfs(self) -> DfsFioWorld {
         assert_eq!(
             self.clients.len(),
             1,
             "a multi-client spec builds with build_incast()"
         );
-        let kind = self.clients.kinds[0];
-        assert!(
-            self.dpu_cache.is_none() || kind == ClientKind::Offloaded,
-            "dpu_cache() requires offload()"
-        );
-        let topology = ClusterTopology::one_client(kind.placement(), self.engines);
+        let topology = ClusterTopology::one_client(self.clients.kinds[0].placement(), self.engines);
         let (mut fabric, mut cluster, storage_nodes) = self.fabric_and_cluster(&topology);
         let mut client = self.connect_client(&mut fabric, 0, &storage_nodes);
         let (dfs, files) = precondition(
@@ -340,96 +311,59 @@ impl WorldSpec {
     /// entry of the clients axis fanning into the shared cluster, served
     /// through the engine-side connection pool. `Host` and `DpuCostModel`
     /// entries run in-process clients; `Offloaded` entries run a real
-    /// [`DpuClient`] per BlueField node (with its own agent and, if
+    /// offloaded client per BlueField node (with its own agent and, if
     /// [`Self::dpu_cache`] is set, its own read-cache carve). Panics if
-    /// the axis is empty or a cache carve is requested without any
-    /// offloaded client.
+    /// the axis is empty or a cache carve is requested of an in-process
+    /// client.
     pub fn build_incast(self) -> IncastFioWorld {
         assert!(!self.clients.is_empty(), "incast needs at least one client");
-        assert!(
-            self.dpu_cache.is_none() || self.clients.kinds().contains(&ClientKind::Offloaded),
-            "dpu_cache() requires offloaded clients (Clients::offloaded)"
-        );
         IncastFioWorld::build(self)
     }
 
-    /// Shared cluster assembly: fabric over `topology` with per-node flow
-    /// hints, the engine pool with its `posix` container created (before
-    /// any client connects, preserving the historical order), and the
-    /// storage node ids.
+    /// [`ros2_core::fabric_and_cluster`] with this spec's storage shape.
     pub(crate) fn fabric_and_cluster(
         &self,
         topology: &ClusterTopology,
     ) -> (Fabric, EngineCluster, Vec<NodeId>) {
-        let mut fabric = Fabric::for_topology(self.transport, topology, self.seed);
-        for node in 0..topology.node_count() {
-            fabric.set_flow_hint(NodeId(node as u32), self.jobs);
-        }
-        let storage_nodes: Vec<NodeId> = (0..self.engines)
-            .map(|i| NodeId(topology.storage_node(i) as u32))
-            .collect();
-        let mut cluster = EngineCluster::assemble(
-            storage_nodes.clone(),
+        ros2_core::fabric_and_cluster(
+            self.transport,
+            topology,
+            self.seed,
+            self.jobs,
             self.replication,
             self.ssds,
             self.mode,
-            2 << 30,
-            DaosCostModel::default_model(),
-            CoreClass::HostX86,
-        );
-        cluster.cont_create("posix").unwrap();
-        (fabric, cluster, storage_nodes)
+        )
+        .expect("cluster assembles")
     }
 
     /// Connects client `c` (fabric node `c`) of the clients axis to every
-    /// storage node. `Host` and `DpuCostModel` run an in-process
-    /// [`DaosClient`]; `Offloaded` runs a [`DpuClient`] behind its own
-    /// agent, seeded `seed ^ c` so control-plane jitter is not lockstepped
-    /// across clients, with the [`Self::dpu_cache`] carve if one is set.
+    /// storage node through [`ros2_core::connect_client`], with 4 MiB of
+    /// staging per job. An offloaded client gets its own default agent,
+    /// seeded `seed ^ c` so control-plane jitter is not lockstepped across
+    /// clients, and the [`Self::dpu_cache`] carve if one is set.
     pub(crate) fn connect_client(
         &self,
         fabric: &mut Fabric,
         c: usize,
         storage_nodes: &[NodeId],
-    ) -> FioClient {
-        let node = NodeId(c as u32);
-        match self.clients.kinds[c] {
-            ClientKind::Host | ClientKind::DpuCostModel => FioClient::Classic(
-                DaosClient::connect_multi(
-                    fabric,
-                    node,
-                    storage_nodes,
-                    "fio",
-                    "posix",
-                    self.jobs,
-                    4 << 20,
-                    MemoryDomain::HostDram,
-                    DaosCostModel::default_model(),
-                )
-                .expect("client connects"),
-            ),
-            ClientKind::Offloaded => {
-                let seed = self.seed ^ c as u64;
-                let agent = DpuAgent::new(node, 30 << 30, default_control(seed));
-                let mut dpu = DpuClient::connect_cluster(
-                    fabric,
-                    node,
-                    storage_nodes,
-                    "posix",
-                    self.jobs,
-                    4 << 20,
-                    MemoryDomain::DpuDram,
-                    DaosCostModel::default_model(),
-                    agent,
-                    self.tenants.clone(),
-                    seed,
-                )
-                .expect("DPU client connects");
-                if let Some(bytes) = self.dpu_cache {
-                    dpu.enable_read_cache(bytes).expect("cache carve fits DRAM");
-                }
-                FioClient::Offloaded(dpu)
-            }
-        }
+    ) -> ClientStack {
+        let setup = ClientSetup {
+            jobs: self.jobs,
+            buffer_len: 4 << 20,
+            gpu_hbm: false,
+            tenants: self.tenants.clone(),
+            dpu_cache: self.dpu_cache,
+            seed: self.seed ^ c as u64,
+            agent: None,
+        };
+        ros2_core::connect_client(
+            fabric,
+            NodeId(c as u32),
+            storage_nodes,
+            self.clients.kinds[c],
+            setup,
+        )
+        .expect("client connects")
     }
 }

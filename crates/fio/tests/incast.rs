@@ -81,7 +81,7 @@ fn pool_keeps_resident_state_bounded_under_thrash() {
     let report = run_fio(&mut w, &spec);
     assert_eq!(report.io.errors.get(), 0);
 
-    let stats = w.conn_pool_stats();
+    let stats = w.cluster.conn_pool_stats();
     assert!(stats.resident_peak <= 2, "pool overflowed: {stats:?}");
     assert_eq!(stats.admits, stats.hits + stats.misses);
     assert!(stats.evictions > 0, "8 clients must thrash a 2-slot pool");
@@ -104,7 +104,7 @@ fn pool_sized_to_the_client_count_converges_to_hits() {
     let report = run_fio(&mut w, &spec);
     assert_eq!(report.io.errors.get(), 0);
 
-    let stats = w.conn_pool_stats();
+    let stats = w.cluster.conn_pool_stats();
     assert!(stats.resident_peak <= 4);
     assert_eq!(
         stats.evictions, 0,
@@ -144,7 +144,7 @@ fn engine_kill_with_ras_push_loses_no_ops() {
     );
     assert_eq!(retry.exhausted, 0, "no op may exhaust its budget");
     assert!(
-        w.fences() >= 1,
+        w.cluster.fences() >= 1,
         "clients racing the pushed revision must fence at least once"
     );
 }
@@ -204,7 +204,7 @@ fn incast_worlds_replay_bit_identically() {
             r.io.meter.ops(),
             r.gib_per_sec().to_bits(),
             w.per_client_ops(),
-            w.conn_pool_stats(),
+            w.cluster.conn_pool_stats(),
         )
     };
     assert_eq!(run(), run());
@@ -286,7 +286,7 @@ fn incast_sweep_saturates_the_ports_fairly_within_the_pool() {
                 max <= 2 * min,
                 "{clients} clients share the ports fairly: {ops:?}"
             );
-            let pool = w.conn_pool_stats();
+            let pool = w.cluster.conn_pool_stats();
             assert!(
                 pool.resident_peak <= POOL as u64,
                 "{clients} clients: {pool:?}"

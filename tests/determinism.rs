@@ -152,3 +152,70 @@ fn full_system_replays_identically() {
     assert_eq!(a.1, b.1);
     assert_eq!(a.2, b.2);
 }
+
+/// `Ros2System`'s timing, pinned per deployment shape: launch, create a
+/// file, write 2 MiB, read 4 567 B at offset 123. The replay test above
+/// only compares a run with itself; this one catches an assembly change
+/// that re-times the system. Each row is (clock after the read, write
+/// latency, read latency) in ns.
+#[test]
+fn full_system_timings_are_pinned() {
+    use bytes::Bytes;
+    use ros2::core::{ClusterConfig, Ros2Config, Ros2System};
+    use ros2::dpu::InlineService;
+    let host = Ros2Config {
+        placement: ClientPlacement::Host,
+        ..Ros2Config::default()
+    };
+    let tcp = |c: &Ros2Config| Ros2Config {
+        transport: Transport::Tcp,
+        ..c.clone()
+    };
+    let crypto = |c: &Ros2Config| Ros2Config {
+        inline_service: InlineService::Crypto,
+        ..c.clone()
+    };
+    let dpu = Ros2Config::default();
+    let cases = [
+        ("host/rdma", host.clone(), [4_099_090, 3_306_291, 121_555]),
+        ("host/tcp", tcp(&host), [4_484_659, 3_645_719, 137_899]),
+        (
+            "host/rdma crypto",
+            crypto(&host),
+            [4_136_920, 3_344_039, 121_637],
+        ),
+        ("dpu/rdma", dpu.clone(), [4_289_148, 3_447_225, 141_667]),
+        ("dpu/tcp", tcp(&dpu), [4_843_263, 3_922_898, 170_666]),
+        (
+            "dpu/rdma crypto",
+            crypto(&dpu),
+            [4_308_178, 3_466_091, 141_831],
+        ),
+        (
+            "dpu/rdma 4 engines rf2",
+            Ros2Config {
+                cluster: ClusterConfig {
+                    engines: 4,
+                    replication_factor: 2,
+                },
+                ..dpu
+            },
+            [4_462_000, 3_620_061, 141_667],
+        ),
+    ];
+    for (name, config, pinned) in cases {
+        let mut sys = Ros2System::launch(config).unwrap();
+        let mut f = sys.create("/pin").unwrap().value;
+        let w = sys
+            .write(&mut f, 0, Bytes::from(vec![5u8; 2 << 20]))
+            .unwrap();
+        let r = sys.read(&f, 123, 4567).unwrap();
+        assert_eq!(r.value.len(), 4567, "{name}");
+        let got = [
+            sys.now().as_nanos(),
+            w.latency.as_nanos(),
+            r.latency.as_nanos(),
+        ];
+        assert_eq!(got, pinned, "{name}: (now, write, read) ns");
+    }
+}

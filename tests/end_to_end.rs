@@ -83,7 +83,7 @@ fn checkpoint_rename_commit_pattern() {
     let mut s = ros2::dfs::DfsSession {
         fabric: &mut sys.fabric,
         cluster: &mut sys.cluster,
-        client: &mut sys.client,
+        client: sys.client.as_object(),
     };
     let now = ros2::sim::SimTime::ZERO;
     let (ckpt_dir, t) = sys.dfs.lookup(&mut s, now, "/ckpt").unwrap();
@@ -119,7 +119,8 @@ fn many_files_across_striped_targets() {
     // All four devices saw traffic (Sx striping by chunk dkey).
     for d in 0..4 {
         let stats = sys
-            .engine_mut()
+            .cluster
+            .engine_mut(0)
             .bdevs_mut()
             .array()
             .device(d)
@@ -131,13 +132,14 @@ fn many_files_across_striped_targets() {
 
 #[test]
 fn epoch_snapshots_read_the_past() {
-    use ros2::daos::{AKey, DKey, Epoch, ObjClass, ObjectClient, ObjectId, ValueKind};
+    use ros2::daos::{AKey, DKey, Epoch, ObjClass, ObjectId, ValueKind};
     let mut sys = Ros2System::launch(Ros2Config::default()).unwrap();
     let oid = ObjectId::new(ObjClass::S1, 777);
     let d = DKey::from_str("k");
     let a = AKey::from_str("v");
     // Two versions via the raw object API.
     sys.client
+        .as_object()
         .update(
             &mut sys.fabric,
             &mut sys.cluster,
@@ -152,6 +154,7 @@ fn epoch_snapshots_read_the_past() {
         .unwrap();
     let snap = sys.cluster.snapshot("posix").unwrap();
     sys.client
+        .as_object()
         .update(
             &mut sys.fabric,
             &mut sys.cluster,
@@ -166,6 +169,7 @@ fn epoch_snapshots_read_the_past() {
         .unwrap();
     let (old, _) = sys
         .client
+        .as_object()
         .fetch(
             &mut sys.fabric,
             &mut sys.cluster,
@@ -182,6 +186,7 @@ fn epoch_snapshots_read_the_past() {
     assert_eq!(&old[..], b"v1");
     let (new, _) = sys
         .client
+        .as_object()
         .fetch(
             &mut sys.fabric,
             &mut sys.cluster,

@@ -6,6 +6,7 @@ use bytes::Bytes;
 use ros2::core::{Ros2Config, Ros2System};
 use ros2::daos::{AKey, DKey, DaosError};
 use ros2::dfs::DfsError;
+use ros2::dpu::DpuError;
 use ros2::sim::SimTime;
 
 #[test]
@@ -19,7 +20,10 @@ fn media_corruption_is_detected_end_to_end() {
     let oid = f.oid;
     let dkey = DKey::from_u64(0);
     let akey = AKey::from_str("data");
-    assert!(sys.engine_mut().corrupt_newest_extent(oid, &dkey, &akey));
+    assert!(sys
+        .cluster
+        .engine_mut(0)
+        .corrupt_newest_extent(oid, &dkey, &akey));
 
     // The end-to-end checksum catches it at the POSIX layer.
     match sys.read(&f, 0, 4096) {
@@ -215,7 +219,7 @@ fn engine_kill_mid_workload_degrades_then_rebuilds() {
         assert_eq!(back, content(i), "file {i} bytes under degraded routing");
     }
     assert!(
-        sys.rebuild_stats().degraded_fetches > 0,
+        sys.cluster.rebuild_stats().degraded_fetches > 0,
         "the dead leader's objects must have been served degraded"
     );
 
@@ -259,7 +263,10 @@ fn dpu_dram_exhaustion_fails_launch_cleanly() {
         buffer_len: 4 << 30,
         ..Ros2Config::default()
     });
-    assert!(matches!(err, Err(ros2::core::Ros2Error::Config(_))));
+    assert!(matches!(
+        err,
+        Err(ros2::core::Ros2Error::Dpu(DpuError::DramExhausted { .. }))
+    ));
 }
 
 #[test]
