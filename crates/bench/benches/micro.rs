@@ -4,6 +4,7 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use ros2_buf::{ExtentStore, CRC_CHUNK};
 use ros2_daos::checksum::{crc32c, crc32c_combine};
 use ros2_daos::{AKey, DKey, Epoch, ObjClass, ObjectId, ValueKind};
 use ros2_dpu::{CacheKey, ReadCache};
@@ -31,6 +32,39 @@ fn bench_crc32c(c: &mut Criterion) {
             })
         });
     }
+    g.finish();
+}
+
+/// A 1 MiB VOS fetch window over one seeded extent, verified both ways:
+/// the record's 256 chunk CRCs compared one for one with the store's
+/// cached ones, and the older rule — the recorded CRCs folded into one
+/// (256 combines) against `crc_of_range` (256 more) — whose two `u32`s are
+/// then compared.
+fn bench_vos_verify(c: &mut Criterion) {
+    let mut g = c.benchmark_group("vos_verify");
+    const MIB: u64 = 1 << 20;
+    let data = Bytes::from((0..MIB as u32).map(|i| (i % 251) as u8).collect::<Vec<_>>());
+    let table: Vec<u32> = data.chunks(CRC_CHUNK as usize).map(crc32c).collect();
+    let mut store = ExtentStore::new();
+    store.write(MIB, data);
+    store.seed_crcs(MIB, table.iter().copied());
+    g.throughput(Throughput::Bytes(MIB));
+    g.bench_function("verify_chunks_1m", |b| {
+        b.iter(|| store.verify_chunks(MIB, MIB, std::hint::black_box(&table).iter().copied()))
+    });
+    g.bench_function("combine_and_crc_of_range_1m", |b| {
+        b.iter(|| {
+            let recorded = std::hint::black_box(&table)
+                .iter()
+                .fold(0, |acc, &c| crc32c_combine(acc, c, CRC_CHUNK));
+            recorded == store.crc_of_range(MIB, MIB)
+        })
+    });
+    assert_eq!(
+        store.stats().crc_bytes_scanned,
+        0,
+        "both run off the seeded cache"
+    );
     g.finish();
 }
 
@@ -169,6 +203,7 @@ criterion_group!(
     benches,
     bench_read_cache,
     bench_crc32c,
+    bench_vos_verify,
     bench_event_queue,
     bench_server_pool,
     bench_rkey_enforcement,

@@ -8,6 +8,9 @@
 //!   gaps reading as zero;
 //! * [`ExtentStore::crc_of_range`] equals `crc32c` of the bytes
 //!   [`ExtentStore::read`] would return for the same range, always;
+//! * [`ExtentStore::verify_chunks`] is true iff every [`CRC_CHUNK`] of the
+//!   window, counted from its start, has the `crc32c` its expected entry
+//!   names — of the same bytes `read` would return;
 //! * a chunk CRC cache entry is dropped whenever its extent is trimmed or
 //!   overwritten, so cached CRCs can never describe stale bytes.
 
@@ -366,6 +369,92 @@ impl ExtentStore {
         }
         acc
     }
+
+    /// Whether `[at, at+len)` holds the chunk CRCs `expected` names: true
+    /// iff there is one entry per [`CRC_CHUNK`] of the window (counted from
+    /// `at`, the last one possibly partial) and each equals the CRC32C of
+    /// the bytes [`Self::read`] would return for its chunk. A chunk on the
+    /// grid of the one extent holding it answers from (or fills) that
+    /// extent's chunk cache — an integer compare, no combine; only a chunk
+    /// that straddles extents or holes, or ends inside a grid chunk, falls
+    /// back to [`Self::crc_of_range`] over that chunk alone. Stops at the
+    /// first mismatch.
+    pub fn verify_chunks<I>(&mut self, at: u64, len: u64, mut expected: I) -> bool
+    where
+        I: ExactSizeIterator<Item = u32>,
+    {
+        if expected.len() as u64 != len.div_ceil(CRC_CHUNK) {
+            return false;
+        }
+        let end = at + len;
+        let mut lo = at;
+        while lo < end {
+            let run_end = match self.extents.range_mut(..=lo).next_back() {
+                Some((&s, ext)) => grid_run(ext, s, lo, end, &mut expected, &mut self.stats),
+                None => Some(lo),
+            };
+            let Some(mut next) = run_end else {
+                return false;
+            };
+            if next == lo {
+                // Off every extent's grid: this one chunk, combined.
+                next = (lo + CRC_CHUNK).min(end);
+                if expected.next() != Some(self.crc_of_range(lo, next - lo)) {
+                    return false;
+                }
+            }
+            lo = next;
+        }
+        true
+    }
+}
+
+/// Checks the window chunks from `lo` (absolute; `s <= lo` is where `ext`
+/// starts) against `expected` for as long as each one is exactly a grid
+/// chunk of `ext`, from its cache. Returns where the run stopped — `lo`
+/// itself when the first chunk is off the grid — or `None` on a mismatch.
+fn grid_run(
+    ext: &mut Extent,
+    s: u64,
+    lo: u64,
+    end: u64,
+    expected: &mut impl Iterator<Item = u32>,
+    stats: &mut DataPlaneStats,
+) -> Option<u64> {
+    let e_end = ext.end(s);
+    if lo >= e_end || !(lo - s).is_multiple_of(CRC_CHUNK) {
+        return Some(lo);
+    }
+    // The whole chunks inside both the window and the extent, plus a
+    // partial one where the window and the extent end together.
+    let stop = end.min(e_end);
+    let mut run = ((stop - lo) / CRC_CHUNK) as usize;
+    if end == e_end && !(stop - lo).is_multiple_of(CRC_CHUNK) {
+        run += 1;
+    }
+    let first = ((lo - s) / CRC_CHUNK) as usize;
+    let Extent { data, crcs } = ext;
+    let cache = crcs.get_or_insert_with(|| empty_cache(data.len()));
+    for (ci, slot) in (first..).zip(&mut cache[first..first + run]) {
+        let crc = *slot.get_or_insert_with(|| scan_chunk(data, ci, stats));
+        if expected.next() != Some(crc) {
+            return None;
+        }
+    }
+    Some((lo + run as u64 * CRC_CHUNK).min(end))
+}
+
+/// An unfilled chunk-CRC cache for an extent of `len` bytes.
+fn empty_cache(len: usize) -> Box<[Option<u32>]> {
+    vec![None; len.div_ceil(CRC_CHUNK as usize)].into_boxed_slice()
+}
+
+/// The CRC of grid chunk `ci` of an extent's `data`, scanned.
+fn scan_chunk(data: &Bytes, ci: usize, stats: &mut DataPlaneStats) -> u32 {
+    let c_lo = ci * CRC_CHUNK as usize;
+    let chunk = &data[c_lo..(c_lo + CRC_CHUNK as usize).min(data.len())];
+    stats.crc_bytes_scanned += chunk.len() as u64;
+    crc32c(chunk)
 }
 
 /// CRC of extent-relative `[rs, re)`, using the chunk cache for every
@@ -374,7 +463,6 @@ impl ExtentStore {
 fn extent_range_crc(ext: &mut Extent, rs: u64, re: u64, stats: &mut DataPlaneStats) -> u32 {
     let elen = ext.data.len() as u64;
     debug_assert!(rs < re && re <= elen);
-    let nchunks = elen.div_ceil(CRC_CHUNK) as usize;
     let mut acc = 0u32;
     let mut pos = rs;
     let mut first = true;
@@ -384,19 +472,12 @@ fn extent_range_crc(ext: &mut Extent, rs: u64, re: u64, stats: &mut DataPlaneSta
         let c_hi = (c_lo + CRC_CHUNK).min(elen);
         let (crc, hi) = if pos == c_lo && re >= c_hi {
             // Whole grid chunk: serve from (or fill) the cache.
-            let crcs = ext
-                .crcs
-                .get_or_insert_with(|| vec![None; nchunks].into_boxed_slice());
-            let crc = match crcs[ci] {
-                Some(c) => c,
-                None => {
-                    let c = crc32c(&ext.data[c_lo as usize..c_hi as usize]);
-                    stats.crc_bytes_scanned += c_hi - c_lo;
-                    crcs[ci] = Some(c);
-                    c
-                }
-            };
-            (crc, c_hi)
+            let Extent { data, crcs } = &mut *ext;
+            let slot = &mut crcs.get_or_insert_with(|| empty_cache(data.len()))[ci];
+            (
+                *slot.get_or_insert_with(|| scan_chunk(data, ci, stats)),
+                c_hi,
+            )
         } else {
             // Unaligned fragment: scan just those bytes.
             let hi = re.min(c_hi);
@@ -555,6 +636,45 @@ mod tests {
         // Overwrite drops the seeded cache like any other cached CRC.
         s.write(8192 + 4096, Bytes::from(vec![9u8; 100]));
         assert_eq!(s.crc_of_range(8192, 10_000), crc32c(&s.read(8192, 10_000)));
+    }
+
+    #[test]
+    fn on_grid_verify_compares_cached_crcs_without_combining() {
+        let mut s = ExtentStore::new();
+        let data = Bytes::from(
+            (0..(1u32 << 20))
+                .map(|i| (i % 251) as u8)
+                .collect::<Vec<_>>(),
+        );
+        let table: Vec<u32> = data.chunks(CRC_CHUNK as usize).map(crc32c).collect();
+        s.write(1 << 20, data.clone());
+        s.seed_crcs(1 << 20, table.iter().copied());
+        let before = s.stats();
+        assert!(s.verify_chunks(1 << 20, 1 << 20, table.iter().copied()));
+        assert!(s.verify_chunks(
+            (1 << 20) + 8192,
+            10 * CRC_CHUNK,
+            table[2..12].iter().copied()
+        ));
+        assert_eq!(
+            s.stats(),
+            before,
+            "an on-grid verify neither scans nor combines"
+        );
+        // One wrong entry, a short table, a long one: all mismatches.
+        let mut bad = table.clone();
+        bad[200] ^= 1;
+        assert!(!s.verify_chunks(1 << 20, 1 << 20, bad.iter().copied()));
+        assert!(!s.verify_chunks(1 << 20, 1 << 20, table[1..].iter().copied()));
+        assert!(!s.verify_chunks(1 << 20, 4096, table[..2].iter().copied()));
+        // A window off the grid verifies chunk by chunk through the fallback.
+        let (at, len) = ((1 << 20) + 100, 10_000u64);
+        let want: Vec<u32> = data[100..100 + len as usize]
+            .chunks(CRC_CHUNK as usize)
+            .map(crc32c)
+            .collect();
+        assert!(s.verify_chunks(at, len, want.iter().copied()));
+        assert!(s.verify_chunks(0, 0, std::iter::empty()));
     }
 
     #[test]

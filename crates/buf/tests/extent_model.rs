@@ -1,10 +1,10 @@
 //! Model check: the zero-copy extent store against a flat `Vec<u8>`
 //! reference under random overlapping writes, slice writes, discards,
-//! reads and CRC range queries.
+//! reads, CRC range queries and chunk-table verifies.
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use ros2_buf::{crc32c, ExtentStore};
+use ros2_buf::{crc32c, ExtentStore, CRC_CHUNK};
 
 /// Address space of the model (covers several CRC chunks).
 const SPACE: u64 = 20_000;
@@ -21,26 +21,72 @@ enum Op {
     Read { at: u64, len: u64 },
     /// CRC of a range, compared against crc32c of the model slice.
     Crc { at: u64, len: u64 },
+    /// Chunk-table verify of a range: the model's per-chunk CRCs pass,
+    /// each of them flipped in turn fails.
+    Verify { at: u64, len: u64 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     let addr = 0u64..(SPACE - 1);
     let len = 1u64..6000;
-    let kind = 0u32..5;
+    let kind = 0u32..8;
     (kind, addr, len, any::<u8>()).prop_map(|(kind, at, len, fill)| {
+        // Kinds 6 and 7 start on the 4 KiB grid, so verifies meet extents
+        // whose chunk-cache grid they share; those verifies run long.
+        let at = if kind >= 6 {
+            at / CRC_CHUNK * CRC_CHUNK
+        } else {
+            at
+        };
         let len = len.min(SPACE - at);
         match kind {
-            0 => Op::Write { at, len, fill },
+            0 | 6 => Op::Write { at, len, fill },
             1 => Op::WriteSlice { at, len, fill },
             2 => Op::Discard { at, len },
             3 => Op::Read { at, len },
-            _ => Op::Crc { at, len },
+            4 => Op::Crc { at, len },
+            5 => Op::Verify { at, len },
+            _ => Op::Verify {
+                at,
+                len: (len * 3).min(SPACE - at),
+            },
         }
     })
 }
 
 fn payload(len: u64, fill: u8) -> Vec<u8> {
     (0..len).map(|i| fill.wrapping_add(i as u8)).collect()
+}
+
+/// The per-[`CRC_CHUNK`] CRCs of `bytes`, the last chunk possibly partial.
+fn chunk_table(bytes: &[u8]) -> Vec<u32> {
+    bytes.chunks(CRC_CHUNK as usize).map(crc32c).collect()
+}
+
+/// `verify_chunks` accepts the model's table for `[at, at+len)` and
+/// rejects it with any one entry flipped, or with an entry missing.
+fn check_verify(store: &mut ExtentStore, model: &[u8], at: u64, len: u64) -> Result<(), String> {
+    let table = chunk_table(&model[at as usize..(at + len) as usize]);
+    prop_assert!(
+        store.verify_chunks(at, len, table.iter().copied()),
+        "verify({}, {})",
+        at,
+        len
+    );
+    for k in 0..table.len() {
+        let mut bad = table.clone();
+        bad[k] ^= 1 << (k % 32);
+        prop_assert!(
+            !store.verify_chunks(at, len, bad.iter().copied()),
+            "verify({}, {}) entry {}",
+            at,
+            len,
+            k
+        );
+    }
+    let short = &table[..table.len() - 1];
+    prop_assert!(!store.verify_chunks(at, len, short.iter().copied()));
+    Ok(())
 }
 
 proptest! {
@@ -78,6 +124,7 @@ proptest! {
                     let want = crc32c(&model[at as usize..(at + len) as usize]);
                     prop_assert_eq!(store.crc_of_range(at, len), want, "crc({}, {})", at, len);
                 }
+                Op::Verify { at, len } => check_verify(&mut store, &model, at, len)?,
             }
         }
         // Full-space sweep: contents and CRC agree after the whole history,
@@ -86,5 +133,44 @@ proptest! {
         prop_assert_eq!(&got[..], &model[..]);
         prop_assert_eq!(store.crc_of_range(0, SPACE), crc32c(&model));
         prop_assert_eq!(store.crc_of_range(0, SPACE), crc32c(&model)); // cached pass
+        check_verify(&mut store, &model, 0, SPACE)?;
+        check_verify(&mut store, &model, 100, SPACE - 100)?;
+    }
+}
+
+/// The window shapes one at a time: on an extent's grid (cached, partial
+/// tail chunk), starting off it, straddling extent boundaries and holes,
+/// and ending inside a grid chunk.
+#[test]
+fn verify_covers_every_window_shape() {
+    const C: u64 = CRC_CHUNK;
+    let mut store = ExtentStore::new();
+    let mut model = vec![0u8; 10 * C as usize];
+    // Extent A: chunks 0-2 plus a 1000-byte tail; extent B abuts it at a
+    // chunk-misaligned address; a hole after B; extent C on the grid.
+    for (at, len, fill) in [
+        (0, 3 * C + 1000, 1u8),
+        (3 * C + 1000, 2 * C, 2),
+        (7 * C, 2 * C + 10, 3),
+    ] {
+        let data = payload(len, fill);
+        model[at as usize..(at + len) as usize].copy_from_slice(&data);
+        store.write(at, Bytes::from(data));
+    }
+    let windows = [
+        (0, 3 * C),            // on A's grid
+        (0, 3 * C + 1000),     // A whole, its partial tail chunk
+        (C, 2 * C + 1000),     // from A's second chunk to its end
+        (100, 2 * C),          // starts off the grid
+        (2 * C, 2 * C),        // straddles A's tail into B
+        (3 * C + 1000, 2 * C), // B whole, off the grid
+        (4 * C, 4 * C),        // B, the hole, into C
+        (6 * C, C),            // the hole alone
+        (7 * C, 2 * C + 10),   // C whole
+        (7 * C, C + 100),      // ends inside C's second grid chunk
+        (0, 10 * C),           // everything
+    ];
+    for (at, len) in windows {
+        check_verify(&mut store, &model, at, len).unwrap();
     }
 }

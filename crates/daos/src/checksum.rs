@@ -6,9 +6,10 @@
 //! implementation (proven in `crates/buf/tests/crc_equivalence.rs`). The
 //! timing model still charges the hardware-assisted rate
 //! ([`ros2_hw::checksum_cost`]). Checksums are computed on update, stored
-//! with the record, and *derived* on fetch by combining the store's cached
-//! per-chunk CRCs — corrupted media is detected without rescanning clean
-//! payloads, which the failure-injection tests exercise.
+//! with the record, and on fetch compared chunk for chunk with the store's
+//! cached per-chunk CRCs (a single value's one CRC is derived by combining
+//! them) — corrupted media is detected without rescanning clean payloads,
+//! which the failure-injection tests exercise.
 
 pub use ros2_buf::{crc32c, crc32c_append, crc32c_combine, crc32c_zeros};
 

@@ -527,9 +527,9 @@ pub struct ScrubStats {
     pub objects_checked: u64,
     /// Per-replica object checks performed.
     pub replicas_checked: u64,
-    /// Checksum chunks compared (combine-only on the clean path).
+    /// Checksum chunks compared (cache compares on the clean path).
     pub chunks_compared: u64,
-    /// Stored bytes verified by combining cached chunk CRCs.
+    /// Stored bytes verified against cached chunk CRCs.
     pub combine_bytes: u64,
     /// Payload bytes actually rescanned (CRC-cache misses; ~0 when clean
     /// caches are warm).
@@ -1168,8 +1168,8 @@ impl EngineCluster {
     }
 
     /// One replica-scrub pass: every object's replica set is
-    /// self-verified (each replica's recorded checksums combined against
-    /// its media stores' cached chunk CRCs — bit-rot rewrites media bytes
+    /// self-verified (each replica's recorded checksums compared with its
+    /// media stores' cached chunk CRCs — bit-rot rewrites media bytes
     /// behind the index and invalidates those caches, so it cannot hide)
     /// and cross-checked by record-set fingerprint. A replica that fails
     /// either check is repaired from the first self-clean replica in

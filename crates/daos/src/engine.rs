@@ -496,7 +496,7 @@ impl DaosEngine {
     }
 
     /// Scrub-verifies every record of `oid` across this engine's shards:
-    /// recorded checksums combined against the media stores' cached chunk
+    /// recorded checksums compared with the media stores' cached chunk
     /// CRCs — near-zero payload scanning when the replica is clean.
     pub fn scrub_object(&mut self, oid: ObjectId) -> crate::vos::ScrubCheck {
         let mut check = crate::vos::ScrubCheck::default();

@@ -14,10 +14,14 @@
 //! Media selection follows DAOS policy: records at or below the SCM
 //! threshold persist in pmem; larger records land on NVMe extents. Every
 //! record carries a CRC32C computed at update and verified at fetch —
-//! the end-to-end checksum path of §2.4. Verification *combines* the
-//! media store's cached per-chunk CRCs against the recorded ones instead
-//! of rescanning payload bytes, and reads contained in one record return
-//! the store's zero-copy slice.
+//! the end-to-end checksum path of §2.4. An array record's fetch and its
+//! scrub share one rule: the recorded per-chunk CRCs of the covered window
+//! are compared one for one with the media store's cached chunk CRCs
+//! ([`ShardBdev::verify_chunks`], [`ros2_pmem::PmemPool::verify_chunks`]),
+//! so clean payload bytes are neither rescanned nor folded. A single value
+//! carries one whole-value CRC, checked against the store's combined CRC
+//! of its range. Reads contained in one record return the store's
+//! zero-copy slice.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -28,7 +32,7 @@ use ros2_hw::LBA_SIZE;
 use ros2_sim::SimTime;
 use ros2_spdk::ShardBdev;
 
-use crate::checksum::{crc32c_combine, crc32c_zeros, Checksum};
+use crate::checksum::{crc32c_zeros, Checksum};
 use crate::types::{AKey, DKey, DaosError, Epoch, ObjectId, RecordVersion};
 
 /// The object index key: one packed `(dkey, akey)` pair. Built from
@@ -105,39 +109,17 @@ fn chunk_checksums(stored: &Bytes, dp: &mut DataPlaneStats) -> Arc<[Checksum]> {
         let len = stored.len() as u64;
         let full = Checksum(crc32c_zeros(CSUM_CHUNK));
         let tail = len % CSUM_CHUNK;
-        let n_full = (len / CSUM_CHUNK) as usize;
-        let mut table = Vec::with_capacity(n_full + usize::from(tail > 0));
-        table.resize(n_full, full);
-        if tail > 0 {
-            table.push(Checksum(crc32c_zeros(tail)));
-        }
-        return table.into();
+        // An exact-length iterator: collected into the `Arc` in one
+        // allocation.
+        return std::iter::repeat_n(full, (len / CSUM_CHUNK) as usize)
+            .chain((tail > 0).then(|| Checksum(crc32c_zeros(tail))))
+            .collect();
     }
     dp.crc_bytes_scanned += stored.len() as u64;
     stored
         .chunks(CSUM_CHUNK as usize)
         .map(Checksum::of)
         .collect()
-}
-
-/// CRC32C of stored chunks `[c0, c1)` by combining recorded per-chunk
-/// checksums — no payload bytes touched. `None` if the record's table does
-/// not cover the window (treated as a mismatch by callers).
-fn combine_recorded(
-    checksums: &[Checksum],
-    c0: u64,
-    c1: u64,
-    stored_len: u64,
-    dp: &mut DataPlaneStats,
-) -> Option<u32> {
-    let mut acc = 0u32;
-    for i in c0..c1 {
-        let cs = checksums.get(i as usize)?;
-        let clen = CSUM_CHUNK.min(stored_len - i * CSUM_CHUNK);
-        acc = crc32c_combine(acc, cs.0, clen);
-        dp.crc_combines += 1;
-    }
-    Some(acc)
 }
 
 #[derive(Clone, Debug, Default)]
@@ -250,7 +232,7 @@ pub struct RecordDump {
 pub struct ScrubCheck {
     /// Records cross-checked (single values + array extents).
     pub records: u64,
-    /// Checksum chunks compared (combine-only on the clean path).
+    /// Checksum chunks compared (cache compares on the clean path).
     pub chunks: u64,
     /// Stored bytes those chunks cover — the volume verified without
     /// being rescanned when the caches are warm.
@@ -328,10 +310,10 @@ pub struct VosTarget {
     /// a record and writing it again cannot repeat a version.
     arrivals: u64,
     stats: VosStats,
-    /// VOS-level data-plane counters (payload checksum scans, recorded-CRC
-    /// combines, overlay stitch copies). Media-store counters live in the
-    /// SCM pool and the bdev backing and are merged by
-    /// [`Self::data_plane_stats`] / the engine.
+    /// VOS-level data-plane counters (payload checksum scans, overlay
+    /// stitch copies). Media-store counters live in the SCM pool and the
+    /// bdev backing and are merged by [`Self::data_plane_stats`] / the
+    /// engine.
     dp: DataPlaneStats,
     /// Reused buffer for the resolved tiling of an array fetch, so the
     /// steady-state fetch path performs no heap allocation (the record
@@ -369,8 +351,8 @@ impl VosTarget {
         &self.stats
     }
 
-    /// Data-plane counters: this target's own (checksum scans/combines,
-    /// stitch copies) merged with its SCM pool's store counters.
+    /// Data-plane counters: this target's own (checksum scans, stitch
+    /// copies) merged with its SCM pool's store counters.
     pub fn data_plane_stats(&self) -> DataPlaneStats {
         let mut total = self.dp;
         total.merge(self.scm.data_plane_stats());
@@ -439,7 +421,7 @@ impl VosTarget {
 
     /// Hands update-time chunk CRCs down to the media store that just
     /// persisted the record, so the store's own chunk-CRC cache starts
-    /// seeded and the first fetch-verify combines instead of rescanning.
+    /// seeded and the first fetch-verify compares instead of rescanning.
     /// The record's chunk grid is extent-relative on both media, so the
     /// tables line up exactly.
     fn seed_media_crcs(&mut self, media: &mut ShardBdev<'_>, loc: &Location, crcs: &[Checksum]) {
@@ -450,30 +432,57 @@ impl VosTarget {
         }
     }
 
-    /// The media-side CRC32C of a record's stored bytes `[at, at+len)` —
+    /// The one verify rule of a chunked record, shared by fetch and scrub:
+    /// whether its stored chunks `[c0, c1)` still hold the recorded
+    /// checksums, compared one for one with the media store's cached chunk
+    /// CRCs — clean payloads are neither rescanned nor folded. A table that
+    /// does not cover the window is a mismatch.
+    fn verify_chunks(
+        &mut self,
+        media: &mut ShardBdev<'_>,
+        rec: &ExtentRecord,
+        c0: u64,
+        c1: u64,
+    ) -> Result<bool, DaosError> {
+        let Some(recorded) = rec.checksums.get(c0 as usize..c1 as usize) else {
+            return Ok(false);
+        };
+        let at = c0 * CSUM_CHUNK;
+        let len = (c1 * CSUM_CHUNK).min(rec.stored_len) - at;
+        let expected = recorded.iter().map(|c| c.0);
+        match &rec.location {
+            Location::Scm(oid) => self
+                .scm
+                .verify_chunks(*oid, at, len, expected)
+                .map_err(|e| DaosError::Media(format!("{e:?}"))),
+            Location::Nvme { slba, .. } => {
+                Ok(media.verify_chunks(slba * LBA_SIZE + at, len, expected))
+            }
+        }
+    }
+
+    /// The media-side CRC32C of a single value's first `len` stored bytes —
     /// answered from the backing stores' chunk-CRC caches, so repeat
     /// verifies never rescan clean payloads.
     fn media_crc(
         &mut self,
         media: &mut ShardBdev<'_>,
         loc: &Location,
-        at: u64,
         len: u64,
     ) -> Result<u32, DaosError> {
         match loc {
             Location::Scm(oid) => self
                 .scm
-                .crc_of_range(*oid, at, len)
+                .crc_of_range(*oid, 0, len)
                 .map_err(|e| DaosError::Media(format!("{e:?}"))),
-            Location::Nvme { slba, .. } => Ok(media.crc_of_range(slba * LBA_SIZE + at, len)),
+            Location::Nvme { slba, .. } => Ok(media.crc_of_range(slba * LBA_SIZE, len)),
         }
     }
 
     /// Reads `[at, at+len)` of an extent's *stored* bytes, loading only the
-    /// checksum chunks that cover the range. Verification compares the
-    /// media store's (cached) window CRC against the combine of the
-    /// recorded per-chunk checksums — clean data is never rescanned, and
-    /// the returned bytes are a zero-copy slice of the store's extent.
+    /// checksum chunks that cover the range and verifying exactly those
+    /// (see [`Self::verify_chunks`]); the returned bytes are a zero-copy
+    /// slice of the store's extent.
     fn load_range(
         &mut self,
         now: SimTime,
@@ -506,11 +515,7 @@ impl VosTarget {
                 (data.slice(0..(win_hi - win_lo) as usize), c.at)
             }
         };
-        // Verify the covered window: recorded chunk CRCs combined vs the
-        // media store's cached CRC of the same range.
-        let expected = combine_recorded(&rec.checksums, c0, c1, rec.stored_len, &mut self.dp);
-        let actual = self.media_crc(media, &rec.location, win_lo, win_hi - win_lo)?;
-        if expected != Some(actual) {
+        if !self.verify_chunks(media, rec, c0, c1)? {
             self.stats.checksum_failures += 1;
             return Err(DaosError::ChecksumMismatch);
         }
@@ -638,7 +643,7 @@ impl VosTarget {
         let (data, done) = self.load(now, media, &rec.location, rec.len)?;
         // Verify against the media store's cached CRC of the stored bytes
         // — no rescan of the returned payload.
-        let actual = self.media_crc(media, &rec.location, 0, rec.len)?;
+        let actual = self.media_crc(media, &rec.location, rec.len)?;
         if actual != rec.checksum.0 {
             self.stats.checksum_failures += 1;
             return Err(DaosError::ChecksumMismatch);
@@ -939,52 +944,47 @@ impl VosTarget {
         Ok((out, t_done))
     }
 
-    /// Scrub-verifies every record of `oid`: the media store's (cached)
-    /// CRC over each record's full stored range against the combine of its
-    /// recorded checksums. Bit-rot rewrites media bytes behind the index's
+    /// Scrub-verifies every record of `oid` against the media store's
+    /// cached CRCs: an array record's whole stored range by the fetch
+    /// path's own rule ([`Self::verify_chunks`]), a single value by its
+    /// whole-value CRC. Bit-rot rewrites media bytes behind the index's
     /// back, invalidating the store's chunk-CRC cache for the touched
     /// chunks, so the comparison catches it — while a fully clean pass
     /// answers from caches and scans ~zero payload bytes.
     pub fn scrub_object(&mut self, media: &mut ShardBdev<'_>, oid: ObjectId) -> ScrubCheck {
-        enum Expect {
-            Whole(u32),
-            Chunks(Arc<[Checksum]>),
+        enum Rec {
+            Single(SvRecord),
+            Array(ExtentRecord),
         }
         let Some(obj) = self.objects.get(&oid) else {
             return ScrubCheck::default();
         };
-        let recs: Vec<(Location, u64, Expect)> = obj
+        // Record clones are O(1) (the checksum tables are Arc-shared), so
+        // the checks below can borrow `self` mutably.
+        let recs: Vec<Rec> = obj
             .values()
             .flat_map(|s| {
-                s.sv.iter()
-                    .map(|r| (r.location.clone(), r.len, Expect::Whole(r.checksum.0)))
-                    .chain(s.extents.iter().map(|r| {
-                        (
-                            r.location.clone(),
-                            r.stored_len,
-                            Expect::Chunks(r.checksums.clone()),
-                        )
-                    }))
+                let svs = s.sv.iter().cloned().map(Rec::Single);
+                svs.chain(s.extents.iter().cloned().map(Rec::Array))
             })
             .collect();
         let mut check = ScrubCheck::default();
-        for (loc, len, expect) in recs {
-            check.records += 1;
-            check.bytes += len;
-            let expected = match &expect {
-                // Single values carry one whole-value CRC.
-                Expect::Whole(c) => {
-                    check.chunks += 1;
-                    Some(*c)
+        for rec in recs {
+            let (len, chunks, clean) = match &rec {
+                Rec::Single(r) => {
+                    let actual = self.media_crc(media, &r.location, r.len).ok();
+                    (r.len, 1, actual == Some(r.checksum.0))
                 }
-                Expect::Chunks(cs) => {
-                    let n = len.div_ceil(CSUM_CHUNK);
-                    check.chunks += n;
-                    combine_recorded(cs, 0, n, len, &mut self.dp)
+                Rec::Array(r) => {
+                    let n = r.stored_len.div_ceil(CSUM_CHUNK);
+                    let clean = self.verify_chunks(media, r, 0, n).unwrap_or(false);
+                    (r.stored_len, n, clean)
                 }
             };
-            let actual = self.media_crc(media, &loc, 0, len).ok();
-            if expected.is_none() || expected != actual {
+            check.records += 1;
+            check.chunks += chunks;
+            check.bytes += len;
+            if !clean {
                 check.bad += 1;
                 self.stats.checksum_failures += 1;
             }
@@ -1539,36 +1539,35 @@ mod tests {
                 .unwrap();
             assert_eq!(out, data);
         };
-        fetch(&mut vos, &mut bd);
-        let after_first = {
+        let merged = |vos: &VosTarget, bd: &BdevLayer| {
             let mut s = vos.data_plane_stats();
             s.merge(bd.data_plane_stats());
             s
         };
-        for _ in 0..4 {
+        let after_update = merged(&vos, &bd);
+        for _ in 0..5 {
             fetch(&mut vos, &mut bd);
         }
-        let after_more = {
-            let mut s = vos.data_plane_stats();
-            s.merge(bd.data_plane_stats());
-            s
-        };
+        let after_fetches = merged(&vos, &bd);
         assert_eq!(
-            after_more.crc_bytes_scanned, after_first.crc_bytes_scanned,
-            "verify must combine cached CRCs, not rescan"
+            after_fetches.crc_bytes_scanned, after_update.crc_bytes_scanned,
+            "verify must compare cached CRCs, not rescan"
         );
-        assert!(after_more.crc_combines > after_first.crc_combines);
         assert_eq!(
-            after_more.bytes_copied, after_first.bytes_copied,
+            after_fetches.crc_combines, after_update.crc_combines,
+            "verify must compare chunk CRCs, not fold them"
+        );
+        assert_eq!(
+            after_fetches.bytes_copied, after_update.bytes_copied,
             "single-record fetches must stay zero-copy"
         );
     }
 
     #[test]
     fn update_seeds_media_crc_caches() {
-        // The very first fetch-verify must combine the CRCs handed down at
+        // The very first fetch-verify must run off the CRCs handed down at
         // update time — zero additional payload bytes scanned, on both the
-        // NVMe and the SCM tier.
+        // NVMe and the SCM tier, and no combine for the chunked record.
         let (mut vos, mut bd) = fixture();
         let d = DKey::from_u64(0);
         let a = AKey::from_str("data");
@@ -1615,6 +1614,8 @@ mod tests {
             256 << 10,
         )
         .unwrap();
+        let after_array = merged(&vos, &bd);
+        assert_eq!(after_array.crc_combines, after_update.crc_combines);
         vos.fetch_single(
             SimTime::ZERO,
             &mut bd.shard(0),
@@ -1629,7 +1630,87 @@ mod tests {
             after_fetch.crc_bytes_scanned, after_update.crc_bytes_scanned,
             "first fetch-verify must run entirely off seeded CRC caches"
         );
-        assert!(after_fetch.crc_combines > after_update.crc_combines);
+    }
+
+    /// Flips one stored byte of the newest extent of `(d, a)` at `at`
+    /// (record-relative), behind the index's back.
+    fn rot_byte(vos: &mut VosTarget, bd: &mut BdevLayer, d: &DKey, a: &AKey, at: u64) {
+        let loc = vos.objects[&oid()][&KeyPair::from_refs(d, a)]
+            .extents
+            .last()
+            .unwrap()
+            .location
+            .clone();
+        match loc {
+            Location::Nvme { slba, .. } => {
+                let mut shard = bd.shard(0);
+                let backing = shard.device_mut().backing_mut();
+                let byte = backing.read(slba * LBA_SIZE + at, 1)[0];
+                backing.write(slba * LBA_SIZE + at, &[byte ^ 0x10]);
+            }
+            Location::Scm(o) => {
+                let byte = vos.scm.read(o, at, 1).unwrap()[0];
+                vos.scm.write(o, at, &[byte ^ 0x10]).unwrap();
+            }
+        }
+    }
+
+    /// Rot in a middle chunk and in the tail chunk, of a 1 MiB NVMe record
+    /// and of a ~10 KiB SCM record: a window over the rotten chunk fails
+    /// the verify, one of the same record that excludes it still passes,
+    /// and a scrub reports the record bad.
+    #[test]
+    fn rot_fails_exactly_the_windows_that_cover_it() {
+        for (len, nvme) in [(1u64 << 20, true), (10_000, false)] {
+            let tail = (len - 1) / CSUM_CHUNK;
+            for rotten in [tail / 2, tail] {
+                // SCM threshold 16 KiB: the 10 000-byte record stays in pmem.
+                let (_, mut bd) = fixture();
+                let mut vos = VosTarget::new(0, 0, 1 << 20, 64 << 20, 16 << 10);
+                let (d, a) = (DKey::from_u64(rotten), AKey::from_str("data"));
+                let data: Vec<u8> = (0..len).map(|i| (i % 253) as u8).collect();
+                let media = &mut bd.shard(0);
+                let (t, e) = (SimTime::ZERO, Epoch(1));
+                vos.update_array(
+                    t,
+                    media,
+                    oid(),
+                    d.clone(),
+                    a.clone(),
+                    e,
+                    0,
+                    data.clone().into(),
+                )
+                .unwrap();
+                assert_eq!(vos.stats().nvme_records == 1, nvme);
+                let lo = rotten * CSUM_CHUNK;
+                rot_byte(&mut vos, &mut bd, &d, &a, lo + 1234);
+                let mut fetch = |vos: &mut VosTarget, at: u64, n: u64| {
+                    let media = &mut bd.shard(0);
+                    let r = vos.fetch_array(t, media, oid(), &d, &a, Epoch::LATEST, at, n);
+                    r.map(|(b, _)| b)
+                };
+                let case = format!("len {len}, rotten chunk {rotten}");
+                // Over the rotten chunk: the whole record, and a window
+                // that starts in the chunk before it.
+                for (at, n) in [(0, len), (lo - 100, 200)] {
+                    let failures = vos.stats().checksum_failures;
+                    let err = fetch(&mut vos, at, n).unwrap_err();
+                    assert_eq!(err, DaosError::ChecksumMismatch, "{case}: ({at}, {n})");
+                    assert_eq!(vos.stats().checksum_failures, failures + 1, "{case}");
+                }
+                // Every chunk before it, and every chunk after it.
+                let after = (lo + CSUM_CHUNK).min(len);
+                for (at, n) in [(0, lo), (after, len - after)] {
+                    if n > 0 {
+                        let got = fetch(&mut vos, at, n).unwrap();
+                        assert_eq!(&got[..], &data[at as usize..(at + n) as usize], "{case}");
+                    }
+                }
+                let check = vos.scrub_object(&mut bd.shard(0), oid());
+                assert_eq!((check.records, check.bad), (1, 1), "{case}");
+            }
+        }
     }
 
     #[test]

@@ -14,12 +14,14 @@
 //!   sweeps use, where timing matters and content does not.
 //!
 //! Every mode can answer [`Backing::crc_of_range`] — the CRC32C of what a
-//! read of the range would return — without rescanning resident data:
-//! stored extents cache per-chunk CRCs, null ranges use the closed-form
-//! zero-run CRC, and only pattern mode (synthetic bytes) must generate.
+//! read of the range would return — and [`Backing::verify_chunks`] —
+//! whether a range holds a given per-chunk CRC table — without rescanning
+//! resident data: stored extents cache per-chunk CRCs (a verify compares
+//! them one for one), null ranges use the closed-form zero-run CRC, and
+//! only pattern mode (synthetic bytes) must generate.
 
 use bytes::{Bytes, BytesMut};
-use ros2_buf::{crc32c_append, crc32c_zeros, zero_bytes, DataPlaneStats, ExtentStore};
+use ros2_buf::{crc32c_append, crc32c_zeros, zero_bytes, DataPlaneStats, ExtentStore, CRC_CHUNK};
 
 /// Page granularity of the sparse store (one LBA).
 pub const PAGE: usize = 4096;
@@ -147,22 +149,36 @@ impl Backing {
                 stats.crc_combines += 1;
                 crc32c_zeros(len)
             }
-            Backing::Pattern { seed, stats } => {
-                stats.crc_bytes_scanned += len;
-                let mut crc = 0u32;
-                let mut abs = offset;
-                let mut remaining = len as usize;
-                while remaining > 0 {
-                    let word = pattern_word(*seed, abs / 8);
-                    let bytes = word.to_le_bytes();
-                    let in_word = (abs % 8) as usize;
-                    let take = (8 - in_word).min(remaining);
-                    crc = crc32c_append(crc, &bytes[in_word..in_word + take]);
-                    abs += take as u64;
-                    remaining -= take;
-                }
-                crc
+            Backing::Pattern { seed, stats } => pattern_crc(*seed, stats, offset, len),
+        }
+    }
+
+    /// Whether `[offset, offset+len)` holds the per-[`CRC_CHUNK`] CRCs
+    /// `expected` names (see [`ExtentStore::verify_chunks`]). Stored mode
+    /// compares the store's cached chunk CRCs; null mode compares each
+    /// entry with the closed-form zero-chunk CRC; pattern mode generates
+    /// each chunk.
+    pub fn verify_chunks<I>(&mut self, offset: u64, len: u64, expected: I) -> bool
+    where
+        I: ExactSizeIterator<Item = u32>,
+    {
+        let chunk_len = |k: usize| CRC_CHUNK.min(len - k as u64 * CRC_CHUNK);
+        match self {
+            Backing::Stored { store } => store.verify_chunks(offset, len, expected),
+            _ if expected.len() as u64 != len.div_ceil(CRC_CHUNK) => false,
+            Backing::Null { .. } => {
+                let full = crc32c_zeros(CRC_CHUNK);
+                expected.enumerate().all(|(k, e)| {
+                    e == match chunk_len(k) {
+                        CRC_CHUNK => full,
+                        tail => crc32c_zeros(tail),
+                    }
+                })
             }
+            Backing::Pattern { seed, stats } => expected.enumerate().all(|(k, e)| {
+                let at = offset + k as u64 * CRC_CHUNK;
+                e == pattern_crc(*seed, stats, at, chunk_len(k))
+            }),
         }
     }
 
@@ -182,6 +198,25 @@ impl Backing {
             Backing::Pattern { stats, .. } | Backing::Null { stats } => *stats,
         }
     }
+}
+
+/// The CRC32C of pattern-mode bytes `[offset, offset+len)`, generated and
+/// scanned.
+fn pattern_crc(seed: u64, stats: &mut DataPlaneStats, offset: u64, len: u64) -> u32 {
+    stats.crc_bytes_scanned += len;
+    let mut crc = 0u32;
+    let mut abs = offset;
+    let mut remaining = len as usize;
+    while remaining > 0 {
+        let word = pattern_word(seed, abs / 8);
+        let bytes = word.to_le_bytes();
+        let in_word = (abs % 8) as usize;
+        let take = (8 - in_word).min(remaining);
+        crc = crc32c_append(crc, &bytes[in_word..in_word + take]);
+        abs += take as u64;
+        remaining -= take;
+    }
+    crc
 }
 
 /// The deterministic word generator behind pattern mode (SplitMix64 of the
@@ -275,6 +310,36 @@ mod tests {
         let mut pat = Backing::pattern(9);
         let p = pat.read(777, 5000);
         assert_eq!(pat.crc_of_range(777, 5000), crc32c(&p));
+    }
+
+    /// Null and pattern modes verify a chunk table exactly as a stored
+    /// backing holding the same bytes does: right tables pass, any one
+    /// flipped entry or a wrong-length table fails.
+    #[test]
+    fn synthetic_modes_verify_like_a_stored_copy() {
+        const SPAN: u64 = 5 * CRC_CHUNK + 1000;
+        for mut synthetic in [Backing::null(), Backing::pattern(9)] {
+            let mut stored = Backing::stored();
+            stored.write_bytes(0, &synthetic.read(0, SPAN as usize));
+            for (at, len) in [(0, SPAN), (4096, 8192), (100, 9000), (777, 3000), (0, 0)] {
+                let bytes = synthetic.read(at, len as usize);
+                let table: Vec<u32> = bytes.chunks(CRC_CHUNK as usize).map(crc32c).collect();
+                let mut tables = vec![
+                    table.clone(),
+                    table[..table.len().saturating_sub(1)].to_vec(),
+                ];
+                for k in 0..table.len() {
+                    let mut bad = table.clone();
+                    bad[k] ^= 0x8000_0000;
+                    tables.push(bad);
+                }
+                for t in &tables {
+                    let want = stored.verify_chunks(at, len, t.iter().copied());
+                    assert_eq!(want, t == &table, "({at}, {len})");
+                    assert_eq!(synthetic.verify_chunks(at, len, t.iter().copied()), want);
+                }
+            }
+        }
     }
 
     #[test]

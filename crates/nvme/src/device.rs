@@ -259,6 +259,16 @@ impl NvmeDevice {
         self.backing.crc_of_range(offset, len)
     }
 
+    /// Whether stored range `[offset, offset+len)` holds the per-chunk
+    /// CRCs `expected` names (see [`Backing::verify_chunks`]) — no timing
+    /// charged (callers model CPU cost).
+    pub fn verify_chunks<I>(&mut self, offset: u64, len: u64, expected: I) -> bool
+    where
+        I: ExactSizeIterator<Item = u32>,
+    {
+        self.backing.verify_chunks(offset, len, expected)
+    }
+
     /// Seeds the backing store's chunk-CRC cache for a just-written range
     /// (writers that checksummed the payload anyway hand the CRCs down so
     /// the store's first verify never rescans).

@@ -144,6 +144,23 @@ impl Heap {
         Ok(self.store.crc_of_range(offset, len))
     }
 
+    /// Whether stored range `[offset, offset+len)` holds the per-chunk CRCs
+    /// `expected` names (see [`ros2_buf::ExtentStore::verify_chunks`]).
+    pub fn verify_chunks<I>(
+        &mut self,
+        offset: u64,
+        len: u64,
+        expected: I,
+    ) -> Result<bool, PmemError>
+    where
+        I: ExactSizeIterator<Item = u32>,
+    {
+        if offset + len > self.capacity {
+            return Err(PmemError::BadAddress);
+        }
+        Ok(self.store.verify_chunks(offset, len, expected))
+    }
+
     /// Seeds the chunk-CRC cache of the extent written at `offset` with
     /// CRCs the writer already computed (see
     /// [`ros2_buf::ExtentStore::seed_crcs`]).

@@ -157,6 +157,16 @@ impl ShardBdev<'_> {
         self.dev.crc_of_range(byte_offset, len)
     }
 
+    /// Whether stored bytes `[byte_offset, byte_offset+len)` hold the
+    /// per-chunk CRCs `expected` names — compared with the backing store's
+    /// cached chunk CRCs, no media timing.
+    pub fn verify_chunks<I>(&mut self, byte_offset: u64, len: u64, expected: I) -> bool
+    where
+        I: ExactSizeIterator<Item = u32>,
+    {
+        self.dev.verify_chunks(byte_offset, len, expected)
+    }
+
     /// Seeds the backing store's chunk-CRC cache for a just-written range.
     pub fn seed_crc_cache<I>(&mut self, byte_offset: u64, crcs: I)
     where
