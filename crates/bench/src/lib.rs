@@ -19,9 +19,11 @@
 //! | `fig_cache` | DPU read cache: A/B ratios and the carve sweep |
 //!
 //! The binaries print tables; the shapes they show are asserted by the
-//! tier-1 tests DESIGN.md §3 names. Sweep points are independent
-//! deterministic simulations; harnesses run them in parallel with rayon
-//! (each point builds its own world).
+//! tier-1 tests DESIGN.md §3 names. The six `fig_*` extension binaries
+//! only format cells that `ros2_fio::figures` defines, and their tests
+//! assert the same cells. Sweep points are independent deterministic
+//! simulations; `fig3`–`fig5` run theirs in parallel with rayon (each
+//! point builds its own world), the rest run serially.
 
 #![warn(missing_docs)]
 

@@ -97,16 +97,6 @@ impl DataPlaneStats {
         self.crc_combines += other.crc_combines;
         self.crc_cache_seeded += other.crc_cache_seeded;
     }
-
-    /// Fraction of transferred bytes that moved zero-copy (1.0 when idle).
-    pub fn zero_copy_rate(&self) -> f64 {
-        let total = self.bytes_copied + self.bytes_zero_copy;
-        if total == 0 {
-            1.0
-        } else {
-            self.bytes_zero_copy as f64 / total as f64
-        }
-    }
 }
 
 /// One written extent: the adopted buffer plus its lazily filled per-chunk

@@ -453,7 +453,8 @@ impl Ros2System {
     }
 
     /// One replica-scrub pass: cross-checks every object's replicas
-    /// against their recorded checksums (combine-only when clean),
+    /// against their recorded checksums (chunk by chunk against the media
+    /// stores' cached CRCs, scanning nothing when clean),
     /// repairs rotten replicas from a healthy copy over the rebuild
     /// fabric path, and raises a RAS-style `ScrubReport` control event
     /// with the pass's findings.

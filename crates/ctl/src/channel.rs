@@ -130,11 +130,6 @@ impl ControlChannel {
         }
     }
 
-    /// Whether `token`'s servicing endpoint is currently wedged.
-    pub fn is_stalled(&self, token: u64) -> bool {
-        self.stalled.contains(&token)
-    }
-
     /// Registers a tenant credential (provisioning).
     pub fn add_tenant(&mut self, tenant: impl Into<String>, digest: Bytes) {
         self.credentials.insert(tenant.into(), digest);

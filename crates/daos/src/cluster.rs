@@ -485,15 +485,6 @@ impl ServiceScheduler {
         }
     }
 
-    /// The lane pacing `service` (budget, admission counters).
-    pub fn lane(&self, service: BgService) -> &QosLane {
-        match service {
-            BgService::Rebuild => &self.rebuild,
-            BgService::Aggregation => &self.aggregation,
-            BgService::Scrub => &self.scrub,
-        }
-    }
-
     fn lane_mut(&mut self, service: BgService) -> &mut QosLane {
         match service {
             BgService::Rebuild => &mut self.rebuild,
@@ -530,7 +521,7 @@ pub struct ScrubStats {
     /// Checksum chunks compared (cache compares on the clean path).
     pub chunks_compared: u64,
     /// Stored bytes verified against cached chunk CRCs.
-    pub combine_bytes: u64,
+    pub verified_bytes: u64,
     /// Payload bytes actually rescanned (CRC-cache misses; ~0 when clean
     /// caches are warm).
     pub scanned_bytes: u64,
@@ -561,7 +552,7 @@ impl ScrubStats {
             objects_checked,
             replicas_checked,
             chunks_compared,
-            combine_bytes,
+            verified_bytes,
             scanned_bytes,
             mismatches_found,
             mismatches_repaired,
@@ -576,7 +567,7 @@ impl ScrubStats {
         self.objects_checked += objects_checked;
         self.replicas_checked += replicas_checked;
         self.chunks_compared += chunks_compared;
-        self.combine_bytes += combine_bytes;
+        self.verified_bytes += verified_bytes;
         self.scanned_bytes += scanned_bytes;
         self.mismatches_found += mismatches_found;
         self.mismatches_repaired += mismatches_repaired;
@@ -754,11 +745,6 @@ impl EngineCluster {
     /// t=0). Services default to unlimited — bit-identical to unpaced.
     pub fn set_service_budget(&mut self, service: BgService, limits: QosLimits) {
         self.services.set_budget(service, limits);
-    }
-
-    /// A background service's lane (budget and admission counters).
-    pub fn service_lane(&self, service: BgService) -> &QosLane {
-        self.services.lane(service)
     }
 
     /// Immutable engine access by slot.
@@ -1212,7 +1198,7 @@ impl EngineCluster {
                 t = self.services.scrub.admit(t, check.bytes);
                 self.sstats.replicas_checked += 1;
                 self.sstats.chunks_compared += check.chunks;
-                self.sstats.combine_bytes += check.bytes;
+                self.sstats.verified_bytes += check.bytes;
                 let fp = self.engines[s].object_fingerprint(oid);
                 checks.push((s, check, fp));
             }

@@ -101,11 +101,6 @@ impl DaosEngine {
         }
     }
 
-    /// Number of targets (== SSDs == shards).
-    pub fn target_count(&self) -> usize {
-        self.targets.len()
-    }
-
     /// Creates a container.
     pub fn cont_create(&mut self, label: impl Into<String>) -> Result<(), DaosError> {
         self.containers
@@ -450,11 +445,6 @@ impl DaosEngine {
     /// Direct bdev access (tests, corruption injection).
     pub fn bdevs_mut(&mut self) -> &mut BdevLayer {
         &mut self.bdevs
-    }
-
-    /// Direct target access (tests).
-    pub fn target_mut(&mut self, t: usize) -> &mut VosTarget {
-        &mut self.targets[t]
     }
 
     /// Test hook: corrupts the newest extent of `(oid, dkey, akey)` on its

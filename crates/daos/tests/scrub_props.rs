@@ -9,10 +9,10 @@
 //! 2. **Scrub converges** — one repairing pass leaves every replica set
 //!    byte-comparable (equal record-set fingerprints) and a second pass
 //!    finds zero mismatches.
-//! 3. **The clean path is combine-only** — a scrub pass over a healthy
+//! 3. **The clean path scans nothing** — a scrub pass over a healthy
 //!    cluster verifies every chunk without scanning a single payload
-//!    byte (recorded checksums are folded with `crc32c_combine` against
-//!    the media stores' cached chunk CRCs).
+//!    byte (each recorded chunk checksum is compared with the media
+//!    stores' cached chunk CRC).
 //! 4. **Replay is bit-identical** — the same history produces the same
 //!    repair counts, fingerprints, and completion instants run-to-run,
 //!    and a paced scrub lane changes only the timing, never the repairs.
@@ -149,7 +149,7 @@ fn histories() -> impl Strategy<Value = History> {
 }
 
 /// Deterministic per-dkey extent length: multiple chunks plus a ragged
-/// tail, so `crc32c_combine` folds partial-chunk recorded checksums.
+/// tail, so the verify compares a partial last chunk's recorded checksum.
 fn len_for(dkey: u64) -> usize {
     (8 << 10) + (dkey as usize) * (5 << 10) + 734
 }

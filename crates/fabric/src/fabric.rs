@@ -234,11 +234,6 @@ impl Fabric {
         &self.nodes[id.0 as usize]
     }
 
-    /// Mutable node access (registration, buffers, hints).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut FabricNode {
-        &mut self.nodes[id.0 as usize]
-    }
-
     /// Mutable access to a node's RDMA device.
     pub fn rdma_mut(&mut self, id: NodeId) -> &mut RdmaDevice {
         &mut self.nodes[id.0 as usize].rdma

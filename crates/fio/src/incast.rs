@@ -57,16 +57,14 @@ pub struct IncastFioWorld {
     storage_nodes: Vec<NodeId>,
     /// Pool replication factor (the other receiver-known half).
     rf: usize,
-    /// Per-client serialization gap of one push fan-out.
-    push_gap: SimDuration,
     faults: FaultCursor,
 }
 
 impl IncastFioWorld {
-    /// Default gap between consecutive per-client deliveries of one push
-    /// fan-out: the control plane serializes the frame onto each
-    /// subscriber connection.
-    pub const DEFAULT_PUSH_GAP: SimDuration = SimDuration::from_micros(1);
+    /// Gap between consecutive per-client deliveries of one push fan-out:
+    /// the control plane serializes the frame onto each subscriber
+    /// connection.
+    pub const PUSH_GAP: SimDuration = SimDuration::from_micros(1);
 
     /// Assembles the world a multi-client [`WorldSpec`] describes.
     pub(crate) fn build(spec: WorldSpec) -> Self {
@@ -111,7 +109,6 @@ impl IncastFioWorld {
             jobs_per_client: jobs,
             storage_nodes,
             rf: spec.replication_value(),
-            push_gap: Self::DEFAULT_PUSH_GAP,
             faults: FaultCursor::default(),
         }
     }
@@ -119,11 +116,6 @@ impl IncastFioWorld {
     /// Number of client nodes.
     pub fn client_count(&self) -> usize {
         self.clients.len()
-    }
-
-    /// FIO jobs per client (total jobs = `client_count × jobs_per_client`).
-    pub fn jobs_per_client(&self) -> usize {
-        self.jobs_per_client
     }
 
     /// Total FIO jobs across all clients.
@@ -178,11 +170,6 @@ impl IncastFioWorld {
         self.dfs.set_data_pipeline(on);
     }
 
-    /// Sets the per-client serialization gap of a push fan-out.
-    pub fn set_push_gap(&mut self, gap: SimDuration) {
-        self.push_gap = gap;
-    }
-
     /// Installs a chaos schedule (kills and bit-rot armed against the
     /// **total** client-op counter; black holes and stalls apply
     /// immediately).
@@ -192,7 +179,7 @@ impl IncastFioWorld {
 
     /// One RAS push fan-out: encodes the current map as a `MapPush` frame
     /// **once**, then schedules a delayed delivery to every client —
-    /// client `c` receives it at `at + c × push_gap` and applies it at
+    /// client `c` receives it at `at + c × PUSH_GAP` and applies it at
     /// its next map poll. This is the control plane's push analogue of N
     /// per-client `MapQuery` round-trips.
     pub fn push_map(&mut self, at: SimTime) {
@@ -212,7 +199,7 @@ impl IncastFioWorld {
                 ),
                 other => unreachable!("ras_push encodes MapPush, got {other:?}"),
             };
-            client.deliver_map(at + self.push_gap * c as u64, snap);
+            client.deliver_map(at + Self::PUSH_GAP * c as u64, snap);
         }
     }
 

@@ -6,7 +6,8 @@
 //! deterministic closed-loop driver with ramp-then-measure windows, and the
 //! three assembled systems under test — local io_uring (Fig. 3), remote
 //! SPDK NVMe-oF (Fig. 4), and end-to-end DFS with host- or DPU-resident
-//! clients (Fig. 5).
+//! clients (Fig. 5). [`figures`] defines the extension figures' cells
+//! once, for their printers and their tests.
 //!
 //! ## Example
 //!
@@ -27,6 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod driver;
+pub mod figures;
 pub mod incast;
 #[cfg(test)]
 mod ledger_tests;

@@ -1,10 +1,13 @@
-//! Tests for the three assembled benchmark worlds.
+//! Tests for the assembled benchmark worlds, and the tier-1 assertions
+//! over the `figures::scaleout`, `figures::qd` and `figures::cache` A/B
+//! cells that the `fig_scaleout`, `fig_qd` and `fig_cache` binaries print.
 
 use ros2_hw::{ClientPlacement, Transport};
 use ros2_nvme::DataMode;
 use ros2_sim::{SimDuration, SimTime};
 
 use crate::driver::{run_fio, FioOp, Workload};
+use crate::figures::{cache, host, offloaded, qd, scaleout};
 use crate::spec::{JobSpec, RwMode};
 use crate::worlds::{LocalFioWorld, SpdkFioWorld};
 use crate::worldspec::WorldSpec;
@@ -20,32 +23,15 @@ fn quick(s: JobSpec) -> JobSpec {
 /// 1e-3 tolerance.
 #[test]
 fn cluster_world_engages_multiple_engines_and_outruns_one() {
-    let run = |engines: usize| {
-        let mut w = WorldSpec::cluster(engines)
-            .jobs(16)
-            .region(8 << 20)
-            .mode(DataMode::Null)
-            .build_dfs();
-        let r = run_fio(
-            &mut w,
-            &quick(
-                JobSpec::new(RwMode::Read, 1 << 20, 16)
-                    .iodepth(4)
-                    .region(8 << 20),
-            ),
-        );
-        assert_eq!(r.io.errors.get(), 0, "{engines} engines: failed ops");
-        let engaged = (0..w.cluster.len())
-            .filter(|&s| w.cluster.engine(s).rpcs() > 0)
-            .count();
-        (r.gib_per_sec(), engaged)
-    };
-    let sweep = [1, 2, 4, 8].map(run);
-    let gib = sweep.map(|(g, _)| g);
+    let sweep = scaleout::ENGINES.map(scaleout::scale_cell);
+    for (engines, cell) in scaleout::ENGINES.iter().zip(&sweep) {
+        assert_eq!(cell.failed, 0, "{engines} engines: failed ops");
+    }
+    let gib = sweep.map(|c| c.gib_s);
     assert!(
-        sweep[2].1 >= 3,
+        sweep[2].engaged >= 3,
         "files must spread across engines ({}/4)",
-        sweep[2].1
+        sweep[2].engaged
     );
     assert!(
         gib[1] >= gib[0] * 1.8909,
@@ -69,38 +55,16 @@ fn cluster_world_engages_multiple_engines_and_outruns_one() {
 /// reads; the first file's leader dies after a healthy pass.
 #[test]
 fn cluster_world_rf2_kill_serves_degraded_then_rebuilds() {
-    let mut w = WorldSpec::cluster(4)
-        .replication(2)
-        .jobs(8)
-        .region(8 << 20)
-        .build_dfs();
-    let spec = JobSpec::new(RwMode::Read, 1 << 20, 8)
-        .iodepth(2)
-        .region(8 << 20)
-        .windows(SimDuration::from_millis(10), SimDuration::from_millis(40));
-    assert_eq!(run_fio(&mut w, &spec).io.errors.get(), 0);
-    let victim = w.cluster.route_update(&w.file(0).oid).leader().unwrap();
-    w.kill_engine(victim).unwrap();
-    w.reset_timing();
-    let degraded = run_fio(&mut w, &spec);
-    assert_eq!(degraded.io.errors.get(), 0, "degraded reads must not fail");
-    assert!(w.cluster.rebuild_stats().degraded_fetches > 0);
-    w.reset_timing();
-    w.rebuild(SimTime::ZERO).unwrap();
-    let moved = w.cluster.rebuild_stats();
+    let cell = scaleout::resilience_cell();
+    assert_eq!(cell.failed, 0, "healthy, degraded and post-rebuild reads");
+    let moved = cell.rebuild;
+    assert!(moved.degraded_fetches > 0);
     assert!(
         moved.objects_moved > 0 && moved.bytes_moved > 0,
         "{moved:?}"
     );
-    w.reset_timing();
-    let recovered = run_fio(&mut w, &spec);
-    assert_eq!(
-        recovered.io.errors.get(),
-        0,
-        "post-rebuild reads must not fail"
-    );
     // Floors: the retired `BENCH_PR5` values, less its 1e-3 tolerance.
-    let (degraded, recovered) = (degraded.gib_per_sec(), recovered.gib_per_sec());
+    let (degraded, recovered) = (cell.degraded_gib_s, cell.post_rebuild_gib_s);
     assert!(
         degraded >= 9.5449 && recovered >= 9.5449,
         "degraded {degraded:.4}, post-rebuild {recovered:.4} GiB/s"
@@ -219,10 +183,7 @@ fn spdk_world_per_job_regions_do_not_overlap() {
 
 #[test]
 fn dfs_world_preconditions_real_extents() {
-    let mut w = WorldSpec::single(ClientPlacement::Host)
-        .jobs(2)
-        .region(8 << 20)
-        .build_dfs();
+    let mut w = host().jobs(2).region(8 << 20).build_dfs();
     assert_eq!(w.file(0).size, 8 << 20);
     assert_eq!(w.file(1).size, 8 << 20);
     // Measured random reads hit real (non-hole) extents: the engine's VOS
@@ -249,10 +210,7 @@ fn dfs_world_clock_reset_measures_from_zero() {
     // Preconditioning consumed seconds of virtual time; the first measured
     // op must still see an idle system (latency ~ the clean-path RTT, far
     // below a queued-behind-preconditioning value).
-    let mut w = WorldSpec::single(ClientPlacement::Host)
-        .region(32 << 20)
-        .mode(DataMode::Null)
-        .build_dfs();
+    let mut w = host().region(32 << 20).mode(DataMode::Null).build_dfs();
     let done = w
         .issue(
             SimTime::ZERO,
@@ -273,7 +231,7 @@ fn dfs_world_clock_reset_measures_from_zero() {
 #[test]
 fn dfs_world_runs_all_four_patterns() {
     for rw in RwMode::ALL {
-        let mut w = WorldSpec::single(ClientPlacement::Host)
+        let mut w = host()
             .transport(Transport::Tcp)
             .jobs(2)
             .region(32 << 20)
@@ -343,7 +301,7 @@ fn host_placement_results_are_pinned() {
         ),
     ];
     for (t, rw, bs, ops, gib_bits, bookings, hits, zc, copied) in pinned {
-        let mut w = WorldSpec::single(ClientPlacement::Host)
+        let mut w = host()
             .transport(t)
             .jobs(2)
             .region(8 << 20)
@@ -378,12 +336,10 @@ fn host_placement_results_are_pinned() {
 
 #[test]
 fn offloaded_world_runs_the_full_dpu_pipeline() {
-    use ros2_dpu::DpuTenantSpec;
-    let mut w = WorldSpec::single(ClientPlacement::Dpu)
+    let mut w = offloaded()
         .jobs(2)
         .region(8 << 20)
         .mode(DataMode::Null)
-        .offload(vec![DpuTenantSpec::unlimited("fio")])
         .build_dfs();
     let ops_before = w.client.ops(); // preconditioning ops (counter is cumulative)
     let r = run_fio(
@@ -414,16 +370,11 @@ fn offloaded_world_runs_the_full_dpu_pipeline() {
 
 #[test]
 fn dpu_cache_warms_repeat_reads_and_returns_its_carve() {
-    use ros2_dpu::DpuTenantSpec;
     // Same offloaded world twice — cache off vs a 256 MiB carve — on a
     // small-block randread that re-reads a 2 MiB region: the warm cell
     // must show real hits and must not run slower.
     let run = |cache: Option<u64>| {
-        let mut spec = WorldSpec::single(ClientPlacement::Dpu)
-            .jobs(2)
-            .region(2 << 20)
-            .mode(DataMode::Null)
-            .offload(vec![DpuTenantSpec::unlimited("fio")]);
+        let mut spec = offloaded().jobs(2).region(2 << 20).mode(DataMode::Null);
         if let Some(bytes) = cache {
             spec = spec.dpu_cache(bytes);
         }
@@ -551,13 +502,11 @@ impl Workload for MixedCell {
 
 #[test]
 fn mixed_cell_holds_its_cache_under_writers() {
-    use ros2_dpu::DpuTenantSpec;
     let run = || {
-        let mut w = WorldSpec::single(ClientPlacement::Dpu)
+        let mut w = offloaded()
             .jobs(4)
             .region(MixedCell::REGION)
             .mode(DataMode::Stored)
-            .offload(vec![DpuTenantSpec::unlimited("fio")])
             .dpu_cache(16 << 20)
             .build_dfs();
         w.set_pipelined(true);
@@ -697,18 +646,16 @@ fn offloaded_qos_shapes_contended_tenants() {
 
 #[test]
 fn offloaded_tcp_fallback_pays_the_dpu_rx_penalty() {
-    use ros2_dpu::DpuTenantSpec;
     // Same offloaded stack on both transports, streaming *reads*: fetched
     // payloads land on the DPU, so the TCP fallback pays the BlueField
     // receive path (inline copies at ARM per-byte rates, the paper's "good
     // TX, weak RX") where RDMA pushes into registered DPU DRAM for free.
     let run = |transport| {
-        let mut w = WorldSpec::single(ClientPlacement::Dpu)
+        let mut w = offloaded()
             .transport(transport)
             .jobs(2)
             .region(8 << 20)
             .mode(DataMode::Null)
-            .offload(vec![DpuTenantSpec::unlimited("fio")])
             .build_dfs();
         run_fio(
             &mut w,
@@ -728,11 +675,6 @@ fn offloaded_tcp_fallback_pays_the_dpu_rx_penalty() {
     );
 }
 
-/// The single offloaded client with one unlimited tenant.
-fn offloaded() -> WorldSpec {
-    WorldSpec::single(ClientPlacement::Dpu).offload(vec![ros2_dpu::DpuTenantSpec::unlimited("fio")])
-}
-
 /// Host vs offloaded over RDMA, serial calls, 2 jobs × QD 4: at 1 MiB the
 /// offload tracks the host (the retired `BENCH_PR4` gate held the mean
 /// read/write ratio at 0.9565); at 4 KiB it trails by the ARM path and the
@@ -741,7 +683,7 @@ fn offloaded() -> WorldSpec {
 fn offloaded_rdma_tracks_the_host_at_1m_and_trails_it_at_4k() {
     let ratio = |rw: RwMode, bs: u64| {
         let spec = quick(JobSpec::new(rw, bs, 2).iodepth(4).region(8 << 20));
-        let [h, d] = [WorldSpec::single(ClientPlacement::Host), offloaded()].map(|s| {
+        let [h, d] = [host(), offloaded()].map(|s| {
             let mut w = s.jobs(2).region(8 << 20).mode(DataMode::Null).build_dfs();
             run_fio(&mut w, &spec).gib_per_sec()
         });
@@ -756,25 +698,6 @@ fn offloaded_rdma_tracks_the_host_at_1m_and_trails_it_at_4k() {
     );
 }
 
-/// One job of random reads over a 16 MiB region, 50 ms ramp and 150 ms
-/// measured — the `fig_qd` and `fig_cache` cells: (GiB/s, cache counters).
-fn one_job_randread(
-    world: WorldSpec,
-    bs: u64,
-    qd: usize,
-    pipelined: bool,
-) -> (f64, ros2_dpu::DpuCacheStats) {
-    let mut w = world.region(16 << 20).mode(DataMode::Null).build_dfs();
-    w.set_pipelined(pipelined);
-    let spec = JobSpec::new(RwMode::RandRead, bs, 1)
-        .iodepth(qd)
-        .region(16 << 20)
-        .windows(SimDuration::from_millis(50), SimDuration::from_millis(150));
-    let r = run_fio(&mut w, &spec);
-    assert_eq!(r.io.errors.get(), 0, "bs={bs} qd={qd}");
-    (r.gib_per_sec(), w.client.cache_stats())
-}
-
 /// The `fig_qd` sweep, ring on, QD 1…32, host vs offloaded. The host's
 /// 4 KiB throughput scales with QD until its one core saturates; the
 /// offloaded arm, latency-bound with submission spread over the lane's
@@ -782,12 +705,14 @@ fn one_job_randread(
 /// the retired `BENCH_PR6` values less its 1e-3 tolerance.
 #[test]
 fn queue_depth_sweep_scales_the_host_and_favours_the_offload() {
-    const DEPTHS: [usize; 6] = [1, 2, 4, 8, 16, 32];
     let cell = |bs: u64, qd: usize| {
-        [WorldSpec::single(ClientPlacement::Host), offloaded()]
-            .map(|s| one_job_randread(s, bs, qd, true).0)
+        let c = qd::cell(bs, qd, true);
+        for arm in [&c.host, &c.dpu] {
+            assert_eq!(arm.failed, 0, "bs={bs} qd={qd}");
+        }
+        [c.host.gib_s, c.dpu.gib_s]
     };
-    let small = DEPTHS.map(|qd| cell(4096, qd));
+    let small = qd::DEPTHS.map(|qd| cell(4096, qd));
     let host = small.map(|[h, _]| h);
     for w in host[..4].windows(2) {
         assert!(
@@ -800,7 +725,7 @@ fn queue_depth_sweep_scales_the_host_and_favours_the_offload() {
     assert!(ratio(0) > 0.80, "QD 1 offload/host {:.4}", ratio(0));
     assert!(ratio(3) >= 1.0833, "QD 8 offload/host {:.4}", ratio(3));
     assert!(ratio(5) >= 2.1345, "QD 32 offload/host {:.4}", ratio(5));
-    for qd in DEPTHS {
+    for qd in qd::DEPTHS {
         let [h, d] = cell(1 << 20, qd);
         assert!(
             d / h > 0.85,
@@ -816,27 +741,28 @@ fn queue_depth_sweep_scales_the_host_and_favours_the_offload() {
 /// gate's floors (both far above the 0.90× acceptance floor).
 #[test]
 fn dpu_cache_closes_the_small_read_gap_serial_and_at_qd32() {
-    // (qd, pipelined, cold ratio pin, warm ratio floor, warm hit-rate floor)
-    for (qd, pipelined, cold_pin, warm_floor, hit_floor) in [
-        (1, false, 0.8528, 1.1098, 0.10),
-        (32, true, 2.1355, 96.6617, 0.90),
-    ] {
-        let run = |world| one_job_randread(world, 4096, qd, pipelined);
-        let (host, _) = run(WorldSpec::single(ClientPlacement::Host));
-        let (cold, cold_stats) = run(offloaded());
-        let (warm, warm_stats) = run(offloaded().dpu_cache(64 << 20));
+    // (cold ratio pin, warm ratio floor, warm hit-rate floor) per A/B
+    // point: serial, then QD 32 on the ring.
+    let pins = [(0.8528, 1.1098, 0.10), (2.1355, 96.6617, 0.90)];
+    for ((qd, pipelined), (cold_pin, warm_floor, hit_floor)) in
+        cache::AB_POINTS.into_iter().zip(pins)
+    {
+        let ab = cache::ab_cell(qd, pipelined);
+        for arm in [&ab.host, &ab.cold, &ab.warm] {
+            assert_eq!(arm.failed, 0, "qd {qd}");
+        }
         assert_eq!(
-            cold_stats,
+            ab.cold.cache,
             Default::default(),
             "qd {qd}: cache off books nothing"
         );
-        let (cold, warm) = (cold / host, warm / host);
+        let (cold, warm) = (ab.cold.gib_s / ab.host.gib_s, ab.warm.gib_s / ab.host.gib_s);
         assert!(
             (cold - cold_pin).abs() <= 1e-3,
             "qd {qd}: cold ratio {cold:.4}"
         );
         assert!(warm >= warm_floor, "qd {qd}: warm ratio {warm:.4}");
-        let hit = warm_stats.hit_rate();
+        let hit = ab.warm.cache.hit_rate();
         assert!(hit > hit_floor, "qd {qd}: warm hit rate {hit:.3}");
     }
 }
@@ -844,12 +770,10 @@ fn dpu_cache_closes_the_small_read_gap_serial_and_at_qd32() {
 /// The claimed operating point: an offloaded client, 4 jobs × QD 16,
 /// 4 KiB random writes through the op ring.
 fn offloaded_small_write_cell() -> (crate::DfsFioWorld, crate::FioReport) {
-    use ros2_dpu::DpuTenantSpec;
-    let mut w = WorldSpec::single(ClientPlacement::Dpu)
+    let mut w = offloaded()
         .jobs(4)
         .region(16 << 20)
         .mode(DataMode::Null)
-        .offload(vec![DpuTenantSpec::unlimited("fio")])
         .build_dfs();
     w.set_pipelined(true);
     let spec = JobSpec::new(RwMode::RandWrite, 4 << 10, 4)
@@ -879,13 +803,13 @@ fn offloaded_small_writes_are_bound_by_the_engine_xstreams() {
 
     // The host arm at equal jobs/QD keeps one core per job (the submitting
     // thread is the application thread), so it must not come out ahead.
-    let mut host = WorldSpec::single(ClientPlacement::Host)
+    let mut hw = host()
         .jobs(4)
         .region(16 << 20)
         .mode(DataMode::Null)
         .build_dfs();
-    host.set_pipelined(true);
-    let h = run_fio(&mut host, &dpu.spec);
+    hw.set_pipelined(true);
+    let h = run_fio(&mut hw, &dpu.spec);
     assert!(
         dpu.iops() >= h.iops(),
         "offloaded {:.0} IOPS trails the host arm's {:.0}",

@@ -1,29 +1,23 @@
 //! System tests for the multi-client incast world (PR 9): fairness on
 //! the shared storage ports, bounded engine-side connection state under
 //! pool pressure, and the RAS push fan-out surviving an engine kill with
-//! zero failed ops.
+//! zero failed ops — including the `ros2_fio::figures::incast` cells that
+//! `fig_incast` prints and the `figures::cache` carve sweep of
+//! `fig_cache`.
 
 use ros2_core::{FaultPlan, ScheduledCorruption};
+use ros2_fio::figures::{cache, incast};
 use ros2_fio::{run_fio, Clients, FioReport, JobSpec, RwMode, WorldSpec};
-use ros2_nvme::DataMode;
 use ros2_sim::{SimDuration, SimTime};
 
 const REGION: u64 = 4 << 20;
 
 fn incast_spec(total_jobs: usize) -> JobSpec {
-    JobSpec::new(RwMode::RandRead, 1 << 20, total_jobs)
-        .iodepth(2)
-        .region(REGION)
-        .windows(SimDuration::from_millis(2), SimDuration::from_millis(20))
-        .seed(9)
+    incast::read_spec(total_jobs, REGION)
 }
 
 fn write_spec(total_jobs: usize) -> JobSpec {
-    JobSpec::new(RwMode::RandWrite, 1 << 20, total_jobs)
-        .iodepth(2)
-        .region(REGION)
-        .windows(SimDuration::from_millis(2), SimDuration::from_millis(20))
-        .seed(13)
+    incast::write_spec(total_jobs, REGION)
 }
 
 #[test]
@@ -117,35 +111,46 @@ fn pool_sized_to_the_client_count_converges_to_hits() {
     );
 }
 
+/// An engine kill under incast, its new map pushed to every client: 8
+/// clients here, and the `fig_incast` kill cell (64 clients, the kill 140
+/// ops in, the push 5 ms late), pinned at the values the retired incast
+/// JSON gate held.
 #[test]
 fn engine_kill_with_ras_push_loses_no_ops() {
-    let mut w = WorldSpec::cluster(4)
+    let w = WorldSpec::cluster(4)
         .clients(Clients::host(8))
         .replication(2)
         .jobs(1)
         .region(REGION)
         .build_incast();
-    // Only the pipelined path carries the stale-map retry ladder.
-    w.set_pipelined(true);
-    let after = w.total_ops() + 48;
-    w.set_fault_plan(FaultPlan::kill_after(1, after, SimDuration::from_millis(1)));
-
     let spec = write_spec(w.total_jobs());
-    let report = run_fio(&mut w, &spec);
+    let eight = incast::run_kill(w, &spec, 48, SimDuration::from_millis(1));
+    let figure = incast::kill_cell();
+    for (tag, cell) in [("8 clients", &eight), ("fig_incast", &figure)] {
+        assert_eq!(
+            cell.failed, 0,
+            "{tag}: a kill under incast must complete with zero failed ops"
+        );
+        let retry = cell.retry;
+        assert!(
+            retry.retries >= 1,
+            "{tag}: the delayed push must drive the ladder: {retry:?}"
+        );
+        assert_eq!(retry.exhausted, 0, "{tag}: no op may exhaust its budget");
+        assert!(
+            cell.fences >= 1,
+            "{tag}: clients racing the pushed revision must fence at least once"
+        );
+    }
     assert_eq!(
-        report.io.errors.get(),
-        0,
-        "a kill under incast must complete with zero failed ops"
-    );
-    let retry = w.retry_stats();
-    assert!(
-        retry.retries >= 1,
-        "the delayed push must drive the ladder: {retry:?}"
-    );
-    assert_eq!(retry.exhausted, 0, "no op may exhaust its budget");
-    assert!(
-        w.cluster.fences() >= 1,
-        "clients racing the pushed revision must fence at least once"
+        (
+            figure.failed,
+            figure.fences,
+            figure.retry.retries,
+            figure.retry.exhausted
+        ),
+        (0, 14, 14, 0),
+        "{figure:?}"
     );
 }
 
@@ -263,51 +268,39 @@ fn offloaded_incast_clients_warm_their_own_caches() {
 /// retired `BENCH_PR9` gate held, less its 1e-3 tolerance.
 #[test]
 fn incast_sweep_saturates_the_ports_fairly_within_the_pool() {
-    const POOL: usize = 64;
-    let gib =
-        [(1, 1.1709), (16, 17.4795), (64, 23.0459), (256, 23.0459)].map(|(clients, floor)| {
-            let mut w = WorldSpec::cluster(4)
-                .clients(Clients::host(clients))
-                .replication(2)
-                .region(2 << 20)
-                .mode(DataMode::Null)
-                .pool_capacity(POOL)
-                .build_incast();
-            let spec = JobSpec::new(RwMode::RandRead, 1 << 20, w.total_jobs())
-                .iodepth(2)
-                .region(2 << 20)
-                .windows(SimDuration::from_millis(2), SimDuration::from_millis(20))
-                .seed(9);
-            let report = run_fio(&mut w, &spec);
-            assert_eq!(report.io.errors.get(), 0, "{clients} clients");
-            let ops = w.per_client_ops();
-            let (min, max) = (*ops.iter().min().unwrap(), *ops.iter().max().unwrap());
-            assert!(
-                max <= 2 * min,
-                "{clients} clients share the ports fairly: {ops:?}"
+    const POOL: usize = incast::POOL_CAPACITY;
+    let floors = [1.1709, 17.4795, 23.0459, 23.0459];
+    let mut gib = [0.0; 4];
+    for (i, (clients, floor)) in incast::CLIENT_COUNTS.into_iter().zip(floors).enumerate() {
+        let cell = incast::sweep_cell(clients);
+        assert_eq!(cell.failed, 0, "{clients} clients");
+        let ops = &cell.per_client_ops;
+        let (min, max) = (*ops.iter().min().unwrap(), *ops.iter().max().unwrap());
+        assert!(
+            max <= 2 * min,
+            "{clients} clients share the ports fairly: {ops:?}"
+        );
+        let pool = cell.pool;
+        assert!(
+            pool.resident_peak <= POOL as u64,
+            "{clients} clients: {pool:?}"
+        );
+        if clients <= POOL {
+            assert_eq!(
+                (pool.misses, pool.evictions),
+                (clients as u64, 0),
+                "{pool:?}"
             );
-            let pool = w.cluster.conn_pool_stats();
+            assert!(pool.hit_rate() > 0.85, "{clients} clients: {pool:?}");
+        } else {
             assert!(
-                pool.resident_peak <= POOL as u64,
-                "{clients} clients: {pool:?}"
+                pool.evictions > 0,
+                "{clients} clients oversubscribe the pool"
             );
-            if clients <= POOL {
-                assert_eq!(
-                    (pool.misses, pool.evictions),
-                    (clients as u64, 0),
-                    "{pool:?}"
-                );
-                assert!(pool.hit_rate() > 0.85, "{clients} clients: {pool:?}");
-            } else {
-                assert!(
-                    pool.evictions > 0,
-                    "{clients} clients oversubscribe the pool"
-                );
-            }
-            let gib_s = report.gib_per_sec();
-            assert!(gib_s >= floor, "{clients} clients: {gib_s:.4} GiB/s");
-            gib_s
-        });
+        }
+        gib[i] = cell.gib_s;
+        assert!(gib[i] >= floor, "{clients} clients: {:.4} GiB/s", gib[i]);
+    }
     assert!(gib[1] > gib[0] * 1.5, "16 clients outrun 1: {gib:?}");
     let peak = gib.iter().cloned().fold(0.0, f64::max);
     assert!(
@@ -322,29 +315,11 @@ fn incast_sweep_saturates_the_ports_fairly_within_the_pool() {
 /// the working set and must evict; the hit rate grows with the carve.
 #[test]
 fn offloaded_incast_hit_rate_grows_with_the_carve() {
-    for clients in [1, 2, 4] {
-        let [off, small, large] = [0u64, 1 << 20, 16 << 20].map(|carve| {
-            let mut spec = WorldSpec::cluster(4)
-                .replication(2)
-                .clients(Clients::offloaded(clients))
-                .region(8 << 20)
-                .mode(DataMode::Null);
-            if carve > 0 {
-                spec = spec.dpu_cache(carve);
-            }
-            let mut w = spec.build_incast();
-            let job = JobSpec::new(RwMode::RandRead, 16 << 10, w.total_jobs())
-                .iodepth(2)
-                .region(8 << 20)
-                .windows(SimDuration::from_millis(5), SimDuration::from_millis(25))
-                .seed(9);
-            let report = run_fio(&mut w, &job);
-            assert_eq!(
-                report.io.errors.get(),
-                0,
-                "{clients} clients, carve {carve}"
-            );
-            w.cache_stats()
+    for clients in cache::SWEEP_CLIENTS {
+        let [off, small, large] = cache::SWEEP_CARVES.map(|carve| {
+            let cell = cache::sweep_cell(clients, carve);
+            assert_eq!(cell.failed, 0, "{clients} clients, carve {carve}");
+            cell.cache
         });
         assert_eq!(
             off,

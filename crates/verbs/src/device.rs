@@ -206,11 +206,6 @@ impl RdmaDevice {
         self.memory.free(addr)
     }
 
-    /// Bytes of registered memory in use.
-    pub fn memory_used(&self) -> u64 {
-        self.memory.used()
-    }
-
     /// Data-plane (copy vs zero-copy) counters for this node's registered
     /// memory.
     pub fn data_plane_stats(&self) -> ros2_buf::DataPlaneStats {

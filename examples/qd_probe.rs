@@ -1,41 +1,21 @@
 //! Dev probe: QD scaling of the client with the op ring off (serial) and
-//! on (pipelined), host + DPU arms.
-use ros2_dpu::DpuTenantSpec;
-use ros2_fio::{run_fio, JobSpec, RwMode, WorldSpec};
-use ros2_hw::ClientPlacement;
-use ros2_nvme::DataMode;
-use ros2_sim::SimDuration;
+//! on (pipelined), host + DPU arms — the `ros2_fio::figures::qd` cell.
+use ros2_fio::figures::qd::{cell, BLOCKS, DEPTHS};
 
 fn main() {
-    let region: u64 = 16 << 20;
     for pipelined in [false, true] {
         println!("--- pipelined = {pipelined} ---");
-        for bs in [4096u64, 1 << 20] {
-            for qd in [1usize, 2, 4, 8, 16, 32] {
-                let spec = JobSpec::new(RwMode::RandRead, bs, 1)
-                    .iodepth(qd)
-                    .region(region)
-                    .windows(SimDuration::from_millis(50), SimDuration::from_millis(150));
-                let mut host = WorldSpec::single(ClientPlacement::Host)
-                    .region(region)
-                    .mode(DataMode::Null)
-                    .build_dfs();
-                host.set_pipelined(pipelined);
-                let h = run_fio(&mut host, &spec);
-                let mut dpu = WorldSpec::single(ClientPlacement::Dpu)
-                    .region(region)
-                    .mode(DataMode::Null)
-                    .offload(vec![DpuTenantSpec::unlimited("fio")])
-                    .build_dfs();
-                dpu.set_pipelined(pipelined);
-                let d = run_fio(&mut dpu, &spec);
+        for bs in BLOCKS {
+            for qd in DEPTHS {
+                let c = cell(bs, qd, pipelined);
+                let (h, d) = (c.host.gib_s, c.dpu.gib_s);
                 println!(
                     "bs={:>7} qd={:>2}  host {:>8.1} MiB/s  dpu {:>8.1} MiB/s  ratio {:.3}",
                     bs,
                     qd,
-                    h.gib_per_sec() * 1024.0,
-                    d.gib_per_sec() * 1024.0,
-                    d.gib_per_sec() / h.gib_per_sec().max(1e-12)
+                    h * 1024.0,
+                    d * 1024.0,
+                    d / h.max(1e-12)
                 );
             }
         }

@@ -3,11 +3,23 @@
 //! every failure must surface as a typed error, never as silent corruption.
 
 use bytes::Bytes;
-use ros2::core::{Ros2Config, Ros2System};
+use ros2::core::{ClusterConfig, Ros2Config, Ros2System};
 use ros2::daos::{AKey, DKey, DaosError};
 use ros2::dfs::DfsError;
 use ros2::dpu::DpuError;
 use ros2::sim::SimTime;
+
+/// The default deployment on 4 engines, RF 2.
+fn four_engines_rf2() -> Ros2System {
+    Ros2System::launch(Ros2Config {
+        cluster: ClusterConfig {
+            engines: 4,
+            replication_factor: 2,
+        },
+        ..Ros2Config::default()
+    })
+    .unwrap()
+}
 
 #[test]
 fn media_corruption_is_detected_end_to_end() {
@@ -171,15 +183,7 @@ fn namespace_errors_are_typed() {
 /// the kill.
 #[test]
 fn engine_kill_mid_workload_degrades_then_rebuilds() {
-    use ros2::core::ClusterConfig;
-    let mut sys = Ros2System::launch(Ros2Config {
-        cluster: ClusterConfig {
-            engines: 4,
-            replication_factor: 2,
-        },
-        ..Ros2Config::default()
-    })
-    .unwrap();
+    let mut sys = four_engines_rf2();
 
     let content = |i: usize| Bytes::from(vec![(i * 37 % 251) as u8 + 1; 2 << 20]);
     let mut files = Vec::new();
@@ -255,6 +259,38 @@ fn engine_kill_mid_workload_degrades_then_rebuilds() {
     assert_eq!(back, content(0), "second kill still readable");
 }
 
+/// An explicit `MapQuery` installs the new map at once. The plan holds a
+/// kill's RAS delivery back a whole second: a multi-chunk read of the dead
+/// leader's file then routes by the stale map, fences and retries — unless
+/// `map_query` fetched the new revision first, when no retry is taken.
+#[test]
+fn map_query_installs_the_map_the_ras_delivery_holds_back() {
+    use ros2::core::FaultPlan;
+    use ros2::daos::RetryStats;
+    use ros2::sim::SimDuration;
+    let read_after_kill = |query: bool| {
+        let mut sys = four_engines_rf2();
+        let content = Bytes::from(vec![0x5a; 2 << 20]);
+        let mut f = sys.create("/mapped").unwrap().value;
+        sys.write(&mut f, 0, content.clone()).unwrap();
+        sys.set_fault_plan(FaultPlan {
+            ras_delay: SimDuration::from_secs(1),
+            ..FaultPlan::none()
+        });
+        let leader = sys.cluster.route_update(&f.oid).leader();
+        sys.kill_engine(leader.expect("healthy leader")).unwrap();
+        if query {
+            sys.map_query().unwrap();
+        }
+        let back = sys.read(&f, 0, 2 << 20).expect("read after the kill").value;
+        assert_eq!(back, content, "query {query}");
+        sys.client.retry_stats()
+    };
+    assert_eq!(read_after_kill(true), RetryStats::default());
+    let stale = read_after_kill(false);
+    assert!(stale.retries >= 1, "{stale:?}");
+}
+
 #[test]
 fn dpu_dram_exhaustion_fails_launch_cleanly() {
     // 16 jobs x 4 GiB of staging > 30 GiB of BlueField-3 DRAM.
@@ -271,15 +307,8 @@ fn dpu_dram_exhaustion_fails_launch_cleanly() {
 
 #[test]
 fn scheduled_bitrot_is_scrubbed_and_repaired() {
-    use ros2::core::{ClusterConfig, FaultPlan, ScheduledCorruption};
-    let mut sys = Ros2System::launch(Ros2Config {
-        cluster: ClusterConfig {
-            engines: 4,
-            replication_factor: 2,
-        },
-        ..Ros2Config::default()
-    })
-    .unwrap();
+    use ros2::core::{FaultPlan, ScheduledCorruption};
+    let mut sys = four_engines_rf2();
 
     let content = |i: usize| Bytes::from(vec![(i * 53 % 241) as u8 + 1; 2 << 20]);
     let mut files = Vec::new();
@@ -333,9 +362,12 @@ fn scheduled_bitrot_is_scrubbed_and_repaired() {
     let clean = sys.scrub().unwrap().value;
     assert_eq!(clean.mismatches_found, 0, "{clean:?}");
     let m = sys.metrics().scrub;
-    assert_eq!(m.scanned_bytes, scanned, "clean pass must be combine-only");
+    assert_eq!(
+        m.scanned_bytes, scanned,
+        "a clean pass compares cached chunk CRCs and scans nothing"
+    );
     assert_eq!(m.scrub_passes, 2);
-    assert!(m.chunks_compared > 0 && m.combine_bytes > 0);
+    assert!(m.chunks_compared > 0 && m.verified_bytes > 0);
 
     // No acked write was lost to the rot.
     for (i, f) in files.iter().enumerate() {
