@@ -8,8 +8,8 @@
 //!    behind it ([`crate::fabric_and_cluster`]);
 //! 2. the DPU agent with the tenant's control-plane identity and the
 //!    selected inline service;
-//! 3. the gRPC control handshake — Hello, PoolConnect, ContOpen, DfsMount,
-//!    GetCapability — over the control channel (no payload bytes here);
+//! 3. the gRPC control handshake — Hello, PoolConnect, ContOpen, DfsMount
+//!    — over the control channel (no payload bytes here);
 //! 4. the client stack on the chosen placement ([`crate::connect_client`]):
 //!    under host placement an in-process client behind the NIC's agent and
 //!    tenant manager, which the system keeps; under DPU placement the
@@ -263,10 +263,9 @@ impl Ros2System {
         }
 
         // Data plane: the placement fork. Host keeps the agent and polices
-        // the tenant at the NIC in front of the in-process client (whose
-        // staging MRs are what GetCapability conveys); Dpu hands the agent
-        // to the offloaded client, which enforces QoS admission and scoped
-        // rkeys on every byte.
+        // the tenant at the NIC in front of the in-process client; Dpu
+        // hands the agent to the offloaded client, which enforces QoS
+        // admission and scoped rkeys on every byte.
         let tenant = DpuTenantSpec {
             name: config.tenant.clone(),
             qos: config.qos,

@@ -194,8 +194,8 @@ impl ControlChannel {
 
     /// Processes the session-layer part of a call. `session` is `None` for
     /// the initial Hello. Returns the (possibly new) session token, or a
-    /// session-layer error. Application-layer requests (namespace, caps)
-    /// are passed through for the caller to service.
+    /// session-layer error. Application-layer requests (pool, container,
+    /// mount) are passed through for the caller to service.
     pub fn admit(
         &mut self,
         session: Option<u64>,

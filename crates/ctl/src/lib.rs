@@ -4,9 +4,9 @@
 //! capability exchange) from a high-throughput data plane" (abstract).
 //! This crate is the control side: a compact binary wire format (the role
 //! protobuf plays under gRPC), the session/auth state machine, the message
-//! schema for mount/open/close, directory ops, memory-capability exchange
-//! and QoS tokens, and a gRPC-class timing model. No payload bytes ever
-//! travel here — bulk data belongs to `ros2-fabric`.
+//! schema for session setup, submission doorbells and pool-map and
+//! background-service events, and a gRPC-class timing model. No payload
+//! bytes ever travel here — bulk data belongs to `ros2-fabric`.
 
 #![warn(missing_docs)]
 
@@ -15,5 +15,5 @@ pub mod messages;
 pub mod wire;
 
 pub use channel::{ControlChannel, ControlError, ControlModel, Session};
-pub use messages::{ControlRequest, ControlResponse, IoPatch, MemoryCapability, QosToken};
+pub use messages::{ControlRequest, ControlResponse, IoPatch};
 pub use wire::{WireError, WireReader, WireWriter};

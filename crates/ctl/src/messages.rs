@@ -1,35 +1,13 @@
-//! The control-plane message schema: session setup, namespace operations,
-//! and capability exchange (§3.2: "mount/open/close, directory ops, and
-//! capability exchange (e.g., memory registration handles, QoS tokens)").
+//! The control-plane message schema: session setup (hello, pool connect,
+//! container open, DFS mount), the host→DPU submission doorbell, and the
+//! pool-map and background-service events. §3.2 also lists directory ops
+//! and capability exchange; here DFS directory ops are data-plane single
+//! values, and the DPU tenant manager scopes the rkeys a tenant may use,
+//! so no message carries either.
 
 use bytes::Bytes;
 
 use crate::wire::{WireError, WireReader, WireWriter};
-
-/// A capability describing a registered memory window a peer may target.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MemoryCapability {
-    /// Remote key value (transported verbatim; only the issuing NIC can
-    /// validate it).
-    pub rkey: u64,
-    /// Base address of the window.
-    pub addr: u64,
-    /// Window length in bytes.
-    pub len: u64,
-    /// Expiry in nanoseconds of simulation time (`u64::MAX` = never).
-    pub expires_ns: u64,
-}
-
-/// A QoS token granting a tenant a rate allocation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct QosToken {
-    /// Tenant label.
-    pub tenant: String,
-    /// Granted operations per second.
-    pub ops_per_sec: u64,
-    /// Granted bytes per second.
-    pub bytes_per_sec: u64,
-}
 
 /// What changes from one I/O of a file to the next: the part of a
 /// data-plane descriptor the host contributes per op. Everything else —
@@ -77,26 +55,6 @@ pub enum ControlRequest {
     },
     /// Mount the DFS namespace of an open container.
     DfsMount,
-    /// Namespace operation relayed to DFS (path-based; the data plane never
-    /// sees these).
-    DfsNamespace {
-        /// Encoded DFS namespace op (opaque to the control plane).
-        op: Bytes,
-    },
-    /// Ask the peer to register a window and return its capability.
-    GetCapability {
-        /// Required window size.
-        len: u64,
-        /// Requested validity in nanoseconds.
-        scope_ns: u64,
-    },
-    /// Request a QoS grant.
-    QosRequest {
-        /// Requested operations per second.
-        ops_per_sec: u64,
-        /// Requested bytes per second.
-        bytes_per_sec: u64,
-    },
     /// Tear down the session.
     Goodbye,
     /// Host→DPU data-plane submit: announce `ops` queued I/Os totalling
@@ -185,15 +143,6 @@ pub enum ControlResponse {
         /// Opaque handle value.
         handle: u64,
     },
-    /// Namespace operation result (opaque payload).
-    NamespaceResult {
-        /// Encoded result.
-        result: Bytes,
-    },
-    /// A memory capability.
-    Capability(MemoryCapability),
-    /// A QoS token.
-    Qos(QosToken),
     /// Failure with an error string.
     Error {
         /// Human-readable reason.
@@ -241,18 +190,8 @@ impl ControlRequest {
             ControlRequest::DfsMount => {
                 w.u8(3);
             }
-            ControlRequest::DfsNamespace { op } => {
-                w.u8(4).blob(op);
-            }
-            ControlRequest::GetCapability { len, scope_ns } => {
-                w.u8(5).u64(*len).u64(*scope_ns);
-            }
-            ControlRequest::QosRequest {
-                ops_per_sec,
-                bytes_per_sec,
-            } => {
-                w.u8(6).u64(*ops_per_sec).u64(*bytes_per_sec);
-            }
+            // Tags 4-6 were a namespace relay, a capability request and a
+            // QoS request that nothing sent; they are not reused.
             ControlRequest::Goodbye => {
                 w.u8(7);
             }
@@ -307,10 +246,7 @@ impl ControlRequest {
             ControlRequest::Hello { tenant, auth } => 4 + tenant.len() + 4 + auth.len(),
             ControlRequest::PoolConnect { pool } => 4 + pool.len(),
             ControlRequest::ContOpen { container } => 4 + container.len(),
-            ControlRequest::DfsNamespace { op } => 4 + op.len(),
-            ControlRequest::GetCapability { .. }
-            | ControlRequest::QosRequest { .. }
-            | ControlRequest::ScrubReport { .. } => 16,
+            ControlRequest::ScrubReport { .. } => 16,
             ControlRequest::IoSubmit { .. } | ControlRequest::RasEvent { .. } => 12,
             ControlRequest::DfsMount | ControlRequest::Goodbye | ControlRequest::MapQuery => 0,
             ControlRequest::AggregationReport { container, .. } => 4 + container.len() + 8,
@@ -345,15 +281,6 @@ impl ControlRequest {
                 container: r.string()?,
             },
             3 => ControlRequest::DfsMount,
-            4 => ControlRequest::DfsNamespace { op: r.blob()? },
-            5 => ControlRequest::GetCapability {
-                len: r.u64()?,
-                scope_ns: r.u64()?,
-            },
-            6 => ControlRequest::QosRequest {
-                ops_per_sec: r.u64()?,
-                bytes_per_sec: r.u64()?,
-            },
             7 => ControlRequest::Goodbye,
             8 => ControlRequest::IoSubmit {
                 ops: r.u32()?,
@@ -413,18 +340,8 @@ impl ControlResponse {
             ControlResponse::Handle { handle } => {
                 w.u8(2).u64(*handle);
             }
-            ControlResponse::NamespaceResult { result } => {
-                w.u8(3).blob(result);
-            }
-            ControlResponse::Capability(c) => {
-                w.u8(4).u64(c.rkey).u64(c.addr).u64(c.len).u64(c.expires_ns);
-            }
-            ControlResponse::Qos(q) => {
-                w.u8(5)
-                    .string(&q.tenant)
-                    .u64(q.ops_per_sec)
-                    .u64(q.bytes_per_sec);
-            }
+            // Tags 3-5 answered the retired requests 4-6; they are not
+            // reused.
             ControlResponse::Error { reason } => {
                 w.u8(6).string(reason);
             }
@@ -450,9 +367,6 @@ impl ControlResponse {
             ControlResponse::Welcome { .. }
             | ControlResponse::Handle { .. }
             | ControlResponse::IoDone { .. } => 8,
-            ControlResponse::NamespaceResult { result } => 4 + result.len(),
-            ControlResponse::Capability(_) => 32,
-            ControlResponse::Qos(q) => 4 + q.tenant.len() + 16,
             ControlResponse::Error { reason } => 4 + reason.len(),
             ControlResponse::MapUpdate { healths, .. } => 8 + 4 + healths.len() + 4,
         }
@@ -465,18 +379,6 @@ impl ControlResponse {
             0 => ControlResponse::Welcome { session: r.u64()? },
             1 => ControlResponse::Ok,
             2 => ControlResponse::Handle { handle: r.u64()? },
-            3 => ControlResponse::NamespaceResult { result: r.blob()? },
-            4 => ControlResponse::Capability(MemoryCapability {
-                rkey: r.u64()?,
-                addr: r.u64()?,
-                len: r.u64()?,
-                expires_ns: r.u64()?,
-            }),
-            5 => ControlResponse::Qos(QosToken {
-                tenant: r.string()?,
-                ops_per_sec: r.u64()?,
-                bytes_per_sec: r.u64()?,
-            }),
             6 => ControlResponse::Error {
                 reason: r.string()?,
             },
@@ -523,17 +425,6 @@ mod tests {
             container: "posix-cont".into(),
         });
         round_trip_req(ControlRequest::DfsMount);
-        round_trip_req(ControlRequest::DfsNamespace {
-            op: Bytes::from_static(b"\x01mkdir /data"),
-        });
-        round_trip_req(ControlRequest::GetCapability {
-            len: 1 << 20,
-            scope_ns: 5_000_000_000,
-        });
-        round_trip_req(ControlRequest::QosRequest {
-            ops_per_sec: 100_000,
-            bytes_per_sec: 1 << 30,
-        });
         round_trip_req(ControlRequest::Goodbye);
         round_trip_req(ControlRequest::IoSubmit {
             ops: 32,
@@ -579,20 +470,6 @@ mod tests {
         round_trip_resp(ControlResponse::Welcome { session: 99 });
         round_trip_resp(ControlResponse::Ok);
         round_trip_resp(ControlResponse::Handle { handle: 0xF00D });
-        round_trip_resp(ControlResponse::NamespaceResult {
-            result: Bytes::from_static(b"dirents"),
-        });
-        round_trip_resp(ControlResponse::Capability(MemoryCapability {
-            rkey: 0xA11CE,
-            addr: 4096,
-            len: 1 << 20,
-            expires_ns: u64::MAX,
-        }));
-        round_trip_resp(ControlResponse::Qos(QosToken {
-            tenant: "tenant-b".into(),
-            ops_per_sec: 50_000,
-            bytes_per_sec: 500 << 20,
-        }));
         round_trip_resp(ControlResponse::Error {
             reason: "no such pool".into(),
         });

@@ -52,7 +52,7 @@ use ros2_verbs::{NodeId, PdId};
 use crate::conn_pool::{ConnPool, ConnPoolStats};
 use crate::engine::DaosEngine;
 use crate::types::{AKey, DKey, DaosError, Epoch, ObjectId, RecordVersion};
-use crate::vos::{ScrubCheck, VosStats};
+use crate::vos::{RecordDump, ScrubCheck, VosStats};
 
 /// Largest supported replication factor (fits the inline
 /// [`ReplicaSet`]; the paper's deployments use 2–3).
@@ -1032,15 +1032,7 @@ impl EngineCluster {
         };
         self.stats.rebuilds += 1;
         let mut t_done = now;
-        let mut oids: Vec<ObjectId> = Vec::new();
-        for s in 0..self.engines.len() {
-            if self.is_up(s) {
-                oids.extend(self.engines[s].list_objects());
-            }
-        }
-        oids.sort();
-        oids.dedup();
-        for oid in oids {
+        for oid in self.up_objects() {
             let pre = self.map.replica_set_with(&oid, self.rf, Some(dead));
             if !pre.contains(dead) {
                 continue;
@@ -1057,24 +1049,12 @@ impl EngineCluster {
             // One export per oid regardless of backfill fan-out — the seed
             // re-read (and re-charged media time for) the source object
             // once per destination.
-            let (records, t_read) = self.engines[src].export_object(now, oid)?;
+            let export = self.engines[src].export_object(now, oid)?;
             for dst in dsts {
-                let conn = self.rebuild_conn(fabric, src, dst)?;
-                let mut t = t_read;
-                let mut bytes = 0u64;
-                for rec in &records {
-                    t = self.services.rebuild.admit(t, rec.data.len() as u64);
-                    if !rec.data.is_empty() {
-                        let d = fabric
-                            .send(t, conn, Dir::AtoB, rec.data.clone())
-                            .map_err(map_fabric)?;
-                        t = d.at;
-                    }
-                    bytes += rec.data.len() as u64;
-                }
-                let t_imported = self.engines[dst].import_records(t, oid, &records)?;
+                let (t_imported, bytes) =
+                    self.stream_records(fabric, BgService::Rebuild, (src, dst), oid, &export)?;
                 t_done = t_done.max(t_imported);
-                self.stats.records_moved += records.len() as u64;
+                self.stats.records_moved += export.0.len() as u64;
                 self.stats.bytes_moved += bytes;
             }
             self.stats.objects_moved += 1;
@@ -1088,6 +1068,48 @@ impl EngineCluster {
         self.map.note_rebuilt();
         self.push_map_to_engines();
         Ok(t_done)
+    }
+
+    /// The objects any up engine holds records for, sorted and
+    /// deduplicated: what rebuild and scrub walk.
+    fn up_objects(&self) -> Vec<ObjectId> {
+        let mut oids: Vec<ObjectId> = (0..self.engines.len())
+            .filter(|&s| self.is_up(s))
+            .flat_map(|s| self.engines[s].list_objects())
+            .collect();
+        oids.sort();
+        oids.dedup();
+        oids
+    }
+
+    /// The record stream rebuild and scrub repair share: one object's
+    /// export from engine `src`, each record admitted on `service`'s lane
+    /// and sent over the rebuild connection to `dst`, then imported through
+    /// `dst`'s update path at the original epochs. Returns the instant the
+    /// last import persisted and the payload bytes streamed.
+    fn stream_records(
+        &mut self,
+        fabric: &mut Fabric,
+        service: BgService,
+        (src, dst): (usize, usize),
+        oid: ObjectId,
+        (records, t_read): &(Vec<RecordDump>, SimTime),
+    ) -> Result<(SimTime, u64), DaosError> {
+        let conn = self.rebuild_conn(fabric, src, dst)?;
+        let mut t = *t_read;
+        let mut bytes = 0u64;
+        let lane = self.services.lane_mut(service);
+        for rec in records {
+            t = lane.admit(t, rec.data.len() as u64);
+            if !rec.data.is_empty() {
+                let d = fabric
+                    .send(t, conn, Dir::AtoB, rec.data.clone())
+                    .map_err(map_fabric)?;
+                t = d.at;
+            }
+            bytes += rec.data.len() as u64;
+        }
+        Ok((self.engines[dst].import_records(t, oid, records)?, bytes))
     }
 
     /// Whether a kill is awaiting rebuild.
@@ -1172,18 +1194,10 @@ impl EngineCluster {
         fabric: &mut Fabric,
         now: SimTime,
     ) -> Result<(ScrubOutcome, SimTime), DaosError> {
-        let mut oids: Vec<ObjectId> = Vec::new();
-        for s in 0..self.engines.len() {
-            if self.is_up(s) {
-                oids.extend(self.engines[s].list_objects());
-            }
-        }
-        oids.sort();
-        oids.dedup();
         let scanned_before = self.data_plane_stats().crc_bytes_scanned;
         let mut outcome = ScrubOutcome::default();
         let mut t_done = now;
-        for oid in oids {
+        for oid in self.up_objects() {
             let set = self.route(&oid).0;
             if set.is_empty() {
                 continue;
@@ -1220,24 +1234,12 @@ impl EngineCluster {
                 };
                 // Repair: punch the rotten copy and re-stream the
                 // reference's record history at original epochs.
-                let (records, t_read) = self.engines[src].export_object(t_done, oid)?;
+                let export = self.engines[src].export_object(t_done, oid)?;
                 self.engines[slot].punch_object(oid);
-                let conn = self.rebuild_conn(fabric, src, slot)?;
-                let mut t = t_read;
-                let mut bytes = 0u64;
-                for rec in &records {
-                    t = self.services.scrub.admit(t, rec.data.len() as u64);
-                    if !rec.data.is_empty() {
-                        let d = fabric
-                            .send(t, conn, Dir::AtoB, rec.data.clone())
-                            .map_err(map_fabric)?;
-                        t = d.at;
-                    }
-                    bytes += rec.data.len() as u64;
-                }
-                let t_imported = self.engines[slot].import_records(t, oid, &records)?;
+                let (t_imported, bytes) =
+                    self.stream_records(fabric, BgService::Scrub, (src, slot), oid, &export)?;
                 t_done = t_done.max(t_imported);
-                self.sstats.repair_records += records.len() as u64;
+                self.sstats.repair_records += export.0.len() as u64;
                 self.sstats.repair_bytes += bytes;
                 outcome.mismatches_repaired += 1;
                 self.sstats.mismatches_repaired += 1;

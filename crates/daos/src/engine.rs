@@ -263,14 +263,7 @@ impl DaosEngine {
             return Err(DaosError::NoSuchEntity);
         }
         let (vos, mut media, picked) = self.serve_on_shard(now, oid, &dkey, data.len() as u64);
-        match kind {
-            ValueKind::Single => {
-                vos.update_single(picked, &mut media, oid, dkey, akey, epoch, data)
-            }
-            ValueKind::Array { offset } => {
-                vos.update_array(picked, &mut media, oid, dkey, akey, epoch, offset, data)
-            }
-        }
+        vos.update(picked, &mut media, oid, dkey, akey, kind, epoch, data)
     }
 
     /// Services an OBJ_FETCH RPC arriving at `now`. Returns the data and
@@ -431,12 +424,9 @@ impl DaosEngine {
             let (vos, mut media, picked) =
                 self.serve_on_shard(now, oid, &rec.dkey, rec.data.len() as u64);
             let (dkey, akey, data) = (rec.dkey.clone(), rec.akey.clone(), rec.data.clone());
-            let t = match rec.array_offset {
-                None => vos.update_single(picked, &mut media, oid, dkey, akey, rec.epoch, data),
-                Some(offset) => {
-                    vos.update_array(picked, &mut media, oid, dkey, akey, rec.epoch, offset, data)
-                }
-            }?;
+            let t = vos.update(
+                picked, &mut media, oid, dkey, akey, rec.kind, rec.epoch, data,
+            )?;
             t_done = t_done.max(t);
         }
         Ok(t_done)

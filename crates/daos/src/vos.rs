@@ -11,17 +11,18 @@
 //!   media is touched: a fetch loads each returned byte from the one
 //!   record that serves it, however often the range was overwritten.
 //!
-//! Media selection follows DAOS policy: records at or below the SCM
-//! threshold persist in pmem; larger records land on NVMe extents. Every
-//! record carries a CRC32C computed at update and verified at fetch —
-//! the end-to-end checksum path of §2.4. An array record's fetch and its
-//! scrub share one rule: the recorded per-chunk CRCs of the covered window
-//! are compared one for one with the media store's cached chunk CRCs
-//! ([`ShardBdev::verify_chunks`], [`ros2_pmem::PmemPool::verify_chunks`]),
-//! so clean payload bytes are neither rescanned nor folded. A single value
-//! carries one whole-value CRC, checked against the store's combined CRC
-//! of its range. Reads contained in one record return the store's
-//! zero-copy slice.
+//! Both kinds are one record type. Media selection follows DAOS policy:
+//! records at or below the SCM threshold persist in pmem; larger records
+//! land on NVMe extents. Every record carries one CRC32C per
+//! [`CSUM_CHUNK`] of its stored bytes, computed at update and handed down
+//! to the media store — the end-to-end checksum path of §2.4. Fetch and
+//! scrub share one rule for either kind: the recorded CRCs of the covered
+//! chunks are compared one for one with the media store's cached chunk
+//! CRCs ([`ShardBdev::verify_chunks`],
+//! [`ros2_pmem::PmemPool::verify_chunks`]), so clean payload bytes are
+//! neither rescanned nor folded. A single value fetch is the window
+//! `[0, len)` of its record. Reads contained in one record return the
+//! store's zero-copy slice.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -33,6 +34,7 @@ use ros2_sim::SimTime;
 use ros2_spdk::ShardBdev;
 
 use crate::checksum::{crc32c_zeros, Checksum};
+use crate::engine::ValueKind;
 use crate::types::{AKey, DKey, DaosError, Epoch, ObjectId, RecordVersion};
 
 /// The object index key: one packed `(dkey, akey)` pair. Built from
@@ -71,23 +73,18 @@ pub enum Location {
     },
 }
 
-#[derive(Clone, Debug)]
-struct SvRecord {
-    epoch: Epoch,
-    len: u64,
-    location: Location,
-    checksum: Checksum,
-}
-
-/// Checksum granularity for array extents (DAOS `cs_chunksize` analogue).
+/// Checksum granularity of every record (DAOS `cs_chunksize` analogue).
 /// Per-chunk checksums let a 4 KiB read verify one chunk instead of
 /// re-reading a whole 1 MiB extent — essential for the paper's small-I/O
-/// numbers.
+/// numbers. A single value of at most one chunk has one entry: its
+/// whole-value CRC.
 pub const CSUM_CHUNK: u64 = 4096;
 
+/// One stored record: a single value or an array extent.
 #[derive(Clone, Debug)]
-struct ExtentRecord {
+struct Record {
     epoch: Epoch,
+    /// Array offset of the first byte (0 for a single value).
     offset: u64,
     len: u64,
     /// Stored (possibly LBA-padded) length on media.
@@ -126,23 +123,63 @@ fn chunk_checksums(stored: &Bytes, dp: &mut DataPlaneStats) -> Arc<[Checksum]> {
 struct ValueStore {
     /// The target's arrival clock at this store's last update.
     version: RecordVersion,
-    sv: Vec<SvRecord>,
-    /// Kept in `(epoch, arrival)` order — the order later records shadow
-    /// earlier ones in — so the overlay resolver walks it backwards and
-    /// stops at the first record that completes the window.
-    extents: Vec<ExtentRecord>,
+    /// Both lists are kept in `(epoch, arrival)` order — the order later
+    /// records shadow earlier ones in — so a single-value fetch takes the
+    /// last visible one and the overlay resolver walks the extents
+    /// backwards, stopping at the first record that completes the window.
+    singles: Vec<Record>,
+    extents: Vec<Record>,
 }
 
-/// How many of `extents` — in `(epoch, arrival)` order — are at or below
+impl ValueStore {
+    /// Every record with its kind, single values first.
+    fn records(&self) -> impl Iterator<Item = (ValueKind, &Record)> {
+        let singles = self.singles.iter().map(|r| (ValueKind::Single, r));
+        let array = |r: &Record| ValueKind::Array { offset: r.offset };
+        singles.chain(self.extents.iter().map(move |r| (array(r), r)))
+    }
+}
+
+/// How many of `records` — in `(epoch, arrival)` order — are at or below
 /// `epoch`: where an update tagged `epoch` is inserted, and where a fetch
 /// at `epoch` starts walking back from. The tail is checked first: appends
 /// and `LATEST` fetches are the common case, and a binary search over a
 /// long history costs a cache miss per step.
-fn visible_len(extents: &[ExtentRecord], epoch: Epoch) -> usize {
-    match extents.last() {
-        Some(newest) if newest.epoch > epoch => extents.partition_point(|e| e.epoch <= epoch),
-        _ => extents.len(),
+fn visible_len(records: &[Record], epoch: Epoch) -> usize {
+    match records.last() {
+        Some(newest) if newest.epoch > epoch => records.partition_point(|e| e.epoch <= epoch),
+        _ => records.len(),
     }
+}
+
+/// The aggregation rule of either kind: records at or below `boundary`
+/// that a newer record at or below it shadows (`covers(newer, older)`)
+/// leave `records`, their locations going to `dead`.
+fn drop_shadowed(
+    records: &mut Vec<Record>,
+    boundary: Epoch,
+    covers: impl Fn(&Record, &Record) -> bool,
+    dead: &mut Vec<Location>,
+) {
+    let visible = visible_len(records, boundary);
+    let shadowed: Vec<bool> = (0..records.len())
+        .map(|i| {
+            let r = &records[i];
+            i < visible
+                && records[i + 1..visible]
+                    .iter()
+                    .any(|newer| newer.epoch > r.epoch && covers(newer, r))
+        })
+        .collect();
+    let mut idx = 0usize;
+    records.retain(|r| {
+        let gone = shadowed[idx];
+        idx += 1;
+        if gone {
+            dead.push(r.location.clone());
+        }
+        !gone
+    });
 }
 
 /// One piece of a fetch window's tiling: array bytes `[from, to)` are
@@ -152,7 +189,7 @@ fn visible_len(extents: &[ExtentRecord], epoch: Epoch) -> usize {
 struct Piece {
     from: u64,
     to: u64,
-    rec: Option<ExtentRecord>,
+    rec: Option<Record>,
 }
 
 /// The overlay resolver: tiles `[offset, offset+len)` into `pieces` —
@@ -164,7 +201,7 @@ struct Piece {
 /// and no allocation once `pieces` has grown to the window's fragmentation.
 fn resolve_overlay(
     pieces: &mut Vec<Piece>,
-    extents: &[ExtentRecord],
+    extents: &[Record],
     epoch: Epoch,
     offset: u64,
     len: u64,
@@ -220,8 +257,8 @@ pub struct RecordDump {
     /// The record's commit epoch (preserved, so replicas resolve the same
     /// version overlay).
     pub epoch: Epoch,
-    /// `None` for a single value; `Some(offset)` for an array extent.
-    pub array_offset: Option<u64>,
+    /// A single value, or an array extent at its offset.
+    pub kind: ValueKind,
     /// The record's payload bytes.
     pub data: Bytes,
 }
@@ -432,15 +469,15 @@ impl VosTarget {
         }
     }
 
-    /// The one verify rule of a chunked record, shared by fetch and scrub:
-    /// whether its stored chunks `[c0, c1)` still hold the recorded
-    /// checksums, compared one for one with the media store's cached chunk
-    /// CRCs — clean payloads are neither rescanned nor folded. A table that
-    /// does not cover the window is a mismatch.
+    /// The one verify rule, shared by fetch and scrub and by both record
+    /// kinds: whether a record's stored chunks `[c0, c1)` still hold the
+    /// recorded checksums, compared one for one with the media store's
+    /// cached chunk CRCs — clean payloads are neither rescanned nor folded.
+    /// A table that does not cover the window is a mismatch.
     fn verify_chunks(
         &mut self,
         media: &mut ShardBdev<'_>,
-        rec: &ExtentRecord,
+        rec: &Record,
         c0: u64,
         c1: u64,
     ) -> Result<bool, DaosError> {
@@ -461,25 +498,7 @@ impl VosTarget {
         }
     }
 
-    /// The media-side CRC32C of a single value's first `len` stored bytes —
-    /// answered from the backing stores' chunk-CRC caches, so repeat
-    /// verifies never rescan clean payloads.
-    fn media_crc(
-        &mut self,
-        media: &mut ShardBdev<'_>,
-        loc: &Location,
-        len: u64,
-    ) -> Result<u32, DaosError> {
-        match loc {
-            Location::Scm(oid) => self
-                .scm
-                .crc_of_range(*oid, 0, len)
-                .map_err(|e| DaosError::Media(format!("{e:?}"))),
-            Location::Nvme { slba, .. } => Ok(media.crc_of_range(slba * LBA_SIZE, len)),
-        }
-    }
-
-    /// Reads `[at, at+len)` of an extent's *stored* bytes, loading only the
+    /// Reads `[at, at+len)` of a record's *stored* bytes, loading only the
     /// checksum chunks that cover the range and verifying exactly those
     /// (see [`Self::verify_chunks`]); the returned bytes are a zero-copy
     /// slice of the store's extent.
@@ -487,7 +506,7 @@ impl VosTarget {
         &mut self,
         now: SimTime,
         media: &mut ShardBdev<'_>,
-        rec: &ExtentRecord,
+        rec: &Record,
         at: u64,
         len: u64,
     ) -> Result<(Bytes, SimTime), DaosError> {
@@ -523,26 +542,26 @@ impl VosTarget {
         Ok((stored.slice(rel_lo..rel_lo + len as usize), done))
     }
 
-    /// Reads a record's bytes back from its location (no verification —
-    /// callers compare the media CRC against the recorded checksum).
+    /// Reads a record's bytes back whole, unverified (the rebuild export:
+    /// the importer checksums them afresh).
     fn load(
         &mut self,
         now: SimTime,
         media: &mut ShardBdev<'_>,
-        loc: &Location,
-        len: u64,
+        rec: &Record,
     ) -> Result<(Bytes, SimTime), DaosError> {
-        match loc {
+        let len = rec.len;
+        match rec.location {
             Location::Scm(oid) => {
                 let data = self
                     .scm
-                    .read(*oid, 0, len as usize)
+                    .read(oid, 0, len as usize)
                     .map_err(|e| DaosError::Media(format!("{e:?}")))?;
                 Ok((data, self.scm.timed_read(now, len)))
             }
             Location::Nvme { slba, nlb } => {
                 let c = media
-                    .read(now, *slba, *nlb)
+                    .read(now, slba, nlb)
                     .map_err(|e| DaosError::Media(format!("{e:?}")))?;
                 let data = c.data.expect("bdev read returns data");
                 Ok((data.slice(0..len as usize), c.at))
@@ -576,48 +595,7 @@ impl VosTarget {
             .map_or(RecordVersion::ABSENT, |store| store.version)
     }
 
-    /// Updates a single value.
-    #[allow(clippy::too_many_arguments)]
-    pub fn update_single(
-        &mut self,
-        now: SimTime,
-        media: &mut ShardBdev<'_>,
-        oid: ObjectId,
-        dkey: DKey,
-        akey: AKey,
-        epoch: Epoch,
-        data: Bytes,
-    ) -> Result<SimTime, DaosError> {
-        let len = data.len() as u64;
-        let checksum = if ros2_buf::is_shared_zeros(&data) {
-            Checksum(crc32c_zeros(len))
-        } else {
-            self.dp.crc_bytes_scanned += len;
-            Checksum::of(&data)
-        };
-        let (location, _stored, done) = self.place(now, media, &data)?;
-        // A whole value at or below one chunk *is* its chunk-0 CRC — but
-        // only for SCM placement, where the stored bytes are exactly the
-        // payload. NVMe placement pads to the LBA (reachable when
-        // `scm_threshold < CSUM_CHUNK`), so the whole-value CRC would not
-        // describe the stored extent; those records keep the lazy cache.
-        // (Larger single values would need a chunk table the metadata path
-        // deliberately does not compute.)
-        if len > 0 && len <= CSUM_CHUNK && matches!(location, Location::Scm(_)) {
-            self.seed_media_crcs(media, &location, std::slice::from_ref(&checksum));
-        }
-        let store = self.store_for_update(oid, dkey, akey);
-        store.sv.push(SvRecord {
-            epoch,
-            len,
-            location,
-            checksum,
-        });
-        self.stats.sv_updates += 1;
-        Ok(done)
-    }
-
-    /// Fetches the latest single value at or below `epoch`.
+    /// Fetches the latest single value at or below `epoch`, whole.
     pub fn fetch_single(
         &mut self,
         now: SimTime,
@@ -628,57 +606,53 @@ impl VosTarget {
         epoch: Epoch,
     ) -> Result<(Bytes, SimTime), DaosError> {
         self.stats.fetches += 1;
-        let store = self
+        let rec = self
             .objects
             .get(&oid)
             .and_then(|o| o.get(&KeyPair::from_refs(dkey, akey)))
-            .ok_or(DaosError::NotFound)?;
-        let rec = store
-            .sv
-            .iter()
-            .filter(|r| r.epoch <= epoch)
-            .max_by_key(|r| r.epoch)
+            .and_then(|store| store.singles[..visible_len(&store.singles, epoch)].last())
             .ok_or(DaosError::NotFound)?
             .clone();
-        let (data, done) = self.load(now, media, &rec.location, rec.len)?;
-        // Verify against the media store's cached CRC of the stored bytes
-        // — no rescan of the returned payload.
-        let actual = self.media_crc(media, &rec.location, rec.len)?;
-        if actual != rec.checksum.0 {
-            self.stats.checksum_failures += 1;
-            return Err(DaosError::ChecksumMismatch);
-        }
-        Ok((data, done))
+        self.load_range(now, media, &rec, 0, rec.len)
     }
 
-    /// Writes an array extent at `offset`.
+    /// Writes a single value, or an array extent at its offset, with the
+    /// chunk table of its stored bytes — which seeds the media store's CRC
+    /// cache, so fetch-verify never rescans.
     #[allow(clippy::too_many_arguments)]
-    pub fn update_array(
+    pub fn update(
         &mut self,
         now: SimTime,
         media: &mut ShardBdev<'_>,
         oid: ObjectId,
         dkey: DKey,
         akey: AKey,
+        kind: ValueKind,
         epoch: Epoch,
-        offset: u64,
         data: Bytes,
     ) -> Result<SimTime, DaosError> {
         let len = data.len() as u64;
         let (location, stored, done) = self.place(now, media, &data)?;
         let checksums = chunk_checksums(&stored, &mut self.dp);
-        // The chunk table just computed covers exactly the stored extent;
-        // seed the media store's CRC cache so fetch-verify never rescans.
         if !checksums.is_empty() {
             self.seed_media_crcs(media, &location, &checksums);
         }
-        let store = self.store_for_update(oid, dkey, akey);
+        let (records, offset) = match kind {
+            ValueKind::Single => {
+                self.stats.sv_updates += 1;
+                (&mut self.store_for_update(oid, dkey, akey).singles, 0)
+            }
+            ValueKind::Array { offset } => {
+                self.stats.array_updates += 1;
+                (&mut self.store_for_update(oid, dkey, akey).extents, offset)
+            }
+        };
         // After every record of the same or an older epoch: `(epoch,
         // arrival)` order (an append unless epochs arrive out of order).
-        let at = visible_len(&store.extents, epoch);
-        store.extents.insert(
+        let at = visible_len(records, epoch);
+        records.insert(
             at,
-            ExtentRecord {
+            Record {
                 epoch,
                 offset,
                 len,
@@ -687,7 +661,6 @@ impl VosTarget {
                 checksums,
             },
         );
-        self.stats.array_updates += 1;
         Ok(done)
     }
 
@@ -780,41 +753,30 @@ impl VosTarget {
         let store = obj
             .remove(&KeyPair::from_refs(dkey, akey))
             .ok_or(DaosError::NotFound)?;
-        for rec in store.extents {
-            if let Location::Nvme { slba, nlb } = rec.location {
-                self.free_extents.push((slba, nlb));
-            } else if let Location::Scm(oid) = rec.location {
-                self.scm.free(oid);
-            }
-        }
-        for rec in store.sv {
-            if let Location::Nvme { slba, nlb } = rec.location {
-                self.free_extents.push((slba, nlb));
-            } else if let Location::Scm(oid) = rec.location {
-                self.scm.free(oid);
-            }
-        }
+        let records = store.extents.into_iter().chain(store.singles);
+        self.reclaim(records.map(|r| r.location));
         Ok(())
     }
 
     /// Removes an entire object.
     pub fn punch_object(&mut self, oid: ObjectId) {
         if let Some(obj) = self.objects.remove(&oid) {
-            for (_, store) in obj {
-                for rec in store.extents {
-                    if let Location::Nvme { slba, nlb } = rec.location {
-                        self.free_extents.push((slba, nlb));
-                    } else if let Location::Scm(o) = rec.location {
-                        self.scm.free(o);
-                    }
-                }
-                for rec in store.sv {
-                    if let Location::Nvme { slba, nlb } = rec.location {
-                        self.free_extents.push((slba, nlb));
-                    } else if let Location::Scm(o) = rec.location {
-                        self.scm.free(o);
-                    }
-                }
+            let stores = obj.into_values();
+            self.reclaim(
+                stores
+                    .flat_map(|s| s.extents.into_iter().chain(s.singles))
+                    .map(|r| r.location),
+            );
+        }
+    }
+
+    /// Returns dropped records' media: NVMe extents to the free list for
+    /// reuse, SCM objects to the pool.
+    fn reclaim(&mut self, locations: impl IntoIterator<Item = Location>) {
+        for location in locations {
+            match location {
+                Location::Nvme { slba, nlb } => self.free_extents.push((slba, nlb)),
+                Location::Scm(o) => self.scm.free(o),
             }
         }
     }
@@ -823,69 +785,18 @@ impl VosTarget {
     /// `boundary`. Single values keep only the newest visible record;
     /// extents fully covered by one newer extent (≤ boundary) are dropped.
     pub fn aggregate(&mut self, boundary: Epoch) {
-        let mut reclaimed_nvme: Vec<(u64, u32)> = Vec::new();
-        let mut reclaimed_scm: Vec<ros2_pmem::PmemOid> = Vec::new();
-        let mut count = 0u64;
-        for obj in self.objects.values_mut() {
-            for store in obj.values_mut() {
-                // Single values: keep the newest <= boundary plus anything
-                // newer than the boundary.
-                if let Some(keep) = store
-                    .sv
-                    .iter()
-                    .filter(|r| r.epoch <= boundary)
-                    .map(|r| r.epoch)
-                    .max()
-                {
-                    store.sv.retain(|r| {
-                        let dead = r.epoch < keep;
-                        if dead {
-                            match &r.location {
-                                Location::Nvme { slba, nlb } => reclaimed_nvme.push((*slba, *nlb)),
-                                Location::Scm(o) => reclaimed_scm.push(*o),
-                            }
-                            count += 1;
-                        }
-                        !dead
-                    });
-                }
-                // Extents: drop any fully shadowed by a single newer one.
-                // Two passes over indices instead of cloning the record
-                // list (the seed deep-copied every record, checksum tables
-                // included, per store per aggregation).
-                let dead: Vec<bool> = store
-                    .extents
-                    .iter()
-                    .map(|r| {
-                        r.epoch <= boundary
-                            && store.extents.iter().any(|later| {
-                                later.epoch <= boundary
-                                    && later.epoch > r.epoch
-                                    && later.offset <= r.offset
-                                    && later.offset + later.len >= r.offset + r.len
-                            })
-                    })
-                    .collect();
-                let mut idx = 0usize;
-                store.extents.retain(|r| {
-                    let shadowed = dead[idx];
-                    idx += 1;
-                    if shadowed {
-                        match &r.location {
-                            Location::Nvme { slba, nlb } => reclaimed_nvme.push((*slba, *nlb)),
-                            Location::Scm(o) => reclaimed_scm.push(*o),
-                        }
-                        count += 1;
-                    }
-                    !shadowed
-                });
-            }
+        let mut dead = Vec::new();
+        for store in self.objects.values_mut().flat_map(|o| o.values_mut()) {
+            drop_shadowed(&mut store.singles, boundary, |_, _| true, &mut dead);
+            drop_shadowed(
+                &mut store.extents,
+                boundary,
+                |newer, r| newer.offset <= r.offset && newer.offset + newer.len >= r.offset + r.len,
+                &mut dead,
+            );
         }
-        self.free_extents.extend(reclaimed_nvme);
-        for o in reclaimed_scm {
-            self.scm.free(o);
-        }
-        self.stats.aggregated_extents += count;
+        self.stats.aggregated_extents += dead.len() as u64;
+        self.reclaim(dead);
     }
 
     /// The object ids this target holds records for (rebuild enumeration).
@@ -911,79 +822,49 @@ impl VosTarget {
         // Snapshot the index slice first (record clones are O(1): the
         // checksum tables are Arc-shared) so the media loads below can
         // borrow `self` mutably.
-        let entries: Vec<(KeyPair, Vec<SvRecord>, Vec<ExtentRecord>)> = obj
+        let recs: Vec<(KeyPair, ValueKind, Record)> = obj
             .iter()
-            .map(|(k, v)| (k.clone(), v.sv.clone(), v.extents.clone()))
+            .flat_map(|(kp, s)| s.records().map(|(kind, r)| (kp.clone(), kind, r.clone())))
             .collect();
         let mut out = Vec::new();
         let mut t_done = now;
-        for (kp, svs, exts) in entries {
-            for r in svs {
-                let (data, t) = self.load(now, media, &r.location, r.len)?;
-                t_done = t_done.max(t);
-                out.push(RecordDump {
-                    dkey: kp.dkey.clone(),
-                    akey: kp.akey.clone(),
-                    epoch: r.epoch,
-                    array_offset: None,
-                    data,
-                });
-            }
-            for r in exts {
-                let (data, t) = self.load(now, media, &r.location, r.len)?;
-                t_done = t_done.max(t);
-                out.push(RecordDump {
-                    dkey: kp.dkey.clone(),
-                    akey: kp.akey.clone(),
-                    epoch: r.epoch,
-                    array_offset: Some(r.offset),
-                    data,
-                });
-            }
+        for (kp, kind, r) in recs {
+            let (data, t) = self.load(now, media, &r)?;
+            t_done = t_done.max(t);
+            out.push(RecordDump {
+                dkey: kp.dkey,
+                akey: kp.akey,
+                epoch: r.epoch,
+                kind,
+                data,
+            });
         }
         Ok((out, t_done))
     }
 
-    /// Scrub-verifies every record of `oid` against the media store's
-    /// cached CRCs: an array record's whole stored range by the fetch
-    /// path's own rule ([`Self::verify_chunks`]), a single value by its
-    /// whole-value CRC. Bit-rot rewrites media bytes behind the index's
-    /// back, invalidating the store's chunk-CRC cache for the touched
-    /// chunks, so the comparison catches it — while a fully clean pass
-    /// answers from caches and scans ~zero payload bytes.
+    /// Scrub-verifies every record of `oid`, of either kind, over its whole
+    /// stored range by the fetch path's own rule ([`Self::verify_chunks`]).
+    /// Bit-rot rewrites media bytes behind the index's back, invalidating
+    /// the store's chunk-CRC cache for the touched chunks, so the
+    /// comparison catches it — while a fully clean pass answers from
+    /// caches and scans ~zero payload bytes.
     pub fn scrub_object(&mut self, media: &mut ShardBdev<'_>, oid: ObjectId) -> ScrubCheck {
-        enum Rec {
-            Single(SvRecord),
-            Array(ExtentRecord),
-        }
         let Some(obj) = self.objects.get(&oid) else {
             return ScrubCheck::default();
         };
         // Record clones are O(1) (the checksum tables are Arc-shared), so
         // the checks below can borrow `self` mutably.
-        let recs: Vec<Rec> = obj
+        let recs: Vec<Record> = obj
             .values()
-            .flat_map(|s| {
-                let svs = s.sv.iter().cloned().map(Rec::Single);
-                svs.chain(s.extents.iter().cloned().map(Rec::Array))
-            })
+            .flat_map(|s| s.records().map(|(_, r)| r.clone()))
             .collect();
         let mut check = ScrubCheck::default();
         for rec in recs {
-            let (len, chunks, clean) = match &rec {
-                Rec::Single(r) => {
-                    let actual = self.media_crc(media, &r.location, r.len).ok();
-                    (r.len, 1, actual == Some(r.checksum.0))
-                }
-                Rec::Array(r) => {
-                    let n = r.stored_len.div_ceil(CSUM_CHUNK);
-                    let clean = self.verify_chunks(media, r, 0, n).unwrap_or(false);
-                    (r.stored_len, n, clean)
-                }
-            };
+            let chunks = rec.stored_len.div_ceil(CSUM_CHUNK);
+            let clean = self.verify_chunks(media, &rec, 0, chunks).unwrap_or(false);
             check.records += 1;
             check.chunks += chunks;
-            check.bytes += len;
+            check.bytes += rec.stored_len;
             if !clean {
                 check.bad += 1;
                 self.stats.checksum_failures += 1;
@@ -1010,22 +891,13 @@ impl VosTarget {
         };
         let mut descs: Vec<Desc<'_>> = Vec::new();
         for (kp, store) in obj {
-            for r in &store.sv {
-                descs.push((
-                    &kp.dkey,
-                    &kp.akey,
-                    r.epoch,
-                    None,
-                    r.len,
-                    r.checksum.0 as u64,
-                ));
-            }
-            for r in &store.extents {
+            for (kind, r) in store.records() {
+                let offset = matches!(kind, ValueKind::Array { .. }).then_some(r.offset);
                 let crc_fold = r
                     .checksums
                     .iter()
                     .fold(OFFSET, |h, c| (h ^ c.0 as u64).wrapping_mul(PRIME));
-                descs.push((&kp.dkey, &kp.akey, r.epoch, Some(r.offset), r.len, crc_fold));
+                descs.push((&kp.dkey, &kp.akey, r.epoch, offset, r.len, crc_fold));
             }
         }
         descs.sort();
@@ -1124,12 +996,13 @@ mod tests {
     fn single_value_round_trip_scm() {
         let (mut vos, mut bd) = fixture();
         let data = Bytes::from_static(b"inode-entry");
-        vos.update_single(
+        vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
             oid(),
             DKey::from_str("d"),
             AKey::from_str("a"),
+            ValueKind::Single,
             Epoch(1),
             data.clone(),
         )
@@ -1152,14 +1025,14 @@ mod tests {
     fn large_values_go_to_nvme() {
         let (mut vos, mut bd) = fixture();
         let data = Bytes::from(vec![7u8; 1 << 20]);
-        vos.update_array(
+        vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
             oid(),
             DKey::from_u64(0),
             AKey::from_str("data"),
+            ValueKind::Array { offset: 0 },
             Epoch(1),
-            0,
             data.clone(),
         )
         .unwrap();
@@ -1184,22 +1057,24 @@ mod tests {
         let (mut vos, mut bd) = fixture();
         let d = DKey::from_str("d");
         let a = AKey::from_str("a");
-        vos.update_single(
+        vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
             oid(),
             d.clone(),
             a.clone(),
+            ValueKind::Single,
             Epoch(10),
             Bytes::from_static(b"v1"),
         )
         .unwrap();
-        vos.update_single(
+        vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
             oid(),
             d.clone(),
             a.clone(),
+            ValueKind::Single,
             Epoch(20),
             Bytes::from_static(b"v2"),
         )
@@ -1232,25 +1107,25 @@ mod tests {
         let (mut vos, mut bd) = fixture();
         let d = DKey::from_u64(0);
         let a = AKey::from_str("data");
-        vos.update_array(
+        vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
             oid(),
             d.clone(),
             a.clone(),
+            ValueKind::Array { offset: 0 },
             Epoch(1),
-            0,
             Bytes::from(vec![1u8; 100]),
         )
         .unwrap();
-        vos.update_array(
+        vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
             oid(),
             d.clone(),
             a.clone(),
+            ValueKind::Array { offset: 50 },
             Epoch(2),
-            50,
             Bytes::from(vec![2u8; 100]),
         )
         .unwrap();
@@ -1292,14 +1167,14 @@ mod tests {
         let (d, a) = (DKey::from_u64(0), AKey::from_str("data"));
         for (epoch, data) in [(Epoch(5), "new"), (Epoch(3), "old")] {
             let data = Bytes::from_static(data.as_bytes());
-            vos.update_array(
+            vos.update(
                 SimTime::ZERO,
                 &mut bd.shard(0),
                 oid(),
                 d.clone(),
                 a.clone(),
+                ValueKind::Array { offset: 0 },
                 epoch,
-                0,
                 data,
             )
             .unwrap();
@@ -1323,20 +1198,18 @@ mod tests {
         // A newer extent, a lower-epoch one arriving late (the newest
         // epoch stays 5), a single value under the same keys, and a write
         // to another record in between.
-        for (epoch, dkey, array) in [
-            (Epoch(5), &d, true),
-            (Epoch(3), &d, true),
-            (Epoch(9), &other, true),
-            (Epoch(6), &d, false),
+        let array = ValueKind::Array { offset: 0 };
+        for (epoch, dkey, kind) in [
+            (Epoch(5), &d, array),
+            (Epoch(3), &d, array),
+            (Epoch(9), &other, array),
+            (Epoch(6), &d, ValueKind::Single),
         ] {
             let before = vos.record_version(oid(), &d, &a);
             let (data, at) = (Bytes::from_static(b"abc"), SimTime::ZERO);
             let media = &mut bd.shard(0);
-            match array {
-                true => vos.update_array(at, media, oid(), dkey.clone(), a.clone(), epoch, 0, data),
-                false => vos.update_single(at, media, oid(), dkey.clone(), a.clone(), epoch, data),
-            }
-            .unwrap();
+            vos.update(at, media, oid(), dkey.clone(), a.clone(), kind, epoch, data)
+                .unwrap();
             let after = vos.record_version(oid(), &d, &a);
             assert_eq!(after != before, dkey == &d, "only its own record moves");
             if dkey == &d {
@@ -1350,14 +1223,14 @@ mod tests {
         assert_eq!(vos.record_version(oid(), &d, &a), RecordVersion::ABSENT);
         for _ in 0..3 {
             let data = Bytes::from_static(b"abc");
-            vos.update_array(
+            vos.update(
                 SimTime::ZERO,
                 &mut bd.shard(0),
                 oid(),
                 d.clone(),
                 a.clone(),
+                ValueKind::Array { offset: 0 },
                 Epoch(7),
-                0,
                 data,
             )
             .unwrap();
@@ -1372,14 +1245,14 @@ mod tests {
         let (mut vos, mut bd) = fixture();
         let d = DKey::from_u64(0);
         let a = AKey::from_str("data");
-        vos.update_array(
+        vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
             oid(),
             d.clone(),
             a.clone(),
+            ValueKind::Array { offset: 0 },
             Epoch(1),
-            0,
             Bytes::from(vec![9u8; 8192]),
         )
         .unwrap();
@@ -1405,28 +1278,28 @@ mod tests {
         let (mut vos, mut bd) = fixture();
         let d = DKey::from_u64(0);
         let a = AKey::from_str("data");
-        vos.update_array(
+        vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
             oid(),
             d.clone(),
             a.clone(),
+            ValueKind::Array { offset: 0 },
             Epoch(1),
-            0,
             Bytes::from(vec![1u8; 64 << 10]),
         )
         .unwrap();
         let frontier_before = vos.nvme_next;
         vos.punch(oid(), &d, &a).unwrap();
         // A same-size rewrite reuses the freed extent.
-        vos.update_array(
+        vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
             oid(),
             d.clone(),
             a.clone(),
+            ValueKind::Array { offset: 0 },
             Epoch(2),
-            0,
             Bytes::from(vec![2u8; 64 << 10]),
         )
         .unwrap();
@@ -1439,14 +1312,14 @@ mod tests {
         let d = DKey::from_u64(0);
         let a = AKey::from_str("data");
         for e in 1..=5u64 {
-            vos.update_array(
+            vos.update(
                 SimTime::ZERO,
                 &mut bd.shard(0),
                 oid(),
                 d.clone(),
                 a.clone(),
+                ValueKind::Array { offset: 0 },
                 Epoch(e),
-                0,
                 Bytes::from(vec![e as u8; 32 << 10]),
             )
             .unwrap();
@@ -1481,26 +1354,26 @@ mod tests {
         let mut vos = VosTarget::new(0, 0, 8, 64 << 20, 4096);
         let d = DKey::from_u64(0);
         let a = AKey::from_str("x");
-        vos.update_array(
+        vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
             oid(),
             d.clone(),
             a.clone(),
+            ValueKind::Array { offset: 0 },
             Epoch(1),
-            0,
             Bytes::from(vec![0u8; 8 * 4096]),
         )
         .unwrap();
         let err = vos
-            .update_array(
+            .update(
                 SimTime::ZERO,
                 &mut bd.shard(0),
                 oid(),
                 d,
                 a,
+                ValueKind::Array { offset: 0 },
                 Epoch(2),
-                0,
                 Bytes::from(vec![0u8; 8192]),
             )
             .unwrap_err();
@@ -1513,15 +1386,28 @@ mod tests {
         let d = DKey::from_u64(0);
         let a = AKey::from_str("data");
         let data = Bytes::from(vec![0x42u8; 256 << 10]);
-        vos.update_array(
+        vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
             oid(),
             d.clone(),
             a.clone(),
+            ValueKind::Array { offset: 0 },
             Epoch(1),
-            0,
             data.clone(),
+        )
+        .unwrap();
+        // A single value beside it verifies by the same compare.
+        let (sd, inode) = (DKey::from_str("meta"), Bytes::from_static(b"inode-entry"));
+        vos.update(
+            SimTime::ZERO,
+            &mut bd.shard(0),
+            oid(),
+            sd.clone(),
+            a.clone(),
+            ValueKind::Single,
+            Epoch(1),
+            inode.clone(),
         )
         .unwrap();
         let fetch = |vos: &mut VosTarget, bd: &mut BdevLayer| {
@@ -1538,6 +1424,17 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(out, data);
+            let (value, _) = vos
+                .fetch_single(
+                    SimTime::ZERO,
+                    &mut bd.shard(0),
+                    oid(),
+                    &sd,
+                    &a,
+                    Epoch::LATEST,
+                )
+                .unwrap();
+            assert_eq!(value, inode);
         };
         let merged = |vos: &VosTarget, bd: &BdevLayer| {
             let mut s = vos.data_plane_stats();
@@ -1571,23 +1468,24 @@ mod tests {
         let (mut vos, mut bd) = fixture();
         let d = DKey::from_u64(0);
         let a = AKey::from_str("data");
-        vos.update_array(
+        vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
             oid(),
             d.clone(),
             a.clone(),
+            ValueKind::Array { offset: 0 },
             Epoch(1),
-            0,
             Bytes::from(vec![0x42u8; 256 << 10]), // NVMe-bound
         )
         .unwrap();
-        vos.update_single(
+        vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
             oid(),
             DKey::from_str("meta"),
             AKey::from_str("v"),
+            ValueKind::Single,
             Epoch(1),
             Bytes::from_static(b"inode"), // SCM-bound
         )
@@ -1632,15 +1530,12 @@ mod tests {
         );
     }
 
-    /// Flips one stored byte of the newest extent of `(d, a)` at `at`
-    /// (record-relative), behind the index's back.
+    /// Flips one stored byte of the newest record of `(d, a)` — its newest
+    /// extent, or its newest single value when it holds no extent — at
+    /// `at` (record-relative), behind the index's back.
     fn rot_byte(vos: &mut VosTarget, bd: &mut BdevLayer, d: &DKey, a: &AKey, at: u64) {
-        let loc = vos.objects[&oid()][&KeyPair::from_refs(d, a)]
-            .extents
-            .last()
-            .unwrap()
-            .location
-            .clone();
+        let store = &vos.objects[&oid()][&KeyPair::from_refs(d, a)];
+        let loc = store.records().last().unwrap().1.location.clone();
         match loc {
             Location::Nvme { slba, .. } => {
                 let mut shard = bd.shard(0);
@@ -1671,14 +1566,14 @@ mod tests {
                 let data: Vec<u8> = (0..len).map(|i| (i % 253) as u8).collect();
                 let media = &mut bd.shard(0);
                 let (t, e) = (SimTime::ZERO, Epoch(1));
-                vos.update_array(
+                vos.update(
                     t,
                     media,
                     oid(),
                     d.clone(),
                     a.clone(),
+                    ValueKind::Array { offset: 0 },
                     e,
-                    0,
                     data.clone().into(),
                 )
                 .unwrap();
@@ -1711,15 +1606,53 @@ mod tests {
                 assert_eq!((check.records, check.bad), (1, 1), "{case}");
             }
         }
+        // A 3 000-byte single value in SCM, and one bound for NVMe (SCM
+        // threshold 1 KiB, below the chunk): rot fails its fetch and its
+        // scrub, and a sibling value written beside it still passes both.
+        for (threshold, nvme) in [(16u64 << 10, false), (1 << 10, true)] {
+            let (_, mut bd) = fixture();
+            let mut vos = VosTarget::new(0, 0, 1 << 20, 64 << 20, threshold);
+            let (a, t, sv) = (AKey::from_str("v"), SimTime::ZERO, ValueKind::Single);
+            let [rotten, sibling] = ["r", "s"].map(DKey::from_str);
+            let data = Bytes::from((0..3000u32).map(|i| (i % 253) as u8).collect::<Vec<_>>());
+            for d in [&rotten, &sibling] {
+                let media = &mut bd.shard(0);
+                vos.update(
+                    t,
+                    media,
+                    oid(),
+                    d.clone(),
+                    a.clone(),
+                    sv,
+                    Epoch(1),
+                    data.clone(),
+                )
+                .unwrap();
+            }
+            assert_eq!(vos.stats().nvme_records, if nvme { 2 } else { 0 });
+            rot_byte(&mut vos, &mut bd, &rotten, &a, 1234);
+            let mut fetch = |vos: &mut VosTarget, d: &DKey| {
+                let media = &mut bd.shard(0);
+                vos.fetch_single(t, media, oid(), d, &a, Epoch::LATEST)
+                    .map(|(b, _)| b)
+            };
+            let case = format!("scm threshold {threshold}");
+            let err = fetch(&mut vos, &rotten).unwrap_err();
+            assert_eq!(err, DaosError::ChecksumMismatch, "{case}");
+            assert_eq!(vos.stats().checksum_failures, 1, "{case}");
+            assert_eq!(fetch(&mut vos, &sibling).unwrap(), data, "{case}");
+            let c = vos.scrub_object(&mut bd.shard(0), oid());
+            assert_eq!((c.records, c.chunks, c.bad), (2, 2, 1), "{case}");
+        }
     }
 
     #[test]
-    fn nvme_bound_single_values_skip_seeding_and_still_verify() {
+    fn nvme_bound_single_values_seed_their_padded_table_and_verify_by_compare() {
         // With scm_threshold below the checksum chunk, a small single value
-        // lands on NVMe and gets LBA-padded: its whole-value CRC does not
-        // describe the stored extent, so it must NOT seed the media cache
-        // (a poisoned seed would panic debug builds and corrupt release
-        // verifies) — and the fetch must still verify via the lazy cache.
+        // lands on NVMe and gets LBA-padded. Its chunk table describes the
+        // padded stored block (debug builds check every seeded CRC against
+        // the bytes), so it seeds the media cache like an array extent and
+        // the fetch compares — scanning and folding nothing.
         let bdevs = BdevLayer::new(NvmeArray::new(
             NvmeModel::enterprise_1600(),
             1,
@@ -1730,20 +1663,25 @@ mod tests {
         let d = DKey::from_str("k");
         let a = AKey::from_str("v");
         let data = Bytes::from(vec![0x3Cu8; 2000]); // > threshold, < chunk
-        vos.update_single(
+        vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
             oid(),
             d.clone(),
             a.clone(),
+            ValueKind::Single,
             Epoch(1),
             data.clone(),
         )
         .unwrap();
         assert_eq!(vos.stats().nvme_records, 1);
-        let seeded =
-            vos.data_plane_stats().crc_cache_seeded + bd.data_plane_stats().crc_cache_seeded;
-        assert_eq!(seeded, 0, "padded NVMe single values must not seed");
+        let merged = |vos: &VosTarget, bd: &BdevLayer| {
+            let mut s = vos.data_plane_stats();
+            s.merge(bd.data_plane_stats());
+            s
+        };
+        let after_update = merged(&vos, &bd);
+        assert_eq!(after_update.crc_cache_seeded, 1, "one padded 4 KiB chunk");
         let (back, _) = vos
             .fetch_single(
                 SimTime::ZERO,
@@ -1755,6 +1693,12 @@ mod tests {
             )
             .unwrap();
         assert_eq!(back, data);
+        let after_fetch = merged(&vos, &bd);
+        assert_eq!(
+            (after_fetch.crc_bytes_scanned, after_fetch.crc_combines),
+            (after_update.crc_bytes_scanned, after_update.crc_combines)
+        );
+        assert_eq!(vos.scrub_object(&mut bd.shard(0), oid()).bad, 0);
     }
 
     #[test]
@@ -1762,14 +1706,14 @@ mod tests {
         let (mut vos, mut bd) = fixture();
         let d = DKey::from_u64(0);
         let a = AKey::from_str("data");
-        vos.update_array(
+        vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
             oid(),
             d.clone(),
             a.clone(),
+            ValueKind::Array { offset: 0 },
             Epoch(1),
-            0,
             Bytes::from(vec![7u8; 1 << 20]),
         )
         .unwrap();
@@ -1806,12 +1750,13 @@ mod tests {
     fn list_dkeys_enumerates() {
         let (mut vos, mut bd) = fixture();
         for i in 0..4u64 {
-            vos.update_single(
+            vos.update(
                 SimTime::ZERO,
                 &mut bd.shard(0),
                 oid(),
                 DKey::from_u64(i),
                 AKey::from_str("e"),
+                ValueKind::Single,
                 Epoch(1),
                 Bytes::from_static(b"x"),
             )

@@ -172,16 +172,16 @@ proptest! {
                     continue;
                 }
             };
-            vos.update_array(
-                now,
-                &mut bd.shard(0),
-                oid,
-                d.clone(),
-                a.clone(),
-                Epoch(written.epoch),
-                written.at,
-                Bytes::from(written.data.clone()),
-            )
+            vos.update(
+now,
+&mut bd.shard(0),
+oid,
+d.clone(),
+a.clone(),
+ValueKind::Array { offset: written.at },
+Epoch(written.epoch),
+Bytes::from(written.data.clone()),
+)
             .map_err(|e| format!("update: {e:?}"))?;
             history.push(written);
         }

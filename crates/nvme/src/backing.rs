@@ -13,12 +13,12 @@
 //!   a shared zero buffer, writes are dropped. The mode the throughput
 //!   sweeps use, where timing matters and content does not.
 //!
-//! Every mode can answer [`Backing::crc_of_range`] — the CRC32C of what a
-//! read of the range would return — and [`Backing::verify_chunks`] —
-//! whether a range holds a given per-chunk CRC table — without rescanning
-//! resident data: stored extents cache per-chunk CRCs (a verify compares
-//! them one for one), null ranges use the closed-form zero-run CRC, and
-//! only pattern mode (synthetic bytes) must generate.
+//! Every mode can answer [`Backing::verify_chunks`] — whether a range
+//! holds a given per-chunk CRC table, chunk for chunk, of the bytes a read
+//! would return — without rescanning resident data: stored extents compare
+//! their cached per-chunk CRCs one for one, null ranges compare with the
+//! closed-form zero-chunk CRC, and only pattern mode (synthetic bytes)
+//! must generate.
 
 use bytes::{Bytes, BytesMut};
 use ros2_buf::{crc32c_append, crc32c_zeros, zero_bytes, DataPlaneStats, ExtentStore, CRC_CHUNK};
@@ -136,20 +136,6 @@ impl Backing {
     {
         if let Backing::Stored { store } = self {
             store.seed_crcs(offset, crcs);
-        }
-    }
-
-    /// The CRC32C of the bytes a read of `[offset, offset+len)` would
-    /// return. Stored mode serves cached per-chunk CRCs; null mode is
-    /// closed-form; pattern mode generates and scans.
-    pub fn crc_of_range(&mut self, offset: u64, len: u64) -> u32 {
-        match self {
-            Backing::Stored { store } => store.crc_of_range(offset, len),
-            Backing::Null { stats } => {
-                stats.crc_combines += 1;
-                crc32c_zeros(len)
-            }
-            Backing::Pattern { seed, stats } => pattern_crc(*seed, stats, offset, len),
         }
     }
 
@@ -296,20 +282,30 @@ mod tests {
         assert!(r[300..].iter().all(|&x| x == 9));
     }
 
+    /// Every mode verifies the chunk table of what its own read returns,
+    /// and fails it with one entry flipped.
     #[test]
     fn crc_matches_contents_in_every_mode() {
         let mut stored = Backing::stored();
         stored.write(123, &vec![0xA7u8; 10_000]);
-        let data = stored.read(100, 12_000);
-        assert_eq!(stored.crc_of_range(100, 12_000), crc32c(&data));
-
-        let mut null = Backing::null();
-        let z = null.read(0, 5000);
-        assert_eq!(null.crc_of_range(0, 5000), crc32c(&z));
-
-        let mut pat = Backing::pattern(9);
-        let p = pat.read(777, 5000);
-        assert_eq!(pat.crc_of_range(777, 5000), crc32c(&p));
+        let modes = [
+            (stored, 100, 12_000),
+            (Backing::null(), 0, 5000),
+            (Backing::pattern(9), 777, 5000),
+        ];
+        for (mut b, at, len) in modes {
+            let bytes = b.read(at, len as usize);
+            let mut table: Vec<u32> = bytes.chunks(CRC_CHUNK as usize).map(crc32c).collect();
+            assert!(
+                b.verify_chunks(at, len, table.iter().copied()),
+                "({at}, {len})"
+            );
+            table[1] ^= 1;
+            assert!(
+                !b.verify_chunks(at, len, table.iter().copied()),
+                "({at}, {len})"
+            );
+        }
     }
 
     /// Null and pattern modes verify a chunk table exactly as a stored
@@ -346,16 +342,13 @@ mod tests {
     fn stored_crc_is_cached_after_first_scan() {
         let mut b = Backing::stored();
         b.write(0, &vec![3u8; 64 << 10]);
-        b.crc_of_range(0, 64 << 10);
-        let scanned = b.data_plane_stats().crc_bytes_scanned;
-        assert_eq!(scanned, 64 << 10);
-        b.crc_of_range(0, 64 << 10);
-        b.crc_of_range(4096, 8192);
-        assert_eq!(
-            b.data_plane_stats().crc_bytes_scanned,
-            scanned,
-            "no rescans"
-        );
+        let table = [crc32c(&[3u8; CRC_CHUNK as usize]); 16];
+        assert!(b.verify_chunks(0, 64 << 10, table.iter().copied()));
+        let first = b.data_plane_stats();
+        assert_eq!(first.crc_bytes_scanned, 64 << 10);
+        assert!(b.verify_chunks(0, 64 << 10, table.iter().copied()));
+        assert!(b.verify_chunks(4096, 8192, table[..2].iter().copied()));
+        assert_eq!(b.data_plane_stats(), first, "no rescans, no folds");
     }
 
     #[test]

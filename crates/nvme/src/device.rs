@@ -253,12 +253,6 @@ impl NvmeDevice {
         &mut self.backing
     }
 
-    /// The CRC32C of stored range `[offset, offset+len)` — served from the
-    /// backing's CRC cache, no timing charged (callers model CPU cost).
-    pub fn crc_of_range(&mut self, offset: u64, len: u64) -> u32 {
-        self.backing.crc_of_range(offset, len)
-    }
-
     /// Whether stored range `[offset, offset+len)` holds the per-chunk
     /// CRCs `expected` names (see [`Backing::verify_chunks`]) — no timing
     /// charged (callers model CPU cost).

@@ -135,15 +135,6 @@ impl Heap {
         Ok(())
     }
 
-    /// The CRC32C of stored range `[offset, offset+len)` (cached chunk
-    /// CRCs; holes fold in as closed-form zero runs).
-    pub fn crc_of_range(&mut self, offset: u64, len: u64) -> Result<u32, PmemError> {
-        if offset + len > self.capacity {
-            return Err(PmemError::BadAddress);
-        }
-        Ok(self.store.crc_of_range(offset, len))
-    }
-
     /// Whether stored range `[offset, offset+len)` holds the per-chunk CRCs
     /// `expected` names (see [`ros2_buf::ExtentStore::verify_chunks`]).
     pub fn verify_chunks<I>(

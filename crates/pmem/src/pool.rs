@@ -127,18 +127,9 @@ impl PmemPool {
         self.heap.write_bytes(oid.offset + at, data)
     }
 
-    /// The CRC32C of object range `[at, at+len)` (cached per-chunk CRCs,
-    /// combined — the single-value verify path).
-    pub fn crc_of_range(&mut self, oid: PmemOid, at: u64, len: u64) -> Result<u32, PmemError> {
-        if at + len > oid.size {
-            return Err(PmemError::BadAddress);
-        }
-        self.heap.crc_of_range(oid.offset + at, len)
-    }
-
     /// Whether object range `[at, at+len)` holds the per-chunk CRCs
     /// `expected` names — compared with the cached chunk CRCs one for one
-    /// (the array fetch-verify path).
+    /// (the VOS fetch-verify path).
     pub fn verify_chunks<I>(
         &mut self,
         oid: PmemOid,

@@ -99,14 +99,6 @@ impl BdevLayer {
         self.array.resource_stats()
     }
 
-    /// The CRC32C of stored bytes `[byte_offset, byte_offset+len)` on bdev
-    /// `idx` — answered from the backing store's CRC cache (no media
-    /// timing; callers charge CPU via their own cost models).
-    pub fn crc_of_range(&mut self, idx: usize, byte_offset: u64, len: u64) -> u32 {
-        let dev = self.bdevs[idx].dev;
-        self.array.device_mut(dev).crc_of_range(byte_offset, len)
-    }
-
     /// Aggregate data-plane (copy / zero-copy / CRC) counters over the
     /// backing array.
     pub fn data_plane_stats(&self) -> ros2_buf::DataPlaneStats {
@@ -149,12 +141,6 @@ impl ShardBdev<'_> {
         debug_assert_eq!(data.len() as u64 % LBA_SIZE, 0);
         self.dev
             .submit(now + self.submit_cost, NvmeCmd::write(slba, data))
-    }
-
-    /// The CRC32C of stored bytes `[byte_offset, byte_offset+len)` — from
-    /// the backing store's CRC cache, no media timing.
-    pub fn crc_of_range(&mut self, byte_offset: u64, len: u64) -> u32 {
-        self.dev.crc_of_range(byte_offset, len)
     }
 
     /// Whether stored bytes `[byte_offset, byte_offset+len)` hold the
