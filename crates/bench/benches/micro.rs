@@ -2,13 +2,17 @@
 //! the ROS2 stack itself (the simulator must be fast enough to sweep the
 //! paper's parameter space; these benches keep it honest).
 
+use std::collections::VecDeque;
+
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use ros2_buf::{ExtentStore, CRC_CHUNK};
 use ros2_daos::checksum::{crc32c, crc32c_combine};
 use ros2_daos::{AKey, DKey, Epoch, ObjClass, ObjectId, ValueKind};
 use ros2_dpu::{CacheKey, ReadCache};
-use ros2_sim::{EventQueue, LatencyHistogram, ServerPool, SimDuration, SimRng, SimTime, Zipf};
+use ros2_sim::{
+    BandwidthServer, EventQueue, LatencyHistogram, ServerPool, SimDuration, SimRng, SimTime, Zipf,
+};
 use ros2_verbs::{AccessFlags, Expiry, MemoryDomain, NodeId, QpType, RdmaDevice};
 
 fn bench_crc32c(c: &mut Criterion) {
@@ -105,6 +109,50 @@ fn bench_server_pool(c: &mut Criterion) {
             pool.jobs_served()
         })
     });
+}
+
+/// The booking core's slow path: `next_free` (a pure query that always
+/// searches) 8 intervals behind the tail of books of 1 Ki, 64 Ki and
+/// 256 Ki spans, beside a binary search (`VecDeque::partition_point`) over
+/// the same spans for reference. Each iteration runs `QUERIES` queries.
+/// The books hold a 500 ns interval every 1 µs, so 256 Ki spans stay
+/// inside the 500 ms of history a resource keeps.
+fn bench_interval_book(c: &mut Criterion) {
+    const QUERIES: u64 = 64;
+    const BEHIND: u64 = 8;
+    let mut g = c.benchmark_group("interval_book");
+    g.throughput(Throughput::Elements(QUERIES));
+    for (label, spans) in [("1Ki", 1u64 << 10), ("64Ki", 1 << 16), ("256Ki", 1 << 18)] {
+        let mut pipe = BandwidthServer::new(1_000_000_000); // one byte per ns
+        let book: VecDeque<(u64, u64)> = (0..spans).map(|i| (i * 1_000, i * 1_000 + 500)).collect();
+        for &(start, end) in &book {
+            pipe.transmit(SimTime::from_nanos(start), end - start);
+        }
+        // Inside the interval `BEHIND` before the last one.
+        let from = (spans - 1 - BEHIND) * 1_000 + 250;
+        assert_eq!(
+            pipe.next_free(SimTime::from_nanos(from)).as_nanos(),
+            from + 250
+        );
+        g.bench_function(format!("next_free_8_behind/{label}"), |b| {
+            b.iter(|| {
+                (0..QUERIES).fold(0, |acc, _| {
+                    acc ^ pipe
+                        .next_free(std::hint::black_box(SimTime::from_nanos(from)))
+                        .as_nanos()
+                })
+            })
+        });
+        g.bench_function(format!("partition_point/{label}"), |b| {
+            b.iter(|| {
+                (0..QUERIES).fold(0, |acc, _| {
+                    let from = std::hint::black_box(from);
+                    acc ^ book.partition_point(|&(_, end)| end <= from)
+                })
+            })
+        });
+    }
+    g.finish();
 }
 
 fn bench_rkey_enforcement(c: &mut Criterion) {
@@ -206,6 +254,7 @@ criterion_group!(
     bench_vos_verify,
     bench_event_queue,
     bench_server_pool,
+    bench_interval_book,
     bench_rkey_enforcement,
     bench_histogram,
     bench_zipf

@@ -44,7 +44,7 @@ const PRUNE_SLACK: SimDuration = SimDuration::from_millis(500);
 /// that resolved in O(1) at the tail of the book — either an idle-tail
 /// append (the resource was idle at/after the requested instant) or a
 /// queue-at-tail placement (the request fell inside the last interval, so
-/// no earlier gap could exist) — with no binary search or gap scan. The
+/// no earlier gap could exist) — with no search or gap scan. The
 /// steady-state hit rate is the headline number for simulator throughput:
 /// 100 % on strictly sequential streams, >90 % required on the uncontended
 /// sweeps, which is what makes each simulated I/O amortized O(1).
@@ -103,10 +103,11 @@ impl ResourceStats {
 /// Storage is a ring buffer (`VecDeque`): steady-state bookings append at
 /// the tail in O(1) (detected without scanning — see [`Self::tail_free`]),
 /// and pruning drained history pops from the front in O(1), so the
-/// common-path cost per booking is constant. The gap scan only runs when a
-/// demand arrives while later intervals are already booked (contention or
-/// out-of-order reservations), and produces bit-identical placements to the
-/// original linear implementation.
+/// common-path cost per booking is constant. The search and gap scan only
+/// run when a demand arrives while later intervals are already booked
+/// (contention or out-of-order reservations); the search starts from the
+/// tail, where such demands land (see [`Self::first_ending_after`]), and
+/// placements are bit-identical to the original linear implementation.
 #[derive(Clone, Debug, Default)]
 struct IntervalBook {
     /// Sorted, non-overlapping `(start, end)` busy intervals in ns.
@@ -127,8 +128,8 @@ impl IntervalBook {
     fn earliest(&self, from: u64, dur: u64) -> (u64, usize, bool) {
         // Fast paths, both equivalent to the scan below but O(1):
         //
-        // * idle tail — every interval ends at or before `from`
-        //   (`partition_point == len`), so the demand starts at `from`;
+        // * idle tail — every interval ends at or before `from`, so the
+        //   demand starts at `from`;
         // * queue at tail — `from` falls at or inside the *last* interval
         //   (`from >= last.start`). Earlier intervals all end before
         //   `last.start <= from`, so the scan would start at the last
@@ -146,7 +147,7 @@ impl IntervalBook {
         } else {
             return (from, 0, true);
         }
-        let mut idx = self.spans.partition_point(|&(_, end)| end <= from);
+        let mut idx = self.first_ending_after(from);
         let mut candidate = from;
         while idx < self.spans.len() {
             let (start, end) = self.spans[idx];
@@ -157,6 +158,47 @@ impl IntervalBook {
             idx += 1;
         }
         (candidate, idx, false)
+    }
+
+    /// Index of the first interval ending after `from`, searched from the
+    /// tail: gallop back 1, 2, 4, … intervals until one ends at or before
+    /// `from`, then bisect that bracket. `end <= from` is monotone over the
+    /// sorted, non-overlapping book, so this is the index a binary search
+    /// of the whole book returns, found in O(log d) probes for a demand d
+    /// intervals behind the tail. Out-of-order demands land a few intervals
+    /// from the tail of books that hold up to `PRUNE_SLACK` of history.
+    ///
+    /// The caller guarantees the last interval ends after `from`.
+    ///
+    /// Kept out of line: inlined, it makes [`Self::earliest`] too large to
+    /// inline into the booking calls, and every fast-path booking then pays
+    /// a call (about 1.6× the benchmark's `sim.book.host_ns`).
+    #[inline(never)]
+    fn first_ending_after(&self, from: u64) -> usize {
+        let ends_by = |i: usize| self.spans[i].1 <= from;
+        // Invariant: the answer lies in `lo..=hi`, and interval `hi` ends
+        // after `from`.
+        let mut hi = self.spans.len() - 1;
+        let mut step = 1;
+        let mut lo = loop {
+            match hi.checked_sub(step) {
+                Some(probe) if ends_by(probe) => break probe + 1,
+                Some(probe) => {
+                    hi = probe;
+                    step *= 2;
+                }
+                None => break 0,
+            }
+        };
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if ends_by(mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 
     /// Books `[start, start+dur)` at insertion point `idx`, merging with
@@ -584,9 +626,12 @@ pub struct QosLimits {
 }
 
 impl QosLimits {
-    /// An effectively unlimited allocation. An unlimited lane's grants
-    /// always land exactly at `now`, so wrapping a path in an unlimited
-    /// lane is bit-identical to not pacing it at all.
+    /// An effectively unlimited allocation. An unlimited lane never waits
+    /// for tokens, so in-order arrivals are granted exactly at `now`. An
+    /// arrival earlier than the lane's last grant is granted at that grant
+    /// (buckets grant from `max(now, updated)`, see
+    /// [`TokenBucket::acquire`]) and counts as throttled: an unlimited lane
+    /// is a no-op in time only on a monotone arrival stream.
     pub fn unlimited() -> Self {
         QosLimits {
             ops_per_sec: u64::MAX / 2,
@@ -822,7 +867,8 @@ mod tests {
     #[test]
     fn unlimited_lane_grants_exactly_at_now() {
         // The bit-identity pin for unpaced services: an unlimited lane must
-        // never move a grant, so wrapping a path in one is a no-op in time.
+        // never move an in-order grant, so wrapping a path whose arrivals
+        // are monotone in one is a no-op in time.
         let mut lane = QosLane::new(QosLimits::unlimited());
         for i in 0..1000u64 {
             let now = SimTime::from_micros(i);
@@ -831,6 +877,18 @@ mod tests {
         assert_eq!(lane.throttled, 0);
         assert_eq!(lane.throttle_wait, SimDuration::ZERO);
         assert_eq!(lane.admitted, (1000, 1000 << 20));
+    }
+
+    #[test]
+    fn unlimited_lane_holds_an_out_of_order_arrival_at_its_last_grant() {
+        // Buckets grant from `max(now, updated)`, so an arrival earlier
+        // than the last grant waits for it even with tokens to spare.
+        let mut lane = QosLane::new(QosLimits::unlimited());
+        let (t10, t5) = (SimTime::from_micros(10), SimTime::from_micros(5));
+        assert_eq!(lane.admit(t10, 4096), t10);
+        assert_eq!(lane.admit(t5, 4096), t10);
+        assert_eq!(lane.throttled, 1);
+        assert_eq!(lane.throttle_wait, SimDuration::from_micros(5));
     }
 
     #[test]

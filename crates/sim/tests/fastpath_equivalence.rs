@@ -2,7 +2,9 @@
 //! `IntervalBook` with its O(1) tail-append shortcut must produce grants
 //! bit-identical to the original linear implementation for *every* booking
 //! pattern — steady-state appends, same-instant bursts, out-of-order
-//! backfills and long idle jumps that cross the prune horizon.
+//! backfills and long idle jumps that cross the prune horizon — and for
+//! out-of-order demands deep inside 100 000-span books, where the search
+//! for the first interval that could block a demand starts from the tail.
 //!
 //! The reference below is a faithful copy of the seed's `Vec`-based
 //! algorithm (gap scan from `partition_point`, drain-based prune behind the
@@ -88,6 +90,10 @@ impl RefPipe {
             .prune(self.high_water.saturating_sub(PRUNE_SLACK_NS));
         (start, start + dur)
     }
+
+    fn next_free(&self, now: u64) -> u64 {
+        self.book.earliest(now, 0).0
+    }
 }
 
 /// Reference k-server pool re-implementing the seed `submit` exactly.
@@ -120,6 +126,14 @@ impl RefPool {
         self.high_water = self.high_water.max(now);
         self.books[server].prune(self.high_water.saturating_sub(PRUNE_SLACK_NS));
         (start, start + dur)
+    }
+
+    fn next_free(&self, now: u64) -> u64 {
+        self.books
+            .iter()
+            .map(|book| book.earliest(now, 0).0)
+            .min()
+            .expect("non-empty pool")
     }
 }
 
@@ -223,6 +237,132 @@ proptest! {
         prop_assert_eq!(batch_pipe.bytes_served(), loop_pipe.bytes_served());
         prop_assert_eq!(batch_pipe.busy_time(), loop_pipe.busy_time());
         prop_assert_eq!(batch_pipe.backlog(SimTime::ZERO), loop_pipe.backlog(SimTime::ZERO));
+    }
+}
+
+/// Spans in each deep book. Nothing is pruned inside `PRUNE_SLACK`, so the
+/// books of every small-I/O benchmark world grow past this.
+const DEEP_SPANS: u64 = 100_000;
+/// A deep book holds a 1 µs interval every 2 µs from t = 1 µs: its 100 000
+/// spans cover 200 ms, all inside `PRUNE_SLACK`.
+const BUSY_NS: u64 = 1_000;
+const PERIOD_NS: u64 = 2_000;
+/// An out-of-order demand: it fits the gap it starts in, or the next one.
+const DEMAND_NS: u64 = 100;
+
+/// How far behind a deep book's tail the out-of-order demands aim: every
+/// distance up to 16, then each power of two up to 2^16 and its neighbours
+/// (the gallop's bracket edges), then the first interval ([`aim`] clamps a
+/// distance past it to it).
+fn deep_distances() -> Vec<usize> {
+    let mut d: Vec<usize> = (1..=16).collect();
+    for k in 5..=16 {
+        d.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
+    }
+    d.push(DEEP_SPANS as usize);
+    d
+}
+
+/// Submission instants aimed at the interval `d` behind the last one in
+/// `spans`: its middle, one ns before its end, exactly at its end (the
+/// `end <= from` boundary of the search), and the gap before it. All fall
+/// before the last interval starts, so none takes a fast path.
+fn aim(spans: &[(u64, u64)], d: usize) -> [u64; 4] {
+    let last = spans.len() - 1;
+    let (start, end) = spans[last - d.min(last)];
+    [(start + end) / 2, end - 1, end, start - 1]
+}
+
+/// A book of 100 000 spans, the depth no proptest case above reaches: an
+/// out-of-order demand 1, 2, 3 … 2^16 intervals behind the tail, or before
+/// the first interval, gets the oracle's grant, and so does a `dur == 0`
+/// query through `next_free`. Each search is counted slow.
+#[test]
+fn deep_bandwidth_book_matches_reference() {
+    let rate = 1_000_000_000; // one byte per ns
+    let mut fast = BandwidthServer::new(rate);
+    let mut oracle = RefPipe::new(rate);
+    for i in 0..DEEP_SPANS {
+        let now = BUSY_NS + i * PERIOD_NS;
+        let g = fast.transmit(SimTime::from_nanos(now), BUSY_NS);
+        let want = oracle.transmit(now, BUSY_NS);
+        assert_eq!((g.start.as_nanos(), g.finish.as_nanos()), want);
+    }
+    for d in deep_distances() {
+        for from in aim(&oracle.book.spans, d) {
+            let now = SimTime::from_nanos(from);
+            let free = fast.next_free(now).as_nanos();
+            assert_eq!(
+                free,
+                oracle.next_free(from),
+                "next_free at t={from}, {d} behind"
+            );
+            let g = fast.transmit(now, DEMAND_NS);
+            let want = oracle.transmit(from, DEMAND_NS);
+            assert_eq!(
+                (g.start.as_nanos(), g.finish.as_nanos()),
+                want,
+                "transmit at t={from}, {d} behind"
+            );
+        }
+    }
+    assert!(
+        oracle.book.spans.len() as u64 >= DEEP_SPANS,
+        "nothing pruned"
+    );
+    assert_eq!(fast.stats().fastpath_hits, DEEP_SPANS);
+}
+
+/// The deep-book case for pools of 1..12 servers, each server's book
+/// 100 000 spans deep, demands aimed at each server in turn.
+#[test]
+fn deep_server_pool_books_match_reference() {
+    for servers in 1usize..12 {
+        let mut fast = ServerPool::new(servers);
+        let mut oracle = RefPool::new(servers);
+        let mut now = 0;
+        for i in 0..DEEP_SPANS {
+            now = BUSY_NS + i * PERIOD_NS;
+            // One job per server, each starting at once on its own server.
+            for _ in 0..servers {
+                let g = fast.submit(SimTime::from_nanos(now), SimDuration::from_nanos(BUSY_NS));
+                assert_eq!(
+                    (g.start.as_nanos(), g.finish.as_nanos()),
+                    (now, now + BUSY_NS)
+                );
+            }
+        }
+        // The oracle's books as those grants leave them, written directly:
+        // submitting to it would cost a full-book search per server probe.
+        oracle.high_water = now;
+        for book in &mut oracle.books {
+            book.spans = (0..DEEP_SPANS)
+                .map(|i| (BUSY_NS + i * PERIOD_NS, 2 * BUSY_NS + i * PERIOD_NS))
+                .collect();
+        }
+        for (n, d) in deep_distances().into_iter().enumerate() {
+            for from in aim(&oracle.books[n % servers].spans, d) {
+                let now = SimTime::from_nanos(from);
+                let free = fast.next_free(now).as_nanos();
+                assert_eq!(
+                    free,
+                    oracle.next_free(from),
+                    "next_free at t={from}, {d} behind ({servers} servers)"
+                );
+                let g = fast.submit(now, SimDuration::from_nanos(DEMAND_NS));
+                let want = oracle.submit(from, DEMAND_NS);
+                assert_eq!(
+                    (g.start.as_nanos(), g.finish.as_nanos()),
+                    want,
+                    "submit at t={from}, {d} behind ({servers} servers)"
+                );
+            }
+        }
+        assert!(oracle
+            .books
+            .iter()
+            .all(|b| b.spans.len() as u64 >= DEEP_SPANS));
+        assert_eq!(fast.stats().fastpath_hits, DEEP_SPANS * servers as u64);
     }
 }
 
