@@ -82,6 +82,11 @@ impl ClientStack {
         either!(self, c => c.node())
     }
 
+    /// Every storage node, slot-aligned with the cluster's pool map.
+    pub fn servers(&self) -> &[NodeId] {
+        either!(self, c => c.servers())
+    }
+
     /// The client's (first tenant's) protection domain.
     pub fn pd(&self) -> PdId {
         either!(self, c => c.pd())

@@ -14,8 +14,15 @@
 //! the live map, no fence ever fires, and all pre-existing results are
 //! bit-identical to the fault-oblivious code.
 
-use ros2_daos::EngineCluster;
-use ros2_sim::SimDuration;
+use ros2_ctl::ControlRequest;
+use ros2_daos::{DaosError, EngineCluster, MapSnapshot};
+use ros2_sim::{SimDuration, SimTime};
+
+use crate::assembly::ClientStack;
+
+/// Gap between consecutive per-client deliveries of one map push: the
+/// control plane serializes the frame onto each subscriber connection.
+pub const PUSH_GAP: SimDuration = SimDuration::from_micros(1);
 
 /// One scheduled engine kill, triggered by client progress rather than
 /// wall-clock: the kill fires when the client stack has issued
@@ -97,19 +104,6 @@ impl FaultPlan {
             && self.bitrot.is_empty()
     }
 
-    /// Applies the from-launch part of the plan to `cluster`: black holes
-    /// and stalls take effect immediately. Kills and bit-rot fire later,
-    /// through a [`FaultCursor`], against whichever op counter the owning
-    /// world reads.
-    pub fn arm(&self, cluster: &mut EngineCluster) {
-        for &slot in &self.blackholes {
-            cluster.set_blackhole(slot, true);
-        }
-        for stall in &self.stalls {
-            cluster.set_stall(stall.slot, stall.extra);
-        }
-    }
-
     /// Convenience: a single mid-flight kill of `slot` after
     /// `after_client_ops` ops, with RAS delivery delayed by `ras_delay`.
     pub fn kill_after(slot: usize, after_client_ops: u64, ras_delay: SimDuration) -> Self {
@@ -125,8 +119,8 @@ impl FaultPlan {
 }
 
 /// An installed [`FaultPlan`] and how far its op-count-triggered entries
-/// have fired. Every world that runs a plan holds one; each keeps only
-/// its own way of delivering the new map a kill produces.
+/// have fired. Every world holds one, and every membership change it
+/// makes reaches its client stacks through [`Self::push_map`].
 #[derive(Debug, Default)]
 pub struct FaultCursor {
     plan: FaultPlan,
@@ -137,10 +131,16 @@ pub struct FaultCursor {
 }
 
 impl FaultCursor {
-    /// Arms `plan` on `cluster` (see [`FaultPlan::arm`]) with nothing
-    /// fired yet.
+    /// Arms `plan` on `cluster` with nothing fired yet: black holes and
+    /// stalls take effect immediately; kills and bit-rot fire later, from
+    /// [`Self::fire_due`] or the owner's own op counter.
     pub fn install(plan: FaultPlan, cluster: &mut EngineCluster) -> Self {
-        plan.arm(cluster);
+        for &slot in &plan.blackholes {
+            cluster.set_blackhole(slot, true);
+        }
+        for stall in &plan.stalls {
+            cluster.set_stall(stall.slot, stall.extra);
+        }
         FaultCursor {
             plan,
             next_kill: 0,
@@ -148,21 +148,10 @@ impl FaultCursor {
         }
     }
 
-    /// The installed plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Whether a kill or a bit-rot injection is still to fire — all an
-    /// empty plan costs per op.
-    pub fn pending(&self) -> bool {
-        self.next_kill < self.plan.kills.len() || self.next_bitrot < self.plan.bitrot.len()
-    }
-
     /// The slot of the next kill due once the client stack has issued
     /// `ops` ops, marked fired; `None` when none is due. Kills fire in
     /// plan order, so an unreached one holds back those after it.
-    pub fn due_kill(&mut self, ops: u64) -> Option<usize> {
+    pub(crate) fn due_kill(&mut self, ops: u64) -> Option<usize> {
         let kill = self.plan.kills.get(self.next_kill)?;
         if ops < kill.after_client_ops {
             return None;
@@ -171,10 +160,55 @@ impl FaultCursor {
         Some(kill.slot)
     }
 
+    /// The one way a membership change reaches client stacks: the
+    /// cluster's current map, encoded **once** as a `MapPush` frame, lands
+    /// at client `c` of `clients` at `now + ras_delay + c × PUSH_GAP` and
+    /// is applied at its next map poll.
+    pub fn push_map(&self, cluster: &EngineCluster, now: SimTime, clients: &mut [ClientStack]) {
+        let frame = cluster.snapshot_map().to_push().encode();
+        let rf = cluster.replication_factor();
+        for (c, client) in clients.iter_mut().enumerate() {
+            // Each client decodes the frame against the slot-aligned
+            // storage nodes it learned at pool connect.
+            let Ok(ControlRequest::MapPush {
+                version,
+                healths,
+                pending_dead,
+            }) = ControlRequest::decode(frame.clone())
+            else {
+                unreachable!("a MapPush frame decodes as one");
+            };
+            let snap =
+                MapSnapshot::from_wire(client.servers(), rf, version, &healths, pending_dead);
+            client.deliver_map(now + self.plan.ras_delay + PUSH_GAP * c as u64, snap);
+        }
+    }
+
+    /// Fires at `now` every kill (its map pushed by [`Self::push_map`])
+    /// and bit-rot injection due at `clients`' total op count.
+    pub fn fire_due(
+        &mut self,
+        cluster: &mut EngineCluster,
+        now: SimTime,
+        clients: &mut [ClientStack],
+    ) -> Result<(), DaosError> {
+        // All an empty (or spent) plan costs per op.
+        if self.next_kill == self.plan.kills.len() && self.next_bitrot == self.plan.bitrot.len() {
+            return Ok(());
+        }
+        let ops = clients.iter().map(ClientStack::ops).sum();
+        while let Some(slot) = self.due_kill(ops) {
+            cluster.kill_engine(slot)?;
+            self.push_map(cluster, now, clients);
+        }
+        self.apply_due_bitrot(cluster, ops);
+        Ok(())
+    }
+
     /// Applies to `cluster` every bit-rot injection due at `ops` ops.
     /// Silent: no event is raised and no client ever fails — only the
     /// scrub service can see it.
-    pub fn apply_due_bitrot(&mut self, cluster: &mut EngineCluster, ops: u64) {
+    pub(crate) fn apply_due_bitrot(&mut self, cluster: &mut EngineCluster, ops: u64) {
         while let Some(rot) = self.plan.bitrot.get(self.next_bitrot) {
             if ops < rot.after_client_ops {
                 break;
@@ -190,6 +224,54 @@ impl FaultCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assembly::{connect_client, fabric_and_cluster, ClientKind, ClientSetup};
+    use ros2_daos::{ObjClass, ObjectId};
+    use ros2_dpu::DpuTenantSpec;
+    use ros2_hw::{ClientPlacement, ClusterTopology, Transport};
+    use ros2_nvme::DataMode;
+    use ros2_verbs::NodeId;
+
+    #[test]
+    fn push_reaches_client_c_one_gap_after_client_c_minus_one() {
+        let topology = ClusterTopology::incast(ClientPlacement::Host, 3, 4);
+        let (mut fabric, mut cluster, nodes) =
+            fabric_and_cluster(Transport::Rdma, &topology, 7, 1, 2, 1, DataMode::Null).unwrap();
+        let mut clients: Vec<ClientStack> = (0..3u32)
+            .map(|c| {
+                let setup = ClientSetup {
+                    jobs: 1,
+                    buffer_len: 1 << 20,
+                    gpu_hbm: false,
+                    tenants: vec![DpuTenantSpec::unlimited("t")],
+                    dpu_cache: None,
+                    seed: 0,
+                    agent: None,
+                };
+                connect_client(&mut fabric, NodeId(c), &nodes, ClientKind::Host, setup).unwrap()
+            })
+            .collect();
+        let oid = ObjectId::new(ObjClass::Sx, 1);
+        let revision = |client: &mut ClientStack, cluster: &EngineCluster, at: SimTime| {
+            let ClientStack::InProcess(c) = client else {
+                unreachable!("host clients")
+            };
+            c.probe_route(at, cluster, &oid).2
+        };
+        // Every client caches the launch map before the kill.
+        let old = cluster.map().version();
+        for client in &mut clients {
+            assert_eq!(revision(client, &cluster, SimTime::ZERO), old);
+        }
+        cluster.kill_engine(1).unwrap();
+        let at = SimTime::from_micros(50);
+        FaultCursor::default().push_map(&cluster, at, &mut clients);
+        for (c, client) in clients.iter_mut().enumerate() {
+            let lands = at + PUSH_GAP * c as u64;
+            let before = SimTime::from_nanos(lands.as_nanos() - 1);
+            assert_eq!(revision(client, &cluster, before), old, "client {c}");
+            assert_eq!(revision(client, &cluster, lands), old + 1, "client {c}");
+        }
+    }
 
     #[test]
     fn empty_plan_is_empty() {

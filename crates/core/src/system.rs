@@ -330,16 +330,15 @@ impl Ros2System {
 
     /// Marks engine `slot` dead: the pool map bumps its revision, a
     /// RAS-style event is raised on the control plane (the agent terminates
-    /// it, exactly like the management calls), and every subsequent op
-    /// routes around the dead engine — fetches of affected objects are
-    /// served degraded from surviving replicas. Redundancy is restored by
-    /// [`Self::rebuild`]. Returns the new map revision.
+    /// it, exactly like the management calls), and the new map is pushed
+    /// to the client stack ([`FaultCursor::push_map`]) `ras_delay` after
+    /// that call; until it lands the client routes by the stale revision
+    /// and recovers through fencing and the retry ladder. Redundancy is
+    /// restored by [`Self::rebuild`]. Returns the new map revision.
     ///
-    /// The kill is committed *before* the event is delivered, and stays
-    /// committed even if the control call errors — the engine is dead
-    /// whether or not anyone was notified, exactly like a real RAS event.
-    /// On `Err` the map is already at the new revision with a rebuild
-    /// pending.
+    /// The kill is committed *before* the event is raised, and stays
+    /// committed (its map pushed) even if the control call errors. On
+    /// `Err` the map is already at the new revision with a rebuild pending.
     pub fn kill_engine(&mut self, slot: usize) -> Result<u64, Ros2Error> {
         let version = self.cluster.kill_engine(slot)?;
         let (t, res) = self.notify(
@@ -349,13 +348,8 @@ impl Ros2System {
                 map_version: version,
             },
         );
-        // The new map is *delivered* to the client stack's cache after the
-        // plan's RAS delay — until the delivery lands (and is polled), the
-        // pipelined client keeps routing by the stale revision and relies
-        // on engine fencing plus the retry ladder to recover.
-        let snap = self.cluster.snapshot_map();
-        self.client
-            .deliver_map(t + self.faults.plan().ras_delay, snap);
+        self.faults
+            .push_map(&self.cluster, t, std::slice::from_mut(&mut self.client));
         res?;
         self.tick(t);
         Ok(version)
@@ -365,16 +359,11 @@ impl Ros2System {
     /// kills arm against the client-op counter and fire from inside
     /// [`Self::write`]/[`Self::read`] once the threshold is crossed, so a
     /// scheduled kill lands mid-workload without the caller orchestrating
-    /// it. RAS deliveries triggered by those kills (and by explicit
-    /// [`Self::kill_engine`] calls) reach the client stack `ras_delay`
-    /// late.
+    /// it. The map pushes those kills trigger (and explicit
+    /// [`Self::kill_engine`] and [`Self::rebuild`] calls) reach the
+    /// client stack `ras_delay` late.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = FaultCursor::install(plan, &mut self.cluster);
-    }
-
-    /// The installed fault plan (empty by default).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        self.faults.plan()
     }
 
     /// Fires any armed kills (each a [`Self::kill_engine`], RAS event
@@ -395,14 +384,14 @@ impl Ros2System {
     /// answer). Returns the fetched revision.
     pub fn map_query(&mut self) -> Result<u64, Ros2Error> {
         let snap = self.cluster.snapshot_map();
-        let version = snap.version();
-        let healths: Vec<u8> = snap
-            .map()
-            .members()
-            .iter()
-            .map(|m| u8::from(m.health == ros2_daos::EngineHealth::Up))
-            .collect();
-        let pending = snap.pending_dead().map(|s| s as u32).unwrap_or(u32::MAX);
+        let ControlRequest::MapPush {
+            version,
+            healths,
+            pending_dead,
+        } = snap.to_push()
+        else {
+            unreachable!("to_push encodes a MapPush");
+        };
         let now = self.clock;
         let session = self.session;
         let (t, res) = self.agent_mut().host_call(
@@ -411,8 +400,8 @@ impl Ros2System {
             ControlRequest::MapQuery,
             move |_, _| ControlResponse::MapUpdate {
                 version,
-                healths: Bytes::from(healths.clone()),
-                pending_dead: pending,
+                healths: healths.clone(),
+                pending_dead,
             },
         );
         res.map_err(Ros2Error::Control)?;
@@ -424,10 +413,13 @@ impl Ros2System {
     /// Online rebuild of the pending engine failure: surviving replicas
     /// stream the dead engine's records to the deterministic backfill
     /// members at data-plane rates (fabric-booked), restoring the
-    /// replication factor. Returns the virtual duration of the rebuild.
+    /// replication factor. Its completion is a map event too, pushed like
+    /// a kill's. Returns the virtual duration of the rebuild.
     pub fn rebuild(&mut self) -> Result<Timed<RebuildStats>, Ros2Error> {
         let now = self.clock;
         let t = self.cluster.rebuild(&mut self.fabric, now)?;
+        self.faults
+            .push_map(&self.cluster, t, std::slice::from_mut(&mut self.client));
         let stats = self.cluster.rebuild_stats();
         Ok(self.timed(now, t, stats))
     }

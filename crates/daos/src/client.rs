@@ -448,11 +448,6 @@ impl DaosClient {
         self.node
     }
 
-    /// The first storage-server node this client targets.
-    pub fn server(&self) -> NodeId {
-        self.servers[0]
-    }
-
     /// Every storage node, slot-aligned with the cluster's pool map.
     pub fn servers(&self) -> &[NodeId] {
         &self.servers

@@ -852,12 +852,6 @@ impl EngineCluster {
         }
     }
 
-    /// The current routing state as the RAS push wire message — encoded
-    /// once, deliverable to every subscribed client.
-    pub fn ras_push(&self) -> ControlRequest {
-        self.snapshot_map().to_push()
-    }
-
     /// Turns on the engine-side connection pool: resident per-client
     /// session state is bounded at `capacity` with LRU eviction and
     /// `handshake` charged per (re)connect. Worlds that never call this

@@ -316,9 +316,9 @@ impl DpuClient {
         self.node
     }
 
-    /// The storage-server node.
-    pub fn server(&self) -> NodeId {
-        self.lanes[0].daos.server()
+    /// Every storage node, slot-aligned with the cluster's pool map.
+    pub fn servers(&self) -> &[NodeId] {
+        self.lanes[0].daos.servers()
     }
 
     /// The first tenant's data-plane protection domain.

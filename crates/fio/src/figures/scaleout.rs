@@ -77,7 +77,7 @@ pub fn resilience_cell() -> ResilienceCell {
         .windows(SimDuration::from_millis(10), SimDuration::from_millis(40));
     let mut failed = run_fio(&mut w, &spec).io.errors.get();
     let victim = w.cluster.route_update(&w.file(0).oid).leader();
-    w.kill_engine(victim.expect("healthy leader"))
+    w.kill_engine(SimTime::ZERO, victim.expect("healthy leader"))
         .expect("kill");
     w.reset_timing();
     let degraded = run_fio(&mut w, &spec);

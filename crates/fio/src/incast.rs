@@ -3,10 +3,10 @@
 //! deployment shape where storage-port congestion, per-client fairness,
 //! and engine-side connection state become the story.
 //!
-//! Three mechanisms distinguish this world from the single-client
+//! Two mechanisms distinguish this world from the single-client
 //! [`DfsFioWorld`](crate::DfsFioWorld) it shares its assembly with (one
 //! fabric-and-cluster build, one client connect, one preconditioning
-//! loop, one fault cursor):
+//! loop, one fault cursor, one `Workload::issue` body):
 //!
 //! * **the clients axis** — one fabric node and one client stack
 //!   ([`ClientStack`]) per entry of the spec's [`Clients`](crate::Clients)
@@ -15,26 +15,24 @@
 //! * **the engine-side connection pool** — the cluster admits every op
 //!   through an LRU pool bounding resident per-client session state at
 //!   O(capacity); non-resident clients pay a handshake before the op
-//!   starts (see `ros2_daos::conn_pool`);
-//! * **RAS push distribution** — a membership change is encoded **once**
-//!   as a `MapPush` control frame and fanned out to every subscribed
-//!   client as a delayed delivery (`ras_delay` plus a per-client
-//!   serialization gap), instead of N per-client `MapQuery` pulls. Each
-//!   client's cached map applies the push at its next poll, so clients
-//!   genuinely race the new revision at different instants.
+//!   starts (see `ros2_daos::conn_pool`).
+//!
+//! A kill reaches the clients through `ros2_core`'s one membership rule,
+//! [`FaultCursor::push_map`]: one `MapPush` frame, encoded once, lands at
+//! client `c` after `ras_delay` plus `c` per-client serialization gaps,
+//! instead of N per-client `MapQuery` pulls — so the clients genuinely
+//! race the new revision at different instants.
 
 use ros2_core::{ClientStack, FaultCursor, FaultPlan};
-use ros2_ctl::ControlRequest;
-use ros2_daos::{ConnPool, DaosError, EngineCluster, MapSnapshot, RetryStats};
-use ros2_dfs::{Dfs, DfsObj, DfsSession};
+use ros2_daos::{ConnPool, DaosError, EngineCluster, RetryStats};
+use ros2_dfs::{Dfs, DfsObj};
 use ros2_dpu::DpuCacheStats;
 use ros2_fabric::Fabric;
 use ros2_hw::ClusterTopology;
-use ros2_sim::{ResourceStats, SimDuration, SimTime};
-use ros2_verbs::NodeId;
+use ros2_sim::{ResourceStats, SimTime};
 
 use crate::driver::{FioOp, Workload};
-use crate::worlds::precondition;
+use crate::worlds::{issue_dfs, precondition};
 use crate::worldspec::WorldSpec;
 
 /// The assembled incast testbed. Build with
@@ -51,21 +49,10 @@ pub struct IncastFioWorld {
     pub dfs: Dfs,
     /// Preconditioned files, indexed by **global** job.
     files: Vec<DfsObj>,
-    /// FIO jobs per client.
-    jobs_per_client: usize,
-    /// Slot-aligned storage node ids (the receiver-known half of a push).
-    storage_nodes: Vec<NodeId>,
-    /// Pool replication factor (the other receiver-known half).
-    rf: usize,
     faults: FaultCursor,
 }
 
 impl IncastFioWorld {
-    /// Gap between consecutive per-client deliveries of one push fan-out:
-    /// the control plane serializes the frame onto each subscriber
-    /// connection.
-    pub const PUSH_GAP: SimDuration = SimDuration::from_micros(1);
-
     /// Assembles the world a multi-client [`WorldSpec`] describes.
     pub(crate) fn build(spec: WorldSpec) -> Self {
         let topology = ClusterTopology {
@@ -106,9 +93,6 @@ impl IncastFioWorld {
             clients,
             dfs,
             files,
-            jobs_per_client: jobs,
-            storage_nodes,
-            rf: spec.replication_value(),
             faults: FaultCursor::default(),
         }
     }
@@ -120,7 +104,7 @@ impl IncastFioWorld {
 
     /// Total FIO jobs across all clients.
     pub fn total_jobs(&self) -> usize {
-        self.clients.len() * self.jobs_per_client
+        self.files.len()
     }
 
     /// Data-plane ops issued by each client, in node order.
@@ -177,60 +161,12 @@ impl IncastFioWorld {
         self.faults = FaultCursor::install(plan, &mut self.cluster);
     }
 
-    /// One RAS push fan-out: encodes the current map as a `MapPush` frame
-    /// **once**, then schedules a delayed delivery to every client —
-    /// client `c` receives it at `at + c × PUSH_GAP` and applies it at
-    /// its next map poll. This is the control plane's push analogue of N
-    /// per-client `MapQuery` round-trips.
-    pub fn push_map(&mut self, at: SimTime) {
-        let frame = self.cluster.ras_push().encode();
-        for (c, client) in self.clients.iter_mut().enumerate() {
-            let snap = match ControlRequest::decode(frame.clone()).expect("self-encoded frame") {
-                ControlRequest::MapPush {
-                    version,
-                    healths,
-                    pending_dead,
-                } => MapSnapshot::from_wire(
-                    &self.storage_nodes,
-                    self.rf,
-                    version,
-                    &healths,
-                    pending_dead,
-                ),
-                other => unreachable!("ras_push encodes MapPush, got {other:?}"),
-            };
-            client.deliver_map(at + Self::PUSH_GAP * c as u64, snap);
-        }
-    }
-
-    /// Kills engine `slot` and fans the new map out to every client via
-    /// [`Self::push_map`], `ras_delay` after `now`.
+    /// Kills engine `slot` at `now` and pushes the new map to every
+    /// client through [`FaultCursor::push_map`], `ras_delay` later.
     pub fn kill_engine(&mut self, now: SimTime, slot: usize) -> Result<u64, DaosError> {
         let version = self.cluster.kill_engine(slot)?;
-        self.push_map(now + self.faults.plan().ras_delay);
+        self.faults.push_map(&self.cluster, now, &mut self.clients);
         Ok(version)
-    }
-
-    /// Runs the online rebuild at `now`; the completion map revision is
-    /// pushed to every client `ras_delay` after the completion instant.
-    pub fn rebuild(&mut self, now: SimTime) -> Result<SimTime, DaosError> {
-        let t = self.cluster.rebuild(&mut self.fabric, now)?;
-        self.push_map(t + self.faults.plan().ras_delay);
-        Ok(t)
-    }
-
-    /// Fires the plan's kills and bit-rot whose total-op threshold has
-    /// been crossed.
-    fn fire_due_faults(&mut self, now: SimTime) -> Result<(), DaosError> {
-        if !self.faults.pending() {
-            return Ok(());
-        }
-        let ops = self.total_ops();
-        while let Some(slot) = self.faults.due_kill(ops) {
-            self.kill_engine(now, slot)?;
-        }
-        self.faults.apply_due_bitrot(&mut self.cluster, ops);
-        Ok(())
     }
 
     /// The preconditioned file handle for a **global** job index.
@@ -241,27 +177,6 @@ impl IncastFioWorld {
 
 impl Workload for IncastFioWorld {
     fn issue(&mut self, now: SimTime, job: usize, op: &FioOp) -> Result<SimTime, String> {
-        self.fire_due_faults(now).map_err(|e| format!("{e:?}"))?;
-        let c = job / self.jobs_per_client;
-        let l = job % self.jobs_per_client;
-        // Engine-side admission: a non-resident client re-handshakes
-        // before its op starts.
-        let start = self.cluster.pool_admit(NodeId(c as u32), now);
-        let mut s = DfsSession {
-            fabric: &mut self.fabric,
-            cluster: &mut self.cluster,
-            client: self.clients[c].as_object(),
-        };
-        if op.write {
-            let data = crate::worlds::zeros(op.len as usize);
-            self.dfs
-                .write(&mut s, start, l, &mut self.files[job], op.offset, data)
-                .map_err(|e| format!("{e:?}"))
-        } else {
-            self.dfs
-                .read(&mut s, start, l, &self.files[job], op.offset, op.len)
-                .map(|(_, at)| at)
-                .map_err(|e| format!("{e:?}"))
-        }
+        issue_dfs!(self, &mut self.clients, now, job, op)
     }
 }

@@ -12,7 +12,8 @@
 //! [`crate::IncastFioWorld`]) are assembled by [`crate::WorldSpec`] through
 //! `ros2_core`'s assembly functions, drive one [`ClientStack`] per client
 //! node (the enum `Ros2System` uses; `FioClient` is its name here), and
-//! share one preconditioning loop (`precondition`).
+//! share one preconditioning loop (`precondition`) and one
+//! `Workload::issue` body (`issue_dfs!`).
 
 use bytes::Bytes;
 use ros2_core::{ClientStack, FaultCursor, FaultPlan};
@@ -276,67 +277,64 @@ impl DfsFioWorld {
         self.faults = FaultCursor::install(plan, &mut self.cluster);
     }
 
-    /// Kills engine `slot` (pool-map revision bump; subsequent fetches of
-    /// affected objects are served degraded). Returns the new revision.
-    /// The new map is handed to the client as an already-landed delivery
-    /// (applied at its next map poll) — use a fault plan's scheduled
-    /// kills to model delayed RAS propagation.
-    pub fn kill_engine(&mut self, slot: usize) -> Result<u64, DaosError> {
+    /// Kills engine `slot` at `now` and pushes the new map to the client
+    /// `ras_delay` later ([`FaultCursor::push_map`]); fetches of affected
+    /// objects are then served degraded. Returns the new revision.
+    pub fn kill_engine(&mut self, now: SimTime, slot: usize) -> Result<u64, DaosError> {
         let version = self.cluster.kill_engine(slot)?;
-        let snap = self.cluster.snapshot_map();
-        self.client.deliver_map(SimTime::ZERO, snap);
+        let clients = std::slice::from_mut(&mut self.client);
+        self.faults.push_map(&self.cluster, now, clients);
         Ok(version)
     }
 
     /// Runs the online rebuild at `now`; returns its completion instant.
     /// Rebuild completion is itself a map event (the revision bumps as
     /// the pre-kill-survivor routing override ends), so the new map is
-    /// delivered to the client at the completion instant plus the plan's
-    /// RAS delay.
+    /// pushed to the client `ras_delay` after the completion instant.
     pub fn rebuild(&mut self, now: SimTime) -> Result<SimTime, DaosError> {
         let t = self.cluster.rebuild(&mut self.fabric, now)?;
-        let snap = self.cluster.snapshot_map();
-        self.client
-            .deliver_map(t + self.faults.plan().ras_delay, snap);
+        let clients = std::slice::from_mut(&mut self.client);
+        self.faults.push_map(&self.cluster, t, clients);
         Ok(t)
-    }
-
-    /// Fires the plan's due kills, delivering each new map `ras_delay`
-    /// after `now`, and its due bit-rot.
-    fn fire_due_faults(&mut self, now: SimTime) -> Result<(), DaosError> {
-        if !self.faults.pending() {
-            return Ok(());
-        }
-        let ops = self.client.ops();
-        while let Some(slot) = self.faults.due_kill(ops) {
-            self.cluster.kill_engine(slot)?;
-            let snap = self.cluster.snapshot_map();
-            self.client
-                .deliver_map(now + self.faults.plan().ras_delay, snap);
-        }
-        self.faults.apply_due_bitrot(&mut self.cluster, ops);
-        Ok(())
     }
 }
 
-impl Workload for DfsFioWorld {
-    fn issue(&mut self, now: SimTime, job: usize, op: &FioOp) -> Result<SimTime, String> {
-        self.fire_due_faults(now).map_err(|e| format!("{e:?}"))?;
-        let mut s = DfsSession {
-            fabric: &mut self.fabric,
-            cluster: &mut self.cluster,
-            client: self.client.as_object(),
+/// The DFS worlds' one [`Workload::issue`] body over `$w`'s client stacks
+/// `$clients`: fires due faults, admits client `c` through the connection
+/// pool (`now` when none is enabled) and runs the op as its local job `l`;
+/// one client is `c = 0`, `l = job`. A macro so each world lends its
+/// fields disjointly.
+macro_rules! issue_dfs {
+    ($w:expr, $clients:expr, $now:ident, $job:ident, $op:ident) => {{
+        let clients: &mut [::ros2_core::ClientStack] = $clients;
+        $w.faults
+            .fire_due(&mut $w.cluster, $now, clients)
+            .map_err(|e| format!("{e:?}"))?;
+        let jobs_per_client = $w.files.len() / clients.len();
+        let (c, l) = ($job / jobs_per_client, $job % jobs_per_client);
+        let start = $w.cluster.pool_admit(::ros2_verbs::NodeId(c as u32), $now);
+        let mut s = ::ros2_dfs::DfsSession {
+            fabric: &mut $w.fabric,
+            cluster: &mut $w.cluster,
+            client: clients[c].as_object(),
         };
-        if op.write {
-            let data = zeros(op.len as usize);
-            self.dfs
-                .write(&mut s, now, job, &mut self.files[job], op.offset, data)
+        if $op.write {
+            let data = $crate::worlds::zeros($op.len as usize);
+            $w.dfs
+                .write(&mut s, start, l, &mut $w.files[$job], $op.offset, data)
                 .map_err(|e| format!("{e:?}"))
         } else {
-            self.dfs
-                .read(&mut s, now, job, &self.files[job], op.offset, op.len)
+            $w.dfs
+                .read(&mut s, start, l, &$w.files[$job], $op.offset, $op.len)
                 .map(|(_, at)| at)
                 .map_err(|e| format!("{e:?}"))
         }
+    }};
+}
+pub(crate) use issue_dfs;
+
+impl Workload for DfsFioWorld {
+    fn issue(&mut self, now: SimTime, job: usize, op: &FioOp) -> Result<SimTime, String> {
+        issue_dfs!(self, std::slice::from_mut(&mut self.client), now, job, op)
     }
 }

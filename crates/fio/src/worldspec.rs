@@ -63,14 +63,6 @@ impl Clients {
         }
     }
 
-    /// `n` DPU-cost-model clients (BlueField node specs, in-process
-    /// clients charged at Arm-core costs).
-    pub fn dpu(n: usize) -> Self {
-        Clients {
-            kinds: vec![ClientKind::DpuCostModel; n],
-        }
-    }
-
     /// `n` real offloaded clients — one [`ros2_dpu::DpuClient`] per
     /// BlueField node, each with its own agent, QoS admission, and
     /// (optionally) read cache. The incast axis for DPU-side experiments.
@@ -256,10 +248,6 @@ impl WorldSpec {
 
     pub(crate) fn engines_value(&self) -> usize {
         self.engines
-    }
-
-    pub(crate) fn replication_value(&self) -> usize {
-        self.replication
     }
 
     pub(crate) fn region_value(&self) -> u64 {

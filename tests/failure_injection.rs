@@ -7,11 +7,13 @@ use ros2::core::{ClusterConfig, Ros2Config, Ros2System};
 use ros2::daos::{AKey, DKey, DaosError};
 use ros2::dfs::DfsError;
 use ros2::dpu::DpuError;
+use ros2::hw::ClientPlacement;
 use ros2::sim::SimTime;
 
-/// The default deployment on 4 engines, RF 2.
-fn four_engines_rf2() -> Ros2System {
+/// The default deployment on 4 engines, RF 2, its client on `placement`.
+fn four_engines_rf2(placement: ClientPlacement) -> Ros2System {
     Ros2System::launch(Ros2Config {
+        placement,
         cluster: ClusterConfig {
             engines: 4,
             replication_factor: 2,
@@ -183,7 +185,7 @@ fn namespace_errors_are_typed() {
 /// the kill.
 #[test]
 fn engine_kill_mid_workload_degrades_then_rebuilds() {
-    let mut sys = four_engines_rf2();
+    let mut sys = four_engines_rf2(ClientPlacement::Dpu);
 
     let content = |i: usize| Bytes::from(vec![(i * 37 % 251) as u8 + 1; 2 << 20]);
     let mut files = Vec::new();
@@ -269,7 +271,7 @@ fn map_query_installs_the_map_the_ras_delivery_holds_back() {
     use ros2::daos::RetryStats;
     use ros2::sim::SimDuration;
     let read_after_kill = |query: bool| {
-        let mut sys = four_engines_rf2();
+        let mut sys = four_engines_rf2(ClientPlacement::Dpu);
         let content = Bytes::from(vec![0x5a; 2 << 20]);
         let mut f = sys.create("/mapped").unwrap().value;
         sys.write(&mut f, 0, content.clone()).unwrap();
@@ -291,6 +293,29 @@ fn map_query_installs_the_map_the_ras_delivery_holds_back() {
     assert!(stale.retries >= 1, "{stale:?}");
 }
 
+/// Rebuild completion is a map event like a kill: `rebuild()` pushes its
+/// map to the client stack, so the first read after it routes by the
+/// post-rebuild revision — no fence, retry, backoff or map refresh — on
+/// both placements.
+#[test]
+fn rebuild_pushes_its_map_to_the_client() {
+    for placement in [ClientPlacement::Host, ClientPlacement::Dpu] {
+        let mut sys = four_engines_rf2(placement);
+        let content = Bytes::from(vec![0x3c; 2 << 20]);
+        let mut f = sys.create("/rebuilt").unwrap().value;
+        sys.write(&mut f, 0, content.clone()).unwrap();
+        let leader = sys.cluster.route_update(&f.oid).leader();
+        sys.kill_engine(leader.expect("healthy leader")).unwrap();
+        let back = sys.read(&f, 0, 2 << 20).expect("degraded read").value;
+        assert_eq!(back, content, "{placement:?}");
+        sys.rebuild().unwrap();
+        let before = sys.client.retry_stats();
+        let back = sys.read(&f, 0, 2 << 20).expect("post-rebuild read").value;
+        assert_eq!(back, content, "{placement:?}");
+        assert_eq!(sys.client.retry_stats(), before, "{placement:?}");
+    }
+}
+
 #[test]
 fn dpu_dram_exhaustion_fails_launch_cleanly() {
     // 16 jobs x 4 GiB of staging > 30 GiB of BlueField-3 DRAM.
@@ -308,7 +333,7 @@ fn dpu_dram_exhaustion_fails_launch_cleanly() {
 #[test]
 fn scheduled_bitrot_is_scrubbed_and_repaired() {
     use ros2::core::{FaultPlan, ScheduledCorruption};
-    let mut sys = four_engines_rf2();
+    let mut sys = four_engines_rf2(ClientPlacement::Dpu);
 
     let content = |i: usize| Bytes::from(vec![(i * 53 % 241) as u8 + 1; 2 << 20]);
     let mut files = Vec::new();
