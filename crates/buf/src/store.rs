@@ -105,12 +105,36 @@ impl DataPlaneStats {
 #[derive(Debug)]
 struct Extent {
     data: Bytes,
-    crcs: Option<Box<[Option<u32>]>>,
+    crcs: ChunkCrcs,
+}
+
+/// An extent's chunk-CRC cache. A one-chunk extent (a 4 KiB record) holds
+/// its one entry inline, so writing, seeding and verifying it allocate
+/// nothing; a longer extent's table is boxed on first use — state that
+/// lives as long as the extent does.
+#[derive(Debug)]
+enum ChunkCrcs {
+    Inline(Option<u32>),
+    Boxed(Option<Box<[Option<u32>]>>),
+}
+
+impl ChunkCrcs {
+    /// The cache's entries for an extent of `len` bytes, one per chunk.
+    fn slots(&mut self, len: usize) -> &mut [Option<u32>] {
+        match self {
+            ChunkCrcs::Inline(c) => std::slice::from_mut(c),
+            ChunkCrcs::Boxed(t) => t.get_or_insert_with(|| empty_cache(len)),
+        }
+    }
 }
 
 impl Extent {
     fn new(data: Bytes) -> Self {
-        Extent { data, crcs: None }
+        let crcs = match data.len() as u64 <= CRC_CHUNK {
+            true => ChunkCrcs::Inline(None),
+            false => ChunkCrcs::Boxed(None),
+        };
+        Extent { data, crcs }
     }
     fn end(&self, start: u64) -> u64 {
         start + self.data.len() as u64
@@ -226,18 +250,21 @@ impl ExtentStore {
         if crcs.len() != nchunks {
             return;
         }
-        let table: Box<[Option<u32>]> = crcs.map(Some).collect();
+        let Extent { data, crcs: cache } = ext;
+        let slots = cache.slots(data.len());
+        for (slot, c) in slots.iter_mut().zip(crcs) {
+            *slot = Some(c);
+        }
         #[cfg(debug_assertions)]
-        for (i, c) in table.iter().enumerate() {
+        for (i, c) in slots.iter().enumerate() {
             let lo = i * CRC_CHUNK as usize;
-            let hi = (lo + CRC_CHUNK as usize).min(ext.data.len());
+            let hi = (lo + CRC_CHUNK as usize).min(data.len());
             debug_assert_eq!(
                 c.unwrap(),
-                crc32c(&ext.data[lo..hi]),
+                crc32c(&data[lo..hi]),
                 "seeded CRC for chunk {i} does not match the written bytes"
             );
         }
-        ext.crcs = Some(table);
         self.stats.crc_cache_seeded += nchunks as u64;
     }
 
@@ -424,7 +451,7 @@ fn grid_run(
     }
     let first = ((lo - s) / CRC_CHUNK) as usize;
     let Extent { data, crcs } = ext;
-    let cache = crcs.get_or_insert_with(|| empty_cache(data.len()));
+    let cache = crcs.slots(data.len());
     for (ci, slot) in (first..).zip(&mut cache[first..first + run]) {
         let crc = *slot.get_or_insert_with(|| scan_chunk(data, ci, stats));
         if expected.next() != Some(crc) {
@@ -463,7 +490,7 @@ fn extent_range_crc(ext: &mut Extent, rs: u64, re: u64, stats: &mut DataPlaneSta
         let (crc, hi) = if pos == c_lo && re >= c_hi {
             // Whole grid chunk: serve from (or fill) the cache.
             let Extent { data, crcs } = &mut *ext;
-            let slot = &mut crcs.get_or_insert_with(|| empty_cache(data.len()))[ci];
+            let slot = &mut crcs.slots(data.len())[ci];
             (
                 *slot.get_or_insert_with(|| scan_chunk(data, ci, stats)),
                 c_hi,

@@ -1071,30 +1071,6 @@ impl DaosClient {
         self.finish_fetch(fabric, job, eng, data, ready, len, SendCores::Both)
             .map(|(data, at)| (data, at, meta))
     }
-
-    /// Runs `ops` through the submission/completion pipeline: every op is
-    /// submitted into an [`OpRing`] (epoch allocated, route resolved,
-    /// staging legs booked) before any completion is reaped, engine legs
-    /// execute as the ring drains, and completions retire in completion
-    /// order — results still come back in submission order for callers
-    /// that stitch stripes.
-    ///
-    pub fn execute_pipelined(
-        &mut self,
-        fabric: &mut Fabric,
-        cluster: &mut EngineCluster,
-        now: SimTime,
-        job: usize,
-        ops: Vec<ClientOp>,
-    ) -> Vec<ClientOpResult> {
-        let mut ring = OpRing::reuse(self, job, ops.len());
-        for op in ops {
-            ring.submit(self, fabric, cluster, now, op);
-        }
-        let results = ring.drain(self, fabric, cluster);
-        ring.recycle(self);
-        results
-    }
 }
 
 /// Maps a whole-queue precondition failure onto every op in the queue (the
@@ -1114,9 +1090,9 @@ pub fn whole_batch_error(ops: &[ClientOp], e: DaosError) -> Vec<ClientOpResult> 
 /// (which wraps the same data-plane core with the host handoff, tenant QoS
 /// admission, scoped-rkey refresh, and DPU-side checksumming).
 ///
-/// Method signatures mirror the [`DaosClient`] inherent API exactly, so the
-/// host path through a `&mut dyn ObjectClient` executes the identical code
-/// it always has.
+/// `update` and `fetch` mirror the [`DaosClient`] inherent API exactly, so
+/// the host path through a `&mut dyn ObjectClient` executes the identical
+/// code it always has; the ring is reached through the trait alone.
 pub trait ObjectClient {
     /// Issues an OBJ_UPDATE from `job`; returns the client-visible commit
     /// instant.
@@ -1164,9 +1140,10 @@ pub trait ObjectClient {
         self.execute_pipelined(fabric, cluster, now, job, ops)
     }
 
-    /// Submits `ops` through the submission/completion pipeline (all in
-    /// flight at once, completions retired in completion order); results
-    /// come back in submission order.
+    /// [`Self::execute_into`] over owned vectors: the frozen benchmark's
+    /// interposer implements this signature, so it stays. Every client
+    /// implements it as a shim over its `execute_into`; library code calls
+    /// `execute_into`.
     fn execute_pipelined(
         &mut self,
         fabric: &mut Fabric,
@@ -1175,6 +1152,26 @@ pub trait ObjectClient {
         job: usize,
         ops: Vec<ClientOp>,
     ) -> Vec<ClientOpResult>;
+
+    /// Submits every op of `ops` through the submission/completion
+    /// pipeline (all in flight at once, completions retired in completion
+    /// order), leaving `ops` empty, and appends one result per op to `out`
+    /// in submission order. The op path's entry: a caller that keeps both
+    /// vectors across calls allocates nothing for them. The default — for
+    /// an interposer that implements only [`Self::execute_pipelined`] —
+    /// forwards to it.
+    fn execute_into(
+        &mut self,
+        fabric: &mut Fabric,
+        cluster: &mut EngineCluster,
+        now: SimTime,
+        job: usize,
+        ops: &mut Vec<ClientOp>,
+        out: &mut Vec<ClientOpResult>,
+    ) {
+        let batch = std::mem::take(ops);
+        out.extend(self.execute_pipelined(fabric, cluster, now, job, batch));
+    }
 
     /// Total data-plane operations issued.
     fn ops(&self) -> u64;
@@ -1220,9 +1217,33 @@ impl ObjectClient for DaosClient {
         cluster: &mut EngineCluster,
         now: SimTime,
         job: usize,
-        ops: Vec<ClientOp>,
+        mut ops: Vec<ClientOp>,
     ) -> Vec<ClientOpResult> {
-        DaosClient::execute_pipelined(self, fabric, cluster, now, job, ops)
+        let mut out = Vec::with_capacity(ops.len());
+        self.execute_into(fabric, cluster, now, job, &mut ops, &mut out);
+        out
+    }
+
+    /// Every op is submitted into an [`OpRing`] (epoch allocated, route
+    /// resolved, staging legs booked) before any completion is reaped,
+    /// engine legs execute as the ring drains, and completions retire in
+    /// completion order — results still come back in submission order for
+    /// callers that stitch stripes.
+    fn execute_into(
+        &mut self,
+        fabric: &mut Fabric,
+        cluster: &mut EngineCluster,
+        now: SimTime,
+        job: usize,
+        ops: &mut Vec<ClientOp>,
+        out: &mut Vec<ClientOpResult>,
+    ) {
+        let mut ring = OpRing::reuse(self, job, ops.len());
+        for op in ops.drain(..) {
+            ring.submit(self, fabric, cluster, now, op);
+        }
+        ring.drain_into(self, fabric, cluster, out);
+        ring.recycle(self);
     }
 
     fn ops(&self) -> u64 {

@@ -303,12 +303,14 @@ pub(crate) struct RingStore {
     retire_log: Vec<usize>,
     /// Per-slot completion provenance.
     trail: Vec<SlotTrail>,
+    /// Emptied update-leg vectors, handed to the next updates staged.
+    spare_legs: Vec<Vec<UpdateLeg>>,
 }
 
 /// A submission/completion ring over one client job. See the module docs
 /// for the phase/state model; drive it with [`OpRing::submit`] +
-/// [`OpRing::drain`], or through the one-call wrapper
-/// [`DaosClient::execute_pipelined`].
+/// [`OpRing::drain_into`], or through the one-call wrapper
+/// [`ObjectClient::execute_into`](crate::ObjectClient::execute_into).
 pub struct OpRing {
     job: usize,
     depth: usize,
@@ -328,9 +330,10 @@ impl OpRing {
         }
     }
 
-    /// [`Self::new`] on the scaffolding `client` keeps for `job`, emptied:
-    /// a queue allocates its result vector and nothing else. Hand it back
-    /// with [`Self::recycle`] once the trail has been read.
+    /// [`Self::new`] on the scaffolding `client` keeps for `job`, emptied —
+    /// its vectors and the update legs' keep their capacity, so a queue no
+    /// deeper than an earlier one allocates nothing in the ring. Hand it
+    /// back with [`Self::recycle`] once the trail has been read.
     pub fn reuse(client: &mut DaosClient, job: usize, depth: usize) -> Self {
         let mut store = client.take_ring_store(job);
         store.inflight.clear();
@@ -360,7 +363,7 @@ impl OpRing {
     }
 
     /// Slots in retire order — completion-ordered, ties in submission
-    /// order. Complete only after [`Self::drain`].
+    /// order. Complete only after [`Self::drain_into`].
     pub fn retire_log(&self) -> &[usize] {
         &self.store.retire_log
     }
@@ -371,7 +374,7 @@ impl OpRing {
     }
 
     /// Per-slot completion provenance, aligned with the drained results.
-    /// Complete only after [`Self::drain`].
+    /// Complete only after [`Self::drain_into`].
     pub fn trail(&self) -> &[SlotTrail] {
         &self.store.trail
     }
@@ -521,7 +524,7 @@ impl OpRing {
                     return Err(no_replica());
                 }
                 let epoch = cluster.next_epoch(client.container())?;
-                let mut legs = Vec::with_capacity(set.len());
+                let mut legs = self.store.spare_legs.pop().unwrap_or_default();
                 let (mut posted, mut completion) = (now, SimDuration::ZERO);
                 for eng in set.iter() {
                     let (t_post, comp) = post(client);
@@ -681,7 +684,7 @@ impl OpRing {
                 epoch,
                 stamp,
                 clean,
-                legs,
+                mut legs,
             } => {
                 // The last ack and the engine it came from.
                 let mut done: Option<(SimTime, usize)> = None;
@@ -690,7 +693,7 @@ impl OpRing {
                 self.store.trail[op.slot].fill_ok = clean;
                 // Every leg acked first time and inside its deadline.
                 let mut on_time = true;
-                for leg in legs {
+                for leg in legs.drain(..) {
                     let eng = leg.eng;
                     match self.run_update_leg(
                         client, fabric, cluster, leg, op.slot, stamp, oid, &dkey, &akey, kind,
@@ -708,6 +711,7 @@ impl OpRing {
                         Err(e) => err = err.or(Some(e)),
                     }
                 }
+                self.store.spare_legs.push(legs);
                 let result = ClientOpResult::Update(match (err, done) {
                     (Some(e), _) => Err(e),
                     (None, Some((d, eng))) => {
@@ -955,13 +959,14 @@ impl OpRing {
     }
 
     /// Executes everything still staged, retires everything in completion
-    /// order, and returns the results in submission order.
-    pub fn drain(
+    /// order, and appends the results to `out` in submission order.
+    pub fn drain_into(
         &mut self,
         client: &mut DaosClient,
         fabric: &mut Fabric,
         cluster: &mut EngineCluster,
-    ) -> Vec<ClientOpResult> {
+        out: &mut Vec<ClientOpResult>,
+    ) {
         self.poll(client, fabric, cluster);
         let store = &mut self.store;
         store.executed.sort_by_key(|e| (e.done, e.slot));
@@ -969,11 +974,20 @@ impl OpRing {
             store.results[e.slot] = Some(e.result);
             store.retire_log.push(e.slot);
         }
-        store
-            .results
-            .drain(..)
-            .map(|r| r.expect("every submitted op retires"))
-            .collect()
+        let results = store.results.drain(..);
+        out.extend(results.map(|r| r.expect("every submitted op retires")));
+    }
+
+    /// [`Self::drain_into`] a fresh vector.
+    pub fn drain(
+        &mut self,
+        client: &mut DaosClient,
+        fabric: &mut Fabric,
+        cluster: &mut EngineCluster,
+    ) -> Vec<ClientOpResult> {
+        let mut out = Vec::new();
+        self.drain_into(client, fabric, cluster, &mut out);
+        out
     }
 }
 

@@ -91,9 +91,40 @@ struct Record {
     stored_len: u64,
     location: Location,
     /// One CRC32C per CSUM_CHUNK of the *stored* representation.
-    /// `Arc`-shared so record clones on the fetch path are O(1), not a
-    /// deep copy of the checksum table.
-    checksums: Arc<[Checksum]>,
+    checksums: ChunkTable,
+}
+
+/// A record's chunk table. A one-chunk table (a 4 KiB record) is held
+/// inline, so writing the record allocates nothing for it; a longer one is
+/// `Arc`-shared — state that outlives the update — so record clones on the
+/// fetch path are O(1) either way, never a deep copy.
+#[derive(Clone, Debug)]
+enum ChunkTable {
+    One(Checksum),
+    Many(Arc<[Checksum]>),
+}
+
+impl std::ops::Deref for ChunkTable {
+    type Target = [Checksum];
+
+    fn deref(&self) -> &[Checksum] {
+        match self {
+            ChunkTable::One(c) => std::slice::from_ref(c),
+            ChunkTable::Many(t) => t,
+        }
+    }
+}
+
+/// A one-chunk iterator (exactly so by its size hint) collects inline,
+/// anything else into one `Arc` allocation.
+impl FromIterator<Checksum> for ChunkTable {
+    fn from_iter<I: IntoIterator<Item = Checksum>>(iter: I) -> Self {
+        let mut it = iter.into_iter();
+        match it.size_hint() {
+            (1, Some(1)) => ChunkTable::One(it.next().expect("one chunk")),
+            _ => ChunkTable::Many(it.collect()),
+        }
+    }
 }
 
 /// Per-chunk CRC32C table of a stored payload. Payloads that are slices of
@@ -101,13 +132,12 @@ struct Record {
 /// throughput sweeps' synthetic writes) are known all-zero without reading
 /// them: their chunk CRCs are closed-form zero-run CRCs, so nothing is
 /// scanned and `crc_bytes_scanned` counts only real hashing work.
-fn chunk_checksums(stored: &Bytes, dp: &mut DataPlaneStats) -> Arc<[Checksum]> {
+fn chunk_checksums(stored: &Bytes, dp: &mut DataPlaneStats) -> ChunkTable {
     if ros2_buf::is_shared_zeros(stored) {
         let len = stored.len() as u64;
         let full = Checksum(crc32c_zeros(CSUM_CHUNK));
         let tail = len % CSUM_CHUNK;
-        // An exact-length iterator: collected into the `Arc` in one
-        // allocation.
+        // An exact-length iterator: collected in at most one allocation.
         return std::iter::repeat_n(full, (len / CSUM_CHUNK) as usize)
             .chain((tail > 0).then(|| Checksum(crc32c_zeros(tail))))
             .collect();
@@ -354,7 +384,7 @@ pub struct VosTarget {
     dp: DataPlaneStats,
     /// Reused buffer for the resolved tiling of an array fetch, so the
     /// steady-state fetch path performs no heap allocation (the record
-    /// clones in it are O(1) — the checksum tables are Arc-shared).
+    /// clones in it are O(1) — a chunk table is inline or Arc-shared).
     overlay_scratch: Vec<Piece>,
 }
 
@@ -819,8 +849,8 @@ impl VosTarget {
         let Some(obj) = self.objects.get(&oid) else {
             return Ok((Vec::new(), now));
         };
-        // Snapshot the index slice first (record clones are O(1): the
-        // checksum tables are Arc-shared) so the media loads below can
+        // Snapshot the index slice first (record clones are O(1): a chunk
+        // table is inline or Arc-shared) so the media loads below can
         // borrow `self` mutably.
         let recs: Vec<(KeyPair, ValueKind, Record)> = obj
             .iter()
@@ -852,7 +882,7 @@ impl VosTarget {
         let Some(obj) = self.objects.get(&oid) else {
             return ScrubCheck::default();
         };
-        // Record clones are O(1) (the checksum tables are Arc-shared), so
+        // Record clones are O(1) (a chunk table is inline or Arc-shared), so
         // the checks below can borrow `self` mutably.
         let recs: Vec<Record> = obj
             .values()

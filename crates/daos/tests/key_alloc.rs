@@ -1,8 +1,9 @@
 //! Allocation regression for the metadata key path: constructing the keys
 //! the hot path builds (u64 chunk dkeys, short string akeys), probing the
 //! object index, and repeating a warm fetch must perform ZERO heap
-//! allocations — measured for real with a counting global allocator, not
-//! inferred from types.
+//! allocations, and a warm update none beyond the index growth it causes —
+//! measured for real with a counting global allocator, not inferred from
+//! types.
 //!
 //! All measurements run inside one `#[test]` (the counters are
 //! process-global; concurrent tests in the same binary would pollute the
@@ -193,4 +194,49 @@ fn key_path_is_allocation_free() {
         "warm single-value, covered-array and overwritten-array fetches must \
          be allocation-free ({n} allocs over 3000 ops)"
     );
+
+    // --- warm updates: the whole metadata write path ---------------------
+    // Another 64 versions of the overwritten record. A 4 KiB record's chunk
+    // table and its seeded CRC cache entry are held inline, so an update
+    // allocates only as the state it leaves behind grows.
+    let payload = Bytes::from(vec![0x7C; 4096]);
+    let n = allocs_in(|| {
+        for _ in 0..WARM_UPDATES {
+            let epoch = e.next_epoch("c").unwrap();
+            e.update(
+                SimTime::ZERO,
+                "c",
+                oid,
+                DKey::from_u64(2),
+                AKey::from_str("data"),
+                ValueKind::Array { offset: 0 },
+                epoch,
+                payload.clone(),
+            )
+            .unwrap();
+        }
+    });
+    assert_eq!(
+        n, UPDATE_INDEX_GROWTH,
+        "{WARM_UPDATES} warm 4 KiB updates may allocate only for index growth"
+    );
 }
+
+/// Updates in the measured write block.
+const WARM_UPDATES: u64 = 64;
+
+/// What [`WARM_UPDATES`] updates of one SCM-resident 4 KiB record allocate,
+/// all of it index growth:
+///
+/// * 2 — the record's vector goes from 17 records to 81 and crosses
+///   capacities 32 and 64;
+/// * 9 — the SCM heap's extent map, a std `BTreeMap` holding the 19 records
+///   written before, takes the 64 new extents as appends. A leaf holds 11
+///   entries and an append into a full one splits it 6 | 5, so a new leaf
+///   comes every 7 appends: at entries 26, 33, …, 82. The root, a leaf
+///   until entry 12, gains a child per split and is not full before the
+///   12th (entry 89): no internal node.
+///
+/// The parent of this accounting allocated two more per update: the chunk
+/// table's `Arc` and the seeded CRC table's `Box`.
+const UPDATE_INDEX_GROWTH: u64 = 2 + 9;

@@ -18,8 +18,8 @@
 use bytes::Bytes;
 use ros2_ctl::{WireReader, WireWriter};
 use ros2_daos::{
-    AKey, ClientOp, DKey, DaosError, EngineCluster, Epoch, ObjClass, ObjectClient, ObjectId,
-    ValueKind,
+    AKey, ClientOp, ClientOpResult, DKey, DaosError, EngineCluster, Epoch, ObjClass, ObjectClient,
+    ObjectId, ValueKind,
 };
 use ros2_fabric::Fabric;
 use ros2_sim::SimTime;
@@ -157,7 +157,7 @@ pub struct Dfs {
     mounted: bool,
     /// The one place an op's execution path is chosen, and it decides for
     /// single-chunk data ops only: set, they go through the client's
-    /// submission/completion ring ([`ObjectClient::execute_pipelined`]);
+    /// submission/completion ring ([`ObjectClient::execute_into`]);
     /// clear, through the serial `update`/`fetch` call. Multi-chunk I/O
     /// always submits its stripe set to the ring. Functionally identical —
     /// epochs are allocated in submission order either way — but the ring
@@ -169,6 +169,11 @@ pub struct Dfs {
     pub meta_ops: u64,
     /// Data operations performed.
     pub data_ops: u64,
+    /// The stripe set handed to the ring and the results it hands back,
+    /// both emptied after every call and kept for the next, so a warm data
+    /// op allocates nothing for either.
+    ops: Vec<ClientOp>,
+    results: Vec<ClientOpResult>,
 }
 
 impl Dfs {
@@ -204,6 +209,8 @@ impl Dfs {
                 data_pipeline: false,
                 meta_ops: 1,
                 data_ops: 0,
+                ops: Vec::new(),
+                results: Vec::new(),
             },
             done,
         ))
@@ -241,6 +248,8 @@ impl Dfs {
                 data_pipeline: false,
                 meta_ops: 1,
                 data_ops: 0,
+                ops: Vec::new(),
+                results: Vec::new(),
             },
             done,
         ))
@@ -490,13 +499,12 @@ impl Dfs {
             // Striped write (or any write in a pipelined world): the whole
             // stripe set goes to the op ring at depth = stripes — phases
             // overlap as resources free up, no barrier between stages.
-            let mut ops = Vec::new();
             while pos < len {
                 let abs = offset + pos;
                 let chunk = abs / self.chunk_size;
                 let in_chunk = abs % self.chunk_size;
                 let take = (self.chunk_size - in_chunk).min(len - pos);
-                ops.push(ClientOp::Update {
+                self.ops.push(ClientOp::Update {
                     oid: file.oid,
                     dkey: DKey::from_u64(chunk),
                     akey: data_akey(),
@@ -505,10 +513,15 @@ impl Dfs {
                 });
                 pos += take;
             }
-            for r in s
-                .client
-                .execute_pipelined(s.fabric, s.cluster, now, job, ops)
-            {
+            s.client.execute_into(
+                s.fabric,
+                s.cluster,
+                now,
+                job,
+                &mut self.ops,
+                &mut self.results,
+            );
+            for r in self.results.drain(..) {
                 t_done = t_done.max(r.into_update()?);
             }
         }
@@ -569,14 +582,13 @@ impl Dfs {
         }
         // Striped read (or any read in a pipelined world): the stripe set
         // goes to the op ring, stitched back in offset order.
-        let mut ops = Vec::new();
         let mut pos = 0u64;
         while pos < len {
             let abs = offset + pos;
             let chunk = abs / self.chunk_size;
             let in_chunk = abs % self.chunk_size;
             let take = (self.chunk_size - in_chunk).min(len - pos);
-            ops.push(ClientOp::Fetch {
+            self.ops.push(ClientOp::Fetch {
                 oid: file.oid,
                 dkey: DKey::from_u64(chunk),
                 akey: data_akey(),
@@ -586,15 +598,21 @@ impl Dfs {
             });
             pos += take;
         }
-        let mut results = s
-            .client
-            .execute_pipelined(s.fabric, s.cluster, now, job, ops);
+        s.client.execute_into(
+            s.fabric,
+            s.cluster,
+            now,
+            job,
+            &mut self.ops,
+            &mut self.results,
+        );
         if single_chunk {
-            return Ok(results.remove(0).into_fetch()?);
+            let r = self.results.pop().expect("one result per op");
+            return Ok(r.into_fetch()?);
         }
         let mut out = bytes::BytesMut::with_capacity(len as usize);
         let mut t_done = now;
-        for r in results {
+        for r in self.results.drain(..) {
             let (piece, at) = r.into_fetch()?;
             out.extend_from_slice(&piece);
             t_done = t_done.max(at);

@@ -293,6 +293,8 @@ impl DpuClient {
                 granted_up_to: SimTime::ZERO,
                 admitted: Vec::new(),
                 patches: Vec::new(),
+                probes: Vec::new(),
+                drained: Vec::new(),
                 chains: ChainTable::default(),
             });
         }
@@ -793,17 +795,19 @@ impl DpuClient {
         cluster: &mut EngineCluster,
         (heard, landed): (SimTime, SimTime),
         (lane, local): (usize, usize),
-        ops: Vec<ClientOp>,
-    ) -> Vec<ClientOpResult> {
+        ops: &mut Vec<ClientOp>,
+        out: &mut Vec<ClientOpResult>,
+    ) {
         let l = &mut self.lanes[lane];
-        // Empty (and unallocated) without a cache.
-        let mut probes = l.probe_queue(heard, cluster, &ops);
+        // Empty without a cache.
+        let mut probes = std::mem::take(&mut l.probes);
+        l.probe_queue(heard, cluster, ops, &mut probes);
         let n_ops = ops.len();
         let misses = n_ops - probes.iter().filter(|p| p.is_hit()).count();
         // Results come back in op order with the hits left out.
         let mut ring = OpRing::reuse(&mut l.daos, local, misses);
         let mut slot = 0;
-        for (i, op) in ops.into_iter().enumerate() {
+        for (i, op) in ops.drain(..).enumerate() {
             if probes.get(i).is_some_and(Probe::is_hit) {
                 continue;
             }
@@ -845,15 +849,19 @@ impl DpuClient {
             slot += 1;
         }
         let l = &mut self.lanes[lane];
-        let results = ring.drain(&mut l.daos, fabric, cluster);
+        let mut drained = std::mem::take(&mut l.drained);
+        ring.drain_into(&mut l.daos, fabric, cluster, &mut drained);
         let at = (lane, local);
-        let finish = |(slot, r)| self.finish_issued(fabric, at, slot, ring.trail()[slot], r);
-        let issued: Vec<ClientOpResult> = results.into_iter().enumerate().map(finish).collect();
+        let base = out.len();
+        for (slot, r) in drained.drain(..).enumerate() {
+            out.push(self.finish_issued(fabric, at, slot, ring.trail()[slot], r));
+        }
+        let l = &mut self.lanes[lane];
+        l.drained = drained;
         // The cache learns only from what was verified and published: a
         // payload the completion path rejected is an error by now.
-        let l = &mut self.lanes[lane];
         let missed = probes.iter_mut().filter(|p| !p.is_hit());
-        for (slot, (probe, r)) in missed.zip(&issued).enumerate() {
+        for (slot, (probe, r)) in missed.zip(&out[base..]).enumerate() {
             let (ok, fetched) = match r {
                 ClientOpResult::Fetch(Ok((data, _))) => (true, Some(data)),
                 ClientOpResult::Update(Ok(_)) => (true, None),
@@ -864,23 +872,17 @@ impl DpuClient {
             l.complete(heard, cluster, std::mem::take(probe), clean, fetched);
         }
         ring.recycle(&mut l.daos);
-        if misses == n_ops {
-            return issued;
+        // Each hit goes back at its op index, in op order: everything
+        // before it is in place by then.
+        for (i, probe) in probes.drain(..).enumerate() {
+            if let Probe::Hit(data) = probe {
+                let ready =
+                    self.lanes[lane].admitted[i].at + ReadCache::service_cost(data.len() as u64);
+                let r = self.host_poll(ready, lane, 1).map(|at| (data, at));
+                out.insert(base + i, ClientOpResult::Fetch(r));
+            }
         }
-        // One merge pass puts each hit back at its op index.
-        let mut issued = issued.into_iter();
-        let mut out = Vec::with_capacity(n_ops);
-        for (i, probe) in probes.into_iter().enumerate() {
-            out.push(match probe {
-                Probe::Hit(data) => {
-                    let ready = self.lanes[lane].admitted[i].at
-                        + ReadCache::service_cost(data.len() as u64);
-                    ClientOpResult::Fetch(self.host_poll(ready, lane, 1).map(|at| (data, at)))
-                }
-                _ => issued.next().expect("one result per issued op"),
-            });
-        }
-        out
+        self.lanes[lane].probes = probes;
     }
 
     /// [`Self::finish_op`] over one drained ring result; errors pass
@@ -1068,19 +1070,36 @@ impl ObjectClient for DpuClient {
         cluster: &mut EngineCluster,
         now: SimTime,
         job: usize,
-        ops: Vec<ClientOp>,
+        mut ops: Vec<ClientOp>,
     ) -> Vec<ClientOpResult> {
+        let mut out = Vec::with_capacity(ops.len());
+        self.execute_into(fabric, cluster, now, job, &mut ops, &mut out);
+        out
+    }
+
+    fn execute_into(
+        &mut self,
+        fabric: &mut Fabric,
+        cluster: &mut EngineCluster,
+        now: SimTime,
+        job: usize,
+        ops: &mut Vec<ClientOp>,
+        out: &mut Vec<ClientOpResult>,
+    ) {
         let (lane, local) = self.job_map[job];
         if ops.is_empty() {
-            return Vec::new();
+            return;
         }
         // Per-op admission with NO barrier: each op enters the ring at its
         // own grant-plus-preamble instant, so an op throttled by the token
         // bucket delays only itself while earlier grants are already in
         // flight on the lane's data plane.
-        match self.queue_start(fabric, now, (lane, local), &ops) {
-            Ok(landings) => self.run_queue(fabric, cluster, landings, (lane, local), ops),
-            Err(e) => whole_batch_error(&ops, e),
+        match self.queue_start(fabric, now, (lane, local), ops) {
+            Ok(landings) => self.run_queue(fabric, cluster, landings, (lane, local), ops, out),
+            Err(e) => {
+                out.extend(whole_batch_error(ops, e));
+                ops.clear();
+            }
         }
     }
 

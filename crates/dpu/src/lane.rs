@@ -25,8 +25,8 @@
 use bytes::Bytes;
 use ros2_ctl::IoPatch;
 use ros2_daos::{
-    ClientOp, DaosClient, DaosError, EngineCluster, Epoch, FiredTemplate, Forwarded, RecordVersion,
-    TEMPLATE_LEN,
+    ClientOp, ClientOpResult, DaosClient, DaosError, EngineCluster, Epoch, FiredTemplate,
+    Forwarded, RecordVersion, TEMPLATE_LEN,
 };
 use ros2_fabric::{Dir, Fabric};
 use ros2_sim::{SimDuration, SimTime};
@@ -63,6 +63,10 @@ pub(crate) struct TenantLane {
     pub(crate) admitted: Vec<Admitted>,
     /// The patches of that queue's doorbell frame, kept likewise.
     pub(crate) patches: Vec<IoPatch>,
+    /// That queue's cache probes, one per op (none with the cache off),
+    /// and the ring's results before their epilogues, kept likewise.
+    pub(crate) probes: Vec<Probe>,
+    pub(crate) drained: Vec<ClientOpResult>,
     /// The lane's work-request chains (RDMA; empty on TCP, which has no
     /// queue pair to park a chain on).
     pub(crate) chains: ChainTable,
@@ -472,18 +476,20 @@ impl TenantLane {
     }
 
     /// [`Self::probe_fetch`] / [`Self::probe_update`] over a queue, one
-    /// probe per op (none at all with the cache off). A fetch of a record
-    /// the same queue writes neither probes nor fills: the queue's own
-    /// execution order — not the cache — decides its bytes. Snapshot reads
-    /// address history the cache does not version, so they bypass it too.
+    /// probe per op appended to `probes` (none at all with the cache off).
+    /// A fetch of a record the same queue writes neither probes nor fills:
+    /// the queue's own execution order — not the cache — decides its bytes.
+    /// Snapshot reads address history the cache does not version, so they
+    /// bypass it too.
     pub(crate) fn probe_queue(
         &mut self,
         now: SimTime,
         cluster: &EngineCluster,
         ops: &[ClientOp],
-    ) -> Vec<Probe> {
+        probes: &mut Vec<Probe>,
+    ) {
         if self.cache.is_none() {
-            return Vec::new();
+            return;
         }
         let written = |r: &RecordKey| {
             ops.iter().any(|op| {
@@ -503,6 +509,6 @@ impl TenantLane {
                 ClientOp::Fetch { .. } => Probe::Skip,
             }
         };
-        ops.iter().map(probe).collect()
+        probes.extend(ops.iter().map(probe));
     }
 }

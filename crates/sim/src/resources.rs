@@ -515,9 +515,13 @@ impl ServerPool {
         self.stats
     }
 
-    /// Resets all servers to free-at-zero and clears counters.
+    /// Resets all servers to free-at-zero and clears counters. The books
+    /// keep their buffers, as a [`BandwidthServer`]'s does, so a run no
+    /// longer than the one before it books without allocating.
     pub fn reset_timing(&mut self) {
-        self.bookings = vec![IntervalBook::default(); self.servers];
+        for book in &mut self.bookings {
+            book.clear();
+        }
         self.jobs_served = 0;
         self.busy_time = SimDuration::ZERO;
         self.latest_free = SimTime::ZERO;
