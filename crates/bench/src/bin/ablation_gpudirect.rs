@@ -1,94 +1,33 @@
-//! **Ablation X1**: the §3.5 GPUDirect extension. The prototype terminates
-//! payloads in DPU DRAM; a GPU consumer then needs a host-mediated
-//! `DPU DRAM -> host -> GPU HBM` staging copy. With GPUDirect RDMA, the
-//! storage server's RDMA WRITE targets GPU HBM directly and the copy
-//! disappears — "a minimal-copy data path" (§5).
-//!
-//! The paper leaves this extension unevaluated; here the same architecture
-//! runs both ways.
+//! **Ablation X1**: prints the `ros2_fio::figures::ablation` GPUDirect
+//! arms — DPU-DRAM staging vs RDMA straight into GPU HBM — and their
+//! claims.
 
-use bytes::Bytes;
-use ros2_bench::print_table;
-use ros2_core::{Ros2Config, Ros2System};
-use ros2_hw::per_byte;
-use ros2_nvme::DataMode;
-use ros2_sim::SimDuration;
-use ros2_verbs::MemoryDomain;
-
-/// Host-mediated staging cost: PCIe Gen4 x16 effective (~21 GiB/s) plus a
-/// fixed host-wakeup/launch cost per transfer. This is the leg GPUDirect
-/// removes.
-fn staging_cost(bytes: u64) -> SimDuration {
-    SimDuration::from_micros(6) + per_byte(bytes, 44) // 44 ps/B ≈ 21 GiB/s
-}
-
-fn run(domain: MemoryDomain, reads: u64, bs: u64) -> (f64, f64) {
-    let mut sys = Ros2System::launch(Ros2Config {
-        buffer_domain: domain,
-        ssds: 4,
-        jobs: 8,
-        data_mode: DataMode::Null,
-        ..Ros2Config::default()
-    })
-    .unwrap();
-    let mut f = sys.create("/batch.bin").unwrap().value;
-    sys.write(&mut f, 0, Bytes::from(vec![0u8; (reads * bs) as usize]))
-        .unwrap();
-    let t0 = sys.now();
-    let mut latency_sum = SimDuration::ZERO;
-    for i in 0..reads {
-        let r = sys.read(&f, i * bs, bs).unwrap();
-        let total = if domain == MemoryDomain::GpuHbm {
-            r.latency // data already in GPU HBM
-        } else {
-            r.latency + staging_cost(bs) // extra DPU->host->GPU leg
-        };
-        latency_sum += total;
-    }
-    let elapsed = sys.now().saturating_since(t0)
-        + if domain == MemoryDomain::GpuHbm {
-            SimDuration::ZERO
-        } else {
-            staging_cost(bs).saturating_mul(reads)
-        };
-    let bw = (reads * bs) as f64 / elapsed.as_secs_f64() / (1u64 << 30) as f64;
-    let mean_us = latency_sum.as_secs_f64() * 1e6 / reads as f64;
-    (bw, mean_us)
-}
+use ros2_bench::{print_claims, print_table};
+use ros2_fio::figures::ablation::{gpudirect, gpudirect_claims, GPUDIRECT_ARMS};
 
 fn main() {
-    let header = vec![
-        "data sink".to_string(),
-        "batch-read BW (GiB/s)".to_string(),
-        "mean read latency (us)".to_string(),
-    ];
-    let mut rows = Vec::new();
-    for (label, domain) in [
-        (
-            "DPU DRAM + host staging copy (prototype)",
-            MemoryDomain::DpuDram,
-        ),
-        (
-            "GPU HBM via GPUDirect RDMA (extension)",
-            MemoryDomain::GpuHbm,
-        ),
-    ] {
-        let (bw, lat) = run(domain, 64, 1 << 20);
-        rows.push(vec![
-            label.to_string(),
-            format!("{bw:6.2}"),
-            format!("{lat:8.1}"),
-        ]);
-    }
+    let arms = GPUDIRECT_ARMS.map(|(_, domain)| gpudirect(domain));
+    let header = [
+        "data sink",
+        "batch-read BW (GiB/s)",
+        "mean read latency (us)",
+    ]
+    .map(String::from);
+    let rows: Vec<Vec<String>> = GPUDIRECT_ARMS
+        .iter()
+        .zip(&arms)
+        .map(|((label, _), arm)| {
+            vec![
+                label.to_string(),
+                format!("{:6.2}", arm.gib_s),
+                format!("{:8.1}", arm.mean_latency_us),
+            ]
+        })
+        .collect();
     print_table(
         "Ablation: GPUDirect placement vs DPU-DRAM staging (1 MiB reads, RDMA, 4 SSDs)",
         &header,
         &rows,
     );
-    println!(
-        "\nExpected shape: GPUDirect removes the host-mediated PCIe staging leg, cutting \
-         ~50 us off every 1 MiB read (and freeing the host CPU entirely); at queue depth 1 \
-         the batch bandwidth gain is the same ratio. The transport and server design are \
-         untouched (the point of §3.5)."
-    );
+    print_claims("Ablation X1 claims", &gpudirect_claims(&arms));
 }

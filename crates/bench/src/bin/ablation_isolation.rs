@@ -1,80 +1,31 @@
-//! **Ablation X2**: what do the DPU-resident services cost? (§2.3, §5:
-//! the offload "still delivers isolation and multi-tenant control" — this
-//! harness quantifies the data-path price of QoS enforcement and inline
-//! encryption on the BlueField-3.)
+//! **Ablation X2**: prints the `ros2_fio::figures::ablation` isolation
+//! arms — the data-path price of QoS and inline crypto on the DPU — and
+//! their claims.
 
-use bytes::Bytes;
-use ros2_bench::print_table;
-use ros2_core::{Ros2Config, Ros2System};
-use ros2_dpu::{InlineService, QosLimits};
-use ros2_nvme::DataMode;
-
-/// Measures mean per-op write latency and effective throughput for one
-/// configuration (64 sequential 1 MiB writes; the synchronous API runs at
-/// queue depth 1, so latency is the primary signal).
-fn measure(service: InlineService, qos: QosLimits) -> (f64, f64) {
-    let mut sys = Ros2System::launch(Ros2Config {
-        inline_service: service,
-        qos,
-        ssds: 4,
-        jobs: 8,
-        data_mode: DataMode::Null,
-        ..Ros2Config::default()
-    })
-    .unwrap();
-    let mut f = sys.create("/ablate.bin").unwrap().value;
-    let t0 = sys.now();
-    let n: u64 = 64;
-    let mut lat_sum = 0.0;
-    for i in 0..n {
-        let w = sys
-            .write(&mut f, i * (1 << 20), Bytes::from(vec![0u8; 1 << 20]))
-            .unwrap();
-        lat_sum += w.latency.as_secs_f64();
-    }
-    let elapsed = sys.now().saturating_since(t0);
-    let bw = (n * (1 << 20)) as f64 / elapsed.as_secs_f64() / (1u64 << 30) as f64;
-    (lat_sum * 1e6 / n as f64, bw)
-}
+use ros2_bench::{print_claims, print_table};
+use ros2_fio::figures::ablation::{isolation, isolation_claims, ISOLATION_ARMS};
 
 fn main() {
-    let unlimited = QosLimits::unlimited();
-    // A cap chosen *below* the QD-1 achievable rate so enforcement is
-    // visible: 100 MiB/s.
-    let limited = QosLimits {
-        ops_per_sec: 2_000,
-        bytes_per_sec: 100 << 20,
-        burst: (16, 8 << 20),
-    };
-
-    let configs = [
-        (
-            "baseline (no isolation services)",
-            InlineService::None,
-            unlimited,
-        ),
-        ("inline crypto", InlineService::Crypto, unlimited),
-        ("QoS 100 MiB/s cap", InlineService::None, limited),
-        ("crypto + QoS cap", InlineService::Crypto, limited),
-    ];
-
-    let header = vec![
-        "configuration".to_string(),
-        "mean write latency (us)".to_string(),
-        "effective BW (GiB/s)".to_string(),
-    ];
-    let (base_lat, _) = measure(InlineService::None, unlimited);
-    let rows: Vec<Vec<String>> = configs
+    let arms = ISOLATION_ARMS.map(|(_, service, cap)| isolation(service, cap));
+    let base = arms[0].mean_latency_us;
+    let header = [
+        "configuration",
+        "mean write latency (us)",
+        "effective BW (GiB/s)",
+    ]
+    .map(String::from);
+    let rows: Vec<Vec<String>> = ISOLATION_ARMS
         .iter()
-        .map(|(label, svc, qos)| {
-            let (lat, bw) = measure(*svc, *qos);
+        .zip(&arms)
+        .map(|((label, _, _), arm)| {
+            let lat = arm.mean_latency_us;
             vec![
                 label.to_string(),
                 format!(
                     "{lat:8.1}  ({:+.2}% vs baseline)",
-                    (lat / base_lat - 1.0) * 100.0
+                    (lat / base - 1.0) * 100.0
                 ),
-                format!("{bw:6.2}"),
+                format!("{:6.2}", arm.gib_s),
             ]
         })
         .collect();
@@ -83,11 +34,5 @@ fn main() {
         &header,
         &rows,
     );
-    println!(
-        "\nExpected shape: inline crypto adds under ~1% latency per 1 MiB op (the \
-         fixed-function engine runs at ~50 GB/s); a 100 MiB/s QoS cap clamps effective \
-         bandwidth at exactly its configured rate while leaving per-op latency intact; \
-         combined they compose. All enforcement happens on the DPU with zero host \
-         involvement."
-    );
+    print_claims("Ablation X2 claims", &isolation_claims(&arms));
 }

@@ -1,98 +1,41 @@
-//! **Ablation X3**: the eager/rendezvous protocol threshold (§3.2:
-//! "Sequential I/O uses rendezvous-style transfers to amortize per-message
-//! overhead; random I/O uses short transfers but preserves zero-copy").
-//!
-//! Sweeps UCX-style `RNDV_THRESH` and reports per-message latency for
-//! message sizes spanning the crossover: small messages prefer eager (no
-//! handshake RTT), large messages prefer rendezvous (no receiver copy).
+//! **Ablation X3**: prints the `ros2_fio::figures::ablation` eager/
+//! rendezvous sweep — one-way latency per message size and threshold — and
+//! its claims.
 
-use bytes::Bytes;
-use ros2_bench::print_table;
-use ros2_fabric::{Dir, Fabric, NodeSpec};
-use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, Transport};
-use ros2_sim::SimTime;
-use ros2_verbs::NodeId;
-
-fn spec(name: &str) -> NodeSpec {
-    NodeSpec {
-        name: name.into(),
-        cpu: CpuComplement {
-            class: CoreClass::HostX86,
-            cores: 16,
-        },
-        nic: NicModel::connectx6(),
-        port_rate: gbps(100),
-        mem_budget: 1 << 30,
-        dpu_tcp_rx: None,
-    }
-}
-
-fn latency_us(threshold: u64, msg: u64) -> f64 {
-    let mut fabric = Fabric::new(Transport::Rdma, vec![spec("a"), spec("b")], 1);
-    fabric.set_eager_threshold(threshold);
-    let pd_a = fabric.rdma_mut(NodeId(0)).alloc_pd("a");
-    let pd_b = fabric.rdma_mut(NodeId(1)).alloc_pd("b");
-    let conn = fabric.connect(NodeId(0), NodeId(1), pd_a, pd_b).unwrap();
-    let d = fabric
-        .send(
-            SimTime::ZERO,
-            conn,
-            Dir::AtoB,
-            Bytes::from(vec![0u8; msg as usize]),
-        )
-        .unwrap();
-    d.at.as_secs_f64() * 1e6
-}
+use ros2_bench::{print_claims, print_table};
+use ros2_fio::figures::ablation::{one_way_us, rendezvous_claims, SIZES, THRESHOLDS};
 
 fn main() {
-    let sizes: [u64; 7] = [
-        256,
-        4 << 10,
-        16 << 10,
-        64 << 10,
-        256 << 10,
-        1 << 20,
-        4 << 20,
-    ];
-    let thresholds: [u64; 5] = [0, 4 << 10, 16 << 10, 64 << 10, u64::MAX];
-
     let header: Vec<String> = std::iter::once("message size".to_string())
-        .chain(thresholds.iter().map(|t| {
-            if *t == 0 {
-                "rndv always".into()
-            } else if *t == u64::MAX {
-                "eager always".into()
-            } else {
-                format!("thresh {}K", t >> 10)
-            }
+        .chain(THRESHOLDS.iter().map(|&t| match t {
+            0 => "rndv always".into(),
+            u64::MAX => "eager always".into(),
+            t => format!("thresh {}K", t >> 10),
         }))
         .collect();
-
-    let rows: Vec<Vec<String>> = sizes
+    let rows: Vec<Vec<String>> = SIZES
         .iter()
         .map(|&msg| {
-            let mut row = vec![if msg >= 1 << 20 {
+            let size = if msg >= 1 << 20 {
                 format!("{} MiB", msg >> 20)
             } else if msg >= 1 << 10 {
                 format!("{} KiB", msg >> 10)
             } else {
                 format!("{msg} B")
-            }];
-            for &t in &thresholds {
-                row.push(format!("{:8.2}", latency_us(t, msg)));
-            }
-            row
+            };
+            std::iter::once(size)
+                .chain(
+                    THRESHOLDS
+                        .iter()
+                        .map(|&t| format!("{:8.2}", one_way_us(t, msg))),
+                )
+                .collect()
         })
         .collect();
-
     print_table(
         "Ablation: eager/rendezvous threshold — one-way message latency (us)",
         &header,
         &rows,
     );
-    println!(
-        "\nExpected shape: below the threshold, eager avoids the handshake RTT and wins for \
-         small messages; above it, rendezvous avoids the receiver copy and wins for bulk. \
-         The default 8 KiB threshold sits near the crossover."
-    );
+    print_claims("Ablation X3 claims", &rendezvous_claims(one_way_us));
 }

@@ -1,61 +1,44 @@
-//! **Figure 3**: local FIO baselines through the io_uring engine, for 1 and
-//! 4 NVMe SSDs — 1 MiB throughput (a, c) and 4 KiB IOPS (b, d) across
-//! numjobs ∈ {1, 2, 4, 8, 16} and the four POSIX access patterns.
+//! **Figure 3**: prints the `ros2_fio::figures::fig3` cells and claims.
 
-use rayon::prelude::*;
-use ros2_bench::{gib, kiops, print_table, spec, SWEEP};
-use ros2_fio::{run_fio, LocalFioWorld, RwMode};
-use ros2_nvme::DataMode;
+use ros2_bench::{print_claims, print_table, rate, sweep};
+use ros2_fio::figures::fig3::{cell, claims, JOBS};
+use ros2_fio::RwMode;
 
-fn sweep(ssds: usize, bs: u64) -> Vec<Vec<String>> {
-    RwMode::ALL
-        .par_iter()
-        .map(|&rw| {
-            let mut row = vec![rw.label().to_string()];
-            for &jobs in &SWEEP {
-                let mut world = LocalFioWorld::new(ssds, jobs, 1 << 30, DataMode::Null);
-                let report = run_fio(&mut world, &spec(rw, bs, jobs, 1 << 30));
-                row.push(if bs >= 1 << 20 {
-                    gib(&report)
-                } else {
-                    kiops(&report)
-                });
-            }
-            row
-        })
-        .collect()
-}
+const TABLES: [(&str, usize, u64); 4] = [
+    (
+        "3a: local throughput, bs=1 MiB, 1 NVMe SSD (GiB/s)",
+        1,
+        1 << 20,
+    ),
+    ("3b: local IOPS, bs=4 KiB, 1 NVMe SSD (K IOPS)", 1, 4096),
+    (
+        "3c: local throughput, bs=1 MiB, 4 NVMe SSDs (GiB/s)",
+        4,
+        1 << 20,
+    ),
+    ("3d: local IOPS, bs=4 KiB, 4 NVMe SSDs (K IOPS)", 4, 4096),
+];
 
 fn main() {
+    let points = TABLES.iter().flat_map(|&(_, ssds, bs)| {
+        RwMode::ALL
+            .into_iter()
+            .flat_map(move |rw| JOBS.map(|jobs| (ssds, rw, bs, jobs)))
+    });
+    let at = sweep(points.collect(), cell);
     let header: Vec<String> = std::iter::once("workload".to_string())
-        .chain(SWEEP.iter().map(|j| format!("{j} jobs")))
+        .chain(JOBS.iter().map(|j| format!("{j} jobs")))
         .collect();
-
-    print_table(
-        "Fig. 3a: local throughput, bs=1 MiB, 1 NVMe SSD (GiB/s)",
-        &header,
-        &sweep(1, 1 << 20),
-    );
-    print_table(
-        "Fig. 3b: local IOPS, bs=4 KiB, 1 NVMe SSD (K IOPS)",
-        &header,
-        &sweep(1, 4096),
-    );
-    print_table(
-        "Fig. 3c: local throughput, bs=1 MiB, 4 NVMe SSDs (GiB/s)",
-        &header,
-        &sweep(4, 1 << 20),
-    );
-    print_table(
-        "Fig. 3d: local IOPS, bs=4 KiB, 4 NVMe SSDs (K IOPS)",
-        &header,
-        &sweep(4, 4096),
-    );
-
-    println!(
-        "\nPaper shape targets: 1-SSD reads plateau ~5-5.6 GiB/s and writes ~2.7 GiB/s \
-         with one job already saturating 1 MiB; 4-SSD reads ~20-22 GiB/s, writes ~10.6 GiB/s; \
-         4 KiB IOPS grow ~80K (1 job) -> ~600K (16 jobs) for BOTH drive counts \
-         (the software/host-path limit)."
-    );
+    for (title, ssds, bs) in TABLES {
+        let rows: Vec<Vec<String>> = RwMode::ALL
+            .iter()
+            .map(|&rw| {
+                std::iter::once(rw.label().to_string())
+                    .chain(JOBS.iter().map(|&jobs| rate(at((ssds, rw, bs, jobs)), bs)))
+                    .collect()
+            })
+            .collect();
+        print_table(&format!("Fig. {title}"), &header, &rows);
+    }
+    print_claims("Fig. 3 claims", &claims(&at));
 }

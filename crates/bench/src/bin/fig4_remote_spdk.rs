@@ -1,81 +1,57 @@
-//! **Figure 4**: remote SPDK NVMe-oF heatmaps over client × server core
-//! counts ∈ {1, 2, 4, 8, 16}², one exported SSD, TCP vs RDMA — 1 MiB
-//! throughput (a, b) and 4 KiB IOPS (c, d).
+//! **Figure 4**: prints the `ros2_fio::figures::fig4` cells — one heatmap
+//! per transport, block size and access pattern, rows client cores,
+//! columns server cores — and claims.
 
-use rayon::prelude::*;
-use ros2_bench::{print_table, spec, SWEEP};
-use ros2_fio::{run_fio, RwMode, SpdkFioWorld};
+use ros2_bench::{print_claims, print_table, rate, sweep};
+use ros2_fio::figures::fig4::{cell, claims, CORES};
+use ros2_fio::RwMode;
 use ros2_hw::Transport;
-use ros2_nvme::DataMode;
 
-/// One heatmap: rows = client cores, columns = server cores.
-fn heatmap(transport: Transport, rw: RwMode, bs: u64) -> Vec<Vec<String>> {
-    SWEEP
-        .par_iter()
-        .map(|&c_cores| {
-            let mut row = vec![format!("{c_cores} client cores")];
-            for &s_cores in &SWEEP {
-                let jobs = c_cores;
-                let mut world =
-                    SpdkFioWorld::new(transport, c_cores, s_cores, jobs, 1 << 30, DataMode::Null);
-                let mut s = spec(rw, bs, jobs, 1 << 30);
-                s.iodepth = 32;
-                let report = run_fio(&mut world, &s);
-                row.push(if bs >= 1 << 20 {
-                    format!("{:6.2}", report.gib_per_sec())
-                } else {
-                    format!("{:6.0}", report.kiops())
-                });
-            }
-            row
-        })
-        .collect()
-}
+const MAPS: [(&str, Transport, u64, &str); 4] = [
+    (
+        "4a: throughput (1 MiB), TCP",
+        Transport::Tcp,
+        1 << 20,
+        "GiB/s",
+    ),
+    (
+        "4b: throughput (1 MiB), RDMA",
+        Transport::Rdma,
+        1 << 20,
+        "GiB/s",
+    ),
+    ("4c: IOPS (4 KiB), TCP", Transport::Tcp, 4096, "K IOPS"),
+    ("4d: IOPS (4 KiB), RDMA", Transport::Rdma, 4096, "K IOPS"),
+];
 
 fn main() {
-    let header: Vec<String> = std::iter::once("".to_string())
-        .chain(SWEEP.iter().map(|c| format!("{c} srv cores")))
+    let points = MAPS.iter().flat_map(|&(_, t, bs, _)| {
+        RwMode::ALL.into_iter().flat_map(move |rw| {
+            CORES
+                .into_iter()
+                .flat_map(move |c| CORES.map(|s| (t, rw, bs, c, s)))
+        })
+    });
+    let at = sweep(points.collect(), cell);
+    let header: Vec<String> = std::iter::once(String::new())
+        .chain(CORES.iter().map(|s| format!("{s} srv cores")))
         .collect();
-
-    for (fig, transport, bs, unit) in [
-        (
-            "Fig. 4a: throughput (1 MiB), TCP",
-            Transport::Tcp,
-            1u64 << 20,
-            "GiB/s",
-        ),
-        (
-            "Fig. 4b: throughput (1 MiB), RDMA",
-            Transport::Rdma,
-            1 << 20,
-            "GiB/s",
-        ),
-        ("Fig. 4c: IOPS (4 KiB), TCP", Transport::Tcp, 4096, "K IOPS"),
-        (
-            "Fig. 4d: IOPS (4 KiB), RDMA",
-            Transport::Rdma,
-            4096,
-            "K IOPS",
-        ),
-    ] {
-        for rw in [
-            RwMode::Read,
-            RwMode::Write,
-            RwMode::RandRead,
-            RwMode::RandWrite,
-        ] {
+    for (fig, t, bs, unit) in MAPS {
+        for rw in RwMode::ALL {
+            let rows: Vec<Vec<String>> = CORES
+                .iter()
+                .map(|&c| {
+                    std::iter::once(format!("{c} client cores"))
+                        .chain(CORES.iter().map(|&s| rate(at((t, rw, bs, c, s)), bs)))
+                        .collect()
+                })
+                .collect();
             print_table(
-                &format!("{fig} — {} ({unit})", rw.label()),
+                &format!("Fig. {fig} — {} ({unit})", rw.label()),
                 &header,
-                &heatmap(transport, rw, bs),
+                &rows,
             );
         }
     }
-
-    println!(
-        "\nPaper shape targets: at 1 MiB both transports plateau at the single-SSD media \
-         ceiling once cores >= 2 (transport choice matters little); at 4 KiB RDMA delivers \
-         substantially higher IOPS and keeps scaling with cores while TCP shows limited \
-         benefit from additional client/server cores."
-    );
+    print_claims("Fig. 4 claims", &claims(&at));
 }

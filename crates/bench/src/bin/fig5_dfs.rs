@@ -1,104 +1,53 @@
-//! **Figure 5**: end-to-end DAOS/DFS through FIO — TCP vs RDMA, client on
-//! the server-grade host vs offloaded to the BlueField-3, 1 vs 4 NVMe SSDs.
-//! Left tables: 1 MiB throughput (GiB/s). Right tables: 4 KiB IOPS.
+//! **Figure 5**: prints the `ros2_fio::figures::fig5` cells and claims.
 //! Row labels follow the paper: R = read, W = write, RR = random read,
 //! RW = random write.
 
-use rayon::prelude::*;
-use ros2_bench::{print_table, spec};
-use ros2_fio::{run_fio, RwMode, WorldSpec};
+use ros2_bench::{print_claims, print_table, rate, sweep};
+use ros2_fio::figures::fig5::{cell, claims, SSDS};
+use ros2_fio::RwMode;
 use ros2_hw::{ClientPlacement, Transport};
-use ros2_nvme::DataMode;
 
-const JOBS: usize = 16;
-const REGION: u64 = 256 << 20;
-
-fn table(transport: Transport, bs: u64) -> Vec<Vec<String>> {
-    let cells: Vec<((usize, usize), String)> = [ClientPlacement::Host, ClientPlacement::Dpu]
-        .iter()
-        .enumerate()
-        .flat_map(|(pi, &placement)| {
-            RwMode::ALL
-                .iter()
-                .enumerate()
-                .flat_map(move |(ri, &rw)| {
-                    [(1usize, 0usize), (4, 1)]
-                        .iter()
-                        .map(move |&(ssds, si)| ((pi * 4 + ri, 1 + si), (placement, rw, ssds)))
-                        .collect::<Vec<_>>()
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect::<Vec<_>>()
-        .into_par_iter()
-        .map(|(cell, (placement, rw, ssds))| {
-            let mut world = WorldSpec::single(placement)
-                .transport(transport)
-                .ssds(ssds)
-                .jobs(JOBS)
-                .region(REGION)
-                .mode(DataMode::Null)
-                .build_dfs();
-            let report = run_fio(&mut world, &spec(rw, bs, JOBS, REGION));
-            let text = if bs >= 1 << 20 {
-                format!("{:6.2}", report.gib_per_sec())
-            } else {
-                format!("{:6.0}", report.kiops())
-            };
-            (cell, text)
-        })
-        .collect();
-
-    let mut rows: Vec<Vec<String>> = (0..8)
-        .map(|i| {
-            let placement = if i < 4 { "CPU" } else { "DPU" };
-            let rw = RwMode::ALL[i % 4];
-            vec![
-                format!("{placement} {}", rw.short()),
-                String::new(),
-                String::new(),
-            ]
-        })
-        .collect();
-    for ((row, col), text) in cells {
-        rows[row][col] = text;
-    }
-    rows
-}
+const TABLES: [(&str, Transport, u64); 4] = [
+    (
+        "5a: DFS TCP 1M — throughput (GiB/s)",
+        Transport::Tcp,
+        1 << 20,
+    ),
+    (
+        "5b: DFS RDMA 1M — throughput (GiB/s)",
+        Transport::Rdma,
+        1 << 20,
+    ),
+    ("5c: DFS TCP 4K — IOPS (K)", Transport::Tcp, 4096),
+    ("5d: DFS RDMA 4K — IOPS (K)", Transport::Rdma, 4096),
+];
+const PLACEMENTS: [(&str, ClientPlacement); 2] = [
+    ("CPU", ClientPlacement::Host),
+    ("DPU", ClientPlacement::Dpu),
+];
 
 fn main() {
-    let header: Vec<String> = ["client / workload", "1 SSD", "4 SSDs"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-
-    print_table(
-        "Fig. 5a: DFS TCP 1M — throughput (GiB/s)",
-        &header,
-        &table(Transport::Tcp, 1 << 20),
-    );
-    print_table(
-        "Fig. 5b: DFS RDMA 1M — throughput (GiB/s)",
-        &header,
-        &table(Transport::Rdma, 1 << 20),
-    );
-    print_table(
-        "Fig. 5c: DFS TCP 4K — IOPS (K)",
-        &header,
-        &table(Transport::Tcp, 4096),
-    );
-    print_table(
-        "Fig. 5d: DFS RDMA 4K — IOPS (K)",
-        &header,
-        &table(Transport::Rdma, 4096),
-    );
-
-    println!(
-        "\nPaper shape targets: host TCP ~5-6 GiB/s (1 SSD) and ~10 GiB/s (4 SSDs, \
-         link-capped); DPU TCP reads cap at ~1.6-3.1 GiB/s (receive-path bottleneck) while \
-         DPU TCP writes still approach ~10 GiB/s with 4 SSDs (good TX, weak RX); DPU 4 KiB \
-         TCP tops out near ~0.18-0.23 M IOPS. With RDMA the DPU matches the host at 1 MiB \
-         for both drive counts, and at 4 KiB improves >=2x over DPU TCP while trailing the \
-         host CPU by roughly 20-40%."
-    );
+    let points = TABLES.iter().flat_map(|&(_, t, bs)| {
+        PLACEMENTS.into_iter().flat_map(move |(_, p)| {
+            RwMode::ALL
+                .into_iter()
+                .flat_map(move |rw| SSDS.map(|ssds| (t, p, ssds, rw, bs)))
+        })
+    });
+    let at = sweep(points.collect(), cell);
+    let header = ["client / workload", "1 SSD", "4 SSDs"].map(String::from);
+    for (title, t, bs) in TABLES {
+        let rows: Vec<Vec<String>> = PLACEMENTS
+            .iter()
+            .flat_map(|&(label, p)| {
+                RwMode::ALL.map(|rw| {
+                    std::iter::once(format!("{label} {}", rw.short()))
+                        .chain(SSDS.iter().map(|&ssds| rate(at((t, p, ssds, rw, bs)), bs)))
+                        .collect()
+                })
+            })
+            .collect();
+        print_table(&format!("Fig. {title}"), &header, &rows);
+    }
+    print_claims("Fig. 5 claims", &claims(&at));
 }

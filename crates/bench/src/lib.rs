@@ -2,58 +2,51 @@
 //!
 //! One binary per paper artifact (see `DESIGN.md` §3 for the index):
 //!
-//! | binary | artifact |
-//! |---|---|
-//! | `table1_gpu` | Table 1 + the §2.1 ingest model |
-//! | `fig3_local_fio` | Fig. 3 local io_uring baselines |
-//! | `fig4_remote_spdk` | Fig. 4 remote SPDK heatmaps |
-//! | `fig5_dfs` | Fig. 5 end-to-end DFS, host vs DPU |
-//! | `ablation_rendezvous` | §3.2 eager/rendezvous threshold |
-//! | `ablation_isolation` | §2.3/§5 tenancy & inline-crypto overhead |
-//! | `ablation_gpudirect` | §3.5 DPU-DRAM staging vs GPUDirect |
-//! | `fig_scaleout` | §3.1 1→8-engine scale-out + RF=2 kill/rebuild |
-//! | `fig_qd` | op-ring queue-depth sweep, host vs offloaded |
-//! | `fig_chaos` | engine kill under QD32 with delayed RAS |
-//! | `fig_recovery` | paced rebuild, scrub repair, kill + bit-rot |
-//! | `fig_incast` | 1→256 clients on one cluster, pool and RAS push |
-//! | `fig_cache` | DPU read cache: A/B ratios and the carve sweep |
+//! | binary | artifact | cells and claims |
+//! |---|---|---|
+//! | `table1_gpu` | Table 1 + the §2.1 ingest model | `ros2_hw::{TABLE1, IngestModel}` |
+//! | `fig3_local_fio` | Fig. 3 local io_uring baselines | `ros2_fio::figures::fig3` |
+//! | `fig4_remote_spdk` | Fig. 4 remote SPDK heatmaps | `ros2_fio::figures::fig4` |
+//! | `fig5_dfs` | Fig. 5 end-to-end DFS, host vs DPU | `ros2_fio::figures::fig5` |
+//! | `ablation_rendezvous` | §3.2 eager/rendezvous threshold | `ros2_fio::figures::ablation` |
+//! | `ablation_isolation` | §2.3/§5 tenancy & inline-crypto overhead | `ros2_fio::figures::ablation` |
+//! | `ablation_gpudirect` | §3.5 DPU-DRAM staging vs GPUDirect | `ros2_fio::figures::ablation` |
+//! | `fig_scaleout` | §3.1 1→8-engine scale-out + RF=2 kill/rebuild | `ros2_fio::figures::scaleout` |
+//! | `fig_qd` | op-ring queue-depth sweep, host vs offloaded | `ros2_fio::figures::qd` |
+//! | `fig_chaos` | engine kill under QD32 with delayed RAS | `ros2_fio::figures::chaos` |
+//! | `fig_recovery` | paced rebuild, scrub repair, kill + bit-rot | `ros2_fio::figures::recovery` |
+//! | `fig_incast` | 1→256 clients on one cluster, pool and RAS push | `ros2_fio::figures::incast` |
+//! | `fig_cache` | DPU read cache: A/B ratios and the carve sweep | `ros2_fio::figures::cache` |
 //!
-//! The binaries print tables; the shapes they show are asserted by the
-//! tier-1 tests DESIGN.md §3 names. The six `fig_*` extension binaries
-//! only format cells that `ros2_fio::figures` defines, and their tests
-//! assert the same cells. Sweep points are independent deterministic
-//! simulations; `fig3`–`fig5` run theirs in parallel with rayon (each
-//! point builds its own world), the rest run serially.
+//! The binaries only print: every cell they show is a function in
+//! `ros2_fio::figures`, and the tier-1 test DESIGN.md §3 names asserts the
+//! same cell. The paper's own figures and the ablations also print their
+//! claims (`model | band | in band?`), the bands their tests assert. Sweep
+//! points are independent deterministic simulations; `fig3`–`fig5` run
+//! theirs in parallel with rayon, the rest run serially.
 
 #![warn(missing_docs)]
 
-use ros2_fio::{FioReport, JobSpec, RwMode};
-use ros2_sim::SimDuration;
+use rayon::prelude::*;
+use ros2_fio::figures::{show, Check};
 
-/// Standard measurement windows used by all harnesses (ramp, runtime).
-pub fn windows() -> (SimDuration, SimDuration) {
-    (SimDuration::from_millis(100), SimDuration::from_millis(300))
+/// Runs `cell` on every point in parallel and returns a lookup into the
+/// results.
+pub fn sweep<P>(points: Vec<P>, cell: fn(P) -> f64) -> impl Fn(P) -> f64
+where
+    P: Copy + PartialEq + Send + Sync,
+{
+    let values: Vec<f64> = points.par_iter().map(|&p| cell(p)).collect();
+    move |p| values[points.iter().position(|&q| q == p).expect("a swept point")]
 }
 
-/// The job-count axis of Fig. 3 and the core axis of Fig. 4.
-pub const SWEEP: [usize; 5] = [1, 2, 4, 8, 16];
-
-/// Builds a figure-standard spec.
-pub fn spec(rw: RwMode, bs: u64, jobs: usize, region: u64) -> JobSpec {
-    let (ramp, runtime) = windows();
-    JobSpec::new(rw, bs, jobs)
-        .region(region)
-        .windows(ramp, runtime)
-}
-
-/// Formats a bandwidth cell.
-pub fn gib(r: &FioReport) -> String {
-    format!("{:6.2}", r.gib_per_sec())
-}
-
-/// Formats a kIOPS cell.
-pub fn kiops(r: &FioReport) -> String {
-    format!("{:6.0}", r.kiops())
+/// Formats a Fig. 3–5 cell: GiB/s at 1 MiB blocks, K IOPS at 4 KiB.
+pub fn rate(value: f64, bs: u64) -> String {
+    if bs >= 1 << 20 {
+        format!("{value:6.2}")
+    } else {
+        format!("{value:6.0}")
+    }
 }
 
 /// Prints a Markdown-ish table: header row, then rows of cells.
@@ -69,20 +62,30 @@ pub fn print_table(title: &str, header: &[String], rows: &[Vec<String>]) {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sweep_matches_paper_axes() {
-        assert_eq!(SWEEP, [1, 2, 4, 8, 16]);
+/// Prints valued claims as `claim | model | band | in band?`, then how
+/// many lie in their band and how many outside the paper's own numbers
+/// (the known deviations of DESIGN.md §8).
+pub fn print_claims(title: &str, checks: &[Check]) {
+    let header = ["claim", "model", "band", "in band?"].map(String::from);
+    let (mut held, mut deviations) = (0, 0);
+    let rows: Vec<Vec<String>> = checks
+        .iter()
+        .map(|&(claim, model)| {
+            let in_band = claim.band.contains(&model);
+            held += usize::from(in_band);
+            let mut verdict = if in_band { "yes" } else { "NO" }.to_string();
+            if let Some(paper) = claim.paper.as_ref().filter(|p| !p.contains(&model)) {
+                deviations += 1;
+                verdict += &format!(", out of paper band {}", show(paper));
+            }
+            let what = claim.what.to_string();
+            vec![what, format!("{model:.3}"), show(&claim.band), verdict]
+        })
+        .collect();
+    print_table(title, &header, &rows);
+    print!("\n{held}/{} claims in band", checks.len());
+    if deviations > 0 {
+        print!("; {deviations} outside the paper's own numbers (DESIGN.md §8)");
     }
-
-    #[test]
-    fn spec_builder_applies_windows() {
-        let s = spec(RwMode::Read, 4096, 4, 1 << 30);
-        assert_eq!(s.ramp, windows().0);
-        assert_eq!(s.runtime, windows().1);
-        assert_eq!(s.numjobs, 4);
-    }
+    println!();
 }

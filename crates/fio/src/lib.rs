@@ -6,8 +6,8 @@
 //! deterministic closed-loop driver with ramp-then-measure windows, and the
 //! three assembled systems under test — local io_uring (Fig. 3), remote
 //! SPDK NVMe-oF (Fig. 4), and end-to-end DFS with host- or DPU-resident
-//! clients (Fig. 5). [`figures`] defines the extension figures' cells
-//! once, for their printers and their tests.
+//! clients (Fig. 5). [`figures`] defines every figure's cells (and the
+//! paper figures' claims) once, for their printers and their tests.
 //!
 //! ## Example
 //!

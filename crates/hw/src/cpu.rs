@@ -172,11 +172,6 @@ impl HostPathModel {
             ps_per_byte: 12,
         }
     }
-
-    /// The IOPS ceiling imposed by the shared stage.
-    pub fn shared_iops_cap(&self) -> f64 {
-        1.0 / self.per_op_shared.as_secs_f64()
-    }
 }
 
 /// Cost of one CRC32C checksum pass over `bytes` (hardware-assisted, ~12
@@ -266,8 +261,8 @@ mod tests {
 
     #[test]
     fn host_path_cap_near_600k() {
-        let hp = HostPathModel::iouring();
-        let cap = hp.shared_iops_cap();
+        // The shared stage's IOPS ceiling.
+        let cap = 1.0 / HostPathModel::iouring().per_op_shared.as_secs_f64();
         assert!((5.5e5..7.0e5).contains(&cap), "host path cap {cap}");
     }
 

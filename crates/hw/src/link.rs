@@ -8,7 +8,7 @@
 //! differs per protocol: RoCE/InfiniBand framing is leaner than
 //! TCP/IP + NVMe-oF/DAOS encapsulation.
 
-use ros2_sim::{SimDuration, SimTime};
+use ros2_sim::SimDuration;
 
 /// Gigabits-per-second to bytes-per-second.
 pub const fn gbps(g: u64) -> u64 {
@@ -123,12 +123,6 @@ pub fn path_latency(src: NicModel, switch: SwitchModel, dst: NicModel) -> SimDur
     src.port_latency + switch.hop_latency + dst.port_latency
 }
 
-/// Convenience: the instant a message entering at `now` finishes traversing
-/// a fixed-latency path.
-pub fn after_path(now: SimTime, lat: SimDuration) -> SimTime {
-    now + lat
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,6 +171,5 @@ mod tests {
             NicModel::connectx6(),
         );
         assert_eq!(lat, SimDuration::from_nanos(600 + 800 + 600));
-        assert_eq!(after_path(SimTime::ZERO, lat), SimTime::from_nanos(2000));
     }
 }

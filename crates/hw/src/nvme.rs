@@ -4,7 +4,9 @@
 //! four NVMe SSDs, 6.4 TB total, behind a 100 Gbps switch). The constants are
 //! chosen so that the *measured* figure-3 baselines reproduce:
 //!
-//! * large-block reads plateau ≈5.4–5.6 GiB/s per device, writes ≈2.7 GiB/s;
+//! * large-block reads reach ≈5.55 GiB/s per device with one job and
+//!   5.78 GiB/s with more (the paper's plateau is ≈5–5.6: a known
+//!   deviation, DESIGN.md §8), writes ≈2.7 GiB/s;
 //! * 4 KiB random-read IOPS reach ≈1.1 M per device at full concurrency
 //!   (never observed directly in the paper because the host software path
 //!   caps at ≈600 K first — see [`crate::cpu::HostPathModel`]);
@@ -60,8 +62,9 @@ impl NvmeModel {
         NvmeModel {
             name: "ent-nvme-1.6t",
             capacity: 1600 * 1000 * 1000 * 1000,
-            // 5.8 GiB/s raw; the io_uring host path shaves this to the
-            // 5.4-5.6 GiB/s plateau of Fig. 3a.
+            // 5.8 GiB/s raw. One io_uring job reaches 5.55 GiB/s of it,
+            // inside Fig. 3a's ~5-5.6; two or more reach the raw rate (a
+            // known deviation, DESIGN.md §8).
             read_bw: (5.8 * (1u64 << 30) as f64) as u64,
             write_bw: (2.7 * (1u64 << 30) as f64) as u64,
             channels: 8,

@@ -47,8 +47,6 @@ pub struct EventQueue<E> {
     seq: u64,
     now: SimTime,
     past_schedules: u64,
-    pushed: u64,
-    popped: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -65,8 +63,6 @@ impl<E> EventQueue<E> {
             seq: 0,
             now: SimTime::ZERO,
             past_schedules: 0,
-            pushed: 0,
-            popped: 0,
         }
     }
 
@@ -90,14 +86,6 @@ impl<E> EventQueue<E> {
             event,
         });
         self.seq += 1;
-        self.pushed += 1;
-    }
-
-    /// Schedules a batch of `(time, event)` pairs in order.
-    pub fn push_all(&mut self, events: impl IntoIterator<Item = (SimTime, E)>) {
-        for (at, ev) in events {
-            self.push(at, ev);
-        }
     }
 
     /// Removes and returns the earliest event, advancing the clock to its
@@ -106,13 +94,7 @@ impl<E> EventQueue<E> {
         let entry = self.heap.pop()?;
         debug_assert!(entry.at >= self.now, "event queue time went backwards");
         self.now = entry.at;
-        self.popped += 1;
         Some((entry.at, entry.event))
-    }
-
-    /// The firing time of the next event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
     }
 
     /// Number of pending events.
@@ -129,16 +111,6 @@ impl<E> EventQueue<E> {
     /// model keeps this at zero.
     pub fn past_schedules(&self) -> u64 {
         self.past_schedules
-    }
-
-    /// Total events pushed over the queue's lifetime.
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Total events popped over the queue's lifetime.
-    pub fn total_popped(&self) -> u64 {
-        self.popped
     }
 }
 
@@ -191,12 +163,11 @@ mod tests {
     #[test]
     fn counters_track_lifecycle() {
         let mut q = EventQueue::new();
-        q.push_all((0..5).map(|i| (SimTime::from_nanos(i), i)));
-        assert_eq!(q.total_pushed(), 5);
+        for i in 0..5 {
+            q.push(SimTime::from_nanos(i), i);
+        }
         assert_eq!(q.len(), 5);
         while q.pop().is_some() {}
-        assert_eq!(q.total_popped(), 5);
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 }

@@ -66,7 +66,7 @@ impl ResourceStats {
     }
 
     /// Records `n` bookings at once (a batched placement).
-    pub fn record_batch(&mut self, n: u64, fast: bool) {
+    fn record_batch(&mut self, n: u64, fast: bool) {
         self.bookings += n;
         if fast {
             self.fastpath_hits += n;

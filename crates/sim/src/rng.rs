@@ -101,14 +101,6 @@ impl SimRng {
         self.below(len as u64) as usize
     }
 
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
-    }
-
     /// Fills a buffer with pseudo-random bytes.
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
         let mut chunks = buf.chunks_exact_mut(8);
@@ -262,17 +254,6 @@ mod tests {
         let total: u64 = (0..n).map(|_| rng.exp_ns(1000.0)).sum();
         let mean = total as f64 / n as f64;
         assert!((900.0..1100.0).contains(&mean), "mean {mean}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SimRng::new(6);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

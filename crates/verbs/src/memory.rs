@@ -70,11 +70,6 @@ impl NodeMemory {
         Ok(())
     }
 
-    /// The domain of the buffer at `addr`, if any.
-    pub fn domain_of(&self, addr: MemAddr) -> Option<MemoryDomain> {
-        self.buffers.get(&addr).map(|b| b.domain)
-    }
-
     /// The buffer entry containing `addr`, if any: one ordered-map range
     /// lookup (buffers are disjoint by construction).
     fn containing(&self, addr: MemAddr) -> Option<(MemAddr, &Buffer)> {
@@ -89,11 +84,6 @@ impl NodeMemory {
     /// it).
     pub fn domain_of_containing(&self, addr: MemAddr) -> Option<MemoryDomain> {
         self.containing(addr).map(|(_, b)| b.domain)
-    }
-
-    /// Length of the buffer at `addr`, if any.
-    pub fn len_of(&self, addr: MemAddr) -> Option<u64> {
-        self.buffers.get(&addr).map(|b| b.len)
     }
 
     /// Whether `[at, at+len)` lies inside a single allocated buffer.
@@ -144,8 +134,6 @@ mod tests {
         let a = m.alloc(100, MemoryDomain::HostDram).unwrap();
         m.write(a, &Bytes::from_static(b"dma contents"));
         assert_eq!(&m.read(a, 12)[..], b"dma contents");
-        assert_eq!(m.domain_of(a), Some(MemoryDomain::HostDram));
-        assert_eq!(m.len_of(a), Some(100));
     }
 
     #[test]

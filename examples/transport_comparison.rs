@@ -1,18 +1,16 @@
 //! A compact version of the paper's headline comparison: the same FIO
 //! workload over every (transport × placement) cell, printing one table.
-//! This is Fig. 5 condensed to its takeaways.
+//! This is Fig. 5 condensed to its takeaways, on the 4-SSD cells of
+//! `ros2_fio::figures::fig5`.
 //!
 //! Run with: `cargo run --release --example transport_comparison`
 
 use rayon::prelude::*;
-use ros2::fio::{run_fio, JobSpec, RwMode, WorldSpec};
+use ros2::fio::figures::fig5::cell;
+use ros2::fio::RwMode;
 use ros2::hw::{ClientPlacement, Transport};
-use ros2::nvme::DataMode;
-use ros2::sim::SimDuration;
 
 fn main() {
-    let jobs = 16;
-    let region = 256 << 20;
     let cells: Vec<(Transport, ClientPlacement)> = [
         (Transport::Tcp, ClientPlacement::Host),
         (Transport::Tcp, ClientPlacement::Dpu),
@@ -24,27 +22,12 @@ fn main() {
     let results: Vec<(String, f64, f64, f64)> = cells
         .par_iter()
         .map(|&(transport, placement)| {
-            let run = |rw: RwMode, bs: u64| {
-                let mut world = WorldSpec::single(placement)
-                    .transport(transport)
-                    .ssds(4)
-                    .jobs(jobs)
-                    .region(region)
-                    .mode(DataMode::Null)
-                    .build_dfs();
-                let spec = JobSpec::new(rw, bs, jobs)
-                    .region(region)
-                    .windows(SimDuration::from_millis(100), SimDuration::from_millis(300));
-                run_fio(&mut world, &spec)
-            };
-            let read_1m = run(RwMode::Read, 1 << 20).gib_per_sec();
-            let write_1m = run(RwMode::Write, 1 << 20).gib_per_sec();
-            let rr_4k = run(RwMode::RandRead, 4096).kiops();
+            let run = |rw, bs| cell((transport, placement, 4, rw, bs));
             (
                 format!("{:>4} / {:?}", transport.label(), placement),
-                read_1m,
-                write_1m,
-                rr_4k,
+                run(RwMode::Read, 1 << 20),
+                run(RwMode::Write, 1 << 20),
+                run(RwMode::RandRead, 4096),
             )
         })
         .collect();

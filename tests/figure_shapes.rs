@@ -1,269 +1,59 @@
-//! The load-bearing reproduction claims: every figure's *shape* (who wins,
-//! by roughly what factor, where the plateaus fall), asserted as tests.
-//! These are the DESIGN.md §3 targets. Windows are shortened relative to
-//! the bench harnesses to keep test time reasonable; plateaus converge well
-//! within them.
+//! The load-bearing reproduction claims: every paper figure's *shape* (who
+//! wins, by roughly what factor, where the plateaus fall) and the three
+//! ablations' model claims, asserted as tests. Each test values a claim
+//! group of `ros2_fio::figures` on the same cells the figure binaries
+//! print, under the same windows, and asserts every claim in its band.
 
-use ros2::fio::{run_fio, JobSpec, LocalFioWorld, RwMode, SpdkFioWorld, WorldSpec};
-use ros2::hw::{ClientPlacement, Transport};
-use ros2::nvme::DataMode;
-use ros2::sim::SimDuration;
+use ros2::fio::figures::{ablation, fig3, fig4, fig5, show, Check};
 
-fn windows(s: JobSpec) -> JobSpec {
-    s.windows(SimDuration::from_millis(50), SimDuration::from_millis(200))
-}
-
-fn local(ssds: usize, rw: RwMode, bs: u64, jobs: usize) -> f64 {
-    let mut w = LocalFioWorld::new(ssds, jobs, 1 << 30, DataMode::Null);
-    let r = run_fio(&mut w, &windows(JobSpec::new(rw, bs, jobs)));
-    if bs >= 1 << 20 {
-        r.gib_per_sec()
-    } else {
-        r.iops()
-    }
-}
-
-#[test]
-fn fig3_one_job_saturates_large_block_reads() {
-    // (a) "one job suffices to saturate large-block per-device bandwidth";
-    // reads plateau ~5-5.6 GiB/s (we measure 5.4-5.8).
-    let one = local(1, RwMode::Read, 1 << 20, 1);
-    let sixteen = local(1, RwMode::Read, 1 << 20, 16);
-    assert!((5.0..6.2).contains(&one), "1-job read {one}");
-    assert!(
-        sixteen <= one * 1.15,
-        "no further scaling: {one} -> {sixteen}"
-    );
-}
-
-#[test]
-fn fig3_write_plateau_near_2_7() {
-    let w = local(1, RwMode::Write, 1 << 20, 8);
-    assert!((2.4..3.0).contains(&w), "write plateau {w}");
-}
-
-#[test]
-fn fig3_four_ssds_scale_large_blocks_nearly_linearly() {
-    // (c) reads ~20-22 GiB/s, writes ~10.6-10.7 GiB/s with 4 drives.
-    let r = local(4, RwMode::Read, 1 << 20, 16);
-    let w = local(4, RwMode::Write, 1 << 20, 16);
-    assert!((19.0..24.5).contains(&r), "4-ssd read {r}");
-    assert!((9.5..11.5).contains(&w), "4-ssd write {w}");
-}
-
-#[test]
-fn fig3_small_block_iops_grow_with_jobs_to_software_limit() {
-    // (b)/(d): ~80K at 1 job -> ~600K at 16 jobs, for BOTH drive counts —
-    // the software/host-path limit, not a media limit.
-    for ssds in [1usize, 4] {
-        let one = local(ssds, RwMode::RandRead, 4096, 1);
-        let sixteen = local(ssds, RwMode::RandRead, 4096, 16);
-        assert!((60e3..120e3).contains(&one), "{ssds}ssd 1-job iops {one}");
+fn assert_in_band(checks: Vec<Check>) {
+    for (claim, model) in checks {
+        let band = show(&claim.band);
         assert!(
-            (550e3..700e3).contains(&sixteen),
-            "{ssds}ssd 16-job iops {sixteen}"
+            claim.band.contains(&model),
+            "{}: {model} outside {band}",
+            claim.what
         );
     }
-    // Same ceiling regardless of drives => host-path bound.
-    let a = local(1, RwMode::RandRead, 4096, 16);
-    let b = local(4, RwMode::RandRead, 4096, 16);
-    assert!(
-        (a - b).abs() / a < 0.05,
-        "limit must be drive-independent: {a} vs {b}"
-    );
 }
 
-fn spdk(transport: Transport, cores: usize, rw: RwMode, bs: u64) -> f64 {
-    let mut w = SpdkFioWorld::new(transport, cores, cores, cores, 1 << 30, DataMode::Null);
-    let mut s = windows(JobSpec::new(rw, bs, cores));
-    s.iodepth = 32;
-    let r = run_fio(&mut w, &s);
-    if bs >= 1 << 20 {
-        r.gib_per_sec()
-    } else {
-        r.iops()
-    }
+/// One test per claim group.
+macro_rules! claim_tests {
+    ($($test:ident: $checks:expr;)*) => {$(
+        #[test]
+        fn $test() {
+            assert_in_band($checks);
+        }
+    )*};
 }
 
-#[test]
-fn fig4_large_blocks_transport_agnostic_once_cores_suffice() {
-    // "The similarity between TCP and RDMA at 1 MiB indicates a
-    // media/network ceiling with one SSD."
-    let tcp = spdk(Transport::Tcp, 4, RwMode::Read, 1 << 20);
-    let rdma = spdk(Transport::Rdma, 4, RwMode::Read, 1 << 20);
-    assert!((tcp - rdma).abs() / rdma < 0.1, "tcp {tcp} vs rdma {rdma}");
-    assert!((5.0..6.2).contains(&rdma), "media ceiling {rdma}");
-}
-
-#[test]
-fn fig4_small_blocks_rdma_dominates_and_scales() {
-    // (c)/(d): RDMA delivers substantially higher IOPS and scales with
-    // cores; TCP shows limited benefit.
-    let tcp_1 = spdk(Transport::Tcp, 1, RwMode::RandRead, 4096);
-    let tcp_16 = spdk(Transport::Tcp, 16, RwMode::RandRead, 4096);
-    let rdma_1 = spdk(Transport::Rdma, 1, RwMode::RandRead, 4096);
-    let rdma_16 = spdk(Transport::Rdma, 16, RwMode::RandRead, 4096);
-    assert!(
-        rdma_16 > 2.5 * tcp_16,
-        "rdma {rdma_16} must dominate tcp {tcp_16}"
+claim_tests! {
+    fig3_one_job_saturates_large_block_reads: fig3::saturation(fig3::cell);
+    fig3_write_plateau_near_2_7: fig3::write_plateau(fig3::cell);
+    fig3_four_ssds_scale_large_blocks_nearly_linearly: fig3::four_ssds(fig3::cell);
+    fig3_small_block_iops_grow_with_jobs_to_software_limit: fig3::iops(fig3::cell);
+    fig4_large_blocks_transport_agnostic_once_cores_suffice: fig4::large_blocks(fig4::cell);
+    fig4_small_blocks_rdma_dominates_and_scales: fig4::small_blocks(fig4::cell);
+    fig5_host_tcp_bands: fig5::host_tcp(fig5::cell);
+    fig5_dpu_tcp_receive_path_bottleneck: fig5::dpu_tcp(fig5::cell);
+    fig5_rdma_erases_the_dpu_penalty_at_1m: fig5::rdma_1m(fig5::cell);
+    fig5_rdma_4k_dpu_gap_and_tcp_multiplier: fig5::rdma_4k(fig5::cell);
+    ablation_rendezvous_eager_wins_small_and_rendezvous_wins_large:
+        ablation::rendezvous_claims(ablation::one_way_us);
+    ablation_isolation_crypto_is_cheap_and_the_cap_paces_the_pass: ablation::isolation_claims(
+        &ablation::ISOLATION_ARMS.map(|(_, service, cap)| ablation::isolation(service, cap)),
     );
-    assert!(
-        rdma_16 > 2.5 * rdma_1,
-        "rdma must scale: {rdma_1} -> {rdma_16}"
-    );
-    assert!(
-        tcp_16 < 2.5 * tcp_1,
-        "tcp limited benefit: {tcp_1} -> {tcp_16}"
-    );
-    assert!(rdma_1 > tcp_1, "rdma wins at every core count");
-}
-
-const JOBS: usize = 16;
-const REGION: u64 = 256 << 20;
-
-fn dfs(transport: Transport, placement: ClientPlacement, ssds: usize, rw: RwMode, bs: u64) -> f64 {
-    let mut w = WorldSpec::single(placement)
-        .transport(transport)
-        .ssds(ssds)
-        .jobs(JOBS)
-        .region(REGION)
-        .mode(DataMode::Null)
-        .build_dfs();
-    let r = run_fio(&mut w, &windows(JobSpec::new(rw, bs, JOBS).region(REGION)));
-    if bs >= 1 << 20 {
-        r.gib_per_sec()
-    } else {
-        r.iops()
-    }
 }
 
 #[test]
-fn fig5_host_tcp_bands() {
-    // Host TCP: ~5-6 GiB/s (1 SSD), ~10 GiB/s (4 SSDs, link-capped);
-    // 0.4-0.6M 4 KiB IOPS.
-    let r1 = dfs(
-        Transport::Tcp,
-        ClientPlacement::Host,
-        1,
-        RwMode::Read,
-        1 << 20,
+fn ablation_gpudirect_saves_exactly_the_staging_copy() {
+    let arms = ablation::GPUDIRECT_ARMS.map(|(_, domain)| ablation::gpudirect(domain));
+    let [staged, direct] = arms;
+    // Every read saves the same copy: the sums differ by it, to the
+    // nanosecond.
+    assert_eq!(
+        staged.latency_sum - direct.latency_sum,
+        ablation::staging_cost(1 << 20) * ablation::READS
     );
-    let r4 = dfs(
-        Transport::Tcp,
-        ClientPlacement::Host,
-        4,
-        RwMode::Read,
-        1 << 20,
-    );
-    let k = dfs(
-        Transport::Tcp,
-        ClientPlacement::Host,
-        1,
-        RwMode::RandWrite,
-        4096,
-    );
-    assert!((5.0..6.5).contains(&r1), "host tcp 1ssd {r1}");
-    assert!((9.5..11.0).contains(&r4), "host tcp 4ssd {r4}");
-    assert!((350e3..620e3).contains(&k), "host tcp 4k {k}");
-}
-
-#[test]
-fn fig5_dpu_tcp_receive_path_bottleneck() {
-    // "1 MiB reads cap at ~1.6-3.1 GiB/s ... while writes with four SSDs
-    // can still approach ~10 GiB/s" — good TX, weak RX.
-    let read = dfs(
-        Transport::Tcp,
-        ClientPlacement::Dpu,
-        1,
-        RwMode::Read,
-        1 << 20,
-    );
-    let write4 = dfs(
-        Transport::Tcp,
-        ClientPlacement::Dpu,
-        4,
-        RwMode::Write,
-        1 << 20,
-    );
-    assert!((1.4..3.3).contains(&read), "dpu tcp read {read}");
-    assert!(write4 > 9.0, "dpu tcp 4-ssd write {write4}");
-    // "the DPU tops out near ~0.18-0.23M IOPS" at 4 KiB.
-    let k = dfs(
-        Transport::Tcp,
-        ClientPlacement::Dpu,
-        1,
-        RwMode::RandWrite,
-        4096,
-    );
-    assert!((150e3..280e3).contains(&k), "dpu tcp 4k {k}");
-}
-
-#[test]
-fn fig5_rdma_erases_the_dpu_penalty_at_1m() {
-    // "at 1 MiB, the DPU matches the host for both one- and four-SSD
-    // setups".
-    for ssds in [1usize, 4] {
-        let host = dfs(
-            Transport::Rdma,
-            ClientPlacement::Host,
-            ssds,
-            RwMode::Read,
-            1 << 20,
-        );
-        let dpu = dfs(
-            Transport::Rdma,
-            ClientPlacement::Dpu,
-            ssds,
-            RwMode::Read,
-            1 << 20,
-        );
-        assert!(
-            (host - dpu).abs() / host < 0.05,
-            "{ssds}ssd: host {host} vs dpu {dpu}"
-        );
-    }
-    let four = dfs(
-        Transport::Rdma,
-        ClientPlacement::Dpu,
-        4,
-        RwMode::Read,
-        1 << 20,
-    );
-    assert!((10.0..11.5).contains(&four), "rdma 4ssd plateau {four}");
-}
-
-#[test]
-fn fig5_rdma_4k_dpu_gap_and_tcp_multiplier() {
-    // "RDMA on the DPU improves markedly over its TCP results (often 2x or
-    // more), though it still trails the CPU host by roughly 20-40%".
-    let host = dfs(
-        Transport::Rdma,
-        ClientPlacement::Host,
-        1,
-        RwMode::RandWrite,
-        4096,
-    );
-    let dpu = dfs(
-        Transport::Rdma,
-        ClientPlacement::Dpu,
-        1,
-        RwMode::RandWrite,
-        4096,
-    );
-    let dpu_tcp = dfs(
-        Transport::Tcp,
-        ClientPlacement::Dpu,
-        1,
-        RwMode::RandWrite,
-        4096,
-    );
-    let gap = 1.0 - dpu / host;
-    assert!(
-        (0.15..0.45).contains(&gap),
-        "dpu gap {gap} (host {host}, dpu {dpu})"
-    );
-    assert!(
-        dpu > 2.0 * dpu_tcp,
-        "rdma {dpu} must be >=2x dpu tcp {dpu_tcp}"
-    );
+    assert_in_band(ablation::gpudirect_claims(&arms));
 }
