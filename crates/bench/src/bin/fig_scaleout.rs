@@ -1,10 +1,10 @@
 //! Scale-out sweep: prints the `ros2_fio::figures::scaleout` cells.
 
 use ros2_fio::figures::scaleout::{resilience_cell, scale_cell, ENGINES, JOBS};
-use ros2_hw::gbps;
+use ros2_hw::SWITCH_PORT_RATE;
 
 fn main() {
-    let port_gib_s = gbps(100) as f64 / (1u64 << 30) as f64;
+    let port_gib_s = SWITCH_PORT_RATE as f64 / (1u64 << 30) as f64;
 
     println!("scale-out sweep: {ENGINES:?} engines, RDMA, 1 MiB sequential reads, {JOBS} jobs");
     let tputs = ENGINES.map(|n| {

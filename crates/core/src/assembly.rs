@@ -15,7 +15,7 @@ use ros2_daos::{
 };
 use ros2_dpu::{default_control, DpuAgent, DpuCacheStats, DpuClient, DpuStats, DpuTenantSpec};
 use ros2_fabric::Fabric;
-use ros2_hw::{ClientPlacement, ClusterTopology, CoreClass, Transport};
+use ros2_hw::{ClientPlacement, ClusterTopology, CoreClass, Transport, BLUEFIELD3_DRAM};
 use ros2_nvme::DataMode;
 use ros2_sim::{ResourceStats, SimTime};
 use ros2_verbs::{MemoryDomain, NodeId, PdId};
@@ -260,7 +260,7 @@ pub fn connect_client(
     }
     let agent = setup
         .agent
-        .unwrap_or_else(|| DpuAgent::new(node, 30 << 30, default_control(setup.seed)));
+        .unwrap_or_else(|| DpuAgent::new(node, BLUEFIELD3_DRAM, default_control(setup.seed)));
     let mut dpu = DpuClient::connect_cluster(
         fabric,
         node,

@@ -34,7 +34,7 @@ use ros2_dpu::{
     TenantManager,
 };
 use ros2_fabric::Fabric;
-use ros2_hw::{ClientPlacement, ClusterTopology, Transport};
+use ros2_hw::{ClientPlacement, ClusterTopology, Transport, BLUEFIELD3_DRAM};
 use ros2_nvme::DataMode;
 use ros2_sim::{SimDuration, SimTime};
 use ros2_verbs::{MemoryDomain, NodeId, PdId};
@@ -231,7 +231,7 @@ impl Ros2System {
         let mut control = default_control(config.seed ^ 0xc71);
         let digest = Bytes::from(config.tenant.as_bytes().to_vec());
         control.add_tenant(config.tenant.clone(), digest.clone());
-        let mut agent = DpuAgent::new(CLIENT_NODE, 30 << 30, control);
+        let mut agent = DpuAgent::new(CLIENT_NODE, BLUEFIELD3_DRAM, control);
         agent.set_inline_service(config.inline_service);
 
         // Control handshake: Hello -> PoolConnect -> ContOpen -> DfsMount.

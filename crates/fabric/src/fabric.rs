@@ -19,7 +19,7 @@
 //! why the paper's DPU results keep RDMA at host parity.
 
 use bytes::Bytes;
-use ros2_hw::{per_byte, CoreClass, Transport, TransportCost, WireProtocol};
+use ros2_hw::{per_byte, CoreClass, Transport, TransportCost, WireProtocol, PATH_LATENCY};
 use ros2_sim::{ResourceStats, ServerPool, SimDuration, SimRng, SimTime};
 use ros2_verbs::{MemAddr, NodeId, PdId, QpId, RKey, RdmaDevice, VerbsError};
 
@@ -105,8 +105,6 @@ pub struct Fabric {
     cost: TransportCost,
     nodes: Vec<FabricNode>,
     conns: Vec<Conn>,
-    /// Fixed propagation across NIC ports and the switch hop.
-    path_latency: SimDuration,
     /// Messages at or below this size go *eager* (inline, one receiver
     /// copy); larger ones use the *rendezvous* protocol (an RTS/CTS
     /// handshake, then zero-copy placement). UCX's `RNDV_THRESH` analogue;
@@ -146,14 +144,14 @@ impl WireTraversalStats {
 
 impl Fabric {
     /// Creates a fabric over `specs` using the given transport. NIC/port
-    /// latencies are folded into one fixed path latency.
+    /// latencies are folded into one fixed path latency,
+    /// [`ros2_hw::PATH_LATENCY`].
     pub fn new(transport: Transport, specs: Vec<NodeSpec>, seed: u64) -> Self {
         let rng = SimRng::new(seed);
         let (wire, cost) = match transport {
             Transport::Tcp => (WireProtocol::tcp(), TransportCost::tcp()),
             Transport::Rdma => (WireProtocol::rdma(), TransportCost::rdma()),
         };
-        let path_latency = SimDuration::from_nanos(2_000);
         let nodes = specs
             .into_iter()
             .enumerate()
@@ -165,7 +163,6 @@ impl Fabric {
             cost,
             nodes,
             conns: Vec::new(),
-            path_latency,
             eager_threshold: 8 * 1024,
             wire_fast: 0,
             wire_slow: 0,
@@ -414,7 +411,7 @@ impl Fabric {
             let tx = self.nodes[src.0 as usize]
                 .tx_pipe
                 .transmit(start, wire_total);
-            let arrive = tx.finish + self.path_latency;
+            let arrive = tx.finish + PATH_LATENCY;
             let rx = self.nodes[dst.0 as usize]
                 .rx_pipe
                 .transmit(arrive, wire_total);
@@ -460,7 +457,7 @@ impl Fabric {
         while remaining > 0 {
             let chunk = remaining.min(seg);
             let tx = self.nodes[src.0 as usize].tx_pipe.transmit(start, chunk);
-            let arrive = tx.finish + self.path_latency;
+            let arrive = tx.finish + PATH_LATENCY;
             let rx = self.nodes[dst.0 as usize].rx_pipe.transmit(arrive, chunk);
             last_arrival = last_arrival.max(rx.finish);
             remaining -= chunk;
@@ -475,7 +472,7 @@ impl Fabric {
     /// Why this is exact: the loop submits every segment at `start`, so on
     /// an idle TX pipe the segments serialize back-to-back into the single
     /// window `[start, start + Σ tx_i)`. Segment `i` then arrives at the RX
-    /// pipe `path_latency` after its TX finish, i.e. at intervals of the
+    /// pipe [`PATH_LATENCY`] after its TX finish, i.e. at intervals of the
     /// full-segment TX time. When the RX pipe is no faster than the TX pipe
     /// (`rx_rate <= tx_rate`, true of every shipped topology — both ends
     /// clamp to the same switch port), each segment's RX service time is ≥
@@ -512,7 +509,7 @@ impl Fabric {
         let tx_dur = tx_full * full + tx_rem;
         // First segment is a full one unless the transfer fits in one.
         let first_tx = if full > 0 { tx_full } else { tx_rem };
-        let a0 = start + first_tx + self.path_latency;
+        let a0 = start + first_tx + PATH_LATENCY;
         if self.nodes[dst.0 as usize].rx_pipe.tail_free() > a0 {
             return None;
         }
@@ -520,7 +517,7 @@ impl Fabric {
         let rx_dur = rx_pipe.service_time(seg) * full + rx_pipe.service_time(rem);
         // Last arrival instant — mirrors the loop's per-segment submit
         // times so pruning high-water marks line up with the slow path.
-        let last_arrive = start + tx_dur + self.path_latency;
+        let last_arrive = start + tx_dur + PATH_LATENCY;
         self.nodes[src.0 as usize]
             .tx_pipe
             .book_batch(start, start, tx_dur, wire_total, segments);
@@ -651,7 +648,7 @@ impl Fabric {
         // back, then the NIC places data with zero receiver copies.
         let rendezvous = self.transport == Transport::Rdma && payload > self.eager_threshold;
         if rendezvous {
-            t = t + self.path_latency + self.path_latency;
+            t = t + PATH_LATENCY + PATH_LATENCY;
         }
 
         // 4. The wire.
@@ -722,7 +719,7 @@ impl Fabric {
             .map_err(FabricError::Verbs)?;
 
         // The ACK back to the initiator (latency only; piggybacked).
-        let done = landed + self.path_latency;
+        let done = landed + PATH_LATENCY;
         Ok(Delivery {
             at: done,
             data: None,

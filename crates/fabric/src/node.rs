@@ -1,7 +1,9 @@
 //! Per-node fabric state: NIC pipes, processing core pools, the kernel
 //! softirq stage, and the node's RDMA device context.
 
-use ros2_hw::{CoreClass, CpuComplement, DpuTcpRxModel, NicModel};
+use ros2_hw::{
+    CoreClass, CpuComplement, DpuTcpRxModel, NicModel, BLUEFIELD3_DRAM, SWITCH_PORT_RATE,
+};
 use ros2_sim::{BandwidthServer, ServerPool, SimRng};
 use ros2_verbs::{NodeId, RdmaDevice};
 
@@ -40,8 +42,8 @@ impl NodeSpec {
                 cores: 16,
             },
             nic: NicModel::connectx7(),
-            port_rate: gbps100(),
-            mem_budget: 30 << 30,
+            port_rate: SWITCH_PORT_RATE,
+            mem_budget: BLUEFIELD3_DRAM,
             dpu_tcp_rx: Some(DpuTcpRxModel::bluefield3()),
         }
     }
@@ -58,7 +60,7 @@ impl NodeSpec {
                 cores: 48,
             },
             nic: NicModel::connectx6(),
-            port_rate: gbps100(),
+            port_rate: SWITCH_PORT_RATE,
             mem_budget: 64 << 30,
             dpu_tcp_rx: None,
         }
@@ -73,16 +75,11 @@ impl NodeSpec {
                 cores: 64,
             },
             nic: NicModel::connectx6(),
-            port_rate: gbps100(),
+            port_rate: SWITCH_PORT_RATE,
             mem_budget: 64 << 30,
             dpu_tcp_rx: None,
         }
     }
-}
-
-/// The 100 Gbps switch-port rate shared by the canonical node specs.
-fn gbps100() -> u64 {
-    ros2_hw::gbps(100)
 }
 
 /// Live state for one node.
@@ -143,43 +140,40 @@ mod tests {
     use super::*;
     use ros2_hw::gbps;
 
-    fn host_spec() -> NodeSpec {
-        NodeSpec {
-            name: "host".into(),
-            cpu: CpuComplement {
-                class: CoreClass::HostX86,
-                cores: 48,
-            },
-            nic: NicModel::connectx6(),
-            port_rate: gbps(100),
-            mem_budget: 1 << 30,
-            dpu_tcp_rx: None,
-        }
-    }
-
+    /// The §4.1 nodes: the 100 Gbps switch port binds under the 200 G
+    /// ConnectX-6 and the 400 G ConnectX-7 alike.
     #[test]
     fn wire_rate_is_min_of_nic_and_port() {
-        let spec = host_spec();
-        assert_eq!(spec.wire_rate(), gbps(100)); // CX-6 is 200G, port 100G
+        let (dpu, host, storage) = (
+            NodeSpec::bluefield3(),
+            NodeSpec::host_client(),
+            NodeSpec::storage_server(),
+        );
+        assert_eq!(host.nic.line_rate, gbps(200));
+        assert_eq!(dpu.nic.line_rate, gbps(400));
+        for spec in [&dpu, &host, &storage] {
+            assert_eq!(spec.port_rate, gbps(100));
+            assert_eq!(spec.wire_rate(), gbps(100), "{}", spec.name);
+        }
+        assert_eq!((dpu.cpu.class, dpu.cpu.cores), (CoreClass::DpuArm, 16));
+        assert_eq!(dpu.mem_budget, 30 << 30);
+        assert_eq!((host.cpu.class, host.cpu.cores), (CoreClass::HostX86, 48));
+        assert_eq!(
+            (storage.cpu.class, storage.cpu.cores),
+            (CoreClass::HostX86, 64)
+        );
     }
 
     #[test]
     fn dpu_rx_pool_is_limited_to_queue_spread() {
-        let mut spec = host_spec();
-        spec.name = "dpu".into();
-        spec.cpu = CpuComplement {
-            class: CoreClass::DpuArm,
-            cores: 16,
-        };
-        spec.dpu_tcp_rx = Some(DpuTcpRxModel::bluefield3());
-        let node = FabricNode::new(NodeId(1), spec, &SimRng::new(1));
+        let node = FabricNode::new(NodeId(1), NodeSpec::bluefield3(), &SimRng::new(1));
         assert_eq!(node.rx_pool.servers(), 4);
         assert_eq!(node.tx_pool.servers(), 16);
     }
 
     #[test]
     fn host_rx_pool_uses_all_cores() {
-        let node = FabricNode::new(NodeId(0), host_spec(), &SimRng::new(1));
+        let node = FabricNode::new(NodeId(0), NodeSpec::host_client(), &SimRng::new(1));
         assert_eq!(node.rx_pool.servers(), 48);
         assert_eq!(node.class(), CoreClass::HostX86);
     }

@@ -20,9 +20,7 @@ use ros2_core::{ClientStack, FaultCursor, FaultPlan};
 use ros2_daos::{DaosError, EngineCluster};
 use ros2_dfs::{Dfs, DfsObj, DfsSession};
 use ros2_fabric::{Fabric, NodeSpec};
-use ros2_hw::{
-    gbps, CoreClass, CpuComplement, HostPathModel, NicModel, NvmeModel, Transport, LBA_SIZE,
-};
+use ros2_hw::{HostPathModel, NvmeModel, Transport, LBA_SIZE};
 use ros2_iouring::{IoRequest, IoUringEngine};
 use ros2_nvme::{DataMode, NvmeArray};
 use ros2_sim::SimTime;
@@ -107,28 +105,12 @@ impl SpdkFioWorld {
         region: u64,
         mode: DataMode,
     ) -> Self {
-        let client = NodeSpec {
-            name: "client".into(),
-            cpu: CpuComplement {
-                class: CoreClass::HostX86,
-                cores: client_cores,
-            },
-            nic: NicModel::connectx6(),
-            port_rate: gbps(100),
-            mem_budget: 16 << 30,
-            dpu_tcp_rx: None,
-        };
-        let server = NodeSpec {
-            name: "storage".into(),
-            cpu: CpuComplement {
-                class: CoreClass::HostX86,
-                cores: server_cores,
-            },
-            nic: NicModel::connectx6(),
-            port_rate: gbps(100),
-            mem_budget: 16 << 30,
-            dpu_tcp_rx: None,
-        };
+        // The canonical §4.1 nodes; only the reactor core counts, Fig. 4's
+        // axes, differ.
+        let mut client = NodeSpec::host_client();
+        client.cpu.cores = client_cores;
+        let mut server = NodeSpec::storage_server();
+        server.cpu.cores = server_cores;
         let fabric = Fabric::new(transport, vec![client, server], 0xf14);
         let bdevs = BdevLayer::new(NvmeArray::new(NvmeModel::enterprise_1600(), 1, mode));
         let mut stack = NvmfStack::new(

@@ -7,13 +7,14 @@
 //!   access latencies);
 //! * [`cpu`] — host x86 vs. BlueField-3 ARM cores, per-transport CPU costs,
 //!   the kernel block-layer stage, the DPU TCP receive-path penalty;
-//! * [`link`] — ConnectX NICs, the 100 Gbps switch, wire-protocol
-//!   efficiencies;
+//! * [`link`] — ConnectX NICs, the 100 Gbps switch port and the path
+//!   latency across the switch, wire-protocol efficiencies;
 //! * [`gpu`] — Table 1's GPU generations and the §2.1 ingest model;
-//! * [`platform`] — the assembled testbed configurations.
+//! * [`platform`] — the BlueField-3's DRAM, node core complements, client
+//!   placement, cluster topology and transport selection.
 //!
 //! Calibration constants carry doc comments explaining which figure shape
-//! they anchor; `DESIGN.md` §5 summarizes the rationale. Higher layers never
+//! they anchor; `DESIGN.md` §8 summarizes the rationale. Higher layers never
 //! hardcode timing — they ask these models.
 
 #![warn(missing_docs)]
@@ -29,9 +30,6 @@ pub use cpu::{
     HostPathModel, TransportCost,
 };
 pub use gpu::{gpu_by_name, GpuSpec, IngestModel, LlmPhase, TABLE1};
-pub use link::{gbps, path_latency, NicModel, SwitchModel, WireProtocol};
+pub use link::{gbps, NicModel, WireProtocol, PATH_LATENCY, SWITCH_PORT_RATE};
 pub use nvme::{NvmeModel, LBA_SIZE};
-pub use platform::{
-    ClientPlacement, ClusterTopology, CpuComplement, DpuConfig, HostClientConfig,
-    StorageServerConfig, Testbed, Transport,
-};
+pub use platform::{ClientPlacement, ClusterTopology, CpuComplement, Transport, BLUEFIELD3_DRAM};

@@ -1,12 +1,14 @@
-//! Network fabric models: NIC ports, the 100 Gbps switch, and wire-protocol
-//! efficiency factors.
+//! Network fabric models: NIC ports, the 100 Gbps switch port and the
+//! path latency across the switch, and wire-protocol efficiency factors.
 //!
 //! The paper's testbed (§4.1) connects a ConnectX-6 host (200 Gbps), a
 //! BlueField-3 (integrated ConnectX-7, 400 Gbps) and the storage server's
 //! ConnectX-6 through a **100 Gbps switch**, which the paper itself calls
-//! out as the binding constraint for multi-SSD throughput. Wire efficiency
-//! differs per protocol: RoCE/InfiniBand framing is leaner than
-//! TCP/IP + NVMe-oF/DAOS encapsulation.
+//! out as the binding constraint for multi-SSD throughput. The switch is
+//! two constants, not a model of its own: every node's port runs at
+//! [`SWITCH_PORT_RATE`], and every message crosses the fixed
+//! [`PATH_LATENCY`]. Wire efficiency differs per protocol: RoCE/InfiniBand
+//! framing is leaner than TCP/IP + NVMe-oF/DAOS encapsulation.
 
 use ros2_sim::SimDuration;
 
@@ -14,6 +16,18 @@ use ros2_sim::SimDuration;
 pub const fn gbps(g: u64) -> u64 {
     g * 1_000_000_000 / 8
 }
+
+/// The §4.1 switch's per-port rate, bytes/second (100 Gbps). Every node's
+/// NIC is faster (ConnectX-6 200 Gbps, ConnectX-7 400 Gbps), so this port
+/// binds each node's wire rate: it is the multi-SSD bottleneck behind the
+/// Fig. 5 four-SSD plateaus.
+pub const SWITCH_PORT_RATE: u64 = gbps(100);
+
+/// One-way propagation between two fabric nodes, serialization excluded:
+/// ConnectX-6 port 600 ns + switch cut-through hop 800 ns + ConnectX-6 port
+/// 600 ns. One value for every pair of nodes; the rendezvous handshake of
+/// the eager/rendezvous crossover (ablation X3) pays it twice.
+pub const PATH_LATENCY: SimDuration = SimDuration::from_nanos(2_000);
 
 /// A network endpoint's port model.
 #[derive(Copy, Clone, Debug)]
@@ -48,25 +62,6 @@ impl NicModel {
     /// request, the same internal step it takes for any message.
     pub fn chain_hop(&self) -> SimDuration {
         self.port_latency
-    }
-}
-
-/// The top-of-rack switch between client and storage server.
-#[derive(Copy, Clone, Debug)]
-pub struct SwitchModel {
-    /// Per-direction forwarding capacity, bytes/second.
-    pub capacity: u64,
-    /// Cut-through forwarding latency.
-    pub hop_latency: SimDuration,
-}
-
-impl SwitchModel {
-    /// The paper's 100 Gbps switch.
-    pub fn gbps100() -> Self {
-        SwitchModel {
-            capacity: gbps(100),
-            hop_latency: SimDuration::from_nanos(800),
-        }
     }
 }
 
@@ -117,12 +112,6 @@ impl WireProtocol {
     }
 }
 
-/// End-to-end path latency budget between two endpoints through the switch
-/// (propagation + NIC port latencies), excluding serialization.
-pub fn path_latency(src: NicModel, switch: SwitchModel, dst: NicModel) -> SimDuration {
-    src.port_latency + switch.hop_latency + dst.port_latency
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,15 +120,6 @@ mod tests {
     fn unit_conversion() {
         assert_eq!(gbps(100), 12_500_000_000);
         assert_eq!(gbps(8), 1_000_000_000);
-    }
-
-    #[test]
-    fn switch_is_the_bottleneck() {
-        // §4.1: 100 Gbps switch constrains multi-SSD throughput even though
-        // both NICs are faster.
-        let sw = SwitchModel::gbps100();
-        assert!(sw.capacity < NicModel::connectx6().line_rate);
-        assert!(sw.capacity < NicModel::connectx7().line_rate);
     }
 
     #[test]
@@ -161,15 +141,5 @@ mod tests {
         let p = WireProtocol::rdma();
         assert_eq!(p.wire_bytes(0), p.per_msg_overhead);
         assert!(p.wire_bytes(4096) > 4096);
-    }
-
-    #[test]
-    fn path_latency_sums_hops() {
-        let lat = path_latency(
-            NicModel::connectx6(),
-            SwitchModel::gbps100(),
-            NicModel::connectx6(),
-        );
-        assert_eq!(lat, SimDuration::from_nanos(600 + 800 + 600));
     }
 }

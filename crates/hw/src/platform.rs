@@ -1,9 +1,14 @@
-//! The paper's §4.1 hardware platform, expressed as configuration structs
-//! that deployment worlds instantiate.
+//! The deployment's shape: a node's cores, where the DAOS client runs, the
+//! cluster's node layout and the data-plane transport. The §4.1 nodes
+//! themselves are `ros2_fabric::NodeSpec::{host_client, bluefield3,
+//! storage_server}`, built from the models in this crate.
 
 use crate::cpu::CoreClass;
-use crate::link::{NicModel, SwitchModel};
-use crate::nvme::NvmeModel;
+
+/// The BlueField-3's onboard DRAM (§4.1: 30 GiB): the DPU node's
+/// registered-memory budget and the DPU agent's staging-DRAM budget, since
+/// every payload terminates in DPU DRAM in the prototype (§3.2).
+pub const BLUEFIELD3_DRAM: u64 = 30 << 30;
 
 /// A compute or storage node's processor complement.
 #[derive(Copy, Clone, Debug)]
@@ -12,92 +17,6 @@ pub struct CpuComplement {
     pub class: CoreClass,
     /// Number of physical cores available to the experiment.
     pub cores: usize,
-}
-
-/// The storage server (§4.1): 2 NUMA nodes, 128 cores, 251 GiB; experiments
-/// pin to NUMA node 0 with 4 NVMe SSDs and a ConnectX-6.
-#[derive(Clone, Debug)]
-pub struct StorageServerConfig {
-    /// Cores available after NUMA-0 pinning.
-    pub cpu: CpuComplement,
-    /// DRAM in bytes.
-    pub dram: u64,
-    /// Storage-class-memory (PMEM) capacity for the DAOS SCM tier.
-    pub scm: u64,
-    /// The NVMe devices attached to NUMA 0.
-    pub nvme: Vec<NvmeModel>,
-    /// Network port.
-    pub nic: NicModel,
-}
-
-impl StorageServerConfig {
-    /// The paper's storage server with `ssds` drives enabled (1 or 4).
-    pub fn paper(ssds: usize) -> Self {
-        assert!((1..=4).contains(&ssds), "paper uses 1 or 4 SSDs");
-        StorageServerConfig {
-            cpu: CpuComplement {
-                class: CoreClass::HostX86,
-                cores: 64, // NUMA node 0 of the 128-core box
-            },
-            dram: 251 * (1 << 30) / 2,
-            scm: 128 * (1 << 30),
-            nvme: (0..ssds).map(|_| NvmeModel::enterprise_1600()).collect(),
-            nic: NicModel::connectx6(),
-        }
-    }
-}
-
-/// The server-grade CPU client (§4.1): dual AMD EPYC 7443, 48 physical
-/// cores, 251 GiB DRAM, ConnectX-6.
-#[derive(Copy, Clone, Debug)]
-pub struct HostClientConfig {
-    /// Processor complement.
-    pub cpu: CpuComplement,
-    /// DRAM in bytes.
-    pub dram: u64,
-    /// Network port.
-    pub nic: NicModel,
-}
-
-impl HostClientConfig {
-    /// The paper's host client.
-    pub fn paper() -> Self {
-        HostClientConfig {
-            cpu: CpuComplement {
-                class: CoreClass::HostX86,
-                cores: 48,
-            },
-            dram: 251 * (1 << 30),
-            nic: NicModel::connectx6(),
-        }
-    }
-}
-
-/// The BlueField-3 DPU (§4.1): 16 Arm Cortex-A78AE cores, 30 GiB DRAM,
-/// integrated ConnectX-7.
-#[derive(Copy, Clone, Debug)]
-pub struct DpuConfig {
-    /// Processor complement (ARM cores).
-    pub cpu: CpuComplement,
-    /// Onboard DRAM in bytes — also the data-plane buffer pool, since all
-    /// payloads terminate in DPU DRAM in the prototype (§3.2).
-    pub dram: u64,
-    /// Integrated network controller.
-    pub nic: NicModel,
-}
-
-impl DpuConfig {
-    /// The paper's BlueField-3.
-    pub fn bluefield3() -> Self {
-        DpuConfig {
-            cpu: CpuComplement {
-                class: CoreClass::DpuArm,
-                cores: 16,
-            },
-            dram: 30 * (1 << 30),
-            nic: NicModel::connectx7(),
-        }
-    }
 }
 
 /// Where the DAOS client (DFS data plane) runs.
@@ -153,12 +72,6 @@ impl ClusterTopology {
         self.clients.len()
     }
 
-    /// The fabric node index of client `c` (identity, by convention).
-    pub fn client_node(&self, c: usize) -> usize {
-        assert!(c < self.clients.len(), "client {c} out of range");
-        c
-    }
-
     /// Total fabric nodes (clients + storage servers).
     pub fn node_count(&self) -> usize {
         self.clients.len() + self.storage_nodes
@@ -190,78 +103,14 @@ impl Transport {
     }
 }
 
-/// The whole §4.1 testbed: client (host or DPU), switch, storage server.
-#[derive(Clone, Debug)]
-pub struct Testbed {
-    /// Client host.
-    pub host: HostClientConfig,
-    /// The SmartNIC on the client host.
-    pub dpu: DpuConfig,
-    /// The network between client and storage.
-    pub switch: SwitchModel,
-    /// The storage server.
-    pub storage: StorageServerConfig,
-}
-
-impl Testbed {
-    /// The paper's testbed with `ssds` drives enabled.
-    pub fn paper(ssds: usize) -> Self {
-        Testbed {
-            host: HostClientConfig::paper(),
-            dpu: DpuConfig::bluefield3(),
-            switch: SwitchModel::gbps100(),
-            storage: StorageServerConfig::paper(ssds),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn paper_storage_server_shape() {
-        let s = StorageServerConfig::paper(4);
-        assert_eq!(s.nvme.len(), 4);
-        assert_eq!(s.cpu.cores, 64);
-        assert_eq!(s.cpu.class, CoreClass::HostX86);
-    }
-
-    #[test]
-    #[should_panic(expected = "paper uses 1 or 4")]
-    fn storage_server_rejects_zero_ssds() {
-        StorageServerConfig::paper(0);
-    }
-
-    #[test]
-    fn dpu_has_16_arm_cores() {
-        let d = DpuConfig::bluefield3();
-        assert_eq!(d.cpu.cores, 16);
-        assert_eq!(d.cpu.class, CoreClass::DpuArm);
-        assert_eq!(d.dram, 30 * (1 << 30));
-    }
-
-    #[test]
-    fn host_client_is_epyc_7443_class() {
-        let h = HostClientConfig::paper();
-        assert_eq!(h.cpu.cores, 48);
-        assert_eq!(h.cpu.class, CoreClass::HostX86);
-    }
-
-    #[test]
-    fn testbed_wires_the_whole_lab() {
-        let tb = Testbed::paper(1);
-        assert_eq!(tb.storage.nvme.len(), 1);
-        // DPU NIC is faster than host NIC, but the switch binds both.
-        assert!(tb.dpu.nic.line_rate > tb.host.nic.line_rate);
-        assert!(tb.switch.capacity < tb.host.nic.line_rate);
-    }
-
-    #[test]
     fn single_client_topology_keeps_historical_node_ids() {
         let t = ClusterTopology::one_client(ClientPlacement::Host, 4);
         assert_eq!(t.client_count(), 1);
-        assert_eq!(t.client_node(0), 0);
         assert_eq!(t.node_count(), 5);
         assert_eq!(t.storage_node(0), 1);
         assert_eq!(t.storage_node(3), 4);
@@ -278,7 +127,6 @@ mod tests {
     fn incast_topology_packs_clients_before_storage() {
         let t = ClusterTopology::incast(ClientPlacement::Host, 16, 4);
         assert_eq!(t.client_count(), 16);
-        assert_eq!(t.client_node(15), 15);
         assert_eq!(t.storage_node(0), 16);
         assert_eq!(t.node_count(), 20);
     }

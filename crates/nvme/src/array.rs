@@ -7,14 +7,14 @@ use ros2_sim::{ResourceStats, SimTime};
 use crate::backing::Backing;
 use crate::device::{NvmeCmd, NvmeCompletion, NvmeDevice, NvmeError, NvmeStats};
 
-/// How the array is created: every drive stored, or every drive pattern.
+/// How the array is created: every drive stored, or every drive null.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum DataMode {
-    /// Sparse page store, read-your-writes fidelity.
+    /// Zero-copy extent store, read-your-writes fidelity
+    /// ([`Backing::stored`]): correctness tests and examples.
     Stored,
-    /// Address-derived contents, no retention (for large sweeps).
-    Pattern,
-    /// Zero contents, no retention, near-free reads (throughput sweeps).
+    /// Zero contents, no retention, near-free reads ([`Backing::null`]):
+    /// the throughput sweeps, where timing matters and content does not.
     Null,
 }
 
@@ -25,14 +25,13 @@ pub struct NvmeArray {
 }
 
 impl NvmeArray {
-    /// Creates `n` devices from `model`, seeded distinctly in pattern mode.
+    /// Creates `n` devices from `model`, each backed per `mode`.
     pub fn new(model: NvmeModel, n: usize, mode: DataMode) -> Self {
         assert!(n > 0, "empty array");
         let devices = (0..n)
-            .map(|i| {
+            .map(|_| {
                 let backing = match mode {
                     DataMode::Stored => Backing::stored(),
-                    DataMode::Pattern => Backing::pattern(0x5eed_0000 + i as u64),
                     DataMode::Null => Backing::null(),
                 };
                 NvmeDevice::new(model.clone(), backing)
@@ -103,7 +102,6 @@ impl NvmeArray {
             t.reads += s.reads;
             t.writes += s.writes;
             t.flushes += s.flushes;
-            t.deallocates += s.deallocates;
             t.queue_full_rejections += s.queue_full_rejections;
         }
         t
@@ -169,7 +167,7 @@ mod tests {
     fn array_bandwidth_scales_with_drives() {
         // The Fig. 3c effect: 4 drives give ~4x the large-block rate.
         let rate = |drives: usize| {
-            let mut a = NvmeArray::new(NvmeModel::enterprise_1600(), drives, DataMode::Pattern);
+            let mut a = NvmeArray::new(NvmeModel::enterprise_1600(), drives, DataMode::Null);
             let per_dev = 64u64;
             let mut last = SimTime::ZERO;
             for d in 0..drives {
@@ -187,16 +185,8 @@ mod tests {
     }
 
     #[test]
-    fn pattern_devices_differ_by_seed() {
-        let mut a = NvmeArray::new(NvmeModel::enterprise_1600(), 2, DataMode::Pattern);
-        let r0 = a.read(0, SimTime::ZERO, 0, 1).unwrap().data.unwrap();
-        let r1 = a.read(1, SimTime::ZERO, 0, 1).unwrap().data.unwrap();
-        assert_ne!(r0, r1);
-    }
-
-    #[test]
     fn total_stats_aggregate() {
-        let mut a = NvmeArray::new(NvmeModel::enterprise_1600(), 3, DataMode::Pattern);
+        let mut a = NvmeArray::new(NvmeModel::enterprise_1600(), 3, DataMode::Null);
         for d in 0..3 {
             a.read(d, SimTime::ZERO, 0, 1).unwrap();
         }
@@ -207,7 +197,7 @@ mod tests {
 
     #[test]
     fn capacity_is_summed() {
-        let a = NvmeArray::new(NvmeModel::enterprise_1600(), 4, DataMode::Pattern);
+        let a = NvmeArray::new(NvmeModel::enterprise_1600(), 4, DataMode::Null);
         assert_eq!(
             a.capacity(),
             4 * 1600 * 1000 * 1000 * 1000 / LBA_SIZE * LBA_SIZE

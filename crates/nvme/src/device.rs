@@ -24,8 +24,6 @@ pub enum NvmeOpcode {
     Write,
     /// Flush volatile state (modelled as a fixed-latency barrier).
     Flush,
-    /// Deallocate (TRIM) `nlb` blocks at `slba`.
-    Deallocate,
 }
 
 /// One NVMe command.
@@ -79,17 +77,6 @@ impl NvmeCmd {
         }
     }
 
-    /// A deallocate of `nlb` blocks at `slba`.
-    pub fn deallocate(slba: u64, nlb: u32) -> Self {
-        NvmeCmd {
-            opcode: NvmeOpcode::Deallocate,
-            slba,
-            nlb,
-            data: None,
-            sequential: false,
-        }
-    }
-
     /// Payload size in bytes.
     pub fn bytes(&self) -> u64 {
         self.nlb as u64 * LBA_SIZE
@@ -129,8 +116,6 @@ pub struct NvmeStats {
     pub writes: u64,
     /// Flush commands.
     pub flushes: u64,
-    /// Deallocate commands.
-    pub deallocates: u64,
     /// Commands rejected with `QueueFull`.
     pub queue_full_rejections: u64,
 }
@@ -233,13 +218,6 @@ impl NvmeDevice {
                 // drained, plus a small controller round trip.
                 let at = self.channels.drain_time(now) + SimDuration::from_micros(5);
                 self.stats.flushes += 1;
-                NvmeCompletion { at, data: None }
-            }
-            NvmeOpcode::Deallocate => {
-                self.backing
-                    .discard(cmd.slba * LBA_SIZE, cmd.nlb as u64 * LBA_SIZE);
-                let at = now + SimDuration::from_micros(10);
-                self.stats.deallocates += 1;
                 NvmeCompletion { at, data: None }
             }
         };
@@ -396,22 +374,6 @@ mod tests {
         let f = d.submit(SimTime::ZERO, NvmeCmd::flush()).unwrap();
         assert!(f.at + d.model().access(true) >= w.at);
         assert_eq!(d.stats().flushes, 1);
-    }
-
-    #[test]
-    fn deallocate_zeroes_content() {
-        let mut d = dev();
-        d.submit(
-            SimTime::ZERO,
-            NvmeCmd::write(5, Bytes::from(vec![9u8; LBA_SIZE as usize])),
-        )
-        .unwrap();
-        d.submit(SimTime::from_secs(1), NvmeCmd::deallocate(5, 1))
-            .unwrap();
-        let r = d
-            .submit(SimTime::from_secs(2), NvmeCmd::read(5, 1))
-            .unwrap();
-        assert!(r.data.unwrap().iter().all(|&b| b == 0));
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! occupancy, bandwidth ceilings, access latencies, queue-depth limits) with
 //! a *functional* backing store: writes are retained and reads return real
 //! bytes, so every layer above — SPDK, DAOS, DFS — moves genuine data. For
-//! memory-bounded benchmark sweeps a pattern-mode backing derives contents
-//! from the address instead.
+//! throughput sweeps a null backing reads zeroes and retains nothing.
 //!
 //! ## Example
 //!

@@ -1,9 +1,10 @@
 //! # ros2-pmem — PMDK-style storage-class-memory tier
 //!
 //! The DAOS I/O engine accesses SCM through PMDK (§3.3). This crate supplies
-//! the analogue: a persistent byte heap with stable object identifiers
-//! ([`PmemOid`]), a size-class allocator, undo-log transactions with real
-//! rollback semantics, and an Optane-class timing model for persists.
+//! the analogue: one type, [`PmemPool`], holding objects with stable
+//! identifiers ([`PmemOid`]) in a zero-copy extent store behind a
+//! size-class allocator, with undo-log transactions that really roll back
+//! and an Optane-class timing model ([`ScmModel`]) for persists.
 //!
 //! VOS (in `ros2-daos`) keeps object metadata and small records here, and
 //! NVMe extents hold bulk data — the same split DAOS uses.
@@ -24,8 +25,6 @@
 
 #![warn(missing_docs)]
 
-pub mod heap;
 pub mod pool;
 
-pub use heap::{Heap, PmemError, PmemOid};
-pub use pool::{PmemPool, ScmModel};
+pub use pool::{PmemError, PmemOid, PmemPool, ScmModel};

@@ -1,5 +1,11 @@
-//! The transactional persistent pool: PMDK `pmemobj`-style undo-log
-//! transactions over the heap, plus the SCM timing model.
+//! The persistent pool: PMDK `pmemobj`-style objects with stable
+//! identifiers, a size-class allocator over a zero-copy extent store,
+//! undo-log transactions, and the SCM timing model.
+//!
+//! Objects are allocated from the pool and addressed by stable offsets
+//! (OIDs). Contents live in a zero-copy extent store, so an SCM tier costs
+//! only what is actually resident, and whole-record writes adopt the
+//! caller's `Bytes` handle instead of copying.
 //!
 //! DAOS stores VOS metadata and small I/O in SCM; crash-consistent updates
 //! there rely on transactions. The undo log here is functional: aborting a
@@ -7,9 +13,44 @@
 //! drives random interleavings against a model.
 
 use bytes::Bytes;
+use ros2_buf::{DataPlaneStats, ExtentStore};
 use ros2_sim::{SimDuration, SimTime};
 
-use crate::heap::{Heap, PmemError, PmemOid};
+/// Smallest allocation size class (bytes).
+const MIN_CLASS: u64 = 64;
+/// Number of power-of-two size classes (64 B .. 2 GiB).
+const CLASSES: usize = 26;
+/// Offset of the first allocation; offset 0 is reserved (the null OID).
+const FIRST_OFFSET: u64 = 4096;
+
+/// A stable reference to an allocated object in the pool (PMDK `PMEMoid`).
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+pub struct PmemOid {
+    /// Byte offset of the object within the pool.
+    pub offset: u64,
+    /// Usable size of the object in bytes.
+    pub size: u64,
+}
+
+/// Errors from pool operations.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum PmemError {
+    /// The pool cannot satisfy the allocation.
+    OutOfSpace,
+    /// An access fell outside a live object.
+    BadAddress,
+    /// Transaction misuse (commit/abort without begin, nested begin).
+    TxState,
+}
+
+fn class_of(size: u64) -> usize {
+    let rounded = size.max(MIN_CLASS).next_power_of_two();
+    (rounded.trailing_zeros() - MIN_CLASS.trailing_zeros()) as usize
+}
+
+fn class_size(class: usize) -> u64 {
+    MIN_CLASS << class
+}
 
 /// Timing model for the SCM tier (Optane-PMem-class DIMMs).
 #[derive(Copy, Clone, Debug)]
@@ -56,7 +97,13 @@ struct UndoRecord {
 /// A persistent memory pool with transactions (PMDK `pmemobj` analogue).
 #[derive(Debug)]
 pub struct PmemPool {
-    heap: Heap,
+    capacity: u64,
+    store: ExtentStore,
+    /// Bump frontier for fresh allocations.
+    frontier: u64,
+    /// Per-class free lists of previously freed offsets.
+    free_lists: Vec<Vec<u64>>,
+    live_bytes: u64,
     model: ScmModel,
     undo: Option<Vec<UndoRecord>>,
     /// OIDs allocated inside the open transaction (freed on abort).
@@ -69,7 +116,11 @@ impl PmemPool {
     /// Creates a pool of `capacity` bytes with the given timing model.
     pub fn new(capacity: u64, model: ScmModel) -> Self {
         PmemPool {
-            heap: Heap::new(capacity),
+            capacity,
+            store: ExtentStore::new(),
+            frontier: FIRST_OFFSET,
+            free_lists: vec![Vec::new(); CLASSES],
+            live_bytes: 0,
             model,
             undo: None,
             tx_allocs: Vec::new(),
@@ -86,18 +137,42 @@ impl PmemPool {
     /// Allocates `size` zeroed bytes. Inside a transaction the allocation
     /// is rolled back on abort.
     pub fn alloc(&mut self, size: u64) -> Result<PmemOid, PmemError> {
-        let oid = self.heap.alloc(size)?;
+        if size == 0 || size > self.capacity {
+            return Err(PmemError::OutOfSpace);
+        }
+        let class = class_of(size);
+        if class >= CLASSES {
+            return Err(PmemError::OutOfSpace);
+        }
+        let block = class_size(class);
+        let offset = if let Some(off) = self.free_lists[class].pop() {
+            // Recycled block: must read as zero again.
+            self.store.discard(off, block);
+            off
+        } else {
+            let off = self.frontier;
+            if off + block > self.capacity {
+                return Err(PmemError::OutOfSpace);
+            }
+            self.frontier += block;
+            off
+        };
+        self.live_bytes += block;
+        let oid = PmemOid { offset, size };
         if self.undo.is_some() {
             self.tx_allocs.push(oid);
         }
         Ok(oid)
     }
 
-    /// Frees an object. (Frees inside a transaction are applied eagerly;
-    /// real PMDK defers them to commit — callers in this codebase free only
-    /// after commit points, which tests assert.)
+    /// Frees an object, returning its block to its class's free list.
+    /// (Frees inside a transaction are applied eagerly; real PMDK defers
+    /// them to commit — callers in this codebase free only after commit
+    /// points, which tests assert.)
     pub fn free(&mut self, oid: PmemOid) {
-        self.heap.free(oid);
+        let class = class_of(oid.size);
+        self.free_lists[class].push(oid.offset);
+        self.live_bytes = self.live_bytes.saturating_sub(class_size(class));
     }
 
     /// Reads `len` bytes from an object at byte `at` within it (zero-copy
@@ -106,7 +181,7 @@ impl PmemPool {
         if at + len as u64 > oid.size {
             return Err(PmemError::BadAddress);
         }
-        self.heap.read(oid.offset + at, len)
+        Ok(self.store.read(oid.offset + at, len))
     }
 
     /// Writes `data` into an object at byte `at`. If a transaction is open
@@ -116,15 +191,17 @@ impl PmemPool {
         if at + data.len() as u64 > oid.size {
             return Err(PmemError::BadAddress);
         }
-        self.heap.write(oid.offset + at, data)
+        self.store.write_slice(oid.offset + at, data);
+        Ok(())
     }
 
-    /// Zero-copy write into an object: the heap adopts the `Bytes` handle.
+    /// Zero-copy write into an object: the store adopts the `Bytes` handle.
     pub fn write_bytes(&mut self, oid: PmemOid, at: u64, data: &Bytes) -> Result<(), PmemError> {
         if at + data.len() as u64 > oid.size {
             return Err(PmemError::BadAddress);
         }
-        self.heap.write_bytes(oid.offset + at, data)
+        self.store.write(oid.offset + at, data.clone());
+        Ok(())
     }
 
     /// Whether object range `[at, at+len)` holds the per-chunk CRCs
@@ -143,7 +220,7 @@ impl PmemPool {
         if at + len > oid.size {
             return Err(PmemError::BadAddress);
         }
-        self.heap.verify_chunks(oid.offset + at, len, expected)
+        Ok(self.store.verify_chunks(oid.offset + at, len, expected))
     }
 
     /// Seeds the chunk-CRC cache of a freshly written object range with
@@ -154,12 +231,12 @@ impl PmemPool {
     where
         I: ExactSizeIterator<Item = u32>,
     {
-        self.heap.seed_crcs(oid.offset + at, crcs);
+        self.store.seed_crcs(oid.offset + at, crcs);
     }
 
     /// Data-plane (copy vs zero-copy, CRC scan vs combine) counters.
-    pub fn data_plane_stats(&self) -> ros2_buf::DataPlaneStats {
-        self.heap.data_plane_stats()
+    pub fn data_plane_stats(&self) -> DataPlaneStats {
+        self.store.stats()
     }
 
     /// Opens a transaction. Nesting is not supported.
@@ -177,7 +254,7 @@ impl PmemPool {
         if at + len as u64 > oid.size {
             return Err(PmemError::BadAddress);
         }
-        let original = self.heap.read(oid.offset + at, len)?;
+        let original = self.store.read(oid.offset + at, len);
         match &mut self.undo {
             Some(log) => {
                 log.push(UndoRecord {
@@ -207,12 +284,10 @@ impl PmemPool {
     pub fn tx_abort(&mut self) -> Result<(), PmemError> {
         let log = self.undo.take().ok_or(PmemError::TxState)?;
         for rec in log.into_iter().rev() {
-            self.heap
-                .write(rec.offset, &rec.original)
-                .expect("undo target must remain valid");
+            self.store.write_slice(rec.offset, &rec.original);
         }
         for oid in std::mem::take(&mut self.tx_allocs) {
-            self.heap.free(oid);
+            self.free(oid);
         }
         self.tx_aborts += 1;
         Ok(())
@@ -228,14 +303,14 @@ impl PmemPool {
         (self.tx_commits, self.tx_aborts)
     }
 
-    /// Bytes currently allocated.
+    /// Bytes currently allocated (by block size).
     pub fn live_bytes(&self) -> u64 {
-        self.heap.live_bytes()
+        self.live_bytes
     }
 
     /// Pool capacity.
     pub fn capacity(&self) -> u64 {
-        self.heap.capacity()
+        self.capacity
     }
 
     /// The completion time of a timed read of `bytes` starting at `now`.
@@ -343,5 +418,84 @@ mod tests {
         let p = pool();
         let t = p.timed_write(SimTime::ZERO, 4096);
         assert!(t > p.timed_read(SimTime::ZERO, 4096));
+    }
+
+    #[test]
+    fn size_classes_round_up() {
+        assert_eq!(class_of(1), 0);
+        assert_eq!(class_size(class_of(1)), 64);
+        assert_eq!(class_size(class_of(65)), 128);
+        assert_eq!(class_size(class_of(4096)), 4096);
+        assert_eq!(class_size(class_of(4097)), 8192);
+    }
+
+    #[test]
+    fn alloc_write_read_round_trip() {
+        let mut p = pool();
+        let oid = p.alloc(100).unwrap();
+        p.write(oid, 0, b"persistent!").unwrap();
+        assert_eq!(&p.read(oid, 0, 11).unwrap()[..], b"persistent!");
+    }
+
+    #[test]
+    fn fresh_allocations_are_zeroed() {
+        let mut p = pool();
+        let a = p.alloc(128).unwrap();
+        p.write(a, 0, &[0xFF; 128]).unwrap();
+        p.free(a);
+        let b = p.alloc(128).unwrap();
+        assert_eq!(b.offset, a.offset, "block recycled");
+        assert!(p.read(b, 0, 128).unwrap().iter().all(|&x| x == 0));
+    }
+
+    #[test]
+    fn allocations_never_overlap() {
+        let mut p = pool();
+        let oids: Vec<_> = (0..64).map(|_| p.alloc(100).unwrap()).collect();
+        for (i, a) in oids.iter().enumerate() {
+            for b in &oids[i + 1..] {
+                let a_end = a.offset + class_size(class_of(a.size));
+                let b_end = b.offset + class_size(class_of(b.size));
+                assert!(
+                    a_end <= b.offset || b_end <= a.offset,
+                    "{a:?} overlaps {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_space_is_reported() {
+        let mut p = PmemPool::new(64 * 1024, ScmModel::optane_class());
+        let mut got = 0;
+        while p.alloc(4096).is_ok() {
+            got += 1;
+        }
+        assert!(got > 0 && got <= 16);
+        assert_eq!(p.alloc(4096).unwrap_err(), PmemError::OutOfSpace);
+        assert_eq!(p.alloc(0).unwrap_err(), PmemError::OutOfSpace);
+    }
+
+    /// An access past the end of an object that ends at the end of the
+    /// pool is refused.
+    #[test]
+    fn bad_address_rejected() {
+        let mut p = PmemPool::new(4096 * 2, ScmModel::optane_class());
+        let oid = p.alloc(4096).unwrap();
+        assert_eq!(oid.offset + oid.size, p.capacity());
+        assert_eq!(p.read(oid, 4096, 1).unwrap_err(), PmemError::BadAddress);
+        assert_eq!(
+            p.write(oid, 0, &[0; 4097]).unwrap_err(),
+            PmemError::BadAddress
+        );
+    }
+
+    #[test]
+    fn live_bytes_track_alloc_free() {
+        let mut p = pool();
+        let oid = p.alloc(1000).unwrap();
+        assert_eq!(p.live_bytes(), 1024);
+        p.free(oid);
+        assert_eq!(p.live_bytes(), 0);
     }
 }

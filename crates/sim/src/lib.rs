@@ -49,7 +49,7 @@ pub mod time;
 pub use lru::DetLru;
 pub use queue::EventQueue;
 pub use resources::{
-    BandwidthServer, Grant, LatencyPipe, QosLane, QosLimits, ResourceStats, ServerPool, TokenBucket,
+    BandwidthServer, Grant, QosLane, QosLimits, ResourceStats, ServerPool, TokenBucket,
 };
 pub use rng::{SimRng, Zipf};
 pub use stats::{Counter, IoReport, LatencyHistogram, ThroughputMeter};

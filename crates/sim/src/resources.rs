@@ -710,27 +710,6 @@ impl QosLane {
     }
 }
 
-/// A fixed propagation delay (switch hop, PCIe hop).
-#[derive(Copy, Clone, Debug)]
-pub struct LatencyPipe {
-    delay: SimDuration,
-}
-
-impl LatencyPipe {
-    /// Creates a pipe adding `delay` to every traversal.
-    pub fn new(delay: SimDuration) -> Self {
-        LatencyPipe { delay }
-    }
-    /// When something entering at `now` emerges.
-    pub fn traverse(&self, now: SimTime) -> SimTime {
-        now + self.delay
-    }
-    /// The configured delay.
-    pub fn delay(&self) -> SimDuration {
-        self.delay
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -910,14 +889,5 @@ mod tests {
         lane.reset_timing();
         assert_eq!(lane.admit(SimTime::ZERO, 1 << 20), SimTime::ZERO);
         assert_eq!(lane.admitted, (1, 1 << 20));
-    }
-
-    #[test]
-    fn latency_pipe_adds_delay() {
-        let pipe = LatencyPipe::new(SimDuration::from_micros(2));
-        assert_eq!(
-            pipe.traverse(SimTime::from_micros(5)),
-            SimTime::from_micros(7)
-        );
     }
 }

@@ -9,35 +9,17 @@
 use ros2::dpu::{QosLimits, TenantManager};
 use ros2::fabric::FabricError;
 use ros2::fabric::{Dir, Fabric, NodeSpec};
-use ros2::hw::{gbps, CoreClass, CpuComplement, DpuTcpRxModel, NicModel, Transport};
+use ros2::hw::Transport;
 use ros2::sim::{SimDuration, SimTime};
 use ros2::verbs::{AccessFlags, MemoryDomain, NodeId, QpState, VerbsError};
 
 fn main() {
     // A BlueField-3 and a storage server on the RDMA fabric.
-    let dpu_spec = NodeSpec {
-        name: "bluefield3".into(),
-        cpu: CpuComplement {
-            class: CoreClass::DpuArm,
-            cores: 16,
-        },
-        nic: NicModel::connectx7(),
-        port_rate: gbps(100),
-        mem_budget: 30 << 30,
-        dpu_tcp_rx: Some(DpuTcpRxModel::bluefield3()),
-    };
-    let storage_spec = NodeSpec {
-        name: "storage".into(),
-        cpu: CpuComplement {
-            class: CoreClass::HostX86,
-            cores: 64,
-        },
-        nic: NicModel::connectx6(),
-        port_rate: gbps(100),
-        mem_budget: 64 << 30,
-        dpu_tcp_rx: None,
-    };
-    let mut fabric = Fabric::new(Transport::Rdma, vec![dpu_spec, storage_spec], 77);
+    let mut fabric = Fabric::new(
+        Transport::Rdma,
+        vec![NodeSpec::bluefield3(), NodeSpec::storage_server()],
+        77,
+    );
     let dpu = NodeId(0);
     let storage = NodeId(1);
 
