@@ -23,5 +23,5 @@ pub use crc::{
     crc32c, crc32c_append, crc32c_append_sw, crc32c_combine, crc32c_zeros, hw_acceleration,
 };
 pub use store::{
-    bytes_crc32c, is_shared_zeros, zero_bytes, DataPlaneStats, ExtentStore, CRC_CHUNK,
+    bytes_crc32c, is_shared_zeros, zero_bytes, DataPlaneStats, ExtentStore, CRC_CHUNK, ZERO_POOL,
 };

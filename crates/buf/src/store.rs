@@ -12,7 +12,11 @@
 //!   window, counted from its start, has the `crc32c` its expected entry
 //!   names — of the same bytes `read` would return;
 //! * a chunk CRC cache entry is dropped whenever its extent is trimmed or
-//!   overwritten, so cached CRCs can never describe stale bytes.
+//!   overwritten, so cached CRCs can never describe stale bytes;
+//! * an extent whose handle is a slice of the shared zero pool
+//!   ([`is_shared_zeros`]) keeps no chunk CRCs at all: its whole chunks
+//!   answer with the closed-form [`crc32c_zeros`]. Bytes written over it
+//!   make a new extent of their own, which caches as any other does.
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -26,8 +30,9 @@ use crate::crc::{crc32c, crc32c_combine, crc32c_zeros};
 /// extent-relative cache grid).
 pub const CRC_CHUNK: u64 = 4096;
 
-/// Size of the shared all-zero buffer hole reads slice from.
-const ZERO_POOL: usize = 4 << 20;
+/// Size of the shared all-zero buffer hole reads slice from: the longest
+/// payload [`is_shared_zeros`] can recognize.
+pub const ZERO_POOL: usize = 4 << 20;
 
 fn shared_zeros() -> &'static Bytes {
     static ZEROS: OnceLock<Bytes> = OnceLock::new();
@@ -111,7 +116,10 @@ struct Extent {
 /// An extent's chunk-CRC cache. A one-chunk extent (a 4 KiB record) holds
 /// its one entry inline, so writing, seeding and verifying it allocate
 /// nothing; a longer extent's table is boxed on first use — state that
-/// lives as long as the extent does.
+/// lives as long as the extent does. An extent whose handle is a slice of
+/// the shared zero pool never fills its cache (its chunks answer with
+/// [`crc32c_zeros`]), so writing, seeding and verifying zero payloads of
+/// any length allocate nothing for it.
 #[derive(Debug)]
 enum ChunkCrcs {
     Inline(Option<u32>),
@@ -160,7 +168,8 @@ impl ExtentStore {
     }
 
     /// Number of live extents.
-    pub fn extent_count(&self) -> usize {
+    #[cfg(test)]
+    fn extent_count(&self) -> usize {
         self.extents.len()
     }
 
@@ -238,7 +247,8 @@ impl ExtentStore {
     /// [`CRC_CHUNK`] of the extent's data, in order, covering the whole
     /// extent (chunk `i` over `[i*CRC_CHUNK, min((i+1)*CRC_CHUNK, len))`);
     /// a length mismatch or a missing extent leaves the lazy cache in
-    /// place. Debug builds verify every seeded CRC against the bytes.
+    /// place, and a zero-pool extent, which keeps no cache, stores nothing.
+    /// Debug builds verify every seeded CRC against the bytes.
     pub fn seed_crcs<I>(&mut self, at: u64, crcs: I)
     where
         I: ExactSizeIterator<Item = u32>,
@@ -251,6 +261,15 @@ impl ExtentStore {
             return;
         }
         let Extent { data, crcs: cache } = ext;
+        if is_shared_zeros(data) {
+            // Known zeros: verifies answer in closed form, nothing is kept.
+            #[cfg(debug_assertions)]
+            for (i, c) in crcs.enumerate() {
+                let want = zero_chunk_crc(data.len(), i, crc32c_zeros(CRC_CHUNK));
+                debug_assert_eq!(c, want, "seeded CRC for zero chunk {i}");
+            }
+            return;
+        }
         let slots = cache.slots(data.len());
         for (slot, c) in slots.iter_mut().zip(crcs) {
             *slot = Some(c);
@@ -451,11 +470,20 @@ fn grid_run(
     }
     let first = ((lo - s) / CRC_CHUNK) as usize;
     let Extent { data, crcs } = ext;
-    let cache = crcs.slots(data.len());
-    for (ci, slot) in (first..).zip(&mut cache[first..first + run]) {
-        let crc = *slot.get_or_insert_with(|| scan_chunk(data, ci, stats));
-        if expected.next() != Some(crc) {
-            return None;
+    if is_shared_zeros(data) {
+        let full = crc32c_zeros(CRC_CHUNK);
+        for ci in first..first + run {
+            if expected.next() != Some(zero_chunk_crc(data.len(), ci, full)) {
+                return None;
+            }
+        }
+    } else {
+        let cache = crcs.slots(data.len());
+        for (ci, slot) in (first..).zip(&mut cache[first..first + run]) {
+            let crc = *slot.get_or_insert_with(|| scan_chunk(data, ci, stats));
+            if expected.next() != Some(crc) {
+                return None;
+            }
         }
     }
     Some((lo + run as u64 * CRC_CHUNK).min(end))
@@ -466,6 +494,16 @@ fn empty_cache(len: usize) -> Box<[Option<u32>]> {
     vec![None; len.div_ceil(CRC_CHUNK as usize)].into_boxed_slice()
 }
 
+/// The CRC of grid chunk `ci` of a zero-pool extent of `len` bytes, in
+/// closed form: `full` (the caller's `crc32c_zeros(CRC_CHUNK)`) for a whole
+/// chunk, the zero-run CRC of the rest for the extent's partial last one.
+fn zero_chunk_crc(len: usize, ci: usize, full: u32) -> u32 {
+    match (len as u64 - ci as u64 * CRC_CHUNK).min(CRC_CHUNK) {
+        CRC_CHUNK => full,
+        tail => crc32c_zeros(tail),
+    }
+}
+
 /// The CRC of grid chunk `ci` of an extent's `data`, scanned.
 fn scan_chunk(data: &Bytes, ci: usize, stats: &mut DataPlaneStats) -> u32 {
     let c_lo = ci * CRC_CHUNK as usize;
@@ -474,27 +512,31 @@ fn scan_chunk(data: &Bytes, ci: usize, stats: &mut DataPlaneStats) -> u32 {
     crc32c(chunk)
 }
 
-/// CRC of extent-relative `[rs, re)`, using the chunk cache for every
-/// grid-aligned chunk in the range and scanning only misses and unaligned
-/// head/tail fragments.
+/// CRC of extent-relative `[rs, re)`, using the chunk cache (or, for a
+/// zero-pool extent, the closed form) for every grid-aligned chunk in the
+/// range and scanning only misses and unaligned head/tail fragments.
 fn extent_range_crc(ext: &mut Extent, rs: u64, re: u64, stats: &mut DataPlaneStats) -> u32 {
     let elen = ext.data.len() as u64;
     debug_assert!(rs < re && re <= elen);
     let mut acc = 0u32;
     let mut pos = rs;
     let mut first = true;
+    let zeros = is_shared_zeros(&ext.data).then(|| crc32c_zeros(CRC_CHUNK));
     while pos < re {
         let ci = (pos / CRC_CHUNK) as usize;
         let c_lo = ci as u64 * CRC_CHUNK;
         let c_hi = (c_lo + CRC_CHUNK).min(elen);
         let (crc, hi) = if pos == c_lo && re >= c_hi {
-            // Whole grid chunk: serve from (or fill) the cache.
+            // Whole grid chunk: closed form for zeros, else served from
+            // (or filled into) the cache.
             let Extent { data, crcs } = &mut *ext;
-            let slot = &mut crcs.slots(data.len())[ci];
-            (
-                *slot.get_or_insert_with(|| scan_chunk(data, ci, stats)),
-                c_hi,
-            )
+            let crc = match zeros {
+                Some(full) => zero_chunk_crc(data.len(), ci, full),
+                None => {
+                    *crcs.slots(data.len())[ci].get_or_insert_with(|| scan_chunk(data, ci, stats))
+                }
+            };
+            (crc, c_hi)
         } else {
             // Unaligned fragment: scan just those bytes.
             let hi = re.min(c_hi);
@@ -692,6 +734,37 @@ mod tests {
             .collect();
         assert!(s.verify_chunks(at, len, want.iter().copied()));
         assert!(s.verify_chunks(0, 0, std::iter::empty()));
+    }
+
+    /// A zero-pool extent answers its chunks in closed form: seeding keeps
+    /// nothing, verifying scans nothing, and bytes written over it make an
+    /// extent of their own that the verify still checks.
+    #[test]
+    fn zero_pool_extents_keep_no_cache() {
+        let mut s = ExtentStore::new();
+        let len = 10_000u64; // 3 chunks, last partial
+        let zeros = vec![0u8; len as usize];
+        let table: Vec<u32> = zeros.chunks(CRC_CHUNK as usize).map(crc32c).collect();
+        s.write(CRC_CHUNK, zero_bytes(len as usize));
+        s.seed_crcs(CRC_CHUNK, table.iter().copied());
+        assert_eq!(s.stats().crc_cache_seeded, 0);
+        assert!(s.verify_chunks(CRC_CHUNK, len, table.iter().copied()));
+        assert_eq!(s.crc_of_range(CRC_CHUNK, len), crc32c(&zeros));
+        assert_eq!(s.stats().crc_bytes_scanned, 0);
+        let mut bad = table.clone();
+        bad[2] ^= 1;
+        assert!(!s.verify_chunks(CRC_CHUNK, len, bad.iter().copied()));
+        // One byte flipped inside the second chunk: the verify falls back
+        // for that chunk only and sees it.
+        s.write_slice(2 * CRC_CHUNK + 5, &[1]);
+        assert_eq!(s.extent_count(), 3);
+        assert!(!s.verify_chunks(CRC_CHUNK, len, table.iter().copied()));
+        let want: Vec<u32> = s
+            .read(CRC_CHUNK, len as usize)
+            .chunks(4096)
+            .map(crc32c)
+            .collect();
+        assert!(s.verify_chunks(CRC_CHUNK, len, want.iter().copied()));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Model check: the zero-copy extent store against a flat `Vec<u8>`
-//! reference under random overlapping writes, slice writes, discards,
-//! reads, CRC range queries and chunk-table verifies.
+//! reference under random overlapping writes, slice writes, zero-pool
+//! writes, discards, reads, CRC range queries and chunk-table verifies.
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use ros2_buf::{crc32c, ExtentStore, CRC_CHUNK};
+use ros2_buf::{crc32c, is_shared_zeros, zero_bytes, ExtentStore, CRC_CHUNK};
 
 /// Address space of the model (covers several CRC chunks).
 const SPACE: u64 = 20_000;
@@ -15,6 +15,9 @@ enum Op {
     Write { at: u64, len: u64, fill: u8 },
     /// Borrowed-slice write.
     WriteSlice { at: u64, len: u64, fill: u8 },
+    /// Zero-copy write of a slice of the shared zero pool: an extent that
+    /// keeps no CRC cache and answers its chunks in closed form.
+    WriteZeros { at: u64, len: u64 },
     /// Discard (TRIM).
     Discard { at: u64, len: u64 },
     /// Read and compare against the model.
@@ -29,11 +32,11 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     let addr = 0u64..(SPACE - 1);
     let len = 1u64..6000;
-    let kind = 0u32..8;
+    let kind = 0u32..10;
     (kind, addr, len, any::<u8>()).prop_map(|(kind, at, len, fill)| {
-        // Kinds 6 and 7 start on the 4 KiB grid, so verifies meet extents
-        // whose chunk-cache grid they share; those verifies run long.
-        let at = if kind >= 6 {
+        // Kinds 6, 7 and 9 start on the 4 KiB grid, so verifies meet
+        // extents whose chunk grid they share; those verifies run long.
+        let at = if matches!(kind, 6 | 7 | 9) {
             at / CRC_CHUNK * CRC_CHUNK
         } else {
             at
@@ -46,6 +49,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             3 => Op::Read { at, len },
             4 => Op::Crc { at, len },
             5 => Op::Verify { at, len },
+            8 | 9 => Op::WriteZeros { at, len },
             _ => Op::Verify {
                 at,
                 len: (len * 3).min(SPACE - at),
@@ -107,6 +111,12 @@ proptest! {
                     let data = payload(len, fill);
                     model[at as usize..(at + len) as usize].copy_from_slice(&data);
                     store.write_slice(at, &data);
+                }
+                Op::WriteZeros { at, len } => {
+                    let data = zero_bytes(len as usize);
+                    prop_assert!(is_shared_zeros(&data));
+                    model[at as usize..(at + len) as usize].fill(0);
+                    store.write(at, data);
                 }
                 Op::Discard { at, len } => {
                     model[at as usize..(at + len) as usize].fill(0);

@@ -101,7 +101,8 @@ impl ConnPool {
     }
 
     /// Whether `client` currently holds a resident session.
-    pub fn is_resident(&self, client: NodeId) -> bool {
+    #[cfg(test)]
+    fn is_resident(&self, client: NodeId) -> bool {
         self.resident.contains(&client)
     }
 

@@ -25,10 +25,10 @@
 //! store's zero-copy slice.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::{Bytes, BytesMut};
-use ros2_buf::{zero_bytes, DataPlaneStats};
+use ros2_buf::{zero_bytes, DataPlaneStats, ZERO_POOL};
 use ros2_hw::LBA_SIZE;
 use ros2_sim::SimTime;
 use ros2_spdk::ShardBdev;
@@ -95,12 +95,15 @@ struct Record {
 }
 
 /// A record's chunk table. A one-chunk table (a 4 KiB record) is held
-/// inline, so writing the record allocates nothing for it; a longer one is
-/// `Arc`-shared — state that outlives the update — so record clones on the
-/// fetch path are O(1) either way, never a deep copy.
+/// inline, and the table of a zero-pool payload of whole chunks is a prefix
+/// of one process-wide static table ([`zero_chunk_table`]), so writing
+/// either allocates nothing for it; any other longer one is `Arc`-shared —
+/// state that outlives the update. Record clones on the fetch path are
+/// O(1) every way, never a deep copy.
 #[derive(Clone, Debug)]
 enum ChunkTable {
     One(Checksum),
+    Zeros(&'static [Checksum]),
     Many(Arc<[Checksum]>),
 }
 
@@ -110,6 +113,7 @@ impl std::ops::Deref for ChunkTable {
     fn deref(&self) -> &[Checksum] {
         match self {
             ChunkTable::One(c) => std::slice::from_ref(c),
+            ChunkTable::Zeros(t) => t,
             ChunkTable::Many(t) => t,
         }
     }
@@ -127,14 +131,30 @@ impl FromIterator<Checksum> for ChunkTable {
     }
 }
 
+/// The chunk table of the whole shared zero pool: `crc32c_zeros(CSUM_CHUNK)`
+/// once per chunk (1 024 entries for the 4 MiB pool), built once per
+/// process.
+fn zero_chunk_table() -> &'static [Checksum] {
+    static TABLE: OnceLock<Box<[Checksum]>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let chunks = ZERO_POOL / CSUM_CHUNK as usize;
+        vec![Checksum(crc32c_zeros(CSUM_CHUNK)); chunks].into_boxed_slice()
+    })
+}
+
 /// Per-chunk CRC32C table of a stored payload. Payloads that are slices of
 /// the shared zero pool (hole materialization, zero-fill staging, the
 /// throughput sweeps' synthetic writes) are known all-zero without reading
 /// them: their chunk CRCs are closed-form zero-run CRCs, so nothing is
-/// scanned and `crc_bytes_scanned` counts only real hashing work.
+/// scanned and `crc_bytes_scanned` counts only real hashing work. One of
+/// whole chunks borrows its table from [`zero_chunk_table`] (a pool slice
+/// is at most the pool long), so nothing is allocated either.
 fn chunk_checksums(stored: &Bytes, dp: &mut DataPlaneStats) -> ChunkTable {
     if ros2_buf::is_shared_zeros(stored) {
         let len = stored.len() as u64;
+        if len.is_multiple_of(CSUM_CHUNK) {
+            return ChunkTable::Zeros(&zero_chunk_table()[..(len / CSUM_CHUNK) as usize]);
+        }
         let full = Checksum(crc32c_zeros(CSUM_CHUNK));
         let tail = len % CSUM_CHUNK;
         // An exact-length iterator: collected in at most one allocation.
@@ -384,7 +404,8 @@ pub struct VosTarget {
     dp: DataPlaneStats,
     /// Reused buffer for the resolved tiling of an array fetch, so the
     /// steady-state fetch path performs no heap allocation (the record
-    /// clones in it are O(1) — a chunk table is inline or Arc-shared).
+    /// clones in it are O(1) — a chunk table is inline, static or
+    /// Arc-shared).
     overlay_scratch: Vec<Piece>,
 }
 
@@ -424,11 +445,6 @@ impl VosTarget {
         let mut total = self.dp;
         total.merge(self.scm.data_plane_stats());
         total
-    }
-
-    /// The SCM pool (for utilization reports).
-    pub fn scm(&self) -> &ros2_pmem::PmemPool {
-        &self.scm
     }
 
     fn alloc_nvme(&mut self, nlb: u32) -> Result<u64, DaosError> {
@@ -850,7 +866,7 @@ impl VosTarget {
             return Ok((Vec::new(), now));
         };
         // Snapshot the index slice first (record clones are O(1): a chunk
-        // table is inline or Arc-shared) so the media loads below can
+        // table is inline, static or Arc-shared) so the media loads below can
         // borrow `self` mutably.
         let recs: Vec<(KeyPair, ValueKind, Record)> = obj
             .iter()
@@ -882,8 +898,8 @@ impl VosTarget {
         let Some(obj) = self.objects.get(&oid) else {
             return ScrubCheck::default();
         };
-        // Record clones are O(1) (a chunk table is inline or Arc-shared), so
-        // the checks below can borrow `self` mutably.
+        // Record clones are O(1) (a chunk table is inline, static or
+        // Arc-shared), so the checks below can borrow `self` mutably.
         let recs: Vec<Record> = obj
             .values()
             .flat_map(|s| s.records().map(|(_, r)| r.clone()))
@@ -1301,6 +1317,51 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, DaosError::ChecksumMismatch);
         assert_eq!(vos.stats().checksum_failures, 1);
+    }
+
+    /// [`corruption_is_detected`] on a multi-chunk zero-pool record, whose
+    /// media extent keeps no chunk-CRC cache and verifies in closed form:
+    /// the corrupting write makes an extent of its own, so the fetch and
+    /// the scrub both see the mismatch — with the record on NVMe and on SCM.
+    #[test]
+    fn corruption_of_a_zero_pool_record_is_detected() {
+        const LEN: usize = 4 * CSUM_CHUNK as usize;
+        // (SCM threshold, NVMe records, SCM records)
+        for (scm_threshold, nvme, scm) in [(4096, 1, 0), (LEN as u64, 0, 1)] {
+            let mut bd = BdevLayer::new(NvmeArray::new(
+                NvmeModel::enterprise_1600(),
+                1,
+                DataMode::Stored,
+            ));
+            let mut vos = VosTarget::new(0, 0, 1 << 20, 64 << 20, scm_threshold);
+            let (d, a) = (DKey::from_u64(0), AKey::from_str("data"));
+            let data = zero_bytes(LEN);
+            assert!(ros2_buf::is_shared_zeros(&data));
+            vos.update(
+                SimTime::ZERO,
+                &mut bd.shard(0),
+                oid(),
+                d.clone(),
+                a.clone(),
+                ValueKind::Array { offset: 0 },
+                Epoch(1),
+                data,
+            )
+            .unwrap();
+            let stats = vos.stats();
+            assert_eq!((stats.nvme_records, stats.scm_records), (nvme, scm));
+            let fetch = |vos: &mut VosTarget, bd: &mut BdevLayer| {
+                let (at, epoch) = (SimTime::ZERO, Epoch::LATEST);
+                vos.fetch_array(at, &mut bd.shard(0), oid(), &d, &a, epoch, 0, LEN as u64)
+                    .map(|(data, _)| data)
+            };
+            assert!(fetch(&mut vos, &mut bd).unwrap().iter().all(|&b| b == 0));
+            assert!(vos.corrupt_newest_extent(&mut bd.shard(0), oid(), &d, &a));
+            let err = fetch(&mut vos, &mut bd).unwrap_err();
+            assert_eq!(err, DaosError::ChecksumMismatch);
+            assert_eq!(vos.scrub_object(&mut bd.shard(0), oid()).bad, 1);
+            assert_eq!(vos.stats().checksum_failures, 2, "scm {scm}");
+        }
     }
 
     #[test]

@@ -1,15 +1,17 @@
-//! Allocation budget of the whole op path: a steady-state 4 KiB DFS read
-//! or write, from `Dfs` down to the media store, in pipelined worlds built
-//! through `WorldSpec` — a host client over one engine, a host client over
-//! a 4-engine RF-2 cluster, and an offloaded client with the read cache off
-//! and on.
+//! Allocation budget of the whole op path: a steady-state DFS read or
+//! write, from `Dfs` down to the media store, in pipelined worlds built
+//! through `WorldSpec`. 4 KiB ops run on a host client over one engine, a
+//! host client over a 4-engine RF-2 cluster, and an offloaded client with
+//! the read cache off and on; 1 MiB ops (NVMe-resident records of the
+//! shared zero pool, whose chunk tables and media CRCs are closed-form) on
+//! the two host worlds, with the drives both `Stored` and `Null`.
 //!
-//! After a warm-up over [`OFFSETS`] fixed offsets, a cache-off read
-//! allocates nothing at all. A write may allocate only as the state it
-//! leaves behind grows: the VOS record vector and the SCM heap's extent
-//! map. A cache-on read, likewise, only as the read cache's recency index
-//! does. Each count is pinned exactly; [`WRITE_ALLOCS`] and
-//! [`CACHED_READ_ALLOCS`] say how it follows from those structures.
+//! After a warm-up over the same fixed offsets, a read allocates nothing
+//! at all — a cache hit included, which only re-links its slab node in the
+//! read cache's recency list. A write may allocate only as the state it
+//! leaves behind grows: the VOS record vectors and the media store's
+//! extent map. Each count is pinned exactly; [`WRITE_ALLOCS`] and
+//! [`LARGE_WRITE_ALLOCS`] say how it follows from those structures.
 //!
 //! Every measured pass starts from `reset_timing`: the booking books keep
 //! 500 ms of simulated history, so through a short run they grow with
@@ -23,19 +25,41 @@ use ros2_buf::{allocation_count, CountingAlloc};
 use ros2_dpu::DpuTenantSpec;
 use ros2_fio::{DfsFioWorld, FioOp, Workload, WorldSpec};
 use ros2_hw::ClientPlacement;
+use ros2_nvme::DataMode;
 use ros2_sim::SimTime;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Fixed 4 KiB offsets, [`STRIDE`] apart: 16 in each of the file's four
-/// 1 MiB chunks.
-const OFFSETS: u64 = 64;
-const STRIDE: u64 = 64 << 10;
-const BS: u64 = 4 << 10;
+/// The ops of one measured pass: `ops` of `bs` bytes, `stride` apart
+/// from offset 0, wrapping around the file's 4 MiB region (its four
+/// 1 MiB chunks).
+#[derive(Clone, Copy)]
+struct Pass {
+    ops: u64,
+    stride: u64,
+    bs: u64,
+}
 
-/// One pass of [`OFFSETS`] writes on one replica's engine. The records
-/// are SCM-resident (4 KiB is under the SCM threshold):
+/// 64 fixed 4 KiB offsets: 16 in each chunk.
+const SMALL: Pass = Pass {
+    ops: 64,
+    stride: 64 << 10,
+    bs: 4 << 10,
+};
+
+/// Eight 1 MiB ops: each chunk twice.
+const LARGE: Pass = Pass {
+    ops: 8,
+    stride: 1 << 20,
+    bs: 1 << 20,
+};
+
+/// The job file's preconditioned bytes (`WorldSpec`'s default region).
+const REGION: u64 = 4 << 20;
+
+/// One pass of [`SMALL`] writes on one replica's engine. The records are
+/// SCM-resident (4 KiB is under the SCM threshold):
 ///
 /// * 4 — each 1 MiB chunk's record vector goes from 17 records (the
 ///   preconditioned extent and 16 warm-up writes) to 33 and crosses
@@ -51,24 +75,40 @@ const BS: u64 = 4 << 10;
 /// chunk of it lives on the same two engines.
 const WRITE_ALLOCS: u64 = 4 + 9 + 2;
 
-/// One pass of [`OFFSETS`] cache hits: each re-stamps its entry in the
-/// `DetLru` recency index, a `BTreeMap` keyed by tick — the oldest entry
-/// leaves at the front and a new one is appended at the back, so the map
-/// keeps its 64 entries and, as for [`WRITE_ALLOCS`], grows a leaf every
-/// 7 appends while emptied ones are freed: ⌊64 / 7⌋.
-const CACHED_READ_ALLOCS: u64 = 9;
+/// One pass of [`SMALL`] cache hits: each one moves its entry's slab
+/// node to the back of the `DetLru` recency list — an unlink and a
+/// push-back, no node made or freed.
+const CACHED_READ_ALLOCS: u64 = 0;
 
-/// Issues one 4 KiB op at each of the [`OFFSETS`] offsets from t = 0, each
-/// when the previous one completed; returns the allocations made.
-fn pass(w: &mut DfsFioWorld, write: bool) -> u64 {
+/// One pass of [`LARGE`] writes on one replica's engine. Each record is
+/// NVMe-resident (1 MiB is over the SCM threshold) and a slice of the
+/// shared zero pool, so its chunk table is a prefix of VOS's static
+/// zero-chunk table and its media extent keeps no chunk-CRC cache:
+///
+/// * 4 — each chunk's record vector goes from 3 records (the
+///   preconditioned extent and 2 warm-up writes) to 5 and crosses
+///   capacity 4 once;
+/// * 1, `Stored` drives only — the backing's extent map, a std `BTreeMap`,
+///   takes the 8 new extents as appends (the target allocates LBAs
+///   upwards). The 4 preconditioned and 8 warm-up extents split its root
+///   leaf at the 12th into 6 | 5 (the warm-up's allocations); after that
+///   a new leaf comes every 7 appends, and the 19th is in this pass.
+///   `Null` drives keep no extents.
+///
+/// A replica set of two doubles it, as for [`WRITE_ALLOCS`].
+const LARGE_WRITE_ALLOCS: [(DataMode, u64); 2] = [(DataMode::Stored, 4 + 1), (DataMode::Null, 4)];
+
+/// Issues the ops of `shape` from t = 0, each when the previous one
+/// completed; returns the allocations made.
+fn pass(w: &mut DfsFioWorld, write: bool, shape: Pass) -> u64 {
     w.reset_timing();
     let mut now = SimTime::ZERO;
     let before = allocation_count();
-    for i in 0..OFFSETS {
+    for i in 0..shape.ops {
         let op = FioOp {
             write,
-            offset: i * STRIDE,
-            len: BS,
+            offset: i * shape.stride % REGION,
+            len: shape.bs,
         };
         now = w.issue(now, 0, &op).expect("op completes");
     }
@@ -76,14 +116,14 @@ fn pass(w: &mut DfsFioWorld, write: bool) -> u64 {
 }
 
 /// `(reads, writes)`: the allocations of a read pass and of a write pass
-/// after a warm-up of one write pass and one read pass.
-fn steady_state(spec: WorldSpec) -> (u64, u64) {
+/// of `shape` after a warm-up of one write pass and one read pass.
+fn steady_state(spec: WorldSpec, shape: Pass) -> (u64, u64) {
     let mut w = spec.build_dfs();
     w.set_pipelined(true);
-    pass(&mut w, true);
-    pass(&mut w, false);
-    let reads = pass(&mut w, false);
-    let writes = pass(&mut w, true);
+    pass(&mut w, true, shape);
+    pass(&mut w, false, shape);
+    let reads = pass(&mut w, false, shape);
+    let writes = pass(&mut w, true, shape);
     (reads, writes)
 }
 
@@ -93,16 +133,30 @@ fn offloaded() -> WorldSpec {
 
 #[test]
 fn a_warm_op_allocates_only_for_the_state_it_leaves_behind() {
-    let host = steady_state(WorldSpec::single(ClientPlacement::Host));
+    let host = steady_state(WorldSpec::single(ClientPlacement::Host), SMALL);
     assert_eq!(host, (0, WRITE_ALLOCS), "host client, one engine");
-    let cluster = steady_state(WorldSpec::cluster(4).replication(2));
+    let cluster = steady_state(WorldSpec::cluster(4).replication(2), SMALL);
     assert_eq!(cluster, (0, 2 * WRITE_ALLOCS), "host client, RF-2 cluster");
-    let dpu = steady_state(offloaded());
+    let dpu = steady_state(offloaded(), SMALL);
     assert_eq!(dpu, (0, WRITE_ALLOCS), "offloaded client, cache off");
-    let cached = steady_state(offloaded().dpu_cache(64 << 20));
+    let cached = steady_state(offloaded().dpu_cache(64 << 20), SMALL);
     assert_eq!(
         cached,
         (CACHED_READ_ALLOCS, WRITE_ALLOCS),
         "offloaded client, cache on"
     );
+    for (mode, writes) in LARGE_WRITE_ALLOCS {
+        let host = steady_state(WorldSpec::single(ClientPlacement::Host).mode(mode), LARGE);
+        assert_eq!(
+            host,
+            (0, writes),
+            "1 MiB, host client, one engine, {mode:?}"
+        );
+        let cluster = steady_state(WorldSpec::cluster(4).replication(2).mode(mode), LARGE);
+        assert_eq!(
+            cluster,
+            (0, 2 * writes),
+            "1 MiB, host client, RF-2 cluster, {mode:?}"
+        );
+    }
 }

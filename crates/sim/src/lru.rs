@@ -3,10 +3,14 @@
 //! Recency is a monotonic **use tick**, advanced explicitly by the owner
 //! once per admission, so eviction choice is a pure function of the
 //! operation history — never of wall clock, hash order, or allocation
-//! addresses. Entries live in two ordered maps: one by key (lookup, and a
-//! key-range walk for owners whose keys are intervals of a larger record)
-//! and one by tick (the eviction victim is its first entry), so every
-//! operation is O(log n) and iteration order is the key order.
+//! addresses. Entries live in a slab (a `Vec` of nodes plus a free list)
+//! threaded by an intrusive doubly-linked recency list, and an ordered map
+//! from key to slab index serves lookups and the key-range walk for owners
+//! whose keys are intervals of a larger record. Ticks are monotone and
+//! each one stamps at most one entry, so a stamp is a move to the list's
+//! back and the list runs in tick order: a touch is an unlink and a
+//! push-back, the eviction victim (the minimum-tick entry) is the head,
+//! and neither allocates. Iteration order is the key order.
 //!
 //! Two structures share this idiom: the engine-side connection pool
 //! (`ros2_daos::ConnPool`) and the DPU read cache
@@ -17,25 +21,38 @@
 use std::collections::BTreeMap;
 use std::ops::RangeBounds;
 
-/// One tracked payload and the tick of its last use.
+/// The end of a recency list, or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One slab node: a tracked entry (`None` while the node is on the free
+/// list), the tick of its last use, and its recency-list links (`next`
+/// doubles as the free-list link).
 #[derive(Debug, Clone)]
-struct Slot<V> {
-    value: V,
+struct Node<K, V> {
+    entry: Option<(K, V)>,
     last_used: u64,
+    prev: u32,
+    next: u32,
 }
 
-/// A deterministic tick-LRU over ordered maps. See the module docs.
+/// A deterministic tick-LRU over a slab-backed recency list. See the
+/// module docs.
 ///
 /// The owner drives the clock: call [`DetLru::advance`] exactly once per
 /// admission, then stamp **at most one** entry with the current tick
 /// through [`DetLru::touch`] or [`DetLru::insert`] — that is what keeps
-/// ticks unique, and the eviction victim ([`DetLru::evict_lru`], the
-/// minimum-tick entry) unambiguous.
+/// ticks unique, the list in tick order, and the eviction victim
+/// ([`DetLru::evict_lru`], the minimum-tick entry) unambiguous.
 #[derive(Debug, Clone)]
 pub struct DetLru<K, V> {
-    by_key: BTreeMap<K, Slot<V>>,
-    /// Last-use tick → key; the first entry is the eviction victim.
-    by_tick: BTreeMap<u64, K>,
+    /// Key → slab index.
+    by_key: BTreeMap<K, u32>,
+    nodes: Vec<Node<K, V>>,
+    /// Least-recently used node (the eviction victim) and most recent.
+    head: u32,
+    tail: u32,
+    /// First node on the free list.
+    free: u32,
     tick: u64,
 }
 
@@ -43,7 +60,10 @@ impl<K, V> Default for DetLru<K, V> {
     fn default() -> Self {
         DetLru {
             by_key: BTreeMap::new(),
-            by_tick: BTreeMap::new(),
+            nodes: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
             tick: 0,
         }
     }
@@ -66,7 +86,8 @@ impl<K: Ord + Clone, V> DetLru<K, V> {
     }
 
     /// The current use tick.
-    pub fn tick(&self) -> u64 {
+    #[cfg(test)]
+    fn tick(&self) -> u64 {
         self.tick
     }
 
@@ -79,21 +100,19 @@ impl<K: Ord + Clone, V> DetLru<K, V> {
 
     /// Marks `key` used at the current tick; returns its value on a hit.
     pub fn touch(&mut self, key: &K) -> Option<&mut V> {
-        let slot = self.by_key.get_mut(key)?;
-        if slot.last_used != self.tick {
-            let owned = self
-                .by_tick
-                .remove(&slot.last_used)
-                .expect("tick index in step");
-            stamp(&mut self.by_tick, self.tick, owned);
-            slot.last_used = self.tick;
+        let i = *self.by_key.get(key)?;
+        if self.nodes[i as usize].last_used != self.tick {
+            self.unlink(i);
+            self.push_back(i);
         }
-        Some(&mut slot.value)
+        self.nodes[i as usize].entry.as_mut().map(|(_, v)| v)
     }
 
     /// Read-only lookup without a recency update.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.by_key.get(key).map(|s| &s.value)
+    #[cfg(test)]
+    fn get(&self, key: &K) -> Option<&V> {
+        let i = *self.by_key.get(key)?;
+        self.nodes[i as usize].entry.as_ref().map(|(_, v)| v)
     }
 
     /// Whether `key` is tracked.
@@ -106,44 +125,69 @@ impl<K: Ord + Clone, V> DetLru<K, V> {
     /// tracked is a logic error (checked in debug builds).
     pub fn insert(&mut self, key: K, value: V) {
         debug_assert!(!self.contains(&key), "insert of an already-tracked key");
-        stamp(&mut self.by_tick, self.tick, key.clone());
-        let last_used = self.tick;
-        self.by_key.insert(key, Slot { value, last_used });
+        let node = Node {
+            entry: Some((key.clone(), value)),
+            last_used: 0,
+            prev: NIL,
+            next: NIL,
+        };
+        let i = match self.free {
+            NIL => {
+                assert!(self.nodes.len() < NIL as usize, "slab index fits u32");
+                self.nodes.push(node);
+                self.nodes.len() as u32 - 1
+            }
+            i => {
+                self.free = self.nodes[i as usize].next;
+                self.nodes[i as usize] = node;
+                i
+            }
+        };
+        self.push_back(i);
+        self.by_key.insert(key, i);
     }
 
     /// Removes and returns the least-recently-used entry, if any. The
     /// minimum-tick choice is unique (ticks never tie).
     pub fn evict_lru(&mut self) -> Option<(K, V)> {
-        let (_, key) = self.by_tick.pop_first()?;
-        let slot = self.by_key.remove(&key).expect("key index in step");
-        Some((key, slot.value))
+        if self.head == NIL {
+            return None;
+        }
+        let (key, value) = self.release(self.head);
+        self.by_key.remove(&key).expect("key index in step");
+        Some((key, value))
     }
 
     /// Removes `key` and returns its value, if tracked.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let slot = self.by_key.remove(key)?;
-        self.by_tick.remove(&slot.last_used);
-        Some(slot.value)
+        let i = self.by_key.remove(key)?;
+        Some(self.release(i).1)
     }
 
     /// Keeps only entries for which `f` returns true; returns how many
     /// were dropped. Visits entries in key order.
     pub fn retain<F: FnMut(&K, &V) -> bool>(&mut self, mut f: F) -> usize {
         let before = self.by_key.len();
-        let by_tick = &mut self.by_tick;
-        self.by_key.retain(|k, slot| {
-            let keep = f(k, &slot.value);
+        let mut by_key = std::mem::take(&mut self.by_key);
+        by_key.retain(|k, &mut i| {
+            let (_, v) = self.nodes[i as usize].entry.as_ref().expect("live node");
+            let keep = f(k, v);
             if !keep {
-                by_tick.remove(&slot.last_used);
+                self.release(i);
             }
             keep
         });
+        self.by_key = by_key;
         before - self.by_key.len()
     }
 
     /// Iterates `(key, value)` pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.by_key.iter().map(|(k, s)| (k, &s.value))
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.by_key.values().map(|&i| {
+            let (k, v) = self.nodes[i as usize].entry.as_ref().expect("live node");
+            (k, v)
+        })
     }
 
     /// [`Self::retain`] over the entries whose keys fall in `range` only:
@@ -157,10 +201,14 @@ impl<K: Ord + Clone, V> DetLru<K, V> {
         R: RangeBounds<K>,
         F: FnMut(&K, &mut V) -> bool,
     {
+        let nodes = &mut self.nodes;
         let doomed: Vec<K> = self
             .by_key
-            .range_mut(range)
-            .filter_map(|(k, slot)| (!f(k, &mut slot.value)).then(|| k.clone()))
+            .range(range)
+            .filter_map(|(k, &i)| {
+                let (_, v) = nodes[i as usize].entry.as_mut().expect("live node");
+                (!f(k, v)).then(|| k.clone())
+            })
             .collect();
         for key in &doomed {
             self.remove(key);
@@ -171,16 +219,55 @@ impl<K: Ord + Clone, V> DetLru<K, V> {
     /// Drops every entry; the tick keeps counting.
     pub fn clear(&mut self) {
         self.by_key.clear();
-        self.by_tick.clear();
+        self.nodes.clear();
+        self.head = NIL;
+        self.tail = NIL;
+        self.free = NIL;
     }
-}
 
-/// Files `key` under `tick`. A second entry stamped in one tick would
-/// silently displace the first from the eviction order, so the
-/// one-stamp-per-tick contract is checked in every build.
-fn stamp<K>(by_tick: &mut BTreeMap<u64, K>, tick: u64, key: K) {
-    let displaced = by_tick.insert(tick, key);
-    assert!(displaced.is_none(), "two entries stamped in one tick");
+    /// Stamps node `i` (unlinked) with the current tick at the list's back.
+    /// The back is the newest stamp, so a second entry stamped in one tick
+    /// would find the back already holding this tick — and would tie the
+    /// eviction order — so the one-stamp-per-tick contract is checked in
+    /// every build.
+    fn push_back(&mut self, i: u32) {
+        if self.tail != NIL {
+            assert!(
+                self.nodes[self.tail as usize].last_used != self.tick,
+                "two entries stamped in one tick"
+            );
+            self.nodes[self.tail as usize].next = i;
+        } else {
+            self.head = i;
+        }
+        let node = &mut self.nodes[i as usize];
+        node.last_used = self.tick;
+        node.prev = self.tail;
+        node.next = NIL;
+        self.tail = i;
+    }
+
+    /// Takes node `i` out of the recency list.
+    fn unlink(&mut self, i: u32) {
+        let Node { prev, next, .. } = self.nodes[i as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    /// Unlinks node `i`, moves it to the free list, and returns its entry.
+    fn release(&mut self, i: u32) -> (K, V) {
+        self.unlink(i);
+        let node = &mut self.nodes[i as usize];
+        node.next = self.free;
+        self.free = i;
+        node.entry.take().expect("live node")
+    }
 }
 
 #[cfg(test)]
@@ -201,6 +288,19 @@ mod tests {
         assert_eq!(l.evict_lru(), Some((2, "b")));
         assert_eq!(l.evict_lru(), Some((1, "a")));
         assert_eq!(l.evict_lru(), None);
+    }
+
+    /// A second stamp in one tick would tie the eviction order: a touch
+    /// of another entry after an insert in the same tick panics.
+    #[test]
+    #[should_panic(expected = "two entries stamped in one tick")]
+    fn two_stamps_in_one_tick_panic() {
+        let mut l: DetLru<u32, ()> = DetLru::new();
+        l.advance();
+        l.insert(1, ());
+        l.advance();
+        l.insert(2, ());
+        l.touch(&1);
     }
 
     #[test]
