@@ -2,6 +2,7 @@
 //! the ROS2 stack itself (the simulator must be fast enough to sweep the
 //! paper's parameter space; these benches keep it honest).
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use bytes::Bytes;
@@ -69,6 +70,41 @@ fn bench_vos_verify(c: &mut Criterion) {
         0,
         "both run off the seeded cache"
     );
+    g.finish();
+}
+
+/// The extent store's index at 1 K extents and at 150 K, the SCM heap's
+/// peak on `small_rand_dpu_rdma`: a 4 KiB append at the frontier (the
+/// untimed setup discards the previous one, so the index keeps its size)
+/// and a 4 KiB read of an extent spread over the whole index (a binary
+/// search; a stride coprime to the size visits every extent).
+fn bench_extent_store(c: &mut Criterion) {
+    let mut g = c.benchmark_group("extent_store");
+    const LEN: u64 = 4096;
+    let data = ros2_buf::zero_bytes(LEN as usize);
+    g.throughput(Throughput::Bytes(LEN));
+    for (label, extents) in [("1K", 1_000u64), ("150K", 150_000)] {
+        let store = RefCell::new(ExtentStore::new());
+        for i in 0..extents {
+            store.borrow_mut().write(i * LEN, data.clone());
+        }
+        let frontier = extents * LEN;
+        g.bench_function(format!("append_4k/{label}"), |b| {
+            b.iter_batched(
+                || store.borrow_mut().discard(frontier, LEN),
+                |()| store.borrow_mut().write(frontier, data.clone()),
+                BatchSize::PerIteration,
+            )
+        });
+        let mut i = 0u64;
+        g.bench_function(format!("read_4k_random/{label}"), |b| {
+            b.iter(|| {
+                i = (i + 7919) % extents;
+                store.borrow_mut().read(i * LEN, LEN as usize)
+            })
+        });
+        assert_eq!(store.borrow().stats().extents_shifted, 0);
+    }
     g.finish();
 }
 
@@ -252,6 +288,7 @@ criterion_group!(
     bench_read_cache,
     bench_crc32c,
     bench_vos_verify,
+    bench_extent_store,
     bench_event_queue,
     bench_server_pool,
     bench_interval_book,

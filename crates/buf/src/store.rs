@@ -1,5 +1,14 @@
-//! The zero-copy extent store: written data kept as `Bytes` handles in a
-//! `BTreeMap<addr, extent>`, with lazy per-chunk CRC32C caching.
+//! The zero-copy extent store: written data kept as `Bytes` handles in one
+//! vector of `(addr, extent)` pairs sorted by address, with lazy per-chunk
+//! CRC32C caching.
+//!
+//! Every writer in the workspace places new data at rising addresses (the
+//! SCM heap's frontier, the NVMe bump allocator, a NIC buffer overwritten
+//! in place), so nearly every insert lands at the vector's tail. Lookups
+//! answer from the last entry first and binary-search (`partition_point`)
+//! only when the address lies before it; an insert or a removal in the
+//! middle is one memmove of the entries after it — O(n) at worst, counted
+//! in [`DataPlaneStats::extents_shifted`].
 //!
 //! Invariants (checked by the model tests in `tests/extent_model.rs`):
 //!
@@ -18,7 +27,7 @@
 //!   answer with the closed-form [`crc32c_zeros`]. Bytes written over it
 //!   make a new extent of their own, which caches as any other does.
 
-use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use bytes::{Bytes, BytesMut};
@@ -91,6 +100,9 @@ pub struct DataPlaneStats {
     /// them (update-path checksums handed down), sparing the store its own
     /// first-fill scan of the same bytes.
     pub crc_cache_seeded: u64,
+    /// Extent-index entries moved by an insert or a removal short of the
+    /// index's tail (appends move none).
+    pub extents_shifted: u64,
 }
 
 impl DataPlaneStats {
@@ -101,6 +113,7 @@ impl DataPlaneStats {
         self.crc_bytes_scanned += other.crc_bytes_scanned;
         self.crc_combines += other.crc_combines;
         self.crc_cache_seeded += other.crc_cache_seeded;
+        self.extents_shifted += other.extents_shifted;
     }
 }
 
@@ -149,10 +162,76 @@ impl Extent {
     }
 }
 
+/// The extents, sorted by start address: one vector that VOS's rising
+/// placement fills at the tail. Bounds answer in O(1) from the last entry
+/// when the address lies beyond its start, by binary search otherwise; an
+/// insert or a removal before the tail counts the entries it moves.
+#[derive(Debug, Default)]
+struct ExtentIndex {
+    entries: Vec<(u64, Extent)>,
+    shifted: u64,
+}
+
+impl ExtentIndex {
+    /// The position of the first extent starting at or after `at`.
+    fn lower_bound(&self, at: u64) -> usize {
+        match self.entries.last() {
+            Some(&(s, _)) if s >= at => self.entries.partition_point(|&(s, _)| s < at),
+            _ => self.entries.len(),
+        }
+    }
+
+    /// The position of the first extent starting after `at`.
+    fn upper_bound(&self, at: u64) -> usize {
+        match self.entries.last() {
+            Some(&(s, _)) if s > at => self.entries.partition_point(|&(s, _)| s <= at),
+            _ => self.entries.len(),
+        }
+    }
+
+    /// The extent that starts exactly at `at`.
+    fn get_mut(&mut self, at: u64) -> Option<&mut Extent> {
+        let i = self.upper_bound(at).checked_sub(1)?;
+        let (s, ext) = &mut self.entries[i];
+        (*s == at).then_some(ext)
+    }
+
+    /// The nearest extent starting at or before `at`, with its start.
+    fn at_or_before_mut(&mut self, at: u64) -> Option<(u64, &mut Extent)> {
+        let i = self.upper_bound(at).checked_sub(1)?;
+        let (s, ext) = &mut self.entries[i];
+        Some((*s, ext))
+    }
+
+    /// The extents that may overlap `[at, end)`: from the nearest one
+    /// starting at or before `at` up to the last one starting before `end`.
+    fn overlapping(&mut self, at: u64, end: u64) -> impl Iterator<Item = &mut (u64, Extent)> {
+        let from = self.upper_bound(at).saturating_sub(1);
+        self.entries[from..]
+            .iter_mut()
+            .take_while(move |&&mut (s, _)| s < end)
+    }
+
+    /// Inserts the extent starting at `at` at position `i`, which keeps
+    /// the entries sorted.
+    fn insert(&mut self, i: usize, at: u64, ext: Extent) {
+        debug_assert!(i == 0 || self.entries[i - 1].0 < at);
+        debug_assert!(i == self.entries.len() || at < self.entries[i].0);
+        self.shifted += (self.entries.len() - i) as u64;
+        self.entries.insert(i, (at, ext));
+    }
+
+    /// Removes the entries at positions `run`.
+    fn remove(&mut self, run: Range<usize>) {
+        self.shifted += (self.entries.len() - run.end) as u64;
+        self.entries.drain(run);
+    }
+}
+
 /// A sparse byte store of non-overlapping zero-copy extents.
 #[derive(Debug, Default)]
 pub struct ExtentStore {
-    extents: BTreeMap<u64, Extent>,
+    extents: ExtentIndex,
     stats: DataPlaneStats,
 }
 
@@ -164,18 +243,16 @@ impl ExtentStore {
 
     /// Snapshot of the data-plane counters.
     pub fn stats(&self) -> DataPlaneStats {
-        self.stats
+        DataPlaneStats {
+            extents_shifted: self.extents.shifted,
+            ..self.stats
+        }
     }
 
     /// Number of live extents.
     #[cfg(test)]
     fn extent_count(&self) -> usize {
-        self.extents.len()
-    }
-
-    /// Total bytes held by live extents.
-    pub fn resident_bytes(&self) -> u64 {
-        self.extents.values().map(|e| e.data.len() as u64).sum()
+        self.extents.entries.len()
     }
 
     /// Number of distinct `page`-sized pages the live extents touch (the
@@ -183,20 +260,15 @@ impl ExtentStore {
     pub fn covered_pages(&self, page: u64) -> usize {
         let mut pages = 0u64;
         let mut next = 0u64;
-        for (&s, e) in &self.extents {
+        for (s, e) in &self.extents.entries {
             let first = (s / page).max(next);
-            let last = e.end(s).div_ceil(page);
+            let last = e.end(*s).div_ceil(page);
             if last > first {
                 pages += last - first;
                 next = last;
             }
         }
         pages as usize
-    }
-
-    /// Drops every extent (contents read as zero afterwards).
-    pub fn clear(&mut self) {
-        self.extents.clear();
     }
 
     /// Removes everything stored in `[at, at+len)`; trimmed neighbours are
@@ -218,14 +290,14 @@ impl ExtentStore {
         // Exact overwrite (a completion record, a staging buffer's steady
         // state): extents never overlap, so one that starts here with this
         // length is the only one in the range — swap its handle in place.
-        if let Some(old) = self.extents.get_mut(&at) {
+        if let Some(old) = self.extents.get_mut(at) {
             if old.data.len() as u64 == len {
                 *old = Extent::new(data);
                 return;
             }
         }
-        self.carve(at, at + len);
-        self.extents.insert(at, Extent::new(data));
+        let i = self.carve(at, at + len);
+        self.extents.insert(i, at, Extent::new(data));
     }
 
     /// Stores a borrowed slice (one copy into a fresh buffer — for callers
@@ -235,10 +307,10 @@ impl ExtentStore {
         if len == 0 {
             return;
         }
-        self.carve(at, at + len);
+        let i = self.carve(at, at + len);
         self.stats.bytes_copied += len;
-        self.extents
-            .insert(at, Extent::new(Bytes::copy_from_slice(data)));
+        let ext = Extent::new(Bytes::copy_from_slice(data));
+        self.extents.insert(i, at, ext);
     }
 
     /// Seeds the per-chunk CRC cache of the extent that starts exactly at
@@ -253,7 +325,7 @@ impl ExtentStore {
     where
         I: ExactSizeIterator<Item = u32>,
     {
-        let Some(ext) = self.extents.get_mut(&at) else {
+        let Some(ext) = self.extents.get_mut(at) else {
             return;
         };
         let nchunks = (ext.data.len() as u64).div_ceil(CRC_CHUNK) as usize;
@@ -288,32 +360,41 @@ impl ExtentStore {
     }
 
     /// Clears `[at, end)` of existing extents, splitting partially
-    /// overlapped neighbours with zero-copy slices.
-    fn carve(&mut self, at: u64, end: u64) {
-        // A neighbour starting before `at` may reach into the range.
-        if let Some((&s, e)) = self.extents.range(..at).next_back() {
-            if e.end(s) > at {
-                let old = self.extents.remove(&s).expect("present");
-                let old_end = old.end(s);
-                let head = old.data.slice(0..(at - s) as usize);
-                self.extents.insert(s, Extent::new(head));
-                if old_end > end {
-                    let tail = old.data.slice((end - s) as usize..);
-                    self.extents.insert(end, Extent::new(tail));
+    /// overlapped neighbours with zero-copy slices. Returns the position
+    /// an extent starting at `at` takes in the index.
+    fn carve(&mut self, at: u64, end: u64) -> usize {
+        let i = self.extents.lower_bound(at);
+        let entries = &mut self.extents.entries;
+        // A neighbour starting before `at` may reach into the range: its
+        // head stays in place, and a tail past the range, if any, means it
+        // covered the whole range alone.
+        if let Some((s, e)) = i.checked_sub(1).map(|h| &mut entries[h]) {
+            let (s, e_end) = (*s, e.end(*s));
+            if e_end > at {
+                let tail = (e_end > end).then(|| e.data.slice((end - s) as usize..));
+                *e = Extent::new(e.data.slice(0..(at - s) as usize));
+                if let Some(tail) = tail {
+                    self.extents.insert(i, end, Extent::new(tail));
+                    return i;
                 }
             }
         }
-        // Extents starting inside the range are removed; one may spill past
-        // the end and keeps its tail. They are looked up one at a time, so
-        // an overwrite in place (a staging buffer's steady state)
-        // allocates nothing.
-        while let Some(s) = self.extents.range(at..end).next().map(|(&s, _)| s) {
-            let old = self.extents.remove(&s).expect("present");
-            if old.end(s) > end {
-                let tail = old.data.slice((end - s) as usize..);
-                self.extents.insert(end, Extent::new(tail));
-            }
+        // The extents starting inside the range go as one run; the last
+        // may spill past the end and keeps its tail.
+        let j = i + entries[i..].partition_point(|&(s, _)| s < end);
+        if j == i {
+            return i;
         }
+        let last = j - 1;
+        let (s, e) = &mut entries[last];
+        let mut run = i..j;
+        if e.end(*s) > end {
+            let tail = e.data.slice((end - *s) as usize..);
+            (*s, *e) = (end, Extent::new(tail));
+            run.end = last;
+        }
+        self.extents.remove(run);
+        i
     }
 
     /// Reads `[at, at+len)`. A read fully contained in one extent returns a
@@ -325,15 +406,17 @@ impl ExtentStore {
         }
         let end = at + len as u64;
         // Fast path: one extent covers the whole range.
-        if let Some((&s, e)) = self.extents.range(..=at).next_back() {
+        if let Some((s, e)) = self.extents.at_or_before_mut(at) {
             if e.end(s) >= end {
                 self.stats.bytes_zero_copy += len as u64;
                 let off = (at - s) as usize;
                 return e.data.slice(off..off + len);
             }
         }
-        let from = self.scan_start(at);
-        let any = self.extents.range(from..end).any(|(&s, e)| e.end(s) > at);
+        let any = self
+            .extents
+            .overlapping(at, end)
+            .any(|(s, e)| e.end(*s) > at);
         if !any {
             // Pure hole: refcounted zeros.
             let out = zero_bytes(len);
@@ -346,8 +429,8 @@ impl ExtentStore {
         }
         // Fragmented: stitch.
         let mut out = BytesMut::zeroed(len);
-        for (&s, e) in self.extents.range(from..end) {
-            let e_end = e.end(s);
+        for (s, e) in self.extents.overlapping(at, end) {
+            let (s, e_end) = (*s, e.end(*s));
             if e_end <= at {
                 continue;
             }
@@ -360,16 +443,6 @@ impl ExtentStore {
         out.freeze()
     }
 
-    /// The first map key worth scanning for overlaps with a range starting
-    /// at `at`: the nearest extent starting at or before `at`.
-    fn scan_start(&self, at: u64) -> u64 {
-        self.extents
-            .range(..=at)
-            .next_back()
-            .map(|(&s, _)| s)
-            .unwrap_or(at)
-    }
-
     /// The CRC32C of the bytes [`Self::read`]`(at, len)` would return,
     /// derived from cached per-chunk CRCs and hole combines wherever
     /// possible; only uncached chunk bytes are scanned (then cached).
@@ -378,14 +451,13 @@ impl ExtentStore {
             return 0;
         }
         let end = at + len;
-        let from = self.scan_start(at);
-        // One allocation-free pass: `range_mut` hands out each overlapping
-        // extent mutably (cache fills) alongside the separate stats field.
+        // One allocation-free pass: each overlapping extent is handed out
+        // mutably (cache fills) alongside the separate stats field.
         let Self { extents, stats } = self;
         let mut acc = 0u32;
         let mut pos = at;
-        for (&s, ext) in extents.range_mut(from..end) {
-            let e_end = s + ext.data.len() as u64;
+        for (s, ext) in extents.overlapping(at, end) {
+            let (s, e_end) = (*s, ext.end(*s));
             if e_end <= at {
                 continue;
             }
@@ -425,8 +497,8 @@ impl ExtentStore {
         let end = at + len;
         let mut lo = at;
         while lo < end {
-            let run_end = match self.extents.range_mut(..=lo).next_back() {
-                Some((&s, ext)) => grid_run(ext, s, lo, end, &mut expected, &mut self.stats),
+            let run_end = match self.extents.at_or_before_mut(lo) {
+                Some((s, ext)) => grid_run(ext, s, lo, end, &mut expected, &mut self.stats),
                 None => Some(lo),
             };
             let Some(mut next) = run_end else {
@@ -643,7 +715,9 @@ mod tests {
     /// longer or shifted write still carves. Either way the store reads as
     /// the overlay of its writes, drops the overwritten extent's cached
     /// CRCs, and counts exactly what a twin store counts whose every write
-    /// lands in a range discarded first (so none can be an overwrite).
+    /// lands in a range discarded first (so none can be an overwrite) —
+    /// except for index work: the swap moves no entries, the twin's
+    /// discard-then-insert may.
     #[test]
     fn exact_overwrite_swaps_the_handle_and_anything_else_carves() {
         let mut s = ExtentStore::new();
@@ -673,7 +747,13 @@ mod tests {
                 // Also warms the CRC cache the next step overwrites.
                 assert_eq!(store.crc_of_range(0, image.len() as u64), crc32c(&image));
             }
-            assert_eq!(s.stats(), twin.stats(), "step {i}");
+            let (ours, theirs) = (s.stats(), twin.stats());
+            assert!(ours.extents_shifted <= theirs.extents_shifted, "step {i}");
+            let data_plane = |d| DataPlaneStats {
+                extents_shifted: 0,
+                ..d
+            };
+            assert_eq!(data_plane(ours), data_plane(theirs), "step {i}");
         }
     }
 
@@ -765,6 +845,28 @@ mod tests {
             .map(crc32c)
             .collect();
         assert!(s.verify_chunks(CRC_CHUNK, len, want.iter().copied()));
+    }
+
+    /// Rising writes append at the index's tail and move nothing; a write
+    /// or a discard before the tail moves exactly the entries after it.
+    #[test]
+    fn appends_shift_nothing_and_a_mid_insert_counts_its_move() {
+        let mut s = ExtentStore::new();
+        for i in 0..100u64 {
+            s.write(i * 8192, Bytes::from(vec![1u8; 4096]));
+        }
+        assert_eq!((s.extent_count(), s.stats().extents_shifted), (100, 0));
+        s.write(4096, Bytes::from(vec![2u8; 4096])); // into the first gap
+        assert_eq!((s.extent_count(), s.stats().extents_shifted), (101, 99));
+        s.discard(0, 3 * 8192); // three written extents and the new one
+        assert_eq!((s.extent_count(), s.stats().extents_shifted), (97, 99 + 97));
+        s.write(8192 * 50 + 1024, Bytes::from(vec![3u8; 1024])); // splits one
+        assert_eq!(s.extent_count(), 99);
+        assert_eq!(s.stats().extents_shifted, 99 + 97 + 49 + 50); // tail, then head
+        let r = s.read(8192 * 50, 4096);
+        assert!(r[..1024].iter().all(|&b| b == 1));
+        assert!(r[1024..2048].iter().all(|&b| b == 3));
+        assert!(r[2048..].iter().all(|&b| b == 1));
     }
 
     #[test]

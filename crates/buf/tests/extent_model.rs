@@ -1,6 +1,7 @@
 //! Model check: the zero-copy extent store against a flat `Vec<u8>`
 //! reference under random overlapping writes, slice writes, zero-pool
-//! writes, discards, reads, CRC range queries and chunk-table verifies.
+//! writes, appends, discards, reads, CRC range queries and chunk-table
+//! verifies.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -18,6 +19,12 @@ enum Op {
     /// Zero-copy write of a slice of the shared zero pool: an extent that
     /// keeps no CRC cache and answers its chunks in closed form.
     WriteZeros { at: u64, len: u64 },
+    /// Zero-copy write of `len` bytes of `fill`-derived data at the append
+    /// cursor, the way the SCM heap's frontier and the NVMe allocator
+    /// place records: at the end of the highest write so far, so the
+    /// extent lands at the index's tail. When the space is used up the
+    /// cursor wraps to 0 and the appends land before the tail.
+    Append { len: u64, fill: u8 },
     /// Discard (TRIM).
     Discard { at: u64, len: u64 },
     /// Read and compare against the model.
@@ -58,6 +65,30 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
+/// Mostly appends, with short writes and discards anywhere, and reads,
+/// CRC queries and verifies long enough to span many extents: the index
+/// holds hundreds of short extents, so lookups run both from its tail
+/// and through its binary search.
+fn append_heavy_strategy() -> impl Strategy<Value = Op> {
+    let addr = 0u64..(SPACE - 1);
+    let len = 1u64..48;
+    let kind = 0u32..16;
+    (kind, addr, len, any::<u8>()).prop_map(|(kind, at, len, fill)| {
+        let span = (len * 128).min(SPACE - at);
+        let len = len.min(SPACE - at);
+        match kind {
+            0..=7 => Op::Append { len, fill },
+            8 => Op::Write { at, len, fill },
+            9 => Op::WriteSlice { at, len, fill },
+            10 => Op::WriteZeros { at, len },
+            11 => Op::Discard { at, len },
+            12 => Op::Read { at, len: span },
+            13 => Op::Crc { at, len: span },
+            _ => Op::Verify { at, len: span },
+        }
+    })
+}
+
 fn payload(len: u64, fill: u8) -> Vec<u8> {
     (0..len).map(|i| fill.wrapping_add(i as u8)).collect()
 }
@@ -93,58 +124,90 @@ fn check_verify(store: &mut ExtentStore, model: &[u8], at: u64, len: u64) -> Res
     Ok(())
 }
 
+/// Applies `ops` to a fresh store and to the flat model, comparing every
+/// read, CRC and verify, then sweeps the whole space.
+fn run_tape(ops: &[Op]) -> Result<(), String> {
+    let mut store = ExtentStore::new();
+    let mut model = vec![0u8; SPACE as usize];
+    // Where the next append goes: the end of the highest write so far.
+    let mut cursor = 0u64;
+    for op in ops {
+        match *op {
+            Op::Write { at, len, fill } => {
+                let data = payload(len, fill);
+                model[at as usize..(at + len) as usize].copy_from_slice(&data);
+                store.write(at, Bytes::from(data));
+                cursor = cursor.max(at + len);
+            }
+            Op::WriteSlice { at, len, fill } => {
+                let data = payload(len, fill);
+                model[at as usize..(at + len) as usize].copy_from_slice(&data);
+                store.write_slice(at, &data);
+                cursor = cursor.max(at + len);
+            }
+            Op::WriteZeros { at, len } => {
+                let data = zero_bytes(len as usize);
+                prop_assert!(is_shared_zeros(&data));
+                model[at as usize..(at + len) as usize].fill(0);
+                store.write(at, data);
+                cursor = cursor.max(at + len);
+            }
+            Op::Append { len, fill } => {
+                let at = if cursor + len <= SPACE { cursor } else { 0 };
+                let data = payload(len, fill);
+                model[at as usize..(at + len) as usize].copy_from_slice(&data);
+                store.write(at, Bytes::from(data));
+                cursor = at + len;
+            }
+            Op::Discard { at, len } => {
+                model[at as usize..(at + len) as usize].fill(0);
+                store.discard(at, len);
+            }
+            Op::Read { at, len } => {
+                let got = store.read(at, len as usize);
+                prop_assert_eq!(
+                    &got[..],
+                    &model[at as usize..(at + len) as usize],
+                    "read({}, {})",
+                    at,
+                    len
+                );
+            }
+            Op::Crc { at, len } => {
+                let want = crc32c(&model[at as usize..(at + len) as usize]);
+                prop_assert_eq!(store.crc_of_range(at, len), want, "crc({}, {})", at, len);
+            }
+            Op::Verify { at, len } => check_verify(&mut store, &model, at, len)?,
+        }
+    }
+    // Full-space sweep: contents and CRC agree after the whole history,
+    // and the caches cannot have gone stale.
+    let got = store.read(0, SPACE as usize);
+    prop_assert_eq!(&got[..], &model[..]);
+    prop_assert_eq!(store.crc_of_range(0, SPACE), crc32c(&model));
+    prop_assert_eq!(store.crc_of_range(0, SPACE), crc32c(&model)); // cached pass
+    check_verify(&mut store, &model, 0, SPACE)?;
+    check_verify(&mut store, &model, 100, SPACE - 100)?;
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn store_matches_flat_model(ops in prop::collection::vec(op_strategy(), 1..120)) {
-        let mut store = ExtentStore::new();
-        let mut model = vec![0u8; SPACE as usize];
-        for op in &ops {
-            match *op {
-                Op::Write { at, len, fill } => {
-                    let data = payload(len, fill);
-                    model[at as usize..(at + len) as usize].copy_from_slice(&data);
-                    store.write(at, Bytes::from(data));
-                }
-                Op::WriteSlice { at, len, fill } => {
-                    let data = payload(len, fill);
-                    model[at as usize..(at + len) as usize].copy_from_slice(&data);
-                    store.write_slice(at, &data);
-                }
-                Op::WriteZeros { at, len } => {
-                    let data = zero_bytes(len as usize);
-                    prop_assert!(is_shared_zeros(&data));
-                    model[at as usize..(at + len) as usize].fill(0);
-                    store.write(at, data);
-                }
-                Op::Discard { at, len } => {
-                    model[at as usize..(at + len) as usize].fill(0);
-                    store.discard(at, len);
-                }
-                Op::Read { at, len } => {
-                    let got = store.read(at, len as usize);
-                    prop_assert_eq!(
-                        &got[..],
-                        &model[at as usize..(at + len) as usize],
-                        "read({}, {})", at, len
-                    );
-                }
-                Op::Crc { at, len } => {
-                    let want = crc32c(&model[at as usize..(at + len) as usize]);
-                    prop_assert_eq!(store.crc_of_range(at, len), want, "crc({}, {})", at, len);
-                }
-                Op::Verify { at, len } => check_verify(&mut store, &model, at, len)?,
-            }
-        }
-        // Full-space sweep: contents and CRC agree after the whole history,
-        // and the caches cannot have gone stale.
-        let got = store.read(0, SPACE as usize);
-        prop_assert_eq!(&got[..], &model[..]);
-        prop_assert_eq!(store.crc_of_range(0, SPACE), crc32c(&model));
-        prop_assert_eq!(store.crc_of_range(0, SPACE), crc32c(&model)); // cached pass
-        check_verify(&mut store, &model, 0, SPACE)?;
-        check_verify(&mut store, &model, 100, SPACE - 100)?;
+        run_tape(&ops)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn appended_store_matches_flat_model(
+        ops in prop::collection::vec(append_heavy_strategy(), 200..800)
+    ) {
+        run_tape(&ops)?;
     }
 }
 

@@ -230,13 +230,11 @@ const WARM_UPDATES: u64 = 64;
 ///
 /// * 2 — the record's vector goes from 17 records to 81 and crosses
 ///   capacities 32 and 64;
-/// * 9 — the SCM heap's extent map, a std `BTreeMap` holding the 19 records
-///   written before, takes the 64 new extents as appends. A leaf holds 11
-///   entries and an append into a full one splits it 6 | 5, so a new leaf
-///   comes every 7 appends: at entries 26, 33, …, 82. The root, a leaf
-///   until entry 12, gains a child per split and is not full before the
-///   12th (entry 89): no internal node.
+/// * 2 — the SCM heap's extent index, one vector holding the 19 records
+///   written before, takes the 64 new extents as appends at its tail: it
+///   goes to 83 entries and doubles its capacity twice, crossing 32 and
+///   64.
 ///
 /// The parent of this accounting allocated two more per update: the chunk
 /// table's `Arc` and the seeded CRC table's `Box`.
-const UPDATE_INDEX_GROWTH: u64 = 2 + 9;
+const UPDATE_INDEX_GROWTH: u64 = 2 + 2;

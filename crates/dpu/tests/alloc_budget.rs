@@ -51,13 +51,10 @@ const UPDATE_ALLOCS: u64 = 360;
 ///
 /// * 1 — its record vector goes from 65 records to 129 and crosses
 ///   capacity 128;
-/// * 9 — the SCM heap's extent map, a std `BTreeMap`, takes the 64 new
-///   extents as appends. A leaf holds 11 entries and an append into a full
-///   one splits it 6 | 5, so a new leaf comes every 7 appends: at entries
-///   68, 75, …, 124;
-/// * 2 — the split at entry 89 is the root's 12th child and splits the
-///   full root in turn: a sibling and a new root.
-const STEADY_UPDATE_ALLOCS: u64 = 1 + 9 + 2;
+/// * 1 — the SCM heap's extent index, one vector, takes the 64 new
+///   extents as appends at its tail: from 65 entries to 129, crossing
+///   capacity 128.
+const STEADY_UPDATE_ALLOCS: u64 = 1 + 1;
 
 /// Ops in the measured region.
 const OPS: u64 = 64;

@@ -10,8 +10,10 @@
 //! at all — a cache hit included, which only re-links its slab node in the
 //! read cache's recency list. A write may allocate only as the state it
 //! leaves behind grows: the VOS record vectors and the media store's
-//! extent map. Each count is pinned exactly; [`WRITE_ALLOCS`] and
-//! [`LARGE_WRITE_ALLOCS`] say how it follows from those structures.
+//! extent index. Each count is pinned exactly; [`WRITE_ALLOCS`] and
+//! [`LARGE_WRITE_ALLOCS`] say how it follows from those structures. The
+//! media writes of the measured passes all land at their index's tail:
+//! [`EXTENTS_SHIFTED`] pins the entries they move.
 //!
 //! Every measured pass starts from `reset_timing`: the booking books keep
 //! 500 ms of simulated history, so through a short run they grow with
@@ -64,16 +66,16 @@ const REGION: u64 = 4 << 20;
 /// * 4 — each 1 MiB chunk's record vector goes from 17 records (the
 ///   preconditioned extent and 16 warm-up writes) to 33 and crosses
 ///   capacity 32 once;
-/// * 9 — the SCM heap's extent map, a std `BTreeMap`, takes the 64 new
-///   extents as appends (the heap places them at rising addresses). A
-///   leaf holds 11 entries and an append into a full one splits it 6 | 5,
-///   so a new leaf comes every 7 appends: ⌊64 / 7⌋;
-/// * 2 — one of those leaf splits is the root's 12th child, which splits
-///   the full root in turn: a sibling and a new root.
+/// * 1 — the SCM heap's extent index, one vector, takes the 64 new
+///   extents as appends (the heap places them at rising addresses) and
+///   doubles its capacity once. On the engine that also holds the
+///   namespace's 6 metadata extents it goes from 70 entries to 134 and
+///   crosses 128; on a replica of the file alone, from 64 to 128, and the
+///   128th entry crosses 64.
 ///
 /// A replica set of two doubles it, as the file is one object and every
 /// chunk of it lives on the same two engines.
-const WRITE_ALLOCS: u64 = 4 + 9 + 2;
+const WRITE_ALLOCS: u64 = 4 + 1;
 
 /// One pass of [`SMALL`] cache hits: each one moves its entry's slab
 /// node to the back of the `DetLru` recency list — an unlink and a
@@ -88,15 +90,20 @@ const CACHED_READ_ALLOCS: u64 = 0;
 /// * 4 — each chunk's record vector goes from 3 records (the
 ///   preconditioned extent and 2 warm-up writes) to 5 and crosses
 ///   capacity 4 once;
-/// * 1, `Stored` drives only — the backing's extent map, a std `BTreeMap`,
-///   takes the 8 new extents as appends (the target allocates LBAs
-///   upwards). The 4 preconditioned and 8 warm-up extents split its root
-///   leaf at the 12th into 6 | 5 (the warm-up's allocations); after that
-///   a new leaf comes every 7 appends, and the 19th is in this pass.
+/// * 1, `Stored` drives only — the backing's extent index takes the 8
+///   new extents as appends (the target allocates LBAs upwards): from the
+///   4 preconditioned and 8 warm-up extents to 20, crossing capacity 16.
 ///   `Null` drives keep no extents.
 ///
 /// A replica set of two doubles it, as for [`WRITE_ALLOCS`].
 const LARGE_WRITE_ALLOCS: [(DataMode, u64); 2] = [(DataMode::Stored, 4 + 1), (DataMode::Null, 4)];
+
+/// Extent-index entries the measured read and write passes move, over
+/// every store of the world (NIC memory, the SCM heaps, the NVMe
+/// backings): none. A read inserts nothing; a write's media extent is an
+/// append at the heap's frontier or the NVMe allocator's, and the NIC
+/// buffers it travels through are overwritten in place, extent for extent.
+const EXTENTS_SHIFTED: u64 = 0;
 
 /// Issues the ops of `shape` from t = 0, each when the previous one
 /// completed; returns the allocations made.
@@ -115,16 +122,25 @@ fn pass(w: &mut DfsFioWorld, write: bool, shape: Pass) -> u64 {
     allocation_count() - before
 }
 
-/// `(reads, writes)`: the allocations of a read pass and of a write pass
-/// of `shape` after a warm-up of one write pass and one read pass.
-fn steady_state(spec: WorldSpec, shape: Pass) -> (u64, u64) {
+/// The extent-index entries every store of `w` has moved so far.
+fn extents_shifted(w: &DfsFioWorld) -> u64 {
+    let mut dp = w.fabric.data_plane_stats();
+    dp.merge(w.cluster.data_plane_stats());
+    dp.extents_shifted
+}
+
+/// `(reads, writes, shifted)`: the allocations of a read pass and of a
+/// write pass of `shape` after a warm-up of one write pass and one read
+/// pass, and the extent-index entries the two passes moved.
+fn steady_state(spec: WorldSpec, shape: Pass) -> (u64, u64, u64) {
     let mut w = spec.build_dfs();
     w.set_pipelined(true);
     pass(&mut w, true, shape);
     pass(&mut w, false, shape);
+    let shifted = extents_shifted(&w);
     let reads = pass(&mut w, false, shape);
     let writes = pass(&mut w, true, shape);
-    (reads, writes)
+    (reads, writes, extents_shifted(&w) - shifted)
 }
 
 fn offloaded() -> WorldSpec {
@@ -134,28 +150,40 @@ fn offloaded() -> WorldSpec {
 #[test]
 fn a_warm_op_allocates_only_for_the_state_it_leaves_behind() {
     let host = steady_state(WorldSpec::single(ClientPlacement::Host), SMALL);
-    assert_eq!(host, (0, WRITE_ALLOCS), "host client, one engine");
+    assert_eq!(
+        host,
+        (0, WRITE_ALLOCS, EXTENTS_SHIFTED),
+        "host client, one engine"
+    );
     let cluster = steady_state(WorldSpec::cluster(4).replication(2), SMALL);
-    assert_eq!(cluster, (0, 2 * WRITE_ALLOCS), "host client, RF-2 cluster");
+    assert_eq!(
+        cluster,
+        (0, 2 * WRITE_ALLOCS, EXTENTS_SHIFTED),
+        "host client, RF-2 cluster"
+    );
     let dpu = steady_state(offloaded(), SMALL);
-    assert_eq!(dpu, (0, WRITE_ALLOCS), "offloaded client, cache off");
+    assert_eq!(
+        dpu,
+        (0, WRITE_ALLOCS, EXTENTS_SHIFTED),
+        "offloaded client, cache off"
+    );
     let cached = steady_state(offloaded().dpu_cache(64 << 20), SMALL);
     assert_eq!(
         cached,
-        (CACHED_READ_ALLOCS, WRITE_ALLOCS),
+        (CACHED_READ_ALLOCS, WRITE_ALLOCS, EXTENTS_SHIFTED),
         "offloaded client, cache on"
     );
     for (mode, writes) in LARGE_WRITE_ALLOCS {
         let host = steady_state(WorldSpec::single(ClientPlacement::Host).mode(mode), LARGE);
         assert_eq!(
             host,
-            (0, writes),
+            (0, writes, EXTENTS_SHIFTED),
             "1 MiB, host client, one engine, {mode:?}"
         );
         let cluster = steady_state(WorldSpec::cluster(4).replication(2).mode(mode), LARGE);
         assert_eq!(
             cluster,
-            (0, 2 * writes),
+            (0, 2 * writes, EXTENTS_SHIFTED),
             "1 MiB, host client, RF-2 cluster, {mode:?}"
         );
     }
