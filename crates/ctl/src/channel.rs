@@ -65,7 +65,7 @@ impl ControlModel {
 }
 
 /// Errors the channel itself can produce (before the application handler).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ControlError {
     /// A non-Hello call arrived on an unauthenticated session.
     NotAuthenticated,

@@ -36,7 +36,7 @@
 use bytes::Bytes;
 use ros2_buf::zero_bytes;
 use ros2_ctl::IoPatch;
-use ros2_fabric::{ConnId, Delivery, Dir, Fabric, FabricError, SendCores};
+use ros2_fabric::{ConnId, Delivery, Dir, Fabric, SendCores};
 use ros2_hw::{CoreClass, NicModel, Transport};
 use ros2_sim::{ResourceStats, ServerPool, SimDuration, SimTime};
 use ros2_verbs::{AccessFlags, Expiry, MemAddr, MemoryDomain, MrId, NodeId, PdId, RKey};
@@ -62,10 +62,6 @@ fn rpc_desc() -> Bytes {
 /// The zeroed completion message (same shared pool).
 fn rpc_done() -> Bytes {
     zero_bytes(RPC_DONE)
-}
-
-fn map_fabric(e: FabricError) -> DaosError {
-    DaosError::Transport(format!("{e:?}"))
 }
 
 struct ClientJob {
@@ -255,7 +251,10 @@ impl DaosClient {
         expiry: Expiry,
     ) -> Result<Self, DaosError> {
         if servers.is_empty() {
-            return Err(DaosError::Transport("no storage nodes".into()));
+            return Err(DaosError::NotConnected {
+                conns: 0,
+                engines: 0,
+            });
         }
         let class = fabric.node(node).class();
         let transport = fabric.transport();
@@ -271,29 +270,25 @@ impl DaosClient {
                 root_conns = servers
                     .iter()
                     .zip(&server_pds)
-                    .map(|(&server, &server_pd)| {
-                        fabric
-                            .connect(node, server, pd, server_pd)
-                            .map_err(map_fabric)
-                    })
+                    .map(|(&server, &server_pd)| Ok(fabric.connect(node, server, pd, server_pd)?))
                     .collect::<Result<Vec<ConnId>, DaosError>>()?;
                 root_conns.clone()
             } else {
                 root_conns
                     .iter()
-                    .map(|&root| fabric.open_subchannel(root).map_err(map_fabric))
+                    .map(|&root| Ok(fabric.open_subchannel(root)?))
                     .collect::<Result<Vec<ConnId>, DaosError>>()?
             };
-            let buf = fabric
-                .rdma_mut(node)
-                .alloc_buffer(buf_len, domain)
-                .map_err(|e| DaosError::Transport(format!("{e:?}")))?;
+            let buf = fabric.rdma_mut(node).alloc_buffer(buf_len, domain)?;
             let (mr, rkey) = match transport {
                 Transport::Rdma => {
-                    let (mr, rkey, _) = fabric
-                        .rdma_mut(node)
-                        .reg_mr(pd, buf, buf_len, AccessFlags::remote_rw(), expiry)
-                        .map_err(|e| DaosError::Transport(format!("{e:?}")))?;
+                    let (mr, rkey, _) = fabric.rdma_mut(node).reg_mr(
+                        pd,
+                        buf,
+                        buf_len,
+                        AccessFlags::remote_rw(),
+                        expiry,
+                    )?;
                     (Some(mr), Some(rkey))
                 }
                 Transport::Tcp => (None, None),
@@ -524,10 +519,7 @@ impl DaosClient {
             return Ok(mr);
         }
         let dev = fabric.rdma_mut(self.node);
-        let verbs = |e| DaosError::Transport(format!("template region: {e:?}"));
-        let at = dev
-            .alloc_buffer(REGION_LEN, MemoryDomain::DpuDram)
-            .map_err(verbs)?;
+        let at = dev.alloc_buffer(REGION_LEN, MemoryDomain::DpuDram)?;
         let access = AccessFlags::local_only();
         match dev.reg_mr(self.pd, at, REGION_LEN, access, Expiry::Never) {
             Ok((mr, _, _)) => {
@@ -536,7 +528,7 @@ impl DaosClient {
             }
             Err(e) => {
                 let _ = dev.free_buffer(at);
-                Err(verbs(e))
+                Err(e.into())
             }
         }
     }
@@ -686,15 +678,15 @@ impl DaosClient {
         }
         let (buf, buf_len) = (self.jobs[job].buf, self.jobs[job].buf_len);
         if let Some(mr) = self.jobs[job].mr.take() {
-            fabric
-                .rdma_mut(self.node)
-                .dereg_mr(mr)
-                .map_err(|e| DaosError::Transport(format!("{e:?}")))?;
+            fabric.rdma_mut(self.node).dereg_mr(mr)?;
         }
-        let (mr, rkey, _) = fabric
-            .rdma_mut(self.node)
-            .reg_mr(self.pd, buf, buf_len, AccessFlags::remote_rw(), expiry)
-            .map_err(|e| DaosError::Transport(format!("{e:?}")))?;
+        let (mr, rkey, _) = fabric.rdma_mut(self.node).reg_mr(
+            self.pd,
+            buf,
+            buf_len,
+            AccessFlags::remote_rw(),
+            expiry,
+        )?;
         self.jobs[job].mr = Some(mr);
         self.jobs[job].rkey = Some(rkey);
         Ok(())
@@ -706,10 +698,10 @@ impl DaosClient {
     pub(crate) fn check_cluster(&self, cluster: &EngineCluster) -> Result<(), DaosError> {
         let conns = self.jobs.first().map_or(0, |j| j.conns.len());
         if conns < cluster.len() {
-            return Err(DaosError::Transport(format!(
-                "client connected to {conns} engines but the pool has {}",
-                cluster.len()
-            )));
+            return Err(DaosError::NotConnected {
+                conns,
+                engines: cluster.len(),
+            });
         }
         Ok(())
     }
@@ -759,9 +751,13 @@ impl DaosClient {
         (base.mul_f64(1.0 - frac), completion)
     }
 
-    /// Staging-buffer capacity of `job`.
-    pub(crate) fn job_buf_len(&self, job: usize) -> u64 {
-        self.jobs[job].buf_len
+    /// Whether an op moving `len` bytes fits `job`'s staging buffer.
+    pub(crate) fn check_staging(&self, job: usize, len: u64) -> Result<(), DaosError> {
+        let cap = self.jobs[job].buf_len;
+        match len > cap {
+            true => Err(DaosError::StagingOverflow { len, cap }),
+            false => Ok(()),
+        }
     }
 
     /// Counts `n` data-plane ops (the ring submits account here so
@@ -797,7 +793,7 @@ impl DaosClient {
         conn: ConnId,
         template: Option<&Bytes>,
     ) -> Result<Delivery, DaosError> {
-        match template {
+        let sent = match template {
             None => fabric.send(t, conn, Dir::AtoB, rpc_desc()),
             Some(template) => {
                 let patch = RPC_DESC as u64 - TEMPLATE_LEN;
@@ -810,8 +806,8 @@ impl DaosClient {
                     SendCores::NicPosted,
                 )
             }
-        }
-        .map_err(map_fabric)
+        };
+        Ok(sent?)
     }
 
     /// [`Self::stage_update`] from the instant `t_cpu` at which the
@@ -837,35 +833,30 @@ impl DaosClient {
                 // pulls.
                 fabric
                     .rdma_mut(self.node)
-                    .write_local_bytes(self.jobs[job].buf, &data)
-                    .map_err(|e| DaosError::Transport(format!("{e:?}")))?;
+                    .write_local_bytes(self.jobs[job].buf, &data)?;
                 let desc = self.send_descriptor(fabric, t_cpu, conn, template)?;
-                let pull = fabric
-                    .rdma_read(
-                        desc.at,
-                        conn,
-                        Dir::BtoA,
-                        self.jobs[job].rkey.expect("rdma job has rkey"),
-                        self.jobs[job].buf,
-                        len,
-                    )
-                    .map_err(map_fabric)?;
+                let pull = fabric.rdma_read(
+                    desc.at,
+                    conn,
+                    Dir::BtoA,
+                    self.jobs[job].rkey.expect("rdma job has rkey"),
+                    self.jobs[job].buf,
+                    len,
+                )?;
                 Ok((pull.at, pull.data.expect("pull returns data")))
             }
             Transport::Tcp => {
                 // Descriptor + inline payload in one stream write: the
                 // descriptor is framing, the payload travels as the
                 // caller's handle (the kernel copy is a modelled cost).
-                let d = fabric
-                    .send_framed(
-                        t_cpu,
-                        conn,
-                        Dir::AtoB,
-                        RPC_DESC as u64,
-                        data,
-                        SendCores::Both,
-                    )
-                    .map_err(map_fabric)?;
+                let d = fabric.send_framed(
+                    t_cpu,
+                    conn,
+                    Dir::AtoB,
+                    RPC_DESC as u64,
+                    data,
+                    SendCores::Both,
+                )?;
                 Ok((d.at, d.data.expect("tcp carries data")))
             }
         }
@@ -883,9 +874,7 @@ impl DaosClient {
         cores: SendCores,
     ) -> Result<SimTime, DaosError> {
         let conn = self.jobs[job].conns[eng];
-        let done = fabric
-            .send_framed(persisted, conn, Dir::BtoA, 0, rpc_done(), cores)
-            .map_err(map_fabric)?;
+        let done = fabric.send_framed(persisted, conn, Dir::BtoA, 0, rpc_done(), cores)?;
         Ok(done.at)
     }
 
@@ -933,29 +922,22 @@ impl DaosClient {
         let conn = self.jobs[job].conns[eng];
         match self.transport {
             Transport::Rdma => {
-                let push = fabric
-                    .rdma_write(
-                        ready,
-                        conn,
-                        Dir::BtoA,
-                        self.jobs[job].rkey.expect("rdma job has rkey"),
-                        self.jobs[job].buf,
-                        data,
-                    )
-                    .map_err(map_fabric)?;
-                let done = fabric
-                    .send_framed(push.at, conn, Dir::BtoA, 0, rpc_done(), cores)
-                    .map_err(map_fabric)?;
+                let push = fabric.rdma_write(
+                    ready,
+                    conn,
+                    Dir::BtoA,
+                    self.jobs[job].rkey.expect("rdma job has rkey"),
+                    self.jobs[job].buf,
+                    data,
+                )?;
+                let done = fabric.send_framed(push.at, conn, Dir::BtoA, 0, rpc_done(), cores)?;
                 let landed = fabric
                     .rdma_mut(self.node)
-                    .read_local(self.jobs[job].buf, len as usize)
-                    .map_err(|e| DaosError::Transport(format!("{e:?}")))?;
+                    .read_local(self.jobs[job].buf, len as usize)?;
                 Ok((landed, done.at))
             }
             Transport::Tcp => {
-                let d = fabric
-                    .send(ready, conn, Dir::BtoA, data)
-                    .map_err(map_fabric)?;
+                let d = fabric.send(ready, conn, Dir::BtoA, data)?;
                 Ok((d.data.expect("tcp carries data"), d.at))
             }
         }
@@ -980,12 +962,10 @@ impl DaosClient {
     ) -> Result<SimTime, DaosError> {
         self.ops += 1;
         self.check_cluster(cluster)?;
-        if data.len() as u64 > self.jobs[job].buf_len {
-            return Err(DaosError::Transport("staging buffer too small".into()));
-        }
+        self.check_staging(job, data.len() as u64)?;
         let set = cluster.route_update(&oid);
         if set.is_empty() {
-            return Err(DaosError::Transport("no healthy replica".into()));
+            return Err(DaosError::NoReplica);
         }
         let epoch = cluster.next_epoch(&self.cont)?;
         let mut done: Option<SimTime> = None;
@@ -1051,13 +1031,9 @@ impl DaosClient {
     ) -> Result<(Bytes, SimTime, FetchMeta), DaosError> {
         self.ops += 1;
         self.check_cluster(cluster)?;
-        if len > self.jobs[job].buf_len {
-            return Err(DaosError::Transport("staging buffer too small".into()));
-        }
+        self.check_staging(job, len)?;
         let (set, degraded) = cluster.route_fetch_meta(&oid);
-        let eng = set
-            .leader()
-            .ok_or_else(|| DaosError::Transport("no healthy replica".into()))?;
+        let eng = set.leader().ok_or(DaosError::NoReplica)?;
         let req_at = self.stage_fetch(fabric, now, job, eng)?;
         let (data, ready) = cluster
             .engine_mut(eng)
@@ -1078,8 +1054,8 @@ impl DaosClient {
 pub fn whole_batch_error(ops: &[ClientOp], e: DaosError) -> Vec<ClientOpResult> {
     ops.iter()
         .map(|op| match op {
-            ClientOp::Update { .. } => ClientOpResult::Update(Err(e.clone())),
-            ClientOp::Fetch { .. } => ClientOpResult::Fetch(Err(e.clone())),
+            ClientOp::Update { .. } => ClientOpResult::Update(Err(e)),
+            ClientOp::Fetch { .. } => ClientOpResult::Fetch(Err(e)),
         })
         .collect()
 }
@@ -1572,7 +1548,7 @@ mod tests {
                 Bytes::from(vec![0u8; 8 << 20]),
             )
             .unwrap_err();
-        assert!(matches!(err, DaosError::Transport(_)));
+        assert!(matches!(err, DaosError::StagingOverflow { .. }));
     }
 
     #[test]

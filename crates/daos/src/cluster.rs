@@ -45,7 +45,7 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 use ros2_ctl::ControlRequest;
-use ros2_fabric::{ConnId, Dir, Fabric, FabricError};
+use ros2_fabric::{ConnId, Dir, Fabric};
 use ros2_sim::{QosLane, QosLimits, SimDuration, SimTime};
 use ros2_verbs::{NodeId, PdId};
 
@@ -621,10 +621,6 @@ pub struct EngineCluster {
     conn_pool: Option<ConnPool>,
 }
 
-fn map_fabric(e: FabricError) -> DaosError {
-    DaosError::Transport(format!("rebuild stream: {e:?}"))
-}
-
 impl EngineCluster {
     /// Assembles a cluster of `engines` (parallel to `nodes`) replicating
     /// each object across `replication_factor` members.
@@ -938,9 +934,7 @@ impl EngineCluster {
     /// time — a second kill before rebuild is rejected.
     pub fn kill_engine(&mut self, slot: usize) -> Result<u64, DaosError> {
         if self.pending_dead.is_some() {
-            return Err(DaosError::Transport(
-                "a rebuild is already pending; rebuild before the next kill".into(),
-            ));
+            return Err(DaosError::RebuildPending);
         }
         let version = self.map.kill(slot)?;
         self.pending_dead = Some(slot);
@@ -1001,7 +995,7 @@ impl EngineCluster {
             .rebuild_pds
             .entry(b.0)
             .or_insert_with(|| fabric.rdma_mut(b).alloc_pd("rebuild"));
-        let conn = fabric.connect(a, b, pa, pb).map_err(map_fabric)?;
+        let conn = fabric.connect(a, b, pa, pb)?;
         self.rebuild_conns.insert((src, dst), conn);
         Ok(conn)
     }
@@ -1096,9 +1090,7 @@ impl EngineCluster {
         for rec in records {
             t = lane.admit(t, rec.data.len() as u64);
             if !rec.data.is_empty() {
-                let d = fabric
-                    .send(t, conn, Dir::AtoB, rec.data.clone())
-                    .map_err(map_fabric)?;
+                let d = fabric.send(t, conn, Dir::AtoB, rec.data.clone())?;
                 t = d.at;
             }
             bytes += rec.data.len() as u64;

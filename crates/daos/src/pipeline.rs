@@ -507,8 +507,6 @@ impl OpRing {
             degraded,
             stamp,
         } = routing;
-        let too_big = || DaosError::Transport("staging buffer too small".into());
-        let no_replica = || DaosError::Transport("no healthy replica".into());
         let (posted, completion, body) = match op {
             ClientOp::Update {
                 oid,
@@ -517,11 +515,9 @@ impl OpRing {
                 kind,
                 data,
             } => {
-                if data.len() as u64 > client.job_buf_len(self.job) {
-                    return Err(too_big());
-                }
+                client.check_staging(self.job, data.len() as u64)?;
                 if set.is_empty() {
-                    return Err(no_replica());
+                    return Err(DaosError::NoReplica);
                 }
                 let epoch = cluster.next_epoch(client.container())?;
                 let mut legs = self.store.spare_legs.pop().unwrap_or_default();
@@ -566,15 +562,13 @@ impl OpRing {
                 epoch,
                 len,
             } => {
-                if len > client.job_buf_len(self.job) {
-                    return Err(too_big());
-                }
+                client.check_staging(self.job, len)?;
                 // The cluster still observes a degraded read, whichever
                 // view of the map the route came from.
                 if degraded {
                     cluster.note_degraded_fetch();
                 }
-                let eng = set.leader().ok_or_else(no_replica)?;
+                let eng = set.leader().ok_or(DaosError::NoReplica)?;
                 let (posted, completion) = post(client);
                 let req_at = client.stage_fetch_from(fabric, posted, self.job, eng, template)?;
                 if template.is_none() {
@@ -720,7 +714,7 @@ impl OpRing {
                         let chain = op.chain_hop.filter(|_| on_time).map(|hop| (by, hop));
                         Ok(d + self.charge_completion(op.slot, op.completion, chain))
                     }
-                    (None, None) => Err(DaosError::Transport("no healthy replica".into())),
+                    (None, None) => Err(DaosError::NoReplica),
                 });
                 self.store.trail[op.slot].fill_ok &=
                     matches!(result, ClientOpResult::Update(Ok(_)));
@@ -814,9 +808,8 @@ impl OpRing {
                     attempt += 1;
                     if attempt > policy.budget {
                         client.retry.exhausted += 1;
-                        break ClientOpResult::Fetch(Err(DaosError::Transport(format!(
-                            "retry budget exhausted after {attempt} attempts"
-                        ))));
+                        let exhausted = DaosError::RetryExhausted { attempts: attempt };
+                        break ClientOpResult::Fetch(Err(exhausted));
                     }
                     client.refresh_map(cluster);
                     client.retry.backoff_waits += 1;
@@ -825,9 +818,7 @@ impl OpRing {
                     // Prefer a *different* replica than the one that just
                     // failed (a degraded read when the route is short).
                     let Some(next) = set.iter().find(|&s| s != eng).or_else(|| set.leader()) else {
-                        break ClientOpResult::Fetch(Err(DaosError::Transport(
-                            "no healthy replica".into(),
-                        )));
+                        break ClientOpResult::Fetch(Err(DaosError::NoReplica));
                     };
                     stamp = client.cached_map().version();
                     let (t_cpu, _) = client.client_cpu_split(t_retry, job);
@@ -933,9 +924,7 @@ impl OpRing {
             attempt += 1;
             if attempt > policy.budget {
                 client.retry.exhausted += 1;
-                return Err(DaosError::Transport(format!(
-                    "retry budget exhausted after {attempt} attempts"
-                )));
+                return Err(DaosError::RetryExhausted { attempts: attempt });
             }
             client.refresh_map(cluster);
             // If the refreshed map no longer places the object on this

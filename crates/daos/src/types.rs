@@ -2,8 +2,12 @@
 //! and attribute keys, epochs, and the engine cost model.
 
 use bytes::Bytes;
-use ros2_ctl::{WireError, WireReader, WireWriter};
+use ros2_ctl::{ControlError, WireError, WireReader, WireWriter};
+use ros2_fabric::FabricError;
+use ros2_nvme::NvmeError;
+use ros2_pmem::PmemError;
 use ros2_sim::SimDuration;
+use ros2_verbs::VerbsError;
 
 /// A 128-bit DAOS object identifier. The high word carries the object
 /// class; the low word is caller-assigned (DFS stores inode numbers there).
@@ -309,23 +313,22 @@ impl DaosCostModel {
     }
 }
 
-/// DAOS-layer errors.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// DAOS-layer errors, the model's `DER_*` codes: each cause is a value,
+/// never a message. A lower layer's error is carried as itself through
+/// its `From` impl below, so callers and tests match variants.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum DaosError {
-    /// Unknown pool/container/object handle.
+    /// Unknown pool/container/object handle, or a tenant the DPU lacks.
     NoSuchEntity,
     /// Fetch of a range that was never written.
     NotFound,
-    /// Stored checksum did not match the data (media corruption detected).
+    /// Stored checksum did not match the data (media corruption detected,
+    /// or a chain's CRC32C check rejected the bytes that landed).
     ChecksumMismatch,
     /// The SCM tier is out of space.
     ScmFull,
     /// The NVMe tier is out of space.
     NvmeFull,
-    /// Underlying device error.
-    Media(String),
-    /// Fabric/transport error.
-    Transport(String),
     /// The request carried a stale pool-map revision — or was addressed to
     /// a slot the current map no longer places the object on — and the
     /// engine *fenced* it instead of serving a possibly-misrouted op.
@@ -335,6 +338,78 @@ pub enum DaosError {
         /// The fencing engine's current pool-map revision.
         current: u64,
     },
+    /// The fabric refused a connection or an op (verbs rejections: `Verbs`).
+    Fabric(FabricError),
+    /// The verbs layer rejected an access, a registration or a chain.
+    Verbs(VerbsError),
+    /// The host↔DPU control channel failed (`Timeout`: a wedged lane).
+    Control(ControlError),
+    /// The SCM pool refused an access.
+    Pmem(PmemError),
+    /// The NVMe device rejected a command.
+    Nvme(NvmeError),
+    /// An I/O larger than the job's registered staging buffer.
+    StagingOverflow {
+        /// Bytes the op moves.
+        len: u64,
+        /// The staging buffer's size.
+        cap: u64,
+    },
+    /// No replica of the object is placed on a healthy engine.
+    NoReplica,
+    /// The client holds fewer connections than the pool has engines.
+    NotConnected {
+        /// Connections the client holds.
+        conns: usize,
+        /// Engines in the pool.
+        engines: usize,
+    },
+    /// A fetch or an update leg spent its retry-ladder budget.
+    RetryExhausted {
+        /// Attempts made: the budget plus the first try.
+        attempts: u32,
+    },
+    /// A second engine kill before the pending rebuild ran.
+    RebuildPending,
+}
+
+impl From<FabricError> for DaosError {
+    fn from(e: FabricError) -> Self {
+        match e {
+            FabricError::Verbs(v) => v.into(),
+            e => DaosError::Fabric(e),
+        }
+    }
+}
+
+impl From<VerbsError> for DaosError {
+    fn from(e: VerbsError) -> Self {
+        match e {
+            VerbsError::CrcMismatch => DaosError::ChecksumMismatch,
+            e => DaosError::Verbs(e),
+        }
+    }
+}
+
+impl From<ControlError> for DaosError {
+    fn from(e: ControlError) -> Self {
+        DaosError::Control(e)
+    }
+}
+
+impl From<PmemError> for DaosError {
+    fn from(e: PmemError) -> Self {
+        match e {
+            PmemError::OutOfSpace => DaosError::ScmFull,
+            e => DaosError::Pmem(e),
+        }
+    }
+}
+
+impl From<NvmeError> for DaosError {
+    fn from(e: NvmeError) -> Self {
+        DaosError::Nvme(e)
+    }
 }
 
 #[cfg(test)]
@@ -423,5 +498,27 @@ mod tests {
         assert!(m.client_per_op > m.server_per_rpc);
         assert_eq!(m.scm_threshold, 4096);
         assert!(m.client_completion_frac > 0.0 && m.client_completion_frac < 1.0);
+    }
+
+    #[test]
+    fn lower_layer_errors_convert_by_one_rule() {
+        let v = VerbsError::RkeyRevoked;
+        assert_eq!(DaosError::from(FabricError::Verbs(v)), DaosError::Verbs(v));
+        assert_eq!(DaosError::from(v), DaosError::Verbs(v));
+        assert_eq!(
+            DaosError::from(FabricError::NotRdma),
+            DaosError::Fabric(FabricError::NotRdma)
+        );
+        let crc = VerbsError::CrcMismatch;
+        assert_eq!(DaosError::from(crc), DaosError::ChecksumMismatch);
+        assert_eq!(
+            DaosError::from(FabricError::Verbs(crc)),
+            DaosError::ChecksumMismatch
+        );
+        assert_eq!(DaosError::from(PmemError::OutOfSpace), DaosError::ScmFull);
+        assert_eq!(
+            DaosError::from(PmemError::BadAddress),
+            DaosError::Pmem(PmemError::BadAddress)
+        );
     }
 }

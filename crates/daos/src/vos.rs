@@ -472,13 +472,8 @@ impl VosTarget {
         data: &Bytes,
     ) -> Result<(Location, Bytes, SimTime), DaosError> {
         if data.len() as u64 <= self.scm_threshold {
-            let oid = self
-                .scm
-                .alloc(data.len().max(1) as u64)
-                .map_err(|_| DaosError::ScmFull)?;
-            self.scm
-                .write_bytes(oid, 0, data)
-                .map_err(|e| DaosError::Media(format!("{e:?}")))?;
+            let oid = self.scm.alloc(data.len().max(1) as u64)?;
+            self.scm.write_bytes(oid, 0, data)?;
             let done = self.scm.timed_write(now, data.len() as u64);
             self.stats.scm_records += 1;
             Ok((Location::Scm(oid), data.clone(), done))
@@ -494,9 +489,7 @@ impl VosTarget {
                 b.resize((nlb as usize) * LBA_SIZE as usize, 0);
                 b.freeze()
             };
-            let done = media
-                .write(now, slba, padded.clone())
-                .map_err(|e| DaosError::Media(format!("{e:?}")))?;
+            let done = media.write(now, slba, padded.clone())?;
             self.stats.nvme_records += 1;
             Ok((Location::Nvme { slba, nlb }, padded, done.at))
         }
@@ -534,10 +527,7 @@ impl VosTarget {
         let len = (c1 * CSUM_CHUNK).min(rec.stored_len) - at;
         let expected = recorded.iter().map(|c| c.0);
         match &rec.location {
-            Location::Scm(oid) => self
-                .scm
-                .verify_chunks(*oid, at, len, expected)
-                .map_err(|e| DaosError::Media(format!("{e:?}"))),
+            Location::Scm(oid) => Ok(self.scm.verify_chunks(*oid, at, len, expected)?),
             Location::Nvme { slba, .. } => {
                 Ok(media.verify_chunks(slba * LBA_SIZE + at, len, expected))
             }
@@ -563,19 +553,14 @@ impl VosTarget {
         let win_hi = (c1 * CSUM_CHUNK).min(rec.stored_len);
         let (stored, done) = match &rec.location {
             Location::Scm(oid) => {
-                let data = self
-                    .scm
-                    .read(*oid, win_lo, (win_hi - win_lo) as usize)
-                    .map_err(|e| DaosError::Media(format!("{e:?}")))?;
+                let data = self.scm.read(*oid, win_lo, (win_hi - win_lo) as usize)?;
                 (data, self.scm.timed_read(now, win_hi - win_lo))
             }
             Location::Nvme { slba, .. } => {
                 // CSUM_CHUNK == LBA_SIZE, so chunk windows are LBA-aligned.
                 let lba0 = slba + win_lo / LBA_SIZE;
                 let nlb = ((win_hi - win_lo).div_ceil(LBA_SIZE)) as u32;
-                let c = media
-                    .read(now, lba0, nlb)
-                    .map_err(|e| DaosError::Media(format!("{e:?}")))?;
+                let c = media.read(now, lba0, nlb)?;
                 let data = c.data.expect("bdev read returns data");
                 (data.slice(0..(win_hi - win_lo) as usize), c.at)
             }
@@ -599,16 +584,11 @@ impl VosTarget {
         let len = rec.len;
         match rec.location {
             Location::Scm(oid) => {
-                let data = self
-                    .scm
-                    .read(oid, 0, len as usize)
-                    .map_err(|e| DaosError::Media(format!("{e:?}")))?;
+                let data = self.scm.read(oid, 0, len as usize)?;
                 Ok((data, self.scm.timed_read(now, len)))
             }
             Location::Nvme { slba, nlb } => {
-                let c = media
-                    .read(now, slba, nlb)
-                    .map_err(|e| DaosError::Media(format!("{e:?}")))?;
+                let c = media.read(now, slba, nlb)?;
                 let data = c.data.expect("bdev read returns data");
                 Ok((data.slice(0..len as usize), c.at))
             }

@@ -140,7 +140,7 @@ fn op_for(i: usize) -> ClientOp {
     }
 }
 
-type Timed = (usize, Option<Bytes>, Option<SimTime>, Option<String>);
+type Timed = (usize, Option<Bytes>, Option<SimTime>, Option<DaosError>);
 
 /// Runs `sched` once. Returns the per-op functional+timed outcomes, the
 /// ladder counters, and the total engine fences — everything the replay
@@ -224,11 +224,9 @@ fn run(sched: &Schedule, serial_calls: bool) -> (Vec<Timed>, RetryStats, u64) {
             }
             // A clean typed failure is allowed only as a spent budget —
             // never a hang, never a wrong answer.
-            ClientOpResult::Update(Err(DaosError::Transport(m)))
-            | ClientOpResult::Fetch(Err(DaosError::Transport(m)))
-                if m.contains("retry budget exhausted") =>
-            {
-                (i, None, None, Some(m))
+            ClientOpResult::Update(Err(e @ DaosError::RetryExhausted { .. }))
+            | ClientOpResult::Fetch(Err(e @ DaosError::RetryExhausted { .. })) => {
+                (i, None, None, Some(e))
             }
             other => panic!("op {i} failed outside the ladder contract: {other:?}"),
         };

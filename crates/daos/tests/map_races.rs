@@ -301,16 +301,13 @@ fn blackholed_engine_exhausts_the_budget_and_fails_cleanly() {
         ring.submit(&mut c, &mut f, &mut cl, t0, fetch_op(oid, i));
     }
     let results = ring.drain(&mut c, &mut f, &mut cl);
-    let budget = c.retry_policy().budget as u64;
+    let budget = c.retry_policy().budget;
     let mut failed = 0u64;
     for r in results {
         match r {
             ClientOpResult::Fetch(Ok(_)) => {}
-            ClientOpResult::Fetch(Err(DaosError::Transport(msg))) => {
-                assert!(
-                    msg.contains("retry budget exhausted"),
-                    "clean typed failure expected, got {msg}"
-                );
+            ClientOpResult::Fetch(Err(DaosError::RetryExhausted { attempts })) => {
+                assert_eq!(attempts, budget + 1, "the first try and every rung");
                 failed += 1;
             }
             other => panic!("unexpected outcome {other:?}"),
@@ -320,7 +317,7 @@ fn blackholed_engine_exhausts_the_budget_and_fails_cleanly() {
     let retry = c.retry_stats();
     assert_eq!(retry.exhausted, failed, "every failure is a spent budget");
     assert!(
-        retry.timeouts >= failed * (budget + 1),
+        retry.timeouts >= failed * (budget as u64 + 1),
         "each attempt burned a deadline: {retry:?}"
     );
     // The hole heals: the same fetch now succeeds (the client object is

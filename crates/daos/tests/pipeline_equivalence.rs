@@ -159,9 +159,9 @@ type Outcome = Result<Option<Bytes>, ros2_daos::DaosError>;
 fn functional(r: &ClientOpResult) -> Outcome {
     match r {
         ClientOpResult::Update(Ok(_)) => Ok(None),
-        ClientOpResult::Update(Err(e)) => Err(e.clone()),
+        ClientOpResult::Update(Err(e)) => Err(*e),
         ClientOpResult::Fetch(Ok((b, _))) => Ok(Some(b.clone())),
-        ClientOpResult::Fetch(Err(e)) => Err(e.clone()),
+        ClientOpResult::Fetch(Err(e)) => Err(*e),
     }
 }
 

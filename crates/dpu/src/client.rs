@@ -60,7 +60,7 @@
 //! `ResourceStats` and `DataPlaneStats` in the benchmark reports.
 
 use bytes::Bytes;
-use ros2_ctl::{ControlChannel, ControlError, ControlModel, ControlRequest, ControlResponse};
+use ros2_ctl::{ControlChannel, ControlModel, ControlRequest, ControlResponse};
 use ros2_daos::{
     whole_batch_error, ClientOp, ClientOpResult, DaosClient, DaosCostModel, DaosError,
     EngineCluster, Epoch, MapSnapshot, ObjectClient, ObjectId, OpRing, RetryPolicy, RetryStats,
@@ -554,7 +554,7 @@ impl DpuClient {
         self.stats.host_submits += 1;
         let session = self.lanes[lane].session;
         let (at, res) = self.io.post(now, session, frame);
-        res.map_err(map_control)?;
+        res?;
         self.stats.handoff_wait += at.saturating_since(now);
         Ok(at)
     }
@@ -576,7 +576,7 @@ impl DpuClient {
         let (at, res) =
             self.io
                 .post_reply(done, session, &ControlResponse::IoDone { ops, retries });
-        res.map_err(map_control)?;
+        res?;
         self.stats.handoff_wait += at.saturating_since(done);
         Ok(at)
     }
@@ -600,9 +600,10 @@ impl DpuClient {
         bytes: u64,
     ) -> Result<(SimTime, bool), DaosError> {
         let l = &mut self.lanes[lane];
-        let grant = self.tenants.admit(now, &l.name, bytes).ok_or_else(|| {
-            DaosError::Transport(DpuError::UnknownTenant(l.name.clone()).to_string())
-        })?;
+        let grant = self
+            .tenants
+            .admit(now, &l.name, bytes)
+            .ok_or(DaosError::NoSuchEntity)?;
         let held_back = grant > now.max(l.granted_up_to);
         l.granted_up_to = l.granted_up_to.max(grant);
         self.stats.bytes_admitted += bytes;
@@ -989,10 +990,6 @@ fn op_bytes(op: &ClientOp) -> (u64, bool) {
     }
 }
 
-fn map_control(e: ControlError) -> DaosError {
-    DaosError::Transport(format!("host doorbell: {e:?}"))
-}
-
 impl ObjectClient for DpuClient {
     fn update(
         &mut self,
@@ -1114,6 +1111,7 @@ impl ObjectClient for DpuClient {
 mod tests {
     use super::*;
     use crate::agent::default_control;
+    use ros2_ctl::ControlError;
     use ros2_daos::{DaosEngine, ObjClass};
     use ros2_fabric::NodeSpec;
     use ros2_hw::NvmeModel;
@@ -1385,9 +1383,10 @@ mod tests {
                 Bytes::from(vec![5u8; 4 << 10]),
             )
             .unwrap_err();
-        assert!(
-            format!("{err:?}").contains("Timeout"),
-            "a wedged lane must fail with a typed timeout, got {err:?}"
+        assert_eq!(
+            err,
+            DaosError::Control(ControlError::Timeout),
+            "a wedged lane must fail with a typed timeout"
         );
         // Posted doorbells wait for no answer, so it is the missing
         // completion record that gives a wedged lane away — on the ring
@@ -1401,9 +1400,12 @@ mod tests {
             len: 4 << 10,
         }];
         let r = c.execute_pipelined(&mut fabric, &mut cluster, SimTime::ZERO, 0, queue);
-        assert!(
-            matches!(&r[..], [ClientOpResult::Fetch(Err(e))] if format!("{e:?}").contains("Timeout"))
-        );
+        assert!(matches!(
+            r[..],
+            [ClientOpResult::Fetch(Err(DaosError::Control(
+                ControlError::Timeout
+            )))]
+        ));
         assert_eq!(c.dpu_stats().ops_offloaded, 0, "a wedged lane runs nothing");
         // The bounded wait is the doorbell deadline, not forever: reviving
         // the lane restores service and the op completes.

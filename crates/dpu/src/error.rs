@@ -13,8 +13,6 @@ pub enum DpuError {
         /// Bytes still available in the budget.
         free: u64,
     },
-    /// The named tenant is not registered on this DPU.
-    UnknownTenant(String),
     /// A client must have at least one job.
     NoJobs,
     /// The host↔DPU control channel rejected a call.
@@ -30,7 +28,6 @@ impl std::fmt::Display for DpuError {
                 f,
                 "DPU staging DRAM exhausted: requested {requested} B, {free} B free"
             ),
-            DpuError::UnknownTenant(t) => write!(f, "unknown tenant {t:?} on this DPU"),
             DpuError::NoJobs => write!(f, "a DPU client needs at least one job"),
             DpuError::Control(e) => write!(f, "host control channel: {e:?}"),
             DpuError::Daos(e) => write!(f, "data-plane client: {e:?}"),
@@ -65,8 +62,5 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("4096"), "{msg}");
         assert!(msg.contains("128"), "{msg}");
-        assert!(DpuError::UnknownTenant("ghost".into())
-            .to_string()
-            .contains("ghost"));
     }
 }

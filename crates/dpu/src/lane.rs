@@ -115,13 +115,6 @@ pub(crate) struct ChainTable {
     slots: Vec<Vec<Option<SlotChain>>>,
 }
 
-fn chain_error(e: VerbsError) -> DaosError {
-    match e {
-        VerbsError::CrcMismatch => DaosError::ChecksumMismatch,
-        e => DaosError::Transport(format!("work-request chain: {e:?}")),
-    }
-}
-
 /// Tears a stopped chain down with its record region. Best effort: whatever
 /// cannot be released is already gone.
 fn release(dev: &mut RdmaDevice, c: &SlotChain) {
@@ -210,10 +203,7 @@ impl TenantLane {
             Some(c) => c.chain,
             None => self.build_chain(fabric, local, slot, staging, templates)?,
         };
-        fabric
-            .rdma_mut(node)
-            .arm_chain(chain)
-            .map_err(chain_error)?;
+        fabric.rdma_mut(node).arm_chain(chain)?;
         Ok(true)
     }
 
@@ -234,9 +224,7 @@ impl TenantLane {
         let t = &mut self.chains;
         if t.waits.is_empty() {
             for &conn in self.daos.job_conns(local) {
-                let (_, qp) = fabric
-                    .qps(conn, Dir::BtoA)
-                    .map_err(|e| DaosError::Transport(format!("{e:?}")))?;
+                let (_, qp) = fabric.qps(conn, Dir::BtoA)?;
                 t.waits.push(qp);
             }
         }
@@ -244,7 +232,7 @@ impl TenantLane {
         let (owner, host) = match t.owner {
             Some(qps) => qps,
             None => {
-                let mut qp = || dev.create_qp(pd, QpType::Rc).map_err(chain_error);
+                let mut qp = || dev.create_qp(pd, QpType::Rc);
                 *t.owner.insert((qp()?, qp()?))
             }
         };
@@ -252,8 +240,8 @@ impl TenantLane {
         // (re)connect each to itself.
         for qp in [owner, host] {
             if dev.qp_state(qp) != Some(QpState::ReadyToSend) {
-                dev.reset_qp(qp).map_err(chain_error)?;
-                dev.connect_qp(qp, node, qp).map_err(chain_error)?;
+                dev.reset_qp(qp)?;
+                dev.connect_qp(qp, node, qp)?;
             }
         }
         if t.slots.len() <= local {
@@ -265,19 +253,17 @@ impl TenantLane {
         }
         let record = match slots[slot].take() {
             Some(old) => {
-                dev.destroy_chain(old.chain).map_err(chain_error)?;
+                dev.destroy_chain(old.chain)?;
                 old.record
             }
             None => {
-                let at = dev
-                    .alloc_buffer(RECORD_LEN, MemoryDomain::HostDram)
-                    .map_err(chain_error)?;
+                let at = dev.alloc_buffer(RECORD_LEN, MemoryDomain::HostDram)?;
                 let access = AccessFlags::local_only();
                 match dev.reg_mr(pd, at, RECORD_LEN, access, Expiry::Never) {
                     Ok((mr, _, _)) => (mr, at),
                     Err(e) => {
                         let _ = dev.free_buffer(at);
-                        return Err(chain_error(e));
+                        return Err(e.into());
                     }
                 }
             }
@@ -288,8 +274,7 @@ impl TenantLane {
             body.extend_from_slice(&word.to_le_bytes());
         }
         let mut b = dev
-            .chain_builder(owner)
-            .map_err(chain_error)?
+            .chain_builder(owner)?
             .wait_doorbell(host)
             .send_gather(templates);
         for &qp in &t.waits {
@@ -298,8 +283,7 @@ impl TenantLane {
         let chain = b
             .verify_crc32c(staging)
             .write_record(record.0, record.1, Bytes::from(body))
-            .build()
-            .map_err(chain_error)?;
+            .build()?;
         slots[slot] = Some(SlotChain {
             chain,
             staging,
@@ -328,14 +312,14 @@ impl TenantLane {
         let t = &mut self.chains;
         let armed = t.slots.get_mut(local).and_then(|s| s.get_mut(slot));
         let (Some(entry), Some((_, host))) = (armed, t.owner) else {
-            return Err(chain_error(VerbsError::BadChain));
+            return Err(VerbsError::BadChain.into());
         };
         let Some(c) = entry.as_ref() else {
-            return Err(chain_error(VerbsError::BadChain));
+            return Err(VerbsError::BadChain.into());
         };
         let waits = &t.waits;
         if fired.legs().any(|eng| eng >= waits.len()) {
-            return Err(chain_error(VerbsError::BadChain));
+            return Err(VerbsError::BadChain.into());
         }
         let legs = fired.legs().map(|eng| waits[eng]);
         let dev = fabric.rdma_mut(self.daos.node());
@@ -345,7 +329,7 @@ impl TenantLane {
             *entry = None;
             self.daos.retire_template_region(fabric);
         }
-        rung.map_err(chain_error)
+        Ok(rung?)
     }
 
     /// The completion SEND `by` names arrived at `at` for ring slot `slot`
@@ -368,10 +352,10 @@ impl TenantLane {
         let t = &mut self.chains;
         let armed = t.slots.get_mut(local).and_then(|s| s.get_mut(slot));
         let (Some(entry), Some(&on)) = (armed, t.waits.get(by.eng)) else {
-            return Err(chain_error(VerbsError::BadChain));
+            return Err(VerbsError::BadChain.into());
         };
         let Some(c) = entry.as_ref() else {
-            return Err(chain_error(VerbsError::BadChain));
+            return Err(VerbsError::BadChain.into());
         };
         let landing = landed.map(|bytes| Landing {
             addr: self.daos.staging(local).0,
@@ -384,7 +368,7 @@ impl TenantLane {
             release(dev, c);
             *entry = None;
         }
-        fired.map_err(chain_error)
+        Ok(fired?)
     }
 
     /// A latest-epoch fetch at `key` is about to be issued at `now`.

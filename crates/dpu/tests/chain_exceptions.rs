@@ -17,7 +17,7 @@ use ros2_hw::{CoreClass, NvmeModel, Transport};
 use ros2_nvme::{DataMode, NvmeArray};
 use ros2_sim::{SimDuration, SimTime};
 use ros2_spdk::BdevLayer;
-use ros2_verbs::{ChainStats, MemoryDomain, MrId, NodeId};
+use ros2_verbs::{ChainStats, MemoryDomain, MrId, NodeId, VerbsError};
 
 const DPU: NodeId = NodeId(0);
 const LEN: usize = 64 << 10;
@@ -228,7 +228,7 @@ fn a_chain_that_loses_its_record_region_fails_the_op_on_the_arm_core() {
     let before = w.2.dpu_stats();
     let err = ring_op(&mut w, t, false).into_fetch().unwrap_err();
     assert!(
-        matches!(&err, DaosError::Transport(why) if why.contains("RkeyRevoked")),
+        err == DaosError::Verbs(VerbsError::RkeyRevoked),
         "the chain died of the revocation, got {err:?}"
     );
     assert_eq!(
@@ -260,7 +260,7 @@ fn a_template_region_revoked_between_arm_and_doorbell_sends_no_descriptor() {
     let (before, rpcs, sent) = (w.2.dpu_stats(), w.1.rpcs(), chains(&w).descriptors_sent);
     let err = ring_op(&mut w, t, false).into_fetch().unwrap_err();
     assert!(
-        matches!(&err, DaosError::Transport(why) if why.contains("RkeyRevoked")),
+        err == DaosError::Verbs(VerbsError::RkeyRevoked),
         "the doorbell found the template region gone, got {err:?}"
     );
     let nic = &w.0.node(DPU).rdma;

@@ -1,16 +1,15 @@
 //! The persistent pool: PMDK `pmemobj`-style objects with stable
-//! identifiers, a size-class allocator over a zero-copy extent store,
-//! undo-log transactions, and the SCM timing model.
+//! identifiers, a size-class allocator over a zero-copy extent store, and
+//! the SCM timing model.
 //!
 //! Objects are allocated from the pool and addressed by stable offsets
 //! (OIDs). Contents live in a zero-copy extent store, so an SCM tier costs
 //! only what is actually resident, and whole-record writes adopt the
 //! caller's `Bytes` handle instead of copying.
 //!
-//! DAOS stores VOS metadata and small I/O in SCM; crash-consistent updates
-//! there rely on transactions. The undo log here is functional: aborting a
-//! transaction really restores the snapshotted ranges, and a property test
-//! drives random interleavings against a model.
+//! DAOS stores VOS metadata and small I/O in SCM. VOS places every update
+//! at a fresh address and publishes it by inserting the record, so no
+//! write here overwrites live data and the pool keeps no undo log.
 
 use bytes::Bytes;
 use ros2_buf::{DataPlaneStats, ExtentStore};
@@ -39,8 +38,6 @@ pub enum PmemError {
     OutOfSpace,
     /// An access fell outside a live object.
     BadAddress,
-    /// Transaction misuse (commit/abort without begin, nested begin).
-    TxState,
 }
 
 fn class_of(size: u64) -> usize {
@@ -87,14 +84,7 @@ impl ScmModel {
     }
 }
 
-/// One undo-log record: the original contents of a snapshotted range.
-#[derive(Debug)]
-struct UndoRecord {
-    offset: u64,
-    original: Bytes,
-}
-
-/// A persistent memory pool with transactions (PMDK `pmemobj` analogue).
+/// A persistent memory pool (PMDK `pmemobj` analogue).
 #[derive(Debug)]
 pub struct PmemPool {
     capacity: u64,
@@ -105,11 +95,6 @@ pub struct PmemPool {
     free_lists: Vec<Vec<u64>>,
     live_bytes: u64,
     model: ScmModel,
-    undo: Option<Vec<UndoRecord>>,
-    /// OIDs allocated inside the open transaction (freed on abort).
-    tx_allocs: Vec<PmemOid>,
-    tx_commits: u64,
-    tx_aborts: u64,
 }
 
 impl PmemPool {
@@ -122,10 +107,6 @@ impl PmemPool {
             free_lists: vec![Vec::new(); CLASSES],
             live_bytes: 0,
             model,
-            undo: None,
-            tx_allocs: Vec::new(),
-            tx_commits: 0,
-            tx_aborts: 0,
         }
     }
 
@@ -134,8 +115,7 @@ impl PmemPool {
         &self.model
     }
 
-    /// Allocates `size` zeroed bytes. Inside a transaction the allocation
-    /// is rolled back on abort.
+    /// Allocates `size` zeroed bytes.
     pub fn alloc(&mut self, size: u64) -> Result<PmemOid, PmemError> {
         if size == 0 || size > self.capacity {
             return Err(PmemError::OutOfSpace);
@@ -158,17 +138,11 @@ impl PmemPool {
             off
         };
         self.live_bytes += block;
-        let oid = PmemOid { offset, size };
-        if self.undo.is_some() {
-            self.tx_allocs.push(oid);
-        }
-        Ok(oid)
+        Ok(PmemOid { offset, size })
     }
 
-    /// Frees an object, returning its block to its class's free list.
-    /// (Frees inside a transaction are applied eagerly; real PMDK defers
-    /// them to commit — callers in this codebase free only after commit
-    /// points, which tests assert.)
+    /// Frees an object, returning its block to its class's free list; the
+    /// block reads as zero when it is allocated again.
     pub fn free(&mut self, oid: PmemOid) {
         let class = class_of(oid.size);
         self.free_lists[class].push(oid.offset);
@@ -184,9 +158,7 @@ impl PmemPool {
         Ok(self.store.read(oid.offset + at, len))
     }
 
-    /// Writes `data` into an object at byte `at`. If a transaction is open
-    /// the range must have been snapshotted with [`PmemPool::tx_add_range`]
-    /// first (enforced in debug builds by convention, not trapped).
+    /// Writes `data` into an object at byte `at`.
     pub fn write(&mut self, oid: PmemOid, at: u64, data: &[u8]) -> Result<(), PmemError> {
         if at + data.len() as u64 > oid.size {
             return Err(PmemError::BadAddress);
@@ -239,70 +211,6 @@ impl PmemPool {
         self.store.stats()
     }
 
-    /// Opens a transaction. Nesting is not supported.
-    pub fn tx_begin(&mut self) -> Result<(), PmemError> {
-        if self.undo.is_some() {
-            return Err(PmemError::TxState);
-        }
-        self.undo = Some(Vec::new());
-        self.tx_allocs.clear();
-        Ok(())
-    }
-
-    /// Snapshots `[at, at+len)` of `oid` into the undo log.
-    pub fn tx_add_range(&mut self, oid: PmemOid, at: u64, len: usize) -> Result<(), PmemError> {
-        if at + len as u64 > oid.size {
-            return Err(PmemError::BadAddress);
-        }
-        let original = self.store.read(oid.offset + at, len);
-        match &mut self.undo {
-            Some(log) => {
-                log.push(UndoRecord {
-                    offset: oid.offset + at,
-                    original,
-                });
-                Ok(())
-            }
-            None => Err(PmemError::TxState),
-        }
-    }
-
-    /// Commits: discards the undo log, keeping all writes.
-    /// Returns the persist cost of the committed log (drain + flushes).
-    pub fn tx_commit(&mut self) -> Result<SimDuration, PmemError> {
-        let log = self.undo.take().ok_or(PmemError::TxState)?;
-        let logged: u64 = log.iter().map(|r| r.original.len() as u64).sum();
-        self.tx_allocs.clear();
-        self.tx_commits += 1;
-        // Undo-log records are persisted before the data writes; charge one
-        // persist pass over the logged bytes.
-        Ok(self.model.write_cost(logged.max(64)))
-    }
-
-    /// Aborts: restores every snapshotted range (in reverse order) and
-    /// frees transaction-local allocations.
-    pub fn tx_abort(&mut self) -> Result<(), PmemError> {
-        let log = self.undo.take().ok_or(PmemError::TxState)?;
-        for rec in log.into_iter().rev() {
-            self.store.write_slice(rec.offset, &rec.original);
-        }
-        for oid in std::mem::take(&mut self.tx_allocs) {
-            self.free(oid);
-        }
-        self.tx_aborts += 1;
-        Ok(())
-    }
-
-    /// Whether a transaction is currently open.
-    pub fn in_tx(&self) -> bool {
-        self.undo.is_some()
-    }
-
-    /// Completed transaction counts `(commits, aborts)`.
-    pub fn tx_counts(&self) -> (u64, u64) {
-        (self.tx_commits, self.tx_aborts)
-    }
-
     /// Bytes currently allocated (by block size).
     pub fn live_bytes(&self) -> u64 {
         self.live_bytes
@@ -333,81 +241,11 @@ mod tests {
     }
 
     #[test]
-    fn commit_keeps_writes() {
-        let mut p = pool();
-        let oid = p.alloc(64).unwrap();
-        p.write(oid, 0, b"before").unwrap();
-        p.tx_begin().unwrap();
-        p.tx_add_range(oid, 0, 6).unwrap();
-        p.write(oid, 0, b"after!").unwrap();
-        p.tx_commit().unwrap();
-        assert_eq!(&p.read(oid, 0, 6).unwrap()[..], b"after!");
-        assert_eq!(p.tx_counts(), (1, 0));
-    }
-
-    #[test]
-    fn abort_restores_snapshots() {
-        let mut p = pool();
-        let oid = p.alloc(64).unwrap();
-        p.write(oid, 0, b"before").unwrap();
-        p.tx_begin().unwrap();
-        p.tx_add_range(oid, 0, 6).unwrap();
-        p.write(oid, 0, b"after!").unwrap();
-        p.tx_abort().unwrap();
-        assert_eq!(&p.read(oid, 0, 6).unwrap()[..], b"before");
-        assert_eq!(p.tx_counts(), (0, 1));
-    }
-
-    #[test]
-    fn abort_frees_tx_allocations() {
-        let mut p = pool();
-        p.tx_begin().unwrap();
-        let oid = p.alloc(128).unwrap();
-        assert_eq!(p.live_bytes(), 128);
-        p.tx_abort().unwrap();
-        assert_eq!(p.live_bytes(), 0);
-        // The freed block is recyclable.
-        let again = p.alloc(128).unwrap();
-        assert_eq!(again.offset, oid.offset);
-    }
-
-    #[test]
-    fn overlapping_snapshots_restore_in_reverse() {
-        let mut p = pool();
-        let oid = p.alloc(16).unwrap();
-        p.write(oid, 0, &[1u8; 16]).unwrap();
-        p.tx_begin().unwrap();
-        p.tx_add_range(oid, 0, 8).unwrap();
-        p.write(oid, 0, &[2u8; 8]).unwrap();
-        p.tx_add_range(oid, 4, 8).unwrap(); // snapshots [2,2,2,2,1,1,1,1]
-        p.write(oid, 4, &[3u8; 8]).unwrap();
-        p.tx_abort().unwrap();
-        assert_eq!(&p.read(oid, 0, 16).unwrap()[..], &[1u8; 16]);
-    }
-
-    #[test]
-    fn tx_state_errors() {
-        let mut p = pool();
-        assert_eq!(p.tx_commit().unwrap_err(), PmemError::TxState);
-        assert_eq!(p.tx_abort().unwrap_err(), PmemError::TxState);
-        p.tx_begin().unwrap();
-        assert_eq!(p.tx_begin().unwrap_err(), PmemError::TxState);
-        assert!(p.in_tx());
-        p.tx_commit().unwrap();
-        assert!(!p.in_tx());
-    }
-
-    #[test]
     fn object_bounds_enforced() {
         let mut p = pool();
         let oid = p.alloc(10).unwrap();
         assert_eq!(p.write(oid, 8, &[0; 4]).unwrap_err(), PmemError::BadAddress);
         assert_eq!(p.read(oid, 8, 4).unwrap_err(), PmemError::BadAddress);
-        p.tx_begin().unwrap();
-        assert_eq!(
-            p.tx_add_range(oid, 8, 4).unwrap_err(),
-            PmemError::BadAddress
-        );
     }
 
     #[test]
