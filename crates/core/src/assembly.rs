@@ -22,39 +22,14 @@ use ros2_verbs::{MemoryDomain, NodeId, PdId};
 
 use crate::system::Ros2Error;
 
-/// What runs the DAOS client stack on one client node.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ClientKind {
-    /// In-process `libdaos` on host x86 cores — the classic mode.
-    Host,
-    /// In-process client charged at BlueField-3 Arm-core costs: the
-    /// historical "DPU placement" *cost-model* mode (the node spec and
-    /// core class change, the architecture does not).
-    DpuCostModel,
-    /// The real offload: the whole client runs on the BlueField-3 as a
-    /// [`DpuClient`] behind the host's two posted doorbell legs.
-    Offloaded,
-}
-
-impl ClientKind {
-    /// The fabric node spec this kind of client needs.
-    pub fn placement(self) -> ClientPlacement {
-        match self {
-            ClientKind::Host => ClientPlacement::Host,
-            ClientKind::DpuCostModel | ClientKind::Offloaded => ClientPlacement::Dpu,
-        }
-    }
-}
-
 /// One client node's DAOS client stack.
 // One stack per client node, never stored in bulk — the variant size gap
 // (`DpuClient` embeds agent + tenant manager) costs nothing.
 #[allow(clippy::large_enum_variant)]
 pub enum ClientStack {
-    /// In-process `libdaos` on the client node: host placement, and the
-    /// DPU *cost-model* mode where only the node spec changes. Under host
-    /// placement the SmartNIC is still the NIC, but every data-plane phase
-    /// executes on host cores.
+    /// In-process `libdaos` on the client node (host placement): the
+    /// SmartNIC is still the NIC, but every data-plane phase executes on
+    /// host cores.
     InProcess(DaosClient),
     /// The ROS2 design: the whole client, its agent and its tenant manager
     /// run on the BlueField-3; the host only rings doorbells.
@@ -214,19 +189,19 @@ pub struct ClientSetup {
     pub agent: Option<DpuAgent>,
 }
 
-/// Connects a client of `kind` on `node` to every storage node: an
-/// in-process [`DaosClient`] staging in host DRAM, or a [`DpuClient`]
-/// staging in DPU DRAM behind its agent, with the read-cache carve if one
-/// is set. Rejects a cache carve on an in-process client and GPU staging
-/// off RDMA.
+/// Connects a client of `placement` on `node` to every storage node: under
+/// `Host` an in-process [`DaosClient`] staging in host DRAM, under `Dpu` a
+/// [`DpuClient`] staging in DPU DRAM behind its agent, with the read-cache
+/// carve if one is set. Rejects a cache carve on an in-process client and
+/// GPU staging off RDMA.
 pub fn connect_client(
     fabric: &mut Fabric,
     node: NodeId,
     storage_nodes: &[NodeId],
-    kind: ClientKind,
+    placement: ClientPlacement,
     setup: ClientSetup,
 ) -> Result<ClientStack, Ros2Error> {
-    let offloaded = kind == ClientKind::Offloaded;
+    let offloaded = placement == ClientPlacement::Dpu;
     if setup.gpu_hbm && fabric.transport() != Transport::Rdma {
         return Err(Ros2Error::Config(
             "GPUDirect placement requires the RDMA transport".into(),

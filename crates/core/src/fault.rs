@@ -224,7 +224,7 @@ impl FaultCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assembly::{connect_client, fabric_and_cluster, ClientKind, ClientSetup};
+    use crate::assembly::{connect_client, fabric_and_cluster, ClientSetup};
     use ros2_daos::{ObjClass, ObjectId};
     use ros2_dpu::DpuTenantSpec;
     use ros2_hw::{ClientPlacement, ClusterTopology, Transport};
@@ -247,7 +247,8 @@ mod tests {
                     seed: 0,
                     agent: None,
                 };
-                connect_client(&mut fabric, NodeId(c), &nodes, ClientKind::Host, setup).unwrap()
+                connect_client(&mut fabric, NodeId(c), &nodes, ClientPlacement::Host, setup)
+                    .unwrap()
             })
             .collect();
         let oid = ObjectId::new(ObjClass::Sx, 1);

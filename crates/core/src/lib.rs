@@ -27,7 +27,7 @@ pub mod assembly;
 pub mod fault;
 pub mod system;
 
-pub use assembly::{connect_client, fabric_and_cluster, ClientKind, ClientSetup, ClientStack};
+pub use assembly::{connect_client, fabric_and_cluster, ClientSetup, ClientStack};
 pub use fault::{EngineStall, FaultCursor, FaultPlan, ScheduledCorruption, ScheduledKill};
 pub use system::{
     ClusterConfig, Ros2Config, Ros2Error, Ros2System, SystemMetrics, Timed, CLIENT_NODE,

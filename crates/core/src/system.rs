@@ -39,7 +39,7 @@ use ros2_nvme::DataMode;
 use ros2_sim::{SimDuration, SimTime};
 use ros2_verbs::{MemoryDomain, NodeId, PdId};
 
-use crate::assembly::{connect_client, fabric_and_cluster, ClientKind, ClientSetup, ClientStack};
+use crate::assembly::{connect_client, fabric_and_cluster, ClientSetup, ClientStack};
 use crate::fault::{FaultCursor, FaultPlan};
 
 /// The deployment's scale-out shape: how many DAOS engines (one per
@@ -271,7 +271,7 @@ impl Ros2System {
             qos: config.qos,
             rkey_scope: SimDuration::from_secs(30),
         };
-        let (kind, agent, mut nic) = match config.placement {
+        let (agent, mut nic) = match config.placement {
             ClientPlacement::Host => {
                 let mut tenants = TenantManager::new(CLIENT_NODE);
                 tenants.register(
@@ -280,15 +280,15 @@ impl Ros2System {
                     tenant.qos,
                     tenant.rkey_scope,
                 );
-                (ClientKind::Host, None, Some(HostNic { agent, tenants }))
+                (None, Some(HostNic { agent, tenants }))
             }
-            ClientPlacement::Dpu => (ClientKind::Offloaded, Some(agent), None),
+            ClientPlacement::Dpu => (Some(agent), None),
         };
         let mut client = connect_client(
             &mut fabric,
             CLIENT_NODE,
             &storage_nodes,
-            kind,
+            config.placement,
             ClientSetup {
                 jobs: config.jobs,
                 buffer_len: config.buffer_len,

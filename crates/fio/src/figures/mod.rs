@@ -28,7 +28,7 @@ pub mod scaleout;
 
 use std::ops::RangeInclusive;
 
-use ros2_dpu::{DpuCacheStats, DpuTenantSpec};
+use ros2_dpu::DpuCacheStats;
 use ros2_hw::ClientPlacement;
 use ros2_sim::SimDuration;
 
@@ -140,8 +140,7 @@ pub(crate) fn host() -> WorldSpec {
     WorldSpec::single(ClientPlacement::Host)
 }
 
-/// The two-node world with the real offloaded client, one unlimited
-/// tenant.
+/// The two-node world with the offloaded client, one unlimited tenant.
 pub(crate) fn offloaded() -> WorldSpec {
-    WorldSpec::single(ClientPlacement::Dpu).offload(vec![DpuTenantSpec::unlimited("fio")])
+    WorldSpec::single(ClientPlacement::Dpu)
 }

@@ -43,7 +43,7 @@ pub struct IncastFioWorld {
     pub fabric: Fabric,
     /// The shared replicated cluster (connection pool enabled).
     pub cluster: EngineCluster,
-    /// One in-process client stack per client node.
+    /// One client stack per client node.
     pub clients: Vec<ClientStack>,
     /// The shared mounted namespace.
     pub dfs: Dfs,
@@ -56,12 +56,7 @@ impl IncastFioWorld {
     /// Assembles the world a multi-client [`WorldSpec`] describes.
     pub(crate) fn build(spec: WorldSpec) -> Self {
         let topology = ClusterTopology {
-            clients: spec
-                .client_axis()
-                .kinds()
-                .iter()
-                .map(|k| k.placement())
-                .collect(),
+            clients: spec.client_axis().placements().to_vec(),
             storage_nodes: spec.engines_value(),
         };
         let (mut fabric, mut cluster, storage_nodes) = spec.fabric_and_cluster(&topology);

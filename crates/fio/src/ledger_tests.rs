@@ -60,7 +60,7 @@
 use ros2_core::ClientStack;
 use ros2_ctl::{ControlModel, ControlRequest, IoPatch};
 use ros2_daos::DaosCostModel;
-use ros2_dpu::{DpuStats, DpuTenantSpec, ReadCache};
+use ros2_dpu::{DpuStats, ReadCache};
 use ros2_hw::{nic_crc_cost, ClientPlacement, NicModel, Transport};
 use ros2_nvme::DataMode;
 use ros2_sim::{SimDuration, SimTime};
@@ -82,16 +82,12 @@ const PARENT_HOST_MIDDLE: u64 = 105_177;
 const HOST_UPDATE_MIDDLE: u64 = 22_127;
 
 fn world(placement: ClientPlacement) -> DfsFioWorld {
-    let spec = WorldSpec::single(placement)
+    let mut w = WorldSpec::single(placement)
         .transport(Transport::Rdma)
         .jobs(4)
         .region(16 << 20)
-        .mode(DataMode::Null);
-    let mut w = match placement {
-        ClientPlacement::Host => spec,
-        ClientPlacement::Dpu => spec.offload(vec![DpuTenantSpec::unlimited("fio")]),
-    }
-    .build_dfs();
+        .mode(DataMode::Null)
+        .build_dfs();
     w.set_pipelined(true);
     w
 }
@@ -222,7 +218,6 @@ fn a_cache_hit_is_served_from_the_doorbell_frames_head() {
         .jobs(4)
         .region(16 << 20)
         .mode(DataMode::Null)
-        .offload(vec![DpuTenantSpec::unlimited("fio")])
         .dpu_cache(64 << 20)
         .build_dfs();
     w.set_pipelined(true);

@@ -42,7 +42,6 @@ mod worldspec_tests;
 
 pub use driver::{run_fio, FioOp, Workload};
 pub use incast::IncastFioWorld;
-pub use ros2_core::ClientKind;
 /// The FIO worlds' name for a client node's stack.
 pub use ros2_core::ClientStack as FioClient;
 pub use spec::{FioReport, JobSpec, RwMode};

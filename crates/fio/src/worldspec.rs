@@ -37,7 +37,7 @@
 //! drop(incast);
 //! ```
 
-use ros2_core::{ClientKind, ClientSetup, ClientStack, FaultCursor};
+use ros2_core::{ClientSetup, ClientStack, FaultCursor};
 use ros2_daos::EngineCluster;
 use ros2_dpu::DpuTenantSpec;
 use ros2_fabric::Fabric;
@@ -48,51 +48,46 @@ use ros2_verbs::NodeId;
 use crate::incast::IncastFioWorld;
 use crate::worlds::{precondition, DfsFioWorld};
 
-/// The clients axis of a [`WorldSpec`]: one [`ClientKind`] per client
-/// node, in fabric-node order (client `c` is fabric node `c`).
+/// The clients axis of a [`WorldSpec`]: one [`ClientPlacement`] per client
+/// node, in fabric-node order (client `c` is fabric node `c`). A `Host`
+/// entry runs an in-process client, a `Dpu` entry the offloaded one.
 #[derive(Clone, Debug)]
-pub struct Clients {
-    kinds: Vec<ClientKind>,
-}
+pub struct Clients(Vec<ClientPlacement>);
 
 impl Clients {
     /// `n` host-resident clients.
     pub fn host(n: usize) -> Self {
-        Clients {
-            kinds: vec![ClientKind::Host; n],
-        }
+        Clients(vec![ClientPlacement::Host; n])
     }
 
     /// `n` real offloaded clients — one [`ros2_dpu::DpuClient`] per
     /// BlueField node, each with its own agent, QoS admission, and
     /// (optionally) read cache. The incast axis for DPU-side experiments.
     pub fn offloaded(n: usize) -> Self {
-        Clients {
-            kinds: vec![ClientKind::Offloaded; n],
-        }
+        Clients(vec![ClientPlacement::Dpu; n])
     }
 
     /// A host/DPU mix: `hosts` host clients first, then `dpus`
-    /// DPU-cost-model clients.
+    /// offloaded clients.
     pub fn mixed(hosts: usize, dpus: usize) -> Self {
-        let mut kinds = vec![ClientKind::Host; hosts];
-        kinds.extend(vec![ClientKind::DpuCostModel; dpus]);
-        Clients { kinds }
+        let mut placements = vec![ClientPlacement::Host; hosts];
+        placements.extend(vec![ClientPlacement::Dpu; dpus]);
+        Clients(placements)
     }
 
-    /// The per-client kinds, in node order.
-    pub fn kinds(&self) -> &[ClientKind] {
-        &self.kinds
+    /// The per-client placements, in node order.
+    pub fn placements(&self) -> &[ClientPlacement] {
+        &self.0
     }
 
     /// Number of client nodes.
     pub fn len(&self) -> usize {
-        self.kinds.len()
+        self.0.len()
     }
 
     /// Whether the axis is empty (rejected at build time).
     pub fn is_empty(&self) -> bool {
-        self.kinds.is_empty()
+        self.0.is_empty()
     }
 }
 
@@ -138,15 +133,11 @@ impl WorldSpec {
     }
 
     /// The classic two-node world: one client of `placement`, one storage
-    /// server. `ClientPlacement::Dpu` selects the historical cost-model
-    /// mode; use [`Self::offload`] for the real offloaded client.
+    /// server. `ClientPlacement::Dpu` runs the offloaded client with one
+    /// unlimited `"fio"` tenant; [`Self::offload`] sets other tenants.
     /// Terminal: [`Self::build_dfs`].
     pub fn single(placement: ClientPlacement) -> Self {
-        let kind = match placement {
-            ClientPlacement::Host => ClientKind::Host,
-            ClientPlacement::Dpu => ClientKind::DpuCostModel,
-        };
-        Self::base(1, Clients { kinds: vec![kind] })
+        Self::base(1, Clients(vec![placement]))
     }
 
     /// An N-engine replicated cluster (one storage server per engine)
@@ -206,13 +197,12 @@ impl WorldSpec {
         self
     }
 
-    /// Runs the single client as the real DPU offload (a
+    /// Runs the single client as the DPU offload (a
     /// [`ros2_dpu::DpuClient`] on a BlueField node) with `tenants` sharing
-    /// its QoS admission.
+    /// its QoS admission. Moves a [`Self::cluster`] spec's host client onto
+    /// the DPU; on `single(ClientPlacement::Dpu)` it only sets the tenants.
     pub fn offload(mut self, tenants: Vec<DpuTenantSpec>) -> Self {
-        self.clients = Clients {
-            kinds: vec![ClientKind::Offloaded],
-        };
+        self.clients = Clients::offloaded(1);
         self.tenants = tenants;
         self
     }
@@ -220,8 +210,7 @@ impl WorldSpec {
     /// Enables the DPU read cache on the offloaded client: `bytes` of the
     /// agent's DRAM pool are carved away from staging and split across the
     /// tenant lanes (default: disabled — every pinned baseline runs
-    /// cache-off). Only meaningful with [`Self::offload`]; the build
-    /// terminals reject it on in-process clients.
+    /// cache-off). The build terminals reject it on in-process clients.
     pub fn dpu_cache(mut self, bytes: u64) -> Self {
         self.dpu_cache = Some(bytes);
         self
@@ -267,14 +256,14 @@ impl WorldSpec {
     /// engines: the classic two-node world for [`Self::single`], the
     /// N-engine replicated one for [`Self::cluster`]. Panics if the spec
     /// carries a clients axis — multi-client specs build with
-    /// [`Self::build_incast`] — or a cache carve without [`Self::offload`].
+    /// [`Self::build_incast`] — or a cache carve on an in-process client.
     pub fn build_dfs(self) -> DfsFioWorld {
         assert_eq!(
             self.clients.len(),
             1,
             "a multi-client spec builds with build_incast()"
         );
-        let topology = ClusterTopology::one_client(self.clients.kinds[0].placement(), self.engines);
+        let topology = ClusterTopology::one_client(self.clients.0[0], self.engines);
         let (mut fabric, mut cluster, storage_nodes) = self.fabric_and_cluster(&topology);
         let mut client = self.connect_client(&mut fabric, 0, &storage_nodes);
         let (dfs, files) = precondition(
@@ -297,9 +286,9 @@ impl WorldSpec {
 
     /// Assembles the multi-client incast world: one client stack per
     /// entry of the clients axis fanning into the shared cluster, served
-    /// through the engine-side connection pool. `Host` and `DpuCostModel`
-    /// entries run in-process clients; `Offloaded` entries run a real
-    /// offloaded client per BlueField node (with its own agent and, if
+    /// through the engine-side connection pool. `Host` entries run
+    /// in-process clients; `Dpu` entries run an offloaded client per
+    /// BlueField node (with its own agent and, if
     /// [`Self::dpu_cache`] is set, its own read-cache carve). Panics if
     /// the axis is empty or a cache carve is requested of an in-process
     /// client.
@@ -349,7 +338,7 @@ impl WorldSpec {
             fabric,
             NodeId(c as u32),
             storage_nodes,
-            self.clients.kinds[c],
+            self.clients.0[c],
             setup,
         )
         .expect("client connects")

@@ -78,8 +78,8 @@ fn builder_offloaded_single_matches_old_constructor() {
         .jobs(2)
         .region(8 << 20)
         .mode(DataMode::Null)
-        .offload(vec![DpuTenantSpec::unlimited("fio")])
         .build_dfs();
+    assert!(w.client.offloaded().is_some());
     let r = run_fio(&mut w, &single_job());
     let mut stats = w.fabric.resource_stats();
     stats.merge(w.cluster.resource_stats());

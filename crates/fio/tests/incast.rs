@@ -58,6 +58,15 @@ fn mixed_host_dpu_clients_share_one_cluster() {
     let report = run_fio(&mut w, &spec);
     assert_eq!(report.io.errors.get(), 0);
     assert!(w.per_client_ops().iter().all(|&o| o > 0));
+    // The host entries run in-process; the DPU entries run the offloaded
+    // client, which carries their ops.
+    for client in &w.clients[..2] {
+        assert!(client.offloaded().is_none());
+    }
+    for client in &w.clients[2..] {
+        assert!(client.offloaded().is_some());
+        assert!(client.dpu_stats().ops_offloaded > 0);
+    }
 }
 
 #[test]

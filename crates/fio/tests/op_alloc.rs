@@ -24,7 +24,6 @@
 //! measured regions must not overlap another allocating test.
 
 use ros2_buf::{allocation_count, CountingAlloc};
-use ros2_dpu::DpuTenantSpec;
 use ros2_fio::{DfsFioWorld, FioOp, Workload, WorldSpec};
 use ros2_hw::ClientPlacement;
 use ros2_nvme::DataMode;
@@ -143,10 +142,6 @@ fn steady_state(spec: WorldSpec, shape: Pass) -> (u64, u64, u64) {
     (reads, writes, extents_shifted(&w) - shifted)
 }
 
-fn offloaded() -> WorldSpec {
-    WorldSpec::single(ClientPlacement::Dpu).offload(vec![DpuTenantSpec::unlimited("fio")])
-}
-
 #[test]
 fn a_warm_op_allocates_only_for_the_state_it_leaves_behind() {
     let host = steady_state(WorldSpec::single(ClientPlacement::Host), SMALL);
@@ -161,13 +156,16 @@ fn a_warm_op_allocates_only_for_the_state_it_leaves_behind() {
         (0, 2 * WRITE_ALLOCS, EXTENTS_SHIFTED),
         "host client, RF-2 cluster"
     );
-    let dpu = steady_state(offloaded(), SMALL);
+    let dpu = steady_state(WorldSpec::single(ClientPlacement::Dpu), SMALL);
     assert_eq!(
         dpu,
         (0, WRITE_ALLOCS, EXTENTS_SHIFTED),
         "offloaded client, cache off"
     );
-    let cached = steady_state(offloaded().dpu_cache(64 << 20), SMALL);
+    let cached = steady_state(
+        WorldSpec::single(ClientPlacement::Dpu).dpu_cache(64 << 20),
+        SMALL,
+    );
     assert_eq!(
         cached,
         (CACHED_READ_ALLOCS, WRITE_ALLOCS, EXTENTS_SHIFTED),

@@ -57,13 +57,14 @@ fn dfs_world_replays_identically() {
     assert_eq!(run(), run());
 }
 
-/// The host-placement control arm, pinned since PR 3: a sweep over
-/// {rdma, tcp} × {host, dpu cost model} × all four patterns × {1 MiB,
-/// 4 KiB}, once contended (4 jobs × QD 8) and once uncontended (1 job ×
-/// QD 1), simulates exactly 595 716 ops. The offload, cluster, ring,
-/// fencing, incast and cache work are all opt-in, so none of them may move
-/// it by a single grant — and the sweep's booking and wire fast paths and
-/// its zero-copy data plane must keep carrying it.
+/// The control arm: a sweep over {rdma, tcp} × {host, offloaded} × all
+/// four patterns × {1 MiB, 4 KiB}, once contended (4 jobs × QD 8) and once
+/// uncontended (1 job × QD 1), simulates exactly 785 496 ops. Its DPU half
+/// runs the offloaded client `single(ClientPlacement::Dpu)` builds, so the
+/// offload is on the arm, not opt-in; the cluster, ring, fencing, incast
+/// and cache work are, so none of them may move it by a single grant — and
+/// the sweep's booking and wire fast paths and its zero-copy data plane
+/// must keep carrying it.
 #[test]
 fn control_arm_sweep_simulates_the_pinned_op_count() {
     const REGION: u64 = 16 << 20;
@@ -104,7 +105,7 @@ fn control_arm_sweep_simulates_the_pinned_op_count() {
         }
     }
     assert_eq!(
-        ops, 595_716,
+        ops, 785_496,
         "the control-arm sweep's simulated ops are pinned"
     );
     assert_eq!(
