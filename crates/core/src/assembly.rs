@@ -18,7 +18,7 @@ use ros2_fabric::Fabric;
 use ros2_hw::{ClientPlacement, ClusterTopology, CoreClass, Transport, BLUEFIELD3_DRAM};
 use ros2_nvme::DataMode;
 use ros2_sim::{ResourceStats, SimTime};
-use ros2_verbs::{MemoryDomain, NodeId, PdId};
+use ros2_verbs::{Expiry, MemoryDomain, NodeId, PdId};
 
 use crate::system::Ros2Error;
 
@@ -221,7 +221,7 @@ pub fn connect_client(
         MemoryDomain::HostDram
     };
     if !offloaded {
-        return Ok(ClientStack::InProcess(DaosClient::connect_multi(
+        return Ok(ClientStack::InProcess(DaosClient::connect_scoped_multi(
             fabric,
             node,
             storage_nodes,
@@ -231,6 +231,7 @@ pub fn connect_client(
             setup.buffer_len,
             domain,
             DaosCostModel::default_model(),
+            Expiry::Never,
         )?));
     }
     let agent = setup

@@ -100,7 +100,6 @@ pub struct ControlChannel {
     rng: SimRng,
     /// A registry of acceptable tenant credentials (tenant → digest).
     credentials: HashMap<String, Bytes>,
-    calls_total: u64,
     /// Fault injection: sessions whose servicing endpoint is wedged —
     /// calls against them never get a reply and fail at the deadline.
     stalled: std::collections::HashSet<u64>,
@@ -114,7 +113,6 @@ impl ControlChannel {
             sessions: HashMap::new(),
             rng,
             credentials: HashMap::new(),
-            calls_total: 0,
             stalled: std::collections::HashSet::new(),
         }
     }
@@ -137,7 +135,7 @@ impl ControlChannel {
 
     /// The instant a call issued at `now` with `req_len`/`resp_len` payload
     /// completes.
-    pub fn call_done_at(&self, now: SimTime, req_len: usize, resp_len: usize) -> SimTime {
+    fn call_done_at(&self, now: SimTime, req_len: usize, resp_len: usize) -> SimTime {
         let bytes = (req_len + resp_len) as u64;
         now + self.model.rtt + SimDuration::from_nanos(bytes * self.model.ps_per_byte / 1000)
     }
@@ -169,7 +167,6 @@ impl ControlChannel {
         req: &ControlRequest,
     ) -> (SimTime, Result<(), ControlError>) {
         if self.stalled.contains(&session) {
-            self.calls_total += 1;
             return (now + self.model.deadline, Err(ControlError::Timeout));
         }
         let landed = self.posted_at(now, req.encoded_len());
@@ -201,7 +198,6 @@ impl ControlChannel {
         session: Option<u64>,
         req: &ControlRequest,
     ) -> Result<u64, ControlError> {
-        self.calls_total += 1;
         match req {
             ControlRequest::Hello { tenant, auth } => {
                 let expected = self.credentials.get(tenant);
@@ -243,11 +239,6 @@ impl ControlChannel {
         self.sessions.get(&token)
     }
 
-    /// Total calls admitted (including failed ones).
-    pub fn calls_total(&self) -> u64 {
-        self.calls_total
-    }
-
     /// A convenience wrapper: admit + timing (from the frames' encoded
     /// sizes — nothing is serialized), returning the response produced by
     /// `handler` along with its completion time.
@@ -267,7 +258,6 @@ impl ControlChannel {
                 // The request went out but the wedged peer never answers:
                 // the caller eats exactly one deadline, not an infinite
                 // spin, and sees a typed timeout.
-                self.calls_total += 1;
                 return (now + self.model.deadline, Err(ControlError::Timeout));
             }
         }

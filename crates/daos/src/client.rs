@@ -25,13 +25,15 @@
 //! the route is always slot 0 and every phase runs the exact pre-cluster
 //! sequence — the pinned host-placement path.
 //!
-//! An op runs one of two ways: the serial call ([`DaosClient::update`] /
-//! [`DaosClient::fetch`], live-map routing, the whole `client_per_op` on
-//! the job core) or a submission to the [`crate::pipeline::OpRing`]
-//! (cached-map routing, split CPU cost — or none at all where the NIC runs
-//! the ring's clean path, [`DaosClient::chain_ring`] — and the recovery
-//! ladder). The caller picks — `Dfs::data_pipeline` for single-chunk file
-//! I/O; multi-chunk I/O always takes the ring.
+//! An op runs one of two ways, both through [`ObjectClient`]: the serial
+//! call ([`ObjectClient::update`] / [`ObjectClient::fetch`], live-map
+//! routing, the whole `client_per_op` on the job core) or a submission to
+//! the [`crate::pipeline::OpRing`] (cached-map routing, split CPU cost — or
+//! none at all where the NIC runs the ring's clean path,
+//! [`DaosClient::chain_ring`] — and the recovery ladder). Either way every
+//! engine RPC carries a map stamp: the serial call stamps the live
+//! revision, the ring its cached one. The caller picks — `Dfs::data_pipeline`
+//! for single-chunk file I/O; multi-chunk I/O always takes the ring.
 
 use bytes::Bytes;
 use ros2_buf::zero_bytes;
@@ -43,7 +45,7 @@ use ros2_verbs::{AccessFlags, Expiry, MemAddr, MemoryDomain, MrId, NodeId, PdId,
 
 use crate::cluster::{EngineCluster, MapSnapshot};
 use crate::descriptor::{Routing, TemplateTable, REGION_LEN, TEMPLATE_LEN};
-use crate::engine::ValueKind;
+use crate::engine::{Arrival, ValueKind};
 use crate::pipeline::{OpRing, RetryPolicy, RetryStats, RingStore};
 use crate::types::{AKey, DKey, DaosCostModel, DaosError, Epoch, ObjectId, RecordVersion};
 
@@ -195,38 +197,10 @@ impl DaosClient {
     /// cluster, staging through `buf_len`-byte buffers in `domain` (DPU
     /// DRAM for the prototype; [`MemoryDomain::GpuHbm`] for the GPUDirect
     /// extension): each job opens one connection per storage node
-    /// (slot-aligned with the pool map) so the client can route
-    /// per-object without reconnecting. Staging MRs are registered with
-    /// [`Expiry::Never`]; the DPU tenant manager's scoped-rkey discipline
-    /// uses [`Self::connect_scoped_multi`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn connect_multi(
-        fabric: &mut Fabric,
-        node: NodeId,
-        servers: &[NodeId],
-        tenant: &str,
-        cont: impl Into<String>,
-        jobs: usize,
-        buf_len: u64,
-        domain: MemoryDomain,
-        model: DaosCostModel,
-    ) -> Result<Self, DaosError> {
-        Self::connect_scoped_multi(
-            fabric,
-            node,
-            servers,
-            tenant,
-            cont,
-            jobs,
-            buf_len,
-            domain,
-            model,
-            Expiry::Never,
-        )
-    }
-
-    /// The fully general constructor: every staging MR registered under
-    /// `expiry` from the outset — no window where an unscoped rkey exists.
+    /// (slot-aligned with the pool map) so the client can route per-object
+    /// without reconnecting. Every staging MR is registered under `expiry`
+    /// from the outset — no window where an unscoped rkey exists
+    /// ([`Expiry::Never`] but for the DPU tenant manager's scoped rkeys).
     ///
     /// Connection state is pooled per `(client, engine)`: one real
     /// connection (QP pair) is opened per storage node and every job gets
@@ -766,22 +740,6 @@ impl DaosClient {
         self.ops += n;
     }
 
-    /// Phase A of an update: client CPU, payload staging, descriptor send
-    /// and (RDMA) the pull by the engine in cluster slot `eng`. Returns
-    /// the instant the data is resident server-side plus the server's
-    /// payload handle.
-    fn stage_update(
-        &mut self,
-        fabric: &mut Fabric,
-        now: SimTime,
-        job: usize,
-        eng: usize,
-        data: Bytes,
-    ) -> Result<(SimTime, Bytes), DaosError> {
-        let t_cpu = self.client_cpu(now, job);
-        self.stage_update_from(fabric, t_cpu, job, eng, data, None)
-    }
-
     /// The descriptor SEND of one leg on `conn` at `t`: posted by a core,
     /// or — `template` given — by the NIC, its body that template followed
     /// by the doorbell's patch (the same [`RPC_DESC`] bytes on the wire
@@ -810,11 +768,13 @@ impl DaosClient {
         Ok(sent?)
     }
 
-    /// [`Self::stage_update`] from the instant `t_cpu` at which the
+    /// Phase A of an update, from the instant `t_cpu` at which the
     /// descriptor is ready to post — the client-CPU grant already booked,
     /// or none needed because the NIC posts `template`: stages the payload
-    /// and runs the descriptor/pull exchange. Shared by the serial path and
-    /// the pipelined ring.
+    /// and runs the descriptor/pull exchange with the engine in cluster
+    /// slot `eng`. Returns the instant the data is resident server-side
+    /// plus the server's payload handle. Shared by the serial call and the
+    /// pipelined ring.
     pub(crate) fn stage_update_from(
         &mut self,
         fabric: &mut Fabric,
@@ -878,21 +838,9 @@ impl DaosClient {
         Ok(done.at)
     }
 
-    /// Phase A of a fetch: client CPU plus the descriptor send to engine
-    /// `eng`. Returns the instant the request reaches the server.
-    fn stage_fetch(
-        &mut self,
-        fabric: &mut Fabric,
-        now: SimTime,
-        job: usize,
-        eng: usize,
-    ) -> Result<SimTime, DaosError> {
-        let t_cpu = self.client_cpu(now, job);
-        self.stage_fetch_from(fabric, t_cpu, job, eng, None)
-    }
-
-    /// [`Self::stage_fetch`] from the instant the descriptor is ready to
-    /// post (see [`Self::stage_update_from`]).
+    /// Phase A of a fetch: the descriptor send to engine `eng` from the
+    /// instant it is ready to post (see [`Self::stage_update_from`]).
+    /// Returns the instant the request reaches the server.
     pub(crate) fn stage_fetch_from(
         &mut self,
         fabric: &mut Fabric,
@@ -943,78 +891,14 @@ impl DaosClient {
         }
     }
 
-    /// Issues an OBJ_UPDATE from `job`, fanned out to every healthy
-    /// replica of `oid` (the commit instant is the last replica's ack, so
-    /// a committed update is readable from any replica). Returns the
-    /// commit instant.
-    #[allow(clippy::too_many_arguments)]
-    pub fn update(
-        &mut self,
-        fabric: &mut Fabric,
-        cluster: &mut EngineCluster,
-        now: SimTime,
-        job: usize,
-        oid: ObjectId,
-        dkey: DKey,
-        akey: AKey,
-        kind: ValueKind,
-        data: Bytes,
-    ) -> Result<SimTime, DaosError> {
-        self.ops += 1;
-        self.check_cluster(cluster)?;
-        self.check_staging(job, data.len() as u64)?;
-        let set = cluster.route_update(&oid);
-        if set.is_empty() {
-            return Err(DaosError::NoReplica);
-        }
-        let epoch = cluster.next_epoch(&self.cont)?;
-        let mut done: Option<SimTime> = None;
-        for eng in set.iter() {
-            let (data_at_server, payload) =
-                self.stage_update(fabric, now, job, eng, data.clone())?;
-            let persisted = cluster.engine_mut(eng).update(
-                data_at_server,
-                &self.cont,
-                oid,
-                dkey.clone(),
-                akey.clone(),
-                kind,
-                epoch,
-                payload,
-            )?;
-            let acked = self.finish_update(fabric, job, eng, persisted, SendCores::Both)?;
-            done = Some(done.map_or(acked, |d| d.max(acked)));
-        }
-        Ok(done.expect("non-empty replica set"))
-    }
-
-    /// Issues an OBJ_FETCH from `job` reading `len` bytes at `epoch`,
-    /// routed to `oid`'s replica leader — or, while the leader's engine is
-    /// down, to the first surviving replica (a degraded read).
-    #[allow(clippy::too_many_arguments)]
-    pub fn fetch(
-        &mut self,
-        fabric: &mut Fabric,
-        cluster: &mut EngineCluster,
-        now: SimTime,
-        job: usize,
-        oid: ObjectId,
-        dkey: DKey,
-        akey: AKey,
-        kind: ValueKind,
-        epoch: Epoch,
-        len: u64,
-    ) -> Result<(Bytes, SimTime), DaosError> {
-        self.fetch_with_meta(fabric, cluster, now, job, oid, dkey, akey, kind, epoch, len)
-            .map(|(data, at, _)| (data, at))
-    }
-
-    /// [`Self::fetch`] plus the completion's provenance ([`FetchMeta`]):
-    /// which engine served it, whether the route was degraded, and the
-    /// map revision / record version stamped on the reply. Callers
-    /// that maintain a read cache (the DPU lane) need exactly this to
-    /// decide whether the completion is safe to fill from. Booking and
-    /// accounting are identical to [`Self::fetch`].
+    /// The serial OBJ_FETCH ([`ObjectClient::fetch`]) plus the
+    /// completion's provenance ([`FetchMeta`]): which engine served it,
+    /// whether the route was degraded, and the map revision / record
+    /// version stamped on the reply. Callers that maintain a read cache
+    /// (the DPU lane) need exactly this to decide whether the completion
+    /// is safe to fill from. Reads `len` bytes at `epoch`, routed on the
+    /// live map to `oid`'s replica leader — or, while the leader's engine
+    /// is down, to the first surviving replica (a degraded read).
     #[allow(clippy::too_many_arguments)]
     pub fn fetch_with_meta(
         &mut self,
@@ -1034,14 +918,23 @@ impl DaosClient {
         self.check_staging(job, len)?;
         let (set, degraded) = cluster.route_fetch_meta(&oid);
         let eng = set.leader().ok_or(DaosError::NoReplica)?;
-        let req_at = self.stage_fetch(fabric, now, job, eng)?;
-        let (data, ready) = cluster
-            .engine_mut(eng)
-            .fetch(req_at, &self.cont, oid, &dkey, &akey, kind, epoch, len)?;
+        let t_cpu = self.client_cpu(now, job);
+        let req_at = self.stage_fetch_from(fabric, t_cpu, job, eng, None)?;
+        let stamp = cluster.map().version();
+        let (data, ready) = cluster.engine_mut(eng).fetch(
+            Arrival { stamp, at: req_at },
+            &self.cont,
+            oid,
+            &dkey,
+            &akey,
+            kind,
+            epoch,
+            len,
+        )?;
         let meta = FetchMeta {
             eng,
             degraded,
-            map_version: cluster.map().version(),
+            map_version: stamp,
             record_version: cluster.engine(eng).record_version(oid, &dkey, &akey),
         };
         self.finish_fetch(fabric, job, eng, data, ready, len, SendCores::Both)
@@ -1066,9 +959,9 @@ pub fn whole_batch_error(ops: &[ClientOp], e: DaosError) -> Vec<ClientOpResult> 
 /// (which wraps the same data-plane core with the host handoff, tenant QoS
 /// admission, scoped-rkey refresh, and DPU-side checksumming).
 ///
-/// `update` and `fetch` mirror the [`DaosClient`] inherent API exactly, so
-/// the host path through a `&mut dyn ObjectClient` executes the identical
-/// code it always has; the ring is reached through the trait alone.
+/// It is the one way into either client: `update` and `fetch` are the
+/// serial call (live-map routing, the whole per-op CPU on a core), the
+/// `execute_*` methods the ring.
 pub trait ObjectClient {
     /// Issues an OBJ_UPDATE from `job`; returns the client-visible commit
     /// instant.
@@ -1154,6 +1047,10 @@ pub trait ObjectClient {
 }
 
 impl ObjectClient for DaosClient {
+    /// Fans the OBJ_UPDATE out to every healthy replica of `oid` on the
+    /// live map (the commit instant is the last replica's ack, so a
+    /// committed update is readable from any replica), each leg stamped
+    /// with the live map revision.
     fn update(
         &mut self,
         fabric: &mut Fabric,
@@ -1166,7 +1063,37 @@ impl ObjectClient for DaosClient {
         kind: ValueKind,
         data: Bytes,
     ) -> Result<SimTime, DaosError> {
-        DaosClient::update(self, fabric, cluster, now, job, oid, dkey, akey, kind, data)
+        self.ops += 1;
+        self.check_cluster(cluster)?;
+        self.check_staging(job, data.len() as u64)?;
+        let set = cluster.route_update(&oid);
+        if set.is_empty() {
+            return Err(DaosError::NoReplica);
+        }
+        let epoch = cluster.next_epoch(&self.cont)?;
+        let stamp = cluster.map().version();
+        let mut done: Option<SimTime> = None;
+        for eng in set.iter() {
+            let t_cpu = self.client_cpu(now, job);
+            let (data_at_server, payload) =
+                self.stage_update_from(fabric, t_cpu, job, eng, data.clone(), None)?;
+            let persisted = cluster.engine_mut(eng).update(
+                Arrival {
+                    stamp,
+                    at: data_at_server,
+                },
+                &self.cont,
+                oid,
+                dkey.clone(),
+                akey.clone(),
+                kind,
+                epoch,
+                payload,
+            )?;
+            let acked = self.finish_update(fabric, job, eng, persisted, SendCores::Both)?;
+            done = Some(done.map_or(acked, |d| d.max(acked)));
+        }
+        Ok(done.expect("non-empty replica set"))
     }
 
     fn fetch(
@@ -1182,9 +1109,8 @@ impl ObjectClient for DaosClient {
         epoch: Epoch,
         len: u64,
     ) -> Result<(Bytes, SimTime), DaosError> {
-        DaosClient::fetch(
-            self, fabric, cluster, now, job, oid, dkey, akey, kind, epoch, len,
-        )
+        self.fetch_with_meta(fabric, cluster, now, job, oid, dkey, akey, kind, epoch, len)
+            .map(|(data, at, _)| (data, at))
     }
 
     fn execute_pipelined(
@@ -1394,7 +1320,7 @@ mod tests {
             CoreClass::HostX86,
         );
         engine.cont_create("cont0").unwrap();
-        let client = DaosClient::connect_multi(
+        let client = DaosClient::connect_scoped_multi(
             &mut fabric,
             NodeId(0),
             &[NodeId(1)],
@@ -1404,6 +1330,7 @@ mod tests {
             4 << 20,
             MemoryDomain::HostDram,
             DaosCostModel::default_model(),
+            Expiry::Never,
         )
         .unwrap();
         (fabric, EngineCluster::single(engine), client)

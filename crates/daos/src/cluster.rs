@@ -255,7 +255,7 @@ impl PoolMap {
     /// pre-kill-survivor override ends and the HRW backfill member joins
     /// the set), so clients holding the pre-rebuild revision must be
     /// fenced into a refresh like any other map race.
-    pub fn note_rebuilt(&mut self) {
+    fn note_rebuilt(&mut self) {
         self.version += 1;
     }
 
@@ -281,12 +281,7 @@ impl PoolMap {
     /// [`Self::replica_set`] with `treat_up` counted as healthy regardless
     /// of its recorded health — the pre-failure set, used to find the
     /// surviving copies of an object while its rebuild is pending.
-    pub fn replica_set_with(
-        &self,
-        oid: &ObjectId,
-        rf: usize,
-        treat_up: Option<usize>,
-    ) -> ReplicaSet {
+    fn replica_set_with(&self, oid: &ObjectId, rf: usize, treat_up: Option<usize>) -> ReplicaSet {
         let rf = rf.min(MAX_RF);
         // Insertion sort into a fixed top-rf array: highest score first,
         // ties broken toward the lower slot.
@@ -494,7 +489,7 @@ impl ServiceScheduler {
     }
 
     /// Replaces a service's budget with fresh buckets (full at t=0).
-    pub fn set_budget(&mut self, service: BgService, limits: QosLimits) {
+    fn set_budget(&mut self, service: BgService, limits: QosLimits) {
         *self.lane_mut(service) = QosLane::new(limits);
     }
 

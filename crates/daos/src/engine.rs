@@ -35,6 +35,25 @@ pub enum ValueKind {
     },
 }
 
+/// An object RPC as it reaches the engine: the pool-map revision its
+/// sender stamped on it and the instant it arrives. Every update and fetch
+/// carries one. A bare [`SimTime`] is an arrival stamped with revision 0,
+/// what a sender holding no map sends: an engine no map has reached serves
+/// it, and any engine that has observed a map fences it.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Arrival {
+    /// The map revision the request carries.
+    pub stamp: u64,
+    /// The instant the request reaches the engine.
+    pub at: SimTime,
+}
+
+impl From<SimTime> for Arrival {
+    fn from(at: SimTime) -> Self {
+        Arrival { stamp: 0, at }
+    }
+}
+
 /// A container's server-side state.
 #[derive(Clone, Debug, Default)]
 pub struct ContainerMeta {
@@ -56,8 +75,8 @@ pub struct DaosEngine {
     containers: HashMap<String, ContainerMeta>,
     rpcs: u64,
     /// The newest map revision the control plane has pushed to this
-    /// engine (0 = never observed — fencing disabled, the pre-cluster
-    /// direct-drive shape).
+    /// engine (0 = never observed: every stamp passes the revision fence,
+    /// as on a bare engine no control plane pushes maps to).
     map_version: u64,
     /// The pushed map itself plus this engine's slot and the pool RF —
     /// what the placement fence re-resolves routes against.
@@ -153,7 +172,7 @@ impl DaosEngine {
     }
 
     /// The shard index serving `(oid, dkey)` under the object's class.
-    pub fn target_of(&self, oid: ObjectId, dkey: Option<&DKey>) -> usize {
+    fn target_of(&self, oid: ObjectId, dkey: Option<&DKey>) -> usize {
         let n = self.targets.len() as u64;
         let h = match oid.class() {
             ObjClass::S1 => placement_hash(&oid, None),
@@ -245,12 +264,17 @@ impl DaosEngine {
         (&mut self.targets[target], self.bdevs.shard(target), picked)
     }
 
-    /// Services an OBJ_UPDATE RPC arriving at `now` (data already present
-    /// server-side). Returns the persisted-at instant.
+    /// Services an OBJ_UPDATE RPC (data already present server-side) behind
+    /// the map fence. Returns the persisted-at instant. The engine rejects
+    /// the request when its stamp is stale — *and also* when the current
+    /// map no longer places this object on this engine (so no write ever
+    /// lands on an evicted replica, even if the client's stamp happens to
+    /// be current). Fenced requests don't count as RPCs and touch no target
+    /// state.
     #[allow(clippy::too_many_arguments)]
     pub fn update(
         &mut self,
-        now: SimTime,
+        rpc: impl Into<Arrival>,
         cont: &str,
         oid: ObjectId,
         dkey: DKey,
@@ -259,58 +283,7 @@ impl DaosEngine {
         epoch: Epoch,
         data: Bytes,
     ) -> Result<SimTime, DaosError> {
-        if !self.containers.contains_key(cont) {
-            return Err(DaosError::NoSuchEntity);
-        }
-        let (vos, mut media, picked) = self.serve_on_shard(now, oid, &dkey, data.len() as u64);
-        vos.update(picked, &mut media, oid, dkey, akey, kind, epoch, data)
-    }
-
-    /// Services an OBJ_FETCH RPC arriving at `now`. Returns the data and
-    /// the instant it is ready to leave the server.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fetch(
-        &mut self,
-        now: SimTime,
-        cont: &str,
-        oid: ObjectId,
-        dkey: &DKey,
-        akey: &AKey,
-        kind: ValueKind,
-        epoch: Epoch,
-        len: u64,
-    ) -> Result<(Bytes, SimTime), DaosError> {
-        if !self.containers.contains_key(cont) {
-            return Err(DaosError::NoSuchEntity);
-        }
-        let (vos, mut media, picked) = self.serve_on_shard(now, oid, dkey, len);
-        match kind {
-            ValueKind::Single => vos.fetch_single(picked, &mut media, oid, dkey, akey, epoch),
-            ValueKind::Array { offset } => {
-                vos.fetch_array(picked, &mut media, oid, dkey, akey, epoch, offset, len)
-            }
-        }
-    }
-
-    /// [`Self::update`] behind the map fence: the RPC descriptor carries
-    /// the client's cached `map_version` stamp, and the engine rejects it
-    /// when the stamp is stale — *and also* when the current map no longer
-    /// places this object on this engine (so no write ever lands on an
-    /// evicted replica, even if the client's stamp happens to be current).
-    /// Fenced requests don't count as RPCs and touch no target state.
-    #[allow(clippy::too_many_arguments)]
-    pub fn update_versioned(
-        &mut self,
-        stamp: u64,
-        now: SimTime,
-        cont: &str,
-        oid: ObjectId,
-        dkey: DKey,
-        akey: AKey,
-        kind: ValueKind,
-        epoch: Epoch,
-        data: Bytes,
-    ) -> Result<SimTime, DaosError> {
+        let Arrival { stamp, at } = rpc.into();
         self.fence_version(stamp)?;
         if let Some((map, slot, rf)) = &self.map_view {
             if !map.replica_set(&oid, *rf).contains(*slot) {
@@ -320,18 +293,22 @@ impl DaosEngine {
                 });
             }
         }
-        self.update(now, cont, oid, dkey, akey, kind, epoch, data)
+        if !self.containers.contains_key(cont) {
+            return Err(DaosError::NoSuchEntity);
+        }
+        let (vos, mut media, picked) = self.serve_on_shard(at, oid, &dkey, data.len() as u64);
+        vos.update(picked, &mut media, oid, dkey, akey, kind, epoch, data)
     }
 
-    /// [`Self::fetch`] behind the revision fence. Reads are not placement-
-    /// fenced: during a degraded window the pre-kill survivors legitimately
-    /// serve objects the post-rebuild map will move off them, so only the
-    /// revision check applies.
+    /// Services an OBJ_FETCH RPC behind the revision fence. Returns the
+    /// data and the instant it is ready to leave the server. Reads are not
+    /// placement-fenced: during a degraded window the pre-kill survivors
+    /// legitimately serve objects the post-rebuild map will move off them,
+    /// so only the revision check applies.
     #[allow(clippy::too_many_arguments)]
-    pub fn fetch_versioned(
+    pub fn fetch(
         &mut self,
-        stamp: u64,
-        now: SimTime,
+        rpc: impl Into<Arrival>,
         cont: &str,
         oid: ObjectId,
         dkey: &DKey,
@@ -340,8 +317,18 @@ impl DaosEngine {
         epoch: Epoch,
         len: u64,
     ) -> Result<(Bytes, SimTime), DaosError> {
+        let Arrival { stamp, at } = rpc.into();
         self.fence_version(stamp)?;
-        self.fetch(now, cont, oid, dkey, akey, kind, epoch, len)
+        if !self.containers.contains_key(cont) {
+            return Err(DaosError::NoSuchEntity);
+        }
+        let (vos, mut media, picked) = self.serve_on_shard(at, oid, dkey, len);
+        match kind {
+            ValueKind::Single => vos.fetch_single(picked, &mut media, oid, dkey, akey, epoch),
+            ValueKind::Array { offset } => {
+                vos.fetch_array(picked, &mut media, oid, dkey, akey, epoch, offset, len)
+            }
+        }
     }
 
     /// Lists dkeys of an object (enumerations go to the object's S1 target
@@ -737,9 +724,11 @@ mod tests {
 
         let epoch = e.next_epoch("cont0").unwrap();
         let err = e
-            .update_versioned(
-                1, // the pre-kill revision
-                SimTime::ZERO,
+            .update(
+                Arrival {
+                    stamp: 1,
+                    at: SimTime::ZERO,
+                }, // the pre-kill revision
                 "cont0",
                 placed,
                 DKey::from_u64(0),
@@ -751,9 +740,11 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, DaosError::StaleMap { current: 2 });
         let err = e
-            .fetch_versioned(
-                1,
-                SimTime::ZERO,
+            .fetch(
+                Arrival {
+                    stamp: 1,
+                    at: SimTime::ZERO,
+                },
                 "cont0",
                 placed,
                 &DKey::from_u64(0),
@@ -771,9 +762,11 @@ mod tests {
         assert_eq!(e.vos_stats().sv_updates, 0);
 
         // The current stamp passes the fence and does the work.
-        e.update_versioned(
-            2,
-            SimTime::ZERO,
+        e.update(
+            Arrival {
+                stamp: 2,
+                at: SimTime::ZERO,
+            },
             "cont0",
             placed,
             DKey::from_u64(0),
@@ -795,9 +788,11 @@ mod tests {
         // The current map places `elsewhere` on a different slot: even a
         // perfectly fresh stamp must not let the write land here.
         let err = e
-            .update_versioned(
-                map.version(),
-                SimTime::ZERO,
+            .update(
+                Arrival {
+                    stamp: map.version(),
+                    at: SimTime::ZERO,
+                },
                 "cont0",
                 elsewhere,
                 DKey::from_u64(0),
@@ -818,9 +813,11 @@ mod tests {
         // …while a correctly placed object writes fine, and reads of a
         // misplaced object are NOT placement-fenced (degraded windows
         // legitimately read from members the next map will rotate out).
-        e.update_versioned(
-            map.version(),
-            SimTime::ZERO,
+        e.update(
+            Arrival {
+                stamp: map.version(),
+                at: SimTime::ZERO,
+            },
             "cont0",
             placed,
             DKey::from_u64(0),
@@ -841,9 +838,11 @@ mod tests {
         let epoch = e.next_epoch("cont0").unwrap();
         // A client can only have gotten a newer stamp from the control
         // plane; the engine's own push just hasn't arrived yet.
-        e.update_versioned(
-            map.version() + 5,
-            SimTime::ZERO,
+        e.update(
+            Arrival {
+                stamp: map.version() + 5,
+                at: SimTime::ZERO,
+            },
             "cont0",
             placed,
             DKey::from_u64(0),
@@ -866,23 +865,32 @@ mod tests {
 
     #[test]
     fn unobserved_engines_never_fence() {
-        // The pre-cluster direct-drive shape: no map was ever pushed, so
-        // versioned entry points behave exactly like the unversioned ones.
+        // No map was ever pushed: a bare instant, stamped revision 0,
+        // passes. Once a map is observed, the same bare instant is stale.
         let mut e = engine(1);
+        let (map, placed, _) = fence_fixture(0);
         let epoch = e.next_epoch("cont0").unwrap();
-        e.update_versioned(
-            0,
-            SimTime::ZERO,
-            "cont0",
-            ObjectId::new(ObjClass::S1, 1),
-            DKey::from_u64(0),
-            AKey::from_str("a"),
-            ValueKind::Single,
-            epoch,
-            Bytes::from_static(b"x"),
-        )
-        .unwrap();
+        let write = |e: &mut DaosEngine| {
+            e.update(
+                SimTime::ZERO,
+                "cont0",
+                placed,
+                DKey::from_u64(0),
+                AKey::from_str("a"),
+                ValueKind::Single,
+                epoch,
+                Bytes::from_static(b"x"),
+            )
+        };
+        write(&mut e).unwrap();
         assert_eq!(e.fences(), 0);
+        assert_eq!(e.rpcs(), 1);
+        e.observe_map(&map, 0, 1);
+        assert_eq!(
+            write(&mut e).unwrap_err(),
+            DaosError::StaleMap { current: 1 }
+        );
+        assert_eq!(e.fences(), 1);
         assert_eq!(e.rpcs(), 1);
     }
 }

@@ -33,7 +33,7 @@ pub use cluster::{
 };
 pub use conn_pool::{ConnPool, ConnPoolStats};
 pub use descriptor::TEMPLATE_LEN;
-pub use engine::{ContainerMeta, DaosEngine, ValueKind};
+pub use engine::{Arrival, ContainerMeta, DaosEngine, ValueKind};
 pub use pipeline::{Forwarded, OpRing, RetryPolicy, RetryStats, SlotTrail};
 pub use types::{
     placement_hash, AKey, DKey, DaosCostModel, DaosError, Epoch, KeyBytes, ObjClass, ObjectId,

@@ -1,6 +1,7 @@
 //! The client op pipeline: an explicit submission/completion ring.
 //!
-//! The serial client ([`DaosClient::update`] / [`DaosClient::fetch`]) runs
+//! The serial call ([`ObjectClient::update`](crate::ObjectClient::update) /
+//! [`ObjectClient::fetch`](crate::ObjectClient::fetch)) runs
 //! each op's phases synchronously, so a job core is occupied for the whole
 //! `client_per_op` cost per op and nothing overlaps the completion path.
 //! The [`OpRing`] splits every op into the two halves real RDMA clients
@@ -92,7 +93,7 @@ use ros2_sim::{SimDuration, SimTime};
 use crate::client::{ClientOp, ClientOpResult, DaosClient, FiredTemplate};
 use crate::cluster::EngineCluster;
 use crate::descriptor::Routing;
-use crate::engine::ValueKind;
+use crate::engine::{Arrival, ValueKind};
 use crate::types::{AKey, DKey, DaosError, Epoch, ObjectId};
 
 /// Deadlines, backoff bounds and the retry budget for the ring's
@@ -746,9 +747,8 @@ impl OpRing {
                         client.retry.timeouts += 1;
                         req_at + policy.leg_deadline
                     } else {
-                        match cluster.engine_mut(eng).fetch_versioned(
-                            stamp,
-                            req_at,
+                        match cluster.engine_mut(eng).fetch(
+                            Arrival { stamp, at: req_at },
                             client.container(),
                             oid,
                             &dkey,
@@ -885,9 +885,8 @@ impl OpRing {
                 client.retry.timeouts += 1;
                 staged + policy.leg_deadline
             } else {
-                match cluster.engine_mut(eng).update_versioned(
-                    stamp,
-                    staged,
+                match cluster.engine_mut(eng).update(
+                    Arrival { stamp, at: staged },
                     client.container(),
                     oid,
                     dkey.clone(),

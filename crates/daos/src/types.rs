@@ -76,7 +76,7 @@ pub enum KeyBytes {
 
 impl KeyBytes {
     /// Builds a key from a slice (inline when it fits; one copy otherwise).
-    pub fn from_slice(s: &[u8]) -> Self {
+    fn from_slice(s: &[u8]) -> Self {
         if s.len() <= INLINE_KEY {
             let mut buf = [0u8; INLINE_KEY];
             buf[..s.len()].copy_from_slice(s);
@@ -91,7 +91,7 @@ impl KeyBytes {
 
     /// Builds a key from an owned handle (inline when it fits — the handle
     /// is dropped — otherwise adopted without copying).
-    pub fn from_bytes(b: Bytes) -> Self {
+    fn from_bytes(b: Bytes) -> Self {
         if b.len() <= INLINE_KEY {
             KeyBytes::from_slice(&b)
         } else {
@@ -100,7 +100,7 @@ impl KeyBytes {
     }
 
     /// The key bytes.
-    pub fn as_slice(&self) -> &[u8] {
+    fn as_slice(&self) -> &[u8] {
         match self {
             KeyBytes::Inline { len, buf } => &buf[..*len as usize],
             KeyBytes::Heap(b) => b,
@@ -108,7 +108,8 @@ impl KeyBytes {
     }
 
     /// Whether the key is stored inline (no heap allocation).
-    pub fn is_inline(&self) -> bool {
+    #[cfg(test)]
+    fn is_inline(&self) -> bool {
         matches!(self, KeyBytes::Inline { .. })
     }
 }

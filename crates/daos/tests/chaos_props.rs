@@ -17,14 +17,15 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use ros2_daos::{
     AKey, ClientOp, ClientOpResult, DKey, DaosClient, DaosCostModel, DaosEngine, DaosError,
-    EngineCluster, Epoch, ObjClass, ObjectId, OpRing, RetryPolicy, RetryStats, ValueKind,
+    EngineCluster, Epoch, ObjClass, ObjectClient, ObjectId, OpRing, RetryPolicy, RetryStats,
+    ValueKind,
 };
 use ros2_fabric::{Fabric, NodeSpec};
 use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, NvmeModel, Transport};
 use ros2_nvme::{DataMode, NvmeArray};
 use ros2_sim::{SimDuration, SimTime};
 use ros2_spdk::BdevLayer;
-use ros2_verbs::{MemoryDomain, NodeId};
+use ros2_verbs::{Expiry, MemoryDomain, NodeId};
 
 mod common;
 use common::serial_op;
@@ -70,7 +71,7 @@ fn world() -> (Fabric, EngineCluster, DaosClient) {
     }
     let mut fabric = Fabric::new(Transport::Rdma, specs, 23);
     let cluster = EngineCluster::new((0..engines).map(|_| engine()).collect(), servers.clone(), 2);
-    let client = DaosClient::connect_multi(
+    let client = DaosClient::connect_scoped_multi(
         &mut fabric,
         NodeId(0),
         &servers,
@@ -80,6 +81,7 @@ fn world() -> (Fabric, EngineCluster, DaosClient) {
         4 << 20,
         MemoryDomain::HostDram,
         DaosCostModel::default_model(),
+        Expiry::Never,
     )
     .unwrap();
     (fabric, cluster, client)

@@ -5,15 +5,15 @@
 
 use bytes::Bytes;
 use ros2_daos::{
-    AKey, DKey, DaosClient, DaosCostModel, DaosEngine, EngineCluster, Epoch, ObjClass, ObjectId,
-    ValueKind,
+    AKey, Arrival, DKey, DaosClient, DaosCostModel, DaosEngine, EngineCluster, Epoch, ObjClass,
+    ObjectClient, ObjectId, ValueKind,
 };
 use ros2_fabric::{Fabric, NodeSpec};
 use ros2_hw::{CoreClass, NvmeModel, Transport};
 use ros2_nvme::{DataMode, NvmeArray};
 use ros2_sim::SimTime;
 use ros2_spdk::BdevLayer;
-use ros2_verbs::{MemoryDomain, NodeId};
+use ros2_verbs::{Expiry, MemoryDomain, NodeId};
 
 fn cluster_world(engines: usize, rf: usize) -> (Fabric, EngineCluster, DaosClient, Vec<NodeId>) {
     let mut specs = vec![NodeSpec::host_client()];
@@ -38,7 +38,7 @@ fn cluster_world(engines: usize, rf: usize) -> (Fabric, EngineCluster, DaosClien
         .collect();
     let mut cluster = EngineCluster::new(engine_vec, nodes.clone(), rf);
     cluster.cont_create("cont0").unwrap();
-    let client = DaosClient::connect_multi(
+    let client = DaosClient::connect_scoped_multi(
         &mut fabric,
         NodeId(0),
         &nodes,
@@ -48,6 +48,7 @@ fn cluster_world(engines: usize, rf: usize) -> (Fabric, EngineCluster, DaosClien
         4 << 20,
         MemoryDomain::HostDram,
         DaosCostModel::default_model(),
+        Expiry::Never,
     )
     .unwrap();
     (fabric, cluster, client, nodes)
@@ -86,11 +87,12 @@ fn updates_replicate_to_rf_engines() {
     }
     // Both replicas answer the same bytes at the engine level.
     let mut reads = Vec::new();
+    let stamp = cluster.map().version();
     for s in set.iter() {
         let (data, _) = cluster
             .engine_mut(s)
             .fetch(
-                t,
+                Arrival { stamp, at: t },
                 "cont0",
                 oid,
                 &DKey::from_u64(3),

@@ -1,12 +1,12 @@
 //! The reference arm of the ring equivalence suites: one op of a
 //! [`ClientOp`] tape issued as the serial client call.
 
-use ros2_daos::{ClientOp, ClientOpResult, DaosClient, EngineCluster};
+use ros2_daos::{ClientOp, ClientOpResult, DaosClient, EngineCluster, ObjectClient};
 use ros2_fabric::Fabric;
 use ros2_sim::SimTime;
 
-/// Runs `op` start to finish through [`DaosClient::update`] /
-/// [`DaosClient::fetch`] on job 0 — what a ring submission must be
+/// Runs `op` start to finish through [`ObjectClient::update`] /
+/// [`ObjectClient::fetch`] on job 0 — what a ring submission must be
 /// functionally identical to.
 pub fn serial_op(
     c: &mut DaosClient,

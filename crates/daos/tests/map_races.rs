@@ -13,14 +13,14 @@
 use bytes::Bytes;
 use ros2_daos::{
     AKey, ClientOp, ClientOpResult, DKey, DaosClient, DaosCostModel, DaosEngine, DaosError,
-    EngineCluster, Epoch, ObjClass, ObjectId, OpRing, RetryStats, ValueKind,
+    EngineCluster, Epoch, ObjClass, ObjectClient, ObjectId, OpRing, RetryStats, ValueKind,
 };
 use ros2_fabric::{Fabric, NodeSpec};
 use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, NvmeModel, Transport};
 use ros2_nvme::{DataMode, NvmeArray};
 use ros2_sim::{SimDuration, SimTime};
 use ros2_spdk::BdevLayer;
-use ros2_verbs::{MemoryDomain, NodeId};
+use ros2_verbs::{Expiry, MemoryDomain, NodeId};
 
 mod common;
 use common::serial_op;
@@ -69,7 +69,7 @@ fn world(engines: usize, rf: usize) -> (Fabric, EngineCluster, DaosClient) {
         servers.clone(),
         rf,
     );
-    let client = DaosClient::connect_multi(
+    let client = DaosClient::connect_scoped_multi(
         &mut fabric,
         NodeId(0),
         &servers,
@@ -79,6 +79,7 @@ fn world(engines: usize, rf: usize) -> (Fabric, EngineCluster, DaosClient) {
         4 << 20,
         MemoryDomain::HostDram,
         DaosCostModel::default_model(),
+        Expiry::Never,
     )
     .unwrap();
     (fabric, cluster, client)

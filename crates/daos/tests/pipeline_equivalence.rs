@@ -12,14 +12,14 @@
 use bytes::Bytes;
 use ros2_daos::{
     AKey, ClientOp, ClientOpResult, DKey, DaosClient, DaosCostModel, DaosEngine, EngineCluster,
-    Epoch, ObjClass, ObjectId, OpRing, ValueKind,
+    Epoch, ObjClass, ObjectClient, ObjectId, OpRing, ValueKind,
 };
 use ros2_fabric::{Fabric, NodeSpec};
 use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, NvmeModel, Transport};
 use ros2_nvme::{DataMode, NvmeArray};
 use ros2_sim::{SimDuration, SimRng, SimTime};
 use ros2_spdk::BdevLayer;
-use ros2_verbs::{MemoryDomain, NodeId};
+use ros2_verbs::{Expiry, MemoryDomain, NodeId};
 
 mod common;
 use common::serial_op;
@@ -69,7 +69,7 @@ fn world(engines: usize, rf: usize, jobs: usize) -> (Fabric, EngineCluster, Daos
         servers.clone(),
         rf,
     );
-    let client = DaosClient::connect_multi(
+    let client = DaosClient::connect_scoped_multi(
         &mut fabric,
         NodeId(0),
         &servers,
@@ -79,6 +79,7 @@ fn world(engines: usize, rf: usize, jobs: usize) -> (Fabric, EngineCluster, Daos
         4 << 20,
         MemoryDomain::HostDram,
         DaosCostModel::default_model(),
+        Expiry::Never,
     )
     .unwrap();
     (fabric, cluster, client)

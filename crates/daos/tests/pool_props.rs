@@ -17,14 +17,14 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use ros2_daos::{
     AKey, ConnPool, DKey, DaosClient, DaosCostModel, DaosEngine, EngineCluster, Epoch, ObjClass,
-    ObjectId, ValueKind,
+    ObjectClient, ObjectId, ValueKind,
 };
 use ros2_fabric::{Fabric, NodeSpec};
 use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, NvmeModel, Transport};
 use ros2_nvme::{DataMode, NvmeArray};
 use ros2_sim::{SimDuration, SimTime};
 use ros2_spdk::BdevLayer;
-use ros2_verbs::{MemoryDomain, NodeId};
+use ros2_verbs::{Expiry, MemoryDomain, NodeId};
 
 const ENGINES: usize = 3;
 const RF: usize = 2;
@@ -81,7 +81,7 @@ fn world(n_clients: usize) -> (Fabric, EngineCluster, Vec<DaosClient>) {
     );
     let clients = (0..n_clients)
         .map(|c| {
-            DaosClient::connect_multi(
+            DaosClient::connect_scoped_multi(
                 &mut fabric,
                 NodeId(c as u32),
                 &servers,
@@ -91,6 +91,7 @@ fn world(n_clients: usize) -> (Fabric, EngineCluster, Vec<DaosClient>) {
                 4 << 20,
                 MemoryDomain::HostDram,
                 DaosCostModel::default_model(),
+                Expiry::Never,
             )
             .unwrap()
         })

@@ -27,14 +27,14 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use ros2_daos::{
     AKey, BgService, DKey, DaosClient, DaosCostModel, DaosEngine, EngineCluster, Epoch, ObjClass,
-    ObjectId, ScrubStats, ValueKind,
+    ObjectClient, ObjectId, ScrubStats, ValueKind,
 };
 use ros2_fabric::{Fabric, NodeSpec};
 use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, NvmeModel, Transport};
 use ros2_nvme::{DataMode, NvmeArray};
 use ros2_sim::{QosLimits, SimDuration, SimTime};
 use ros2_spdk::BdevLayer;
-use ros2_verbs::{MemoryDomain, NodeId};
+use ros2_verbs::{Expiry, MemoryDomain, NodeId};
 
 const ENGINES: usize = 4;
 const RF: usize = 2;
@@ -83,7 +83,7 @@ fn world() -> (Fabric, EngineCluster, DaosClient) {
         servers.clone(),
         RF,
     );
-    let client = DaosClient::connect_multi(
+    let client = DaosClient::connect_scoped_multi(
         &mut fabric,
         NodeId(0),
         &servers,
@@ -93,6 +93,7 @@ fn world() -> (Fabric, EngineCluster, DaosClient) {
         4 << 20,
         MemoryDomain::HostDram,
         DaosCostModel::default_model(),
+        Expiry::Never,
     )
     .unwrap();
     (fabric, cluster, client)

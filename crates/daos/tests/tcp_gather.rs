@@ -9,15 +9,15 @@
 use bytes::Bytes;
 use ros2_buf::{allocated_bytes, zero_bytes, CountingAlloc};
 use ros2_daos::{
-    AKey, DKey, DaosClient, DaosCostModel, DaosEngine, EngineCluster, Epoch, ObjClass, ObjectId,
-    ValueKind,
+    AKey, DKey, DaosClient, DaosCostModel, DaosEngine, EngineCluster, Epoch, ObjClass,
+    ObjectClient, ObjectId, ValueKind,
 };
 use ros2_fabric::{Fabric, NodeSpec};
 use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, NvmeModel, Transport};
 use ros2_nvme::{DataMode, NvmeArray};
 use ros2_sim::SimTime;
 use ros2_spdk::BdevLayer;
-use ros2_verbs::{MemoryDomain, NodeId};
+use ros2_verbs::{Expiry, MemoryDomain, NodeId};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -60,7 +60,7 @@ fn tcp_world() -> World {
         CoreClass::HostX86,
     );
     engine.cont_create("cont0").unwrap();
-    let client = DaosClient::connect_multi(
+    let client = DaosClient::connect_scoped_multi(
         &mut fabric,
         NodeId(0),
         &[NodeId(1)],
@@ -70,6 +70,7 @@ fn tcp_world() -> World {
         4 << 20,
         MemoryDomain::HostDram,
         DaosCostModel::default_model(),
+        Expiry::Never,
     )
     .unwrap();
     (fabric, EngineCluster::single(engine), client)

@@ -694,7 +694,6 @@ impl Dfs {
 
     /// Renames `name` in `parent` to `new_name` in `new_parent`
     /// (entry move; the data object is untouched).
-    #[allow(clippy::too_many_arguments)]
     pub fn rename(
         &mut self,
         s: &mut DfsSession<'_>,

@@ -27,7 +27,7 @@ mod tests {
     use ros2_nvme::{DataMode, NvmeArray};
     use ros2_sim::SimTime;
     use ros2_spdk::BdevLayer;
-    use ros2_verbs::{MemoryDomain, NodeId};
+    use ros2_verbs::{Expiry, MemoryDomain, NodeId};
 
     fn world(ssds: usize) -> (Fabric, EngineCluster, DaosClient) {
         let spec = |name: &str, cores: usize| NodeSpec {
@@ -59,7 +59,7 @@ mod tests {
             CoreClass::HostX86,
         );
         engine.cont_create("posix").unwrap();
-        let client = DaosClient::connect_multi(
+        let client = DaosClient::connect_scoped_multi(
             &mut fabric,
             NodeId(0),
             &[NodeId(1)],
@@ -69,6 +69,7 @@ mod tests {
             4 << 20,
             MemoryDomain::HostDram,
             DaosCostModel::default_model(),
+            Expiry::Never,
         )
         .unwrap();
         (fabric, EngineCluster::single(engine), client)

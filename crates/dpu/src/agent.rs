@@ -94,7 +94,7 @@ impl DpuAgent {
 
     /// Releases staging DRAM. Releasing more than is reserved saturates to
     /// an empty pool (and counts the mismatch) instead of underflowing.
-    pub fn release_dram(&mut self, bytes: u64) {
+    fn release_dram(&mut self, bytes: u64) {
         if bytes > self.dram_used {
             self.over_releases.inc();
         }

@@ -334,7 +334,8 @@ impl DpuClient {
     }
 
     /// The tenant a job is bound to.
-    pub fn tenant_of(&self, job: usize) -> &str {
+    #[cfg(test)]
+    fn tenant_of(&self, job: usize) -> &str {
         &self.lanes[self.job_map[job].0].name
     }
 
@@ -406,7 +407,8 @@ impl DpuClient {
     }
 
     /// Whether the read cache is enabled.
-    pub fn read_cache_enabled(&self) -> bool {
+    #[cfg(test)]
+    fn read_cache_enabled(&self) -> bool {
         self.lanes.iter().any(|l| l.cache.is_some())
     }
 
@@ -459,7 +461,8 @@ impl DpuClient {
     /// Fault injection: wedges (or revives) `lane`'s doorbell servicing —
     /// a host submit or poll against a wedged lane burns the doorbell
     /// deadline and returns a typed timeout instead of spinning forever.
-    pub fn wedge_lane(&mut self, lane: usize, on: bool) {
+    #[cfg(test)]
+    fn wedge_lane(&mut self, lane: usize, on: bool) {
         let session = self.lanes[lane].session;
         self.io.set_stalled(session, on);
     }

@@ -31,7 +31,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use ros2_daos::{
-    AKey, ClientOp, ClientOpResult, DKey, DaosCostModel, DaosEngine, EngineCluster, Epoch,
+    AKey, Arrival, ClientOp, ClientOpResult, DKey, DaosCostModel, DaosEngine, EngineCluster, Epoch,
     ObjClass, ObjectClient, ObjectId, RetryPolicy, ValueKind,
 };
 use ros2_dpu::{default_control, DpuAgent, DpuCacheStats, DpuClient, DpuTenantSpec};
@@ -368,11 +368,12 @@ fn run(s: &Schedule, cached: bool) -> RunOut {
             // so the record's newest epoch does not move — its arrival
             // version does.
             let data = payload(s.foreign.1, 0, LEN as u64, 1_000);
+            let stamp = cl.map().version();
             for eng in cl.route_update(&oid()).iter() {
                 let dkey = DKey::from_u64(s.foreign.1);
                 cl.engine_mut(eng)
                     .update(
-                        now,
+                        Arrival { stamp, at: now },
                         "c",
                         oid(),
                         dkey,

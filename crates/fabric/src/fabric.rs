@@ -206,11 +206,6 @@ impl Fabric {
         self.eager_threshold = bytes;
     }
 
-    /// The current eager/rendezvous threshold.
-    pub fn eager_threshold(&self) -> u64 {
-        self.eager_threshold
-    }
-
     /// The transport in use.
     pub fn transport(&self) -> Transport {
         self.transport
@@ -324,7 +319,7 @@ impl Fabric {
     }
 
     /// The `(source, destination)` nodes of `conn` in direction `dir`.
-    pub fn endpoints(&self, conn: ConnId, dir: Dir) -> Result<(NodeId, NodeId), FabricError> {
+    fn endpoints(&self, conn: ConnId, dir: Dir) -> Result<(NodeId, NodeId), FabricError> {
         let c = self
             .conns
             .get(conn.0 as usize)
@@ -357,7 +352,8 @@ impl Fabric {
     }
 
     /// Total operations carried by `conn`.
-    pub fn conn_ops(&self, conn: ConnId) -> u64 {
+    #[cfg(test)]
+    fn conn_ops(&self, conn: ConnId) -> u64 {
         self.conns[conn.0 as usize].ops
     }
 
@@ -837,7 +833,7 @@ mod tests {
     #[test]
     fn framed_send_is_timed_as_the_concatenation() {
         for transport in [Transport::Tcp, Transport::Rdma] {
-            let eager = two_hosts(transport).eager_threshold() as usize;
+            let eager = two_hosts(transport).eager_threshold as usize;
             for (header, len) in [(128, 4096), (128, 1 << 20), (128, eager - 64), (0, 777)] {
                 let connect = |f: &mut Fabric| {
                     let pd_a = f.rdma_mut(NodeId(0)).alloc_pd("client");

@@ -26,7 +26,7 @@ pub struct NodeSpec {
 
 impl NodeSpec {
     /// Effective wire rate: the slower of NIC and switch port.
-    pub fn wire_rate(&self) -> u64 {
+    fn wire_rate(&self) -> u64 {
         self.nic.line_rate.min(self.port_rate)
     }
 

@@ -26,7 +26,7 @@ impl CoreClass {
     /// is consistent with published BlueField-3 per-core comparisons and
     /// yields the paper's 20–40 % DPU small-I/O gap once the rest of the
     /// stack is accounted for.
-    pub fn speed_factor(self) -> f64 {
+    fn speed_factor(self) -> f64 {
         match self {
             CoreClass::HostX86 => 1.0,
             CoreClass::DpuArm => 0.55,

@@ -130,7 +130,7 @@ pub struct IngestModel {
 
 impl IngestModel {
     /// Required sustained ingest rate for the node, bytes/second.
-    pub fn required_bytes_per_sec(&self) -> f64 {
+    fn required_bytes_per_sec(&self) -> f64 {
         self.gpus_per_node as f64 * self.samples_per_gpu_per_sec * self.bytes_per_sample as f64
     }
 

@@ -81,7 +81,7 @@ impl NvmeModel {
     }
 
     /// Per-channel bandwidth for the given direction (B/s).
-    pub fn channel_bw(&self, write: bool) -> u64 {
+    fn channel_bw(&self, write: bool) -> u64 {
         let total = if write { self.write_bw } else { self.read_bw };
         total / self.channels as u64
     }
@@ -117,7 +117,8 @@ impl NvmeModel {
     }
 
     /// The theoretical 4 KiB IOPS ceiling implied by the occupancy model.
-    pub fn iops_ceiling_4k(&self, write: bool) -> f64 {
+    #[cfg(test)]
+    fn iops_ceiling_4k(&self, write: bool) -> f64 {
         let occ = self.occupancy(LBA_SIZE, write);
         self.channels as f64 / occ.as_secs_f64()
     }

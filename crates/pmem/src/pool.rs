@@ -74,12 +74,12 @@ impl ScmModel {
     }
 
     /// Time to read `bytes` from SCM.
-    pub fn read_cost(&self, bytes: u64) -> SimDuration {
+    fn read_cost(&self, bytes: u64) -> SimDuration {
         self.read_latency + SimDuration::for_bytes(bytes, self.read_bw)
     }
 
     /// Time to persist `bytes` to SCM.
-    pub fn write_cost(&self, bytes: u64) -> SimDuration {
+    fn write_cost(&self, bytes: u64) -> SimDuration {
         self.write_latency + SimDuration::for_bytes(bytes, self.write_bw)
     }
 }
@@ -212,7 +212,8 @@ impl PmemPool {
     }
 
     /// Bytes currently allocated (by block size).
-    pub fn live_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn live_bytes(&self) -> u64 {
         self.live_bytes
     }
 

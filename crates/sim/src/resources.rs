@@ -23,7 +23,8 @@ pub struct Grant {
 
 impl Grant {
     /// Time spent waiting before service began.
-    pub fn queue_delay(&self, requested: SimTime) -> SimDuration {
+    #[cfg(test)]
+    fn queue_delay(&self, requested: SimTime) -> SimDuration {
         self.start.saturating_since(requested)
     }
     /// Total latency from request to completion.

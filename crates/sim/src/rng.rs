@@ -127,7 +127,6 @@ pub struct Zipf {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
 }
 
 impl Zipf {
@@ -146,7 +145,6 @@ impl Zipf {
             alpha,
             zetan,
             eta,
-            zeta2,
         }
     }
 
@@ -182,16 +180,6 @@ impl Zipf {
     /// The number of items in the domain.
     pub fn domain(&self) -> u64 {
         self.n
-    }
-
-    /// The skew parameter.
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
-
-    /// The harmonic normalizer over two elements (exposed for tests).
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2
     }
 }
 

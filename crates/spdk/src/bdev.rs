@@ -48,7 +48,8 @@ impl BdevLayer {
     }
 
     /// Looks up a bdev by name.
-    pub fn by_name(&self, name: &str) -> Option<&BdevDesc> {
+    #[cfg(test)]
+    fn by_name(&self, name: &str) -> Option<&BdevDesc> {
         self.bdevs.iter().find(|b| b.name == name)
     }
 

@@ -344,12 +344,8 @@ impl RdmaDevice {
     }
 
     /// Validates that the initiator may use `lkey` over `[addr, addr+len)`.
-    pub fn check_local_access(
-        &self,
-        lkey: LKey,
-        addr: MemAddr,
-        len: u64,
-    ) -> Result<(), VerbsError> {
+    #[cfg(test)]
+    fn check_local_access(&self, lkey: LKey, addr: MemAddr, len: u64) -> Result<(), VerbsError> {
         let mr_id = self.lkey_index.get(&lkey).ok_or(VerbsError::InvalidLkey)?;
         let mr = &self.mrs[mr_id];
         if addr < mr.addr || addr + len > mr.addr + mr.len {

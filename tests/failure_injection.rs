@@ -261,6 +261,47 @@ fn engine_kill_mid_workload_degrades_then_rebuilds() {
     assert_eq!(back, content(0), "second kill still readable");
 }
 
+/// The same cycle through the serial call: 256 KiB files are single-chunk,
+/// so every data op and every namespace op takes `ObjectClient::update` /
+/// `fetch` rather than the ring. The serial call stamps the live map
+/// revision, and it never fences: a kill or rebuild pushes its map to every
+/// engine before any op routes by it, and a live-routed replica set lies
+/// inside the post-kill placement (a kill never reshuffles survivors).
+#[test]
+fn serial_calls_never_fence_through_kill_and_rebuild() {
+    for placement in [ClientPlacement::Host, ClientPlacement::Dpu] {
+        let mut sys = four_engines_rf2(placement);
+        let content = |i: usize| Bytes::from(vec![(i * 37 % 251) as u8 + 1; 256 << 10]);
+        let mut files = Vec::new();
+        let write_six = |sys: &mut Ros2System, files: &mut Vec<_>, from: usize| {
+            for i in from..from + 6 {
+                let mut f = sys.create(&format!("/serial{i}")).unwrap().value;
+                sys.write(&mut f, 0, content(i)).unwrap();
+                files.push(f);
+            }
+        };
+        write_six(&mut sys, &mut files, 0);
+        assert_eq!(sys.cluster.fences(), 0, "{placement:?} before the kill");
+
+        let victim = sys.cluster.route_update(&files[0].oid).leader();
+        sys.kill_engine(victim.expect("healthy leader")).unwrap();
+        write_six(&mut sys, &mut files, 6);
+        for (i, f) in files.iter().enumerate() {
+            let back = sys.read(f, 0, 256 << 10).expect("degraded read").value;
+            assert_eq!(back, content(i), "{placement:?} file {i} degraded");
+        }
+        assert!(sys.cluster.rebuild_stats().degraded_fetches > 0);
+        assert_eq!(sys.cluster.fences(), 0, "{placement:?} degraded");
+
+        sys.rebuild().unwrap();
+        for (i, f) in files.iter().enumerate() {
+            let back = sys.read(f, 0, 256 << 10).expect("post-rebuild read").value;
+            assert_eq!(back, content(i), "{placement:?} file {i} rebuilt");
+        }
+        assert_eq!(sys.cluster.fences(), 0, "{placement:?} after the rebuild");
+    }
+}
+
 /// An explicit `MapQuery` installs the new map at once. The plan holds a
 /// kill's RAS delivery back a whole second: a multi-chunk read of the dead
 /// leader's file then routes by the stale map, fences and retries — unless
