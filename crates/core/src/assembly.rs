@@ -11,7 +11,7 @@
 //! BlueField-3, in front of the same unchanged engines.
 
 use ros2_daos::{
-    DaosClient, DaosCostModel, DaosError, EngineCluster, MapSnapshot, ObjectClient, RetryStats,
+    DaosClient, DaosCostModel, DaosError, EngineCluster, ObjectClient, PoolMap, RetryStats,
 };
 use ros2_dpu::{default_control, DpuAgent, DpuCacheStats, DpuClient, DpuStats, DpuTenantSpec};
 use ros2_fabric::Fabric;
@@ -112,15 +112,15 @@ impl ClientStack {
             .map_or_else(DpuCacheStats::default, DpuClient::cache_stats)
     }
 
-    /// Delivers a RAS map snapshot to the client's cached map at `at`
-    /// (every tenant lane, when offloaded).
-    pub fn deliver_map(&mut self, at: SimTime, snap: MapSnapshot) {
-        either!(self, c => c.deliver_map(at, snap))
+    /// Delivers a RAS map push to the client's cached map at `at` (every
+    /// tenant lane, when offloaded).
+    pub fn deliver_map(&mut self, at: SimTime, map: PoolMap) {
+        either!(self, c => c.deliver_map(at, map))
     }
 
-    /// Installs `snap` immediately (the authoritative `MapQuery` reply).
-    pub fn sync_map(&mut self, snap: MapSnapshot) {
-        either!(self, c => c.sync_map(snap))
+    /// Installs `map` immediately (the authoritative `MapQuery` reply).
+    pub fn sync_map(&mut self, map: PoolMap) {
+        either!(self, c => c.sync_map(map))
     }
 
     /// Recovery-ladder counters (all DPU lanes merged, when offloaded).

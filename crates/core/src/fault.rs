@@ -15,7 +15,7 @@
 //! bit-identical to the fault-oblivious code.
 
 use ros2_ctl::ControlRequest;
-use ros2_daos::{DaosError, EngineCluster, MapSnapshot};
+use ros2_daos::{DaosError, EngineCluster, PoolMap};
 use ros2_sim::{SimDuration, SimTime};
 
 use crate::assembly::ClientStack;
@@ -165,8 +165,8 @@ impl FaultCursor {
     /// at client `c` of `clients` at `now + ras_delay + c × PUSH_GAP` and
     /// is applied at its next map poll.
     pub fn push_map(&self, cluster: &EngineCluster, now: SimTime, clients: &mut [ClientStack]) {
-        let frame = cluster.snapshot_map().to_push().encode();
-        let rf = cluster.replication_factor();
+        let frame = cluster.map().to_push().encode();
+        let rf = cluster.map().replication_factor();
         for (c, client) in clients.iter_mut().enumerate() {
             // Each client decodes the frame against the slot-aligned
             // storage nodes it learned at pool connect.
@@ -178,9 +178,8 @@ impl FaultCursor {
             else {
                 unreachable!("a MapPush frame decodes as one");
             };
-            let snap =
-                MapSnapshot::from_wire(client.servers(), rf, version, &healths, pending_dead);
-            client.deliver_map(now + self.plan.ras_delay + PUSH_GAP * c as u64, snap);
+            let map = PoolMap::from_wire(client.servers(), rf, version, &healths, pending_dead);
+            client.deliver_map(now + self.plan.ras_delay + PUSH_GAP * c as u64, map);
         }
     }
 
@@ -256,7 +255,7 @@ mod tests {
             let ClientStack::InProcess(c) = client else {
                 unreachable!("host clients")
             };
-            c.probe_route(at, cluster, &oid).2
+            c.probe_route(at, cluster, &oid).stamp
         };
         // Every client caches the launch map before the kill.
         let old = cluster.map().version();

@@ -383,12 +383,12 @@ impl Ros2System {
     /// authoritatively (no delivery delay — the caller is blocked on the
     /// answer). Returns the fetched revision.
     pub fn map_query(&mut self) -> Result<u64, Ros2Error> {
-        let snap = self.cluster.snapshot_map();
+        let map = self.cluster.map().clone();
         let ControlRequest::MapPush {
             version,
             healths,
             pending_dead,
-        } = snap.to_push()
+        } = map.to_push()
         else {
             unreachable!("to_push encodes a MapPush");
         };
@@ -405,7 +405,7 @@ impl Ros2System {
             },
         );
         res.map_err(Ros2Error::Control)?;
-        self.client.sync_map(snap);
+        self.client.sync_map(map);
         self.tick(t);
         Ok(version)
     }

@@ -18,22 +18,23 @@
 //!   the payload handle behind a framing length and never copies it.
 //!
 //! Routing lives here (client-side, so the DPU-offloaded client inherits
-//! it without host involvement): each op resolves its replica set from the
-//! cluster's pool map — updates fan out to every healthy replica (commit =
-//! the last replica's ack), fetches go to the leader and fail over to a
+//! it without host involvement): each op asks a [`PoolMap`] for its
+//! [`Routing`] — updates fan out to every member of the set (commit = the
+//! last replica's ack), fetches go to the leader and fail over to a
 //! surviving replica while an engine is down. With one engine and RF = 1
 //! the route is always slot 0 and every phase runs the exact pre-cluster
 //! sequence — the pinned host-placement path.
 //!
 //! An op runs one of two ways, both through [`ObjectClient`]: the serial
-//! call ([`ObjectClient::update`] / [`ObjectClient::fetch`], live-map
-//! routing, the whole `client_per_op` on the job core) or a submission to
-//! the [`crate::pipeline::OpRing`] (cached-map routing, split CPU cost — or
-//! none at all where the NIC runs the ring's clean path,
-//! [`DaosClient::chain_ring`] — and the recovery ladder). Either way every
-//! engine RPC carries a map stamp: the serial call stamps the live
-//! revision, the ring its cached one. The caller picks — `Dfs::data_pipeline`
-//! for single-chunk file I/O; multi-chunk I/O always takes the ring.
+//! call ([`ObjectClient::update`] / [`ObjectClient::fetch`], routed on the
+//! live map, the whole `client_per_op` on the job core) or a submission to
+//! the [`crate::pipeline::OpRing`] (routed on the client's cached copy of
+//! the map, split CPU cost — or none at all where the NIC runs the ring's
+//! clean path, [`DaosClient::chain_ring`] — and the recovery ladder).
+//! Either way every engine RPC carries the stamp of the route it took: the
+//! live revision for the serial call, the cached one for the ring. The
+//! caller picks — `Dfs::data_pipeline` for single-chunk file I/O;
+//! multi-chunk I/O always takes the ring.
 
 use bytes::Bytes;
 use ros2_buf::zero_bytes;
@@ -43,8 +44,8 @@ use ros2_hw::{CoreClass, NicModel, Transport};
 use ros2_sim::{ResourceStats, ServerPool, SimDuration, SimTime};
 use ros2_verbs::{AccessFlags, Expiry, MemAddr, MemoryDomain, MrId, NodeId, PdId, RKey};
 
-use crate::cluster::{EngineCluster, MapSnapshot};
-use crate::descriptor::{Routing, TemplateTable, REGION_LEN, TEMPLATE_LEN};
+use crate::cluster::{EngineCluster, PoolMap, Routing};
+use crate::descriptor::{TemplateTable, REGION_LEN, TEMPLATE_LEN};
 use crate::engine::{Arrival, ValueKind};
 use crate::pipeline::{OpRing, RetryPolicy, RetryStats, RingStore};
 use crate::types::{AKey, DKey, DaosCostModel, DaosError, Epoch, ObjectId, RecordVersion};
@@ -137,21 +138,16 @@ impl FiredTemplate {
 }
 
 /// Provenance of one completed fetch, surfaced by
-/// [`DaosClient::fetch_with_meta`]: which engine served the read, whether
-/// the route was degraded (a replica is down and unrebuilt), the map
-/// revision it routed under, and the record's arrival version at the
-/// serving engine. A read cache fills only from `degraded == false`
-/// completions and stamps the record's entries with
-/// `{map_version, record_version}`.
+/// [`DaosClient::fetch_with_meta`]: the route it was served under (its
+/// leader served the read) and the record's arrival version at that
+/// engine. A read cache fills only from non-degraded completions and
+/// stamps the record's entries with `{routing.stamp, record_version}`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct FetchMeta {
-    /// Engine slot that served the fetch.
-    pub eng: usize,
-    /// Whether the replica set had lost a member to an unrebuilt kill.
-    pub degraded: bool,
-    /// Pool-map revision the route resolved under.
-    pub map_version: u64,
-    /// The fetched record's arrival version at `eng` when it was read.
+    /// The route the fetch was served under.
+    pub routing: Routing,
+    /// The fetched record's arrival version at the serving engine when it
+    /// was read.
     pub record_version: RecordVersion,
 }
 
@@ -173,16 +169,16 @@ pub struct DaosClient {
     class: CoreClass,
     transport: Transport,
     ops: u64,
-    /// The client's cached pool-map snapshot — the *only* routing source
-    /// for the pipelined ring, so membership changes genuinely race
+    /// The client's cached copy of the pool map — the *only* routing
+    /// source for the pipelined ring, so membership changes genuinely race
     /// in-flight ops. `None` until first use (bootstrapped from the
     /// cluster, modeling the `PoolConnect` handshake's map download).
-    map_cache: Option<MapSnapshot>,
+    map_cache: Option<PoolMap>,
     /// An asynchronously *delivered* RAS map push that has not arrived
-    /// yet: `(delivery instant, snapshot)`. Applied by
-    /// [`Self::poll_map`] once the clock passes the instant — the
-    /// delivery delay is a fault-injectable parameter, not zero.
-    pending_map: Option<(SimTime, MapSnapshot)>,
+    /// yet: `(delivery instant, map)`. Applied by [`Self::poll_map`] once
+    /// the clock passes the instant — the delivery delay is a
+    /// fault-injectable parameter, not zero.
+    pending_map: Option<(SimTime, PoolMap)>,
     /// Recovery-ladder counters for the pipelined ring.
     pub(crate) retry: RetryStats,
     /// Deadlines / backoff / budget for the ring's recovery ladder.
@@ -297,33 +293,33 @@ impl DaosClient {
         })
     }
 
-    /// Installs a map snapshot into the cache if it is newer than what the
-    /// client holds (out-of-order deliveries are ignored). A pending
-    /// delayed delivery superseded by this snapshot is dropped.
-    pub fn sync_map(&mut self, snap: MapSnapshot) {
+    /// Installs `map` into the cache if it is newer than what the client
+    /// holds (out-of-order deliveries are ignored). A pending delayed
+    /// delivery superseded by `map` is dropped.
+    pub fn sync_map(&mut self, map: PoolMap) {
         let newer = self
             .map_cache
             .as_ref()
-            .is_none_or(|c| snap.version() > c.version());
+            .is_none_or(|c| map.version() > c.version());
         if newer {
             if let Some((_, p)) = &self.pending_map {
-                if p.version() <= snap.version() {
+                if p.version() <= map.version() {
                     self.pending_map = None;
                 }
             }
-            self.map_cache = Some(snap);
+            self.map_cache = Some(map);
         }
     }
 
-    /// Schedules an asynchronous RAS map delivery: `snap` becomes visible
+    /// Schedules an asynchronous RAS map delivery: `map` becomes visible
     /// to the client only once the clock reaches `at` (see
     /// [`Self::poll_map`]). If a delivery is already pending the newer
-    /// snapshot wins — RAS streams are cumulative, the last revision
-    /// subsumes the rest.
-    pub fn deliver_map(&mut self, at: SimTime, snap: MapSnapshot) {
+    /// map wins — RAS streams are cumulative, the last revision subsumes
+    /// the rest.
+    pub fn deliver_map(&mut self, at: SimTime, map: PoolMap) {
         match &self.pending_map {
-            Some((_, p)) if p.version() >= snap.version() => {}
-            _ => self.pending_map = Some((at, snap)),
+            Some((_, p)) if p.version() >= map.version() => {}
+            _ => self.pending_map = Some((at, map)),
         }
     }
 
@@ -333,41 +329,37 @@ impl DaosClient {
     pub(crate) fn poll_map(&mut self, now: SimTime, cluster: &EngineCluster) {
         if let Some((at, _)) = &self.pending_map {
             if now >= *at {
-                let (_, snap) = self.pending_map.take().expect("pending delivery");
-                self.sync_map(snap);
+                let (_, map) = self.pending_map.take().expect("pending delivery");
+                self.sync_map(map);
             }
         }
         if self.map_cache.is_none() {
-            self.map_cache = Some(cluster.snapshot_map());
+            self.map_cache = Some(cluster.map().clone());
         }
     }
 
-    /// The cached snapshot. Panics if [`Self::poll_map`] has never run —
-    /// the ring always polls before routing.
-    pub(crate) fn cached_map(&self) -> &MapSnapshot {
+    /// The cached map. Panics if [`Self::poll_map`] has never run — the
+    /// ring always polls before routing.
+    pub(crate) fn cached_map(&self) -> &PoolMap {
         self.map_cache.as_ref().expect("map cache bootstrapped")
     }
 
-    /// The submission-instant routing view a read-cache probe needs:
-    /// applies any due delayed RAS delivery (bootstrapping the cached map
-    /// on first use, exactly as a ring submission would), then resolves
-    /// `oid` against the **cached** snapshot. Returns the leader slot (if
-    /// any healthy replica exists), whether the route is degraded, and
-    /// the cached map revision. Pure with respect to cluster accounting —
-    /// no degraded-fetch counter moves until an actual fetch routes.
+    /// The submission-instant route a read-cache probe needs: applies any
+    /// due delayed RAS delivery (bootstrapping the cached map on first use,
+    /// exactly as a ring submission would), then resolves `oid` against
+    /// the **cached** map. Pure with respect to cluster accounting — no
+    /// degraded-fetch counter moves until an actual fetch routes.
     pub fn probe_route(
         &mut self,
         now: SimTime,
         cluster: &EngineCluster,
         oid: &ObjectId,
-    ) -> (Option<usize>, bool, u64) {
+    ) -> Routing {
         self.poll_map(now, cluster);
-        let snap = self.cached_map();
-        let (set, degraded) = snap.route(oid);
-        (set.leader(), degraded, snap.version())
+        self.cached_map().route(oid)
     }
 
-    /// The cached map revision, if a snapshot has been installed.
+    /// The cached map revision, if a map has been installed.
     pub fn cache_version(&self) -> Option<u64> {
         self.map_cache.as_ref().map(|c| c.version())
     }
@@ -378,7 +370,7 @@ impl DaosClient {
     pub(crate) fn refresh_map(&mut self, cluster: &EngineCluster) {
         self.retry.map_refreshes += 1;
         self.pending_map = None;
-        self.map_cache = Some(cluster.snapshot_map());
+        self.map_cache = Some(cluster.map().clone());
     }
 
     /// Recovery-ladder counters accumulated by the pipelined ring.
@@ -853,10 +845,12 @@ impl DaosClient {
         Ok(self.send_descriptor(fabric, t_cpu, conn, template)?.at)
     }
 
-    /// Phase C of a fetch: (RDMA) engine `eng`'s push into the job's
-    /// registered buffer plus the completion SEND — reaped by a core or
-    /// consumed by a parked chain (`cores`) — or (TCP) the inline response.
-    #[allow(clippy::too_many_arguments)]
+    /// Phase C of a fetch: (RDMA) engine `eng`'s push of `data` into the
+    /// job's registered buffer plus the completion SEND — reaped by a core
+    /// or consumed by a parked chain (`cores`) — or (TCP) the inline
+    /// response. Either way the client gets back exactly the bytes the
+    /// engine sent: a single value shorter than the fetch asked for is
+    /// not padded with what the staging buffer held before.
     pub(crate) fn finish_fetch(
         &mut self,
         fabric: &mut Fabric,
@@ -864,12 +858,12 @@ impl DaosClient {
         eng: usize,
         data: Bytes,
         ready: SimTime,
-        len: u64,
         cores: SendCores,
     ) -> Result<(Bytes, SimTime), DaosError> {
         let conn = self.jobs[job].conns[eng];
         match self.transport {
             Transport::Rdma => {
+                let len = data.len();
                 let push = fabric.rdma_write(
                     ready,
                     conn,
@@ -881,7 +875,7 @@ impl DaosClient {
                 let done = fabric.send_framed(push.at, conn, Dir::BtoA, 0, rpc_done(), cores)?;
                 let landed = fabric
                     .rdma_mut(self.node)
-                    .read_local(self.jobs[job].buf, len as usize)?;
+                    .read_local(self.jobs[job].buf, len)?;
                 Ok((landed, done.at))
             }
             Transport::Tcp => {
@@ -916,13 +910,18 @@ impl DaosClient {
         self.ops += 1;
         self.check_cluster(cluster)?;
         self.check_staging(job, len)?;
-        let (set, degraded) = cluster.route_fetch_meta(&oid);
-        let eng = set.leader().ok_or(DaosError::NoReplica)?;
+        let routing = cluster.map().route(&oid);
+        if routing.degraded {
+            cluster.note_degraded_fetch();
+        }
+        let eng = routing.set.leader().ok_or(DaosError::NoReplica)?;
         let t_cpu = self.client_cpu(now, job);
         let req_at = self.stage_fetch_from(fabric, t_cpu, job, eng, None)?;
-        let stamp = cluster.map().version();
         let (data, ready) = cluster.engine_mut(eng).fetch(
-            Arrival { stamp, at: req_at },
+            Arrival {
+                stamp: routing.stamp,
+                at: req_at,
+            },
             &self.cont,
             oid,
             &dkey,
@@ -932,12 +931,10 @@ impl DaosClient {
             len,
         )?;
         let meta = FetchMeta {
-            eng,
-            degraded,
-            map_version: stamp,
+            routing,
             record_version: cluster.engine(eng).record_version(oid, &dkey, &akey),
         };
-        self.finish_fetch(fabric, job, eng, data, ready, len, SendCores::Both)
+        self.finish_fetch(fabric, job, eng, data, ready, SendCores::Both)
             .map(|(data, at)| (data, at, meta))
     }
 }
@@ -1066,12 +1063,11 @@ impl ObjectClient for DaosClient {
         self.ops += 1;
         self.check_cluster(cluster)?;
         self.check_staging(job, data.len() as u64)?;
-        let set = cluster.route_update(&oid);
+        let Routing { set, stamp, .. } = cluster.map().route(&oid);
         if set.is_empty() {
             return Err(DaosError::NoReplica);
         }
         let epoch = cluster.next_epoch(&self.cont)?;
-        let stamp = cluster.map().version();
         let mut done: Option<SimTime> = None;
         for eng in set.iter() {
             let t_cpu = self.client_cpu(now, job);
@@ -1379,6 +1375,60 @@ mod tests {
     #[test]
     fn rdma_round_trip() {
         do_round_trip(Transport::Rdma);
+    }
+
+    #[test]
+    fn a_short_single_value_comes_back_as_written_on_every_path() {
+        // Job 0's staging buffer holds a longer payload first; a 21-byte
+        // value fetched with room for 32 comes back as its 21 bytes, not
+        // padded with what the buffer held, on either transport and
+        // through the serial call and the ring alike.
+        for transport in [Transport::Rdma, Transport::Tcp] {
+            for ring in [false, true] {
+                let (mut fabric, mut cluster, mut client) = world(transport, false);
+                let oid = ObjectId::new(ObjClass::S1, 7);
+                let dkey = DKey::from_u64(0);
+                let value = Bytes::from((1..=21u8).collect::<Vec<u8>>());
+                let writes = [
+                    ("data", ValueKind::Array { offset: 0 }, vec![0xEE; 4096]),
+                    ("entry", ValueKind::Single, value.to_vec()),
+                ];
+                let mut t = SimTime::ZERO;
+                for (akey, kind, data) in writes {
+                    let (akey, data) = (AKey::from_str(akey), Bytes::from(data));
+                    let (f, c) = (&mut fabric, &mut cluster);
+                    t = client
+                        .update(f, c, t, 0, oid, dkey.clone(), akey, kind, data)
+                        .unwrap();
+                }
+                let (akey, kind) = (AKey::from_str("entry"), ValueKind::Single);
+                let back = match ring {
+                    false => {
+                        let (f, c) = (&mut fabric, &mut cluster);
+                        let fetched =
+                            client.fetch(f, c, t, 0, oid, dkey, akey, kind, Epoch::LATEST, 32);
+                        fetched.unwrap().0
+                    }
+                    true => {
+                        let mut ops = vec![ClientOp::Fetch {
+                            oid,
+                            dkey,
+                            akey,
+                            kind,
+                            epoch: Epoch::LATEST,
+                            len: 32,
+                        }];
+                        let mut out = Vec::new();
+                        client.execute_into(&mut fabric, &mut cluster, t, 0, &mut ops, &mut out);
+                        match out.pop() {
+                            Some(ClientOpResult::Fetch(Ok((bytes, _)))) => bytes,
+                            other => panic!("{transport:?}: {other:?}"),
+                        }
+                    }
+                };
+                assert_eq!(back, value, "{transport:?}, ring {ring}");
+            }
+        }
     }
 
     #[test]

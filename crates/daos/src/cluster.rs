@@ -5,10 +5,14 @@
 //! switch. This module is the piece that turns the one-client/one-engine
 //! reproduction into that shape:
 //!
-//! * [`PoolMap`] — engine membership + health, stamped with a monotonically
-//!   increasing **map revision**. Every health transition (engine kill,
-//!   engine add) bumps the revision; the control plane carries the bump as
-//!   a RAS-style event (`ros2_ctl::ControlRequest::RasEvent`).
+//! * [`PoolMap`] — the one routing state: engine membership + health, the
+//!   pool's replication factor and the kill awaiting rebuild, stamped with
+//!   a monotonically increasing **map revision**. Every health transition
+//!   (engine kill, engine add, rebuild completion) bumps the revision; the
+//!   control plane carries the bump as a RAS-style event
+//!   (`ros2_ctl::ControlRequest::RasEvent`). The cluster holds the live
+//!   map, every client a copy of it, every engine the copy it was last
+//!   pushed.
 //! * **Placement** — [`PoolMap::replica_set`] ranks engines per object by
 //!   highest-random-weight (rendezvous) hashing and takes the top
 //!   `replication factor` healthy members, leader first. HRW gives the two
@@ -16,12 +20,15 @@
 //!   `(map, oid, rf)`, and a membership change moves **only** the objects
 //!   whose replica set actually changed (survivors never reshuffle among
 //!   themselves).
-//! * [`EngineCluster`] — owns the engines and routes: updates fan out to
-//!   every healthy replica, fetches go to the leader and fail over to a
-//!   surviving replica while an engine is down (**degraded read**, counted
-//!   in [`RebuildStats::degraded_fetches`]). With one engine and RF = 1
-//!   every route degenerates to slot 0 and the data path is bit-identical
-//!   to the pre-cluster pinned behaviour.
+//! * **Routing** — [`PoolMap::route`] is the one rule, answered as one
+//!   [`Routing`] value (set, degraded flag, stamp) from whichever copy of
+//!   the map asks: updates fan out to every member of the set, fetches go
+//!   to the leader, and while an engine is down an affected object routes
+//!   to its surviving replicas (**degraded read**, counted in
+//!   [`RebuildStats::degraded_fetches`]). With one engine and RF = 1 every
+//!   route degenerates to slot 0 and the data path is bit-identical to the
+//!   pre-cluster pinned behaviour.
+//! * [`EngineCluster`] — owns the engines and the live map.
 //! * **Online rebuild** — after a kill, surviving replicas export the dead
 //!   engine's records and stream them over the fabric (at data-plane
 //!   rates, booked on the storage nodes' ports) to the deterministic HRW
@@ -76,13 +83,41 @@ pub struct PoolMember {
     pub health: EngineHealth,
 }
 
-/// The versioned cluster membership map. Pure placement state — the live
-/// engines themselves live in [`EngineCluster`] — so the property suite
-/// can drive maps through arbitrary transitions without building storage.
+/// The versioned pool map: membership, the replication factor and the
+/// unrebuilt kill — everything a route is resolved from. Pure placement
+/// state — the live engines themselves live in [`EngineCluster`] — so the
+/// property suite can drive maps through arbitrary transitions without
+/// building storage.
+///
+/// Every client stack caches a copy and resolves routes from it — *not*
+/// from the live map — so a membership change genuinely races in-flight
+/// I/O. The copy is refreshed only by an explicit `MapQuery` control
+/// round-trip or an asynchronously *delivered* RAS push (delivery delay is
+/// a fault-injectable parameter, not zero); engines fence requests stamped
+/// with an older revision ([`DaosError::StaleMap`]) so a stale client can
+/// never act on a misroute silently.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PoolMap {
     version: u64,
     members: Vec<PoolMember>,
+    rf: usize,
+    /// A kill whose re-replication has not run yet: affected objects route
+    /// to the pre-kill survivors until [`EngineCluster::rebuild`]
+    /// completes.
+    pending_dead: Option<usize>,
+}
+
+/// One routing answer: where an object's op goes under one pool map, and
+/// under which revision. Also what a descriptor template spells out
+/// ([`crate::descriptor`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Routing {
+    /// The object's replica set, leader first.
+    pub set: ReplicaSet,
+    /// Whether the set has lost a member to an unrebuilt kill.
+    pub degraded: bool,
+    /// The pool-map revision the set was resolved under.
+    pub stamp: u64,
 }
 
 /// An ordered replica set (leader first), held inline so routing never
@@ -175,8 +210,9 @@ fn hrw_score(oid: &ObjectId, slot: u64) -> u64 {
 }
 
 impl PoolMap {
-    /// A fresh map (revision 1) with every engine healthy.
-    pub fn new(nodes: Vec<NodeId>) -> Self {
+    /// A fresh map (revision 1) with every engine healthy, replicating
+    /// each object across `rf` members.
+    pub fn new(nodes: Vec<NodeId>, rf: usize) -> Self {
         PoolMap {
             version: 1,
             members: nodes
@@ -186,6 +222,8 @@ impl PoolMap {
                     health: EngineHealth::Up,
                 })
                 .collect(),
+            rf,
+            pending_dead: None,
         }
     }
 
@@ -199,11 +237,40 @@ impl PoolMap {
         &self.members
     }
 
-    /// Reconstructs a map from its RAS-push wire form: the slot-aligned
-    /// node ids (the receiver already knows the pool's node layout), one
-    /// health byte per slot (1 = up), and the pushed revision. Inverse of
-    /// the encoding [`MapSnapshot::to_push`] produces.
-    pub fn from_wire(nodes: &[NodeId], healths: &[u8], version: u64) -> Self {
+    /// The pool's replication factor.
+    pub fn replication_factor(&self) -> usize {
+        self.rf
+    }
+
+    /// Encodes this map as the control-plane RAS push message: one health
+    /// byte per slot (1 = up), the map revision, and the pending unrebuilt
+    /// kill (`u32::MAX` = none). The control plane encodes this **once**
+    /// per membership change and fans the same frame out to every
+    /// subscribed client — the push analogue of a per-client `MapQuery`.
+    pub fn to_push(&self) -> ControlRequest {
+        ControlRequest::MapPush {
+            version: self.version,
+            healths: Bytes::from(
+                self.members
+                    .iter()
+                    .map(|m| u8::from(m.health == EngineHealth::Up))
+                    .collect::<Vec<u8>>(),
+            ),
+            pending_dead: self.pending_dead.map_or(u32::MAX, |s| s as u32),
+        }
+    }
+
+    /// Reconstructs a map from the [`ControlRequest::MapPush`] wire fields
+    /// — the inverse of [`Self::to_push`]. The receiver supplies the
+    /// slot-aligned node ids and the pool RF (both fixed at pool-connect
+    /// time and never pushed).
+    pub fn from_wire(
+        nodes: &[NodeId],
+        rf: usize,
+        version: u64,
+        healths: &[u8],
+        pending_dead: u32,
+    ) -> Self {
         assert_eq!(nodes.len(), healths.len(), "one health byte per slot");
         PoolMap {
             version,
@@ -219,6 +286,8 @@ impl PoolMap {
                     },
                 })
                 .collect(),
+            rf,
+            pending_dead: (pending_dead != u32::MAX).then_some(pending_dead as usize),
         }
     }
 
@@ -250,12 +319,14 @@ impl PoolMap {
         self.members.len() - 1
     }
 
-    /// Bumps the revision without a membership change — the
-    /// rebuild-complete transition. Routing changes at that instant (the
-    /// pre-kill-survivor override ends and the HRW backfill member joins
-    /// the set), so clients holding the pre-rebuild revision must be
-    /// fenced into a refresh like any other map race.
+    /// Ends the pending kill's degraded window and bumps the revision
+    /// without a membership change — the rebuild-complete transition.
+    /// Routing changes at that instant (the pre-kill-survivor override ends
+    /// and the HRW backfill member joins the set), so clients holding the
+    /// pre-rebuild revision must be fenced into a refresh like any other
+    /// map race.
     fn note_rebuilt(&mut self) {
+        self.pending_dead = None;
         self.version += 1;
     }
 
@@ -269,6 +340,25 @@ impl PoolMap {
         m.health = EngineHealth::Down;
         self.version += 1;
         Ok(self.version)
+    }
+
+    /// The one routing rule, answered by whichever copy of the map asks:
+    /// while a kill awaits rebuild, affected objects route to the pre-kill
+    /// *survivors* (the members guaranteed to hold the data) and the route
+    /// is degraded; otherwise placement is the plain HRW replica set. The
+    /// HRW backfill member joins an affected set only once
+    /// [`EngineCluster::rebuild`] has re-replicated onto it. Stamped with
+    /// this map's revision.
+    pub fn route(&self, oid: &ObjectId) -> Routing {
+        let survivors = self.pending_dead.and_then(|dead| {
+            let pre = self.replica_set_with(oid, self.rf, Some(dead));
+            pre.contains(dead).then(|| pre.without(dead))
+        });
+        Routing {
+            set: survivors.unwrap_or_else(|| self.replica_set(oid, self.rf)),
+            degraded: survivors.is_some(),
+            stamp: self.version,
+        }
     }
 
     /// The object's replica set under this map: the `rf` highest-weight
@@ -313,109 +403,6 @@ impl PoolMap {
             out.push(slot);
         }
         out
-    }
-}
-
-/// The one routing rule, shared verbatim by the live cluster and every
-/// client-side cached snapshot: while a kill awaits rebuild, affected
-/// objects route to the pre-kill *survivors* (the members guaranteed to
-/// hold the data); otherwise placement is the plain HRW replica set.
-/// Returns the set plus whether the object has lost redundancy (a
-/// degraded route).
-fn route_in(
-    map: &PoolMap,
-    pending_dead: Option<usize>,
-    rf: usize,
-    oid: &ObjectId,
-) -> (ReplicaSet, bool) {
-    if let Some(dead) = pending_dead {
-        let pre = map.replica_set_with(oid, rf, Some(dead));
-        if pre.contains(dead) {
-            return (pre.without(dead), true);
-        }
-    }
-    (map.replica_set(oid, rf), false)
-}
-
-/// A client-side copy of the routing state: the versioned [`PoolMap`]
-/// plus the pending-kill marker and the pool's replication factor.
-///
-/// Every client stack caches one of these and resolves routes from it —
-/// *not* from the live map — so a membership change genuinely races
-/// in-flight I/O. The cache is refreshed only by an explicit
-/// `MapQuery` control round-trip or an asynchronously *delivered* RAS
-/// event (delivery delay is a fault-injectable parameter, not zero);
-/// engines fence requests stamped with an older revision
-/// ([`DaosError::StaleMap`]) so a stale client can never act on a
-/// misroute silently.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MapSnapshot {
-    map: PoolMap,
-    pending_dead: Option<usize>,
-    rf: usize,
-}
-
-impl MapSnapshot {
-    /// The snapshot's map revision.
-    pub fn version(&self) -> u64 {
-        self.map.version()
-    }
-
-    /// The snapshotted membership map.
-    pub fn map(&self) -> &PoolMap {
-        &self.map
-    }
-
-    /// The unrebuilt kill this snapshot routes around, if any.
-    pub fn pending_dead(&self) -> Option<usize> {
-        self.pending_dead
-    }
-
-    /// The object's routing set under this snapshot plus whether the
-    /// route is degraded — the same pure rule the live cluster applies.
-    pub fn route(&self, oid: &ObjectId) -> (ReplicaSet, bool) {
-        route_in(&self.map, self.pending_dead, self.rf, oid)
-    }
-
-    /// The replica set an update fans out to under this snapshot.
-    pub fn route_update(&self, oid: &ObjectId) -> ReplicaSet {
-        self.route(oid).0
-    }
-
-    /// Encodes this snapshot as the control-plane RAS push message: one
-    /// health byte per slot (1 = up), the map revision, and the pending
-    /// unrebuilt kill (`u32::MAX` = none). The control plane encodes this
-    /// **once** per membership change and fans the same frame out to every
-    /// subscribed client — the push analogue of a per-client `MapQuery`.
-    pub fn to_push(&self) -> ControlRequest {
-        ControlRequest::MapPush {
-            version: self.map.version(),
-            healths: Bytes::from(
-                self.map
-                    .members()
-                    .iter()
-                    .map(|m| u8::from(m.health == EngineHealth::Up))
-                    .collect::<Vec<u8>>(),
-            ),
-            pending_dead: self.pending_dead.map_or(u32::MAX, |s| s as u32),
-        }
-    }
-
-    /// Reconstructs a snapshot from the [`ControlRequest::MapPush`] wire
-    /// fields. The receiver supplies the slot-aligned node ids and the
-    /// pool RF (both fixed at pool-connect time and never pushed).
-    pub fn from_wire(
-        nodes: &[NodeId],
-        rf: usize,
-        version: u64,
-        healths: &[u8],
-        pending_dead: u32,
-    ) -> Self {
-        MapSnapshot {
-            map: PoolMap::from_wire(nodes, healths, version),
-            pending_dead: (pending_dead != u32::MAX).then_some(pending_dead as usize),
-            rf,
-        }
     }
 }
 
@@ -589,11 +576,9 @@ pub struct ScrubOutcome {
 /// docs for the placement/degraded/rebuild semantics.
 pub struct EngineCluster {
     engines: Vec<DaosEngine>,
+    /// The live map, the one every client copy and engine push is taken
+    /// from.
     map: PoolMap,
-    rf: usize,
-    /// A kill whose re-replication has not run yet: affected objects route
-    /// to the pre-kill survivors until [`Self::rebuild`] completes.
-    pending_dead: Option<usize>,
     stats: RebuildStats,
     /// Lazily-opened storage-node-to-storage-node rebuild connections.
     rebuild_conns: HashMap<(usize, usize), ConnId>,
@@ -629,9 +614,7 @@ impl EngineCluster {
         let n = engines.len();
         let mut cluster = EngineCluster {
             engines,
-            map: PoolMap::new(nodes),
-            rf: replication_factor,
-            pending_dead: None,
+            map: PoolMap::new(nodes, replication_factor),
             stats: RebuildStats::default(),
             rebuild_conns: HashMap::new(),
             rebuild_pds: HashMap::new(),
@@ -645,15 +628,13 @@ impl EngineCluster {
         cluster
     }
 
-    /// Hands every engine the authoritative map (plus its own slot and the
-    /// pool RF) so it can fence stale-stamped and misrouted requests.
-    /// Engines learn map revisions only through this push — exactly at
-    /// membership-change instants, never lazily.
+    /// Hands every engine the authoritative map (plus its own slot) so it
+    /// can fence stale-stamped and misrouted requests. Engines learn map
+    /// revisions only through this push — exactly at membership-change
+    /// instants, never lazily.
     fn push_map_to_engines(&mut self) {
-        let map = self.map.clone();
-        let rf = self.rf;
         for (slot, e) in self.engines.iter_mut().enumerate() {
-            e.observe_map(&map, slot, rf);
+            e.observe_map(&self.map, slot);
         }
     }
 
@@ -707,12 +688,10 @@ impl EngineCluster {
         self.engines.is_empty()
     }
 
-    /// The configured replication factor.
-    pub fn replication_factor(&self) -> usize {
-        self.rf
-    }
-
-    /// The versioned pool map.
+    /// The live pool map. Routing asks it ([`PoolMap::route`]); a clone is
+    /// the payload of a `MapQuery` reply and of a RAS delivery — once handed
+    /// out it never changes, so a client holding it genuinely races later
+    /// membership changes.
     pub fn map(&self) -> &PoolMap {
         &self.map
     }
@@ -822,27 +801,6 @@ impl EngineCluster {
             .then(|| engine.record_version(oid, dkey, akey))
     }
 
-    /// The object's current routing set and whether it is degraded (the
-    /// set lost a member to a not-yet-rebuilt kill). While a rebuild is
-    /// pending, affected objects route to the pre-kill *survivors* — the
-    /// members guaranteed to hold the data — and the HRW backfill member
-    /// joins the set only once [`Self::rebuild`] has re-replicated onto it.
-    fn route(&self, oid: &ObjectId) -> (ReplicaSet, bool) {
-        route_in(&self.map, self.pending_dead, self.rf, oid)
-    }
-
-    /// A client-cacheable copy of the current routing state. This is the
-    /// payload of a `MapQuery` reply and of a RAS delivery: once handed
-    /// out it never changes, so a client holding it genuinely races later
-    /// membership changes.
-    pub fn snapshot_map(&self) -> MapSnapshot {
-        MapSnapshot {
-            map: self.map.clone(),
-            pending_dead: self.pending_dead,
-            rf: self.rf,
-        }
-    }
-
     /// Turns on the engine-side connection pool: resident per-client
     /// session state is bounded at `capacity` with LRU eviction and
     /// `handshake` charged per (re)connect. Worlds that never call this
@@ -884,42 +842,13 @@ impl EngineCluster {
             .is_some_and(|p| p.kill_session(client))
     }
 
-    /// Routes a fetch through a client's cached `snap` instead of the live
-    /// map, with the same degraded-read accounting as
-    /// [`Self::route_fetch_meta`]: the cluster still observes the read (the
-    /// engines serve it), it just resolved the route from the client's
-    /// possibly-stale view.
-    pub fn route_fetch_snapshot(&mut self, snap: &MapSnapshot, oid: &ObjectId) -> ReplicaSet {
-        let (set, degraded) = snap.route(oid);
-        if degraded {
-            self.note_degraded_fetch();
-        }
-        set
-    }
-
-    /// Counts one degraded-mode read whose route the client resolved
-    /// itself — from its cached snapshot, or out of a descriptor template
-    /// written under it.
+    /// Counts one degraded-mode read: a fetch of an object that has lost a
+    /// replica to an unrebuilt kill (redundancy is short, whichever member
+    /// died; if it was the leader, the read also fails over). Every fetch
+    /// route counts here, be it from the live map, a client's cached copy
+    /// or a descriptor template.
     pub(crate) fn note_degraded_fetch(&mut self) {
         self.stats.degraded_fetches += 1;
-    }
-
-    /// The replica set an update must fan out to (every healthy member).
-    pub fn route_update(&self, oid: &ObjectId) -> ReplicaSet {
-        self.route(oid).0
-    }
-
-    /// The live-map replica set a fetch may read from, leader first, plus
-    /// the degraded flag. A fetch
-    /// of an object that has lost a replica to an unrebuilt kill is counted
-    /// as a degraded-mode read (redundancy is short, whichever member died;
-    /// if the dead member was the leader, the read also fails over).
-    pub fn route_fetch_meta(&mut self, oid: &ObjectId) -> (ReplicaSet, bool) {
-        let (set, degraded) = self.route(oid);
-        if degraded {
-            self.stats.degraded_fetches += 1;
-        }
-        (set, degraded)
     }
 
     /// Marks `slot` down and bumps the map revision (the RAS event the
@@ -928,11 +857,11 @@ impl EngineCluster {
     /// [`Self::rebuild`]. Only one unrebuilt failure is supported at a
     /// time — a second kill before rebuild is rejected.
     pub fn kill_engine(&mut self, slot: usize) -> Result<u64, DaosError> {
-        if self.pending_dead.is_some() {
+        if self.map.pending_dead.is_some() {
             return Err(DaosError::RebuildPending);
         }
         let version = self.map.kill(slot)?;
-        self.pending_dead = Some(slot);
+        self.map.pending_dead = Some(slot);
         self.push_map_to_engines();
         Ok(version)
     }
@@ -1010,17 +939,17 @@ impl EngineCluster {
         // mid-rebuild error leaves degraded routing in place and the next
         // rebuild() retries (re-imported records are byte-identical at the
         // same epochs, so a partial first pass is harmless).
-        let Some(dead) = self.pending_dead else {
+        let Some(dead) = self.map.pending_dead else {
             return Ok(now);
         };
         self.stats.rebuilds += 1;
         let mut t_done = now;
         for oid in self.up_objects() {
-            let pre = self.map.replica_set_with(&oid, self.rf, Some(dead));
+            let pre = self.map.replica_set_with(&oid, self.map.rf, Some(dead));
             if !pre.contains(dead) {
                 continue;
             }
-            let post = self.map.replica_set(&oid, self.rf);
+            let post = self.map.replica_set(&oid, self.map.rf);
             let Some(src) = pre.iter().find(|&s| s != dead) else {
                 // RF = 1 and the only copy died: nothing to restore from.
                 continue;
@@ -1042,7 +971,6 @@ impl EngineCluster {
             }
             self.stats.objects_moved += 1;
         }
-        self.pending_dead = None;
         // Rebuild completion changes routing (the pre-kill-survivor
         // override ends; the HRW backfill member joins the set) without a
         // membership edit, so it gets its own revision bump and push —
@@ -1095,7 +1023,7 @@ impl EngineCluster {
 
     /// Whether a kill is awaiting rebuild.
     pub fn rebuild_pending(&self) -> bool {
-        self.pending_dead.is_some()
+        self.map.pending_dead.is_some()
     }
 
     /// Coordinated epoch aggregation for `cont`: picks the highest
@@ -1179,7 +1107,7 @@ impl EngineCluster {
         let mut outcome = ScrubOutcome::default();
         let mut t_done = now;
         for oid in self.up_objects() {
-            let set = self.route(&oid).0;
+            let set = self.map.route(&oid).set;
             if set.is_empty() {
                 continue;
             }
@@ -1236,7 +1164,7 @@ impl EngineCluster {
 
     /// Lists an object's dkeys from its routing leader.
     pub fn list_dkeys(&mut self, oid: ObjectId) -> Vec<DKey> {
-        match self.route(&oid).0.leader() {
+        match self.map.route(&oid).set.leader() {
             Some(s) => self.engines[s].list_dkeys(oid),
             None => Vec::new(),
         }
@@ -1245,7 +1173,7 @@ impl EngineCluster {
     /// Punches a `(dkey, akey)` on every routed replica; the leader's
     /// result is authoritative.
     pub fn punch(&mut self, oid: ObjectId, dkey: &DKey, akey: &AKey) -> Result<(), DaosError> {
-        let set = self.route(&oid).0;
+        let set = self.map.route(&oid).set;
         let mut first: Option<Result<(), DaosError>> = None;
         for s in set.iter() {
             let r = self.engines[s].punch(oid, dkey, akey);
@@ -1258,7 +1186,7 @@ impl EngineCluster {
 
     /// Punches an entire object on every routed replica.
     pub fn punch_object(&mut self, oid: ObjectId) {
-        let set = self.route(&oid).0;
+        let set = self.map.route(&oid).set;
         for s in set.iter() {
             self.engines[s].punch_object(oid);
         }
@@ -1311,8 +1239,9 @@ mod tests {
     use super::*;
     use crate::types::ObjClass;
 
+    /// An `n`-engine map; these tests pass placement its RF explicitly.
     fn map(n: usize) -> PoolMap {
-        PoolMap::new((0..n).map(|i| NodeId(i as u32 + 1)).collect())
+        PoolMap::new((0..n).map(|i| NodeId(i as u32 + 1)).collect(), 1)
     }
 
     #[test]
@@ -1380,12 +1309,12 @@ mod tests {
     fn map_push_roundtrips_through_the_wire() {
         let mut m = map(4);
         m.kill(2).unwrap();
-        let snap = MapSnapshot {
-            map: m.clone(),
-            pending_dead: Some(2),
+        let snap = PoolMap {
             rf: 3,
+            pending_dead: Some(2),
+            ..m
         };
-        let nodes: Vec<NodeId> = m.members().iter().map(|mem| mem.node).collect();
+        let nodes: Vec<NodeId> = snap.members().iter().map(|mem| mem.node).collect();
         let frame = snap.to_push().encode();
         match ControlRequest::decode(frame).unwrap() {
             ControlRequest::MapPush {
@@ -1393,17 +1322,13 @@ mod tests {
                 healths,
                 pending_dead,
             } => {
-                let rebuilt = MapSnapshot::from_wire(&nodes, 3, version, &healths, pending_dead);
+                let rebuilt = PoolMap::from_wire(&nodes, 3, version, &healths, pending_dead);
                 assert_eq!(rebuilt, snap);
             }
             other => panic!("wrong decode: {other:?}"),
         }
         // No pending kill encodes as the u32::MAX sentinel and survives.
-        let clean = MapSnapshot {
-            map: map(4),
-            pending_dead: None,
-            rf: 2,
-        };
+        let clean = PoolMap { rf: 2, ..map(4) };
         match clean.to_push() {
             ControlRequest::MapPush {
                 version,
@@ -1411,7 +1336,7 @@ mod tests {
                 pending_dead,
             } => {
                 assert_eq!(pending_dead, u32::MAX);
-                let rebuilt = MapSnapshot::from_wire(&nodes, 2, version, &healths, pending_dead);
+                let rebuilt = PoolMap::from_wire(&nodes, 2, version, &healths, pending_dead);
                 assert_eq!(rebuilt, clean);
             }
             other => panic!("wrong encode: {other:?}"),

@@ -22,7 +22,7 @@ use bytes::Bytes;
 use ros2_sim::SimTime;
 use ros2_verbs::{MemAddr, MrId};
 
-use crate::cluster::{ReplicaSet, MAX_RF};
+use crate::cluster::{ReplicaSet, Routing, MAX_RF};
 use crate::types::{AKey, ObjectId, INLINE_KEY};
 
 /// Size of one template in its region.
@@ -45,19 +45,8 @@ const ROUTE_AT: usize = AKEY_AT + 1 + INLINE_KEY;
 const STAMP_AT: usize = ROUTE_AT + 2 + 2 * MAX_RF;
 const _: () = assert!(STAMP_AT + 8 <= TEMPLATE_LEN as usize);
 
-/// What a template says about routing.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub(crate) struct Routing {
-    /// The object's replica set, leader first.
-    pub set: ReplicaSet,
-    /// Whether the set has lost a member to an unrebuilt kill.
-    pub degraded: bool,
-    /// The pool-map revision the set was resolved under.
-    pub stamp: u64,
-}
-
 impl Routing {
-    /// Reads the routing fields out of a template's bytes.
+    /// Reads what a template says about routing out of its bytes.
     pub(crate) fn of(template: &[u8]) -> Routing {
         let word = |at: usize| u16::from_le_bytes([template[at], template[at + 1]]);
         let len = template[ROUTE_AT] as usize;
@@ -200,7 +189,7 @@ mod tests {
 
     #[test]
     fn a_template_says_what_the_core_resolved() {
-        let map = PoolMap::new((0..6).map(NodeId).collect());
+        let map = PoolMap::new((0..6).map(NodeId).collect(), 1);
         let oid = ObjectId::new(ObjClass::Sx, 77);
         for rf in 1..=MAX_RF {
             let routing = Routing {
@@ -223,7 +212,7 @@ mod tests {
 
     #[test]
     fn the_table_rewrites_in_place_and_overwrites_the_oldest_when_full() {
-        let map = PoolMap::new((0..4).map(NodeId).collect());
+        let map = PoolMap::new((0..4).map(NodeId).collect(), 2);
         let akey = AKey::from_str("data");
         let routing = |oid: &ObjectId, stamp| Routing {
             set: map.replica_set(oid, 2),

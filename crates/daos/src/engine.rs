@@ -78,9 +78,9 @@ pub struct DaosEngine {
     /// engine (0 = never observed: every stamp passes the revision fence,
     /// as on a bare engine no control plane pushes maps to).
     map_version: u64,
-    /// The pushed map itself plus this engine's slot and the pool RF —
-    /// what the placement fence re-resolves routes against.
-    map_view: Option<(PoolMap, usize, usize)>,
+    /// The pushed map itself plus this engine's slot — what the placement
+    /// fence re-resolves routes against.
+    map_view: Option<(PoolMap, usize)>,
     /// Requests rejected with [`DaosError::StaleMap`] (stale stamp or
     /// misrouted update). Fenced requests are *not* counted in
     /// [`Self::rpcs`] — they never reach a target.
@@ -186,13 +186,13 @@ impl DaosEngine {
         self.rpcs
     }
 
-    /// Control-plane map push: the engine learns the authoritative map,
-    /// its own slot in it, and the pool RF. Monotonic — an older push
-    /// (out-of-order delivery) is ignored.
-    pub fn observe_map(&mut self, map: &PoolMap, slot: usize, rf: usize) {
+    /// Control-plane map push: the engine learns the authoritative map
+    /// and its own slot in it. Monotonic — an older push (out-of-order
+    /// delivery) is ignored.
+    pub fn observe_map(&mut self, map: &PoolMap, slot: usize) {
         if map.version() > self.map_version {
             self.map_version = map.version();
-            self.map_view = Some((map.clone(), slot, rf));
+            self.map_view = Some((map.clone(), slot));
         }
     }
 
@@ -285,8 +285,9 @@ impl DaosEngine {
     ) -> Result<SimTime, DaosError> {
         let Arrival { stamp, at } = rpc.into();
         self.fence_version(stamp)?;
-        if let Some((map, slot, rf)) = &self.map_view {
-            if !map.replica_set(&oid, *rf).contains(*slot) {
+        if let Some((map, slot)) = &self.map_view {
+            let placed = map.replica_set(&oid, map.replication_factor());
+            if !placed.contains(*slot) {
                 self.fences += 1;
                 return Err(DaosError::StaleMap {
                     current: self.map_version,
@@ -700,7 +701,7 @@ mod tests {
     /// A 4-node map for the fencing tests, plus an oid placed on the
     /// given slot under RF=1 and one placed elsewhere.
     fn fence_fixture(slot: usize) -> (PoolMap, ObjectId, ObjectId) {
-        let map = PoolMap::new((1..=4).map(ros2_verbs::NodeId).collect());
+        let map = PoolMap::new((1..=4).map(ros2_verbs::NodeId).collect(), 1);
         let placed = (0..256u64)
             .map(|i| ObjectId::new(ObjClass::S1, i))
             .find(|o| map.replica_set(o, 1).leader() == Some(slot))
@@ -716,10 +717,10 @@ mod tests {
     fn stale_stamp_is_fenced_before_any_work() {
         let mut e = engine(1);
         let (mut map, placed, _) = fence_fixture(0);
-        e.observe_map(&map, 0, 1);
+        e.observe_map(&map, 0);
         assert_eq!(e.map_version(), 1);
         map.kill(3).unwrap();
-        e.observe_map(&map, 0, 1);
+        e.observe_map(&map, 0);
         assert_eq!(e.map_version(), 2);
 
         let epoch = e.next_epoch("cont0").unwrap();
@@ -783,7 +784,7 @@ mod tests {
     fn update_to_evicted_replica_is_fenced_even_with_current_stamp() {
         let mut e = engine(1);
         let (map, placed, elsewhere) = fence_fixture(0);
-        e.observe_map(&map, 0, 1);
+        e.observe_map(&map, 0);
         let epoch = e.next_epoch("cont0").unwrap();
         // The current map places `elsewhere` on a different slot: even a
         // perfectly fresh stamp must not let the write land here.
@@ -834,7 +835,7 @@ mod tests {
     fn stamps_newer_than_the_engine_view_pass() {
         let mut e = engine(1);
         let (map, placed, _) = fence_fixture(0);
-        e.observe_map(&map, 0, 1);
+        e.observe_map(&map, 0);
         let epoch = e.next_epoch("cont0").unwrap();
         // A client can only have gotten a newer stamp from the control
         // plane; the engine's own push just hasn't arrived yet.
@@ -853,13 +854,13 @@ mod tests {
         )
         .unwrap();
         // And an out-of-order (older) push does not regress the view.
-        let old = PoolMap::new((1..=4).map(ros2_verbs::NodeId).collect());
+        let old = PoolMap::new((1..=4).map(ros2_verbs::NodeId).collect(), 1);
         let v = e.map_version();
         let mut newer = old.clone();
         newer.kill(1).unwrap();
-        e.observe_map(&newer, 0, 1);
+        e.observe_map(&newer, 0);
         assert!(e.map_version() > v);
-        e.observe_map(&old, 0, 1);
+        e.observe_map(&old, 0);
         assert_eq!(e.map_version(), newer.version(), "older push ignored");
     }
 
@@ -885,7 +886,7 @@ mod tests {
         write(&mut e).unwrap();
         assert_eq!(e.fences(), 0);
         assert_eq!(e.rpcs(), 1);
-        e.observe_map(&map, 0, 1);
+        e.observe_map(&map, 0);
         assert_eq!(
             write(&mut e).unwrap_err(),
             DaosError::StaleMap { current: 1 }

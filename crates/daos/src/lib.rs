@@ -28,8 +28,8 @@ pub use client::{
     whole_batch_error, ClientOp, ClientOpResult, DaosClient, FetchMeta, FiredTemplate, ObjectClient,
 };
 pub use cluster::{
-    BgService, EngineCluster, EngineHealth, MapSnapshot, PoolMap, PoolMember, RebuildStats,
-    ReplicaSet, ScrubOutcome, ScrubStats, ServiceScheduler, MAX_RF,
+    BgService, EngineCluster, EngineHealth, PoolMap, PoolMember, RebuildStats, ReplicaSet, Routing,
+    ScrubOutcome, ScrubStats, ServiceScheduler, MAX_RF,
 };
 pub use conn_pool::{ConnPool, ConnPoolStats};
 pub use descriptor::TEMPLATE_LEN;

@@ -59,12 +59,13 @@
 //! (`Dfs::data_pipeline`); multi-chunk I/O always submits its stripe set
 //! here.
 //!
-//! **Failover: the recovery ladder.** Routing is resolved from the
-//! *client's cached* pool-map snapshot (see
-//! [`crate::cluster::MapSnapshot`]), not the live map, and every staged
-//! leg carries the cache's `map_version` stamp — so a membership change
-//! genuinely races in-flight ops. A leg that goes wrong at execution
-//! climbs a bounded ladder:
+//! **Failover: the recovery ladder.** Routing asks the *client's cached*
+//! copy of the pool map ([`crate::PoolMap::route`]), not the live map, and
+//! every staged leg carries the [`crate::Routing`] stamp it answered with —
+//! so a membership change genuinely races in-flight ops. Submission and
+//! every re-staging rung ask the same way and count a degraded fetch route
+//! the same way. A leg that goes wrong at execution climbs a bounded
+//! ladder:
 //!
 //! 1. **detect** — a dead or black-holed connection is only discovered by
 //!    per-leg deadline expiry ([`RetryPolicy::leg_deadline`], counted in
@@ -75,7 +76,7 @@
 //!    is *counted* as a timeout but the reply is still accepted.
 //! 2. **refresh** — the client pulls the authoritative map (`MapQuery`,
 //!    [`RetryPolicy::refresh_rtt`]) and re-resolves the route from the
-//!    fresh snapshot.
+//!    fresh copy.
 //! 3. **re-stage** — the leg re-stages with exponential backoff
 //!    ([`RetryPolicy::backoff`]) under a bounded budget
 //!    ([`RetryPolicy::budget`]); fetches prefer a different surviving
@@ -91,8 +92,7 @@ use ros2_fabric::{Fabric, SendCores};
 use ros2_sim::{SimDuration, SimTime};
 
 use crate::client::{ClientOp, ClientOpResult, DaosClient, FiredTemplate};
-use crate::cluster::EngineCluster;
-use crate::descriptor::Routing;
+use crate::cluster::{EngineCluster, Routing};
 use crate::engine::{Arrival, ValueKind};
 use crate::types::{AKey, DKey, DaosError, Epoch, ObjectId};
 
@@ -436,8 +436,17 @@ impl OpRing {
 
         client.bump_ops(1);
         let is_update = matches!(op, ClientOp::Update { .. });
-        match self.stage(client, fabric, cluster, now, slot, op, fired) {
-            Ok(staged) => self.store.inflight.push(staged),
+        match self.stage(client, fabric, cluster, now, op, fired.as_ref()) {
+            Ok((posted, completion, body)) => {
+                self.store.trail[slot].submission = posted.saturating_since(now);
+                self.store.inflight.push(Inflight {
+                    slot,
+                    submitted: now,
+                    completion,
+                    chain_hop: fired.and(client.chain_hop()),
+                    body,
+                });
+            }
             Err(e) => self.retire_failed(slot, is_update, e),
         }
     }
@@ -463,37 +472,30 @@ impl OpRing {
     }
 
     /// The fallible half of a submission: everything between taking a slot
-    /// and the op being in flight.
-    #[allow(clippy::too_many_arguments)]
+    /// and the op being in flight. Returns the instant its last leg's
+    /// descriptor was ready to post, the completion work a core would owe
+    /// for it, and the staged body.
     fn stage(
         &mut self,
         client: &mut DaosClient,
         fabric: &mut Fabric,
         cluster: &mut EngineCluster,
         now: SimTime,
-        slot: usize,
         op: ClientOp,
-        fired: Option<FiredTemplate>,
-    ) -> Result<Inflight, DaosError> {
+        fired: Option<&FiredTemplate>,
+    ) -> Result<(SimTime, SimDuration, Body), DaosError> {
         client.check_cluster(cluster)?;
-        let (routing, template) = match &fired {
+        let (routing, template) = match fired {
             // What fired is the route: the NIC sends it as it stands.
             Some(fired) => (fired.routing, Some(&fired.bytes)),
             None => {
                 // Apply any due delayed RAS delivery, then route from the
-                // cached snapshot — the live map is never consulted here,
-                // so a membership change after this instant genuinely
-                // races the op.
+                // cached map — the live map is never consulted here, so a
+                // membership change after this instant genuinely races the
+                // op.
                 client.poll_map(now, cluster);
                 let (oid, _) = op.object();
-                let (set, degraded) = client.cached_map().route(oid);
-                let stamp = client.cached_map().version();
-                let routing = Routing {
-                    set,
-                    degraded,
-                    stamp,
-                };
-                (routing, None)
+                (client.cached_map().route(oid), None)
             }
         };
         let chain_hop = template.and(client.chain_hop());
@@ -508,7 +510,7 @@ impl OpRing {
             degraded,
             stamp,
         } = routing;
-        let (posted, completion, body) = match op {
+        Ok(match op {
             ClientOp::Update {
                 oid,
                 dkey,
@@ -589,14 +591,6 @@ impl OpRing {
                 };
                 (posted, completion, body)
             }
-        };
-        self.store.trail[slot].submission = posted.saturating_since(now);
-        Ok(Inflight {
-            slot,
-            submitted: now,
-            completion,
-            chain_hop,
-            body,
         })
     }
 
@@ -780,7 +774,7 @@ impl OpRing {
                                     false => SendCores::Both,
                                 };
                                 let r = client
-                                    .finish_fetch(fabric, job, eng, data, ready + stall, len, cores)
+                                    .finish_fetch(fabric, job, eng, data, ready + stall, cores)
                                     .map(|(bytes, at)| {
                                         let tail =
                                             self.charge_completion(op.slot, op.completion, chain);
@@ -814,13 +808,17 @@ impl OpRing {
                     client.refresh_map(cluster);
                     client.retry.backoff_waits += 1;
                     let t_retry = detect + policy.refresh_rtt + policy.backoff(attempt);
-                    let set = cluster.route_fetch_snapshot(client.cached_map(), &oid);
+                    let routing = client.cached_map().route(&oid);
+                    if routing.degraded {
+                        cluster.note_degraded_fetch();
+                    }
                     // Prefer a *different* replica than the one that just
                     // failed (a degraded read when the route is short).
+                    let set = routing.set;
                     let Some(next) = set.iter().find(|&s| s != eng).or_else(|| set.leader()) else {
                         break ClientOpResult::Fetch(Err(DaosError::NoReplica));
                     };
-                    stamp = client.cached_map().version();
+                    stamp = routing.stamp;
                     let (t_cpu, _) = client.client_cpu_split(t_retry, job);
                     match client.stage_fetch_from(fabric, t_cpu, job, next, None) {
                         Ok(at) => {
@@ -929,12 +927,13 @@ impl OpRing {
             // If the refreshed map no longer places the object on this
             // replica, the write must NOT land here — drop the leg and
             // let the survivors carry the commit.
-            if !client.cached_map().route_update(&oid).contains(eng) {
+            let routing = client.cached_map().route(&oid);
+            if !routing.set.contains(eng) {
                 return Ok(None);
             }
             client.retry.backoff_waits += 1;
             let t_retry = detect + policy.refresh_rtt + policy.backoff(attempt);
-            stamp = client.cached_map().version();
+            stamp = routing.stamp;
             let (t_cpu, _) = client.client_cpu_split(t_retry, job);
             let data = std::mem::take(&mut payload);
             let (new_staged, new_payload) =

@@ -170,7 +170,7 @@ fn run(sched: &Schedule, serial_calls: bool) -> (Vec<Timed>, RetryStats, u64) {
             )
             .unwrap();
     }
-    let set = cl.route_update(&oid);
+    let set = cl.map().route(&oid).set;
     let victim = if sched.kill_leader {
         set.leader().unwrap()
     } else {
@@ -183,7 +183,7 @@ fn run(sched: &Schedule, serial_calls: bool) -> (Vec<Timed>, RetryStats, u64) {
     for i in 0..N_OPS {
         if i == sched.kill_at {
             cl.kill_engine(victim).unwrap();
-            c.deliver_map(t0 + sched.ras_delay, cl.snapshot_map());
+            c.deliver_map(t0 + sched.ras_delay, cl.map().clone());
         }
         if serial_calls {
             serial_results.push(serial_op(&mut c, &mut f, &mut cl, t0, op_for(i)));
@@ -193,7 +193,7 @@ fn run(sched: &Schedule, serial_calls: bool) -> (Vec<Timed>, RetryStats, u64) {
     }
     if sched.kill_at >= N_OPS {
         cl.kill_engine(victim).unwrap();
-        c.deliver_map(t0 + sched.ras_delay, cl.snapshot_map());
+        c.deliver_map(t0 + sched.ras_delay, cl.map().clone());
     }
     let results = match serial_calls {
         true => serial_results,

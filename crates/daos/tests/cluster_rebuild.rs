@@ -78,7 +78,7 @@ fn updates_replicate_to_rf_engines() {
             )
             .unwrap();
     }
-    let set = cluster.route_update(&oid);
+    let set = cluster.map().route(&oid).set;
     assert_eq!(set.len(), 2, "RF=2 replica set");
     // Every replica holds the object; non-members hold nothing.
     for s in 0..cluster.len() {
@@ -131,7 +131,7 @@ fn kill_degrades_reads_and_rebuild_restores_rf() {
             .unwrap();
     }
     // Kill the leader of the first object.
-    let victim = cluster.route_update(&oids[0]).leader().unwrap();
+    let victim = cluster.map().route(&oids[0]).set.leader().unwrap();
     let v1 = cluster.map().version();
     let v2 = cluster.kill_engine(victim).unwrap();
     assert!(v2 > v1, "kill bumps the map revision");
@@ -183,7 +183,7 @@ fn kill_degrades_reads_and_rebuild_restores_rf() {
     assert!(stats.objects_moved > 0, "{stats:?}");
     assert!(stats.bytes_moved > 0, "{stats:?}");
     for &oid in &oids {
-        let set = cluster.route_update(&oid);
+        let set = cluster.map().route(&oid).set;
         assert_eq!(set.len(), 2, "RF restored for {oid:?}");
         for s in set.iter() {
             assert!(
@@ -258,11 +258,11 @@ fn rf1_kill_loses_only_the_dead_engines_objects() {
             )
             .unwrap();
     }
-    let victim = cluster.route_update(&oids[0]).leader().unwrap();
+    let victim = cluster.map().route(&oids[0]).set.leader().unwrap();
     cluster.kill_engine(victim).unwrap();
     let t2 = cluster.rebuild(&mut fabric, t).unwrap();
     for &oid in &oids {
-        let survivor_set = cluster.route_update(&oid);
+        let survivor_set = cluster.map().route(&oid).set;
         assert_eq!(survivor_set.len(), 1);
         let r = client.fetch(
             &mut fabric,

@@ -148,7 +148,7 @@ fn kill_under_qd32(
 
     // The victim is the non-leader replica: stale-routed fetches then hit
     // the surviving leader, which holds the *new* map and fences them.
-    let set = cl.route_update(&oid);
+    let set = cl.map().route(&oid).set;
     let victim = set.iter().nth(1).expect("RF=2 yields a second replica");
 
     let t0 = SimTime::from_millis(10);
@@ -169,7 +169,7 @@ fn kill_under_qd32(
     // RAS delivery lands 20 op-latencies after the kill — the whole ring
     // drains against the stale cached revision.
     let ras_at = t0 + op_latency.saturating_mul(20);
-    c.deliver_map(ras_at, cl.snapshot_map());
+    c.deliver_map(ras_at, cl.map().clone());
     for i in 16..32u64 {
         issue(&mut c, &mut f, &mut cl, i);
     }
@@ -252,7 +252,7 @@ fn dead_leader_times_out_and_fails_over_to_the_survivor() {
     let oid = ObjectId::new(ObjClass::Sx, 5);
     let n = 16u64;
     preamble(&mut f, &mut cl, &mut c, oid, n);
-    let victim = cl.route_update(&oid).leader().expect("healthy leader");
+    let victim = cl.map().route(&oid).set.leader().expect("healthy leader");
 
     let t0 = SimTime::from_millis(10);
     let mut ring = OpRing::new(0, 16);
@@ -261,7 +261,7 @@ fn dead_leader_times_out_and_fails_over_to_the_survivor() {
     }
     cl.kill_engine(victim).unwrap();
     // RAS delivery never lands during the run: recovery is ladder-only.
-    c.deliver_map(SimTime::from_secs(60), cl.snapshot_map());
+    c.deliver_map(SimTime::from_secs(60), cl.map().clone());
     for i in 8..n {
         ring.submit(&mut c, &mut f, &mut cl, t0, fetch_op(oid, i));
     }
@@ -290,7 +290,7 @@ fn blackholed_engine_exhausts_the_budget_and_fails_cleanly() {
     let (mut f, mut cl, mut c) = world(2, 1);
     let oid = ObjectId::new(ObjClass::Sx, 7);
     preamble(&mut f, &mut cl, &mut c, oid, 4);
-    let target = cl.route_update(&oid).leader().unwrap();
+    let target = cl.map().route(&oid).set.leader().unwrap();
 
     let mut ring = OpRing::new(0, 4);
     let t0 = SimTime::from_millis(10);
@@ -347,7 +347,7 @@ fn stale_updates_fence_then_commit_on_the_current_map() {
     let (mut f, mut cl, mut c) = world(4, 2);
     let oid = ObjectId::new(ObjClass::Sx, 5);
     preamble(&mut f, &mut cl, &mut c, oid, 4);
-    let victim = cl.route_update(&oid).iter().nth(1).unwrap();
+    let victim = cl.map().route(&oid).set.iter().nth(1).unwrap();
 
     let t0 = SimTime::from_millis(10);
     let n = 16u64;
@@ -363,7 +363,7 @@ fn stale_updates_fence_then_commit_on_the_current_map() {
         ring.submit(&mut c, &mut f, &mut cl, t0, upd(i));
     }
     cl.kill_engine(victim).unwrap();
-    c.deliver_map(SimTime::from_secs(60), cl.snapshot_map());
+    c.deliver_map(SimTime::from_secs(60), cl.map().clone());
     for i in 6..n {
         ring.submit(&mut c, &mut f, &mut cl, t0, upd(i));
     }
@@ -408,9 +408,9 @@ fn delayed_ras_delivery_applies_only_when_due_and_query_beats_it() {
     ring.drain(&mut c, &mut f, &mut cl);
     assert_eq!(c.cache_version(), Some(1));
 
-    let victim = cl.route_update(&oid).iter().nth(1).unwrap();
+    let victim = cl.map().route(&oid).set.iter().nth(1).unwrap();
     cl.kill_engine(victim).unwrap();
-    c.deliver_map(SimTime::from_millis(5), cl.snapshot_map());
+    c.deliver_map(SimTime::from_millis(5), cl.map().clone());
 
     // An op *before* the delivery is due goes out stamped with the old
     // revision — proof the pending delivery did not apply early — gets
@@ -428,7 +428,7 @@ fn delayed_ras_delivery_applies_only_when_due_and_query_beats_it() {
     // next op applies at the poll, so the op goes out current — no new
     // fence, no ladder refresh.
     cl.rebuild(&mut f, SimTime::from_millis(6)).unwrap();
-    c.deliver_map(SimTime::from_millis(8), cl.snapshot_map());
+    c.deliver_map(SimTime::from_millis(8), cl.map().clone());
     let mut ring = OpRing::new(0, 1);
     ring.submit(
         &mut c,
@@ -444,7 +444,7 @@ fn delayed_ras_delivery_applies_only_when_due_and_query_beats_it() {
 
     // A MapQuery-style sync is authoritative immediately and cancels any
     // pending (older-or-equal) delivery.
-    c.deliver_map(SimTime::from_secs(60), cl.snapshot_map());
-    c.sync_map(cl.snapshot_map());
+    c.deliver_map(SimTime::from_secs(60), cl.map().clone());
+    c.sync_map(cl.map().clone());
     assert_eq!(c.cache_version(), Some(cl.map().version()));
 }

@@ -414,7 +414,7 @@ fn mid_flight_engine_kill_rearms_fetch_legs() {
             )
             .unwrap();
         }
-        let victim = cl.route_update(&oid).leader().expect("healthy leader");
+        let victim = cl.map().route(&oid).set.leader().expect("healthy leader");
 
         let mut ring = OpRing::new(0, 16);
         let t0 = SimTime::from_millis(1);

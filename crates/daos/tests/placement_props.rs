@@ -88,7 +88,7 @@ proptest! {
         rf in 1usize..4,
         ts in transitions(),
     ) {
-        let mut map = PoolMap::new((0..engines).map(|i| NodeId(i as u32 + 1)).collect());
+        let mut map = PoolMap::new((0..engines).map(|i| NodeId(i as u32 + 1)).collect(), rf);
         let mut next_node = engines as u32 + 1;
         let oids = sample_oids(160);
 

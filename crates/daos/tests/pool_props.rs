@@ -153,7 +153,7 @@ fn run(sched: &Schedule) -> (Vec<Acked>, ros2_daos::ConnPoolStats) {
     for (i, &step) in sched.steps.iter().enumerate() {
         if i == sched.kill_engine_at {
             cl.kill_engine(1).unwrap();
-            let snap = cl.snapshot_map();
+            let snap = cl.map().clone();
             for client in clients.iter_mut() {
                 client.deliver_map(t, snap.clone());
             }

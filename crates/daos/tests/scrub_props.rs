@@ -182,7 +182,7 @@ fn run(h: &History, paced: bool) -> Outcome {
             match ev {
                 Event::Corrupt { obj } => {
                     let oid = oid_for(obj);
-                    let set = cl.route_update(&oid);
+                    let set = cl.map().route(&oid).set;
                     // Rot the replica the scheduled kill will take (it
                     // dies anyway); otherwise the first in route order.
                     let victim = match h.kill_slot.filter(|_| !killed) {
@@ -201,13 +201,13 @@ fn run(h: &History, paced: bool) -> Outcome {
                 Event::Kill { slot } if !killed => {
                     killed = true;
                     cl.kill_engine(slot).unwrap();
-                    c.deliver_map(t, cl.snapshot_map());
+                    c.deliver_map(t, cl.map().clone());
                     // Self-healing order: repair rot among the survivors
                     // first, so the rebuild never streams from a rotten
                     // source, then restore RF.
                     let (_, at) = cl.scrub(&mut f, t).unwrap();
                     let at = cl.rebuild(&mut f, at).unwrap();
-                    c.deliver_map(at, cl.snapshot_map());
+                    c.deliver_map(at, cl.map().clone());
                     t = t.max(at);
                 }
                 Event::Kill { .. } => {}
@@ -255,7 +255,7 @@ fn run(h: &History, paced: bool) -> Outcome {
     let mut fps = Vec::new();
     for obj in 0..3u64 {
         let oid = oid_for(obj);
-        let set = cl.route_update(&oid);
+        let set = cl.map().route(&oid).set;
         let mut per: Vec<u64> = set
             .iter()
             .map(|s| cl.engine(s).object_fingerprint(oid))

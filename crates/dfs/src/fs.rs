@@ -315,6 +315,24 @@ impl Dfs {
         Ok((entry, at))
     }
 
+    /// `Ok` iff `dir` has no entry `name`: [`DfsError::Exists`] if it has
+    /// one, and any failure of the lookup other than
+    /// [`DfsError::NotFound`] as it stands — a lookup that could not be
+    /// answered says nothing about whether the name is free.
+    fn ensure_absent(
+        &mut self,
+        s: &mut DfsSession<'_>,
+        now: SimTime,
+        dir: ObjectId,
+        name: &str,
+    ) -> Result<(), DfsError> {
+        match self.read_entry(s, now, 0, dir, name) {
+            Ok(_) => Err(DfsError::Exists),
+            Err(DfsError::NotFound) => Ok(()),
+            Err(e) => Err(e),
+        }
+    }
+
     fn write_entry(
         &mut self,
         s: &mut DfsSession<'_>,
@@ -350,9 +368,7 @@ impl Dfs {
         if parent.kind != FileKind::Dir {
             return Err(DfsError::NotADir);
         }
-        if self.read_entry(s, now, 0, parent.oid, name).is_ok() {
-            return Err(DfsError::Exists);
-        }
+        self.ensure_absent(s, now, parent.oid, name)?;
         let ino = self.next_ino;
         self.next_ino += 1;
         let entry = DirEntry {
@@ -387,9 +403,7 @@ impl Dfs {
         if parent.kind != FileKind::Dir {
             return Err(DfsError::NotADir);
         }
-        if self.read_entry(s, now, 0, parent.oid, name).is_ok() {
-            return Err(DfsError::Exists);
-        }
+        self.ensure_absent(s, now, parent.oid, name)?;
         let ino = self.next_ino;
         self.next_ino += 1;
         let entry = DirEntry {

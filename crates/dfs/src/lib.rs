@@ -21,7 +21,10 @@ pub use fs::{Dfs, DfsError, DfsObj, DfsSession, FileKind, FileStat};
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use ros2_daos::{DaosClient, DaosCostModel, DaosEngine, EngineCluster};
+    use ros2_daos::{
+        AKey, ClientOp, ClientOpResult, DKey, DaosClient, DaosCostModel, DaosEngine, DaosError,
+        EngineCluster, Epoch, ObjectClient, ObjectId, ValueKind,
+    };
     use ros2_fabric::{Fabric, NodeSpec};
     use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, NvmeModel, Transport};
     use ros2_nvme::{DataMode, NvmeArray};
@@ -356,6 +359,102 @@ mod tests {
             )
         };
         assert_eq!(run(false), run(true));
+    }
+
+    /// Forwards to a `DaosClient`, except that a fetch of the single value
+    /// under `dkey` — a directory entry lookup — fails with `cause`.
+    /// Counts the updates it forwards.
+    struct FailingLookups<'a> {
+        inner: &'a mut DaosClient,
+        dkey: DKey,
+        cause: DaosError,
+        updates: u64,
+    }
+
+    impl ObjectClient for FailingLookups<'_> {
+        fn update(
+            &mut self,
+            fabric: &mut Fabric,
+            cluster: &mut EngineCluster,
+            now: SimTime,
+            job: usize,
+            oid: ObjectId,
+            dkey: DKey,
+            akey: AKey,
+            kind: ValueKind,
+            data: Bytes,
+        ) -> Result<SimTime, DaosError> {
+            self.updates += 1;
+            let inner = &mut *self.inner;
+            inner.update(fabric, cluster, now, job, oid, dkey, akey, kind, data)
+        }
+
+        fn fetch(
+            &mut self,
+            fabric: &mut Fabric,
+            cluster: &mut EngineCluster,
+            now: SimTime,
+            job: usize,
+            oid: ObjectId,
+            dkey: DKey,
+            akey: AKey,
+            kind: ValueKind,
+            epoch: Epoch,
+            len: u64,
+        ) -> Result<(Bytes, SimTime), DaosError> {
+            if kind == ValueKind::Single && dkey == self.dkey {
+                return Err(self.cause);
+            }
+            let inner = &mut *self.inner;
+            inner.fetch(fabric, cluster, now, job, oid, dkey, akey, kind, epoch, len)
+        }
+
+        fn execute_pipelined(
+            &mut self,
+            fabric: &mut Fabric,
+            cluster: &mut EngineCluster,
+            now: SimTime,
+            job: usize,
+            mut ops: Vec<ClientOp>,
+        ) -> Vec<ClientOpResult> {
+            let mut out = Vec::new();
+            let inner = &mut *self.inner;
+            inner.execute_into(fabric, cluster, now, job, &mut ops, &mut out);
+            out
+        }
+
+        fn ops(&self) -> u64 {
+            self.inner.ops()
+        }
+    }
+
+    #[test]
+    fn a_lookup_that_fails_is_not_an_absent_entry() {
+        // Only NotFound means the name is free: any other lookup failure
+        // comes back as it stands and no entry is written over it.
+        let (mut f, mut e, mut c, mut dfs) = mounted(1);
+        let root = dfs.root();
+        let t = SimTime::ZERO;
+        let cause = DaosError::ChecksumMismatch;
+        let mut lookups = FailingLookups {
+            inner: &mut c,
+            dkey: DKey::from_str("x"),
+            cause,
+            updates: 0,
+        };
+        let s = &mut DfsSession {
+            fabric: &mut f,
+            cluster: &mut e,
+            client: &mut lookups,
+        };
+        let failed = DfsError::Daos(cause);
+        assert_eq!(dfs.create(s, t, &root, "x", 0o644).unwrap_err(), failed);
+        assert_eq!(dfs.mkdir(s, t, &root, "x", 0o755).unwrap_err(), failed);
+        assert_eq!(lookups.updates, 0, "an entry was written");
+        assert_eq!(
+            dfs.lookup(sess!(f, e, c), t, "/x").unwrap_err(),
+            DfsError::NotFound
+        );
     }
 
     #[test]

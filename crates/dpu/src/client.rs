@@ -63,7 +63,7 @@ use bytes::Bytes;
 use ros2_ctl::{ControlChannel, ControlModel, ControlRequest, ControlResponse};
 use ros2_daos::{
     whole_batch_error, ClientOp, ClientOpResult, DaosClient, DaosCostModel, DaosError,
-    EngineCluster, Epoch, MapSnapshot, ObjectClient, ObjectId, OpRing, RetryPolicy, RetryStats,
+    EngineCluster, Epoch, ObjectClient, ObjectId, OpRing, PoolMap, RetryPolicy, RetryStats,
     SlotTrail,
 };
 use ros2_daos::{AKey, DKey, ValueKind};
@@ -467,28 +467,28 @@ impl DpuClient {
         self.io.set_stalled(session, on);
     }
 
-    /// Delivers a RAS map snapshot to every tenant lane's cached map at
-    /// `at` — the DPU terminates the RAS stream, so all lanes hear the
-    /// same delivery at the same (possibly fault-delayed) instant.
-    pub fn deliver_map(&mut self, at: SimTime, snap: MapSnapshot) {
+    /// Delivers a RAS map push to every tenant lane's cached map at `at`
+    /// — the DPU terminates the RAS stream, so all lanes hear the same
+    /// delivery at the same (possibly fault-delayed) instant.
+    pub fn deliver_map(&mut self, at: SimTime, map: PoolMap) {
         for lane in &mut self.lanes {
-            lane.daos.deliver_map(at, snap.clone());
+            lane.daos.deliver_map(at, map.clone());
             if let Some(cache) = lane.cache.as_mut() {
                 // Conservative: sweep as soon as the push is *scheduled*,
                 // not when it lands — the cache may only ever under-serve,
                 // never serve across a revision it has heard about.
-                cache.note_map(snap.version());
+                cache.note_map(map.version());
             }
         }
     }
 
-    /// Installs `snap` in every lane's cache immediately (the `MapQuery`
+    /// Installs `map` in every lane's cache immediately (the `MapQuery`
     /// reply path — authoritative, no delivery delay).
-    pub fn sync_map(&mut self, snap: MapSnapshot) {
+    pub fn sync_map(&mut self, map: PoolMap) {
         for lane in &mut self.lanes {
-            lane.daos.sync_map(snap.clone());
+            lane.daos.sync_map(map.clone());
             if let Some(cache) = lane.cache.as_mut() {
-                cache.note_map(snap.version());
+                cache.note_map(map.version());
             }
         }
     }
@@ -1059,7 +1059,7 @@ impl ObjectClient for DpuClient {
         // itself reports the leader route and the reading the probe was
         // validated against.
         let clean = matches!(&probe, Probe::Miss(_, stamp)
-            if !meta.degraded && *stamp == (meta.map_version, meta.record_version));
+            if !meta.routing.degraded && *stamp == (meta.routing.stamp, meta.record_version));
         self.lanes[lane].complete(start, cluster, probe, clean, Some(&data));
         Ok((data, at))
     }

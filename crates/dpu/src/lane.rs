@@ -139,13 +139,13 @@ fn authority(
     cluster: &EngineCluster,
     record: &RecordKey,
 ) -> Option<Stamp> {
-    let (leader, degraded, map_version) = daos.probe_route(now, cluster, &record.oid);
-    if degraded {
+    let routing = daos.probe_route(now, cluster, &record.oid);
+    if routing.degraded {
         return None;
     }
-    let version =
-        cluster.record_version(leader?, map_version, record.oid, &record.dkey, &record.akey)?;
-    Some((map_version, version))
+    let (leader, stamp) = (routing.set.leader()?, routing.stamp);
+    let version = cluster.record_version(leader, stamp, record.oid, &record.dkey, &record.akey)?;
+    Some((stamp, version))
 }
 
 /// What the read cache decided about one op before it was issued, and

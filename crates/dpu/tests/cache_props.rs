@@ -342,7 +342,7 @@ fn run(s: &Schedule, cached: bool) -> RunOut {
             )
             .unwrap();
     }
-    let set = cl.route_update(&oid());
+    let set = cl.map().route(&oid()).set;
     let victim = if s.kill_leader {
         set.leader().unwrap()
     } else {
@@ -356,11 +356,11 @@ fn run(s: &Schedule, cached: bool) -> RunOut {
     for (ci, chunk) in s.tape.chunks(s.qd.max(1)).enumerate() {
         if s.kill_chunk == Some(ci) {
             cl.kill_engine(victim).unwrap();
-            c.deliver_map(now + s.map_delay, cl.snapshot_map());
+            c.deliver_map(now + s.map_delay, cl.map().clone());
         }
         if s.kill_chunk.map(|k| k + s.rebuild_after) == Some(ci) {
             now = cl.rebuild(&mut f, now).unwrap();
-            c.deliver_map(now + s.map_delay, cl.snapshot_map());
+            c.deliver_map(now + s.map_delay, cl.map().clone());
         }
         if s.foreign.0 == ci {
             // Epoch 1 is the first seed write's: this extent shadows seed
@@ -369,7 +369,7 @@ fn run(s: &Schedule, cached: bool) -> RunOut {
             // version does.
             let data = payload(s.foreign.1, 0, LEN as u64, 1_000);
             let stamp = cl.map().version();
-            for eng in cl.route_update(&oid()).iter() {
+            for eng in cl.map().route(&oid()).set.iter() {
                 let dkey = DKey::from_u64(s.foreign.1);
                 cl.engine_mut(eng)
                     .update(
@@ -577,10 +577,10 @@ fn map_push_invalidates_resident_chunks() {
 
     // Kill an engine *outside* the hot object's replica set: the route is
     // untouched and not degraded, but the map revision moved.
-    let members: Vec<usize> = cl.route_update(&oid()).iter().collect();
+    let members: Vec<usize> = cl.map().route(&oid()).set.iter().collect();
     let outsider = (0..ENGINES).find(|s| !members.contains(s)).unwrap();
     cl.kill_engine(outsider).unwrap();
-    c.sync_map(cl.snapshot_map());
+    c.sync_map(cl.map().clone());
     let s = c.cache_stats();
     assert!(
         s.invalidations >= 1,
@@ -668,9 +668,9 @@ fn unseen_writer_invalidates_without_a_touch() {
 fn degraded_reads_never_fill() {
     let (mut f, mut cl, mut c) = world(Some(1 << 20));
     let t = seed(&mut f, &mut cl, &mut c);
-    let leader = cl.route_update(&oid()).leader().unwrap();
+    let leader = cl.map().route(&oid()).set.leader().unwrap();
     cl.kill_engine(leader).unwrap();
-    c.sync_map(cl.snapshot_map());
+    c.sync_map(cl.map().clone());
 
     let t = t + SimDuration::from_millis(1);
     let (b1, t) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
@@ -685,7 +685,7 @@ fn degraded_reads_never_fill() {
 
     // Rebuild restores redundancy; the next push re-arms the fill path.
     let t = cl.rebuild(&mut f, t).unwrap();
-    c.sync_map(cl.snapshot_map());
+    c.sync_map(cl.map().clone());
     let (_, t) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
     let (_, _) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
     let s = c.cache_stats();
@@ -702,7 +702,7 @@ fn ladder_completions_never_teach_the_cache() {
     let (mut f, mut cl, mut c) = world(Some(1 << 20));
     let t = seed(&mut f, &mut cl, &mut c);
     let (_, t) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
-    let set = cl.route_update(&oid());
+    let set = cl.map().route(&oid()).set;
     let (leader, follower) = (set.leader().unwrap(), set.iter().nth(1).unwrap());
     let fetch = |k| ClientOp::Fetch {
         oid: oid(),

@@ -76,7 +76,7 @@ pub fn resilience_cell() -> ResilienceCell {
         .region(REGION)
         .windows(SimDuration::from_millis(10), SimDuration::from_millis(40));
     let mut failed = run_fio(&mut w, &spec).io.errors.get();
-    let victim = w.cluster.route_update(&w.file(0).oid).leader();
+    let victim = w.cluster.map().route(&w.file(0).oid).set.leader();
     w.kill_engine(SimTime::ZERO, victim.expect("healthy leader"))
         .expect("kill");
     w.reset_timing();

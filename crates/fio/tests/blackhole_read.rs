@@ -65,7 +65,9 @@ fn run() -> (Bytes, SimTime, RetryStats) {
     // Up in the map, its connection just eats traffic.
     let leader = w
         .cluster
-        .route_update(&file.oid)
+        .map()
+        .route(&file.oid)
+        .set
         .leader()
         .expect("healthy leader");
     w.set_fault_plan(FaultPlan {

@@ -149,11 +149,11 @@ fn run(w: &mut DfsFioWorld) -> (Digest, Split) {
     // dead engine find out by deadline; its legs to live engines are
     // fenced, because those heard of the kill.
     submit(w, &mut d, 4_000, 0, (0..6).map(fetch).collect());
-    let legs = |w: &DfsFioWorld, i: u64| w.cluster.route_update(&oid(i)).len() as u64;
+    let legs = |w: &DfsFioWorld, i: u64| w.cluster.map().route(&oid(i)).set.len() as u64;
     let stale_update_legs = (0..n).filter(|i| i % 2 == 1).map(|i| legs(w, i)).sum();
-    let victim = w.cluster.route_update(&oid(1)).leader().unwrap();
+    let victim = w.cluster.map().route(&oid(1)).set.leader().unwrap();
     w.cluster.kill_engine(victim).unwrap();
-    let snap = w.cluster.snapshot_map();
+    let snap = w.cluster.map().clone();
     w.client.deliver_map(SimTime::from_micros(4_500), snap);
     let stale: Vec<ClientOp> = (0..n)
         .map(|i| if i % 2 == 0 { fetch(i) } else { update(i, 2) })
@@ -171,9 +171,11 @@ fn run(w: &mut DfsFioWorld) -> (Digest, Split) {
     // whose objects all kept their second replica through the kill, so
     // every read it swallows has somewhere else to go.)
     let c = &w.cluster;
-    let led_by = |e: usize| (0..n).filter(move |&i| c.route_update(&oid(i)).leader() == Some(e));
+    let led_by = |e: usize| (0..n).filter(move |&i| c.map().route(&oid(i)).set.leader() == Some(e));
     let hole = (0..c.len())
-        .find(|&e| led_by(e).count() > 0 && led_by(e).all(|i| c.route_update(&oid(i)).len() == 2))
+        .find(|&e| {
+            led_by(e).count() > 0 && led_by(e).all(|i| c.map().route(&oid(i)).set.len() == 2)
+        })
         .expect("an engine leading only fully replicated objects");
     let hole_fetches = led_by(hole).count() as u64;
     w.cluster.set_blackhole(hole, true);
@@ -183,7 +185,7 @@ fn run(w: &mut DfsFioWorld) -> (Digest, Split) {
     // 5. Bit rot under the leader's newest extent of one record: the
     // engine's own verify refuses it and the error reaches the host.
     let rotten = 3u64;
-    let leader = w.cluster.route_update(&oid(rotten)).leader().unwrap();
+    let leader = w.cluster.map().route(&oid(rotten)).set.leader().unwrap();
     assert!(w.cluster.engine_mut(leader).corrupt_newest_extent(
         oid(rotten),
         &DKey::from_u64(rotten),
@@ -352,10 +354,10 @@ fn a_map_push_restamps_on_a_core_and_a_late_one_gets_the_nics_descriptor_fenced(
         assert_eq!(sent, 1, "the file's second op was the doorbell's");
         // A bystander dies: object 0's route is what it was, the map
         // revision is not.
-        let route = w.cluster.route_update(&oid(0));
+        let route = w.cluster.map().route(&oid(0)).set;
         let bystander = (0..4).find(|&e| !route.contains(e)).unwrap();
         w.cluster.kill_engine(bystander).unwrap();
-        let snap = w.cluster.snapshot_map();
+        let snap = w.cluster.map().clone();
         let lands_us = if delayed { 2_500 } else { 1_500 };
         w.client.deliver_map(SimTime::from_micros(lands_us), snap);
 

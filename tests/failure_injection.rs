@@ -200,7 +200,9 @@ fn engine_kill_mid_workload_degrades_then_rebuilds() {
     // RAS event rides the control plane.
     let victim = sys
         .cluster
-        .route_update(&files[0].oid)
+        .map()
+        .route(&files[0].oid)
+        .set
         .leader()
         .expect("healthy leader");
     let v_before = sys.cluster.map().version();
@@ -234,7 +236,7 @@ fn engine_kill_mid_workload_degrades_then_rebuilds() {
     assert!(rebuilt.value.objects_moved > 0, "{:?}", rebuilt.value);
     assert!(rebuilt.value.bytes_moved > 0, "{:?}", rebuilt.value);
     for f in &files {
-        let set = sys.cluster.route_update(&f.oid);
+        let set = sys.cluster.map().route(&f.oid).set;
         assert_eq!(set.len(), 2, "RF restored for {:?}", f.oid);
         assert!(!set.contains(victim), "dead engine must not be routed");
     }
@@ -253,7 +255,9 @@ fn engine_kill_mid_workload_degrades_then_rebuilds() {
     // A second failure is survivable now that redundancy is back.
     let next_victim = sys
         .cluster
-        .route_update(&files[0].oid)
+        .map()
+        .route(&files[0].oid)
+        .set
         .leader()
         .expect("healthy leader");
     sys.kill_engine(next_victim).unwrap();
@@ -283,7 +287,7 @@ fn serial_calls_never_fence_through_kill_and_rebuild() {
         write_six(&mut sys, &mut files, 0);
         assert_eq!(sys.cluster.fences(), 0, "{placement:?} before the kill");
 
-        let victim = sys.cluster.route_update(&files[0].oid).leader();
+        let victim = sys.cluster.map().route(&files[0].oid).set.leader();
         sys.kill_engine(victim.expect("healthy leader")).unwrap();
         write_six(&mut sys, &mut files, 6);
         for (i, f) in files.iter().enumerate() {
@@ -320,7 +324,7 @@ fn map_query_installs_the_map_the_ras_delivery_holds_back() {
             ras_delay: SimDuration::from_secs(1),
             ..FaultPlan::none()
         });
-        let leader = sys.cluster.route_update(&f.oid).leader();
+        let leader = sys.cluster.map().route(&f.oid).set.leader();
         sys.kill_engine(leader.expect("healthy leader")).unwrap();
         if query {
             sys.map_query().unwrap();
@@ -345,7 +349,7 @@ fn rebuild_pushes_its_map_to_the_client() {
         let content = Bytes::from(vec![0x3c; 2 << 20]);
         let mut f = sys.create("/rebuilt").unwrap().value;
         sys.write(&mut f, 0, content.clone()).unwrap();
-        let leader = sys.cluster.route_update(&f.oid).leader();
+        let leader = sys.cluster.map().route(&f.oid).set.leader();
         sys.kill_engine(leader.expect("healthy leader")).unwrap();
         let back = sys.read(&f, 0, 2 << 20).expect("degraded read").value;
         assert_eq!(back, content, "{placement:?}");
