@@ -11,7 +11,8 @@
 //! BlueField-3, in front of the same unchanged engines.
 
 use ros2_daos::{
-    DaosClient, DaosCostModel, DaosError, EngineCluster, ObjectClient, PoolMap, RetryStats,
+    ConnectSpec, DaosClient, DaosCostModel, DaosError, EngineCluster, ObjectClient, PoolMap,
+    RetryStats,
 };
 use ros2_dpu::{default_control, DpuAgent, DpuCacheStats, DpuClient, DpuStats, DpuTenantSpec};
 use ros2_fabric::Fabric;
@@ -220,36 +221,27 @@ pub fn connect_client(
     } else {
         MemoryDomain::HostDram
     };
+    let spec = ConnectSpec {
+        node,
+        servers: storage_nodes.to_vec(),
+        cont: "posix".into(),
+        jobs: setup.jobs,
+        buf_len: setup.buffer_len,
+        domain,
+        model: DaosCostModel::default_model(),
+    };
     if !offloaded {
         return Ok(ClientStack::InProcess(DaosClient::connect_scoped_multi(
             fabric,
-            node,
-            storage_nodes,
+            &spec,
             &setup.tenants[0].name,
-            "posix",
-            setup.jobs,
-            setup.buffer_len,
-            domain,
-            DaosCostModel::default_model(),
             Expiry::Never,
         )?));
     }
     let agent = setup
         .agent
         .unwrap_or_else(|| DpuAgent::new(node, BLUEFIELD3_DRAM, default_control(setup.seed)));
-    let mut dpu = DpuClient::connect_cluster(
-        fabric,
-        node,
-        storage_nodes,
-        "posix",
-        setup.jobs,
-        setup.buffer_len,
-        domain,
-        DaosCostModel::default_model(),
-        agent,
-        setup.tenants,
-        setup.seed,
-    )?;
+    let mut dpu = DpuClient::connect_cluster(fabric, spec, agent, setup.tenants, setup.seed)?;
     if let Some(bytes) = setup.dpu_cache {
         dpu.enable_read_cache(bytes)?;
     }

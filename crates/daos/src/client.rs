@@ -35,6 +35,13 @@
 //! live revision for the serial call, the cached one for the ring. The
 //! caller picks — `Dfs::data_pipeline` for single-chunk file I/O;
 //! multi-chunk I/O always takes the ring.
+//!
+//! A ring op names its record by one [`RecordKey`]: [`ClientOp`] is an
+//! [`UpdateOp`] or a [`FetchOp`], each carrying its key, and
+//! [`DaosClient::fetch_with_meta`] takes a `&FetchOp`. Only the serial
+//! call's two trait methods still spell the address as three arguments,
+//! because the benchmark's interposer implements them that way. A client
+//! is connected from one [`ConnectSpec`].
 
 use bytes::Bytes;
 use ros2_buf::zero_bytes;
@@ -48,7 +55,9 @@ use crate::cluster::{EngineCluster, PoolMap, Routing};
 use crate::descriptor::{TemplateTable, REGION_LEN, TEMPLATE_LEN};
 use crate::engine::{Arrival, ValueKind};
 use crate::pipeline::{OpRing, RetryPolicy, RetryStats, RingStore};
-use crate::types::{AKey, DKey, DaosCostModel, DaosError, Epoch, ObjectId, RecordVersion};
+use crate::types::{
+    AKey, DKey, DaosCostModel, DaosError, Epoch, ObjectId, RecordKey, RecordVersion,
+};
 
 /// RPC descriptor size on the wire (OBJ_UPDATE/OBJ_FETCH header).
 const RPC_DESC: usize = 128;
@@ -151,6 +160,26 @@ pub struct FetchMeta {
     pub record_version: RecordVersion,
 }
 
+/// Where and how a client connects: what [`DaosClient::connect_scoped_multi`]
+/// and the offloaded client's `connect_cluster` both take.
+#[derive(Debug)]
+pub struct ConnectSpec {
+    /// The fabric node the client runs on.
+    pub node: NodeId,
+    /// Every storage node of the cluster, slot-aligned with the pool map.
+    pub servers: Vec<NodeId>,
+    /// The container the client is bound to.
+    pub cont: String,
+    /// Client jobs (FIO threads).
+    pub jobs: usize,
+    /// Bytes of each job's staging buffer.
+    pub buf_len: u64,
+    /// The memory the staging buffers live in.
+    pub domain: MemoryDomain,
+    /// The client's per-op CPU costs.
+    pub model: DaosCostModel,
+}
+
 /// A connected DAOS client bound to one container.
 pub struct DaosClient {
     node: NodeId,
@@ -189,10 +218,11 @@ pub struct DaosClient {
 }
 
 impl DaosClient {
-    /// Connects `jobs` client jobs from `node` to every engine of a
-    /// cluster, staging through `buf_len`-byte buffers in `domain` (DPU
-    /// DRAM for the prototype; [`MemoryDomain::GpuHbm`] for the GPUDirect
-    /// extension): each job opens one connection per storage node
+    /// Connects `spec.jobs` client jobs from `spec.node` to every engine of
+    /// a cluster, as `tenant`, staging through `spec.buf_len`-byte buffers
+    /// in `spec.domain` (DPU DRAM for the prototype;
+    /// [`MemoryDomain::GpuHbm`] for the GPUDirect extension): each job
+    /// opens one connection per storage node
     /// (slot-aligned with the pool map) so the client can route per-object
     /// without reconnecting. Every staging MR is registered under `expiry`
     /// from the outset — no window where an unscoped rkey exists
@@ -207,19 +237,21 @@ impl DaosClient {
     /// fabric-call sequence; later jobs' sub-channels carry their own
     /// serialized per-socket stages, so their timing is identical to the
     /// dedicated connections they replace.
-    #[allow(clippy::too_many_arguments)]
     pub fn connect_scoped_multi(
         fabric: &mut Fabric,
-        node: NodeId,
-        servers: &[NodeId],
+        spec: &ConnectSpec,
         tenant: &str,
-        cont: impl Into<String>,
-        jobs: usize,
-        buf_len: u64,
-        domain: MemoryDomain,
-        model: DaosCostModel,
         expiry: Expiry,
     ) -> Result<Self, DaosError> {
+        let ConnectSpec {
+            node,
+            ref servers,
+            jobs,
+            buf_len,
+            domain,
+            model,
+            ..
+        } = *spec;
         if servers.is_empty() {
             return Err(DaosError::NotConnected {
                 conns: 0,
@@ -273,8 +305,8 @@ impl DaosClient {
         }
         Ok(DaosClient {
             node,
-            servers: servers.to_vec(),
-            cont: cont.into(),
+            servers: servers.clone(),
+            cont: spec.cont.clone(),
             pd,
             jobs: out_jobs,
             cores: ClientCores::PerJob(vec![ServerPool::new(1); jobs]),
@@ -527,12 +559,12 @@ impl DaosClient {
     ) -> Option<FiredTemplate> {
         self.chain_hop()?;
         self.poll_map(now, cluster);
-        let (oid, akey) = op.object();
+        let key = op.key();
         let legs = match op {
-            ClientOp::Fetch { .. } => 1,
-            ClientOp::Update { .. } => usize::MAX,
+            ClientOp::Fetch(_) => 1,
+            ClientOp::Update(_) => usize::MAX,
         };
-        let (at, bytes) = self.templates.find(oid, akey, now)?;
+        let (at, bytes) = self.templates.find(&key.oid, &key.akey, now)?;
         let routing = Routing::of(bytes);
         (routing.stamp == self.cached_map().version()).then(|| FiredTemplate {
             at,
@@ -890,27 +922,27 @@ impl DaosClient {
     /// whether the route was degraded, and the map revision / record
     /// version stamped on the reply. Callers that maintain a read cache
     /// (the DPU lane) need exactly this to decide whether the completion
-    /// is safe to fill from. Reads `len` bytes at `epoch`, routed on the
-    /// live map to `oid`'s replica leader — or, while the leader's engine
-    /// is down, to the first surviving replica (a degraded read).
-    #[allow(clippy::too_many_arguments)]
+    /// is safe to fill from. Runs `op`, routed on the live map to its
+    /// object's replica leader — or, while the leader's engine is down, to
+    /// the first surviving replica (a degraded read).
     pub fn fetch_with_meta(
         &mut self,
         fabric: &mut Fabric,
         cluster: &mut EngineCluster,
         now: SimTime,
         job: usize,
-        oid: ObjectId,
-        dkey: DKey,
-        akey: AKey,
-        kind: ValueKind,
-        epoch: Epoch,
-        len: u64,
+        op: &FetchOp,
     ) -> Result<(Bytes, SimTime, FetchMeta), DaosError> {
+        let FetchOp {
+            ref key,
+            kind,
+            epoch,
+            len,
+        } = *op;
         self.ops += 1;
         self.check_cluster(cluster)?;
         self.check_staging(job, len)?;
-        let routing = cluster.map().route(&oid);
+        let routing = cluster.map().route(&key.oid);
         if routing.degraded {
             cluster.note_degraded_fetch();
         }
@@ -923,16 +955,16 @@ impl DaosClient {
                 at: req_at,
             },
             &self.cont,
-            oid,
-            &dkey,
-            &akey,
+            key.oid,
+            &key.dkey,
+            &key.akey,
             kind,
             epoch,
             len,
         )?;
         let meta = FetchMeta {
             routing,
-            record_version: cluster.engine(eng).record_version(oid, &dkey, &akey),
+            record_version: cluster.engine(eng).record_version(key),
         };
         self.finish_fetch(fabric, job, eng, data, ready, SendCores::Both)
             .map(|(data, at)| (data, at, meta))
@@ -944,8 +976,8 @@ impl DaosClient {
 pub fn whole_batch_error(ops: &[ClientOp], e: DaosError) -> Vec<ClientOpResult> {
     ops.iter()
         .map(|op| match op {
-            ClientOp::Update { .. } => ClientOpResult::Update(Err(e)),
-            ClientOp::Fetch { .. } => ClientOpResult::Fetch(Err(e)),
+            ClientOp::Update(_) => ClientOpResult::Update(Err(e)),
+            ClientOp::Fetch(_) => ClientOpResult::Fetch(Err(e)),
         })
         .collect()
 }
@@ -961,7 +993,9 @@ pub fn whole_batch_error(ops: &[ClientOp], e: DaosError) -> Vec<ClientOpResult> 
 /// `execute_*` methods the ring.
 pub trait ObjectClient {
     /// Issues an OBJ_UPDATE from `job`; returns the client-visible commit
-    /// instant.
+    /// instant. The address is three arguments, not a [`RecordKey`],
+    /// because the benchmark's interposer implements this signature.
+    // frozen by benchmark/src/sut.rs:534
     #[allow(clippy::too_many_arguments)]
     fn update(
         &mut self,
@@ -976,7 +1010,9 @@ pub trait ObjectClient {
         data: Bytes,
     ) -> Result<SimTime, DaosError>;
 
-    /// Issues an OBJ_FETCH from `job` reading `len` bytes at `epoch`.
+    /// Issues an OBJ_FETCH from `job` reading `len` bytes at `epoch`
+    /// (positional like [`Self::update`]).
+    // frozen by benchmark/src/sut.rs:554
     #[allow(clippy::too_many_arguments)]
     fn fetch(
         &mut self,
@@ -1105,7 +1141,13 @@ impl ObjectClient for DaosClient {
         epoch: Epoch,
         len: u64,
     ) -> Result<(Bytes, SimTime), DaosError> {
-        self.fetch_with_meta(fabric, cluster, now, job, oid, dkey, akey, kind, epoch, len)
+        let op = FetchOp {
+            key: RecordKey { oid, dkey, akey },
+            kind,
+            epoch,
+            len,
+        };
+        self.fetch_with_meta(fabric, cluster, now, job, &op)
             .map(|(data, at, _)| (data, at))
     }
 
@@ -1153,41 +1195,42 @@ impl ObjectClient for DaosClient {
 #[derive(Clone, Debug)]
 pub enum ClientOp {
     /// An object update carrying its payload.
-    Update {
-        /// Object.
-        oid: ObjectId,
-        /// Distribution key.
-        dkey: DKey,
-        /// Attribute key.
-        akey: AKey,
-        /// Single value or array extent.
-        kind: ValueKind,
-        /// Payload.
-        data: Bytes,
-    },
-    /// An object fetch of `len` bytes at `epoch`.
-    Fetch {
-        /// Object.
-        oid: ObjectId,
-        /// Distribution key.
-        dkey: DKey,
-        /// Attribute key.
-        akey: AKey,
-        /// Single value or array extent.
-        kind: ValueKind,
-        /// Read epoch.
-        epoch: Epoch,
-        /// Bytes to read.
-        len: u64,
-    },
+    Update(UpdateOp),
+    /// An object fetch.
+    Fetch(FetchOp),
+}
+
+/// An update of the record at `key`.
+#[derive(Clone, Debug)]
+pub struct UpdateOp {
+    /// The record written.
+    pub key: RecordKey,
+    /// Single value or array extent.
+    pub kind: ValueKind,
+    /// Payload.
+    pub data: Bytes,
+}
+
+/// A fetch of `len` bytes of the record at `key` as of `epoch`.
+#[derive(Clone, Debug)]
+pub struct FetchOp {
+    /// The record read.
+    pub key: RecordKey,
+    /// Single value or array extent.
+    pub kind: ValueKind,
+    /// Read epoch.
+    pub epoch: Epoch,
+    /// Bytes to read.
+    pub len: u64,
 }
 
 impl ClientOp {
-    /// The object and attribute key the op addresses: what its descriptor
-    /// template is kept under.
-    pub(crate) fn object(&self) -> (&ObjectId, &AKey) {
+    /// The record the op addresses (its object and attribute key are what
+    /// its descriptor template is kept under).
+    pub fn key(&self) -> &RecordKey {
         match self {
-            ClientOp::Update { oid, akey, .. } | ClientOp::Fetch { oid, akey, .. } => (oid, akey),
+            ClientOp::Update(op) => &op.key,
+            ClientOp::Fetch(op) => &op.key,
         }
     }
 
@@ -1196,29 +1239,18 @@ impl ClientOp {
     /// for an op a patch cannot name — anything but an array extent under
     /// an 8-byte chunk-index dkey, which is what file I/O issues.
     pub fn patch(&self) -> Option<IoPatch> {
-        let (write, oid, dkey, kind, len) = match self {
-            ClientOp::Update {
-                oid,
-                dkey,
-                kind,
-                data,
-                ..
-            } => (true, oid, dkey, kind, data.len() as u64),
-            ClientOp::Fetch {
-                oid,
-                dkey,
-                kind,
-                len,
-                ..
-            } => (false, oid, dkey, kind, *len),
+        let (write, kind, len) = match self {
+            ClientOp::Update(op) => (true, op.kind, op.data.len() as u64),
+            ClientOp::Fetch(op) => (false, op.kind, op.len),
         };
-        let ValueKind::Array { offset } = *kind else {
+        let ValueKind::Array { offset } = kind else {
             return None;
         };
+        let key = self.key();
         Some(IoPatch {
             write,
-            object: oid.lo,
-            chunk: u64::from_le_bytes(dkey.as_bytes().try_into().ok()?),
+            object: key.oid.lo,
+            chunk: u64::from_le_bytes(key.dkey.as_bytes().try_into().ok()?),
             offset,
             len,
         })
@@ -1318,14 +1350,16 @@ mod tests {
         engine.cont_create("cont0").unwrap();
         let client = DaosClient::connect_scoped_multi(
             &mut fabric,
-            NodeId(0),
-            &[NodeId(1)],
+            &ConnectSpec {
+                node: NodeId(0),
+                servers: vec![NodeId(1)],
+                cont: "cont0".into(),
+                jobs: 2,
+                buf_len: 4 << 20,
+                domain: MemoryDomain::HostDram,
+                model: DaosCostModel::default_model(),
+            },
             "tenant",
-            "cont0",
-            2,
-            4 << 20,
-            MemoryDomain::HostDram,
-            DaosCostModel::default_model(),
             Expiry::Never,
         )
         .unwrap();
@@ -1410,14 +1444,12 @@ mod tests {
                         fetched.unwrap().0
                     }
                     true => {
-                        let mut ops = vec![ClientOp::Fetch {
-                            oid,
-                            dkey,
-                            akey,
+                        let mut ops = vec![ClientOp::Fetch(FetchOp {
+                            key: RecordKey { oid, dkey, akey },
                             kind,
                             epoch: Epoch::LATEST,
                             len: 32,
-                        }];
+                        })];
                         let mut out = Vec::new();
                         client.execute_into(&mut fabric, &mut cluster, t, 0, &mut ops, &mut out);
                         match out.pop() {
@@ -1547,7 +1579,11 @@ mod tests {
                 Bytes::from(vec![5u8; 64 << 10]),
             )
             .unwrap();
-        assert!(cluster.engine_mut(0).corrupt_newest_extent(oid, &d, &a));
+        assert!(cluster.engine_mut(0).corrupt_newest_extent(&RecordKey {
+            oid,
+            dkey: d.clone(),
+            akey: a.clone()
+        }));
         let err = client
             .fetch(
                 &mut fabric,
@@ -1633,24 +1669,28 @@ mod tests {
             let (mut fabric, mut cluster, mut client) = world(Transport::Tcp, client_is_dpu);
             let mut ring = crate::pipeline::OpRing::new(0, 4);
             for (i, len) in sizes.into_iter().enumerate() {
-                let op = ClientOp::Update {
-                    oid,
-                    dkey: DKey::from_u64(i as u64),
-                    akey: akey(),
+                let op = ClientOp::Update(UpdateOp {
+                    key: RecordKey {
+                        oid,
+                        dkey: DKey::from_u64(i as u64),
+                        akey: akey(),
+                    },
                     kind,
                     data: Bytes::from(vec![0x5A; len]),
-                };
+                });
                 ring.submit(&mut client, &mut fabric, &mut cluster, SimTime::ZERO, op);
             }
             for (i, len) in sizes.into_iter().enumerate() {
-                let op = ClientOp::Fetch {
-                    oid,
-                    dkey: DKey::from_u64(i as u64),
-                    akey: akey(),
+                let op = ClientOp::Fetch(FetchOp {
+                    key: RecordKey {
+                        oid,
+                        dkey: DKey::from_u64(i as u64),
+                        akey: akey(),
+                    },
                     kind,
                     epoch: Epoch::LATEST,
                     len: len as u64,
-                };
+                });
                 ring.submit(&mut client, &mut fabric, &mut cluster, SimTime::ZERO, op);
             }
             let ringed: Vec<u64> = ring

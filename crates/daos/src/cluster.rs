@@ -58,7 +58,7 @@ use ros2_verbs::{NodeId, PdId};
 
 use crate::conn_pool::{ConnPool, ConnPoolStats};
 use crate::engine::DaosEngine;
-use crate::types::{AKey, DKey, DaosError, Epoch, ObjectId, RecordVersion};
+use crate::types::{DKey, DaosError, Epoch, ObjectId, RecordKey, RecordVersion};
 use crate::vos::{RecordDump, ScrubCheck, VosStats};
 
 /// Largest supported replication factor (fits the inline
@@ -788,17 +788,9 @@ impl EngineCluster {
     /// as stale. This is the authority a read cache checks a record's
     /// entries against; it sees every arrival at that engine, whoever
     /// sent it. Read-only: no RPC or fence is counted, nothing is booked.
-    pub fn record_version(
-        &self,
-        eng: usize,
-        stamp: u64,
-        oid: ObjectId,
-        dkey: &DKey,
-        akey: &AKey,
-    ) -> Option<RecordVersion> {
+    pub fn record_version(&self, eng: usize, stamp: u64, key: &RecordKey) -> Option<RecordVersion> {
         let engine = &self.engines[eng];
-        (self.is_reachable(eng) && !engine.is_stale(stamp))
-            .then(|| engine.record_version(oid, dkey, akey))
+        (self.is_reachable(eng) && !engine.is_stale(stamp)).then(|| engine.record_version(key))
     }
 
     /// Turns on the engine-side connection pool: resident per-client
@@ -1170,13 +1162,13 @@ impl EngineCluster {
         }
     }
 
-    /// Punches a `(dkey, akey)` on every routed replica; the leader's
+    /// Punches the record at `key` on every routed replica; the leader's
     /// result is authoritative.
-    pub fn punch(&mut self, oid: ObjectId, dkey: &DKey, akey: &AKey) -> Result<(), DaosError> {
-        let set = self.map.route(&oid).set;
+    pub fn punch(&mut self, key: &RecordKey) -> Result<(), DaosError> {
+        let set = self.map.route(&key.oid).set;
         let mut first: Option<Result<(), DaosError>> = None;
         for s in set.iter() {
-            let r = self.engines[s].punch(oid, dkey, akey);
+            let r = self.engines[s].punch(key);
             if first.is_none() {
                 first = Some(r);
             }

@@ -19,7 +19,8 @@ use ros2_spdk::{BdevLayer, ShardBdev};
 
 use crate::cluster::PoolMap;
 use crate::types::{
-    placement_hash, AKey, DKey, DaosCostModel, DaosError, Epoch, ObjClass, ObjectId, RecordVersion,
+    placement_hash, AKey, DKey, DaosCostModel, DaosError, Epoch, ObjClass, ObjectId, RecordKey,
+    RecordVersion,
 };
 use crate::vos::{VosStats, VosTarget};
 
@@ -229,10 +230,10 @@ impl DaosEngine {
         Ok(())
     }
 
-    /// The arrival version of `(oid, dkey, akey)` on this engine (see
+    /// The arrival version of the record at `key` on this engine (see
     /// [`RecordVersion`]). Read-only: no RPC is counted, nothing is booked.
-    pub fn record_version(&self, oid: ObjectId, dkey: &DKey, akey: &AKey) -> RecordVersion {
-        self.targets[self.target_of(oid, Some(dkey))].record_version(oid, dkey, akey)
+    pub fn record_version(&self, key: &RecordKey) -> RecordVersion {
+        self.targets[self.target_of(key.oid, Some(&key.dkey))].record_version(key)
     }
 
     /// Merged VOS stats across targets.
@@ -270,7 +271,10 @@ impl DaosEngine {
     /// map no longer places this object on this engine (so no write ever
     /// lands on an evicted replica, even if the client's stamp happens to
     /// be current). Fenced requests don't count as RPCs and touch no target
-    /// state.
+    /// state. The address stays three arguments here, packed into a
+    /// [`RecordKey`] at entry, because the benchmark's engine probe calls
+    /// this door positionally.
+    // frozen by benchmark/src/sut.rs:835
     #[allow(clippy::too_many_arguments)]
     pub fn update(
         &mut self,
@@ -298,14 +302,17 @@ impl DaosEngine {
             return Err(DaosError::NoSuchEntity);
         }
         let (vos, mut media, picked) = self.serve_on_shard(at, oid, &dkey, data.len() as u64);
-        vos.update(picked, &mut media, oid, dkey, akey, kind, epoch, data)
+        let key = RecordKey { oid, dkey, akey };
+        vos.update(picked, &mut media, key, kind, epoch, data)
     }
 
     /// Services an OBJ_FETCH RPC behind the revision fence. Returns the
     /// data and the instant it is ready to leave the server. Reads are not
     /// placement-fenced: during a degraded window the pre-kill survivors
     /// legitimately serve objects the post-rebuild map will move off them,
-    /// so only the revision check applies.
+    /// so only the revision check applies. Positional, and packed into a
+    /// [`RecordKey`] at entry, like [`Self::update`].
+    // frozen by benchmark/src/sut.rs:866
     #[allow(clippy::too_many_arguments)]
     pub fn fetch(
         &mut self,
@@ -324,10 +331,15 @@ impl DaosEngine {
             return Err(DaosError::NoSuchEntity);
         }
         let (vos, mut media, picked) = self.serve_on_shard(at, oid, dkey, len);
+        let key = RecordKey {
+            oid,
+            dkey: dkey.clone(),
+            akey: akey.clone(),
+        };
         match kind {
-            ValueKind::Single => vos.fetch_single(picked, &mut media, oid, dkey, akey, epoch),
+            ValueKind::Single => vos.fetch_single(picked, &mut media, &key, epoch),
             ValueKind::Array { offset } => {
-                vos.fetch_array(picked, &mut media, oid, dkey, akey, epoch, offset, len)
+                vos.fetch_array(picked, &mut media, &key, epoch, offset, len)
             }
         }
     }
@@ -345,11 +357,11 @@ impl DaosEngine {
         keys
     }
 
-    /// Punches a `(dkey, akey)`.
-    pub fn punch(&mut self, oid: ObjectId, dkey: &DKey, akey: &AKey) -> Result<(), DaosError> {
+    /// Punches the record at `key`.
+    pub fn punch(&mut self, key: &RecordKey) -> Result<(), DaosError> {
         self.rpcs += 1;
-        let target = self.target_of(oid, Some(dkey));
-        self.targets[target].punch(oid, dkey, akey)
+        let target = self.target_of(key.oid, Some(&key.dkey));
+        self.targets[target].punch(key)
     }
 
     /// Punches an entire object across targets.
@@ -410,11 +422,9 @@ impl DaosEngine {
         let mut t_done = now;
         for rec in records {
             let (vos, mut media, picked) =
-                self.serve_on_shard(now, oid, &rec.dkey, rec.data.len() as u64);
-            let (dkey, akey, data) = (rec.dkey.clone(), rec.akey.clone(), rec.data.clone());
-            let t = vos.update(
-                picked, &mut media, oid, dkey, akey, rec.kind, rec.epoch, data,
-            )?;
+                self.serve_on_shard(now, oid, &rec.key.dkey, rec.data.len() as u64);
+            let (key, data) = (rec.key.clone(), rec.data.clone());
+            let t = vos.update(picked, &mut media, key, rec.kind, rec.epoch, data)?;
             t_done = t_done.max(t);
         }
         Ok(t_done)
@@ -425,12 +435,12 @@ impl DaosEngine {
         &mut self.bdevs
     }
 
-    /// Test hook: corrupts the newest extent of `(oid, dkey, akey)` on its
+    /// Test hook: corrupts the newest extent of the record at `key` on its
     /// owning shard so the next fetch surfaces a checksum mismatch.
-    pub fn corrupt_newest_extent(&mut self, oid: ObjectId, dkey: &DKey, akey: &AKey) -> bool {
-        let target = self.target_of(oid, Some(dkey));
+    pub fn corrupt_newest_extent(&mut self, key: &RecordKey) -> bool {
+        let target = self.target_of(key.oid, Some(&key.dkey));
         let mut media = self.bdevs.shard(target);
-        self.targets[target].corrupt_newest_extent(&mut media, oid, dkey, akey)
+        self.targets[target].corrupt_newest_extent(&mut media, key)
     }
 
     /// Fault-plan bit-rot: corrupts the engine's globally newest extent of
@@ -438,19 +448,19 @@ impl DaosEngine {
     /// the caller needing to know any keys. Returns false if the engine
     /// holds no extents for the object.
     pub fn corrupt_object(&mut self, oid: ObjectId) -> bool {
-        let mut best: Option<(usize, DKey, AKey, Epoch)> = None;
+        let mut best: Option<(usize, RecordKey, Epoch)> = None;
         for (i, t) in self.targets.iter().enumerate() {
-            if let Some((d, a, e)) = t.newest_extent_key(oid) {
-                if best.as_ref().is_none_or(|(_, _, _, b)| e > *b) {
-                    best = Some((i, d, a, e));
+            if let Some((key, e)) = t.newest_extent_key(oid) {
+                if best.as_ref().is_none_or(|(_, _, b)| e > *b) {
+                    best = Some((i, key, e));
                 }
             }
         }
-        let Some((target, dkey, akey, _)) = best else {
+        let Some((target, key, _)) = best else {
             return false;
         };
         let mut media = self.bdevs.shard(target);
-        self.targets[target].corrupt_newest_extent(&mut media, oid, &dkey, &akey)
+        self.targets[target].corrupt_newest_extent(&mut media, &key)
     }
 
     /// Fault-plan bit-rot without naming an object: walks this engine's
@@ -682,7 +692,11 @@ mod tests {
             Bytes::from(vec![1u8; 64 << 10]),
         )
         .unwrap();
-        assert!(e.corrupt_newest_extent(oid, &d, &a));
+        assert!(e.corrupt_newest_extent(&RecordKey {
+            oid,
+            dkey: d.clone(),
+            akey: a.clone()
+        }));
         let err = e
             .fetch(
                 SimTime::from_secs(1),

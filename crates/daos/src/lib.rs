@@ -25,7 +25,8 @@ pub mod vos;
 
 pub use checksum::{crc32c, crc32c_append, Checksum};
 pub use client::{
-    whole_batch_error, ClientOp, ClientOpResult, DaosClient, FetchMeta, FiredTemplate, ObjectClient,
+    whole_batch_error, ClientOp, ClientOpResult, ConnectSpec, DaosClient, FetchMeta, FetchOp,
+    FiredTemplate, ObjectClient, UpdateOp,
 };
 pub use cluster::{
     BgService, EngineCluster, EngineHealth, PoolMap, PoolMember, RebuildStats, ReplicaSet, Routing,
@@ -37,6 +38,6 @@ pub use engine::{Arrival, ContainerMeta, DaosEngine, ValueKind};
 pub use pipeline::{Forwarded, OpRing, RetryPolicy, RetryStats, SlotTrail};
 pub use types::{
     placement_hash, AKey, DKey, DaosCostModel, DaosError, Epoch, KeyBytes, ObjClass, ObjectId,
-    RecordVersion, INLINE_KEY,
+    RecordKey, RecordVersion, INLINE_KEY,
 };
-pub use vos::{KeyPair, Location, RecordDump, ScrubCheck, VosStats, VosTarget};
+pub use vos::{Location, RecordDump, ScrubCheck, VosStats, VosTarget};

@@ -54,6 +54,10 @@
 //! lets `tests/pipeline_equivalence.rs` hold QD-N runs to the same tape
 //! issued one op at a time through the serial call.
 //!
+//! **One address per op.** A staged op keeps the [`RecordKey`] its
+//! [`ClientOp`] carried, moved in at submission, never cloned: each update
+//! leg and each fetch attempt reads the engine's address from it.
+//!
 //! **Who picks the ring.** `Dfs` does, in one place: single-chunk data ops
 //! take the serial call unless the world is pipelined
 //! (`Dfs::data_pipeline`); multi-chunk I/O always submits its stripe set
@@ -91,10 +95,10 @@ use ros2_buf::bytes_crc32c;
 use ros2_fabric::{Fabric, SendCores};
 use ros2_sim::{SimDuration, SimTime};
 
-use crate::client::{ClientOp, ClientOpResult, DaosClient, FiredTemplate};
+use crate::client::{ClientOp, ClientOpResult, DaosClient, FetchOp, FiredTemplate, UpdateOp};
 use crate::cluster::{EngineCluster, Routing};
 use crate::engine::{Arrival, ValueKind};
-use crate::types::{AKey, DKey, DaosError, Epoch, ObjectId};
+use crate::types::{DaosError, Epoch, RecordKey};
 
 /// Deadlines, backoff bounds and the retry budget for the ring's
 /// recovery ladder. Every parameter is virtual-time, so a chaos schedule
@@ -186,29 +190,26 @@ struct UpdateLeg {
     payload: Bytes,
 }
 
+/// An update in flight: what each of its staged legs writes.
+struct StagedUpdate {
+    key: RecordKey,
+    kind: ValueKind,
+    epoch: Epoch,
+    /// The cached `map_version` stamped into every leg's descriptor.
+    stamp: u64,
+    /// Whether the submission-time route was non-degraded.
+    clean: bool,
+    /// One per replica; emptied while the legs execute.
+    legs: Vec<UpdateLeg>,
+}
+
 /// The phase-specific body of an in-flight op.
 enum Body {
     /// An update with its per-replica staged legs.
-    Update {
-        oid: ObjectId,
-        dkey: DKey,
-        akey: AKey,
-        kind: ValueKind,
-        epoch: Epoch,
-        /// The cached `map_version` stamped into every leg's descriptor.
-        stamp: u64,
-        /// Whether the submission-time route was non-degraded.
-        clean: bool,
-        legs: Vec<UpdateLeg>,
-    },
+    Update(StagedUpdate),
     /// A fetch staged to its leader engine.
     Fetch {
-        oid: ObjectId,
-        dkey: DKey,
-        akey: AKey,
-        kind: ValueKind,
-        epoch: Epoch,
-        len: u64,
+        read: FetchOp,
         /// Leader the descriptor went to.
         eng: usize,
         /// Instant the request reached the server.
@@ -435,7 +436,7 @@ impl OpRing {
         }
 
         client.bump_ops(1);
-        let is_update = matches!(op, ClientOp::Update { .. });
+        let is_update = matches!(op, ClientOp::Update(_));
         match self.stage(client, fabric, cluster, now, op, fired.as_ref()) {
             Ok((posted, completion, body)) => {
                 self.store.trail[slot].submission = posted.saturating_since(now);
@@ -460,7 +461,7 @@ impl OpRing {
         self.store.results.push(None);
         self.store.trail.push(SlotTrail::default());
         client.bump_ops(1);
-        self.retire_failed(slot, matches!(op, ClientOp::Update { .. }), e);
+        self.retire_failed(slot, matches!(op, ClientOp::Update(_)), e);
     }
 
     fn retire_failed(&mut self, slot: usize, is_update: bool, e: DaosError) {
@@ -494,8 +495,7 @@ impl OpRing {
                 // membership change after this instant genuinely races the
                 // op.
                 client.poll_map(now, cluster);
-                let (oid, _) = op.object();
-                (client.cached_map().route(oid), None)
+                (client.cached_map().route(&op.key().oid), None)
             }
         };
         let chain_hop = template.and(client.chain_hop());
@@ -511,13 +511,7 @@ impl OpRing {
             stamp,
         } = routing;
         Ok(match op {
-            ClientOp::Update {
-                oid,
-                dkey,
-                akey,
-                kind,
-                data,
-            } => {
+            ClientOp::Update(UpdateOp { key, kind, data }) => {
                 client.check_staging(self.job, data.len() as u64)?;
                 if set.is_empty() {
                     return Err(DaosError::NoReplica);
@@ -543,29 +537,20 @@ impl OpRing {
                     });
                 }
                 if template.is_none() {
-                    client.write_template(fabric, &oid, &akey, routing, posted);
+                    client.write_template(fabric, &key.oid, &key.akey, routing, posted);
                 }
-                let body = Body::Update {
-                    oid,
-                    dkey,
-                    akey,
+                let body = Body::Update(StagedUpdate {
+                    key,
                     kind,
                     epoch,
                     stamp,
                     clean: !degraded,
                     legs,
-                };
+                });
                 (posted, completion, body)
             }
-            ClientOp::Fetch {
-                oid,
-                dkey,
-                akey,
-                kind,
-                epoch,
-                len,
-            } => {
-                client.check_staging(self.job, len)?;
+            ClientOp::Fetch(read) => {
+                client.check_staging(self.job, read.len)?;
                 // The cluster still observes a degraded read, whichever
                 // view of the map the route came from.
                 if degraded {
@@ -575,15 +560,10 @@ impl OpRing {
                 let (posted, completion) = post(client);
                 let req_at = client.stage_fetch_from(fabric, posted, self.job, eng, template)?;
                 if template.is_none() {
-                    client.write_template(fabric, &oid, &akey, routing, posted);
+                    client.write_template(fabric, &read.key.oid, &read.key.akey, routing, posted);
                 }
                 let body = Body::Fetch {
-                    oid,
-                    dkey,
-                    akey,
-                    kind,
-                    epoch,
-                    len,
+                    read,
                     eng,
                     req_at,
                     stamp,
@@ -660,34 +640,23 @@ impl OpRing {
         client: &mut DaosClient,
         fabric: &mut Fabric,
         cluster: &mut EngineCluster,
-        op: Inflight,
+        mut op: Inflight,
     ) -> Executed {
         let job = self.job;
         let first_ack = op.first_ack();
-        match op.body {
-            Body::Update {
-                oid,
-                dkey,
-                akey,
-                kind,
-                epoch,
-                stamp,
-                clean,
-                mut legs,
-            } => {
+        match &mut op.body {
+            Body::Update(update) => {
+                let mut legs = std::mem::take(&mut update.legs);
                 // The last ack and the engine it came from.
                 let mut done: Option<(SimTime, usize)> = None;
                 let mut err: Option<DaosError> = None;
                 // A leg that drops or climbs the ladder clears this.
-                self.store.trail[op.slot].fill_ok = clean;
+                self.store.trail[op.slot].fill_ok = update.clean;
                 // Every leg acked first time and inside its deadline.
                 let mut on_time = true;
                 for leg in legs.drain(..) {
                     let eng = leg.eng;
-                    match self.run_update_leg(
-                        client, fabric, cluster, leg, op.slot, stamp, oid, &dkey, &akey, kind,
-                        epoch, first_ack,
-                    ) {
+                    match self.run_update_leg(client, fabric, cluster, &op, leg) {
                         Ok(Some((acked, first_try))) => {
                             on_time &= first_try;
                             if done.is_none_or(|(d, _)| acked > d) {
@@ -720,17 +689,13 @@ impl OpRing {
                 }
             }
             Body::Fetch {
-                oid,
-                dkey,
-                akey,
-                kind,
-                epoch,
-                len,
-                mut eng,
-                mut req_at,
-                mut stamp,
+                read,
+                eng,
+                req_at,
+                stamp,
                 clean,
             } => {
+                let (mut eng, mut req_at, mut stamp, clean) = (*eng, *req_at, *stamp, *clean);
                 let mut attempt: u32 = 0;
                 let result = loop {
                     let policy = client.retry_policy();
@@ -744,12 +709,12 @@ impl OpRing {
                         match cluster.engine_mut(eng).fetch(
                             Arrival { stamp, at: req_at },
                             client.container(),
-                            oid,
-                            &dkey,
-                            &akey,
-                            kind,
-                            epoch,
-                            len,
+                            read.key.oid,
+                            &read.key.dkey,
+                            &read.key.akey,
+                            read.kind,
+                            read.epoch,
+                            read.len,
                         ) {
                             Ok((data, ready)) => {
                                 // A slow engine completes late; past the
@@ -808,7 +773,7 @@ impl OpRing {
                     client.refresh_map(cluster);
                     client.retry.backoff_waits += 1;
                     let t_retry = detect + policy.refresh_rtt + policy.backoff(attempt);
-                    let routing = client.cached_map().route(&oid);
+                    let routing = client.cached_map().route(&read.key.oid);
                     if routing.degraded {
                         cluster.note_degraded_fetch();
                     }
@@ -844,26 +809,29 @@ impl OpRing {
     /// attempt and inside the leg deadline; `Ok(None)` means the leg
     /// dropped because its engine left the placement (killed, or fenced off
     /// by a newer map) and the surviving legs carry the commit; `Err` is a
-    /// real failure. Anything but a first-attempt ack clears `slot`'s
-    /// [`SlotTrail::fill_ok`]. A first-attempt ack is taken by `first_ack`
-    /// (the op's parked chain, if it has one); a later one by a core.
-    #[allow(clippy::too_many_arguments)]
+    /// real failure. Anything but a first-attempt ack clears the slot's
+    /// [`SlotTrail::fill_ok`]. A first-attempt ack is taken by
+    /// [`Inflight::first_ack`] (the op's parked chain, if it has one); a
+    /// later one by a core. `op` is the update the leg belongs to.
     fn run_update_leg(
         &mut self,
         client: &mut DaosClient,
         fabric: &mut Fabric,
         cluster: &mut EngineCluster,
+        op: &Inflight,
         leg: UpdateLeg,
-        slot: usize,
-        mut stamp: u64,
-        oid: ObjectId,
-        dkey: &DKey,
-        akey: &AKey,
-        kind: ValueKind,
-        epoch: Epoch,
-        first_ack: SendCores,
     ) -> Result<Option<(SimTime, bool)>, DaosError> {
-        let job = self.job;
+        let Body::Update(update) = &op.body else {
+            unreachable!("an update leg belongs to an update");
+        };
+        let StagedUpdate {
+            ref key,
+            kind,
+            epoch,
+            mut stamp,
+            ..
+        } = *update;
+        let (job, slot, first_ack) = (self.job, op.slot, op.first_ack());
         let UpdateLeg {
             eng,
             mut staged,
@@ -886,9 +854,9 @@ impl OpRing {
                 match cluster.engine_mut(eng).update(
                     Arrival { stamp, at: staged },
                     client.container(),
-                    oid,
-                    dkey.clone(),
-                    akey.clone(),
+                    key.oid,
+                    key.dkey.clone(),
+                    key.akey.clone(),
                     kind,
                     epoch,
                     payload.clone(),
@@ -927,7 +895,7 @@ impl OpRing {
             // If the refreshed map no longer places the object on this
             // replica, the write must NOT land here — drop the leg and
             // let the survivors carry the commit.
-            let routing = client.cached_map().route(&oid);
+            let routing = client.cached_map().route(&key.oid);
             if !routing.set.contains(eng) {
                 return Ok(None);
             }

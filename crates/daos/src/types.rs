@@ -194,6 +194,22 @@ impl AKey {
     }
 }
 
+/// The address of one record, `(oid, dkey, akey)`: the one value every
+/// layer below the client's door names a record by — an op, the ring's
+/// in-flight body, the VOS index, a read-cache group. Built from short keys
+/// it holds no heap memory, and a clone of it allocates nothing (inline
+/// keys copy, longer ones bump a refcount). Ordered by object, then dkey,
+/// then akey.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct RecordKey {
+    /// Object the record belongs to.
+    pub oid: ObjectId,
+    /// Distribution key.
+    pub dkey: DKey,
+    /// Attribute key.
+    pub akey: AKey,
+}
+
 /// A transactional epoch. Updates are tagged; fetches read the latest state
 /// at or below their epoch (DAOS's versioned object model, §2.4).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]

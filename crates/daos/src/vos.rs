@@ -11,6 +11,10 @@
 //!   media is touched: a fetch loads each returned byte from the one
 //!   record that serves it, however often the range was overwritten.
 //!
+//! The index is keyed by the record's address, [`RecordKey`] — per object,
+//! its value stores by their whole key — so every entry point takes that
+//! one key and a lookup borrows it without building one of its own.
+//!
 //! Both kinds are one record type. Media selection follows DAOS policy:
 //! records at or below the SCM threshold persist in pmem; larger records
 //! land on NVMe extents. Every record carries one CRC32C per
@@ -35,29 +39,7 @@ use ros2_spdk::ShardBdev;
 
 use crate::checksum::{crc32c_zeros, Checksum};
 use crate::engine::ValueKind;
-use crate::types::{AKey, DKey, DaosError, Epoch, ObjectId, RecordVersion};
-
-/// The object index key: one packed `(dkey, akey)` pair. Built from
-/// borrowed keys without heap allocation — inline keys copy on the stack,
-/// heap keys bump a refcount — so the lookup path never allocates (the
-/// seed cloned two freshly heap-allocated `Bytes` per probe).
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct KeyPair {
-    /// Distribution key.
-    pub dkey: DKey,
-    /// Attribute key.
-    pub akey: AKey,
-}
-
-impl KeyPair {
-    /// Packs borrowed keys into an index key (allocation-free).
-    pub fn from_refs(dkey: &DKey, akey: &AKey) -> Self {
-        KeyPair {
-            dkey: dkey.clone(),
-            akey: akey.clone(),
-        }
-    }
-}
+use crate::types::{AKey, DKey, DaosError, Epoch, ObjectId, RecordKey, RecordVersion};
 
 /// Where a record's bytes live.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -300,10 +282,8 @@ fn resolve_overlay(
 /// reconstruct the version history bit-for-bit.
 #[derive(Clone, Debug)]
 pub struct RecordDump {
-    /// Distribution key.
-    pub dkey: DKey,
-    /// Attribute key.
-    pub akey: AKey,
+    /// The record's address.
+    pub key: RecordKey,
     /// The record's commit epoch (preserved, so replicas resolve the same
     /// version overlay).
     pub epoch: Epoch,
@@ -391,7 +371,11 @@ pub struct VosTarget {
     nvme_next: u64,
     nvme_limit: u64,
     free_extents: Vec<(u64, u32)>,
-    objects: HashMap<ObjectId, BTreeMap<KeyPair, ValueStore>>,
+    /// The index: per object, its value stores by address. An object's
+    /// stores are keyed by the whole [`RecordKey`] (the `oid` repeats the
+    /// outer key), so a probe borrows the caller's address and builds no
+    /// index key of its own.
+    objects: HashMap<ObjectId, BTreeMap<RecordKey, ValueStore>>,
     /// Updates this target has taken, ever: the arrival clock every value
     /// store's [`RecordVersion`] is read from. Never rewinds, so punching
     /// a record and writing it again cannot repeat a version.
@@ -599,25 +583,28 @@ impl VosTarget {
     /// with the next reading of the arrival clock. Every path that adds a
     /// record — client updates, rebuild and scrub-repair imports — comes
     /// through here, so each one moves the record's version.
-    fn store_for_update(&mut self, oid: ObjectId, dkey: DKey, akey: AKey) -> &mut ValueStore {
+    fn store_for_update(&mut self, key: RecordKey) -> &mut ValueStore {
         self.arrivals += 1;
         let store = self
             .objects
-            .entry(oid)
+            .entry(key.oid)
             .or_default()
-            .entry(KeyPair { dkey, akey })
+            .entry(key)
             .or_default();
         store.version = RecordVersion(self.arrivals);
         store
     }
 
-    /// The arrival version of `(oid, dkey, akey)`:
+    /// The value store at `key`, if the target holds one.
+    fn store(&self, key: &RecordKey) -> Option<&ValueStore> {
+        self.objects.get(&key.oid)?.get(key)
+    }
+
+    /// The arrival version of the record at `key`:
     /// [`RecordVersion::ABSENT`] when the target holds nothing for it
     /// (never written, or punched). Read-only — no stats, no bookings.
-    pub fn record_version(&self, oid: ObjectId, dkey: &DKey, akey: &AKey) -> RecordVersion {
-        self.objects
-            .get(&oid)
-            .and_then(|o| o.get(&KeyPair::from_refs(dkey, akey)))
+    pub fn record_version(&self, key: &RecordKey) -> RecordVersion {
+        self.store(key)
             .map_or(RecordVersion::ABSENT, |store| store.version)
     }
 
@@ -626,16 +613,12 @@ impl VosTarget {
         &mut self,
         now: SimTime,
         media: &mut ShardBdev<'_>,
-        oid: ObjectId,
-        dkey: &DKey,
-        akey: &AKey,
+        key: &RecordKey,
         epoch: Epoch,
     ) -> Result<(Bytes, SimTime), DaosError> {
         self.stats.fetches += 1;
         let rec = self
-            .objects
-            .get(&oid)
-            .and_then(|o| o.get(&KeyPair::from_refs(dkey, akey)))
+            .store(key)
             .and_then(|store| store.singles[..visible_len(&store.singles, epoch)].last())
             .ok_or(DaosError::NotFound)?
             .clone();
@@ -645,14 +628,11 @@ impl VosTarget {
     /// Writes a single value, or an array extent at its offset, with the
     /// chunk table of its stored bytes — which seeds the media store's CRC
     /// cache, so fetch-verify never rescans.
-    #[allow(clippy::too_many_arguments)]
     pub fn update(
         &mut self,
         now: SimTime,
         media: &mut ShardBdev<'_>,
-        oid: ObjectId,
-        dkey: DKey,
-        akey: AKey,
+        key: RecordKey,
         kind: ValueKind,
         epoch: Epoch,
         data: Bytes,
@@ -666,11 +646,11 @@ impl VosTarget {
         let (records, offset) = match kind {
             ValueKind::Single => {
                 self.stats.sv_updates += 1;
-                (&mut self.store_for_update(oid, dkey, akey).singles, 0)
+                (&mut self.store_for_update(key).singles, 0)
             }
             ValueKind::Array { offset } => {
                 self.stats.array_updates += 1;
-                (&mut self.store_for_update(oid, dkey, akey).extents, offset)
+                (&mut self.store_for_update(key).extents, offset)
             }
         };
         // After every record of the same or an older epoch: `(epoch,
@@ -696,25 +676,18 @@ impl VosTarget {
     /// in arrival order, and among records of one epoch the later arrival
     /// wins — and unwritten gaps read as zero. Only the records that serve
     /// at least one byte are loaded, and only over the bytes they serve.
-    #[allow(clippy::too_many_arguments)]
     pub fn fetch_array(
         &mut self,
         now: SimTime,
         media: &mut ShardBdev<'_>,
-        oid: ObjectId,
-        dkey: &DKey,
-        akey: &AKey,
+        key: &RecordKey,
         epoch: Epoch,
         offset: u64,
         len: u64,
     ) -> Result<(Bytes, SimTime), DaosError> {
         self.stats.fetches += 1;
         let mut pieces = std::mem::take(&mut self.overlay_scratch);
-        let extents = self
-            .objects
-            .get(&oid)
-            .and_then(|o| o.get(&KeyPair::from_refs(dkey, akey)))
-            .map_or(&[][..], |store| &store.extents);
+        let extents = self.store(key).map_or(&[][..], |store| &store.extents);
         resolve_overlay(&mut pieces, extents, epoch, offset, len);
         let result = self.load_pieces(now, media, &pieces, offset, len);
         pieces.clear(); // release the record clones, keep the capacity
@@ -773,12 +746,10 @@ impl VosTarget {
         keys
     }
 
-    /// Removes a `(dkey, akey)` entry (punch), freeing NVMe extents.
-    pub fn punch(&mut self, oid: ObjectId, dkey: &DKey, akey: &AKey) -> Result<(), DaosError> {
-        let obj = self.objects.get_mut(&oid).ok_or(DaosError::NotFound)?;
-        let store = obj
-            .remove(&KeyPair::from_refs(dkey, akey))
-            .ok_or(DaosError::NotFound)?;
+    /// Removes the record at `key` (punch), freeing NVMe extents.
+    pub fn punch(&mut self, key: &RecordKey) -> Result<(), DaosError> {
+        let obj = self.objects.get_mut(&key.oid).ok_or(DaosError::NotFound)?;
+        let store = obj.remove(key).ok_or(DaosError::NotFound)?;
         let records = store.extents.into_iter().chain(store.singles);
         self.reclaim(records.map(|r| r.location));
         Ok(())
@@ -848,18 +819,17 @@ impl VosTarget {
         // Snapshot the index slice first (record clones are O(1): a chunk
         // table is inline, static or Arc-shared) so the media loads below can
         // borrow `self` mutably.
-        let recs: Vec<(KeyPair, ValueKind, Record)> = obj
+        let recs: Vec<(RecordKey, ValueKind, Record)> = obj
             .iter()
-            .flat_map(|(kp, s)| s.records().map(|(kind, r)| (kp.clone(), kind, r.clone())))
+            .flat_map(|(key, s)| s.records().map(|(kind, r)| (key.clone(), kind, r.clone())))
             .collect();
         let mut out = Vec::new();
         let mut t_done = now;
-        for (kp, kind, r) in recs {
+        for (key, kind, r) in recs {
             let (data, t) = self.load(now, media, &r)?;
             t_done = t_done.max(t);
             out.push(RecordDump {
-                dkey: kp.dkey,
-                akey: kp.akey,
+                key,
                 epoch: r.epoch,
                 kind,
                 data,
@@ -916,14 +886,14 @@ impl VosTarget {
             return OFFSET;
         };
         let mut descs: Vec<Desc<'_>> = Vec::new();
-        for (kp, store) in obj {
+        for (key, store) in obj {
             for (kind, r) in store.records() {
                 let offset = matches!(kind, ValueKind::Array { .. }).then_some(r.offset);
                 let crc_fold = r
                     .checksums
                     .iter()
                     .fold(OFFSET, |h, c| (h ^ c.0 as u64).wrapping_mul(PRIME));
-                descs.push((&kp.dkey, &kp.akey, r.epoch, offset, r.len, crc_fold));
+                descs.push((&key.dkey, &key.akey, r.epoch, offset, r.len, crc_fold));
             }
         }
         descs.sort();
@@ -945,16 +915,16 @@ impl VosTarget {
         h
     }
 
-    /// The `(dkey, akey)` owning this target's newest extent of `oid`, if
-    /// any — the deterministic victim for scheduled bit-rot injection
-    /// (max epoch; key order breaks ties).
-    pub fn newest_extent_key(&self, oid: ObjectId) -> Option<(DKey, AKey, Epoch)> {
+    /// The record owning this target's newest extent of `oid`, if any,
+    /// with that extent's epoch — the deterministic victim for scheduled
+    /// bit-rot injection (max epoch; key order breaks ties).
+    pub fn newest_extent_key(&self, oid: ObjectId) -> Option<(RecordKey, Epoch)> {
         let obj = self.objects.get(&oid)?;
-        let mut best: Option<(DKey, AKey, Epoch)> = None;
-        for (kp, store) in obj {
+        let mut best: Option<(RecordKey, Epoch)> = None;
+        for (key, store) in obj {
             if let Some(e) = store.extents.iter().map(|r| r.epoch).max() {
-                if best.as_ref().is_none_or(|(_, _, b)| e > *b) {
-                    best = Some((kp.dkey.clone(), kp.akey.clone(), e));
+                if best.as_ref().is_none_or(|(_, b)| e > *b) {
+                    best = Some((key.clone(), e));
                 }
             }
         }
@@ -963,17 +933,9 @@ impl VosTarget {
 
     /// Test hook: corrupts the newest extent's stored bytes so the next
     /// fetch detects a checksum mismatch.
-    pub fn corrupt_newest_extent(
-        &mut self,
-        media: &mut ShardBdev<'_>,
-        oid: ObjectId,
-        dkey: &DKey,
-        akey: &AKey,
-    ) -> bool {
+    pub fn corrupt_newest_extent(&mut self, media: &mut ShardBdev<'_>, key: &RecordKey) -> bool {
         let Some(location) = self
-            .objects
-            .get(&oid)
-            .and_then(|o| o.get(&KeyPair::from_refs(dkey, akey)))
+            .store(key)
             .and_then(|s| s.extents.last())
             .map(|rec| rec.location.clone())
         else {
@@ -1018,6 +980,15 @@ mod tests {
         ObjectId::new(ObjClass::S1, 1)
     }
 
+    /// The record at `(dkey, akey)` of [`oid`].
+    fn key(dkey: DKey, akey: AKey) -> RecordKey {
+        RecordKey {
+            oid: oid(),
+            dkey,
+            akey,
+        }
+    }
+
     #[test]
     fn single_value_round_trip_scm() {
         let (mut vos, mut bd) = fixture();
@@ -1025,9 +996,7 @@ mod tests {
         vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
-            oid(),
-            DKey::from_str("d"),
-            AKey::from_str("a"),
+            key(DKey::from_str("d"), AKey::from_str("a")),
             ValueKind::Single,
             Epoch(1),
             data.clone(),
@@ -1037,9 +1006,7 @@ mod tests {
             .fetch_single(
                 SimTime::ZERO,
                 &mut bd.shard(0),
-                oid(),
-                &DKey::from_str("d"),
-                &AKey::from_str("a"),
+                &key(DKey::from_str("d"), AKey::from_str("a")),
                 Epoch::LATEST,
             )
             .unwrap();
@@ -1054,9 +1021,7 @@ mod tests {
         vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
-            oid(),
-            DKey::from_u64(0),
-            AKey::from_str("data"),
+            key(DKey::from_u64(0), AKey::from_str("data")),
             ValueKind::Array { offset: 0 },
             Epoch(1),
             data.clone(),
@@ -1067,9 +1032,7 @@ mod tests {
             .fetch_array(
                 SimTime::from_secs(1),
                 &mut bd.shard(0),
-                oid(),
-                &DKey::from_u64(0),
-                &AKey::from_str("data"),
+                &key(DKey::from_u64(0), AKey::from_str("data")),
                 Epoch::LATEST,
                 0,
                 1 << 20,
@@ -1086,9 +1049,7 @@ mod tests {
         vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
-            oid(),
-            d.clone(),
-            a.clone(),
+            key(d.clone(), a.clone()),
             ValueKind::Single,
             Epoch(10),
             Bytes::from_static(b"v1"),
@@ -1097,33 +1058,39 @@ mod tests {
         vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
-            oid(),
-            d.clone(),
-            a.clone(),
+            key(d.clone(), a.clone()),
             ValueKind::Single,
             Epoch(20),
             Bytes::from_static(b"v2"),
         )
         .unwrap();
         let (at15, _) = vos
-            .fetch_single(SimTime::ZERO, &mut bd.shard(0), oid(), &d, &a, Epoch(15))
+            .fetch_single(
+                SimTime::ZERO,
+                &mut bd.shard(0),
+                &key(d.clone(), a.clone()),
+                Epoch(15),
+            )
             .unwrap();
         assert_eq!(&at15[..], b"v1");
         let (latest, _) = vos
             .fetch_single(
                 SimTime::ZERO,
                 &mut bd.shard(0),
-                oid(),
-                &d,
-                &a,
+                &key(d.clone(), a.clone()),
                 Epoch::LATEST,
             )
             .unwrap();
         assert_eq!(&latest[..], b"v2");
         // Before the first write: NotFound.
         assert_eq!(
-            vos.fetch_single(SimTime::ZERO, &mut bd.shard(0), oid(), &d, &a, Epoch(5))
-                .unwrap_err(),
+            vos.fetch_single(
+                SimTime::ZERO,
+                &mut bd.shard(0),
+                &key(d.clone(), a.clone()),
+                Epoch(5)
+            )
+            .unwrap_err(),
             DaosError::NotFound
         );
     }
@@ -1136,9 +1103,7 @@ mod tests {
         vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
-            oid(),
-            d.clone(),
-            a.clone(),
+            key(d.clone(), a.clone()),
             ValueKind::Array { offset: 0 },
             Epoch(1),
             Bytes::from(vec![1u8; 100]),
@@ -1147,9 +1112,7 @@ mod tests {
         vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
-            oid(),
-            d.clone(),
-            a.clone(),
+            key(d.clone(), a.clone()),
             ValueKind::Array { offset: 50 },
             Epoch(2),
             Bytes::from(vec![2u8; 100]),
@@ -1159,9 +1122,7 @@ mod tests {
             .fetch_array(
                 SimTime::ZERO,
                 &mut bd.shard(0),
-                oid(),
-                &d,
-                &a,
+                &key(d.clone(), a.clone()),
                 Epoch::LATEST,
                 0,
                 200,
@@ -1175,9 +1136,7 @@ mod tests {
             .fetch_array(
                 SimTime::ZERO,
                 &mut bd.shard(0),
-                oid(),
-                &d,
-                &a,
+                &key(d.clone(), a.clone()),
                 Epoch(1),
                 0,
                 200,
@@ -1196,9 +1155,7 @@ mod tests {
             vos.update(
                 SimTime::ZERO,
                 &mut bd.shard(0),
-                oid(),
-                d.clone(),
-                a.clone(),
+                key(d.clone(), a.clone()),
                 ValueKind::Array { offset: 0 },
                 epoch,
                 data,
@@ -1206,9 +1163,16 @@ mod tests {
             .unwrap();
         }
         let mut fetch = |epoch| {
-            vos.fetch_array(SimTime::ZERO, &mut bd.shard(0), oid(), &d, &a, epoch, 0, 3)
-                .unwrap()
-                .0
+            vos.fetch_array(
+                SimTime::ZERO,
+                &mut bd.shard(0),
+                &key(d.clone(), a.clone()),
+                epoch,
+                0,
+                3,
+            )
+            .unwrap()
+            .0
         };
         assert_eq!(&fetch(Epoch::LATEST)[..], b"new");
         assert_eq!(&fetch(Epoch(4))[..], b"old");
@@ -1219,7 +1183,10 @@ mod tests {
         let (mut vos, mut bd) = fixture();
         let (d, a) = (DKey::from_u64(0), AKey::from_str("data"));
         let other = DKey::from_u64(1);
-        assert_eq!(vos.record_version(oid(), &d, &a), RecordVersion::ABSENT);
+        assert_eq!(
+            vos.record_version(&key(d.clone(), a.clone())),
+            RecordVersion::ABSENT
+        );
         let mut seen = vec![RecordVersion::ABSENT];
         // A newer extent, a lower-epoch one arriving late (the newest
         // epoch stays 5), a single value under the same keys, and a write
@@ -1231,12 +1198,12 @@ mod tests {
             (Epoch(9), &other, array),
             (Epoch(6), &d, ValueKind::Single),
         ] {
-            let before = vos.record_version(oid(), &d, &a);
+            let before = vos.record_version(&key(d.clone(), a.clone()));
             let (data, at) = (Bytes::from_static(b"abc"), SimTime::ZERO);
             let media = &mut bd.shard(0);
-            vos.update(at, media, oid(), dkey.clone(), a.clone(), kind, epoch, data)
+            vos.update(at, media, key(dkey.clone(), a.clone()), kind, epoch, data)
                 .unwrap();
-            let after = vos.record_version(oid(), &d, &a);
+            let after = vos.record_version(&key(d.clone(), a.clone()));
             assert_eq!(after != before, dkey == &d, "only its own record moves");
             if dkey == &d {
                 assert!(!seen.contains(&after), "a version never repeats");
@@ -1245,22 +1212,23 @@ mod tests {
         }
         // Punched, the record reads as absent; written again it draws a
         // number it never had — not the count of its arrivals over again.
-        vos.punch(oid(), &d, &a).unwrap();
-        assert_eq!(vos.record_version(oid(), &d, &a), RecordVersion::ABSENT);
+        vos.punch(&key(d.clone(), a.clone())).unwrap();
+        assert_eq!(
+            vos.record_version(&key(d.clone(), a.clone())),
+            RecordVersion::ABSENT
+        );
         for _ in 0..3 {
             let data = Bytes::from_static(b"abc");
             vos.update(
                 SimTime::ZERO,
                 &mut bd.shard(0),
-                oid(),
-                d.clone(),
-                a.clone(),
+                key(d.clone(), a.clone()),
                 ValueKind::Array { offset: 0 },
                 Epoch(7),
                 data,
             )
             .unwrap();
-            let again = vos.record_version(oid(), &d, &a);
+            let again = vos.record_version(&key(d.clone(), a.clone()));
             assert!(!seen.contains(&again), "a version never repeats");
             seen.push(again);
         }
@@ -1274,22 +1242,18 @@ mod tests {
         vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
-            oid(),
-            d.clone(),
-            a.clone(),
+            key(d.clone(), a.clone()),
             ValueKind::Array { offset: 0 },
             Epoch(1),
             Bytes::from(vec![9u8; 8192]),
         )
         .unwrap();
-        assert!(vos.corrupt_newest_extent(&mut bd.shard(0), oid(), &d, &a));
+        assert!(vos.corrupt_newest_extent(&mut bd.shard(0), &key(d.clone(), a.clone())));
         let err = vos
             .fetch_array(
                 SimTime::ZERO,
                 &mut bd.shard(0),
-                oid(),
-                &d,
-                &a,
+                &key(d.clone(), a.clone()),
                 Epoch::LATEST,
                 0,
                 8192,
@@ -1320,9 +1284,7 @@ mod tests {
             vos.update(
                 SimTime::ZERO,
                 &mut bd.shard(0),
-                oid(),
-                d.clone(),
-                a.clone(),
+                key(d.clone(), a.clone()),
                 ValueKind::Array { offset: 0 },
                 Epoch(1),
                 data,
@@ -1332,11 +1294,18 @@ mod tests {
             assert_eq!((stats.nvme_records, stats.scm_records), (nvme, scm));
             let fetch = |vos: &mut VosTarget, bd: &mut BdevLayer| {
                 let (at, epoch) = (SimTime::ZERO, Epoch::LATEST);
-                vos.fetch_array(at, &mut bd.shard(0), oid(), &d, &a, epoch, 0, LEN as u64)
-                    .map(|(data, _)| data)
+                vos.fetch_array(
+                    at,
+                    &mut bd.shard(0),
+                    &key(d.clone(), a.clone()),
+                    epoch,
+                    0,
+                    LEN as u64,
+                )
+                .map(|(data, _)| data)
             };
             assert!(fetch(&mut vos, &mut bd).unwrap().iter().all(|&b| b == 0));
-            assert!(vos.corrupt_newest_extent(&mut bd.shard(0), oid(), &d, &a));
+            assert!(vos.corrupt_newest_extent(&mut bd.shard(0), &key(d.clone(), a.clone())));
             let err = fetch(&mut vos, &mut bd).unwrap_err();
             assert_eq!(err, DaosError::ChecksumMismatch);
             assert_eq!(vos.scrub_object(&mut bd.shard(0), oid()).bad, 1);
@@ -1352,23 +1321,19 @@ mod tests {
         vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
-            oid(),
-            d.clone(),
-            a.clone(),
+            key(d.clone(), a.clone()),
             ValueKind::Array { offset: 0 },
             Epoch(1),
             Bytes::from(vec![1u8; 64 << 10]),
         )
         .unwrap();
         let frontier_before = vos.nvme_next;
-        vos.punch(oid(), &d, &a).unwrap();
+        vos.punch(&key(d.clone(), a.clone())).unwrap();
         // A same-size rewrite reuses the freed extent.
         vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
-            oid(),
-            d.clone(),
-            a.clone(),
+            key(d.clone(), a.clone()),
             ValueKind::Array { offset: 0 },
             Epoch(2),
             Bytes::from(vec![2u8; 64 << 10]),
@@ -1386,9 +1351,7 @@ mod tests {
             vos.update(
                 SimTime::ZERO,
                 &mut bd.shard(0),
-                oid(),
-                d.clone(),
-                a.clone(),
+                key(d.clone(), a.clone()),
                 ValueKind::Array { offset: 0 },
                 Epoch(e),
                 Bytes::from(vec![e as u8; 32 << 10]),
@@ -1402,9 +1365,7 @@ mod tests {
             .fetch_array(
                 SimTime::ZERO,
                 &mut bd.shard(0),
-                oid(),
-                &d,
-                &a,
+                &key(d.clone(), a.clone()),
                 Epoch::LATEST,
                 0,
                 32 << 10,
@@ -1428,9 +1389,7 @@ mod tests {
         vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
-            oid(),
-            d.clone(),
-            a.clone(),
+            key(d.clone(), a.clone()),
             ValueKind::Array { offset: 0 },
             Epoch(1),
             Bytes::from(vec![0u8; 8 * 4096]),
@@ -1440,9 +1399,7 @@ mod tests {
             .update(
                 SimTime::ZERO,
                 &mut bd.shard(0),
-                oid(),
-                d,
-                a,
+                key(d, a),
                 ValueKind::Array { offset: 0 },
                 Epoch(2),
                 Bytes::from(vec![0u8; 8192]),
@@ -1460,9 +1417,7 @@ mod tests {
         vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
-            oid(),
-            d.clone(),
-            a.clone(),
+            key(d.clone(), a.clone()),
             ValueKind::Array { offset: 0 },
             Epoch(1),
             data.clone(),
@@ -1473,9 +1428,7 @@ mod tests {
         vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
-            oid(),
-            sd.clone(),
-            a.clone(),
+            key(sd.clone(), a.clone()),
             ValueKind::Single,
             Epoch(1),
             inode.clone(),
@@ -1486,9 +1439,7 @@ mod tests {
                 .fetch_array(
                     SimTime::ZERO,
                     &mut bd.shard(0),
-                    oid(),
-                    &d,
-                    &a,
+                    &key(d.clone(), a.clone()),
                     Epoch::LATEST,
                     0,
                     256 << 10,
@@ -1499,9 +1450,7 @@ mod tests {
                 .fetch_single(
                     SimTime::ZERO,
                     &mut bd.shard(0),
-                    oid(),
-                    &sd,
-                    &a,
+                    &key(sd.clone(), a.clone()),
                     Epoch::LATEST,
                 )
                 .unwrap();
@@ -1542,9 +1491,7 @@ mod tests {
         vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
-            oid(),
-            d.clone(),
-            a.clone(),
+            key(d.clone(), a.clone()),
             ValueKind::Array { offset: 0 },
             Epoch(1),
             Bytes::from(vec![0x42u8; 256 << 10]), // NVMe-bound
@@ -1553,9 +1500,7 @@ mod tests {
         vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
-            oid(),
-            DKey::from_str("meta"),
-            AKey::from_str("v"),
+            key(DKey::from_str("meta"), AKey::from_str("v")),
             ValueKind::Single,
             Epoch(1),
             Bytes::from_static(b"inode"), // SCM-bound
@@ -1575,9 +1520,7 @@ mod tests {
         vos.fetch_array(
             SimTime::ZERO,
             &mut bd.shard(0),
-            oid(),
-            &d,
-            &a,
+            &key(d.clone(), a.clone()),
             Epoch::LATEST,
             0,
             256 << 10,
@@ -1588,9 +1531,7 @@ mod tests {
         vos.fetch_single(
             SimTime::ZERO,
             &mut bd.shard(0),
-            oid(),
-            &DKey::from_str("meta"),
-            &AKey::from_str("v"),
+            &key(DKey::from_str("meta"), AKey::from_str("v")),
             Epoch::LATEST,
         )
         .unwrap();
@@ -1605,7 +1546,8 @@ mod tests {
     /// extent, or its newest single value when it holds no extent — at
     /// `at` (record-relative), behind the index's back.
     fn rot_byte(vos: &mut VosTarget, bd: &mut BdevLayer, d: &DKey, a: &AKey, at: u64) {
-        let store = &vos.objects[&oid()][&KeyPair::from_refs(d, a)];
+        let key = key(d.clone(), a.clone());
+        let store = vos.store(&key).unwrap();
         let loc = store.records().last().unwrap().1.location.clone();
         match loc {
             Location::Nvme { slba, .. } => {
@@ -1640,9 +1582,7 @@ mod tests {
                 vos.update(
                     t,
                     media,
-                    oid(),
-                    d.clone(),
-                    a.clone(),
+                    key(d.clone(), a.clone()),
                     ValueKind::Array { offset: 0 },
                     e,
                     data.clone().into(),
@@ -1653,7 +1593,8 @@ mod tests {
                 rot_byte(&mut vos, &mut bd, &d, &a, lo + 1234);
                 let mut fetch = |vos: &mut VosTarget, at: u64, n: u64| {
                     let media = &mut bd.shard(0);
-                    let r = vos.fetch_array(t, media, oid(), &d, &a, Epoch::LATEST, at, n);
+                    let r =
+                        vos.fetch_array(t, media, &key(d.clone(), a.clone()), Epoch::LATEST, at, n);
                     r.map(|(b, _)| b)
                 };
                 let case = format!("len {len}, rotten chunk {rotten}");
@@ -1691,9 +1632,7 @@ mod tests {
                 vos.update(
                     t,
                     media,
-                    oid(),
-                    d.clone(),
-                    a.clone(),
+                    key(d.clone(), a.clone()),
                     sv,
                     Epoch(1),
                     data.clone(),
@@ -1704,7 +1643,7 @@ mod tests {
             rot_byte(&mut vos, &mut bd, &rotten, &a, 1234);
             let mut fetch = |vos: &mut VosTarget, d: &DKey| {
                 let media = &mut bd.shard(0);
-                vos.fetch_single(t, media, oid(), d, &a, Epoch::LATEST)
+                vos.fetch_single(t, media, &key(d.clone(), a.clone()), Epoch::LATEST)
                     .map(|(b, _)| b)
             };
             let case = format!("scm threshold {threshold}");
@@ -1737,9 +1676,7 @@ mod tests {
         vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
-            oid(),
-            d.clone(),
-            a.clone(),
+            key(d.clone(), a.clone()),
             ValueKind::Single,
             Epoch(1),
             data.clone(),
@@ -1757,9 +1694,7 @@ mod tests {
             .fetch_single(
                 SimTime::ZERO,
                 &mut bd.shard(0),
-                oid(),
-                &d,
-                &a,
+                &key(d.clone(), a.clone()),
                 Epoch::LATEST,
             )
             .unwrap();
@@ -1780,9 +1715,7 @@ mod tests {
         vos.update(
             SimTime::ZERO,
             &mut bd.shard(0),
-            oid(),
-            d.clone(),
-            a.clone(),
+            key(d.clone(), a.clone()),
             ValueKind::Array { offset: 0 },
             Epoch(1),
             Bytes::from(vec![7u8; 1 << 20]),
@@ -1793,9 +1726,7 @@ mod tests {
         vos.fetch_array(
             SimTime::ZERO,
             &mut bd.shard(0),
-            oid(),
-            &d,
-            &a,
+            &key(d.clone(), a.clone()),
             Epoch::LATEST,
             0,
             1 << 20,
@@ -1805,9 +1736,7 @@ mod tests {
         vos.fetch_array(
             SimTime::ZERO,
             &mut bd.shard(0),
-            oid(),
-            &d,
-            &a,
+            &key(d.clone(), a.clone()),
             Epoch::LATEST,
             8192,
             64 << 10,
@@ -1824,9 +1753,7 @@ mod tests {
             vos.update(
                 SimTime::ZERO,
                 &mut bd.shard(0),
-                oid(),
-                DKey::from_u64(i),
-                AKey::from_str("e"),
+                key(DKey::from_u64(i), AKey::from_str("e")),
                 ValueKind::Single,
                 Epoch(1),
                 Bytes::from_static(b"x"),

@@ -16,9 +16,9 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use ros2_daos::{
-    AKey, ClientOp, ClientOpResult, DKey, DaosClient, DaosCostModel, DaosEngine, DaosError,
-    EngineCluster, Epoch, ObjClass, ObjectClient, ObjectId, OpRing, RetryPolicy, RetryStats,
-    ValueKind,
+    AKey, ClientOp, ClientOpResult, ConnectSpec, DKey, DaosClient, DaosCostModel, DaosEngine,
+    DaosError, EngineCluster, Epoch, FetchOp, ObjClass, ObjectClient, ObjectId, OpRing, RecordKey,
+    RetryPolicy, RetryStats, UpdateOp, ValueKind,
 };
 use ros2_fabric::{Fabric, NodeSpec};
 use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, NvmeModel, Transport};
@@ -73,14 +73,16 @@ fn world() -> (Fabric, EngineCluster, DaosClient) {
     let cluster = EngineCluster::new((0..engines).map(|_| engine()).collect(), servers.clone(), 2);
     let client = DaosClient::connect_scoped_multi(
         &mut fabric,
-        NodeId(0),
-        &servers,
+        &ConnectSpec {
+            node: NodeId(0),
+            servers: servers.to_vec(),
+            cont: "cont0".into(),
+            jobs: 1,
+            buf_len: 4 << 20,
+            domain: MemoryDomain::HostDram,
+            model: DaosCostModel::default_model(),
+        },
         "tenant",
-        "cont0",
-        1,
-        4 << 20,
-        MemoryDomain::HostDram,
-        DaosCostModel::default_model(),
         Expiry::Never,
     )
     .unwrap();
@@ -122,23 +124,27 @@ fn op_for(i: usize) -> ClientOp {
     let oid = ObjectId::new(ObjClass::Sx, HOT);
     if i % 3 == 2 {
         // Fetch a preamble extent.
-        ClientOp::Fetch {
-            oid,
-            dkey: DKey::from_u64((i % 8) as u64),
-            akey: AKey::from_str("data"),
+        ClientOp::Fetch(FetchOp {
+            key: RecordKey {
+                oid,
+                dkey: DKey::from_u64((i % 8) as u64),
+                akey: AKey::from_str("data"),
+            },
             kind: ValueKind::Array { offset: 0 },
             epoch: Epoch::LATEST,
             len: 16 << 10,
-        }
+        })
     } else {
         // Update a fresh extent.
-        ClientOp::Update {
-            oid,
-            dkey: DKey::from_u64(100 + i as u64),
-            akey: AKey::from_str("data"),
+        ClientOp::Update(UpdateOp {
+            key: RecordKey {
+                oid,
+                dkey: DKey::from_u64(100 + i as u64),
+                akey: AKey::from_str("data"),
+            },
             kind: ValueKind::Array { offset: 0 },
             data: Bytes::from(vec![(i % 250) as u8 + 1; 12 << 10]),
-        }
+        })
     }
 }
 

@@ -5,8 +5,8 @@
 
 use bytes::Bytes;
 use ros2_daos::{
-    AKey, Arrival, DKey, DaosClient, DaosCostModel, DaosEngine, EngineCluster, Epoch, ObjClass,
-    ObjectClient, ObjectId, ValueKind,
+    AKey, Arrival, ConnectSpec, DKey, DaosClient, DaosCostModel, DaosEngine, EngineCluster, Epoch,
+    ObjClass, ObjectClient, ObjectId, ValueKind,
 };
 use ros2_fabric::{Fabric, NodeSpec};
 use ros2_hw::{CoreClass, NvmeModel, Transport};
@@ -40,14 +40,16 @@ fn cluster_world(engines: usize, rf: usize) -> (Fabric, EngineCluster, DaosClien
     cluster.cont_create("cont0").unwrap();
     let client = DaosClient::connect_scoped_multi(
         &mut fabric,
-        NodeId(0),
-        &nodes,
+        &ConnectSpec {
+            node: NodeId(0),
+            servers: nodes.to_vec(),
+            cont: "cont0".into(),
+            jobs: 2,
+            buf_len: 4 << 20,
+            domain: MemoryDomain::HostDram,
+            model: DaosCostModel::default_model(),
+        },
         "tenant",
-        "cont0",
-        2,
-        4 << 20,
-        MemoryDomain::HostDram,
-        DaosCostModel::default_model(),
         Expiry::Never,
     )
     .unwrap();

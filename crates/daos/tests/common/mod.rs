@@ -1,7 +1,9 @@
 //! The reference arm of the ring equivalence suites: one op of a
 //! [`ClientOp`] tape issued as the serial client call.
 
-use ros2_daos::{ClientOp, ClientOpResult, DaosClient, EngineCluster, ObjectClient};
+use ros2_daos::{
+    ClientOp, ClientOpResult, DaosClient, EngineCluster, FetchOp, ObjectClient, RecordKey, UpdateOp,
+};
 use ros2_fabric::Fabric;
 use ros2_sim::SimTime;
 
@@ -16,20 +18,16 @@ pub fn serial_op(
     op: ClientOp,
 ) -> ClientOpResult {
     match op {
-        ClientOp::Update {
-            oid,
-            dkey,
-            akey,
+        ClientOp::Update(UpdateOp {
+            key: RecordKey { oid, dkey, akey },
             kind,
             data,
-        } => ClientOpResult::Update(c.update(f, cl, now, 0, oid, dkey, akey, kind, data)),
-        ClientOp::Fetch {
-            oid,
-            dkey,
-            akey,
+        }) => ClientOpResult::Update(c.update(f, cl, now, 0, oid, dkey, akey, kind, data)),
+        ClientOp::Fetch(FetchOp {
+            key: RecordKey { oid, dkey, akey },
             kind,
             epoch,
             len,
-        } => ClientOpResult::Fetch(c.fetch(f, cl, now, 0, oid, dkey, akey, kind, epoch, len)),
+        }) => ClientOpResult::Fetch(c.fetch(f, cl, now, 0, oid, dkey, akey, kind, epoch, len)),
     }
 }

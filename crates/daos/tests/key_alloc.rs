@@ -12,7 +12,7 @@
 use bytes::Bytes;
 use ros2_buf::{allocation_count, CountingAlloc};
 use ros2_daos::{
-    AKey, DKey, DaosCostModel, DaosEngine, Epoch, KeyPair, ObjClass, ObjectId, ValueKind,
+    AKey, DKey, DaosCostModel, DaosEngine, Epoch, ObjClass, ObjectId, RecordKey, ValueKind,
 };
 use ros2_hw::{CoreClass, NvmeModel};
 use ros2_nvme::{DataMode, NvmeArray};
@@ -45,15 +45,25 @@ fn key_path_is_allocation_free() {
         "inline key construction must not allocate ({n} allocs)"
     );
 
-    // --- index-key packing from borrowed keys ----------------------------
+    // --- the address built from borrowed keys ----------------------------
+    // What the engine's positional fetch door packs before it probes the
+    // VOS index, which borrows this key and builds none of its own.
+    let oid = ObjectId::new(ObjClass::S1, 1);
     let d = DKey::from_u64(7);
     let a = AKey::from_str("data");
     let n = allocs_in(|| {
         for _ in 0..10_000 {
-            std::hint::black_box(KeyPair::from_refs(&d, &a));
+            std::hint::black_box(RecordKey {
+                oid,
+                dkey: d.clone(),
+                akey: a.clone(),
+            });
         }
     });
-    assert_eq!(n, 0, "KeyPair::from_refs must not allocate ({n} allocs)");
+    assert_eq!(
+        n, 0,
+        "a RecordKey of borrowed keys must not allocate ({n} allocs)"
+    );
 
     // --- warm engine fetches: the whole metadata read path ---------------
     let bdevs = BdevLayer::new(NvmeArray::new(
@@ -69,7 +79,6 @@ fn key_path_is_allocation_free() {
         CoreClass::HostX86,
     );
     e.cont_create("c").unwrap();
-    let oid = ObjectId::new(ObjClass::S1, 1);
     let epoch = e.next_epoch("c").unwrap();
     // One SCM-resident single value and one SCM array record.
     e.update(

@@ -12,8 +12,9 @@
 
 use bytes::Bytes;
 use ros2_daos::{
-    AKey, ClientOp, ClientOpResult, DKey, DaosClient, DaosCostModel, DaosEngine, DaosError,
-    EngineCluster, Epoch, ObjClass, ObjectClient, ObjectId, OpRing, RetryStats, ValueKind,
+    AKey, ClientOp, ClientOpResult, ConnectSpec, DKey, DaosClient, DaosCostModel, DaosEngine,
+    DaosError, EngineCluster, Epoch, FetchOp, ObjClass, ObjectClient, ObjectId, OpRing, RecordKey,
+    RetryStats, UpdateOp, ValueKind,
 };
 use ros2_fabric::{Fabric, NodeSpec};
 use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, NvmeModel, Transport};
@@ -71,14 +72,16 @@ fn world(engines: usize, rf: usize) -> (Fabric, EngineCluster, DaosClient) {
     );
     let client = DaosClient::connect_scoped_multi(
         &mut fabric,
-        NodeId(0),
-        &servers,
+        &ConnectSpec {
+            node: NodeId(0),
+            servers: servers.to_vec(),
+            cont: "cont0".into(),
+            jobs: 1,
+            buf_len: 4 << 20,
+            domain: MemoryDomain::HostDram,
+            model: DaosCostModel::default_model(),
+        },
         "tenant",
-        "cont0",
-        1,
-        4 << 20,
-        MemoryDomain::HostDram,
-        DaosCostModel::default_model(),
         Expiry::Never,
     )
     .unwrap();
@@ -86,14 +89,16 @@ fn world(engines: usize, rf: usize) -> (Fabric, EngineCluster, DaosClient) {
 }
 
 fn fetch_op(oid: ObjectId, i: u64) -> ClientOp {
-    ClientOp::Fetch {
-        oid,
-        dkey: DKey::from_u64(i),
-        akey: AKey::from_str("data"),
+    ClientOp::Fetch(FetchOp {
+        key: RecordKey {
+            oid,
+            dkey: DKey::from_u64(i),
+            akey: AKey::from_str("data"),
+        },
         kind: ValueKind::Array { offset: 0 },
         epoch: Epoch::LATEST,
         len: 16 << 10,
-    }
+    })
 }
 
 /// Writes `n` distinct extents of `oid` serially and returns the average
@@ -351,12 +356,16 @@ fn stale_updates_fence_then_commit_on_the_current_map() {
 
     let t0 = SimTime::from_millis(10);
     let n = 16u64;
-    let upd = |i: u64| ClientOp::Update {
-        oid,
-        dkey: DKey::from_u64(100 + i),
-        akey: AKey::from_str("data"),
-        kind: ValueKind::Array { offset: 0 },
-        data: Bytes::from(vec![i as u8 + 1; 8 << 10]),
+    let upd = |i: u64| {
+        ClientOp::Update(UpdateOp {
+            key: RecordKey {
+                oid,
+                dkey: DKey::from_u64(100 + i),
+                akey: AKey::from_str("data"),
+            },
+            kind: ValueKind::Array { offset: 0 },
+            data: Bytes::from(vec![i as u8 + 1; 8 << 10]),
+        })
     };
     let mut ring = OpRing::new(0, 16);
     for i in 0..6u64 {

@@ -15,7 +15,8 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use ros2_daos::vos::CSUM_CHUNK;
 use ros2_daos::{
-    AKey, DKey, DaosCostModel, DaosEngine, Epoch, ObjClass, ObjectId, ValueKind, VosTarget,
+    AKey, DKey, DaosCostModel, DaosEngine, Epoch, ObjClass, ObjectId, RecordKey, ValueKind,
+    VosTarget,
 };
 use ros2_hw::{CoreClass, NvmeModel, LBA_SIZE};
 use ros2_nvme::{DataMode, NvmeArray};
@@ -158,7 +159,7 @@ proptest! {
                     let (want, owner) = paint(&history, epoch.0, at, len);
                     let read_before = bd.array().total_stats().bytes_read;
                     let (got, done) = vos
-                        .fetch_array(now, &mut bd.shard(0), oid, &d, &a, epoch, at, len)
+                        .fetch_array(now, &mut bd.shard(0), &RecordKey { oid, dkey: d.clone(), akey: a.clone() }, epoch, at, len)
                         .map_err(|e| format!("fetch({at}, {len}) @ {epoch:?}: {e:?}"))?;
                     prop_assert_eq!(&got[..], &want[..], "fetch({}, {}) @ {:?}", at, len, epoch);
                     prop_assert!(done >= now, "completion {:?} precedes issue {:?}", done, now);
@@ -172,16 +173,7 @@ proptest! {
                     continue;
                 }
             };
-            vos.update(
-now,
-&mut bd.shard(0),
-oid,
-d.clone(),
-a.clone(),
-ValueKind::Array { offset: written.at },
-Epoch(written.epoch),
-Bytes::from(written.data.clone()),
-)
+            vos.update(now, &mut bd.shard(0), RecordKey { oid, dkey: d.clone(), akey: a.clone() }, ValueKind::Array { offset: written.at }, Epoch(written.epoch), Bytes::from(written.data.clone()))
             .map_err(|e| format!("update: {e:?}"))?;
             history.push(written);
         }
@@ -189,7 +181,7 @@ Bytes::from(written.data.clone()),
         for epoch in (1..=MAX_EPOCH).map(Epoch).chain([Epoch::LATEST]) {
             let (want, _) = paint(&history, epoch.0, 0, SPACE);
             let (got, _) = vos
-                .fetch_array(now, &mut bd.shard(0), oid, &d, &a, epoch, 0, SPACE)
+                .fetch_array(now, &mut bd.shard(0), &RecordKey { oid, dkey: d.clone(), akey: a.clone() }, epoch, 0, SPACE)
                 .map_err(|e| format!("sweep @ {epoch:?}: {e:?}"))?;
             prop_assert_eq!(&got[..], &want[..], "sweep @ {:?}", epoch);
         }

@@ -11,8 +11,9 @@
 
 use bytes::Bytes;
 use ros2_daos::{
-    AKey, ClientOp, ClientOpResult, DKey, DaosClient, DaosCostModel, DaosEngine, EngineCluster,
-    Epoch, ObjClass, ObjectClient, ObjectId, OpRing, ValueKind,
+    AKey, ClientOp, ClientOpResult, ConnectSpec, DKey, DaosClient, DaosCostModel, DaosEngine,
+    EngineCluster, Epoch, FetchOp, ObjClass, ObjectClient, ObjectId, OpRing, RecordKey, UpdateOp,
+    ValueKind,
 };
 use ros2_fabric::{Fabric, NodeSpec};
 use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, NvmeModel, Transport};
@@ -71,14 +72,16 @@ fn world(engines: usize, rf: usize, jobs: usize) -> (Fabric, EngineCluster, Daos
     );
     let client = DaosClient::connect_scoped_multi(
         &mut fabric,
-        NodeId(0),
-        &servers,
+        &ConnectSpec {
+            node: NodeId(0),
+            servers: servers.to_vec(),
+            cont: "cont0".into(),
+            jobs,
+            buf_len: 4 << 20,
+            domain: MemoryDomain::HostDram,
+            model: DaosCostModel::default_model(),
+        },
         "tenant",
-        "cont0",
-        jobs,
-        4 << 20,
-        MemoryDomain::HostDram,
-        DaosCostModel::default_model(),
         Expiry::Never,
     )
     .unwrap();
@@ -126,27 +129,23 @@ fn plan_ops(seed: u64, steps: usize) -> Vec<(SimTime, ClientOp)> {
                     4097 + rng.below(96 << 10)
                 };
                 let fill = (rng.below(255) + 1) as u8;
-                ClientOp::Update {
-                    oid,
-                    dkey,
-                    akey,
+                ClientOp::Update(UpdateOp {
+                    key: RecordKey { oid, dkey, akey },
                     kind,
                     data: Bytes::from(vec![fill; len as usize]),
-                }
+                })
             } else {
                 let epoch = if rng.chance(0.8) || updates_so_far == 0 {
                     Epoch::LATEST
                 } else {
                     Epoch(1 + rng.below(updates_so_far))
                 };
-                ClientOp::Fetch {
-                    oid,
-                    dkey,
-                    akey,
+                ClientOp::Fetch(FetchOp {
+                    key: RecordKey { oid, dkey, akey },
                     kind,
                     epoch,
                     len: 1 + rng.below(64 << 10),
-                }
+                })
             };
             (now, op)
         })
@@ -311,12 +310,16 @@ fn ring_retires_out_of_order_but_returns_in_submission_order() {
     // stays in submission order.
     let (mut f, mut cl, mut c) = world(1, 1, 1);
     let oid = ObjectId::new(ObjClass::Sx, 1);
-    let mk = |i: u64, len: usize| ClientOp::Update {
-        oid,
-        dkey: DKey::from_u64(i),
-        akey: AKey::from_str("data"),
-        kind: ValueKind::Array { offset: 0 },
-        data: Bytes::from(vec![i as u8 + 1; len]),
+    let mk = |i: u64, len: usize| {
+        ClientOp::Update(UpdateOp {
+            key: RecordKey {
+                oid,
+                dkey: DKey::from_u64(i),
+                akey: AKey::from_str("data"),
+            },
+            kind: ValueKind::Array { offset: 0 },
+            data: Bytes::from(vec![i as u8 + 1; len]),
+        })
     };
     let mut ring = OpRing::new(0, 8);
     ring.submit(&mut c, &mut f, &mut cl, SimTime::ZERO, mk(0, 2 << 20));
@@ -371,13 +374,15 @@ fn ring_gates_admission_at_depth() {
             &mut f,
             &mut cl,
             SimTime::ZERO,
-            ClientOp::Update {
-                oid,
-                dkey: DKey::from_u64(i),
-                akey: AKey::from_str("data"),
+            ClientOp::Update(UpdateOp {
+                key: RecordKey {
+                    oid,
+                    dkey: DKey::from_u64(i),
+                    akey: AKey::from_str("data"),
+                },
                 kind: ValueKind::Array { offset: 0 },
                 data: Bytes::from(vec![7u8; 8 << 10]),
-            },
+            }),
         );
         assert!(ring.in_flight() <= 2, "depth violated at op {i}");
     }
@@ -418,13 +423,17 @@ fn mid_flight_engine_kill_rearms_fetch_legs() {
 
         let mut ring = OpRing::new(0, 16);
         let t0 = SimTime::from_millis(1);
-        let fetch = |i: u64| ClientOp::Fetch {
-            oid,
-            dkey: DKey::from_u64(i),
-            akey: AKey::from_str("data"),
-            kind: ValueKind::Array { offset: 0 },
-            epoch: Epoch::LATEST,
-            len: 16 << 10,
+        let fetch = |i: u64| {
+            ClientOp::Fetch(FetchOp {
+                key: RecordKey {
+                    oid,
+                    dkey: DKey::from_u64(i),
+                    akey: AKey::from_str("data"),
+                },
+                kind: ValueKind::Array { offset: 0 },
+                epoch: Epoch::LATEST,
+                len: 16 << 10,
+            })
         };
         // First half staged against the pre-kill map (some legs point at
         // the doomed leader)...

@@ -16,8 +16,8 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use ros2_daos::{
-    AKey, ConnPool, DKey, DaosClient, DaosCostModel, DaosEngine, EngineCluster, Epoch, ObjClass,
-    ObjectClient, ObjectId, ValueKind,
+    AKey, ConnPool, ConnectSpec, DKey, DaosClient, DaosCostModel, DaosEngine, EngineCluster, Epoch,
+    ObjClass, ObjectClient, ObjectId, ValueKind,
 };
 use ros2_fabric::{Fabric, NodeSpec};
 use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, NvmeModel, Transport};
@@ -83,14 +83,16 @@ fn world(n_clients: usize) -> (Fabric, EngineCluster, Vec<DaosClient>) {
         .map(|c| {
             DaosClient::connect_scoped_multi(
                 &mut fabric,
-                NodeId(c as u32),
-                &servers,
+                &ConnectSpec {
+                    node: NodeId(c as u32),
+                    servers: servers.to_vec(),
+                    cont: "cont0".into(),
+                    jobs: 1,
+                    buf_len: 4 << 20,
+                    domain: MemoryDomain::HostDram,
+                    model: DaosCostModel::default_model(),
+                },
                 "tenant",
-                "cont0",
-                1,
-                4 << 20,
-                MemoryDomain::HostDram,
-                DaosCostModel::default_model(),
                 Expiry::Never,
             )
             .unwrap()

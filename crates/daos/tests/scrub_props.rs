@@ -26,8 +26,8 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use ros2_daos::{
-    AKey, BgService, DKey, DaosClient, DaosCostModel, DaosEngine, EngineCluster, Epoch, ObjClass,
-    ObjectClient, ObjectId, ScrubStats, ValueKind,
+    AKey, BgService, ConnectSpec, DKey, DaosClient, DaosCostModel, DaosEngine, EngineCluster,
+    Epoch, ObjClass, ObjectClient, ObjectId, ScrubStats, ValueKind,
 };
 use ros2_fabric::{Fabric, NodeSpec};
 use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, NvmeModel, Transport};
@@ -85,14 +85,16 @@ fn world() -> (Fabric, EngineCluster, DaosClient) {
     );
     let client = DaosClient::connect_scoped_multi(
         &mut fabric,
-        NodeId(0),
-        &servers,
+        &ConnectSpec {
+            node: NodeId(0),
+            servers: servers.to_vec(),
+            cont: "cont0".into(),
+            jobs: 1,
+            buf_len: 4 << 20,
+            domain: MemoryDomain::HostDram,
+            model: DaosCostModel::default_model(),
+        },
         "tenant",
-        "cont0",
-        1,
-        4 << 20,
-        MemoryDomain::HostDram,
-        DaosCostModel::default_model(),
         Expiry::Never,
     )
     .unwrap();

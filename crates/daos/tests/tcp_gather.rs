@@ -9,7 +9,7 @@
 use bytes::Bytes;
 use ros2_buf::{allocated_bytes, zero_bytes, CountingAlloc};
 use ros2_daos::{
-    AKey, DKey, DaosClient, DaosCostModel, DaosEngine, EngineCluster, Epoch, ObjClass,
+    AKey, ConnectSpec, DKey, DaosClient, DaosCostModel, DaosEngine, EngineCluster, Epoch, ObjClass,
     ObjectClient, ObjectId, ValueKind,
 };
 use ros2_fabric::{Fabric, NodeSpec};
@@ -62,14 +62,16 @@ fn tcp_world() -> World {
     engine.cont_create("cont0").unwrap();
     let client = DaosClient::connect_scoped_multi(
         &mut fabric,
-        NodeId(0),
-        &[NodeId(1)],
+        &ConnectSpec {
+            node: NodeId(0),
+            servers: vec![NodeId(1)],
+            cont: "cont0".into(),
+            jobs: 1,
+            buf_len: 4 << 20,
+            domain: MemoryDomain::HostDram,
+            model: DaosCostModel::default_model(),
+        },
         "tenant",
-        "cont0",
-        1,
-        4 << 20,
-        MemoryDomain::HostDram,
-        DaosCostModel::default_model(),
         Expiry::Never,
     )
     .unwrap();

@@ -18,8 +18,8 @@
 use bytes::Bytes;
 use ros2_ctl::{WireReader, WireWriter};
 use ros2_daos::{
-    AKey, ClientOp, ClientOpResult, DKey, DaosError, EngineCluster, Epoch, ObjClass, ObjectClient,
-    ObjectId, ValueKind,
+    AKey, ClientOp, ClientOpResult, DKey, DaosError, EngineCluster, Epoch, FetchOp, ObjClass,
+    ObjectClient, ObjectId, RecordKey, UpdateOp, ValueKind,
 };
 use ros2_fabric::Fabric;
 use ros2_sim::SimTime;
@@ -33,6 +33,22 @@ fn entry_akey() -> AKey {
 /// The akey under which file chunk data lives.
 fn data_akey() -> AKey {
     AKey::from_str("data")
+}
+/// The record holding the entry `name` of the directory object `dir`.
+fn entry_key(dir: ObjectId, name: &str) -> RecordKey {
+    RecordKey {
+        oid: dir,
+        dkey: DKey::from_str(name),
+        akey: entry_akey(),
+    }
+}
+/// The record holding chunk `chunk` of the file object `file`.
+fn chunk_key(file: ObjectId, chunk: u64) -> RecordKey {
+    RecordKey {
+        oid: file,
+        dkey: DKey::from_u64(chunk),
+        akey: data_akey(),
+    }
 }
 
 /// What a directory entry describes.
@@ -518,13 +534,11 @@ impl Dfs {
                 let chunk = abs / self.chunk_size;
                 let in_chunk = abs % self.chunk_size;
                 let take = (self.chunk_size - in_chunk).min(len - pos);
-                self.ops.push(ClientOp::Update {
-                    oid: file.oid,
-                    dkey: DKey::from_u64(chunk),
-                    akey: data_akey(),
+                self.ops.push(ClientOp::Update(UpdateOp {
+                    key: chunk_key(file.oid, chunk),
                     kind: ValueKind::Array { offset: in_chunk },
                     data: data.slice(pos as usize..(pos + take) as usize),
-                });
+                }));
                 pos += take;
             }
             s.client.execute_into(
@@ -602,14 +616,12 @@ impl Dfs {
             let chunk = abs / self.chunk_size;
             let in_chunk = abs % self.chunk_size;
             let take = (self.chunk_size - in_chunk).min(len - pos);
-            self.ops.push(ClientOp::Fetch {
-                oid: file.oid,
-                dkey: DKey::from_u64(chunk),
-                akey: data_akey(),
+            self.ops.push(ClientOp::Fetch(FetchOp {
+                key: chunk_key(file.oid, chunk),
                 kind: ValueKind::Array { offset: in_chunk },
                 epoch: Epoch::LATEST,
                 len: take,
-            });
+            }));
             pos += take;
         }
         s.client.execute_into(
@@ -701,8 +713,7 @@ impl Dfs {
             entry.ino,
         );
         s.cluster.punch_object(data_oid);
-        s.cluster
-            .punch(parent.oid, &DKey::from_str(name), &entry_akey())?;
+        s.cluster.punch(&entry_key(parent.oid, name))?;
         Ok(at)
     }
 
@@ -719,8 +730,7 @@ impl Dfs {
     ) -> Result<SimTime, DfsError> {
         let (entry, at) = self.read_entry(s, now, 0, parent.oid, name)?;
         let at = self.write_entry(s, at, 0, new_parent.oid, new_name, &entry)?;
-        s.cluster
-            .punch(parent.oid, &DKey::from_str(name), &entry_akey())?;
+        s.cluster.punch(&entry_key(parent.oid, name))?;
         Ok(at)
     }
 }

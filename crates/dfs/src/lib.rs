@@ -22,8 +22,8 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use ros2_daos::{
-        AKey, ClientOp, ClientOpResult, DKey, DaosClient, DaosCostModel, DaosEngine, DaosError,
-        EngineCluster, Epoch, ObjectClient, ObjectId, ValueKind,
+        AKey, ClientOp, ClientOpResult, ConnectSpec, DKey, DaosClient, DaosCostModel, DaosEngine,
+        DaosError, EngineCluster, Epoch, ObjectClient, ObjectId, ValueKind,
     };
     use ros2_fabric::{Fabric, NodeSpec};
     use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, NvmeModel, Transport};
@@ -64,14 +64,16 @@ mod tests {
         engine.cont_create("posix").unwrap();
         let client = DaosClient::connect_scoped_multi(
             &mut fabric,
-            NodeId(0),
-            &[NodeId(1)],
+            &ConnectSpec {
+                node: NodeId(0),
+                servers: vec![NodeId(1)],
+                cont: "posix".into(),
+                jobs: 4,
+                buf_len: 4 << 20,
+                domain: MemoryDomain::HostDram,
+                model: DaosCostModel::default_model(),
+            },
             "tenant",
-            "posix",
-            4,
-            4 << 20,
-            MemoryDomain::HostDram,
-            DaosCostModel::default_model(),
             Expiry::Never,
         )
         .unwrap();

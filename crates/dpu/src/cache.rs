@@ -9,8 +9,9 @@
 //! zero ARM checksum work**.
 //!
 //! Correctness before speed — a cache in a storage path must never serve
-//! stale bytes. Entries are grouped by record, `(oid, dkey, akey)`, and a
-//! group carries one validity stamp for all of its entries:
+//! stale bytes. Entries are grouped by record — a [`RecordKey`], the
+//! address `ros2_daos` names every record by — and a group carries one
+//! validity stamp for all of its entries:
 //!
 //! * **Record stamping.** The stamp holds the record's *arrival version*
 //!   at the engine the lane's cached map names as its leader
@@ -66,7 +67,7 @@ use std::ops::RangeInclusive;
 
 use bytes::Bytes;
 use ros2_buf::DataPlaneStats;
-use ros2_daos::{AKey, ClientOp, DKey, ObjectId, RecordVersion, ValueKind};
+use ros2_daos::{AKey, ClientOp, DKey, ObjectId, RecordKey, RecordVersion, ValueKind};
 use ros2_hw::per_byte;
 use ros2_sim::{DetLru, SimDuration};
 
@@ -84,18 +85,8 @@ const LOOKUP_COST: SimDuration = SimDuration::from_nanos(300);
 /// past `u64::MAX`), so the sentinel can never collide.
 const SINGLE_OFFSET: u64 = u64::MAX;
 
-/// The record a cached chunk belongs to: the unit of validity.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct RecordKey {
-    /// Object the record belongs to.
-    pub oid: ObjectId,
-    /// Distribution key.
-    pub dkey: DKey,
-    /// Attribute key.
-    pub akey: AKey,
-}
-
-/// One cached chunk's identity: its record plus the byte range. Reads at a
+/// One cached chunk's identity: its record — the unit of validity — plus
+/// the byte range. Reads at a
 /// different offset or length are different entries — the cache is
 /// chunk-granular, not extent-merging, because the DFS layer above already
 /// issues aligned chunk reads. A local update's position is written the
@@ -111,40 +102,34 @@ pub struct CacheKey {
 }
 
 impl CacheKey {
-    /// The key for an access of `len` bytes at `kind`'s position.
-    pub fn new(oid: ObjectId, dkey: DKey, akey: AKey, kind: ValueKind, len: u64) -> Self {
+    /// The key for an access of `len` bytes at `kind`'s position in
+    /// `record`.
+    pub fn at(record: RecordKey, kind: ValueKind, len: u64) -> Self {
         let offset = match kind {
             ValueKind::Single => SINGLE_OFFSET,
             ValueKind::Array { offset } => offset,
         };
         CacheKey {
-            record: RecordKey { oid, dkey, akey },
+            record,
             offset,
             len,
         }
     }
 
+    /// [`Self::at`] with the record spelled out. Positional because the
+    /// benchmark's cache probe calls it so.
+    pub fn new(oid: ObjectId, dkey: DKey, akey: AKey, kind: ValueKind, len: u64) -> Self {
+        Self::at(RecordKey { oid, dkey, akey }, kind, len)
+    }
+
     /// The key for `op`'s position: the range a fetch reads or an
     /// update's payload covers.
     pub fn of(op: &ClientOp) -> Self {
-        let (oid, dkey, akey, kind, len) = match op {
-            ClientOp::Update {
-                oid,
-                dkey,
-                akey,
-                kind,
-                data,
-            } => (oid, dkey, akey, kind, data.len() as u64),
-            ClientOp::Fetch {
-                oid,
-                dkey,
-                akey,
-                kind,
-                len,
-                ..
-            } => (oid, dkey, akey, kind, *len),
+        let (kind, len) = match op {
+            ClientOp::Update(op) => (op.kind, op.data.len() as u64),
+            ClientOp::Fetch(op) => (op.kind, op.len),
         };
-        Self::new(*oid, dkey.clone(), akey.clone(), *kind, len)
+        Self::at(op.key().clone(), kind, len)
     }
 }
 

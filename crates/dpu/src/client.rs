@@ -62,15 +62,15 @@
 use bytes::Bytes;
 use ros2_ctl::{ControlChannel, ControlModel, ControlRequest, ControlResponse};
 use ros2_daos::{
-    whole_batch_error, ClientOp, ClientOpResult, DaosClient, DaosCostModel, DaosError,
-    EngineCluster, Epoch, ObjectClient, ObjectId, OpRing, PoolMap, RetryPolicy, RetryStats,
-    SlotTrail,
+    whole_batch_error, ClientOp, ClientOpResult, ConnectSpec, DaosClient, DaosCostModel, DaosError,
+    EngineCluster, Epoch, FetchOp, ObjectClient, ObjectId, OpRing, PoolMap, RecordKey, RetryPolicy,
+    RetryStats, SlotTrail,
 };
 use ros2_daos::{AKey, DKey, ValueKind};
 use ros2_fabric::Fabric;
 use ros2_hw::{nic_crc_cost, per_byte, CoreClass, Transport};
 use ros2_sim::{ResourceStats, SimDuration, SimRng, SimTime};
-use ros2_verbs::{Expiry, MemoryDomain, NodeId, PdId};
+use ros2_verbs::{Expiry, NodeId, PdId};
 
 use crate::agent::DpuAgent;
 use crate::cache::{CacheKey, DpuCacheStats, ReadCache};
@@ -195,45 +195,45 @@ pub struct DpuClient {
 }
 
 impl DpuClient {
-    /// Connects an offloaded client on the DPU at `node` to every engine
-    /// of a cluster: one data-plane lane per tenant (jobs are dealt
-    /// round-robin across tenants), QoS buckets installed, staging DRAM
-    /// reserved from `agent`'s pool, and scoped rkeys armed. Each lane's
+    /// Connects an offloaded client on the DPU at `spec.node` to every
+    /// engine of a cluster: one data-plane lane per tenant (the
+    /// `spec.jobs` jobs are dealt round-robin across tenants), QoS buckets
+    /// installed, staging DRAM reserved from `agent`'s pool, and scoped
+    /// rkeys armed. Each lane's
     /// inner client opens one connection per storage node, and the lane
     /// routes every op by the cluster's pool map — replication, degraded
     /// reads and failover all run on the DPU, the host only rings
     /// doorbells.
-    #[allow(clippy::too_many_arguments)]
     pub fn connect_cluster(
         fabric: &mut Fabric,
-        node: NodeId,
-        servers: &[NodeId],
-        cont: impl Into<String>,
-        jobs: usize,
-        buf_len: u64,
-        domain: MemoryDomain,
-        model: DaosCostModel,
+        mut spec: ConnectSpec,
         mut agent: DpuAgent,
         tenant_specs: Vec<DpuTenantSpec>,
         seed: u64,
     ) -> Result<Self, DpuError> {
+        let ConnectSpec {
+            node,
+            jobs,
+            buf_len,
+            model,
+            ..
+        } = spec;
         // Each tenant needs at least one job or its lane could never carry
         // I/O — a silent misconfiguration; reject the shape instead.
         if jobs == 0 || tenant_specs.is_empty() || jobs < tenant_specs.len() {
             return Err(DpuError::NoJobs);
         }
-        let cont = cont.into();
         let class = fabric.node(node).class();
         let transport = fabric.transport();
         agent.reserve_dram(jobs as u64 * buf_len)?;
 
         let mut tenants = TenantManager::new(node);
         let mut io = ControlChannel::new(ControlModel::host_doorbell(), SimRng::new(seed ^ 0x10f0));
-        for spec in &tenant_specs {
-            tenants.register(fabric, spec.name.clone(), spec.qos, spec.rkey_scope);
+        for tenant in &tenant_specs {
+            tenants.register(fabric, tenant.name.clone(), tenant.qos, tenant.rkey_scope);
             io.add_tenant(
-                spec.name.clone(),
-                Bytes::from(spec.name.as_bytes().to_vec()),
+                tenant.name.clone(),
+                Bytes::from(tenant.name.as_bytes().to_vec()),
             );
         }
 
@@ -242,12 +242,12 @@ impl DpuClient {
         // a lane never borrows another tenant's cores.
         let lane_cores = fabric.node(node).spec.cpu.cores / n_tenants;
         let mut lanes = Vec::with_capacity(n_tenants);
-        for (k, spec) in tenant_specs.into_iter().enumerate() {
+        for (k, tenant) in tenant_specs.into_iter().enumerate() {
             // Jobs j with j % n_tenants == k belong to this lane.
             let lane_jobs = (jobs + n_tenants - 1 - k) / n_tenants;
             // Staging MRs carry the tenant's rkey scope from the outset —
             // there is never a window where an unscoped key exists.
-            let deadline = match tenants.rkey_expiry(SimTime::ZERO, &spec.name) {
+            let deadline = match tenants.rkey_expiry(SimTime::ZERO, &tenant.name) {
                 Some(Expiry::At(t)) if transport == Transport::Rdma => t,
                 _ => SimTime::MAX,
             };
@@ -256,18 +256,9 @@ impl DpuClient {
             } else {
                 Expiry::At(deadline)
             };
-            let mut daos = DaosClient::connect_scoped_multi(
-                fabric,
-                node,
-                servers,
-                &spec.name,
-                cont.clone(),
-                lane_jobs,
-                buf_len,
-                domain,
-                model,
-                expiry,
-            )?;
+            // The lane's own share of the jobs, otherwise the client's spec.
+            spec.jobs = lane_jobs;
+            let mut daos = DaosClient::connect_scoped_multi(fabric, &spec, &tenant.name, expiry)?;
             // Host jobs only ring doorbells; the lane's cores serve
             // whichever job has submission work.
             daos.share_cores(lane_cores);
@@ -278,15 +269,15 @@ impl DpuClient {
             }
             let rkey_deadline = vec![deadline; lane_jobs];
             let hello = ControlRequest::Hello {
-                tenant: spec.name.clone(),
-                auth: Bytes::from(spec.name.as_bytes().to_vec()),
+                tenant: tenant.name.clone(),
+                auth: Bytes::from(tenant.name.as_bytes().to_vec()),
             };
             let (_, res) = io.call(SimTime::ZERO, None, hello, |_, _| ControlResponse::Ok);
             let (session, _) = res?;
             lanes.push(TenantLane {
-                name: spec.name,
+                name: tenant.name,
                 daos,
-                rkey_scope: spec.rkey_scope,
+                rkey_scope: tenant.rkey_scope,
                 rkey_deadline,
                 session,
                 cache: None,
@@ -988,8 +979,8 @@ enum Verifier {
 /// An op's payload size and whether it is an update.
 fn op_bytes(op: &ClientOp) -> (u64, bool) {
     match op {
-        ClientOp::Update { data, .. } => (data.len() as u64, true),
-        ClientOp::Fetch { len, .. } => (*len, false),
+        ClientOp::Update(op) => (op.data.len() as u64, true),
+        ClientOp::Fetch(op) => (op.len, false),
     }
 }
 
@@ -1037,11 +1028,14 @@ impl ObjectClient for DpuClient {
         // history the cache does not version. A hit serves from DPU DRAM:
         // no fabric bookings, no ARM CRC verify, no inline service — just
         // the DRAM stream and the host poll.
+        let op = FetchOp {
+            key: RecordKey { oid, dkey, akey },
+            kind,
+            epoch,
+            len,
+        };
         let probe = match epoch == Epoch::LATEST {
-            true => {
-                let key = CacheKey::new(oid, dkey.clone(), akey.clone(), kind, len);
-                l.probe_fetch(start, cluster, key)
-            }
+            true => l.probe_fetch(start, cluster, CacheKey::at(op.key.clone(), kind, len)),
             false => Probe::Skip,
         };
         if let Probe::Hit(data) = probe {
@@ -1049,9 +1043,7 @@ impl ObjectClient for DpuClient {
             let at = self.host_poll(ready, lane, 1)?;
             return Ok((data, at));
         }
-        let (data, ready, meta) = l.daos.fetch_with_meta(
-            fabric, cluster, start, local, oid, dkey, akey, kind, epoch, len,
-        )?;
+        let (data, ready, meta) = l.daos.fetch_with_meta(fabric, cluster, start, local, &op)?;
         // The serial call's completion work is inside its one CPU booking.
         let bytes = Some(data.len() as u64);
         let at = self.publish(ready, lane, bytes, Verifier::Arm, SimDuration::ZERO)?;
@@ -1120,6 +1112,7 @@ mod tests {
     use ros2_hw::NvmeModel;
     use ros2_nvme::{DataMode, NvmeArray};
     use ros2_spdk::BdevLayer;
+    use ros2_verbs::MemoryDomain;
 
     fn world(transport: Transport) -> (Fabric, EngineCluster) {
         let fabric = Fabric::new(
@@ -1151,13 +1144,15 @@ mod tests {
         let agent = DpuAgent::new(NodeId(0), 30 << 30, default_control(5));
         DpuClient::connect_cluster(
             fabric,
-            NodeId(0),
-            &[NodeId(1)],
-            "cont0",
-            jobs,
-            4 << 20,
-            MemoryDomain::DpuDram,
-            DaosCostModel::default_model(),
+            ConnectSpec {
+                node: NodeId(0),
+                servers: vec![NodeId(1)],
+                cont: "cont0".into(),
+                jobs,
+                buf_len: 4 << 20,
+                domain: MemoryDomain::DpuDram,
+                model: DaosCostModel::default_model(),
+            },
             agent,
             specs,
             99,
@@ -1394,14 +1389,16 @@ mod tests {
         // Posted doorbells wait for no answer, so it is the missing
         // completion record that gives a wedged lane away — on the ring
         // as on the serial call: every op of the queue times out.
-        let queue = vec![ClientOp::Fetch {
-            oid,
-            dkey: DKey::from_u64(0),
-            akey: AKey::from_str("data"),
+        let queue = vec![ClientOp::Fetch(FetchOp {
+            key: RecordKey {
+                oid,
+                dkey: DKey::from_u64(0),
+                akey: AKey::from_str("data"),
+            },
             kind: ValueKind::Array { offset: 0 },
             epoch: Epoch::LATEST,
             len: 4 << 10,
-        }];
+        })];
         let r = c.execute_pipelined(&mut fabric, &mut cluster, SimTime::ZERO, 0, queue);
         assert!(matches!(
             r[..],

@@ -26,7 +26,7 @@ use bytes::Bytes;
 use ros2_ctl::IoPatch;
 use ros2_daos::{
     ClientOp, ClientOpResult, DaosClient, DaosError, EngineCluster, Epoch, FiredTemplate,
-    Forwarded, RecordVersion, TEMPLATE_LEN,
+    Forwarded, RecordKey, RecordVersion, TEMPLATE_LEN,
 };
 use ros2_fabric::{Dir, Fabric};
 use ros2_sim::{SimDuration, SimTime};
@@ -35,7 +35,7 @@ use ros2_verbs::{
     RdmaDevice, VerbsError,
 };
 
-use crate::cache::{CacheKey, ReadCache, RecordKey};
+use crate::cache::{CacheKey, ReadCache};
 
 /// One tenant's slice of the offloaded client: a dedicated data-plane
 /// [`DaosClient`] (own PD, QPs, staging buffers) plus its control session
@@ -144,7 +144,7 @@ fn authority(
         return None;
     }
     let (leader, stamp) = (routing.set.leader()?, routing.stamp);
-    let version = cluster.record_version(leader, stamp, record.oid, &record.dkey, &record.akey)?;
+    let version = cluster.record_version(leader, stamp, record)?;
     Some((stamp, version))
 }
 
@@ -476,21 +476,17 @@ impl TenantLane {
             return;
         }
         let written = |r: &RecordKey| {
-            ops.iter().any(|op| {
-                matches!(op, ClientOp::Update { oid, dkey, akey, .. }
-                    if (oid, dkey, akey) == (&r.oid, &r.dkey, &r.akey))
-            })
+            ops.iter()
+                .any(|op| matches!(op, ClientOp::Update(u) if u.key == *r))
         };
         let probe = |op| {
             let key = CacheKey::of(op);
             match op {
-                ClientOp::Update { data, .. } => self.probe_update(now, cluster, key, data),
-                ClientOp::Fetch { epoch, .. }
-                    if *epoch == Epoch::LATEST && !written(&key.record) =>
-                {
+                ClientOp::Update(u) => self.probe_update(now, cluster, key, &u.data),
+                ClientOp::Fetch(f) if f.epoch == Epoch::LATEST && !written(&key.record) => {
                     self.probe_fetch(now, cluster, key)
                 }
-                ClientOp::Fetch { .. } => Probe::Skip,
+                ClientOp::Fetch(_) => Probe::Skip,
             }
         };
         probes.extend(ops.iter().map(probe));

@@ -23,7 +23,7 @@ mod lane;
 pub mod tenant;
 
 pub use agent::{default_control, DpuAgent, InlineService};
-pub use cache::{CacheKey, DpuCacheStats, ReadCache, RecordKey};
+pub use cache::{CacheKey, DpuCacheStats, ReadCache};
 pub use client::{DpuClient, DpuStats, DpuTenantSpec};
 pub use error::DpuError;
 pub use tenant::{QosLimits, TenantCtx, TenantManager};

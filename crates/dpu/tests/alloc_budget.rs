@@ -11,8 +11,8 @@
 use bytes::Bytes;
 use ros2_buf::{allocation_count, bytes_crc32c, zero_bytes, CountingAlloc};
 use ros2_daos::{
-    AKey, ClientOp, ClientOpResult, DKey, DaosCostModel, DaosEngine, EngineCluster, Epoch,
-    ObjClass, ObjectClient, ObjectId, ValueKind,
+    AKey, ClientOp, ClientOpResult, ConnectSpec, DKey, DaosCostModel, DaosEngine, EngineCluster,
+    Epoch, FetchOp, ObjClass, ObjectClient, ObjectId, RecordKey, UpdateOp, ValueKind,
 };
 use ros2_dpu::{DpuAgent, DpuClient, DpuTenantSpec};
 use ros2_fabric::{Fabric, NodeSpec};
@@ -87,13 +87,15 @@ fn ring_allocs(updates: bool) -> u64 {
     let agent = DpuAgent::new(NodeId(0), 30 << 30, ros2_dpu::default_control(3));
     let mut client = DpuClient::connect_cluster(
         &mut fabric,
-        NodeId(0),
-        &[NodeId(1)],
-        "c",
-        1,
-        4 << 20,
-        MemoryDomain::DpuDram,
-        DaosCostModel::default_model(),
+        ConnectSpec {
+            node: NodeId(0),
+            servers: vec![NodeId(1)],
+            cont: "c".into(),
+            jobs: 1,
+            buf_len: 4 << 20,
+            domain: MemoryDomain::DpuDram,
+            model: DaosCostModel::default_model(),
+        },
         agent,
         vec![DpuTenantSpec::unlimited("t")],
         7,
@@ -106,21 +108,25 @@ fn ring_allocs(updates: bool) -> u64 {
     let (mut ops, mut out) = (Vec::new(), Vec::new());
     let mut issue = |(client, fabric, cluster): World<'_>, now, update: bool| {
         ops.push(match update {
-            true => ClientOp::Update {
-                oid,
-                dkey: dkey.clone(),
-                akey: akey.clone(),
+            true => ClientOp::Update(UpdateOp {
+                key: RecordKey {
+                    oid,
+                    dkey: dkey.clone(),
+                    akey: akey.clone(),
+                },
                 kind,
                 data: zero_bytes(4 << 10),
-            },
-            false => ClientOp::Fetch {
-                oid,
-                dkey: dkey.clone(),
-                akey: akey.clone(),
+            }),
+            false => ClientOp::Fetch(FetchOp {
+                key: RecordKey {
+                    oid,
+                    dkey: dkey.clone(),
+                    akey: akey.clone(),
+                },
                 kind,
                 epoch: Epoch::LATEST,
                 len: 4 << 10,
-            },
+            }),
         });
         client.execute_into(fabric, cluster, now, 0, &mut ops, &mut out);
         match out.pop().unwrap() {

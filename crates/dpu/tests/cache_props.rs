@@ -31,8 +31,9 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use ros2_daos::{
-    AKey, Arrival, ClientOp, ClientOpResult, DKey, DaosCostModel, DaosEngine, EngineCluster, Epoch,
-    ObjClass, ObjectClient, ObjectId, RetryPolicy, ValueKind,
+    AKey, Arrival, ClientOp, ClientOpResult, ConnectSpec, DKey, DaosCostModel, DaosEngine,
+    EngineCluster, Epoch, FetchOp, ObjClass, ObjectClient, ObjectId, RecordKey, RetryPolicy,
+    UpdateOp, ValueKind,
 };
 use ros2_dpu::{default_control, DpuAgent, DpuCacheStats, DpuClient, DpuTenantSpec};
 use ros2_fabric::{Fabric, NodeSpec};
@@ -99,13 +100,15 @@ fn world(cache: Option<u64>) -> (Fabric, EngineCluster, DpuClient) {
     let agent = DpuAgent::new(NodeId(0), 30 << 30, default_control(3));
     let mut client = DpuClient::connect_cluster(
         &mut fabric,
-        NodeId(0),
-        &servers,
-        "c",
-        2,
-        4 << 20,
-        MemoryDomain::DpuDram,
-        DaosCostModel::default_model(),
+        ConnectSpec {
+            node: NodeId(0),
+            servers: servers.to_vec(),
+            cont: "c".into(),
+            jobs: 2,
+            buf_len: 4 << 20,
+            domain: MemoryDomain::DpuDram,
+            model: DaosCostModel::default_model(),
+        },
         agent,
         vec![DpuTenantSpec::unlimited("t"), DpuTenantSpec::unlimited("u")],
         7,
@@ -392,22 +395,26 @@ fn run(s: &Schedule, cached: bool) -> RunOut {
                 let kind = ValueKind::Array { offset };
                 if op.write {
                     seq += 1;
-                    ClientOp::Update {
-                        oid: oid(),
-                        dkey,
-                        akey: akey(),
+                    ClientOp::Update(UpdateOp {
+                        key: RecordKey {
+                            oid: oid(),
+                            dkey,
+                            akey: akey(),
+                        },
                         kind,
                         data: payload(op.key, offset, op.len(), seq),
-                    }
+                    })
                 } else {
-                    ClientOp::Fetch {
-                        oid: oid(),
-                        dkey,
-                        akey: akey(),
+                    ClientOp::Fetch(FetchOp {
+                        key: RecordKey {
+                            oid: oid(),
+                            dkey,
+                            akey: akey(),
+                        },
                         kind,
                         epoch: Epoch::LATEST,
                         len: op.len(),
-                    }
+                    })
                 }
             })
             .collect();
@@ -519,21 +526,25 @@ fn same_call_writes_suppress_probe_and_fill() {
     // One call that writes key 0 and fetches it back: the write updates
     // the warm entry, and the fetch is excluded from both probe and fill.
     let ops = vec![
-        ClientOp::Update {
-            oid: oid(),
-            dkey: DKey::from_u64(0),
-            akey: akey(),
+        ClientOp::Update(UpdateOp {
+            key: RecordKey {
+                oid: oid(),
+                dkey: DKey::from_u64(0),
+                akey: akey(),
+            },
             kind: kind(),
             data: Bytes::from(vec![99u8; LEN]),
-        },
-        ClientOp::Fetch {
-            oid: oid(),
-            dkey: DKey::from_u64(0),
-            akey: akey(),
+        }),
+        ClientOp::Fetch(FetchOp {
+            key: RecordKey {
+                oid: oid(),
+                dkey: DKey::from_u64(0),
+                akey: akey(),
+            },
             kind: kind(),
             epoch: Epoch::LATEST,
             len: LEN as u64,
-        },
+        }),
     ];
     let mut now = t + SimDuration::from_millis(1);
     for r in c.execute_pipelined(&mut f, &mut cl, now, 0, ops) {
@@ -704,13 +715,17 @@ fn ladder_completions_never_teach_the_cache() {
     let (_, t) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
     let set = cl.map().route(&oid()).set;
     let (leader, follower) = (set.leader().unwrap(), set.iter().nth(1).unwrap());
-    let fetch = |k| ClientOp::Fetch {
-        oid: oid(),
-        dkey: DKey::from_u64(k),
-        akey: akey(),
-        kind: kind(),
-        epoch: Epoch::LATEST,
-        len: LEN as u64,
+    let fetch = |k| {
+        ClientOp::Fetch(FetchOp {
+            key: RecordKey {
+                oid: oid(),
+                dkey: DKey::from_u64(k),
+                akey: akey(),
+            },
+            kind: kind(),
+            epoch: Epoch::LATEST,
+            len: LEN as u64,
+        })
     };
 
     // The leader's connection eats the request: the fetch times out and is
@@ -726,13 +741,15 @@ fn ladder_completions_never_teach_the_cache() {
     // The follower's connection eats the update's second leg: the leader
     // applies it, the op fails, and the warm entry is punched.
     cl.set_blackhole(follower, true);
-    let update = ClientOp::Update {
-        oid: oid(),
-        dkey: DKey::from_u64(0),
-        akey: akey(),
+    let update = ClientOp::Update(UpdateOp {
+        key: RecordKey {
+            oid: oid(),
+            dkey: DKey::from_u64(0),
+            akey: akey(),
+        },
         kind: kind(),
         data: Bytes::from(vec![77u8; LEN]),
-    };
+    });
     let r = c.execute_pipelined(&mut f, &mut cl, t, 0, vec![update]);
     assert!(r.into_iter().next().unwrap().into_update().is_err());
     cl.set_blackhole(follower, false);

@@ -8,8 +8,9 @@
 
 use bytes::Bytes;
 use ros2_daos::{
-    AKey, ClientOp, ClientOpResult, DKey, DaosCostModel, DaosEngine, DaosError, EngineCluster,
-    Epoch, ObjClass, ObjectClient, ObjectId, ValueKind,
+    AKey, ClientOp, ClientOpResult, ConnectSpec, DKey, DaosCostModel, DaosEngine, DaosError,
+    EngineCluster, Epoch, FetchOp, ObjClass, ObjectClient, ObjectId, RecordKey, UpdateOp,
+    ValueKind,
 };
 use ros2_dpu::{DpuAgent, DpuClient, DpuTenantSpec, QosLimits, TenantManager};
 use ros2_fabric::{Fabric, NodeSpec};
@@ -56,13 +57,15 @@ fn world_with(tenant: DpuTenantSpec, jobs: usize) -> World {
     let agent = DpuAgent::new(DPU, 30 << 30, ros2_dpu::default_control(3));
     let client = DpuClient::connect_cluster(
         &mut fabric,
-        DPU,
-        &[NodeId(1)],
-        "c",
-        jobs,
-        4 << 20,
-        MemoryDomain::DpuDram,
-        DaosCostModel::default_model(),
+        ConnectSpec {
+            node: DPU,
+            servers: vec![NodeId(1)],
+            cont: "c".into(),
+            jobs,
+            buf_len: 4 << 20,
+            domain: MemoryDomain::DpuDram,
+            model: DaosCostModel::default_model(),
+        },
         agent,
         vec![tenant],
         7,
@@ -87,21 +90,17 @@ fn op_on(oid: ObjectId, write: bool) -> ClientOp {
     let (dkey, akey) = (DKey::from_u64(0), AKey::from_str("data"));
     let kind = ValueKind::Array { offset: 0 };
     match write {
-        true => ClientOp::Update {
-            oid,
-            dkey,
-            akey,
+        true => ClientOp::Update(UpdateOp {
+            key: RecordKey { oid, dkey, akey },
             kind,
             data: payload(),
-        },
-        false => ClientOp::Fetch {
-            oid,
-            dkey,
-            akey,
+        }),
+        false => ClientOp::Fetch(FetchOp {
+            key: RecordKey { oid, dkey, akey },
             kind,
             epoch: Epoch::LATEST,
             len: LEN as u64,
-        },
+        }),
     }
 }
 
@@ -208,7 +207,11 @@ fn checksum_error_propagates_to_client_through_the_lane() {
     let mut w = world();
     let t = written_and_read_once(&mut w);
     let (d, a) = (DKey::from_u64(0), AKey::from_str("data"));
-    assert!(w.1.engine_mut(0).corrupt_newest_extent(oid(), &d, &a));
+    assert!(w.1.engine_mut(0).corrupt_newest_extent(&RecordKey {
+        oid: oid(),
+        dkey: d.clone(),
+        akey: a.clone()
+    }));
     let err = ring_op(&mut w, t, false).into_fetch().unwrap_err();
     assert_eq!(err, DaosError::ChecksumMismatch);
     // The engine refused to push: there was no completion to forward, so

@@ -8,8 +8,8 @@
 
 use bytes::Bytes;
 use ros2_daos::{
-    AKey, ClientOp, DKey, DaosCostModel, DaosEngine, EngineCluster, ObjClass, ObjectClient,
-    ObjectId, ValueKind,
+    AKey, ClientOp, ConnectSpec, DKey, DaosCostModel, DaosEngine, EngineCluster, ObjClass,
+    ObjectClient, ObjectId, RecordKey, UpdateOp, ValueKind,
 };
 use ros2_dpu::{default_control, DpuAgent, DpuClient, DpuTenantSpec};
 use ros2_fabric::{Fabric, NodeSpec};
@@ -55,13 +55,15 @@ fn world(tenants: &[&str], jobs: usize) -> (Fabric, EngineCluster, DpuClient) {
     engine.cont_create("c").unwrap();
     let client = DpuClient::connect_cluster(
         &mut fabric,
-        NodeId(0),
-        &[NodeId(1)],
-        "c",
-        jobs,
-        1 << 20,
-        MemoryDomain::DpuDram,
-        slow_client_model(),
+        ConnectSpec {
+            node: NodeId(0),
+            servers: vec![NodeId(1)],
+            cont: "c".into(),
+            jobs,
+            buf_len: 1 << 20,
+            domain: MemoryDomain::DpuDram,
+            model: slow_client_model(),
+        },
         DpuAgent::new(NodeId(0), 30 << 30, default_control(7)),
         tenants
             .iter()
@@ -74,13 +76,15 @@ fn world(tenants: &[&str], jobs: usize) -> (Fabric, EngineCluster, DpuClient) {
 }
 
 fn write_4k(job: usize, seq: u64) -> ClientOp {
-    ClientOp::Update {
-        oid: ObjectId::new(ObjClass::Sx, job as u64),
-        dkey: DKey::from_u64(seq),
-        akey: AKey::from_str("data"),
+    ClientOp::Update(UpdateOp {
+        key: RecordKey {
+            oid: ObjectId::new(ObjClass::Sx, job as u64),
+            dkey: DKey::from_u64(seq),
+            akey: AKey::from_str("data"),
+        },
         kind: ValueKind::Array { offset: 0 },
         data: Bytes::from(vec![job as u8 + 1; 4096]),
-    }
+    })
 }
 
 /// Submits `ops` from `job` at `now` through the ring and returns their

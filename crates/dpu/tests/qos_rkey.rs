@@ -141,8 +141,8 @@ fn rkey_expiry_races_an_in_flight_pull() {
 #[test]
 fn dpu_client_refresh_outruns_the_race() {
     use ros2_daos::{
-        AKey, DKey, DaosCostModel, DaosEngine, EngineCluster, ObjClass, ObjectClient, ObjectId,
-        ValueKind,
+        AKey, ConnectSpec, DKey, DaosCostModel, DaosEngine, EngineCluster, ObjClass, ObjectClient,
+        ObjectId, ValueKind,
     };
     use ros2_nvme::{DataMode, NvmeArray};
     use ros2_spdk::BdevLayer;
@@ -164,13 +164,15 @@ fn dpu_client_refresh_outruns_the_race() {
     let agent = DpuAgent::new(NodeId(0), 30 << 30, ros2_dpu::default_control(3));
     let mut client = DpuClient::connect_cluster(
         &mut fabric,
-        NodeId(0),
-        &[NodeId(1)],
-        "c",
-        1,
-        4 << 20,
-        MemoryDomain::DpuDram,
-        DaosCostModel::default_model(),
+        ConnectSpec {
+            node: NodeId(0),
+            servers: vec![NodeId(1)],
+            cont: "c".into(),
+            jobs: 1,
+            buf_len: 4 << 20,
+            domain: MemoryDomain::DpuDram,
+            model: DaosCostModel::default_model(),
+        },
         agent,
         vec![DpuTenantSpec {
             name: "t".into(),
@@ -213,7 +215,7 @@ fn offloaded_world(
     qos: QosLimits,
     rkey_scope: SimDuration,
 ) -> (Fabric, ros2_daos::EngineCluster, DpuClient) {
-    use ros2_daos::{DaosCostModel, DaosEngine, EngineCluster};
+    use ros2_daos::{ConnectSpec, DaosCostModel, DaosEngine, EngineCluster};
     use ros2_nvme::{DataMode, NvmeArray};
     use ros2_spdk::BdevLayer;
     let mut fabric = dpu_world();
@@ -234,13 +236,15 @@ fn offloaded_world(
     let agent = DpuAgent::new(NodeId(0), 30 << 30, ros2_dpu::default_control(3));
     let client = DpuClient::connect_cluster(
         &mut fabric,
-        NodeId(0),
-        &[NodeId(1)],
-        "c",
-        1,
-        4 << 20,
-        MemoryDomain::DpuDram,
-        DaosCostModel::default_model(),
+        ConnectSpec {
+            node: NodeId(0),
+            servers: vec![NodeId(1)],
+            cont: "c".into(),
+            jobs: 1,
+            buf_len: 4 << 20,
+            domain: MemoryDomain::DpuDram,
+            model: DaosCostModel::default_model(),
+        },
         agent,
         vec![DpuTenantSpec {
             name: "t".into(),
@@ -254,14 +258,18 @@ fn offloaded_world(
 }
 
 fn update_ops(n: u64, len: usize) -> Vec<ros2_daos::ClientOp> {
-    use ros2_daos::{AKey, ClientOp, DKey, ObjClass, ObjectId, ValueKind};
+    use ros2_daos::{AKey, ClientOp, DKey, ObjClass, ObjectId, RecordKey, UpdateOp, ValueKind};
     (0..n)
-        .map(|i| ClientOp::Update {
-            oid: ObjectId::new(ObjClass::Sx, 1),
-            dkey: DKey::from_u64(i),
-            akey: AKey::from_str("data"),
-            kind: ValueKind::Array { offset: 0 },
-            data: Bytes::from(vec![(i % 250) as u8 + 1; len]),
+        .map(|i| {
+            ClientOp::Update(UpdateOp {
+                key: RecordKey {
+                    oid: ObjectId::new(ObjClass::Sx, 1),
+                    dkey: DKey::from_u64(i),
+                    akey: AKey::from_str("data"),
+                },
+                kind: ValueKind::Array { offset: 0 },
+                data: Bytes::from(vec![(i % 250) as u8 + 1; len]),
+            })
         })
         .collect()
 }
@@ -398,16 +406,10 @@ proptest! {
             SimDuration::from_secs(30),
         );
         let client_ops: Vec<ros2_daos::ClientOp> = {
-            use ros2_daos::{AKey, ClientOp, DKey, ObjClass, ObjectId, ValueKind};
+            use ros2_daos::{AKey, ClientOp, DKey, ObjClass, ObjectId, RecordKey, UpdateOp, ValueKind};
             ops.iter()
                 .enumerate()
-                .map(|(i, &len)| ClientOp::Update {
-                    oid: ObjectId::new(ObjClass::Sx, 1),
-                    dkey: DKey::from_u64(i as u64),
-                    akey: AKey::from_str("data"),
-                    kind: ValueKind::Array { offset: 0 },
-                    data: Bytes::from(vec![(i % 250) as u8 + 1; len]),
-                })
+                .map(|(i, &len)| ClientOp::Update(UpdateOp { key: RecordKey { oid: ObjectId::new(ObjClass::Sx, 1), dkey: DKey::from_u64(i as u64), akey: AKey::from_str("data") }, kind: ValueKind::Array { offset: 0 }, data: Bytes::from(vec![(i % 250) as u8 + 1; len]) }))
                 .collect()
         };
         let total: u64 = ops.iter().map(|&l| l as u64).sum();

@@ -25,8 +25,8 @@
 
 use bytes::Bytes;
 use ros2_daos::{
-    AKey, ClientOp, ClientOpResult, DKey, DaosError, Epoch, ObjClass, ObjectId, RetryStats,
-    ValueKind,
+    AKey, ClientOp, ClientOpResult, DKey, DaosError, Epoch, FetchOp, ObjClass, ObjectId, RecordKey,
+    RetryStats, UpdateOp, ValueKind,
 };
 use ros2_dpu::DpuTenantSpec;
 use ros2_fio::{DfsFioWorld, FioClient, WorldSpec};
@@ -56,24 +56,28 @@ fn payload(i: u64, generation: u8) -> Bytes {
 }
 
 fn update(i: u64, generation: u8) -> ClientOp {
-    ClientOp::Update {
-        oid: oid(i),
-        dkey: DKey::from_u64(i),
-        akey: AKey::from_str("data"),
+    ClientOp::Update(UpdateOp {
+        key: RecordKey {
+            oid: oid(i),
+            dkey: DKey::from_u64(i),
+            akey: AKey::from_str("data"),
+        },
         kind: ValueKind::Array { offset: 0 },
         data: payload(i, generation),
-    }
+    })
 }
 
 fn fetch(i: u64) -> ClientOp {
-    ClientOp::Fetch {
-        oid: oid(i),
-        dkey: DKey::from_u64(i),
-        akey: AKey::from_str("data"),
+    ClientOp::Fetch(FetchOp {
+        key: RecordKey {
+            oid: oid(i),
+            dkey: DKey::from_u64(i),
+            akey: AKey::from_str("data"),
+        },
         kind: ValueKind::Array { offset: 0 },
         epoch: Epoch::LATEST,
         len: BS as u64,
-    }
+    })
 }
 
 /// What the tape observed, minus every instant.
@@ -186,11 +190,14 @@ fn run(w: &mut DfsFioWorld) -> (Digest, Split) {
     // engine's own verify refuses it and the error reaches the host.
     let rotten = 3u64;
     let leader = w.cluster.map().route(&oid(rotten)).set.leader().unwrap();
-    assert!(w.cluster.engine_mut(leader).corrupt_newest_extent(
-        oid(rotten),
-        &DKey::from_u64(rotten),
-        &AKey::from_str("data")
-    ));
+    assert!(w
+        .cluster
+        .engine_mut(leader)
+        .corrupt_newest_extent(&RecordKey {
+            oid: oid(rotten),
+            dkey: DKey::from_u64(rotten),
+            akey: AKey::from_str("data")
+        }));
     submit(w, &mut d, 20_000, 1, (0..6).map(fetch).collect());
 
     let c = &mut w.cluster;

@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use ros2::core::{ClusterConfig, Ros2Config, Ros2System};
-use ros2::daos::{AKey, DKey, DaosError};
+use ros2::daos::{AKey, DKey, DaosError, RecordKey};
 use ros2::dfs::DfsError;
 use ros2::dpu::DpuError;
 use ros2::hw::ClientPlacement;
@@ -34,10 +34,11 @@ fn media_corruption_is_detected_end_to_end() {
     let oid = f.oid;
     let dkey = DKey::from_u64(0);
     let akey = AKey::from_str("data");
-    assert!(sys
-        .cluster
-        .engine_mut(0)
-        .corrupt_newest_extent(oid, &dkey, &akey));
+    assert!(sys.cluster.engine_mut(0).corrupt_newest_extent(&RecordKey {
+        oid,
+        dkey: dkey.clone(),
+        akey: akey.clone()
+    }));
 
     // The end-to-end checksum catches it at the POSIX layer.
     match sys.read(&f, 0, 4096) {
