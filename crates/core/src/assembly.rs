@@ -18,7 +18,7 @@ use ros2_dpu::{default_control, DpuAgent, DpuCacheStats, DpuClient, DpuStats, Dp
 use ros2_fabric::Fabric;
 use ros2_hw::{ClientPlacement, ClusterTopology, CoreClass, Transport, BLUEFIELD3_DRAM};
 use ros2_nvme::DataMode;
-use ros2_sim::{ResourceStats, SimTime};
+use ros2_sim::{ResourceStats, SimTime, Timed, Visit};
 use ros2_verbs::{Expiry, MemoryDomain, NodeId, PdId};
 
 use crate::system::Ros2Error;
@@ -73,14 +73,10 @@ impl ClientStack {
         either!(self, c => ObjectClient::ops(c))
     }
 
-    /// Aggregate booking / fast-path counters over the client cores.
+    /// [`Timed::resource_stats`] read through `&self`: the client cores.
+    // frozen by benchmark/src/sut.rs:243
     pub fn resource_stats(&self) -> ResourceStats {
         either!(self, c => c.resource_stats())
-    }
-
-    /// Resets per-job core timing (and, offloaded, QoS buckets) to t=0.
-    pub fn reset_timing(&mut self) {
-        either!(self, c => c.reset_timing())
     }
 
     /// The offloaded client, when this stack runs one.
@@ -132,6 +128,13 @@ impl ClientStack {
     /// Earliest instant an op completed on a retry attempt.
     pub fn first_successful_retry(&self) -> Option<SimTime> {
         either!(self, c => c.first_successful_retry())
+    }
+}
+
+impl Timed for ClientStack {
+    /// Whichever client the stack runs.
+    fn visit(&mut self, v: &mut dyn Visit) {
+        either!(self, c => c.visit(v))
     }
 }
 

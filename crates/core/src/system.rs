@@ -624,18 +624,6 @@ impl Ros2System {
         })
     }
 
-    /// Aggregate data-plane (copy vs zero-copy, CRC scan vs combine)
-    /// counters over the whole deployment: every NIC's registered memory,
-    /// every VOS target's SCM pool, and every NVMe backing store.
-    pub fn data_plane_stats(&self) -> ros2_buf::DataPlaneStats {
-        let mut total = self.fabric.data_plane_stats();
-        total.merge(self.cluster.data_plane_stats());
-        if let Some(c) = self.client.offloaded() {
-            total.merge(c.cache_data_plane_stats());
-        }
-        total
-    }
-
     /// Registers a further tenant's *NIC policy* — protection domain, QoS
     /// buckets, rkey scope — on whichever side owns the tenant manager.
     ///

@@ -48,7 +48,7 @@ use ros2_buf::zero_bytes;
 use ros2_ctl::IoPatch;
 use ros2_fabric::{ConnId, Delivery, Dir, Fabric, SendCores};
 use ros2_hw::{CoreClass, NicModel, Transport};
-use ros2_sim::{ResourceStats, ServerPool, SimDuration, SimTime};
+use ros2_sim::{ResourceStats, ServerPool, SimDuration, SimTime, Timed, Visit};
 use ros2_verbs::{AccessFlags, Expiry, MemAddr, MemoryDomain, MrId, NodeId, PdId, RKey};
 
 use crate::cluster::{EngineCluster, PoolMap, Routing};
@@ -631,7 +631,7 @@ impl DaosClient {
     }
 
     /// Aggregate busy time across the client cores since the last
-    /// [`Self::reset_timing`].
+    /// [`Timed::reset_timing`].
     pub fn core_busy_time(&self) -> SimDuration {
         self.cores
             .pools()
@@ -639,16 +639,8 @@ impl DaosClient {
             .fold(SimDuration::ZERO, |t, p| t + p.busy_time())
     }
 
-    /// Resets client core timing to t=0.
-    pub fn reset_timing(&mut self) {
-        match &mut self.cores {
-            ClientCores::PerJob(cores) => cores.iter_mut().for_each(ServerPool::reset_timing),
-            ClientCores::Shared(pool) => pool.reset_timing(),
-        }
-        self.templates.reset_timing();
-    }
-
-    /// Aggregate booking / fast-path counters over the client cores.
+    /// [`Timed::resource_stats`] read through `&self`: the client cores.
+    // frozen by benchmark/src/sut.rs:243
     pub fn resource_stats(&self) -> ResourceStats {
         let mut total = ResourceStats::default();
         for pool in self.cores.pools() {
@@ -1077,6 +1069,17 @@ pub trait ObjectClient {
 
     /// Total data-plane operations issued.
     fn ops(&self) -> u64;
+}
+
+impl Timed for DaosClient {
+    /// The client cores and the descriptor templates' clock.
+    fn visit(&mut self, v: &mut dyn Visit) {
+        match &mut self.cores {
+            ClientCores::PerJob(cores) => cores.iter_mut().for_each(|p| v.pool(p)),
+            ClientCores::Shared(pool) => v.pool(pool),
+        }
+        self.templates.visit(v);
+    }
 }
 
 impl ObjectClient for DaosClient {

@@ -45,7 +45,8 @@
 //! streaming, coordinated epoch aggregation, and replica scrub so recovery
 //! traffic cannot starve foreground I/O. Lanes default to unlimited, whose
 //! grants land exactly at `now`, so unbudgeted behaviour stays
-//! bit-identical to the unpaced code. See `DESIGN.md` §13 for the safe
+//! bit-identical to the unpaced code; a [`Timed::reset_timing`] rebuilds
+//! them full at t=0. See `DESIGN.md` §13 for the safe
 //! aggregation-boundary rule and the scrub/repair epoch discipline.
 
 use std::collections::HashMap;
@@ -53,7 +54,7 @@ use std::collections::HashMap;
 use bytes::Bytes;
 use ros2_ctl::ControlRequest;
 use ros2_fabric::{ConnId, Dir, Fabric};
-use ros2_sim::{QosLane, QosLimits, SimDuration, SimTime};
+use ros2_sim::{QosLane, QosLimits, ResourceStats, SimDuration, SimTime, Timed, Visit};
 use ros2_verbs::{NodeId, PdId};
 
 use crate::conn_pool::{ConnPool, ConnPoolStats};
@@ -478,12 +479,6 @@ impl ServiceScheduler {
     /// Replaces a service's budget with fresh buckets (full at t=0).
     fn set_budget(&mut self, service: BgService, limits: QosLimits) {
         *self.lane_mut(service) = QosLane::new(limits);
-    }
-
-    fn reset_timing(&mut self) {
-        self.rebuild.reset_timing();
-        self.aggregation.reset_timing();
-        self.scrub.reset_timing();
     }
 }
 
@@ -1198,31 +1193,27 @@ impl EngineCluster {
         out
     }
 
-    /// Aggregate booking counters across engines.
-    pub fn resource_stats(&self) -> ros2_sim::ResourceStats {
-        let mut total = ros2_sim::ResourceStats::default();
-        for e in &self.engines {
-            total.merge(e.resource_stats());
-        }
-        total
+    /// [`Timed::resource_stats`], callable without the trait in scope.
+    // frozen by benchmark/src/sut.rs:248
+    pub fn resource_stats(&mut self) -> ResourceStats {
+        Timed::resource_stats(self)
     }
 
-    /// Aggregate data-plane counters across engines.
-    pub fn data_plane_stats(&self) -> ros2_buf::DataPlaneStats {
-        let mut total = ros2_buf::DataPlaneStats::default();
-        for e in &self.engines {
-            total.merge(e.data_plane_stats());
-        }
-        total
+    /// [`Timed::data_plane_stats`], callable without the trait in scope.
+    // frozen by benchmark/src/sut.rs:249
+    pub fn data_plane_stats(&mut self) -> ros2_buf::DataPlaneStats {
+        Timed::data_plane_stats(self)
     }
+}
 
-    /// Resets every engine's timing to t=0 (contents untouched), and
-    /// rebuilds every service lane full at t=0 with counters zeroed.
-    pub fn reset_timing(&mut self) {
-        for e in &mut self.engines {
-            e.reset_timing();
-        }
-        self.services.reset_timing();
+impl Timed for EngineCluster {
+    /// Every engine, and the background services' lanes (a reset rebuilds
+    /// each full at t=0 with its counters zeroed).
+    fn visit(&mut self, v: &mut dyn Visit) {
+        self.engines.visit(v);
+        v.lane(&mut self.services.rebuild);
+        v.lane(&mut self.services.aggregation);
+        v.lane(&mut self.services.scrub);
     }
 }
 

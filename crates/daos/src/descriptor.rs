@@ -19,7 +19,7 @@
 //! the client knowing goes out as it stands and the engine fences it.
 
 use bytes::Bytes;
-use ros2_sim::SimTime;
+use ros2_sim::{SimTime, Timed, Visit};
 use ros2_verbs::{MemAddr, MrId};
 
 use crate::cluster::{ReplicaSet, Routing, MAX_RF};
@@ -132,13 +132,6 @@ impl TemplateTable {
         (e.since <= now).then_some((base + i as u64 * TEMPLATE_LEN, &e.bytes))
     }
 
-    /// The clock restarts at t=0 with the templates in memory.
-    pub(crate) fn reset_timing(&mut self) {
-        for e in &mut self.entries {
-            e.since = SimTime::ZERO;
-        }
-    }
-
     /// A core resolved `routing` for `(oid, akey)` and is done with its
     /// submission work at `since`: (re)writes the object's template.
     /// Returns where it goes and the bytes to put there — `None` if the op
@@ -177,6 +170,17 @@ impl TemplateTable {
             None => self.entries.push(entry),
         }
         Some((base + i as u64 * TEMPLATE_LEN, bytes))
+    }
+}
+
+impl Timed for TemplateTable {
+    /// The clock restarts at t=0 with the templates in memory.
+    fn visit(&mut self, v: &mut dyn Visit) {
+        v.rewind(&mut || {
+            for e in &mut self.entries {
+                e.since = SimTime::ZERO;
+            }
+        });
     }
 }
 

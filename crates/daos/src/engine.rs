@@ -8,13 +8,14 @@
 //! state is shared between shards, and every op is addressed to the one
 //! shard that owns its `(oid, dkey)`. RPC handling, VOS indexing and
 //! checksum computation all charge CPU on the owning target's xstreams;
-//! media time comes from the bdev/pmem models.
+//! media time comes from the bdev/pmem models. The engine's [`Timed`] walk
+//! reaches every xstream pool, target and drive.
 
 use std::collections::HashMap;
 
 use bytes::Bytes;
 use ros2_hw::{checksum_cost, CoreClass, LBA_SIZE};
-use ros2_sim::{ResourceStats, ServerPool, SimTime};
+use ros2_sim::{ServerPool, SimTime, Timed, Visit};
 use ros2_spdk::{BdevLayer, ShardBdev};
 
 use crate::cluster::PoolMap;
@@ -501,39 +502,19 @@ impl DaosEngine {
         self.containers.get(cont)
     }
 
-    /// Resets xstream and device timing to t=0; contents are untouched.
-    pub fn reset_timing(&mut self) {
-        for x in &mut self.xstreams {
-            x.reset_timing();
-        }
-        self.bdevs.array_mut().reset_timing();
-    }
-
-    /// Aggregate booking / fast-path counters over the engine's xstream
-    /// pools and the backing NVMe channel pools.
-    pub fn resource_stats(&self) -> ResourceStats {
-        let mut total = ResourceStats::default();
-        for x in &self.xstreams {
-            total.merge(x.stats());
-        }
-        total.merge(self.bdevs.resource_stats());
-        total
-    }
-
-    /// Aggregate data-plane (copy / zero-copy / CRC) counters over every
-    /// target's VOS + SCM pool and the NVMe backing stores.
-    pub fn data_plane_stats(&self) -> ros2_buf::DataPlaneStats {
-        let mut total = ros2_buf::DataPlaneStats::default();
-        for t in &self.targets {
-            total.merge(t.data_plane_stats());
-        }
-        total.merge(self.bdevs.data_plane_stats());
-        total
-    }
-
     /// Total bytes of NVMe capacity in the pool.
     pub fn pool_capacity(&self) -> u64 {
         self.bdevs.array().capacity() / LBA_SIZE * LBA_SIZE
+    }
+}
+
+impl Timed for DaosEngine {
+    /// The xstream pools, every target's VOS and SCM counters, and the
+    /// bdev layer's drives; a reset keeps contents.
+    fn visit(&mut self, v: &mut dyn Visit) {
+        self.xstreams.iter_mut().for_each(|x| v.pool(x));
+        self.targets.visit(v);
+        self.bdevs.visit(v);
     }
 }
 

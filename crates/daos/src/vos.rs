@@ -34,7 +34,7 @@ use std::sync::{Arc, OnceLock};
 use bytes::{Bytes, BytesMut};
 use ros2_buf::{zero_bytes, DataPlaneStats, ZERO_POOL};
 use ros2_hw::LBA_SIZE;
-use ros2_sim::SimTime;
+use ros2_sim::{SimTime, Timed, Visit};
 use ros2_spdk::ShardBdev;
 
 use crate::checksum::{crc32c_zeros, Checksum};
@@ -382,9 +382,9 @@ pub struct VosTarget {
     arrivals: u64,
     stats: VosStats,
     /// VOS-level data-plane counters (payload checksum scans, overlay
-    /// stitch copies). Media-store counters live in the SCM pool and the
-    /// bdev backing and are merged by [`Self::data_plane_stats`] / the
-    /// engine.
+    /// stitch copies). Media-store counters live in the SCM pool, which
+    /// [`Timed::visit`] hands over beside these, and in the bdev backing,
+    /// which the engine's walk reaches.
     dp: DataPlaneStats,
     /// Reused buffer for the resolved tiling of an array fetch, so the
     /// steady-state fetch path performs no heap allocation (the record
@@ -421,14 +421,6 @@ impl VosTarget {
     /// Target statistics.
     pub fn stats(&self) -> &VosStats {
         &self.stats
-    }
-
-    /// Data-plane counters: this target's own (checksum scans, stitch
-    /// copies) merged with its SCM pool's store counters.
-    pub fn data_plane_stats(&self) -> DataPlaneStats {
-        let mut total = self.dp;
-        total.merge(self.scm.data_plane_stats());
-        total
     }
 
     fn alloc_nvme(&mut self, nlb: u32) -> Result<u64, DaosError> {
@@ -958,6 +950,15 @@ impl VosTarget {
     }
 }
 
+impl Timed for VosTarget {
+    /// Data-plane counters only: the target's own (checksum scans, stitch
+    /// copies) and its SCM pool's store counters.
+    fn visit(&mut self, v: &mut dyn Visit) {
+        v.data_plane(self.dp);
+        v.data_plane(self.scm.data_plane_stats());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1456,16 +1457,16 @@ mod tests {
                 .unwrap();
             assert_eq!(value, inode);
         };
-        let merged = |vos: &VosTarget, bd: &BdevLayer| {
+        let merged = |vos: &mut VosTarget, bd: &mut BdevLayer| {
             let mut s = vos.data_plane_stats();
             s.merge(bd.data_plane_stats());
             s
         };
-        let after_update = merged(&vos, &bd);
+        let after_update = merged(&mut vos, &mut bd);
         for _ in 0..5 {
             fetch(&mut vos, &mut bd);
         }
-        let after_fetches = merged(&vos, &bd);
+        let after_fetches = merged(&mut vos, &mut bd);
         assert_eq!(
             after_fetches.crc_bytes_scanned, after_update.crc_bytes_scanned,
             "verify must compare cached CRCs, not rescan"
@@ -1506,12 +1507,12 @@ mod tests {
             Bytes::from_static(b"inode"), // SCM-bound
         )
         .unwrap();
-        let merged = |vos: &VosTarget, bd: &BdevLayer| {
+        let merged = |vos: &mut VosTarget, bd: &mut BdevLayer| {
             let mut s = vos.data_plane_stats();
             s.merge(bd.data_plane_stats());
             s
         };
-        let after_update = merged(&vos, &bd);
+        let after_update = merged(&mut vos, &mut bd);
         assert!(
             after_update.crc_cache_seeded > 64,
             "update must seed media chunk CRCs (seeded {})",
@@ -1526,7 +1527,7 @@ mod tests {
             256 << 10,
         )
         .unwrap();
-        let after_array = merged(&vos, &bd);
+        let after_array = merged(&mut vos, &mut bd);
         assert_eq!(after_array.crc_combines, after_update.crc_combines);
         vos.fetch_single(
             SimTime::ZERO,
@@ -1535,7 +1536,7 @@ mod tests {
             Epoch::LATEST,
         )
         .unwrap();
-        let after_fetch = merged(&vos, &bd);
+        let after_fetch = merged(&mut vos, &mut bd);
         assert_eq!(
             after_fetch.crc_bytes_scanned, after_update.crc_bytes_scanned,
             "first fetch-verify must run entirely off seeded CRC caches"
@@ -1683,12 +1684,12 @@ mod tests {
         )
         .unwrap();
         assert_eq!(vos.stats().nvme_records, 1);
-        let merged = |vos: &VosTarget, bd: &BdevLayer| {
+        let merged = |vos: &mut VosTarget, bd: &mut BdevLayer| {
             let mut s = vos.data_plane_stats();
             s.merge(bd.data_plane_stats());
             s
         };
-        let after_update = merged(&vos, &bd);
+        let after_update = merged(&mut vos, &mut bd);
         assert_eq!(after_update.crc_cache_seeded, 1, "one padded 4 KiB chunk");
         let (back, _) = vos
             .fetch_single(
@@ -1699,7 +1700,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(back, data);
-        let after_fetch = merged(&vos, &bd);
+        let after_fetch = merged(&mut vos, &mut bd);
         assert_eq!(
             (after_fetch.crc_bytes_scanned, after_fetch.crc_combines),
             (after_update.crc_bytes_scanned, after_update.crc_combines)

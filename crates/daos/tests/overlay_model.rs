@@ -20,7 +20,7 @@ use ros2_daos::{
 };
 use ros2_hw::{CoreClass, NvmeModel, LBA_SIZE};
 use ros2_nvme::{DataMode, NvmeArray};
-use ros2_sim::{SimDuration, SimTime};
+use ros2_sim::{SimDuration, SimTime, Timed};
 use ros2_spdk::BdevLayer;
 
 /// Array address space of the model (a dozen checksum chunks).

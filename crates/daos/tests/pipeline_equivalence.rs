@@ -18,7 +18,7 @@ use ros2_daos::{
 use ros2_fabric::{Fabric, NodeSpec};
 use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, NvmeModel, Transport};
 use ros2_nvme::{DataMode, NvmeArray};
-use ros2_sim::{SimDuration, SimRng, SimTime};
+use ros2_sim::{SimDuration, SimRng, SimTime, Timed};
 use ros2_spdk::BdevLayer;
 use ros2_verbs::{Expiry, MemoryDomain, NodeId};
 
@@ -204,13 +204,13 @@ fn run_serial(
 }
 
 fn assert_worlds_agree(
-    a: (&EngineCluster, &DaosClient),
-    b: (&EngineCluster, &DaosClient),
+    a: (&mut EngineCluster, &DaosClient),
+    b: (&mut EngineCluster, &DaosClient),
     what: &str,
 ) {
     assert_eq!(a.0.len(), b.0.len());
     for slot in 0..a.0.len() {
-        let (ea, eb) = (a.0.engine(slot), b.0.engine(slot));
+        let (ea, eb) = (a.0.engine_mut(slot), b.0.engine_mut(slot));
         assert_eq!(
             ea.vos_stats(),
             eb.vos_stats(),
@@ -257,8 +257,8 @@ fn ring_equals_forced_serial_single_engine() {
                     );
                 }
                 assert_worlds_agree(
-                    (&cl1, &c1),
-                    (&cl2, &c2),
+                    (&mut cl1, &c1),
+                    (&mut cl2, &c2),
                     &format!("pool {pooled:?} seed {seed} qd {qd} ring/serial"),
                 );
             }
@@ -284,7 +284,11 @@ fn ring_equals_forced_serial_rf2_fanout() {
                 "seed {seed} op {i}: RF=2 ring != serial calls"
             );
         }
-        assert_worlds_agree((&cl1, &c1), (&cl2, &c2), &format!("seed {seed} RF=2"));
+        assert_worlds_agree(
+            (&mut cl1, &c1),
+            (&mut cl2, &c2),
+            &format!("seed {seed} RF=2"),
+        );
     }
 }
 
@@ -299,7 +303,11 @@ fn ring_runs_are_deterministic_to_the_instant() {
         for (i, (a, b)) in out1.iter().zip(&out2).enumerate() {
             assert_eq!(timed(a), timed(b), "seed {seed} op {i}: run-twice drift");
         }
-        assert_worlds_agree((&cl1, &c1), (&cl2, &c2), &format!("seed {seed} run-twice"));
+        assert_worlds_agree(
+            (&mut cl1, &c1),
+            (&mut cl2, &c2),
+            &format!("seed {seed} run-twice"),
+        );
     }
 }
 

@@ -57,7 +57,8 @@
 //!    wedged, and the host's poll gives up at the doorbell deadline.
 //!
 //! All of it is observable through [`DpuStats`], which travels alongside
-//! `ResourceStats` and `DataPlaneStats` in the benchmark reports.
+//! `ResourceStats` and `DataPlaneStats` in the benchmark reports and which
+//! a [`Timed::reset_timing`] zeroes with the lanes' clocks.
 
 use bytes::Bytes;
 use ros2_ctl::{ControlChannel, ControlModel, ControlRequest, ControlResponse};
@@ -69,7 +70,7 @@ use ros2_daos::{
 use ros2_daos::{AKey, DKey, ValueKind};
 use ros2_fabric::Fabric;
 use ros2_hw::{nic_crc_cost, per_byte, CoreClass, Transport};
-use ros2_sim::{ResourceStats, SimDuration, SimRng, SimTime};
+use ros2_sim::{ResourceStats, SimDuration, SimRng, SimTime, Timed, Visit};
 use ros2_verbs::{Expiry, NodeId, PdId};
 
 use crate::agent::DpuAgent;
@@ -427,15 +428,13 @@ impl DpuClient {
             })
     }
 
-    /// Copy-discipline accounting for cache hits (zero-copy handles out of
-    /// DPU DRAM), mergeable with the fabric's and engines'
-    /// `DataPlaneStats`.
+    /// The read caches' share of [`Timed::data_plane_stats`] (zero-copy
+    /// hits out of DPU DRAM), read through `&self`.
+    // frozen by benchmark/src/sut.rs:245
     pub fn cache_data_plane_stats(&self) -> ros2_buf::DataPlaneStats {
         let mut total = ros2_buf::DataPlaneStats::default();
-        for lane in &self.lanes {
-            if let Some(cache) = &lane.cache {
-                total.merge(cache.data_plane_stats());
-            }
+        for cache in self.lanes.iter().filter_map(|l| l.cache.as_ref()) {
+            total.merge(cache.data_plane_stats());
         }
         total
     }
@@ -507,31 +506,21 @@ impl DpuClient {
     }
 
     /// Aggregate busy time of the lanes' submission cores since the last
-    /// [`Self::reset_timing`].
+    /// [`Timed::reset_timing`].
     pub fn submission_busy_time(&self) -> SimDuration {
         self.lanes
             .iter()
             .fold(SimDuration::ZERO, |t, l| t + l.daos.core_busy_time())
     }
 
-    /// Aggregate booking counters over every lane's client cores.
+    /// [`Timed::resource_stats`] read through `&self`: the lanes' cores.
+    // frozen by benchmark/src/sut.rs:243
     pub fn resource_stats(&self) -> ResourceStats {
         let mut total = ResourceStats::default();
         for lane in &self.lanes {
             total.merge(lane.daos.resource_stats());
         }
         total
-    }
-
-    /// Resets lane core timing, QoS buckets, and offload counters to t=0
-    /// (between preconditioning and a measured run).
-    pub fn reset_timing(&mut self) {
-        for lane in &mut self.lanes {
-            lane.daos.reset_timing();
-            lane.granted_up_to = SimTime::ZERO;
-        }
-        self.tenants.reset_timing();
-        self.stats = DpuStats::default();
     }
 
     /// The host submit leg: one posted descriptor-plus-doorbell write,
@@ -1099,6 +1088,22 @@ impl ObjectClient for DpuClient {
         // Hits never reach the inner clients, but they are completed I/Os
         // the application issued — count them alongside.
         self.lanes.iter().map(|l| l.daos.ops()).sum::<u64>() + self.cache_stats().hits
+    }
+}
+
+impl Timed for DpuClient {
+    /// Each lane's client cores, read cache and grant clock, the tenants'
+    /// admission lanes, and the offload counters ([`DpuStats`]).
+    fn visit(&mut self, v: &mut dyn Visit) {
+        for lane in &mut self.lanes {
+            lane.daos.visit(v);
+            if let Some(cache) = &lane.cache {
+                v.data_plane(cache.data_plane_stats());
+            }
+            v.rewind(&mut || lane.granted_up_to = SimTime::ZERO);
+        }
+        self.tenants.visit(v);
+        v.rewind(&mut || self.stats = DpuStats::default());
     }
 }
 

@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 
 use ros2_fabric::Fabric;
-use ros2_sim::{QosLane, SimDuration, SimTime};
+use ros2_sim::{QosLane, SimDuration, SimTime, Timed, Visit};
 use ros2_verbs::{Expiry, NodeId, PdId};
 
 // The bucket-pair admission mechanism was born here (PR 4) and now lives
@@ -79,15 +79,6 @@ impl TenantManager {
         Some(ctx.qos.admit(now, bytes))
     }
 
-    /// Rebuilds every tenant's buckets full at t=0 and zeroes admission
-    /// counters (between a preconditioning phase and a measured run; PDs
-    /// and rkey scopes are untouched).
-    pub fn reset_timing(&mut self) {
-        for ctx in self.tenants.values_mut() {
-            ctx.qos.reset_timing();
-        }
-    }
-
     /// The expiry to stamp on a new registration for `tenant` at `now`.
     pub fn rkey_expiry(&self, now: SimTime, tenant: &str) -> Option<Expiry> {
         let ctx = self.tenants.get(tenant)?;
@@ -102,6 +93,16 @@ impl TenantManager {
     /// Number of registered tenants.
     pub fn count(&self) -> usize {
         self.tenants.len()
+    }
+}
+
+impl Timed for TenantManager {
+    /// Every tenant's admission lane (a reset rebuilds its buckets full at
+    /// t=0 and zeroes its counters; PDs and rkey scopes are untouched).
+    fn visit(&mut self, v: &mut dyn Visit) {
+        self.tenants
+            .values_mut()
+            .for_each(|ctx| v.lane(&mut ctx.qos));
     }
 }
 

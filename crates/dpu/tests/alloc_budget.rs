@@ -18,7 +18,7 @@ use ros2_dpu::{DpuAgent, DpuClient, DpuTenantSpec};
 use ros2_fabric::{Fabric, NodeSpec};
 use ros2_hw::{CoreClass, NvmeModel, Transport};
 use ros2_nvme::{DataMode, NvmeArray};
-use ros2_sim::{SimRng, SimTime};
+use ros2_sim::{SimRng, SimTime, Timed};
 use ros2_spdk::BdevLayer;
 use ros2_verbs::{AccessFlags, Expiry, Landing, MemoryDomain, NodeId, QpId, QpType, RdmaDevice};
 

@@ -16,11 +16,12 @@
 //!
 //! One-sided RDMA ops skip stages 1/2/5 on the *target*: the NIC executes
 //! the access against registered memory via `ros2-verbs`, which is exactly
-//! why the paper's DPU results keep RDMA at host parity.
+//! why the paper's DPU results keep RDMA at host parity. Every pipe and
+//! pool above is a leaf of the fabric's [`Timed`] walk.
 
 use bytes::Bytes;
 use ros2_hw::{per_byte, CoreClass, Transport, TransportCost, WireProtocol, PATH_LATENCY};
-use ros2_sim::{ResourceStats, ServerPool, SimDuration, SimRng, SimTime};
+use ros2_sim::{ResourceStats, ServerPool, SimDuration, SimRng, SimTime, Timed, Visit};
 use ros2_verbs::{MemAddr, NodeId, PdId, QpId, RKey, RdmaDevice, VerbsError};
 
 #[cfg(test)]
@@ -357,27 +358,6 @@ impl Fabric {
         self.conns[conn.0 as usize].ops
     }
 
-    /// Resets every pipe, pool and serialized stage to t=0 (between
-    /// preconditioning and measurement). Registrations, QPs and memory
-    /// contents are untouched.
-    pub fn reset_timing(&mut self) {
-        for n in &mut self.nodes {
-            n.tx_pipe.reset_timing();
-            n.rx_pipe.reset_timing();
-            n.tx_pool.reset_timing();
-            n.rx_pool.reset_timing();
-            n.kernel.reset_timing();
-            n.bytes_tx = 0;
-            n.bytes_rx = 0;
-        }
-        for c in &mut self.conns {
-            c.ser_ab.reset_timing();
-            c.ser_ba.reset_timing();
-        }
-        self.wire_fast = 0;
-        self.wire_slow = 0;
-    }
-
     // ---- timing helpers -------------------------------------------------
 
     fn scale(class: CoreClass, d: SimDuration) -> SimDuration {
@@ -528,7 +508,7 @@ impl Fabric {
     }
 
     /// Batched vs per-segment wire traversal counts since construction (or
-    /// the last [`Self::reset_timing`]).
+    /// the last [`Timed::reset_timing`]).
     pub fn wire_traversal_stats(&self) -> WireTraversalStats {
         WireTraversalStats {
             batched: self.wire_fast,
@@ -536,32 +516,16 @@ impl Fabric {
         }
     }
 
-    /// Aggregate booking/fast-path counters over every NIC pipe, core pool
-    /// and serialized stage in the fabric.
-    pub fn resource_stats(&self) -> ResourceStats {
-        let mut total = ResourceStats::default();
-        for n in &self.nodes {
-            total.merge(n.tx_pipe.stats());
-            total.merge(n.rx_pipe.stats());
-            total.merge(n.tx_pool.stats());
-            total.merge(n.rx_pool.stats());
-            total.merge(n.kernel.stats());
-        }
-        for c in &self.conns {
-            total.merge(c.ser_ab.stats());
-            total.merge(c.ser_ba.stats());
-        }
-        total
+    /// [`Timed::resource_stats`], callable without the trait in scope.
+    // frozen by benchmark/src/sut.rs:236
+    pub fn resource_stats(&mut self) -> ResourceStats {
+        Timed::resource_stats(self)
     }
 
-    /// Aggregate data-plane (copy / zero-copy) counters over every node's
-    /// registered-memory store.
-    pub fn data_plane_stats(&self) -> ros2_buf::DataPlaneStats {
-        let mut total = ros2_buf::DataPlaneStats::default();
-        for n in &self.nodes {
-            total.merge(n.rdma.data_plane_stats());
-        }
-        total
+    /// [`Timed::data_plane_stats`], callable without the trait in scope.
+    // frozen by benchmark/src/sut.rs:237
+    pub fn data_plane_stats(&mut self) -> ros2_buf::DataPlaneStats {
+        Timed::data_plane_stats(self)
     }
 
     /// Receive-side CPU cost for `payload` bytes on node `dst`.
@@ -763,6 +727,29 @@ impl Fabric {
             at: back,
             data: Some(data),
         })
+    }
+}
+
+impl Timed for Fabric {
+    /// Every node's pipes, core pools, serialized kernel stage and
+    /// registered memory, every connection's serialized stages, and the
+    /// byte and wire-traversal counters. A reset keeps registrations, QPs
+    /// and memory contents.
+    fn visit(&mut self, v: &mut dyn Visit) {
+        for n in &mut self.nodes {
+            v.pipe(&mut n.tx_pipe);
+            v.pipe(&mut n.rx_pipe);
+            v.pool(&mut n.tx_pool);
+            v.pool(&mut n.rx_pool);
+            v.pool(&mut n.kernel);
+            n.rdma.visit(v);
+            v.rewind(&mut || (n.bytes_tx, n.bytes_rx) = (0, 0));
+        }
+        for c in &mut self.conns {
+            v.pool(&mut c.ser_ab);
+            v.pool(&mut c.ser_ba);
+        }
+        v.rewind(&mut || (self.wire_fast, self.wire_slow) = (0, 0));
     }
 }
 

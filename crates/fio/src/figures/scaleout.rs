@@ -5,7 +5,7 @@
 
 use ros2_daos::RebuildStats;
 use ros2_nvme::DataMode;
-use ros2_sim::{SimDuration, SimTime};
+use ros2_sim::{SimDuration, SimTime, Timed};
 
 use crate::{run_fio, JobSpec, RwMode, WorldSpec};
 

@@ -29,7 +29,7 @@ use ros2_dfs::{Dfs, DfsObj};
 use ros2_dpu::DpuCacheStats;
 use ros2_fabric::Fabric;
 use ros2_hw::ClusterTopology;
-use ros2_sim::{ResourceStats, SimTime};
+use ros2_sim::{SimTime, Timed, Visit};
 
 use crate::driver::{FioOp, Workload};
 use crate::worlds::{issue_dfs, precondition};
@@ -131,17 +131,6 @@ impl IncastFioWorld {
         out
     }
 
-    /// Aggregate booking / fast-path counters over fabric, cluster, and
-    /// every client stack.
-    pub fn resource_stats(&self) -> ResourceStats {
-        let mut stats = self.fabric.resource_stats();
-        stats.merge(self.cluster.resource_stats());
-        for c in &self.clients {
-            stats.merge(c.resource_stats());
-        }
-        stats
-    }
-
     /// Routes data I/O through every client's submission/completion ring
     /// (`iodepth > 1`); the pipelined path carries the stale-map retry
     /// ladder, so kill cells must run pipelined.
@@ -167,6 +156,15 @@ impl IncastFioWorld {
     /// The preconditioned file handle for a **global** job index.
     pub fn file(&self, job: usize) -> &DfsObj {
         &self.files[job]
+    }
+}
+
+impl Timed for IncastFioWorld {
+    /// Fabric, cluster and every client stack.
+    fn visit(&mut self, v: &mut dyn Visit) {
+        self.fabric.visit(v);
+        self.cluster.visit(v);
+        self.clients.visit(v);
     }
 }
 

@@ -63,7 +63,7 @@ use ros2_daos::DaosCostModel;
 use ros2_dpu::{DpuStats, ReadCache};
 use ros2_hw::{nic_crc_cost, ClientPlacement, NicModel, Transport};
 use ros2_nvme::DataMode;
-use ros2_sim::{SimDuration, SimTime};
+use ros2_sim::{SimDuration, SimTime, Timed};
 use ros2_verbs::NodeId;
 
 use crate::driver::{FioOp, Workload};

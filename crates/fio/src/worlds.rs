@@ -6,14 +6,14 @@
 //!   front of one or more engines (Fig. 5 and the scale-out, chaos and
 //!   recovery figures).
 //!
-//! Each world assembles the testbed from `ros2-hw` platform models,
-//! preconditions its working set, resets clocks, and implements
-//! [`Workload`] for the closed-loop driver. The DFS worlds (this one and
-//! [`crate::IncastFioWorld`]) are assembled by [`crate::WorldSpec`] through
-//! `ros2_core`'s assembly functions, drive one [`ClientStack`] per client
-//! node (the enum `Ros2System` uses; `FioClient` is its name here), and
-//! share one preconditioning loop (`precondition`) and one
-//! `Workload::issue` body (`issue_dfs!`).
+//! Each world assembles the testbed from `ros2-hw` platform models and
+//! implements [`Workload`] for the closed-loop driver. The DFS worlds (this
+//! one and [`crate::IncastFioWorld`]) are assembled by [`crate::WorldSpec`]
+//! through `ros2_core`'s assembly functions, drive one [`ClientStack`] per
+//! client node (the enum `Ros2System` uses; `FioClient` is its name here),
+//! and share one preconditioning loop (`precondition`, which ends in a
+//! [`Timed::reset_timing`] of every part) and one `Workload::issue` body
+//! (`issue_dfs!`). The Fig. 3 and Fig. 4 worlds never precondition.
 
 use bytes::Bytes;
 use ros2_core::{ClientStack, FaultCursor, FaultPlan};
@@ -23,7 +23,7 @@ use ros2_fabric::{Fabric, NodeSpec};
 use ros2_hw::{HostPathModel, NvmeModel, Transport, LBA_SIZE};
 use ros2_iouring::{IoRequest, IoUringEngine};
 use ros2_nvme::{DataMode, NvmeArray};
-use ros2_sim::SimTime;
+use ros2_sim::{SimTime, Timed, Visit};
 use ros2_spdk::{BdevLayer, NvmfSession, NvmfStack};
 use ros2_verbs::NodeId;
 
@@ -222,21 +222,21 @@ pub(crate) fn precondition(
     // Preconditioning consumed virtual time; measurement starts fresh.
     fabric.reset_timing();
     cluster.reset_timing();
-    for client in clients {
-        client.reset_timing();
-    }
+    clients.reset_timing();
     (dfs, files)
 }
 
-impl DfsFioWorld {
-    /// Resets fabric, cluster, and client timing to t=0 (contents kept) —
-    /// between measured phases of a failure scenario.
-    pub fn reset_timing(&mut self) {
-        self.fabric.reset_timing();
-        self.cluster.reset_timing();
-        self.client.reset_timing();
+impl Timed for DfsFioWorld {
+    /// Fabric, cluster and client. A reset between measured phases of a
+    /// failure scenario keeps contents.
+    fn visit(&mut self, v: &mut dyn Visit) {
+        self.fabric.visit(v);
+        self.cluster.visit(v);
+        self.client.visit(v);
     }
+}
 
+impl DfsFioWorld {
     /// Routes single-chunk data I/O through the client's
     /// submission/completion ring — the `iodepth > 1` configuration the
     /// `fig_qd` sweep measures. Off (the default) keeps it on the serial

@@ -2,15 +2,16 @@
 //! over the `figures::scaleout`, `figures::qd` and `figures::cache` A/B
 //! cells that the `fig_scaleout`, `fig_qd` and `fig_cache` binaries print.
 
+use ros2_dpu::DpuStats;
 use ros2_hw::{ClientPlacement, Transport};
 use ros2_nvme::DataMode;
-use ros2_sim::{SimDuration, SimTime};
+use ros2_sim::{BandwidthServer, QosLane, ServerPool, SimDuration, SimTime, Timed, Visit};
 
 use crate::driver::{run_fio, FioOp, Workload};
 use crate::figures::{cache, host, offloaded, qd, scaleout};
 use crate::spec::{JobSpec, RwMode};
 use crate::worlds::{LocalFioWorld, SpdkFioWorld};
-use crate::worldspec::WorldSpec;
+use crate::worldspec::{Clients, WorldSpec};
 
 fn quick(s: JobSpec) -> JobSpec {
     s.windows(SimDuration::from_millis(20), SimDuration::from_millis(80))
@@ -228,6 +229,92 @@ fn dfs_world_clock_reset_measures_from_zero() {
     );
 }
 
+/// Counts the pipes, pools and lanes a walk reaches, and those of them
+/// that are not idle from t = 0: busy time or a booking or an admission
+/// on record, or a booking that ends after t = 0.
+#[derive(Default)]
+struct Idle {
+    leaves: usize,
+    busy: usize,
+}
+
+impl Idle {
+    fn count(&mut self, idle: bool) {
+        self.leaves += 1;
+        self.busy += usize::from(!idle);
+    }
+}
+
+impl Visit for Idle {
+    fn pipe(&mut self, pipe: &mut BandwidthServer) {
+        self.count(
+            pipe.busy_time() == SimDuration::ZERO
+                && pipe.stats().bookings == 0
+                && pipe.tail_free() == SimTime::ZERO,
+        );
+    }
+
+    fn pool(&mut self, pool: &mut ServerPool) {
+        self.count(
+            pool.busy_time() == SimDuration::ZERO
+                && pool.stats().bookings == 0
+                && pool.drain_time(SimTime::ZERO) == SimTime::ZERO,
+        );
+    }
+
+    fn lane(&mut self, lane: &mut QosLane) {
+        self.count(lane.admitted == (0, 0) && lane.throttle_wait == SimDuration::ZERO);
+    }
+}
+
+/// The reset `build_dfs` and `build_incast` run after preconditioning
+/// reaches every pipe, pool and lane of the world, the offloaded client's
+/// lanes, tenants and read cache included, and keeps the data plane's
+/// counters (preconditioning wrote every file through it).
+#[test]
+fn every_leaf_is_idle_at_t0_after_preconditioning() {
+    fn idle(w: &mut dyn Timed) -> Idle {
+        let mut idle = Idle::default();
+        w.visit(&mut idle);
+        idle
+    }
+    for (name, spec) in [
+        ("dpu", offloaded().region(4 << 20).mode(DataMode::Null)),
+        (
+            "dpu + cache",
+            offloaded().region(4 << 20).dpu_cache(8 << 20),
+        ),
+    ] {
+        let mut w = spec.build_dfs();
+        let seen = idle(&mut w);
+        // 2 fabric nodes × (2 pipes + 3 pools) + 1 connection × 2 stages
+        // + the lane's core pool and its tenant's lane + 1 xstream pool +
+        // 1 drive's channel pool + 3 service lanes.
+        assert_eq!(seen.leaves, 19, "{name}");
+        assert_eq!(seen.busy, 0, "{name}: leaves busy after the reset");
+        // The read cache's own counters are kept (its stats are no leaf).
+        let offload = DpuStats {
+            cache: Default::default(),
+            ..w.client.dpu_stats()
+        };
+        assert_eq!(offload, DpuStats::default(), "{name}");
+        assert!(w.data_plane_stats().bytes_zero_copy > 0, "{name}");
+    }
+    let mut w = WorldSpec::cluster(3)
+        .replication(2)
+        .clients(Clients::mixed(2, 2))
+        .region(4 << 20)
+        .mode(DataMode::Null)
+        .build_incast();
+    let seen = idle(&mut w);
+    // 7 fabric nodes × 5 + 4 clients × 3 engines connections × 2 stages
+    // + 2 host core pools + 2 offloaded lanes × (core pool + tenant lane) +
+    // 3 engines × (xstream pool + channel pool) + 3 service lanes.
+    assert_eq!(seen.leaves, 35 + 24 + 2 + 4 + 6 + 3);
+    assert_eq!(seen.busy, 0, "incast: leaves busy after the reset");
+    assert!(w.data_plane_stats().bytes_zero_copy > 0);
+}
+
 #[test]
 fn dfs_world_runs_all_four_patterns() {
     for rw in RwMode::ALL {
@@ -312,11 +399,8 @@ fn host_placement_results_are_pinned() {
             .region(8 << 20)
             .windows(SimDuration::from_millis(20), SimDuration::from_millis(80));
         let r = run_fio(&mut w, &spec);
-        let mut stats = w.fabric.resource_stats();
-        stats.merge(w.cluster.resource_stats());
-        stats.merge(w.client.resource_stats());
-        let mut dp = w.fabric.data_plane_stats();
-        dp.merge(w.cluster.data_plane_stats());
+        let stats = w.resource_stats();
+        let dp = w.data_plane_stats();
         let cell = format!("({t:?}, {rw:?}, {bs})");
         assert_eq!(r.io.meter.ops(), ops, "{cell}: ops drifted");
         assert_eq!(

@@ -10,7 +10,7 @@
 use ros2_dpu::DpuTenantSpec;
 use ros2_hw::{ClientPlacement, Transport};
 use ros2_nvme::DataMode;
-use ros2_sim::{ResourceStats, SimDuration};
+use ros2_sim::{SimDuration, Timed};
 
 use crate::{run_fio, DfsFioWorld, JobSpec, RwMode, WorldSpec};
 
@@ -28,20 +28,13 @@ fn single_job() -> JobSpec {
         .windows(SimDuration::from_millis(20), SimDuration::from_millis(80))
 }
 
-fn cluster_stats(w: &DfsFioWorld) -> ResourceStats {
-    let mut stats = w.fabric.resource_stats();
-    stats.merge(w.cluster.resource_stats());
-    stats.merge(w.client.resource_stats());
-    stats
-}
-
 #[test]
 fn builder_host_cluster_matches_old_constructor() {
     // Was: ClusterFioWorld::new(Rdma, 3, 2, 1, 4, 4 << 20, Stored) —
     // every value below is the builder's default except what's chained.
     let mut w = WorldSpec::cluster(3).replication(2).jobs(4).build_dfs();
     let r = run_fio(&mut w, &cluster_job());
-    let stats = cluster_stats(&w);
+    let stats = w.resource_stats();
     assert_eq!(r.io.meter.ops(), 147);
     assert_eq!(r.gib_per_sec().to_bits(), 0x4013240000000000);
     assert_eq!((stats.bookings, stats.fastpath_hits), (5280, 4773));
@@ -61,7 +54,7 @@ fn builder_offloaded_cluster_matches_old_constructor() {
         .offload(vec![DpuTenantSpec::unlimited("fio")])
         .build_dfs();
     let r = run_fio(&mut w, &cluster_job());
-    let stats = cluster_stats(&w);
+    let stats = w.resource_stats();
     assert_eq!(r.io.meter.ops(), 134);
     assert_eq!(r.gib_per_sec().to_bits(), 0x401172aaaaaaaaab);
     // Fast-path hits were 4117 while each job owned an ARM core; the lane
@@ -81,9 +74,7 @@ fn builder_offloaded_single_matches_old_constructor() {
         .build_dfs();
     assert!(w.client.offloaded().is_some());
     let r = run_fio(&mut w, &single_job());
-    let mut stats = w.fabric.resource_stats();
-    stats.merge(w.cluster.resource_stats());
-    stats.merge(w.client.resource_stats());
+    let stats = w.resource_stats();
     // One more op fits the window since the host doorbell's two legs
     // became posted writes (one way each, not a round trip each): 196 ops
     // at 0x4003240000000000 before. Fast-path hits were 7610 before the
@@ -105,7 +96,7 @@ fn one_engine_cluster_is_the_single_world() {
             .mode(DataMode::Null)
             .build_dfs();
         let r = run_fio(&mut w, &single_job());
-        let stats = cluster_stats(&w);
+        let stats = w.resource_stats();
         (
             r.io.meter.ops(),
             r.gib_per_sec().to_bits(),

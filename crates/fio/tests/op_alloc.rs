@@ -27,7 +27,7 @@ use ros2_buf::{allocation_count, CountingAlloc};
 use ros2_fio::{DfsFioWorld, FioOp, Workload, WorldSpec};
 use ros2_hw::ClientPlacement;
 use ros2_nvme::DataMode;
-use ros2_sim::SimTime;
+use ros2_sim::{SimTime, Timed};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -122,10 +122,8 @@ fn pass(w: &mut DfsFioWorld, write: bool, shape: Pass) -> u64 {
 }
 
 /// The extent-index entries every store of `w` has moved so far.
-fn extents_shifted(w: &DfsFioWorld) -> u64 {
-    let mut dp = w.fabric.data_plane_stats();
-    dp.merge(w.cluster.data_plane_stats());
-    dp.extents_shifted
+fn extents_shifted(w: &mut DfsFioWorld) -> u64 {
+    w.data_plane_stats().extents_shifted
 }
 
 /// `(reads, writes, shifted)`: the allocations of a read pass and of a
@@ -136,10 +134,10 @@ fn steady_state(spec: WorldSpec, shape: Pass) -> (u64, u64, u64) {
     w.set_pipelined(true);
     pass(&mut w, true, shape);
     pass(&mut w, false, shape);
-    let shifted = extents_shifted(&w);
+    let shifted = extents_shifted(&mut w);
     let reads = pass(&mut w, false, shape);
     let writes = pass(&mut w, true, shape);
-    (reads, writes, extents_shifted(&w) - shifted)
+    (reads, writes, extents_shifted(&mut w) - shifted)
 }
 
 #[test]

@@ -191,17 +191,6 @@ impl IoUringEngine {
     pub fn counters(&self, job: usize) -> (u64, u64) {
         (self.rings[job].submitted, self.rings[job].completed)
     }
-
-    /// Resets every ring and the shared stage to t=0 (between
-    /// preconditioning and measurement).
-    pub fn reset_timing(&mut self) {
-        self.shared.reset_timing();
-        for r in &mut self.rings {
-            r.core.reset_timing();
-            r.outstanding.clear();
-            r.last = None;
-        }
-    }
 }
 
 #[cfg(test)]

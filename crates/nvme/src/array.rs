@@ -2,7 +2,7 @@
 
 use bytes::Bytes;
 use ros2_hw::{NvmeModel, LBA_SIZE};
-use ros2_sim::{ResourceStats, SimTime};
+use ros2_sim::{SimTime, Timed, Visit};
 
 use crate::backing::Backing;
 use crate::device::{NvmeCmd, NvmeCompletion, NvmeDevice, NvmeError, NvmeStats};
@@ -112,39 +112,19 @@ impl NvmeArray {
         self.devices[0].model().lba_count()
     }
 
-    /// Resets every device's timing state to t=0.
-    pub fn reset_timing(&mut self) {
-        for d in &mut self.devices {
-            d.reset_timing();
-        }
-    }
-
-    /// Aggregate booking / fast-path counters over every device's channel
-    /// pool.
-    pub fn resource_stats(&self) -> ResourceStats {
-        let mut total = ResourceStats::default();
-        for d in &self.devices {
-            total.merge(d.resource_stats());
-        }
-        total
-    }
-
-    /// Aggregate data-plane (copy / zero-copy / CRC) counters over every
-    /// device's backing store.
-    pub fn data_plane_stats(&self) -> ros2_buf::DataPlaneStats {
-        let mut total = ros2_buf::DataPlaneStats::default();
-        for d in &self.devices {
-            total.merge(d.data_plane_stats());
-        }
-        total
-    }
-
     /// Total array capacity in bytes.
     pub fn capacity(&self) -> u64 {
         self.devices
             .iter()
             .map(|d| d.model().lba_count() * LBA_SIZE)
             .sum()
+    }
+}
+
+impl Timed for NvmeArray {
+    /// Every device.
+    fn visit(&mut self, v: &mut dyn Visit) {
+        self.devices.visit(v);
     }
 }
 

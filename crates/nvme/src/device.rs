@@ -4,14 +4,14 @@
 //! Commands are submitted with the current instant and return the completion
 //! time immediately (the time-calculator idiom — see `ros2-sim`). The device
 //! enforces its queue-depth limit, addresses in 4 KiB LBAs, and tracks
-//! enough statistics for utilization reports.
+//! statistics, which a [`Timed::reset_timing`] keeps.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use bytes::Bytes;
 use ros2_hw::{NvmeModel, LBA_SIZE};
-use ros2_sim::{ResourceStats, ServerPool, SimDuration, SimTime};
+use ros2_sim::{ServerPool, SimDuration, SimTime, Timed, Visit};
 
 use crate::backing::Backing;
 
@@ -154,11 +154,6 @@ impl NvmeDevice {
         &self.stats
     }
 
-    /// Booking / fast-path counters for the device's channel pool.
-    pub fn resource_stats(&self) -> ResourceStats {
-        self.channels.stats()
-    }
-
     /// Number of commands still in flight at `now`.
     pub fn inflight(&mut self, now: SimTime) -> usize {
         while let Some(&Reverse(t)) = self.outstanding.peek() {
@@ -250,22 +245,15 @@ impl NvmeDevice {
     {
         self.backing.seed_crc_cache(offset, crcs);
     }
+}
 
-    /// Data-plane (copy vs zero-copy, CRC scan vs combine) counters.
-    pub fn data_plane_stats(&self) -> ros2_buf::DataPlaneStats {
-        self.backing.data_plane_stats()
-    }
-
-    /// Cumulative channel busy time (utilization reporting).
-    pub fn busy_time(&self) -> SimDuration {
-        self.channels.busy_time()
-    }
-
-    /// Resets channel occupancy and in-flight accounting to t=0, keeping
-    /// contents and statistics (for precondition-then-measure runs).
-    pub fn reset_timing(&mut self) {
-        self.channels.reset_timing();
-        self.outstanding.clear();
+impl Timed for NvmeDevice {
+    /// The channel pool, the backing store's counters, and the in-flight
+    /// accounting; a reset keeps contents and [`NvmeStats`].
+    fn visit(&mut self, v: &mut dyn Visit) {
+        v.pool(&mut self.channels);
+        v.data_plane(self.backing.data_plane_stats());
+        v.rewind(&mut || self.outstanding.clear());
     }
 }
 

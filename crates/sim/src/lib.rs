@@ -45,6 +45,7 @@ pub mod resources;
 pub mod rng;
 pub mod stats;
 pub mod time;
+pub mod timed;
 
 pub use lru::DetLru;
 pub use queue::EventQueue;
@@ -54,3 +55,4 @@ pub use resources::{
 pub use rng::{SimRng, Zipf};
 pub use stats::{Counter, IoReport, LatencyHistogram, ThroughputMeter};
 pub use time::{SimDuration, SimTime};
+pub use timed::{Timed, Visit};

@@ -369,14 +369,6 @@ impl BandwidthServer {
         self.bytes_per_sec
     }
 
-    /// Fraction of `elapsed` the pipe spent busy.
-    pub fn utilization(&self, elapsed: SimDuration) -> f64 {
-        if elapsed == SimDuration::ZERO {
-            return 0.0;
-        }
-        self.busy_time.as_secs_f64() / elapsed.as_secs_f64()
-    }
-
     /// Resets occupancy and counters to a fresh t=0 state (used between a
     /// preconditioning phase and a measured run).
     pub fn reset_timing(&mut self) {
@@ -501,14 +493,6 @@ impl ServerPool {
     /// Aggregate busy time across all servers.
     pub fn busy_time(&self) -> SimDuration {
         self.busy_time
-    }
-
-    /// Mean per-server utilization over `elapsed`.
-    pub fn utilization(&self, elapsed: SimDuration) -> f64 {
-        if elapsed == SimDuration::ZERO {
-            return 0.0;
-        }
-        self.busy_time.as_secs_f64() / (elapsed.as_secs_f64() * self.servers as f64)
     }
 
     /// Booking / fast-path counters.
@@ -744,9 +728,9 @@ mod tests {
     #[test]
     fn bandwidth_utilization_accumulates() {
         let mut link = BandwidthServer::new(KIB * KIB); // 1 MiB/s
-        link.transmit(SimTime::ZERO, 512 * KIB); // 0.5 s busy
-        let util = link.utilization(SimDuration::from_secs(1));
-        assert!((util - 0.5).abs() < 1e-9, "util {util}");
+        link.transmit(SimTime::ZERO, 512 * KIB);
+        link.transmit(SimTime::from_secs(1), 256 * KIB);
+        assert_eq!(link.busy_time(), SimDuration::from_millis(750));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use ros2_hw::LBA_SIZE;
 use ros2_nvme::{NvmeArray, NvmeCmd, NvmeCompletion, NvmeDevice, NvmeError};
-use ros2_sim::{ResourceStats, SimDuration, SimTime};
+use ros2_sim::{SimDuration, SimTime, Timed, Visit};
 
 /// A named bdev exposing one NVMe namespace.
 #[derive(Clone, Debug)]
@@ -85,25 +85,9 @@ impl BdevLayer {
             .submit(dev, now + self.submit_cost, NvmeCmd::write(slba, data))
     }
 
-    /// Direct array access (preconditioning, stats).
-    pub fn array_mut(&mut self) -> &mut NvmeArray {
-        &mut self.array
-    }
-
     /// Immutable array access.
     pub fn array(&self) -> &NvmeArray {
         &self.array
-    }
-
-    /// Aggregate booking / fast-path counters over the backing array.
-    pub fn resource_stats(&self) -> ResourceStats {
-        self.array.resource_stats()
-    }
-
-    /// Aggregate data-plane (copy / zero-copy / CRC) counters over the
-    /// backing array.
-    pub fn data_plane_stats(&self) -> ros2_buf::DataPlaneStats {
-        self.array.data_plane_stats()
     }
 
     /// A single-device handle onto bdev `idx` (a VOS target's slice of the
@@ -114,6 +98,13 @@ impl BdevLayer {
             dev: self.array.device_mut(dev),
             submit_cost: self.submit_cost,
         }
+    }
+}
+
+impl Timed for BdevLayer {
+    /// The backing array.
+    fn visit(&mut self, v: &mut dyn Visit) {
+        self.array.visit(v);
     }
 }
 

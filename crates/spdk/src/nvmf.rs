@@ -14,7 +14,7 @@ use bytes::Bytes;
 use ros2_fabric::{ConnId, Dir, Fabric, FabricError};
 use ros2_hw::{CoreClass, Transport};
 use ros2_nvme::NvmeError;
-use ros2_sim::{ResourceStats, ServerPool, SimDuration, SimTime};
+use ros2_sim::{ServerPool, SimDuration, SimTime};
 use ros2_verbs::{AccessFlags, Expiry, MemAddr, MemoryDomain, NodeId, RKey, VerbsError};
 
 use crate::bdev::BdevLayer;
@@ -90,11 +90,6 @@ impl NvmfTarget {
         self.commands
     }
 
-    /// Booking / fast-path counters for the reactor pool.
-    pub fn resource_stats(&self) -> ResourceStats {
-        self.reactors.stats()
-    }
-
     fn process(&mut self, at: SimTime) -> SimTime {
         self.commands += 1;
         let cost = self.class.scale(self.per_cmd);
@@ -121,11 +116,6 @@ impl NvmfInitiator {
             per_complete: SimDuration::from_nanos(500),
             class,
         }
-    }
-
-    /// Booking / fast-path counters for the submission cores.
-    pub fn resource_stats(&self) -> ResourceStats {
-        self.cores.stats()
     }
 }
 
@@ -370,14 +360,6 @@ impl NvmfStack {
     /// The server node id.
     pub fn server(&self) -> NodeId {
         self.server
-    }
-
-    /// Resets all timing state (fabric, cores, devices) to t=0.
-    pub fn reset_timing(&mut self) {
-        self.fabric.reset_timing();
-        self.initiator.cores.reset_timing();
-        self.target.reactors.reset_timing();
-        self.bdevs.array_mut().reset_timing();
     }
 }
 

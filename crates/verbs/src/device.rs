@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use ros2_sim::{SimRng, SimTime};
+use ros2_sim::{SimRng, SimTime, Timed, Visit};
 
 use crate::chain::{ChainStats, WorkChain};
 use crate::memory::NodeMemory;
@@ -204,12 +204,6 @@ impl RdmaDevice {
     /// Frees a buffer.
     pub fn free_buffer(&mut self, addr: MemAddr) -> Result<(), VerbsError> {
         self.memory.free(addr)
-    }
-
-    /// Data-plane (copy vs zero-copy) counters for this node's registered
-    /// memory.
-    pub fn data_plane_stats(&self) -> ros2_buf::DataPlaneStats {
-        self.memory.data_plane_stats()
     }
 
     // ---- memory regions -------------------------------------------------
@@ -474,6 +468,13 @@ impl RdmaDevice {
         self.remote_ops.0 += 1;
         self.remote_ops.1 += len;
         Ok(self.memory.read(addr, len as usize))
+    }
+}
+
+impl Timed for RdmaDevice {
+    /// The registered memory's data-plane counters.
+    fn visit(&mut self, v: &mut dyn Visit) {
+        v.data_plane(self.memory.data_plane_stats());
     }
 }
 

@@ -6,7 +6,7 @@ use ros2::buf::DataPlaneStats;
 use ros2::fio::{run_fio, JobSpec, LocalFioWorld, RwMode, WorldSpec};
 use ros2::hw::{ClientPlacement, Transport};
 use ros2::nvme::DataMode;
-use ros2::sim::{ResourceStats, SimDuration};
+use ros2::sim::{ResourceStats, SimDuration, Timed};
 
 fn short(s: JobSpec) -> JobSpec {
     s.windows(SimDuration::from_millis(20), SimDuration::from_millis(60))
@@ -93,11 +93,8 @@ fn control_arm_sweep_simulates_the_pinned_op_count() {
                             contended_wire.0 += wire.batched;
                             contended_wire.1 += wire.batched + wire.per_segment;
                         } else {
-                            stats.merge(w.fabric.resource_stats());
-                            stats.merge(w.cluster.resource_stats());
-                            stats.merge(w.client.resource_stats());
-                            dp.merge(w.fabric.data_plane_stats());
-                            dp.merge(w.cluster.data_plane_stats());
+                            stats.merge(w.resource_stats());
+                            dp.merge(w.data_plane_stats());
                         }
                     }
                 }

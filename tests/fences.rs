@@ -6,10 +6,11 @@
 //! A pattern is literal text, except that `.*` matches any run of
 //! characters and a trailing `\b` a word boundary.
 //!
-//! Two ratchets ride along: the count of `clippy::too_many_arguments`
-//! allows ([`MAX_WIDE_ALLOWS`]) and the list of `pub fn`s no other file
-//! names ([`ORPHANS`]) may fall, never grow. Each allow left must also say
-//! which line of the frozen benchmark keeps its signature wide.
+//! Three ratchets ride along: the count of `clippy::too_many_arguments`
+//! allows ([`MAX_WIDE_ALLOWS`]), the count of hand-written walkers over
+//! timed state ([`MAX_WALKER_VIEWS`]) and the list of `pub fn`s no other
+//! file names ([`ORPHANS`]) may fall, never grow. Each allow and each
+//! walker left must also say which line of the frozen benchmark keeps it.
 //!
 //! This file names every pattern and every listed orphan, so it is the one
 //! file no fence or scan reads.
@@ -229,8 +230,42 @@ const FENCES: &[Fence] = &[
 /// says so in a `frozen by benchmark/src/sut.rs:N` comment just above it.
 const MAX_WIDE_ALLOWS: usize = 4;
 
-/// How far above an allow its `frozen by` comment may sit.
+/// How far above an allow or a walker view its `frozen by` comment may
+/// sit.
 const FROZEN_NOTE_REACH: usize = 3;
+
+/// The walker names: functions that reach every pipe, pool or data-plane
+/// counter under a node. Each type lists its timed children once, in
+/// `ros2_sim::Timed::visit`, and these are visitors of that walk.
+const WALKERS: &[&str] = &[
+    "fn reset_timing\\b",
+    "fn resource_stats\\b",
+    "fn data_plane_stats\\b",
+    "fn cache_data_plane_stats\\b",
+];
+
+/// The files whose walker-named functions are the walk itself: the three
+/// visitors `Timed` provides, and the leaves' own methods — the resets of
+/// `BandwidthServer`, `ServerPool` and `QosLane`, and the counter readings
+/// of the data-plane holders a node hands to the walk (`Backing`,
+/// `PmemPool`, `NodeMemory`, `ReadCache`).
+const WALK_FILES: &[&str] = &[
+    "crates/sim/src/timed.rs",
+    "crates/sim/src/resources.rs",
+    "crates/nvme/src/backing.rs",
+    "crates/pmem/src/pool.rs",
+    "crates/verbs/src/memory.rs",
+    "crates/dpu/src/cache.rs",
+];
+
+/// Walker-named functions under `crates/*/src` outside [`WALK_FILES`]: the
+/// count may fall, never rise. The eight left are views the frozen
+/// benchmark calls: `Fabric` and `EngineCluster`'s `resource_stats` and
+/// `data_plane_stats` over the walk, and the `&self` readings it reaches
+/// through a shared borrow (`ClientStack`, `DaosClient` and `DpuClient`'s
+/// `resource_stats`, `DpuClient::cache_data_plane_stats`). Each says so in
+/// a `frozen by benchmark/src/sut.rs:N` comment just above it.
+const MAX_WALKER_VIEWS: usize = 8;
 
 /// The `pub fn`s under `crates/*/src` that no other Rust file names, by
 /// file and name, each with the reason it stays public. A new one is made
@@ -371,6 +406,14 @@ fn patterns_match_as_documented() {
     );
     assert_eq!(frozen_by("    // frozen by the benchmark"), None);
     assert!(!contains("    fn stage_update_from(", "fn stage_update\\b"));
+    assert!(contains(
+        "    pub fn data_plane_stats(&mut self)",
+        WALKERS[2]
+    ));
+    assert!(!contains(
+        "    pub fn cache_data_plane_stats(&self)",
+        WALKERS[2]
+    ));
 }
 
 /// Every `.rs` file at or under each of `paths` (with `*` expanded),
@@ -420,16 +463,7 @@ fn wide_signature_allows_only_fall() {
                 .find_map(|l| l.split_once("fn ").map(|(_, rest)| rest))
                 .and_then(|rest| rest.split('(').next())
                 .unwrap_or("");
-            let noted = lines[n.saturating_sub(FROZEN_NOTE_REACH)..n]
-                .iter()
-                .filter_map(|l| frozen_by(l))
-                .any(|at| {
-                    at >= 1
-                        && sut
-                            .get(at - 1)
-                            .is_some_and(|l| !door.is_empty() && l.contains(&format!("{door}(")))
-                });
-            if !noted {
+            if !frozen_note_names(&lines, n, &sut, door) {
                 let shown = file.strip_prefix(root).unwrap().display();
                 unexplained.push(format!("  {shown}:{}", n + 1));
             }
@@ -442,6 +476,62 @@ fn wide_signature_allows_only_fall() {
     assert!(
         unexplained.is_empty(),
         "too_many_arguments allows without a `frozen by benchmark/src/sut.rs:N` comment in the \
+         {FROZEN_NOTE_REACH} lines above, N a line of sut.rs that names the function:\n{}",
+        unexplained.join("\n")
+    );
+}
+
+/// Whether a `frozen by benchmark/src/sut.rs:N` comment in the
+/// [`FROZEN_NOTE_REACH`] lines above line `n` of `lines` names a line of
+/// `sut` that calls or implements `door`.
+fn frozen_note_names(lines: &[&str], n: usize, sut: &[&str], door: &str) -> bool {
+    lines[n.saturating_sub(FROZEN_NOTE_REACH)..n]
+        .iter()
+        .filter_map(|l| frozen_by(l))
+        .any(|at| {
+            at >= 1
+                && sut
+                    .get(at - 1)
+                    .is_some_and(|l| !door.is_empty() && l.contains(&format!("{door}(")))
+        })
+}
+
+#[test]
+fn hand_walkers_only_fall() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let sut = read(&root.join("benchmark/src/sut.rs"));
+    let sut: Vec<&str> = sut.lines().collect();
+    let walk: Vec<PathBuf> = WALK_FILES.iter().map(|f| root.join(f)).collect();
+    let mut views = Vec::new();
+    let mut unexplained = Vec::new();
+    for file in rust_files(root, &["crates/*/src"]) {
+        if walk.contains(&file) {
+            continue;
+        }
+        let text = read(&file);
+        let lines: Vec<&str> = text.lines().collect();
+        for (n, line) in lines.iter().enumerate() {
+            let Some(walker) = WALKERS.iter().find(|w| contains(line, w)) else {
+                continue;
+            };
+            let name = walker.trim_start_matches("fn ").trim_end_matches("\\b");
+            let shown = format!("  {}:{}", file.strip_prefix(root).unwrap().display(), n + 1);
+            if !frozen_note_names(&lines, n, &sut, name) {
+                unexplained.push(shown.clone());
+            }
+            views.push(shown);
+        }
+    }
+    assert!(
+        views.len() <= MAX_WALKER_VIEWS,
+        "{} functions under crates/*/src walk timed state by hand, at most \
+         {MAX_WALKER_VIEWS}; list the children in `Timed::visit` instead:\n{}",
+        views.len(),
+        views.join("\n")
+    );
+    assert!(
+        unexplained.is_empty(),
+        "walker views without a `frozen by benchmark/src/sut.rs:N` comment in the \
          {FROZEN_NOTE_REACH} lines above, N a line of sut.rs that names the function:\n{}",
         unexplained.join("\n")
     );
