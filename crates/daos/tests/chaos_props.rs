@@ -2,92 +2,29 @@
 //! retry budget, queue depth} against the pipelined client. Three
 //! invariants must hold on every schedule:
 //!
-//! 1. **No acked update is ever lost** — everything the ring acked reads
-//!    back byte-correct from the post-chaos cluster.
+//! 1. **No acked update is ever lost, no answer is wrong** — every op
+//!    settles with the history oracle (`common::Oracle`): a failure only
+//!    as a spent retry budget, a fetch only with the bytes the oracle
+//!    holds, and afterwards every record reads back, through the client
+//!    and from each live replica, as the oracle holds it.
 //! 2. **No op hangs past its deadline ladder** — every completion lands
 //!    within the bounded worst case (budget × (deadline + refresh +
 //!    backoff cap)) plus data-plane slack; exhausted budgets surface as
 //!    typed errors, never as silence.
 //! 3. **Replay is bit-identical** — the same schedule produces the same
 //!    instants, payloads, and ladder counters run-to-run, on both the
-//!    pipelined ring and the same tape issued as serial calls (the CI
-//!    gate runs this suite single-threaded as its own step).
+//!    pipelined ring and the same tape issued as serial calls. The suite
+//!    runs with the rest of tier 1 (`cargo test -q --locked`).
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use ros2_daos::{
-    AKey, ClientOp, ClientOpResult, ConnectSpec, DKey, DaosClient, DaosCostModel, DaosEngine,
-    DaosError, EngineCluster, Epoch, FetchOp, ObjClass, ObjectClient, ObjectId, OpRing, RecordKey,
-    RetryPolicy, RetryStats, UpdateOp, ValueKind,
+    ClientOp, ClientOpResult, DaosError, ObjClass, ObjectId, OpRing, RetryPolicy, RetryStats,
 };
-use ros2_fabric::{Fabric, NodeSpec};
-use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, NvmeModel, Transport};
-use ros2_nvme::{DataMode, NvmeArray};
 use ros2_sim::{SimDuration, SimTime};
-use ros2_spdk::BdevLayer;
-use ros2_verbs::{Expiry, MemoryDomain, NodeId};
 
 mod common;
-use common::serial_op;
-
-fn engine() -> DaosEngine {
-    let bdevs = BdevLayer::new(NvmeArray::new(
-        NvmeModel::enterprise_1600(),
-        2,
-        DataMode::Stored,
-    ));
-    let mut e = DaosEngine::new(
-        "pool0",
-        bdevs,
-        256 << 20,
-        DaosCostModel::default_model(),
-        CoreClass::HostX86,
-    );
-    e.cont_create("cont0").unwrap();
-    e
-}
-
-fn node(name: &str) -> NodeSpec {
-    NodeSpec {
-        name: name.into(),
-        cpu: CpuComplement {
-            class: CoreClass::HostX86,
-            cores: 48,
-        },
-        nic: NicModel::connectx6(),
-        port_rate: gbps(100),
-        mem_budget: 8 << 30,
-        dpu_tcp_rx: None,
-    }
-}
-
-fn world() -> (Fabric, EngineCluster, DaosClient) {
-    let engines = 4usize;
-    let mut specs = vec![node("client")];
-    let mut servers = Vec::new();
-    for i in 0..engines {
-        specs.push(node(&format!("storage{i}")));
-        servers.push(NodeId(1 + i as u32));
-    }
-    let mut fabric = Fabric::new(Transport::Rdma, specs, 23);
-    let cluster = EngineCluster::new((0..engines).map(|_| engine()).collect(), servers.clone(), 2);
-    let client = DaosClient::connect_scoped_multi(
-        &mut fabric,
-        &ConnectSpec {
-            node: NodeId(0),
-            servers: servers.to_vec(),
-            cont: "cont0".into(),
-            jobs: 1,
-            buf_len: 4 << 20,
-            domain: MemoryDomain::HostDram,
-            model: DaosCostModel::default_model(),
-        },
-        "tenant",
-        Expiry::Never,
-    )
-    .unwrap();
-    (fabric, cluster, client)
-}
+use common::{instant, read, serial_op, world, write, Oracle, World};
 
 /// One randomly drawn chaos schedule.
 #[derive(Clone, Debug)]
@@ -120,31 +57,13 @@ fn schedules() -> impl Strategy<Value = Schedule> {
 const N_OPS: usize = 24;
 const HOT: u64 = 5;
 
+/// Op `i` of the tape: every third fetches a preamble extent, the rest
+/// update a fresh one.
 fn op_for(i: usize) -> ClientOp {
     let oid = ObjectId::new(ObjClass::Sx, HOT);
-    if i % 3 == 2 {
-        // Fetch a preamble extent.
-        ClientOp::Fetch(FetchOp {
-            key: RecordKey {
-                oid,
-                dkey: DKey::from_u64((i % 8) as u64),
-                akey: AKey::from_str("data"),
-            },
-            kind: ValueKind::Array { offset: 0 },
-            epoch: Epoch::LATEST,
-            len: 16 << 10,
-        })
-    } else {
-        // Update a fresh extent.
-        ClientOp::Update(UpdateOp {
-            key: RecordKey {
-                oid,
-                dkey: DKey::from_u64(100 + i as u64),
-                akey: AKey::from_str("data"),
-            },
-            kind: ValueKind::Array { offset: 0 },
-            data: Bytes::from(vec![(i % 250) as u8 + 1; 12 << 10]),
-        })
+    match i % 3 {
+        2 => read(oid, (i % 8) as u64, 16 << 10),
+        _ => write(oid, 100 + i as u64, 12 << 10, 100 + i as u64),
     }
 }
 
@@ -152,30 +71,21 @@ type Timed = (usize, Option<Bytes>, Option<SimTime>, Option<DaosError>);
 
 /// Runs `sched` once. Returns the per-op functional+timed outcomes, the
 /// ladder counters, and the total engine fences — everything the replay
-/// assertion compares — after checking the three invariants inline.
+/// assertion compares — after checking the first two invariants inline.
 fn run(sched: &Schedule, serial_calls: bool) -> (Vec<Timed>, RetryStats, u64) {
-    let (mut f, mut cl, mut c) = world();
+    let (mut f, mut cl, mut c) = World {
+        ssds: 2,
+        storage_cores: 48,
+        ..world(4, 2)
+    }
+    .build();
     c.set_retry_policy(RetryPolicy {
         budget: sched.budget,
         ..RetryPolicy::default()
     });
+    let mut o = Oracle::new(sched.budget);
     let oid = ObjectId::new(ObjClass::Sx, HOT);
-    let mut t = SimTime::ZERO;
-    for i in 0..8u64 {
-        t = c
-            .update(
-                &mut f,
-                &mut cl,
-                t,
-                0,
-                oid,
-                DKey::from_u64(i),
-                AKey::from_str("data"),
-                ValueKind::Array { offset: 0 },
-                Bytes::from(vec![i as u8 + 1; 16 << 10]),
-            )
-            .unwrap();
-    }
+    let t = o.preamble(&mut c, &mut f, &mut cl, oid, 8);
     let set = cl.map().route(&oid).set;
     let victim = if sched.kill_leader {
         set.leader().unwrap()
@@ -184,17 +94,18 @@ fn run(sched: &Schedule, serial_calls: bool) -> (Vec<Timed>, RetryStats, u64) {
     };
 
     let t0 = t + SimDuration::from_millis(1);
+    let tape: Vec<ClientOp> = (0..N_OPS).map(op_for).collect();
     let mut ring = OpRing::new(0, sched.qd);
     let mut serial_results = Vec::new();
-    for i in 0..N_OPS {
+    for (i, op) in tape.iter().enumerate() {
         if i == sched.kill_at {
             cl.kill_engine(victim).unwrap();
             c.deliver_map(t0 + sched.ras_delay, cl.map().clone());
         }
         if serial_calls {
-            serial_results.push(serial_op(&mut c, &mut f, &mut cl, t0, op_for(i)));
+            serial_results.push(serial_op(&mut c, &mut f, &mut cl, t0, op.clone()));
         } else {
-            ring.submit(&mut c, &mut f, &mut cl, t0, op_for(i));
+            ring.submit(&mut c, &mut f, &mut cl, t0, op.clone());
         }
     }
     if sched.kill_at >= N_OPS {
@@ -205,6 +116,7 @@ fn run(sched: &Schedule, serial_calls: bool) -> (Vec<Timed>, RetryStats, u64) {
         true => serial_results,
         false => ring.drain(&mut c, &mut f, &mut cl),
     };
+    o.settle_all(&tape, &results);
 
     // Invariant 2: bounded completion. The ladder's worst case per leg is
     // (budget + 1) deadlines plus a refresh and capped backoff per rung;
@@ -214,56 +126,24 @@ fn run(sched: &Schedule, serial_calls: bool) -> (Vec<Timed>, RetryStats, u64) {
         .saturating_mul(p.budget as u64 + 1)
         + SimDuration::from_millis(50);
     let mut out = Vec::new();
-    let mut acked: Vec<usize> = Vec::new();
     for (i, r) in results.into_iter().enumerate() {
-        let row: Timed = match r {
-            ClientOpResult::Update(Ok(at)) => {
-                assert!(at < t0 + ladder_worst, "op {i} overran the ladder: {at}");
-                acked.push(i);
-                (i, None, Some(at), None)
+        let at = instant(&r);
+        assert!(
+            at.is_none_or(|at| at < t0 + ladder_worst),
+            "op {i} overran the ladder: {at:?}"
+        );
+        out.push(match r {
+            ClientOpResult::Fetch(Ok((b, _))) => (i, Some(b), at, None),
+            ClientOpResult::Update(Err(e)) | ClientOpResult::Fetch(Err(e)) => {
+                (i, None, at, Some(e))
             }
-            ClientOpResult::Fetch(Ok((b, at))) => {
-                assert!(at < t0 + ladder_worst, "op {i} overran the ladder: {at}");
-                assert!(
-                    b.iter().all(|&x| x == (i % 8) as u8 + 1),
-                    "fetch {i} returned wrong bytes"
-                );
-                (i, Some(b), Some(at), None)
-            }
-            // A clean typed failure is allowed only as a spent budget —
-            // never a hang, never a wrong answer.
-            ClientOpResult::Update(Err(e @ DaosError::RetryExhausted { .. }))
-            | ClientOpResult::Fetch(Err(e @ DaosError::RetryExhausted { .. })) => {
-                (i, None, None, Some(e))
-            }
-            other => panic!("op {i} failed outside the ladder contract: {other:?}"),
-        };
-        out.push(row);
+            ClientOpResult::Update(Ok(_)) => (i, None, at, None),
+        });
     }
 
-    // Invariant 1: acked-means-durable, read back serially from whatever
-    // the cluster looks like now.
-    let read_at = t0 + SimDuration::from_secs(1);
-    for &i in &acked {
-        let (b, _) = c
-            .fetch(
-                &mut f,
-                &mut cl,
-                read_at,
-                0,
-                oid,
-                DKey::from_u64(100 + i as u64),
-                AKey::from_str("data"),
-                ValueKind::Array { offset: 0 },
-                Epoch::LATEST,
-                12 << 10,
-            )
-            .unwrap_or_else(|e| panic!("acked update {i} lost: {e:?}"));
-        assert!(
-            b.iter().all(|&x| x == (i % 250) as u8 + 1),
-            "acked update {i} read back corrupt"
-        );
-    }
+    // Invariant 1: acked-means-durable, read back from whatever the
+    // cluster looks like now.
+    o.check_world(&mut c, &mut f, &mut cl, t0 + SimDuration::from_secs(1));
     (out, c.retry_stats(), cl.fences())
 }
 

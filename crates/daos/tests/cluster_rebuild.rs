@@ -1,12 +1,12 @@
 //! Cluster-level redundancy, driven through the routing client: updates
 //! fan to every replica, an engine kill degrades reads without failing
 //! them, and the online rebuild restores the replication factor with
-//! bit-identical data (CRC-verified on fetch).
+//! bit-identical data (CRC-verified on fetch), every answer held to the
+//! history oracle (`common::Oracle`).
 
-use bytes::Bytes;
 use ros2_daos::{
-    AKey, Arrival, ConnectSpec, DKey, DaosClient, DaosCostModel, DaosEngine, EngineCluster, Epoch,
-    ObjClass, ObjectClient, ObjectId, ValueKind,
+    AKey, ClientOpResult, ConnectSpec, DKey, DaosClient, DaosCostModel, DaosEngine, EngineCluster,
+    Epoch, ObjClass, ObjectClient, ObjectId, ValueKind,
 };
 use ros2_fabric::{Fabric, NodeSpec};
 use ros2_hw::{CoreClass, NvmeModel, Transport};
@@ -15,6 +15,12 @@ use ros2_sim::SimTime;
 use ros2_spdk::BdevLayer;
 use ros2_verbs::{Expiry, MemoryDomain, NodeId};
 
+mod common;
+use common::{read, stamped, write, Oracle};
+
+/// This suite keeps a builder of its own: its nodes are the paper's §4.1
+/// presets (`NodeSpec::host_client`/`storage_server`, 64 GiB each), which
+/// no other suite runs on.
 fn cluster_world(engines: usize, rf: usize) -> (Fabric, EngineCluster, DaosClient, Vec<NodeId>) {
     let mut specs = vec![NodeSpec::host_client()];
     specs.extend((0..engines).map(|_| NodeSpec::storage_server()));
@@ -56,28 +62,17 @@ fn cluster_world(engines: usize, rf: usize) -> (Fabric, EngineCluster, DaosClien
     (fabric, cluster, client, nodes)
 }
 
-fn payload(i: u64, len: usize) -> Bytes {
-    Bytes::from(vec![(i % 251) as u8 + 1; len])
-}
-
 #[test]
 fn updates_replicate_to_rf_engines() {
     let (mut fabric, mut cluster, mut client, _) = cluster_world(4, 2);
+    let mut o = Oracle::new(client.retry_policy().budget);
     let oid = ObjectId::new(ObjClass::Sx, 42);
     let mut t = SimTime::ZERO;
     for i in 0..8u64 {
-        t = client
-            .update(
-                &mut fabric,
-                &mut cluster,
-                t,
-                0,
-                oid,
-                DKey::from_u64(i),
-                AKey::from_str("data"),
-                ValueKind::Array { offset: 0 },
-                payload(i, 64 << 10),
-            )
+        let op = write(oid, i, 64 << 10, i);
+        t = o
+            .serial(&mut client, &mut fabric, &mut cluster, t, op)
+            .into_update()
             .unwrap();
     }
     let set = cluster.map().route(&oid).set;
@@ -87,49 +82,24 @@ fn updates_replicate_to_rf_engines() {
         let has = cluster.engine(s).list_objects().contains(&oid);
         assert_eq!(has, set.contains(s), "engine {s} replica state wrong");
     }
-    // Both replicas answer the same bytes at the engine level.
-    let mut reads = Vec::new();
-    let stamp = cluster.map().version();
-    for s in set.iter() {
-        let (data, _) = cluster
-            .engine_mut(s)
-            .fetch(
-                Arrival { stamp, at: t },
-                "cont0",
-                oid,
-                &DKey::from_u64(3),
-                &AKey::from_str("data"),
-                ValueKind::Array { offset: 0 },
-                Epoch::LATEST,
-                64 << 10,
-            )
-            .unwrap();
-        reads.push(data);
-    }
-    assert_eq!(reads[0], reads[1], "replicas diverged");
+    // Both replicas answer the same bytes at the engine level (rule 3).
+    o.check_world(&mut client, &mut fabric, &mut cluster, t);
 }
 
 #[test]
 fn kill_degrades_reads_and_rebuild_restores_rf() {
     let (mut fabric, mut cluster, mut client, _) = cluster_world(4, 2);
+    let mut o = Oracle::new(client.retry_policy().budget);
     // Write 24 objects so some surely land on the victim.
     let oids: Vec<ObjectId> = (0..24)
         .map(|i| ObjectId::new(ObjClass::Sx, 100 + i))
         .collect();
     let mut t = SimTime::ZERO;
     for (i, &oid) in oids.iter().enumerate() {
-        t = client
-            .update(
-                &mut fabric,
-                &mut cluster,
-                t,
-                0,
-                oid,
-                DKey::from_u64(0),
-                AKey::from_str("data"),
-                ValueKind::Array { offset: 0 },
-                payload(i as u64, 32 << 10),
-            )
+        let op = write(oid, 0, 32 << 10, i as u64);
+        t = o
+            .serial(&mut client, &mut fabric, &mut cluster, t, op)
+            .into_update()
             .unwrap();
     }
     // Kill the leader of the first object.
@@ -139,41 +109,32 @@ fn kill_degrades_reads_and_rebuild_restores_rf() {
     assert!(v2 > v1, "kill bumps the map revision");
     assert!(cluster.rebuild_pending());
 
-    // Every object still reads back correct bytes; affected ones degraded.
-    for (i, &oid) in oids.iter().enumerate() {
-        let (data, at) = client
-            .fetch(
-                &mut fabric,
-                &mut cluster,
-                t,
-                1,
-                oid,
-                DKey::from_u64(0),
-                AKey::from_str("data"),
-                ValueKind::Array { offset: 0 },
-                Epoch::LATEST,
-                32 << 10,
-            )
-            .expect("degraded fetch must succeed");
-        assert_eq!(data, payload(i as u64, 32 << 10), "object {i} bytes");
-        t = at;
+    // Every object still reads back correct bytes, through the second
+    // job; affected ones degraded.
+    for &oid in &oids {
+        let r = client.fetch(
+            &mut fabric,
+            &mut cluster,
+            t,
+            1,
+            oid,
+            DKey::from_u64(0),
+            AKey::from_str("data"),
+            ValueKind::Array { offset: 0 },
+            Epoch::LATEST,
+            32 << 10,
+        );
+        t = r.as_ref().expect("degraded fetch must succeed").1;
+        o.settle(&read(oid, 0, 32 << 10), &ClientOpResult::Fetch(r));
     }
     let degraded = cluster.rebuild_stats().degraded_fetches;
     assert!(degraded > 0, "some fetches must have been degraded");
 
     // Updates during the degraded window keep working (to survivors).
-    t = client
-        .update(
-            &mut fabric,
-            &mut cluster,
-            t,
-            0,
-            oids[0],
-            DKey::from_u64(1),
-            AKey::from_str("data"),
-            ValueKind::Array { offset: 0 },
-            payload(99, 8 << 10),
-        )
+    let op = write(oids[0], 1, 8 << 10, 99);
+    t = o
+        .serial(&mut client, &mut fabric, &mut cluster, t, op)
+        .into_update()
         .unwrap();
 
     // Rebuild restores RF: every object's post-kill set is fully
@@ -196,41 +157,9 @@ fn kill_degrades_reads_and_rebuild_restores_rf() {
     }
 
     // Post-rebuild reads route to the (possibly new) leader and the CRC
-    // verify passes on every object — including the degraded-window write.
-    let mut t = t_rebuilt;
-    for (i, &oid) in oids.iter().enumerate() {
-        let (data, at) = client
-            .fetch(
-                &mut fabric,
-                &mut cluster,
-                t,
-                0,
-                oid,
-                DKey::from_u64(0),
-                AKey::from_str("data"),
-                ValueKind::Array { offset: 0 },
-                Epoch::LATEST,
-                32 << 10,
-            )
-            .expect("post-rebuild fetch");
-        assert_eq!(data, payload(i as u64, 32 << 10));
-        t = at;
-    }
-    let (data, _) = client
-        .fetch(
-            &mut fabric,
-            &mut cluster,
-            t,
-            0,
-            oids[0],
-            DKey::from_u64(1),
-            AKey::from_str("data"),
-            ValueKind::Array { offset: 0 },
-            Epoch::LATEST,
-            8 << 10,
-        )
-        .unwrap();
-    assert_eq!(data, payload(99, 8 << 10), "degraded-window write survives");
+    // verify passes on every object — including the degraded-window
+    // write — and every replica, rebuilt ones too, holds the same bytes.
+    o.check_world(&mut client, &mut fabric, &mut cluster, t_rebuilt);
     assert_eq!(
         cluster.vos_stats().checksum_failures,
         0,
@@ -256,7 +185,7 @@ fn rf1_kill_loses_only_the_dead_engines_objects() {
                 DKey::from_u64(0),
                 AKey::from_str("v"),
                 ValueKind::Single,
-                payload(i as u64, 512),
+                stamped(oid, 0, i as u64, 512),
             )
             .unwrap();
     }

@@ -1,15 +1,205 @@
-//! The reference arm of the ring equivalence suites: one op of a
-//! [`ClientOp`] tape issued as the serial client call.
+//! The DAOS client suites' one test-support module: the world they build
+//! ([`world`]), payloads that name the write they came from ([`stamped`]),
+//! and the history oracle ([`Oracle`]) every answer is checked against.
+//!
+//! The oracle keeps a shadow of each record's writes and holds a suite to
+//! four rules:
+//!
+//! 1. A failed op is accepted only as `DaosError::RetryExhausted` with
+//!    `attempts == budget + 1`: a spent ladder, never another error.
+//! 2. No acked write is lost: every fetch a suite settles, and a read-back
+//!    of every record the shadow holds, returns the shadow's answer.
+//! 3. Every live replica on the current map returns those same bytes from
+//!    its engine's `fetch`, stamped at the map's revision.
+//! 4. Every armed kill or black hole is observed ([`observed`]).
+//!
+//! Epochs follow the epoch-at-submission contract (DESIGN §11): each
+//! update takes the next epoch in submission order, acked or not, so a
+//! `LATEST` or past-epoch fetch has exactly one right answer. A record a
+//! failed write touched has none: a read of it is refused, not guessed.
+#![allow(dead_code)] // each suite uses its own part of the module
 
+use std::collections::BTreeMap;
+use std::ops::Range;
+
+use bytes::Bytes;
 use ros2_daos::{
-    ClientOp, ClientOpResult, DaosClient, EngineCluster, FetchOp, ObjectClient, RecordKey, UpdateOp,
+    AKey, Arrival, ClientOp, ClientOpResult, ConnectSpec, DKey, DaosClient, DaosCostModel,
+    DaosEngine, DaosError, EngineCluster, Epoch, FetchOp, ObjectClient, ObjectId, RecordKey,
+    UpdateOp, ValueKind,
 };
-use ros2_fabric::Fabric;
+use ros2_fabric::{Fabric, NodeSpec};
+use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, NvmeModel, Transport};
+use ros2_nvme::{DataMode, NvmeArray};
 use ros2_sim::SimTime;
+use ros2_spdk::BdevLayer;
+use ros2_verbs::{Expiry, MemoryDomain, NodeId};
+
+const LATEST: Epoch = Epoch::LATEST;
+
+/// The values the suites' worlds differ in. Everything else is the same
+/// everywhere: 48-core client nodes, ConnectX-6 NICs at 100 Gb/s, 8 GiB
+/// of registrable memory a node, Stored-mode SSDs, 256 MiB of SCM an
+/// engine, container `cont0`, 4 MiB staging buffers in host DRAM.
+pub struct World {
+    pub engines: usize,
+    /// Replication factor.
+    pub rf: usize,
+    /// Jobs per client.
+    pub jobs: usize,
+    /// SSDs per engine.
+    pub ssds: usize,
+    /// Cores per storage node.
+    pub storage_cores: usize,
+    /// The fabric's seed.
+    pub seed: u64,
+    pub clients: usize,
+    pub transport: Transport,
+}
+
+/// `engines` engines at replication factor `rf` behind one single-job
+/// client, over RDMA: four SSDs an engine, 64-core storage nodes, fabric
+/// seed 23. Override a field with `World { ssds: 2, ..world(4, 2) }`.
+pub fn world(engines: usize, rf: usize) -> World {
+    World {
+        engines,
+        rf,
+        jobs: 1,
+        ssds: 4,
+        storage_cores: 64,
+        seed: 23,
+        clients: 1,
+        transport: Transport::Rdma,
+    }
+}
+
+impl World {
+    /// Builds a one-client world.
+    pub fn build(self) -> (Fabric, EngineCluster, DaosClient) {
+        assert_eq!(
+            self.clients, 1,
+            "a multi-client world comes from build_clients"
+        );
+        let (fabric, cluster, mut clients) = self.build_clients();
+        (fabric, cluster, clients.remove(0))
+    }
+
+    /// Builds the world: client `c` on `NodeId(c)`, storage node `i` on
+    /// `NodeId(clients + i)`.
+    pub fn build_clients(self) -> (Fabric, EngineCluster, Vec<DaosClient>) {
+        let node = |name: String, cores| NodeSpec {
+            name,
+            cpu: CpuComplement {
+                class: CoreClass::HostX86,
+                cores,
+            },
+            nic: NicModel::connectx6(),
+            port_rate: gbps(100),
+            mem_budget: 8 << 30,
+            dpu_tcp_rx: None,
+        };
+        let mut specs: Vec<NodeSpec> = (0..self.clients)
+            .map(|c| match self.clients {
+                1 => node("client".into(), 48),
+                _ => node(format!("client{c}"), 48),
+            })
+            .collect();
+        specs.extend((0..self.engines).map(|i| node(format!("storage{i}"), self.storage_cores)));
+        let servers: Vec<NodeId> = (self.clients..self.clients + self.engines)
+            .map(|n| NodeId(n as u32))
+            .collect();
+        let mut fabric = Fabric::new(self.transport, specs, self.seed);
+        let engine = || {
+            let ssds = NvmeArray::new(NvmeModel::enterprise_1600(), self.ssds, DataMode::Stored);
+            let model = DaosCostModel::default_model();
+            let mut e = DaosEngine::new(
+                "pool0",
+                BdevLayer::new(ssds),
+                256 << 20,
+                model,
+                CoreClass::HostX86,
+            );
+            e.cont_create("cont0").unwrap();
+            e
+        };
+        let cluster = EngineCluster::new(
+            (0..self.engines).map(|_| engine()).collect(),
+            servers.clone(),
+            self.rf,
+        );
+        let clients = (0..self.clients)
+            .map(|c| {
+                let spec = ConnectSpec {
+                    node: NodeId(c as u32),
+                    servers: servers.clone(),
+                    cont: "cont0".into(),
+                    jobs: self.jobs,
+                    buf_len: 4 << 20,
+                    domain: MemoryDomain::HostDram,
+                    model: DaosCostModel::default_model(),
+                };
+                DaosClient::connect_scoped_multi(&mut fabric, &spec, "tenant", Expiry::Never)
+                    .unwrap()
+            })
+            .collect();
+        (fabric, cluster, clients)
+    }
+}
+
+/// `len` bytes that write `seq` puts at array offset `offset` of `oid` (0
+/// for a single value). Byte `i` is a hash of `(oid, offset + i, seq)`, so
+/// bytes from another object, offset or write never pass for these, and
+/// the oracle can say which write a wrong byte came from.
+pub fn stamped(oid: ObjectId, offset: u64, seq: u64, len: usize) -> Bytes {
+    let mix = |mut z: u64| {
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let base = mix(oid.hi ^ mix(oid.lo ^ mix(seq)));
+    // One hash per aligned 8-byte word of the object's address space.
+    let first = offset & !7;
+    let mut words = Vec::with_capacity(len + 16);
+    for word in (first..offset + len as u64).step_by(8) {
+        let hash = mix(base ^ (word >> 3).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        words.extend_from_slice(&hash.to_le_bytes());
+    }
+    let skip = (offset - first) as usize;
+    Bytes::from(words).slice(skip..skip + len)
+}
+
+/// An update of `len` stamped bytes, write `seq`, at array offset 0 of
+/// `oid`'s record `(dkey, "data")`.
+pub fn write(oid: ObjectId, dkey: u64, len: usize, seq: u64) -> ClientOp {
+    ClientOp::Update(UpdateOp {
+        key: array_key(oid, dkey),
+        kind: ValueKind::Array { offset: 0 },
+        data: stamped(oid, 0, seq, len),
+    })
+}
+
+/// A `LATEST` fetch of `len` bytes at array offset 0 of `oid`'s record
+/// `(dkey, "data")`.
+pub fn read(oid: ObjectId, dkey: u64, len: u64) -> ClientOp {
+    ClientOp::Fetch(FetchOp {
+        key: array_key(oid, dkey),
+        kind: ValueKind::Array { offset: 0 },
+        epoch: Epoch::LATEST,
+        len,
+    })
+}
+
+fn array_key(oid: ObjectId, dkey: u64) -> RecordKey {
+    RecordKey {
+        oid,
+        dkey: DKey::from_u64(dkey),
+        akey: AKey::from_str("data"),
+    }
+}
 
 /// Runs `op` start to finish through [`ObjectClient::update`] /
-/// [`ObjectClient::fetch`] on job 0 — what a ring submission must be
-/// functionally identical to.
+/// [`ObjectClient::fetch`] on job 0: the reference arm a ring submission
+/// must be functionally identical to.
 pub fn serial_op(
     c: &mut DaosClient,
     f: &mut Fabric,
@@ -17,17 +207,311 @@ pub fn serial_op(
     now: SimTime,
     op: ClientOp,
 ) -> ClientOpResult {
+    let RecordKey { oid, dkey, akey } = op.key().clone();
     match op {
-        ClientOp::Update(UpdateOp {
-            key: RecordKey { oid, dkey, akey },
-            kind,
-            data,
-        }) => ClientOpResult::Update(c.update(f, cl, now, 0, oid, dkey, akey, kind, data)),
-        ClientOp::Fetch(FetchOp {
-            key: RecordKey { oid, dkey, akey },
-            kind,
-            epoch,
-            len,
-        }) => ClientOpResult::Fetch(c.fetch(f, cl, now, 0, oid, dkey, akey, kind, epoch, len)),
+        ClientOp::Update(u) => {
+            ClientOpResult::Update(c.update(f, cl, now, 0, oid, dkey, akey, u.kind, u.data))
+        }
+        ClientOp::Fetch(r) => {
+            let (kind, epoch, len) = (r.kind, r.epoch, r.len);
+            ClientOpResult::Fetch(c.fetch(f, cl, now, 0, oid, dkey, akey, kind, epoch, len))
+        }
+    }
+}
+
+/// The client-visible completion instant of a successful op.
+pub fn instant(r: &ClientOpResult) -> Option<SimTime> {
+    match r {
+        ClientOpResult::Update(Ok(at)) | ClientOpResult::Fetch(Ok((_, at))) => Some(*at),
+        _ => None,
+    }
+}
+
+/// Rule 4: a fault the suite armed shows in the counter that observes it
+/// (a fence, an expired deadline or a re-armed leg).
+pub fn observed(fault: &str, counter: &str, count: u64) {
+    assert!(
+        count >= 1,
+        "rule 4: {fault} was armed, yet no {counter} observed it"
+    );
+}
+
+/// One write a record's history holds: the epoch it committed at, its
+/// array offset (0 for a single value) and its bytes.
+#[derive(Clone, Debug)]
+pub struct Written {
+    pub epoch: u64,
+    pub at: u64,
+    pub data: Bytes,
+}
+
+/// Paints every version visible at `epoch` over a zeroed window, oldest
+/// first in `(epoch, arrival)` order (the stable sort keeps arrival order
+/// within an epoch). Returns the bytes and the layers: each painting
+/// write's index with the window range it painted, bottom first.
+pub fn paint(
+    history: &[Written],
+    epoch: u64,
+    at: u64,
+    len: u64,
+) -> (Vec<u8>, Vec<(usize, Range<usize>)>) {
+    let mut order: Vec<usize> = (0..history.len())
+        .filter(|&i| history[i].epoch <= epoch)
+        .collect();
+    order.sort_by_key(|&i| history[i].epoch);
+    let mut bytes = vec![0u8; len as usize];
+    let mut layers = Vec::new();
+    for i in order {
+        let w = &history[i];
+        let from = w.at.max(at);
+        let to = (w.at + w.data.len() as u64).min(at + len);
+        if from < to {
+            let (a, b) = ((from - at) as usize, (to - at) as usize);
+            bytes[a..b].copy_from_slice(&w.data[(from - w.at) as usize..(to - w.at) as usize]);
+            layers.push((i, a..b));
+        }
+    }
+    (bytes, layers)
+}
+
+/// One record's shadow: its single values and array extents in arrival
+/// order, and whether a failed write touched it.
+#[derive(Default)]
+struct Record {
+    singles: Vec<Written>,
+    extents: Vec<Written>,
+    failed: bool,
+}
+
+/// The history oracle: a shadow of every record the suite's ops touched,
+/// settled in submission order, and the rules of the module doc.
+pub struct Oracle {
+    budget: u32,
+    /// The epoch the last settled update took.
+    epoch: u64,
+    records: BTreeMap<RecordKey, Record>,
+    /// Ops settled as a spent retry budget (rule 1).
+    pub failed: u64,
+}
+
+impl Oracle {
+    /// An empty shadow for a client whose retry budget is `budget`.
+    pub fn new(budget: u32) -> Self {
+        Oracle {
+            budget,
+            epoch: 0,
+            records: BTreeMap::new(),
+            failed: 0,
+        }
+    }
+
+    /// The shadow's answer to `read`: the newest single value at or below
+    /// its epoch, whole whatever length was asked for (`NotFound` if there
+    /// is none), or the array window painted newest-`(epoch, arrival)`-wins
+    /// with holes as zeros. `None` when a failed write touched the record.
+    pub fn expect(&self, read: &FetchOp) -> Option<Result<Bytes, DaosError>> {
+        let none = Record::default();
+        let rec = self.records.get(&read.key).unwrap_or(&none);
+        let epoch = read.epoch.0;
+        Some(match read.kind {
+            _ if rec.failed => return None,
+            ValueKind::Single => rec
+                .singles
+                .iter()
+                .filter(|w| w.epoch <= epoch)
+                .max_by_key(|w| w.epoch)
+                .map(|w| w.data.clone())
+                .ok_or(DaosError::NotFound),
+            ValueKind::Array { offset } => {
+                Ok(paint(&rec.extents, epoch, offset, read.len).0.into())
+            }
+        })
+    }
+
+    /// Settles one op, in submission order. An update takes the next
+    /// epoch; acked, it joins its record's history, failed, it makes the
+    /// record unreadable to the oracle. A fetch must return the shadow's
+    /// answer (rule 2). Any other failure breaks rule 1.
+    pub fn settle(&mut self, op: &ClientOp, result: &ClientOpResult) {
+        match (op, result) {
+            (ClientOp::Update(u), ClientOpResult::Update(r)) => {
+                self.epoch += 1;
+                let (epoch, data) = (self.epoch, u.data.clone());
+                let written = match u.kind {
+                    ValueKind::Single => Written { epoch, at: 0, data },
+                    ValueKind::Array { offset } => Written {
+                        epoch,
+                        at: offset,
+                        data,
+                    },
+                };
+                let rec = self.records.entry(u.key.clone()).or_default();
+                match (r, u.kind) {
+                    (Ok(_), ValueKind::Single) => rec.singles.push(written),
+                    (Ok(_), ValueKind::Array { .. }) => rec.extents.push(written),
+                    (Err(e), _) => {
+                        rec.failed = true;
+                        self.spent(op, *e);
+                    }
+                }
+            }
+            (ClientOp::Fetch(read), ClientOpResult::Fetch(r)) => {
+                match r.as_ref().map(|(b, _)| b.clone()).map_err(|e| *e) {
+                    Err(e @ DaosError::RetryExhausted { .. }) => self.spent(op, e),
+                    got => self.check(read, got, "rule 2: the fetch"),
+                }
+            }
+            _ => panic!("{:?} settled with a result of the other kind", op.key()),
+        }
+    }
+
+    /// Settles a tape and its results, both in submission order.
+    pub fn settle_all<'a>(
+        &mut self,
+        tape: impl IntoIterator<Item = &'a ClientOp>,
+        results: &[ClientOpResult],
+    ) {
+        let tape: Vec<&ClientOp> = tape.into_iter().collect();
+        assert_eq!(tape.len(), results.len(), "one result per op");
+        for (op, r) in tape.into_iter().zip(results) {
+            self.settle(op, r);
+        }
+    }
+
+    /// Writes 16 KiB to each of `oid`'s records `(0..n, "data")`, write `i`
+    /// to dkey `i`, as serial calls one after another from time zero, and
+    /// returns the last ack.
+    pub fn preamble(
+        &mut self,
+        c: &mut DaosClient,
+        f: &mut Fabric,
+        cl: &mut EngineCluster,
+        oid: ObjectId,
+        n: u64,
+    ) -> SimTime {
+        (0..n).fold(SimTime::ZERO, |t, i| {
+            let r = self.serial(c, f, cl, t, write(oid, i, 16 << 10, i));
+            r.into_update().expect("a preamble write fails")
+        })
+    }
+
+    /// Runs `op` as the serial call at `now` and settles it.
+    pub fn serial(
+        &mut self,
+        c: &mut DaosClient,
+        f: &mut Fabric,
+        cl: &mut EngineCluster,
+        now: SimTime,
+        op: ClientOp,
+    ) -> ClientOpResult {
+        let r = serial_op(c, f, cl, now, op.clone());
+        self.settle(&op, &r);
+        r
+    }
+
+    /// Rules 2 and 3 over the world as it stands at `at`: every record the
+    /// shadow holds and no failed write touched reads back at `LATEST`
+    /// through the serial call, and from every live replica's engine.
+    pub fn check_world(
+        &self,
+        c: &mut DaosClient,
+        f: &mut Fabric,
+        cl: &mut EngineCluster,
+        at: SimTime,
+    ) {
+        let cont = c.container().to_string();
+        for (key, rec) in self.records.iter().filter(|(_, r)| !r.failed) {
+            let single = rec
+                .singles
+                .last()
+                .map(|w| (ValueKind::Single, w.data.len() as u64));
+            let end = rec.extents.iter().map(|w| w.at + w.data.len() as u64).max();
+            let array = end.map(|end| (ValueKind::Array { offset: 0 }, end));
+            for (kind, len) in single.into_iter().chain(array) {
+                let read = FetchOp {
+                    key: key.clone(),
+                    kind,
+                    epoch: LATEST,
+                    len,
+                };
+                let got = serial_op(c, f, cl, at, ClientOp::Fetch(read.clone())).into_fetch();
+                self.check(&read, got.map(|(b, _)| b), "rule 2: the read-back");
+                let (oid, dkey, akey) = (key.oid, &key.dkey, &key.akey);
+                let arrival = Arrival {
+                    stamp: cl.map().version(),
+                    at,
+                };
+                for eng in cl.map().route(&oid).set.iter() {
+                    let got = cl
+                        .engine_mut(eng)
+                        .fetch(arrival, &cont, oid, dkey, akey, kind, LATEST, len);
+                    self.check(
+                        &read,
+                        got.map(|(b, _)| b),
+                        &format!("rule 3: replica {eng}"),
+                    );
+                }
+            }
+        }
+    }
+
+    /// Rule 1: `e` is a spent retry budget.
+    fn spent(&mut self, op: &ClientOp, e: DaosError) {
+        match e {
+            DaosError::RetryExhausted { attempts } if attempts == self.budget + 1 => {
+                self.failed += 1
+            }
+            e => panic!(
+                "rule 1: {:?} failed with {e:?}, not as a spent budget of {}",
+                op.key(),
+                self.budget
+            ),
+        }
+    }
+
+    /// Holds `got` to the shadow's answer to `read`, unless it refuses.
+    fn check(&self, read: &FetchOp, got: Result<Bytes, DaosError>, what: &str) {
+        let Some(want) = self.expect(read) else {
+            return;
+        };
+        if got != want {
+            let size = |r: &Result<Bytes, DaosError>| match r {
+                Ok(b) => format!("{} B", b.len()),
+                Err(e) => format!("{e:?}"),
+            };
+            let why = match (&want, &got) {
+                (Ok(w), Ok(g)) => format!(": {}", self.blame(w, g)),
+                _ => String::new(),
+            };
+            let (key, kind, epoch) = (&read.key, read.kind, read.epoch);
+            let (got, want) = (size(&got), size(&want));
+            panic!("{what} of {key:?} {kind:?} @ {epoch:?} returned {got}, the shadow holds {want}{why}");
+        }
+    }
+
+    /// Names the write the first wrong byte of `got` came from: the one
+    /// whose bytes hold the eight `got` bytes from there on.
+    fn blame(&self, want: &[u8], got: &[u8]) -> String {
+        let i = (0..got.len())
+            .find(|&i| want.get(i) != Some(&got[i]))
+            .unwrap_or(got.len());
+        let Some(probe) = got.get(i..got.len().min(i + 8)).filter(|p| !p.is_empty()) else {
+            return format!("it ends at byte {i}");
+        };
+        let writes = self
+            .records
+            .iter()
+            .flat_map(|(k, r)| r.singles.iter().chain(&r.extents).map(move |w| (k, w)));
+        for (key, w) in writes {
+            if let Some(j) = w.data.windows(probe.len()).position(|win| win == probe) {
+                return format!(
+                    "byte {i} on came from byte {j} of the write at epoch {} to {key:?} (offset {}, {} B)",
+                    w.epoch,
+                    w.at,
+                    w.data.len()
+                );
+            }
+        }
+        format!("byte {i} on ({probe:02x?}) came from no write the oracle saw")
     }
 }

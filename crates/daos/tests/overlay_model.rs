@@ -6,10 +6,14 @@
 //! retry re-importing the same records) and arriving out of epoch order —
 //! and checks every fetch, at `LATEST` and at random snapshot epochs,
 //! against a flat byte array painted with every version in `(epoch,
-//! arrival)` order. The oracle also knows which record owns each byte, so
-//! it bounds the media work: a fetch may read no more NVMe blocks than its
-//! segments (maximal runs of bytes served by one record) rounded out to
-//! `CSUM_CHUNK` at their edges.
+//! arrival)` order (`common::paint`, which the client suites' history
+//! oracle reads arrays with too). The painter also knows which record
+//! owns each byte, so it bounds the media work: a fetch may read no more
+//! NVMe blocks than its segments (maximal runs of bytes served by one
+//! record) rounded out to `CSUM_CHUNK` at their edges. A last test runs
+//! that oracle on one hand-built history.
+
+use std::ops::Range;
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -22,6 +26,9 @@ use ros2_hw::{CoreClass, NvmeModel, LBA_SIZE};
 use ros2_nvme::{DataMode, NvmeArray};
 use ros2_sim::{SimDuration, SimTime, Timed};
 use ros2_spdk::BdevLayer;
+
+mod common;
+use common::{paint, stamped, Oracle, Written};
 
 /// Array address space of the model (a dozen checksum chunks).
 const SPACE: u64 = 48 << 10;
@@ -68,40 +75,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         })
 }
 
-/// One record the target was handed, in arrival order.
-struct Written {
-    epoch: u64,
-    at: u64,
-    data: Vec<u8>,
-}
-
-/// The reference: paints every version visible at `epoch` over a zeroed
-/// window, oldest first in `(epoch, arrival)` order (the stable sort keeps
-/// arrival order within an epoch). Returns the bytes and, per byte, the
-/// record that painted it last.
-fn paint(history: &[Written], epoch: u64, at: u64, len: u64) -> (Vec<u8>, Vec<Option<usize>>) {
-    let mut order: Vec<usize> = (0..history.len())
-        .filter(|&i| history[i].epoch <= epoch)
-        .collect();
-    order.sort_by_key(|&i| history[i].epoch);
-    let mut bytes = vec![0u8; len as usize];
+/// NVMe blocks a fetch of the window `[at, at+len)` may read: every
+/// maximal run of bytes owned by one NVMe-resident record (the top layer
+/// [`paint`] left there), rounded out to that record's checksum-chunk grid.
+fn block_budget(history: &[Written], at: u64, len: u64, layers: &[(usize, Range<usize>)]) -> u64 {
     let mut owner = vec![None; len as usize];
-    for i in order {
-        let w = &history[i];
-        let from = w.at.max(at);
-        let to = (w.at + w.data.len() as u64).min(at + len);
-        for pos in from..to {
-            bytes[(pos - at) as usize] = w.data[(pos - w.at) as usize];
-            owner[(pos - at) as usize] = Some(i);
-        }
+    for (i, range) in layers {
+        owner[range.clone()].fill(Some(*i));
     }
-    (bytes, owner)
-}
-
-/// NVMe blocks a fetch of the window at `at` may read: every maximal run
-/// of bytes owned by one NVMe-resident record, rounded out to that
-/// record's checksum-chunk grid.
-fn block_budget(history: &[Written], at: u64, owner: &[Option<usize>]) -> u64 {
     let mut budget = 0;
     let mut run = 0;
     while run < owner.len() {
@@ -147,7 +128,7 @@ proptest! {
                 Op::Write { epoch, at, len, fill } => Written {
                     epoch,
                     at,
-                    data: (0..len).map(|i| fill.wrapping_add(i as u8)).collect(),
+                    data: (0..len).map(|i| fill.wrapping_add(i as u8)).collect::<Vec<u8>>().into(),
                 },
                 Op::Rewrite { pick } if !history.is_empty() => {
                     let w = &history[pick % history.len()];
@@ -156,7 +137,7 @@ proptest! {
                 Op::Rewrite { .. } => continue,
                 Op::Fetch { epoch, at, len } => {
                     let epoch = if epoch == 0 { Epoch::LATEST } else { Epoch(epoch) };
-                    let (want, owner) = paint(&history, epoch.0, at, len);
+                    let (want, layers) = paint(&history, epoch.0, at, len);
                     let read_before = bd.array().total_stats().bytes_read;
                     let (got, done) = vos
                         .fetch_array(now, &mut bd.shard(0), &RecordKey { oid, dkey: d.clone(), akey: a.clone() }, epoch, at, len)
@@ -164,7 +145,7 @@ proptest! {
                     prop_assert_eq!(&got[..], &want[..], "fetch({}, {}) @ {:?}", at, len, epoch);
                     prop_assert!(done >= now, "completion {:?} precedes issue {:?}", done, now);
                     let blocks = (bd.array().total_stats().bytes_read - read_before) / LBA_SIZE;
-                    let budget = block_budget(&history, at, &owner);
+                    let budget = block_budget(&history, at, len, &layers);
                     prop_assert!(
                         blocks <= budget,
                         "fetch({}, {}) @ {:?} read {} NVMe blocks, its segments span {}",
@@ -173,7 +154,7 @@ proptest! {
                     continue;
                 }
             };
-            vos.update(now, &mut bd.shard(0), RecordKey { oid, dkey: d.clone(), akey: a.clone() }, ValueKind::Array { offset: written.at }, Epoch(written.epoch), Bytes::from(written.data.clone()))
+            vos.update(now, &mut bd.shard(0), RecordKey { oid, dkey: d.clone(), akey: a.clone() }, ValueKind::Array { offset: written.at }, Epoch(written.epoch), written.data.clone())
             .map_err(|e| format!("update: {e:?}"))?;
             history.push(written);
         }
@@ -250,4 +231,91 @@ fn overwrites_do_not_amplify_reads() {
     assert_eq!(once.0, 1, "one media read per fetched record");
     assert_eq!(fetch_after(4), once);
     assert_eq!(fetch_after(16), once);
+}
+
+/// The history oracle the client suites share (`common::Oracle`), on one
+/// hand-built history: each kind of answer it gives, by name.
+#[test]
+fn oracle_answers_a_hand_built_history() {
+    use ros2_daos::{ClientOp, ClientOpResult, DaosError, FetchOp, UpdateOp};
+    let oid = ObjectId::new(ObjClass::Sx, 1);
+    let key = |dkey: u64, akey: &str| RecordKey {
+        oid,
+        dkey: DKey::from_u64(dkey),
+        akey: AKey::from_str(akey),
+    };
+    let update = |key, kind, data| ClientOp::Update(UpdateOp { key, kind, data });
+    let read = |key, kind, epoch, len| FetchOp {
+        key,
+        kind,
+        epoch,
+        len,
+    };
+    let array = |offset| ValueKind::Array { offset };
+    let acked = ClientOpResult::Update(Ok(SimTime::ZERO));
+    let spent = DaosError::RetryExhausted { attempts: 3 };
+    // Epoch 1 writes [8, 16) KiB, epoch 2 [12, 14) KiB over it, epoch 3 a
+    // 100-byte single value; the write at epoch 4 fails.
+    let (older, newer) = (stamped(oid, 8192, 1, 8192), stamped(oid, 12288, 2, 2048));
+    let value = stamped(oid, 0, 3, 100);
+    let mut o = Oracle::new(2);
+    o.settle(&update(key(0, "data"), array(8192), older.clone()), &acked);
+    o.settle(&update(key(0, "data"), array(12288), newer.clone()), &acked);
+    o.settle(
+        &update(key(1, "v"), ValueKind::Single, value.clone()),
+        &acked,
+    );
+    let failed = update(key(2, "data"), array(0), stamped(oid, 0, 4, 64));
+    o.settle(&failed, &ClientOpResult::Update(Err(spent)));
+    assert_eq!(o.failed, 1);
+
+    let hole = read(key(0, "data"), array(0), Epoch::LATEST, 8192);
+    assert_eq!(
+        o.expect(&hole),
+        Some(Ok(Bytes::from(vec![0; 8192]))),
+        "a hole reads as zeros"
+    );
+    let past = read(key(0, "data"), array(12288), Epoch(1), 2048);
+    let want = Some(Ok(older.slice(4096..6144)));
+    assert_eq!(
+        o.expect(&past),
+        want,
+        "a past-epoch read ignores newer writes"
+    );
+    let short = read(key(1, "v"), ValueKind::Single, Epoch::LATEST, 4096);
+    let want = Some(Ok(value));
+    assert_eq!(
+        o.expect(&short),
+        want,
+        "a short single value comes back at exactly its length"
+    );
+    let mut painted = older.to_vec();
+    painted[4096..6144].copy_from_slice(&newer);
+    let overlap = read(key(0, "data"), array(8192), Epoch::LATEST, 8192);
+    let want = Some(Ok(painted.into()));
+    assert_eq!(
+        o.expect(&overlap),
+        want,
+        "overlapping writes go newest-wins"
+    );
+    let touched = read(key(2, "data"), array(0), Epoch::LATEST, 64);
+    assert_eq!(
+        o.expect(&touched),
+        None,
+        "a read of a key a failed write touched is refused"
+    );
+
+    // And the oracle's rules bite: a wrong answer breaks rule 2, a failure
+    // other than a spent budget rule 1.
+    let breaks = |op: ClientOp, r: ClientOpResult| {
+        let mut o = Oracle::new(2);
+        std::panic::catch_unwind(move || o.settle(&op, &r)).is_err()
+    };
+    let stale = ClientOpResult::Fetch(Ok((newer, SimTime::ZERO)));
+    assert!(breaks(ClientOp::Fetch(hole), stale), "rule 2");
+    let short_budget = DaosError::RetryExhausted { attempts: 2 };
+    assert!(
+        breaks(failed, ClientOpResult::Update(Err(short_budget))),
+        "rule 1"
+    );
 }

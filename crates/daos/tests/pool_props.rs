@@ -5,102 +5,27 @@
 //!
 //! 1. **Eviction and session kills never lose acked data** — a pool slot
 //!    holds *session* state only; every acked update reads back
-//!    byte-correct at the end, through whatever handshakes the pool
-//!    charges on the way back in.
+//!    byte-correct at the end (the history oracle, `common::Oracle`,
+//!    settles every read), through whatever handshakes the pool charges
+//!    on the way back in.
 //! 2. **Resident state stays bounded** — the pool's high-water mark
 //!    never exceeds its capacity, and its counters stay consistent
 //!    (admits = hits + misses, reconnects ≤ misses).
 //! 3. **Replay is bit-identical** — the same schedule yields the same
 //!    ack instants and the same pool counters run-to-run.
 
-use bytes::Bytes;
 use proptest::prelude::*;
-use ros2_daos::{
-    AKey, ConnPool, ConnectSpec, DKey, DaosClient, DaosCostModel, DaosEngine, EngineCluster, Epoch,
-    ObjClass, ObjectClient, ObjectId, ValueKind,
-};
-use ros2_fabric::{Fabric, NodeSpec};
-use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, NvmeModel, Transport};
-use ros2_nvme::{DataMode, NvmeArray};
+use ros2_daos::{ConnPool, ObjClass, ObjectId};
 use ros2_sim::{SimDuration, SimTime};
-use ros2_spdk::BdevLayer;
-use ros2_verbs::{Expiry, MemoryDomain, NodeId};
+use ros2_verbs::NodeId;
+
+mod common;
+use common::{read, world, write, Oracle, World};
 
 const ENGINES: usize = 3;
 const RF: usize = 2;
 const POOL_CAPACITY: usize = 2;
 const HOT: u64 = 5;
-
-fn engine() -> DaosEngine {
-    let bdevs = BdevLayer::new(NvmeArray::new(
-        NvmeModel::enterprise_1600(),
-        2,
-        DataMode::Stored,
-    ));
-    let mut e = DaosEngine::new(
-        "pool0",
-        bdevs,
-        256 << 20,
-        DaosCostModel::default_model(),
-        CoreClass::HostX86,
-    );
-    e.cont_create("cont0").unwrap();
-    e
-}
-
-fn node(name: &str) -> NodeSpec {
-    NodeSpec {
-        name: name.into(),
-        cpu: CpuComplement {
-            class: CoreClass::HostX86,
-            cores: 48,
-        },
-        nic: NicModel::connectx6(),
-        port_rate: gbps(100),
-        mem_budget: 8 << 30,
-        dpu_tcp_rx: None,
-    }
-}
-
-/// `n_clients` client nodes ahead of three storage nodes, RF 2, pool
-/// capacity 2 — every third admission thrashes by construction.
-fn world(n_clients: usize) -> (Fabric, EngineCluster, Vec<DaosClient>) {
-    let mut specs: Vec<NodeSpec> = (0..n_clients)
-        .map(|c| node(&format!("client{c}")))
-        .collect();
-    let mut servers = Vec::new();
-    for i in 0..ENGINES {
-        specs.push(node(&format!("storage{i}")));
-        servers.push(NodeId((n_clients + i) as u32));
-    }
-    let mut fabric = Fabric::new(Transport::Rdma, specs, 23);
-    let mut cluster = EngineCluster::new(
-        (0..ENGINES).map(|_| engine()).collect(),
-        servers.clone(),
-        RF,
-    );
-    let clients = (0..n_clients)
-        .map(|c| {
-            DaosClient::connect_scoped_multi(
-                &mut fabric,
-                &ConnectSpec {
-                    node: NodeId(c as u32),
-                    servers: servers.to_vec(),
-                    cont: "cont0".into(),
-                    jobs: 1,
-                    buf_len: 4 << 20,
-                    domain: MemoryDomain::HostDram,
-                    model: DaosCostModel::default_model(),
-                },
-                "tenant",
-                Expiry::Never,
-            )
-            .unwrap()
-        })
-        .collect();
-    cluster.enable_conn_pool(POOL_CAPACITY, ConnPool::DEFAULT_HANDSHAKE);
-    (fabric, cluster, clients)
-}
 
 /// One step of a schedule: which client acts, and what it does.
 #[derive(Clone, Copy, Debug)]
@@ -147,7 +72,17 @@ type Acked = (usize, usize, SimTime);
 /// Runs one schedule; checks invariants 1 and 2 inline and returns what
 /// the replay assertion compares.
 fn run(sched: &Schedule) -> (Vec<Acked>, ros2_daos::ConnPoolStats) {
-    let (mut f, mut cl, mut clients) = world(sched.n_clients);
+    // `n_clients` client nodes ahead of three storage nodes, RF 2, pool
+    // capacity 2: every third admission thrashes by construction.
+    let (mut f, mut cl, mut clients) = World {
+        ssds: 2,
+        storage_cores: 48,
+        clients: sched.n_clients,
+        ..world(ENGINES, RF)
+    }
+    .build_clients();
+    cl.enable_conn_pool(POOL_CAPACITY, ConnPool::DEFAULT_HANDSHAKE);
+    let mut o = Oracle::new(clients[0].retry_policy().budget);
     let oid = ObjectId::new(ObjClass::Sx, HOT);
     let mut t = SimTime::ZERO;
     let mut acked: Vec<Acked> = Vec::new();
@@ -164,19 +99,9 @@ fn run(sched: &Schedule) -> (Vec<Acked>, ros2_daos::ConnPoolStats) {
         match step {
             Step::Update(c) => {
                 let start = cl.pool_admit(NodeId(c as u32), t);
-                let at = clients[c]
-                    .update(
-                        &mut f,
-                        &mut cl,
-                        start,
-                        0,
-                        oid,
-                        DKey::from_u64(1000 + i as u64),
-                        AKey::from_str("data"),
-                        ValueKind::Array { offset: 0 },
-                        Bytes::from(vec![(i % 250) as u8 + 1; 8 << 10]),
-                    )
-                    .unwrap_or_else(|e| panic!("step {i} (client {c}) failed: {e:?}"));
+                let op = write(oid, 1000 + i as u64, 8 << 10, i as u64);
+                let r = o.serial(&mut clients[c], &mut f, &mut cl, start, op);
+                let at = r.into_update().unwrap();
                 assert!(at >= start, "completion precedes pool admission");
                 acked.push((i, c, at));
                 t = at;
@@ -202,24 +127,8 @@ fn run(sched: &Schedule) -> (Vec<Acked>, ros2_daos::ConnPoolStats) {
     let read_at = t + SimDuration::from_secs(1);
     for &(i, c, _) in &acked {
         let start = cl.pool_admit(NodeId(c as u32), read_at);
-        let (b, _) = clients[c]
-            .fetch(
-                &mut f,
-                &mut cl,
-                start,
-                0,
-                oid,
-                DKey::from_u64(1000 + i as u64),
-                AKey::from_str("data"),
-                ValueKind::Array { offset: 0 },
-                Epoch::LATEST,
-                8 << 10,
-            )
-            .unwrap_or_else(|e| panic!("acked update {i} (client {c}) lost: {e:?}"));
-        assert!(
-            b.iter().all(|&x| x == (i % 250) as u8 + 1),
-            "acked update {i} read back corrupt"
-        );
+        let op = read(oid, 1000 + i as u64, 8 << 10);
+        o.serial(&mut clients[c], &mut f, &mut cl, start, op);
     }
     (acked, cl.conn_pool_stats())
 }

@@ -5,7 +5,9 @@
 //!
 //! 1. **No acked write is ever lost** — the last write to every
 //!    `(object, dkey)` reads back byte-correct after scrub + repair,
-//!    even when the replica it landed on rotted underneath it.
+//!    through the client and from every replica (the history oracle,
+//!    `common::Oracle`), even when the replica it landed on rotted
+//!    underneath it.
 //! 2. **Scrub converges** — one repairing pass leaves every replica set
 //!    byte-comparable (equal record-set fingerprints) and a second pass
 //!    finds zero mismatches.
@@ -23,83 +25,15 @@
 //! plus the death of the other is an unrecoverable double fault — out
 //! of scope here, surfaced as an unrepaired RAS event in production).
 
-use bytes::Bytes;
 use proptest::prelude::*;
-use ros2_daos::{
-    AKey, BgService, ConnectSpec, DKey, DaosClient, DaosCostModel, DaosEngine, EngineCluster,
-    Epoch, ObjClass, ObjectClient, ObjectId, ScrubStats, ValueKind,
-};
-use ros2_fabric::{Fabric, NodeSpec};
-use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, NvmeModel, Transport};
-use ros2_nvme::{DataMode, NvmeArray};
+use ros2_daos::{BgService, ObjClass, ObjectId, ScrubStats};
 use ros2_sim::{QosLimits, SimDuration, SimTime};
-use ros2_spdk::BdevLayer;
-use ros2_verbs::{Expiry, MemoryDomain, NodeId};
+
+mod common;
+use common::{world, write, Oracle, World};
 
 const ENGINES: usize = 4;
 const RF: usize = 2;
-
-fn engine() -> DaosEngine {
-    let bdevs = BdevLayer::new(NvmeArray::new(
-        NvmeModel::enterprise_1600(),
-        2,
-        DataMode::Stored,
-    ));
-    let mut e = DaosEngine::new(
-        "pool0",
-        bdevs,
-        256 << 20,
-        DaosCostModel::default_model(),
-        CoreClass::HostX86,
-    );
-    e.cont_create("cont0").unwrap();
-    e
-}
-
-fn node(name: &str) -> NodeSpec {
-    NodeSpec {
-        name: name.into(),
-        cpu: CpuComplement {
-            class: CoreClass::HostX86,
-            cores: 48,
-        },
-        nic: NicModel::connectx6(),
-        port_rate: gbps(100),
-        mem_budget: 8 << 30,
-        dpu_tcp_rx: None,
-    }
-}
-
-fn world() -> (Fabric, EngineCluster, DaosClient) {
-    let mut specs = vec![node("client")];
-    let mut servers = Vec::new();
-    for i in 0..ENGINES {
-        specs.push(node(&format!("storage{i}")));
-        servers.push(NodeId(1 + i as u32));
-    }
-    let mut fabric = Fabric::new(Transport::Rdma, specs, 29);
-    let cluster = EngineCluster::new(
-        (0..ENGINES).map(|_| engine()).collect(),
-        servers.clone(),
-        RF,
-    );
-    let client = DaosClient::connect_scoped_multi(
-        &mut fabric,
-        &ConnectSpec {
-            node: NodeId(0),
-            servers: servers.to_vec(),
-            cont: "cont0".into(),
-            jobs: 1,
-            buf_len: 4 << 20,
-            domain: MemoryDomain::HostDram,
-            model: DaosCostModel::default_model(),
-        },
-        "tenant",
-        Expiry::Never,
-    )
-    .unwrap();
-    (fabric, cluster, client)
-}
 
 /// Fired between writes of the history.
 #[derive(Clone, Debug)]
@@ -115,9 +49,9 @@ enum Event {
 /// One randomly drawn history.
 #[derive(Clone, Debug)]
 struct History {
-    /// `(object, dkey, fill byte)` per write; the extent length is a
-    /// pure function of the dkey so last-writer-wins is byte-exact.
-    writes: Vec<(u64, u64, u8)>,
+    /// `(object, dkey)` per write; the extent length is a pure function
+    /// of the dkey, so the last write covers every earlier one.
+    writes: Vec<(u64, u64)>,
     /// `(fire after this many writes, event)`, sorted by index.
     events: Vec<(usize, Event)>,
     /// The slot the (at most one) kill targets, if any — bit-rot aims
@@ -126,7 +60,7 @@ struct History {
 }
 
 fn histories() -> impl Strategy<Value = History> {
-    let writes = prop::collection::vec((0u64..3, 0u64..5, 1u8..250), 4..16);
+    let writes = prop::collection::vec((0u64..3, 0u64..5), 4..16);
     let corrupts = prop::collection::vec((0usize..16, 0u64..3), 0..4);
     let aggregates = prop::collection::vec(0usize..16, 0..3);
     let kill =
@@ -166,7 +100,14 @@ fn oid_for(obj: u64) -> ObjectId {
 type Outcome = (u64, u64, Vec<u64>, SimTime, SimTime);
 
 fn run(h: &History, paced: bool) -> Outcome {
-    let (mut f, mut cl, mut c) = world();
+    let (mut f, mut cl, mut c) = World {
+        ssds: 2,
+        storage_cores: 48,
+        seed: 29,
+        ..world(ENGINES, RF)
+    }
+    .build();
+    let mut o = Oracle::new(c.retry_policy().budget);
     if paced {
         cl.set_service_budget(BgService::Scrub, QosLimits::bytes_per_sec(48 << 10));
         cl.set_service_budget(BgService::Rebuild, QosLimits::bytes_per_sec(256 << 10));
@@ -174,10 +115,8 @@ fn run(h: &History, paced: bool) -> Outcome {
     let mut t = SimTime::ZERO;
     let mut next_event = 0usize;
     let mut killed = false;
-    // Last acked fill byte per (object, dkey).
-    let mut expect: Vec<((u64, u64), u8)> = Vec::new();
 
-    for (i, &(obj, dkey, fill)) in h.writes.iter().enumerate() {
+    for (i, &(obj, dkey)) in h.writes.iter().enumerate() {
         while next_event < h.events.len() && h.events[next_event].0 <= i {
             let (_, ev) = h.events[next_event].clone();
             next_event += 1;
@@ -215,21 +154,11 @@ fn run(h: &History, paced: bool) -> Outcome {
                 Event::Kill { .. } => {}
             }
         }
-        t = c
-            .update(
-                &mut f,
-                &mut cl,
-                t,
-                0,
-                oid_for(obj),
-                DKey::from_u64(dkey),
-                AKey::from_str("data"),
-                ValueKind::Array { offset: 0 },
-                Bytes::from(vec![fill; len_for(dkey)]),
-            )
+        let op = write(oid_for(obj), dkey, len_for(dkey), i as u64);
+        t = o
+            .serial(&mut c, &mut f, &mut cl, t, op)
+            .into_update()
             .unwrap();
-        expect.retain(|&(k, _)| k != (obj, dkey));
-        expect.push(((obj, dkey), fill));
     }
 
     // The repairing pass, then a verifying pass over the healed cluster.
@@ -272,27 +201,12 @@ fn run(h: &History, paced: bool) -> Outcome {
     }
 
     // Invariant 1: every acked write's final value reads back intact.
-    let read_at = t_second + SimDuration::from_secs(1);
-    for &((obj, dkey), fill) in &expect {
-        let (b, _) = c
-            .fetch(
-                &mut f,
-                &mut cl,
-                read_at,
-                0,
-                oid_for(obj),
-                DKey::from_u64(dkey),
-                AKey::from_str("data"),
-                ValueKind::Array { offset: 0 },
-                Epoch::LATEST,
-                len_for(dkey) as u64,
-            )
-            .unwrap_or_else(|e| panic!("acked write ({obj},{dkey}) lost: {e:?}"));
-        assert!(
-            b.len() == len_for(dkey) && b.iter().all(|&x| x == fill),
-            "acked write ({obj},{dkey}) read back corrupt"
-        );
-    }
+    o.check_world(
+        &mut c,
+        &mut f,
+        &mut cl,
+        t_second + SimDuration::from_secs(1),
+    );
 
     (
         first.mismatches_found,
@@ -331,7 +245,7 @@ proptest! {
 #[test]
 fn scrub_budget_paces_the_pass() {
     let h = History {
-        writes: (0..10).map(|i| (i % 3, i % 5, (i + 1) as u8)).collect(),
+        writes: (0..10).map(|i| (i % 3, i % 5)).collect(),
         events: vec![
             (4, Event::Corrupt { obj: 1 }),
             (7, Event::Corrupt { obj: 2 }),

@@ -9,15 +9,14 @@
 use bytes::Bytes;
 use ros2_buf::{allocated_bytes, zero_bytes, CountingAlloc};
 use ros2_daos::{
-    AKey, ConnectSpec, DKey, DaosClient, DaosCostModel, DaosEngine, EngineCluster, Epoch, ObjClass,
-    ObjectClient, ObjectId, ValueKind,
+    AKey, DKey, DaosClient, EngineCluster, Epoch, ObjClass, ObjectClient, ObjectId, ValueKind,
 };
-use ros2_fabric::{Fabric, NodeSpec};
-use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, NvmeModel, Transport};
-use ros2_nvme::{DataMode, NvmeArray};
+use ros2_fabric::Fabric;
+use ros2_hw::Transport;
 use ros2_sim::SimTime;
-use ros2_spdk::BdevLayer;
-use ros2_verbs::{Expiry, MemoryDomain, NodeId};
+
+mod common;
+use common::{world, World};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -25,64 +24,24 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const MIB: usize = 1 << 20;
 const KIND: ValueKind = ValueKind::Array { offset: 0 };
 
-type World = (Fabric, EngineCluster, DaosClient);
+type Rig = (Fabric, EngineCluster, DaosClient);
 
-fn node(name: &str, cores: usize) -> NodeSpec {
-    NodeSpec {
-        name: name.into(),
-        cpu: CpuComplement {
-            class: CoreClass::HostX86,
-            cores,
-        },
-        nic: NicModel::connectx6(),
-        port_rate: gbps(100),
-        mem_budget: 8 << 30,
-        dpu_tcp_rx: None,
+/// One engine on one SSD behind a single-job client, over TCP.
+fn tcp_world() -> Rig {
+    World {
+        ssds: 1,
+        seed: 5,
+        transport: Transport::Tcp,
+        ..world(1, 1)
     }
-}
-
-fn tcp_world() -> World {
-    let mut fabric = Fabric::new(
-        Transport::Tcp,
-        vec![node("client", 48), node("storage", 64)],
-        5,
-    );
-    let bdevs = BdevLayer::new(NvmeArray::new(
-        NvmeModel::enterprise_1600(),
-        1,
-        DataMode::Stored,
-    ));
-    let mut engine = DaosEngine::new(
-        "pool0",
-        bdevs,
-        256 << 20,
-        DaosCostModel::default_model(),
-        CoreClass::HostX86,
-    );
-    engine.cont_create("cont0").unwrap();
-    let client = DaosClient::connect_scoped_multi(
-        &mut fabric,
-        &ConnectSpec {
-            node: NodeId(0),
-            servers: vec![NodeId(1)],
-            cont: "cont0".into(),
-            jobs: 1,
-            buf_len: 4 << 20,
-            domain: MemoryDomain::HostDram,
-            model: DaosCostModel::default_model(),
-        },
-        "tenant",
-        Expiry::Never,
-    )
-    .unwrap();
-    (fabric, EngineCluster::single(engine), client)
+    .build()
 }
 
 fn oid() -> ObjectId {
     ObjectId::new(ObjClass::Sx, 1)
 }
 
-fn update(world: &mut World, now: SimTime, dkey: u64, data: Bytes) -> SimTime {
+fn update(world: &mut Rig, now: SimTime, dkey: u64, data: Bytes) -> SimTime {
     let (fabric, cluster, client) = world;
     let akey = AKey::from_str("data");
     client
