@@ -83,7 +83,7 @@ fn run(sched: &Schedule, serial_calls: bool) -> (Vec<Timed>, RetryStats, u64) {
         budget: sched.budget,
         ..RetryPolicy::default()
     });
-    let mut o = Oracle::new(sched.budget);
+    let mut o = Oracle::lossy(sched.budget);
     let oid = ObjectId::new(ObjClass::Sx, HOT);
     let t = o.preamble(&mut c, &mut f, &mut cl, oid, 8);
     let set = cl.map().route(&oid).set;

@@ -5,14 +5,13 @@
 //! history oracle (`common::Oracle`).
 
 use ros2_daos::{
-    AKey, ClientOpResult, ConnectSpec, DKey, DaosClient, DaosCostModel, DaosEngine, EngineCluster,
-    Epoch, ObjClass, ObjectClient, ObjectId, ValueKind,
+    AKey, ClientOpResult, ConnectSpec, DKey, DaosClient, DaosCostModel, EngineCluster, Epoch,
+    ObjClass, ObjectClient, ObjectId, ValueKind,
 };
 use ros2_fabric::{Fabric, NodeSpec};
-use ros2_hw::{CoreClass, NvmeModel, Transport};
-use ros2_nvme::{DataMode, NvmeArray};
+use ros2_hw::{CoreClass, Transport};
+use ros2_nvme::DataMode;
 use ros2_sim::SimTime;
-use ros2_spdk::BdevLayer;
 use ros2_verbs::{Expiry, MemoryDomain, NodeId};
 
 mod common;
@@ -26,23 +25,15 @@ fn cluster_world(engines: usize, rf: usize) -> (Fabric, EngineCluster, DaosClien
     specs.extend((0..engines).map(|_| NodeSpec::storage_server()));
     let mut fabric = Fabric::new(Transport::Rdma, specs, 0x5eed);
     let nodes: Vec<NodeId> = (1..=engines as u32).map(NodeId).collect();
-    let engine_vec: Vec<DaosEngine> = (0..engines)
-        .map(|i| {
-            let bdevs = BdevLayer::new(NvmeArray::new(
-                NvmeModel::enterprise_1600(),
-                2,
-                DataMode::Stored,
-            ));
-            DaosEngine::new(
-                format!("pool-eng{i}"),
-                bdevs,
-                256 << 20,
-                DaosCostModel::default_model(),
-                CoreClass::HostX86,
-            )
-        })
-        .collect();
-    let mut cluster = EngineCluster::new(engine_vec, nodes.clone(), rf);
+    let mut cluster = EngineCluster::assemble(
+        nodes.clone(),
+        rf,
+        2,
+        DataMode::Stored,
+        256 << 20,
+        DaosCostModel::default_model(),
+        CoreClass::HostX86,
+    );
     cluster.cont_create("cont0").unwrap();
     let client = DaosClient::connect_scoped_multi(
         &mut fabric,

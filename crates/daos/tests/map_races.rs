@@ -16,7 +16,7 @@ use ros2_fabric::Fabric;
 use ros2_sim::{SimDuration, SimTime};
 
 mod common;
-use common::{instant, observed, read, serial_op, world, write, Oracle};
+use common::{instant, read, serial_op, world, write, Oracle};
 
 /// The acceptance scenario. A fetch ring at QD 32 over an RF=2 object;
 /// the *non-leader* replica dies between submissions, and the RAS event
@@ -74,7 +74,6 @@ fn kill_under_qd32(
         false => ring.drain(&mut c, &mut f, &mut cl),
     };
     o.settle_all(&tape, &results);
-    assert_eq!(o.failed, 0, "no op may fail under the kill");
 
     let out: Vec<(Option<Bytes>, SimTime)> = results
         .into_iter()
@@ -98,8 +97,8 @@ fn kill_under_qd32(
 fn kill_under_qd32_fences_recovers_and_replays_identically() {
     let (results, fences, retry, first_retry) = kill_under_qd32(false);
     assert_eq!(results.len(), 32, "no op may hang or vanish");
-    observed("the non-leader's kill", "engine fence", fences);
-    observed("the non-leader's kill", "classified fence", retry.fenced);
+    assert!(fences >= 1, "a stale-stamped fetch must be fenced");
+    assert!(retry.fenced >= 1, "the client must classify the fence");
     assert!(retry.retries >= 1, "fenced legs must re-stage");
     assert!(retry.map_refreshes >= 1, "the ladder must refresh the map");
     assert_eq!(retry.exhausted, 0, "no op may burn its whole budget");
@@ -158,7 +157,7 @@ fn dead_leader_times_out_and_fails_over_to_the_survivor() {
     }
     o.settle_all(&tape, &ring.drain(&mut c, &mut f, &mut cl));
     let retry = c.retry_stats();
-    observed("the leader's kill", "leg timeout", retry.timeouts);
+    assert!(retry.timeouts >= 1, "dead-leader legs must time out");
     assert!(retry.retries >= 1);
     assert_eq!(retry.exhausted, 0);
     assert!(
@@ -175,7 +174,7 @@ fn blackholed_engine_exhausts_the_budget_and_fails_cleanly() {
     // never hang, never succeed by accident.
     let (mut f, mut cl, mut c) = world(2, 1).build();
     let budget = c.retry_policy().budget;
-    let mut o = Oracle::new(budget);
+    let mut o = Oracle::lossy(budget);
     let oid = ObjectId::new(ObjClass::Sx, 7);
     o.preamble(&mut c, &mut f, &mut cl, oid, 4);
     let target = cl.map().route(&oid).set.leader().unwrap();
@@ -196,7 +195,6 @@ fn blackholed_engine_exhausts_the_budget_and_fails_cleanly() {
     assert!(failed >= 1, "black-holed fetches must fail");
     let retry = c.retry_stats();
     assert_eq!(retry.exhausted, failed, "every failure is a spent budget");
-    observed("the black hole", "leg timeout", retry.timeouts);
     assert!(
         retry.timeouts >= failed * (budget as u64 + 1),
         "each attempt burned a deadline: {retry:?}"
@@ -239,7 +237,7 @@ fn stale_updates_fence_then_commit_on_the_current_map() {
     }
     let results = ring.drain(&mut c, &mut f, &mut cl);
     o.settle_all(&tape, &results);
-    observed("the non-leader's kill", "engine fence", cl.fences());
+    assert!(cl.fences() >= 1, "stale update legs must be fenced");
     assert_eq!(c.retry_stats().exhausted, 0);
     // Acked-means-durable: every update reads back from the new map.
     let done = results.iter().filter_map(instant).max().unwrap();

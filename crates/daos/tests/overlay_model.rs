@@ -258,7 +258,7 @@ fn oracle_answers_a_hand_built_history() {
     // 100-byte single value; the write at epoch 4 fails.
     let (older, newer) = (stamped(oid, 8192, 1, 8192), stamped(oid, 12288, 2, 2048));
     let value = stamped(oid, 0, 3, 100);
-    let mut o = Oracle::new(2);
+    let mut o = Oracle::lossy(2);
     o.settle(&update(key(0, "data"), array(8192), older.clone()), &acked);
     o.settle(&update(key(0, "data"), array(12288), newer.clone()), &acked);
     o.settle(
@@ -305,17 +305,27 @@ fn oracle_answers_a_hand_built_history() {
         "a read of a key a failed write touched is refused"
     );
 
-    // And the oracle's rules bite: a wrong answer breaks rule 2, a failure
-    // other than a spent budget rule 1.
-    let breaks = |op: ClientOp, r: ClientOpResult| {
-        let mut o = Oracle::new(2);
+    // And the oracle's rules bite: a wrong answer breaks rule 2; a failure
+    // other than a spent budget, any failure where no fault was armed, and
+    // an error other than `NotFound` from a refused record break rule 1.
+    let breaks = |mut o: Oracle, op: ClientOp, r: ClientOpResult| {
         std::panic::catch_unwind(move || o.settle(&op, &r)).is_err()
     };
     let stale = ClientOpResult::Fetch(Ok((newer, SimTime::ZERO)));
-    assert!(breaks(ClientOp::Fetch(hole), stale), "rule 2");
-    let short_budget = DaosError::RetryExhausted { attempts: 2 };
     assert!(
-        breaks(failed, ClientOpResult::Update(Err(short_budget))),
+        breaks(Oracle::new(2), ClientOp::Fetch(hole), stale),
+        "rule 2"
+    );
+    let short_budget = ClientOpResult::Update(Err(DaosError::RetryExhausted { attempts: 2 }));
+    assert!(
+        breaks(Oracle::lossy(2), failed.clone(), short_budget),
         "rule 1"
+    );
+    let no_fault = ClientOpResult::Update(Err(spent));
+    assert!(breaks(Oracle::new(2), failed, no_fault), "rule 1, no fault");
+    let corrupt = ClientOpResult::Fetch(Err(DaosError::ChecksumMismatch));
+    assert!(
+        breaks(o, ClientOp::Fetch(touched), corrupt),
+        "rule 1, refused"
     );
 }
