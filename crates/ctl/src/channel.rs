@@ -7,10 +7,8 @@
 //! and tenant identity sticks to the session (the DPU enforces per-tenant
 //! policy with it).
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
-use ros2_sim::{SimDuration, SimRng, SimTime};
+use ros2_sim::{FastMap, FastSet, SimDuration, SimRng, SimTime};
 
 use crate::messages::{ControlRequest, ControlResponse};
 
@@ -96,13 +94,13 @@ pub struct Session {
 #[derive(Debug)]
 pub struct ControlChannel {
     model: ControlModel,
-    sessions: HashMap<u64, Session>,
+    sessions: FastMap<u64, Session>,
     rng: SimRng,
     /// A registry of acceptable tenant credentials (tenant → digest).
-    credentials: HashMap<String, Bytes>,
+    credentials: FastMap<String, Bytes>,
     /// Fault injection: sessions whose servicing endpoint is wedged —
     /// calls against them never get a reply and fail at the deadline.
-    stalled: std::collections::HashSet<u64>,
+    stalled: FastSet<u64>,
 }
 
 impl ControlChannel {
@@ -110,10 +108,10 @@ impl ControlChannel {
     pub fn new(model: ControlModel, rng: SimRng) -> Self {
         ControlChannel {
             model,
-            sessions: HashMap::new(),
+            sessions: FastMap::default(),
             rng,
-            credentials: HashMap::new(),
-            stalled: std::collections::HashSet::new(),
+            credentials: FastMap::default(),
+            stalled: FastSet::default(),
         }
     }
 

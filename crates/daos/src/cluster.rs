@@ -49,12 +49,10 @@
 //! them full at t=0. See `DESIGN.md` §13 for the safe
 //! aggregation-boundary rule and the scrub/repair epoch discipline.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 use ros2_ctl::ControlRequest;
 use ros2_fabric::{ConnId, Dir, Fabric};
-use ros2_sim::{QosLane, QosLimits, ResourceStats, SimDuration, SimTime, Timed, Visit};
+use ros2_sim::{FastMap, QosLane, QosLimits, ResourceStats, SimDuration, SimTime, Timed, Visit};
 use ros2_verbs::{NodeId, PdId};
 
 use crate::conn_pool::{ConnPool, ConnPoolStats};
@@ -576,8 +574,8 @@ pub struct EngineCluster {
     map: PoolMap,
     stats: RebuildStats,
     /// Lazily-opened storage-node-to-storage-node rebuild connections.
-    rebuild_conns: HashMap<(usize, usize), ConnId>,
-    rebuild_pds: HashMap<u32, PdId>,
+    rebuild_conns: FastMap<(usize, usize), ConnId>,
+    rebuild_pds: FastMap<u32, PdId>,
     /// Fault injection: a black-holed slot is alive in the map but its
     /// connection silently eats traffic — clients only discover it by
     /// deadline expiry, never by an error reply.
@@ -611,8 +609,8 @@ impl EngineCluster {
             engines,
             map: PoolMap::new(nodes, replication_factor),
             stats: RebuildStats::default(),
-            rebuild_conns: HashMap::new(),
-            rebuild_pds: HashMap::new(),
+            rebuild_conns: FastMap::default(),
+            rebuild_pds: FastMap::default(),
             blackholed: vec![false; n],
             stalls: vec![SimDuration::ZERO; n],
             services: ServiceScheduler::new(),

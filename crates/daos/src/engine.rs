@@ -11,11 +11,9 @@
 //! media time comes from the bdev/pmem models. The engine's [`Timed`] walk
 //! reaches every xstream pool, target and drive.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 use ros2_hw::{checksum_cost, CoreClass, LBA_SIZE};
-use ros2_sim::{ServerPool, SimTime, Timed, Visit};
+use ros2_sim::{FastMap, ServerPool, SimTime, Timed, Visit};
 use ros2_spdk::{BdevLayer, ShardBdev};
 
 use crate::cluster::PoolMap;
@@ -74,7 +72,7 @@ pub struct DaosEngine {
     bdevs: BdevLayer,
     targets: Vec<VosTarget>,
     xstreams: Vec<ServerPool>,
-    containers: HashMap<String, ContainerMeta>,
+    containers: FastMap<String, ContainerMeta>,
     rpcs: u64,
     /// The newest map revision the control plane has pushed to this
     /// engine (0 = never observed: every stamp passes the revision fence,
@@ -114,7 +112,7 @@ impl DaosEngine {
             bdevs,
             targets,
             xstreams,
-            containers: HashMap::new(),
+            containers: FastMap::default(),
             rpcs: 0,
             map_version: 0,
             map_view: None,

@@ -137,7 +137,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// The exponential backoff before retry `attempt` (1-based):
     /// `base * 2^(attempt-1)`, saturating, capped at `backoff_cap`.
-    pub fn backoff(&self, attempt: u32) -> SimDuration {
+    fn backoff(&self, attempt: u32) -> SimDuration {
         let shift = attempt.saturating_sub(1).min(63);
         let ns = self
             .backoff_base

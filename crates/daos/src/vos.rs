@@ -28,13 +28,13 @@
 //! `[0, len)` of its record. Reads contained in one record return the
 //! store's zero-copy slice.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use bytes::{Bytes, BytesMut};
 use ros2_buf::{zero_bytes, DataPlaneStats, ZERO_POOL};
 use ros2_hw::LBA_SIZE;
-use ros2_sim::{SimTime, Timed, Visit};
+use ros2_sim::{FastMap, SimTime, Timed, Visit};
 use ros2_spdk::ShardBdev;
 
 use crate::checksum::{crc32c_zeros, Checksum};
@@ -375,7 +375,7 @@ pub struct VosTarget {
     /// stores are keyed by the whole [`RecordKey`] (the `oid` repeats the
     /// outer key), so a probe borrows the caller's address and builds no
     /// index key of its own.
-    objects: HashMap<ObjectId, BTreeMap<RecordKey, ValueStore>>,
+    objects: FastMap<ObjectId, BTreeMap<RecordKey, ValueStore>>,
     /// Updates this target has taken, ever: the arrival clock every value
     /// store's [`RecordVersion`] is read from. Never rewinds, so punching
     /// a record and writing it again cannot repeat a version.
@@ -410,7 +410,7 @@ impl VosTarget {
             nvme_next: lba_base,
             nvme_limit: lba_base + lba_span,
             free_extents: Vec::new(),
-            objects: HashMap::new(),
+            objects: FastMap::default(),
             arrivals: 0,
             stats: VosStats::default(),
             dp: DataPlaneStats::default(),

@@ -3,10 +3,8 @@
 //! multi-tenant isolation" the paper's abstract motivates (§2.3, §5:
 //! "dedicated QPs/PDs, per-tenant queues and rate limits").
 
-use std::collections::HashMap;
-
 use ros2_fabric::Fabric;
-use ros2_sim::{QosLane, SimDuration, SimTime, Timed, Visit};
+use ros2_sim::{FastMap, QosLane, SimDuration, SimTime, Timed, Visit};
 use ros2_verbs::{Expiry, NodeId, PdId};
 
 // The bucket-pair admission mechanism was born here (PR 4) and now lives
@@ -39,7 +37,7 @@ impl TenantCtx {
 #[derive(Debug)]
 pub struct TenantManager {
     node: NodeId,
-    tenants: HashMap<String, TenantCtx>,
+    tenants: FastMap<String, TenantCtx>,
 }
 
 impl TenantManager {
@@ -47,7 +45,7 @@ impl TenantManager {
     pub fn new(node: NodeId) -> Self {
         TenantManager {
             node,
-            tenants: HashMap::new(),
+            tenants: FastMap::default(),
         }
     }
 

@@ -42,16 +42,6 @@ pub enum Dir {
     BtoA,
 }
 
-impl Dir {
-    /// The opposite direction.
-    pub fn flip(self) -> Dir {
-        match self {
-            Dir::AtoB => Dir::BtoA,
-            Dir::BtoA => Dir::AtoB,
-        }
-    }
-}
-
 /// Fabric-layer failures.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum FabricError {
@@ -112,7 +102,7 @@ pub struct Fabric {
     /// only meaningful on RDMA transports.
     eager_threshold: u64,
     /// Wire traversals that booked one closed-form pipelined window per
-    /// pipe (both pipes idle — the uncontended common case).
+    /// pipe (every segment lands at both pipes' tails — idle or queued).
     wire_fast: u64,
     /// Wire traversals that fell back to the exact per-segment loop.
     wire_slow: u64,
@@ -367,12 +357,13 @@ impl Fabric {
     /// Wire traversal: segments through the source TX pipe, path latency,
     /// destination RX pipe. Returns the instant the last byte lands.
     ///
-    /// The common case — both pipes idle at/after `start`, i.e. no
-    /// contending flow — is booked as one closed-form pipelined window per
-    /// pipe in O(1) instead of a per-segment loop (8–16 bookings per 1 MiB
-    /// chunk). Under contention the exact per-segment loop runs, so grants
-    /// are bit-identical either way (asserted by
-    /// `tests/fastpath_equivalence.rs`).
+    /// The common case — every segment lands at the tail of both pipes,
+    /// whether they are idle or still draining earlier transfers — is
+    /// booked as one closed-form pipelined window per pipe in O(1) instead
+    /// of a per-segment loop (8–16 bookings per 1 MiB chunk). When a
+    /// segment could fill a gap before a pipe's last interval, the exact
+    /// per-segment loop runs, so grants are bit-identical either way
+    /// (asserted by `tests/fastpath_equivalence.rs`).
     fn traverse_wire(&mut self, start: SimTime, src: NodeId, dst: NodeId, payload: u64) -> SimTime {
         let wire_total = self.wire.wire_bytes(payload);
         let seg = self.wire.segment;
@@ -393,11 +384,11 @@ impl Fabric {
                 .transmit(arrive, wire_total);
             start.max(rx.finish)
         } else {
-            // Hoisted decline check: under contention the TX pipe is almost
-            // always still busy past `start`, and the one-compare tail test
+            // Hoisted decline check: a `start` before the TX pipe's last
+            // interval could fill an earlier gap, and the one-compare test
             // is far cheaper than entering the closed-form bookkeeping.
             let batched = if self.force_per_segment
-                || self.nodes[src.0 as usize].tx_pipe.tail_free() > start
+                || self.nodes[src.0 as usize].tx_pipe.last_start() > start
             {
                 None
             } else {
@@ -419,7 +410,7 @@ impl Fabric {
         last_arrival
     }
 
-    /// The exact per-segment booking loop (the contended slow path).
+    /// The exact per-segment booking loop (the gap-placement slow path).
     fn traverse_wire_segments(
         &mut self,
         start: SimTime,
@@ -441,21 +432,31 @@ impl Fabric {
         last_arrival
     }
 
-    /// Closed-form pipelined traversal for the uncontended case: one
-    /// contiguous TX window and one contiguous RX window reproduce exactly
-    /// what the per-segment loop would book.
+    /// Closed-form pipelined traversal for transfers that land at the
+    /// pipes' tails: one contiguous TX window and one contiguous RX window
+    /// reproduce exactly what the per-segment loop would book.
     ///
-    /// Why this is exact: the loop submits every segment at `start`, so on
-    /// an idle TX pipe the segments serialize back-to-back into the single
-    /// window `[start, start + Σ tx_i)`. Segment `i` then arrives at the RX
-    /// pipe [`PATH_LATENCY`] after its TX finish, i.e. at intervals of the
-    /// full-segment TX time. When the RX pipe is no faster than the TX pipe
-    /// (`rx_rate <= tx_rate`, true of every shipped topology — both ends
-    /// clamp to the same switch port), each segment's RX service time is ≥
-    /// its inter-arrival gap, so RX bookings are also contiguous:
-    /// `[a0, a0 + Σ rx_i)` with `a0` the first arrival. A faster RX pipe
-    /// would leave idle holes between segment bookings, which the aggregate
-    /// window would mis-book — that case falls back to the loop.
+    /// Why this is exact: the loop submits every segment at `start`. When
+    /// `start` is at or after the start of the TX pipe's last interval,
+    /// the first segment takes a tail fast path and starts at `t0 =
+    /// max(start, tail_free)`, merging into that interval if it starts
+    /// right at its end; either way the last interval now starts at or
+    /// before `start`, so every later segment takes the queue-at-tail path
+    /// too, and the segments serialize back-to-back into the single window
+    /// `[t0, t0 + Σ tx_i)`. Segment `i` then arrives at the RX pipe
+    /// [`PATH_LATENCY`] after its TX finish, i.e. at intervals of its TX
+    /// time. When the RX pipe is no faster than the TX pipe (`rx_rate <=
+    /// tx_rate`, true of every shipped topology — both ends clamp to the
+    /// same switch port), each segment's RX service time is ≥ the gap to
+    /// the next arrival (the first segment is the largest), so RX bookings
+    /// are contiguous too. With the first arrival `a0` at or after the
+    /// start of the RX pipe's last interval, the same tail argument gives
+    /// the window `[r0, r0 + Σ rx_i)` with `r0 = max(a0, tail_free)`. A
+    /// faster RX pipe would leave idle holes between segment bookings, and
+    /// an earlier `start` or `a0` could fill a gap before the last
+    /// interval; both cases fall back to the loop. Every per-segment
+    /// booking replaced here is a tail fast-path hit, so the pipes'
+    /// [`ResourceStats`] match as well.
     ///
     /// Returns `None` (book nothing) unless every exactness precondition
     /// holds.
@@ -468,7 +469,7 @@ impl Fabric {
         seg: u64,
     ) -> Option<SimTime> {
         debug_assert!(
-            self.nodes[src.0 as usize].tx_pipe.tail_free() <= start,
+            self.nodes[src.0 as usize].tx_pipe.last_start() <= start,
             "caller pre-checks the TX tail before entering the closed form"
         );
         let tx_rate = self.nodes[src.0 as usize].tx_pipe.rate();
@@ -480,26 +481,28 @@ impl Fabric {
         let full = segments - 1;
         let rem = wire_total - full * seg; // in (0, seg]
         let tx_pipe = &self.nodes[src.0 as usize].tx_pipe;
+        let t0 = start.max(tx_pipe.tail_free());
         let tx_full = tx_pipe.service_time(seg);
         let tx_rem = tx_pipe.service_time(rem);
         let tx_dur = tx_full * full + tx_rem;
         // First segment is a full one unless the transfer fits in one.
         let first_tx = if full > 0 { tx_full } else { tx_rem };
-        let a0 = start + first_tx + PATH_LATENCY;
-        if self.nodes[dst.0 as usize].rx_pipe.tail_free() > a0 {
+        let a0 = t0 + first_tx + PATH_LATENCY;
+        let rx_pipe = &self.nodes[dst.0 as usize].rx_pipe;
+        if rx_pipe.last_start() > a0 {
             return None;
         }
-        let rx_pipe = &self.nodes[dst.0 as usize].rx_pipe;
+        let r0 = a0.max(rx_pipe.tail_free());
         let rx_dur = rx_pipe.service_time(seg) * full + rx_pipe.service_time(rem);
         // Last arrival instant — mirrors the loop's per-segment submit
         // times so pruning high-water marks line up with the slow path.
-        let last_arrive = start + tx_dur + PATH_LATENCY;
+        let last_arrive = t0 + tx_dur + PATH_LATENCY;
         self.nodes[src.0 as usize]
             .tx_pipe
-            .book_batch(start, start, tx_dur, wire_total, segments);
+            .book_batch(start, t0, tx_dur, wire_total, segments);
         let rx = self.nodes[dst.0 as usize].rx_pipe.book_batch(
             last_arrive,
-            a0,
+            r0,
             rx_dur,
             wire_total,
             segments,

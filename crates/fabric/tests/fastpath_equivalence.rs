@@ -150,9 +150,120 @@ proptest! {
             prop_assert_eq!(fast.node(n).bytes_tx, slow.node(n).bytes_tx);
             prop_assert_eq!(fast.node(n).bytes_rx, slow.node(n).bytes_rx);
         }
+        assert_pipes_match(&fast, &slow, 2);
         // The forced fabric must never have taken the batched path.
         prop_assert_eq!(slow.wire_traversal_stats().batched, 0);
     }
+}
+
+/// Every node's TX and RX pipe reads the same on both fabrics: booking
+/// and fast-path counters, busy time, bytes served and the tail.
+fn assert_pipes_match(fast: &Fabric, slow: &Fabric, nodes: u32) {
+    for n in (0..nodes).map(NodeId) {
+        let (f, s) = (fast.node(n), slow.node(n));
+        for (name, a, b) in [
+            ("tx", &f.tx_pipe, &s.tx_pipe),
+            ("rx", &f.rx_pipe, &s.rx_pipe),
+        ] {
+            assert_eq!(a.stats(), b.stats(), "node {n:?} {name} pipe stats");
+            assert_eq!(a.busy_time(), b.busy_time(), "node {n:?} {name} busy time");
+            assert_eq!(
+                a.bytes_served(),
+                b.bytes_served(),
+                "node {n:?} {name} bytes"
+            );
+            assert_eq!(a.tail_free(), b.tail_free(), "node {n:?} {name} tail");
+        }
+    }
+}
+
+/// Transfers submitted at one instant queue at both pipes' tails: each
+/// after the first starts where the one before it ends. Every traversal
+/// books one window per pipe, and every grant, counter and tail equals
+/// the forced per-segment loop's.
+#[test]
+fn transfers_queued_at_the_tail_book_one_window() {
+    for transport in [Transport::Tcp, Transport::Rdma] {
+        let (mut fast, conn_f, rkey_f, buf_f) = build(transport, 100, 100);
+        let (mut slow, conn_s, rkey_s, buf_s) = build(transport, 100, 100);
+        slow.set_force_per_segment(true);
+        // The send on TCP, a one-sided WRITE on RDMA.
+        let op = ScheduledOp {
+            now: SimTime::from_micros(3),
+            kind: 1,
+            to_b: true,
+            len: 1 << 20,
+        };
+        let mut last = SimTime::ZERO;
+        for i in 0..32 {
+            let at_fast = drive_op(&mut fast, conn_f, rkey_f, buf_f, transport, &op);
+            let at_slow = drive_op(&mut slow, conn_s, rkey_s, buf_s, transport, &op);
+            assert_eq!(at_fast, at_slow, "{transport:?} transfer {i}");
+            assert!(
+                at_fast > last,
+                "{transport:?} transfer {i} queued behind the one before"
+            );
+            last = at_fast;
+        }
+        let wire = fast.wire_traversal_stats();
+        assert_eq!(
+            (wire.batched, wire.per_segment),
+            (32, 0),
+            "{transport:?}: every queued transfer takes the window"
+        );
+        assert_pipes_match(&fast, &slow, 2);
+        let stats = fast.node(NodeId(0)).tx_pipe.stats();
+        assert_eq!(
+            stats.fastpath_hits, stats.bookings,
+            "{transport:?} TX all at the tail"
+        );
+    }
+}
+
+/// A transfer whose first segment reaches the RX pipe before that pipe's
+/// last interval starts could fill the gap in front of it, so the window
+/// declines, and the loop's placement in the gap is what both fabrics book.
+#[test]
+fn an_rx_gap_before_the_last_interval_declines_the_window() {
+    let three = || {
+        let mut f = Fabric::new(
+            Transport::Tcp,
+            vec![spec("a", 8, 100), spec("b", 8, 100), spec("c", 8, 100)],
+            11,
+        );
+        let pd = ros2_verbs::PdId(0); // unused on TCP
+        let a_to_b = f.connect(NodeId(0), NodeId(1), pd, pd).unwrap();
+        let c_to_b = f.connect(NodeId(2), NodeId(1), pd, pd).unwrap();
+        (f, a_to_b, c_to_b)
+    };
+    let (mut fast, ab_f, cb_f) = three();
+    let (mut slow, ab_s, cb_s) = three();
+    slow.set_force_per_segment(true);
+    let mut deliveries = Vec::new();
+    for (f, ab, cb) in [(&mut fast, ab_f, cb_f), (&mut slow, ab_s, cb_s)] {
+        // C books B's RX pipe a millisecond ahead; A's megabyte lands first.
+        let later = f
+            .send(
+                SimTime::from_millis(1),
+                cb,
+                Dir::AtoB,
+                Bytes::from(vec![1u8; 4096]),
+            )
+            .unwrap();
+        let first = f
+            .send(
+                SimTime::ZERO,
+                ab,
+                Dir::AtoB,
+                Bytes::from(vec![2u8; 1 << 20]),
+            )
+            .unwrap();
+        assert!(first.at < later.at, "the megabyte fits in the gap");
+        deliveries.push((first.at, later.at));
+    }
+    assert_eq!(deliveries[0], deliveries[1]);
+    assert_pipes_match(&fast, &slow, 3);
+    assert_eq!(fast.wire_traversal_stats().per_segment, 1);
 }
 
 /// An uncontended large-transfer stream books nearly every traversal via

@@ -39,6 +39,7 @@
 
 #![warn(missing_docs)]
 
+pub mod hash;
 pub mod lru;
 pub mod queue;
 pub mod resources;
@@ -47,6 +48,7 @@ pub mod stats;
 pub mod time;
 pub mod timed;
 
+pub use hash::{FastMap, FastSet};
 pub use lru::DetLru;
 pub use queue::EventQueue;
 pub use resources::{

@@ -123,6 +123,13 @@ impl IntervalBook {
         self.spans.back().map_or(0, |&(_, end)| end)
     }
 
+    /// Start of the last booked interval (0 when empty). A nonzero demand
+    /// with `from >= last_start()` takes one of the O(1) tail fast paths
+    /// of [`Self::earliest`] and starts at `max(from, tail_free())`.
+    fn last_start(&self) -> u64 {
+        self.spans.back().map_or(0, |&(start, _)| start)
+    }
+
     /// Earliest feasible start ≥ `from` for `dur`, plus the insertion
     /// index, plus whether the placement resolved via an O(1) tail
     /// shortcut (the fast-path flag resources feed into [`ResourceStats`]).
@@ -301,6 +308,14 @@ impl BandwidthServer {
         SimTime::from_nanos(self.book.tail_free())
     }
 
+    /// Start of the last booked interval. A nonempty transfer submitted at
+    /// or after it lands at the tail, at `max(now, tail_free())`, through
+    /// the O(1) fast path — however much of the last interval is still to
+    /// drain.
+    pub fn last_start(&self) -> SimTime {
+        SimTime::from_nanos(self.book.last_start())
+    }
+
     /// Tail-append fast path for batched callers (the fabric's pipelined
     /// wire traversal): books one contiguous window `[start, start + dur)`
     /// standing for `segments` back-to-back per-segment bookings totalling
@@ -320,7 +335,7 @@ impl BandwidthServer {
     ) -> Grant {
         debug_assert!(
             start >= self.tail_free(),
-            "book_batch caller must verify the pipe is idle at/after start"
+            "book_batch caller must place the window at or after the tail"
         );
         self.book
             .book(start.as_nanos(), dur.as_nanos(), self.book.spans.len());
@@ -581,7 +596,8 @@ impl TokenBucket {
     }
 
     /// Current whole tokens available at `now` (read-only estimate).
-    pub fn available(&self, now: SimTime) -> u64 {
+    #[cfg(test)]
+    fn available(&self, now: SimTime) -> u64 {
         let dt = now.saturating_since(self.updated).as_nanos() as u128;
         let cap = self.burst as u128 * 1_000_000_000;
         let level = (self.level_tn + dt * self.rate_per_sec as u128).min(cap);

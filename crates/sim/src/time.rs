@@ -108,14 +108,20 @@ impl SimDuration {
     }
 
     /// The time needed to move `bytes` bytes at `bytes_per_sec`, rounded up
-    /// to the next nanosecond. Exact `u128` integer arithmetic.
+    /// to the next nanosecond. Exact integer arithmetic: `u64` whenever
+    /// `bytes * 1e9` fits (every transfer under ~18.4 GB), `u128` beyond.
     pub fn for_bytes(bytes: u64, bytes_per_sec: u64) -> SimDuration {
         if bytes_per_sec == 0 {
             return SimDuration::MAX;
         }
-        let num = bytes as u128 * 1_000_000_000u128;
-        let den = bytes_per_sec as u128;
-        SimDuration(num.div_ceil(den).min(u64::MAX as u128) as u64)
+        match bytes.checked_mul(1_000_000_000) {
+            Some(num) => SimDuration(num.div_ceil(bytes_per_sec)),
+            None => {
+                let num = bytes as u128 * 1_000_000_000u128;
+                let den = bytes_per_sec as u128;
+                SimDuration(num.div_ceil(den).min(u64::MAX as u128) as u64)
+            }
+        }
     }
 
     /// Saturating subtraction.
@@ -275,6 +281,27 @@ mod tests {
         assert_eq!(d.as_nanos(), 333_333_334);
         // Zero rate is "never".
         assert_eq!(SimDuration::for_bytes(1, 0), SimDuration::MAX);
+    }
+
+    /// The `u64` path agrees with the all-`u128` formula on both sides of
+    /// the point where `bytes * 1e9` stops fitting.
+    #[test]
+    fn bytes_rate_math_agrees_with_the_wide_formula() {
+        let wide = |bytes: u64, rate: u64| {
+            (bytes as u128 * 1_000_000_000)
+                .div_ceil(rate as u128)
+                .min(u64::MAX as u128) as u64
+        };
+        let edge = u64::MAX / 1_000_000_000;
+        for bytes in [0, 1, edge - 1, edge, edge + 1, u64::MAX] {
+            for rate in [1, 3, 1 << 30, u64::MAX] {
+                assert_eq!(
+                    SimDuration::for_bytes(bytes, rate).as_nanos(),
+                    wide(bytes, rate),
+                    "{bytes} B at {rate} B/s"
+                );
+            }
+        }
     }
 
     #[test]

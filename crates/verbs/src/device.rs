@@ -7,10 +7,8 @@
 //! moves. A violation increments the device's [`ViolationStats`] and throws
 //! the target QP into the ERROR state, exactly as an RC NIC would.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
-use ros2_sim::{SimRng, SimTime, Timed, Visit};
+use ros2_sim::{FastMap, SimRng, SimTime, Timed, Visit};
 
 use crate::chain::{ChainStats, WorkChain};
 use crate::memory::NodeMemory;
@@ -81,14 +79,15 @@ pub(crate) enum Right {
 pub struct RdmaDevice {
     node: NodeId,
     pub(crate) memory: NodeMemory,
-    pds: HashMap<PdId, ProtectionDomain>,
-    mrs: HashMap<MrId, MemoryRegion>,
-    qps: HashMap<QpId, QueuePair>,
-    rkey_index: HashMap<RKey, MrId>,
-    lkey_index: HashMap<LKey, MrId>,
-    next_pd: u32,
-    next_mr: u32,
-    next_qp: u32,
+    /// Protection domains, memory regions and QPs, each at the index of
+    /// its handle, as `chains` is. Handles count from 1 (slot 0 stays
+    /// empty, so a zero handle names nothing) and are never reused; a
+    /// deregistered region leaves a hole.
+    pds: Vec<Option<ProtectionDomain>>,
+    mrs: Vec<Option<MemoryRegion>>,
+    qps: Vec<Option<QueuePair>>,
+    rkey_index: FastMap<RKey, MrId>,
+    lkey_index: FastMap<LKey, MrId>,
     rng: SimRng,
     peermem: bool,
     violations: ViolationStats,
@@ -109,14 +108,11 @@ impl RdmaDevice {
         RdmaDevice {
             node,
             memory: NodeMemory::new(mem_budget),
-            pds: HashMap::new(),
-            mrs: HashMap::new(),
-            qps: HashMap::new(),
-            rkey_index: HashMap::new(),
-            lkey_index: HashMap::new(),
-            next_pd: 1,
-            next_mr: 1,
-            next_qp: 1,
+            pds: vec![None],
+            mrs: vec![None],
+            qps: vec![None],
+            rkey_index: FastMap::default(),
+            lkey_index: FastMap::default(),
             rng,
             peermem: false,
             violations: ViolationStats::default(),
@@ -146,20 +142,16 @@ impl RdmaDevice {
 
     /// Allocates a protection domain for `tenant`.
     pub fn alloc_pd(&mut self, tenant: impl Into<String>) -> PdId {
-        let id = PdId(self.next_pd);
-        self.next_pd += 1;
-        self.pds.insert(
-            id,
-            ProtectionDomain {
-                tenant: tenant.into(),
-            },
-        );
+        let id = PdId(self.pds.len() as u32);
+        self.pds.push(Some(ProtectionDomain {
+            tenant: tenant.into(),
+        }));
         id
     }
 
     /// The tenant label of a PD.
     pub fn pd_tenant(&self, pd: PdId) -> Option<&str> {
-        self.pds.get(&pd).map(|p| p.tenant.as_str())
+        slot(&self.pds, pd.0).map(|p| p.tenant.as_str())
     }
 
     // ---- buffers --------------------------------------------------------
@@ -218,7 +210,7 @@ impl RdmaDevice {
         access: AccessFlags,
         expiry: Expiry,
     ) -> Result<(MrId, RKey, LKey), VerbsError> {
-        if !self.pds.contains_key(&pd) {
+        if slot(&self.pds, pd.0).is_none() {
             return Err(VerbsError::BadHandle);
         }
         if !self.memory.in_bounds(addr, len) {
@@ -231,24 +223,20 @@ impl RdmaDevice {
         if domain == MemoryDomain::GpuHbm && !self.peermem {
             return Err(VerbsError::NoPeermem);
         }
-        let id = MrId(self.next_mr);
-        self.next_mr += 1;
+        let id = MrId(self.mrs.len() as u32);
         let rkey = RKey(self.rng.next_u64());
         let lkey = LKey(self.rng.next_u64());
-        self.mrs.insert(
-            id,
-            MemoryRegion {
-                pd,
-                addr,
-                len,
-                access,
-                rkey,
-                lkey,
-                expiry,
-                domain,
-                revoked: false,
-            },
-        );
+        self.mrs.push(Some(MemoryRegion {
+            pd,
+            addr,
+            len,
+            access,
+            rkey,
+            lkey,
+            expiry,
+            domain,
+            revoked: false,
+        }));
         self.rkey_index.insert(rkey, id);
         self.lkey_index.insert(lkey, id);
         Ok((id, rkey, lkey))
@@ -256,14 +244,18 @@ impl RdmaDevice {
 
     /// Revokes the MR's rkey without deregistering (fast-path kill switch).
     pub fn revoke_rkey(&mut self, mr: MrId) -> Result<(), VerbsError> {
-        let region = self.mrs.get_mut(&mr).ok_or(VerbsError::BadHandle)?;
+        let region = slot_mut(&mut self.mrs, mr.0).ok_or(VerbsError::BadHandle)?;
         region.revoked = true;
         Ok(())
     }
 
     /// Deregisters a region entirely.
     pub fn dereg_mr(&mut self, mr: MrId) -> Result<(), VerbsError> {
-        let region = self.mrs.remove(&mr).ok_or(VerbsError::BadHandle)?;
+        let region = self
+            .mrs
+            .get_mut(mr.0 as usize)
+            .and_then(Option::take)
+            .ok_or(VerbsError::BadHandle)?;
         self.rkey_index.remove(&region.rkey);
         self.lkey_index.remove(&region.lkey);
         Ok(())
@@ -271,27 +263,23 @@ impl RdmaDevice {
 
     /// The region behind an MR handle.
     pub fn mr(&self, mr: MrId) -> Option<&MemoryRegion> {
-        self.mrs.get(&mr)
+        slot(&self.mrs, mr.0)
     }
 
     // ---- queue pairs ------------------------------------------------------
 
     /// Creates a QP in `pd` (state INIT).
     pub fn create_qp(&mut self, pd: PdId, qp_type: QpType) -> Result<QpId, VerbsError> {
-        if !self.pds.contains_key(&pd) {
+        if slot(&self.pds, pd.0).is_none() {
             return Err(VerbsError::BadHandle);
         }
-        let id = QpId(self.next_qp);
-        self.next_qp += 1;
-        self.qps.insert(
-            id,
-            QueuePair {
-                pd,
-                qp_type,
-                state: QpState::Init,
-                peer: None,
-            },
-        );
+        let id = QpId(self.qps.len() as u32);
+        self.qps.push(Some(QueuePair {
+            pd,
+            qp_type,
+            state: QpState::Init,
+            peer: None,
+        }));
         Ok(id)
     }
 
@@ -303,7 +291,7 @@ impl RdmaDevice {
         peer_node: NodeId,
         peer_qp: QpId,
     ) -> Result<(), VerbsError> {
-        let q = self.qps.get_mut(&qp).ok_or(VerbsError::BadHandle)?;
+        let q = slot_mut(&mut self.qps, qp.0).ok_or(VerbsError::BadHandle)?;
         if q.state != QpState::Init {
             return Err(VerbsError::QpNotReady);
         }
@@ -314,24 +302,24 @@ impl RdmaDevice {
 
     /// The QP's current state.
     pub fn qp_state(&self, qp: QpId) -> Option<QpState> {
-        self.qps.get(&qp).map(|q| q.state)
+        slot(&self.qps, qp.0).map(|q| q.state)
     }
 
     /// Number of QPs currently allocated on this device. RC connection
     /// state is the scarce on-NIC resource (ICM cache), so clients are
     /// expected to keep this O(peers), not O(jobs × peers).
     pub fn qp_count(&self) -> usize {
-        self.qps.len()
+        self.qps.iter().flatten().count()
     }
 
     /// The QP's protection domain.
     pub fn qp_pd(&self, qp: QpId) -> Option<PdId> {
-        self.qps.get(&qp).map(|q| q.pd)
+        slot(&self.qps, qp.0).map(|q| q.pd)
     }
 
     /// Resets an errored QP back to INIT (administrative recovery).
     pub fn reset_qp(&mut self, qp: QpId) -> Result<(), VerbsError> {
-        let q = self.qps.get_mut(&qp).ok_or(VerbsError::BadHandle)?;
+        let q = slot_mut(&mut self.qps, qp.0).ok_or(VerbsError::BadHandle)?;
         q.state = QpState::Init;
         q.peer = None;
         Ok(())
@@ -341,7 +329,7 @@ impl RdmaDevice {
     #[cfg(test)]
     fn check_local_access(&self, lkey: LKey, addr: MemAddr, len: u64) -> Result<(), VerbsError> {
         let mr_id = self.lkey_index.get(&lkey).ok_or(VerbsError::InvalidLkey)?;
-        let mr = &self.mrs[mr_id];
+        let mr = self.mr(*mr_id).ok_or(VerbsError::InvalidLkey)?;
         if addr < mr.addr || addr + len > mr.addr + mr.len {
             return Err(VerbsError::OutOfBounds);
         }
@@ -363,7 +351,7 @@ impl RdmaDevice {
         right: Right,
     ) -> Result<MrId, VerbsError> {
         let mr_id = *self.rkey_index.get(&rkey).ok_or(VerbsError::InvalidRkey)?;
-        let mr = &self.mrs[&mr_id];
+        let mr = self.mr(mr_id).ok_or(VerbsError::InvalidRkey)?;
         if mr.revoked {
             return Err(VerbsError::RkeyRevoked);
         }
@@ -394,7 +382,7 @@ impl RdmaDevice {
     /// as real RC hardware does on a protection fault.
     pub(crate) fn protection_fault(&mut self, qp: QpId, e: VerbsError) {
         self.violations.record(e);
-        if let Some(q) = self.qps.get_mut(&qp) {
+        if let Some(q) = slot_mut(&mut self.qps, qp.0) {
             q.state = QpState::Error;
         }
     }
@@ -410,7 +398,7 @@ impl RdmaDevice {
         len: u64,
         write: bool,
     ) -> Result<MrId, VerbsError> {
-        let qp = self.qps.get(&target_qp).ok_or(VerbsError::BadHandle)?;
+        let qp = slot(&self.qps, target_qp.0).ok_or(VerbsError::BadHandle)?;
         if qp.state != QpState::ReadyToSend && qp.state != QpState::ReadyToReceive {
             return Err(VerbsError::QpNotReady);
         }
@@ -469,6 +457,16 @@ impl RdmaDevice {
         self.remote_ops.1 += len;
         Ok(self.memory.read(addr, len as usize))
     }
+}
+
+/// The live entry handle number `id` names in `slab`, if any.
+fn slot<T>(slab: &[Option<T>], id: u32) -> Option<&T> {
+    slab.get(id as usize)?.as_ref()
+}
+
+/// [`slot`], mutably.
+fn slot_mut<T>(slab: &mut [Option<T>], id: u32) -> Option<&mut T> {
+    slab.get_mut(id as usize)?.as_mut()
 }
 
 impl Timed for RdmaDevice {
@@ -678,6 +676,11 @@ mod tests {
             VerbsError::InvalidRkey
         );
         assert_eq!(d.dereg_mr(mr).unwrap_err(), VerbsError::BadHandle);
+        assert!(d.mr(mr).is_none(), "a deregistered handle names nothing");
+        // Handles count from 1: slot 0 names nothing in any table.
+        assert_eq!(d.pd_tenant(PdId(0)), None);
+        assert_eq!(d.qp_state(QpId(0)), None);
+        assert_eq!(d.qp_count(), 2);
     }
 
     #[test]

@@ -109,7 +109,8 @@ impl NodeMemory {
     }
 
     /// Bytes currently allocated.
-    pub fn used(&self) -> u64 {
+    #[cfg(test)]
+    fn used(&self) -> u64 {
         self.used
     }
 

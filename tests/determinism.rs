@@ -110,9 +110,11 @@ fn control_arm_sweep_simulates_the_pinned_op_count() {
         "uncontended booking hit rate"
     );
     assert_eq!(dp.bytes_copied, 0, "the uncontended sweep is zero-copy");
+    // Measured 0.99858 (2 977 730 of 2 981 964 traversals): only a
+    // transfer that could fill a gap before a pipe's last interval loops.
     let batched_rate = contended_wire.0 as f64 / contended_wire.1 as f64;
     assert!(
-        batched_rate >= 0.9966,
+        batched_rate >= 0.9985,
         "contended wire batched rate {batched_rate:.4}"
     );
 }

@@ -238,6 +238,22 @@ const FENCES: &[Fence] = &[
         except: None,
         message: "ros2_dpu regrew its own RecordKey instead of using ros2_daos's",
     },
+    // Every hash-keyed table keys through `ros2_sim::FastMap`/`FastSet`:
+    // one fixed hasher, no SipHash on the op path, one iteration order.
+    Fence {
+        paths: &["crates/*/src"],
+        patterns: &[
+            "std::collections::.*HashMap",
+            "std::collections::.*HashSet",
+            "RandomState",
+            "DefaultHasher",
+        ],
+        except: Some(Except::Files(&[(
+            "crates/sim/src/hash.rs",
+            "the one hasher: FastMap and FastSet are std's tables keyed through it",
+        )])),
+        message: "a std-hashed table came back instead of ros2_sim::FastMap/FastSet",
+    },
     // The DAOS client suites build their worlds through the one builder in
     // `crates/daos/tests/common` (`world(..)`), which also holds the
     // history oracle they check every answer with.
@@ -312,16 +328,6 @@ const ORPHANS: &[(&str, &str, &str)] = &[
         "the open-loop arrival sampler, with its own test; no workload draws Poisson arrivals yet",
     ),
     (
-        "crates/daos/src/pipeline.rs",
-        "backoff",
-        "RetryPolicy's documented backoff rule; only the ring's retry rungs, in the same file, call it",
-    ),
-    (
-        "crates/fabric/src/fabric.rs",
-        "flip",
-        "no caller: Dir::flip is dead, to be deleted by the next change that edits crates/fabric/src",
-    ),
-    (
         "crates/nvme/src/backing.rs",
         "resident_pages",
         "read only by its own file's unit test; to go with the next change to crates/nvme/src",
@@ -332,19 +338,9 @@ const ORPHANS: &[(&str, &str, &str)] = &[
         "the NvmeCmd flush barrier, built only by its own file's unit test: no workload flushes",
     ),
     (
-        "crates/sim/src/resources.rs",
-        "available",
-        "a read-only TokenBucket probe, read only by its own file's unit test",
-    ),
-    (
         "crates/spdk/src/nvmf.rs",
         "commands",
         "NvmfTarget's command counter, read only by its own file's unit test",
-    ),
-    (
-        "crates/verbs/src/memory.rs",
-        "used",
-        "NodeMemory's registered-bytes count, read only by its own file's unit test",
     ),
 ];
 
@@ -488,14 +484,36 @@ fn patterns_match_as_documented() {
         "    pub fn cache_data_plane_stats(&self)",
         WALKERS[2]
     ));
-    let suites = FENCES.last().unwrap();
-    let breaks = |file: &str, line: &str| {
-        let exempt = suites
-            .except
-            .as_ref()
-            .is_some_and(|e| e.exempts(file, line));
-        !exempt && suites.patterns.iter().any(|p| contains(line, p))
+    let breaks_fence = |fence: &Fence, file: &str, line: &str| {
+        let exempt = fence.except.as_ref().is_some_and(|e| e.exempts(file, line));
+        !exempt && fence.patterns.iter().any(|p| contains(line, p))
     };
+    let hashers = FENCES
+        .iter()
+        .find(|f| f.message.contains("FastMap"))
+        .unwrap();
+    let engine = "crates/daos/src/engine.rs";
+    for line in [
+        "use std::collections::{BTreeMap, HashMap};",
+        "    stalled: std::collections::HashSet<u64>,",
+        "use std::collections::hash_map::RandomState;",
+        "    let mut h = std::hash::DefaultHasher::new();",
+    ] {
+        assert!(breaks_fence(hashers, engine, line), "{line}");
+    }
+    for line in [
+        "use std::collections::{BTreeMap, VecDeque};",
+        "    containers: FastMap<String, ContainerMeta>,",
+    ] {
+        assert!(!breaks_fence(hashers, engine, line), "{line}");
+    }
+    assert!(!breaks_fence(
+        hashers,
+        "crates/sim/src/hash.rs",
+        "use std::collections::{HashMap, HashSet};"
+    ));
+    let suites = FENCES.last().unwrap();
+    let breaks = |file: &str, line: &str| breaks_fence(suites, file, line);
     let suite = "crates/daos/tests/map_races.rs";
     assert!(breaks(
         suite,
