@@ -1293,12 +1293,10 @@ impl ClientOpResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::DaosEngine;
     use crate::types::ObjClass;
     use ros2_fabric::NodeSpec;
-    use ros2_hw::{gbps, CpuComplement, DpuTcpRxModel, NicModel, NvmeModel};
-    use ros2_nvme::{DataMode, NvmeArray};
-    use ros2_spdk::BdevLayer;
+    use ros2_hw::{gbps, CpuComplement, DpuTcpRxModel, NicModel};
+    use ros2_nvme::DataMode;
 
     fn world(transport: Transport, client_is_dpu: bool) -> (Fabric, EngineCluster, DaosClient) {
         let client_spec = if client_is_dpu {
@@ -1338,19 +1336,16 @@ mod tests {
             dpu_tcp_rx: None,
         };
         let mut fabric = Fabric::new(transport, vec![client_spec, server_spec], 5);
-        let bdevs = BdevLayer::new(NvmeArray::new(
-            NvmeModel::enterprise_1600(),
+        let mut cluster = EngineCluster::assemble(
+            vec![NodeId(1)],
+            1,
             1,
             DataMode::Stored,
-        ));
-        let mut engine = DaosEngine::new(
-            "pool0",
-            bdevs,
             256 << 20,
             DaosCostModel::default_model(),
             CoreClass::HostX86,
         );
-        engine.cont_create("cont0").unwrap();
+        cluster.cont_create("cont0").unwrap();
         let client = DaosClient::connect_scoped_multi(
             &mut fabric,
             &ConnectSpec {
@@ -1366,7 +1361,7 @@ mod tests {
             Expiry::Never,
         )
         .unwrap();
-        (fabric, EngineCluster::single(engine), client)
+        (fabric, cluster, client)
     }
 
     fn do_round_trip(transport: Transport) {

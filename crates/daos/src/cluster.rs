@@ -597,7 +597,7 @@ pub struct EngineCluster {
 impl EngineCluster {
     /// Assembles a cluster of `engines` (parallel to `nodes`) replicating
     /// each object across `replication_factor` members.
-    pub fn new(engines: Vec<DaosEngine>, nodes: Vec<NodeId>, replication_factor: usize) -> Self {
+    fn new(engines: Vec<DaosEngine>, nodes: Vec<NodeId>, replication_factor: usize) -> Self {
         assert_eq!(engines.len(), nodes.len(), "one node per engine");
         assert!(!engines.is_empty(), "a cluster needs at least one engine");
         assert!(
@@ -629,13 +629,6 @@ impl EngineCluster {
         for (slot, e) in self.engines.iter_mut().enumerate() {
             e.observe_map(&self.map, slot);
         }
-    }
-
-    /// The degenerate single-engine cluster (RF = 1, storage on
-    /// `NodeId(1)`) — the shape every pre-cluster world assembles. Routing
-    /// through it is bit-identical to driving the engine directly.
-    pub fn single(engine: DaosEngine) -> Self {
-        EngineCluster::new(vec![engine], vec![NodeId(1)], 1)
     }
 
     /// Builds the canonical N-engine pool: one engine per storage node,

@@ -96,7 +96,7 @@ use ros2_fabric::{Fabric, SendCores};
 use ros2_sim::{SimDuration, SimTime};
 
 use crate::client::{ClientOp, ClientOpResult, DaosClient, FetchOp, FiredTemplate, UpdateOp};
-use crate::cluster::{EngineCluster, Routing};
+use crate::cluster::{EngineCluster, ReplicaSet, Routing};
 use crate::engine::{Arrival, ValueKind};
 use crate::types::{DaosError, Epoch, RecordKey};
 
@@ -199,6 +199,8 @@ struct StagedUpdate {
     stamp: u64,
     /// Whether the submission-time route was non-degraded.
     clean: bool,
+    /// The replicas the submission staged a leg to.
+    set: ReplicaSet,
     /// One per replica; emptied while the legs execute.
     legs: Vec<UpdateLeg>,
 }
@@ -545,6 +547,7 @@ impl OpRing {
                     epoch,
                     stamp,
                     clean: !degraded,
+                    set,
                     legs,
                 });
                 (posted, completion, body)
@@ -647,6 +650,8 @@ impl OpRing {
         match &mut op.body {
             Body::Update(update) => {
                 let mut legs = std::mem::take(&mut update.legs);
+                let (oid, staged_to) = (update.key.oid, update.set);
+                let mut data = legs.first().map(|leg| leg.payload.clone());
                 // The last ack and the engine it came from.
                 let mut done: Option<(SimTime, usize)> = None;
                 let mut err: Option<DaosError> = None;
@@ -654,19 +659,62 @@ impl OpRing {
                 self.store.trail[op.slot].fill_ok = update.clean;
                 // Every leg acked first time and inside its deadline.
                 let mut on_time = true;
-                for leg in legs.drain(..) {
-                    let eng = leg.eng;
-                    match self.run_update_leg(client, fabric, cluster, &op, leg) {
-                        Ok(Some((acked, first_try))) => {
-                            on_time &= first_try;
-                            if done.is_none_or(|(d, _)| acked > d) {
-                                done = Some((acked, eng));
+                loop {
+                    for leg in legs.drain(..) {
+                        let eng = leg.eng;
+                        match self.run_update_leg(client, fabric, cluster, &op, leg) {
+                            Ok(Some((acked, first_try))) => {
+                                on_time &= first_try;
+                                if done.is_none_or(|(d, _)| acked > d) {
+                                    done = Some((acked, eng));
+                                }
                             }
+                            // The replica left the placement (kill or
+                            // fence): its leg drops and the survivors
+                            // carry the commit.
+                            Ok(None) => on_time = false,
+                            Err(e) => err = err.or(Some(e)),
                         }
-                        // The replica left the placement (kill or fence):
-                        // its leg drops and the survivors carry the commit.
-                        Ok(None) => on_time = false,
-                        Err(e) => err = err.or(Some(e)),
+                    }
+                    // A refresh can also move the placement onto a member
+                    // no leg was staged to (a rebuilt replica joining the
+                    // set): the write goes there too, stamped with the
+                    // refreshed route, or that replica would lack an
+                    // acked write. Only a leg that climbed the ladder
+                    // refreshes, so an op whose legs all went right first
+                    // time has nothing to add.
+                    let (false, Some(payload), Some((after, _)), None) =
+                        (on_time, data.take(), done, err)
+                    else {
+                        break;
+                    };
+                    let routing = client.cached_map().route(&oid);
+                    let joined = routing.set.iter().filter(|&eng| !staged_to.contains(eng));
+                    for eng in joined {
+                        let (t_cpu, _) = client.client_cpu_split(after, job);
+                        match client.stage_update_from(
+                            fabric,
+                            t_cpu,
+                            job,
+                            eng,
+                            payload.clone(),
+                            None,
+                        ) {
+                            Ok((staged, payload)) => legs.push(UpdateLeg {
+                                eng,
+                                staged,
+                                payload,
+                            }),
+                            Err(e) => err = err.or(Some(e)),
+                        }
+                    }
+                    if legs.is_empty() {
+                        break;
+                    }
+                    client.retry.retries += legs.len() as u64;
+                    self.store.trail[op.slot].fill_ok = false;
+                    if let Body::Update(update) = &mut op.body {
+                        update.stamp = routing.stamp;
                     }
                 }
                 self.store.spare_legs.push(legs);

@@ -2,7 +2,7 @@
 //! fan to every replica, an engine kill degrades reads without failing
 //! them, and the online rebuild restores the replication factor with
 //! bit-identical data (CRC-verified on fetch), every answer held to the
-//! history oracle (`common::Oracle`).
+//! history oracle (`ros2_testkit::Oracle`).
 
 use ros2_daos::{
     AKey, ClientOpResult, ConnectSpec, DKey, DaosClient, DaosCostModel, EngineCluster, Epoch,
@@ -12,10 +12,8 @@ use ros2_fabric::{Fabric, NodeSpec};
 use ros2_hw::{CoreClass, Transport};
 use ros2_nvme::DataMode;
 use ros2_sim::SimTime;
+use ros2_testkit::{read, stamped, write, Oracle};
 use ros2_verbs::{Expiry, MemoryDomain, NodeId};
-
-mod common;
-use common::{read, stamped, write, Oracle};
 
 /// This suite keeps a builder of its own: its nodes are the paper's §4.1
 /// presets (`NodeSpec::host_client`/`storage_server`, 64 GiB each), which

@@ -14,9 +14,7 @@ use bytes::Bytes;
 use ros2_daos::{ClientOp, DaosClient, EngineCluster, ObjClass, ObjectId, OpRing, RetryStats};
 use ros2_fabric::Fabric;
 use ros2_sim::{SimDuration, SimTime};
-
-mod common;
-use common::{instant, read, serial_op, world, write, Oracle};
+use ros2_testkit::{instant, read, serial_op, world, write, Oracle};
 
 /// The acceptance scenario. A fetch ring at QD 32 over an RF=2 object;
 /// the *non-leader* replica dies between submissions, and the RAS event
@@ -240,6 +238,47 @@ fn stale_updates_fence_then_commit_on_the_current_map() {
     assert!(cl.fences() >= 1, "stale update legs must be fenced");
     assert_eq!(c.retry_stats().exhausted, 0);
     // Acked-means-durable: every update reads back from the new map.
+    let done = results.iter().filter_map(instant).max().unwrap();
+    o.check_world(&mut c, &mut f, &mut cl, done);
+}
+
+#[test]
+fn updates_a_stale_client_retries_reach_the_member_rebuild_added() {
+    // A replica dies and is rebuilt before the client hears of either:
+    // the ring stages each update to the pre-kill set, the leg at the
+    // dead engine drops, the survivor fences its leg, and the refreshed
+    // route holds the member the rebuild backfilled. Every ack must land
+    // there as well as on the survivor (rule 3), not on the survivor
+    // alone.
+    let (mut f, mut cl, mut c) = world(4, 2).build();
+    let mut o = Oracle::new(c.retry_policy().budget);
+    let oid = ObjectId::new(ObjClass::Sx, 5);
+    let t = o.preamble(&mut c, &mut f, &mut cl, oid, 4);
+    // Bootstrap the client's cached map before the kill.
+    let mut ring = OpRing::new(0, 1);
+    ring.submit(&mut c, &mut f, &mut cl, t, read(oid, 0, 16 << 10));
+    o.settle_all(
+        &[read(oid, 0, 16 << 10)],
+        &ring.drain(&mut c, &mut f, &mut cl),
+    );
+    let pre = cl.map().route(&oid).set;
+    cl.kill_engine(pre.iter().nth(1).unwrap()).unwrap();
+    let t0 = cl.rebuild(&mut f, t).unwrap();
+    c.deliver_map(SimTime::from_secs(60), cl.map().clone());
+    let joined = cl.map().route(&oid).set;
+    assert!(
+        joined.iter().any(|eng| !pre.contains(eng)),
+        "rebuild backfilled"
+    );
+
+    let tape: Vec<ClientOp> = (100..104).map(|i| write(oid, i, 8 << 10, i)).collect();
+    let mut ring = OpRing::new(0, 4);
+    for op in &tape {
+        ring.submit(&mut c, &mut f, &mut cl, t0, op.clone());
+    }
+    let results = ring.drain(&mut c, &mut f, &mut cl);
+    o.settle_all(&tape, &results);
+    assert!(c.retry_stats().fenced >= 1, "the stale legs were fenced");
     let done = results.iter().filter_map(instant).max().unwrap();
     o.check_world(&mut c, &mut f, &mut cl, done);
 }

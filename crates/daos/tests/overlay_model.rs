@@ -6,7 +6,7 @@
 //! retry re-importing the same records) and arriving out of epoch order —
 //! and checks every fetch, at `LATEST` and at random snapshot epochs,
 //! against a flat byte array painted with every version in `(epoch,
-//! arrival)` order (`common::paint`, which the client suites' history
+//! arrival)` order (`ros2_testkit::paint`, which the client suites' history
 //! oracle reads arrays with too). The painter also knows which record
 //! owns each byte, so it bounds the media work: a fetch may read no more
 //! NVMe blocks than its segments (maximal runs of bytes served by one
@@ -26,9 +26,7 @@ use ros2_hw::{CoreClass, NvmeModel, LBA_SIZE};
 use ros2_nvme::{DataMode, NvmeArray};
 use ros2_sim::{SimDuration, SimTime, Timed};
 use ros2_spdk::BdevLayer;
-
-mod common;
-use common::{paint, stamped, Oracle, Written};
+use ros2_testkit::{paint, stamped, Oracle, Written};
 
 /// Array address space of the model (a dozen checksum chunks).
 const SPACE: u64 = 48 << 10;
@@ -233,7 +231,7 @@ fn overwrites_do_not_amplify_reads() {
     assert_eq!(fetch_after(16), once);
 }
 
-/// The history oracle the client suites share (`common::Oracle`), on one
+/// The history oracle the client suites share (`ros2_testkit::Oracle`), on one
 /// hand-built history: each kind of answer it gives, by name.
 #[test]
 fn oracle_answers_a_hand_built_history() {

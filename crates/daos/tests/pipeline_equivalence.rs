@@ -21,10 +21,8 @@ use ros2_daos::{
 };
 use ros2_fabric::Fabric;
 use ros2_sim::{SimDuration, SimRng, SimTime, Timed};
+use ros2_testkit::{instant, read, serial_op, stamped, world, write, Oracle, World};
 use ros2_verbs::NodeId;
-
-mod common;
-use common::{instant, read, serial_op, stamped, world, write, Oracle, World};
 
 /// A randomized client-level op stream: striped and single-target
 /// objects, single values and array extents, SCM- and NVMe-sized

@@ -5,7 +5,7 @@
 //!
 //! 1. **Eviction and session kills never lose acked data** — a pool slot
 //!    holds *session* state only; every acked update reads back
-//!    byte-correct at the end (the history oracle, `common::Oracle`,
+//!    byte-correct at the end (the history oracle, `ros2_testkit::Oracle`,
 //!    settles every read), through whatever handshakes the pool charges
 //!    on the way back in.
 //! 2. **Resident state stays bounded** — the pool's high-water mark
@@ -17,10 +17,8 @@
 use proptest::prelude::*;
 use ros2_daos::{ConnPool, ObjClass, ObjectId};
 use ros2_sim::{SimDuration, SimTime};
+use ros2_testkit::{read, world, write, Oracle, World};
 use ros2_verbs::NodeId;
-
-mod common;
-use common::{read, world, write, Oracle, World};
 
 const ENGINES: usize = 3;
 const RF: usize = 2;

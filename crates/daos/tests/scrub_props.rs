@@ -6,7 +6,7 @@
 //! 1. **No acked write is ever lost** — the last write to every
 //!    `(object, dkey)` reads back byte-correct after scrub + repair,
 //!    through the client and from every replica (the history oracle,
-//!    `common::Oracle`), even when the replica it landed on rotted
+//!    `ros2_testkit::Oracle`), even when the replica it landed on rotted
 //!    underneath it.
 //! 2. **Scrub converges** — one repairing pass leaves every replica set
 //!    byte-comparable (equal record-set fingerprints) and a second pass
@@ -28,9 +28,7 @@
 use proptest::prelude::*;
 use ros2_daos::{BgService, ObjClass, ObjectId, ScrubStats};
 use ros2_sim::{QosLimits, SimDuration, SimTime};
-
-mod common;
-use common::{world, write, Oracle, World};
+use ros2_testkit::{world, write, Oracle, World};
 
 const ENGINES: usize = 4;
 const RF: usize = 2;

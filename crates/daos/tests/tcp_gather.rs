@@ -14,9 +14,7 @@ use ros2_daos::{
 use ros2_fabric::Fabric;
 use ros2_hw::Transport;
 use ros2_sim::SimTime;
-
-mod common;
-use common::{world, World};
+use ros2_testkit::{world, World};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;

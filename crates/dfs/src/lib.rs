@@ -22,14 +22,13 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use ros2_daos::{
-        AKey, ClientOp, ClientOpResult, ConnectSpec, DKey, DaosClient, DaosCostModel, DaosEngine,
-        DaosError, EngineCluster, Epoch, ObjectClient, ObjectId, ValueKind,
+        AKey, ClientOp, ClientOpResult, ConnectSpec, DKey, DaosClient, DaosCostModel, DaosError,
+        EngineCluster, Epoch, ObjectClient, ObjectId, ValueKind,
     };
     use ros2_fabric::{Fabric, NodeSpec};
-    use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, NvmeModel, Transport};
-    use ros2_nvme::{DataMode, NvmeArray};
+    use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, Transport};
+    use ros2_nvme::DataMode;
     use ros2_sim::SimTime;
-    use ros2_spdk::BdevLayer;
     use ros2_verbs::{Expiry, MemoryDomain, NodeId};
 
     fn world(ssds: usize) -> (Fabric, EngineCluster, DaosClient) {
@@ -49,19 +48,16 @@ mod tests {
             vec![spec("client", 48), spec("storage", 64)],
             17,
         );
-        let bdevs = BdevLayer::new(NvmeArray::new(
-            NvmeModel::enterprise_1600(),
+        let mut cluster = EngineCluster::assemble(
+            vec![NodeId(1)],
+            1,
             ssds,
             DataMode::Stored,
-        ));
-        let mut engine = DaosEngine::new(
-            "pool0",
-            bdevs,
             256 << 20,
             DaosCostModel::default_model(),
             CoreClass::HostX86,
         );
-        engine.cont_create("posix").unwrap();
+        cluster.cont_create("posix").unwrap();
         let client = DaosClient::connect_scoped_multi(
             &mut fabric,
             &ConnectSpec {
@@ -77,7 +73,7 @@ mod tests {
             Expiry::Never,
         )
         .unwrap();
-        (fabric, EngineCluster::single(engine), client)
+        (fabric, cluster, client)
     }
 
     fn mounted(ssds: usize) -> (Fabric, EngineCluster, DaosClient, Dfs) {

@@ -1112,11 +1112,9 @@ mod tests {
     use super::*;
     use crate::agent::default_control;
     use ros2_ctl::ControlError;
-    use ros2_daos::{DaosEngine, ObjClass};
+    use ros2_daos::ObjClass;
     use ros2_fabric::NodeSpec;
-    use ros2_hw::NvmeModel;
-    use ros2_nvme::{DataMode, NvmeArray};
-    use ros2_spdk::BdevLayer;
+    use ros2_nvme::DataMode;
     use ros2_verbs::MemoryDomain;
 
     fn world(transport: Transport) -> (Fabric, EngineCluster) {
@@ -1125,20 +1123,17 @@ mod tests {
             vec![NodeSpec::bluefield3(), NodeSpec::storage_server()],
             11,
         );
-        let bdevs = BdevLayer::new(NvmeArray::new(
-            NvmeModel::enterprise_1600(),
+        let mut cluster = EngineCluster::assemble(
+            vec![NodeId(1)],
+            1,
             1,
             DataMode::Stored,
-        ));
-        let mut engine = DaosEngine::new(
-            "pool0",
-            bdevs,
             256 << 20,
             DaosCostModel::default_model(),
             CoreClass::HostX86,
         );
-        engine.cont_create("cont0").unwrap();
-        (fabric, EngineCluster::single(engine))
+        cluster.cont_create("cont0").unwrap();
+        (fabric, cluster)
     }
 
     fn connect(

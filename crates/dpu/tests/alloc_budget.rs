@@ -11,15 +11,13 @@
 use bytes::Bytes;
 use ros2_buf::{allocation_count, bytes_crc32c, zero_bytes, CountingAlloc};
 use ros2_daos::{
-    AKey, ClientOp, ClientOpResult, ConnectSpec, DKey, DaosCostModel, DaosEngine, EngineCluster,
-    Epoch, FetchOp, ObjClass, ObjectClient, ObjectId, RecordKey, UpdateOp, ValueKind,
+    ClientOp, ClientOpResult, EngineCluster, Epoch, FetchOp, ObjClass, ObjectClient, ObjectId,
+    UpdateOp, ValueKind,
 };
-use ros2_dpu::{DpuAgent, DpuClient, DpuTenantSpec};
-use ros2_fabric::{Fabric, NodeSpec};
-use ros2_hw::{CoreClass, NvmeModel, Transport};
-use ros2_nvme::{DataMode, NvmeArray};
+use ros2_dpu::{DpuClient, DpuTenantSpec};
+use ros2_fabric::Fabric;
 use ros2_sim::{SimRng, SimTime, Timed};
-use ros2_spdk::BdevLayer;
+use ros2_testkit::{array_key, world, World};
 use ros2_verbs::{AccessFlags, Expiry, Landing, MemoryDomain, NodeId, QpId, QpType, RdmaDevice};
 
 #[global_allocator]
@@ -60,69 +58,31 @@ const STEADY_UPDATE_ALLOCS: u64 = 1 + 1;
 const OPS: u64 = 64;
 
 /// What one op is issued against.
-type World<'a> = (&'a mut DpuClient, &'a mut Fabric, &'a mut EngineCluster);
+type Against<'a> = (&'a mut DpuClient, &'a mut Fabric, &'a mut EngineCluster);
 
 /// Allocations of [`OPS`] steady-state offloaded 4 KiB ring ops, all
 /// fetches or all updates of one record.
 fn ring_allocs(updates: bool) -> u64 {
-    let mut fabric = Fabric::new(
-        Transport::Rdma,
-        vec![NodeSpec::bluefield3(), NodeSpec::storage_server()],
-        21,
-    );
-    let bdevs = BdevLayer::new(NvmeArray::new(
-        NvmeModel::enterprise_1600(),
-        1,
-        DataMode::Stored,
-    ));
-    let mut engine = DaosEngine::new(
-        "pool0",
-        bdevs,
-        256 << 20,
-        DaosCostModel::default_model(),
-        CoreClass::HostX86,
-    );
-    engine.cont_create("c").unwrap();
-    let mut cluster = EngineCluster::single(engine);
-    let agent = DpuAgent::new(NodeId(0), 30 << 30, ros2_dpu::default_control(3));
-    let mut client = DpuClient::connect_cluster(
-        &mut fabric,
-        ConnectSpec {
-            node: NodeId(0),
-            servers: vec![NodeId(1)],
-            cont: "c".into(),
-            jobs: 1,
-            buf_len: 4 << 20,
-            domain: MemoryDomain::DpuDram,
-            model: DaosCostModel::default_model(),
-        },
-        agent,
-        vec![DpuTenantSpec::unlimited("t")],
-        7,
-    )
-    .unwrap();
-    let oid = ObjectId::new(ObjClass::Sx, 1);
-    let (dkey, akey) = (DKey::from_u64(0), AKey::from_str("data"));
+    let (mut fabric, mut cluster, mut client) = World {
+        ssds: 1,
+        seed: 21,
+        ..world(1, 1)
+    }
+    .build_offloaded(vec![DpuTenantSpec::unlimited("t")]);
+    let key = array_key(ObjectId::new(ObjClass::Sx, 1), 0);
     let kind = ValueKind::Array { offset: 0 };
     // The caller's vectors, kept across calls as `Dfs` keeps its own.
     let (mut ops, mut out) = (Vec::new(), Vec::new());
-    let mut issue = |(client, fabric, cluster): World<'_>, now, update: bool| {
+    let mut issue = |(client, fabric, cluster): Against<'_>, now, update: bool| {
+        let key = key.clone();
         ops.push(match update {
             true => ClientOp::Update(UpdateOp {
-                key: RecordKey {
-                    oid,
-                    dkey: dkey.clone(),
-                    akey: akey.clone(),
-                },
+                key,
                 kind,
                 data: zero_bytes(4 << 10),
             }),
             false => ClientOp::Fetch(FetchOp {
-                key: RecordKey {
-                    oid,
-                    dkey: dkey.clone(),
-                    akey: akey.clone(),
-                },
+                key,
                 kind,
                 epoch: Epoch::LATEST,
                 len: 4 << 10,

@@ -1,26 +1,29 @@
 //! Coherence properties for the pool-map-aware DPU read cache.
 //!
 //! The cache is only allowed to exist because of one theorem: **a cached
-//! fetch never returns different bytes than the authoritative uncached
-//! fetch would have**, under any interleaving of local writes, engine
-//! kills, delayed map pushes, queue depths, and capacity pressure. This
-//! suite drives random schedules at that theorem three ways:
+//! fetch never returns different bytes than the history of writes says
+//! it must**, under any interleaving of local writes, engine kills,
+//! delayed map pushes, queue depths, and capacity pressure. This suite
+//! drives random schedules at that theorem with the history oracle
+//! (`ros2_testkit::Oracle`), the same one the host client's suites use:
 //!
-//! 1. **Twin-world equivalence** — the same schedule runs in a cached and
-//!    an uncached world; every fetch must return identical bytes, and the
-//!    final per-key state must agree.
-//! 2. **In-world authority check** — after the schedule, every key is read
-//!    once through the warm cache and once more after `disable_read_cache`
-//!    tears it down; the two reads must match byte-for-byte.
+//! 1. **Every op settles** — each seed write, tape op and fetch, in a
+//!    cached world and in an uncached one, settles with a strict oracle:
+//!    no op fails, and every fetch returns the shadow's bytes (rule 2).
+//! 2. **The world reads back** — after the schedule every record reads
+//!    back as the shadow holds it, through the client and from every live
+//!    replica (rules 2 and 3): once through the warm cache, and once more
+//!    after `disable_read_cache` tears it down.
 //! 3. **Bit-identical replay** — the cached run repeated from scratch
-//!    reproduces the same bytes, instants, and cache counters.
+//!    reproduces the same instants and cache counters.
 //!
 //! The schedules address a `(dkey, offset)` grid with reads and writes of
 //! mixed sizes that overlap in part and repeat, from two tenant lanes —
 //! each one a cached reader and, to the other, a writer it never sees —
 //! with one foreign extent that arrives out of epoch order, an engine kill
-//! and a delayed map push. Payloads are a function of (dkey, byte offset,
-//! write sequence), never zero, so a misplaced slice cannot pass.
+//! and a delayed map push. Payloads are `stamped` by (byte offset, write),
+//! so a misplaced or stale slice cannot pass, and a wrong one is blamed on
+//! the write it came from.
 //!
 //! Alongside the property, the unit suite pins each rule in isolation:
 //! write-update of a resident chunk (including same-call suppression),
@@ -31,17 +34,13 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use ros2_daos::{
-    AKey, Arrival, ClientOp, ClientOpResult, ConnectSpec, DKey, DaosCostModel, DaosEngine,
-    EngineCluster, Epoch, FetchOp, ObjClass, ObjectClient, ObjectId, RecordKey, RetryPolicy,
-    UpdateOp, ValueKind,
+    AKey, Arrival, ClientOp, DKey, EngineCluster, Epoch, FetchOp, ObjClass, ObjectClient, ObjectId,
+    RetryPolicy, UpdateOp, ValueKind,
 };
-use ros2_dpu::{default_control, DpuAgent, DpuCacheStats, DpuClient, DpuTenantSpec};
-use ros2_fabric::{Fabric, NodeSpec};
-use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, NvmeModel, Transport};
-use ros2_nvme::{DataMode, NvmeArray};
+use ros2_dpu::{DpuCacheStats, DpuClient, DpuTenantSpec};
+use ros2_fabric::Fabric;
 use ros2_sim::{SimDuration, SimTime};
-use ros2_spdk::BdevLayer;
-use ros2_verbs::{MemoryDomain, NodeId};
+use ros2_testkit::{array_key, instant, serial_op, stamped, world, Oracle, World, CONT};
 
 const ENGINES: usize = 4;
 const KEYS: u64 = 6;
@@ -53,71 +52,27 @@ const CELL: u64 = 2 << 10;
 const CELLS: u64 = LEN as u64 / CELL;
 /// Dkeys the property's tape addresses: few, so ranges are re-read.
 const GRID_KEYS: u64 = 3;
-
-fn engine() -> DaosEngine {
-    let bdevs = BdevLayer::new(NvmeArray::new(
-        NvmeModel::enterprise_1600(),
-        2,
-        DataMode::Stored,
-    ));
-    let mut e = DaosEngine::new(
-        "pool0",
-        bdevs,
-        256 << 20,
-        DaosCostModel::default_model(),
-        CoreClass::HostX86,
-    );
-    e.cont_create("c").unwrap();
-    e
-}
-
-fn storage(name: &str) -> NodeSpec {
-    NodeSpec {
-        name: name.into(),
-        cpu: CpuComplement {
-            class: CoreClass::HostX86,
-            cores: 48,
-        },
-        nic: NicModel::connectx6(),
-        port_rate: gbps(100),
-        mem_budget: 8 << 30,
-        dpu_tcp_rx: None,
-    }
-}
+/// The retry budget: the ladder must always outlast a delayed map push,
+/// or an op would fail and break the oracle's rule 1.
+const BUDGET: u32 = 10;
+/// The write sequence number the foreign extent's bytes are stamped with.
+const FOREIGN: u64 = u64::MAX;
 
 /// A 4-engine RF=2 cluster fronted by one offloaded client on a
 /// BlueField-3 with two tenant lanes (job 0 on one, job 1 on the other);
 /// `cache` carves that many bytes for the read cache, split across them.
-fn world(cache: Option<u64>) -> (Fabric, EngineCluster, DpuClient) {
-    let mut specs = vec![NodeSpec::bluefield3()];
-    let mut servers = Vec::new();
-    for i in 0..ENGINES {
-        specs.push(storage(&format!("storage{i}")));
-        servers.push(NodeId(1 + i as u32));
+fn offloaded(cache: Option<u64>) -> (Fabric, EngineCluster, DpuClient) {
+    let lanes = vec![DpuTenantSpec::unlimited("t"), DpuTenantSpec::unlimited("u")];
+    let (fabric, cluster, mut client) = World {
+        jobs: 2,
+        ssds: 2,
+        storage_cores: 48,
+        seed: 29,
+        ..world(ENGINES, 2)
     }
-    let mut fabric = Fabric::new(Transport::Rdma, specs, 29);
-    let cluster = EngineCluster::new((0..ENGINES).map(|_| engine()).collect(), servers.clone(), 2);
-    let agent = DpuAgent::new(NodeId(0), 30 << 30, default_control(3));
-    let mut client = DpuClient::connect_cluster(
-        &mut fabric,
-        ConnectSpec {
-            node: NodeId(0),
-            servers: servers.to_vec(),
-            cont: "c".into(),
-            jobs: 2,
-            buf_len: 4 << 20,
-            domain: MemoryDomain::DpuDram,
-            model: DaosCostModel::default_model(),
-        },
-        agent,
-        vec![DpuTenantSpec::unlimited("t"), DpuTenantSpec::unlimited("u")],
-        7,
-    )
-    .unwrap();
-    // The ladder must always outlast a delayed map push — op failures
-    // would make the equivalence vacuous at the failed indices.
+    .build_offloaded(lanes);
     client.set_retry_policy(RetryPolicy {
-        budget: 10,
+        budget: BUDGET,
         ..RetryPolicy::default()
     });
     if let Some(bytes) = cache {
@@ -141,41 +96,47 @@ fn kind() -> ValueKind {
 /// Seeds every key with a distinct payload; returns the instant after the
 /// last ack.
 fn seed(f: &mut Fabric, cl: &mut EngineCluster, c: &mut DpuClient) -> SimTime {
-    let mut t = SimTime::ZERO;
-    for k in 0..KEYS {
-        t = c
-            .update(
-                f,
-                cl,
-                t,
-                0,
-                oid(),
-                DKey::from_u64(k),
-                akey(),
-                kind(),
-                Bytes::from(vec![k as u8 + 1; LEN]),
-            )
-            .unwrap();
-    }
-    t
+    (0..KEYS).fold(SimTime::ZERO, |t, k| {
+        write_serial(f, cl, c, t, (0, k), k as u8 + 1)
+    })
 }
 
-/// Fetches `len` bytes at `offset` of dkey `k` from `job`, on the serial
-/// path.
-fn fetch_range(
+/// Writes `byte` over all of dkey `k` from `job`, on the serial path;
+/// returns the ack.
+fn write_serial(
     f: &mut Fabric,
     cl: &mut EngineCluster,
     c: &mut DpuClient,
     t: SimTime,
-    (job, k, offset, len): (usize, u64, u64, u64),
-) -> (Bytes, SimTime) {
-    let kind = ValueKind::Array { offset };
-    let dkey = DKey::from_u64(k);
-    c.fetch(f, cl, t, job, oid(), dkey, akey(), kind, Epoch::LATEST, len)
+    (job, k): (usize, u64),
+    byte: u8,
+) -> SimTime {
+    let (dkey, data) = (DKey::from_u64(k), Bytes::from(vec![byte; LEN]));
+    c.update(f, cl, t, job, oid(), dkey, akey(), kind(), data)
         .unwrap()
 }
 
-/// Fetches all of dkey `k` from job 0.
+/// A write of `byte` over all of dkey `k`.
+fn fill(k: u64, byte: u8) -> ClientOp {
+    let data = Bytes::from(vec![byte; LEN]);
+    ClientOp::Update(UpdateOp {
+        key: array_key(oid(), k),
+        kind: kind(),
+        data,
+    })
+}
+
+/// A `LATEST` fetch of all of dkey `k`.
+fn whole(k: u64) -> ClientOp {
+    ClientOp::Fetch(FetchOp {
+        key: array_key(oid(), k),
+        kind: kind(),
+        epoch: Epoch::LATEST,
+        len: LEN as u64,
+    })
+}
+
+/// Fetches all of dkey `k` from job 0, on the serial path.
 fn fetch_serial(
     f: &mut Fabric,
     cl: &mut EngineCluster,
@@ -183,7 +144,7 @@ fn fetch_serial(
     t: SimTime,
     k: u64,
 ) -> (Bytes, SimTime) {
-    fetch_range(f, cl, c, t, (0, k, 0, LEN as u64))
+    serial_op(c, f, cl, t, whole(k)).into_fetch().unwrap()
 }
 
 // ----------------------------------------------------------- property ----
@@ -205,14 +166,26 @@ impl GridOp {
     fn len(&self) -> u64 {
         self.cells.min(CELLS - self.cell) * CELL
     }
-}
 
-/// A write's payload: a function of the dkey, each byte's own offset in
-/// it, and the write's sequence number — never zero, and different from
-/// cell to cell, so stale, misplaced or hole bytes cannot pass for it.
-fn payload(key: u64, offset: u64, len: u64, seq: u64) -> Bytes {
-    let byte = |p: u64| ((p / 512 + key * 13 + seq * 7) % 251) as u8 + 1;
-    Bytes::from((offset..offset + len).map(byte).collect::<Vec<u8>>())
+    /// This op as the client submits it; a write carries write `seq`'s
+    /// stamped bytes.
+    fn client_op(&self, seq: u64) -> ClientOp {
+        let (key, offset, len) = (array_key(oid(), self.key), self.offset(), self.len());
+        let kind = ValueKind::Array { offset };
+        match self.write {
+            true => ClientOp::Update(UpdateOp {
+                key,
+                kind,
+                data: stamped(oid(), offset, seq, len as usize),
+            }),
+            false => ClientOp::Fetch(FetchOp {
+                key,
+                kind,
+                epoch: Epoch::LATEST,
+                len,
+            }),
+        }
+    }
 }
 
 /// One randomly drawn coherence schedule: a flat op tape chunked into
@@ -285,65 +258,34 @@ fn schedules() -> impl Strategy<Value = Schedule> {
         })
 }
 
-/// Everything one run produces that the equivalence/replay assertions
-/// compare.
+/// Everything one run produces that the replay assertion compares: the
+/// bytes are the oracle's to check, inside the run.
 #[derive(Clone, Debug, PartialEq)]
 struct RunOut {
-    /// Bytes of every fetch on the tape, in tape order.
-    fetched: Vec<Bytes>,
-    /// Completion instants (compared only for replay, not across worlds —
-    /// hits legitimately complete earlier than misses).
+    /// Completion instants of every tape op (compared only for replay,
+    /// not across worlds — hits legitimately complete earlier than misses).
     times: Vec<SimTime>,
-    /// Bytes read back after the tape (warm path): from each job, every
-    /// grid dkey whole and cell by cell.
-    finals: Vec<Bytes>,
-    /// The same reads after `disable_read_cache` — the in-world authority.
-    authority: Vec<Bytes>,
     stats: DpuCacheStats,
     ops: u64,
 }
 
-/// Reads every grid dkey whole and cell by cell from both jobs.
-fn read_everything(
-    f: &mut Fabric,
-    cl: &mut EngineCluster,
-    c: &mut DpuClient,
-    now: &mut SimTime,
-) -> Vec<Bytes> {
-    let mut out = Vec::new();
-    for job in 0..2 {
-        for k in 0..GRID_KEYS {
-            let cells = (0..CELLS).map(|cell| (cell * CELL, CELL));
-            for (offset, len) in std::iter::once((0, LEN as u64)).chain(cells) {
-                let (b, at) = fetch_range(f, cl, c, *now, (job, k, offset, len));
-                *now = (*now).max(at);
-                out.push(b);
-            }
-        }
-    }
-    out
-}
-
+/// Runs `s` in a fresh world, cached or not, settling every op with the
+/// oracle and checking the world against it after the tape.
 fn run(s: &Schedule, cached: bool) -> RunOut {
-    let (mut f, mut cl, mut c) = world(cached.then_some(2 * s.capacity));
-    // Only the first half of every dkey is seeded: the rest reads as holes
-    // until the tape (or the foreign extent) writes it.
+    let (mut f, mut cl, mut c) = offloaded(cached.then_some(2 * s.capacity));
+    let mut o = Oracle::new(BUDGET);
+    // Only the first half of every dkey is seeded, write `k` to dkey `k`:
+    // the rest reads as holes until the tape (or the foreign extent)
+    // writes it.
     let mut t = SimTime::ZERO;
     for k in 0..GRID_KEYS {
-        let data = payload(k, 0, LEN as u64 / 2, 0);
-        t = c
-            .update(
-                &mut f,
-                &mut cl,
-                t,
-                0,
-                oid(),
-                DKey::from_u64(k),
-                akey(),
-                kind(),
-                data,
-            )
-            .unwrap();
+        let half = GridOp {
+            write: true,
+            key: k,
+            cell: 0,
+            cells: CELLS / 2,
+        };
+        t = instant(&o.serial(&mut c, &mut f, &mut cl, t, half.client_op(k))).unwrap();
     }
     let set = cl.map().route(&oid()).set;
     let victim = if s.kill_leader {
@@ -353,8 +295,7 @@ fn run(s: &Schedule, cached: bool) -> RunOut {
     };
 
     let mut now = t + SimDuration::from_millis(1);
-    let mut seq = 0u64;
-    let mut fetched = Vec::new();
+    let mut seq = GRID_KEYS;
     let mut times = Vec::new();
     for (ci, chunk) in s.tape.chunks(s.qd.max(1)).enumerate() {
         if s.kill_chunk == Some(ci) {
@@ -370,14 +311,14 @@ fn run(s: &Schedule, cached: bool) -> RunOut {
             // bytes and holes of its dkey only where no tape write landed,
             // so the record's newest epoch does not move — its arrival
             // version does.
-            let data = payload(s.foreign.1, 0, LEN as u64, 1_000);
+            let data = stamped(oid(), 0, FOREIGN, LEN);
             let stamp = cl.map().version();
             for eng in cl.map().route(&oid()).set.iter() {
                 let dkey = DKey::from_u64(s.foreign.1);
                 cl.engine_mut(eng)
                     .update(
                         Arrival { stamp, at: now },
-                        "c",
+                        CONT,
                         oid(),
                         dkey,
                         akey(),
@@ -387,52 +328,21 @@ fn run(s: &Schedule, cached: bool) -> RunOut {
                     )
                     .unwrap();
             }
+            o.foreign(array_key(oid(), s.foreign.1), Epoch(1), 0, data);
         }
         let ops: Vec<ClientOp> = chunk
             .iter()
             .map(|op| {
-                let (dkey, offset) = (DKey::from_u64(op.key), op.offset());
-                let kind = ValueKind::Array { offset };
-                if op.write {
-                    seq += 1;
-                    ClientOp::Update(UpdateOp {
-                        key: RecordKey {
-                            oid: oid(),
-                            dkey,
-                            akey: akey(),
-                        },
-                        kind,
-                        data: payload(op.key, offset, op.len(), seq),
-                    })
-                } else {
-                    ClientOp::Fetch(FetchOp {
-                        key: RecordKey {
-                            oid: oid(),
-                            dkey,
-                            akey: akey(),
-                        },
-                        kind,
-                        epoch: Epoch::LATEST,
-                        len: op.len(),
-                    })
-                }
+                seq += op.write as u64;
+                op.client_op(seq)
             })
             .collect();
         let job = (s.lanes >> (ci % 32)) as usize & 1;
-        for (i, r) in c
-            .execute_pipelined(&mut f, &mut cl, now, job, ops)
-            .into_iter()
-            .enumerate()
-        {
-            match r {
-                ClientOpResult::Update(Ok(at)) => now = now.max(at),
-                ClientOpResult::Fetch(Ok((b, at))) => {
-                    now = now.max(at);
-                    fetched.push(b);
-                    times.push(at);
-                }
-                other => panic!("chunk {ci} op {i} failed under the ladder: {other:?}"),
-            }
+        let results = c.execute_pipelined(&mut f, &mut cl, now, job, ops.clone());
+        o.settle_all(&ops, &results);
+        for at in results.iter().filter_map(instant) {
+            now = now.max(at);
+            times.push(at);
         }
         // Capacity invariant: the byte budget binds after every queue.
         let (resident, capacity) = c.cache_usage();
@@ -443,45 +353,27 @@ fn run(s: &Schedule, cached: bool) -> RunOut {
         now += SimDuration::from_micros(10);
     }
 
-    // Warm read of everything, then the in-world authority: tear the cache
-    // down and read again, straight from the engines.
-    let finals = read_everything(&mut f, &mut cl, &mut c, &mut now);
+    // The warm cache, then the engines alone once it is torn down: both
+    // read back as the history holds.
+    o.check_world(&mut c, &mut f, &mut cl, now);
     let stats = c.cache_stats();
     let ops = c.ops();
     c.disable_read_cache();
-    let authority = read_everything(&mut f, &mut cl, &mut c, &mut now);
-    RunOut {
-        fetched,
-        times,
-        finals,
-        authority,
-        stats,
-        ops,
-    }
+    o.check_world(&mut c, &mut f, &mut cl, now);
+    RunOut { times, stats, ops }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The theorem, on random schedules: cached and uncached worlds return
-    /// identical bytes for every fetch; within the cached world the warm
-    /// reads match the post-teardown authoritative reads; and the cached
-    /// run replays bit-identically.
+    /// The theorem, on random schedules: in the cached world and in the
+    /// uncached one every fetch, and every read-back after the schedule,
+    /// returns what the history of writes holds; the uncached world books
+    /// no cache counter; and the cached run replays bit-identically.
     #[test]
     fn cached_fetches_never_diverge_from_authority(sched in schedules()) {
         let cached = run(&sched, true);
         let plain = run(&sched, false);
-
-        // Twin-world equivalence (functional bytes only — timings differ
-        // by design: hits complete at DRAM rates).
-        prop_assert_eq!(&cached.fetched, &plain.fetched,
-            "a cached fetch diverged from the uncached world");
-        prop_assert_eq!(&cached.finals, &plain.finals,
-            "post-schedule state diverged between the worlds");
-
-        // In-world authority: warm reads vs the engines after teardown.
-        prop_assert_eq!(&cached.finals, &cached.authority,
-            "a warm read diverged from the post-teardown authoritative read");
 
         // The uncached world's cache counters must be all-zero — the off
         // path books nothing.
@@ -517,7 +409,7 @@ fn schedules_exercise_every_cache_rule() {
 /// writes.
 #[test]
 fn same_call_writes_suppress_probe_and_fill() {
-    let (mut f, mut cl, mut c) = world(Some(1 << 20));
+    let (mut f, mut cl, mut c) = offloaded(Some(1 << 20));
     let t = seed(&mut f, &mut cl, &mut c);
     // Warm key 0 so the write has something to update.
     let (_, t) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
@@ -525,35 +417,13 @@ fn same_call_writes_suppress_probe_and_fill() {
 
     // One call that writes key 0 and fetches it back: the write updates
     // the warm entry, and the fetch is excluded from both probe and fill.
-    let ops = vec![
-        ClientOp::Update(UpdateOp {
-            key: RecordKey {
-                oid: oid(),
-                dkey: DKey::from_u64(0),
-                akey: akey(),
-            },
-            kind: kind(),
-            data: Bytes::from(vec![99u8; LEN]),
-        }),
-        ClientOp::Fetch(FetchOp {
-            key: RecordKey {
-                oid: oid(),
-                dkey: DKey::from_u64(0),
-                akey: akey(),
-            },
-            kind: kind(),
-            epoch: Epoch::LATEST,
-            len: LEN as u64,
-        }),
-    ];
-    let mut now = t + SimDuration::from_millis(1);
-    for r in c.execute_pipelined(&mut f, &mut cl, now, 0, ops) {
-        if let ClientOpResult::Fetch(Ok((_, at))) | ClientOpResult::Update(Ok(at)) = r {
-            now = now.max(at);
-        } else {
-            panic!("mixed call failed");
-        }
-    }
+    let ops = vec![fill(0, 99), whole(0)];
+    let t = t + SimDuration::from_millis(1);
+    let results = c.execute_pipelined(&mut f, &mut cl, t, 0, ops);
+    let now = results
+        .iter()
+        .map(|r| instant(r).expect("mixed call failed"))
+        .fold(t, SimTime::max);
     let s = c.cache_stats();
     assert_eq!(
         s.fills, 1,
@@ -580,7 +450,7 @@ fn same_call_writes_suppress_probe_and_fill() {
 /// route never moved.
 #[test]
 fn map_push_invalidates_resident_chunks() {
-    let (mut f, mut cl, mut c) = world(Some(1 << 20));
+    let (mut f, mut cl, mut c) = offloaded(Some(1 << 20));
     let t = seed(&mut f, &mut cl, &mut c);
     let (_, t) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
     let (_, t) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
@@ -611,23 +481,10 @@ fn map_push_invalidates_resident_chunks() {
 /// the container-wide stamp).
 #[test]
 fn write_to_another_record_leaves_the_entry_serving() {
-    let (mut f, mut cl, mut c) = world(Some(1 << 20));
+    let (mut f, mut cl, mut c) = offloaded(Some(1 << 20));
     let t = seed(&mut f, &mut cl, &mut c);
     let (_, t) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
-    let data = Bytes::from(vec![42u8; LEN]);
-    let t = c
-        .update(
-            &mut f,
-            &mut cl,
-            t,
-            0,
-            oid(),
-            DKey::from_u64(1),
-            akey(),
-            kind(),
-            data,
-        )
-        .unwrap();
+    let t = write_serial(&mut f, &mut cl, &mut c, t, (0, 1), 42);
     let (b, t) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
     let (_, _) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
     assert!(b.iter().all(|&x| x == 1), "key 0's bytes are unchanged");
@@ -640,27 +497,14 @@ fn write_to_another_record_leaves_the_entry_serving() {
 /// version at the leader, which invalidates the entry without a touch.
 #[test]
 fn unseen_writer_invalidates_without_a_touch() {
-    let (mut f, mut cl, mut c) = world(Some(1 << 20));
+    let (mut f, mut cl, mut c) = offloaded(Some(1 << 20));
     let t = seed(&mut f, &mut cl, &mut c);
     let (_, t) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
     let (_, t) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
     assert_eq!((c.cache_stats().fills, c.cache_stats().hits), (1, 1));
 
     // Job 1 runs on the other lane: lane 0's cache is never told.
-    let data = Bytes::from(vec![42u8; LEN]);
-    let t = c
-        .update(
-            &mut f,
-            &mut cl,
-            t,
-            1,
-            oid(),
-            DKey::from_u64(0),
-            akey(),
-            kind(),
-            data,
-        )
-        .unwrap();
+    let t = write_serial(&mut f, &mut cl, &mut c, t, (1, 0), 42);
     assert_eq!(c.cache_stats().invalidations, 0, "nothing touched yet");
     let (b, t) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
     assert!(b.iter().all(|&x| x == 42), "the other lane's write is read");
@@ -677,7 +521,7 @@ fn unseen_writer_invalidates_without_a_touch() {
 /// the cache; fills resume once the rebuild restores redundancy.
 #[test]
 fn degraded_reads_never_fill() {
-    let (mut f, mut cl, mut c) = world(Some(1 << 20));
+    let (mut f, mut cl, mut c) = offloaded(Some(1 << 20));
     let t = seed(&mut f, &mut cl, &mut c);
     let leader = cl.map().route(&oid()).set.leader().unwrap();
     cl.kill_engine(leader).unwrap();
@@ -710,28 +554,16 @@ fn degraded_reads_never_fill() {
 /// payload — whatever the leader took, the next read asks the authority.
 #[test]
 fn ladder_completions_never_teach_the_cache() {
-    let (mut f, mut cl, mut c) = world(Some(1 << 20));
+    let (mut f, mut cl, mut c) = offloaded(Some(1 << 20));
     let t = seed(&mut f, &mut cl, &mut c);
     let (_, t) = fetch_serial(&mut f, &mut cl, &mut c, t, 0);
     let set = cl.map().route(&oid()).set;
     let (leader, follower) = (set.leader().unwrap(), set.iter().nth(1).unwrap());
-    let fetch = |k| {
-        ClientOp::Fetch(FetchOp {
-            key: RecordKey {
-                oid: oid(),
-                dkey: DKey::from_u64(k),
-                akey: akey(),
-            },
-            kind: kind(),
-            epoch: Epoch::LATEST,
-            len: LEN as u64,
-        })
-    };
 
     // The leader's connection eats the request: the fetch times out and is
     // served by the other replica — correct bytes, no fill.
     cl.set_blackhole(leader, true);
-    let r = c.execute_pipelined(&mut f, &mut cl, t, 0, vec![fetch(1)]);
+    let r = c.execute_pipelined(&mut f, &mut cl, t, 0, vec![whole(1)]);
     let (b, t) = r.into_iter().next().unwrap().into_fetch().unwrap();
     assert!(b.iter().all(|&x| x == 2));
     cl.set_blackhole(leader, false);
@@ -741,16 +573,7 @@ fn ladder_completions_never_teach_the_cache() {
     // The follower's connection eats the update's second leg: the leader
     // applies it, the op fails, and the warm entry is punched.
     cl.set_blackhole(follower, true);
-    let update = ClientOp::Update(UpdateOp {
-        key: RecordKey {
-            oid: oid(),
-            dkey: DKey::from_u64(0),
-            akey: akey(),
-        },
-        kind: kind(),
-        data: Bytes::from(vec![77u8; LEN]),
-    });
-    let r = c.execute_pipelined(&mut f, &mut cl, t, 0, vec![update]);
+    let r = c.execute_pipelined(&mut f, &mut cl, t, 0, vec![fill(0, 77)]);
     assert!(r.into_iter().next().unwrap().into_update().is_err());
     cl.set_blackhole(follower, false);
     let s = c.cache_stats();
@@ -767,7 +590,7 @@ fn ladder_completions_never_teach_the_cache() {
 /// over-releases, and no carve residue accumulates.
 #[test]
 fn cache_carve_balances_across_cycles() {
-    let (mut f, mut cl, mut c) = world(None);
+    let (mut f, mut cl, mut c) = offloaded(None);
     let _ = seed(&mut f, &mut cl, &mut c);
     let baseline = c.agent().dram_used();
     assert_eq!(c.agent().cache_reserved(), 0);

@@ -8,16 +8,13 @@
 
 use bytes::Bytes;
 use ros2_daos::{
-    AKey, ClientOp, ClientOpResult, ConnectSpec, DKey, DaosCostModel, DaosEngine, DaosError,
-    EngineCluster, Epoch, FetchOp, ObjClass, ObjectClient, ObjectId, RecordKey, UpdateOp,
-    ValueKind,
+    ClientOp, ClientOpResult, DaosError, EngineCluster, Epoch, FetchOp, ObjClass, ObjectClient,
+    ObjectId, UpdateOp, ValueKind,
 };
-use ros2_dpu::{DpuAgent, DpuClient, DpuTenantSpec, QosLimits, TenantManager};
-use ros2_fabric::{Fabric, NodeSpec};
-use ros2_hw::{CoreClass, NvmeModel, Transport};
-use ros2_nvme::{DataMode, NvmeArray};
+use ros2_dpu::{DpuClient, DpuTenantSpec, QosLimits, TenantManager};
+use ros2_fabric::Fabric;
 use ros2_sim::{SimDuration, SimTime};
-use ros2_spdk::BdevLayer;
+use ros2_testkit::{array_key, world, World as Kit};
 use ros2_verbs::{ChainStats, MemoryDomain, MrId, NodeId, VerbsError};
 
 const DPU: NodeId = NodeId(0);
@@ -25,53 +22,19 @@ const LEN: usize = 64 << 10;
 
 type World = (Fabric, EngineCluster, DpuClient);
 
-fn world() -> World {
-    world_of(DpuTenantSpec::unlimited("t"))
+fn one_lane() -> World {
+    lane(DpuTenantSpec::unlimited("t"), 1)
 }
 
-fn world_of(tenant: DpuTenantSpec) -> World {
-    world_with(tenant, 1)
-}
-
-/// One tenant lane serving `jobs` host jobs.
-fn world_with(tenant: DpuTenantSpec, jobs: usize) -> World {
-    let mut fabric = Fabric::new(
-        Transport::Rdma,
-        vec![NodeSpec::bluefield3(), NodeSpec::storage_server()],
-        21,
-    );
-    let bdevs = BdevLayer::new(NvmeArray::new(
-        NvmeModel::enterprise_1600(),
-        1,
-        DataMode::Stored,
-    ));
-    let mut engine = DaosEngine::new(
-        "pool0",
-        bdevs,
-        256 << 20,
-        DaosCostModel::default_model(),
-        CoreClass::HostX86,
-    );
-    engine.cont_create("c").unwrap();
-    let cluster = EngineCluster::single(engine);
-    let agent = DpuAgent::new(DPU, 30 << 30, ros2_dpu::default_control(3));
-    let client = DpuClient::connect_cluster(
-        &mut fabric,
-        ConnectSpec {
-            node: DPU,
-            servers: vec![NodeId(1)],
-            cont: "c".into(),
-            jobs,
-            buf_len: 4 << 20,
-            domain: MemoryDomain::DpuDram,
-            model: DaosCostModel::default_model(),
-        },
-        agent,
-        vec![tenant],
-        7,
-    )
-    .unwrap();
-    (fabric, cluster, client)
+/// One tenant lane serving `jobs` host jobs, in front of one engine.
+fn lane(tenant: DpuTenantSpec, jobs: usize) -> World {
+    Kit {
+        jobs,
+        ssds: 1,
+        seed: 21,
+        ..world(1, 1)
+    }
+    .build_offloaded(vec![tenant])
 }
 
 fn oid() -> ObjectId {
@@ -87,16 +50,15 @@ fn op(write: bool) -> ClientOp {
 }
 
 fn op_on(oid: ObjectId, write: bool) -> ClientOp {
-    let (dkey, akey) = (DKey::from_u64(0), AKey::from_str("data"));
-    let kind = ValueKind::Array { offset: 0 };
+    let (key, kind) = (array_key(oid, 0), ValueKind::Array { offset: 0 });
     match write {
         true => ClientOp::Update(UpdateOp {
-            key: RecordKey { oid, dkey, akey },
+            key,
             kind,
             data: payload(),
         }),
         false => ClientOp::Fetch(FetchOp {
-            key: RecordKey { oid, dkey, akey },
+            key,
             kind,
             epoch: Epoch::LATEST,
             len: LEN as u64,
@@ -152,7 +114,7 @@ fn written_and_read_once(w: &mut World) -> SimTime {
 
 #[test]
 fn bytes_the_nic_verify_rejects_are_never_published() {
-    let mut w = world();
+    let mut w = one_lane();
     let t = written_and_read_once(&mut w);
     // The engine's copy is sound and its own verify passes; the payload
     // rots after that, on its way into the DPU's staging DRAM.
@@ -183,7 +145,7 @@ fn bytes_the_nic_verify_rejects_are_never_published() {
 
 #[test]
 fn the_read_cache_never_learns_bytes_the_nic_rejected() {
-    let mut w = world();
+    let mut w = one_lane();
     w.2.enable_read_cache(8 << 20).unwrap();
     let t = ring_op(&mut w, SimTime::ZERO, true).into_update().unwrap();
     // The first read of the record is the one that rots in flight: it
@@ -204,14 +166,12 @@ fn the_read_cache_never_learns_bytes_the_nic_rejected() {
 
 #[test]
 fn checksum_error_propagates_to_client_through_the_lane() {
-    let mut w = world();
+    let mut w = one_lane();
     let t = written_and_read_once(&mut w);
-    let (d, a) = (DKey::from_u64(0), AKey::from_str("data"));
-    assert!(w.1.engine_mut(0).corrupt_newest_extent(&RecordKey {
-        oid: oid(),
-        dkey: d.clone(),
-        akey: a.clone()
-    }));
+    assert!(w
+        .1
+        .engine_mut(0)
+        .corrupt_newest_extent(&array_key(oid(), 0)));
     let err = ring_op(&mut w, t, false).into_fetch().unwrap_err();
     assert_eq!(err, DaosError::ChecksumMismatch);
     // The engine refused to push: there was no completion to forward, so
@@ -223,7 +183,7 @@ fn checksum_error_propagates_to_client_through_the_lane() {
 
 #[test]
 fn a_chain_that_loses_its_record_region_fails_the_op_on_the_arm_core() {
-    let mut w = world();
+    let mut w = one_lane();
     let t = written_and_read_once(&mut w);
     // Slot 0's completion record: the one 16-byte host-visible region.
     let record = region(&w, 16, MemoryDomain::HostDram);
@@ -256,7 +216,7 @@ fn a_chain_that_loses_its_record_region_fails_the_op_on_the_arm_core() {
 
 #[test]
 fn a_template_region_revoked_between_arm_and_doorbell_sends_no_descriptor() {
-    let mut w = world();
+    let mut w = one_lane();
     let t = written_and_read_once(&mut w);
     let templates = region(&w, 64 * ros2_daos::TEMPLATE_LEN, MemoryDomain::DpuDram);
     w.0.rdma_mut(DPU).revoke_rkey(templates).unwrap();
@@ -291,7 +251,7 @@ fn a_template_region_revoked_between_arm_and_doorbell_sends_no_descriptor() {
 
 #[test]
 fn a_slot_whose_chain_cannot_be_armed_completes_on_the_arm_core() {
-    let mut w = world();
+    let mut w = one_lane();
     // Eat every byte the DPU has left, so neither the template region nor
     // the slot's 16-byte completion record has anywhere to live and the
     // slot's chain cannot be built.
@@ -346,11 +306,14 @@ fn grants_the_buckets_delay_are_submitted_by_a_core() {
         bytes_per_sec: u64::MAX / 2,
         burst: (3, 1 << 40),
     };
-    let mut w = world_of(DpuTenantSpec {
-        name: "t".into(),
-        qos,
-        rkey_scope: SimDuration::from_secs(30),
-    });
+    let mut w = lane(
+        DpuTenantSpec {
+            name: "t".into(),
+            qos,
+            rkey_scope: SimDuration::from_secs(30),
+        },
+        1,
+    );
     // The first op spends one token and leaves the template; a second of
     // virtual time later the bucket is full again.
     ring_op(&mut w, SimTime::ZERO, true).into_update().unwrap();
@@ -374,8 +337,7 @@ fn grants_the_buckets_delay_are_submitted_by_a_core() {
     // The grant instants are the buckets' own: a bare tenant manager fed
     // the same arrivals hands out the same waits.
     let mut bare = TenantManager::new(DPU);
-    let mut f = Fabric::new(Transport::Rdma, vec![NodeSpec::bluefield3()], 1);
-    bare.register(&mut f, "t", qos, SimDuration::from_secs(30));
+    bare.register(&mut w.0, "t", qos, SimDuration::from_secs(30));
     bare.admit(SimTime::ZERO, "t", LEN as u64).unwrap();
     let waits: SimDuration = (0..5)
         .map(|_| bare.admit(t, "t", LEN as u64).unwrap().saturating_since(t))
@@ -407,7 +369,7 @@ fn a_later_doorbell_met_first_sends_the_one_that_waits_for_tokens_to_a_core() {
             qos,
             rkey_scope: SimDuration::from_secs(30),
         };
-        let mut w = world_with(tenant, 2);
+        let mut w = lane(tenant, 2);
         // The object's first op leaves its template; a second later the
         // bucket is full again.
         ring_op(&mut w, SimTime::ZERO, true).into_update().unwrap();
@@ -458,7 +420,7 @@ fn a_later_doorbell_met_first_sends_the_one_that_waits_for_tokens_to_a_core() {
 /// it. Back inside the table's reach the NIC runs them again.
 #[test]
 fn a_lane_with_more_hot_objects_than_templates_runs_them_on_cores() {
-    let mut w = world();
+    let mut w = one_lane();
     let object = |i: u64| ObjectId::new(ObjClass::Sx, 100 + i);
     let mut t = SimTime::ZERO;
     for i in 0..65 {

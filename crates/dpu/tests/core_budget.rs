@@ -8,15 +8,15 @@
 
 use bytes::Bytes;
 use ros2_daos::{
-    AKey, ClientOp, ConnectSpec, DKey, DaosCostModel, DaosEngine, EngineCluster, ObjClass,
-    ObjectClient, ObjectId, RecordKey, UpdateOp, ValueKind,
+    ClientOp, ConnectSpec, DaosCostModel, EngineCluster, ObjClass, ObjectClient, ObjectId,
+    UpdateOp, ValueKind,
 };
 use ros2_dpu::{default_control, DpuAgent, DpuClient, DpuTenantSpec};
 use ros2_fabric::{Fabric, NodeSpec};
-use ros2_hw::{CoreClass, NvmeModel, Transport};
-use ros2_nvme::{DataMode, NvmeArray};
+use ros2_hw::{CoreClass, Transport};
+use ros2_nvme::DataMode;
 use ros2_sim::{SimDuration, SimTime};
-use ros2_spdk::BdevLayer;
+use ros2_testkit::array_key;
 use ros2_verbs::{MemoryDomain, NodeId};
 
 /// All of `client_per_op` is submission work, with no ARM penalty beyond
@@ -40,19 +40,16 @@ fn world(tenants: &[&str], jobs: usize) -> (Fabric, EngineCluster, DpuClient) {
         vec![NodeSpec::bluefield3(), NodeSpec::storage_server()],
         31,
     );
-    let bdevs = BdevLayer::new(NvmeArray::new(
-        NvmeModel::enterprise_1600(),
+    let mut cluster = EngineCluster::assemble(
+        vec![NodeId(1)],
+        1,
         1,
         DataMode::Stored,
-    ));
-    let mut engine = DaosEngine::new(
-        "pool0",
-        bdevs,
         256 << 20,
         DaosCostModel::default_model(),
         CoreClass::HostX86,
     );
-    engine.cont_create("c").unwrap();
+    cluster.cont_create("c").unwrap();
     let client = DpuClient::connect_cluster(
         &mut fabric,
         ConnectSpec {
@@ -72,16 +69,12 @@ fn world(tenants: &[&str], jobs: usize) -> (Fabric, EngineCluster, DpuClient) {
         7,
     )
     .unwrap();
-    (fabric, EngineCluster::single(engine), client)
+    (fabric, cluster, client)
 }
 
 fn write_4k(job: usize, seq: u64) -> ClientOp {
     ClientOp::Update(UpdateOp {
-        key: RecordKey {
-            oid: ObjectId::new(ObjClass::Sx, job as u64),
-            dkey: DKey::from_u64(seq),
-            akey: AKey::from_str("data"),
-        },
+        key: array_key(ObjectId::new(ObjClass::Sx, job as u64), seq),
         kind: ValueKind::Array { offset: 0 },
         data: Bytes::from(vec![job as u8 + 1; 4096]),
     })

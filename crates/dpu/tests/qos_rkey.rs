@@ -4,10 +4,14 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use ros2_dpu::{DpuAgent, DpuClient, DpuTenantSpec, QosLimits, TenantManager};
+use ros2_daos::{
+    AKey, ClientOp, DKey, EngineCluster, ObjClass, ObjectClient, ObjectId, UpdateOp, ValueKind,
+};
+use ros2_dpu::{DpuClient, DpuTenantSpec, QosLimits, TenantManager};
 use ros2_fabric::{Dir, Fabric, FabricError, NodeSpec};
-use ros2_hw::{CoreClass, Transport};
+use ros2_hw::Transport;
 use ros2_sim::{SimDuration, SimTime};
+use ros2_testkit::{array_key, world, World};
 use ros2_verbs::{AccessFlags, MemoryDomain, NodeId, VerbsError};
 
 fn dpu_world() -> Fabric {
@@ -140,48 +144,8 @@ fn rkey_expiry_races_an_in_flight_pull() {
 /// the same short scope, driven through `DpuClient`, never trips the NIC.
 #[test]
 fn dpu_client_refresh_outruns_the_race() {
-    use ros2_daos::{
-        AKey, ConnectSpec, DKey, DaosCostModel, DaosEngine, EngineCluster, ObjClass, ObjectClient,
-        ObjectId, ValueKind,
-    };
-    use ros2_nvme::{DataMode, NvmeArray};
-    use ros2_spdk::BdevLayer;
-    let mut fabric = dpu_world();
-    let bdevs = BdevLayer::new(NvmeArray::new(
-        ros2_hw::NvmeModel::enterprise_1600(),
-        1,
-        DataMode::Stored,
-    ));
-    let mut engine = DaosEngine::new(
-        "pool0",
-        bdevs,
-        256 << 20,
-        DaosCostModel::default_model(),
-        CoreClass::HostX86,
-    );
-    engine.cont_create("c").unwrap();
-    let mut cluster = EngineCluster::single(engine);
-    let agent = DpuAgent::new(NodeId(0), 30 << 30, ros2_dpu::default_control(3));
-    let mut client = DpuClient::connect_cluster(
-        &mut fabric,
-        ConnectSpec {
-            node: NodeId(0),
-            servers: vec![NodeId(1)],
-            cont: "c".into(),
-            jobs: 1,
-            buf_len: 4 << 20,
-            domain: MemoryDomain::DpuDram,
-            model: DaosCostModel::default_model(),
-        },
-        agent,
-        vec![DpuTenantSpec {
-            name: "t".into(),
-            qos: QosLimits::unlimited(),
-            rkey_scope: SimDuration::from_millis(60),
-        }],
-        7,
-    )
-    .unwrap();
+    let (mut fabric, mut cluster, mut client) =
+        offloaded_world(QosLimits::unlimited(), SimDuration::from_millis(60));
     let oid = ObjectId::new(ObjClass::Sx, 1);
     let mut t = SimTime::ZERO;
     for i in 0..20u64 {
@@ -209,69 +173,32 @@ fn dpu_client_refresh_outruns_the_race() {
 
 // ------------------------------------------- QD > 1 lane interleaving ----
 
-/// An offloaded world for driving `execute_pipelined` directly: one
-/// engine, one lane, one job.
-fn offloaded_world(
-    qos: QosLimits,
-    rkey_scope: SimDuration,
-) -> (Fabric, ros2_daos::EngineCluster, DpuClient) {
-    use ros2_daos::{ConnectSpec, DaosCostModel, DaosEngine, EngineCluster};
-    use ros2_nvme::{DataMode, NvmeArray};
-    use ros2_spdk::BdevLayer;
-    let mut fabric = dpu_world();
-    let bdevs = BdevLayer::new(NvmeArray::new(
-        ros2_hw::NvmeModel::enterprise_1600(),
-        1,
-        DataMode::Stored,
-    ));
-    let mut engine = DaosEngine::new(
-        "pool0",
-        bdevs,
-        256 << 20,
-        DaosCostModel::default_model(),
-        CoreClass::HostX86,
-    );
-    engine.cont_create("c").unwrap();
-    let cluster = EngineCluster::single(engine);
-    let agent = DpuAgent::new(NodeId(0), 30 << 30, ros2_dpu::default_control(3));
-    let client = DpuClient::connect_cluster(
-        &mut fabric,
-        ConnectSpec {
-            node: NodeId(0),
-            servers: vec![NodeId(1)],
-            cont: "c".into(),
-            jobs: 1,
-            buf_len: 4 << 20,
-            domain: MemoryDomain::DpuDram,
-            model: DaosCostModel::default_model(),
-        },
-        agent,
-        vec![DpuTenantSpec {
-            name: "t".into(),
-            qos,
-            rkey_scope,
-        }],
-        7,
-    )
-    .unwrap();
-    (fabric, cluster, client)
+/// An offloaded world with one lane for one job, in front of one engine.
+fn offloaded_world(qos: QosLimits, rkey_scope: SimDuration) -> (Fabric, EngineCluster, DpuClient) {
+    let tenant = DpuTenantSpec {
+        name: "t".into(),
+        qos,
+        rkey_scope,
+    };
+    World {
+        ssds: 1,
+        seed: 21,
+        ..world(1, 1)
+    }
+    .build_offloaded(vec![tenant])
 }
 
-fn update_ops(n: u64, len: usize) -> Vec<ros2_daos::ClientOp> {
-    use ros2_daos::{AKey, ClientOp, DKey, ObjClass, ObjectId, RecordKey, UpdateOp, ValueKind};
-    (0..n)
-        .map(|i| {
-            ClientOp::Update(UpdateOp {
-                key: RecordKey {
-                    oid: ObjectId::new(ObjClass::Sx, 1),
-                    dkey: DKey::from_u64(i),
-                    akey: AKey::from_str("data"),
-                },
-                kind: ValueKind::Array { offset: 0 },
-                data: Bytes::from(vec![(i % 250) as u8 + 1; len]),
-            })
-        })
-        .collect()
+/// An update of `len` bytes to dkey `i` of object 1.
+fn update_op(i: u64, len: usize) -> ClientOp {
+    ClientOp::Update(UpdateOp {
+        key: array_key(ObjectId::new(ObjClass::Sx, 1), i),
+        kind: ValueKind::Array { offset: 0 },
+        data: Bytes::from(vec![(i % 250) as u8 + 1; len]),
+    })
+}
+
+fn update_ops(n: u64, len: usize) -> Vec<ClientOp> {
+    (0..n).map(|i| update_op(i, len)).collect()
 }
 
 /// The rkey race at QD > 1, resolved the safe way: a queue whose span
@@ -279,7 +206,6 @@ fn update_ops(n: u64, len: usize) -> Vec<ros2_daos::ClientOp> {
 /// starts pulling, so deep in-flight work never trips the NIC.
 #[test]
 fn pipelined_queue_forces_refresh_before_the_pull() {
-    use ros2_daos::ObjectClient;
     let (mut fabric, mut cluster, mut client) =
         offloaded_world(QosLimits::unlimited(), SimDuration::from_millis(100));
     // First queue, well inside the scope: no refresh needed.
@@ -395,7 +321,6 @@ proptest! {
         bytes_per_sec in 1_000_000u64..200_000_000,
         ops in prop::collection::vec(4_096usize..262_144, 2..12),
     ) {
-        use ros2_daos::ObjectClient;
         let burst = 1u64 << 20;
         let (mut fabric, mut cluster, mut client) = offloaded_world(
             QosLimits {
@@ -405,13 +330,11 @@ proptest! {
             },
             SimDuration::from_secs(30),
         );
-        let client_ops: Vec<ros2_daos::ClientOp> = {
-            use ros2_daos::{AKey, ClientOp, DKey, ObjClass, ObjectId, RecordKey, UpdateOp, ValueKind};
-            ops.iter()
-                .enumerate()
-                .map(|(i, &len)| ClientOp::Update(UpdateOp { key: RecordKey { oid: ObjectId::new(ObjClass::Sx, 1), dkey: DKey::from_u64(i as u64), akey: AKey::from_str("data") }, kind: ValueKind::Array { offset: 0 }, data: Bytes::from(vec![(i % 250) as u8 + 1; len]) }))
-                .collect()
-        };
+        let client_ops: Vec<ClientOp> = ops
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| update_op(i as u64, len))
+            .collect();
         let total: u64 = ops.iter().map(|&l| l as u64).sum();
         let results = client.execute_pipelined(
             &mut fabric,

@@ -1,6 +1,7 @@
-//! The DAOS client suites' one test-support module: the world they build
-//! ([`world`]), payloads that name the write they came from ([`stamped`]),
-//! and the history oracle ([`Oracle`]) every answer is checked against.
+//! The DAOS and DPU client suites' one test kit: the world they build
+//! ([`world`], host-resident or offloaded), payloads that name the write
+//! they came from ([`stamped`]), and the history oracle ([`Oracle`])
+//! every answer is checked against, whichever client gave it.
 //!
 //! The oracle keeps a shadow of each record's writes and holds a suite to
 //! four rules:
@@ -20,7 +21,10 @@
 //! `LATEST` or past-epoch fetch has exactly one right answer. A record a
 //! failed write touched has none: any bytes or `NotFound` pass for it,
 //! and rule 1 still holds for every other error.
-#![allow(dead_code)] // each suite uses its own part of the module
+//!
+//! The kit is a dev-dependency of `ros2_daos` and `ros2_dpu` only, so its
+//! types are the ones those crates' integration suites see. A crate's own
+//! unit tests cannot use it: they would see a second copy of the crate.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -31,6 +35,7 @@ use ros2_daos::{
     DaosError, EngineCluster, Epoch, FetchOp, ObjectClient, ObjectId, RecordKey, UpdateOp,
     ValueKind,
 };
+use ros2_dpu::{default_control, DpuAgent, DpuClient, DpuTenantSpec};
 use ros2_fabric::{Fabric, NodeSpec};
 use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, Transport};
 use ros2_nvme::DataMode;
@@ -39,11 +44,14 @@ use ros2_verbs::{Expiry, MemoryDomain, NodeId};
 
 const LATEST: Epoch = Epoch::LATEST;
 
+/// The container every kit world creates and connects to.
+pub const CONT: &str = "cont0";
+
 /// The values the suites' worlds differ in. Everything else is the same
-/// everywhere: 48-core client nodes, ConnectX-6 NICs at 100 Gb/s, 8 GiB
-/// of registrable memory a node, engines from [`EngineCluster::assemble`]
-/// (Stored-mode SSDs, 256 MiB of SCM), container `cont0`, 4 MiB staging
-/// buffers in host DRAM.
+/// everywhere: 48-core host client nodes, ConnectX-6 NICs at 100 Gb/s on
+/// the host and storage nodes, 8 GiB of registrable memory a node, engines
+/// from [`EngineCluster::assemble`] (Stored-mode SSDs, 256 MiB of SCM),
+/// container [`CONT`], 4 MiB staging buffers.
 pub struct World {
     pub engines: usize,
     /// Replication factor.
@@ -87,33 +95,51 @@ impl World {
         (fabric, cluster, clients.remove(0))
     }
 
-    /// Builds the world: client `c` on `NodeId(c)`, storage node `i` on
-    /// `NodeId(clients + i)`.
+    /// Builds the world: host client `c` on `NodeId(c)`, storage node `i`
+    /// on `NodeId(clients + i)`, staging in host DRAM.
     pub fn build_clients(self) -> (Fabric, EngineCluster, Vec<DaosClient>) {
-        let node = |name: String, cores| NodeSpec {
-            name,
-            cpu: CpuComplement {
-                class: CoreClass::HostX86,
-                cores,
-            },
-            nic: NicModel::connectx6(),
-            port_rate: gbps(100),
-            mem_budget: 8 << 30,
-            dpu_tcp_rx: None,
-        };
-        let mut specs: Vec<NodeSpec> = (0..self.clients)
+        let hosts = (0..self.clients)
             .map(|c| match self.clients {
                 1 => node("client".into(), 48),
                 _ => node(format!("client{c}"), 48),
             })
             .collect();
-        specs.extend((0..self.engines).map(|i| node(format!("storage{i}"), self.storage_cores)));
-        let servers: Vec<NodeId> = (self.clients..self.clients + self.engines)
-            .map(|n| NodeId(n as u32))
+        let (mut fabric, cluster) = self.storage(hosts);
+        let clients = (0..self.clients)
+            .map(|c| {
+                let spec = self.connect(NodeId(c as u32), MemoryDomain::HostDram);
+                DaosClient::connect_scoped_multi(&mut fabric, &spec, "tenant", Expiry::Never)
+                    .unwrap()
+            })
             .collect();
-        let mut fabric = Fabric::new(self.transport, specs, self.seed);
+        (fabric, cluster, clients)
+    }
+
+    /// Builds the offloaded world: one BlueField-3 client on `NodeId(0)`,
+    /// staging in DPU DRAM, behind one agent over `default_control(3)`,
+    /// with a lane per tenant (connect seed 7); storage node `i` on
+    /// `NodeId(1 + i)`. A suite sets the client's read-cache carve or
+    /// retry policy on the client it gets back.
+    pub fn build_offloaded(
+        self,
+        tenants: Vec<DpuTenantSpec>,
+    ) -> (Fabric, EngineCluster, DpuClient) {
+        assert_eq!(self.clients, 1, "an offloaded world has one DPU client");
+        let (mut fabric, cluster) = self.storage(vec![NodeSpec::bluefield3()]);
+        let dpu = NodeId(0);
+        let agent = DpuAgent::new(dpu, 30 << 30, default_control(3));
+        let spec = self.connect(dpu, MemoryDomain::DpuDram);
+        let client = DpuClient::connect_cluster(&mut fabric, spec, agent, tenants, 7).unwrap();
+        (fabric, cluster, client)
+    }
+
+    /// The fabric over `clients` and the storage nodes after them, and the
+    /// engines on those, with [`CONT`] created.
+    fn storage(&self, mut clients: Vec<NodeSpec>) -> (Fabric, EngineCluster) {
+        clients.extend((0..self.engines).map(|i| node(format!("storage{i}"), self.storage_cores)));
+        let fabric = Fabric::new(self.transport, clients, self.seed);
         let mut cluster = EngineCluster::assemble(
-            servers.clone(),
+            self.servers(),
             self.rf,
             self.ssds,
             DataMode::Stored,
@@ -121,23 +147,44 @@ impl World {
             DaosCostModel::default_model(),
             CoreClass::HostX86,
         );
-        cluster.cont_create("cont0").unwrap();
-        let clients = (0..self.clients)
-            .map(|c| {
-                let spec = ConnectSpec {
-                    node: NodeId(c as u32),
-                    servers: servers.clone(),
-                    cont: "cont0".into(),
-                    jobs: self.jobs,
-                    buf_len: 4 << 20,
-                    domain: MemoryDomain::HostDram,
-                    model: DaosCostModel::default_model(),
-                };
-                DaosClient::connect_scoped_multi(&mut fabric, &spec, "tenant", Expiry::Never)
-                    .unwrap()
-            })
-            .collect();
-        (fabric, cluster, clients)
+        cluster.cont_create(CONT).unwrap();
+        (fabric, cluster)
+    }
+
+    fn servers(&self) -> Vec<NodeId> {
+        (self.clients..self.clients + self.engines)
+            .map(|n| NodeId(n as u32))
+            .collect()
+    }
+
+    /// How a client on `node` connects: to every storage node, with
+    /// [`World::jobs`] 4 MiB staging buffers in `domain`.
+    fn connect(&self, node: NodeId, domain: MemoryDomain) -> ConnectSpec {
+        ConnectSpec {
+            node,
+            servers: self.servers(),
+            cont: CONT.into(),
+            jobs: self.jobs,
+            buf_len: 4 << 20,
+            domain,
+            model: DaosCostModel::default_model(),
+        }
+    }
+}
+
+/// A host or storage node: `cores` x86 cores, a ConnectX-6 at 100 Gb/s
+/// and 8 GiB of registrable memory.
+fn node(name: String, cores: usize) -> NodeSpec {
+    NodeSpec {
+        name,
+        cpu: CpuComplement {
+            class: CoreClass::HostX86,
+            cores,
+        },
+        nic: NicModel::connectx6(),
+        port_rate: gbps(100),
+        mem_budget: 8 << 30,
+        dpu_tcp_rx: None,
     }
 }
 
@@ -184,7 +231,8 @@ pub fn read(oid: ObjectId, dkey: u64, len: u64) -> ClientOp {
     })
 }
 
-fn array_key(oid: ObjectId, dkey: u64) -> RecordKey {
+/// `oid`'s record `(dkey, "data")`, the one akey the suites write.
+pub fn array_key(oid: ObjectId, dkey: u64) -> RecordKey {
     RecordKey {
         oid,
         dkey: DKey::from_u64(dkey),
@@ -196,7 +244,7 @@ fn array_key(oid: ObjectId, dkey: u64) -> RecordKey {
 /// [`ObjectClient::fetch`] on job 0: the reference arm a ring submission
 /// must be functionally identical to.
 pub fn serial_op(
-    c: &mut DaosClient,
+    c: &mut dyn ObjectClient,
     f: &mut Fabric,
     cl: &mut EngineCluster,
     now: SimTime,
@@ -377,12 +425,24 @@ impl Oracle {
         }
     }
 
+    /// Records an array extent that reached the replicas around the
+    /// client, tagged `epoch` by its writer: it joins `key`'s history
+    /// after every write settled so far, and takes no epoch of its own.
+    pub fn foreign(&mut self, key: RecordKey, epoch: Epoch, at: u64, data: Bytes) {
+        let written = Written {
+            epoch: epoch.0,
+            at,
+            data,
+        };
+        self.records.entry(key).or_default().extents.push(written);
+    }
+
     /// Writes 16 KiB to each of `oid`'s records `(0..n, "data")`, write `i`
     /// to dkey `i`, as serial calls one after another from time zero, and
     /// returns the last ack.
     pub fn preamble(
         &mut self,
-        c: &mut DaosClient,
+        c: &mut dyn ObjectClient,
         f: &mut Fabric,
         cl: &mut EngineCluster,
         oid: ObjectId,
@@ -397,7 +457,7 @@ impl Oracle {
     /// Runs `op` as the serial call at `now` and settles it.
     pub fn serial(
         &mut self,
-        c: &mut DaosClient,
+        c: &mut dyn ObjectClient,
         f: &mut Fabric,
         cl: &mut EngineCluster,
         now: SimTime,
@@ -413,12 +473,11 @@ impl Oracle {
     /// through the serial call, and from every live replica's engine.
     pub fn check_world(
         &self,
-        c: &mut DaosClient,
+        c: &mut dyn ObjectClient,
         f: &mut Fabric,
         cl: &mut EngineCluster,
         at: SimTime,
     ) {
-        let cont = c.container().to_string();
         for (key, rec) in self.records.iter().filter(|(_, r)| !r.failed) {
             let single = rec
                 .singles
@@ -443,7 +502,7 @@ impl Oracle {
                 for eng in cl.map().route(&oid).set.iter() {
                     let got = cl
                         .engine_mut(eng)
-                        .fetch(arrival, &cont, oid, dkey, akey, kind, LATEST, len);
+                        .fetch(arrival, CONT, oid, dkey, akey, kind, LATEST, len);
                     self.check(
                         &read,
                         got.map(|(b, _)| b),

@@ -254,22 +254,37 @@ const FENCES: &[Fence] = &[
         )])),
         message: "a std-hashed table came back instead of ros2_sim::FastMap/FastSet",
     },
-    // The DAOS client suites build their worlds through the one builder in
-    // `crates/daos/tests/common` (`world(..)`), which also holds the
-    // history oracle they check every answer with.
+    // The DAOS and DPU client suites build their worlds through the one
+    // builder in `testkit/` (`ros2_testkit::world(..)`, `.build()` for the
+    // host client, `.build_offloaded(..)` for the DPU one), which also
+    // holds the history oracle they check every answer with.
     Fence {
-        paths: &["crates/daos/tests/*.rs"],
+        paths: &["crates/daos/tests/*.rs", "crates/dpu/tests/*.rs"],
         patterns: &[
             "Fabric::new",
             "EngineCluster::new",
+            "EngineCluster::single",
             "DaosClient::connect_scoped_multi(",
+            "DpuClient::connect_cluster(",
         ],
-        except: Some(Except::Files(&[(
-            "crates/daos/tests/cluster_rebuild.rs",
-            "runs on the paper's §4.1 node presets (NodeSpec::host_client and \
-             storage_server, 64 GiB each), which no other suite sets",
-        )])),
-        message: "a DAOS client suite builds its own world instead of calling common::world",
+        except: Some(Except::Files(&[
+            (
+                "crates/daos/tests/cluster_rebuild.rs",
+                "runs on the paper's §4.1 node presets (NodeSpec::host_client and \
+                 storage_server, 64 GiB each), which no other suite sets",
+            ),
+            (
+                "crates/dpu/tests/core_budget.rs",
+                "its client runs a 1 ms client_per_op cost model over 1 MiB \
+                 buffers, which no other suite sets",
+            ),
+            (
+                "crates/dpu/tests/qos_rkey.rs",
+                "its TenantManager tests drive admission and rkey scopes on a \
+                 bare fabric with no client on it",
+            ),
+        ])),
+        message: "a DAOS or DPU client suite builds its own world instead of calling ros2_testkit::world",
     },
 ];
 
@@ -514,29 +529,39 @@ fn patterns_match_as_documented() {
     ));
     let suites = FENCES.last().unwrap();
     let breaks = |file: &str, line: &str| breaks_fence(suites, file, line);
+    for suite in [
+        "crates/daos/tests/map_races.rs",
+        "crates/dpu/tests/cache_props.rs",
+    ] {
+        for line in [
+            "    let mut fabric = Fabric::new(Transport::Rdma, specs, 23);",
+            "    let cluster = EngineCluster::new(engines, servers, 2);",
+            "    let mut cluster = EngineCluster::single(engine);",
+            "        DaosClient::connect_scoped_multi(&mut f, &spec, \"t\", Expiry::Never)",
+            "    let client = DpuClient::connect_cluster(",
+        ] {
+            assert!(breaks(suite, line), "{suite}: {line}");
+        }
+        assert!(!breaks(
+            suite,
+            "    let (mut f, mut cl, mut c) = world(4, 2).build();"
+        ));
+        assert!(!breaks(
+            suite,
+            "    .build_offloaded(vec![DpuTenantSpec::unlimited(\"t\")]);"
+        ));
+    }
+    for own in [
+        "crates/daos/tests/cluster_rebuild.rs",
+        "crates/dpu/tests/core_budget.rs",
+        "crates/dpu/tests/qos_rkey.rs",
+    ] {
+        assert!(!breaks(
+            own,
+            "    let mut fabric = Fabric::new(Transport::Rdma, specs, 0x5eed);"
+        ));
+    }
     let suite = "crates/daos/tests/map_races.rs";
-    assert!(breaks(
-        suite,
-        "    let mut fabric = Fabric::new(Transport::Rdma, specs, 23);"
-    ));
-    assert!(breaks(
-        suite,
-        "    let cluster = EngineCluster::new(engines, servers, 2);"
-    ));
-    assert!(breaks(
-        suite,
-        "        DaosClient::connect_scoped_multi(&mut f, &spec, \"t\", Expiry::Never)"
-    ));
-    assert!(!breaks(
-        suite,
-        "    let (mut f, mut cl, mut c) = world(4, 2).build();"
-    ));
-    assert!(!breaks(suite, "    EngineCluster::single(engine)"));
-    let own = "crates/daos/tests/cluster_rebuild.rs";
-    assert!(!breaks(
-        own,
-        "    let mut fabric = Fabric::new(Transport::Rdma, specs, 0x5eed);"
-    ));
     assert!(
         Except::Line("fn issue").exempts(suite, "    fn issue(&mut self) -> Result<u8, String>")
     );
