@@ -123,7 +123,7 @@ impl Default for Ros2Config {
 }
 
 /// Launch/runtime failures.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub enum Ros2Error {
     /// Control-plane failure during handshake.
     Control(ControlError),

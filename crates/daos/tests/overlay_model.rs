@@ -26,7 +26,7 @@ use ros2_hw::{CoreClass, NvmeModel, LBA_SIZE};
 use ros2_nvme::{DataMode, NvmeArray};
 use ros2_sim::{SimDuration, SimTime, Timed};
 use ros2_spdk::BdevLayer;
-use ros2_testkit::{paint, stamped, Oracle, Written};
+use ros2_testkit::{array_key, paint, stamped, Oracle, Written};
 
 /// Array address space of the model (a dozen checksum chunks).
 const SPACE: u64 = 48 << 10;
@@ -232,16 +232,13 @@ fn overwrites_do_not_amplify_reads() {
 }
 
 /// The history oracle the client suites share (`ros2_testkit::Oracle`), on one
-/// hand-built history: each kind of answer it gives, by name.
+/// hand-built history: each kind of answer it gives, by name, and each
+/// rule it holds a wrong answer to, bit rot included.
 #[test]
 fn oracle_answers_a_hand_built_history() {
     use ros2_daos::{ClientOp, ClientOpResult, DaosError, FetchOp, UpdateOp};
     let oid = ObjectId::new(ObjClass::Sx, 1);
-    let key = |dkey: u64, akey: &str| RecordKey {
-        oid,
-        dkey: DKey::from_u64(dkey),
-        akey: AKey::from_str(akey),
-    };
+    let key = |dkey| array_key(oid, dkey);
     let update = |key, kind, data| ClientOp::Update(UpdateOp { key, kind, data });
     let read = |key, kind, epoch, len| FetchOp {
         key,
@@ -257,30 +254,27 @@ fn oracle_answers_a_hand_built_history() {
     let (older, newer) = (stamped(oid, 8192, 1, 8192), stamped(oid, 12288, 2, 2048));
     let value = stamped(oid, 0, 3, 100);
     let mut o = Oracle::lossy(2);
-    o.settle(&update(key(0, "data"), array(8192), older.clone()), &acked);
-    o.settle(&update(key(0, "data"), array(12288), newer.clone()), &acked);
-    o.settle(
-        &update(key(1, "v"), ValueKind::Single, value.clone()),
-        &acked,
-    );
-    let failed = update(key(2, "data"), array(0), stamped(oid, 0, 4, 64));
+    o.settle(&update(key(0), array(8192), older.clone()), &acked);
+    o.settle(&update(key(0), array(12288), newer.clone()), &acked);
+    o.settle(&update(key(1), ValueKind::Single, value.clone()), &acked);
+    let failed = update(key(2), array(0), stamped(oid, 0, 4, 64));
     o.settle(&failed, &ClientOpResult::Update(Err(spent)));
     assert_eq!(o.failed, 1);
 
-    let hole = read(key(0, "data"), array(0), Epoch::LATEST, 8192);
+    let hole = read(key(0), array(0), Epoch::LATEST, 8192);
     assert_eq!(
         o.expect(&hole),
         Some(Ok(Bytes::from(vec![0; 8192]))),
         "a hole reads as zeros"
     );
-    let past = read(key(0, "data"), array(12288), Epoch(1), 2048);
+    let past = read(key(0), array(12288), Epoch(1), 2048);
     let want = Some(Ok(older.slice(4096..6144)));
     assert_eq!(
         o.expect(&past),
         want,
         "a past-epoch read ignores newer writes"
     );
-    let short = read(key(1, "v"), ValueKind::Single, Epoch::LATEST, 4096);
+    let short = read(key(1), ValueKind::Single, Epoch::LATEST, 4096);
     let want = Some(Ok(value));
     assert_eq!(
         o.expect(&short),
@@ -289,14 +283,14 @@ fn oracle_answers_a_hand_built_history() {
     );
     let mut painted = older.to_vec();
     painted[4096..6144].copy_from_slice(&newer);
-    let overlap = read(key(0, "data"), array(8192), Epoch::LATEST, 8192);
+    let overlap = read(key(0), array(8192), Epoch::LATEST, 8192);
     let want = Some(Ok(painted.into()));
     assert_eq!(
         o.expect(&overlap),
         want,
         "overlapping writes go newest-wins"
     );
-    let touched = read(key(2, "data"), array(0), Epoch::LATEST, 64);
+    let touched = read(key(2), array(0), Epoch::LATEST, 64);
     assert_eq!(
         o.expect(&touched),
         None,
@@ -323,7 +317,17 @@ fn oracle_answers_a_hand_built_history() {
     assert!(breaks(Oracle::new(2), failed, no_fault), "rule 1, no fault");
     let corrupt = ClientOpResult::Fetch(Err(DaosError::ChecksumMismatch));
     assert!(
-        breaks(o, ClientOp::Fetch(touched), corrupt),
+        breaks(o, ClientOp::Fetch(touched), corrupt.clone()),
         "rule 1, refused"
     );
+
+    // A `ChecksumMismatch` passes for a record the suite rotted until a
+    // scrub repairs it, and for no other record.
+    let fetch = ClientOp::Fetch(read(key(0), array(0), Epoch::LATEST, 64));
+    let mut o = Oracle::new(2);
+    o.rot(key(0));
+    o.settle(&fetch, &corrupt);
+    o.repair(&key(0));
+    assert!(breaks(o, fetch.clone(), corrupt.clone()), "repaired");
+    assert!(breaks(Oracle::new(2), fetch, corrupt), "never rotted");
 }

@@ -69,7 +69,7 @@ use bytes::Bytes;
 use ros2_buf::DataPlaneStats;
 use ros2_daos::{AKey, ClientOp, DKey, ObjectId, RecordKey, RecordVersion, ValueKind};
 use ros2_hw::per_byte;
-use ros2_sim::{DetLru, SimDuration};
+use ros2_sim::{DetLru, SimDuration, Timed, Visit};
 
 /// DPU DRAM streaming-read cost: ~62 GB/s effective (DDR5 next to the ARM
 /// complex, shared with the data-plane staging traffic). A 16 KiB hit
@@ -580,6 +580,15 @@ impl ReadCache {
         self.ids.clear();
         self.groups.clear();
         self.resident = 0;
+    }
+}
+
+impl Timed for ReadCache {
+    /// The served hits' data-plane counters, and the cache counters as a
+    /// leaf a reset rewinds (the entries stay).
+    fn visit(&mut self, v: &mut dyn Visit) {
+        v.data_plane(self.dp);
+        v.rewind(&mut || self.stats = DpuCacheStats::default());
     }
 }
 

@@ -193,6 +193,9 @@ pub struct DpuClient {
     class: CoreClass,
     transport: Transport,
     stats: DpuStats,
+    /// Cache hits that resets rewound: [`ObjectClient::ops`] counts every
+    /// hit since connect.
+    rewound_hits: u64,
 }
 
 impl DpuClient {
@@ -302,6 +305,7 @@ impl DpuClient {
             class,
             transport,
             stats: DpuStats::default(),
+            rewound_hits: 0,
         })
     }
 
@@ -1087,18 +1091,22 @@ impl ObjectClient for DpuClient {
     fn ops(&self) -> u64 {
         // Hits never reach the inner clients, but they are completed I/Os
         // the application issued — count them alongside.
-        self.lanes.iter().map(|l| l.daos.ops()).sum::<u64>() + self.cache_stats().hits
+        let lanes = self.lanes.iter().map(|l| l.daos.ops()).sum::<u64>();
+        lanes + self.rewound_hits + self.cache_stats().hits
     }
 }
 
 impl Timed for DpuClient {
     /// Each lane's client cores, read cache and grant clock, the tenants'
-    /// admission lanes, and the offload counters ([`DpuStats`]).
+    /// admission lanes, and the offload counters ([`DpuStats`]). The cache
+    /// hits a reset rewinds stay counted in [`ObjectClient::ops`].
     fn visit(&mut self, v: &mut dyn Visit) {
+        let hits = self.cache_stats().hits;
+        v.rewind(&mut || self.rewound_hits += hits);
         for lane in &mut self.lanes {
             lane.daos.visit(v);
-            if let Some(cache) = &lane.cache {
-                v.data_plane(cache.data_plane_stats());
+            if let Some(cache) = &mut lane.cache {
+                cache.visit(v);
             }
             v.rewind(&mut || lane.granted_up_to = SimTime::ZERO);
         }

@@ -292,12 +292,7 @@ fn every_leaf_is_idle_at_t0_after_preconditioning() {
         // 1 drive's channel pool + 3 service lanes.
         assert_eq!(seen.leaves, 19, "{name}");
         assert_eq!(seen.busy, 0, "{name}: leaves busy after the reset");
-        // The read cache's own counters are kept (its stats are no leaf).
-        let offload = DpuStats {
-            cache: Default::default(),
-            ..w.client.dpu_stats()
-        };
-        assert_eq!(offload, DpuStats::default(), "{name}");
+        assert_eq!(w.client.dpu_stats(), DpuStats::default(), "{name}");
         assert!(w.data_plane_stats().bytes_zero_copy > 0, "{name}");
     }
     let mut w = WorldSpec::cluster(3)

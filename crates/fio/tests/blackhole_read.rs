@@ -10,21 +10,13 @@ use ros2_daos::RetryStats;
 use ros2_dfs::{Dfs, DfsSession};
 use ros2_fio::{DfsFioWorld, WorldSpec};
 use ros2_sim::SimTime;
+use ros2_testkit::stamped;
 
 const CHUNK: u64 = 1 << 20;
 const REGION: u64 = 4 << 20;
 /// Unaligned on both ends: starts inside chunk 0, ends inside chunk 2.
 const READ_OFF: u64 = 300_007;
 const READ_LEN: u64 = (5 << 20) / 2;
-
-/// Non-zero bytes that depend on both the file and the offset, so a read
-/// served from the wrong file or the wrong place cannot pass.
-fn payload(file: u64, offset: u64, len: u64) -> Bytes {
-    (offset..offset + len)
-        .map(|o| ((file * 131 + o * 7 + o / 4099) % 251) as u8 + 1)
-        .collect::<Vec<u8>>()
-        .into()
-}
 
 /// The world's namespace plus the borrow bundle its calls take.
 fn session(w: &mut DfsFioWorld) -> (&mut Dfs, DfsSession<'_>) {
@@ -52,26 +44,20 @@ fn run() -> (Bytes, SimTime, RetryStats) {
         .build_dfs();
     assert!(!w.dfs.data_pipeline());
     let mut file = w.file(0).clone();
+    let oid = file.oid;
 
     let mut t = SimTime::ZERO;
     let (dfs, mut s) = session(&mut w);
     for off in (0..REGION).step_by(CHUNK as usize) {
-        t = dfs
-            .write(&mut s, t, 0, &mut file, off, payload(0, off, CHUNK))
-            .expect("chunk write");
+        let data = stamped(oid, off, 1, CHUNK as usize);
+        t = dfs.write(&mut s, t, 0, &mut file, off, data).unwrap();
     }
 
     // Only now does the leader of the file's data object go dark: it stays
     // Up in the map, its connection just eats traffic.
-    let leader = w
-        .cluster
-        .map()
-        .route(&file.oid)
-        .set
-        .leader()
-        .expect("healthy leader");
+    let leader = w.cluster.map().route(&oid).set.leader();
     w.set_fault_plan(FaultPlan {
-        blackholes: vec![leader],
+        blackholes: vec![leader.expect("healthy leader")],
         ..FaultPlan::default()
     });
 
@@ -79,7 +65,11 @@ fn run() -> (Bytes, SimTime, RetryStats) {
     let (got, at) = dfs
         .read(&mut s, t, 0, &file, READ_OFF, READ_LEN)
         .expect("the survivor must serve the read");
-    assert_eq!(got, payload(0, READ_OFF, READ_LEN), "wrong bytes");
+    assert_eq!(
+        got,
+        stamped(oid, READ_OFF, 1, READ_LEN as usize),
+        "wrong bytes"
+    );
     (got, at, w.client.retry_stats())
 }
 

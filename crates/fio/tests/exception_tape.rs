@@ -16,21 +16,18 @@
 //! anything the recovery ladder touched — including ops the NIC sent with
 //! a stamp nobody yet knew to be stale, which the engines fence. So
 //! everything but *when* clean ops run must be what it was before chains
-//! existed: payloads, Ok/Err, epochs, `RetryStats` and the engines'
-//! counters are pinned below to the values the same tape produced before
-//! the first chain (PR 22's parent; same file, run there — and the same
-//! again at this PR's parent). And the split itself is pinned: which ops
-//! the doorbell submitted, whose bytes the NIC checksummed and verified,
-//! whose the ARM cores.
+//! existed: Ok/Err, epochs, `RetryStats` and the engines' counters are
+//! pinned below to the values the same tape produced before the first
+//! chain, and every payload is held to the kit's history oracle, which
+//! knows which extent the tape rotted. And the split itself is pinned:
+//! which ops the doorbell submitted, whose bytes the NIC checksummed and
+//! verified, whose the ARM cores.
 
-use bytes::Bytes;
-use ros2_daos::{
-    AKey, ClientOp, ClientOpResult, DKey, DaosError, Epoch, FetchOp, ObjClass, ObjectId, RecordKey,
-    RetryStats, UpdateOp, ValueKind,
-};
+use ros2_daos::{ClientOp, ClientOpResult, DaosError, ObjClass, ObjectId, RetryPolicy, RetryStats};
 use ros2_dpu::DpuTenantSpec;
 use ros2_fio::{DfsFioWorld, FioClient, WorldSpec};
 use ros2_sim::{SimDuration, SimTime};
+use ros2_testkit::{array_key, read, write, Oracle};
 use ros2_verbs::NodeId;
 
 const BS: usize = 4 << 10;
@@ -51,41 +48,21 @@ fn oid(i: u64) -> ObjectId {
     ObjectId::new(ObjClass::Sx, 0x7a9e_0000 + i % OBJECTS)
 }
 
-fn payload(i: u64, generation: u8) -> Bytes {
-    Bytes::from(vec![(i as u8).wrapping_mul(31) ^ generation; BS])
-}
-
+/// Write `generation` of record `i`: `BS` stamped bytes.
 fn update(i: u64, generation: u8) -> ClientOp {
-    ClientOp::Update(UpdateOp {
-        key: RecordKey {
-            oid: oid(i),
-            dkey: DKey::from_u64(i),
-            akey: AKey::from_str("data"),
-        },
-        kind: ValueKind::Array { offset: 0 },
-        data: payload(i, generation),
-    })
+    write(oid(i), i, BS, u64::from(generation) << 8 | i)
 }
 
 fn fetch(i: u64) -> ClientOp {
-    ClientOp::Fetch(FetchOp {
-        key: RecordKey {
-            oid: oid(i),
-            dkey: DKey::from_u64(i),
-            akey: AKey::from_str("data"),
-        },
-        kind: ValueKind::Array { offset: 0 },
-        epoch: Epoch::LATEST,
-        len: BS as u64,
-    })
+    read(oid(i), i, BS as u64)
 }
 
 /// What the tape observed, minus every instant.
 #[derive(Debug, Default, PartialEq, Eq)]
 struct Digest {
-    /// Per op, in tape order: `Ok(crc of the fetched payload)` (0 for an
-    /// update) or the error's variant name.
-    outcomes: Vec<Result<u32, &'static str>>,
+    /// Per op, in tape order: `Ok(bytes fetched)` (0 for an update) or
+    /// the error.
+    outcomes: Vec<Result<u64, DaosError>>,
     /// The container's next epoch once the tape has run.
     next_epoch: u64,
     retry: RetryStats,
@@ -96,24 +73,28 @@ struct Digest {
     vos: (u64, u64, u64),
 }
 
-fn submit(w: &mut DfsFioWorld, d: &mut Digest, at_us: u64, job: usize, ops: Vec<ClientOp>) {
-    let results = w.client.as_object().execute_pipelined(
-        &mut w.fabric,
-        &mut w.cluster,
-        SimTime::from_micros(at_us),
-        job,
-        ops,
-    );
-    d.outcomes.extend(results.into_iter().map(|r| match r {
-        ClientOpResult::Update(Ok(_)) => Ok(0),
-        ClientOpResult::Fetch(Ok((data, _))) => Ok(ros2_buf::crc32c(&data)),
-        ClientOpResult::Update(Err(e)) | ClientOpResult::Fetch(Err(e)) => Err(match e {
-            DaosError::ChecksumMismatch => "ChecksumMismatch",
-            DaosError::StaleMap { .. } => "StaleMap",
-            DaosError::NotFound => "NotFound",
-            _ => "Other",
-        }),
-    }));
+/// A tape as it runs: the oracle that settles every result, and the
+/// digest.
+struct Tape(Oracle, Digest);
+
+impl Tape {
+    fn new(oracle: Oracle) -> Self {
+        Tape(oracle, Digest::default())
+    }
+
+    /// Submits `ops` as one queue of `job` at `at_us`, and settles their
+    /// results.
+    fn submit(&mut self, w: &mut DfsFioWorld, at_us: u64, job: usize, ops: Vec<ClientOp>) {
+        let at = SimTime::from_micros(at_us);
+        let client = w.client.as_object();
+        let results = client.execute_pipelined(&mut w.fabric, &mut w.cluster, at, job, ops.clone());
+        self.0.settle_all(&ops, &results);
+        self.1.outcomes.extend(results.into_iter().map(|r| match r {
+            ClientOpResult::Update(Ok(_)) => Ok(0),
+            ClientOpResult::Fetch(Ok((data, _))) => Ok(data.len() as u64),
+            ClientOpResult::Update(Err(e)) | ClientOpResult::Fetch(Err(e)) => Err(e),
+        }));
+    }
 }
 
 /// Who ran what: op counts per phase of the tape, for the ops whose path
@@ -138,13 +119,14 @@ struct Split {
 
 /// Runs the tape; returns its digest and the split.
 fn run(w: &mut DfsFioWorld) -> (Digest, Split) {
-    let mut d = Digest::default();
+    // Lossy: the black hole may spend a retry budget.
+    let mut t = Tape::new(Oracle::lossy(RetryPolicy::default().budget));
     let n = 12u64;
     // 1. First writes — the whole queue lands at one instant, before any
     // core has finished writing a template, so every one is a core's — then
     // clean reads of them from the other job.
-    submit(w, &mut d, 0, 0, (0..n).map(|i| update(i, 1)).collect());
-    submit(w, &mut d, 2_000, 1, (0..n).map(fetch).collect());
+    t.submit(w, 0, 0, (0..n).map(|i| update(i, 1)).collect());
+    t.submit(w, 2_000, 1, (0..n).map(fetch).collect());
 
     // 2. A kill with queues in flight. Job 0's reads are submitted, the
     // leader of object 1 dies, and its MapPush is held back half a
@@ -152,7 +134,7 @@ fn run(w: &mut DfsFioWorld) -> (Digest, Split) {
     // the NIC from templates stamped with the old map. Its legs to the
     // dead engine find out by deadline; its legs to live engines are
     // fenced, because those heard of the kill.
-    submit(w, &mut d, 4_000, 0, (0..6).map(fetch).collect());
+    t.submit(w, 4_000, 0, (0..6).map(fetch).collect());
     let legs = |w: &DfsFioWorld, i: u64| w.cluster.map().route(&oid(i)).set.len() as u64;
     let stale_update_legs = (0..n).filter(|i| i % 2 == 1).map(|i| legs(w, i)).sum();
     let victim = w.cluster.map().route(&oid(1)).set.leader().unwrap();
@@ -162,14 +144,14 @@ fn run(w: &mut DfsFioWorld) -> (Digest, Split) {
     let stale: Vec<ClientOp> = (0..n)
         .map(|i| if i % 2 == 0 { fetch(i) } else { update(i, 2) })
         .collect();
-    submit(w, &mut d, 4_020, 1, stale);
+    t.submit(w, 4_020, 1, stale);
 
     // 3. The push has landed: degraded but first-attempt traffic. The
     // reads find every template a revision old, so cores submit them and
     // restamp; the writes after them are the NIC's again.
-    submit(w, &mut d, 10_000, 0, (0..n).map(fetch).collect());
+    t.submit(w, 10_000, 0, (0..n).map(fetch).collect());
     let degraded_update_legs = (0..n).map(|i| legs(w, i)).sum();
-    submit(w, &mut d, 12_000, 1, (0..n).map(|i| update(i, 3)).collect());
+    t.submit(w, 12_000, 1, (0..n).map(|i| update(i, 3)).collect());
 
     // 4. A black-holed leader: up in the map, eats every request. (One
     // whose objects all kept their second replica through the kill, so
@@ -183,24 +165,18 @@ fn run(w: &mut DfsFioWorld) -> (Digest, Split) {
         .expect("an engine leading only fully replicated objects");
     let hole_fetches = led_by(hole).count() as u64;
     w.cluster.set_blackhole(hole, true);
-    submit(w, &mut d, 14_000, 0, (0..n).map(fetch).collect());
+    t.submit(w, 14_000, 0, (0..n).map(fetch).collect());
     w.cluster.set_blackhole(hole, false);
 
     // 5. Bit rot under the leader's newest extent of one record: the
     // engine's own verify refuses it and the error reaches the host.
-    let rotten = 3u64;
+    let (rotten, key) = (3u64, array_key(oid(3), 3));
     let leader = w.cluster.map().route(&oid(rotten)).set.leader().unwrap();
-    assert!(w
-        .cluster
-        .engine_mut(leader)
-        .corrupt_newest_extent(&RecordKey {
-            oid: oid(rotten),
-            dkey: DKey::from_u64(rotten),
-            akey: AKey::from_str("data")
-        }));
-    submit(w, &mut d, 20_000, 1, (0..6).map(fetch).collect());
+    assert!(w.cluster.engine_mut(leader).corrupt_newest_extent(&key));
+    t.0.rot(key);
+    t.submit(w, 20_000, 1, (0..6).map(fetch).collect());
 
-    let c = &mut w.cluster;
+    let (Tape(_, mut d), c) = (t, &mut w.cluster);
     d.next_epoch = c.next_epoch("posix").unwrap().0;
     d.retry = w.client.retry_stats();
     d.fences = c.fences();
@@ -226,34 +202,33 @@ fn the_tape_is_what_it_was_before_chains_and_exceptions_stay_on_the_arm_core() {
     let mut w = world();
     let (d, split) = run(&mut w);
 
-    // Every fetch returned the newest acked write of its record, except
-    // the rotten one, which failed with the checksum error.
-    let crc = |i: u64, generation: u8| Ok(ros2_buf::crc32c(&payload(i, generation)));
-    let mut want: Vec<Result<u32, &'static str>> = Vec::new();
-    want.extend((0..12).map(|_| Ok(0)));
-    want.extend((0..12).map(|i| crc(i, 1)));
-    want.extend((0..6).map(|i| crc(i, 1)));
-    want.extend((0..12).map(|i| if i % 2 == 0 { crc(i, 1) } else { Ok(0) }));
-    want.extend((0..12).map(|i| crc(i, if i % 2 == 0 { 1 } else { 2 })));
-    want.extend((0..12).map(|_| Ok(0)));
-    want.extend((0..12).map(|i| crc(i, 3)));
-    want.extend((0..6).map(|i| {
-        if i == 3 {
-            Err("ChecksumMismatch")
-        } else {
-            crc(i, 3)
-        }
-    }));
-    assert_eq!(d.outcomes, want);
+    // Every op succeeded but the fetch of the rotten record, third from
+    // the end, which failed with the checksum error; the oracle held every
+    // payload to the newest acked write of its record.
+    let failed: Vec<_> = (d.outcomes.iter().enumerate())
+        .filter_map(|(i, o)| Some((i, o.err()?)))
+        .collect();
+    assert_eq!(
+        (d.outcomes.len(), failed),
+        (84, vec![(81, DaosError::ChecksumMismatch)])
+    );
 
-    // The parent commit's values for this tape.
-    assert_eq!(d.next_epoch, PARENT.next_epoch);
-    assert_eq!(d.retry, PARENT.retry);
-    assert_eq!(d.fences, PARENT.fences);
-    assert_eq!(d.rpcs, PARENT.rpcs);
-    assert_eq!(d.degraded_fetches, PARENT.degraded_fetches);
-    assert_eq!(d.vos, PARENT.vos);
-    assert!(d.retry.timeouts > 0 && d.retry.fenced > 0 && d.retry.exhausted == 0);
+    // The values this tape produced before the first chain existed: next
+    // epoch, ladder, fences, RPCs, degraded fetches and the engines'
+    // `(array_updates, fetches, checksum_failures)`.
+    let retry = RetryStats {
+        timeouts: 8,
+        fenced: 12,
+        retries: 20,
+        backoff_waits: 20,
+        map_refreshes: 20,
+        exhausted: 0,
+    };
+    assert_eq!(
+        (d.next_epoch, d.retry, d.fences, d.rpcs),
+        (38, retry, 12, 122)
+    );
+    assert_eq!((d.degraded_fetches, d.vos), (19, (56, 56, 1)));
 
     // Who ran what. Updates: the first-touch queue was the cores', checksum
     // included; every later one was sent by the doorbell, checksummed by
@@ -263,9 +238,9 @@ fn the_tape_is_what_it_was_before_chains_and_exceptions_stay_on_the_arm_core() {
     // and the restamped queue were verified on ARM cores.
     let s = w.client.dpu_stats();
     let count =
-        |f: fn(&Result<u32, &str>) -> bool| d.outcomes.iter().filter(|o| f(o)).count() as u64;
+        |f: fn(&Result<u64, DaosError>) -> bool| d.outcomes.iter().filter(|o| f(o)).count() as u64;
     let updates = count(|o| *o == Ok(0));
-    let fetches = count(|o| matches!(o, Ok(crc) if *crc != 0));
+    let fetches = count(|o| matches!(o, Ok(len) if *len != 0));
     let rotten = count(|o| o.is_err());
     assert!(split.hole_fetches > 0 && rotten == 1);
     let arm_fetches = split.stale_fetches + split.hole_fetches + split.restamped_fetches;
@@ -294,32 +269,6 @@ fn the_tape_is_what_it_was_before_chains_and_exceptions_stay_on_the_arm_core() {
     assert_eq!(chains.crc_rejects, 0);
     assert_eq!(nic.violations().total(), 0);
 }
-
-struct Parent {
-    next_epoch: u64,
-    retry: RetryStats,
-    fences: u64,
-    rpcs: u64,
-    degraded_fetches: u64,
-    vos: (u64, u64, u64),
-}
-
-/// Recorded by running [`run`] at PR 22's parent commit, before any chain.
-const PARENT: Parent = Parent {
-    next_epoch: 38,
-    retry: RetryStats {
-        timeouts: 8,
-        fenced: 12,
-        retries: 20,
-        backoff_waits: 20,
-        map_refreshes: 20,
-        exhausted: 0,
-    },
-    fences: 12,
-    rpcs: 122,
-    degraded_fetches: 19,
-    vos: (56, 56, 1),
-};
 
 /// The tape replays bit-identically, instants included.
 #[test]
@@ -353,9 +302,9 @@ fn cores_and_doorbells(w: &DfsFioWorld) -> (SimDuration, u64) {
 fn a_map_push_restamps_on_a_core_and_a_late_one_gets_the_nics_descriptor_fenced() {
     for delayed in [false, true] {
         let mut w = world();
-        let mut d = Digest::default();
-        submit(&mut w, &mut d, 0, 0, vec![update(0, 1)]);
-        submit(&mut w, &mut d, 1_000, 0, vec![fetch(0)]);
+        let mut t = Tape::new(Oracle::new(RetryPolicy::default().budget));
+        t.submit(&mut w, 0, 0, vec![update(0, 1)]);
+        t.submit(&mut w, 1_000, 0, vec![fetch(0)]);
         // Cores so far: the first touch, one submission per replica leg.
         let (first_touch, sent) = cores_and_doorbells(&w);
         assert_eq!(sent, 1, "the file's second op was the doorbell's");
@@ -368,7 +317,7 @@ fn a_map_push_restamps_on_a_core_and_a_late_one_gets_the_nics_descriptor_fenced(
         let lands_us = if delayed { 2_500 } else { 1_500 };
         w.client.deliver_map(SimTime::from_micros(lands_us), snap);
 
-        submit(&mut w, &mut d, 2_000, 0, vec![fetch(0)]);
+        t.submit(&mut w, 2_000, 0, vec![fetch(0)]);
         let (busy, sent) = cores_and_doorbells(&w);
         let retry = w.client.retry_stats();
         // Either way exactly one more core submission: the op itself, or
@@ -391,18 +340,17 @@ fn a_map_push_restamps_on_a_core_and_a_late_one_gets_the_nics_descriptor_fenced(
         // is clean.
         let clean_from = if delayed { 4_000 } else { 3_000 };
         if delayed {
-            submit(&mut w, &mut d, 3_000, 0, vec![fetch(0)]);
+            t.submit(&mut w, 3_000, 0, vec![fetch(0)]);
             assert_eq!(cores_and_doorbells(&w).1, 2, "restamped by a core");
         }
         let (busy, sent) = cores_and_doorbells(&w);
-        submit(&mut w, &mut d, clean_from, 0, vec![fetch(0)]);
+        t.submit(&mut w, clean_from, 0, vec![fetch(0)]);
         assert_eq!(cores_and_doorbells(&w), (busy, sent + 1));
         assert_eq!(w.client.retry_stats(), retry, "no further recovery");
-        let crc = Ok(ros2_buf::crc32c(&payload(0, 1)));
         assert!(
-            d.outcomes[1..].iter().all(|o| *o == crc),
+            t.1.outcomes[1..].iter().all(|o| *o == Ok(BS as u64)),
             "{:?}",
-            d.outcomes
+            t.1.outcomes
         );
         assert_eq!(w.fabric.node(NodeId(0)).rdma.violations().total(), 0);
     }

@@ -119,7 +119,8 @@ impl Backing {
 
     /// Number of resident 4 KiB pages touched by live data (0 in null
     /// mode).
-    pub fn resident_pages(&self) -> usize {
+    #[cfg(test)]
+    fn resident_pages(&self) -> usize {
         match self {
             Backing::Stored { store } => store.covered_pages(PAGE as u64),
             Backing::Null { .. } => 0,

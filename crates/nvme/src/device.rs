@@ -67,7 +67,8 @@ impl NvmeCmd {
     }
 
     /// A flush barrier.
-    pub fn flush() -> Self {
+    #[cfg(test)]
+    fn flush() -> Self {
         NvmeCmd {
             opcode: NvmeOpcode::Flush,
             slba: 0,

@@ -71,7 +71,6 @@ pub struct NvmfTarget {
     /// Per-command target-side processing (polled, user space).
     per_cmd: SimDuration,
     class: CoreClass,
-    commands: u64,
 }
 
 impl NvmfTarget {
@@ -81,17 +80,10 @@ impl NvmfTarget {
             reactors: ServerPool::new(cores),
             per_cmd: SimDuration::from_nanos(900),
             class,
-            commands: 0,
         }
     }
 
-    /// Commands processed.
-    pub fn commands(&self) -> u64 {
-        self.commands
-    }
-
     fn process(&mut self, at: SimTime) -> SimTime {
-        self.commands += 1;
         let cost = self.class.scale(self.per_cmd);
         self.reactors.submit(at, cost).finish
     }
@@ -421,7 +413,7 @@ mod tests {
             .unwrap();
         let (_, back) = s.read(done, &mut sess, 0, 7, 1).unwrap();
         assert_eq!(back, data);
-        assert_eq!(s.target.commands(), 2);
+        assert_eq!(sess.ops(), 2);
     }
 
     #[test]

@@ -1,14 +1,18 @@
-//! The DAOS and DPU client suites' one test kit: the world they build
-//! ([`world`], host-resident or offloaded), payloads that name the write
-//! they came from ([`stamped`]), and the history oracle ([`Oracle`])
-//! every answer is checked against, whichever client gave it.
+//! The client suites' one test kit: the world the DAOS and DPU suites
+//! build ([`world`], host-resident or offloaded), payloads that name the
+//! write they came from ([`stamped`]), the history oracle ([`Oracle`])
+//! every DAOS answer is checked against, whichever client gave it, and
+//! the DFS shadow ([`DfsShadow`]) every DFS answer is.
 //!
 //! The oracle keeps a shadow of each record's writes and holds a suite to
 //! four rules:
 //!
 //! 1. No op fails, unless the suite armed a fault that can spend a retry
 //!    budget ([`Oracle::lossy`]); then an op fails only as
-//!    `DaosError::RetryExhausted` with `attempts == budget + 1`.
+//!    `DaosError::RetryExhausted` with `attempts == budget + 1`. A fetch
+//!    may fail `ChecksumMismatch` only for a record the suite rotted
+//!    ([`Oracle::rot`]) and no scrub has repaired since
+//!    ([`Oracle::repair`]).
 //! 2. No acked write is lost: every fetch a suite settles, and a read-back
 //!    of every record the shadow holds, returns the shadow's answer.
 //! 3. Every live replica on the current map returns those same bytes from
@@ -22,9 +26,10 @@
 //! failed write touched has none: any bytes or `NotFound` pass for it,
 //! and rule 1 still holds for every other error.
 //!
-//! The kit is a dev-dependency of `ros2_daos` and `ros2_dpu` only, so its
-//! types are the ones those crates' integration suites see. A crate's own
-//! unit tests cannot use it: they would see a second copy of the crate.
+//! The kit is a dev-dependency of `ros2_daos`, `ros2_dpu`, `ros2_fio` and
+//! the root `ros2` package, so its types are the ones those packages'
+//! integration suites see. A crate's own unit tests cannot use it: they
+//! would see a second copy of the crate.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -41,6 +46,9 @@ use ros2_hw::{gbps, CoreClass, CpuComplement, NicModel, Transport};
 use ros2_nvme::DataMode;
 use ros2_sim::SimTime;
 use ros2_verbs::{Expiry, MemoryDomain, NodeId};
+
+mod dfs;
+pub use dfs::{DfsShadow, FsError};
 
 const LATEST: Epoch = Epoch::LATEST;
 
@@ -309,12 +317,14 @@ pub fn paint(
 }
 
 /// One record's shadow: its single values and array extents in arrival
-/// order, and whether a failed write touched it.
+/// order, whether a failed write touched it, and whether a replica of it
+/// is rotted and not yet repaired.
 #[derive(Default)]
 struct Record {
     singles: Vec<Written>,
     extents: Vec<Written>,
     failed: bool,
+    rotted: bool,
 }
 
 /// The history oracle: a shadow of every record the suite's ops touched,
@@ -383,15 +393,12 @@ impl Oracle {
         match (op, result) {
             (ClientOp::Update(u), ClientOpResult::Update(r)) => {
                 self.epoch += 1;
-                let (epoch, data) = (self.epoch, u.data.clone());
-                let written = match u.kind {
-                    ValueKind::Single => Written { epoch, at: 0, data },
-                    ValueKind::Array { offset } => Written {
-                        epoch,
-                        at: offset,
-                        data,
-                    },
+                let at = match u.kind {
+                    ValueKind::Single => 0,
+                    ValueKind::Array { offset } => offset,
                 };
+                let (epoch, data) = (self.epoch, u.data.clone());
+                let written = Written { epoch, at, data };
                 let rec = self.records.entry(u.key.clone()).or_default();
                 match (r, u.kind) {
                     (Ok(_), ValueKind::Single) => rec.singles.push(written),
@@ -429,12 +436,20 @@ impl Oracle {
     /// client, tagged `epoch` by its writer: it joins `key`'s history
     /// after every write settled so far, and takes no epoch of its own.
     pub fn foreign(&mut self, key: RecordKey, epoch: Epoch, at: u64, data: Bytes) {
-        let written = Written {
-            epoch: epoch.0,
-            at,
-            data,
-        };
+        let epoch = epoch.0;
+        let written = Written { epoch, at, data };
         self.records.entry(key).or_default().extents.push(written);
+    }
+
+    /// Declares that the suite corrupted a replica of `key`: until
+    /// [`Oracle::repair`], a fetch of it may fail `ChecksumMismatch`.
+    pub fn rot(&mut self, key: RecordKey) {
+        self.records.entry(key).or_default().rotted = true;
+    }
+
+    /// Declares that a scrub repaired `key`'s rotted replica.
+    pub fn repair(&mut self, key: &RecordKey) {
+        self.records.entry(key.clone()).or_default().rotted = false;
     }
 
     /// Writes 16 KiB to each of `oid`'s records `(0..n, "data")`, write `i`
@@ -528,10 +543,17 @@ impl Oracle {
         }
     }
 
-    /// Holds `got` to the shadow's answer to `read`. Where the shadow
-    /// refuses, the failed write may or may not have landed: any bytes or
-    /// `NotFound` pass, any other error breaks rule 1.
+    /// Holds `got` to the shadow's answer to `read`. A `ChecksumMismatch`
+    /// passes for a rotted record only. Where the shadow refuses, the
+    /// failed write may or may not have landed: any bytes or `NotFound`
+    /// pass, any other error breaks rule 1.
     fn check(&self, read: &FetchOp, got: Result<Bytes, DaosError>, what: &str) {
+        if got == Err(DaosError::ChecksumMismatch) {
+            let key = &read.key;
+            let rotted = self.records.get(key).is_some_and(|r| r.rotted);
+            assert!(rotted, "rule 1: {what} of {key:?} failed ChecksumMismatch");
+            return;
+        }
         let Some(want) = self.expect(read) else {
             match got {
                 Ok(_) | Err(DaosError::NotFound) => return,

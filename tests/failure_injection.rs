@@ -2,13 +2,16 @@
 //! capabilities mid-stream, authentication failures, capacity exhaustion —
 //! every failure must surface as a typed error, never as silent corruption.
 
+use std::ops::Range;
+
 use bytes::Bytes;
-use ros2::core::{ClusterConfig, Ros2Config, Ros2System};
-use ros2::daos::{AKey, DKey, DaosError, RecordKey};
-use ros2::dfs::DfsError;
+use ros2::core::{ClusterConfig, Ros2Config, Ros2Error, Ros2System, STORAGE_NODE};
+use ros2::daos::{AKey, DKey, DaosError, ObjectId};
+use ros2::dfs::{DfsError, DfsObj};
 use ros2::dpu::DpuError;
 use ros2::hw::ClientPlacement;
 use ros2::sim::SimTime;
+use ros2_testkit::{array_key, stamped, DfsShadow};
 
 /// The default deployment on 4 engines, RF 2, its client on `placement`.
 fn four_engines_rf2(placement: ClientPlacement) -> Ros2System {
@@ -23,26 +26,56 @@ fn four_engines_rf2(placement: ClientPlacement) -> Ros2System {
     .unwrap()
 }
 
+/// The leader of `oid`'s replica set.
+fn leader(sys: &Ros2System, oid: ObjectId) -> usize {
+    sys.cluster
+        .map()
+        .route(&oid)
+        .set
+        .leader()
+        .expect("healthy leader")
+}
+
+/// Creates file `path` and writes it whole with `len` stamped bytes
+/// (write `seq`), through the system and the shadow both.
+fn put(sys: &mut Ros2System, fs: &mut DfsShadow, path: &str, seq: u64, len: usize) -> DfsObj {
+    let mut f = fs.create(path, sys.create(path)).unwrap().value;
+    let data = stamped(f.oid, 0, seq, len);
+    sys.write(&mut f, 0, data.clone()).unwrap();
+    fs.write(path, 0, &data);
+    f
+}
+
+/// [`put`] for files `/{name}{i}`, write `i`, for each `i` in `seqs`.
+fn put_each(
+    sys: &mut Ros2System,
+    fs: &mut DfsShadow,
+    name: &str,
+    seqs: Range<u64>,
+    len: usize,
+) -> Vec<DfsObj> {
+    seqs.map(|i| put(sys, fs, &format!("/{name}{i}"), i, len))
+        .collect()
+}
+
+/// File `path`, opened and read whole: the shadow's read-back.
+fn read_back(sys: &mut Ros2System, path: &str) -> Result<Bytes, Ros2Error> {
+    let f = sys.open(path)?.value;
+    Ok(sys.read(&f, 0, f.size)?.value)
+}
+
 #[test]
 fn media_corruption_is_detected_end_to_end() {
     let mut sys = Ros2System::launch(Ros2Config::default()).unwrap();
-    let mut f = sys.create("/gold").unwrap().value;
-    sys.write(&mut f, 0, Bytes::from(vec![0xAB; 1 << 20]))
-        .unwrap();
+    let f = put(&mut sys, &mut DfsShadow::default(), "/gold", 0, 1 << 20);
 
     // Flip one bit on the stored extent, behind the engine's back.
-    let oid = f.oid;
-    let dkey = DKey::from_u64(0);
-    let akey = AKey::from_str("data");
-    assert!(sys.cluster.engine_mut(0).corrupt_newest_extent(&RecordKey {
-        oid,
-        dkey: dkey.clone(),
-        akey: akey.clone()
-    }));
+    let engine = sys.cluster.engine_mut(0);
+    assert!(engine.corrupt_newest_extent(&array_key(f.oid, 0)));
 
     // The end-to-end checksum catches it at the POSIX layer.
     match sys.read(&f, 0, 4096) {
-        Err(ros2::core::Ros2Error::Dfs(DfsError::Daos(DaosError::ChecksumMismatch))) => {}
+        Err(Ros2Error::Dfs(DfsError::Daos(DaosError::ChecksumMismatch))) => {}
         other => panic!("corruption escaped: {other:?}"),
     }
     assert_eq!(sys.cluster.vos_stats().checksum_failures, 1);
@@ -51,7 +84,7 @@ fn media_corruption_is_detected_end_to_end() {
 #[test]
 fn revoked_rkey_kills_in_flight_traffic_but_not_the_system() {
     use ros2::fabric::{Dir, FabricError};
-    use ros2::verbs::MemoryDomain;
+    use ros2::verbs::{AccessFlags, Expiry, MemoryDomain, VerbsError};
     let mut sys = Ros2System::launch(Ros2Config::default()).unwrap();
     // Register an extra buffer, revoke it, and watch a direct one-sided
     // access fail while the DFS path (its own buffers) keeps working.
@@ -65,40 +98,24 @@ fn revoked_rkey_kills_in_flight_traffic_but_not_the_system() {
     let (mr, rkey, _) = sys
         .fabric
         .rdma_mut(node)
-        .reg_mr(
-            pd,
-            buf,
-            4096,
-            ros2::verbs::AccessFlags::remote_rw(),
-            ros2::verbs::Expiry::Never,
-        )
+        .reg_mr(pd, buf, 4096, AccessFlags::remote_rw(), Expiry::Never)
         .unwrap();
     sys.fabric.rdma_mut(node).revoke_rkey(mr).unwrap();
 
-    let pd_srv = sys
-        .fabric
-        .rdma_mut(ros2::core::STORAGE_NODE)
-        .alloc_pd("scratch");
-    let conn = sys
-        .fabric
-        .connect(node, ros2::core::STORAGE_NODE, pd, pd_srv)
-        .unwrap();
+    let pd_srv = sys.fabric.rdma_mut(STORAGE_NODE).alloc_pd("scratch");
+    let conn = sys.fabric.connect(node, STORAGE_NODE, pd, pd_srv).unwrap();
     // The *target* of the one-sided read below is the client NIC, where
     // the revoked MR lives.
     let err = sys
         .fabric
         .rdma_read(SimTime::ZERO, conn, Dir::BtoA, rkey, buf, 8)
         .unwrap_err();
-    assert!(matches!(
-        err,
-        FabricError::Verbs(ros2::verbs::VerbsError::RkeyRevoked)
-    ));
+    assert!(matches!(err, FabricError::Verbs(VerbsError::RkeyRevoked)));
 
     // The system's own data path is unaffected.
-    let mut f = sys.create("/alive").unwrap().value;
-    sys.write(&mut f, 0, Bytes::from_static(b"still works"))
-        .unwrap();
-    assert_eq!(&sys.read(&f, 0, 11).unwrap().value[..], b"still works");
+    let mut fs = DfsShadow::default();
+    put(&mut sys, &mut fs, "/alive", 0, 11);
+    fs.check_files(|p| read_back(&mut sys, p));
 }
 
 #[test]
@@ -159,23 +176,17 @@ fn scm_exhaustion_surfaces_as_typed_error() {
     assert!(hit_full, "tiny SCM tier must fill");
 }
 
+/// The shadow names each error: `NotFound`, then `NotEmpty`, then `Exists`.
 #[test]
 fn namespace_errors_are_typed() {
     let mut sys = Ros2System::launch(Ros2Config::default()).unwrap();
-    assert!(matches!(
-        sys.open("/missing"),
-        Err(ros2::core::Ros2Error::Dfs(DfsError::NotFound))
-    ));
-    sys.mkdir("/d").unwrap();
-    sys.create("/d/f").unwrap();
-    assert!(matches!(
-        sys.unlink("/d"),
-        Err(ros2::core::Ros2Error::Dfs(DfsError::NotEmpty))
-    ));
-    assert!(matches!(
-        sys.mkdir("/d"),
-        Err(ros2::core::Ros2Error::Dfs(DfsError::Exists))
-    ));
+    let mut fs = DfsShadow::default();
+    fs.open("/missing", sys.open("/missing").map(|t| t.value))
+        .unwrap_err();
+    fs.mkdir("/d", sys.mkdir("/d")).unwrap();
+    fs.create("/d/f", sys.create("/d/f")).unwrap();
+    fs.unlink("/d", sys.unlink("/d").map(|t| t.value));
+    fs.mkdir("/d", sys.mkdir("/d")).unwrap_err();
 }
 
 /// The cluster failure cycle end to end, at the POSIX layer: kill one
@@ -187,25 +198,13 @@ fn namespace_errors_are_typed() {
 #[test]
 fn engine_kill_mid_workload_degrades_then_rebuilds() {
     let mut sys = four_engines_rf2(ClientPlacement::Dpu);
-
-    let content = |i: usize| Bytes::from(vec![(i * 37 % 251) as u8 + 1; 2 << 20]);
-    let mut files = Vec::new();
+    let mut fs = DfsShadow::default();
     // First half of the workload before the failure.
-    for i in 0..6 {
-        let mut f = sys.create(&format!("/obj{i}")).unwrap().value;
-        sys.write(&mut f, 0, content(i)).unwrap();
-        files.push(f);
-    }
+    let mut files = put_each(&mut sys, &mut fs, "obj", 0..6, 2 << 20);
 
     // Kill the leader of file 0's data object; the pool map bumps and the
     // RAS event rides the control plane.
-    let victim = sys
-        .cluster
-        .map()
-        .route(&files[0].oid)
-        .set
-        .leader()
-        .expect("healthy leader");
+    let victim = leader(&sys, files[0].oid);
     let v_before = sys.cluster.map().version();
     let calls_before = sys.metrics().control_calls;
     let v_after = sys.kill_engine(victim).unwrap();
@@ -218,15 +217,8 @@ fn engine_kill_mid_workload_degrades_then_rebuilds() {
 
     // Second half of the workload runs against the degraded pool: new
     // files, plus reads of everything written so far. ZERO failed ops.
-    for i in 6..12 {
-        let mut f = sys.create(&format!("/obj{i}")).unwrap().value;
-        sys.write(&mut f, 0, content(i)).unwrap();
-        files.push(f);
-    }
-    for (i, f) in files.iter().enumerate() {
-        let back = sys.read(f, 0, 2 << 20).expect("degraded read").value;
-        assert_eq!(back, content(i), "file {i} bytes under degraded routing");
-    }
+    files.extend(put_each(&mut sys, &mut fs, "obj", 6..12, 2 << 20));
+    fs.check_files(|p| read_back(&mut sys, p));
     assert!(
         sys.cluster.rebuild_stats().degraded_fetches > 0,
         "the dead leader's objects must have been served degraded"
@@ -244,26 +236,15 @@ fn engine_kill_mid_workload_degrades_then_rebuilds() {
 
     // Post-rebuild CRC verify on every object: full-file reads route to
     // the (possibly backfilled) leader and every checksum must hold.
-    for (i, f) in files.iter().enumerate() {
-        let back = sys.read(f, 0, 2 << 20).expect("post-rebuild read").value;
-        assert_eq!(back, content(i), "file {i} bytes after rebuild");
-    }
+    fs.check_files(|p| read_back(&mut sys, p));
     assert_eq!(
         sys.cluster.vos_stats().checksum_failures,
         0,
         "no corruption anywhere in the failure cycle"
     );
     // A second failure is survivable now that redundancy is back.
-    let next_victim = sys
-        .cluster
-        .map()
-        .route(&files[0].oid)
-        .set
-        .leader()
-        .expect("healthy leader");
-    sys.kill_engine(next_victim).unwrap();
-    let back = sys.read(&files[0], 0, 2 << 20).unwrap().value;
-    assert_eq!(back, content(0), "second kill still readable");
+    sys.kill_engine(leader(&sys, files[0].oid)).unwrap();
+    fs.check_files(|p| read_back(&mut sys, p));
 }
 
 /// The same cycle through the serial call: 256 KiB files are single-chunk,
@@ -274,36 +255,30 @@ fn engine_kill_mid_workload_degrades_then_rebuilds() {
 /// inside the post-kill placement (a kill never reshuffles survivors).
 #[test]
 fn serial_calls_never_fence_through_kill_and_rebuild() {
+    // After each phase a create over a name that is there still answers
+    // `Exists`, every file reads back, and no lookup was fenced.
+    let check = |sys: &mut Ros2System, fs: &mut DfsShadow, phase: String| {
+        drop(fs.create("/serial0", sys.create("/serial0")));
+        fs.check_files(|p| read_back(sys, p));
+        assert_eq!(sys.cluster.fences(), 0, "{phase}");
+    };
     for placement in [ClientPlacement::Host, ClientPlacement::Dpu] {
         let mut sys = four_engines_rf2(placement);
-        let content = |i: usize| Bytes::from(vec![(i * 37 % 251) as u8 + 1; 256 << 10]);
-        let mut files = Vec::new();
-        let write_six = |sys: &mut Ros2System, files: &mut Vec<_>, from: usize| {
-            for i in from..from + 6 {
-                let mut f = sys.create(&format!("/serial{i}")).unwrap().value;
-                sys.write(&mut f, 0, content(i)).unwrap();
-                files.push(f);
-            }
-        };
-        write_six(&mut sys, &mut files, 0);
-        assert_eq!(sys.cluster.fences(), 0, "{placement:?} before the kill");
+        let mut fs = DfsShadow::default();
+        let files = put_each(&mut sys, &mut fs, "serial", 0..6, 256 << 10);
+        check(&mut sys, &mut fs, format!("{placement:?} before the kill"));
 
-        let victim = sys.cluster.map().route(&files[0].oid).set.leader();
-        sys.kill_engine(victim.expect("healthy leader")).unwrap();
-        write_six(&mut sys, &mut files, 6);
-        for (i, f) in files.iter().enumerate() {
-            let back = sys.read(f, 0, 256 << 10).expect("degraded read").value;
-            assert_eq!(back, content(i), "{placement:?} file {i} degraded");
-        }
+        sys.kill_engine(leader(&sys, files[0].oid)).unwrap();
+        put_each(&mut sys, &mut fs, "serial", 6..12, 256 << 10);
+        check(&mut sys, &mut fs, format!("{placement:?} degraded"));
         assert!(sys.cluster.rebuild_stats().degraded_fetches > 0);
-        assert_eq!(sys.cluster.fences(), 0, "{placement:?} degraded");
 
         sys.rebuild().unwrap();
-        for (i, f) in files.iter().enumerate() {
-            let back = sys.read(f, 0, 256 << 10).expect("post-rebuild read").value;
-            assert_eq!(back, content(i), "{placement:?} file {i} rebuilt");
-        }
-        assert_eq!(sys.cluster.fences(), 0, "{placement:?} after the rebuild");
+        check(
+            &mut sys,
+            &mut fs,
+            format!("{placement:?} after the rebuild"),
+        );
     }
 }
 
@@ -318,20 +293,17 @@ fn map_query_installs_the_map_the_ras_delivery_holds_back() {
     use ros2::sim::SimDuration;
     let read_after_kill = |query: bool| {
         let mut sys = four_engines_rf2(ClientPlacement::Dpu);
-        let content = Bytes::from(vec![0x5a; 2 << 20]);
-        let mut f = sys.create("/mapped").unwrap().value;
-        sys.write(&mut f, 0, content.clone()).unwrap();
+        let mut fs = DfsShadow::default();
+        let f = put(&mut sys, &mut fs, "/mapped", 0, 2 << 20);
         sys.set_fault_plan(FaultPlan {
             ras_delay: SimDuration::from_secs(1),
             ..FaultPlan::none()
         });
-        let leader = sys.cluster.map().route(&f.oid).set.leader();
-        sys.kill_engine(leader.expect("healthy leader")).unwrap();
+        sys.kill_engine(leader(&sys, f.oid)).unwrap();
         if query {
             sys.map_query().unwrap();
         }
-        let back = sys.read(&f, 0, 2 << 20).expect("read after the kill").value;
-        assert_eq!(back, content, "query {query}");
+        fs.check_files(|p| read_back(&mut sys, p));
         sys.client.retry_stats()
     };
     assert_eq!(read_after_kill(true), RetryStats::default());
@@ -347,17 +319,13 @@ fn map_query_installs_the_map_the_ras_delivery_holds_back() {
 fn rebuild_pushes_its_map_to_the_client() {
     for placement in [ClientPlacement::Host, ClientPlacement::Dpu] {
         let mut sys = four_engines_rf2(placement);
-        let content = Bytes::from(vec![0x3c; 2 << 20]);
-        let mut f = sys.create("/rebuilt").unwrap().value;
-        sys.write(&mut f, 0, content.clone()).unwrap();
-        let leader = sys.cluster.map().route(&f.oid).set.leader();
-        sys.kill_engine(leader.expect("healthy leader")).unwrap();
-        let back = sys.read(&f, 0, 2 << 20).expect("degraded read").value;
-        assert_eq!(back, content, "{placement:?}");
+        let mut fs = DfsShadow::default();
+        let f = put(&mut sys, &mut fs, "/rebuilt", 0, 2 << 20);
+        sys.kill_engine(leader(&sys, f.oid)).unwrap();
+        fs.check_files(|p| read_back(&mut sys, p));
         sys.rebuild().unwrap();
         let before = sys.client.retry_stats();
-        let back = sys.read(&f, 0, 2 << 20).expect("post-rebuild read").value;
-        assert_eq!(back, content, "{placement:?}");
+        fs.check_files(|p| read_back(&mut sys, p));
         assert_eq!(sys.client.retry_stats(), before, "{placement:?}");
     }
 }
@@ -372,7 +340,7 @@ fn dpu_dram_exhaustion_fails_launch_cleanly() {
     });
     assert!(matches!(
         err,
-        Err(ros2::core::Ros2Error::Dpu(DpuError::DramExhausted { .. }))
+        Err(Ros2Error::Dpu(DpuError::DramExhausted { .. }))
     ));
 }
 
@@ -380,14 +348,8 @@ fn dpu_dram_exhaustion_fails_launch_cleanly() {
 fn scheduled_bitrot_is_scrubbed_and_repaired() {
     use ros2::core::{FaultPlan, ScheduledCorruption};
     let mut sys = four_engines_rf2(ClientPlacement::Dpu);
-
-    let content = |i: usize| Bytes::from(vec![(i * 53 % 241) as u8 + 1; 2 << 20]);
-    let mut files = Vec::new();
-    for i in 0..4 {
-        let mut f = sys.create(&format!("/rot{i}")).unwrap().value;
-        sys.write(&mut f, 0, content(i)).unwrap();
-        files.push(f);
-    }
+    let mut fs = DfsShadow::default();
+    put_each(&mut sys, &mut fs, "rot", 0..4, 2 << 20);
 
     // Two silent corruptions keyed to the client-op counter, firing
     // between ops of the second half of the workload.
@@ -406,11 +368,7 @@ fn scheduled_bitrot_is_scrubbed_and_repaired() {
         },
     ];
     sys.set_fault_plan(plan);
-    for i in 4..8 {
-        let mut f = sys.create(&format!("/rot{i}")).unwrap().value;
-        sys.write(&mut f, 0, content(i)).unwrap();
-        files.push(f);
-    }
+    put_each(&mut sys, &mut fs, "rot", 4..8, 2 << 20);
 
     // The scrub service finds and repairs every rotten replica, and the
     // pass lands on the control plane as a RAS-style ScrubReport.
@@ -441,8 +399,5 @@ fn scheduled_bitrot_is_scrubbed_and_repaired() {
     assert!(m.chunks_compared > 0 && m.verified_bytes > 0);
 
     // No acked write was lost to the rot.
-    for (i, f) in files.iter().enumerate() {
-        let back = sys.read(f, 0, 2 << 20).expect("post-scrub read").value;
-        assert_eq!(back, content(i), "file {i} bytes after scrub repair");
-    }
+    fs.check_files(|p| read_back(&mut sys, p));
 }

@@ -254,6 +254,15 @@ const FENCES: &[Fence] = &[
         )])),
         message: "a std-hashed table came back instead of ros2_sim::FastMap/FastSet",
     },
+    // The DFS-level suites hold every answer to the kit's DFS shadow and
+    // history oracle (`ros2_testkit::{DfsShadow, Oracle}`) and write its
+    // `stamped` payloads: no payload generator or file model of their own.
+    Fence {
+        paths: &["tests/*.rs", "crates/fio/tests/*.rs"],
+        patterns: &["fn payload(", "struct Model\\b"],
+        except: None,
+        message: "a DFS-level suite regrew its own payload generator or file model instead of ros2_testkit's",
+    },
     // The DAOS and DPU client suites build their worlds through the one
     // builder in `testkit/` (`ros2_testkit::world(..)`, `.build()` for the
     // host client, `.build_offloaded(..)` for the DPU one), which also
@@ -336,28 +345,11 @@ const MAX_WALKER_VIEWS: usize = 8;
 /// file and name, each with the reason it stays public. A new one is made
 /// private, put under `#[cfg(test)]`, deleted, or listed here with its
 /// reason; one that gains a caller elsewhere leaves the list.
-const ORPHANS: &[(&str, &str, &str)] = &[
-    (
-        "crates/sim/src/rng.rs",
-        "exp_ns",
-        "the open-loop arrival sampler, with its own test; no workload draws Poisson arrivals yet",
-    ),
-    (
-        "crates/nvme/src/backing.rs",
-        "resident_pages",
-        "read only by its own file's unit test; to go with the next change to crates/nvme/src",
-    ),
-    (
-        "crates/nvme/src/device.rs",
-        "flush",
-        "the NvmeCmd flush barrier, built only by its own file's unit test: no workload flushes",
-    ),
-    (
-        "crates/spdk/src/nvmf.rs",
-        "commands",
-        "NvmfTarget's command counter, read only by its own file's unit test",
-    ),
-];
+const ORPHANS: &[(&str, &str, &str)] = &[(
+    "crates/sim/src/rng.rs",
+    "exp_ns",
+    "the open-loop arrival sampler, with its own test; no workload draws Poisson arrivals yet",
+)];
 
 /// The existing files and directories `path` names under `root`.
 fn expand(root: &Path, path: &str) -> Vec<PathBuf> {
@@ -526,6 +518,26 @@ fn patterns_match_as_documented() {
         hashers,
         "crates/sim/src/hash.rs",
         "use std::collections::{HashMap, HashSet};"
+    ));
+    let dfs_suites = FENCES
+        .iter()
+        .find(|f| f.message.contains("file model"))
+        .unwrap();
+    let suite = "crates/fio/tests/blackhole_read.rs";
+    assert!(breaks_fence(
+        dfs_suites,
+        suite,
+        "fn payload(file: u64, offset: u64, len: u64) -> Bytes {"
+    ));
+    assert!(breaks_fence(
+        dfs_suites,
+        "tests/posix_model.rs",
+        "struct Model {"
+    ));
+    assert!(!breaks_fence(
+        dfs_suites,
+        "tests/posix_model.rs",
+        "struct ModelConfig {"
     ));
     let suites = FENCES.last().unwrap();
     let breaks = |file: &str, line: &str| breaks_fence(suites, file, line);

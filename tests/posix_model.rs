@@ -1,78 +1,41 @@
 //! Model-based property test: random namespace/file operation sequences
-//! against an in-memory reference filesystem. DFS over the full ROS2 stack
-//! must agree with the model on every observable result.
+//! against the kit's DFS shadow (`ros2_testkit::DfsShadow`). DFS over the
+//! full ROS2 stack must give the shadow's answer to every call, error
+//! kinds included. A last test holds the shadow itself to wrong answers.
 
-// The reference model deliberately probes `contains_key` before mutating —
-// assertions sit between probe and insert, so the entry API doesn't fit.
-#![allow(clippy::map_entry)]
-
-use std::collections::HashMap;
-
-use bytes::Bytes;
 use proptest::prelude::*;
 use ros2::core::{Ros2Config, Ros2System};
 use ros2::dfs::DfsError;
+use ros2_testkit::{stamped, DfsShadow};
 
+/// One DFS call on directory `/d{dir}` or file `/d{dir}/f{file}`.
 #[derive(Debug, Clone)]
 enum Op {
-    Mkdir {
-        dir: u8,
-    },
-    Create {
-        dir: u8,
-        file: u8,
-    },
-    Write {
-        dir: u8,
-        file: u8,
-        offset: u32,
-        len: u16,
-        fill: u8,
-    },
-    Read {
-        dir: u8,
-        file: u8,
-        offset: u32,
-        len: u16,
-    },
-    Readdir {
-        dir: u8,
-    },
-    Unlink {
-        dir: u8,
-        file: u8,
-    },
+    /// `(dir)`
+    Mkdir(u8),
+    /// `(dir, file)`
+    Create(u8, u8),
+    /// `(dir, file, offset, len, fill)`
+    Write(u8, u8, u32, u16, u8),
+    /// `(dir, file, offset, len)`
+    Read(u8, u8, u32, u16),
+    /// `(dir)`
+    Readdir(u8),
+    /// `(dir, file)`
+    Unlink(u8, u8),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u8..3).prop_map(|dir| Op::Mkdir { dir }),
-        (0u8..3, 0u8..4).prop_map(|(dir, file)| Op::Create { dir, file }),
-        (0u8..3, 0u8..4, 0u32..200_000, 1u16..4096, any::<u8>()).prop_map(
-            |(dir, file, offset, len, fill)| Op::Write {
-                dir,
-                file,
-                offset,
-                len,
-                fill
-            }
-        ),
-        (0u8..3, 0u8..4, 0u32..250_000, 1u16..4096).prop_map(|(dir, file, offset, len)| Op::Read {
-            dir,
-            file,
-            offset,
-            len
-        }),
-        (0u8..3).prop_map(|dir| Op::Readdir { dir }),
-        (0u8..3, 0u8..4).prop_map(|(dir, file)| Op::Unlink { dir, file }),
+        (0u8..3).prop_map(Op::Mkdir),
+        (0u8..3, 0u8..4).prop_map(|(d, f)| Op::Create(d, f)),
+        (0u8..3, 0u8..4, 0u32..200_000, 1u16..4096, any::<u8>())
+            .prop_map(|(d, f, offset, len, fill)| Op::Write(d, f, offset, len, fill)),
+        (0u8..3, 0u8..4, 0u32..250_000, 1u16..4096)
+            .prop_map(|(d, f, offset, len)| Op::Read(d, f, offset, len)),
+        (0u8..3).prop_map(Op::Readdir),
+        (0u8..3, 0u8..4).prop_map(|(d, f)| Op::Unlink(d, f)),
     ]
-}
-
-/// The reference model: a map of paths to byte vectors.
-#[derive(Default)]
-struct Model {
-    dirs: Vec<String>,
-    files: HashMap<String, Vec<u8>>,
 }
 
 fn dpath(dir: u8) -> String {
@@ -90,84 +53,66 @@ proptest! {
     #[test]
     fn dfs_agrees_with_reference_model(ops in prop::collection::vec(op_strategy(), 1..40)) {
         let mut sys = Ros2System::launch(Ros2Config::default()).unwrap();
-        let mut model = Model::default();
-
+        let mut fs = DfsShadow::default();
         for op in ops {
             match op {
-                Op::Mkdir { dir } => {
-                    let path = dpath(dir);
-                    let expected_exists = model.dirs.contains(&path);
-                    let got = sys.mkdir(&path);
-                    if expected_exists {
-                        prop_assert!(matches!(got, Err(ros2::core::Ros2Error::Dfs(DfsError::Exists))));
-                    } else {
-                        prop_assert!(got.is_ok(), "mkdir {path}: {got:?}");
-                        model.dirs.push(path);
+                Op::Mkdir(d) => drop(fs.mkdir(&dpath(d), sys.mkdir(&dpath(d)))),
+                Op::Create(d, f) => drop(fs.create(&fpath(d, f), sys.create(&fpath(d, f)))),
+                Op::Write(d, f, offset, len, fill) => {
+                    let path = fpath(d, f);
+                    if let Ok(mut file) = fs.open(&path, sys.open(&path).map(|t| t.value)) {
+                        let data = stamped(file.oid, offset as u64, fill as u64, len as usize);
+                        sys.write(&mut file, offset as u64, data.clone()).unwrap();
+                        fs.write(&path, offset as u64, &data);
                     }
                 }
-                Op::Create { dir, file } => {
-                    let path = fpath(dir, file);
-                    let got = sys.create(&path);
-                    if !model.dirs.contains(&dpath(dir)) {
-                        prop_assert!(got.is_err(), "create without parent must fail");
-                    } else if model.files.contains_key(&path) {
-                        prop_assert!(matches!(got, Err(ros2::core::Ros2Error::Dfs(DfsError::Exists))));
-                    } else {
-                        prop_assert!(got.is_ok(), "create {path}: {got:?}");
-                        model.files.insert(path, Vec::new());
+                Op::Read(d, f, offset, len) => {
+                    let path = fpath(d, f);
+                    if let Ok(file) = fs.open(&path, sys.open(&path).map(|t| t.value)) {
+                        let got = sys.read(&file, offset as u64, len as u64).map(|t| t.value);
+                        fs.read(&path, offset as u64, len as u64, got);
                     }
                 }
-                Op::Write { dir, file, offset, len, fill } => {
-                    let path = fpath(dir, file);
-                    if let Some(contents) = model.files.get_mut(&path) {
-                        let mut f = sys.open(&path).unwrap().value;
-                        let data = vec![fill; len as usize];
-                        sys.write(&mut f, offset as u64, Bytes::from(data.clone())).unwrap();
-                        let end = offset as usize + len as usize;
-                        if contents.len() < end {
-                            contents.resize(end, 0);
-                        }
-                        contents[offset as usize..end].copy_from_slice(&data);
-                    } else {
-                        prop_assert!(sys.open(&path).is_err());
-                    }
+                Op::Readdir(d) => {
+                    fs.readdir(&dpath(d), sys.readdir(&dpath(d)).map(|t| t.value))
                 }
-                Op::Read { dir, file, offset, len } => {
-                    let path = fpath(dir, file);
-                    if let Some(contents) = model.files.get(&path) {
-                        let f = sys.open(&path).unwrap().value;
-                        let got = sys.read(&f, offset as u64, len as u64).unwrap().value;
-                        let from = (offset as usize).min(contents.len());
-                        let to = (offset as usize + len as usize).min(contents.len());
-                        prop_assert_eq!(&got[..], &contents[from..to], "read {} @{}+{}", path, offset, len);
-                    }
-                }
-                Op::Readdir { dir } => {
-                    let path = dpath(dir);
-                    if model.dirs.contains(&path) {
-                        let mut expected: Vec<String> = model
-                            .files
-                            .keys()
-                            .filter(|p| p.starts_with(&format!("{path}/")))
-                            .map(|p| p.rsplit('/').next().unwrap().to_string())
-                            .collect();
-                        expected.sort();
-                        let got = sys.readdir(&path).unwrap().value;
-                        prop_assert_eq!(got, expected, "readdir {}", path);
-                    } else {
-                        prop_assert!(sys.readdir(&path).is_err());
-                    }
-                }
-                Op::Unlink { dir, file } => {
-                    let path = fpath(dir, file);
-                    let got = sys.unlink(&path);
-                    if model.files.remove(&path).is_some() {
-                        prop_assert!(got.is_ok(), "unlink {path}: {got:?}");
-                    } else {
-                        prop_assert!(got.is_err(), "unlink of missing {path} must fail");
-                    }
+                Op::Unlink(d, f) => {
+                    fs.unlink(&fpath(d, f), sys.unlink(&fpath(d, f)).map(|t| t.value))
                 }
             }
         }
     }
+}
+
+type Answer<T> = Result<T, DfsError>;
+
+/// Runs `check` on a shadow of directory `/d` holding file `/d/f`, which
+/// holds `new`, and says whether the shadow refused the answer it got.
+fn refuses(check: fn(&mut DfsShadow)) -> bool {
+    let mut fs = DfsShadow::default();
+    fs.mkdir("/d", Answer::Ok(())).unwrap();
+    fs.create("/d/f", Answer::Ok(())).unwrap();
+    fs.write("/d/f", 0, b"new");
+    std::panic::catch_unwind(move || check(&mut fs)).is_err()
+}
+
+#[test]
+fn the_shadow_refuses_wrong_answers() {
+    let stale = |fs: &mut DfsShadow| fs.read("/d/f", 0, 3, Answer::Ok("old".into()));
+    let short = |fs: &mut DfsShadow| fs.readdir("/d", Answer::Ok(vec![]));
+    let exists = |fs: &mut DfsShadow| drop(fs.create("/d/f", Answer::Ok(())));
+    assert!(refuses(stale), "a stale read");
+    assert!(refuses(short), "a readdir missing a name");
+    assert!(refuses(exists), "Ok for a create over an existing name");
+    // The right answers pass.
+    assert!(!refuses(|fs| fs.read(
+        "/d/f",
+        0,
+        3,
+        Answer::Ok("new".into())
+    )));
+    assert!(!refuses(|fs| fs.readdir("/d", Answer::Ok(vec!["f".into()]))));
+    assert!(!refuses(|fs| drop(
+        fs.create("/d/f", Answer::<()>::Err(DfsError::Exists))
+    )));
 }
