@@ -446,7 +446,7 @@ impl DaosEngine {
     /// `oid` (max epoch across targets; target order breaks ties), without
     /// the caller needing to know any keys. Returns false if the engine
     /// holds no extents for the object.
-    pub fn corrupt_object(&mut self, oid: ObjectId) -> bool {
+    fn corrupt_object(&mut self, oid: ObjectId) -> bool {
         let mut best: Option<(usize, RecordKey, Epoch)> = None;
         for (i, t) in self.targets.iter().enumerate() {
             if let Some((key, e)) = t.newest_extent_key(oid) {

@@ -924,16 +924,19 @@ impl VosTarget {
     }
 
     /// Test hook: corrupts the newest extent's stored bytes so the next
-    /// fetch detects a checksum mismatch.
+    /// fetch detects a checksum mismatch. An extent whose first chunk
+    /// already fails its recorded checksum stays rotted: the call flips
+    /// nothing and returns false (a second flip of the same byte would
+    /// restore it, leaving a clean chunk the store's CRC cache no longer
+    /// covers).
     pub fn corrupt_newest_extent(&mut self, media: &mut ShardBdev<'_>, key: &RecordKey) -> bool {
-        let Some(location) = self
-            .store(key)
-            .and_then(|s| s.extents.last())
-            .map(|rec| rec.location.clone())
-        else {
+        let Some(rec) = self.store(key).and_then(|s| s.extents.last()).cloned() else {
             return false;
         };
-        match location {
+        if !self.verify_chunks(media, &rec, 0, 1).unwrap_or(false) {
+            return false;
+        }
+        match rec.location {
             Location::Nvme { slba, .. } => {
                 let backing = media.device_mut().backing_mut();
                 let mut byte = backing.read(slba * LBA_SIZE, 1).to_vec();

@@ -138,6 +138,16 @@ struct DirEntry {
 }
 
 impl DirEntry {
+    /// The object holding the entry's data: a file's chunks, or a
+    /// directory's entries.
+    fn data_oid(&self) -> ObjectId {
+        let class = match self.kind {
+            FileKind::File => ObjClass::Sx,
+            FileKind::Dir => ObjClass::S1,
+        };
+        ObjectId::new(class, self.ino)
+    }
+
     fn encode(&self) -> Bytes {
         let mut w = WireWriter::new();
         w.u64(self.ino)
@@ -451,13 +461,9 @@ impl Dfs {
         name: &str,
     ) -> Result<(DfsObj, SimTime), DfsError> {
         let (entry, at) = self.read_entry(s, now, 0, parent.oid, name)?;
-        let class = match entry.kind {
-            FileKind::Dir => ObjClass::S1,
-            FileKind::File => ObjClass::Sx,
-        };
         Ok((
             DfsObj {
-                oid: ObjectId::new(class, entry.ino),
+                oid: entry.data_oid(),
                 parent: parent.oid,
                 name: name.into(),
                 kind: entry.kind,
@@ -500,15 +506,16 @@ impl Dfs {
             return Err(DfsError::NotAFile);
         }
         self.data_ops += 1;
+        let len = data.len() as u64;
+        if len == 0 {
+            // POSIX `pwrite` of zero bytes: no RPC, no epoch, no extent
+            // record, and the size stays as it is.
+            return Ok(now);
+        }
         let mut t_done = now;
         let mut pos = 0u64;
-        let len = data.len() as u64;
-        let single_chunk =
-            len > 0 && offset / self.chunk_size == (offset + len - 1) / self.chunk_size;
-        if len == 0 {
-            // Nothing to transfer: no RPC, no epoch, no extent record (the
-            // size update below still runs, as it always has).
-        } else if single_chunk && !self.data_pipeline {
+        let single_chunk = offset / self.chunk_size == (offset + len - 1) / self.chunk_size;
+        if single_chunk && !self.data_pipeline {
             // The common case (FIO block sizes never exceed the chunk):
             // one serial update.
             let at = s.client.update(
@@ -705,20 +712,15 @@ impl Dfs {
         }
         self.meta_ops += 1;
         // Drop the data object, then the entry.
-        let data_oid = ObjectId::new(
-            match entry.kind {
-                FileKind::File => ObjClass::Sx,
-                FileKind::Dir => ObjClass::S1,
-            },
-            entry.ino,
-        );
-        s.cluster.punch_object(data_oid);
+        s.cluster.punch_object(entry.data_oid());
         s.cluster.punch(&entry_key(parent.oid, name))?;
         Ok(at)
     }
 
-    /// Renames `name` in `parent` to `new_name` in `new_parent`
-    /// (entry move; the data object is untouched).
+    /// Renames `name` in `parent` to `new_name` in `new_parent` (entry
+    /// move; the data object is untouched). A rename onto itself changes
+    /// nothing; one over an existing name drops the displaced entry's
+    /// data object, as [`Self::unlink`] would.
     pub fn rename(
         &mut self,
         s: &mut DfsSession<'_>,
@@ -729,8 +731,19 @@ impl Dfs {
         new_name: &str,
     ) -> Result<SimTime, DfsError> {
         let (entry, at) = self.read_entry(s, now, 0, parent.oid, name)?;
+        if parent.oid == new_parent.oid && name == new_name {
+            return Ok(at);
+        }
+        let (displaced, at) = match self.read_entry(s, at, 0, new_parent.oid, new_name) {
+            Ok((old, at)) => (Some(old), at),
+            Err(DfsError::NotFound) => (None, at),
+            Err(e) => return Err(e),
+        };
         let at = self.write_entry(s, at, 0, new_parent.oid, new_name, &entry)?;
         s.cluster.punch(&entry_key(parent.oid, name))?;
+        if let Some(old) = displaced {
+            s.cluster.punch_object(old.data_oid());
+        }
         Ok(at)
     }
 }

@@ -193,14 +193,13 @@ mod tests {
         assert_eq!(c.ops(), ops_before, "no client op for an empty write");
         assert_eq!(e.rpcs(), rpcs_before, "no engine RPC for an empty write");
         assert_eq!(file.size, 0);
-        // A sparse extension past EOF still persists the new size.
+        // Past EOF it is still POSIX `pwrite` of zero bytes: the size stays.
         let at = dfs
             .write(sess!(f, e, c), done, 0, &mut file, 4096, Bytes::new())
             .unwrap();
-        assert_eq!(file.size, 4096);
-        assert!(at >= done);
+        assert_eq!((file.size, at), (0, done));
         let (st, _) = dfs.stat(sess!(f, e, c), at, &root, "empty").unwrap();
-        assert_eq!(st.size, 4096);
+        assert_eq!(st.size, 0);
     }
 
     #[test]
@@ -274,6 +273,46 @@ mod tests {
         let (moved, t) = dfs.lookup(sess!(f, e, c), t, "/final/model.ckpt").unwrap();
         let (back, _) = dfs.read(sess!(f, e, c), t, 0, &moved, 0, 4).unwrap();
         assert_eq!(&back[..], b"ckpt");
+    }
+
+    #[test]
+    fn rename_onto_itself_keeps_the_file() {
+        let (mut f, mut e, mut c, mut dfs) = mounted(1);
+        let root = dfs.root();
+        let (mut a, t) = dfs
+            .create(sess!(f, e, c), SimTime::ZERO, &root, "a", 0o644)
+            .unwrap();
+        let data = Bytes::from_static(b"keep");
+        let t = dfs.write(sess!(f, e, c), t, 0, &mut a, 0, data).unwrap();
+        let t = dfs
+            .rename(sess!(f, e, c), t, &root, "a", &root, "a")
+            .unwrap();
+        let (a, t) = dfs.lookup(sess!(f, e, c), t, "/a").unwrap();
+        let (back, _) = dfs.read(sess!(f, e, c), t, 0, &a, 0, 4).unwrap();
+        assert_eq!(&back[..], b"keep");
+    }
+
+    #[test]
+    fn rename_over_a_file_drops_its_data() {
+        let (mut f, mut e, mut c, mut dfs) = mounted(1);
+        let root = dfs.root();
+        let mut t = SimTime::ZERO;
+        for name in ["a", "b"] {
+            let (mut file, at) = dfs.create(sess!(f, e, c), t, &root, name, 0o644).unwrap();
+            let data = Bytes::copy_from_slice(name.as_bytes());
+            t = dfs
+                .write(sess!(f, e, c), at, 0, &mut file, 0, data)
+                .unwrap();
+        }
+        let (b, t) = dfs.lookup(sess!(f, e, c), t, "/b").unwrap();
+        assert_eq!(e.list_dkeys(b.oid).len(), 1);
+        let t = dfs
+            .rename(sess!(f, e, c), t, &root, "a", &root, "b")
+            .unwrap();
+        assert!(e.list_dkeys(b.oid).is_empty(), "the displaced file leaked");
+        let (moved, t) = dfs.lookup(sess!(f, e, c), t, "/b").unwrap();
+        let (back, _) = dfs.read(sess!(f, e, c), t, 0, &moved, 0, 1).unwrap();
+        assert_eq!(&back[..], b"a");
     }
 
     #[test]

@@ -1,62 +1,32 @@
-//! Coherence properties for the pool-map-aware DPU read cache.
-//!
-//! The cache is only allowed to exist because of one theorem: **a cached
-//! fetch never returns different bytes than the history of writes says
-//! it must**, under any interleaving of local writes, engine kills,
-//! delayed map pushes, queue depths, and capacity pressure. This suite
-//! drives random schedules at that theorem with the history oracle
-//! (`ros2_testkit::Oracle`), the same one the host client's suites use:
-//!
-//! 1. **Every op settles** — each seed write, tape op and fetch, in a
-//!    cached world and in an uncached one, settles with a strict oracle:
-//!    no op fails, and every fetch returns the shadow's bytes (rule 2).
-//! 2. **The world reads back** — after the schedule every record reads
-//!    back as the shadow holds it, through the client and from every live
-//!    replica (rules 2 and 3): once through the warm cache, and once more
-//!    after `disable_read_cache` tears it down.
-//! 3. **Bit-identical replay** — the cached run repeated from scratch
-//!    reproduces the same instants and cache counters.
-//!
-//! The schedules address a `(dkey, offset)` grid with reads and writes of
-//! mixed sizes that overlap in part and repeat, from two tenant lanes —
-//! each one a cached reader and, to the other, a writer it never sees —
-//! with one foreign extent that arrives out of epoch order, an engine kill
-//! and a delayed map push. Payloads are `stamped` by (byte offset, write),
-//! so a misplaced or stale slice cannot pass, and a wrong one is blamed on
-//! the write it came from.
-//!
-//! Alongside the property, the unit suite pins each rule in isolation:
+//! The pool-map-aware DPU read cache's rules, each pinned in isolation:
 //! write-update of a resident chunk (including same-call suppression),
 //! map-revision change, a write to another record leaving an entry alone,
 //! a writer the lane never sees invalidating it, the degraded-read fill
-//! bypass, and the DRAM carve balancing across enable/disable cycles.
+//! bypass, ladder completions never filling, and the DRAM carve balancing
+//! across enable/disable cycles.
+//!
+//! The theorem the cache exists under (a cached fetch never returns
+//! different bytes than the history of writes says it must, under any
+//! interleaving of writes from both lanes, kills, delayed map pushes,
+//! queue depths and capacity pressure) is the history tape's, swept over
+//! seeds in `history_tape.rs` (`ros2_testkit::Tape`).
 
 use bytes::Bytes;
-use proptest::prelude::*;
 use ros2_daos::{
-    AKey, Arrival, ClientOp, DKey, EngineCluster, Epoch, FetchOp, ObjClass, ObjectClient, ObjectId,
+    AKey, ClientOp, DKey, EngineCluster, Epoch, FetchOp, ObjClass, ObjectClient, ObjectId,
     RetryPolicy, UpdateOp, ValueKind,
 };
-use ros2_dpu::{DpuCacheStats, DpuClient, DpuTenantSpec};
+use ros2_dpu::{DpuClient, DpuTenantSpec};
 use ros2_fabric::Fabric;
 use ros2_sim::{SimDuration, SimTime};
-use ros2_testkit::{array_key, instant, serial_op, stamped, world, Oracle, World, CONT};
+use ros2_testkit::{array_key, instant, serial_op, world, World};
 
 const ENGINES: usize = 4;
 const KEYS: u64 = 6;
 const LEN: usize = 8 << 10;
 const HOT: u64 = 11;
-/// Offsets and lengths on the property's grid are multiples of this.
-const CELL: u64 = 2 << 10;
-/// Cells per dkey on the grid (so a dkey spans [`LEN`] bytes).
-const CELLS: u64 = LEN as u64 / CELL;
-/// Dkeys the property's tape addresses: few, so ranges are re-read.
-const GRID_KEYS: u64 = 3;
-/// The retry budget: the ladder must always outlast a delayed map push,
-/// or an op would fail and break the oracle's rule 1.
+/// The retry budget: the ladder must always outlast a delayed map push.
 const BUDGET: u32 = 10;
-/// The write sequence number the foreign extent's bytes are stamped with.
-const FOREIGN: u64 = u64::MAX;
 
 /// A 4-engine RF=2 cluster fronted by one offloaded client on a
 /// BlueField-3 with two tenant lanes (job 0 on one, job 1 on the other);
@@ -145,260 +115,6 @@ fn fetch_serial(
     k: u64,
 ) -> (Bytes, SimTime) {
     serial_op(c, f, cl, t, whole(k)).into_fetch().unwrap()
-}
-
-// ----------------------------------------------------------- property ----
-
-/// One op on the `(dkey, offset)` grid: `cells` cells starting at cell
-/// `cell` of dkey `key` (clipped to the dkey's end).
-#[derive(Copy, Clone, Debug)]
-struct GridOp {
-    write: bool,
-    key: u64,
-    cell: u64,
-    cells: u64,
-}
-
-impl GridOp {
-    fn offset(&self) -> u64 {
-        self.cell * CELL
-    }
-    fn len(&self) -> u64 {
-        self.cells.min(CELLS - self.cell) * CELL
-    }
-
-    /// This op as the client submits it; a write carries write `seq`'s
-    /// stamped bytes.
-    fn client_op(&self, seq: u64) -> ClientOp {
-        let (key, offset, len) = (array_key(oid(), self.key), self.offset(), self.len());
-        let kind = ValueKind::Array { offset };
-        match self.write {
-            true => ClientOp::Update(UpdateOp {
-                key,
-                kind,
-                data: stamped(oid(), offset, seq, len as usize),
-            }),
-            false => ClientOp::Fetch(FetchOp {
-                key,
-                kind,
-                epoch: Epoch::LATEST,
-                len,
-            }),
-        }
-    }
-}
-
-/// One randomly drawn coherence schedule: a flat op tape chunked into
-/// pipelined queues of depth `qd`, each submitted by the job `lanes` names
-/// for it, with at most one mid-tape kill — rebuilt `rebuild_after` chunks
-/// later — whose map pushes arrive `map_delay` late, and one foreign
-/// extent injected before `foreign`'s chunk.
-#[derive(Clone, Debug)]
-struct Schedule {
-    qd: usize,
-    capacity: u64,
-    tape: Vec<GridOp>,
-    /// Bit `i % 32`: which job (tenant lane) submits chunk `i`.
-    lanes: u32,
-    kill_chunk: Option<usize>,
-    kill_leader: bool,
-    rebuild_after: usize,
-    map_delay: SimDuration,
-    /// `(chunk, dkey)`: before that chunk, an extent covering the whole
-    /// dkey arrives at every replica straight through `engine_mut`, tagged
-    /// with an epoch *below* everything the tape has written.
-    foreign: (usize, u64),
-}
-
-fn schedules() -> impl Strategy<Value = Schedule> {
-    (
-        (1usize..9, any::<u32>()),
-        // Per lane: small enough that eviction pressure is real (entries
-        // are 2–8 KiB), large enough that hits happen.
-        prop_oneof![Just(32u64 << 10), Just(128 << 10), Just(2 << 20)],
-        // (type, dkey, first cell, cells): 0–2 writes of one to four
-        // cells, 3 repeats the previous op (a duplicated write, or a
-        // re-read), the rest read one or two cells.
-        prop::collection::vec(
-            (0u8..10, 0u64..GRID_KEYS, 0u64..CELLS, 1u64..CELLS + 1),
-            24..96,
-        ),
-        // 0..8 = kill before that chunk, rebuilt up to three chunks
-        // later; 8.. = no kill on this schedule.
-        (0usize..14, any::<bool>(), 0usize..4, 0u64..2_000),
-        (0usize..8, 0u64..GRID_KEYS),
-    )
-        .prop_map(|((qd, lanes), capacity, codes, kill, foreign)| {
-            let mut tape: Vec<GridOp> = Vec::new();
-            for (code, key, cell, cells) in codes {
-                let write = code < 3;
-                let op = match (code, tape.last()) {
-                    (3, Some(&prev)) => prev,
-                    _ => GridOp {
-                        write,
-                        key,
-                        cell,
-                        cells: if write { cells } else { 1 + cells % 2 },
-                    },
-                };
-                tape.push(op);
-            }
-            let (kill_chunk, kill_leader, rebuild_after, delay_us) = kill;
-            Schedule {
-                qd,
-                capacity,
-                tape,
-                lanes,
-                kill_chunk: (kill_chunk < 8).then_some(kill_chunk),
-                kill_leader,
-                rebuild_after,
-                map_delay: SimDuration::from_micros(delay_us),
-                foreign,
-            }
-        })
-}
-
-/// Everything one run produces that the replay assertion compares: the
-/// bytes are the oracle's to check, inside the run.
-#[derive(Clone, Debug, PartialEq)]
-struct RunOut {
-    /// Completion instants of every tape op (compared only for replay,
-    /// not across worlds — hits legitimately complete earlier than misses).
-    times: Vec<SimTime>,
-    stats: DpuCacheStats,
-    ops: u64,
-}
-
-/// Runs `s` in a fresh world, cached or not, settling every op with the
-/// oracle and checking the world against it after the tape.
-fn run(s: &Schedule, cached: bool) -> RunOut {
-    let (mut f, mut cl, mut c) = offloaded(cached.then_some(2 * s.capacity));
-    let mut o = Oracle::new(BUDGET);
-    // Only the first half of every dkey is seeded, write `k` to dkey `k`:
-    // the rest reads as holes until the tape (or the foreign extent)
-    // writes it.
-    let mut t = SimTime::ZERO;
-    for k in 0..GRID_KEYS {
-        let half = GridOp {
-            write: true,
-            key: k,
-            cell: 0,
-            cells: CELLS / 2,
-        };
-        t = instant(&o.serial(&mut c, &mut f, &mut cl, t, half.client_op(k))).unwrap();
-    }
-    let set = cl.map().route(&oid()).set;
-    let victim = if s.kill_leader {
-        set.leader().unwrap()
-    } else {
-        set.iter().nth(1).unwrap()
-    };
-
-    let mut now = t + SimDuration::from_millis(1);
-    let mut seq = GRID_KEYS;
-    let mut times = Vec::new();
-    for (ci, chunk) in s.tape.chunks(s.qd.max(1)).enumerate() {
-        if s.kill_chunk == Some(ci) {
-            cl.kill_engine(victim).unwrap();
-            c.deliver_map(now + s.map_delay, cl.map().clone());
-        }
-        if s.kill_chunk.map(|k| k + s.rebuild_after) == Some(ci) {
-            now = cl.rebuild(&mut f, now).unwrap();
-            c.deliver_map(now + s.map_delay, cl.map().clone());
-        }
-        if s.foreign.0 == ci {
-            // Epoch 1 is the first seed write's: this extent shadows seed
-            // bytes and holes of its dkey only where no tape write landed,
-            // so the record's newest epoch does not move — its arrival
-            // version does.
-            let data = stamped(oid(), 0, FOREIGN, LEN);
-            let stamp = cl.map().version();
-            for eng in cl.map().route(&oid()).set.iter() {
-                let dkey = DKey::from_u64(s.foreign.1);
-                cl.engine_mut(eng)
-                    .update(
-                        Arrival { stamp, at: now },
-                        CONT,
-                        oid(),
-                        dkey,
-                        akey(),
-                        kind(),
-                        Epoch(1),
-                        data.clone(),
-                    )
-                    .unwrap();
-            }
-            o.foreign(array_key(oid(), s.foreign.1), Epoch(1), 0, data);
-        }
-        let ops: Vec<ClientOp> = chunk
-            .iter()
-            .map(|op| {
-                seq += op.write as u64;
-                op.client_op(seq)
-            })
-            .collect();
-        let job = (s.lanes >> (ci % 32)) as usize & 1;
-        let results = c.execute_pipelined(&mut f, &mut cl, now, job, ops.clone());
-        o.settle_all(&ops, &results);
-        for at in results.iter().filter_map(instant) {
-            now = now.max(at);
-            times.push(at);
-        }
-        // Capacity invariant: the byte budget binds after every queue.
-        let (resident, capacity) = c.cache_usage();
-        assert!(
-            resident <= capacity,
-            "resident {resident} B exceeds the {capacity} B carve after chunk {ci}"
-        );
-        now += SimDuration::from_micros(10);
-    }
-
-    // The warm cache, then the engines alone once it is torn down: both
-    // read back as the history holds.
-    o.check_world(&mut c, &mut f, &mut cl, now);
-    let stats = c.cache_stats();
-    let ops = c.ops();
-    c.disable_read_cache();
-    o.check_world(&mut c, &mut f, &mut cl, now);
-    RunOut { times, stats, ops }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The theorem, on random schedules: in the cached world and in the
-    /// uncached one every fetch, and every read-back after the schedule,
-    /// returns what the history of writes holds; the uncached world books
-    /// no cache counter; and the cached run replays bit-identically.
-    #[test]
-    fn cached_fetches_never_diverge_from_authority(sched in schedules()) {
-        let cached = run(&sched, true);
-        let plain = run(&sched, false);
-
-        // The uncached world's cache counters must be all-zero — the off
-        // path books nothing.
-        prop_assert_eq!(plain.stats, DpuCacheStats::default());
-
-        // Bit-identical replay, counters and instants included.
-        let again = run(&sched, true);
-        prop_assert_eq!(&cached, &again, "cached replay diverged");
-    }
-}
-
-/// The generator must actually reach what the property is about: across
-/// its schedules the cache hits, write-updates resident chunks, drops
-/// partly covered ones and evicts.
-#[test]
-fn schedules_exercise_every_cache_rule() {
-    let mut rng = proptest::TestRng::from_seed(5);
-    let mut total = DpuCacheStats::default();
-    for _ in 0..24 {
-        total.merge(run(&schedules().new_value(&mut rng), true).stats);
-    }
-    assert!(total.hits > 100, "{total:?}");
-    assert!(total.write_updates > 20, "{total:?}");
-    assert!(total.invalidations > 20, "{total:?}");
-    assert!(total.evictions > 0, "{total:?}");
 }
 
 // ------------------------------------------------------- unit triggers ---

@@ -70,6 +70,10 @@ impl DfsShadow {
     /// Keeps an acked write of `data` at `offset` of file `path`.
     pub fn write(&mut self, path: &str, offset: u64, data: &[u8]) {
         let file = self.files.get_mut(path).expect("a file the shadow holds");
+        if data.is_empty() {
+            // POSIX `pwrite` of zero bytes: the size stays.
+            return;
+        }
         let (at, end) = (offset as usize, offset as usize + data.len());
         file.resize(file.len().max(end), 0);
         file[at..end].copy_from_slice(data);

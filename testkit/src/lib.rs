@@ -1,8 +1,10 @@
 //! The client suites' one test kit: the world the DAOS and DPU suites
 //! build ([`world`], host-resident or offloaded), payloads that name the
 //! write they came from ([`stamped`]), the history oracle ([`Oracle`])
-//! every DAOS answer is checked against, whichever client gave it, and
-//! the DFS shadow ([`DfsShadow`]) every DFS answer is.
+//! every DAOS answer is checked against, whichever client gave it, the
+//! one history tape ([`Tape`]) every DAOS and DPU property schedule is
+//! drawn as and [`sweep`] checks, and the DFS shadow ([`DfsShadow`])
+//! every DFS answer is.
 //!
 //! The oracle keeps a shadow of each record's writes and holds a suite to
 //! four rules:
@@ -48,7 +50,9 @@ use ros2_sim::SimTime;
 use ros2_verbs::{Expiry, MemoryDomain, NodeId};
 
 mod dfs;
+mod tape;
 pub use dfs::{DfsShadow, FsError};
+pub use tape::{sweep, Arm, Contrast, Coverage, Event, Op, Run, Tape};
 
 const LATEST: Epoch = Epoch::LATEST;
 
@@ -430,6 +434,11 @@ impl Oracle {
         for (op, r) in tape.into_iter().zip(results) {
             self.settle(op, r);
         }
+    }
+
+    /// The epoch the last settled update took.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// Records an array extent that reached the replicas around the

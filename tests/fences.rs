@@ -295,6 +295,19 @@ const FENCES: &[Fence] = &[
         ])),
         message: "a DAOS or DPU client suite builds its own world instead of calling ros2_testkit::world",
     },
+    // The DAOS and DPU suites' histories are the kit's one tape
+    // (`ros2_testkit::Tape`, swept in `history_tape.rs`): no suite draws
+    // schedules or histories of its own.
+    Fence {
+        paths: &["crates/daos/tests/*.rs", "crates/dpu/tests/*.rs"],
+        patterns: &["fn schedules(", "fn histories("],
+        except: Some(Except::Files(&[(
+            "crates/daos/tests/pool_props.rs",
+            "its schedules draw client counts and session kills against the \
+             engine-side connection pool, which a one-client tape never reaches",
+        )])),
+        message: "a DAOS or DPU suite draws its own schedules instead of ros2_testkit::Tape",
+    },
 ];
 
 /// `clippy::too_many_arguments` allows under `crates/*/src`: the count may
@@ -539,7 +552,35 @@ fn patterns_match_as_documented() {
         "tests/posix_model.rs",
         "struct ModelConfig {"
     ));
-    let suites = FENCES.last().unwrap();
+    let generators = FENCES
+        .iter()
+        .find(|f| f.message.contains("ros2_testkit::Tape"))
+        .unwrap();
+    for suite in [
+        "crates/daos/tests/chaos_props.rs",
+        "crates/dpu/tests/cache_props.rs",
+    ] {
+        for line in [
+            "fn schedules() -> impl Strategy<Value = Schedule> {",
+            "fn histories() -> impl Strategy<Value = History> {",
+        ] {
+            assert!(breaks_fence(generators, suite, line), "{suite}: {line}");
+        }
+        assert!(!breaks_fence(
+            generators,
+            suite,
+            "    let run = Tape::draw(seed).check();"
+        ));
+    }
+    assert!(!breaks_fence(
+        generators,
+        "crates/daos/tests/pool_props.rs",
+        "fn schedules() -> impl Strategy<Value = Schedule> {"
+    ));
+    let suites = FENCES
+        .iter()
+        .find(|f| f.message.contains("ros2_testkit::world"))
+        .unwrap();
     let breaks = |file: &str, line: &str| breaks_fence(suites, file, line);
     for suite in [
         "crates/daos/tests/map_races.rs",

@@ -29,7 +29,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u8..3).prop_map(Op::Mkdir),
         (0u8..3, 0u8..4).prop_map(|(d, f)| Op::Create(d, f)),
-        (0u8..3, 0u8..4, 0u32..200_000, 1u16..4096, any::<u8>())
+        (0u8..3, 0u8..4, 0u32..200_000, 0u16..4096, any::<u8>())
             .prop_map(|(d, f, offset, len, fill)| Op::Write(d, f, offset, len, fill)),
         (0u8..3, 0u8..4, 0u32..250_000, 1u16..4096)
             .prop_map(|(d, f, offset, len)| Op::Read(d, f, offset, len)),
