@@ -8,8 +8,9 @@
 //! The theorem the cache exists under (a cached fetch never returns
 //! different bytes than the history of writes says it must, under any
 //! interleaving of writes from both lanes, kills, delayed map pushes,
-//! queue depths and capacity pressure) is the history tape's, swept over
-//! seeds in `history_tape.rs` (`ros2_testkit::Tape`).
+//! queue depths and capacity pressure) is the history tape's
+//! (`ros2_testkit::Tape`): `cached_fetches_never_diverge_from_authority`
+//! checks tapes with a cache carve, and `history_tape.rs` sweeps every arm.
 
 use bytes::Bytes;
 use ros2_daos::{
@@ -19,7 +20,7 @@ use ros2_daos::{
 use ros2_dpu::{DpuClient, DpuTenantSpec};
 use ros2_fabric::Fabric;
 use ros2_sim::{SimDuration, SimTime};
-use ros2_testkit::{array_key, instant, serial_op, world, World};
+use ros2_testkit::{array_key, instant, serial_op, sweep, world, Arm, Tape, World};
 
 const ENGINES: usize = 4;
 const KEYS: u64 = 6;
@@ -323,4 +324,22 @@ fn cache_carve_balances_across_cycles() {
     assert!(c.enable_read_cache(64 << 30).is_err());
     assert_eq!(c.agent().dram_used(), baseline);
     assert_eq!(c.agent().cache_reserved(), 0);
+}
+
+/// The seeds the cache property draws from: past the full sweep's
+/// `0..1000`.
+const FROM: u64 = 30_000;
+const CASES: usize = 40;
+
+/// Offloaded tapes with a read-cache carve: every fetch is held to the
+/// oracle, each tape replays bit-identically with resident bytes within
+/// the carve after every queue, and its contrast run (often the cache
+/// off) is held to the oracle too.
+#[test]
+fn cached_fetches_never_diverge_from_authority() {
+    let seeds = (FROM..)
+        .filter(|&s| matches!(Tape::draw(s).arm, Arm::Offloaded(1..)))
+        .take(CASES);
+    let c = sweep(seeds);
+    assert!(c.cache.hits > 0, "{c:?}");
 }

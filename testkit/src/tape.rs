@@ -735,7 +735,7 @@ impl<'t> Bed<'t> {
 
 /// Checks the tapes of `seeds` in order and sums what they reached. The
 /// first failing seed panics with its tape, shrunk.
-pub fn sweep(seeds: Range<u64>) -> Coverage {
+pub fn sweep(seeds: impl IntoIterator<Item = u64>) -> Coverage {
     let mut cov = Coverage::default();
     for seed in seeds {
         let tape = Tape::draw(seed);
